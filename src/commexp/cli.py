@@ -1,7 +1,8 @@
 """Command-line front end: catalog inspection, verification, benchmarks.
 
 Exit codes: 0 on success, 1 when a verification falls short of the claimed
-order, 2 for usage errors (unknown names, malformed flags).  All output is
+order, 2 for usage and input errors (unknown names, malformed flags, a scheme
+whose log cannot be formed at the needed degree).  All output is
 deterministic for fixed flags and seed.  The ``COMMEXP_OUT_DIR`` environment
 variable supplies a default directory for CSV exports when ``--out`` names
 no path.
@@ -99,7 +100,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return _fail(str(exc.args[0] if exc.args else exc))
 
     r = sch.order
-    report = order_residuals(sch, sch.target, r, args.tol)
+    try:
+        report = order_residuals(sch, sch.target, r, args.tol)
+    except ValueError as exc:
+        return _fail(f"cannot verify {sch.name}: {exc}")
     for degree in range(1, r + 1):
         print(f"degree {degree}: max residual {report.max_residual(degree):.3e}")
 
@@ -110,7 +114,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
               f"tol {report.tolerance:g})")
         return 1
 
-    ee = effective_error(sch, r)
+    ee = report.effective_error
     note = " (word-coefficient norm)" if ee.word_norm_fallback else ""
     print(f"{sch.name}: order {r} verified, E = {ee.E:.6g}, "
           f"E/s = {ee.per_exponential:.6g}{note}")

@@ -182,6 +182,7 @@ class ResidualReport:
     leading_error_norm: float
     word_norm_fallback: bool
     verified_order: int
+    effective_error: EffectiveError
 
     def max_residual(self, degree: int) -> float:
         return float(np.max(self.residuals[degree])) if len(self.residuals[degree]) else 0.0
@@ -196,12 +197,16 @@ def order_residuals(scheme, target: TargetPolynomial, r: int, tol: float = 1e-10
     Residuals are reported for degrees 1..r; the Euclidean deviation at
     degree r+1 becomes ``leading_error_norm`` (word-coefficient norm when
     r+1 exceeds the basis range).  ``verified_order`` is the largest order
-    r' <= r whose residuals all stay within ``tol``.
+    r' <= r whose residuals all stay within ``tol``.  The report also
+    carries what :func:`effective_error` would return for order r, sized
+    from the same projected log.
     """
+    if r < 1:
+        raise ValueError(f"order must be at least 1, got {r}")
     if r + 1 > MAX_TRUNCATION:
         raise ValueError(f"order {r} needs degree {r + 1} > ceiling {MAX_TRUNCATION}")
-    series = scheme_log(_slot_pairs(scheme), r + 1)
-    coeffs = lie_project(series)
+    pairs = _slot_pairs(scheme)
+    coeffs = lie_project(scheme_log(pairs, r + 1))
 
     residuals: dict[int, np.ndarray] = {}
     for degree in range(1, r + 1):
@@ -220,7 +225,8 @@ def order_residuals(scheme, target: TargetPolynomial, r: int, tol: float = 1e-10
             verified = degree
         else:
             break
-    return ResidualReport(r, tol, residuals, leading, fallback, verified)
+    return ResidualReport(r, tol, residuals, leading, fallback, verified,
+                          _size_leading_error(coeffs, r, len(pairs)))
 
 
 @dataclass(frozen=True)
@@ -235,25 +241,27 @@ class EffectiveError:
     word_norm_fallback: bool
 
 
+def _size_leading_error(coeffs: LieCoefficients, r: int, slot_count: int) -> EffectiveError:
+    norm = coeffs.degree_norm(r + 1)
+    E = slot_count * norm ** (1.0 / r)
+    return EffectiveError(E, E / slot_count, slot_count, r, norm, r + 1 > MAX_BASIS_DEGREE)
+
+
 def effective_error(scheme, r: int | None = None) -> EffectiveError:
     """s * (leading-error Euclidean norm)^(1/r), with s the slot count.
 
     The caller is responsible for the composition actually having order r
-    (use :func:`order_residuals`); this routine only sizes the degree-(r+1)
-    term.  Past the basis range the word-coefficient norm substitutes, and
-    the result is flagged ``word_norm_fallback``.
+    (use :func:`order_residuals`, whose report carries the same value
+    without a second log); this routine only sizes the degree-(r+1) term.
+    Past the basis range the word-coefficient norm substitutes, and the
+    result is flagged ``word_norm_fallback``.
     """
     pairs = _slot_pairs(scheme)
     if r is None:
         r = scheme.order
     if r + 1 > MAX_TRUNCATION:
         raise ValueError(f"degree {r + 1} beyond truncation ceiling")
-    coeffs = lie_project(scheme_log(pairs, r + 1))
-    norm = coeffs.degree_norm(r + 1)
-    fallback = r + 1 > MAX_BASIS_DEGREE
-    s = len(pairs)
-    E = s * norm ** (1.0 / r)
-    return EffectiveError(E, E / s, s, r, norm, fallback)
+    return _size_leading_error(lie_project(scheme_log(pairs, r + 1)), r, len(pairs))
 
 
 # --------------------------------------------------------------------------
@@ -296,14 +304,10 @@ def cp_expand(half: Sequence[complex], sign, *, name: str | None = None,
     if len(half) < 2:
         raise ValueError("half-pattern needs at least c0 and c1")
     s = _cp_sign(sign)
-    full = half + [s * c for c in reversed(half)]
-    slots = tuple(
-        ExponentSlot(Generator.B if i % 2 == 0 else Generator.A, c)
-        for i, c in enumerate(full)
-    )
+    slots = tuple(ExponentSlot(g, c) for g, c in _cp_pairs(half, s))
     kind = "PCP" if s > 0 else "NCP"
     return Scheme(
-        name=name or f"{kind.lower()}{len(full)}",
+        name=name or f"{kind.lower()}{len(slots)}",
         slots=slots,
         target=commutator_target(),
         order=order,
@@ -312,6 +316,12 @@ def cp_expand(half: Sequence[complex], sign, *, name: str | None = None,
         cp_sign="positive" if s > 0 else "negative",
         note=note,
     )
+
+
+def _cp_pairs(half: list, s: int) -> list[tuple[Generator, complex]]:
+    """Slots B, A, ..., A of the mirrored pattern, as (generator, coefficient)."""
+    full = half + [s * c for c in reversed(half)]
+    return [(Generator.B if i % 2 == 0 else Generator.A, c) for i, c in enumerate(full)]
 
 
 class IdentityCheck(NamedTuple):
@@ -447,31 +457,50 @@ def _cp_residual(tail, sign, target, r):
     """Independent-component residuals of a mirrored pattern vs target.
 
     Degree 1 is omitted: the closure relation built into the half-pattern
-    satisfies it identically.
+    satisfies it identically.  Complex coefficients give complex residuals
+    (the complex-step Jacobian in :func:`refine` relies on that).
     """
     half = [cp_half_closure(tail, sign)] + list(tail)
-    scheme = cp_expand(half, sign)
-    coeffs = lie_project(scheme_log(_slot_pairs(scheme), r))
+    coeffs = lie_project(scheme_log(_cp_pairs(half, _cp_sign(sign)), r))
     out = []
     for degree in range(2, r + 1):
-        tvec = target.vector(degree)
-        for pos in CP_INDEPENDENT[degree]:
-            out.append(coeffs.vectors[degree][pos] - tvec[pos])
-    return np.array(out, dtype=float)
+        free = list(CP_INDEPENDENT[degree])
+        out.append(coeffs.vectors[degree][free] - target.vector(degree)[free])
+    return np.concatenate(out)
 
 
 def _general_residual(coefficients, generators, target, r):
-    slots = list(zip(generators, coefficients))
-    coeffs = lie_project(scheme_log(slots, r))
-    out = []
-    for degree in range(1, r + 1):
-        out.extend(np.atleast_1d(coeffs.vectors[degree] - target.vector(degree)))
-    return np.array(out, dtype=float)
+    """Residuals of every basis coefficient through degree r vs target.
+
+    Like :func:`_cp_residual`, complex coefficients give complex residuals.
+    """
+    coeffs = lie_project(scheme_log(list(zip(generators, coefficients)), r))
+    return np.concatenate([coeffs.vectors[degree] - target.vector(degree)
+                           for degree in range(1, r + 1)])
+
+
+#: Imaginary step of the complex-step Jacobian.  Its truncation error is
+#: O(h^2) relative and it suffers no cancellation, so any h far below
+#: sqrt(eps) and far above the underflow threshold gives eps accuracy.
+_COMPLEX_STEP = 1e-20
+
+
+def _complex_step_jacobian(residual_of, v: np.ndarray) -> np.ndarray:
+    """J[:, i] = Im F(v + i h e_i) / h for a residual F analytic in v.
+
+    Needs one evaluation per column, against two for central differences,
+    and is exact to round-off (Squire & Trapp 1998).
+    """
+    columns = []
+    for i in range(len(v)):
+        vc = v.astype(np.complex128)
+        vc[i] += 1j * _COMPLEX_STEP
+        columns.append(residual_of(vc).imag / _COMPLEX_STEP)
+    return np.column_stack(columns)
 
 
 def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
-           r: int | None = None, tol: float = 1e-13, max_iter: int = 50,
-           fd_step: float = 1e-6):
+           r: int | None = None, tol: float = 1e-13, max_iter: int = 50):
     """Newton-polish coefficients until the order conditions hold to ``tol``.
 
     Counter-palindromic schemes are iterated on their half-pattern with the
@@ -481,8 +510,10 @@ def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
     coordinates may move (0-based indices into the half-pattern tail for
     mirrored schemes, into the slot list otherwise); it must offer at least
     as many unknowns as there are conditions.  The Jacobian is formed by
-    central finite differences.  Returns a rebuilt scheme; raises
-    ``RuntimeError`` on divergence or stagnation.
+    complex steps (:func:`_complex_step_jacobian`): the residual chain is
+    analytic in the coefficients, so one complex evaluation per unknown
+    gives each column to round-off while the iterate stays real.  Returns a
+    rebuilt scheme; raises ``RuntimeError`` on divergence or stagnation.
     """
     from .schemes import Scheme, ExponentSlot
 
@@ -490,6 +521,8 @@ def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
         target = scheme.target
     if r is None:
         r = scheme.order
+    if any(complex(w).imag != 0.0 for w in target.terms.values()):
+        raise ValueError("refinement handles real targets only")
 
     is_cp = getattr(scheme, "cp_half", None) is not None
     if is_cp:
@@ -525,7 +558,7 @@ def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
     x = x_full.copy()
 
     def eval_at(values):
-        y = x.copy()
+        y = x.astype(values.dtype)
         y[free] = values
         return residual_of(y)
 
@@ -537,12 +570,7 @@ def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
             break
         if not np.all(np.isfinite(g)) or worst > 1e6:
             raise RuntimeError("refinement diverged")
-        J = np.zeros((len(g), len(free)))
-        for i in range(len(free)):
-            h = fd_step * max(1.0, abs(v[i]))
-            vp = v.copy(); vp[i] += h
-            vm = v.copy(); vm[i] -= h
-            J[:, i] = (eval_at(vp) - eval_at(vm)) / (2 * h)
+        J = _complex_step_jacobian(eval_at, v)
         step, *_ = np.linalg.lstsq(J, -g, rcond=None)
         v = v + step
         g = eval_at(v)
@@ -599,7 +627,7 @@ def optimize_free_parameter(family: Callable[[float], object], r: int,
                     f"family member at parameter {p:.6g} violates order {r} "
                     f"(residual {worst:.3e})"
                 )
-        return effective_error(scheme, r).E
+        return report.effective_error.E
 
     xs = np.linspace(a, b, grid)
     fs = np.array([objective(x) for x in xs])

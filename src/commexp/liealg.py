@@ -9,6 +9,15 @@ bit strings with A = 0, B = 1 and the first letter in the most significant
 position.  Concatenation of words is then exactly the row-major ravel of an
 outer product, which keeps the Cauchy product (:func:`series_mul`) short.
 
+The hot path, :func:`scheme_log`, keeps the running product as one flat
+vector (degree j at offset ``2**j - 1``) and appends each slot ``exp(c X)`` to
+it in place: every word ``u X^k`` gains ``c^k/k!`` times the old coefficient
+of ``u``.  One gather through a precomputed index table and one dot product do
+that for all words and all k at once, so a slot costs two numpy calls at any
+truncation.  :func:`series_log` multiplies through the same tables.
+:func:`series_mul` and :func:`exp_slot` are the plain reference the fast path
+is tested against.
+
 Logarithms of products of exponentials are Lie elements (sums of nested
 commutators); :func:`lie_project` rewrites them in the right-nested
 commutator basis built by :func:`basis_build` (dimensions 2, 1, 2, 3, 6, 9
@@ -19,11 +28,12 @@ coefficient norms for that degree.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -38,6 +48,11 @@ LIE_DIMS = (2, 1, 2, 3, 6, 9)
 
 #: Default scaled tolerance for the Lie-membership (Friedrichs) residual test.
 DEFAULT_LIE_TOL = 1e-10
+
+#: Largest log coefficient :func:`scheme_log` returns.  Squares of larger ones,
+#: summed over the 2**7 words of a degree, would overflow the Euclidean norms
+#: that :func:`lie_project` and the error measures take.
+MAX_LOG_COEFFICIENT = 1e150
 
 
 class LieMembershipError(ValueError):
@@ -295,16 +310,7 @@ def series_log(s: TruncatedSeries) -> TruncatedSeries:
     lead = complex(s._deg[0][0])
     if abs(lead - 1.0) > 1e-12:
         raise ValueError(f"series_log needs leading coefficient 1, got {lead}")
-    n = s.truncation
-    z = s - TruncatedSeries.unit(n, complex_=s.is_complex)
-    z._deg[0][0] = 0.0  # scrub round-off in the constant term
-    out = TruncatedSeries.zero(n, complex_=s.is_complex)
-    power = z.copy()
-    for k in range(1, n + 1):
-        out = out + ((-1.0) ** (k + 1) / k) * power
-        if k < n:
-            power = series_mul(power, z)
-    return out
+    return _from_flat(s.truncation, _log_flat(_padded(s), s.truncation))
 
 
 def series_exp(s: TruncatedSeries) -> TruncatedSeries:
@@ -327,16 +333,125 @@ def scheme_log(slots: Iterable, truncation: int) -> TruncatedSeries:
     """log of the left-to-right product of exponentials ``exp(c_i * g_i)``.
 
     ``slots`` yields ``(generator, coefficient)`` pairs; the first pair is the
-    leftmost factor of the product.
+    leftmost factor of the product.  Raises ``ValueError`` when a slot's
+    powers ``c^k/k!`` are not finite at this truncation, or when a log
+    coefficient is not finite or exceeds :data:`MAX_LOG_COEFFICIENT`, rather
+    than returning a series of infinities and NaNs.
     """
     slots = list(slots)
     if not slots:
         raise ValueError("scheme_log needs at least one slot")
-    product: TruncatedSeries | None = None
-    for g, c in slots:
-        factor = exp_slot(g, c, truncation)
-        product = factor if product is None else series_mul(product, factor)
-    return series_log(product)
+    with np.errstate(over="ignore", invalid="ignore"):
+        log = _log_flat(_slot_product(slots, truncation), truncation)
+    largest = float(np.abs(log).max())
+    if not largest <= MAX_LOG_COEFFICIENT:
+        raise ValueError(
+            f"log of the slot product has a coefficient of size {largest:.3g} at "
+            f"truncation {truncation} (limit {MAX_LOG_COEFFICIENT:g})"
+        )
+    return _from_flat(truncation, log)
+
+
+class _WordTables(NamedTuple):
+    """Flat-index tables for one truncation N (see :func:`_word_tables`)."""
+
+    size: int
+    prefix: np.ndarray
+    suffix: np.ndarray
+    append: dict[Generator, np.ndarray]
+
+
+@lru_cache(maxsize=None)
+def _word_tables(truncation: int) -> _WordTables:
+    """Where the splits of every word sit in the flat layout.
+
+    A series at truncation N is flattened to ``size = 2**(N+1) - 1`` entries,
+    degree j at offset ``2**j - 1``, plus one trailing zero that the tables
+    point at for splits that do not exist.  For q = 0..N and every word t,
+    ``prefix[q, t]`` is t without its last q letters and ``suffix[q, t]`` is
+    those q letters as a word of degree q (both the pad when t is shorter than
+    q); ``append[X][q, t]`` is ``prefix[q, t]`` where t ends in ``X^q`` and the
+    pad elsewhere.
+    """
+    if not 1 <= truncation <= MAX_TRUNCATION:
+        raise ValueError(f"truncation must lie in 1..{MAX_TRUNCATION}, got {truncation}")
+    size = (2 << truncation) - 1
+    degree = np.repeat(np.arange(truncation + 1), 1 << np.arange(truncation + 1))
+    index = np.arange(size) - ((1 << degree) - 1)
+    q = np.arange(truncation + 1)[:, None]
+    fits = q <= degree
+    head = np.where(fits, degree - q, 0)
+    prefix = np.where(fits, (1 << head) - 1 + (index >> q), size)
+    tail = index & ((1 << q) - 1)
+    suffix = np.where(fits, (1 << q) - 1 + tail, size)
+    append = {
+        Generator.A: np.where(fits & (tail == 0), prefix, size),
+        Generator.B: np.where(fits & (tail == (1 << q) - 1), prefix, size),
+    }
+    for table in (prefix, suffix, *append.values()):
+        table.flags.writeable = False  # shared by every caller through the cache
+    return _WordTables(size, prefix, suffix, append)
+
+
+def _padded(s: TruncatedSeries) -> np.ndarray:
+    """Fresh flat copy of ``s`` with the trailing zero the word tables point at."""
+    return np.concatenate([*s._deg, np.zeros(1, dtype=s._deg[0].dtype)])
+
+
+def _from_flat(truncation: int, flat: np.ndarray) -> TruncatedSeries:
+    """Series whose degree blocks are views into one flat vector."""
+    return TruncatedSeries(
+        truncation, [flat[(1 << j) - 1 : (2 << j) - 1] for j in range(truncation + 1)]
+    )
+
+
+def _slot_product(slots: list, truncation: int) -> np.ndarray:
+    """Padded flat left-to-right product of ``exp(c * g)`` over ``(g, c)`` pairs.
+
+    Right-multiplying by ``exp(c X)`` adds, to each word ending in ``X^k``,
+    ``c^k/k!`` times the coefficient of the word without that tail; row k of
+    ``append[X]`` gathers those prefixes, so a slot is one gather and one dot
+    product written back into the running product.
+    """
+    tables = _word_tables(truncation)
+    complex_ = any(isinstance(c, (complex, np.complexfloating)) for _, c in slots)
+    flat = np.zeros(tables.size + 1, dtype=np.complex128 if complex_ else np.float64)
+    flat[0] = 1.0
+    product = flat[:-1]
+    for i, (g, c) in enumerate(slots):
+        c = complex(c) if complex_ else float(c)
+        power = 1.0
+        powers = [power]
+        for k in range(1, truncation + 1):
+            power = power * c / k
+            powers.append(power)
+        if not cmath.isfinite(power):
+            raise ValueError(
+                f"slot {i} coefficient {c!r} has non-finite powers at truncation {truncation}"
+            )
+        np.dot(powers, flat[tables.append[as_generator(g)]], out=product)
+    return flat
+
+
+def _log_flat(z: np.ndarray, truncation: int) -> np.ndarray:
+    """log of ``1 + z`` for a padded flat series; overwrites z's constant term.
+
+    ``w * z`` at word t sums ``w[prefix] * z[suffix]`` over the splits of t
+    with a nonempty suffix, and z's side of every split is the same for all
+    the powers ``z^k``.  Returns the flat log without the pad.
+    """
+    tables = _word_tables(truncation)
+    z[0] = 0.0
+    z_suffixes = z[tables.suffix[1:]]
+    prefixes = tables.prefix[1:]
+    out = z[:-1].copy()
+    power = z
+    for k in range(2, truncation + 1):
+        nxt = np.zeros_like(z)
+        np.sum(power[prefixes] * z_suffixes, axis=0, out=nxt[:-1])
+        out += ((-1.0) ** (k + 1) / k) * nxt[:-1]
+        power = nxt
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +634,9 @@ def lie_project(
             w = basis.pinvs[j] @ y
             residual = float(np.linalg.norm(basis.matrices[j] @ w - y))
             scale = max(1.0, float(np.linalg.norm(y)))
+            if not (math.isfinite(residual) and math.isfinite(scale)):
+                raise ValueError(f"degree-{j} coefficients are not finite or too large "
+                                 f"to project")
             if require_lie and residual > tol * scale:
                 raise LieMembershipError(
                     f"degree-{j} word coefficients are not a commutator polynomial "

@@ -116,6 +116,25 @@ def test_verify_corrupted_file_fails_with_degree(capsys, tmp_path):
     assert "first failure at degree 1" in out
 
 
+@pytest.mark.parametrize("size,reason", [
+    (1e200, "non-finite powers"),
+    (1e60, "limit"),
+])
+def test_verify_oversized_slot_is_input_error(capsys, tmp_path, size, reason):
+    scheme = catalog_get("NCP6_3")
+    slots = list(scheme.slots)
+    slots[2] = type(slots[2])(slots[2].generator, size)
+    huge = type(scheme)(
+        name="huge", slots=tuple(slots), target=scheme.target, order=scheme.order)
+    path = tmp_path / "huge.scheme.json"
+    save_scheme(huge, path)
+    code, out, err = run(capsys, "verify", "--scheme", str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: cannot verify huge:") and reason in err
+
+
 def test_verify_loose_tolerance_accepts_corruption(capsys, tmp_path):
     scheme = catalog_get("NCP6_3")
     slots = list(scheme.slots)

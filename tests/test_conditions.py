@@ -4,9 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commexp.conditions import (
     CP_INDEPENDENT,
+    _complex_step_jacobian,
+    _cp_residual,
+    _general_residual,
     combined_target,
     commutator_target,
     cp_condition_counts,
@@ -122,6 +127,18 @@ def test_effective_error_word_norm_fallback_past_basis():
     ee = effective_error(catalog_get("PCP26_6"))
     assert ee.order == 6
     assert ee.word_norm_fallback
+
+
+@pytest.mark.parametrize("name", ["NCP6_3", "PCP16_5", "PCP26_6", "combined5"])
+def test_residual_report_carries_effective_error(name):
+    sch = catalog_get(name)
+    report = order_residuals(sch, sch.target, sch.order)
+    assert report.effective_error == effective_error(sch)
+
+
+def test_order_residuals_rejects_order_zero():
+    with pytest.raises(ValueError):
+        order_residuals(catalog_get("strang"), sum_target(), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +284,51 @@ def test_refine_rejects_bad_indices():
 def test_refine_rejects_complex_coefficients():
     with pytest.raises(ValueError):
         refine(catalog_get("PCP6_3_imaginary"))
+
+
+def test_refine_rejects_complex_target():
+    from commexp.conditions import TargetPolynomial
+
+    sch = catalog_get("NCP10_4")
+    with pytest.raises(ValueError):
+        refine(sch, TargetPolynomial("imaginary", {(2, 1): 1j}))
+
+
+def _central_difference_jacobian(residual_of, v, h=1e-6):
+    columns = []
+    for i in range(len(v)):
+        step = np.zeros_like(v)
+        step[i] = h * max(1.0, abs(v[i]))
+        columns.append((residual_of(v + step) - residual_of(v - step)) / (2 * step[i]))
+    return np.column_stack(columns)
+
+
+def _assert_jacobians_agree(residual_of, v):
+    exact = _complex_step_jacobian(residual_of, v)
+    approx = _central_difference_jacobian(residual_of, v)
+    assert exact.dtype == np.float64
+    assert np.max(np.abs(exact - approx)) <= 1e-6 * max(1.0, np.max(np.abs(exact)))
+
+
+_unit_floats = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(_unit_floats, min_size=2, max_size=6),
+       st.sampled_from(["positive", "negative"]), st.integers(2, 5))
+def test_complex_step_jacobian_matches_central_differences_cp(tail, sign, r):
+    target = commutator_target()
+    _assert_jacobians_agree(lambda x: _cp_residual(x, sign, target, r), np.array(tail))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([A, B]), _unit_floats), min_size=1, max_size=8),
+       st.sampled_from([commutator_target(), sum_target(), combined_target()]),
+       st.integers(1, 5))
+def test_complex_step_jacobian_matches_central_differences_general(slots, target, r):
+    generators = [g for g, _ in slots]
+    _assert_jacobians_agree(lambda x: _general_residual(x, generators, target, r),
+                            np.array([c for _, c in slots]))
 
 
 # ---------------------------------------------------------------------------

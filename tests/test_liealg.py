@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from commexp.liealg import (
     LIE_DIMS,
     MAX_BASIS_DEGREE,
+    MAX_LOG_COEFFICIENT,
     MAX_TRUNCATION,
     Generator,
     LieMembershipError,
     TruncatedSeries,
     Word,
+    _slot_product,
     basis_build,
     exp_slot,
     lie_project,
@@ -202,6 +204,110 @@ def test_scheme_log_single_slot():
     assert log.norm() == pytest.approx(1.25)
 
 
+def test_scheme_log_rejects_non_finite_powers():
+    with pytest.raises(ValueError, match="non-finite powers"):
+        scheme_log([(A, 0.5), (B, 1e200)], 3)
+    with pytest.raises(ValueError, match="non-finite powers"):
+        scheme_log([(A, float("nan"))], 2)
+
+
+def test_scheme_log_rejects_oversized_log():
+    # 1e60 has finite powers through degree 4, but the log's cancellation
+    # leaves coefficients whose squares would overflow the projection norms
+    with pytest.raises(ValueError, match="limit"):
+        scheme_log([(B, 0.3), (A, 1e60), (B, -0.7)], 4)
+    assert MAX_LOG_COEFFICIENT ** 2 * 2 ** MAX_TRUNCATION < np.finfo(float).max
+
+
+# ---------------------------------------------------------------------------
+# slot-append fast path against the series_mul reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_product(slots, truncation):
+    product = TruncatedSeries.unit(truncation, complex_=any(
+        isinstance(c, complex) for _, c in slots))
+    for g, c in slots:
+        product = series_mul(product, exp_slot(g, c, truncation))
+    return product
+
+
+def _reference_log(s, sign: float = -1.0):
+    """log(1 + z) = sum (-1)^(k+1) z^k / k with every power from series_mul.
+
+    ``sign=+1`` sums ``z^k / k`` instead: applied to a product of the
+    coefficients' magnitudes, that bounds every term the log adds up.
+    """
+    z = s - TruncatedSeries.unit(s.truncation, complex_=s.is_complex)
+    out, power = z, z
+    for k in range(2, s.truncation + 1):
+        power = series_mul(power, z)
+        out = out + (sign ** (k + 1) / k) * power
+    return out
+
+
+def _round_off_scales(slots, truncation):
+    """Largest term the product and its log sum up, from |coefficients|."""
+    majorant = _reference_product([(g, abs(c)) for g, c in slots], truncation)
+    return (max(1.0, float(np.max(_flat(majorant)))),
+            max(1.0, float(np.max(_flat(_reference_log(majorant, sign=1.0))))))
+
+
+def _flat(s):
+    return np.concatenate([s.degree_coefficients(j) for j in range(s.truncation + 1)])
+
+
+_real_coefficients = st.one_of(st.just(0.0), st.floats(-1.5, 1.5, allow_nan=False))
+
+
+@st.composite
+def slot_lists(draw):
+    coefficient = _real_coefficients
+    if draw(st.booleans()):
+        coefficient = st.builds(complex, _real_coefficients, _real_coefficients)
+    slots = draw(st.lists(st.tuples(st.sampled_from([A, B]), coefficient),
+                          min_size=1, max_size=8))
+    return draw(st.integers(1, MAX_TRUNCATION)), slots
+
+
+@settings(max_examples=150, deadline=None)
+@given(slot_lists())
+def test_slot_append_matches_series_mul_chain(case):
+    # both sides round differently; 1e-13 of the largest summed term bounds that
+    truncation, slots = case
+    product_scale, log_scale = _round_off_scales(slots, truncation)
+    reference = _reference_product(slots, truncation)
+    product = _slot_product(slots, truncation)[:-1]
+    np.testing.assert_allclose(product, _flat(reference), rtol=0.0,
+                               atol=1e-13 * product_scale)
+
+    log = _flat(scheme_log(slots, truncation))
+    np.testing.assert_allclose(log, _flat(_reference_log(reference)), rtol=0.0,
+                               atol=1e-13 * log_scale)
+    assert np.iscomplexobj(log) == any(isinstance(c, complex) for _, c in slots)
+
+
+def test_slot_append_repeated_generator_adds_exponents():
+    log = scheme_log([(A, 0.25), (A, 0.5), (A, 0.0), (A, -1.0)], MAX_TRUNCATION)
+    assert log.coefficient("A") == pytest.approx(-0.25)
+    assert log.norm() == pytest.approx(0.25)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, MAX_TRUNCATION), st.data())
+def test_series_log_matches_series_mul_power_series(truncation, data):
+    size = (2 << truncation) - 1
+    flat = data.draw(st.lists(st.floats(-1.0, 1.0, allow_nan=False),
+                              min_size=size, max_size=size))
+    flat[0] = 1.0
+    s = TruncatedSeries(truncation, [
+        np.array(flat[(1 << j) - 1:(2 << j) - 1]) for j in range(truncation + 1)])
+    majorant = TruncatedSeries(truncation, [np.abs(b) for b in s._deg])
+    scale = max(1.0, float(np.max(_flat(_reference_log(majorant, sign=1.0)))))
+    np.testing.assert_allclose(_flat(series_log(s)), _flat(_reference_log(s)),
+                               rtol=0.0, atol=1e-13 * scale)
+
+
 # ---------------------------------------------------------------------------
 # basis
 # ---------------------------------------------------------------------------
@@ -284,6 +390,13 @@ def test_lie_project_rejects_non_lie_input():
         lie_project(bad)
     loose = lie_project(bad, require_lie=False)
     assert loose.residuals[2] > 0.1
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 1e300])
+def test_lie_project_rejects_non_finite_norms(value):
+    series = TruncatedSeries.from_terms(3, {"A": 1.0, "AB": value, "BA": -value})
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite or too large"):
+        lie_project(series)
 
 
 def test_lie_project_rejects_constant_term():
