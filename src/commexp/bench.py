@@ -10,6 +10,7 @@ given the same seed and flags the CSV bytes are identical run to run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -101,8 +102,8 @@ def gates_for_tolerance(scheme, pair: matform.OperatorPair,
     where ``n_cap`` steps still miss the tolerance.
     """
     scheme = _resolve_scheme(scheme)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     k = scheme.target.min_degree
     out: list[tuple[float, int | None]] = []
     for x in x_grid:

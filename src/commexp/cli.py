@@ -11,6 +11,7 @@ no path.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -135,8 +136,12 @@ def _parse_pair(spec: str, seed: int) -> matform.OperatorPair:
     raise ValueError(f"unknown operator pair {spec!r} (use pauli or random:<dim>)")
 
 
-def _split_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _split_numbers(text: str, kind=float) -> list:
+    return [kind(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _positive_finite(value: float) -> bool:
+    return math.isfinite(value) and value > 0
 
 
 def _write_rows(out: Path, comments: list[str], header: tuple[str, ...],
@@ -174,20 +179,32 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     out = Path(args.out) if args.out else _default_out("custom.csv")
     if args.n is not None:
-        n_list = [int(tok) for tok in args.n.split(",") if tok.strip()]
+        try:
+            n_list = _split_numbers(args.n, int)
+        except ValueError:
+            return _fail(f"--n needs comma-separated integers, got {args.n!r}")
         if not n_list or min(n_list) < 1:
             return _fail("--n needs positive step counts")
-        rows = []
-        for name in names:
-            for res in bench.error_curve(name, pair, args.t, n_list):
-                rows.append((res.scheme, res.pair, res.t_total, res.n,
-                             res.gates, res.error))
+        if not _positive_finite(args.t):
+            return _fail(f"--t needs a positive finite total time, got {args.t:g}")
+        try:
+            rows = [(res.scheme, res.pair, res.t_total, res.n, res.gates, res.error)
+                    for name in names for res in bench.error_curve(name, pair, args.t, n_list)]
+        except ValueError as exc:  # overflow: the product or its error is not finite
+            return _fail(f"cannot evaluate the error curve at t = {args.t:g}: {exc}")
         header = ("scheme", "pair", "t_total", "n", "gates", "error")
         comments = [f"custom error curve: t_total={args.t:g}, seed={args.seed}"]
     else:
-        x_grid = _split_floats(args.x)
+        try:
+            x_grid = _split_numbers(args.x)
+        except ValueError:
+            return _fail(f"--x needs comma-separated numbers, got {args.x!r}")
         if not x_grid or args.tol is None:
             return _fail("--x needs a nonempty grid and --tol")
+        if not all(0 < x <= 1 for x in x_grid):
+            return _fail(f"--x values must lie in (0, 1], got {args.x!r}")
+        if not _positive_finite(args.tol):
+            return _fail(f"--tol needs a positive finite tolerance, got {args.tol:g}")
         rows = []
         for name in names:
             for x, gates in bench.gates_for_tolerance(name, pair, x_grid, args.tol):
@@ -242,7 +259,10 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once and shared (``parse_args`` leaves it
+    unchanged); callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="commexp",
         description="Product-formula approximations of commutator exponentials.",

@@ -22,6 +22,7 @@ from .liealg import (
     MAX_TRUNCATION,
     Generator,
     LieCoefficients,
+    as_generator,
     lie_project,
     scheme_log,
 )
@@ -35,6 +36,7 @@ __all__ = [
     "nested_aaab_target",
     "combined_target",
     "target_from_name",
+    "slot_pairs",
     "ResidualReport",
     "order_residuals",
     "EffectiveError",
@@ -159,16 +161,26 @@ def target_from_name(name: str) -> TargetPolynomial:
 # --------------------------------------------------------------------------
 
 
-def _slot_pairs(scheme) -> list[tuple[Generator, complex]]:
-    """Accept a Scheme object or a raw iterable of (generator, coefficient)."""
-    slots = getattr(scheme, "slots", scheme)
+def slot_pairs(scheme) -> list[tuple[Generator, complex]]:
+    """The ``(generator, coefficient)`` list of a composition, leftmost first.
+
+    Accepts a Scheme (anything with ``slots``), a sequence of slot objects
+    (``generator``/``coefficient``), or raw ``(generator, coefficient)``
+    pairs.  Generators are coerced to :class:`Generator`, so a template's
+    abstract slot raises ``ValueError`` instead of standing in for A or B.
+    """
     pairs = []
-    for slot in slots:
+    for i, slot in enumerate(getattr(scheme, "slots", scheme)):
         if hasattr(slot, "generator"):
-            pairs.append((slot.generator, slot.coefficient))
+            gen, coeff = slot.generator, slot.coefficient
         else:
             gen, coeff = slot
-            pairs.append((gen, coeff))
+        try:
+            pairs.append((as_generator(gen), coeff))
+        except ValueError:
+            name = getattr(scheme, "name", "composition")
+            raise ValueError(f"{name}: slot {i} generator {gen!r} is neither A nor B "
+                             f"(substitute abstract slots first)") from None
     return pairs
 
 
@@ -179,10 +191,17 @@ class ResidualReport:
     order_requested: int
     tolerance: float
     residuals: dict[int, np.ndarray]
-    leading_error_norm: float
-    word_norm_fallback: bool
     verified_order: int
     effective_error: EffectiveError
+
+    @property
+    def leading_error_norm(self) -> float:
+        """Size of the degree-(r+1) deviation from the target."""
+        return self.effective_error.leading_norm
+
+    @property
+    def word_norm_fallback(self) -> bool:
+        return self.effective_error.word_norm_fallback
 
     def max_residual(self, degree: int) -> float:
         return float(np.max(self.residuals[degree])) if len(self.residuals[degree]) else 0.0
@@ -194,30 +213,24 @@ class ResidualReport:
 def order_residuals(scheme, target: TargetPolynomial, r: int, tol: float = 1e-10) -> ResidualReport:
     """Project the composition's log and compare against ``target`` per degree.
 
-    Residuals are reported for degrees 1..r; the Euclidean deviation at
-    degree r+1 becomes ``leading_error_norm`` (word-coefficient norm when
-    r+1 exceeds the basis range).  ``verified_order`` is the largest order
-    r' <= r whose residuals all stay within ``tol``.  The report also
-    carries what :func:`effective_error` would return for order r, sized
-    from the same projected log.
+    Residuals are reported for degrees 1..r.  ``verified_order`` is the
+    largest order r' <= r whose residuals all stay within ``tol``.  The
+    report also carries the effective error for order r, sized from the same
+    projected log (what :func:`effective_error` returns when ``target`` is
+    the scheme's own); ``leading_error_norm`` is its ``leading_norm``, the
+    Euclidean deviation from ``target`` at degree r+1 (word-coefficient norm
+    when r+1 exceeds the basis range).
     """
     if r < 1:
         raise ValueError(f"order must be at least 1, got {r}")
     if r + 1 > MAX_TRUNCATION:
         raise ValueError(f"order {r} needs degree {r + 1} > ceiling {MAX_TRUNCATION}")
-    pairs = _slot_pairs(scheme)
+    pairs = slot_pairs(scheme)
     coeffs = lie_project(scheme_log(pairs, r + 1))
 
     residuals: dict[int, np.ndarray] = {}
     for degree in range(1, r + 1):
         residuals[degree] = np.abs(coeffs.vectors[degree] - target.vector(degree))
-
-    if r + 1 <= MAX_BASIS_DEGREE:
-        leading = float(np.linalg.norm(coeffs.vectors[r + 1] - target.vector(r + 1)))
-        fallback = False
-    else:
-        leading = coeffs.word_norms[r + 1]
-        fallback = True
 
     verified = 0
     for degree in range(1, r + 1):
@@ -225,8 +238,8 @@ def order_residuals(scheme, target: TargetPolynomial, r: int, tol: float = 1e-10
             verified = degree
         else:
             break
-    return ResidualReport(r, tol, residuals, leading, fallback, verified,
-                          _size_leading_error(coeffs, r, len(pairs)))
+    return ResidualReport(r, tol, residuals, verified,
+                          _size_leading_error(coeffs, target, r, len(pairs)))
 
 
 @dataclass(frozen=True)
@@ -241,27 +254,43 @@ class EffectiveError:
     word_norm_fallback: bool
 
 
-def _size_leading_error(coeffs: LieCoefficients, r: int, slot_count: int) -> EffectiveError:
-    norm = coeffs.degree_norm(r + 1)
+def _size_leading_error(coeffs: LieCoefficients, target: TargetPolynomial | None,
+                        r: int, slot_count: int) -> EffectiveError:
+    """E from the degree-(r+1) deviation from ``target`` (no target: from zero).
+
+    Past the basis range, where no target has terms, the word-coefficient
+    norm of the log stands in.
+    """
+    degree = r + 1
+    if degree in coeffs.vectors:
+        deviation = coeffs.vectors[degree]
+        if target is not None:
+            deviation = deviation - target.vector(degree)
+        norm = float(np.linalg.norm(deviation))
+    else:
+        norm = coeffs.word_norms[degree]
     E = slot_count * norm ** (1.0 / r)
-    return EffectiveError(E, E / slot_count, slot_count, r, norm, r + 1 > MAX_BASIS_DEGREE)
+    return EffectiveError(E, E / slot_count, slot_count, r, norm, degree > MAX_BASIS_DEGREE)
 
 
 def effective_error(scheme, r: int | None = None) -> EffectiveError:
     """s * (leading-error Euclidean norm)^(1/r), with s the slot count.
 
-    The caller is responsible for the composition actually having order r
-    (use :func:`order_residuals`, whose report carries the same value
-    without a second log); this routine only sizes the degree-(r+1) term.
-    Past the basis range the word-coefficient norm substitutes, and the
-    result is flagged ``word_norm_fallback``.
+    The leading error is the degree-(r+1) deviation of the log from the
+    scheme's target (from zero for a raw slot list).  The caller is
+    responsible for the composition actually having order r (use
+    :func:`order_residuals`, whose report carries the same value without a
+    second log); this routine only sizes the degree-(r+1) term.  Past the
+    basis range the word-coefficient norm substitutes, and the result is
+    flagged ``word_norm_fallback``.
     """
-    pairs = _slot_pairs(scheme)
+    pairs = slot_pairs(scheme)
     if r is None:
         r = scheme.order
     if r + 1 > MAX_TRUNCATION:
         raise ValueError(f"degree {r + 1} beyond truncation ceiling")
-    return _size_leading_error(lie_project(scheme_log(pairs, r + 1)), r, len(pairs))
+    return _size_leading_error(lie_project(scheme_log(pairs, r + 1)),
+                               getattr(scheme, "target", None), r, len(pairs))
 
 
 # --------------------------------------------------------------------------
@@ -374,7 +403,7 @@ def cp_identities(scheme, sign=None, tol: float = 1e-10) -> list[IdentityCheck]:
         if sign is None:
             raise ValueError("scheme carries no counter-palindromic sign; pass one")
     s = _cp_sign(sign)
-    coeffs = lie_project(scheme_log(_slot_pairs(scheme), MAX_BASIS_DEGREE))
+    coeffs = lie_project(scheme_log(slot_pairs(scheme), MAX_BASIS_DEGREE))
     results = []
     for degree, left, combo in _CP_IDENTITIES:
         lhs = coeffs.w(degree, left)
@@ -406,7 +435,7 @@ def cp_condition_counts(sign, r: int = 6, *, samples: int = 30, m: int = 6,
     for _ in range(samples):
         half = rng.uniform(-1.5, 1.5, size=m + 1)
         scheme = cp_expand(half, sign)
-        coeffs = lie_project(scheme_log(_slot_pairs(scheme), r))
+        coeffs = lie_project(scheme_log(slot_pairs(scheme), r))
         for d in range(1, r + 1):
             vectors[d].append(coeffs.vectors[d])
     counts = {}
@@ -536,7 +565,7 @@ def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
 
         n_conditions = sum(len(CP_INDEPENDENT[d]) for d in range(2, r + 1))
     else:
-        pairs = _slot_pairs(scheme)
+        pairs = slot_pairs(scheme)
         if any(abs(complex(c).imag) > 0 for _, c in pairs):
             raise ValueError("refinement handles real coefficients only")
         generators = [g for g, _ in pairs]
@@ -672,7 +701,7 @@ def ba_quadratic_coefficients(scheme) -> dict[tuple[int, int], float]:
 
     Useful as an independent check on the series engine at low degree.
     """
-    pairs = _slot_pairs(scheme)
+    pairs = slot_pairs(scheme)
     if len(pairs) % 2 != 0:
         raise ValueError("composition must have an even slot count")
     for i, (gen, _) in enumerate(pairs):

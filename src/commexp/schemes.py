@@ -120,9 +120,7 @@ class Scheme:
 
     def pairs(self) -> list[tuple[Generator, complex]]:
         """Slot list in engine form; refuses templates."""
-        if self.is_template:
-            raise ValueError(f"{self.name} still contains abstract slots")
-        return [(s.generator, s.coefficient) for s in self.slots]
+        return conditions.slot_pairs(self)
 
     def scaled_slots(self, factor: complex) -> tuple[ExponentSlot, ...]:
         return tuple(ExponentSlot(s.generator, s.coefficient * factor) for s in self.slots)

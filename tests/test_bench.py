@@ -165,6 +165,12 @@ def test_gates_for_tolerance_rejections(pauli_pair):
         gates_for_tolerance("NCP6_3", pauli_pair, [1.5], 1e-4)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+def test_gates_for_tolerance_rejects_nonfinite_tol(pauli_pair, tol):
+    with pytest.raises(ValueError):
+        gates_for_tolerance("NCP6_3", pauli_pair, [0.5], tol)
+
+
 # ---------------------------------------------------------------------------
 # figure exports
 # ---------------------------------------------------------------------------

@@ -210,6 +210,25 @@ def test_bench_custom_usage_errors(capsys, tmp_path):
                "--n", "0", "--out", out)[0] == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ("--n", "4", "--t", "nan"),
+    ("--n", "4", "--t", "-1"),
+    ("--x", "0", "--tol", "1e-3"),
+    ("--x", "0.5", "--tol", "-1"),
+    ("--x", "0.5", "--tol", "nan"),
+    # finite, but the step product overflows
+    pytest.param(("--pair", "random:4", "--n", "1", "--t", "1e300"),
+                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+])
+def test_bench_custom_rejects_bad_numbers(capsys, tmp_path, flags):
+    out = tmp_path / "bad.csv"
+    code, _, err = run(capsys, "bench", "--custom", "--schemes", "U21",
+                       *flags, "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_bench_figure_and_custom_exclusive(capsys):
     code, _, err = run(capsys, "bench", "--figure", "fig6", "--custom")
     assert code == 2

@@ -136,6 +136,16 @@ def test_residual_report_carries_effective_error(name):
     assert report.effective_error == effective_error(sch)
 
 
+def test_leading_error_figures_agree_when_target_has_the_next_degree():
+    # combined's target has a term at degree 3, so at r = 2 the leading
+    # error is the deviation from it, not the raw degree-3 norm (1.0)
+    combined5 = catalog_get("combined5")
+    report = order_residuals(combined5, combined5.target, 2)
+    assert report.leading_error_norm < 1e-14
+    assert report.effective_error.leading_norm == report.leading_error_norm
+    assert effective_error(combined5, 2) == report.effective_error
+
+
 def test_order_residuals_rejects_order_zero():
     with pytest.raises(ValueError):
         order_residuals(catalog_get("strang"), sum_target(), 0)

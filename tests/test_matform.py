@@ -13,6 +13,7 @@ from commexp.conditions import (
     sum_plus_commutator_target,
     sum_target,
 )
+from commexp import matform
 from commexp.liealg import Generator
 from commexp.matform import (
     OperatorPair,
@@ -24,7 +25,7 @@ from commexp.matform import (
     target_matrix,
     two_norm,
 )
-from commexp.schemes import ExponentSlot, catalog_get
+from commexp.schemes import ABSTRACT, ExponentSlot, Scheme, catalog_get
 
 
 def commutator(X, Y):
@@ -63,6 +64,25 @@ def test_splitmix_normal_moments():
     values = np.array([g.normal() for _ in range(4000)])
     assert abs(values.mean()) < 0.08
     assert abs(values.std() - 1.0) < 0.08
+
+
+@pytest.mark.parametrize("seed,dims,lead", [
+    (0, (3, 3), False), (5, (4, 5), True), (9, (1, 2, 7), False), (2, (16, 16), True)])
+def test_splitmix_normal_matrix_matches_scalar_normals(seed, dims, lead):
+    # back-to-back draws, as make_pair does for A then B; odd dim^2 and a
+    # spare carried in from a scalar call exercise the Box-Muller pairing
+    fast, slow = SplitMix64(seed), SplitMix64(seed)
+    if lead:
+        assert fast.normal() == slow.normal()
+    for dim in dims:
+        M = fast.normal_matrix(dim)
+        expected = np.array([slow.normal() for _ in range(dim * dim)]).reshape(dim, dim)
+        assert fast.state == slow.state
+        assert (fast._spare is None) == (slow._spare is None)
+        if slow._spare is not None:
+            np.testing.assert_array_max_ulp(fast._spare, slow._spare, maxulp=2)
+        np.testing.assert_array_max_ulp(M.real, expected, maxulp=2)
+    assert fast.next_uint64() == slow.next_uint64()
 
 
 def test_splitmix_normal_matrix_shape():
@@ -122,6 +142,22 @@ def test_expm_matches_scipy(rng, dim, scale):
     M = scale * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
     M /= dim  # keep norms moderate while still forcing several squarings
     np.testing.assert_allclose(expm(M), scipy.linalg.expm(M), rtol=1e-11, atol=1e-11)
+
+
+@pytest.mark.parametrize("scale", [0.05, 0.3, 1.0, 3.0])
+def test_expm_matches_scipy_at_dim_64(rng, scale):
+    M = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    M *= scale / np.linalg.norm(M, 2)
+    expected = scipy.linalg.expm(M)
+    error = np.linalg.norm(expm(M) - expected, 2) / np.linalg.norm(expected, 2)
+    assert error < 5e-14
+
+
+def test_expm_does_not_modify_its_argument(rng):
+    M = rng.standard_normal((6, 6)) + 0j
+    kept = M.copy()
+    expm(M)
+    np.testing.assert_array_equal(M, kept)
 
 
 def test_expm_rejects_nonfinite():
@@ -271,6 +307,108 @@ def test_evaluate_scheme_complex_coefficients(random_pair):
     U = evaluate_scheme(scheme, random_pair, 0.2)
     assert np.all(np.isfinite(U))
     assert U.shape == (16, 16)
+
+
+def test_evaluate_scheme_refuses_template_slots(pauli_pair, random_pair):
+    template = Scheme(
+        "tmpl", (ExponentSlot(Generator.A, 1.0), ExponentSlot(ABSTRACT, 0.5)),
+        commutator_target(), 1)
+    for pair in (pauli_pair, random_pair):
+        with pytest.raises(ValueError, match="abstract"):
+            evaluate_scheme(template, pair, 0.3)
+
+
+def _unit(X):
+    return X / np.linalg.norm(X, 2)
+
+
+def _symmetric_pair(seed, dim, kinds):
+    """Random unit-norm generators: +1 Hermitian, -1 anti-Hermitian."""
+    g = np.random.default_rng(seed)
+    mats = []
+    for kind in kinds:
+        X = g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim))
+        mats.append(_unit(X + kind * X.conj().T))
+    return OperatorPair(*mats)
+
+
+def _expm_product(slots, pair, t):
+    """Reference product with scipy, and evaluate_scheme's stated error bound
+    for the walk: (s + 2 + sum |c t| ||X||) d eps times the factor norms."""
+    U = np.eye(pair.dim, dtype=np.complex128)
+    growth, norms = len(slots) + 2, 1.0
+    for gen, coeff in slots:
+        F = scipy.linalg.expm(complex(coeff) * t * pair.matrix(gen))
+        U = U @ F
+        growth += abs(complex(coeff) * t) * np.linalg.norm(pair.matrix(gen), 2)
+        norms *= np.linalg.norm(F, 2)
+    return U, growth * pair.dim * np.finfo(float).eps * norms
+
+
+_COEFFICIENTS = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.builds(complex, st.floats(min_value=-2.0, max_value=2.0),
+              st.floats(min_value=-1.0, max_value=1.0)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+    dim=st.integers(min_value=2, max_value=16),
+    kinds=st.tuples(st.sampled_from([1, -1]), st.sampled_from([1, -1])),
+    slots=st.lists(st.tuples(st.sampled_from([Generator.A, Generator.B]), _COEFFICIENTS),
+                   min_size=1, max_size=12),
+    t=st.floats(min_value=0.01, max_value=2.0),
+)
+def test_eigenbasis_walk_matches_expm_product(seed, dim, kinds, slots, t):
+    # a factor 4 over the stated bound leaves room for scipy's own error
+    pair = _symmetric_pair(seed, dim, kinds)
+    assert pair.eigenbasis is not None
+    expected, bound = _expm_product(slots, pair, t)
+    assert np.linalg.norm(evaluate_scheme(slots, pair, t) - expected, 2) <= 4 * bound
+
+
+@pytest.mark.parametrize("name", ["NCP6_3", "PCP26_6", "suzuki4", "PCP6_3_imaginary"])
+def test_eigenbasis_walk_on_pauli_catalog(pauli_pair, name):
+    assert pauli_pair.eigenbasis is not None
+    scheme = catalog_get(name)
+    for t in (0.01, 0.4, 3.0):
+        expected, bound = _expm_product(scheme.pairs(), pauli_pair, t)
+        assert np.linalg.norm(evaluate_scheme(scheme, pauli_pair, t) - expected, 2) <= 4 * bound
+
+
+def _count_expm(monkeypatch):
+    calls = []
+    original = matform.expm
+
+    def counting(M):
+        calls.append(M.shape[0])
+        return original(M)
+
+    monkeypatch.setattr(matform, "expm", counting)
+    return calls
+
+
+def test_eigenbasis_walk_makes_no_expm_calls(monkeypatch, pauli_pair):
+    calls = _count_expm(monkeypatch)
+    evaluate_scheme(catalog_get("PCP16_5"), pauli_pair, 0.3)
+    assert calls == []
+
+
+@pytest.mark.parametrize("which", ["random", "mixed"])
+def test_non_normal_pairs_take_the_expm_path(monkeypatch, random_pair, which):
+    # a pair qualifies only when both generators are (anti-)Hermitian
+    if which == "random":
+        pair = random_pair
+    else:
+        pair = OperatorPair(_symmetric_pair(3, 16, (1, 1)).A, random_pair.B)
+    assert pair.eigenbasis is None
+    calls = _count_expm(monkeypatch)
+    scheme = catalog_get("NCP6_3")
+    evaluate_scheme(scheme, pair, 0.3)
+    assert calls == [16] * sum(1 for _, c in scheme.pairs() if c != 0)
 
 
 # ---------------------------------------------------------------------------
