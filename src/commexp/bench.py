@@ -184,12 +184,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(out, comments: Sequence[str], header: Sequence[str],
-               rows: Sequence[Sequence]) -> None:
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(header))
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    Path(out).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+def _write_csv(out, sections: Sequence[tuple[Sequence[str], Sequence[str], Sequence]]
+               ) -> None:
+    """Write ``(comments, header, rows)`` sections, creating the parent directory.
+
+    Each section is its ``# `` comment lines, the header and one line per row;
+    floats print at 17 significant digits and ``None`` as "not reached".
+    """
+    lines = []
+    for comments, header, rows in sections:
+        lines.extend(f"# {c}" for c in comments)
+        lines.append(",".join(header))
+        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    out = Path(out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def _curve_rows(scheme_names, pairs, t_total, n_grid):
@@ -209,7 +218,7 @@ def _export_curve_figure(which, out, scheme_names, t_total, seed):
         f"{which}: n-step composition error vs gate count, t_total={t_total:g}",
         f"pairs: pauli and random:16 (seed={seed}); n = 1..{DEFAULT_N_GRID[-1]}",
     ]
-    _write_csv(out, comments, ("scheme", "pair", "t_total", "n", "gates", "error"), rows)
+    _write_csv(out, [(comments, ("scheme", "pair", "t_total", "n", "gates", "error"), rows)])
 
 
 def _export_fig5(out, seed):
@@ -226,25 +235,22 @@ def _export_fig5(out, seed):
         + f", step cap {DEFAULT_N_CAP}",
         _OMISSION_NOTE,
     ]
-    _write_csv(out, comments, ("scheme", "x", "tol", "gates"), rows)
+    _write_csv(out, [(comments, ("scheme", "x", "tol", "gates"), rows)])
 
 
 def _export_fig6(out, seed):
     pair = matform.make_pair("pauli")
-    lines = [
-        "# fig6: sum-splitting comparison on the pauli pair",
-        "# single-step error of one application vs step size t",
-        "method,t,error",
-    ]
-    for name in _FIG6_SCHEMES:
-        for t, err in single_step_errors(name, pair, _FIG6_T_GRID):
-            lines.append(f"{name},{_fmt(t)},{_fmt(err)}")
-    lines.append("# cost table: n-step composition error vs gate count at t_total=1")
-    lines.append("method,gates,error")
-    for name in _FIG6_SCHEMES:
-        for res in error_curve(name, pair, 1.0, _FIG6_N_GRID):
-            lines.append(f"{name},{res.gates},{_fmt(res.error)}")
-    Path(out).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    steps = [(name, t, err) for name in _FIG6_SCHEMES
+             for t, err in single_step_errors(name, pair, _FIG6_T_GRID)]
+    costs = [(name, res.gates, res.error) for name in _FIG6_SCHEMES
+             for res in error_curve(name, pair, 1.0, _FIG6_N_GRID)]
+    _write_csv(out, [
+        (["fig6: sum-splitting comparison on the pauli pair",
+          "single-step error of one application vs step size t"],
+         ("method", "t", "error"), steps),
+        (["cost table: n-step composition error vs gate count at t_total=1"],
+         ("method", "gates", "error"), costs),
+    ])
 
 
 FIGURES: dict[str, Callable[[str, int], None]] = {

@@ -2,10 +2,13 @@
 
 Exit codes: 0 on success, 1 when a verification falls short of the claimed
 order, 2 for usage and input errors (unknown names, malformed flags, a scheme
-whose log cannot be formed at the needed degree).  All output is
-deterministic for fixed flags and seed.  The ``COMMEXP_OUT_DIR`` environment
-variable supplies a default directory for CSV exports when ``--out`` names
-no path.
+whose log cannot be formed at the needed degree, a path that cannot be read
+or written, an optimum at the edge of the searched range), and
+:data:`EXIT_INTERNAL` (3) when the package itself fails: any other exception
+is reported with its traceback and never exits 1, which scripts read as "NOT
+verified".  All output is deterministic for fixed flags and seed.  The
+``COMMEXP_OUT_DIR`` environment variable supplies a default directory for CSV
+exports when ``--out`` names no path.
 """
 
 from __future__ import annotations
@@ -15,12 +18,16 @@ import functools
 import math
 import os
 import sys
+import traceback
 from pathlib import Path
 
 from . import bench, matform, schemes
 from .conditions import effective_error, optimize_free_parameter, order_residuals
 
 OUT_DIR_ENV = "COMMEXP_OUT_DIR"
+
+#: Exit code for an unexpected exception (a fault in the package, not the input).
+EXIT_INTERNAL = 3
 
 
 def _fail(message: str) -> int:
@@ -95,6 +102,8 @@ def _resolve_scheme_arg(value: str):
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if not _positive_finite(args.tol):
+        return _fail(f"--tol needs a positive finite tolerance, got {args.tol:g}")
     try:
         sch = _resolve_scheme_arg(args.scheme)
     except (KeyError, ValueError) as exc:
@@ -116,9 +125,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 1
 
     ee = report.effective_error
-    note = " (word-coefficient norm)" if ee.word_norm_fallback else ""
     print(f"{sch.name}: order {r} verified, E = {ee.E:.6g}, "
-          f"E/s = {ee.per_exponential:.6g}{note}")
+          f"E/s = {ee.per_exponential:.6g}")
     return 0
 
 
@@ -144,21 +152,9 @@ def _positive_finite(value: float) -> bool:
     return math.isfinite(value) and value > 0
 
 
-def _write_rows(out: Path, comments: list[str], header: tuple[str, ...],
-                rows: list[tuple]) -> None:
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(
-            f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     if args.figure:
         out = Path(args.out) if args.out else _default_out(f"{args.figure}.csv")
-        out.parent.mkdir(parents=True, exist_ok=True)
         bench.export_figure(args.figure, out, seed=args.seed)
         n_rows = sum(1 for line in out.read_text(encoding="utf-8").splitlines()
                      if line and not line.startswith("#"))
@@ -205,15 +201,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             return _fail(f"--x values must lie in (0, 1], got {args.x!r}")
         if not _positive_finite(args.tol):
             return _fail(f"--tol needs a positive finite tolerance, got {args.tol:g}")
-        rows = []
-        for name in names:
-            for x, gates in bench.gates_for_tolerance(name, pair, x_grid, args.tol):
-                rows.append((name, x, args.tol,
-                             "not reached" if gates is None else gates))
+        rows = [(name, x, args.tol, gates) for name in names
+                for x, gates in bench.gates_for_tolerance(name, pair, x_grid, args.tol)]
         header = ("scheme", "x", "tol", "gates")
         comments = [f"custom cost table: tol={args.tol:g}, seed={args.seed}"]
 
-    _write_rows(out, comments, header, rows)
+    bench._write_csv(out, [(comments, header, rows)])
     print(f"custom: wrote {out} ({len(rows)} data rows)")
     return 0
 
@@ -245,6 +238,10 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _fail(str(exc))
 
+    if result.at_edge:
+        edge = lo if abs(result.param - lo) <= abs(result.param - hi) else hi
+        return _fail(f"the minimum of E lies at the range edge {label} = {edge:g}; "
+                     f"widen --range {args.range} past it")
     if symmetric and result.param < 0:
         reference = -reference
     print(f"{args.family}: minimizer {label} = {result.param:.10f}, "
@@ -330,7 +327,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(_join_range_values(list(argv)))
     except SystemExit as exc:  # argparse exits itself on usage errors / --help
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # a path named on the command line
+        where = f"{exc.filename}: " if exc.filename else ""
+        return _fail(f"{where}{exc.strerror or exc}")
+    except Exception as exc:  # anything else is a fault in the package
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

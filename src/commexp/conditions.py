@@ -11,14 +11,13 @@ lives in :mod:`commexp.matform` and is imported lazily.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .liealg import (
     LIE_DIMS,
-    MAX_BASIS_DEGREE,
     MAX_TRUNCATION,
     Generator,
     LieCoefficients,
@@ -75,7 +74,7 @@ class TargetPolynomial:
 
     def __post_init__(self):
         for (degree, position), value in self.terms.items():
-            if not 1 <= degree <= MAX_BASIS_DEGREE:
+            if not 1 <= degree <= MAX_TRUNCATION:
                 raise ValueError(f"target degree {degree} outside basis range")
             if not 1 <= position <= LIE_DIMS[degree - 1]:
                 raise ValueError(f"position {position} invalid at degree {degree}")
@@ -199,10 +198,6 @@ class ResidualReport:
         """Size of the degree-(r+1) deviation from the target."""
         return self.effective_error.leading_norm
 
-    @property
-    def word_norm_fallback(self) -> bool:
-        return self.effective_error.word_norm_fallback
-
     def max_residual(self, degree: int) -> float:
         return float(np.max(self.residuals[degree])) if len(self.residuals[degree]) else 0.0
 
@@ -218,8 +213,7 @@ def order_residuals(scheme, target: TargetPolynomial, r: int, tol: float = 1e-10
     report also carries the effective error for order r, sized from the same
     projected log (what :func:`effective_error` returns when ``target`` is
     the scheme's own); ``leading_error_norm`` is its ``leading_norm``, the
-    Euclidean deviation from ``target`` at degree r+1 (word-coefficient norm
-    when r+1 exceeds the basis range).
+    Euclidean deviation from ``target`` at degree r+1 in the commutator basis.
     """
     if r < 1:
         raise ValueError(f"order must be at least 1, got {r}")
@@ -251,38 +245,29 @@ class EffectiveError:
     slot_count: int
     order: int
     leading_norm: float
-    word_norm_fallback: bool
 
 
 def _size_leading_error(coeffs: LieCoefficients, target: TargetPolynomial | None,
                         r: int, slot_count: int) -> EffectiveError:
-    """E from the degree-(r+1) deviation from ``target`` (no target: from zero).
-
-    Past the basis range, where no target has terms, the word-coefficient
-    norm of the log stands in.
-    """
-    degree = r + 1
-    if degree in coeffs.vectors:
-        deviation = coeffs.vectors[degree]
-        if target is not None:
-            deviation = deviation - target.vector(degree)
-        norm = float(np.linalg.norm(deviation))
-    else:
-        norm = coeffs.word_norms[degree]
+    """E from the degree-(r+1) deviation from ``target`` (no target: from zero)."""
+    deviation = coeffs.vectors[r + 1]
+    if target is not None:
+        deviation = deviation - target.vector(r + 1)
+    norm = float(np.linalg.norm(deviation))
     E = slot_count * norm ** (1.0 / r)
-    return EffectiveError(E, E / slot_count, slot_count, r, norm, degree > MAX_BASIS_DEGREE)
+    return EffectiveError(E, E / slot_count, slot_count, r, norm)
 
 
 def effective_error(scheme, r: int | None = None) -> EffectiveError:
     """s * (leading-error Euclidean norm)^(1/r), with s the slot count.
 
     The leading error is the degree-(r+1) deviation of the log from the
-    scheme's target (from zero for a raw slot list).  The caller is
-    responsible for the composition actually having order r (use
-    :func:`order_residuals`, whose report carries the same value without a
-    second log); this routine only sizes the degree-(r+1) term.  Past the
-    basis range the word-coefficient norm substitutes, and the result is
-    flagged ``word_norm_fallback``.
+    scheme's target (from zero for a raw slot list), measured in the
+    nested-commutator basis, which reaches every degree up to
+    :data:`~commexp.liealg.MAX_TRUNCATION`.  The caller is responsible for
+    the composition actually having order r (use :func:`order_residuals`,
+    whose report carries the same value without a second log); this routine
+    only sizes the degree-(r+1) term.
     """
     pairs = slot_pairs(scheme)
     if r is None:
@@ -403,7 +388,7 @@ def cp_identities(scheme, sign=None, tol: float = 1e-10) -> list[IdentityCheck]:
         if sign is None:
             raise ValueError("scheme carries no counter-palindromic sign; pass one")
     s = _cp_sign(sign)
-    coeffs = lie_project(scheme_log(slot_pairs(scheme), MAX_BASIS_DEGREE))
+    coeffs = lie_project(scheme_log(slot_pairs(scheme), max(CP_INDEPENDENT)))
     results = []
     for degree, left, combo in _CP_IDENTITIES:
         lhs = coeffs.w(degree, left)
@@ -626,6 +611,7 @@ class OptimizeResult(NamedTuple):
     param: float
     E: float
     flat: bool
+    at_edge: bool = False
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -640,7 +626,9 @@ def optimize_free_parameter(family: Callable[[float], object], r: int,
     Scans a uniform grid over ``prange`` (checking that every candidate
     actually satisfies the order conditions), then tightens the best
     bracket by golden-section search.  A family whose objective varies
-    below round-off is returned with ``flat=True``.
+    below round-off is returned with ``flat=True``.  ``at_edge`` is set when
+    the grid minimum is an end point of ``prange`` and the search ends within
+    ``param_tol`` of it: the minimizer then probably lies outside the range.
     """
     a, b = float(prange[0]), float(prange[1])
     if not a < b:
@@ -662,7 +650,7 @@ def optimize_free_parameter(family: Callable[[float], object], r: int,
     fs = np.array([objective(x) for x in xs])
     if np.max(fs) - np.min(fs) <= 1e-14 * max(1.0, np.max(np.abs(fs))):
         mid = 0.5 * (a + b)
-        return OptimizeResult(mid, float(objective(mid)), True)
+        return OptimizeResult(mid, float(objective(mid)), True, False)
 
     k = int(np.argmin(fs))
     lo = xs[max(k - 1, 0)]
@@ -682,7 +670,8 @@ def optimize_free_parameter(family: Callable[[float], object], r: int,
             x2 = lo + _GOLDEN * (hi - lo)
             f2 = objective(x2)
     best = 0.5 * (lo + hi)
-    return OptimizeResult(float(best), float(objective(best)), False)
+    at_edge = k in (0, grid - 1) and abs(best - xs[k]) <= param_tol
+    return OptimizeResult(float(best), float(objective(best)), False, bool(at_edge))
 
 
 # --------------------------------------------------------------------------

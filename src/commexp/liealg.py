@@ -20,10 +20,9 @@ is tested against.
 
 Logarithms of products of exponentials are Lie elements (sums of nested
 commutators); :func:`lie_project` rewrites them in the right-nested
-commutator basis built by :func:`basis_build` (dimensions 2, 1, 2, 3, 6, 9
-for degrees 1..6) and flags non-Lie inputs through the least-squares
-residual.  Degree 7 has no basis here; callers fall back to raw word-
-coefficient norms for that degree.
+commutator basis built by :func:`basis_build` (dimensions 2, 1, 2, 3, 6, 9,
+18 for degrees 1..7, so every degree the engine truncates at) and flags
+non-Lie inputs through the least-squares residual.
 """
 
 from __future__ import annotations
@@ -40,11 +39,8 @@ import numpy as np
 #: Hard ceiling for the word-degree truncation of the engine.
 MAX_TRUNCATION = 7
 
-#: Highest degree covered by the nested-commutator basis.
-MAX_BASIS_DEGREE = 6
-
-#: Dimension of the commutator subspace at degrees 1..6.
-LIE_DIMS = (2, 1, 2, 3, 6, 9)
+#: Dimension of the commutator subspace at degrees 1..MAX_TRUNCATION.
+LIE_DIMS = (2, 1, 2, 3, 6, 9, 18)
 
 #: Default scaled tolerance for the Lie-membership (Friedrichs) residual test.
 DEFAULT_LIE_TOL = 1e-10
@@ -460,6 +456,8 @@ def _log_flat(z: np.ndarray, truncation: int) -> np.ndarray:
 
 # Each entry maps (degree, position) -> (sign, bracketing letter, child), with
 # the two degree-1 atoms spelled out explicitly.  Positions are 1-based.
+# Degrees 2..6 are tabulated; degree 7 brackets each degree-6 element with A
+# and with B in turn, which already spans the 18-dimensional Lie subspace.
 _BASIS_RECIPES: dict[tuple[int, int], tuple[int, Generator, tuple[int, int]]] = {
     (2, 1): (+1, Generator.A, (1, 2)),
     (3, 1): (+1, Generator.A, (2, 1)),
@@ -482,37 +480,44 @@ _BASIS_RECIPES: dict[tuple[int, int], tuple[int, Generator, tuple[int, int]]] = 
     (6, 7): (+1, Generator.B, (5, 5)),
     (6, 8): (+1, Generator.A, (5, 6)),
     (6, 9): (+1, Generator.B, (5, 6)),
+    **{(7, 2 * l - 1 + g): (+1, g, (6, l)) for l in range(1, 10) for g in Generator},
 }
 
 
 @dataclass(frozen=True)
 class BasisElement:
-    """One nested commutator E_{j,l}; ``series`` is its word expansion."""
+    """One nested commutator E_{j,l}; ``vector`` holds its degree-j word coefficients."""
 
     degree: int
     position: int  # 1-based within the degree
     sign: int
     letter: Generator | None  # bracketing letter; None for the two atoms
     child: tuple[int, int] | None
-    series: TruncatedSeries = field(repr=False)
+    vector: np.ndarray = field(repr=False)
     a_count: int  # multidegree in the symbol A (B count = degree - a_count)
 
     @property
     def label(self) -> str:
         return f"E{self.degree},{self.position}"
 
+    @property
+    def series(self) -> TruncatedSeries:
+        """The element as a homogeneous series at :data:`MAX_TRUNCATION`."""
+        s = TruncatedSeries.zero(MAX_TRUNCATION)
+        s._deg[self.degree][:] = self.vector
+        return s
+
 
 @dataclass(frozen=True)
 class LieBasis:
     """Nested-commutator basis with per-degree word matrices and pseudoinverses."""
 
-    truncation: int
     elements: dict[tuple[int, int], BasisElement] = field(repr=False)
     matrices: dict[int, np.ndarray] = field(repr=False)
     pinvs: dict[int, np.ndarray] = field(repr=False)
 
     def dims(self) -> tuple[int, ...]:
-        return LIE_DIMS[: self.truncation]
+        return LIE_DIMS
 
     def dim(self, degree: int) -> int:
         return LIE_DIMS[degree - 1]
@@ -524,48 +529,38 @@ class LieBasis:
         return [self.elements[(degree, l)] for l in range(1, self.dim(degree) + 1)]
 
 
-def _commutator(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
-    return series_mul(x, y) - series_mul(y, x)
-
-
 @lru_cache(maxsize=None)
-def basis_build(truncation: int = MAX_BASIS_DEGREE) -> LieBasis:
-    """Build the nested-commutator basis up to ``truncation`` (1..6).
+def basis_build() -> LieBasis:
+    """Build the nested-commutator basis through :data:`MAX_TRUNCATION`, once.
 
-    The construction raises if any per-degree word matrix loses full column
-    rank, which would mean the recipes fail to span independent directions.
+    Bracketing a letter with unit vector e onto a child with degree-(j-1)
+    word vector c gives the degree-j word vector ``outer(e, c) - outer(c, e)``,
+    each ravelled, since concatenation is the outer product.  The construction
+    raises if any per-degree word matrix loses full column rank, which would
+    mean the recipes fail to span independent directions.
     """
-    if not 1 <= truncation <= MAX_BASIS_DEGREE:
-        raise ValueError(f"basis truncation must lie in 1..{MAX_BASIS_DEGREE}")
-
-    elements: dict[tuple[int, int], BasisElement] = {}
-    letter_series = {
-        Generator.A: TruncatedSeries.from_terms(truncation, {"A": 1.0}),
-        Generator.B: TruncatedSeries.from_terms(truncation, {"B": 1.0}),
+    letters = {g: np.eye(2)[g] for g in Generator}
+    elements = {
+        (1, 1): BasisElement(1, 1, +1, None, None, letters[Generator.A], 1),
+        (1, 2): BasisElement(1, 2, +1, None, None, letters[Generator.B], 0),
     }
-    elements[(1, 1)] = BasisElement(1, 1, +1, None, None, letter_series[Generator.A], 1)
-    elements[(1, 2)] = BasisElement(1, 2, +1, None, None, letter_series[Generator.B], 0)
-
     for (j, l), (sign, letter, child) in sorted(_BASIS_RECIPES.items()):
-        if j > truncation:
-            break
-        child_elt = elements[child]
-        series = sign * _commutator(letter_series[letter], child_elt.series)
-        a_count = child_elt.a_count + (1 if letter is Generator.A else 0)
-        elements[(j, l)] = BasisElement(j, l, sign, letter, child, series, a_count)
+        e, c = letters[letter], elements[child].vector
+        vector = sign * (np.outer(e, c).ravel() - np.outer(c, e).ravel())
+        a_count = elements[child].a_count + (1 if letter is Generator.A else 0)
+        elements[(j, l)] = BasisElement(j, l, sign, letter, child, vector, a_count)
 
     matrices: dict[int, np.ndarray] = {}
     pinvs: dict[int, np.ndarray] = {}
-    for j in range(1, truncation + 1):
-        dim = LIE_DIMS[j - 1]
-        m = np.column_stack(
-            [elements[(j, l)].series.degree_coefficients(j).real for l in range(1, dim + 1)]
-        )
+    for j, dim in enumerate(LIE_DIMS, start=1):
+        m = np.column_stack([elements[(j, l)].vector for l in range(1, dim + 1)])
         if np.linalg.matrix_rank(m) != dim:
             raise RuntimeError(f"basis matrix at degree {j} is rank deficient")
         matrices[j] = m
         pinvs[j] = np.linalg.pinv(m)
-    return LieBasis(truncation, elements, matrices, pinvs)
+    for array in (*matrices.values(), *pinvs.values(), *(e.vector for e in elements.values())):
+        array.flags.writeable = False  # shared by every caller through the cache
+    return LieBasis(elements, matrices, pinvs)
 
 
 # ---------------------------------------------------------------------------
@@ -577,16 +572,13 @@ def basis_build(truncation: int = MAX_BASIS_DEGREE) -> LieBasis:
 class LieCoefficients:
     """Per-degree coefficients of a Lie element in the nested-commutator basis.
 
-    ``vectors[j]`` holds the coefficients at degree j (up to the basis range);
-    degrees beyond the basis keep only the raw word-coefficient norm in
-    ``word_norms``.  ``residuals[j]`` is the absolute least-squares residual
-    of the projection at degree j.
+    ``vectors[j]`` holds the coefficients at degree j and ``residuals[j]`` the
+    absolute least-squares residual of the projection there.
     """
 
     truncation: int
     vectors: dict[int, np.ndarray]
     residuals: dict[int, float]
-    word_norms: dict[int, float]
 
     def w(self, degree: int, position: int) -> complex:
         """Coefficient w_{degree,position} with the customary 1-based position."""
@@ -596,30 +588,22 @@ class LieCoefficients:
     def vector(self, degree: int) -> np.ndarray:
         return self.vectors[degree].copy()
 
-    def degree_norm(self, degree: int) -> float:
-        """Euclidean size of degree ``degree``: basis norm, or word norm past the basis."""
-        if degree in self.vectors:
-            return float(np.linalg.norm(self.vectors[degree]))
-        return self.word_norms[degree]
-
 
 def lie_project(
     series: TruncatedSeries,
-    basis: LieBasis | None = None,
     *,
     tol: float = DEFAULT_LIE_TOL,
     require_lie: bool = True,
 ) -> LieCoefficients:
     """Project a series onto the nested-commutator basis, degree by degree.
 
-    The least-squares residual at each degree is compared against
-    ``tol * max(1, |coefficients at that degree|)``; a violation means the
-    input is not a Lie element (Friedrichs criterion) and raises
-    :class:`LieMembershipError` unless ``require_lie`` is False.  Degrees
-    beyond the basis range (i.e. degree 7) only record the raw word norm.
+    The basis covers every degree the engine truncates at.  The least-squares
+    residual at each degree is compared against ``tol * max(1, |coefficients
+    at that degree|)``; a violation means the input is not a Lie element
+    (Friedrichs criterion) and raises :class:`LieMembershipError` unless
+    ``require_lie`` is False.
     """
-    if basis is None:
-        basis = basis_build(min(series.truncation, MAX_BASIS_DEGREE))
+    basis = basis_build()
 
     const = complex(series._deg[0][0])
     if abs(const) > 1e-9:
@@ -627,23 +611,19 @@ def lie_project(
 
     vectors: dict[int, np.ndarray] = {}
     residuals: dict[int, float] = {}
-    word_norms: dict[int, float] = {}
     for j in range(1, series.truncation + 1):
         y = series.degree_coefficients(j)
-        if j <= basis.truncation:
-            w = basis.pinvs[j] @ y
-            residual = float(np.linalg.norm(basis.matrices[j] @ w - y))
-            scale = max(1.0, float(np.linalg.norm(y)))
-            if not (math.isfinite(residual) and math.isfinite(scale)):
-                raise ValueError(f"degree-{j} coefficients are not finite or too large "
-                                 f"to project")
-            if require_lie and residual > tol * scale:
-                raise LieMembershipError(
-                    f"degree-{j} word coefficients are not a commutator polynomial "
-                    f"(residual {residual:.3e} > {tol:.1e} * {scale:.3e})"
-                )
-            vectors[j] = w
-            residuals[j] = residual
-        else:
-            word_norms[j] = float(np.linalg.norm(y))
-    return LieCoefficients(series.truncation, vectors, residuals, word_norms)
+        w = basis.pinvs[j] @ y
+        residual = float(np.linalg.norm(basis.matrices[j] @ w - y))
+        scale = max(1.0, float(np.linalg.norm(y)))
+        if not (math.isfinite(residual) and math.isfinite(scale)):
+            raise ValueError(f"degree-{j} coefficients are not finite or too large "
+                             f"to project")
+        if require_lie and residual > tol * scale:
+            raise LieMembershipError(
+                f"degree-{j} word coefficients are not a commutator polynomial "
+                f"(residual {residual:.3e} > {tol:.1e} * {scale:.3e})"
+            )
+        vectors[j] = w
+        residuals[j] = residual
+    return LieCoefficients(series.truncation, vectors, residuals)

@@ -322,8 +322,7 @@ def evaluate_scheme(scheme, pair: OperatorPair, t: float) -> np.ndarray:
 
 def element_matrix(degree: int, position: int, pair: OperatorPair) -> np.ndarray:
     """Matrix realization of a nested-commutator basis element."""
-    basis = basis_build(max(degree, 2))
-    element = basis.element(degree, position)
+    element = basis_build().element(degree, position)
     if element.letter is None:
         return pair.A if position == 1 else pair.B
     L = pair.matrix(element.letter)

@@ -33,7 +33,7 @@ from .conditions import (
     sum_target,
     target_from_name,
 )
-from .liealg import Generator, Word, as_generator, basis_build, lie_project
+from .liealg import Generator, as_generator, basis_build
 
 __all__ = [
     "ABSTRACT",
@@ -440,52 +440,63 @@ def _swap_generators(slots: Sequence[ExponentSlot]) -> list[ExponentSlot]:
     return out
 
 
-def substitute(outer: Scheme, inner: Scheme, k: int, *, merge: bool = True,
-               name: str | None = None, target: TargetPolynomial | None = None,
+def substitute(outer: Scheme, inner: Scheme | Sequence[Scheme], k: int, *,
+               merge: bool = True, name: str | None = None,
+               target: TargetPolynomial | None = None,
                order: int | None = None) -> Scheme:
     """Realize each abstract slot of ``outer`` by a rescaled copy of ``inner``.
 
-    ``inner`` is assumed to approximate the exponential of tau^k times its
-    target, so an abstract slot with coefficient c becomes ``inner`` run at
-    tau = c^(1/k) * t.  For k = 3 the real cube root carries the sign; for
-    k = 2 a negative c flips the inner scheme's generators instead (valid
-    only for a commutator inner target, where interchanging the letters
-    negates the target).  Adjacent same-generator slots are merged unless
-    ``merge`` is false.
+    ``inner`` is one scheme for every abstract slot, or a sequence with one
+    scheme per abstract slot in order.  Each is assumed to approximate the
+    exponential of tau^k times its target, so an abstract slot with
+    coefficient c becomes its inner scheme run at tau = c^(1/k) * t.  For
+    k = 3 the real cube root carries the sign; for k = 2 a negative c flips
+    the inner scheme's generators instead (valid only for a commutator inner
+    target, where interchanging the letters negates the target).  Adjacent
+    same-generator slots are merged unless ``merge`` is false.
     """
     if k not in (2, 3):
         raise ValueError("homogeneity degree k must be 2 or 3")
-    if all(s.is_abstract and s.coefficient == 1 for s in inner.slots) and \
-            inner.slot_count == 1:
+    given = [inner] if isinstance(inner, Scheme) else list(inner)
+    if all(i.slot_count == 1 and i.slots[0].is_abstract and i.slots[0].coefficient == 1
+           for i in given):
         return outer
+    n_abstract = sum(s.is_abstract for s in outer.slots)
+    inners = given * n_abstract if isinstance(inner, Scheme) else given
+    if len(inners) != n_abstract:
+        raise ValueError(f"{outer.name} has {n_abstract} abstract slots, "
+                         f"got {len(inners)} inner schemes")
 
     out: list[ExponentSlot] = []
+    blocks = iter(inners)
     for slot in outer.slots:
         if not slot.is_abstract:
             out.append(slot)
             continue
+        block = next(blocks)
         c = complex(slot.coefficient).real
         if k == 3:
             factor = math.copysign(abs(c) ** (1.0 / 3.0), c)
-            out.extend(inner.scaled_slots(factor))
+            out.extend(block.scaled_slots(factor))
         else:
             if c >= 0:
-                out.extend(inner.scaled_slots(math.sqrt(c)))
+                out.extend(block.scaled_slots(math.sqrt(c)))
             else:
-                if inner.target.name != "commutator":
+                if block.target.name != "commutator":
                     raise ValueError(
                         "negative slot under k=2 needs a commutator inner target"
                     )
                 out.extend(ExponentSlot(s.generator, s.coefficient * math.sqrt(-c))
-                           for s in _swap_generators(inner.slots))
+                           for s in _swap_generators(block.slots))
     slots = _merge_adjacent(out) if merge else tuple(out)
+    names = ",".join(i.name for i in given)
     return Scheme(
-        name=name or f"{outer.name}[{inner.name}]",
+        name=name or f"{outer.name}[{names}]",
         slots=slots,
         target=target if target is not None else outer.target,
-        order=order if order is not None else min(outer.order, inner.order),
+        order=order if order is not None else min([outer.order, *(i.order for i in given)]),
         family="extension",
-        note=f"substitution of {inner.name} into {outer.name}",
+        note=f"substitution of {names} into {outer.name}",
     )
 
 
@@ -499,6 +510,12 @@ def zass_sym22() -> Scheme:
     distinct — no merging — so the count reflects the elementary gates.
     """
     inner = aor4(AOR4_OPTIMAL_D2)
+    # [B,[B,A]] = -[B,[A,B]] = -E_{3,2}: the same block with the letters
+    # interchanged, entered with negated weight so the cube root lands on the
+    # correct sign
+    swapped = replace(inner, name=f"{inner.name}[A<->B]",
+                      slots=tuple(_swap_generators(inner.slots)),
+                      target=TargetPolynomial("nested_bba", {(3, 2): -1.0}))
     template = Scheme(
         name="zass_template",
         slots=(
@@ -513,26 +530,8 @@ def zass_sym22() -> Scheme:
         order=4,
         family="extension",
     )
-    # first abstract slot: [A,[A,B]] block as-is; second: letter-interchanged
-    # block for [B,[B,A]] = -[B,[A,B]], entered with negated weight so the
-    # cube root lands on the correct sign.
-    out: list[ExponentSlot] = []
-    abstract_seen = 0
-    for slot in template.slots:
-        if not slot.is_abstract:
-            out.append(slot)
-            continue
-        abstract_seen += 1
-        c = complex(slot.coefficient).real
-        factor = math.copysign(abs(c) ** (1.0 / 3.0), c)
-        block = inner.slots if abstract_seen == 1 else _swap_generators(inner.slots)
-        out.extend(ExponentSlot(s.generator, s.coefficient * factor) for s in block)
-    return Scheme(
-        name="zass_sym22",
-        slots=tuple(out),
-        target=sum_target(),
-        order=4,
-        family="extension",
+    return replace(
+        substitute(template, [inner, swapped], 3, merge=False, name="zass_sym22"),
         note="symmetric product factorization with nested-commutator blocks",
     )
 
@@ -569,43 +568,23 @@ def nested4_50() -> Scheme:
 # --------------------------------------------------------------------------
 
 
-def _swap_word_vector(vec: np.ndarray, degree: int) -> np.ndarray:
-    """Word-level A<->B interchange with B |-> -A sign bookkeeping."""
-    out = np.zeros_like(vec, dtype=np.complex128 if np.iscomplexobj(vec) else float)
-    mask = (1 << degree) - 1
-    for idx in range(len(vec)):
-        if vec[idx] == 0:
-            continue
-        b_count = bin(idx).count("1")
-        out[mask ^ idx] += vec[idx] * ((-1.0) ** b_count)
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def _swap_basis_matrix(degree: int) -> np.ndarray:
-    """Matrix of the letter-interchange map on the degree-j basis."""
-    basis = basis_build(6)
-    dim = basis.dim(degree)
-    cols = []
-    for pos in range(1, dim + 1):
-        element = basis.element(degree, pos)
-        vec = element.series.degree_coefficients(degree)
-        swapped = _swap_word_vector(np.asarray(vec), degree)
-        series = _series_from_degree_vector(swapped, degree)
-        cols.append(lie_project(series).vectors[degree])
-    return np.array(cols).T
+    """Matrix of the letter-interchange map A -> B, B -> -A on the degree-j basis.
 
-
-def _series_from_degree_vector(vec: np.ndarray, degree: int):
-    from .liealg import TruncatedSeries
-
-    terms = {Word.from_index(degree, idx): vec[idx]
-             for idx in range(len(vec)) if vec[idx] != 0}
-    return TruncatedSeries.from_terms(degree, terms)
+    On words the map sends w to its bit complement, which reverses the
+    degree-j block, with sign (-1)^(number of B letters in w); the
+    pseudoinverse takes the swapped basis columns back to coordinates.
+    """
+    basis = basis_build()
+    words = np.arange(1 << degree)
+    b_counts = sum((words >> bit) & 1 for bit in range(degree))
+    swapped = ((-1.0) ** b_counts[:, None] * basis.matrices[degree])[::-1]
+    return basis.pinvs[degree] @ swapped
 
 
 def _transformed_target(target: TargetPolynomial, which: str) -> TargetPolynomial:
-    basis = basis_build(6)
+    basis = basis_build()
     terms: dict[tuple[int, int], complex] = {}
     if which == "negate-time":
         for (degree, pos), w in target.terms.items():

@@ -234,6 +234,14 @@ def test_fig6_two_section_layout(tmp_path):
     assert methods == {"yoshida4", "suzuki4", "zass_sym22"}
 
 
+def test_write_csv_sections_and_parent_directory(tmp_path):
+    out = tmp_path / "sub" / "dir" / "t.csv"
+    bench._write_csv(out, [(["first"], ("a", "b"), [(1, 0.1), ("x", None)]),
+                           ([], ("c",), [(2,)])])
+    assert out.read_text(encoding="utf-8") == (
+        "# first\na,b\n1,0.10000000000000001\nx,not reached\nc\n2\n")
+
+
 def test_fig6_export_is_deterministic(tmp_path):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"

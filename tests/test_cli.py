@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from commexp.cli import main
+from commexp import bench
+from commexp.cli import EXIT_INTERNAL, main
 from commexp.schemes import catalog_get, catalog_names, save_scheme
 
 
@@ -62,6 +63,15 @@ def test_schemes_show_unknown_name(capsys):
     assert "schemes list" in err
 
 
+def test_schemes_export_into_missing_directory_is_input_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "schemes", "export", "NCP6_3", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}") and len(err.strip().splitlines()) == 1
+    assert not path.exists()
+
+
 def test_schemes_export_then_verify_roundtrip(capsys, tmp_path):
     path = tmp_path / "ncp6.scheme.json"
     code, out, _ = run(capsys, "schemes", "export", "NCP6_3", str(path))
@@ -95,10 +105,10 @@ def test_verify_reports_effective_error(capsys):
     assert "E/s = 0.505208" in out
 
 
-def test_verify_order_six_notes_word_norm(capsys):
+def test_verify_order_six_prints_basis_norm(capsys):
     code, out, _ = run(capsys, "verify", "--scheme", "PCP26_6")
     assert code == 0
-    assert "(word-coefficient norm)" in out
+    assert out.splitlines()[-1].endswith("order 6 verified, E = 11.6237, E/s = 0.447064")
 
 
 def test_verify_corrupted_file_fails_with_degree(capsys, tmp_path):
@@ -148,6 +158,21 @@ def test_verify_loose_tolerance_accepts_corruption(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--scheme", str(path), "--tol", "1e-6")
     assert code == 0
     assert "verified" in out
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_verify_rejects_bad_tolerance(capsys, tol):
+    code, out, err = run(capsys, "verify", "--scheme", "NCP6_3", "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --tol") and len(err.strip().splitlines()) == 1
+
+
+def test_verify_directory_is_input_error(capsys, tmp_path):
+    code, out, err = run(capsys, "verify", "--scheme", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {tmp_path}") and len(err.strip().splitlines()) == 1
 
 
 def test_verify_unknown_scheme(capsys):
@@ -229,6 +254,34 @@ def test_bench_custom_rejects_bad_numbers(capsys, tmp_path, flags):
     assert not out.exists()
 
 
+def test_bench_figure_out_under_a_file_is_input_error(capsys, tmp_path):
+    blocker = tmp_path / "afile"
+    blocker.write_text("", encoding="utf-8")
+    code, out, err = run(capsys, "bench", "--figure", "fig6",
+                         "--out", str(blocker / "x.csv"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {blocker}") and len(err.strip().splitlines()) == 1
+
+
+def test_bench_figure_creates_out_directory(capsys, tmp_path):
+    out = tmp_path / "new" / "dir" / "fig6.csv"
+    assert run(capsys, "bench", "--figure", "fig6", "--out", str(out))[0] == 0
+    assert out.exists()
+
+
+def test_internal_error_exits_distinct_code(capsys, tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(bench, "export_figure", broken)
+    code, _, err = run(capsys, "bench", "--figure", "fig6",
+                       "--out", str(tmp_path / "x.csv"))
+    assert code == EXIT_INTERNAL
+    assert code not in (0, 1, 2)
+    assert err.strip().splitlines()[-1] == "internal error: RuntimeError: boom"
+
+
 def test_bench_figure_and_custom_exclusive(capsys):
     code, _, err = run(capsys, "bench", "--figure", "fig6", "--custom")
     assert code == 2
@@ -277,6 +330,29 @@ def test_optimize_negative_range_survives_argparse(capsys):
     assert code == 0
     assert "minimizer c5 = -0.786151" in out
     assert "reference c5* = -0.7861513778" in out
+
+
+def test_optimize_minimum_past_range_edge_is_input_error(capsys):
+    # the minimizer d2* = 0.302 lies below the range
+    code, out, err = run(capsys, "optimize", "--family", "aor4", "--range", "0.5:2")
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "range edge d2 = 0.5" in err
+
+
+@pytest.mark.parametrize("family,prange,expected", [
+    ("third_order", "0.4:1.2",
+     "third_order: minimizer c5 = 0.7861513718, E = 2.854229\n"
+     "closed-form reference c5* = 0.7861513778, deviation 5.908e-09\n"),
+    ("aor4", "0.1:0.6",
+     "aor4: minimizer d2 = 0.3018950588, E = 7.4793847\n"
+     "closed-form reference d2* = 0.3018950640, deviation 5.212e-09\n"),
+])
+def test_optimize_interior_minimum_output(capsys, family, prange, expected):
+    code, out, _ = run(capsys, "optimize", "--family", family, "--range", prange)
+    assert code == 0
+    assert out == expected
 
 
 def test_optimize_rejects_malformed_range(capsys):

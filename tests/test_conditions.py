@@ -30,7 +30,8 @@ from commexp.conditions import (
     sum_target,
     target_from_name,
 )
-from commexp.liealg import Generator
+from commexp.liealg import Generator, lie_project, scheme_log
+from commexp import schemes
 from commexp.schemes import ExponentSlot, Scheme, catalog_get, third_order_family
 
 A, B = Generator.A, Generator.B
@@ -59,7 +60,10 @@ def test_target_rejects_out_of_range_terms():
     from commexp.conditions import TargetPolynomial
 
     with pytest.raises(ValueError):
-        TargetPolynomial("bad", {(7, 1): 1.0})
+        TargetPolynomial("bad", {(8, 1): 1.0})
+    with pytest.raises(ValueError):
+        TargetPolynomial("bad", {(7, 19): 1.0})
+    assert TargetPolynomial("top", {(7, 18): 1.0}).vector(7)[-1] == 1.0
     with pytest.raises(ValueError):
         TargetPolynomial("bad", {(2, 2): 1.0})
 
@@ -119,14 +123,15 @@ def test_effective_error_definition():
     assert ee.slot_count == 6
     assert ee.E == pytest.approx(6 * ee.leading_norm ** (1.0 / 3.0))
     assert ee.per_exponential == pytest.approx(ee.E / 6)
-    assert not ee.word_norm_fallback
     assert ee.per_exponential == pytest.approx(0.475705, abs=5e-7)
 
 
-def test_effective_error_word_norm_fallback_past_basis():
-    ee = effective_error(catalog_get("PCP26_6"))
+def test_effective_error_order_six_in_basis():
+    sch = catalog_get("PCP26_6")
+    ee = effective_error(sch)
     assert ee.order == 6
-    assert ee.word_norm_fallback
+    degree_seven = lie_project(scheme_log(sch.pairs(), 7)).vectors[7]
+    assert ee.leading_norm == pytest.approx(float(np.linalg.norm(degree_seven)), rel=1e-14)
 
 
 @pytest.mark.parametrize("name", ["NCP6_3", "PCP16_5", "PCP26_6", "combined5"])
@@ -363,6 +368,16 @@ def test_optimize_locates_family_minimum():
     assert not result.flat
     assert result.param == pytest.approx(math.sqrt(2.0 / (math.sqrt(5.0) + 1.0)),
                                          abs=1e-7)
+
+
+def test_optimize_flags_minimum_at_range_edge():
+    # E of aor4 falls towards d2* = 0.302, below the range's lower end
+    result = optimize_free_parameter(schemes.aor4, 4, (0.5, 2.0), grid=17)
+    assert result.at_edge
+    assert result.param == pytest.approx(0.5, abs=1e-10)
+    inside = optimize_free_parameter(schemes.aor4, 4, (0.1, 0.6), grid=17)
+    assert not inside.at_edge
+    assert inside.param == pytest.approx(schemes.AOR4_OPTIMAL_D2, abs=1e-7)
 
 
 def test_optimize_propagates_order_violations():

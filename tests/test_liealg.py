@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from commexp.liealg import (
     LIE_DIMS,
-    MAX_BASIS_DEGREE,
     MAX_LOG_COEFFICIENT,
     MAX_TRUNCATION,
     Generator,
@@ -315,18 +314,17 @@ def test_series_log_matches_series_mul_power_series(truncation, data):
 
 def test_basis_dimensions():
     basis = basis_build()
-    assert basis.dims() == LIE_DIMS == (2, 1, 2, 3, 6, 9)
-    for degree in range(1, MAX_BASIS_DEGREE + 1):
+    assert basis.dims() == LIE_DIMS == (2, 1, 2, 3, 6, 9, 18)
+    for degree in range(1, MAX_TRUNCATION + 1):
         assert len(basis.degree_elements(degree)) == basis.dim(degree)
 
 
 def test_basis_is_cached():
     assert basis_build() is basis_build()
-    assert basis_build(4) is basis_build(4)
 
 
 def test_basis_atoms():
-    basis = basis_build(2)
+    basis = basis_build()
     assert basis.element(1, 1).series.coefficient("A") == 1.0
     assert basis.element(1, 2).series.coefficient("B") == 1.0
     e21 = basis.element(2, 1)
@@ -348,13 +346,6 @@ def test_basis_element_metadata():
         bracket = series_mul(letter.series, child.series) - series_mul(
             child.series, letter.series)
         assert elt.series.allclose(elt.sign * bracket, tol=1e-14)
-
-
-def test_basis_truncation_bounds():
-    with pytest.raises(ValueError):
-        basis_build(0)
-    with pytest.raises(ValueError):
-        basis_build(MAX_BASIS_DEGREE + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +395,12 @@ def test_lie_project_rejects_constant_term():
         lie_project(TruncatedSeries.unit(3))
 
 
-def test_lie_project_degree_seven_word_norm():
-    log = scheme_log([(A, 0.7), (B, 0.3)], MAX_TRUNCATION)
+def test_lie_project_degree_seven_in_basis():
+    # the order-6 commutator scheme's leading error lives at degree 7
+    from commexp.schemes import catalog_get
+
+    log = scheme_log(catalog_get("PCP26_6").pairs(), MAX_TRUNCATION)
     coeffs = lie_project(log)
-    assert MAX_TRUNCATION not in coeffs.vectors
-    assert coeffs.word_norms[MAX_TRUNCATION] > 0.0
-    assert coeffs.degree_norm(MAX_TRUNCATION) == coeffs.word_norms[MAX_TRUNCATION]
-    assert coeffs.degree_norm(2) == pytest.approx(abs(coeffs.w(2, 1)))
+    assert coeffs.vectors[MAX_TRUNCATION].shape == (LIE_DIMS[MAX_TRUNCATION - 1],)
+    assert coeffs.residuals[MAX_TRUNCATION] <= 1e-14
+    assert np.linalg.norm(coeffs.vectors[MAX_TRUNCATION]) > 0.0

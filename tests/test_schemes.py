@@ -11,7 +11,7 @@ from commexp.conditions import (
     order_residuals,
     sum_target,
 )
-from commexp.liealg import Generator
+from commexp.liealg import MAX_TRUNCATION, Generator, Word, basis_build
 from commexp.schemes import (
     ABSTRACT,
     AOR4_OPTIMAL_D2,
@@ -34,6 +34,7 @@ from commexp.schemes import (
     yoshida,
     zass_sym22,
 )
+from commexp.schemes import _swap_basis_matrix, _swap_generators
 
 SQRT5 = math.sqrt(5.0)
 
@@ -498,6 +499,32 @@ def test_zass_sym22_structure():
     assert math.isclose(letter_sum(scheme, Generator.B), 1.0, abs_tol=1e-13)
 
 
+def test_zass_sym22_matches_direct_substitution():
+    # reference: the cube-root substitution written out slot by slot
+    inner = aor4(AOR4_OPTIMAL_D2)
+    expected = [ExponentSlot(Generator.A, 0.5), ExponentSlot(Generator.B, 0.5)]
+    for c, block in ((1.0 / 24.0, inner.slots), (-1.0 / 12.0, _swap_generators(inner.slots))):
+        factor = math.copysign(abs(c) ** (1.0 / 3.0), c)
+        expected.extend(ExponentSlot(s.generator, s.coefficient * factor) for s in block)
+    expected += [ExponentSlot(Generator.B, 0.5), ExponentSlot(Generator.A, 0.5)]
+    got = zass_sym22().slots
+    assert [s.generator for s in got] == [s.generator for s in expected]
+    assert [s.coefficient for s in got] == [s.coefficient for s in expected]
+    assert zass_sym22().note == "symmetric product factorization with nested-commutator blocks"
+
+
+def test_substitute_one_inner_per_abstract_slot():
+    outer = Scheme("two", (ExponentSlot(ABSTRACT, 1.0), ExponentSlot(Generator.A, 1.0),
+                           ExponentSlot(ABSTRACT, 8.0)), sum_target(), 4)
+    first, second = aor4(0.5), aor4(AOR4_OPTIMAL_D2)
+    result = substitute(outer, [first, second], 3, merge=False)
+    assert result.slots == (first.slots + (ExponentSlot(Generator.A, 1.0),)
+                            + second.scaled_slots(2.0))
+    assert result.name == f"two[{first.name},{second.name}]"
+    with pytest.raises(ValueError, match="2 abstract slots"):
+        substitute(outer, [first], 3)
+
+
 def test_nested4_50_structure():
     scheme = nested4_50()
     assert scheme.slot_count == 50
@@ -547,6 +574,20 @@ def test_ab_swap_turns_u22_into_u21():
     swapped = transform(u22, "ab-swap")
     assert swapped.slots == catalog_get("U21").slots
     assert swapped.target.terms == catalog_get("U21").target.terms
+
+
+@pytest.mark.parametrize("degree", range(1, MAX_TRUNCATION + 1))
+def test_ab_swap_basis_matrix_reproduces_swapped_words(degree):
+    # A -> B, B -> -A on each word, one word at a time: the swapped basis
+    # elements must stay in the span of the basis (Lie membership)
+    basis = basis_build()
+    m = basis.matrices[degree]
+    swapped = np.zeros_like(m)
+    for idx in range(1 << degree):
+        letters = Word.from_index(degree, idx).letters
+        image = Word(tuple(Generator.B if g is Generator.A else Generator.A for g in letters))
+        swapped[image.index] = (-1.0) ** letters.count(Generator.B) * m[idx]
+    np.testing.assert_allclose(m @ _swap_basis_matrix(degree), swapped, rtol=0.0, atol=1e-12)
 
 
 def test_transform_rejects_unknown_name():
