@@ -1,23 +1,29 @@
 """Dense matrix harness: exponentials, spectral norm, and test operator pairs.
 
 Everything here is deterministic: the matrix exponential is a fixed
-scaling-and-squaring routine, the spectral norm is the largest singular value
-from LAPACK (numpy's ``norm(M, 2)``), and the random operator pairs are drawn
-from a small named 64-bit generator so experiments reproduce given the seed.
+scaling-and-squaring routine over one degree-14 Taylor core, the spectral
+norm is the largest singular value from LAPACK (numpy's ``norm(M, 2)``), and
+the random operator pairs are drawn from a small named 64-bit generator so
+experiments reproduce given the seed.
 
 A scheme's product ``exp(c_1 t X_1) ... exp(c_s t X_s)`` is evaluated on one
-of two paths (:func:`evaluate_scheme`):
+of two paths (:func:`evaluate_scheme`), after zero slots are dropped and
+adjacent slots on one generator merged into runs:
 
 - *eigenbasis* walk, for pairs whose generators are both Hermitian or
   anti-Hermitian (the ``pauli`` pair).  The pair caches unitary
-  eigenvectors, so a run of slots on one generator costs a column scaling
-  and a switch of generator one product with a cached transfer matrix;
-- *expm*, for every other pair (the non-normal ``random`` pairs): one
-  :func:`expm` per slot, multiplied left to right.
+  eigenvectors, so a run costs a column scaling and a switch of generator
+  one product with a cached transfer matrix;
+- *cached powers*, for every other pair (the non-normal ``random`` pairs).
+  The pair caches ``(X/||X||_1)^2`` and ``(X/||X||_1)^3`` of each generator
+  and their norms, so each run's exponential is the Taylor core of
+  :func:`expm` in 4 products plus its squarings, which the power norms keep
+  few; the runs are multiplied left to right.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -112,6 +118,117 @@ class SplitMix64:
         return values[:count].astype(np.complex128).reshape(dim, dim)
 
 
+#: Scaled-argument bound for the degree-14 Taylor polynomial behind every
+#: exponential here: when |z| nu alpha <= _THETA the truncation error
+#: sum_{k>=15} _THETA^k / k! is at most 7.24e-16, the bound of a degree-13
+#: polynomial at one-norm 1/2 (sum_{k>=14} 0.5^k / k!).  The root of that
+#: equation, 0.62700290, rounded down.
+_THETA = 0.6270028
+
+
+class _Powers(NamedTuple):
+    """A matrix X and the powers its Taylor exponentials reuse.
+
+    ``X = scale * Y`` with ``scale = ||X||_1``, raised to the smallest normal
+    float so that ``1 / scale`` is finite; ``square`` and ``cube`` are Y^2
+    and Y^3, and ``alpha = max(||Y^2||_1^(1/2), ||Y^3||_1^(1/3))``, which
+    bounds ``||Y^k||_1^(1/k)`` for every k >= 2 (Al-Mohy and Higham 2009,
+    with p = 2).  A zero X has ``scale`` 0 and no powers.
+    """
+
+    X: np.ndarray
+    scale: float
+    square: np.ndarray | None
+    cube: np.ndarray | None
+    alpha: float
+
+
+def _norm1(X: np.ndarray) -> float:
+    return float(np.max(np.sum(np.abs(X), axis=0))) if X.size else 0.0
+
+
+def _powers(X: np.ndarray) -> _Powers:
+    norm = _norm1(X)
+    if norm == 0.0:
+        return _Powers(X, 0.0, None, None, 0.0)
+    scale = max(norm, np.finfo(np.float64).tiny)
+    Y = X * (1.0 / scale)
+    square = Y @ Y
+    cube = square @ Y
+    alpha = max(math.sqrt(_norm1(square)), _norm1(cube) ** (1.0 / 3.0))
+    return _Powers(X, scale, square, cube, alpha)
+
+
+def _add_to_diagonal(M: np.ndarray, value: complex) -> None:
+    M.reshape(-1)[:: M.shape[0] + 1] += value
+
+
+def _taylor_exp(powers: _Powers, z: complex, P: np.ndarray,
+                Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(z X) into one of the d x d buffers P and Q: (result, the other).
+
+    Scales by 2^-s with s = ceil(log2(|z| nu alpha / _THETA)), nu the
+    powers' ``scale``; evaluates the degree-14 Taylor polynomial in u Y,
+    u = z nu 2^-s, Paterson-Stockmeyer style in blocks of three terms and
+    Horner in the cached Y^3,
+    ``p = (((B_4 Y^3 + B_3) Y^3 + B_2) Y^3 + B_1) Y^3 + B_0`` with
+    ``B_j = sum_{i<3} (u Y)^(3j+i) / (3j+i)!``; then squares s times:
+    4 + s matrix products, and no array beyond P and Q.
+    """
+    X, scale, square, cube, alpha = powers
+    w = complex(z) * scale
+    if not cmath.isfinite(w):
+        raise ValueError("matrix exponential of non-finite entries")
+    if scale == 0.0:
+        P[...] = 0.0
+        _add_to_diagonal(P, 1.0)
+        return P, Q
+    size = abs(w) * alpha
+    squarings = math.ceil(math.log2(size / _THETA)) if size > _THETA else 0
+    u = w * 2.0 ** -squarings
+    c = [1.0 + 0j]
+    for k in range(1, 15):
+        c.append(c[-1] * u / k)
+    # X = scale * Y, so the Y term of each block takes its coefficient / scale
+    np.multiply(X, c[13] / scale, out=P)
+    np.multiply(square, c[14], out=Q)
+    P += Q
+    _add_to_diagonal(P, c[12])
+    for j in (9, 6, 3, 0):
+        np.matmul(P, cube, out=Q)
+        np.multiply(X, c[j + 1] / scale, out=P)
+        Q += P
+        np.multiply(square, c[j + 2], out=P)
+        Q += P
+        _add_to_diagonal(Q, c[j])
+        P, Q = Q, P
+    for _ in range(squarings):
+        np.matmul(P, P, out=Q)
+        P, Q = Q, P
+    return P, Q
+
+
+def expm(M: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring over a degree-14 Taylor core.
+
+    The number of squarings s comes from ``nu alpha``, where ``nu = ||M||_1``
+    and alpha is the larger of ``||Y^2||_1^(1/2)`` and ``||Y^3||_1^(1/3)``
+    for ``Y = M / nu`` (Al-Mohy and Higham 2009): it bounds how fast the
+    Taylor terms decay, and is often well below 1 on non-normal M, so s can
+    be several squarings fewer than the one-norm alone asks for.  The scaled
+    argument is pushed below theta_14 = 0.6270028, where the truncation error
+    is at most 7.24e-16 relative.  Good to ~1e-13 relative for the moderate
+    norms used here.  Cost: Y^2 and Y^3, then 4 + s products
+    (Paterson-Stockmeyer, Horner in Y^3).  :func:`evaluate_scheme` runs the
+    same core on each generator's cached powers.
+    """
+    M = np.asarray(M, dtype=np.complex128)
+    if not np.all(np.isfinite(M)):
+        raise ValueError("matrix exponential of non-finite entries")
+    return _taylor_exp(_powers(M), 1.0, np.empty(M.shape, np.complex128),
+                       np.empty(M.shape, np.complex128))[0]
+
+
 class _Eigenbasis(NamedTuple):
     """Spectral data of a pair of (anti-)Hermitian generators, by generator.
 
@@ -186,59 +303,10 @@ class OperatorPair:
         return _Eigenbasis((values_a, values_b), (va, vb), adjoints,
                            (adjoints[0] @ vb, adjoints[1] @ va))
 
-
-#: 1/k! for k = 0..13: the degree-13 Taylor core of :func:`expm`.
-_TAYLOR = tuple(1.0 / math.factorial(k) for k in range(14))
-
-#: Paterson-Stockmeyer blocks of that core, highest first: j, and the factors
-#: taking X, X^2, X^3 from the previous block's coefficients 1/(j+4+i)! (from
-#: 1 for the first block) to this block's 1/(j+i)!.
-_PS_BLOCKS = tuple(
-    (j, tuple(_TAYLOR[j + i] if j == 8 else math.factorial(j + i + 4) / math.factorial(j + i)
-              for i in (1, 2, 3)))
-    for j in (8, 4, 0))
-
-
-def _add_to_diagonal(M: np.ndarray, value: float) -> None:
-    M.reshape(-1)[:: M.shape[0] + 1] += value
-
-
-def expm(M: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring over a degree-13 Taylor core.
-
-    The scaled one-norm is pushed below 1/2, where the truncation error of
-    the degree-13 polynomial sits at the round-off floor.  Good to ~1e-13
-    relative for the moderate norms used here.  The polynomial is evaluated
-    by Paterson-Stockmeyer (1973) in 6 matrix products: X^2, X^3, X^4, then
-    three Horner steps in X^4 over blocks of four Taylor terms.
-    """
-    M = np.asarray(M, dtype=np.complex128)
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix exponential of non-finite entries")
-    d = M.shape[0]
-    norm1 = float(np.max(np.sum(np.abs(M), axis=0))) if d else 0.0
-    squarings = max(0, int(math.ceil(math.log2(norm1 / 0.5)))) if norm1 > 0.5 else 0
-    X = M * 2.0 ** -squarings
-    X2 = X @ X
-    powers = (X, X2, X2 @ X)
-    X4 = X2 @ X2
-    # p(X) = ((P12 X^4 + P8) X^4 + P4) X^4 + P0 with P12 = 1/12! + X/13! and
-    # P_j = sum_{i=0..3} X^i / (j + i)!.  The powers are rescaled in place
-    # from one block's coefficients to the next, so no temporaries arise.
-    P = X * _TAYLOR[13]
-    _add_to_diagonal(P, _TAYLOR[12])
-    Q = np.empty_like(X)
-    for j, factors in _PS_BLOCKS:
-        np.matmul(P, X4, out=Q)
-        for power, factor in zip(powers, factors):
-            power *= factor
-            Q += power
-        _add_to_diagonal(Q, _TAYLOR[j])
-        P, Q = Q, P
-    for _ in range(squarings):
-        np.matmul(P, P, out=Q)
-        P, Q = Q, P
-    return P
+    @cached_property
+    def powers(self) -> tuple[_Powers, _Powers]:
+        """Cached scaled powers of A and B for their Taylor exponentials."""
+        return _powers(self.A), _powers(self.B)
 
 
 def two_norm(M: np.ndarray) -> float:
@@ -274,34 +342,9 @@ def make_pair(kind: str, dim: int = 16, seed: int = 0) -> OperatorPair:
     raise ValueError(f"unknown pair kind {kind!r}")
 
 
-def evaluate_scheme(scheme, pair: OperatorPair, t: float) -> np.ndarray:
-    """Left-to-right product of exp(c * t * X) over the scheme's slots.
-
-    Accepts what :func:`~commexp.conditions.slot_pairs` accepts and refuses
-    abstract template slots.  Zero-coefficient slots are skipped, and at
-    ``t == 0`` or with no nonzero slot the exact identity is returned.
-
-    On pairs with an :attr:`~OperatorPair.eigenbasis`, adjacent slots on the
-    same generator merge into one run, the product is carried in eigenbasis
-    coordinates as ``R = V_1 diag(exp(c t lambda_1)) W_12 diag(...) ...`` and
-    closed with the last ``V^H``: one column scaling per run, one product
-    per switch of generator.  All basis changes are unitary, so for s slots
-    the result is the exact product to within
-    ``(s + 2 + sum_i |c_i t| ||X_i||) * d * eps`` in the 2-norm, relative to
-    the product of the factor norms ``||exp(c_i t X_i)||`` (all 1 for
-    anti-Hermitian generators and real ``c_i t``); the worst of 3000 random
-    d = 2..16 cases reached 0.63 of it.  Other pairs take one :func:`expm`
-    per slot, each good to ~1e-13 relative.
-    """
-    pairs = slot_pairs(scheme)
-    basis = pair.eigenbasis
-    if basis is None:
-        result = np.eye(pair.dim, dtype=np.complex128)
-        for gen, coeff in pairs:
-            if coeff != 0:
-                result = result @ expm(complex(coeff) * t * pair.matrix(gen))
-        return result
-
+def _runs(pairs) -> list[list]:
+    """``[generator, coefficient]`` runs of a slot list: zero slots dropped,
+    adjacent slots on one generator merged by adding their coefficients."""
     runs: list[list] = []
     for gen, coeff in pairs:
         if coeff == 0:
@@ -310,8 +353,54 @@ def evaluate_scheme(scheme, pair: OperatorPair, t: float) -> np.ndarray:
             runs[-1][1] += coeff
         else:
             runs.append([gen, coeff])
+    return runs
+
+
+def evaluate_scheme(scheme, pair: OperatorPair, t: float) -> np.ndarray:
+    """Left-to-right product of exp(c * t * X) over the scheme's slots.
+
+    Accepts what :func:`~commexp.conditions.slot_pairs` accepts and refuses
+    abstract template slots.  Zero-coefficient slots are skipped and adjacent
+    slots on the same generator merge into one run, so each path makes one
+    exponential per run; at ``t == 0`` or with no nonzero run the exact
+    identity is returned.
+
+    On pairs with an :attr:`~OperatorPair.eigenbasis` the product is carried
+    in eigenbasis coordinates as
+    ``R = V_1 diag(exp(c t lambda_1)) W_12 diag(...) ...`` and closed with
+    the last ``V^H``: one column scaling per run, one product per switch of
+    generator.  All basis changes are unitary, so for s slots the result is
+    the exact product to within ``(s + 2 + sum_i |c_i t| ||X_i||) * d * eps``
+    in the 2-norm, relative to the product of the factor norms
+    ``||exp(c_i t X_i)||`` (all 1 for anti-Hermitian generators and real
+    ``c_i t``); the worst of 3000 random d = 2..16 cases reached 0.63 of it.
+
+    Every other pair exponentiates each run with the degree-14 Taylor core of
+    :func:`expm` on the pair's cached :attr:`~OperatorPair.powers`: with
+    ``nu = ||X||_1`` and alpha from the norms of the cached ``(X/nu)^2`` and
+    ``(X/nu)^3``, a run ``exp(z X)`` takes ``4 + s`` products,
+    ``s = ceil(log2(|z| nu alpha / theta_14))`` squarings and
+    theta_14 = 0.6270028 (truncation error at most 7.24e-16 relative), and
+    is good to ~1e-13 relative.  Three d x d buffers rotate through the
+    runs and the products between them.
+    """
+    runs = _runs(slot_pairs(scheme))
     if t == 0 or not runs:
         return np.eye(pair.dim, dtype=np.complex128)
+    basis = pair.eigenbasis
+    if basis is None:
+        powers = pair.powers
+        P, Q = (np.empty((pair.dim, pair.dim), dtype=np.complex128) for _ in range(2))
+        result = None
+        for gen, coeff in runs:
+            E, spare = _taylor_exp(powers[gen], complex(coeff) * t, P, Q)
+            if result is None:
+                result, P, Q = E, spare, np.empty_like(spare)
+            else:
+                np.matmul(result, E, out=spare)
+                result, P, Q = spare, result, E
+        return result
+
     gen, coeff = runs[0]
     R = basis.vectors[gen] * np.exp((complex(coeff) * t) * basis.values[gen])
     for gen, coeff in runs[1:]:

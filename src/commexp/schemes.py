@@ -781,13 +781,6 @@ def _coefficient_to_json(c: complex):
     return [float(f"{c.real:.17g}"), float(f"{c.imag:.17g}")]
 
 
-def _coefficient_from_json(value) -> complex:
-    if isinstance(value, list):
-        re, im = value
-        return complex(re, im)
-    return float(value)
-
-
 def save_scheme(scheme: Scheme, path) -> None:
     """Serialize to the .scheme.json format (17 significant digits)."""
     if scheme.is_template:
@@ -813,28 +806,83 @@ def save_scheme(scheme: Scheme, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-def load_scheme(path) -> Scheme:
-    """Read a .scheme.json document back into a Scheme."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    target_doc = doc["target"]
-    terms = {}
-    for degree, pos, re, im in target_doc["terms"]:
-        terms[(int(degree), int(pos))] = complex(re, im) if im else float(re)
+def _typed(value, kinds, what: str, path, field: str):
+    """``value`` if it is one of ``kinds`` (bools are not numbers), else a
+    ValueError naming the file and the field."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ValueError(f"{path}: field {field!r} must be {what}, "
+                         f"got {json.dumps(value)[:40]}")
+    return value
+
+
+def _member(doc: dict, key: str, kinds, what: str, path, field: str | None = None):
+    """``doc[key]`` checked by :func:`_typed`; a missing key names the field."""
+    field = field or key
+    if key not in doc:
+        raise ValueError(f"{path}: missing field {field!r}")
+    return _typed(doc[key], kinds, what, path, field)
+
+
+def _slot_problem(slot, i: int) -> str:
+    """What is wrong with the i-th slot entry of a file, which failed to parse."""
+    field = f"slots[{i}]"
+    if not isinstance(slot, dict):
+        return f"field {field!r} must be an object"
+    for key in ("generator", "coefficient"):
+        if key not in slot:
+            return f"missing field '{field}.{key}'"
     try:
-        target = target_from_name(target_doc["name"])
-        if dict(target.terms) != terms:
-            target = TargetPolynomial(target_doc["name"], terms)
-    except KeyError:
-        target = TargetPolynomial(target_doc["name"], terms)
-    slots = tuple(
-        ExponentSlot(as_generator(s["generator"]),
-                     _coefficient_from_json(s["coefficient"]))
-        for s in doc["slots"]
-    )
-    return Scheme(
-        name=doc["name"],
-        slots=slots,
-        target=target,
-        order=int(doc["order"]),
-        family=doc.get("family", "general"),
-    )
+        as_generator(slot["generator"])
+    except (TypeError, ValueError):
+        return (f"field '{field}.generator' must be \"A\" or \"B\", "
+                f"got {json.dumps(slot['generator'])[:40]}")
+    return f"field '{field}.coefficient' must be a number or [re, im]"
+
+
+def load_scheme(path) -> Scheme:
+    """Read a .scheme.json document back into a Scheme.
+
+    Anything that is not a well-formed document (not JSON, a field missing or
+    of the wrong type, a generator other than A or B, an invalid target term
+    or order) raises ``ValueError`` with one line naming the file and, where
+    there is one, the field.
+    """
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not a JSON document ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: a scheme file holds one JSON object")
+    name = _member(doc, "name", str, "a string", path)
+    target_doc = _member(doc, "target", dict, "an object", path)
+    target_name = _member(target_doc, "name", str, "a string", path, "target.name")
+    terms = {}
+    for i, term in enumerate(_member(target_doc, "terms", list, "a list", path,
+                                     "target.terms")):
+        if not (isinstance(term, list) and len(term) == 4 and all(
+                isinstance(x, (int, float)) and not isinstance(x, bool) for x in term)):
+            raise ValueError(f"{path}: field 'target.terms[{i}]' must be "
+                             f"[degree, position, re, im]")
+        degree, pos, re, im = term
+        terms[(int(degree), int(pos))] = complex(re, im) if im else float(re)
+    order = _member(doc, "order", int, "an integer", path)
+    family = _typed(doc.get("family", "general"), str, "a string", path, "family")
+    slots = []
+    for i, slot in enumerate(_member(doc, "slots", list, "a list", path)):
+        try:
+            coeff = slot["coefficient"]
+            coeff = complex(*coeff) if isinstance(coeff, list) else float(coeff)
+            slots.append((as_generator(slot["generator"]), coeff))
+        except (KeyError, TypeError, ValueError):
+            raise ValueError(f"{path}: {_slot_problem(slot, i)}") from None
+    try:
+        try:
+            target = target_from_name(target_name)
+            if dict(target.terms) != terms:
+                target = TargetPolynomial(target_name, terms)
+        except KeyError:
+            target = TargetPolynomial(target_name, terms)
+        return Scheme(name=name, slots=_slots(*slots), target=target, order=order,
+                      family=family)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -145,6 +145,40 @@ def test_verify_oversized_slot_is_input_error(capsys, tmp_path, size, reason):
     assert err.startswith("error: cannot verify huge:") and reason in err
 
 
+_GOOD_FILE = {"name": "x", "target": {"name": "commutator", "terms": []}, "order": 2,
+              "slots": [{"generator": "A", "coefficient": 1.0}]}
+
+
+@pytest.mark.parametrize("doc,field", [
+    ({}, "'name'"),
+    ({**_GOOD_FILE, "slots": 5}, "'slots' must be a list"),
+    ({**_GOOD_FILE, "slots": [{"coefficient": 1.0}]}, "'slots[0].generator'"),
+    ({**_GOOD_FILE, "target": {"name": "commutator", "terms": 3}},
+     "'target.terms' must be a list"),
+    ({**_GOOD_FILE, "slots": [{"generator": "C", "coefficient": 1.0}]},
+     "'slots[0].generator' must be"),
+    ({**_GOOD_FILE, "order": 0}, "order"),
+    ({**_GOOD_FILE, "slots": [{"generator": "A", "coefficient": float("nan")}]}, "finite"),
+])
+def test_verify_malformed_scheme_file_is_input_error(capsys, tmp_path, doc, field):
+    path = tmp_path / "bad.scheme.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--scheme", str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"error: {path}: ") and field in err
+
+
+def test_verify_non_json_scheme_file_is_input_error(capsys, tmp_path):
+    path = tmp_path / "bad.scheme.json"
+    path.write_text("{\"name\": ", encoding="utf-8")
+    code, _, err = run(capsys, "verify", "--scheme", str(path))
+    assert code == 2
+    assert err.startswith(f"error: {path}: not a JSON document")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_verify_loose_tolerance_accepts_corruption(capsys, tmp_path):
     scheme = catalog_get("NCP6_3")
     slots = list(scheme.slots)

@@ -1,11 +1,12 @@
 """Tests for the dense matrix harness."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commexp.conditions import (
@@ -398,17 +399,134 @@ def test_eigenbasis_walk_makes_no_expm_calls(monkeypatch, pauli_pair):
 
 
 @pytest.mark.parametrize("which", ["random", "mixed"])
-def test_non_normal_pairs_take_the_expm_path(monkeypatch, random_pair, which):
-    # a pair qualifies only when both generators are (anti-)Hermitian
-    if which == "random":
-        pair = random_pair
-    else:
-        pair = OperatorPair(_symmetric_pair(3, 16, (1, 1)).A, random_pair.B)
+def test_non_normal_pairs_take_the_cached_power_path(monkeypatch, which):
+    # a pair qualifies for the walk only when both generators are
+    # (anti-)Hermitian; every other pair builds the Taylor powers of both
+    # generators once and makes no expm call per slot
+    pair = make_pair("random", 16, 0)
+    if which == "mixed":
+        pair = OperatorPair(_symmetric_pair(3, 16, (1, 1)).A, pair.B)
     assert pair.eigenbasis is None
+    built = []
+    original = matform._powers
+    monkeypatch.setattr(matform, "_powers", lambda X: built.append(X) or original(X))
     calls = _count_expm(monkeypatch)
-    scheme = catalog_get("NCP6_3")
-    evaluate_scheme(scheme, pair, 0.3)
-    assert calls == [16] * sum(1 for _, c in scheme.pairs() if c != 0)
+    for t in (0.3, 0.1):
+        evaluate_scheme(catalog_get("NCP6_3"), pair, t)
+    assert calls == []
+    assert len(built) == 2
+    assert built[0] is pair.A and built[1] is pair.B
+    for X, powers in zip((pair.A, pair.B), pair.powers):
+        Y = X / np.linalg.norm(X, 1)
+        np.testing.assert_allclose(powers.square, Y @ Y, atol=1e-15)
+        np.testing.assert_allclose(powers.cube, Y @ Y @ Y, atol=1e-15)
+
+
+def _count_slot_exponentials(monkeypatch):
+    calls = []
+    original = matform._taylor_exp
+
+    def counting(powers, z, P, Q):
+        calls.append(z)
+        return original(powers, z, P, Q)
+
+    monkeypatch.setattr(matform, "_taylor_exp", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name,runs", [("suzuki4", 11), ("zass_sym22", 21)])
+def test_cached_power_path_makes_one_exponential_per_run(monkeypatch, random_pair, name,
+                                                         runs):
+    calls = _count_slot_exponentials(monkeypatch)
+    evaluate_scheme(catalog_get(name), random_pair, 0.3)
+    assert len(calls) == runs
+
+
+@pytest.mark.parametrize("t", [0.05, 0.7, 2.5])
+def test_suzuki4_on_random_pair_matches_scipy_product(random_pair, t):
+    # the merged runs of suzuki4 against scipy's product over its 20 slots
+    scheme = catalog_get("suzuki4")
+    expected = np.eye(16, dtype=np.complex128)
+    for gen, coeff in scheme.pairs():
+        expected = expected @ scipy.linalg.expm(coeff * t * random_pair.matrix(gen))
+    error = np.linalg.norm(evaluate_scheme(scheme, random_pair, t) - expected, 2)
+    assert error <= 1e-13 * np.linalg.norm(expected, 2)
+
+
+def _generator(seed, dim, kind):
+    """Dense complex, strongly non-normal (diagonal plus a 20x strictly upper
+    part) or nilpotent (strictly upper) test matrix, or zero."""
+    g = np.random.default_rng(seed)
+    X = g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim))
+    if kind == "non-normal":
+        X = np.diag(np.diag(X)) + 20.0 * np.triu(X, 1)
+    elif kind == "nilpotent":
+        X = np.triu(X, 1)
+    elif kind == "zero":
+        X = np.zeros((dim, dim), dtype=np.complex128)
+    return X
+
+
+def _slot_exponential(X, z):
+    d = X.shape[0]
+    buffers = (np.empty((d, d), np.complex128), np.empty((d, d), np.complex128))
+    return matform._taylor_exp(matform._powers(X), z, *buffers)[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+    dim=st.integers(min_value=1, max_value=16),
+    kind=st.sampled_from(["dense", "non-normal", "nilpotent", "zero"]),
+    size=st.floats(min_value=0.0, max_value=2.0),
+    z=st.one_of(st.floats(min_value=-8.0, max_value=8.0),
+                st.builds(complex, st.floats(min_value=-8.0, max_value=8.0),
+                          st.floats(min_value=-8.0, max_value=8.0))),
+)
+@example(seed=0, dim=3, kind="dense", size=2.2250738585e-313, z=1.0)  # subnormal norm
+def test_slot_exponential_matches_scipy(seed, dim, kind, size, z):
+    # stated bound: ||exp(zX) - expm_scipy(zX)||_2 <= 8 (d + r) eps e^r with
+    # r = |z| ||X||_2; squaring amplifies round-off by up to 2^s ~ r, and the
+    # largest of 6000 random cases reached 2.5 (d + r) eps e^r
+    X = _generator(seed, dim, kind)
+    norm = np.linalg.norm(X, 2)
+    if norm > 0:
+        X *= size / norm
+    r = abs(z) * size if norm > 0 else 0.0
+    E = _slot_exponential(X, z)
+    error = np.linalg.norm(E - scipy.linalg.expm(z * X), 2)
+    assert error <= 8 * (dim + r) * np.finfo(float).eps * math.exp(r)
+    if kind == "zero":
+        np.testing.assert_array_equal(E, np.eye(dim))
+
+
+def test_slot_exponential_rejects_nonfinite_argument(random_pair):
+    with pytest.raises(ValueError, match="non-finite"):
+        _slot_exponential(random_pair.A, complex(1e308, 0) * 10)
+    with pytest.raises(ValueError, match="non-finite"):
+        evaluate_scheme([(Generator.A, float("nan"))], random_pair, 0.5)
+
+
+def test_expm_matches_scipy_at_dim_256(rng):
+    M = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+    M *= 2.0 / np.linalg.norm(M, 2)
+    expected = scipy.linalg.expm(M)
+    error = np.linalg.norm(expm(M) - expected, 2) / np.linalg.norm(expected, 2)
+    assert error < 5e-14
+
+
+def test_cached_power_path_peak_memory():
+    # cached powers (4), three rotating buffers and one temporary: no more
+    # live d x d complex arrays than the per-slot expm product took
+    dim = 128
+    pair = make_pair("random", dim, 5)
+    tracemalloc.start()
+    try:
+        evaluate_scheme(catalog_get("PCP26_6"), pair, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 16 * dim * dim + 64 * 1024
 
 
 # ---------------------------------------------------------------------------
