@@ -78,10 +78,9 @@ def error_curve(scheme, pair: matform.OperatorPair, t_total: float,
     for n in n_list:
         if n < 1:
             raise ValueError("step counts must be positive")
-        U = matform.evaluate_scheme(scheme, pair, _step_time(t_total, n, k))
-        err = matform.two_norm(np.linalg.matrix_power(U, n) - T)
-        out.append(BenchResult(scheme.name, n, n * scheme.slot_count,
-                               t_total, err, pair.label, pair.seed))
+        out.append(BenchResult(scheme.name, n, n * scheme.slot_count, t_total,
+                               _error_at(scheme, pair, t_total, k, T, n),
+                               pair.label, pair.seed))
     return out
 
 
@@ -201,33 +200,40 @@ def _write_csv(out, sections: Sequence[tuple[Sequence[str], Sequence[str], Seque
     out.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _curve_rows(scheme_names, pairs, t_total, n_grid):
+def curve_table(scheme_names, pairs, t_total, n_grid):
+    """CSV header and rows of n-step error curves, pair by pair, scheme by scheme."""
     rows = []
     for pair in pairs:
         for name in scheme_names:
             for res in error_curve(name, pair, t_total, n_grid):
                 rows.append((res.scheme, res.pair, res.t_total,
                              res.n, res.gates, res.error))
-    return rows
+    return ("scheme", "pair", "t_total", "n", "gates", "error"), rows
+
+
+def cost_table(scheme_names, pair, x_grid, tol):
+    """CSV header and rows of the gates each scheme needs to reach ``tol`` per x."""
+    rows = [(name, x, tol, gates) for name in scheme_names
+            for x, gates in gates_for_tolerance(name, pair, x_grid, tol)]
+    return ("scheme", "x", "tol", "gates"), rows
 
 
 def _export_curve_figure(which, out, scheme_names, t_total, seed):
     pairs = [matform.make_pair("pauli"), matform.make_pair("random", 16, seed)]
-    rows = _curve_rows(scheme_names, pairs, t_total, DEFAULT_N_GRID)
+    header, rows = curve_table(scheme_names, pairs, t_total, DEFAULT_N_GRID)
     comments = [
         f"{which}: n-step composition error vs gate count, t_total={t_total:g}",
         f"pairs: pauli and random:16 (seed={seed}); n = 1..{DEFAULT_N_GRID[-1]}",
     ]
-    _write_csv(out, [(comments, ("scheme", "pair", "t_total", "n", "gates", "error"), rows)])
+    _write_csv(out, [(comments, header, rows)])
 
 
 def _export_fig5(out, seed):
     pair = matform.make_pair("pauli")
     rows = []
     for tol in _FIG5_TOLS:
-        for name in _FIG5_SCHEMES:
-            for x, gates in gates_for_tolerance(name, pair, _FIG5_X_GRID, tol):
-                rows.append((name, x, tol, gates))
+        header, tol_rows = cost_table(_FIG5_SCHEMES, pair, _FIG5_X_GRID, tol)
+        rows += tol_rows
     comments = [
         "fig5: gates needed to reach tolerance for exp(x^2 [A,B]) on the pauli pair",
         f"x grid {_FIG5_X_GRID[0]}..{_FIG5_X_GRID[-1]}, tolerances "
@@ -235,7 +241,7 @@ def _export_fig5(out, seed):
         + f", step cap {DEFAULT_N_CAP}",
         _OMISSION_NOTE,
     ]
-    _write_csv(out, [(comments, ("scheme", "x", "tol", "gates"), rows)])
+    _write_csv(out, [(comments, header, rows)])
 
 
 def _export_fig6(out, seed):

@@ -184,11 +184,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if not _positive_finite(args.t):
             return _fail(f"--t needs a positive finite total time, got {args.t:g}")
         try:
-            rows = [(res.scheme, res.pair, res.t_total, res.n, res.gates, res.error)
-                    for name in names for res in bench.error_curve(name, pair, args.t, n_list)]
+            header, rows = bench.curve_table(names, [pair], args.t, n_list)
         except ValueError as exc:  # overflow: the product or its error is not finite
             return _fail(f"cannot evaluate the error curve at t = {args.t:g}: {exc}")
-        header = ("scheme", "pair", "t_total", "n", "gates", "error")
         comments = [f"custom error curve: t_total={args.t:g}, seed={args.seed}"]
     else:
         try:
@@ -201,9 +199,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             return _fail(f"--x values must lie in (0, 1], got {args.x!r}")
         if not _positive_finite(args.tol):
             return _fail(f"--tol needs a positive finite tolerance, got {args.tol:g}")
-        rows = [(name, x, args.tol, gates) for name in names
-                for x, gates in bench.gates_for_tolerance(name, pair, x_grid, args.tol)]
-        header = ("scheme", "x", "tol", "gates")
+        header, rows = bench.cost_table(names, pair, x_grid, args.tol)
         comments = [f"custom cost table: tol={args.tol:g}, seed={args.seed}"]
 
     bench._write_csv(out, [(comments, header, rows)])

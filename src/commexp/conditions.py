@@ -11,7 +11,7 @@ lives in :mod:`commexp.matform` and is imported lazily.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -36,11 +36,13 @@ __all__ = [
     "combined_target",
     "target_from_name",
     "slot_pairs",
+    "slot_runs",
     "ResidualReport",
     "order_residuals",
     "EffectiveError",
     "effective_error",
     "cp_expand",
+    "cp_pattern",
     "cp_identities",
     "cp_independent_positions",
     "cp_condition_counts",
@@ -183,6 +185,30 @@ def slot_pairs(scheme) -> list[tuple[Generator, complex]]:
     return pairs
 
 
+def slot_runs(scheme) -> list[tuple[Generator, complex]]:
+    """The runs of a composition (what :func:`slot_pairs` accepts): the same
+    product with no zero run and no two neighbours on one generator.
+
+    A stack reduction: each slot adds onto a top run on its generator, and a
+    run summing to exactly zero is popped so that its neighbours merge in
+    turn (A·1, B·1, B·(-1), A·1 gives A·2).
+    """
+    runs: list[tuple[Generator, complex]] = []
+    for gen, coeff in slot_pairs(scheme):
+        if runs and runs[-1][0] == gen:
+            coeff += runs.pop()[1]
+        if coeff != 0:
+            runs.append((gen, coeff))
+    return runs
+
+
+def _project(pairs, truncation: int) -> LieCoefficients:
+    """Basis coordinates of the log of a slot product, Lie-checked at the
+    round-off its coefficients allow."""
+    return lie_project(scheme_log(pairs, truncation),
+                       coefficient_sum=sum(abs(c) for _, c in pairs))
+
+
 @dataclass
 class ResidualReport:
     """Outcome of checking a composition against a target through degree r."""
@@ -220,7 +246,7 @@ def order_residuals(scheme, target: TargetPolynomial, r: int, tol: float = 1e-10
     if r + 1 > MAX_TRUNCATION:
         raise ValueError(f"order {r} needs degree {r + 1} > ceiling {MAX_TRUNCATION}")
     pairs = slot_pairs(scheme)
-    coeffs = lie_project(scheme_log(pairs, r + 1))
+    coeffs = _project(pairs, r + 1)
 
     residuals: dict[int, np.ndarray] = {}
     for degree in range(1, r + 1):
@@ -274,7 +300,7 @@ def effective_error(scheme, r: int | None = None) -> EffectiveError:
         r = scheme.order
     if r + 1 > MAX_TRUNCATION:
         raise ValueError(f"degree {r + 1} beyond truncation ceiling")
-    return _size_leading_error(lie_project(scheme_log(pairs, r + 1)),
+    return _size_leading_error(_project(pairs, r + 1),
                                getattr(scheme, "target", None), r, len(pairs))
 
 
@@ -282,7 +308,7 @@ def effective_error(scheme, r: int | None = None) -> EffectiveError:
 # counter-palindromic structure
 # --------------------------------------------------------------------------
 
-_CP_SIGNS = {"positive": 1, "negative": -1, 1: 1, -1: -1, "+": 1, "-": -1}
+_CP_SIGNS = {"positive": 1, "negative": -1}
 
 
 def _cp_sign(sign) -> int:
@@ -326,8 +352,6 @@ def cp_expand(half: Sequence[complex], sign, *, name: str | None = None,
         target=commutator_target(),
         order=order,
         family=kind,
-        cp_half=tuple(half),
-        cp_sign="positive" if s > 0 else "negative",
         note=note,
     )
 
@@ -336,6 +360,21 @@ def _cp_pairs(half: list, s: int) -> list[tuple[Generator, complex]]:
     """Slots B, A, ..., A of the mirrored pattern, as (generator, coefficient)."""
     full = half + [s * c for c in reversed(half)]
     return [(Generator.B if i % 2 == 0 else Generator.A, c) for i, c in enumerate(full)]
+
+
+def cp_pattern(scheme) -> tuple[tuple | None, str | None]:
+    """``(half, sign)`` of a mirrored composition, ``(None, None)`` otherwise.
+
+    The inverse of :func:`_cp_pairs`: the slots, at least four, must be
+    exactly the expansion of their own first half, going B, A, ..., A with
+    the reversed first half kept ("positive") or negated ("negative").
+    """
+    pairs = [(slot.generator, slot.coefficient) for slot in scheme.slots]
+    half = [c for _, c in pairs[:len(pairs) // 2]]
+    for sign, s in _CP_SIGNS.items():
+        if len(pairs) >= 4 and pairs == _cp_pairs(half, s):
+            return tuple(half), sign
+    return None, None
 
 
 class IdentityCheck(NamedTuple):
@@ -379,7 +418,7 @@ def cp_independent_positions(degree: int) -> tuple[int, ...]:
 def cp_identities(scheme, sign=None, tol: float = 1e-10) -> list[IdentityCheck]:
     """Evaluate the ten mirror-symmetry identities on a composition.
 
-    ``sign`` defaults to the scheme's stored counter-palindromic sign.  Each
+    ``sign`` defaults to the scheme's counter-palindromic sign.  Each
     check compares w_{j,l} against its predicted linear combination at
     tolerance ``tol`` (scaled by the magnitudes involved).
     """
@@ -387,16 +426,20 @@ def cp_identities(scheme, sign=None, tol: float = 1e-10) -> list[IdentityCheck]:
         sign = getattr(scheme, "cp_sign", None)
         if sign is None:
             raise ValueError("scheme carries no counter-palindromic sign; pass one")
-    s = _cp_sign(sign)
-    coeffs = lie_project(scheme_log(slot_pairs(scheme), max(CP_INDEPENDENT)))
+    coeffs = _project(slot_pairs(scheme), max(CP_INDEPENDENT))
+    return _identity_checks(coeffs.w, _cp_sign(sign), tol)
+
+
+def _identity_checks(w, s: int, tol: float) -> list[IdentityCheck]:
+    """The mirror identities of sign ``s`` on the coefficients ``w(degree, position)``."""
     results = []
     for degree, left, combo in _CP_IDENTITIES:
-        lhs = coeffs.w(degree, left)
+        lhs = w(degree, left)
         rhs = 0.0
         pieces = []
         for right, fpos, fneg in combo:
             factor = fpos if s > 0 else fneg
-            rhs += factor * coeffs.w(degree, right)
+            rhs += factor * w(degree, right)
             pieces.append(f"{factor:+g}*w({degree},{right})")
         ok = abs(lhs - rhs) <= tol * max(1.0, abs(lhs), abs(rhs))
         results.append(
@@ -420,7 +463,7 @@ def cp_condition_counts(sign, r: int = 6, *, samples: int = 30, m: int = 6,
     for _ in range(samples):
         half = rng.uniform(-1.5, 1.5, size=m + 1)
         scheme = cp_expand(half, sign)
-        coeffs = lie_project(scheme_log(slot_pairs(scheme), r))
+        coeffs = _project(slot_pairs(scheme), r)
         for d in range(1, r + 1):
             vectors[d].append(coeffs.vectors[d])
     counts = {}
@@ -475,7 +518,7 @@ def _cp_residual(tail, sign, target, r):
     (the complex-step Jacobian in :func:`refine` relies on that).
     """
     half = [cp_half_closure(tail, sign)] + list(tail)
-    coeffs = lie_project(scheme_log(_cp_pairs(half, _cp_sign(sign)), r))
+    coeffs = _project(_cp_pairs(half, _cp_sign(sign)), r)
     out = []
     for degree in range(2, r + 1):
         free = list(CP_INDEPENDENT[degree])
@@ -483,12 +526,30 @@ def _cp_residual(tail, sign, target, r):
     return np.concatenate(out)
 
 
+def _mirror_sign(scheme, target, r) -> str | None:
+    """The sign of a mirrored scheme if mirrored patterns can meet ``target``
+    through degree r, else None.
+
+    Their closure zeroes degree 1 and the identities tie the dependent
+    components, so :func:`_cp_residual` stands for all conditions only when
+    2 <= r <= 6 and the target has no degree-1 part and obeys the identities.
+    """
+    _, sign = cp_pattern(scheme)
+    if sign is None or not 2 <= r <= max(CP_INDEPENDENT) or np.any(target.vector(1)):
+        return None
+    checks = _identity_checks(target.coefficient, _cp_sign(sign), 1e-12)
+    if all(check.satisfied for (degree, _, _), check in zip(_CP_IDENTITIES, checks)
+           if degree <= r):
+        return sign
+    return None
+
+
 def _general_residual(coefficients, generators, target, r):
     """Residuals of every basis coefficient through degree r vs target.
 
     Like :func:`_cp_residual`, complex coefficients give complex residuals.
     """
-    coeffs = lie_project(scheme_log(list(zip(generators, coefficients)), r))
+    coeffs = _project(list(zip(generators, coefficients)), r)
     return np.concatenate([coeffs.vectors[degree] - target.vector(degree)
                            for degree in range(1, r + 1)])
 
@@ -517,19 +578,22 @@ def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
            r: int | None = None, tol: float = 1e-13, max_iter: int = 50):
     """Newton-polish coefficients until the order conditions hold to ``tol``.
 
-    Counter-palindromic schemes are iterated on their half-pattern with the
+    A mirrored scheme (:func:`cp_pattern`) whose target mirrored patterns
+    can meet (:func:`_mirror_sign`) is iterated on its half-pattern with the
     leading coefficient eliminated by the closure relation, so the mirror
-    structure is exact at every iterate; only the independent condition
-    components enter the residual.  ``free_slots`` selects which adjustable
-    coordinates may move (0-based indices into the half-pattern tail for
-    mirrored schemes, into the slot list otherwise); it must offer at least
-    as many unknowns as there are conditions.  The Jacobian is formed by
-    complex steps (:func:`_complex_step_jacobian`): the residual chain is
-    analytic in the coefficients, so one complex evaluation per unknown
-    gives each column to round-off while the iterate stays real.  Returns a
-    rebuilt scheme; raises ``RuntimeError`` on divergence or stagnation.
+    stays exact at every iterate; only the independent condition components
+    enter the residual, and ``free_slots`` are 0-based indices into the
+    half-pattern tail, for a mirrored scheme loaded from a file too.  Any
+    other scheme takes the general path, with ``free_slots`` indexing the
+    slot list.  They must offer at least as many unknowns as there are
+    conditions.  The Jacobian is formed by complex steps
+    (:func:`_complex_step_jacobian`): the residual chain is analytic in the
+    coefficients, so one complex evaluation per unknown gives each column to
+    round-off while the iterate stays real.  Returns the scheme with its
+    slots replaced and every other field kept; raises ``RuntimeError`` on
+    divergence or stagnation.
     """
-    from .schemes import Scheme, ExponentSlot
+    from .schemes import ExponentSlot
 
     if target is None:
         target = scheme.target
@@ -538,24 +602,20 @@ def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
     if any(complex(w).imag != 0.0 for w in target.terms.values()):
         raise ValueError("refinement handles real targets only")
 
-    is_cp = getattr(scheme, "cp_half", None) is not None
-    if is_cp:
-        if any(abs(complex(c).imag) > 0 for c in scheme.cp_half):
-            raise ValueError("refinement handles real coefficients only")
-        sign = scheme.cp_sign
-        x_full = np.array([float(np.real(c)) for c in scheme.cp_half[1:]])
+    pairs = slot_pairs(scheme)
+    if any(abs(complex(c).imag) > 0 for _, c in pairs):
+        raise ValueError("refinement handles real coefficients only")
+    generators = [g for g, _ in pairs]
+    x_full = np.array([float(np.real(c)) for _, c in pairs])
+    sign = _mirror_sign(scheme, target, r)
+    if sign is not None:
+        x_full = x_full[1:len(pairs) // 2]  # the half-pattern's tail
 
         def residual_of(x):
             return _cp_residual(x, sign, target, r)
 
         n_conditions = sum(len(CP_INDEPENDENT[d]) for d in range(2, r + 1))
     else:
-        pairs = slot_pairs(scheme)
-        if any(abs(complex(c).imag) > 0 for _, c in pairs):
-            raise ValueError("refinement handles real coefficients only")
-        generators = [g for g, _ in pairs]
-        x_full = np.array([float(np.real(c)) for _, c in pairs])
-
         def residual_of(x):
             return _general_residual(x, generators, target, r)
 
@@ -593,13 +653,11 @@ def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
                            f"(residual {np.max(np.abs(g)):.3e})")
 
     x[free] = v
-    if is_cp:
-        half = [cp_half_closure(x, scheme.cp_sign)] + list(x)
-        return cp_expand(half, scheme.cp_sign, name=scheme.name,
-                         order=scheme.order, note=scheme.note)
-    slots = tuple(ExponentSlot(g, c) for g, c in zip(generators, x))
-    return Scheme(name=scheme.name, slots=slots, target=scheme.target,
-                  order=scheme.order, family=scheme.family, note=scheme.note)
+    if sign is not None:
+        pairs = _cp_pairs([cp_half_closure(x, sign), *x], _cp_sign(sign))
+    else:
+        pairs = zip(generators, x)
+    return replace(scheme, slots=tuple(ExponentSlot(g, c) for g, c in pairs))
 
 
 # --------------------------------------------------------------------------

@@ -45,6 +45,10 @@ LIE_DIMS = (2, 1, 2, 3, 6, 9, 18)
 #: Default scaled tolerance for the Lie-membership (Friedrichs) residual test.
 DEFAULT_LIE_TOL = 1e-10
 
+#: Round-off of a :func:`scheme_log` coefficient relative to the largest term
+#: it sums (the slot-append property tests), about (sum |c_i|)^j / j! at degree j.
+LOG_ROUND_OFF = 1e-13
+
 #: Largest log coefficient :func:`scheme_log` returns.  Squares of larger ones,
 #: summed over the 2**7 words of a degree, would overflow the Euclidean norms
 #: that :func:`lie_project` and the error measures take.
@@ -592,16 +596,18 @@ class LieCoefficients:
 def lie_project(
     series: TruncatedSeries,
     *,
-    tol: float = DEFAULT_LIE_TOL,
+    coefficient_sum: float = 0.0,
     require_lie: bool = True,
 ) -> LieCoefficients:
     """Project a series onto the nested-commutator basis, degree by degree.
 
     The basis covers every degree the engine truncates at.  The least-squares
-    residual at each degree is compared against ``tol * max(1, |coefficients
-    at that degree|)``; a violation means the input is not a Lie element
-    (Friedrichs criterion) and raises :class:`LieMembershipError` unless
-    ``require_lie`` is False.
+    residual at degree j is compared against the larger of
+    ``DEFAULT_LIE_TOL * max(1, |coefficients at that degree|)`` and
+    ``LOG_ROUND_OFF * S^j / j!``, with S the ``coefficient_sum`` |c_i| of the
+    slots whose log the series is; a violation means the input is not a Lie
+    element (Friedrichs criterion) and raises :class:`LieMembershipError`
+    unless ``require_lie`` is False.
     """
     basis = basis_build()
 
@@ -611,7 +617,9 @@ def lie_project(
 
     vectors: dict[int, np.ndarray] = {}
     residuals: dict[int, float] = {}
+    round_off = LOG_ROUND_OFF  # times S^j / j! below; overflows to inf, not an error
     for j in range(1, series.truncation + 1):
+        round_off *= coefficient_sum / j
         y = series.degree_coefficients(j)
         w = basis.pinvs[j] @ y
         residual = float(np.linalg.norm(basis.matrices[j] @ w - y))
@@ -619,10 +627,11 @@ def lie_project(
         if not (math.isfinite(residual) and math.isfinite(scale)):
             raise ValueError(f"degree-{j} coefficients are not finite or too large "
                              f"to project")
-        if require_lie and residual > tol * scale:
+        bound = max(DEFAULT_LIE_TOL * scale, round_off)
+        if require_lie and residual > bound:
             raise LieMembershipError(
                 f"degree-{j} word coefficients are not a commutator polynomial "
-                f"(residual {residual:.3e} > {tol:.1e} * {scale:.3e})"
+                f"(residual {residual:.3e} > {bound:.3e})"
             )
         vectors[j] = w
         residuals[j] = residual

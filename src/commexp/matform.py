@@ -7,8 +7,9 @@ the random operator pairs are drawn from a small named 64-bit generator so
 experiments reproduce given the seed.
 
 A scheme's product ``exp(c_1 t X_1) ... exp(c_s t X_s)`` is evaluated on one
-of two paths (:func:`evaluate_scheme`), after zero slots are dropped and
-adjacent slots on one generator merged into runs:
+of two paths (:func:`evaluate_scheme`), one exponential per run of its slots
+(:func:`~commexp.conditions.slot_runs`: zero slots dropped, neighbours on one
+generator merged, cancelling runs removed):
 
 - *eigenbasis* walk, for pairs whose generators are both Hermitian or
   anti-Hermitian (the ``pauli`` pair).  The pair caches unitary
@@ -31,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .conditions import TargetPolynomial, slot_pairs
+from .conditions import TargetPolynomial, slot_runs
 from .liealg import Generator, basis_build
 
 __all__ = [
@@ -342,28 +343,15 @@ def make_pair(kind: str, dim: int = 16, seed: int = 0) -> OperatorPair:
     raise ValueError(f"unknown pair kind {kind!r}")
 
 
-def _runs(pairs) -> list[list]:
-    """``[generator, coefficient]`` runs of a slot list: zero slots dropped,
-    adjacent slots on one generator merged by adding their coefficients."""
-    runs: list[list] = []
-    for gen, coeff in pairs:
-        if coeff == 0:
-            continue
-        if runs and runs[-1][0] == gen:
-            runs[-1][1] += coeff
-        else:
-            runs.append([gen, coeff])
-    return runs
-
-
 def evaluate_scheme(scheme, pair: OperatorPair, t: float) -> np.ndarray:
     """Left-to-right product of exp(c * t * X) over the scheme's slots.
 
     Accepts what :func:`~commexp.conditions.slot_pairs` accepts and refuses
-    abstract template slots.  Zero-coefficient slots are skipped and adjacent
-    slots on the same generator merge into one run, so each path makes one
-    exponential per run; at ``t == 0`` or with no nonzero run the exact
-    identity is returned.
+    abstract template slots.  Each path makes one exponential per run of the
+    slots (:func:`~commexp.conditions.slot_runs`), which has the same
+    product: zero slots are skipped, neighbours on one generator merge, and a
+    run that cancels to zero goes, merging its neighbours; at ``t == 0`` or
+    with no run left the exact identity is returned.
 
     On pairs with an :attr:`~OperatorPair.eigenbasis` the product is carried
     in eigenbasis coordinates as
@@ -384,7 +372,7 @@ def evaluate_scheme(scheme, pair: OperatorPair, t: float) -> np.ndarray:
     is good to ~1e-13 relative.  Three d x d buffers rotate through the
     runs and the products between them.
     """
-    runs = _runs(slot_pairs(scheme))
+    runs = slot_runs(scheme)
     if t == 0 or not runs:
         return np.eye(pair.dim, dtype=np.complex128)
     basis = pair.eigenbasis

@@ -31,7 +31,6 @@ from .conditions import (
     nested_aab_target,
     sum_plus_commutator_target,
     sum_target,
-    target_from_name,
 )
 from .liealg import Generator, as_generator, basis_build
 
@@ -88,15 +87,16 @@ class ExponentSlot:
 
 @dataclass(frozen=True)
 class Scheme:
-    """An ordered exponential product with its intended target and order."""
+    """An ordered exponential product with its intended target and order.
+
+    The slots are its only structure: the mirror pattern is read from them.
+    """
 
     name: str
     slots: tuple[ExponentSlot, ...]
     target: TargetPolynomial
     order: int
     family: str = "general"
-    cp_half: tuple | None = None
-    cp_sign: str | None = None
     note: str = ""
 
     def __post_init__(self):
@@ -112,7 +112,18 @@ class Scheme:
 
     @property
     def is_cp(self) -> bool:
-        return self.cp_half is not None
+        """Whether the slots are mirrored (:func:`~commexp.conditions.cp_pattern`)."""
+        return self.cp_sign is not None
+
+    @property
+    def cp_half(self) -> tuple | None:
+        """The mirrored pattern's first-half coefficients (None if unmirrored)."""
+        return conditions.cp_pattern(self)[0]
+
+    @property
+    def cp_sign(self) -> str | None:
+        """The mirrored pattern's sign, "positive" or "negative" (None if unmirrored)."""
+        return conditions.cp_pattern(self)[1]
 
     @property
     def is_template(self) -> bool:
@@ -238,19 +249,6 @@ def third_order_family(c5: float, branch: str = "top") -> Scheme:
     )
 
 
-def _merge_adjacent(slots: Sequence[ExponentSlot], drop_tol: float = 1e-15
-                    ) -> tuple[ExponentSlot, ...]:
-    """Combine neighbouring slots sharing a generator; drop vanishing ones."""
-    merged: list[ExponentSlot] = []
-    for slot in slots:
-        if merged and merged[-1].generator == slot.generator:
-            merged[-1] = ExponentSlot(slot.generator,
-                                      merged[-1].coefficient + slot.coefficient)
-        else:
-            merged.append(slot)
-    return tuple(s for s in merged if abs(s.coefficient) > drop_tol)
-
-
 def _strang_slots(factor: float) -> list[ExponentSlot]:
     return [ExponentSlot(Generator.A, 0.5 * factor),
             ExponentSlot(Generator.B, factor),
@@ -260,8 +258,7 @@ def _strang_slots(factor: float) -> list[ExponentSlot]:
 def yoshida(k: int) -> Scheme:
     """Triple-jump composition of order 2k built on the three-slot splitting.
 
-    Adjacent exponentials of the same generator are merged, so e.g. k = 2
-    yields seven exponentials.
+    The slots are merged into runs, so e.g. k = 2 yields seven exponentials.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -274,7 +271,7 @@ def yoshida(k: int) -> Scheme:
         slots.extend(_strang_slots(factor))
     return Scheme(
         name=f"yoshida{2 * k}",
-        slots=_merge_adjacent(slots),
+        slots=_slots(*conditions.slot_runs(slots)),
         target=sum_target(),
         order=2 * k,
         family="recursion",
@@ -452,8 +449,8 @@ def substitute(outer: Scheme, inner: Scheme | Sequence[Scheme], k: int, *,
     coefficient c becomes its inner scheme run at tau = c^(1/k) * t.  For
     k = 3 the real cube root carries the sign; for k = 2 a negative c flips
     the inner scheme's generators instead (valid only for a commutator inner
-    target, where interchanging the letters negates the target).  Adjacent
-    same-generator slots are merged unless ``merge`` is false.
+    target, where interchanging the letters negates the target).  Unless
+    ``merge`` is false the slots become their runs (``slot_runs``).
     """
     if k not in (2, 3):
         raise ValueError("homogeneity degree k must be 2 or 3")
@@ -488,7 +485,7 @@ def substitute(outer: Scheme, inner: Scheme | Sequence[Scheme], k: int, *,
                     )
                 out.extend(ExponentSlot(s.generator, s.coefficient * math.sqrt(-c))
                            for s in _swap_generators(block.slots))
-    slots = _merge_adjacent(out) if merge else tuple(out)
+    slots = _slots(*conditions.slot_runs(out)) if merge else tuple(out)
     names = ",".join(i.name for i in given)
     return Scheme(
         name=name or f"{outer.name}[{names}]",
@@ -570,7 +567,7 @@ def nested4_50() -> Scheme:
 
 @functools.lru_cache(maxsize=None)
 def _swap_basis_matrix(degree: int) -> np.ndarray:
-    """Matrix of the letter-interchange map A -> B, B -> -A on the degree-j basis.
+    """Matrix of the ab-swap letter map A -> B, B -> -A on the degree-j basis.
 
     On words the map sends w to its bit complement, which reverses the
     degree-j block, with sign (-1)^(number of B letters in w); the
@@ -583,17 +580,18 @@ def _swap_basis_matrix(degree: int) -> np.ndarray:
     return basis.pinvs[degree] @ swapped
 
 
+#: Each transform is one substitution X -> factor * image of both letters.
+_LETTER_MAPS: dict[str, dict[Generator, tuple[Generator, complex]]] = {
+    "negate-time": {Generator.A: (Generator.A, -1.0), Generator.B: (Generator.B, -1.0)},
+    "imaginary-rotation": {Generator.A: (Generator.A, -1j), Generator.B: (Generator.B, 1j)},
+    "ab-swap": {Generator.A: (Generator.B, 1.0), Generator.B: (Generator.A, -1.0)},
+}
+
+
 def _transformed_target(target: TargetPolynomial, which: str) -> TargetPolynomial:
     basis = basis_build()
     terms: dict[tuple[int, int], complex] = {}
-    if which == "negate-time":
-        for (degree, pos), w in target.terms.items():
-            terms[(degree, pos)] = w * (-1.0) ** degree
-    elif which == "imaginary-rotation":
-        for (degree, pos), w in target.terms.items():
-            a = basis.element(degree, pos).a_count
-            terms[(degree, pos)] = w * (1j ** degree) * ((-1.0) ** a)
-    elif which == "ab-swap":
+    if which == "ab-swap":
         per_degree: dict[int, np.ndarray] = {}
         for (degree, pos), w in target.terms.items():
             vec = per_degree.setdefault(
@@ -603,13 +601,16 @@ def _transformed_target(target: TargetPolynomial, which: str) -> TargetPolynomia
             new = _swap_basis_matrix(degree) @ vec
             for pos, value in enumerate(new, start=1):
                 if abs(value) > 1e-14:
-                    value = complex(value)
-                    terms[(degree, pos)] = value.real if value.imag == 0 else value
+                    terms[(degree, pos)] = complex(value)
     else:
-        raise ValueError(f"unknown transform {which!r}")
+        # a map keeping each letter is diagonal on the basis: a bracket with
+        # a A-letters out of j scales by f_A^a f_B^(j-a), exactly
+        f_a, f_b = (_LETTER_MAPS[which][g][1] for g in Generator)
+        for (degree, pos), w in target.terms.items():
+            a = basis.element(degree, pos).a_count
+            terms[(degree, pos)] = complex(w * f_a ** a * f_b ** (degree - a))
     cleaned = {}
     for key, value in terms.items():
-        value = complex(value)
         cleaned[key] = value.real if abs(value.imag) < 1e-14 else value
     return TargetPolynomial(f"{which}({target.name})", cleaned)
 
@@ -617,53 +618,28 @@ def _transformed_target(target: TargetPolynomial, which: str) -> TargetPolynomia
 def transform(scheme: Scheme, which: str) -> Scheme:
     """Apply one of the three slot-level symmetries.
 
-    negate-time: every coefficient changes sign (even-degree targets are
-    untouched, odd degrees flip).  imaginary-rotation: B coefficients pick
-    up i, A coefficients -i (complex mode).  ab-swap: the letters trade
+    Each substitutes both letters, X -> factor * image, in the slots and the
+    target alike (``_LETTER_MAPS``).  negate-time: every coefficient changes
+    sign (even-degree targets are untouched, odd degrees flip).
+    imaginary-rotation: B coefficients pick up i, A coefficients -i (complex
+    mode); a mirror pattern flips its sign.  ab-swap: the letters trade
     places with the A-image negated, turning a composition ending in A into
     one ending in B.
     """
-    if which == "negate-time":
-        slots = tuple(ExponentSlot(s.generator, -s.coefficient) for s in scheme.slots)
-        half = tuple(-c for c in scheme.cp_half) if scheme.cp_half else None
-        sign = scheme.cp_sign
-    elif which == "imaginary-rotation":
-        slots = tuple(
-            ExponentSlot(s.generator,
-                         s.coefficient * (1j if s.generator == Generator.B else -1j))
-            for s in scheme.slots)
-        half = None
-        sign = None
-        if scheme.cp_half is not None:
-            # mirrored pattern survives with the opposite sign convention
-            half = tuple(c * (1j if i % 2 == 0 else -1j)
-                         for i, c in enumerate(scheme.cp_half))
-            sign = "negative" if scheme.cp_sign == "positive" else "positive"
-    elif which == "ab-swap":
-        slots = tuple(
-            ExponentSlot(Generator.B, s.coefficient) if s.generator == Generator.A
-            else ExponentSlot(Generator.A, -s.coefficient)
-            for s in scheme.slots)
-        half = None
-        sign = None
-    else:
-        raise ValueError(f"unknown transform {which!r}")
-    new_target = _transformed_target(scheme.target, which)
-    old_terms = dict(scheme.target.terms)
-    if set(new_target.terms) == set(old_terms) and all(
-            abs(complex(v) - complex(old_terms[k])) < 1e-12
-            for k, v in new_target.terms.items()):
-        new_target = scheme.target
-    return Scheme(
-        name=f"{which}({scheme.name})",
-        slots=slots,
-        target=new_target,
-        order=scheme.order,
-        family=scheme.family,
-        cp_half=half,
-        cp_sign=sign,
-        note=scheme.note,
-    )
+    try:
+        letters = _LETTER_MAPS[which]
+    except KeyError:
+        raise ValueError(f"unknown transform {which!r}") from None
+    slots = []
+    for gen, coeff in conditions.slot_pairs(scheme):
+        image, factor = letters[gen]
+        slots.append(ExponentSlot(image, coeff * factor))
+    target = _transformed_target(scheme.target, which)
+    old = scheme.target.terms
+    if target.terms.keys() == old.keys() and all(
+            abs(v - old[k]) < 1e-12 for k, v in target.terms.items()):
+        target = scheme.target  # unchanged up to the swap matrix's round-off
+    return replace(scheme, name=f"{which}({scheme.name})", slots=slots, target=target)
 
 
 # --------------------------------------------------------------------------
@@ -876,13 +852,8 @@ def load_scheme(path) -> Scheme:
         except (KeyError, TypeError, ValueError):
             raise ValueError(f"{path}: {_slot_problem(slot, i)}") from None
     try:
-        try:
-            target = target_from_name(target_name)
-            if dict(target.terms) != terms:
-                target = TargetPolynomial(target_name, terms)
-        except KeyError:
-            target = TargetPolynomial(target_name, terms)
-        return Scheme(name=name, slots=_slots(*slots), target=target, order=order,
+        return Scheme(name=name, slots=_slots(*slots),
+                      target=TargetPolynomial(target_name, terms), order=order,
                       family=family)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

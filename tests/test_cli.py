@@ -1,12 +1,13 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import json
 
 import pytest
 
 from commexp import bench
 from commexp.cli import EXIT_INTERNAL, main
-from commexp.schemes import catalog_get, catalog_names, save_scheme
+from commexp.schemes import ExponentSlot, catalog_get, catalog_names, save_scheme
 
 
 def run(capsys, *argv):
@@ -109,6 +110,32 @@ def test_verify_order_six_prints_basis_norm(capsys):
     code, out, _ = run(capsys, "verify", "--scheme", "PCP26_6")
     assert code == 0
     assert out.splitlines()[-1].endswith("order 6 verified, E = 11.6237, E/s = 0.447064")
+
+
+def _ncp10_with_identity_block(tmp_path, c):
+    """NCP10_4 with exp(cB) exp(cA) exp(-cA) exp(-cB) after its fifth slot:
+    the same product, written with large cancelling coefficients."""
+    scheme = catalog_get("NCP10_4")
+    block = tuple(ExponentSlot(g, x) for g, x in (("B", c), ("A", c), ("A", -c), ("B", -c)))
+    path = tmp_path / f"ncp10_c{c:g}.scheme.json"
+    save_scheme(dataclasses.replace(scheme, slots=scheme.slots[:5] + block + scheme.slots[5:]),
+                path)
+    return path
+
+
+@pytest.mark.parametrize("c", [20.0, 40.0])
+def test_verify_large_cancelling_coefficients_pass_the_lie_check(capsys, tmp_path, c):
+    # the Lie check allows the round-off the slot coefficients imply, not 1e-10 flat
+    code, out, err = run(capsys, "verify", "--scheme", str(_ncp10_with_identity_block(tmp_path, c)))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].endswith("order 4 verified, E = 8.48842, E/s = 0.606316")
+
+
+def test_verify_large_cancelling_coefficients_fail_honestly_at_the_order(capsys, tmp_path):
+    # at c = 80 the order residual itself (~1.8e-10) exceeds the default tol
+    code, out, _ = run(capsys, "verify", "--scheme", str(_ncp10_with_identity_block(tmp_path, 80.0)))
+    assert code == 1
+    assert "order 4 NOT verified, first failure at degree 4" in out
 
 
 def test_verify_corrupted_file_fails_with_degree(capsys, tmp_path):

@@ -4,14 +4,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commexp.conditions import (
     CP_INDEPENDENT,
+    TargetPolynomial,
     _complex_step_jacobian,
     _cp_residual,
     _general_residual,
+    _mirror_sign,
     combined_target,
     commutator_target,
     cp_condition_counts,
@@ -26,12 +29,13 @@ from commexp.conditions import (
     optimize_free_parameter,
     order_residuals,
     refine,
+    slot_runs,
     sum_plus_commutator_target,
     sum_target,
     target_from_name,
 )
 from commexp.liealg import Generator, lie_project, scheme_log
-from commexp import schemes
+from commexp import matform, schemes
 from commexp.schemes import ExponentSlot, Scheme, catalog_get, third_order_family
 
 A, B = Generator.A, Generator.B
@@ -154,6 +158,77 @@ def test_leading_error_figures_agree_when_target_has_the_next_degree():
 def test_order_residuals_rejects_order_zero():
     with pytest.raises(ValueError):
         order_residuals(catalog_get("strang"), sum_target(), 0)
+
+
+# ---------------------------------------------------------------------------
+# runs
+# ---------------------------------------------------------------------------
+
+
+def test_slot_runs_lets_the_neighbours_of_a_cancelled_run_merge():
+    assert slot_runs([(A, 1.0), (B, 1.0), (B, -1.0), (A, 1.0)]) == [(A, 2.0)]
+    assert slot_runs([(A, 1.0), (A, -1.0), (B, 1.0)]) == [(B, 1.0)]
+    assert slot_runs([(A, 0.5), (B, 0.0), (A, 0.25), (B, 2.0), (B, -2.0)]) == [(A, 0.75)]
+    assert slot_runs([(A, 1.0), (A, -1.0)]) == []
+
+
+_RUN_COEFFICIENTS = st.one_of(st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.25]),
+                              st.floats(-1.5, 1.5, allow_nan=False))
+_RUN_SLOTS = st.lists(st.tuples(st.sampled_from([A, B]), _RUN_COEFFICIENTS), max_size=4)
+
+
+@st.composite
+def cancelling_slot_lists(draw):
+    """Slot lists with zero slots, repeated generators, and blocks followed by
+    their inverse (reversed, negated), which cancel to the identity exactly."""
+    slots = draw(_RUN_SLOTS)
+    for _ in range(draw(st.integers(0, 3))):
+        block = draw(_RUN_SLOTS)
+        at = draw(st.integers(0, len(slots)))
+        slots[at:at] = block + [(g, -c) for g, c in reversed(block)]
+    return draw(st.integers(1, 7)), slots + draw(_RUN_SLOTS.filter(bool))
+
+
+def _log_majorant(slots, truncation):
+    """Bound on every term the log of the slot product sums, per degree j:
+    S^j times the y^j coefficient of sum_k (e^y - 1)^k / k, S = sum |c| (the
+    word sums of the log of the product of exp(|c| X) with every sign +)."""
+    z = np.array([0.0] + [1.0 / math.factorial(k) for k in range(1, truncation + 1)])
+    total, power = np.zeros_like(z), np.eye(1, len(z))[0]
+    for k in range(1, truncation + 1):
+        power = np.convolve(power, z)[:len(z)]
+        total += power / k
+    return total * sum(abs(c) for _, c in slots) ** np.arange(truncation + 1)
+
+
+_PAIR8 = matform.make_pair("random", 8, 5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cancelling_slot_lists(), st.sampled_from([0.3, 1.0]))
+def test_slot_runs_match_the_raw_slots(case, t):
+    truncation, slots = case
+    runs = slot_runs(slots)
+    # the runs are normal: nonzero, and no two neighbours share a generator
+    assert all(c != 0 for _, c in runs)
+    assert all(g != h for (g, _), (h, _) in zip(runs, runs[1:]))
+    # same log: both sides within the engine's round-off of the raw majorant
+    scale = 1e-13 * max(1.0, float(np.max(_log_majorant(slots, truncation))))
+    raw = scheme_log(slots, truncation)
+    if runs:
+        merged = scheme_log(runs, truncation)
+        for j in range(1, truncation + 1):
+            np.testing.assert_allclose(merged.degree_coefficients(j),
+                                       raw.degree_coefficients(j), rtol=0.0, atol=scale)
+    else:
+        assert raw.norm() <= scale
+    # same matrix product as scipy's exponential of every raw slot
+    expected, norms = np.eye(8, dtype=np.complex128), 1.0
+    for gen, coeff in slots:
+        factor = scipy.linalg.expm(coeff * t * _PAIR8.matrix(gen))
+        expected, norms = expected @ factor, norms * np.linalg.norm(factor, 2)
+    error = np.linalg.norm(matform.evaluate_scheme(slots, _PAIR8, t) - expected, 2)
+    assert error <= 1e-13 * (len(slots) + 2) * norms
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +359,30 @@ def test_refine_general_path():
     polished = refine(start)
     report = order_residuals(polished, sum_target(), 2, tol=1e-12)
     assert report.all_satisfied()
+
+
+def test_refine_takes_the_general_path_for_a_target_mirrors_cannot_meet():
+    # B, A, B, A at 1/2 is a positive mirror pattern, but its target A + B
+    # has a degree-1 part, which the mirrored path's closure would zero
+    mirrored = Scheme("t", tuple(ExponentSlot(g, 0.5) for g in (B, A, B, A)),
+                      sum_target(), 1)
+    assert mirrored.cp_sign == "positive"
+    assert refine(mirrored) == mirrored  # already order 1: no step taken
+    polished = refine(mirrored, r=2)
+    assert order_residuals(polished, sum_target(), 2, tol=1e-12).all_satisfied()
+
+
+def test_mirror_path_only_for_targets_mirrors_can_meet():
+    ncp = catalog_get("NCP10_4")
+    assert _mirror_sign(ncp, commutator_target(), 4) == "negative"
+    assert _mirror_sign(ncp, commutator_target(), 1) is None  # no independent condition
+    assert _mirror_sign(ncp, commutator_target(), 7) is None  # past the identity table
+    assert _mirror_sign(ncp, sum_target(), 4) is None  # degree-1 part
+    # negative mirrors force w(3,1) = w(3,2), which [A,[A,B]] alone breaks
+    assert _mirror_sign(ncp, nested_aab_target(), 4) is None
+    both = TargetPolynomial("both", {(2, 1): 1.0, (3, 1): 0.5, (3, 2): 0.5})
+    assert _mirror_sign(ncp, both, 3) == "negative"
+    assert _mirror_sign(catalog_get("strang"), commutator_target(), 4) is None
 
 
 def test_refine_rejects_underdetermined_free_set():

@@ -383,6 +383,19 @@ def test_lie_project_rejects_non_lie_input():
     assert loose.residuals[2] > 0.1
 
 
+def test_lie_project_allows_the_round_off_of_large_slot_coefficients():
+    # a degree-2 residual of 7e-10 fails the 1e-10 floor, but lies within
+    # LOG_ROUND_OFF * S^2 / 2! once the slots' |c| sum to S = 200
+    off = TruncatedSeries.from_terms(3, {"AB": 1e-9})
+    with pytest.raises(LieMembershipError):
+        lie_project(off)
+    with pytest.raises(LieMembershipError):
+        lie_project(off, coefficient_sum=20.0)
+    assert lie_project(off, coefficient_sum=200.0).residuals[2] > 1e-10
+    with pytest.raises(LieMembershipError):
+        lie_project(TruncatedSeries.from_terms(3, {"AB": 1.0}), coefficient_sum=200.0)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 1e300])
 def test_lie_project_rejects_non_finite_norms(value):
     series = TruncatedSeries.from_terms(3, {"A": 1.0, "AB": value, "BA": -value})

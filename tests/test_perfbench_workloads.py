@@ -1,0 +1,38 @@
+"""The benchmark's workload setup uses the package API; it must keep working."""
+
+import functools
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from commexp.schemes import catalog_get
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@functools.cache
+def _workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["series-catalog", "figures-small", "dense-random"])
+def test_workload_command_lists_build(tmp_path, name):
+    commands = _workloads().WORKLOADS[name](0, tmp_path)
+    assert commands
+    for command in commands:
+        assert bool(command.argv) != (command.scheme is not None)
+
+
+def test_perturbed_schemes_keep_their_mirror_pattern(tmp_path):
+    # refine takes the mirrored path on exactly the catalog's mirrored schemes
+    module = _workloads()
+    refined = {c.ref: c.scheme for c in module.series_catalog(0, tmp_path) if c.scheme}
+    assert sorted(refined) == sorted(f"refine:{name}" for name in module.REFINABLE)
+    for ref, scheme in refined.items():
+        assert scheme.is_cp == catalog_get(ref.removeprefix("refine:")).is_cp

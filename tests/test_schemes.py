@@ -1,14 +1,21 @@
 """Tests for the composition catalog, parametrized families, and transforms."""
 
+import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from commexp.conditions import (
     TargetPolynomial,
     commutator_target,
+    cp_expand,
+    cp_half_closure,
     order_residuals,
+    refine,
     sum_target,
 )
 from commexp.liealg import MAX_TRUNCATION, Generator, Word, basis_build
@@ -123,6 +130,51 @@ def test_cp_metadata_present_on_tabulated_schemes():
     assert ncp.cp_sign == "negative"
     assert len(ncp.cp_half) == 3
     assert not catalog_get("strang").is_cp
+
+
+def test_scheme_stores_only_its_slots_and_labels():
+    assert [f.name for f in dataclasses.fields(Scheme)] == [
+        "name", "slots", "target", "order", "family", "note"]
+    ncp = catalog_get("NCP6_3")
+    with pytest.raises(AttributeError):
+        ncp.cp_sign = "positive"
+    with pytest.raises(TypeError):
+        Scheme("x", ncp.slots, commutator_target(), 3, cp_sign="negative")
+
+
+# mirrored catalog schemes and their sign
+MIRRORED = {"U22": "positive", "NCP6_3": "negative", "NCP10_4": "negative",
+            "PCP16_5": "positive", "PCP26_6": "positive", "PCP12_4": "positive",
+            "NCP18_5": "negative", "PCP6_3_imaginary": "positive"}
+FLIPPED = {"positive": "negative", "negative": "positive"}
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_mirror_pattern_read_from_slots_across_transforms(name):
+    scheme = catalog_get(name)
+    sign = MIRRORED.get(name)
+    assert scheme.is_cp == (sign is not None)
+    assert scheme.cp_sign == sign
+    if sign is None:
+        assert scheme.cp_half is None
+        expected = {"negate-time": None, "imaginary-rotation": None, "ab-swap": None}
+    else:
+        half = scheme.cp_half
+        m = scheme.slot_count // 2
+        assert half == tuple(s.coefficient for s in scheme.slots[:m])
+        expected = {
+            "negate-time": (tuple(-c for c in half), sign),
+            "imaginary-rotation": (tuple(c * (1j if i % 2 == 0 else -1j)
+                                         for i, c in enumerate(half)), FLIPPED[sign]),
+            "ab-swap": None,
+        }
+    if name in ("U21", "S2_chen"):
+        # A1 B1 A-1 B-1 swaps to B1 A-1 B-1 A1: the positive pattern (1, -1)
+        expected["ab-swap"] = ((1.0, -1.0), "positive")
+    for which, pattern in expected.items():
+        image = transform(scheme, which)
+        assert image.is_cp == (pattern is not None)
+        assert (image.cp_half, image.cp_sign) == (pattern or (None, None))
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +522,17 @@ def test_substitute_merges_same_generator_junctions():
     assert unmerged.slot_count == 5
 
 
+def test_substitute_merges_across_a_cancelled_block():
+    # A, [B, B^-1], A: the cancelled inner block lets the two A slots merge
+    cancel = Scheme("cancel", (ExponentSlot(Generator.B, 1.0), ExponentSlot(Generator.B, -1.0)),
+                    commutator_target(), 1)
+    outer = Scheme("wrap", (ExponentSlot(Generator.A, 1.0), ExponentSlot(ABSTRACT, 1.0),
+                            ExponentSlot(Generator.A, 1.0)), sum_target(), 1)
+    merged = substitute(outer, cancel, 2)
+    assert merged.slots == (ExponentSlot(Generator.A, 2.0),)
+    assert substitute(outer, cancel, 2, merge=False).slot_count == 4
+
+
 def test_substitute_metadata_defaults():
     inner = catalog_get("NCP6_3")
     outer = make_template(1.0, order=5)
@@ -645,6 +708,54 @@ def test_load_keeps_unknown_target_name(tmp_path):
     loaded = load_scheme(path)
     assert loaded.target.name == "mystery"
     assert loaded.target.terms == {(2, 1): 0.25}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=2, max_size=7),
+       st.sampled_from(["positive", "negative"]))
+def test_mirror_pattern_survives_a_file_round_trip(tmp_path_factory, half, sign):
+    assume(any(c != 0 for c in half))  # an all-zero pattern carries no sign
+    scheme = cp_expand(half, sign, order=2)
+    path = tmp_path_factory.mktemp("mirror") / "cp.scheme.json"
+    save_scheme(scheme, path)
+    loaded = load_scheme(path)
+    assert loaded.is_cp
+    assert loaded.cp_sign == sign
+    assert loaded.cp_half == tuple(half)
+    assert loaded.family == scheme.family
+
+
+def test_refine_keeps_a_reloaded_mirror_exact(tmp_path):
+    base = catalog_get("NCP10_4")
+    rng = random.Random(0)
+    half = [c * (1.0 + 2e-5 * rng.uniform(-1.0, 1.0)) for c in base.cp_half]
+    path = tmp_path / "perturbed.scheme.json"
+    save_scheme(cp_expand(half, "negative", name="NCP10_4", order=4), path)
+    polished = refine(load_scheme(path))
+    assert polished.cp_sign == "negative"
+    coeffs = [s.coefficient for s in polished.slots]
+    defect = max(abs(a + b) for a, b in zip(coeffs, reversed(coeffs)))
+    assert defect == 0.0
+    assert order_residuals(polished, polished.target, 4, tol=1e-13).all_satisfied()
+    assert (polished.name, polished.family, polished.target) == (
+        "NCP10_4", "NCP", commutator_target())
+
+
+def test_refine_reads_free_slots_of_a_reloaded_mirror_as_tail_indices(tmp_path):
+    # the mirror pattern is read from the slots, so a reloaded NCP10_4 is
+    # refined on its half-pattern: free_slots index its tail c1..c4
+    base = catalog_get("NCP10_4")
+    tail = [c * (1.0 + 1e-6 * (-1) ** i) for i, c in enumerate(base.cp_half[1:])]
+    half = [cp_half_closure(tail, "negative"), *tail]
+    path = tmp_path / "perturbed.scheme.json"
+    save_scheme(cp_expand(half, "negative", name="NCP10_4", order=4), path)
+    loaded = load_scheme(path)
+    polished = refine(loaded, free_slots=range(4))
+    fresh = refine(cp_expand(half, "negative", order=4), free_slots=range(4))
+    assert polished.cp_half == fresh.cp_half
+    np.testing.assert_allclose(polished.cp_half[1:], base.cp_half[1:], rtol=0.0, atol=1e-12)
+    with pytest.raises(ValueError, match="out of range"):
+        refine(loaded, free_slots=range(10))  # slot-list indices do not apply
 
 
 def test_load_prefers_literal_terms_on_mismatch(tmp_path):
