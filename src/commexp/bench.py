@@ -26,6 +26,7 @@ __all__ = [
     "slope_fit",
     "single_step_errors",
     "export_figure",
+    "provenance",
     "FIGURES",
     "DEFAULT_N_GRID",
     "DEFAULT_N_CAP",
@@ -218,12 +219,34 @@ def cost_table(scheme_names, pair, x_grid, tol):
     return ("scheme", "x", "tol", "gates"), rows
 
 
+def provenance(pairs, scheme_names) -> list[str]:
+    """CSV comment lines: per pair, how the schemes were multiplied out
+    (:func:`~commexp.matform.evaluation_path`), then the numpy version.
+
+    A pair whose schemes do not all share one path and arithmetic names the
+    schemes of each minority kind, e.g.
+    ``random:16: taylor path, float64 arithmetic; taylor path, complex128
+    arithmetic for PCP6_3_imaginary``.
+    """
+    lines = []
+    for pair in pairs:
+        kinds: dict[tuple[str, str], list[str]] = {}
+        for name in scheme_names:
+            path = matform.evaluation_path(_resolve_scheme(name), pair)
+            kinds.setdefault(path, []).append(name)
+        (path, arithmetic), *others = sorted(kinds, key=lambda k: -len(kinds[k]))
+        lines.append(f"{pair.label}: {path} path, {arithmetic} arithmetic" + "".join(
+            f"; {p} path, {a} arithmetic for {' '.join(kinds[p, a])}" for p, a in others))
+    return lines + [f"numpy {np.__version__}"]
+
+
 def _export_curve_figure(which, out, scheme_names, t_total, seed):
     pairs = [matform.make_pair("pauli"), matform.make_pair("random", 16, seed)]
     header, rows = curve_table(scheme_names, pairs, t_total, DEFAULT_N_GRID)
     comments = [
         f"{which}: n-step composition error vs gate count, t_total={t_total:g}",
         f"pairs: pauli and random:16 (seed={seed}); n = 1..{DEFAULT_N_GRID[-1]}",
+        *provenance(pairs, scheme_names),
     ]
     _write_csv(out, [(comments, header, rows)])
 
@@ -240,6 +263,7 @@ def _export_fig5(out, seed):
         + " and ".join(f"{t:g}" for t in _FIG5_TOLS)
         + f", step cap {DEFAULT_N_CAP}",
         _OMISSION_NOTE,
+        *provenance([pair], _FIG5_SCHEMES),
     ]
     _write_csv(out, [(comments, header, rows)])
 
@@ -252,7 +276,8 @@ def _export_fig6(out, seed):
              for res in error_curve(name, pair, 1.0, _FIG6_N_GRID)]
     _write_csv(out, [
         (["fig6: sum-splitting comparison on the pauli pair",
-          "single-step error of one application vs step size t"],
+          "single-step error of one application vs step size t",
+          *provenance([pair], _FIG6_SCHEMES)],
          ("method", "t", "error"), steps),
         (["cost table: n-step composition error vs gate count at t_total=1"],
          ("method", "gates", "error"), costs),

@@ -202,7 +202,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         header, rows = bench.cost_table(names, pair, x_grid, args.tol)
         comments = [f"custom cost table: tol={args.tol:g}, seed={args.seed}"]
 
-    bench._write_csv(out, [(comments, header, rows)])
+    bench._write_csv(out, [(comments + bench.provenance([pair], names), header, rows)])
     print(f"custom: wrote {out} ({len(rows)} data rows)")
     return 0
 

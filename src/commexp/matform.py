@@ -6,6 +6,12 @@ norm is the largest singular value from LAPACK (numpy's ``norm(M, 2)``), and
 the random operator pairs are drawn from a small named 64-bit generator so
 experiments reproduce given the seed.
 
+The arithmetic follows the data: real inputs give float64 results, and any
+complex generator, slot argument z·t or target weight gives complex128.  So
+the real ``random`` pairs run their products in real BLAS (dgemm, a quarter
+of the flops of zgemm) unless a scheme's coefficients are complex, and the
+``pauli`` pair, which is complex, runs as before.
+
 A scheme's product ``exp(c_1 t X_1) ... exp(c_s t X_s)`` is evaluated on one
 of two paths (:func:`evaluate_scheme`), one exponential per run of its slots
 (:func:`~commexp.conditions.slot_runs`: zero slots dropped, neighbours on one
@@ -42,6 +48,7 @@ __all__ = [
     "two_norm",
     "make_pair",
     "evaluate_scheme",
+    "evaluation_path",
     "target_matrix",
     "element_matrix",
 ]
@@ -98,7 +105,7 @@ class SplitMix64:
         return ((z >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0 ** -53
 
     def normal_matrix(self, dim: int) -> np.ndarray:
-        """``dim * dim`` successive :meth:`normal` draws, row-major.
+        """``dim * dim`` successive :meth:`normal` draws, row-major, as float64.
 
         Vectorised: the uint64 stream, the uniforms, ``state`` and whether a
         spare normal is carried are exactly those of the scalar calls.  The
@@ -116,7 +123,7 @@ class SplitMix64:
         values[len(head)::2] = radius * np.cos(angle)
         values[len(head) + 1::2] = radius * np.sin(angle)
         self._spare = float(values[count]) if len(values) > count else None
-        return values[:count].astype(np.complex128).reshape(dim, dim)
+        return values[:count].reshape(dim, dim)
 
 
 #: Scaled-argument bound for the degree-14 Taylor polynomial behind every
@@ -144,6 +151,11 @@ class _Powers(NamedTuple):
     alpha: float
 
 
+def _dtype(*values) -> type:
+    """float64 when no array or scalar given has a complex type, else complex128."""
+    return np.complex128 if any(np.iscomplexobj(v) for v in values) else np.float64
+
+
 def _norm1(X: np.ndarray) -> float:
     return float(np.max(np.sum(np.abs(X), axis=0))) if X.size else 0.0
 
@@ -168,6 +180,9 @@ def _taylor_exp(powers: _Powers, z: complex, P: np.ndarray,
                 Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """exp(z X) into one of the d x d buffers P and Q: (result, the other).
 
+    P and Q may be float64 only when X and z are real; complex buffers take
+    real powers and arguments as they are.
+
     Scales by 2^-s with s = ceil(log2(|z| nu alpha / _THETA)), nu the
     powers' ``scale``; evaluates the degree-14 Taylor polynomial in u Y,
     u = z nu 2^-s, Paterson-Stockmeyer style in blocks of three terms and
@@ -177,7 +192,7 @@ def _taylor_exp(powers: _Powers, z: complex, P: np.ndarray,
     4 + s matrix products, and no array beyond P and Q.
     """
     X, scale, square, cube, alpha = powers
-    w = complex(z) * scale
+    w = z * scale
     if not cmath.isfinite(w):
         raise ValueError("matrix exponential of non-finite entries")
     if scale == 0.0:
@@ -187,7 +202,7 @@ def _taylor_exp(powers: _Powers, z: complex, P: np.ndarray,
     size = abs(w) * alpha
     squarings = math.ceil(math.log2(size / _THETA)) if size > _THETA else 0
     u = w * 2.0 ** -squarings
-    c = [1.0 + 0j]
+    c = [1.0]
     for k in range(1, 15):
         c.append(c[-1] * u / k)
     # X = scale * Y, so the Y term of each block takes its coefficient / scale
@@ -221,13 +236,13 @@ def expm(M: np.ndarray) -> np.ndarray:
     is at most 7.24e-16 relative.  Good to ~1e-13 relative for the moderate
     norms used here.  Cost: Y^2 and Y^3, then 4 + s products
     (Paterson-Stockmeyer, Horner in Y^3).  :func:`evaluate_scheme` runs the
-    same core on each generator's cached powers.
+    same core on each generator's cached powers.  A real M gives a float64
+    result, a complex M complex128.
     """
-    M = np.asarray(M, dtype=np.complex128)
+    M = np.asarray(M, dtype=_dtype(M))
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix exponential of non-finite entries")
-    return _taylor_exp(_powers(M), 1.0, np.empty(M.shape, np.complex128),
-                       np.empty(M.shape, np.complex128))[0]
+    return _taylor_exp(_powers(M), 1.0, np.empty_like(M), np.empty_like(M))[0]
 
 
 class _Eigenbasis(NamedTuple):
@@ -268,7 +283,11 @@ def _hermitian_eigh(X: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 
 @dataclass(frozen=True)
 class OperatorPair:
-    """Two same-size square complex matrices standing in for the generators."""
+    """Two same-size square matrices standing in for the generators.
+
+    Both are kept as float64 when both have zero imaginary part, else both
+    as complex128; the dtype of ``A`` is then the pair's arithmetic.
+    """
 
     A: np.ndarray = field(repr=False)
     B: np.ndarray = field(repr=False)
@@ -276,8 +295,11 @@ class OperatorPair:
     seed: int | None = None
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=np.complex128)
-        B = np.asarray(self.B, dtype=np.complex128)
+        A, B = np.asarray(self.A), np.asarray(self.B)
+        if np.any(np.imag(A)) or np.any(np.imag(B)):
+            A, B = A.astype(np.complex128, copy=False), B.astype(np.complex128, copy=False)
+        else:
+            A, B = (np.real(X).astype(np.float64, copy=False) for X in (A, B))
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("A must be square")
         if A.shape != B.shape:
@@ -311,8 +333,11 @@ class OperatorPair:
 
 
 def two_norm(M: np.ndarray) -> float:
-    """Largest singular value (spectral norm), from LAPACK's SVD via numpy."""
-    M = np.asarray(M, dtype=np.complex128)
+    """Largest singular value (spectral norm), from LAPACK's SVD via numpy.
+
+    A real M goes to the real SVD in float64, a complex M to the complex one.
+    """
+    M = np.asarray(M, dtype=_dtype(M))
     if not np.all(np.isfinite(M)):
         raise ValueError("norm of non-finite entries")
     return float(np.linalg.norm(M, 2))
@@ -325,9 +350,10 @@ _PAULI_B = np.array([[-1.0j, 0.0], [0.0, 1.0j]])    # -i sigma_z
 def make_pair(kind: str, dim: int = 16, seed: int = 0) -> OperatorPair:
     """Build a named test pair.
 
-    ``pauli``: the fixed 2x2 anti-Hermitian pair -i*sigma_x, -i*sigma_z.
+    ``pauli``: the fixed 2x2 anti-Hermitian pair -i*sigma_x, -i*sigma_z
+    (complex128).
     ``random``: real standard-normal dim x dim matrices from the seeded
-    generator, each normalized to unit spectral norm.
+    generator, each normalized to unit spectral norm (float64).
     """
     if kind == "pauli":
         return OperatorPair(_PAULI_A, _PAULI_B, label="pauli")
@@ -370,18 +396,22 @@ def evaluate_scheme(scheme, pair: OperatorPair, t: float) -> np.ndarray:
     ``s = ceil(log2(|z| nu alpha / theta_14))`` squarings and
     theta_14 = 0.6270028 (truncation error at most 7.24e-16 relative), and
     is good to ~1e-13 relative.  Three d x d buffers rotate through the
-    runs and the products between them.
+    runs and the products between them.  They are float64 when the pair and
+    every run's z·t are real, and complex128 when either is complex: then
+    the real cached powers of a real pair are read into complex products.
+    The walk's result is always complex128.
     """
-    runs = slot_runs(scheme)
+    runs = [(gen, coeff * t) for gen, coeff in slot_runs(scheme)]
+    dtype = _dtype(pair.A, *(z for _, z in runs))
     if t == 0 or not runs:
-        return np.eye(pair.dim, dtype=np.complex128)
+        return np.eye(pair.dim, dtype=dtype)
     basis = pair.eigenbasis
     if basis is None:
         powers = pair.powers
-        P, Q = (np.empty((pair.dim, pair.dim), dtype=np.complex128) for _ in range(2))
+        P, Q = (np.empty((pair.dim, pair.dim), dtype=dtype) for _ in range(2))
         result = None
-        for gen, coeff in runs:
-            E, spare = _taylor_exp(powers[gen], complex(coeff) * t, P, Q)
+        for gen, z in runs:
+            E, spare = _taylor_exp(powers[gen], z, P, Q)
             if result is None:
                 result, P, Q = E, spare, np.empty_like(spare)
             else:
@@ -389,12 +419,21 @@ def evaluate_scheme(scheme, pair: OperatorPair, t: float) -> np.ndarray:
                 result, P, Q = spare, result, E
         return result
 
-    gen, coeff = runs[0]
-    R = basis.vectors[gen] * np.exp((complex(coeff) * t) * basis.values[gen])
-    for gen, coeff in runs[1:]:
+    gen, z = runs[0]
+    R = basis.vectors[gen] * np.exp(z * basis.values[gen])
+    for gen, z in runs[1:]:
         R = R @ basis.transfer[1 - gen]
-        R *= np.exp((complex(coeff) * t) * basis.values[gen])
+        R *= np.exp(z * basis.values[gen])
     return R @ basis.adjoints[gen]
+
+
+def evaluation_path(scheme, pair: OperatorPair) -> tuple[str, str]:
+    """How :func:`evaluate_scheme` multiplies the scheme out on the pair at a
+    real t: ``("eigenbasis", "complex128")``, or ``("taylor", dtype)`` with
+    dtype ``"float64"`` or ``"complex128"`` by the rule above."""
+    if pair.eigenbasis is not None:
+        return "eigenbasis", "complex128"
+    return "taylor", np.dtype(_dtype(pair.A, *(c for _, c in slot_runs(scheme)))).name
 
 
 def element_matrix(degree: int, position: int, pair: OperatorPair) -> np.ndarray:
@@ -408,8 +447,12 @@ def element_matrix(degree: int, position: int, pair: OperatorPair) -> np.ndarray
 
 
 def target_matrix(target: TargetPolynomial, pair: OperatorPair, t: float) -> np.ndarray:
-    """exp of the matrix Lie polynomial: each degree-j term scaled by t^j."""
-    F = np.zeros((pair.dim, pair.dim), dtype=np.complex128)
-    for (degree, position), w in target.terms.items():
-        F = F + complex(w) * (t ** degree) * element_matrix(degree, position, pair)
+    """exp of the matrix Lie polynomial: each degree-j term scaled by t^j.
+
+    float64 when the pair and every weight w t^j are real, else complex128.
+    """
+    terms = [(key, w * t ** key[0]) for key, w in target.terms.items()]
+    F = np.zeros((pair.dim, pair.dim), dtype=_dtype(pair.A, *(w for _, w in terms)))
+    for (degree, position), w in terms:
+        F += w * element_matrix(degree, position, pair)
     return expm(F)

@@ -571,13 +571,20 @@ def _swap_basis_matrix(degree: int) -> np.ndarray:
 
     On words the map sends w to its bit complement, which reverses the
     degree-j block, with sign (-1)^(number of B letters in w); the
-    pseudoinverse takes the swapped basis columns back to coordinates.
+    pseudoinverse takes the swapped basis columns back to coordinates.  The
+    entries are thirds (-1, -1/3, 0, 1/3, 1 through degree 7), so they are
+    rounded to them, which makes a swap-invariant target map to itself
+    exactly; the rounding must move no entry by more than 1e-12.
     """
     basis = basis_build()
     words = np.arange(1 << degree)
     b_counts = sum((words >> bit) & 1 for bit in range(degree))
     swapped = ((-1.0) ** b_counts[:, None] * basis.matrices[degree])[::-1]
-    return basis.pinvs[degree] @ swapped
+    matrix = basis.pinvs[degree] @ swapped
+    thirds = np.round(3.0 * matrix) / 3.0
+    if np.max(np.abs(thirds - matrix)) > 1e-12:
+        raise ArithmeticError(f"degree-{degree} ab-swap matrix is not in thirds")
+    return thirds
 
 
 #: Each transform is one substitution X -> factor * image of both letters.
@@ -635,10 +642,8 @@ def transform(scheme: Scheme, which: str) -> Scheme:
         image, factor = letters[gen]
         slots.append(ExponentSlot(image, coeff * factor))
     target = _transformed_target(scheme.target, which)
-    old = scheme.target.terms
-    if target.terms.keys() == old.keys() and all(
-            abs(v - old[k]) < 1e-12 for k, v in target.terms.items()):
-        target = scheme.target  # unchanged up to the swap matrix's round-off
+    if target.terms == scheme.target.terms:
+        target = scheme.target
     return replace(scheme, name=f"{which}({scheme.name})", slots=slots, target=target)
 
 

@@ -190,7 +190,10 @@ def test_fig1_layout(tmp_path):
     export_figure("fig1", out)
     lines = out.read_text(encoding="utf-8").splitlines()
     comments = [l for l in lines if l.startswith("#")]
-    assert len(comments) == 2
+    # description, pairs, then the provenance of each pair and numpy's version
+    assert len(comments) == 5
+    assert comments[2:4] == ["# pauli: eigenbasis path, complex128 arithmetic",
+                             "# random:16: taylor path, float64 arithmetic"]
     header_at = len(comments)
     assert lines[header_at] == "scheme,pair,t_total,n,gates,error"
     rows = lines[header_at + 1:]
@@ -224,9 +227,11 @@ def test_fig6_two_section_layout(tmp_path):
     out = tmp_path / "fig6.csv"
     export_figure("fig6", out)
     lines = out.read_text(encoding="utf-8").splitlines()
-    assert lines[2] == "method,t,error"
+    assert lines[2:4] == ["# pauli: eigenbasis path, complex128 arithmetic",
+                          f"# numpy {np.__version__}"]
+    assert lines[4] == "method,t,error"
     cost_header = lines.index("method,gates,error")
-    step_rows = [l for l in lines[3:cost_header] if not l.startswith("#")]
+    step_rows = [l for l in lines[5:cost_header] if not l.startswith("#")]
     cost_rows = lines[cost_header + 1:]
     assert len(step_rows) == 3 * 13
     assert len(cost_rows) == 3 * 11

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from commexp import bench
@@ -279,6 +280,24 @@ def test_bench_custom_cost_table(capsys, tmp_path):
     data = [l for l in lines if not l.startswith("#")]
     assert data[0] == "scheme,x,tol,gates"
     assert len(data) == 5
+
+
+@pytest.mark.parametrize("pair,stamp", [
+    ("pauli", "pauli: eigenbasis path, complex128 arithmetic"),
+    ("random:16", "random:16: taylor path, float64 arithmetic; "
+                  "taylor path, complex128 arithmetic for PCP6_3_imaginary"),
+])
+def test_bench_custom_stamps_provenance(capsys, tmp_path, pair, stamp):
+    # the comment lines name how each pair was evaluated and the numpy version
+    out = tmp_path / "stamp.csv"
+    code, _, _ = run(
+        capsys, "bench", "--custom", "--schemes", "NCP6_3,NCP10_4,PCP6_3_imaginary",
+        "--pair", pair, "--n", "1,2", "--out", str(out))
+    assert code == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    comments = [l[2:] for l in lines if l.startswith("# ")]
+    assert comments[1:] == [stamp, f"numpy {np.__version__}"]
+    assert lines[len(comments)] == "scheme,pair,t_total,n,gates,error"
 
 
 def test_bench_custom_usage_errors(capsys, tmp_path):

@@ -6,11 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from commexp.conditions import (
     commutator_target,
+    slot_runs,
     sum_plus_commutator_target,
     sum_target,
 )
@@ -26,7 +27,7 @@ from commexp.matform import (
     target_matrix,
     two_norm,
 )
-from commexp.schemes import ABSTRACT, ExponentSlot, Scheme, catalog_get
+from commexp.schemes import ABSTRACT, ExponentSlot, Scheme, catalog_get, transform
 
 
 def commutator(X, Y):
@@ -89,7 +90,7 @@ def test_splitmix_normal_matrix_matches_scalar_normals(seed, dims, lead):
 def test_splitmix_normal_matrix_shape():
     M = SplitMix64(3).normal_matrix(5)
     assert M.shape == (5, 5)
-    assert M.dtype == np.complex128
+    assert M.dtype == np.float64
     assert np.all(M.imag == 0.0)
 
 
@@ -334,16 +335,19 @@ def _symmetric_pair(seed, dim, kinds):
 
 
 def _expm_product(slots, pair, t):
-    """Reference product with scipy, and evaluate_scheme's stated error bound
-    for the walk: (s + 2 + sum |c t| ||X||) d eps times the factor norms."""
+    """Reference product with scipy in complex128, and evaluate_scheme's two
+    stated error bounds, each times the factor norms ||exp(c_i t X_i)||_2 and
+    with r = sum_i |c_i t| ||X_i||_2: (s + 2 + r) d eps for the walk, and
+    (s + 2) 8 (d + r) eps for the Taylor path."""
     U = np.eye(pair.dim, dtype=np.complex128)
-    growth, norms = len(slots) + 2, 1.0
+    r, norms = 0.0, 1.0
     for gen, coeff in slots:
         F = scipy.linalg.expm(complex(coeff) * t * pair.matrix(gen))
         U = U @ F
-        growth += abs(complex(coeff) * t) * np.linalg.norm(pair.matrix(gen), 2)
+        r += abs(complex(coeff) * t) * np.linalg.norm(pair.matrix(gen), 2)
         norms *= np.linalg.norm(F, 2)
-    return U, growth * pair.dim * np.finfo(float).eps * norms
+    s, d, eps = len(slots), pair.dim, np.finfo(float).eps
+    return U, (s + 2 + r) * d * eps * norms, (s + 2) * 8 * (d + r) * eps * norms
 
 
 _COEFFICIENTS = st.one_of(
@@ -367,7 +371,7 @@ def test_eigenbasis_walk_matches_expm_product(seed, dim, kinds, slots, t):
     # a factor 4 over the stated bound leaves room for scipy's own error
     pair = _symmetric_pair(seed, dim, kinds)
     assert pair.eigenbasis is not None
-    expected, bound = _expm_product(slots, pair, t)
+    expected, bound, _ = _expm_product(slots, pair, t)
     assert np.linalg.norm(evaluate_scheme(slots, pair, t) - expected, 2) <= 4 * bound
 
 
@@ -376,7 +380,7 @@ def test_eigenbasis_walk_on_pauli_catalog(pauli_pair, name):
     assert pauli_pair.eigenbasis is not None
     scheme = catalog_get(name)
     for t in (0.01, 0.4, 3.0):
-        expected, bound = _expm_product(scheme.pairs(), pauli_pair, t)
+        expected, bound, _ = _expm_product(scheme.pairs(), pauli_pair, t)
         assert np.linalg.norm(evaluate_scheme(scheme, pauli_pair, t) - expected, 2) <= 4 * bound
 
 
@@ -515,18 +519,122 @@ def test_expm_matches_scipy_at_dim_256(rng):
     assert error < 5e-14
 
 
+def _peak_bytes(scheme, pair):
+    tracemalloc.start()
+    try:
+        evaluate_scheme(scheme, pair, 1.0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_cached_power_path_peak_memory():
     # cached powers (4), three rotating buffers and one temporary: no more
     # live d x d complex arrays than the per-slot expm product took
     dim = 128
+    real = make_pair("random", dim, 5)
+    pair = OperatorPair(1j * real.A, 1j * real.B)
+    assert pair.A.dtype == np.complex128 and pair.eigenbasis is None
+    assert _peak_bytes(catalog_get("PCP26_6"), pair) <= 8 * 16 * dim * dim + 64 * 1024
+
+
+def test_real_path_peak_memory():
+    # the same arrays, all float64: at most 8 live d x d real arrays
+    dim = 128
     pair = make_pair("random", dim, 5)
-    tracemalloc.start()
-    try:
-        evaluate_scheme(catalog_get("PCP26_6"), pair, 1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * 16 * dim * dim + 64 * 1024
+    assert pair.A.dtype == np.float64
+    assert _peak_bytes(catalog_get("PCP26_6"), pair) <= 8 * 8 * dim * dim + 64 * 1024
+
+
+# ---------------------------------------------------------------------------
+# real arithmetic: real pairs and real z·t stay float64
+# ---------------------------------------------------------------------------
+
+
+def _error(X, Y):
+    return np.linalg.norm(X - Y, 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+    dim=st.integers(min_value=2, max_value=16),
+    slots=st.lists(st.tuples(st.sampled_from([Generator.A, Generator.B]),
+                             st.floats(min_value=-2.0, max_value=2.0)),
+                   min_size=1, max_size=12),
+    t=st.floats(min_value=0.01, max_value=2.0),
+)
+def test_real_path_matches_complex_reference(seed, dim, slots, t):
+    # real pair and real slot coefficients: float64 results that agree with
+    # the same computation on complex128 inputs (scipy's per-slot product,
+    # and this package's own with complex-typed coefficients); with no run
+    # left both give the real identity
+    assume(slot_runs(slots))
+    pair = make_pair("random", dim, seed)
+    assert pair.A.dtype == np.float64 and pair.eigenbasis is None
+    expected, _, bound = _expm_product(slots, pair, t)
+    U = evaluate_scheme(slots, pair, t)
+    widened = evaluate_scheme([(gen, complex(c)) for gen, c in slots], pair, t)
+    assert U.dtype == np.float64 and widened.dtype == np.complex128
+    assert _error(U, expected) <= bound
+    assert _error(U, widened) <= bound
+
+    # expm of the summed argument, one slot: s = 1
+    M = sum(c * t * pair.matrix(gen) for gen, c in slots)
+    expected, _, bound = _expm_product([(Generator.A, 1.0)], OperatorPair(M, M), 1.0)
+    E = expm(M)
+    assert E.dtype == np.float64 and expm(M.astype(np.complex128)).dtype == np.complex128
+    assert _error(E, expected) <= bound
+    assert _error(E, expm(M.astype(np.complex128))) <= bound
+
+    # the target exponential, against complex-typed weights
+    target = sum_plus_commutator_target(1.5)
+    complex_target = type(target)(target.name, {k: complex(w) for k, w in target.terms.items()})
+    T = target_matrix(target, pair, t)
+    T_complex = target_matrix(complex_target, pair, t)
+    assert T.dtype == np.float64 and T_complex.dtype == np.complex128
+    F = sum(w * t ** degree * element_matrix(degree, pos, pair)
+            for (degree, pos), w in target.terms.items())
+    expected, _, bound = _expm_product([(Generator.A, 1.0)], OperatorPair(F, F), 1.0)
+    assert _error(T, expected) <= bound
+    assert _error(T, T_complex) <= bound
+
+
+def _mixed_pair():
+    real = make_pair("random", 16, 0)
+    return OperatorPair(real.A, real.B + 0.5j * _symmetric_pair(4, 16, (1, 1)).A)
+
+
+@pytest.mark.parametrize("case", ["PCP6_3_imaginary", "mixed", "imaginary-rotation"])
+@pytest.mark.parametrize("t", [0.05, 0.7])
+def test_complex_inputs_stay_complex(random_pair, case, t):
+    # a complex coefficient on a real pair, or a complex generator, keeps
+    # complex128 and matches scipy's per-slot product
+    pair, scheme = random_pair, catalog_get("NCP10_4")
+    if case == "PCP6_3_imaginary":
+        scheme = catalog_get(case)
+    elif case == "mixed":
+        pair = _mixed_pair()
+        assert pair.A.dtype == np.complex128 and not np.any(pair.A.imag)
+    else:
+        scheme = transform(scheme, case)
+    slots = scheme.pairs()
+    U = evaluate_scheme(scheme, pair, t)
+    assert U.dtype == np.complex128
+    assert matform.evaluation_path(scheme, pair) == ("taylor", "complex128")
+    expected, _, bound = _expm_product(slots, pair, t)
+    assert _error(U, expected) <= bound
+
+
+def test_real_inputs_stay_real(random_pair):
+    assert random_pair.A.dtype == random_pair.B.dtype == np.float64
+    assert matform.evaluation_path(catalog_get("NCP10_4"), random_pair) == ("taylor", "float64")
+    assert evaluate_scheme(catalog_get("NCP10_4"), random_pair, 0.0).dtype == np.float64
+    assert two_norm(np.eye(3, dtype=int)) == 1.0
+    # a complex array with zero imaginary part makes a real pair
+    pair = OperatorPair(random_pair.A.astype(np.complex128), random_pair.B)
+    assert pair.A.dtype == np.float64
+    np.testing.assert_array_equal(pair.A, random_pair.A)
 
 
 # ---------------------------------------------------------------------------

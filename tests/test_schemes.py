@@ -653,6 +653,23 @@ def test_ab_swap_basis_matrix_reproduces_swapped_words(degree):
     np.testing.assert_allclose(m @ _swap_basis_matrix(degree), swapped, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("degree", range(1, MAX_TRUNCATION + 1))
+def test_ab_swap_basis_matrix_is_in_exact_thirds(degree):
+    thirds = 3.0 * _swap_basis_matrix(degree)
+    np.testing.assert_array_equal(thirds, np.round(thirds))
+    assert set(thirds.ravel()) <= {-3.0, -1.0, 0.0, 1.0, 3.0}
+
+
+def test_ab_swap_keeps_the_commutator_target_exactly():
+    names = [n for n in catalog_names() if catalog_get(n).target.name == "commutator"]
+    assert len(names) == 11
+    for name in names:
+        scheme = catalog_get(name)
+        swapped = transform(scheme, "ab-swap")
+        assert swapped.target is scheme.target
+        assert swapped.target.terms == {(2, 1): 1.0}
+
+
 def test_transform_rejects_unknown_name():
     with pytest.raises(ValueError):
         transform(catalog_get("strang"), "time-reversal")
