@@ -74,7 +74,8 @@ def error_curve(scheme, pair: matform.OperatorPair, t_total: float,
     """
     scheme = _resolve_scheme(scheme)
     k = scheme.target.min_degree
-    T = matform.target_matrix(scheme.target, pair, t_total ** (1.0 / k))
+    with np.errstate(over="ignore", invalid="ignore"):  # _error_at's two_norm checks T
+        T = matform.target_matrix(scheme.target, pair, t_total ** (1.0 / k))
     out = []
     for n in n_list:
         if n < 1:
@@ -86,8 +87,10 @@ def error_curve(scheme, pair: matform.OperatorPair, t_total: float,
 
 
 def _error_at(scheme, pair, t_total: float, k: int, T: np.ndarray, n: int) -> float:
-    U = matform.evaluate_scheme(scheme, pair, _step_time(t_total, n, k))
-    return matform.two_norm(np.linalg.matrix_power(U, n) - T)
+    # an overflowing product turns up as two_norm's non-finite ValueError
+    with np.errstate(over="ignore", invalid="ignore"):
+        U = matform.evaluate_scheme(scheme, pair, _step_time(t_total, n, k))
+        return matform.two_norm(np.linalg.matrix_power(U, n) - T)
 
 
 def gates_for_tolerance(scheme, pair: matform.OperatorPair,
@@ -150,9 +153,11 @@ def single_step_errors(scheme, pair: matform.OperatorPair,
     scheme = _resolve_scheme(scheme)
     out = []
     for t in t_grid:
-        U = matform.evaluate_scheme(scheme, pair, t)
-        T = matform.target_matrix(scheme.target, pair, t)
-        out.append((float(t), matform.two_norm(U - T)))
+        # as in _error_at, overflow surfaces as two_norm's ValueError
+        with np.errstate(over="ignore", invalid="ignore"):
+            U = matform.evaluate_scheme(scheme, pair, t)
+            T = matform.target_matrix(scheme.target, pair, t)
+            out.append((float(t), matform.two_norm(U - T)))
     return out
 
 

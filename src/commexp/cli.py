@@ -138,10 +138,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _parse_pair(spec: str, seed: int) -> matform.OperatorPair:
     if spec == "pauli":
         return matform.make_pair("pauli")
-    if spec.startswith("random:"):
-        dim = int(spec.split(":", 1)[1])
-        return matform.make_pair("random", dim, seed)
-    raise ValueError(f"unknown operator pair {spec!r} (use pauli or random:<dim>)")
+    kind, _, dim = spec.partition(":")
+    if kind == "random" and dim.isdigit():
+        try:
+            return matform.make_pair("random", int(dim), seed)
+        except ValueError as exc:
+            raise ValueError(f"--pair {spec}: {exc}") from None
+    raise ValueError(f"--pair wants pauli or random:<dim>, got {spec!r}")
 
 
 def _split_numbers(text: str, kind=float) -> list:
@@ -226,8 +229,10 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         lo, hi = (float(tok) for tok in parts)
     except ValueError:
         return _fail(f"--range wants a:b with numeric bounds, got {args.range!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return _fail(f"--range needs finite bounds, got {args.range!r}")
     if not lo < hi:
-        return _fail(f"empty parameter range {args.range!r}")
+        return _fail(f"--range {args.range!r} is an empty parameter range")
 
     try:
         result = optimize_free_parameter(family, r, (lo, hi))

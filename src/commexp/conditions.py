@@ -510,20 +510,16 @@ def empirical_order(scheme, target: TargetPolynomial, pair, t_grid=None,
 # --------------------------------------------------------------------------
 
 
-def _cp_residual(tail, sign, target, r):
-    """Independent-component residuals of a mirrored pattern vs target.
+def _residual(pairs, target, r):
+    """Every basis coefficient of the slot product's log through degree r
+    minus the target's.
 
-    Degree 1 is omitted: the closure relation built into the half-pattern
-    satisfies it identically.  Complex coefficients give complex residuals
-    (the complex-step Jacobian in :func:`refine` relies on that).
+    Complex coefficients give complex residuals (the complex-step Jacobian in
+    :func:`refine` relies on that).
     """
-    half = [cp_half_closure(tail, sign)] + list(tail)
-    coeffs = _project(_cp_pairs(half, _cp_sign(sign)), r)
-    out = []
-    for degree in range(2, r + 1):
-        free = list(CP_INDEPENDENT[degree])
-        out.append(coeffs.vectors[degree][free] - target.vector(degree)[free])
-    return np.concatenate(out)
+    coeffs = _project(pairs, r)
+    return np.concatenate([coeffs.vectors[degree] - target.vector(degree)
+                           for degree in range(1, r + 1)])
 
 
 def _mirror_sign(scheme, target, r) -> str | None:
@@ -531,8 +527,9 @@ def _mirror_sign(scheme, target, r) -> str | None:
     through degree r, else None.
 
     Their closure zeroes degree 1 and the identities tie the dependent
-    components, so :func:`_cp_residual` stands for all conditions only when
-    2 <= r <= 6 and the target has no degree-1 part and obeys the identities.
+    components, so the independent components stand for all conditions only
+    when 2 <= r <= 6 and the target has no degree-1 part and obeys the
+    identities.
     """
     _, sign = cp_pattern(scheme)
     if sign is None or not 2 <= r <= max(CP_INDEPENDENT) or np.any(target.vector(1)):
@@ -542,16 +539,6 @@ def _mirror_sign(scheme, target, r) -> str | None:
            if degree <= r):
         return sign
     return None
-
-
-def _general_residual(coefficients, generators, target, r):
-    """Residuals of every basis coefficient through degree r vs target.
-
-    Like :func:`_cp_residual`, complex coefficients give complex residuals.
-    """
-    coeffs = _project(list(zip(generators, coefficients)), r)
-    return np.concatenate([coeffs.vectors[degree] - target.vector(degree)
-                           for degree in range(1, r + 1)])
 
 
 #: Imaginary step of the complex-step Jacobian.  Its truncation error is
@@ -581,12 +568,14 @@ def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
     A mirrored scheme (:func:`cp_pattern`) whose target mirrored patterns
     can meet (:func:`_mirror_sign`) is iterated on its half-pattern with the
     leading coefficient eliminated by the closure relation, so the mirror
-    stays exact at every iterate; only the independent condition components
-    enter the residual, and ``free_slots`` are 0-based indices into the
-    half-pattern tail, for a mirrored scheme loaded from a file too.  Any
-    other scheme takes the general path, with ``free_slots`` indexing the
-    slot list.  They must offer at least as many unknowns as there are
-    conditions.  The Jacobian is formed by complex steps
+    stays exact at every iterate, and ``free_slots`` are 0-based indices into
+    the half-pattern tail, for a mirrored scheme loaded from a file too.  Any
+    other scheme is iterated on its slot coefficients, with ``free_slots``
+    indexing the slot list.  Either way the residual (:func:`_residual`) holds
+    every basis component of the product's log through degree r, but the
+    unknowns must only match the independent conditions (for a mirror, the
+    ``CP_INDEPENDENT`` components from degree 2: its closure and identities
+    hold the rest).  The Jacobian is formed by complex steps
     (:func:`_complex_step_jacobian`): the residual chain is analytic in the
     coefficients, so one complex evaluation per unknown gives each column to
     round-off while the iterate stays real.  Returns the scheme with its
@@ -611,13 +600,13 @@ def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
     if sign is not None:
         x_full = x_full[1:len(pairs) // 2]  # the half-pattern's tail
 
-        def residual_of(x):
-            return _cp_residual(x, sign, target, r)
+        def pairs_of(x):
+            return _cp_pairs([cp_half_closure(x, sign), *x], _cp_sign(sign))
 
         n_conditions = sum(len(CP_INDEPENDENT[d]) for d in range(2, r + 1))
     else:
-        def residual_of(x):
-            return _general_residual(x, generators, target, r)
+        def pairs_of(x):
+            return list(zip(generators, x))
 
         n_conditions = sum(LIE_DIMS[d - 1] for d in range(1, r + 1))
 
@@ -634,12 +623,12 @@ def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
     def eval_at(values):
         y = x.astype(values.dtype)
         y[free] = values
-        return residual_of(y)
+        return _residual(pairs_of(y), target, r)
 
     v = x_full[free].copy()
     g = eval_at(v)
     for _ in range(max_iter):
-        worst = np.max(np.abs(g)) if g.size else 0.0
+        worst = np.max(np.abs(g))
         if worst <= tol:
             break
         if not np.all(np.isfinite(g)) or worst > 1e6:
@@ -648,16 +637,12 @@ def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
         step, *_ = np.linalg.lstsq(J, -g, rcond=None)
         v = v + step
         g = eval_at(v)
-    if g.size and np.max(np.abs(g)) > tol:
+    if np.max(np.abs(g)) > tol:
         raise RuntimeError(f"no convergence after {max_iter} iterations "
                            f"(residual {np.max(np.abs(g)):.3e})")
 
     x[free] = v
-    if sign is not None:
-        pairs = _cp_pairs([cp_half_closure(x, sign), *x], _cp_sign(sign))
-    else:
-        pairs = zip(generators, x)
-    return replace(scheme, slots=tuple(ExponentSlot(g, c) for g, c in pairs))
+    return replace(scheme, slots=tuple(ExponentSlot(g, c) for g, c in pairs_of(x)))
 
 
 # --------------------------------------------------------------------------

@@ -22,7 +22,9 @@ Logarithms of products of exponentials are Lie elements (sums of nested
 commutators); :func:`lie_project` rewrites them in the right-nested
 commutator basis built by :func:`basis_build` (dimensions 2, 1, 2, 3, 6, 9,
 18 for degrees 1..7, so every degree the engine truncates at) and flags
-non-Lie inputs through the least-squares residual.
+non-Lie inputs through the least-squares residual.  :func:`letter_map` gives
+a letter substitution A -> f_A X_A, B -> f_B X_B as a matrix on those basis
+coordinates, so the packed word layout stays inside this module.
 """
 
 from __future__ import annotations
@@ -498,7 +500,6 @@ class BasisElement:
     letter: Generator | None  # bracketing letter; None for the two atoms
     child: tuple[int, int] | None
     vector: np.ndarray = field(repr=False)
-    a_count: int  # multidegree in the symbol A (B count = degree - a_count)
 
     @property
     def label(self) -> str:
@@ -545,14 +546,13 @@ def basis_build() -> LieBasis:
     """
     letters = {g: np.eye(2)[g] for g in Generator}
     elements = {
-        (1, 1): BasisElement(1, 1, +1, None, None, letters[Generator.A], 1),
-        (1, 2): BasisElement(1, 2, +1, None, None, letters[Generator.B], 0),
+        (1, 1): BasisElement(1, 1, +1, None, None, letters[Generator.A]),
+        (1, 2): BasisElement(1, 2, +1, None, None, letters[Generator.B]),
     }
     for (j, l), (sign, letter, child) in sorted(_BASIS_RECIPES.items()):
         e, c = letters[letter], elements[child].vector
         vector = sign * (np.outer(e, c).ravel() - np.outer(c, e).ravel())
-        a_count = elements[child].a_count + (1 if letter is Generator.A else 0)
-        elements[(j, l)] = BasisElement(j, l, sign, letter, child, vector, a_count)
+        elements[(j, l)] = BasisElement(j, l, sign, letter, child, vector)
 
     matrices: dict[int, np.ndarray] = {}
     pinvs: dict[int, np.ndarray] = {}
@@ -565,6 +565,37 @@ def basis_build() -> LieBasis:
     for array in (*matrices.values(), *pinvs.values(), *(e.vector for e in elements.values())):
         array.flags.writeable = False  # shared by every caller through the cache
     return LieBasis(elements, matrices, pinvs)
+
+
+@lru_cache(maxsize=None)
+def letter_map(images: tuple[tuple[Generator, complex], ...], degree: int) -> np.ndarray:
+    """Basis-coordinate matrix of the substitution A -> f_A X_A, B -> f_B X_B.
+
+    ``images[g]`` is the pair ``(X_g, f_g)`` that replaces the letter g.  The
+    substitution sends a word to the word of its images times the product of
+    their factors, so it maps each E_{j,l} to a Lie element; column l holds
+    that element's coordinates, and ``letter_map(images, j) @ w`` maps
+    degree-j coordinates w.  The coordinates come through the basis
+    pseudoinverse and are rounded to exact thirds in their real and imaginary
+    parts (the entries are thirds through degree 7 for unit factors such as
+    +-1 and +-i); rounding must move no entry by more than 1e-12.  Cached; the
+    returned array is read-only.
+    """
+    basis = basis_build()
+    shifts = np.arange(degree - 1, -1, -1)
+    letters = (np.arange(1 << degree)[:, None] >> shifts) & 1  # first letter first
+    targets = np.array([int(image) for image, _ in images])[letters]
+    factors = np.array([f for _, f in images])
+    words = basis.matrices[degree]
+    mapped = np.zeros(words.shape, dtype=np.result_type(factors, words))
+    np.add.at(mapped, (targets << shifts).sum(axis=1),
+              factors[letters].prod(axis=1)[:, None] * words)
+    exact = basis.pinvs[degree] @ mapped
+    matrix = np.round(3.0 * exact) / 3.0
+    if np.max(np.abs(matrix - exact)) > 1e-12:
+        raise ArithmeticError(f"degree-{degree} letter map is not in thirds")
+    matrix.flags.writeable = False  # shared by every caller through the cache
+    return matrix
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ into one another.
 from __future__ import annotations
 
 import cmath
-import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -32,7 +31,7 @@ from .conditions import (
     sum_plus_commutator_target,
     sum_target,
 )
-from .liealg import Generator, as_generator, basis_build
+from .liealg import Generator, as_generator, letter_map
 
 __all__ = [
     "ABSTRACT",
@@ -425,18 +424,6 @@ def combined5() -> Scheme:
 # --------------------------------------------------------------------------
 
 
-def _swap_generators(slots: Sequence[ExponentSlot]) -> list[ExponentSlot]:
-    """Relabel A <-> B with coefficients untouched (letter interchange)."""
-    out = []
-    for s in slots:
-        if s.is_abstract:
-            out.append(s)
-        else:
-            g = Generator.B if s.generator == Generator.A else Generator.A
-            out.append(ExponentSlot(g, s.coefficient))
-    return out
-
-
 def substitute(outer: Scheme, inner: Scheme | Sequence[Scheme], k: int, *,
                merge: bool = True, name: str | None = None,
                target: TargetPolynomial | None = None,
@@ -447,10 +434,12 @@ def substitute(outer: Scheme, inner: Scheme | Sequence[Scheme], k: int, *,
     scheme per abstract slot in order.  Each is assumed to approximate the
     exponential of tau^k times its target, so an abstract slot with
     coefficient c becomes its inner scheme run at tau = c^(1/k) * t.  For
-    k = 3 the real cube root carries the sign; for k = 2 a negative c flips
-    the inner scheme's generators instead (valid only for a commutator inner
-    target, where interchanging the letters negates the target).  Unless
-    ``merge`` is false the slots become their runs (``slot_runs``).
+    k = 3 the real cube root carries the sign; for k = 2 a negative c runs
+    the inner scheme with its letters interchanged (A -> B, B -> A) at
+    sqrt(-c) * t instead, which is valid only when the interchange negates the
+    inner target: the interchanged target's terms must equal the negated
+    ones (true of the commutator).  Unless ``merge`` is false the slots become
+    their runs (``slot_runs``).
     """
     if k not in (2, 3):
         raise ValueError("homogeneity degree k must be 2 or 3")
@@ -479,12 +468,11 @@ def substitute(outer: Scheme, inner: Scheme | Sequence[Scheme], k: int, *,
             if c >= 0:
                 out.extend(block.scaled_slots(math.sqrt(c)))
             else:
-                if block.target.name != "commutator":
-                    raise ValueError(
-                        "negative slot under k=2 needs a commutator inner target"
-                    )
-                out.extend(ExponentSlot(s.generator, s.coefficient * math.sqrt(-c))
-                           for s in _swap_generators(block.slots))
+                swapped = _map_letters(block, _INTERCHANGE, "interchange")
+                if swapped.target.terms != {key: -w for key, w in block.target.terms.items()}:
+                    raise ValueError("negative slot under k=2 needs an inner target "
+                                     "that the letter interchange negates")
+                out.extend(swapped.scaled_slots(math.sqrt(-c)))
     slots = _slots(*conditions.slot_runs(out)) if merge else tuple(out)
     names = ",".join(i.name for i in given)
     return Scheme(
@@ -502,17 +490,13 @@ def zass_sym22() -> Scheme:
 
     The central third-degree correction splits into a doubly nested
     [A,[A,B]] part (weight 1/24) realized by the nine-exponential
-    palindromic scheme and the letter-interchanged [B,[B,A]] counterpart
-    (weight 1/12, sign absorbed by the real cube root).  Slots are kept
-    distinct — no merging — so the count reflects the elementary gates.
+    palindromic scheme and its [B,[B,A]] counterpart (weight 1/12, sign
+    absorbed by the real cube root): the same block with the letters
+    interchanged, slots and target alike.  Slots are kept distinct — no
+    merging — so the count reflects the elementary gates.
     """
     inner = aor4(AOR4_OPTIMAL_D2)
-    # [B,[B,A]] = -[B,[A,B]] = -E_{3,2}: the same block with the letters
-    # interchanged, entered with negated weight so the cube root lands on the
-    # correct sign
-    swapped = replace(inner, name=f"{inner.name}[A<->B]",
-                      slots=tuple(_swap_generators(inner.slots)),
-                      target=TargetPolynomial("nested_bba", {(3, 2): -1.0}))
+    swapped = _map_letters(inner, _INTERCHANGE, "interchange")
     template = Scheme(
         name="zass_template",
         slots=(
@@ -565,86 +549,58 @@ def nested4_50() -> Scheme:
 # --------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _swap_basis_matrix(degree: int) -> np.ndarray:
-    """Matrix of the ab-swap letter map A -> B, B -> -A on the degree-j basis.
-
-    On words the map sends w to its bit complement, which reverses the
-    degree-j block, with sign (-1)^(number of B letters in w); the
-    pseudoinverse takes the swapped basis columns back to coordinates.  The
-    entries are thirds (-1, -1/3, 0, 1/3, 1 through degree 7), so they are
-    rounded to them, which makes a swap-invariant target map to itself
-    exactly; the rounding must move no entry by more than 1e-12.
-    """
-    basis = basis_build()
-    words = np.arange(1 << degree)
-    b_counts = sum((words >> bit) & 1 for bit in range(degree))
-    swapped = ((-1.0) ** b_counts[:, None] * basis.matrices[degree])[::-1]
-    matrix = basis.pinvs[degree] @ swapped
-    thirds = np.round(3.0 * matrix) / 3.0
-    if np.max(np.abs(thirds - matrix)) > 1e-12:
-        raise ArithmeticError(f"degree-{degree} ab-swap matrix is not in thirds")
-    return thirds
-
-
-#: Each transform is one substitution X -> factor * image of both letters.
-_LETTER_MAPS: dict[str, dict[Generator, tuple[Generator, complex]]] = {
-    "negate-time": {Generator.A: (Generator.A, -1.0), Generator.B: (Generator.B, -1.0)},
-    "imaginary-rotation": {Generator.A: (Generator.A, -1j), Generator.B: (Generator.B, 1j)},
-    "ab-swap": {Generator.A: (Generator.B, 1.0), Generator.B: (Generator.A, -1.0)},
+#: Each transform is one substitution X -> factor * image of both letters:
+#: entry g is the (image, factor) pair that replaces the letter g.
+_LETTER_MAPS: dict[str, tuple[tuple[Generator, complex], ...]] = {
+    "negate-time": ((Generator.A, -1.0), (Generator.B, -1.0)),
+    "imaginary-rotation": ((Generator.A, -1j), (Generator.B, 1j)),
+    "ab-swap": ((Generator.B, 1.0), (Generator.A, -1.0)),
 }
 
+#: The plain letter interchange A -> B, B -> A, which :func:`substitute` and
+#: :func:`zass_sym22` use; it negates a commutator, so it is not a transform.
+_INTERCHANGE = ((Generator.B, 1.0), (Generator.A, 1.0))
 
-def _transformed_target(target: TargetPolynomial, which: str) -> TargetPolynomial:
-    basis = basis_build()
-    terms: dict[tuple[int, int], complex] = {}
-    if which == "ab-swap":
-        per_degree: dict[int, np.ndarray] = {}
-        for (degree, pos), w in target.terms.items():
-            vec = per_degree.setdefault(
-                degree, np.zeros(basis.dim(degree), dtype=np.complex128))
-            vec[pos - 1] = w
-        for degree, vec in per_degree.items():
-            new = _swap_basis_matrix(degree) @ vec
-            for pos, value in enumerate(new, start=1):
-                if abs(value) > 1e-14:
-                    terms[(degree, pos)] = complex(value)
-    else:
-        # a map keeping each letter is diagonal on the basis: a bracket with
-        # a A-letters out of j scales by f_A^a f_B^(j-a), exactly
-        f_a, f_b = (_LETTER_MAPS[which][g][1] for g in Generator)
-        for (degree, pos), w in target.terms.items():
-            a = basis.element(degree, pos).a_count
-            terms[(degree, pos)] = complex(w * f_a ** a * f_b ** (degree - a))
-    cleaned = {}
-    for key, value in terms.items():
-        cleaned[key] = value.real if abs(value.imag) < 1e-14 else value
-    return TargetPolynomial(f"{which}({target.name})", cleaned)
+
+def _map_letters(scheme: Scheme, images, which: str) -> Scheme:
+    """``scheme`` under the letter substitution ``images`` (see
+    :func:`~commexp.liealg.letter_map`), in its slots and target alike.
+
+    A target the substitution leaves unchanged is kept as it is; any other
+    becomes ``which(name)`` with its nonzero mapped terms.
+    """
+    slots = [ExponentSlot(images[g][0], c * images[g][1])
+             for g, c in conditions.slot_pairs(scheme)]
+    terms = {}
+    for degree in sorted({degree for degree, _ in scheme.target.terms}):
+        mapped = letter_map(images, degree) @ scheme.target.vector(degree)
+        for pos, value in enumerate(map(complex, mapped), start=1):
+            if value:
+                terms[(degree, pos)] = value if value.imag else value.real
+    target = scheme.target
+    if terms != target.terms:
+        target = TargetPolynomial(f"{which}({target.name})", terms)
+    return replace(scheme, name=f"{which}({scheme.name})", slots=tuple(slots),
+                   target=target)
 
 
 def transform(scheme: Scheme, which: str) -> Scheme:
     """Apply one of the three slot-level symmetries.
 
     Each substitutes both letters, X -> factor * image, in the slots and the
-    target alike (``_LETTER_MAPS``).  negate-time: every coefficient changes
-    sign (even-degree targets are untouched, odd degrees flip).
+    target alike (``_LETTER_MAPS``; the target through
+    :func:`~commexp.liealg.letter_map`).  negate-time: every coefficient
+    changes sign (even-degree targets are untouched, odd degrees flip).
     imaginary-rotation: B coefficients pick up i, A coefficients -i (complex
     mode); a mirror pattern flips its sign.  ab-swap: the letters trade
     places with the A-image negated, turning a composition ending in A into
     one ending in B.
     """
     try:
-        letters = _LETTER_MAPS[which]
+        images = _LETTER_MAPS[which]
     except KeyError:
         raise ValueError(f"unknown transform {which!r}") from None
-    slots = []
-    for gen, coeff in conditions.slot_pairs(scheme):
-        image, factor = letters[gen]
-        slots.append(ExponentSlot(image, coeff * factor))
-    target = _transformed_target(scheme.target, which)
-    if target.terms == scheme.target.terms:
-        target = scheme.target
-    return replace(scheme, name=f"{which}({scheme.name})", slots=slots, target=target)
+    return _map_letters(scheme, images, which)
 
 
 # --------------------------------------------------------------------------

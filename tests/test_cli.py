@@ -313,6 +313,10 @@ def test_bench_custom_usage_errors(capsys, tmp_path):
                "--n", "4", "--out", out)[0] == 2
     assert run(capsys, "bench", "--custom", "--schemes", "NCP6_3",
                "--n", "0", "--out", out)[0] == 2
+    code, _, err = run(capsys, "bench", "--custom", "--schemes", "NCP6_3",
+                       "--pair", "random:abc", "--n", "4", "--out", out)
+    assert code == 2
+    assert err.startswith("error: --pair ") and len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("flags", [
@@ -322,8 +326,7 @@ def test_bench_custom_usage_errors(capsys, tmp_path):
     ("--x", "0.5", "--tol", "-1"),
     ("--x", "0.5", "--tol", "nan"),
     # finite, but the step product overflows
-    pytest.param(("--pair", "random:4", "--n", "1", "--t", "1e300"),
-                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    ("--pair", "random:4", "--n", "1", "--t", "1e300"),
 ])
 def test_bench_custom_rejects_bad_numbers(capsys, tmp_path, flags):
     out = tmp_path / "bad.csv"
@@ -439,6 +442,13 @@ def test_optimize_rejects_malformed_range(capsys):
     code, _, err = run(capsys, "optimize", "--family", "aor4", "--range", "x:y")
     assert code == 2
     assert "numeric bounds" in err
+
+
+@pytest.mark.parametrize("prange", ["0.4:inf", "-inf:1", "nan:1"])
+def test_optimize_rejects_non_finite_range(capsys, prange):
+    code, _, err = run(capsys, "optimize", "--family", "third_order", "--range", prange)
+    assert code == 2
+    assert err.startswith("error: --range ") and len(err.strip().splitlines()) == 1
 
 
 def test_optimize_rejects_empty_range(capsys):

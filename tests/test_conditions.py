@@ -12,9 +12,8 @@ from commexp.conditions import (
     CP_INDEPENDENT,
     TargetPolynomial,
     _complex_step_jacobian,
-    _cp_residual,
-    _general_residual,
     _mirror_sign,
+    _residual,
     combined_target,
     commutator_target,
     cp_condition_counts,
@@ -432,7 +431,12 @@ _unit_floats = st.floats(-1.0, 1.0, allow_nan=False)
        st.sampled_from(["positive", "negative"]), st.integers(2, 5))
 def test_complex_step_jacobian_matches_central_differences_cp(tail, sign, r):
     target = commutator_target()
-    _assert_jacobians_agree(lambda x: _cp_residual(x, sign, target, r), np.array(tail))
+
+    def mirrored_residual(x):
+        # refine's mirrored residual: the half-pattern's tail x, closed and mirrored
+        return _residual(cp_expand([cp_half_closure(x, sign), *x], sign).pairs(), target, r)
+
+    _assert_jacobians_agree(mirrored_residual, np.array(tail))
 
 
 @settings(max_examples=25, deadline=None)
@@ -441,7 +445,7 @@ def test_complex_step_jacobian_matches_central_differences_cp(tail, sign, r):
        st.integers(1, 5))
 def test_complex_step_jacobian_matches_central_differences_general(slots, target, r):
     generators = [g for g, _ in slots]
-    _assert_jacobians_agree(lambda x: _general_residual(x, generators, target, r),
+    _assert_jacobians_agree(lambda x: _residual(list(zip(generators, x)), target, r),
                             np.array([c for _, c in slots]))
 
 

@@ -18,7 +18,7 @@ from commexp.conditions import (
     refine,
     sum_target,
 )
-from commexp.liealg import MAX_TRUNCATION, Generator, Word, basis_build
+from commexp.liealg import MAX_TRUNCATION, Generator, Word, basis_build, letter_map
 from commexp.schemes import (
     ABSTRACT,
     AOR4_OPTIMAL_D2,
@@ -41,7 +41,7 @@ from commexp.schemes import (
     yoshida,
     zass_sym22,
 )
-from commexp.schemes import _swap_basis_matrix, _swap_generators
+from commexp.schemes import _INTERCHANGE, _LETTER_MAPS
 
 SQRT5 = math.sqrt(5.0)
 
@@ -505,6 +505,18 @@ def test_substitute_square_root_negative_needs_commutator_inner():
         substitute(outer, catalog_get("strang"), 2)
 
 
+def test_substitute_square_root_negative_reads_the_target_terms():
+    # the interchange must negate the inner target's terms, whatever its name
+    ncp = catalog_get("NCP6_3")
+    renamed = dataclasses.replace(ncp, target=TargetPolynomial("my_commutator", {(2, 1): 1.0}))
+    outer = make_template(-4.0)
+    assert substitute(outer, renamed, 2).slots == substitute(outer, ncp, 2).slots
+    widened = dataclasses.replace(
+        ncp, target=TargetPolynomial("commutator", {(1, 1): 1.0, (2, 1): 1.0}))
+    with pytest.raises(ValueError, match="interchange negates"):
+        substitute(outer, widened, 2)
+
+
 def test_substitute_merges_same_generator_junctions():
     strang = catalog_get("strang")
     outer = Scheme(
@@ -566,7 +578,9 @@ def test_zass_sym22_matches_direct_substitution():
     # reference: the cube-root substitution written out slot by slot
     inner = aor4(AOR4_OPTIMAL_D2)
     expected = [ExponentSlot(Generator.A, 0.5), ExponentSlot(Generator.B, 0.5)]
-    for c, block in ((1.0 / 24.0, inner.slots), (-1.0 / 12.0, _swap_generators(inner.slots))):
+    interchanged = [ExponentSlot(Generator.B if s.generator is Generator.A else Generator.A,
+                                 s.coefficient) for s in inner.slots]
+    for c, block in ((1.0 / 24.0, inner.slots), (-1.0 / 12.0, interchanged)):
         factor = math.copysign(abs(c) ** (1.0 / 3.0), c)
         expected.extend(ExponentSlot(s.generator, s.coefficient * factor) for s in block)
     expected += [ExponentSlot(Generator.B, 0.5), ExponentSlot(Generator.A, 0.5)]
@@ -639,25 +653,36 @@ def test_ab_swap_turns_u22_into_u21():
     assert swapped.target.terms == catalog_get("U21").target.terms
 
 
+# the letter maps of the three transforms and the plain interchange
+FOUR_MAPS = [*_LETTER_MAPS.values(), _INTERCHANGE]
+
+
 @pytest.mark.parametrize("degree", range(1, MAX_TRUNCATION + 1))
 def test_ab_swap_basis_matrix_reproduces_swapped_words(degree):
-    # A -> B, B -> -A on each word, one word at a time: the swapped basis
-    # elements must stay in the span of the basis (Lie membership)
+    # ab-swap and the other letter maps, one word at a time: each letter X
+    # becomes f_X times its image; the mapped basis elements must stay in
+    # the span of the basis (Lie membership)
     basis = basis_build()
     m = basis.matrices[degree]
-    swapped = np.zeros_like(m)
-    for idx in range(1 << degree):
-        letters = Word.from_index(degree, idx).letters
-        image = Word(tuple(Generator.B if g is Generator.A else Generator.A for g in letters))
-        swapped[image.index] = (-1.0) ** letters.count(Generator.B) * m[idx]
-    np.testing.assert_allclose(m @ _swap_basis_matrix(degree), swapped, rtol=0.0, atol=1e-12)
+    for images in FOUR_MAPS:
+        mapped = np.zeros(m.shape, dtype=np.complex128)
+        for idx in range(1 << degree):
+            letters = Word.from_index(degree, idx).letters
+            image = Word(tuple(images[g][0] for g in letters))
+            mapped[image.index] += math.prod(images[g][1] for g in letters) * m[idx]
+        np.testing.assert_allclose(m @ letter_map(images, degree), mapped,
+                                   rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("degree", range(1, MAX_TRUNCATION + 1))
 def test_ab_swap_basis_matrix_is_in_exact_thirds(degree):
-    thirds = 3.0 * _swap_basis_matrix(degree)
-    np.testing.assert_array_equal(thirds, np.round(thirds))
-    assert set(thirds.ravel()) <= {-3.0, -1.0, 0.0, 1.0, 3.0}
+    for images in FOUR_MAPS:
+        matrix = letter_map(images, degree)
+        assert not matrix.flags.writeable
+        for part in (matrix.real, matrix.imag):
+            thirds = 3.0 * part
+            np.testing.assert_array_equal(thirds, np.round(thirds))
+            assert set(thirds.ravel()) <= {-3.0, -1.0, 0.0, 1.0, 3.0}
 
 
 def test_ab_swap_keeps_the_commutator_target_exactly():
@@ -673,6 +698,8 @@ def test_ab_swap_keeps_the_commutator_target_exactly():
 def test_transform_rejects_unknown_name():
     with pytest.raises(ValueError):
         transform(catalog_get("strang"), "time-reversal")
+    with pytest.raises(ValueError):
+        transform(catalog_get("strang"), "interchange")
 
 
 def test_catalog_imaginary_variant_matches_transform():
