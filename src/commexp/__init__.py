@@ -19,7 +19,6 @@ from .conditions import (
     commutator_target,
     cp_expand,
     effective_error,
-    empirical_order,
     optimize_free_parameter,
     order_residuals,
     refine,
@@ -53,7 +52,7 @@ from .schemes import (
     substitute,
     transform,
 )
-from .bench import error_curve, export_figure, gates_for_tolerance, slope_fit
+from .bench import empirical_order, error_curve, export_figure, gates_for_tolerance, slope_fit
 
 __version__ = "0.1.0"
 

@@ -25,6 +25,9 @@ __all__ = [
     "gates_for_tolerance",
     "slope_fit",
     "single_step_errors",
+    "empirical_order",
+    "curve_table",
+    "cost_table",
     "export_figure",
     "provenance",
     "FIGURES",
@@ -35,6 +38,7 @@ __all__ = [
 DEFAULT_N_GRID = tuple(2 ** k for k in range(13))
 DEFAULT_N_CAP = 10 ** 6
 _SLOPE_WINDOW = (1e-14, 1e-1)
+_SINGLE_STEP_T_GRID = tuple(np.exp2(np.linspace(-7.0, -3.0, 9)))
 
 
 @dataclass(frozen=True)
@@ -159,6 +163,19 @@ def single_step_errors(scheme, pair: matform.OperatorPair,
             T = matform.target_matrix(scheme.target, pair, t)
             out.append((float(t), matform.two_norm(U - T)))
     return out
+
+
+def empirical_order(scheme, pair: matform.OperatorPair,
+                    t_grid: Sequence[float] | None = None) -> float:
+    """Slope of log error vs log t for a single step against the scheme's target.
+
+    An order-r approximation shows slope r+1.  The fit (:func:`slope_fit`)
+    keeps the errors inside its window; fewer than three raises.  The default
+    grid is nine points from 2^-7 to 2^-3, evenly spaced in log t.
+    """
+    if t_grid is None:
+        t_grid = _SINGLE_STEP_T_GRID
+    return slope_fit(single_step_errors(scheme, pair, t_grid))
 
 
 # --------------------------------------------------------------------------

@@ -3,15 +3,17 @@
 This module answers questions *about* a composition: which target it
 reproduces and to what order, how large its leading error term is, whether
 it has the counter-palindromic symmetry, and how to polish or optimize its
-coefficients.  The heavy lifting (BCH expansion, basis projection) lives in
-:mod:`commexp.liealg`; the matrix harness used by :func:`empirical_order`
-lives in :mod:`commexp.matform` and is imported lazily.
+coefficients.  Everything here works on the word series: the heavy lifting
+(BCH expansion, basis projection, letter substitutions) lives in
+:mod:`commexp.liealg`, and nothing here multiplies matrices (the single-step
+slope of a scheme on an operator pair is :func:`commexp.bench.empirical_order`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -22,6 +24,7 @@ from .liealg import (
     Generator,
     LieCoefficients,
     as_generator,
+    letter_map,
     lie_project,
     scheme_log,
 )
@@ -41,13 +44,12 @@ __all__ = [
     "order_residuals",
     "EffectiveError",
     "effective_error",
+    "cp_half_closure",
     "cp_expand",
     "cp_pattern",
     "cp_identities",
-    "cp_independent_positions",
     "cp_condition_counts",
     "IdentityCheck",
-    "empirical_order",
     "refine",
     "OptimizeResult",
     "optimize_free_parameter",
@@ -231,6 +233,15 @@ class ResidualReport:
         return self.verified_order >= self.order_requested
 
 
+def _check_order(r: int, top_degree: int) -> None:
+    """Raise ``ValueError`` unless order r is at least 1 and the highest
+    degree it needs, ``top_degree``, lies within the engine's ceiling."""
+    if r < 1:
+        raise ValueError(f"order must be at least 1, got {r}")
+    if top_degree > MAX_TRUNCATION:
+        raise ValueError(f"order {r} needs degree {top_degree} > ceiling {MAX_TRUNCATION}")
+
+
 def order_residuals(scheme, target: TargetPolynomial, r: int, tol: float = 1e-10) -> ResidualReport:
     """Project the composition's log and compare against ``target`` per degree.
 
@@ -241,10 +252,7 @@ def order_residuals(scheme, target: TargetPolynomial, r: int, tol: float = 1e-10
     the scheme's own); ``leading_error_norm`` is its ``leading_norm``, the
     Euclidean deviation from ``target`` at degree r+1 in the commutator basis.
     """
-    if r < 1:
-        raise ValueError(f"order must be at least 1, got {r}")
-    if r + 1 > MAX_TRUNCATION:
-        raise ValueError(f"order {r} needs degree {r + 1} > ceiling {MAX_TRUNCATION}")
+    _check_order(r, r + 1)
     pairs = slot_pairs(scheme)
     coeffs = _project(pairs, r + 1)
 
@@ -298,8 +306,7 @@ def effective_error(scheme, r: int | None = None) -> EffectiveError:
     pairs = slot_pairs(scheme)
     if r is None:
         r = scheme.order
-    if r + 1 > MAX_TRUNCATION:
-        raise ValueError(f"degree {r + 1} beyond truncation ceiling")
+    _check_order(r, r + 1)
     return _size_leading_error(_project(pairs, r + 1),
                                getattr(scheme, "target", None), r, len(pairs))
 
@@ -384,125 +391,80 @@ class IdentityCheck(NamedTuple):
     satisfied: bool
 
 
-# Each entry: degree, left position, [(right position, factor for the
-# positive pattern, factor for the negative pattern), ...].
-_CP_IDENTITIES = [
-    (1, 1, [(2, 1.0, -1.0)]),
-    (3, 1, [(2, -1.0, 1.0)]),
-    (4, 1, [(3, -1.0, -1.0)]),
-    (5, 1, [(6, 1.0, -1.0)]),
-    (5, 2, [(5, 1.0, -1.0)]),
-    (5, 3, [(4, -1.0, 1.0)]),
-    (6, 1, [(9, -1.0, -1.0)]),
-    (6, 2, [(8, -1.0, -1.0)]),
-    (6, 3, [(7, -1.0, -1.0)]),
-    (6, 4, [(5, 3.0, 3.0), (6, 3.0, 3.0)]),
-]
-
-# Positions (0-based) left free once the identities above are accounted for.
-CP_INDEPENDENT = {
-    1: (0,),
-    2: (0,),
-    3: (0,),
-    4: (0, 1),
-    5: (0, 1, 2),
-    6: (0, 1, 2, 4, 5),
-}
+#: The mirror identities are stated through degree 6, where there are ten.
+_CP_IDENTITY_DEGREE = 6
 
 
-def cp_independent_positions(degree: int) -> tuple[int, ...]:
-    """0-based coefficient positions not fixed by the mirror identities."""
-    return CP_INDEPENDENT[degree]
+def _mirror_map(s: int, degree: int) -> np.ndarray:
+    """The letter involution phi: A -> -s B, B -> -s A on one degree's coordinates.
+
+    A mirrored pattern of sign s is H phi(H)^-1, with H its first half, so its
+    log Z obeys phi(Z) = -Z.  For s = -1, phi is the plain interchange.
+    """
+    return letter_map(((Generator.B, -s), (Generator.A, -s)), degree)
+
+
+@lru_cache(maxsize=None)
+def _mirror_identities(s: int, degree: int) -> tuple[tuple[int, tuple], ...]:
+    """The independent identities phi(Z) = -Z imposes at one degree.
+
+    Each is ``(left, ((right, factor), ...))``, read w(j, left) = sum of
+    factor * w(j, right) with 1-based positions: a row of phi + I, kept only
+    when it is independent of the rows kept before it and solved for its
+    diagonal entry (nonzero on every kept row through the engine's ceiling).
+    Cached.
+    """
+    relation = _mirror_map(s, degree) + np.eye(LIE_DIMS[degree - 1])
+    kept, identities = [], []
+    for i, row in enumerate(relation):
+        if np.linalg.matrix_rank(np.array(kept + [row])) > len(kept):
+            kept.append(row)
+            identities.append((i + 1, tuple((j + 1, float(-row[j] / row[i]))
+                                            for j in np.flatnonzero(row) if j != i)))
+    return tuple(identities)
 
 
 def cp_identities(scheme, sign=None, tol: float = 1e-10) -> list[IdentityCheck]:
-    """Evaluate the ten mirror-symmetry identities on a composition.
+    """Evaluate the ten mirror-symmetry identities through degree 6.
 
-    ``sign`` defaults to the scheme's counter-palindromic sign.  Each
-    check compares w_{j,l} against its predicted linear combination at
-    tolerance ``tol`` (scaled by the magnitudes involved).
+    ``sign`` defaults to the scheme's counter-palindromic sign.  The
+    identities are those phi(Z) = -Z imposes on a mirrored pattern's log Z
+    (:func:`_mirror_identities`).  Each check compares w_{j,l} against its
+    predicted linear combination at tolerance ``tol`` (scaled by the
+    magnitudes involved).
     """
     if sign is None:
         sign = getattr(scheme, "cp_sign", None)
         if sign is None:
             raise ValueError("scheme carries no counter-palindromic sign; pass one")
-    coeffs = _project(slot_pairs(scheme), max(CP_INDEPENDENT))
-    return _identity_checks(coeffs.w, _cp_sign(sign), tol)
+    coeffs = _project(slot_pairs(scheme), _CP_IDENTITY_DEGREE)
+    return _identity_checks(coeffs.w, _cp_sign(sign), range(1, _CP_IDENTITY_DEGREE + 1), tol)
 
 
-def _identity_checks(w, s: int, tol: float) -> list[IdentityCheck]:
-    """The mirror identities of sign ``s`` on the coefficients ``w(degree, position)``."""
+def _identity_checks(w, s: int, degrees, tol: float) -> list[IdentityCheck]:
+    """The mirror identities of sign ``s`` at ``degrees`` on the coefficients
+    ``w(degree, position)``."""
     results = []
-    for degree, left, combo in _CP_IDENTITIES:
-        lhs = w(degree, left)
-        rhs = 0.0
-        pieces = []
-        for right, fpos, fneg in combo:
-            factor = fpos if s > 0 else fneg
-            rhs += factor * w(degree, right)
-            pieces.append(f"{factor:+g}*w({degree},{right})")
-        ok = abs(lhs - rhs) <= tol * max(1.0, abs(lhs), abs(rhs))
-        results.append(
-            IdentityCheck(f"w({degree},{left}) = {' '.join(pieces)}", lhs, rhs, ok)
-        )
+    for degree in degrees:
+        for left, combo in _mirror_identities(s, degree):
+            lhs = w(degree, left)
+            rhs = sum(factor * w(degree, right) for right, factor in combo)
+            pieces = " ".join(f"{factor:+g}*w({degree},{right})" for right, factor in combo)
+            ok = abs(lhs - rhs) <= tol * max(1.0, abs(lhs), abs(rhs))
+            results.append(IdentityCheck(f"w({degree},{left}) = {pieces}", lhs, rhs, ok))
     return results
 
 
-def cp_condition_counts(sign, r: int = 6, *, samples: int = 30, m: int = 6,
-                        seed: int = 7, tol: float = 1e-8) -> dict[int, int]:
+def cp_condition_counts(sign, r: int = 6) -> dict[int, int]:
     """Independent order conditions per degree for the mirrored pattern.
 
-    Samples random half-patterns, stacks the projected coefficient vectors
-    per degree, and counts the dimension they span.  Identities among the
-    w_{j,l} reduce the count below the basis dimension; the per-degree
-    numbers (and their cumulative sums) are what a solver actually has to
-    satisfy.
+    The basis dimension less the number of independent identities phi(Z) = -Z
+    imposes at that degree; the per-degree numbers (and their cumulative
+    sums) are what a solver actually has to satisfy.
     """
-    rng = np.random.default_rng(seed)
-    vectors: dict[int, list[np.ndarray]] = {d: [] for d in range(1, r + 1)}
-    for _ in range(samples):
-        half = rng.uniform(-1.5, 1.5, size=m + 1)
-        scheme = cp_expand(half, sign)
-        coeffs = _project(slot_pairs(scheme), r)
-        for d in range(1, r + 1):
-            vectors[d].append(coeffs.vectors[d])
-    counts = {}
-    for d in range(1, r + 1):
-        stack = np.array(vectors[d])
-        scale = np.max(np.abs(stack))
-        counts[d] = int(np.linalg.matrix_rank(stack, tol=tol * max(scale, 1.0)))
-    return counts
-
-
-# --------------------------------------------------------------------------
-# empirical order (matrix harness)
-# --------------------------------------------------------------------------
-
-
-def empirical_order(scheme, target: TargetPolynomial, pair, t_grid=None,
-                    underflow: float = 1e-14) -> float:
-    """Slope of log error vs log t for a single composition step.
-
-    An order-r approximation of the target shows slope r+1.  Grid points
-    whose error falls below ``underflow`` are dropped; fewer than three
-    usable points raises.
-    """
-    from . import matform
-
-    if t_grid is None:
-        t_grid = np.exp2(np.linspace(-7.0, -3.0, 9))
-    ts, errs = [], []
-    for t in np.asarray(t_grid, dtype=float):
-        U = matform.evaluate_scheme(scheme, pair, t)
-        T = matform.target_matrix(target, pair, t)
-        err = matform.two_norm(U - T)
-        if err >= underflow:
-            ts.append(t)
-            errs.append(err)
-    if len(ts) < 3:
-        raise ValueError("not enough grid points above the round-off floor")
-    slope = np.polyfit(np.log(ts), np.log(errs), 1)[0]
-    return float(slope)
+    _check_order(r, r)
+    s = _cp_sign(sign)
+    return {d: LIE_DIMS[d - 1] - len(_mirror_identities(s, d)) for d in range(1, r + 1)}
 
 
 # --------------------------------------------------------------------------
@@ -526,19 +488,16 @@ def _mirror_sign(scheme, target, r) -> str | None:
     """The sign of a mirrored scheme if mirrored patterns can meet ``target``
     through degree r, else None.
 
-    Their closure zeroes degree 1 and the identities tie the dependent
-    components, so the independent components stand for all conditions only
-    when 2 <= r <= 6 and the target has no degree-1 part and obeys the
-    identities.
+    Their closure zeroes degree 1 and the identities phi(Z) = -Z tie the
+    dependent components, so the independent components stand for all
+    conditions only when r >= 2 and the target has no degree-1 part and obeys
+    the identities through degree r.
     """
     _, sign = cp_pattern(scheme)
-    if sign is None or not 2 <= r <= max(CP_INDEPENDENT) or np.any(target.vector(1)):
+    if sign is None or r < 2 or np.any(target.vector(1)):
         return None
-    checks = _identity_checks(target.coefficient, _cp_sign(sign), 1e-12)
-    if all(check.satisfied for (degree, _, _), check in zip(_CP_IDENTITIES, checks)
-           if degree <= r):
-        return sign
-    return None
+    checks = _identity_checks(target.coefficient, _cp_sign(sign), range(2, r + 1), 1e-12)
+    return sign if all(check.satisfied for check in checks) else None
 
 
 #: Imaginary step of the complex-step Jacobian.  Its truncation error is
@@ -574,8 +533,8 @@ def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
     indexing the slot list.  Either way the residual (:func:`_residual`) holds
     every basis component of the product's log through degree r, but the
     unknowns must only match the independent conditions (for a mirror, the
-    ``CP_INDEPENDENT`` components from degree 2: its closure and identities
-    hold the rest).  The Jacobian is formed by complex steps
+    :func:`cp_condition_counts` from degree 2: its closure and the identities
+    phi(Z) = -Z hold the rest).  The Jacobian is formed by complex steps
     (:func:`_complex_step_jacobian`): the residual chain is analytic in the
     coefficients, so one complex evaluation per unknown gives each column to
     round-off while the iterate stays real.  Returns the scheme with its
@@ -588,6 +547,7 @@ def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
         target = scheme.target
     if r is None:
         r = scheme.order
+    _check_order(r, r)
     if any(complex(w).imag != 0.0 for w in target.terms.values()):
         raise ValueError("refinement handles real targets only")
 
@@ -603,7 +563,8 @@ def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
         def pairs_of(x):
             return _cp_pairs([cp_half_closure(x, sign), *x], _cp_sign(sign))
 
-        n_conditions = sum(len(CP_INDEPENDENT[d]) for d in range(2, r + 1))
+        counts = cp_condition_counts(sign, r)
+        n_conditions = sum(counts[d] for d in range(2, r + 1))
     else:
         def pairs_of(x):
             return list(zip(generators, x))

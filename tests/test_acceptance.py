@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from commexp.bench import error_curve, export_figure, slope_fit
+from commexp.bench import empirical_order, error_curve, export_figure, slope_fit
 from commexp.conditions import (
     commutator_target,
     cp_condition_counts,
@@ -20,7 +20,6 @@ from commexp.conditions import (
     cp_half_closure,
     cp_identities,
     effective_error,
-    empirical_order,
     optimize_free_parameter,
     order_residuals,
     refine,
@@ -166,12 +165,31 @@ def test_criterion_04_identities_hold_on_random_half_patterns(sign):
         assert all(c.satisfied for c in checks)
 
 
+def _sampled_condition_counts(sign, r):
+    """Dimension spanned per degree by the logs of 30 random mirrored
+    patterns of 14 slots."""
+    rng = np.random.default_rng(7)
+    vectors = {d: [] for d in range(1, r + 1)}
+    for _ in range(30):
+        half = rng.uniform(-1.5, 1.5, size=7)
+        coeffs = lie_project(scheme_log(cp_expand(half, sign).pairs(), r))
+        for d in range(1, r + 1):
+            vectors[d].append(coeffs.vectors[d])
+    counts = {}
+    for d in range(1, r + 1):
+        stack = np.array(vectors[d])
+        scale = np.max(np.abs(stack))
+        counts[d] = int(np.linalg.matrix_rank(stack, tol=1e-8 * max(scale, 1.0)))
+    return counts
+
+
 @pytest.mark.parametrize("sign", ["positive", "negative"])
 def test_criterion_04_cumulative_condition_counts(sign):
     counts = cp_condition_counts(sign)
     assert counts == {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 5}
     cumulative = [sum(counts[d] for d in range(1, r + 1)) for r in (3, 4, 5, 6)]
     assert cumulative == [3, 5, 8, 13]
+    assert cp_condition_counts(sign, 7) == _sampled_condition_counts(sign, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +239,7 @@ def pauli():
 @pytest.mark.parametrize("name", SINGLE_STEP_SCHEMES)
 def test_criterion_06_single_step_slope(name, pauli):
     scheme = catalog_get(name)
-    slope = empirical_order(scheme, scheme.target, pauli)
+    slope = empirical_order(scheme, pauli)
     assert slope == pytest.approx(scheme.order + 1, abs=0.15)
 
 
@@ -233,7 +251,7 @@ def test_criterion_06_single_step_slope(name, pauli):
 )
 def test_criterion_06_single_step_slope_unit_coefficient_formula(pauli):
     scheme = catalog_get("fap8")
-    slope = empirical_order(scheme, scheme.target, pauli)
+    slope = empirical_order(scheme, pauli)
     assert slope == pytest.approx(scheme.order + 1, abs=0.15)
 
 
@@ -348,14 +366,14 @@ def test_criterion_08_extension_slot_counts():
 
 def test_criterion_08_nested_scheme_slope(pauli):
     nested = catalog_get("nested4_50")
-    slope = empirical_order(nested, nested.target, pauli)
+    slope = empirical_order(nested, pauli)
     assert slope == pytest.approx(5.0, abs=0.2)
 
 
 @pytest.mark.parametrize("name", ["yoshida4", "suzuki4", "zass_sym22"])
 def test_criterion_08_sum_splitting_single_step_slopes(name, pauli):
     scheme = catalog_get(name)
-    slope = empirical_order(scheme, scheme.target, pauli)
+    slope = empirical_order(scheme, pauli)
     assert slope == pytest.approx(5.0, abs=0.15)
 
 

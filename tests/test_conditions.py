@@ -8,10 +8,12 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from commexp.bench import empirical_order
 from commexp.conditions import (
-    CP_INDEPENDENT,
     TargetPolynomial,
     _complex_step_jacobian,
+    _mirror_identities,
+    _mirror_map,
     _mirror_sign,
     _residual,
     combined_target,
@@ -20,9 +22,7 @@ from commexp.conditions import (
     cp_expand,
     cp_half_closure,
     cp_identities,
-    cp_independent_positions,
     effective_error,
-    empirical_order,
     nested_aab_target,
     nested_aaab_target,
     optimize_free_parameter,
@@ -33,7 +33,7 @@ from commexp.conditions import (
     sum_target,
     target_from_name,
 )
-from commexp.liealg import Generator, lie_project, scheme_log
+from commexp.liealg import LIE_DIMS, MAX_TRUNCATION, Generator, lie_project, scheme_log
 from commexp import matform, schemes
 from commexp.schemes import ExponentSlot, Scheme, catalog_get, third_order_family
 
@@ -295,16 +295,92 @@ def test_cp_identities_need_a_sign():
         cp_identities(catalog_get("strang"))
 
 
-def test_cp_independent_positions_match_table():
-    assert cp_independent_positions(4) == (0, 1)
-    per_degree = {d: len(CP_INDEPENDENT[d]) for d in range(1, 7)}
-    assert per_degree == {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 5}
+# The mirror identities as the paper states them through degree 6: degree,
+# left position, [(right position, factor for the positive pattern, factor
+# for the negative pattern), ...].
+PAPER_IDENTITIES = [
+    (1, 1, [(2, 1.0, -1.0)]),
+    (3, 1, [(2, -1.0, 1.0)]),
+    (4, 1, [(3, -1.0, -1.0)]),
+    (5, 1, [(6, 1.0, -1.0)]),
+    (5, 2, [(5, 1.0, -1.0)]),
+    (5, 3, [(4, -1.0, 1.0)]),
+    (6, 1, [(9, -1.0, -1.0)]),
+    (6, 2, [(8, -1.0, -1.0)]),
+    (6, 3, [(7, -1.0, -1.0)]),
+    (6, 4, [(5, 3.0, 3.0), (6, 3.0, 3.0)]),
+]
+
+
+def _identity_rows(identities, degree):
+    """The derived identities at one degree as rows r with r . w = 0."""
+    rows = []
+    for left, combo in identities:
+        row = np.zeros(LIE_DIMS[degree - 1])
+        row[left - 1] = 1.0
+        for right, factor in combo:
+            row[right - 1] -= factor
+        rows.append(row)
+    return np.array(rows).reshape(-1, LIE_DIMS[degree - 1])
+
+
+@pytest.mark.parametrize("sign", ["positive", "negative"])
+def test_paper_identities_lie_in_the_derived_row_space(sign):
+    s = 1 if sign == "positive" else -1
+    for degree, left, combo in PAPER_IDENTITIES:
+        paper = np.zeros(LIE_DIMS[degree - 1])
+        paper[left - 1] = 1.0
+        for right, fpos, fneg in combo:
+            paper[right - 1] -= fpos if s > 0 else fneg
+        derived = _identity_rows(_mirror_identities(s, degree), degree)
+        coefficients, *_ = np.linalg.lstsq(derived.T, paper, rcond=None)
+        assert np.max(np.abs(derived.T @ coefficients - paper)) <= 1e-12
+
+
+@pytest.mark.parametrize("sign", ["positive", "negative"])
+def test_mirrored_logs_are_odd_under_the_letter_involution(sign, rng):
+    # H phi(H)^-1 has a log Z with phi(Z) = -Z, degree by degree
+    s = 1 if sign == "positive" else -1
+    for _ in range(5):
+        half = rng.uniform(-1.5, 1.5, 5)
+        coeffs = lie_project(scheme_log(cp_expand(half, sign).pairs(), MAX_TRUNCATION))
+        for degree in range(1, MAX_TRUNCATION + 1):
+            z = coeffs.vectors[degree]
+            image = _mirror_map(s, degree) @ z
+            assert np.max(np.abs(image + z)) <= 2e-12 * max(1.0, np.max(np.abs(z)))
+
+
+@pytest.mark.parametrize("sign", ["positive", "negative"])
+def test_mirror_identities_solve_for_their_own_position(sign):
+    # each kept row of phi + I is read as w(j, l) = ... for its diagonal l,
+    # so no two identities at one degree share a left-hand side
+    s = 1 if sign == "positive" else -1
+    for degree in range(1, MAX_TRUNCATION + 1):
+        identities = _mirror_identities(s, degree)
+        lefts = [left for left, _ in identities]
+        assert len(set(lefts)) == len(lefts)
+        assert all(left not in dict(combo) for left, combo in identities)
+        assert np.linalg.matrix_rank(_identity_rows(identities, degree)) == len(identities)
+
+
+def test_cp_condition_counts_derived():
+    for sign in ("positive", "negative"):
+        assert cp_condition_counts(sign) == {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 5}
+        assert cp_condition_counts(sign, MAX_TRUNCATION)[MAX_TRUNCATION] == 9
 
 
 @pytest.mark.parametrize("sign", ["positive", "negative"])
 def test_cp_condition_counts_rank(sign):
-    counts = cp_condition_counts(sign, samples=12)
-    assert counts == {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 5}
+    # the free components are the kernel of phi + I
+    s = 1 if sign == "positive" else -1
+    for degree, count in cp_condition_counts(sign, MAX_TRUNCATION).items():
+        dim = LIE_DIMS[degree - 1]
+        assert count == dim - np.linalg.matrix_rank(_mirror_map(s, degree) + np.eye(dim))
+
+
+def test_cp_condition_counts_reject_orders_past_the_ceiling():
+    with pytest.raises(ValueError):
+        cp_condition_counts("positive", MAX_TRUNCATION + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +389,14 @@ def test_cp_condition_counts_rank(sign):
 
 
 def test_empirical_order_strang(pauli_pair):
-    slope = empirical_order(catalog_get("strang"), sum_target(), pauli_pair)
+    slope = empirical_order(catalog_get("strang"), pauli_pair)
     assert slope == pytest.approx(3.0, abs=0.1)
 
 
 def test_empirical_order_needs_points_above_floor(pauli_pair):
     sch = catalog_get("strang")
     with pytest.raises(ValueError):
-        empirical_order(sch, sch.target, pauli_pair, t_grid=[1e-9, 2e-9, 4e-9])
+        empirical_order(sch, pauli_pair, t_grid=[1e-9, 2e-9, 4e-9])
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +451,31 @@ def test_mirror_path_only_for_targets_mirrors_can_meet():
     ncp = catalog_get("NCP10_4")
     assert _mirror_sign(ncp, commutator_target(), 4) == "negative"
     assert _mirror_sign(ncp, commutator_target(), 1) is None  # no independent condition
-    assert _mirror_sign(ncp, commutator_target(), 7) is None  # past the identity table
+    assert _mirror_sign(ncp, commutator_target(), 7) == "negative"  # identities at any degree
     assert _mirror_sign(ncp, sum_target(), 4) is None  # degree-1 part
     # negative mirrors force w(3,1) = w(3,2), which [A,[A,B]] alone breaks
     assert _mirror_sign(ncp, nested_aab_target(), 4) is None
     both = TargetPolynomial("both", {(2, 1): 1.0, (3, 1): 0.5, (3, 2): 0.5})
     assert _mirror_sign(ncp, both, 3) == "negative"
     assert _mirror_sign(catalog_get("strang"), commutator_target(), 4) is None
+
+
+def test_refine_counts_mirror_conditions_at_order_7():
+    # the mirrored path needs 1 + 1 + 2 + 3 + 5 + 9 conditions from degree 2,
+    # not the 41 basis components of the general path
+    with pytest.raises(ValueError, match="12 free coefficients cannot satisfy 21 conditions"):
+        refine(catalog_get("PCP26_6"), r=7)
+
+
+@pytest.mark.parametrize("r", [0, -1, MAX_TRUNCATION + 1])
+@pytest.mark.parametrize("check", [
+    lambda scheme, r: order_residuals(scheme, scheme.target, r),
+    lambda scheme, r: effective_error(scheme, r),
+    lambda scheme, r: refine(scheme, r=r),
+], ids=["order_residuals", "effective_error", "refine"])
+def test_orders_out_of_range_raise_value_error(check, r):
+    with pytest.raises(ValueError, match="order"):
+        check(catalog_get("NCP10_4"), r)
 
 
 def test_refine_rejects_underdetermined_free_set():
