@@ -14,6 +14,9 @@ The package is organised around six pieces:
 - :mod:`commexp.cli` — the ``commexp`` command-line entry point.
 """
 
+# set before the submodules load: bench stamps it into CSV provenance
+__version__ = "0.1.0"
+
 from .conditions import (
     TargetPolynomial,
     commutator_target,
@@ -54,7 +57,6 @@ from .schemes import (
 )
 from .bench import empirical_order, error_curve, export_figure, gates_for_tolerance, slope_fit
 
-__version__ = "0.1.0"
 
 __all__ = [
     "ExponentSlot",

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import matform, schemes
+from . import __version__, matform, schemes
 
 __all__ = [
     "BenchResult",
@@ -74,27 +74,53 @@ def error_curve(scheme, pair: matform.OperatorPair, t_total: float,
 
     The per-step time is (t_total/n)^(1/k) with k the leading degree of the
     target, so the n steps compose to the target exactly; the reported cost
-    is n times the slot count.
+    is n times the slot count.  The n grid is one (len(n_list), d, d) stack
+    (:func:`~commexp.matform.evaluate_scheme`), split only past
+    ``_STACK_BYTES`` per buffer.
     """
     scheme = _resolve_scheme(scheme)
+    if any(n < 1 for n in n_list):
+        raise ValueError("step counts must be positive")
     k = scheme.target.min_degree
-    with np.errstate(over="ignore", invalid="ignore"):  # _error_at's two_norm checks T
+    with np.errstate(over="ignore", invalid="ignore"):  # _errors' two_norms checks T
         T = matform.target_matrix(scheme.target, pair, t_total ** (1.0 / k))
-    out = []
-    for n in n_list:
-        if n < 1:
-            raise ValueError("step counts must be positive")
-        out.append(BenchResult(scheme.name, n, n * scheme.slot_count, t_total,
-                               _error_at(scheme, pair, t_total, k, T, n),
-                               pair.label, pair.seed))
-    return out
+    errors = _errors(scheme, pair, [_step_time(t_total, n, k) for n in n_list], n_list,
+                     np.broadcast_to(T, (len(n_list),) + T.shape))
+    return [BenchResult(scheme.name, n, n * scheme.slot_count, t_total, error,
+                        pair.label, pair.seed)
+            for n, error in zip(n_list, errors)]
 
 
-def _error_at(scheme, pair, t_total: float, k: int, T: np.ndarray, n: int) -> float:
-    # an overflowing product turns up as two_norm's non-finite ValueError
+#: Bytes one complex128 (k, d, d) buffer of a stacked pass may reach (16 MiB):
+#: a longer grid runs as several stacks, so memory does not grow with it.
+_STACK_BYTES = 1 << 24
+
+
+def _errors(scheme, pair, steps: Sequence[float], n_list: Sequence[int],
+            targets: np.ndarray) -> list[float]:
+    """||U(t_i)^(n_i) - T_i||_2 for each step time t_i, step count n_i and
+    target T_i of a (k, d, d) array, in stacks of at most
+    ``_STACK_BYTES / (16 d^2)`` entries."""
+    size = max(1, _STACK_BYTES // (16 * pair.dim ** 2))
+    errors: list[float] = []
+    # an overflowing product turns up as two_norms' non-finite ValueError
     with np.errstate(over="ignore", invalid="ignore"):
-        U = matform.evaluate_scheme(scheme, pair, _step_time(t_total, n, k))
-        return matform.two_norm(np.linalg.matrix_power(U, n) - T)
+        for i in range(0, len(steps), size):
+            part = slice(i, i + size)
+            U = matform.evaluate_scheme(scheme, pair, np.array(steps[part]))
+            errors += matform.two_norms(_matrix_powers(U, n_list[part]) - targets[part]).tolist()
+    return errors
+
+
+def _matrix_powers(U: np.ndarray, n_list: Sequence[int]) -> np.ndarray:
+    """U[i] to the power n_list[i] for each matrix of a (k, d, d) stack, in
+    place: one ``np.linalg.matrix_power`` call per distinct n, on the entries
+    sharing it (on the whole stack, uncopied, when they all do)."""
+    for n in set(n_list):
+        idx = [i for i, m in enumerate(n_list) if m == n]
+        part = slice(None) if len(idx) == len(U) else idx
+        U[part] = np.linalg.matrix_power(U[part], n)
+    return U
 
 
 def gates_for_tolerance(scheme, pair: matform.OperatorPair,
@@ -106,37 +132,42 @@ def gates_for_tolerance(scheme, pair: matform.OperatorPair,
     (per-step time x/sqrt(n)).  A doubling search brackets the first step
     count whose error drops to ``tol``; bisection then isolates the smallest
     such n, reported as n times the slot count.  ``None`` marks grid points
-    where ``n_cap`` steps still miss the tolerance.
+    where ``n_cap`` steps still miss the tolerance.  The searches of all x
+    run in lockstep: each round evaluates the current probe of every
+    unfinished x as one stack, and each x probes the step counts its own
+    search would.
     """
     scheme = _resolve_scheme(scheme)
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if not all(0 < x <= 1 for x in x_grid):
+        raise ValueError("x grid must lie in (0, 1]")
     k = scheme.target.min_degree
-    out: list[tuple[float, int | None]] = []
-    for x in x_grid:
-        if not 0 < x <= 1:
-            raise ValueError("x grid must lie in (0, 1]")
-        t_total = x ** k
-        T = matform.target_matrix(scheme.target, pair, x)
-
-        def err(n: int) -> float:
-            return _error_at(scheme, pair, t_total, k, T, n)
-
-        n = 1
-        while n <= n_cap and err(n) > tol:
-            n *= 2
-        if n > n_cap:
-            out.append((x, None))
-            continue
-        lo, hi = n // 2, n          # err(lo) > tol (or lo = 0), err(hi) <= tol
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if err(mid) <= tol:
-                hi = mid
+    targets = np.array([matform.target_matrix(scheme.target, pair, x) for x in x_grid])
+    gates: list[int | None] = [None] * len(x_grid)
+    probes = {i: 1 for i in range(len(x_grid)) if n_cap >= 1}
+    brackets: dict[int, tuple[int, int]] = {}  # err(lo) > tol (or lo = 0), err(hi) <= tol
+    while probes:
+        points = list(probes)
+        steps = [_step_time(x_grid[i] ** k, probes[i], k) for i in points]
+        errors = _errors(scheme, pair, steps, [probes[i] for i in points], targets[points])
+        for i, error in zip(points, errors):
+            n = probes.pop(i)
+            if i in brackets:
+                lo, hi = brackets[i]
+                lo, hi = (lo, n) if error <= tol else (n, hi)
+            elif error <= tol:
+                lo, hi = n // 2, n
             else:
-                lo = mid
-        out.append((x, hi * scheme.slot_count))
-    return out
+                if 2 * n <= n_cap:
+                    probes[i] = 2 * n
+                continue
+            if hi - lo > 1:
+                brackets[i] = lo, hi
+                probes[i] = (lo + hi) // 2
+            else:
+                gates[i] = hi * scheme.slot_count
+    return list(zip(x_grid, gates))
 
 
 def slope_fit(points: Sequence[tuple[float, float]]) -> float:
@@ -153,16 +184,14 @@ def slope_fit(points: Sequence[tuple[float, float]]) -> float:
 
 def single_step_errors(scheme, pair: matform.OperatorPair,
                        t_grid: Sequence[float]) -> list[tuple[float, float]]:
-    """(t, error) of one application of the scheme against its own target."""
+    """(t, error) of one application of the scheme against its own target,
+    the t grid stacked as in :func:`error_curve`."""
     scheme = _resolve_scheme(scheme)
-    out = []
-    for t in t_grid:
-        # as in _error_at, overflow surfaces as two_norm's ValueError
-        with np.errstate(over="ignore", invalid="ignore"):
-            U = matform.evaluate_scheme(scheme, pair, t)
-            T = matform.target_matrix(scheme.target, pair, t)
-            out.append((float(t), matform.two_norm(U - T)))
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):  # _errors' two_norms checks T
+        targets = [matform.target_matrix(scheme.target, pair, t) for t in t_grid]
+    errors = _errors(scheme, pair, t_grid, [1] * len(t_grid),
+                     np.array(targets).reshape(len(t_grid), pair.dim, pair.dim))
+    return [(float(t), error) for t, error in zip(t_grid, errors)]
 
 
 def empirical_order(scheme, pair: matform.OperatorPair,
@@ -243,7 +272,8 @@ def cost_table(scheme_names, pair, x_grid, tol):
 
 def provenance(pairs, scheme_names) -> list[str]:
     """CSV comment lines: per pair, how the schemes were multiplied out
-    (:func:`~commexp.matform.evaluation_path`), then the numpy version.
+    (:func:`~commexp.matform.evaluation_path`), then the commexp and numpy
+    versions.
 
     A pair whose schemes do not all share one path and arithmetic names the
     schemes of each minority kind, e.g.
@@ -259,7 +289,7 @@ def provenance(pairs, scheme_names) -> list[str]:
         (path, arithmetic), *others = sorted(kinds, key=lambda k: -len(kinds[k]))
         lines.append(f"{pair.label}: {path} path, {arithmetic} arithmetic" + "".join(
             f"; {p} path, {a} arithmetic for {' '.join(kinds[p, a])}" for p, a in others))
-    return lines + [f"numpy {np.__version__}"]
+    return lines + [f"commexp {__version__}", f"numpy {np.__version__}"]
 
 
 def _export_curve_figure(which, out, scheme_names, t_total, seed):

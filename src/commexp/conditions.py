@@ -305,6 +305,8 @@ def effective_error(scheme, r: int | None = None) -> EffectiveError:
     """
     pairs = slot_pairs(scheme)
     if r is None:
+        if not hasattr(scheme, "order"):
+            raise ValueError("effective_error needs r for a raw slot list, which carries no order")
         r = scheme.order
     _check_order(r, r + 1)
     return _size_leading_error(_project(pairs, r + 1),

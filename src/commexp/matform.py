@@ -30,11 +30,10 @@ generator merged, cancelling runs removed):
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,6 +45,7 @@ __all__ = [
     "OperatorPair",
     "expm",
     "two_norm",
+    "two_norms",
     "make_pair",
     "evaluate_scheme",
     "evaluation_path",
@@ -133,6 +133,9 @@ class SplitMix64:
 #: equation, 0.62700290, rounded down.
 _THETA = 0.6270028
 
+#: m as a float64 scalar for m = 0..14: the Taylor recursion c_m = c_(m-1) u / m.
+_DIVISORS = [np.float64(m) for m in range(15)]
+
 
 class _Powers(NamedTuple):
     """A matrix X and the powers its Taylor exponentials reuse.
@@ -172,56 +175,103 @@ def _powers(X: np.ndarray) -> _Powers:
     return _Powers(X, scale, square, cube, alpha)
 
 
-def _add_to_diagonal(M: np.ndarray, value: complex) -> None:
-    M.reshape(-1)[:: M.shape[0] + 1] += value
+def _taylor_terms(powers: Sequence[_Powers], z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squaring counts and Taylor coefficients of exp(z_ij X_i), X_i the
+    matrix of ``powers[i]``, for an (r, k) array z: one row of k arguments
+    per matrix.  Returns s, an (r, k) integer array, and c, the coefficients
+    u^m / m! (m = 0..14) of u = z nu 2^-s, nu the powers' ``scale``, shaped
+    (15, r, k, 1, 1) so that a row broadcasts against a (k, d, d) stack.
+    Since X = nu Y, the coefficients of the X terms (m = 1, 4, 7, 10, 13)
+    come divided by nu (and stay 0 for a zero X).
+
+    ``s_ij = ceil(log2(|z_ij| nu_i alpha_i / _THETA))`` (0 when that is
+    negative), computed exactly from the binary exponent; then each row is
+    raised to its suffix maximum, so s does not increase along a row: the
+    squarings of a stack (:func:`_taylor_exp`) run on prefixes of it, and an
+    entry squares as often as the most of those after it.  When |z| does not
+    increase along the row (as :func:`evaluate_scheme` orders it) that
+    changes no s.  All r k coefficient recursions run as one array.
+    """
+    scale = np.array([[p.scale] for p in powers])
+    alpha = np.array([[p.alpha] for p in powers])
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        w = z * scale
+    if not np.isfinite(w).all():
+        raise ValueError("matrix exponential of non-finite entries")
+    mantissa, exponent = np.frexp(np.abs(w) * alpha / _THETA)
+    s = np.maximum(exponent - (mantissa == 0.5), 0)
+    s = np.maximum.accumulate(s[:, ::-1], axis=1)[:, ::-1]
+    u = w * np.ldexp(1.0, -s)
+    c = np.empty((15,) + u.shape, dtype=u.dtype)
+    rows = list(c)
+    rows[0].fill(1.0)
+    for m in range(1, 15):
+        np.multiply(rows[m - 1], u, out=rows[m])
+        np.divide(rows[m], _DIVISORS[m], out=rows[m])
+    np.divide(c[1::3], scale, out=c[1::3], where=scale > 0.0)
+    return s, c[..., np.newaxis, np.newaxis]
 
 
-def _taylor_exp(powers: _Powers, z: complex, P: np.ndarray,
+def _taylor_exp(powers: _Powers, s: np.ndarray, c: np.ndarray, P: np.ndarray,
                 Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """exp(z X) into one of the d x d buffers P and Q: (result, the other).
+    """exp(z_i X) for each of k arguments z_i, into one of the (k, d, d)
+    buffers P and Q: (result, the other).  ``s`` (k squaring counts, not
+    increasing) and ``c`` (the 15 Taylor coefficients, shaped (15, k, 1, 1),
+    those of the X terms divided by the powers' ``scale``) are one row of
+    :func:`_taylor_terms` for X's powers.
 
     P and Q may be float64 only when X and z are real; complex buffers take
     real powers and arguments as they are.
 
-    Scales by 2^-s with s = ceil(log2(|z| nu alpha / _THETA)), nu the
-    powers' ``scale``; evaluates the degree-14 Taylor polynomial in u Y,
-    u = z nu 2^-s, Paterson-Stockmeyer style in blocks of three terms and
-    Horner in the cached Y^3,
-    ``p = (((B_4 Y^3 + B_3) Y^3 + B_2) Y^3 + B_1) Y^3 + B_0`` with
-    ``B_j = sum_{i<3} (u Y)^(3j+i) / (3j+i)!``; then squares s times:
-    4 + s matrix products, and no array beyond P and Q.
+    Entry i evaluates the degree-14 Taylor polynomial in u_i Y,
+    Paterson-Stockmeyer style in blocks of three terms and Horner in the
+    cached Y^3, ``p = (((B_4 Y^3 + B_3) Y^3 + B_2) Y^3 + B_1) Y^3 + B_0``
+    with ``B_j = sum_{i<3} (u Y)^(3j+i) / (3j+i)!``; then squares s_i times:
+    4 + s_i matrix products, and no array beyond P and Q.  The squarings
+    run on prefixes of the stack.
     """
     X, scale, square, cube, alpha = powers
-    w = z * scale
-    if not cmath.isfinite(w):
-        raise ValueError("matrix exponential of non-finite entries")
+    k, d = len(P), P.shape[-1]
+    # (k, 1, d) views of the diagonals, to take the (k, 1, 1) coefficients
+    dP = P.reshape(k, 1, -1)[..., :: d + 1]
+    dQ = Q.reshape(k, 1, -1)[..., :: d + 1]
     if scale == 0.0:
         P[...] = 0.0
-        _add_to_diagonal(P, 1.0)
+        dP += 1.0
         return P, Q
-    size = abs(w) * alpha
-    squarings = math.ceil(math.log2(size / _THETA)) if size > _THETA else 0
-    u = w * 2.0 ** -squarings
-    c = [1.0]
-    for k in range(1, 15):
-        c.append(c[-1] * u / k)
-    # X = scale * Y, so the Y term of each block takes its coefficient / scale
-    np.multiply(X, c[13] / scale, out=P)
+    c = list(c)
+    np.multiply(X, c[13], out=P)
     np.multiply(square, c[14], out=Q)
     P += Q
-    _add_to_diagonal(P, c[12])
+    dP += c[12]
     for j in (9, 6, 3, 0):
         np.matmul(P, cube, out=Q)
-        np.multiply(X, c[j + 1] / scale, out=P)
+        np.multiply(X, c[j + 1], out=P)
         Q += P
         np.multiply(square, c[j + 2], out=P)
         Q += P
-        _add_to_diagonal(Q, c[j])
+        dQ += c[j]
+        P, Q, dP, dQ = Q, P, dQ, dP
+    s = s.tolist()
+    m = k
+    for i in range(s[0]):
+        while s[m - 1] <= i:
+            m -= 1
+        np.matmul(P[:m], P[:m], out=Q[:m])
         P, Q = Q, P
-    for _ in range(squarings):
-        np.matmul(P, P, out=Q)
-        P, Q = Q, P
+    if s[-1] != s[0]:
+        # an entry that stopped an odd number of squarings early was left in Q
+        moved = np.array([(s[0] - si) % 2 == 1 for si in s])
+        np.copyto(P, Q, where=moved[:, np.newaxis, np.newaxis])
     return P, Q
+
+
+def _square_matrix(M, what: str) -> np.ndarray:
+    """M as a float64 or complex128 array, refused unless it is square and 2-D."""
+    M = np.asarray(M)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"{what} takes a square 2-D matrix, got shape {M.shape}")
+    return M.astype(_dtype(M), copy=False)
 
 
 def expm(M: np.ndarray) -> np.ndarray:
@@ -236,13 +286,17 @@ def expm(M: np.ndarray) -> np.ndarray:
     is at most 7.24e-16 relative.  Good to ~1e-13 relative for the moderate
     norms used here.  Cost: Y^2 and Y^3, then 4 + s products
     (Paterson-Stockmeyer, Horner in Y^3).  :func:`evaluate_scheme` runs the
-    same core on each generator's cached powers.  A real M gives a float64
-    result, a complex M complex128.
+    same core on each generator's cached powers.  M must be one square 2-D
+    matrix (``ValueError`` otherwise); a real M gives a float64 result, a
+    complex M complex128.
     """
-    M = np.asarray(M, dtype=_dtype(M))
+    M = _square_matrix(M, "expm")
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix exponential of non-finite entries")
-    return _taylor_exp(_powers(M), 1.0, np.empty_like(M), np.empty_like(M))[0]
+    powers = _powers(M)
+    s, c = _taylor_terms([powers], np.ones((1, 1)))
+    P, Q = (np.empty((1,) + M.shape, dtype=M.dtype) for _ in range(2))
+    return _taylor_exp(powers, s[0], c[:, 0], P, Q)[0][0]
 
 
 class _Eigenbasis(NamedTuple):
@@ -332,15 +386,23 @@ class OperatorPair:
         return _powers(self.A), _powers(self.B)
 
 
-def two_norm(M: np.ndarray) -> float:
-    """Largest singular value (spectral norm), from LAPACK's SVD via numpy.
+def two_norms(M: np.ndarray) -> np.ndarray:
+    """Largest singular value (spectral norm) of each matrix of a (k, d, d)
+    stack, from LAPACK's SVD via numpy, as a length-k array.
 
-    A real M goes to the real SVD in float64, a complex M to the complex one.
+    A real stack goes to the real SVD in float64, a complex one to the
+    complex SVD.  Non-finite entries anywhere raise ``ValueError``.
     """
     M = np.asarray(M, dtype=_dtype(M))
     if not np.all(np.isfinite(M)):
         raise ValueError("norm of non-finite entries")
-    return float(np.linalg.norm(M, 2))
+    return np.linalg.svd(M, compute_uv=False)[..., 0]
+
+
+def two_norm(M: np.ndarray) -> float:
+    """Spectral norm of one square 2-D matrix: :func:`two_norms` of the
+    one-matrix stack.  Any other shape raises ``ValueError``."""
+    return float(two_norms(_square_matrix(M, "two_norm")[np.newaxis])[0])
 
 
 _PAULI_A = np.array([[0.0, -1.0j], [-1.0j, 0.0]])   # -i sigma_x
@@ -369,8 +431,14 @@ def make_pair(kind: str, dim: int = 16, seed: int = 0) -> OperatorPair:
     raise ValueError(f"unknown pair kind {kind!r}")
 
 
-def evaluate_scheme(scheme, pair: OperatorPair, t: float) -> np.ndarray:
+def evaluate_scheme(scheme, pair: OperatorPair, t) -> np.ndarray:
     """Left-to-right product of exp(c * t * X) over the scheme's slots.
+
+    ``t`` is one step time, giving a d x d matrix, or a 1-D array of k step
+    times, giving the (k, d, d) stack of the products at each of them, all
+    multiplied out in one pass over the runs.  Each (k, d, d) buffer holds
+    k d^2 entries, so a 13-point stack on a d = 256 pair takes 6.8 MB per
+    float64 buffer (``k = 1`` is the one-time case, with d x d buffers).
 
     Accepts what :func:`~commexp.conditions.slot_pairs` accepts and refuses
     abstract template slots.  Each path makes one exponential per run of the
@@ -395,36 +463,68 @@ def evaluate_scheme(scheme, pair: OperatorPair, t: float) -> np.ndarray:
     ``(X/nu)^3``, a run ``exp(z X)`` takes ``4 + s`` products,
     ``s = ceil(log2(|z| nu alpha / theta_14))`` squarings and
     theta_14 = 0.6270028 (truncation error at most 7.24e-16 relative), and
-    is good to ~1e-13 relative.  Three d x d buffers rotate through the
-    runs and the products between them.  They are float64 when the pair and
+    is good to ~1e-13 relative.  The stack is ordered by decreasing |t|, so
+    each squaring is a prefix of it.  Three buffers rotate through the runs
+    and the products between them.  They are float64 when the pair and
     every run's z·t are real, and complex128 when either is complex: then
     the real cached powers of a real pair are read into complex products.
-    The walk's result is always complex128.
+    The walk's result is always complex128, its t = 0 identity included.
     """
-    runs = [(gen, coeff * t) for gen, coeff in slot_runs(scheme)]
-    dtype = _dtype(pair.A, *(z for _, z in runs))
-    if t == 0 or not runs:
-        return np.eye(pair.dim, dtype=dtype)
+    times = np.asarray(t)
+    if times.ndim > 1:
+        raise ValueError(f"t must be a step time or a 1-D array of them, got shape {times.shape}")
+    steps = times.reshape(-1)
+    runs = slot_runs(scheme)
+    gens = [gen for gen, _ in runs]
+    # the stack runs over the nonzero step times by decreasing |t|
+    sizes = np.abs(steps).tolist()
+    live = sorted((j for j in range(len(steps)) if sizes[j]), key=lambda j: -sizes[j]) \
+        if runs else []
+    ordered = live == list(range(len(steps)))
+    z = np.multiply.outer(np.array([coeff for _, coeff in runs]),
+                          steps if ordered else steps[live])  # (runs, k)
     basis = pair.eigenbasis
-    if basis is None:
-        powers = pair.powers
-        P, Q = (np.empty((pair.dim, pair.dim), dtype=dtype) for _ in range(2))
-        result = None
-        for gen, z in runs:
-            E, spare = _taylor_exp(powers[gen], z, P, Q)
-            if result is None:
-                result, P, Q = E, spare, np.empty_like(spare)
-            else:
-                np.matmul(result, E, out=spare)
-                result, P, Q = spare, result, E
-        return result
+    dtype = np.complex128 if basis is not None else _dtype(pair.A, z)
+    shape = (len(live), pair.dim, pair.dim)
+    if not live:
+        out = np.empty(shape, dtype=dtype)
+    elif basis is None:
+        out = _taylor_walk(pair.powers, gens, z, shape, dtype)
+    else:
+        out = _eigenbasis_walk(basis, gens, z)
+    if not ordered:
+        stack, out = out, np.empty((len(steps), pair.dim, pair.dim), dtype=dtype)
+        out[...] = np.eye(pair.dim)
+        out[live] = stack
+    return out if times.ndim else out[0]
 
-    gen, z = runs[0]
-    R = basis.vectors[gen] * np.exp(z * basis.values[gen])
-    for gen, z in runs[1:]:
+
+def _taylor_walk(powers: tuple[_Powers, _Powers], gens, z, shape, dtype) -> np.ndarray:
+    """The product of the runs' Taylor exponentials, per stack entry: run i
+    is exp(z[i, j] X) on generator gens[i] for entry j."""
+    s, c = _taylor_terms([powers[gen] for gen in gens], z)
+    P, Q = (np.empty(shape, dtype=dtype) for _ in range(2))
+    result = None
+    for i, gen in enumerate(gens):
+        E, spare = _taylor_exp(powers[gen], s[i], c[:, i], P, Q)
+        if result is None:
+            result, P, Q = E, spare, np.empty_like(spare)
+        else:
+            np.matmul(result, E, out=spare)
+            result, P, Q = spare, result, E
+    return result
+
+
+def _eigenbasis_walk(basis: _Eigenbasis, gens, z) -> np.ndarray:
+    """The product of the runs' exponentials in eigenbasis coordinates, per
+    stack entry: run i scales the columns by exp(z[i, j] lambda) for entry j."""
+    values = np.array([basis.values[gen] for gen in gens])
+    phases = np.exp(z[:, :, np.newaxis] * values[:, np.newaxis, :])[:, :, np.newaxis, :]
+    R = basis.vectors[gens[0]] * phases[0]
+    for gen, phase in zip(gens[1:], phases[1:]):
         R = R @ basis.transfer[1 - gen]
-        R *= np.exp(z * basis.values[gen])
-    return R @ basis.adjoints[gen]
+        R *= phase
+    return R @ basis.adjoints[gens[-1]]
 
 
 def evaluation_path(scheme, pair: OperatorPair) -> tuple[str, str]:

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import commexp
 from commexp import bench, matform
 from commexp.bench import (
     DEFAULT_N_CAP,
@@ -171,6 +174,113 @@ def test_gates_for_tolerance_rejects_nonfinite_tol(pauli_pair, tol):
         gates_for_tolerance("NCP6_3", pauli_pair, [0.5], tol)
 
 
+def _sequential_gates(scheme, pair, x_grid, tol, n_cap):
+    """The one-x-at-a-time doubling and bisection search, one probe per call."""
+    scheme = catalog_get(scheme)
+    k = scheme.target.min_degree
+    out = []
+    for x in x_grid:
+        def err(n):
+            return composed_error(scheme, pair, x ** k, n)
+
+        n = 1
+        while n <= n_cap and err(n) > tol:
+            n *= 2
+        if n > n_cap:
+            out.append((x, None))
+            continue
+        lo, hi = n // 2, n
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if err(mid) <= tol:
+                hi = mid
+            else:
+                lo = mid
+        out.append((x, hi * scheme.slot_count))
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    scheme=st.sampled_from(["NCP6_3", "NCP10_4", "strang"]),
+    pair_kind=st.sampled_from(["pauli", "random"]),
+    x_grid=st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=1, max_size=5),
+    tol=st.sampled_from([1e-2, 1e-4, 1e-6, 1e-9]),
+    n_cap=st.sampled_from([0, 1, 3, 64, DEFAULT_N_CAP]),
+)
+@example(scheme="NCP6_3", pair_kind="pauli", x_grid=[0.9, 0.1, 0.9], tol=1e-5, n_cap=64)
+def test_lockstep_search_matches_sequential_search(scheme, pair_kind, x_grid, tol, n_cap):
+    # every x probes the step counts of its own search, so both find the same
+    # counts, and the same None where n_cap steps miss the tolerance
+    pair = matform.make_pair("pauli") if pair_kind == "pauli" else matform.make_pair("random", 4, 9)
+    assert (gates_for_tolerance(scheme, pair, x_grid, tol, n_cap)
+            == _sequential_gates(scheme, pair, x_grid, tol, n_cap))
+
+
+def test_lockstep_search_reaches_the_cap_as_none(pauli_pair):
+    # x = 0.9 misses 1e-5 at 64 steps while x = 0.1 still searches on
+    results = gates_for_tolerance("NCP6_3", pauli_pair, [0.1, 0.9], 1e-5, n_cap=64)
+    assert results[1] == (0.9, None) and results[0][1] is not None
+    assert results == _sequential_gates("NCP6_3", pauli_pair, [0.1, 0.9], 1e-5, 64)
+
+
+def _unitary_stack(seed, k, d):
+    g = np.random.default_rng(seed)
+    Z = g.standard_normal((k, d, d)) + 1j * g.standard_normal((k, d, d))
+    return np.linalg.qr(Z)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+    d=st.integers(min_value=1, max_value=5),
+    n_list=st.lists(st.one_of(st.integers(min_value=1, max_value=40),
+                              st.integers(min_value=DEFAULT_N_CAP - 2000,
+                                          max_value=DEFAULT_N_CAP)),
+                    min_size=1, max_size=8),
+)
+@example(seed=0, d=3, n_list=[1, 2, 3, 4, 3, 1, DEFAULT_N_CAP])
+@example(seed=1, d=2, n_list=[5, 5, 5])
+def test_stacked_powers_match_matrix_power(seed, d, n_list):
+    # unitary matrices keep every power at norm 1, so n near the cap is safe
+    U = _unitary_stack(seed, len(n_list), d)
+    powers = bench._matrix_powers(U.copy(), n_list)
+    assert powers.shape == U.shape
+    for power, M, n in zip(powers, U, n_list):
+        np.testing.assert_array_equal(power, np.linalg.matrix_power(M, n))
+
+
+def test_long_grids_run_as_several_stacks(monkeypatch, random_pair):
+    # a budget of three d = 16 entries splits each 8-point grid into stacks
+    # of 3, 3 and 2; every value stays what the whole stack gives
+    n_grid, t_grid = [1, 2, 3, 5, 8, 13, 21, 34], [0.4 / k for k in range(1, 9)]
+    whole = (error_curve("NCP10_4", random_pair, 1.0, n_grid),
+             single_step_errors("NCP10_4", random_pair, t_grid),
+             gates_for_tolerance("NCP10_4", random_pair, [0.1 * k for k in range(1, 9)], 1e-6))
+    sizes = []
+    evaluate = matform.evaluate_scheme
+
+    def spy(scheme, pair, t):
+        sizes.append(len(t))
+        return evaluate(scheme, pair, t)
+
+    monkeypatch.setattr(matform, "evaluate_scheme", spy)
+    monkeypatch.setattr(bench, "_STACK_BYTES", 3 * 16 * 16 ** 2)
+    assert error_curve("NCP10_4", random_pair, 1.0, n_grid) == whole[0]
+    assert single_step_errors("NCP10_4", random_pair, t_grid) == whole[1]
+    assert sizes == [3, 3, 2] * 2
+    assert gates_for_tolerance("NCP10_4", random_pair,
+                               [0.1 * k for k in range(1, 9)], 1e-6) == whole[2]
+    assert max(sizes) == 3
+
+
+def test_stacked_errors_match_one_step_count_at_a_time(pauli_pair):
+    scheme = catalog_get("PCP16_5")
+    curve = error_curve(scheme, pauli_pair, 1.0, [7, 1, 4096, 3, 2])
+    assert [r.error for r in curve] == [composed_error(scheme, pauli_pair, 1.0, n)
+                                        for n in (7, 1, 4096, 3, 2)]
+
+
 # ---------------------------------------------------------------------------
 # figure exports
 # ---------------------------------------------------------------------------
@@ -190,10 +300,12 @@ def test_fig1_layout(tmp_path):
     export_figure("fig1", out)
     lines = out.read_text(encoding="utf-8").splitlines()
     comments = [l for l in lines if l.startswith("#")]
-    # description, pairs, then the provenance of each pair and numpy's version
-    assert len(comments) == 5
-    assert comments[2:4] == ["# pauli: eigenbasis path, complex128 arithmetic",
-                             "# random:16: taylor path, float64 arithmetic"]
+    # description, pairs, then the provenance of each pair and the versions
+    assert len(comments) == 6
+    assert comments[2:] == ["# pauli: eigenbasis path, complex128 arithmetic",
+                            "# random:16: taylor path, float64 arithmetic",
+                            f"# commexp {commexp.__version__}",
+                            f"# numpy {np.__version__}"]
     header_at = len(comments)
     assert lines[header_at] == "scheme,pair,t_total,n,gates,error"
     rows = lines[header_at + 1:]
@@ -227,11 +339,12 @@ def test_fig6_two_section_layout(tmp_path):
     out = tmp_path / "fig6.csv"
     export_figure("fig6", out)
     lines = out.read_text(encoding="utf-8").splitlines()
-    assert lines[2:4] == ["# pauli: eigenbasis path, complex128 arithmetic",
+    assert lines[2:5] == ["# pauli: eigenbasis path, complex128 arithmetic",
+                          f"# commexp {commexp.__version__}",
                           f"# numpy {np.__version__}"]
-    assert lines[4] == "method,t,error"
+    assert lines[5] == "method,t,error"
     cost_header = lines.index("method,gates,error")
-    step_rows = [l for l in lines[5:cost_header] if not l.startswith("#")]
+    step_rows = [l for l in lines[6:cost_header] if not l.startswith("#")]
     cost_rows = lines[cost_header + 1:]
     assert len(step_rows) == 3 * 13
     assert len(cost_rows) == 3 * 11

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import commexp
 from commexp import bench
 from commexp.cli import EXIT_INTERNAL, main
 from commexp.schemes import ExponentSlot, catalog_get, catalog_names, save_scheme
@@ -288,7 +289,8 @@ def test_bench_custom_cost_table(capsys, tmp_path):
                   "taylor path, complex128 arithmetic for PCP6_3_imaginary"),
 ])
 def test_bench_custom_stamps_provenance(capsys, tmp_path, pair, stamp):
-    # the comment lines name how each pair was evaluated and the numpy version
+    # the comment lines name how each pair was evaluated and the commexp and
+    # numpy versions
     out = tmp_path / "stamp.csv"
     code, _, _ = run(
         capsys, "bench", "--custom", "--schemes", "NCP6_3,NCP10_4,PCP6_3_imaginary",
@@ -296,7 +298,7 @@ def test_bench_custom_stamps_provenance(capsys, tmp_path, pair, stamp):
     assert code == 0
     lines = out.read_text(encoding="utf-8").splitlines()
     comments = [l[2:] for l in lines if l.startswith("# ")]
-    assert comments[1:] == [stamp, f"numpy {np.__version__}"]
+    assert comments[1:] == [stamp, f"commexp {commexp.__version__}", f"numpy {np.__version__}"]
     assert lines[len(comments)] == "scheme,pair,t_total,n,gates,error"
 
 

@@ -137,6 +137,17 @@ def test_effective_error_order_six_in_basis():
     assert ee.leading_norm == pytest.approx(float(np.linalg.norm(degree_seven)), rel=1e-14)
 
 
+def test_effective_error_of_raw_slots_asks_for_the_order():
+    # a raw slot list has no order to default r to; with r given it is sized
+    # from zero, as the Scheme of the same slots is when it has no target
+    slots = [(Generator.A, 1.0), (Generator.B, 1.0)]
+    with pytest.raises(ValueError, match="needs r"):
+        effective_error(slots)
+    ee = effective_error(slots, r=1)
+    assert ee.order == 1 and ee.slot_count == 2
+    assert ee.leading_norm == pytest.approx(0.5)
+
+
 @pytest.mark.parametrize("name", ["NCP6_3", "PCP16_5", "PCP26_6", "combined5"])
 def test_residual_report_carries_effective_error(name):
     sch = catalog_get(name)

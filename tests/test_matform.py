@@ -168,6 +168,18 @@ def test_expm_rejects_nonfinite():
         expm(M)
 
 
+@pytest.mark.parametrize("M", [
+    np.stack([np.diag([1.0, 2.0]), np.diag([3.0, 4.0])]),   # a stack is not one matrix
+    np.ones((2, 3)),
+    np.ones(3),
+    np.float64(1.0),
+])
+def test_expm_and_two_norm_take_one_square_matrix(M):
+    for function in (expm, two_norm):
+        with pytest.raises(ValueError, match="square 2-D matrix"):
+            function(M)
+
+
 def test_expm_inverse_relation(rng):
     M = rng.standard_normal((5, 5))
     product = expm(M) @ expm(-M)
@@ -221,6 +233,16 @@ def test_two_norm_agrees_with_numpy(dim, data):
     M = np.array(entries).reshape(dim, dim)
     expected = np.linalg.norm(M, 2)
     assert two_norm(M) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+
+def test_two_norms_is_two_norm_per_matrix(rng):
+    stack = rng.standard_normal((5, 7, 7)) + 1j * rng.standard_normal((5, 7, 7))
+    assert matform.two_norms(stack).tolist() == [two_norm(M) for M in stack]
+    assert matform.two_norms(stack.real).tolist() == [two_norm(M) for M in stack.real]
+    assert matform.two_norms(np.empty((0, 3, 3))).shape == (0,)
+    stack[3, 1, 2] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        matform.two_norms(stack)
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +326,23 @@ def test_evaluate_scheme_at_time_zero(pauli_pair):
         evaluate_scheme(catalog_get("NCP6_3"), pauli_pair, 0.0), np.eye(2))
 
 
+@pytest.mark.parametrize("pair_kind, scheme", [
+    ("pauli", "NCP6_3"), ("symmetric", "NCP6_3"),
+    ("random", "NCP6_3"), ("random", "PCP6_3_imaginary")])
+def test_evaluate_scheme_at_time_zero_keeps_the_path_dtype(pair_kind, scheme):
+    # the exact identity, in the arithmetic evaluation_path names: a real
+    # symmetric pair walks its eigenbasis in complex128 at every t, t = 0 too
+    pair = {"pauli": make_pair("pauli"), "random": make_pair("random", 4, 1),
+            "symmetric": OperatorPair(np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+            }[pair_kind]
+    scheme = catalog_get(scheme)
+    dtype = matform.evaluation_path(scheme, pair)[1]
+    for t in (0.0, np.zeros(3), np.array([0.3, 0.0])):
+        U = evaluate_scheme(scheme, pair, t)
+        assert U.dtype == dtype
+        np.testing.assert_array_equal(U.reshape(-1, pair.dim, pair.dim)[-1], np.eye(pair.dim))
+
+
 def test_evaluate_scheme_complex_coefficients(random_pair):
     scheme = catalog_get("PCP6_3_imaginary")
     U = evaluate_scheme(scheme, random_pair, 0.2)
@@ -318,6 +357,11 @@ def test_evaluate_scheme_refuses_template_slots(pauli_pair, random_pair):
     for pair in (pauli_pair, random_pair):
         with pytest.raises(ValueError, match="abstract"):
             evaluate_scheme(template, pair, 0.3)
+
+
+def test_evaluate_scheme_refuses_a_grid_of_times(pauli_pair):
+    with pytest.raises(ValueError, match="1-D array"):
+        evaluate_scheme(catalog_get("NCP6_3"), pauli_pair, np.ones((2, 2)))
 
 
 def _unit(X):
@@ -384,6 +428,42 @@ def test_eigenbasis_walk_on_pauli_catalog(pauli_pair, name):
         assert np.linalg.norm(evaluate_scheme(scheme, pauli_pair, t) - expected, 2) <= 4 * bound
 
 
+_STEP_TIMES = st.lists(st.one_of(st.just(0.0), st.floats(min_value=-2.0, max_value=2.0)),
+                       min_size=1, max_size=9)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    pair_kind=st.sampled_from(["pauli", "symmetric", "random", "complex"]),
+    slots=st.lists(st.tuples(st.sampled_from([Generator.A, Generator.B]), _COEFFICIENTS),
+                   min_size=0, max_size=10),
+    times=_STEP_TIMES,
+)
+@example(pair_kind="random",   # the middle runs cancel, merging the A runs around them
+         slots=[(Generator.A, 0.5), (Generator.B, 0.3), (Generator.B, -0.3), (Generator.A, 0.25)],
+         times=[0.0, 1.5, -0.2, 0.0, 0.7])
+@example(pair_kind="pauli", slots=[(Generator.B, 1.0), (Generator.B, -1.0)], times=[0.5, 0.0])
+@example(pair_kind="random", slots=[(Generator.A, 0.5j), (Generator.B, 1.0)],
+         times=[0.1, 1.9, 0.6])
+def test_stacked_evaluation_matches_one_time_calls(pair_kind, slots, times):
+    # the stack is the one-time evaluation at each of its times, entry for
+    # entry: same path, same arithmetic, same bits
+    pair = {"pauli": make_pair("pauli"),
+            "symmetric": _symmetric_pair(7, 5, (1, -1)),
+            "random": make_pair("random", 6, 3),
+            "complex": OperatorPair(1j * make_pair("random", 4, 2).A,
+                                    make_pair("random", 4, 2).B)}[pair_kind]
+    stack = evaluate_scheme(slots, pair, np.array(times))
+    singles = [evaluate_scheme(slots, pair, t) for t in times]
+    assert stack.shape == (len(times), pair.dim, pair.dim)
+    assert stack.dtype == np.result_type(*singles)
+    for entry, single in zip(stack, singles):
+        np.testing.assert_array_equal(entry, single)
+    for entry, t in zip(stack, times):
+        if t == 0.0:
+            np.testing.assert_array_equal(entry, np.eye(pair.dim))
+
+
 def _count_expm(monkeypatch):
     calls = []
     original = matform.expm
@@ -430,9 +510,9 @@ def _count_slot_exponentials(monkeypatch):
     calls = []
     original = matform._taylor_exp
 
-    def counting(powers, z, P, Q):
-        calls.append(z)
-        return original(powers, z, P, Q)
+    def counting(powers, *args):
+        calls.append(powers)
+        return original(powers, *args)
 
     monkeypatch.setattr(matform, "_taylor_exp", counting)
     return calls
@@ -473,8 +553,10 @@ def _generator(seed, dim, kind):
 
 def _slot_exponential(X, z):
     d = X.shape[0]
-    buffers = (np.empty((d, d), np.complex128), np.empty((d, d), np.complex128))
-    return matform._taylor_exp(matform._powers(X), z, *buffers)[0]
+    buffers = (np.empty((1, d, d), np.complex128), np.empty((1, d, d), np.complex128))
+    powers = matform._powers(X)
+    s, c = matform._taylor_terms([powers], np.array([[z]]))
+    return matform._taylor_exp(powers, s[0], c[:, 0], *buffers)[0][0]
 
 
 @settings(max_examples=150, deadline=None)
