@@ -23,6 +23,8 @@ from .liealg import (
     MAX_TRUNCATION,
     Generator,
     LieCoefficients,
+    _lie_rows,
+    _rows_per_pass,
     as_generator,
     letter_map,
     lie_project,
@@ -89,14 +91,13 @@ class TargetPolynomial:
         return self.terms.get((degree, position), 0.0)
 
     def vector(self, degree: int) -> np.ndarray:
-        """Dense coefficient vector of the target at one degree."""
-        values = [
-            self.terms.get((degree, pos), 0.0)
-            for pos in range(1, LIE_DIMS[degree - 1] + 1)
-        ]
-        if any(isinstance(v, complex) and v.imag != 0.0 for v in values):
-            return np.array(values, dtype=np.complex128)
-        return np.array([float(np.real(v)) for v in values])
+        """Dense coefficient vector of the target at one degree: complex if a
+        coefficient there has an imaginary part, else the real parts."""
+        values = np.array([self.terms.get((degree, pos), 0.0)
+                           for pos in range(1, LIE_DIMS[degree - 1] + 1)])
+        if np.iscomplexobj(values) and values.imag.any():
+            return values
+        return values.real.astype(np.float64)
 
     @property
     def min_degree(self) -> int:
@@ -211,6 +212,24 @@ def _project(pairs, truncation: int) -> LieCoefficients:
                        coefficient_sum=sum(abs(c) for _, c in pairs))
 
 
+def _project_rows(generators, rows: np.ndarray, truncation: int) -> dict[int, np.ndarray]:
+    """:func:`_project` of b slot products on one generator sequence, one
+    coefficient row of ``rows`` (b, s) each: per degree a (b, dim) array.
+
+    One row goes through :func:`scheme_log` and :func:`lie_project`, the
+    engine's traced boundary; more rows take one batched pass of the same
+    kernels, whose checks hold per row.
+    """
+    if len(rows) == 1:
+        return _as_row(_project(list(zip(generators, rows[0])), truncation))
+    return _lie_rows(generators, rows, truncation)
+
+
+def _as_row(coeffs: LieCoefficients) -> dict[int, np.ndarray]:
+    """The coordinates of one log as a batch of one: per degree (1, dim)."""
+    return {j: w[None] for j, w in coeffs.vectors.items()}
+
+
 @dataclass
 class ResidualReport:
     """Outcome of checking a composition against a target through degree r."""
@@ -242,7 +261,12 @@ def _check_order(r: int, top_degree: int) -> None:
         raise ValueError(f"order {r} needs degree {top_degree} > ceiling {MAX_TRUNCATION}")
 
 
-def order_residuals(scheme, target: TargetPolynomial, r: int, tol: float = 1e-10) -> ResidualReport:
+#: Default tolerance of :func:`order_residuals`.
+_ORDER_TOL = 1e-10
+
+
+def order_residuals(scheme, target: TargetPolynomial, r: int,
+                    tol: float = _ORDER_TOL) -> ResidualReport:
     """Project the composition's log and compare against ``target`` per degree.
 
     Residuals are reported for degrees 1..r.  ``verified_order`` is the
@@ -254,20 +278,21 @@ def order_residuals(scheme, target: TargetPolynomial, r: int, tol: float = 1e-10
     """
     _check_order(r, r + 1)
     pairs = slot_pairs(scheme)
-    coeffs = _project(pairs, r + 1)
+    return _reports(_as_row(_project(pairs, r + 1)), target, r, tol, len(pairs))[0]
 
-    residuals: dict[int, np.ndarray] = {}
-    for degree in range(1, r + 1):
-        residuals[degree] = np.abs(coeffs.vectors[degree] - target.vector(degree))
 
-    verified = 0
-    for degree in range(1, r + 1):
-        if np.all(residuals[degree] <= tol):
-            verified = degree
-        else:
-            break
-    return ResidualReport(r, tol, residuals, verified,
-                          _size_leading_error(coeffs, target, r, len(pairs)))
+def _reports(vectors: Mapping[int, np.ndarray], target: TargetPolynomial, r: int,
+             tol: float, slot_count: int) -> list[ResidualReport]:
+    """The :class:`ResidualReport` of each row of the basis coordinates
+    ``vectors`` (per degree a (b, dim) array) of b logs."""
+    residuals = {degree: np.abs(vectors[degree] - target.vector(degree))
+                 for degree in range(1, r + 1)}
+    worst = np.array([np.maximum.reduce(res, axis=1) for res in residuals.values()])
+    # the verified order is the count of leading degrees that hold
+    verified = np.add.reduce(np.logical_and.accumulate(worst <= tol), axis=0).tolist()
+    errors = _leading_errors(vectors, target, r, slot_count)
+    return [ResidualReport(r, tol, {degree: res[i] for degree, res in residuals.items()},
+                           verified[i], errors[i]) for i in range(len(errors))]
 
 
 @dataclass(frozen=True)
@@ -281,15 +306,27 @@ class EffectiveError:
     leading_norm: float
 
 
-def _size_leading_error(coeffs: LieCoefficients, target: TargetPolynomial | None,
-                        r: int, slot_count: int) -> EffectiveError:
-    """E from the degree-(r+1) deviation from ``target`` (no target: from zero)."""
-    deviation = coeffs.vectors[r + 1]
+def _leading_errors(vectors: Mapping[int, np.ndarray], target: TargetPolynomial | None,
+                    r: int, slot_count: int) -> list[EffectiveError]:
+    """E of each row from its degree-(r+1) deviation from ``target`` (no
+    target: from zero)."""
+    deviation = vectors[r + 1]
     if target is not None:
         deviation = deviation - target.vector(r + 1)
-    norm = float(np.linalg.norm(deviation))
-    E = slot_count * norm ** (1.0 / r)
-    return EffectiveError(E, E / slot_count, slot_count, r, norm)
+    errors = []
+    for norm in _row_norms(deviation).tolist():
+        E = slot_count * norm ** (1.0 / r)
+        errors.append(EffectiveError(E, E / slot_count, slot_count, r, norm))
+    return errors
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of x, summed as ``np.linalg.norm`` sums a
+    single row (one BLAS dot per real part), so each is exact as its row's."""
+    squares = np.matmul(x.real[:, None, :], x.real[:, :, None])[:, 0, 0]
+    if np.iscomplexobj(x):
+        squares = squares + np.matmul(x.imag[:, None, :], x.imag[:, :, None])[:, 0, 0]
+    return np.sqrt(squares)
 
 
 def effective_error(scheme, r: int | None = None) -> EffectiveError:
@@ -309,8 +346,8 @@ def effective_error(scheme, r: int | None = None) -> EffectiveError:
             raise ValueError("effective_error needs r for a raw slot list, which carries no order")
         r = scheme.order
     _check_order(r, r + 1)
-    return _size_leading_error(_project(pairs, r + 1),
-                               getattr(scheme, "target", None), r, len(pairs))
+    return _leading_errors(_as_row(_project(pairs, r + 1)),
+                           getattr(scheme, "target", None), r, len(pairs))[0]
 
 
 # --------------------------------------------------------------------------
@@ -474,16 +511,17 @@ def cp_condition_counts(sign, r: int = 6) -> dict[int, int]:
 # --------------------------------------------------------------------------
 
 
-def _residual(pairs, target, r):
-    """Every basis coefficient of the slot product's log through degree r
-    minus the target's.
+def _residual(generators, rows: np.ndarray, target, r) -> np.ndarray:
+    """Every basis coefficient of each slot product's log through degree r
+    minus the target's: (b, m) residuals of the (b, s) coefficient ``rows``
+    on ``generators``.
 
     Complex coefficients give complex residuals (the complex-step Jacobian in
     :func:`refine` relies on that).
     """
-    coeffs = _project(pairs, r)
-    return np.concatenate([coeffs.vectors[degree] - target.vector(degree)
-                           for degree in range(1, r + 1)])
+    vectors = _project_rows(generators, rows, r)
+    return np.concatenate([vectors[degree] - target.vector(degree)
+                           for degree in range(1, r + 1)], axis=1)
 
 
 def _mirror_sign(scheme, target, r) -> str | None:
@@ -511,15 +549,13 @@ _COMPLEX_STEP = 1e-20
 def _complex_step_jacobian(residual_of, v: np.ndarray) -> np.ndarray:
     """J[:, i] = Im F(v + i h e_i) / h for a residual F analytic in v.
 
-    Needs one evaluation per column, against two for central differences,
-    and is exact to round-off (Squire & Trapp 1998).
+    ``residual_of`` maps (b, n) rows to (b, m) residual rows, so the n
+    stepped points ``v + i h I`` take one call.  The step costs one
+    evaluation per column, against two for central differences, and is exact
+    to round-off (Squire & Trapp 1998).
     """
-    columns = []
-    for i in range(len(v)):
-        vc = v.astype(np.complex128)
-        vc[i] += 1j * _COMPLEX_STEP
-        columns.append(residual_of(vc).imag / _COMPLEX_STEP)
-    return np.column_stack(columns)
+    stepped = v + 1j * _COMPLEX_STEP * np.eye(len(v))
+    return (residual_of(stepped).imag / _COMPLEX_STEP).T
 
 
 def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
@@ -539,9 +575,10 @@ def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
     phi(Z) = -Z hold the rest).  The Jacobian is formed by complex steps
     (:func:`_complex_step_jacobian`): the residual chain is analytic in the
     coefficients, so one complex evaluation per unknown gives each column to
-    round-off while the iterate stays real.  Returns the scheme with its
-    slots replaced and every other field kept; raises ``RuntimeError`` on
-    divergence or stagnation.
+    round-off while the iterate stays real, and the evaluations of all the
+    unknowns take one batched pass.  ``free_slots`` must not repeat an index.
+    Returns the scheme with its slots replaced and every other field kept;
+    raises ``RuntimeError`` on divergence or stagnation.
     """
     from .schemes import ExponentSlot
 
@@ -559,23 +596,28 @@ def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
     generators = [g for g, _ in pairs]
     x_full = np.array([float(np.real(c)) for _, c in pairs])
     sign = _mirror_sign(scheme, target, r)
+    # coefficients_of maps the unknowns, scalars or columns of rows, to the
+    # slot coefficients in the same form
     if sign is not None:
         x_full = x_full[1:len(pairs) // 2]  # the half-pattern's tail
 
-        def pairs_of(x):
-            return _cp_pairs([cp_half_closure(x, sign), *x], _cp_sign(sign))
+        def coefficients_of(x):
+            half = [cp_half_closure(x, sign), *x]
+            return [c for _, c in _cp_pairs(half, _cp_sign(sign))]
 
         counts = cp_condition_counts(sign, r)
         n_conditions = sum(counts[d] for d in range(2, r + 1))
     else:
-        def pairs_of(x):
-            return list(zip(generators, x))
+        def coefficients_of(x):
+            return list(x)
 
         n_conditions = sum(LIE_DIMS[d - 1] for d in range(1, r + 1))
 
     free = list(range(len(x_full))) if free_slots is None else sorted(free_slots)
     if any(i < 0 or i >= len(x_full) for i in free):
         raise ValueError("free_slots index out of range")
+    if len(set(free)) < len(free):
+        raise ValueError("free_slots repeats an index")
     if len(free) < n_conditions:
         raise ValueError(
             f"{len(free)} free coefficients cannot satisfy {n_conditions} conditions"
@@ -584,12 +626,13 @@ def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
     x = x_full.copy()
 
     def eval_at(values):
-        y = x.astype(values.dtype)
-        y[free] = values
-        return _residual(pairs_of(y), target, r)
+        # rows of free values -> rows of residuals
+        y = np.tile(x, (len(values), 1)).astype(values.dtype)
+        y[:, free] = values
+        return _residual(generators, np.stack(coefficients_of(y.T), axis=1), target, r)
 
     v = x_full[free].copy()
-    g = eval_at(v)
+    g = eval_at(v[None])[0]
     for _ in range(max_iter):
         worst = np.max(np.abs(g))
         if worst <= tol:
@@ -599,13 +642,14 @@ def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
         J = _complex_step_jacobian(eval_at, v)
         step, *_ = np.linalg.lstsq(J, -g, rcond=None)
         v = v + step
-        g = eval_at(v)
+        g = eval_at(v[None])[0]
     if np.max(np.abs(g)) > tol:
         raise RuntimeError(f"no convergence after {max_iter} iterations "
                            f"(residual {np.max(np.abs(g)):.3e})")
 
     x[free] = v
-    return replace(scheme, slots=tuple(ExponentSlot(g, c) for g, c in pairs_of(x)))
+    return replace(scheme, slots=tuple(ExponentSlot(g, c)
+                                       for g, c in zip(generators, coefficients_of(x))))
 
 
 # --------------------------------------------------------------------------
@@ -629,20 +673,24 @@ def optimize_free_parameter(family: Callable[[float], object], r: int,
                             order_tol: float = 1e-8) -> OptimizeResult:
     """Minimize the effective error of a one-parameter family of order r.
 
-    Scans a uniform grid over ``prange`` (checking that every candidate
-    actually satisfies the order conditions), then tightens the best
-    bracket by golden-section search.  A family whose objective varies
-    below round-off is returned with ``flat=True``.  ``at_edge`` is set when
-    the grid minimum is an end point of ``prange`` and the search ends within
+    Scans a uniform grid of ``grid`` >= 2 points over ``prange`` (checking
+    that every candidate actually satisfies the order conditions), then
+    tightens the best bracket by golden-section search.  The grid is scored
+    in batched passes, one per generator sequence among its members (split
+    at the engine's byte budget); the golden-section probes, each depending
+    on the one before, are scored one at a time through
+    :func:`order_residuals`.  A family whose objective varies below
+    round-off is returned with ``flat=True``.  ``at_edge`` is set when the
+    grid minimum is an end point of ``prange`` and the search ends within
     ``param_tol`` of it: the minimizer then probably lies outside the range.
     """
     a, b = float(prange[0]), float(prange[1])
     if not a < b:
         raise ValueError("empty parameter range")
+    if grid < 2:
+        raise ValueError(f"the grid needs at least 2 points, got {grid}")
 
-    def objective(p: float) -> float:
-        scheme = family(p)
-        report = order_residuals(scheme, scheme.target, r)
+    def checked(p: float, report: ResidualReport) -> float:
         if report.verified_order < r:
             worst = max(report.max_residual(d) for d in range(1, r + 1))
             if worst > order_tol:
@@ -652,8 +700,17 @@ def optimize_free_parameter(family: Callable[[float], object], r: int,
                 )
         return report.effective_error.E
 
+    def objective(p: float) -> float:
+        scheme = family(p)
+        return checked(p, order_residuals(scheme, scheme.target, r))
+
     xs = np.linspace(a, b, grid)
-    fs = np.array([objective(x) for x in xs])
+    try:
+        fs = _grid_scores(family, xs, r, checked)
+    except ValueError:
+        for x in xs:  # the first failing member raises, named by its parameter
+            objective(x)
+        raise
     if np.max(fs) - np.min(fs) <= 1e-14 * max(1.0, np.max(np.abs(fs))):
         mid = 0.5 * (a + b)
         return OptimizeResult(mid, float(objective(mid)), True, False)
@@ -678,6 +735,29 @@ def optimize_free_parameter(family: Callable[[float], object], r: int,
     best = 0.5 * (lo + hi)
     at_edge = k in (0, grid - 1) and abs(best - xs[k]) <= param_tol
     return OptimizeResult(float(best), float(objective(best)), False, bool(at_edge))
+
+
+def _grid_scores(family, params, r: int, checked) -> np.ndarray:
+    """``checked(p, report)`` of the family member at each parameter.  Members
+    on one generator sequence and target are reported together, in batched
+    passes of at most :func:`~commexp.liealg._rows_per_pass` rows; only their
+    coefficients are kept meanwhile."""
+    groups: dict[tuple, tuple[TargetPolynomial, list]] = {}
+    for i, p in enumerate(params):
+        member = family(p)
+        pairs = slot_pairs(member)
+        key = (tuple(g for g, _ in pairs), tuple(sorted(member.target.terms.items())))
+        groups.setdefault(key, (member.target, []))[1].append((i, [c for _, c in pairs]))
+    scores = np.empty(len(params))
+    step = _rows_per_pass(r + 1)
+    for (generators, _), (target, rows) in groups.items():
+        for lo in range(0, len(rows), step):
+            batch = rows[lo:lo + step]
+            vectors = _project_rows(generators, np.array([c for _, c in batch]), r + 1)
+            reports = _reports(vectors, target, r, _ORDER_TOL, len(generators))
+            for (i, _), report in zip(batch, reports):
+                scores[i] = checked(params[i], report)
+    return scores
 
 
 # --------------------------------------------------------------------------

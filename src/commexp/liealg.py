@@ -12,9 +12,12 @@ outer product, which keeps the Cauchy product (:func:`series_mul`) short.
 The hot path, :func:`scheme_log`, keeps the running product as one flat
 vector (degree j at offset ``2**j - 1``) and appends each slot ``exp(c X)`` to
 it in place: every word ``u X^k`` gains ``c^k/k!`` times the old coefficient
-of ``u``.  One gather through a precomputed index table and one dot product do
-that for all words and all k at once, so a slot costs two numpy calls at any
-truncation.  :func:`series_log` multiplies through the same tables.
+of ``u``.  One gather through a precomputed index table and one matrix
+product do that for all words and all k at once, so a slot costs two numpy
+calls at any truncation.  The kernels carry a leading batch axis: b
+coefficient rows on one generator sequence are b flat products appended in
+the same two calls per slot, and :func:`scheme_log` and :func:`lie_project`
+are their b = 1 case.  :func:`series_log` multiplies through the same tables.
 :func:`series_mul` and :func:`exp_slot` are the plain reference the fast path
 is tested against.
 
@@ -29,7 +32,6 @@ coordinates, so the packed word layout stays inside this module.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass, field
@@ -312,7 +314,7 @@ def series_log(s: TruncatedSeries) -> TruncatedSeries:
     lead = complex(s._deg[0][0])
     if abs(lead - 1.0) > 1e-12:
         raise ValueError(f"series_log needs leading coefficient 1, got {lead}")
-    return _from_flat(s.truncation, _log_flat(_padded(s), s.truncation))
+    return _from_flat(s.truncation, _log_flat(_padded(s)[None], s.truncation)[0])
 
 
 def series_exp(s: TruncatedSeries) -> TruncatedSeries:
@@ -343,21 +345,57 @@ def scheme_log(slots: Iterable, truncation: int) -> TruncatedSeries:
     slots = list(slots)
     if not slots:
         raise ValueError("scheme_log needs at least one slot")
+    complex_ = any(isinstance(c, (complex, np.complexfloating)) for _, c in slots)
+    coefficients = np.array([[c for _, c in slots]],
+                            dtype=np.complex128 if complex_ else np.float64)
+    generators = [as_generator(g) for g, _ in slots]
+    return _from_flat(truncation, _log_rows(generators, coefficients, truncation)[0])
+
+
+def _in_row(message: str, row: int, rows: int) -> str:
+    """``message`` about one row of a batch, naming the row when there are several."""
+    return message if rows == 1 else f"row {row}: {message}"
+
+
+def _log_rows(generators, coefficients: np.ndarray, truncation: int) -> np.ndarray:
+    """Flat logs (b, size) of the slot products of one coefficient row each.
+
+    The rows share the generator sequence; ``coefficients`` is their (b, s)
+    float64 or complex128 array.  Every check of :func:`scheme_log` holds per
+    row, and an error names the offending row.
+    """
+    def failure(row):
+        # slot powers that overflow leave the whole log non-finite
+        finite = np.isfinite(_slot_powers(coefficients[row:row + 1].T, truncation)[:, 0, -1])
+        if not finite.all():
+            i = finite.argmin()
+            return ValueError(_in_row(
+                f"slot {i} coefficient {coefficients[row, i].item()!r} has non-finite "
+                f"powers at truncation {truncation}", row, len(log)))
+        return ValueError(_in_row(
+            f"log of the slot product has a coefficient of size {largest[row]:.3g} at "
+            f"truncation {truncation} (limit {MAX_LOG_COEFFICIENT:g})", row, len(log)))
+
     with np.errstate(over="ignore", invalid="ignore"):
-        log = _log_flat(_slot_product(slots, truncation), truncation)
-    largest = float(np.abs(log).max())
-    if not largest <= MAX_LOG_COEFFICIENT:
-        raise ValueError(
-            f"log of the slot product has a coefficient of size {largest:.3g} at "
-            f"truncation {truncation} (limit {MAX_LOG_COEFFICIENT:g})"
-        )
-    return _from_flat(truncation, log)
+        log = _log_flat(_slot_product(generators, coefficients, truncation), truncation)
+        largest = np.maximum.reduce(np.abs(log), axis=1)
+        _check_rows(largest <= MAX_LOG_COEFFICIENT, failure)
+    return log
+
+
+def _check_rows(ok: np.ndarray, error) -> None:
+    """Raise ``error(*index)`` at the first False entry of ``ok``, whose
+    first axis is the batch: the lowest failing row, then its first failure."""
+    first = ok.argmin()  # 0 when every entry holds
+    if not ok.flat[first]:
+        raise error(*np.unravel_index(first, ok.shape))
 
 
 class _WordTables(NamedTuple):
     """Flat-index tables for one truncation N (see :func:`_word_tables`)."""
 
     size: int
+    starts: np.ndarray
     prefix: np.ndarray
     suffix: np.ndarray
     append: dict[Generator, np.ndarray]
@@ -369,7 +407,8 @@ def _word_tables(truncation: int) -> _WordTables:
 
     A series at truncation N is flattened to ``size = 2**(N+1) - 1`` entries,
     degree j at offset ``2**j - 1``, plus one trailing zero that the tables
-    point at for splits that do not exist.  For q = 0..N and every word t,
+    point at for splits that do not exist; ``starts`` holds those offsets for
+    j = 1..N.  For q = 0..N and every word t,
     ``prefix[q, t]`` is t without its last q letters and ``suffix[q, t]`` is
     those q letters as a word of degree q (both the pad when t is shorter than
     q); ``append[X][q, t]`` is ``prefix[q, t]`` where t ends in ``X^q`` and the
@@ -390,9 +429,10 @@ def _word_tables(truncation: int) -> _WordTables:
         Generator.A: np.where(fits & (tail == 0), prefix, size),
         Generator.B: np.where(fits & (tail == (1 << q) - 1), prefix, size),
     }
-    for table in (prefix, suffix, *append.values()):
+    starts = (2 << np.arange(truncation)) - 1
+    for table in (starts, prefix, suffix, *append.values()):
         table.flags.writeable = False  # shared by every caller through the cache
-    return _WordTables(size, prefix, suffix, append)
+    return _WordTables(size, starts, prefix, suffix, append)
 
 
 def _padded(s: TruncatedSeries) -> np.ndarray:
@@ -407,51 +447,83 @@ def _from_flat(truncation: int, flat: np.ndarray) -> TruncatedSeries:
     )
 
 
-def _slot_product(slots: list, truncation: int) -> np.ndarray:
-    """Padded flat left-to-right product of ``exp(c * g)`` over ``(g, c)`` pairs.
+def _slot_powers(coefficients: np.ndarray, truncation: int) -> np.ndarray:
+    """``c^k/k!`` for k = 0..N of a 2-D float64 or complex128 coefficient
+    array, along a new last axis, rounded as the Python scalar recurrence
+    ``power * c / k`` rounds them.
 
-    Right-multiplying by ``exp(c X)`` adds, to each word ending in ``X^k``,
-    ``c^k/k!`` times the coefficient of the word without that tail; row k of
-    ``append[X]`` gathers those prefixes, so a slot is one gather and one dot
-    product written back into the running product.
+    numpy's complex multiply and divide round differently from Python's
+    complex scalars, so complex powers are formed from their real and
+    imaginary parts.
+    """
+    powers = np.empty((truncation + 1,) + coefficients.shape, dtype=coefficients.dtype)
+    if not np.iscomplexobj(powers):
+        rows = list(powers)
+        rows[0].fill(1.0)
+        rows[1][...] = coefficients  # (1.0 * c) / 1 is c
+        for k in range(2, truncation + 1):
+            np.multiply(rows[k - 1], coefficients, out=rows[k])
+            np.true_divide(rows[k], k, out=rows[k])
+    else:
+        re, im = powers.real, powers.imag
+        cr, ci = coefficients.real, coefficients.imag
+        re[0], im[0] = 1.0, 0.0
+        for k in range(1, truncation + 1):
+            re[k] = (re[k - 1] * cr - im[k - 1] * ci) / k
+            im[k] = (re[k - 1] * ci + im[k - 1] * cr) / k
+    return np.ascontiguousarray(powers.transpose(1, 2, 0))
+
+
+def _slot_product(generators, coefficients: np.ndarray, truncation: int) -> np.ndarray:
+    """Padded flat left-to-right products (b, size + 1) of ``exp(c_i g_i)``.
+
+    ``generators`` is the sequence every row shares and ``coefficients`` the
+    (b, s) array of their coefficients.  Right-multiplying by ``exp(c X)``
+    adds, to each word ending in ``X^k``, ``c^k/k!`` times the coefficient of
+    the word without that tail; row k of ``append[X]`` gathers those
+    prefixes, so a slot is one gather and one stacked (b, 1, N+1) by
+    (b, N+1, size) product written back into the running products.
+    ``coefficients`` is float64 or complex128; powers that overflow leave
+    the product non-finite (:func:`_log_rows` reports them).
     """
     tables = _word_tables(truncation)
-    complex_ = any(isinstance(c, (complex, np.complexfloating)) for _, c in slots)
-    flat = np.zeros(tables.size + 1, dtype=np.complex128 if complex_ else np.float64)
-    flat[0] = 1.0
-    product = flat[:-1]
-    for i, (g, c) in enumerate(slots):
-        c = complex(c) if complex_ else float(c)
-        power = 1.0
-        powers = [power]
-        for k in range(1, truncation + 1):
-            power = power * c / k
-            powers.append(power)
-        if not cmath.isfinite(power):
-            raise ValueError(
-                f"slot {i} coefficient {c!r} has non-finite powers at truncation {truncation}"
-            )
-        np.dot(powers, flat[tables.append[as_generator(g)]], out=product)
+    powers = _slot_powers(coefficients.T, truncation)  # (s, b, N+1)
+    flat = np.zeros((len(coefficients), tables.size + 1), dtype=powers.dtype)
+    flat[:, 0] = 1.0
+    entries, product = flat.reshape(-1), flat[:, None, :-1]
+    append = {g: _in_rows(tables.append[g], flat) for g in set(generators)}
+    for g, slot_powers in zip(generators, powers[:, :, None, :]):
+        np.matmul(slot_powers, entries[append[g]], out=product)
     return flat
 
 
+def _in_rows(table: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """A word table shifted into every row of ``flat``, as indices into its
+    ravel: one 1-D gather then reads all rows, C-contiguous (b,
+    *table.shape) as the stacked products need it to round as one row's."""
+    if len(flat) == 1:
+        return table[None]
+    return table + flat.shape[1] * np.arange(len(flat))[:, None, None]
+
+
 def _log_flat(z: np.ndarray, truncation: int) -> np.ndarray:
-    """log of ``1 + z`` for a padded flat series; overwrites z's constant term.
+    """log of ``1 + z`` for each row of padded flat series; overwrites z's
+    constant terms.
 
     ``w * z`` at word t sums ``w[prefix] * z[suffix]`` over the splits of t
     with a nonempty suffix, and z's side of every split is the same for all
-    the powers ``z^k``.  Returns the flat log without the pad.
+    the powers ``z^k``.  Returns the flat logs (b, size) without the pad.
     """
     tables = _word_tables(truncation)
-    z[0] = 0.0
-    z_suffixes = z[tables.suffix[1:]]
-    prefixes = tables.prefix[1:]
-    out = z[:-1].copy()
+    z[:, 0] = 0.0
+    z_suffixes = z.reshape(-1)[_in_rows(tables.suffix[1:], z)]
+    prefixes = _in_rows(tables.prefix[1:], z)
+    out = z[:, :-1].copy()
     power = z
     for k in range(2, truncation + 1):
-        nxt = np.zeros_like(z)
-        np.sum(power[prefixes] * z_suffixes, axis=0, out=nxt[:-1])
-        out += ((-1.0) ** (k + 1) / k) * nxt[:-1]
+        nxt = np.zeros(z.shape, z.dtype)
+        np.add.reduce(power.reshape(-1)[prefixes] * z_suffixes, axis=1, out=nxt[:, :-1])
+        out += ((-1.0) ** (k + 1) / k) * nxt[:, :-1]
         power = nxt
     return out
 
@@ -640,30 +712,82 @@ def lie_project(
     element (Friedrichs criterion) and raises :class:`LieMembershipError`
     unless ``require_lie`` is False.
     """
-    basis = basis_build()
-
-    const = complex(series._deg[0][0])
-    if abs(const) > 1e-9:
+    if abs(complex(series._deg[0][0])) > 1e-9:
         raise ValueError("series has a constant term; logs of products never do")
+    vectors, residuals = _project_flat(np.concatenate(series._deg)[None],
+                                       np.array([coefficient_sum]), series.truncation,
+                                       require_lie)
+    return LieCoefficients(series.truncation, {j: w[0] for j, w in vectors.items()},
+                           dict(zip(vectors, residuals[0].tolist())))
 
+
+def _project_flat(log: np.ndarray, coefficient_sums: np.ndarray, truncation: int,
+                  require_lie: bool = True) -> tuple[dict[int, np.ndarray], np.ndarray]:
+    """:func:`lie_project` of each row of the flat series ``log`` (b, size),
+    whose constant terms are zero.
+
+    ``coefficient_sums`` holds each row's S.  Returns the per-degree
+    coordinates (b, dim) and the residuals (b, N) of degrees 1..N.  Every
+    check holds per row, and an error names the offending row and, as
+    :func:`lie_project` checks the degrees in turn, its lowest failing
+    degree.
+    """
+    basis = basis_build()
+    rows = len(log)
     vectors: dict[int, np.ndarray] = {}
-    residuals: dict[int, float] = {}
-    round_off = LOG_ROUND_OFF  # times S^j / j! below; overflows to inf, not an error
-    for j in range(1, series.truncation + 1):
-        round_off *= coefficient_sum / j
-        y = series.degree_coefficients(j)
-        w = basis.pinvs[j] @ y
-        residual = float(np.linalg.norm(basis.matrices[j] @ w - y))
-        scale = max(1.0, float(np.linalg.norm(y)))
-        if not (math.isfinite(residual) and math.isfinite(scale)):
-            raise ValueError(f"degree-{j} coefficients are not finite or too large "
-                             f"to project")
-        bound = max(DEFAULT_LIE_TOL * scale, round_off)
-        if require_lie and residual > bound:
-            raise LieMembershipError(
-                f"degree-{j} word coefficients are not a commutator polynomial "
-                f"(residual {residual:.3e} > {bound:.3e})"
-            )
-        vectors[j] = w
-        residuals[j] = residual
-    return LieCoefficients(series.truncation, vectors, residuals)
+    # [0] the least-squares misfits of every degree, [1] the log itself
+    parts = np.zeros((2,) + log.shape, dtype=log.dtype)
+    parts[1] = log
+    for j in range(1, truncation + 1):
+        block = slice((1 << j) - 1, (2 << j) - 1)
+        y = log[:, block, None]
+        w = np.matmul(basis.pinvs[j], y)
+        np.subtract(np.matmul(basis.matrices[j], w), y, out=parts[0, :, block, None])
+        vectors[j] = w[:, :, 0]
+    starts = _word_tables(truncation).starts
+    residual, scale = np.sqrt(np.add.reduceat(np.abs(parts) ** 2, starts, axis=2))
+    finite = scale < np.inf  # then the residual is finite too, or fails below
+    bound = DEFAULT_LIE_TOL * np.maximum(1.0, scale)
+    ok = finite & (residual <= bound) if require_lie else finite & np.isfinite(residual)
+    if not ok.all():
+        if require_lie:  # widen the bound by the round-off allowance S^j / j!
+            with np.errstate(over="ignore"):  # which overflows to inf, not an error
+                round_off = LOG_ROUND_OFF * np.multiply.accumulate(
+                    coefficient_sums[:, None] / np.arange(1, truncation + 1), axis=1)
+            bound = np.maximum(bound, round_off)
+            ok = finite & (residual <= bound)
+
+        def failure(row, j):
+            if not (finite[row, j] and np.isfinite(residual[row, j])):
+                return ValueError(_in_row(f"degree-{j + 1} coefficients are not finite or "
+                                          f"too large to project", row, rows))
+            return LieMembershipError(_in_row(
+                f"degree-{j + 1} word coefficients are not a commutator polynomial "
+                f"(residual {residual[row, j]:.3e} > {bound[row, j]:.3e})", row, rows))
+
+        _check_rows(ok, failure)
+    return vectors, residual
+
+
+def _lie_rows(generators, coefficients: np.ndarray, truncation: int) -> dict[int, np.ndarray]:
+    """Basis coordinates (b, dim) per degree of the logs of b slot products.
+
+    The batched :func:`scheme_log` then :func:`lie_project`, with each row's
+    sum of |c_i| as its S: ``coefficients`` is the (b, s) array of the rows,
+    which share the generator sequence.
+    """
+    coefficients = np.asarray(coefficients, np.result_type(coefficients, np.float64))
+    log = _log_rows(generators, coefficients, truncation)
+    return _project_flat(log, np.abs(coefficients).sum(axis=1), truncation)[0]
+
+
+#: Byte budget of the largest buffer of one batched pass, the (b, N+1, size)
+#: prefixes a slot append gathers, at 16 bytes per complex entry.  Callers
+#: split longer batches (the optimizer's grid) into passes of
+#: :func:`_rows_per_pass` rows, so memory stays flat in the batch length.
+_BATCH_BYTES = 1 << 18
+
+
+def _rows_per_pass(truncation: int) -> int:
+    """Most coefficient rows one batched pass takes within :data:`_BATCH_BYTES`."""
+    return max(1, _BATCH_BYTES // (16 * (truncation + 1) << (truncation + 1)))

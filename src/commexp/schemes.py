@@ -12,9 +12,11 @@ into one another.
 from __future__ import annotations
 
 import cmath
+import copy
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -70,9 +72,9 @@ class ExponentSlot:
     def __post_init__(self):
         if self.generator != ABSTRACT:
             object.__setattr__(self, "generator", as_generator(self.generator))
-        if not np.isfinite(complex(self.coefficient)):
-            raise ValueError("slot coefficient must be finite")
         c = complex(self.coefficient)
+        if not cmath.isfinite(c):
+            raise ValueError("slot coefficient must be finite")
         object.__setattr__(self, "coefficient", c if c.imag != 0.0 else c.real)
 
     @property
@@ -698,7 +700,16 @@ def catalog_names() -> list[str]:
 
 
 def catalog_get(name: str) -> Scheme:
-    """Look up a catalog scheme by name (parametrized entries at defaults)."""
+    """Look up a catalog scheme by name (parametrized entries at defaults).
+
+    Each entry is built once; a call returns a fresh copy of that build,
+    which shares its frozen slots and target.
+    """
+    return copy.copy(_catalog_build(name))
+
+
+@lru_cache(maxsize=None)
+def _catalog_build(name: str) -> Scheme:
     try:
         factory = _CATALOG[name]
     except KeyError:

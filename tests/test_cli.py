@@ -417,6 +417,18 @@ def test_optimize_negative_range_survives_argparse(capsys):
     assert "reference c5* = -0.7861513778" in out
 
 
+@pytest.mark.parametrize("family,prange,reason", [
+    ("third_order", "-1:1", "c5 must be nonzero"),  # c5 = 0 is a grid point
+    ("aor4", "0.1:1e300", "non-finite powers"),
+])
+def test_optimize_grid_member_failure_is_input_error(capsys, family, prange, reason):
+    code, out, err = run(capsys, "optimize", "--family", family, "--range", prange)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: ") and reason in err
+
+
 def test_optimize_minimum_past_range_edge_is_input_error(capsys):
     # the minimizer d2* = 0.302 lies below the range
     code, out, err = run(capsys, "optimize", "--family", "aor4", "--range", "0.5:2")

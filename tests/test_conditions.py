@@ -1,5 +1,6 @@
 """Order conditions, effective error, CP machinery, refinement, optimizer."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from commexp.bench import empirical_order
 from commexp.conditions import (
+    _COMPLEX_STEP,
     TargetPolynomial,
     _complex_step_jacobian,
     _mirror_identities,
@@ -517,7 +519,18 @@ def _central_difference_jacobian(residual_of, v, h=1e-6):
     for i in range(len(v)):
         step = np.zeros_like(v)
         step[i] = h * max(1.0, abs(v[i]))
-        columns.append((residual_of(v + step) - residual_of(v - step)) / (2 * step[i]))
+        forward, backward = residual_of(np.array([v + step, v - step]))
+        columns.append((forward - backward) / (2 * step[i]))
+    return np.column_stack(columns)
+
+
+def _columnwise_jacobian(residual_of, v):
+    """The complex-step Jacobian one stepped point (one b = 1 call) per column."""
+    columns = []
+    for i in range(len(v)):
+        stepped = v.astype(np.complex128)
+        stepped[i] += 1j * _COMPLEX_STEP
+        columns.append(residual_of(stepped[None])[0].imag / _COMPLEX_STEP)
     return np.column_stack(columns)
 
 
@@ -526,6 +539,20 @@ def _assert_jacobians_agree(residual_of, v):
     approx = _central_difference_jacobian(residual_of, v)
     assert exact.dtype == np.float64
     assert np.max(np.abs(exact - approx)) <= 1e-6 * max(1.0, np.max(np.abs(exact)))
+    # one batched call gives each column exactly as its own call does
+    np.testing.assert_array_equal(exact, _columnwise_jacobian(residual_of, v))
+
+
+def _mirrored_residual(sign, target, r):
+    """refine's mirrored residual on rows of half-pattern tails: each tail
+    closed, mirrored and projected."""
+    def residual_of(tails):
+        rows = [[c for _, c in cp_expand([cp_half_closure(x, sign), *x], sign).pairs()]
+                for x in tails]
+        generators = [B if i % 2 == 0 else A for i in range(len(rows[0]))]
+        return _residual(generators, np.array(rows), target, r)
+
+    return residual_of
 
 
 _unit_floats = st.floats(-1.0, 1.0, allow_nan=False)
@@ -535,13 +562,7 @@ _unit_floats = st.floats(-1.0, 1.0, allow_nan=False)
 @given(st.lists(_unit_floats, min_size=2, max_size=6),
        st.sampled_from(["positive", "negative"]), st.integers(2, 5))
 def test_complex_step_jacobian_matches_central_differences_cp(tail, sign, r):
-    target = commutator_target()
-
-    def mirrored_residual(x):
-        # refine's mirrored residual: the half-pattern's tail x, closed and mirrored
-        return _residual(cp_expand([cp_half_closure(x, sign), *x], sign).pairs(), target, r)
-
-    _assert_jacobians_agree(mirrored_residual, np.array(tail))
+    _assert_jacobians_agree(_mirrored_residual(sign, commutator_target(), r), np.array(tail))
 
 
 @settings(max_examples=25, deadline=None)
@@ -550,8 +571,26 @@ def test_complex_step_jacobian_matches_central_differences_cp(tail, sign, r):
        st.integers(1, 5))
 def test_complex_step_jacobian_matches_central_differences_general(slots, target, r):
     generators = [g for g, _ in slots]
-    _assert_jacobians_agree(lambda x: _residual(list(zip(generators, x)), target, r),
+    _assert_jacobians_agree(lambda rows: _residual(generators, rows, target, r),
                             np.array([c for _, c in slots]))
+
+
+def test_residual_maps_rows_to_rows():
+    sch = catalog_get("NCP10_4")
+    generators = [g for g, _ in sch.pairs()]
+    row = np.array([c for _, c in sch.pairs()])
+    rows = np.array([row, 1.1 * row, row])
+    out = _residual(generators, rows, sch.target, 4)
+    assert out.shape == (3, sum(LIE_DIMS[:4]))
+    np.testing.assert_array_equal(out[0], out[2])
+    np.testing.assert_array_equal(out[1], _residual(generators, rows[1:2], sch.target, 4)[0])
+    assert np.max(np.abs(out[0])) < 1e-13 < np.max(np.abs(out[1]))
+
+
+def test_refine_rejects_repeated_free_slots():
+    # seven copies of one index are one unknown, not seven
+    with pytest.raises(ValueError, match="repeats"):
+        refine(catalog_get("NCP10_4"), free_slots=[0] * 7)
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +601,50 @@ def test_complex_step_jacobian_matches_central_differences_general(slots, target
 def test_optimize_rejects_empty_range():
     with pytest.raises(ValueError):
         optimize_free_parameter(third_order_family, 3, (1.0, 1.0))
+
+
+@pytest.mark.parametrize("grid", [1, 0, -3])
+def test_optimize_rejects_a_grid_of_fewer_than_two_points(grid):
+    # one sample cannot show whether the objective is flat
+    with pytest.raises(ValueError, match="at least 2 points"):
+        optimize_free_parameter(third_order_family, 3, (0.6, 1.0), grid=grid)
+
+
+def test_optimize_grid_pass_scores_each_member_as_its_probe():
+    # the batched grid scores equal the one-member objective bit for bit
+    from commexp.conditions import _grid_scores
+
+    xs = np.linspace(0.1, 0.6, 33)
+    scores = _grid_scores(schemes.aor4, xs, 4, lambda p, report: report.effective_error.E)
+    singles = [order_residuals(m, m.target, 4).effective_error.E
+               for m in map(schemes.aor4, xs)]
+    assert scores.tolist() == singles
+
+
+def test_optimize_grid_groups_members_by_generator_sequence():
+    from commexp.conditions import _grid_scores
+
+    def family(c5):
+        # below 0.75 the members carry a leading exp(0 A): the same product on
+        # another generator sequence, with seven slots instead of six
+        base = third_order_family(c5)
+        if c5 > 0.75:
+            return base
+        return dataclasses.replace(base, slots=(ExponentSlot(A, 0.0), *base.slots))
+
+    xs = np.linspace(0.6, 1.0, 17)
+    scores = _grid_scores(family, xs, 3, lambda p, report: report.effective_error.E)
+    assert scores.tolist() == [order_residuals(m, m.target, 3).effective_error.E
+                               for m in map(family, xs)]
+    result = optimize_free_parameter(family, 3, (0.6, 1.0), grid=17)
+    assert result.param == pytest.approx(math.sqrt(2.0 / (math.sqrt(5.0) + 1.0)), abs=1e-7)
+
+
+def test_optimize_names_the_first_failing_member():
+    # non-finite powers in the batched grid pass are reported as a scan of
+    # the members one at a time reports them: at the first failing member
+    with pytest.raises(ValueError, match=r"^slot 0 coefficient -3.90625e\+297 has non-finite"):
+        optimize_free_parameter(schemes.aor4, 4, (0.1, 1e300))
 
 
 def test_optimize_flat_family_detected():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from commexp.liealg import (
@@ -15,6 +15,9 @@ from commexp.liealg import (
     LieMembershipError,
     TruncatedSeries,
     Word,
+    _lie_rows,
+    _log_flat,
+    _project_flat,
     _slot_product,
     basis_build,
     exp_slot,
@@ -276,7 +279,10 @@ def test_slot_append_matches_series_mul_chain(case):
     truncation, slots = case
     product_scale, log_scale = _round_off_scales(slots, truncation)
     reference = _reference_product(slots, truncation)
-    product = _slot_product(slots, truncation)[:-1]
+    generators = [g for g, _ in slots]
+    complex_ = any(isinstance(c, complex) for _, c in slots)
+    coefficients = np.array([[c for _, c in slots]], dtype=complex if complex_ else float)
+    product = _slot_product(generators, coefficients, truncation)[0, :-1]
     np.testing.assert_allclose(product, _flat(reference), rtol=0.0,
                                atol=1e-13 * product_scale)
 
@@ -417,3 +423,88 @@ def test_lie_project_degree_seven_in_basis():
     assert coeffs.vectors[MAX_TRUNCATION].shape == (LIE_DIMS[MAX_TRUNCATION - 1],)
     assert coeffs.residuals[MAX_TRUNCATION] <= 1e-14
     assert np.linalg.norm(coeffs.vectors[MAX_TRUNCATION]) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the batch axis: each row of a batched pass is its own b = 1 pass
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def coefficient_batches(draw, max_rows=12):
+    """A truncation, a generator sequence and 1..max_rows coefficient rows on
+    it, real or complex, each row scaled by 1 or 1e-6."""
+    truncation = draw(st.integers(1, MAX_TRUNCATION))
+    generators = draw(st.lists(st.sampled_from([A, B]), min_size=1, max_size=8))
+    rows = draw(st.integers(1, max_rows))
+    count = rows * len(generators)
+    values = st.floats(-1.5, 1.5, allow_nan=False)
+    coefficients = np.array(draw(st.lists(values, min_size=count, max_size=count)))
+    if draw(st.booleans()):
+        coefficients = coefficients + 1j * np.array(
+            draw(st.lists(values, min_size=count, max_size=count)))
+    scales = np.array(draw(st.lists(st.sampled_from([1.0, 1e-6]), min_size=rows,
+                                    max_size=rows)))
+    return truncation, generators, coefficients.reshape(rows, -1) * scales[:, None]
+
+
+@settings(max_examples=120, deadline=None)
+@given(coefficient_batches())
+def test_batched_rows_equal_their_single_row_passes(case):
+    truncation, generators, rows = case
+    sums = np.abs(rows).sum(axis=1)
+    product = _slot_product(generators, rows, truncation)
+    log = _log_flat(product.copy(), truncation)
+    vectors, residuals = _project_flat(log, sums, truncation)
+    for i, row in enumerate(rows):
+        one = _slot_product(generators, row[None], truncation)
+        np.testing.assert_array_equal(product[i], one[0])
+        one_log = _log_flat(one, truncation)
+        np.testing.assert_array_equal(log[i], one_log[0])
+        one_vectors, one_residuals = _project_flat(one_log, sums[i:i + 1], truncation)
+        for j in vectors:
+            np.testing.assert_array_equal(vectors[j][i], one_vectors[j][0])
+        np.testing.assert_array_equal(residuals[i], one_residuals[0])
+    # scheme_log and lie_project are the b = 1 case of the same kernels
+    pairs = list(zip(generators, rows[-1].tolist()))
+    coeffs = lie_project(scheme_log(pairs, truncation), coefficient_sum=float(sums[-1]))
+    for j in vectors:
+        np.testing.assert_array_equal(coeffs.vectors[j], vectors[j][-1])
+    batched = _lie_rows(generators, rows, truncation)
+    for j in vectors:
+        np.testing.assert_array_equal(batched[j], vectors[j])
+
+
+@settings(max_examples=40, deadline=None)
+@given(coefficient_batches(max_rows=6), st.data(),
+       st.sampled_from([(1e200, "non-finite powers"), (float("nan"), "non-finite powers")]))
+def test_batch_names_the_row_with_non_finite_powers(case, data, bad):
+    truncation, generators, rows = case
+    rows = np.vstack([rows, rows])  # at least two rows, so errors name them
+    row = data.draw(st.integers(0, len(rows) - 1))
+    slot = data.draw(st.integers(0, len(generators) - 1))
+    rows[row, slot] = bad[0]
+    assume(truncation > 1 or np.isnan(bad[0]))  # at truncation 1 the only power is c
+    with pytest.raises(ValueError, match=rf"^row {row}: slot {slot} .*{bad[1]}"):
+        _lie_rows(generators, rows, truncation)
+
+
+def test_batch_names_the_row_whose_log_is_too_large():
+    rows = np.array([[0.3, 0.2, -0.7], [0.3, 1e60, -0.7], [0.3, 1e60, -0.7]])
+    with pytest.raises(ValueError, match=r"^row 1: log of the slot product .*limit"):
+        _lie_rows([B, A, B], rows, 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coefficient_batches(max_rows=6), st.data())
+def test_batch_names_the_row_that_is_not_lie(case, data):
+    truncation, generators, rows = case
+    assume(truncation > 1)  # every degree-1 series is a Lie element
+    log = _log_flat(_slot_product(generators, np.vstack([rows, rows]), truncation),
+                    truncation)
+    row = data.draw(st.integers(0, len(log) - 1))
+    log[row, 4] += 1.0  # the word AB alone, without -BA
+    with pytest.raises(LieMembershipError, match=rf"^row {row}: degree-2 word"):
+        _project_flat(log, np.abs(np.vstack([rows, rows])).sum(axis=1), truncation)
+    lie = _project_flat(log, np.zeros(len(log)), truncation, require_lie=False)
+    assert lie[1][row, 1] > 0.1  # the degree-2 residual

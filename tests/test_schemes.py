@@ -811,3 +811,17 @@ def test_load_prefers_literal_terms_on_mismatch(tmp_path):
     save_scheme(scheme, path)
     loaded = load_scheme(path)
     assert loaded.target.terms == {(2, 1): 2.0}
+
+
+@pytest.mark.parametrize("name", ["NCP10_4", "strang", "aor4_opt", "PCP6_3_imaginary"])
+def test_catalog_get_shares_one_build_that_use_leaves_as_built(name, capsys):
+    from commexp import bench, cli, matform
+    from commexp.schemes import _CATALOG
+
+    scheme = catalog_get(name)
+    assert scheme.slots is catalog_get(name).slots  # one build, shared
+    assert cli.main(["verify", "--scheme", name]) == 0
+    if name != "PCP6_3_imaginary":  # refine takes real coefficients only
+        refine(scheme)
+    bench.error_curve(scheme, matform.make_pair("pauli"), 1.0, [1, 2])
+    assert scheme == catalog_get(name) == _CATALOG[name]()
