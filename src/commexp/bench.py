@@ -74,15 +74,18 @@ def error_curve(scheme, pair: matform.OperatorPair, t_total: float,
 
     The per-step time is (t_total/n)^(1/k) with k the leading degree of the
     target, so the n steps compose to the target exactly; the reported cost
-    is n times the slot count.  The n grid is one (len(n_list), d, d) stack
+    is n times the slot count.  A ``t_total`` that is not positive and
+    finite raises ``ValueError``.  The n grid is one (len(n_list), d, d) stack
     (:func:`~commexp.matform.evaluate_scheme`), split only past
     ``_STACK_BYTES`` per buffer.
     """
     scheme = _resolve_scheme(scheme)
+    if not (math.isfinite(t_total) and t_total > 0):
+        raise ValueError(f"t_total must be positive and finite, got {t_total!r}")
     if any(n < 1 for n in n_list):
         raise ValueError("step counts must be positive")
     k = scheme.target.min_degree
-    with np.errstate(over="ignore", invalid="ignore"):  # _errors' two_norms checks T
+    with np.errstate(over="ignore", invalid="ignore"):  # expm refuses a non-finite T
         T = matform.target_matrix(scheme.target, pair, t_total ** (1.0 / k))
     errors = _errors(scheme, pair, [_step_time(t_total, n, k) for n in n_list], n_list,
                      np.broadcast_to(T, (len(n_list),) + T.shape))
@@ -132,7 +135,8 @@ def gates_for_tolerance(scheme, pair: matform.OperatorPair,
     (per-step time x/sqrt(n)).  A doubling search brackets the first step
     count whose error drops to ``tol``; bisection then isolates the smallest
     such n, reported as n times the slot count.  ``None`` marks grid points
-    where ``n_cap`` steps still miss the tolerance.  The searches of all x
+    where ``n_cap`` steps still miss the tolerance; ``n_cap`` must be at
+    least 1 (``ValueError`` otherwise).  The searches of all x
     run in lockstep: each round evaluates the current probe of every
     unfinished x as one stack, and each x probes the step counts its own
     search would.
@@ -142,10 +146,12 @@ def gates_for_tolerance(scheme, pair: matform.OperatorPair,
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if not all(0 < x <= 1 for x in x_grid):
         raise ValueError("x grid must lie in (0, 1]")
+    if n_cap < 1:
+        raise ValueError(f"n_cap must be at least 1, got {n_cap!r}")
     k = scheme.target.min_degree
     targets = np.array([matform.target_matrix(scheme.target, pair, x) for x in x_grid])
     gates: list[int | None] = [None] * len(x_grid)
-    probes = {i: 1 for i in range(len(x_grid)) if n_cap >= 1}
+    probes = dict.fromkeys(range(len(x_grid)), 1)
     brackets: dict[int, tuple[int, int]] = {}  # err(lo) > tol (or lo = 0), err(hi) <= tol
     while probes:
         points = list(probes)
@@ -187,7 +193,7 @@ def single_step_errors(scheme, pair: matform.OperatorPair,
     """(t, error) of one application of the scheme against its own target,
     the t grid stacked as in :func:`error_curve`."""
     scheme = _resolve_scheme(scheme)
-    with np.errstate(over="ignore", invalid="ignore"):  # _errors' two_norms checks T
+    with np.errstate(over="ignore", invalid="ignore"):  # expm refuses a non-finite T
         targets = [matform.target_matrix(scheme.target, pair, t) for t in t_grid]
     errors = _errors(scheme, pair, t_grid, [1] * len(t_grid),
                      np.array(targets).reshape(len(t_grid), pair.dim, pair.dim))

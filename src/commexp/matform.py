@@ -1,7 +1,8 @@
 """Dense matrix harness: exponentials, spectral norm, and test operator pairs.
 
 Everything here is deterministic: the matrix exponential is a fixed
-scaling-and-squaring routine over one degree-14 Taylor core, the spectral
+scaling-and-squaring routine over a Taylor core of degree 5, 8, 11 or 14,
+chosen per exponential (per stack entry) for the fewest products, the spectral
 norm is the largest singular value from LAPACK (numpy's ``norm(M, 2)``), and
 the random operator pairs are drawn from a small named 64-bit generator so
 experiments reproduce given the seed.
@@ -24,8 +25,9 @@ generator merged, cancelling runs removed):
 - *cached powers*, for every other pair (the non-normal ``random`` pairs).
   The pair caches ``(X/||X||_1)^2`` and ``(X/||X||_1)^3`` of each generator
   and their norms, so each run's exponential is the Taylor core of
-  :func:`expm` in 4 products plus its squarings, which the power norms keep
-  few; the runs are multiplied left to right.
+  :func:`expm`: degree 5/8/11/14 per entry, 1-4 products plus s squarings,
+  the degree and s chosen from the power norms; the runs are multiplied
+  left to right.
 """
 
 from __future__ import annotations
@@ -126,15 +128,16 @@ class SplitMix64:
         return values[:count].reshape(dim, dim)
 
 
-#: Scaled-argument bound for the degree-14 Taylor polynomial behind every
-#: exponential here: when |z| nu alpha <= _THETA the truncation error
-#: sum_{k>=15} _THETA^k / k! is at most 7.24e-16, the bound of a degree-13
-#: polynomial at one-norm 1/2 (sum_{k>=14} 0.5^k / k!).  The root of that
-#: equation, 0.62700290, rounded down.
-_THETA = 0.6270028
+#: Scaled-argument bounds theta_m of the Taylor polynomials of degree
+#: m = 5, 8, 11, 14 (1, 2, 3, 4 Horner products on the cached Y^2 and Y^3)
+#: behind every exponential here: when |z| nu alpha <= theta_m the truncation
+#: error sum_{k>m} theta_m^k / k! is at most 7.24e-16, the bound of a degree-13
+#: polynomial at one-norm 1/2 (sum_{k>=14} 0.5^k / k!).  Each is the root of
+#: that equation, rounded down (theta_14 = 0.62700290 rounded to 0.6270028).
+_THETA = np.array([0.0089696, 0.0861186, 0.2889821, 0.6270028])
 
-#: m as a float64 scalar for m = 0..14: the Taylor recursion c_m = c_(m-1) u / m.
-_DIVISORS = [np.float64(m) for m in range(15)]
+#: m as a float64 for m = 1..14, shaped (14, 1, 1): the Taylor factors u / m.
+_DIVISORS = np.arange(1.0, 15.0).reshape(-1, 1, 1)
 
 
 class _Powers(NamedTuple):
@@ -175,60 +178,74 @@ def _powers(X: np.ndarray) -> _Powers:
     return _Powers(X, scale, square, cube, alpha)
 
 
-def _taylor_terms(powers: Sequence[_Powers], z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Squaring counts and Taylor coefficients of exp(z_ij X_i), X_i the
-    matrix of ``powers[i]``, for an (r, k) array z: one row of k arguments
-    per matrix.  Returns s, an (r, k) integer array, and c, the coefficients
-    u^m / m! (m = 0..14) of u = z nu 2^-s, nu the powers' ``scale``, shaped
-    (15, r, k, 1, 1) so that a row broadcasts against a (k, d, d) stack.
-    Since X = nu Y, the coefficients of the X terms (m = 1, 4, 7, 10, 13)
-    come divided by nu (and stay 0 for a zero X).
+def _taylor_terms(powers: Sequence[_Powers], z: np.ndarray
+                  ) -> tuple[list[list[int]], list[list[int]], np.ndarray]:
+    """Horner products, squaring counts and Taylor coefficients of
+    exp(z_ij X_i), X_i the matrix of ``powers[i]``, for an (r, k) array z:
+    one row of k arguments per matrix.  Returns q and s, r lists of k ints:
+    entry (i, j) takes the degree 3 q_ij + 2 polynomial (q_ij
+    products) and s_ij squarings; and c, the coefficients u^m / m! of
+    u = z nu 2^-s, nu the powers' ``scale``, for m = 0..3 max(q) + 2 and
+    exactly 0 above each entry's own degree, shaped (3 max(q) + 3, r, k, 1, 1)
+    so that a row broadcasts against a (k, d, d) stack.  Since X = nu Y, the
+    coefficients of the X terms (m = 1, 4, 7, ...) come divided by nu (and
+    stay 0 for a zero X).
 
-    ``s_ij = ceil(log2(|z_ij| nu_i alpha_i / _THETA))`` (0 when that is
-    negative), computed exactly from the binary exponent; then each row is
-    raised to its suffix maximum, so s does not increase along a row: the
-    squarings of a stack (:func:`_taylor_exp`) run on prefixes of it, and an
-    entry squares as often as the most of those after it.  When |z| does not
-    increase along the row (as :func:`evaluate_scheme` orders it) that
-    changes no s.  All r k coefficient recursions run as one array.
+    Each entry takes, at its own ``x = |z| nu alpha``, the degree m in
+    {5, 8, 11, 14} and the s with the fewest products q + s, ties going to
+    the higher degree.  That is the lowest degree with x <= theta_m and
+    s = 0 while x <= theta_14, and else degree 14 with
+    ``s = ceil(log2(x / theta_14))``, computed exactly from the binary
+    exponent.  Along a row of more than one entry x is first raised to its
+    suffix maximum, so q and s do not increase along it: the top Horner
+    blocks and the squarings of a stack (:func:`_taylor_exp`) run on
+    prefixes of it.  When |z| does not increase along the row (as
+    :func:`evaluate_scheme` orders it) that changes nothing.  The
+    coefficients are one ``cumprod`` of the factors u / m.
     """
-    scale = np.array([[p.scale] for p in powers])
-    alpha = np.array([[p.alpha] for p in powers])
+    scale = np.array([p.scale for p in powers])[:, np.newaxis]
+    alpha = np.array([p.alpha for p in powers])[:, np.newaxis]
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         w = z * scale
     if not np.isfinite(w).all():
         raise ValueError("matrix exponential of non-finite entries")
-    mantissa, exponent = np.frexp(np.abs(w) * alpha / _THETA)
+    x = np.abs(w) * alpha
+    if x.shape[1] > 1:
+        x = np.maximum.accumulate(x[:, ::-1], axis=1)[:, ::-1]
+    q = np.searchsorted(_THETA[:3], x) + 1
+    mantissa, exponent = np.frexp(x / _THETA[3])
     s = np.maximum(exponent - (mantissa == 0.5), 0)
-    s = np.maximum.accumulate(s[:, ::-1], axis=1)[:, ::-1]
     u = w * np.ldexp(1.0, -s)
-    c = np.empty((15,) + u.shape, dtype=u.dtype)
-    rows = list(c)
-    rows[0].fill(1.0)
-    for m in range(1, 15):
-        np.multiply(rows[m - 1], u, out=rows[m])
-        np.divide(rows[m], _DIVISORS[m], out=rows[m])
+    top = 3 * int(q.max()) + 2
+    c = np.zeros((top + 1,) + u.shape, dtype=u.dtype)
+    c[0] = 1.0
+    divisors = _DIVISORS[:top]
+    np.divide(u, divisors, out=c[1:], where=divisors <= 3 * q + 2)
+    np.cumprod(c, axis=0, out=c)
     np.divide(c[1::3], scale, out=c[1::3], where=scale > 0.0)
-    return s, c[..., np.newaxis, np.newaxis]
+    return q.tolist(), s.tolist(), c[..., np.newaxis, np.newaxis]
 
 
-def _taylor_exp(powers: _Powers, s: np.ndarray, c: np.ndarray, P: np.ndarray,
-                Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _taylor_exp(powers: _Powers, q: list[int], s: list[int], c: np.ndarray,
+                P: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """exp(z_i X) for each of k arguments z_i, into one of the (k, d, d)
-    buffers P and Q: (result, the other).  ``s`` (k squaring counts, not
-    increasing) and ``c`` (the 15 Taylor coefficients, shaped (15, k, 1, 1),
-    those of the X terms divided by the powers' ``scale``) are one row of
-    :func:`_taylor_terms` for X's powers.
+    buffers P and Q: (result, the other).  ``q`` and ``s`` (k Horner
+    product and squaring counts, neither increasing) and ``c`` (the Taylor
+    coefficients, shaped (3 q_0 + 3 or more, k, 1, 1), those of the X terms
+    divided by the powers' ``scale``) are one row of :func:`_taylor_terms`
+    for X's powers.
 
     P and Q may be float64 only when X and z are real; complex buffers take
     real powers and arguments as they are.
 
-    Entry i evaluates the degree-14 Taylor polynomial in u_i Y,
-    Paterson-Stockmeyer style in blocks of three terms and Horner in the
-    cached Y^3, ``p = (((B_4 Y^3 + B_3) Y^3 + B_2) Y^3 + B_1) Y^3 + B_0``
+    Entry i evaluates the Taylor polynomial of degree 3 q_i + 2 (5, 8, 11 or
+    14) in u_i Y, Paterson-Stockmeyer style in blocks of three terms and
+    Horner in the cached Y^3, ``p = ((B_q Y^3 + B_(q-1)) Y^3 + ...) Y^3 + B_0``
     with ``B_j = sum_{i<3} (u Y)^(3j+i) / (3j+i)!``; then squares s_i times:
-    4 + s_i matrix products, and no array beyond P and Q.  The squarings
-    run on prefixes of the stack.
+    q_i + s_i matrix products, and no array beyond P and Q.  The Horner
+    blocks above an entry's degree and the squarings run on prefixes of the
+    stack: an entry joins the Horner loop at its own top block, so it equals
+    its own one-entry evaluation bit for bit.
     """
     X, scale, square, cube, alpha = powers
     k, d = len(P), P.shape[-1]
@@ -240,19 +257,30 @@ def _taylor_exp(powers: _Powers, s: np.ndarray, c: np.ndarray, P: np.ndarray,
         dP += 1.0
         return P, Q
     c = list(c)
-    np.multiply(X, c[13], out=P)
-    np.multiply(square, c[14], out=Q)
-    P += Q
-    dP += c[12]
-    for j in (9, 6, 3, 0):
-        np.matmul(P, cube, out=Q)
-        np.multiply(X, c[j + 1], out=P)
-        Q += P
-        np.multiply(square, c[j + 2], out=P)
-        Q += P
-        dQ += c[j]
+    n = 0
+    for j in range(q[0], -1, -1):
+        # entries [:m] carry a Horner value in P, entries [m:n] start at B_j
+        m = n
+        while n < k and q[n] >= j:
+            n += 1
+        c0, c1, c2 = c[3 * j:3 * j + 3]
+        Pn, Qn, dQn = P, Q, dQ
+        if n < k:
+            Pn, Qn, dQn, c0, c1, c2 = P[:n], Q[:n], dQ[:n], c0[:n], c1[:n], c2[:n]
+        if m == 0:
+            np.multiply(X, c1, out=Qn)
+        else:
+            if m < k:
+                np.matmul(P[:m], cube, out=Q[:m])
+                Q[m:n] = 0.0
+            else:
+                np.matmul(P, cube, out=Q)
+            np.multiply(X, c1, out=Pn)
+            Qn += Pn
+        np.multiply(square, c2, out=Pn)
+        Qn += Pn
+        dQn += c0
         P, Q, dP, dQ = Q, P, dQ, dP
-    s = s.tolist()
     m = k
     for i in range(s[0]):
         while s[m - 1] <= i:
@@ -275,28 +303,36 @@ def _square_matrix(M, what: str) -> np.ndarray:
 
 
 def expm(M: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling and squaring over a degree-14 Taylor core.
+    """Matrix exponential by scaling and squaring over a Taylor core of
+    degree 5, 8, 11 or 14.
 
-    The number of squarings s comes from ``nu alpha``, where ``nu = ||M||_1``
-    and alpha is the larger of ``||Y^2||_1^(1/2)`` and ``||Y^3||_1^(1/3)``
-    for ``Y = M / nu`` (Al-Mohy and Higham 2009): it bounds how fast the
-    Taylor terms decay, and is often well below 1 on non-normal M, so s can
-    be several squarings fewer than the one-norm alone asks for.  The scaled
-    argument is pushed below theta_14 = 0.6270028, where the truncation error
-    is at most 7.24e-16 relative.  Good to ~1e-13 relative for the moderate
-    norms used here.  Cost: Y^2 and Y^3, then 4 + s products
-    (Paterson-Stockmeyer, Horner in Y^3).  :func:`evaluate_scheme` runs the
-    same core on each generator's cached powers.  M must be one square 2-D
-    matrix (``ValueError`` otherwise); a real M gives a float64 result, a
-    complex M complex128.
+    The degree m and the number of squarings s come from ``nu alpha``, where
+    ``nu = ||M||_1`` and alpha is the larger of ``||Y^2||_1^(1/2)`` and
+    ``||Y^3||_1^(1/3)`` for ``Y = M / nu`` (Al-Mohy and Higham 2009): it
+    bounds how fast the Taylor terms decay, and is often well below 1 on
+    non-normal M, so s can be several squarings fewer than the one-norm alone
+    asks for.  Of the pairs (m, s) that push the scaled argument below
+    theta_m (theta_5 = 0.0089696, theta_8 = 0.0861186, theta_11 = 0.2889821,
+    theta_14 = 0.6270028, where the truncation error is at most 7.24e-16
+    relative) the one with the fewest products is taken.  Good to ~1e-13
+    relative for the moderate norms used here.  Cost: Y^2 and Y^3, then 1-4
+    products plus s squarings (Paterson-Stockmeyer, Horner in Y^3).
+    :func:`evaluate_scheme` runs the same core on each generator's cached
+    powers.  M must be one square 2-D matrix of finite entries, and its
+    exponential must be finite (``ValueError`` otherwise); a real M gives a
+    float64 result, a complex M complex128.
     """
     M = _square_matrix(M, "expm")
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix exponential of non-finite entries")
-    powers = _powers(M)
-    s, c = _taylor_terms([powers], np.ones((1, 1)))
     P, Q = (np.empty((1,) + M.shape, dtype=M.dtype) for _ in range(2))
-    return _taylor_exp(powers, s[0], c[:, 0], P, Q)[0][0]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        powers = _powers(M)
+        q, s, c = _taylor_terms([powers], np.ones((1, 1)))
+        E = _taylor_exp(powers, q[0], s[0], c[:, 0], P, Q)[0][0]
+    if not np.all(np.isfinite(E)):
+        raise ValueError("matrix exponential overflows")
+    return E
 
 
 class _Eigenbasis(NamedTuple):
@@ -445,7 +481,8 @@ def evaluate_scheme(scheme, pair: OperatorPair, t) -> np.ndarray:
     slots (:func:`~commexp.conditions.slot_runs`), which has the same
     product: zero slots are skipped, neighbours on one generator merge, and a
     run that cancels to zero goes, merging its neighbours; at ``t == 0`` or
-    with no run left the exact identity is returned.
+    with no run left the exact identity is returned.  A step time that is
+    not finite raises ``ValueError`` on either path.
 
     On pairs with an :attr:`~OperatorPair.eigenbasis` the product is carried
     in eigenbasis coordinates as
@@ -457,17 +494,19 @@ def evaluate_scheme(scheme, pair: OperatorPair, t) -> np.ndarray:
     ``||exp(c_i t X_i)||`` (all 1 for anti-Hermitian generators and real
     ``c_i t``); the worst of 3000 random d = 2..16 cases reached 0.63 of it.
 
-    Every other pair exponentiates each run with the degree-14 Taylor core of
+    Every other pair exponentiates each run with the Taylor core of
     :func:`expm` on the pair's cached :attr:`~OperatorPair.powers`: with
     ``nu = ||X||_1`` and alpha from the norms of the cached ``(X/nu)^2`` and
-    ``(X/nu)^3``, a run ``exp(z X)`` takes ``4 + s`` products,
-    ``s = ceil(log2(|z| nu alpha / theta_14))`` squarings and
-    theta_14 = 0.6270028 (truncation error at most 7.24e-16 relative), and
-    is good to ~1e-13 relative.  The stack is ordered by decreasing |t|, so
-    each squaring is a prefix of it.  Three buffers rotate through the runs
-    and the products between them.  They are float64 when the pair and
-    every run's z·t are real, and complex128 when either is complex: then
-    the real cached powers of a real pair are read into complex products.
+    ``(X/nu)^3``, a run ``exp(z X)`` takes, per stack entry, the polynomial
+    of degree 5, 8, 11 or 14 (1-4 products) plus s squarings with the fewest
+    products that brings ``|z| nu alpha 2^-s`` below that degree's theta
+    (truncation error at most 7.24e-16 relative), and is good to ~1e-13
+    relative.  The stack is ordered by decreasing |t|, so the top Horner
+    blocks and each squaring run on a prefix of it.  Three buffers rotate
+    through the runs and the products between them.  They are float64 when
+    the pair and every run's z·t are real, and complex128 when either is
+    complex: then the real cached powers of a real pair are read into
+    complex products.
     The walk's result is always complex128, its t = 0 identity included.
     """
     times = np.asarray(t)
@@ -478,6 +517,8 @@ def evaluate_scheme(scheme, pair: OperatorPair, t) -> np.ndarray:
     gens = [gen for gen, _ in runs]
     # the stack runs over the nonzero step times by decreasing |t|
     sizes = np.abs(steps).tolist()
+    if not all(map(math.isfinite, sizes)):
+        raise ValueError(f"step times must be finite, got {t!r}")
     live = sorted((j for j in range(len(steps)) if sizes[j]), key=lambda j: -sizes[j]) \
         if runs else []
     ordered = live == list(range(len(steps)))
@@ -502,11 +543,11 @@ def evaluate_scheme(scheme, pair: OperatorPair, t) -> np.ndarray:
 def _taylor_walk(powers: tuple[_Powers, _Powers], gens, z, shape, dtype) -> np.ndarray:
     """The product of the runs' Taylor exponentials, per stack entry: run i
     is exp(z[i, j] X) on generator gens[i] for entry j."""
-    s, c = _taylor_terms([powers[gen] for gen in gens], z)
+    q, s, c = _taylor_terms([powers[gen] for gen in gens], z)
     P, Q = (np.empty(shape, dtype=dtype) for _ in range(2))
     result = None
     for i, gen in enumerate(gens):
-        E, spare = _taylor_exp(powers[gen], s[i], c[:, i], P, Q)
+        E, spare = _taylor_exp(powers[gen], q[i], s[i], c[:, i], P, Q)
         if result is None:
             result, P, Q = E, spare, np.empty_like(spare)
         else:

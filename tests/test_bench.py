@@ -78,6 +78,13 @@ def test_error_curve_rejects_bad_step_count(pauli_pair):
         error_curve("strang", pauli_pair, 1.0, (0,))
 
 
+@pytest.mark.parametrize("t_total", [-1.0, 0.0, float("nan"), float("inf"), -float("inf")])
+def test_error_curve_rejects_bad_total_time(pauli_pair, t_total):
+    # a negative t_total made the step time (t_total / n)^(1/2) complex
+    with pytest.raises(ValueError, match="t_total"):
+        error_curve("NCP6_3", pauli_pair, t_total, (1, 2))
+
+
 # ---------------------------------------------------------------------------
 # slope_fit
 # ---------------------------------------------------------------------------
@@ -166,6 +173,9 @@ def test_gates_for_tolerance_rejections(pauli_pair):
         gates_for_tolerance("NCP6_3", pauli_pair, [0.5], 0.0)
     with pytest.raises(ValueError):
         gates_for_tolerance("NCP6_3", pauli_pair, [1.5], 1e-4)
+    for n_cap in (0, -3):
+        with pytest.raises(ValueError, match="n_cap"):
+            gates_for_tolerance("NCP6_3", pauli_pair, [0.5], 1e-4, n_cap=n_cap)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
@@ -206,7 +216,7 @@ def _sequential_gates(scheme, pair, x_grid, tol, n_cap):
     pair_kind=st.sampled_from(["pauli", "random"]),
     x_grid=st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=1, max_size=5),
     tol=st.sampled_from([1e-2, 1e-4, 1e-6, 1e-9]),
-    n_cap=st.sampled_from([0, 1, 3, 64, DEFAULT_N_CAP]),
+    n_cap=st.sampled_from([1, 3, 64, DEFAULT_N_CAP]),
 )
 @example(scheme="NCP6_3", pair_kind="pauli", x_grid=[0.9, 0.1, 0.9], tol=1e-5, n_cap=64)
 def test_lockstep_search_matches_sequential_search(scheme, pair_kind, x_grid, tol, n_cap):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -552,11 +553,14 @@ def _generator(seed, dim, kind):
 
 
 def _slot_exponential(X, z):
+    """exp(z X) through the private Taylor core, in float64 buffers when X
+    and z are real and complex128 ones otherwise."""
     d = X.shape[0]
-    buffers = (np.empty((1, d, d), np.complex128), np.empty((1, d, d), np.complex128))
+    dtype = np.result_type(X, z, np.float64)
+    buffers = (np.empty((1, d, d), dtype), np.empty((1, d, d), dtype))
     powers = matform._powers(X)
-    s, c = matform._taylor_terms([powers], np.array([[z]]))
-    return matform._taylor_exp(powers, s[0], c[:, 0], *buffers)[0][0]
+    q, s, c = matform._taylor_terms([powers], np.array([[z]]))
+    return matform._taylor_exp(powers, q[0], s[0], c[:, 0], *buffers)[0][0]
 
 
 @settings(max_examples=150, deadline=None)
@@ -591,6 +595,172 @@ def test_slot_exponential_rejects_nonfinite_argument(random_pair):
         _slot_exponential(random_pair.A, complex(1e308, 0) * 10)
     with pytest.raises(ValueError, match="non-finite"):
         evaluate_scheme([(Generator.A, float("nan"))], random_pair, 0.5)
+
+
+#: theta_5, theta_8, theta_11, theta_14 as the package states them.
+_THETAS = (0.0089696, 0.0861186, 0.2889821, 0.6270028)
+
+
+def _degree14_reference(X, z):
+    """exp(z X) by a fixed degree-14 Taylor polynomial, summed term by term,
+    and s = ceil(log2(|z| nu alpha / theta_14)) squarings (nu = ||X||_1,
+    alpha from ||Y^2||_1 and ||Y^3||_1 of Y = X / nu)."""
+    d = X.shape[0]
+    E = np.eye(d, dtype=np.result_type(X, z, np.float64))
+    nu = np.linalg.norm(X, 1)
+    if nu == 0.0:
+        return E
+    Y = X / nu
+    alpha = max(np.linalg.norm(Y @ Y, 1) ** 0.5, np.linalg.norm(Y @ Y @ Y, 1) ** (1.0 / 3.0))
+    x = abs(z) * nu * alpha
+    s = max(0, math.ceil(math.log2(x / _THETAS[3]))) if x > 0.0 else 0
+    A = (z / 2.0 ** s) * X
+    term = E.copy()
+    for m in range(1, 15):
+        term = term @ A / m
+        E = E + term
+    for _ in range(s):
+        E = E @ E
+    return E
+
+
+def _selection(x):
+    """(q, s) with the fewest products q + s among the degrees 3 q + 2 whose
+    theta bounds x 2^-s, ties going to the higher degree: a brute-force search."""
+    best = None
+    for q, theta in enumerate(_THETAS, start=1):
+        s = 0
+        while x * 2.0 ** -s > theta:
+            s += 1
+        if best is None or q + s <= sum(best):
+            best = (q, s)
+    return best
+
+
+def _argument_at(X, x, phase):
+    """z = phase x / (nu alpha): the argument whose |z| nu alpha is x."""
+    powers = matform._powers(X)
+    return phase * x / (powers.scale * powers.alpha)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+    dim=st.integers(min_value=1, max_value=12),
+    kind=st.sampled_from(["dense", "non-normal", "real", "zero"]),
+    degree=st.integers(min_value=0, max_value=3),
+    side=st.sampled_from([-1, 1]),
+    phase=st.one_of(st.sampled_from([1.0, -1.0]),
+                    st.floats(min_value=0.0, max_value=2 * math.pi).map(
+                        lambda a: complex(math.cos(a), math.sin(a)))),
+)
+@example(seed=0, dim=4, kind="real", degree=3, side=1, phase=-1.0)
+@example(seed=1, dim=1, kind="dense", degree=0, side=-1, phase=1j)
+def test_per_entry_degree_matches_degree14_reference_and_scipy(seed, dim, kind, degree,
+                                                               side, phase):
+    # an argument just inside or just outside theta_m: the core takes degree m
+    # without squaring inside, and the next degree (or degree 14 and one
+    # squaring) outside; either way it agrees with a degree-14 evaluation and
+    # with scipy within the bound of test_slot_exponential_matches_scipy
+    X = _generator(seed, dim, "dense" if kind == "real" else kind)
+    if kind == "real":
+        X = X.real.copy()
+    norm = np.linalg.norm(X, 2)
+    if norm > 0:
+        X /= norm
+    x = _THETAS[degree] * (1.0 + side * 2.0 ** -40)
+    z = _argument_at(X, x, phase) if norm > 0 else phase
+    q, s, _ = matform._taylor_terms([matform._powers(X)], np.array([[z]]))
+    if norm > 0:
+        assert (q[0][0], s[0][0]) == ((degree + 1, 0) if side < 0 else
+                                      (degree + 2, 0) if degree < 3 else (4, 1))
+    E = _slot_exponential(X, z)
+    assert E.dtype == (np.float64 if kind == "real" and isinstance(z, float) else np.complex128)
+    r = abs(z) * norm
+    bound = 8 * (dim + r) * np.finfo(float).eps * math.exp(r)
+    assert np.linalg.norm(E - scipy.linalg.expm(z * X), 2) <= bound
+    assert np.linalg.norm(E - _degree14_reference(X, z), 2) <= 2 * bound
+    if kind == "zero":
+        np.testing.assert_array_equal(E, np.eye(dim))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.one_of(st.floats(min_value=0.0, max_value=1e3),
+                   st.sampled_from(_THETAS).flatmap(
+                       lambda theta: st.sampled_from([theta, theta * (1 - 2.0 ** -40),
+                                                      theta * (1 + 2.0 ** -40),
+                                                      2 * theta, 2 * theta * (1 + 2.0 ** -40)]))))
+def test_degree_and_squarings_take_the_fewest_products(x):
+    X = make_pair("random", 5, 2).A
+    z = _argument_at(X, x, 1.0)
+    q, s, c = matform._taylor_terms([matform._powers(X)], np.array([[z]]))
+    assert (q[0][0], s[0][0]) == _selection(abs(z) * matform._powers(X).scale
+                                            * matform._powers(X).alpha)
+    # coefficients stop at the entry's own degree
+    assert c.shape[0] == 3 * q[0][0] + 3
+
+
+def _count_products(monkeypatch):
+    """Matrix products made through np.matmul, one per matrix of its output."""
+    products = []
+    original = np.matmul
+
+    def counting(a, b, out=None):
+        products.append(1 if np.ndim(out) == 2 else len(out))
+        return original(a, b, out=out)
+
+    monkeypatch.setattr(np, "matmul", counting)
+    return products
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_small_arguments_take_fewer_products(monkeypatch, degree):
+    # a run at |z| nu alpha <= theta_5, theta_8, theta_11 takes 1, 2, 3
+    # products and no squaring; past theta_14 it takes 4 and squares
+    pair = make_pair("random", 8, 4)
+    z = _argument_at(pair.A, _THETAS[degree] * (1 - 2.0 ** -40), 1.0)
+    products = _count_products(monkeypatch)
+    evaluate_scheme([(Generator.A, z)], pair, 1.0)
+    assert sum(products) == degree + 1
+    products.clear()
+    evaluate_scheme([(Generator.A, 2.0 * _argument_at(pair.A, _THETAS[3], 1.0))], pair, 1.0)
+    assert sum(products) == 4 + 1
+
+
+def test_stack_entries_take_their_own_products(monkeypatch):
+    # entries of one stack just inside 2 theta_14, theta_11, theta_5 and at 0:
+    # the top Horner blocks and the squarings run on prefixes, so the stack
+    # makes each entry's own products, q + s, and no more
+    pair = make_pair("random", 8, 4)
+    z = _argument_at(pair.A, _THETAS[3], 1.0)
+    times = np.array([2.0, _THETAS[2] / _THETAS[3], _THETAS[0] / _THETAS[3], 0.0]) \
+        * (1 - 2.0 ** -40)
+    products = _count_products(monkeypatch)
+    stack = evaluate_scheme([(Generator.A, z)], pair, times)
+    assert sum(products) == (4 + 1) + 3 + 1
+    monkeypatch.undo()
+    for entry, t in zip(stack, times):
+        np.testing.assert_array_equal(entry, evaluate_scheme([(Generator.A, z)], pair, t))
+
+
+@pytest.mark.parametrize("kind", ["pauli", "random"])
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf"),
+                               np.array([0.5, float("nan")]), np.array([float("inf"), 0.1])])
+def test_evaluate_scheme_refuses_non_finite_step_times(kind, t):
+    pair = make_pair("pauli") if kind == "pauli" else make_pair("random", 4, 1)
+    with pytest.raises(ValueError, match="finite"):
+        evaluate_scheme(catalog_get("NCP6_3"), pair, t)
+
+
+def test_expm_refuses_an_overflowing_result():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow"):
+            expm(1e300 * np.eye(2))
+        with pytest.raises(ValueError, match="overflow"):
+            expm(np.array([[800.0, 1.0], [0.0, -3.0]]))
+        with pytest.raises(ValueError, match="non-finite"):  # the one-norm overflows
+            expm(np.full((2, 2), 1e308))
 
 
 def test_expm_matches_scipy_at_dim_256(rng):
