@@ -3,9 +3,15 @@
 The conventions follow the accuracy experiments these schemes were designed
 for: a composition of order r for a degree-k homogeneous target is stepped
 n times at t_step = (t_total/n)^(1/k), so the steps compose exactly to the
-target at t_total and the measured error decays like n^(-(r-k+1)/k)... in
+target at t_total and the measured error decays like n^(-(r-k+1)/k): in
 the commutator case (k = 2), n^(-(r-1)/2).  All exports are deterministic:
 given the same seed and flags the CSV bytes are identical run to run.
+
+Cost tables (:func:`gates_for_tolerance`) use that decay to guide their
+search: each probe predicts where the error crosses the tolerance, and a
+reported count n carries the evaluated bracket err(n) <= tol < err(n - 1).
+``None`` ("not reached") means the largest power of two <= the step cap
+still misses the tolerance.
 """
 
 from __future__ import annotations
@@ -126,53 +132,111 @@ def _matrix_powers(U: np.ndarray, n_list: Sequence[int]) -> np.ndarray:
     return U
 
 
+def _reach(n_cap) -> int:
+    """The largest step count the search probes: the largest power of two
+    <= ``n_cap``."""
+    return 1 << (int(n_cap).bit_length() - 1)
+
+
+class _Search:
+    """One x's search (see :func:`gates_for_tolerance`): ``probe`` is the step
+    count to evaluate next, ``lo`` the largest probe missing ``tol`` and
+    ``hi`` the smallest reaching it (None until one does), each with its
+    error."""
+
+    def __init__(self, p: float, tol: float, top: int):
+        self.p, self.tol, self.top = p, tol, top
+        self.probe = 1
+        self.lo: tuple[int, float] = (0, math.inf)
+        self.hi: tuple[int, float] | None = None
+        self.width = 0  # hi - lo before the last step inside the bracket, 0 before any
+
+    def record(self, error: float) -> bool:
+        """Take the error of ``probe`` and choose the next; True once the
+        search is done: the bracket is one step wide, or ``top`` missed."""
+        n = self.probe
+        doubled = n >= 2 * self.lo[0]
+        if error > self.tol:
+            self.lo = (n, error)
+        else:
+            self.hi = (n, error)
+        if self.hi is None:
+            if n >= self.top:
+                return True
+            # after a miss that did not double n, the next probe doubles it
+            least = n + 1 if self.p > 0 and doubled else 2 * n
+            guess = least
+            if self.p > 0:  # the crossing n (err/tol)^(1/p), in logs against overflow
+                log_n = math.log(n) + math.log(error / self.tol) / self.p
+                guess = math.ceil(math.exp(min(log_n, math.log(self.top))))
+            self.probe = min(max(guess, least), self.top)
+            return False
+        (lo, e_lo), (hi, e_hi) = self.lo, self.hi
+        if hi - lo == 1:
+            return True
+        halved = self.width == 0 or 2 * (hi - lo) <= self.width + 1
+        if self.p > 0 and halved and e_hi > 0:
+            # the crossing of the straight line through both ends in log-log
+            frac = math.log(e_lo / self.tol) / math.log(e_lo / e_hi)
+            self.probe = min(max(math.ceil(lo * (hi / lo) ** frac), lo + 1), hi - 1)
+        else:
+            self.probe = (lo + hi) // 2
+        self.width = hi - lo
+        return False
+
+
 def gates_for_tolerance(scheme, pair: matform.OperatorPair,
                         x_grid: Sequence[float], tol: float,
                         n_cap: int = DEFAULT_N_CAP) -> list[tuple[float, int | None]]:
-    """Smallest gate count reaching ``tol`` for each commutator strength x.
+    """Gate count reaching ``tol`` for each commutator strength x, with its
+    one-step bracket.
 
-    For each x the target is the commutator exponential at t_total = x^2
-    (per-step time x/sqrt(n)).  A doubling search brackets the first step
-    count whose error drops to ``tol``; bisection then isolates the smallest
-    such n, reported as n times the slot count.  ``None`` marks grid points
-    where ``n_cap`` steps still miss the tolerance; ``n_cap`` must be at
-    least 1 (``ValueError`` otherwise).  The searches of all x
-    run in lockstep: each round evaluates the current probe of every
-    unfinished x as one stack, and each x probes the step counts its own
-    search would.
+    For each x the target is the scheme's target at t_total = x^k for a
+    degree-k target (x^2 and per-step time x/sqrt(n) for a commutator).
+    The count is n times the slot count for a step count n with
+    err(n) <= tol < err(n - 1), both evaluated (n = 1 needs only the
+    first).  Where the error is not monotone in n (near round-off) several
+    n qualify; the probe sequence decides which is reported, and it need
+    not be the smallest.
+
+    The probes follow the model err ~ C n^(-p), p = (r + 1)/k - 1 for a
+    scheme of order r.  After n = 1, each probe that misses ``tol`` jumps to
+    the crossing it predicts, ceil(n (err/tol)^(1/p)), at least n + 1, or
+    2n after a miss that did not double n.  Once a bracket exists, the next
+    probe is the crossing interpolated in log-log between its ends, kept
+    strictly inside it, or its midpoint after a step that did not halve it.
+    So a search takes at most about twice the rounds of doubling and
+    bisection, which is what p <= 0 takes.  Probes stop at the largest
+    power of two <= ``n_cap``; ``None`` marks grid points where that count
+    still misses ``tol``.  ``n_cap`` must be finite and at least 1
+    (``ValueError`` otherwise).
+
+    The searches of all x run in lockstep: each round evaluates the current
+    probe of every unfinished x as one stack, and each x probes the step
+    counts its own search would.
     """
     scheme = _resolve_scheme(scheme)
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if not all(0 < x <= 1 for x in x_grid):
         raise ValueError("x grid must lie in (0, 1]")
-    if n_cap < 1:
-        raise ValueError(f"n_cap must be at least 1, got {n_cap!r}")
+    if not (math.isfinite(n_cap) and n_cap >= 1):
+        raise ValueError(f"n_cap must be finite and at least 1, got {n_cap!r}")
     k = scheme.target.min_degree
     targets = np.array([matform.target_matrix(scheme.target, pair, x) for x in x_grid])
+    searches = {i: _Search((scheme.order + 1) / k - 1, tol, _reach(n_cap))
+                for i in range(len(x_grid))}
     gates: list[int | None] = [None] * len(x_grid)
-    probes = dict.fromkeys(range(len(x_grid)), 1)
-    brackets: dict[int, tuple[int, int]] = {}  # err(lo) > tol (or lo = 0), err(hi) <= tol
-    while probes:
-        points = list(probes)
-        steps = [_step_time(x_grid[i] ** k, probes[i], k) for i in points]
-        errors = _errors(scheme, pair, steps, [probes[i] for i in points], targets[points])
-        for i, error in zip(points, errors):
-            n = probes.pop(i)
-            if i in brackets:
-                lo, hi = brackets[i]
-                lo, hi = (lo, n) if error <= tol else (n, hi)
-            elif error <= tol:
-                lo, hi = n // 2, n
-            else:
-                if 2 * n <= n_cap:
-                    probes[i] = 2 * n
-                continue
-            if hi - lo > 1:
-                brackets[i] = lo, hi
-                probes[i] = (lo + hi) // 2
-            else:
-                gates[i] = hi * scheme.slot_count
+    while searches:
+        points = list(searches)
+        probes = [searches[i].probe for i in points]
+        steps = [_step_time(x_grid[i] ** k, n, k) for i, n in zip(points, probes)]
+        for i, error in zip(points, _errors(scheme, pair, steps, probes, targets[points])):
+            search = searches[i]
+            if search.record(error):
+                del searches[i]
+                if search.hi is not None:
+                    gates[i] = search.hi[0] * scheme.slot_count
     return list(zip(x_grid, gates))
 
 
@@ -319,7 +383,7 @@ def _export_fig5(out, seed):
         "fig5: gates needed to reach tolerance for exp(x^2 [A,B]) on the pauli pair",
         f"x grid {_FIG5_X_GRID[0]}..{_FIG5_X_GRID[-1]}, tolerances "
         + " and ".join(f"{t:g}" for t in _FIG5_TOLS)
-        + f", step cap {DEFAULT_N_CAP}",
+        + f", step counts probed up to {_reach(DEFAULT_N_CAP)}",
         _OMISSION_NOTE,
         *provenance([pair], _FIG5_SCHEMES),
     ]

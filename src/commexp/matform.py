@@ -482,7 +482,8 @@ def evaluate_scheme(scheme, pair: OperatorPair, t) -> np.ndarray:
     product: zero slots are skipped, neighbours on one generator merge, and a
     run that cancels to zero goes, merging its neighbours; at ``t == 0`` or
     with no run left the exact identity is returned.  A step time that is
-    not finite raises ``ValueError`` on either path.
+    not finite, or a run coefficient that is not finite (at any ``t``,
+    zero included), raises ``ValueError`` on either path.
 
     On pairs with an :attr:`~OperatorPair.eigenbasis` the product is carried
     in eigenbasis coordinates as
@@ -515,6 +516,9 @@ def evaluate_scheme(scheme, pair: OperatorPair, t) -> np.ndarray:
     steps = times.reshape(-1)
     runs = slot_runs(scheme)
     gens = [gen for gen, _ in runs]
+    coeffs = np.array([coeff for _, coeff in runs])
+    if not np.isfinite(coeffs).all():
+        raise ValueError(f"non-finite run coefficient in {coeffs.tolist()!r}")
     # the stack runs over the nonzero step times by decreasing |t|
     sizes = np.abs(steps).tolist()
     if not all(map(math.isfinite, sizes)):
@@ -522,8 +526,7 @@ def evaluate_scheme(scheme, pair: OperatorPair, t) -> np.ndarray:
     live = sorted((j for j in range(len(steps)) if sizes[j]), key=lambda j: -sizes[j]) \
         if runs else []
     ordered = live == list(range(len(steps)))
-    z = np.multiply.outer(np.array([coeff for _, coeff in runs]),
-                          steps if ordered else steps[live])  # (runs, k)
+    z = np.multiply.outer(coeffs, steps if ordered else steps[live])  # (runs, k)
     basis = pair.eigenbasis
     dtype = np.complex128 if basis is not None else _dtype(pair.A, z)
     shape = (len(live), pair.dim, pair.dim)

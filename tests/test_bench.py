@@ -1,5 +1,6 @@
 """Tests for the experiment runners and CSV exports."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -173,7 +174,7 @@ def test_gates_for_tolerance_rejections(pauli_pair):
         gates_for_tolerance("NCP6_3", pauli_pair, [0.5], 0.0)
     with pytest.raises(ValueError):
         gates_for_tolerance("NCP6_3", pauli_pair, [1.5], 1e-4)
-    for n_cap in (0, -3):
+    for n_cap in (0, -3, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="n_cap"):
             gates_for_tolerance("NCP6_3", pauli_pair, [0.5], 1e-4, n_cap=n_cap)
 
@@ -185,8 +186,9 @@ def test_gates_for_tolerance_rejects_nonfinite_tol(pauli_pair, tol):
 
 
 def _sequential_gates(scheme, pair, x_grid, tol, n_cap):
-    """The one-x-at-a-time doubling and bisection search, one probe per call."""
-    scheme = catalog_get(scheme)
+    """The one-x-at-a-time doubling and bisection search, one probe per call:
+    the reference the guided search replaced."""
+    scheme = _resolve(scheme)
     k = scheme.target.min_degree
     out = []
     for x in x_grid:
@@ -210,21 +212,178 @@ def _sequential_gates(scheme, pair, x_grid, tol, n_cap):
     return out
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    scheme=st.sampled_from(["NCP6_3", "NCP10_4", "strang"]),
+def _resolve(scheme):
+    # "order1:<name>" claims order 1 for a degree-2 scheme: p = 0, no model
+    if not isinstance(scheme, str):
+        return scheme
+    if scheme.startswith("order1:"):
+        return dataclasses.replace(catalog_get(scheme.split(":")[1]), order=1)
+    return catalog_get(scheme)
+
+
+def _pair(kind):
+    return matform.make_pair("pauli") if kind == "pauli" else matform.make_pair("random", 4, 9)
+
+
+_SEARCH_CASES = dict(
+    scheme=st.sampled_from(["NCP6_3", "NCP10_4", "PCP16_5", "strang", "fap8", "order1:S2_chen"]),
     pair_kind=st.sampled_from(["pauli", "random"]),
     x_grid=st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=1, max_size=5),
     tol=st.sampled_from([1e-2, 1e-4, 1e-6, 1e-9]),
-    n_cap=st.sampled_from([1, 3, 64, DEFAULT_N_CAP]),
+    n_cap=st.sampled_from([1, 3, 64, 5000, DEFAULT_N_CAP]),
 )
+
+
+@settings(max_examples=25, deadline=None)
+@given(**_SEARCH_CASES)
 @example(scheme="NCP6_3", pair_kind="pauli", x_grid=[0.9, 0.1, 0.9], tol=1e-5, n_cap=64)
 def test_lockstep_search_matches_sequential_search(scheme, pair_kind, x_grid, tol, n_cap):
-    # every x probes the step counts of its own search, so both find the same
-    # counts, and the same None where n_cap steps miss the tolerance
-    pair = matform.make_pair("pauli") if pair_kind == "pauli" else matform.make_pair("random", 4, 9)
+    # every x probes the step counts of its own search, so the lockstep rounds
+    # give what the same guided rule gives run one x at a time
+    scheme, pair = _resolve(scheme), _pair(pair_kind)
     assert (gates_for_tolerance(scheme, pair, x_grid, tol, n_cap)
-            == _sequential_gates(scheme, pair, x_grid, tol, n_cap))
+            == [gates_for_tolerance(scheme, pair, [x], tol, n_cap)[0] for x in x_grid])
+
+
+@settings(max_examples=25, deadline=None)
+@given(**_SEARCH_CASES)
+@example(scheme="NCP6_3", pair_kind="pauli", x_grid=[0.4], tol=1e-7, n_cap=DEFAULT_N_CAP)
+@example(scheme="NCP6_3", pair_kind="pauli", x_grid=[0.5], tol=1e-7, n_cap=DEFAULT_N_CAP)
+@example(scheme="PCP16_5", pair_kind="pauli", x_grid=[0.5815713892231057], tol=1e-9,
+         n_cap=5000)
+def test_search_counts_carry_a_one_step_certificate(scheme, pair_kind, x_grid, tol, n_cap):
+    # each count n satisfies err(n) <= tol < err(n - 1), and None means that
+    # the largest power of two <= n_cap still misses, by independent evaluations
+    scheme, pair = _resolve(scheme), _pair(pair_kind)
+    k, top = scheme.target.min_degree, 2 ** int(math.log2(n_cap))
+    for x, gates in gates_for_tolerance(scheme, pair, x_grid, tol, n_cap):
+        if gates is None:
+            assert composed_error(scheme, pair, x ** k, top) > tol
+            continue
+        n, rest = divmod(gates, scheme.slot_count)
+        assert rest == 0 and 1 <= n <= top
+        assert composed_error(scheme, pair, x ** k, n) <= tol
+        if n > 1:
+            assert composed_error(scheme, pair, x ** k, n - 1) > tol
+
+
+@settings(max_examples=25, deadline=None)
+@given(**_SEARCH_CASES)
+@example(scheme="order1:S2_chen", pair_kind="pauli", x_grid=[0.3], tol=1e-2, n_cap=5000)
+@example(scheme="PCP16_5", pair_kind="pauli", x_grid=[0.5815713892231057], tol=1e-9,
+         n_cap=5000)
+def test_search_matches_bisection_below_4096_steps(scheme, pair_kind, x_grid, tol, n_cap):
+    # where one step moves the error C n^-p by p tol / n, far more than the
+    # round-off of n steps, the curve falls monotonically through tol, so the
+    # one-step bracket is unique and bisection finds it too.  Below 2^12 steps
+    # that holds unless tol is near round-off: PCP16_5 on pauli at tol 1e-9
+    # has err(3556) < tol < err(3557), err(3558), err(3559), and bisection
+    # reports 3556 steps where the guided search reports 3560, both certified
+    scheme, pair = _resolve(scheme), _pair(pair_kind)
+    p = (scheme.order + 1) / scheme.target.min_degree - 1
+    guided = gates_for_tolerance(scheme, pair, x_grid, tol, n_cap)
+    reference = _sequential_gates(scheme, pair, x_grid, tol, n_cap)
+    for (x, g), (_, r) in zip(guided, reference):
+        n = min(g or math.inf, r or math.inf) / scheme.slot_count
+        if n < 2 ** 12 and (p <= 0 or p * tol / n > 64 * n * np.finfo(float).eps):
+            assert g == r, x
+
+
+def test_search_without_a_model_doubles_then_bisects(pauli_pair):
+    # p = (r + 1)/k - 1 = 0 for an order-1 claim on a degree-2 target: the
+    # probes are the reference's doubling and bisection, whatever the curve
+    scheme = _resolve("order1:S2_chen")
+    x_grid = [0.1 * k for k in range(1, 10)]
+    for tol in (1e-3, 1e-6):
+        assert (gates_for_tolerance(scheme, pauli_pair, x_grid, tol)
+                == _sequential_gates(scheme, pauli_pair, x_grid, tol, DEFAULT_N_CAP))
+
+
+def _synthetic_search(scheme, err, tol, n_cap=DEFAULT_N_CAP):
+    """gates_for_tolerance on a made-up error curve err(n), and its rounds."""
+    rounds = []
+
+    def errors(scheme, pair, steps, n_list, targets):
+        rounds.append(len(n_list))
+        return [err(n) for n in n_list]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bench, "_errors", errors)
+        ((_, gates),) = gates_for_tolerance(scheme, matform.make_pair("pauli"), [0.5], tol, n_cap)
+    return gates, len(rounds)
+
+
+#: doubling to 2^19 and bisecting the last doubling each take 19 rounds and
+#: the n = 1 probe one; every step that fails the model is followed by one
+#: that doubles n or halves the bracket
+_ROUND_BOUND = 2 * (19 + 19) + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(scheme=st.sampled_from(["NCP10_4", "PCP26_6", "order1:S2_chen"]),
+       crossing=st.integers(min_value=1, max_value=2 ** 19),
+       excess=st.sampled_from([1e-12, 1e-3, 1.0, 1e6]))
+@example(scheme="NCP10_4", crossing=2 ** 19, excess=1e-12)
+@example(scheme="NCP10_4", crossing=2 ** 18 + 1, excess=1e-12)
+@example(scheme="NCP10_4", crossing=3 * 2 ** 16, excess=1e-12)
+def test_search_ends_on_a_flat_curve(scheme, crossing, excess):
+    # an error stuck just above tol defeats every prediction of the model;
+    # the doubling and bisection steps still find the crossing in few rounds
+    scheme = _resolve(scheme)
+    gates, rounds = _synthetic_search(
+        scheme, lambda n: 1e-6 * (1 + excess) if n < crossing else 5e-7, 1e-6)
+    assert gates == crossing * scheme.slot_count
+    assert rounds <= _ROUND_BOUND
+
+
+@settings(max_examples=60, deadline=None)
+@given(scheme=st.sampled_from(["NCP6_3", "NCP10_4", "order1:S2_chen"]),
+       scale=st.floats(min_value=1e-3, max_value=1e3),
+       wobble=st.sampled_from([0.0, 1e-3, 0.3]),
+       tol=st.sampled_from([1e-4, 1e-7, 1e-10]),
+       n_cap=st.sampled_from([1, 100, DEFAULT_N_CAP]))
+def test_search_certifies_noisy_power_laws(scheme, scale, wobble, tol, n_cap):
+    # C n^-p times a wobble that makes the curve non-monotone: every count
+    # carries its bracket on the curve, None means err(top) > tol
+    scheme = _resolve(scheme)
+    p = max((scheme.order + 1) / 2 - 1, 0.25)
+
+    def err(n):
+        return scale * n ** -p * (1 + wobble * math.sin(3.7 * n))
+
+    gates, rounds = _synthetic_search(scheme, err, tol, n_cap)
+    top = 2 ** int(math.log2(n_cap))
+    if gates is None:
+        assert err(top) > tol
+    else:
+        n = gates // scheme.slot_count
+        assert err(n) <= tol and (n == 1 or err(n - 1) > tol)
+    assert rounds <= _ROUND_BOUND
+
+
+def _count_rounds(monkeypatch):
+    rounds = []
+    errors = bench._errors
+
+    def spy(scheme, pair, steps, n_list, targets):
+        rounds.append(len(steps))
+        return errors(scheme, pair, steps, n_list, targets)
+
+    monkeypatch.setattr(bench, "_errors", spy)
+    return rounds
+
+
+@pytest.mark.parametrize("pair, x_grid, tol, most", [
+    (("random", 64, 160), [0.3], 1e-6, 5),  # 12 rounds with doubling and bisection
+    (("pauli",), [round(0.1 * k, 1) for k in range(1, 10)], 1e-7, 8),  # fig5's table: 32
+])
+def test_guided_search_takes_few_rounds(monkeypatch, pair, x_grid, tol, most):
+    pair = matform.make_pair(*pair)
+    rounds = _count_rounds(monkeypatch)
+    results = gates_for_tolerance("NCP10_4", pair, x_grid, tol)
+    assert all(g is not None for _, g in results)
+    assert len(rounds) <= most
+    assert rounds[0] == len(x_grid)  # one stack per round over the unfinished x
 
 
 def test_lockstep_search_reaches_the_cap_as_none(pauli_pair):
@@ -368,6 +527,22 @@ def test_write_csv_sections_and_parent_directory(tmp_path):
                            ([], ("c",), [(2,)])])
     assert out.read_text(encoding="utf-8") == (
         "# first\na,b\n1,0.10000000000000001\nx,not reached\nc\n2\n")
+
+
+def test_fig5_export_is_deterministic(tmp_path):
+    first = tmp_path / "a.csv"
+    second = tmp_path / "b.csv"
+    export_figure("fig5", first)
+    export_figure("fig5", second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_fig5_names_the_probed_reach(tmp_path):
+    # no probe goes past the largest power of two under the step cap
+    out = tmp_path / "fig5.csv"
+    export_figure("fig5", out)
+    text = out.read_text(encoding="utf-8")
+    assert "step counts probed up to 524288" in text and "step cap" not in text
 
 
 def test_fig6_export_is_deterministic(tmp_path):

@@ -752,6 +752,16 @@ def test_evaluate_scheme_refuses_non_finite_step_times(kind, t):
         evaluate_scheme(catalog_get("NCP6_3"), pair, t)
 
 
+@pytest.mark.parametrize("kind", ["pauli", "random"])
+@pytest.mark.parametrize("t", [0.5, 0.0, np.array([0.5, 0.25]), np.array([0.0])])
+@pytest.mark.parametrize("coeff", [float("nan"), float("inf"), complex(1.0, float("nan"))])
+def test_evaluate_scheme_refuses_non_finite_coefficients(kind, t, coeff):
+    # the eigenbasis path returned an all-NaN product for a NaN coefficient
+    pair = make_pair("pauli") if kind == "pauli" else make_pair("random", 4, 1)
+    with pytest.raises(ValueError, match="non-finite run coefficient"):
+        evaluate_scheme([(Generator.B, 0.3), (Generator.A, coeff)], pair, t)
+
+
 def test_expm_refuses_an_overflowing_result():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
