@@ -12,7 +12,7 @@ slope of a scheme on an operator pair is :func:`commexp.bench.empirical_order`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -22,13 +22,11 @@ from .liealg import (
     LIE_DIMS,
     MAX_TRUNCATION,
     Generator,
-    LieCoefficients,
     _lie_rows,
     _rows_per_pass,
+    _slot_row,
     as_generator,
     letter_map,
-    lie_project,
-    scheme_log,
 )
 
 __all__ = [
@@ -77,6 +75,8 @@ class TargetPolynomial:
 
     name: str
     terms: Mapping[tuple[int, int], complex]
+    _vectors: dict[int, np.ndarray] = field(default_factory=dict, init=False,
+                                            repr=False, compare=False)
 
     def __post_init__(self):
         for (degree, position), value in self.terms.items():
@@ -92,12 +92,16 @@ class TargetPolynomial:
 
     def vector(self, degree: int) -> np.ndarray:
         """Dense coefficient vector of the target at one degree: complex if a
-        coefficient there has an imaginary part, else the real parts."""
-        values = np.array([self.terms.get((degree, pos), 0.0)
-                           for pos in range(1, LIE_DIMS[degree - 1] + 1)])
-        if np.iscomplexobj(values) and values.imag.any():
-            return values
-        return values.real.astype(np.float64)
+        coefficient there has an imaginary part, else the real parts.  Built
+        once per degree and read-only."""
+        if degree not in self._vectors:
+            values = np.array([self.terms.get((degree, pos), 0.0)
+                               for pos in range(1, LIE_DIMS[degree - 1] + 1)])
+            if not (np.iscomplexobj(values) and values.imag.any()):
+                values = values.real.astype(np.float64)
+            values.flags.writeable = False
+            self._vectors[degree] = values
+        return self._vectors[degree]
 
     @property
     def min_degree(self) -> int:
@@ -205,31 +209,6 @@ def slot_runs(scheme) -> list[tuple[Generator, complex]]:
     return runs
 
 
-def _project(pairs, truncation: int) -> LieCoefficients:
-    """Basis coordinates of the log of a slot product, Lie-checked at the
-    round-off its coefficients allow."""
-    return lie_project(scheme_log(pairs, truncation),
-                       coefficient_sum=sum(abs(c) for _, c in pairs))
-
-
-def _project_rows(generators, rows: np.ndarray, truncation: int) -> dict[int, np.ndarray]:
-    """:func:`_project` of b slot products on one generator sequence, one
-    coefficient row of ``rows`` (b, s) each: per degree a (b, dim) array.
-
-    One row goes through :func:`scheme_log` and :func:`lie_project`, the
-    engine's traced boundary; more rows take one batched pass of the same
-    kernels, whose checks hold per row.
-    """
-    if len(rows) == 1:
-        return _as_row(_project(list(zip(generators, rows[0])), truncation))
-    return _lie_rows(generators, rows, truncation)
-
-
-def _as_row(coeffs: LieCoefficients) -> dict[int, np.ndarray]:
-    """The coordinates of one log as a batch of one: per degree (1, dim)."""
-    return {j: w[None] for j, w in coeffs.vectors.items()}
-
-
 @dataclass
 class ResidualReport:
     """Outcome of checking a composition against a target through degree r."""
@@ -261,6 +240,12 @@ def _check_order(r: int, top_degree: int) -> None:
         raise ValueError(f"order {r} needs degree {top_degree} > ceiling {MAX_TRUNCATION}")
 
 
+def _check_tolerance(name: str, value: float) -> None:
+    """Raise ``ValueError`` unless the tolerance ``name`` is positive and finite."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 #: Default tolerance of :func:`order_residuals`.
 _ORDER_TOL = 1e-10
 
@@ -278,7 +263,7 @@ def order_residuals(scheme, target: TargetPolynomial, r: int,
     """
     _check_order(r, r + 1)
     pairs = slot_pairs(scheme)
-    return _reports(_as_row(_project(pairs, r + 1)), target, r, tol, len(pairs))[0]
+    return _reports(_lie_rows(*_slot_row(pairs), r + 1), target, r, tol, len(pairs))[0]
 
 
 def _reports(vectors: Mapping[int, np.ndarray], target: TargetPolynomial, r: int,
@@ -346,7 +331,7 @@ def effective_error(scheme, r: int | None = None) -> EffectiveError:
             raise ValueError("effective_error needs r for a raw slot list, which carries no order")
         r = scheme.order
     _check_order(r, r + 1)
-    return _leading_errors(_as_row(_project(pairs, r + 1)),
+    return _leading_errors(_lie_rows(*_slot_row(pairs), r + 1),
                            getattr(scheme, "target", None), r, len(pairs))[0]
 
 
@@ -476,8 +461,9 @@ def cp_identities(scheme, sign=None, tol: float = 1e-10) -> list[IdentityCheck]:
         sign = getattr(scheme, "cp_sign", None)
         if sign is None:
             raise ValueError("scheme carries no counter-palindromic sign; pass one")
-    coeffs = _project(slot_pairs(scheme), _CP_IDENTITY_DEGREE)
-    return _identity_checks(coeffs.w, _cp_sign(sign), range(1, _CP_IDENTITY_DEGREE + 1), tol)
+    vectors = _lie_rows(*_slot_row(slot_pairs(scheme)), _CP_IDENTITY_DEGREE)
+    return _identity_checks(lambda degree, position: vectors[degree][0, position - 1].item(),
+                            _cp_sign(sign), range(1, _CP_IDENTITY_DEGREE + 1), tol)
 
 
 def _identity_checks(w, s: int, degrees, tol: float) -> list[IdentityCheck]:
@@ -519,7 +505,7 @@ def _residual(generators, rows: np.ndarray, target, r) -> np.ndarray:
     Complex coefficients give complex residuals (the complex-step Jacobian in
     :func:`refine` relies on that).
     """
-    vectors = _project_rows(generators, rows, r)
+    vectors = _lie_rows(generators, rows, r)
     return np.concatenate([vectors[degree] - target.vector(degree)
                            for degree in range(1, r + 1)], axis=1)
 
@@ -576,12 +562,14 @@ def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
     (:func:`_complex_step_jacobian`): the residual chain is analytic in the
     coefficients, so one complex evaluation per unknown gives each column to
     round-off while the iterate stays real, and the evaluations of all the
-    unknowns take one batched pass.  ``free_slots`` must not repeat an index.
-    Returns the scheme with its slots replaced and every other field kept;
-    raises ``RuntimeError`` on divergence or stagnation.
+    unknowns take one batched pass.  ``free_slots`` must not repeat an index,
+    and ``tol`` must be positive and finite.  Returns the scheme with its
+    slots replaced and every other field kept; raises ``RuntimeError`` on
+    divergence or stagnation.
     """
     from .schemes import ExponentSlot
 
+    _check_tolerance("tol", tol)
     if target is None:
         target = scheme.target
     if r is None:
@@ -675,20 +663,23 @@ def optimize_free_parameter(family: Callable[[float], object], r: int,
 
     Scans a uniform grid of ``grid`` >= 2 points over ``prange`` (checking
     that every candidate actually satisfies the order conditions), then
-    tightens the best bracket by golden-section search.  The grid is scored
-    in batched passes, one per generator sequence among its members (split
-    at the engine's byte budget); the golden-section probes, each depending
-    on the one before, are scored one at a time through
-    :func:`order_residuals`.  A family whose objective varies below
+    tightens the best bracket by golden-section search.  Every member is
+    scored by one scorer, :func:`_grid_scores`: the grid in batched passes,
+    one per generator sequence among its members (split at the engine's byte
+    budget), and the golden-section probes, each depending on the one
+    before, as batches of one.  A family whose objective varies below
     round-off is returned with ``flat=True``.  ``at_edge`` is set when the
     grid minimum is an end point of ``prange`` and the search ends within
     ``param_tol`` of it: the minimizer then probably lies outside the range.
+    ``param_tol`` and ``order_tol`` must be positive and finite.
     """
     a, b = float(prange[0]), float(prange[1])
     if not a < b:
         raise ValueError("empty parameter range")
     if grid < 2:
         raise ValueError(f"the grid needs at least 2 points, got {grid}")
+    _check_tolerance("param_tol", param_tol)
+    _check_tolerance("order_tol", order_tol)
 
     def checked(p: float, report: ResidualReport) -> float:
         if report.verified_order < r:
@@ -701,8 +692,7 @@ def optimize_free_parameter(family: Callable[[float], object], r: int,
         return report.effective_error.E
 
     def objective(p: float) -> float:
-        scheme = family(p)
-        return checked(p, order_residuals(scheme, scheme.target, r))
+        return _grid_scores(family, [p], r, checked)[0]
 
     xs = np.linspace(a, b, grid)
     try:
@@ -753,7 +743,7 @@ def _grid_scores(family, params, r: int, checked) -> np.ndarray:
     for (generators, _), (target, rows) in groups.items():
         for lo in range(0, len(rows), step):
             batch = rows[lo:lo + step]
-            vectors = _project_rows(generators, np.array([c for _, c in batch]), r + 1)
+            vectors = _lie_rows(generators, np.array([c for _, c in batch]), r + 1)
             reports = _reports(vectors, target, r, _ORDER_TOL, len(generators))
             for (i, _), report in zip(batch, reports):
                 scores[i] = checked(params[i], report)

@@ -342,14 +342,21 @@ def scheme_log(slots: Iterable, truncation: int) -> TruncatedSeries:
     coefficient is not finite or exceeds :data:`MAX_LOG_COEFFICIENT`, rather
     than returning a series of infinities and NaNs.
     """
+    generators, coefficients = _slot_row(slots)
+    return _from_flat(truncation, _log_rows(generators, coefficients, truncation)[0])
+
+
+def _slot_row(slots: Iterable) -> tuple[list[Generator], np.ndarray]:
+    """The generators of ``(generator, coefficient)`` pairs and their
+    coefficients as a batch of one: a (1, s) float64 array, or complex128
+    when a coefficient is complex."""
     slots = list(slots)
     if not slots:
-        raise ValueError("scheme_log needs at least one slot")
+        raise ValueError("a slot product needs at least one slot")
     complex_ = any(isinstance(c, (complex, np.complexfloating)) for _, c in slots)
     coefficients = np.array([[c for _, c in slots]],
                             dtype=np.complex128 if complex_ else np.float64)
-    generators = [as_generator(g) for g, _ in slots]
-    return _from_flat(truncation, _log_rows(generators, coefficients, truncation)[0])
+    return [as_generator(g) for g, _ in slots], coefficients
 
 
 def _in_row(message: str, row: int, rows: int) -> str:

@@ -427,9 +427,7 @@ def combined5() -> Scheme:
 
 
 def substitute(outer: Scheme, inner: Scheme | Sequence[Scheme], k: int, *,
-               merge: bool = True, name: str | None = None,
-               target: TargetPolynomial | None = None,
-               order: int | None = None) -> Scheme:
+               merge: bool = True, name: str | None = None) -> Scheme:
     """Realize each abstract slot of ``outer`` by a rescaled copy of ``inner``.
 
     ``inner`` is one scheme for every abstract slot, or a sequence with one
@@ -441,7 +439,8 @@ def substitute(outer: Scheme, inner: Scheme | Sequence[Scheme], k: int, *,
     sqrt(-c) * t instead, which is valid only when the interchange negates the
     inner target: the interchanged target's terms must equal the negated
     ones (true of the commutator).  Unless ``merge`` is false the slots become
-    their runs (``slot_runs``).
+    their runs (``slot_runs``).  The result has ``outer``'s target and the
+    lowest order among ``outer`` and the inner schemes.
     """
     if k not in (2, 3):
         raise ValueError("homogeneity degree k must be 2 or 3")
@@ -480,8 +479,8 @@ def substitute(outer: Scheme, inner: Scheme | Sequence[Scheme], k: int, *,
     return Scheme(
         name=name or f"{outer.name}[{names}]",
         slots=slots,
-        target=target if target is not None else outer.target,
-        order=order if order is not None else min([outer.order, *(i.order for i in given)]),
+        target=outer.target,
+        order=min([outer.order, *(i.order for i in given)]),
         family="extension",
         note=f"substitution of {names} into {outer.name}",
     )
@@ -540,10 +539,7 @@ def nested4_50() -> Scheme:
         order=4,
         family="extension",
     )
-    return substitute(
-        outer, aor4(AOR4_OPTIMAL_D2), 3,
-        name="nested4_50", target=nested_aaab_target(), order=4,
-    )
+    return substitute(outer, aor4(AOR4_OPTIMAL_D2), 3, name="nested4_50")
 
 
 # --------------------------------------------------------------------------

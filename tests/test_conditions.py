@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,10 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commexp.bench import empirical_order
+from commexp import conditions
 from commexp.conditions import (
     _COMPLEX_STEP,
+    EffectiveError,
     TargetPolynomial,
     _complex_step_jacobian,
+    _identity_checks,
     _mirror_identities,
     _mirror_map,
     _mirror_sign,
@@ -55,6 +59,14 @@ def test_target_vectors_and_min_degree():
     assert commutator_target().min_degree == 2
     assert nested_aab_target().min_degree == 3
     assert nested_aaab_target().min_degree == 4
+
+
+def test_target_vectors_are_built_once_and_read_only():
+    t = sum_target()
+    assert t.vector(1) is t.vector(1)
+    with pytest.raises(ValueError, match="read-only"):
+        t.vector(1)[0] = 2.0
+    assert t == sum_target() and repr(t) == repr(sum_target())
 
 
 def test_target_coefficient_defaults_to_zero():
@@ -170,6 +182,79 @@ def test_leading_error_figures_agree_when_target_has_the_next_degree():
 def test_order_residuals_rejects_order_zero():
     with pytest.raises(ValueError):
         order_residuals(catalog_get("strang"), sum_target(), 0)
+
+
+@pytest.mark.parametrize("check", [
+    lambda: order_residuals([], commutator_target(), 2),
+    lambda: effective_error([], 2),
+    lambda: cp_identities([], "positive"),
+])
+def test_an_empty_composition_has_no_log_to_check(check):
+    with pytest.raises(ValueError, match="at least one slot"):
+        check()
+
+
+def test_exact_coefficients_are_read_as_the_engine_reads_them():
+    # Fractions and ints become float64, as in scheme_log, not an object array
+    exact = [(A, Fraction(1, 2)), (B, 1), (A, Fraction(1, 2))]
+    floats = [(A, 0.5), (B, 1.0), (A, 0.5)]
+    assert effective_error(exact, 2) == effective_error(floats, 2)
+    assert order_residuals(exact, sum_target(), 2).verified_order == 2
+    assert cp_identities(exact, "positive") == cp_identities(floats, "positive")
+
+
+_SLOT_COEFFICIENTS = st.one_of(
+    st.floats(-1.5, 1.5, allow_nan=False),
+    st.complex_numbers(max_magnitude=1.5, allow_nan=False, allow_infinity=False))
+_SLOT_LISTS = st.lists(st.tuples(st.sampled_from([A, B]), _SLOT_COEFFICIENTS),
+                       min_size=1, max_size=8)
+
+
+def _reference_log(slots, truncation):
+    """The basis coordinates through the public engine boundary, one log."""
+    return lie_project(scheme_log(slots, truncation),
+                       coefficient_sum=sum(abs(c) for _, c in slots))
+
+
+def _assert_same_bits(actual: np.ndarray, expected: np.ndarray):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def _reference_error(deviation: np.ndarray, r: int, slot_count: int):
+    norm = float(np.linalg.norm(deviation))
+    E = slot_count * norm ** (1.0 / r)
+    return EffectiveError(E, E / slot_count, slot_count, r, norm)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SLOT_LISTS, st.integers(1, MAX_TRUNCATION - 1),
+       st.sampled_from([commutator_target(), sum_target(), combined_target()]))
+def test_order_residuals_and_effective_error_match_the_engine_boundary(slots, r, target):
+    # the batch-of-one coordinates are those scheme_log and lie_project give,
+    # bit for bit, and so are the residuals, verified order and E read off them
+    ref = _reference_log(slots, r + 1)
+    report = order_residuals(slots, target, r, tol=1e-3)
+    for degree in range(1, r + 1):
+        _assert_same_bits(report.residuals[degree],
+                          np.abs(ref.vectors[degree] - target.vector(degree)))
+    assert report.verified_order == next(
+        (d - 1 for d in range(1, r + 1) if report.max_residual(d) > 1e-3), r)
+    assert report.effective_error == _reference_error(
+        ref.vectors[r + 1] - target.vector(r + 1), r, len(slots))
+    assert effective_error(slots, r) == _reference_error(ref.vectors[r + 1], r, len(slots))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_SLOT_LISTS,
+                 st.builds(lambda half, sign: cp_expand(half, sign).pairs(),
+                           st.lists(_SLOT_COEFFICIENTS, min_size=2, max_size=5),
+                           st.sampled_from(["positive", "negative"]))),
+       st.sampled_from(["positive", "negative"]))
+def test_cp_identities_match_the_engine_boundary(slots, sign):
+    ref = _reference_log(slots, 6)
+    expected = _identity_checks(ref.w, 1 if sign == "positive" else -1, range(1, 7), 1e-10)
+    assert cp_identities(slots, sign) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -593,6 +678,16 @@ def test_refine_rejects_repeated_free_slots():
         refine(catalog_get("NCP10_4"), free_slots=[0] * 7)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_refine_rejects_a_tolerance_that_is_not_positive_and_finite(tol, monkeypatch):
+    def no_evaluation(*args):
+        raise AssertionError("evaluated before the tolerance was checked")
+
+    monkeypatch.setattr(conditions, "_lie_rows", no_evaluation)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        refine(catalog_get("NCP10_4"), tol=tol, max_iter=1)
+
+
 # ---------------------------------------------------------------------------
 # optimizer
 # ---------------------------------------------------------------------------
@@ -608,6 +703,16 @@ def test_optimize_rejects_a_grid_of_fewer_than_two_points(grid):
     # one sample cannot show whether the objective is flat
     with pytest.raises(ValueError, match="at least 2 points"):
         optimize_free_parameter(third_order_family, 3, (0.6, 1.0), grid=grid)
+
+
+@pytest.mark.parametrize("keyword", ["param_tol", "order_tol"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_optimize_rejects_a_tolerance_that_is_not_positive_and_finite(keyword, value):
+    def family(p):
+        raise AssertionError("evaluated before the tolerance was checked")
+
+    with pytest.raises(ValueError, match=f"{keyword} must be positive and finite"):
+        optimize_free_parameter(family, 3, (0.6, 1.0), **{keyword: value})
 
 
 def test_optimize_grid_pass_scores_each_member_as_its_probe():
