@@ -1,0 +1,8 @@
+"""``python -m commexp``: the command-line interface, exiting with its code."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

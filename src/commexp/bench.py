@@ -91,8 +91,7 @@ def error_curve(scheme, pair: matform.OperatorPair, t_total: float,
     if any(n < 1 for n in n_list):
         raise ValueError("step counts must be positive")
     k = scheme.target.min_degree
-    with np.errstate(over="ignore", invalid="ignore"):  # expm refuses a non-finite T
-        T = matform.target_matrix(scheme.target, pair, t_total ** (1.0 / k))
+    T = matform.target_matrix(scheme.target, pair, t_total ** (1.0 / k))
     errors = _errors(scheme, pair, [_step_time(t_total, n, k) for n in n_list], n_list,
                      np.broadcast_to(T, (len(n_list),) + T.shape))
     return [BenchResult(scheme.name, n, n * scheme.slot_count, t_total, error,
@@ -122,13 +121,47 @@ def _errors(scheme, pair, steps: Sequence[float], n_list: Sequence[int],
 
 
 def _matrix_powers(U: np.ndarray, n_list: Sequence[int]) -> np.ndarray:
-    """U[i] to the power n_list[i] for each matrix of a (k, d, d) stack, in
-    place: one ``np.linalg.matrix_power`` call per distinct n, on the entries
-    sharing it (on the whole stack, uncopied, when they all do)."""
-    for n in set(n_list):
-        idx = [i for i, m in enumerate(n_list) if m == n]
-        part = slice(None) if len(idx) == len(U) else idx
-        U[part] = np.linalg.matrix_power(U[part], n)
+    """U[i] to the power n_list[i] >= 1 for each matrix of a (k, d, d) stack,
+    in place, each bit for bit what ``np.linalg.matrix_power`` gives.
+
+    The whole stack takes one pass of ``matrix_power``'s own loop over the
+    bits of n, least significant first: at bit b, z = U^(2^b) is squared
+    from z = U^(2^(b-1)), and an entry whose n has bit b set takes z as its
+    result (at its lowest set bit) or multiplies it in on the right; n = 3
+    is (U U) U, as ``matrix_power``'s shortcut computes it.  Entries with
+    n > 1 run in order of decreasing n, so each squaring is one product on
+    the prefix still rising, and so is each multiplication into the
+    results, kept only for the entries it belongs to; n = 1 entries are left
+    as they are.  A product that is not kept can overflow where
+    ``matrix_power`` would not, so callers that expect overflow run this
+    under their own ``np.errstate``, as :func:`_errors` does.
+    """
+    order = sorted((i for i, n in enumerate(n_list) if n > 1), key=lambda i: -n_list[i])
+    if not order:
+        return U
+    ns = [int(n_list[i]) for i in order]
+    # every result starts as U, which an odd n keeps, and an even n replaces
+    # by z at its lowest set bit
+    Z = U[order]
+    R, spare = Z.copy(), np.empty_like(Z)
+    m = len(ns)
+    for bit in range(1, ns[0].bit_length()):
+        while ns[m - 1] >> bit == 0:
+            m -= 1
+        np.matmul(Z[:m], Z[:m], out=spare[:m])
+        Z, spare = spare, Z
+        # per entry: 0 bit unset, 1 n's lowest set bit (take z), 2 a higher
+        # one (R z), 3 n = 3 (z R)
+        roles = [n >> bit & 1 and (1 if n % (1 << bit) == 0 else 2 + (n == 3)) for n in ns[:m]]
+        for role, a, b in ((1, None, None), (2, R, Z), (3, Z, R)):
+            if role not in roles:
+                continue
+            taken = Z[:m] if a is None else np.matmul(a[:m], b[:m], out=spare[:m])
+            if roles.count(role) == m:
+                R[:m] = taken
+            else:
+                np.copyto(R[:m], taken, where=np.reshape([r == role for r in roles], (-1, 1, 1)))
+    U[order] = R
     return U
 
 
@@ -213,7 +246,9 @@ def gates_for_tolerance(scheme, pair: matform.OperatorPair,
 
     The searches of all x run in lockstep: each round evaluates the current
     probe of every unfinished x as one stack, and each x probes the step
-    counts its own search would.
+    counts its own search would.  The targets of all x are one
+    :func:`~commexp.matform.target_matrix` call; a pair whose targets
+    overflow raises one ``ValueError`` and no numpy warning.
     """
     scheme = _resolve_scheme(scheme)
     if not (math.isfinite(tol) and tol > 0):
@@ -223,7 +258,7 @@ def gates_for_tolerance(scheme, pair: matform.OperatorPair,
     if not (math.isfinite(n_cap) and n_cap >= 1):
         raise ValueError(f"n_cap must be finite and at least 1, got {n_cap!r}")
     k = scheme.target.min_degree
-    targets = np.array([matform.target_matrix(scheme.target, pair, x) for x in x_grid])
+    targets = matform.target_matrix(scheme.target, pair, np.asarray(x_grid))
     searches = {i: _Search((scheme.order + 1) / k - 1, tol, _reach(n_cap))
                 for i in range(len(x_grid))}
     gates: list[int | None] = [None] * len(x_grid)
@@ -255,12 +290,11 @@ def slope_fit(points: Sequence[tuple[float, float]]) -> float:
 def single_step_errors(scheme, pair: matform.OperatorPair,
                        t_grid: Sequence[float]) -> list[tuple[float, float]]:
     """(t, error) of one application of the scheme against its own target,
-    the t grid stacked as in :func:`error_curve`."""
+    the t grid stacked as in :func:`error_curve`: one
+    :func:`~commexp.matform.target_matrix` call for the grid's targets."""
     scheme = _resolve_scheme(scheme)
-    with np.errstate(over="ignore", invalid="ignore"):  # expm refuses a non-finite T
-        targets = [matform.target_matrix(scheme.target, pair, t) for t in t_grid]
-    errors = _errors(scheme, pair, t_grid, [1] * len(t_grid),
-                     np.array(targets).reshape(len(t_grid), pair.dim, pair.dim))
+    targets = matform.target_matrix(scheme.target, pair, np.asarray(t_grid))
+    errors = _errors(scheme, pair, t_grid, [1] * len(t_grid), targets)
     return [(float(t), error) for t, error in zip(t_grid, errors)]
 
 

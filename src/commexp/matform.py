@@ -28,6 +28,10 @@ generator merged, cancelling runs removed):
   :func:`expm`: degree 5/8/11/14 per entry, 1-4 products plus s squarings,
   the degree and s chosen from the power norms; the runs are multiplied
   left to right.
+
+A target (:func:`target_matrix`) is one exponential per step time, and a
+grid of step times is one stack through the same Taylor core, each entry
+with its own powers.
 """
 
 from __future__ import annotations
@@ -141,20 +145,23 @@ _DIVISORS = np.arange(1.0, 15.0).reshape(-1, 1, 1)
 
 
 class _Powers(NamedTuple):
-    """A matrix X and the powers its Taylor exponentials reuse.
+    """A matrix X, or each matrix of a (k, d, d) stack X, and the powers its
+    Taylor exponentials reuse.
 
     ``X = scale * Y`` with ``scale = ||X||_1``, raised to the smallest normal
-    float so that ``1 / scale`` is finite; ``square`` and ``cube`` are Y^2
-    and Y^3, and ``alpha = max(||Y^2||_1^(1/2), ||Y^3||_1^(1/3))``, which
-    bounds ``||Y^k||_1^(1/k)`` for every k >= 2 (Al-Mohy and Higham 2009,
-    with p = 2).  A zero X has ``scale`` 0 and no powers.
+    float so that ``1 / scale`` is finite (so a zero X has the smallest
+    normal ``scale`` and zero powers); ``square`` and ``cube`` are Y^2 and
+    Y^3, and ``alpha = max(||Y^2||_1^(1/2), ||Y^3||_1^(1/3))``, which bounds
+    ``||Y^k||_1^(1/k)`` for every k >= 2 (Al-Mohy and Higham 2009, with
+    p = 2).  ``scale`` and ``alpha`` are 0-d for one matrix and length-k
+    arrays for a stack.
     """
 
     X: np.ndarray
-    scale: float
-    square: np.ndarray | None
-    cube: np.ndarray | None
-    alpha: float
+    scale: np.ndarray
+    square: np.ndarray
+    cube: np.ndarray
+    alpha: np.ndarray
 
 
 def _dtype(*values) -> type:
@@ -162,34 +169,36 @@ def _dtype(*values) -> type:
     return np.complex128 if any(np.iscomplexobj(v) for v in values) else np.float64
 
 
-def _norm1(X: np.ndarray) -> float:
-    return float(np.max(np.sum(np.abs(X), axis=0))) if X.size else 0.0
+def _norm1(X: np.ndarray) -> np.ndarray:
+    """The one-norm (largest column sum of |X|) of each matrix of a (..., d, d) array."""
+    return np.abs(X).sum(axis=-2).max(axis=-1, initial=0.0)
 
 
 def _powers(X: np.ndarray) -> _Powers:
-    norm = _norm1(X)
-    if norm == 0.0:
-        return _Powers(X, 0.0, None, None, 0.0)
-    scale = max(norm, np.finfo(np.float64).tiny)
-    Y = X * (1.0 / scale)
+    scale = np.maximum(_norm1(X), np.finfo(np.float64).tiny)
+    Y = X * (1.0 / scale)[..., np.newaxis, np.newaxis]
     square = Y @ Y
     cube = square @ Y
-    alpha = max(math.sqrt(_norm1(square)), _norm1(cube) ** (1.0 / 3.0))
-    return _Powers(X, scale, square, cube, alpha)
+    # one matrix at a time, as libm's pow gives it: numpy's vectorised power
+    # can differ from it by an ulp, and alpha picks the degree and squarings
+    norms = zip(np.ravel(_norm1(square)).tolist(), np.ravel(_norm1(cube)).tolist())
+    alpha = [max(math.sqrt(a), b ** (1.0 / 3.0)) for a, b in norms]
+    return _Powers(X, scale, square, cube, np.reshape(alpha, scale.shape))
 
 
 def _taylor_terms(powers: Sequence[_Powers], z: np.ndarray
                   ) -> tuple[list[list[int]], list[list[int]], np.ndarray]:
     """Horner products, squaring counts and Taylor coefficients of
     exp(z_ij X_i), X_i the matrix of ``powers[i]``, for an (r, k) array z:
-    one row of k arguments per matrix.  Returns q and s, r lists of k ints:
+    one row of k arguments per matrix, or (r = 1) one argument per matrix of
+    one stack's powers, whose ``scale`` and ``alpha`` are then read per
+    entry.  Returns q and s, r lists of k ints:
     entry (i, j) takes the degree 3 q_ij + 2 polynomial (q_ij
     products) and s_ij squarings; and c, the coefficients u^m / m! of
     u = z nu 2^-s, nu the powers' ``scale``, for m = 0..3 max(q) + 2 and
     exactly 0 above each entry's own degree, shaped (3 max(q) + 3, r, k, 1, 1)
     so that a row broadcasts against a (k, d, d) stack.  Since X = nu Y, the
-    coefficients of the X terms (m = 1, 4, 7, ...) come divided by nu (and
-    stay 0 for a zero X).
+    coefficients of the X terms (m = 1, 4, 7, ...) come divided by nu.
 
     Each entry takes, at its own ``x = |z| nu alpha``, the degree m in
     {5, 8, 11, 14} and the s with the fewest products q + s, ties going to
@@ -199,12 +208,13 @@ def _taylor_terms(powers: Sequence[_Powers], z: np.ndarray
     exponent.  Along a row of more than one entry x is first raised to its
     suffix maximum, so q and s do not increase along it: the top Horner
     blocks and the squarings of a stack (:func:`_taylor_exp`) run on
-    prefixes of it.  When |z| does not increase along the row (as
-    :func:`evaluate_scheme` orders it) that changes nothing.  The
+    prefixes of it.  When x does not increase along the row (as
+    :func:`evaluate_scheme` orders |z| and :func:`_expm_stack` orders
+    nu alpha) that changes nothing.  The
     coefficients are one ``cumprod`` of the factors u / m.
     """
-    scale = np.array([p.scale for p in powers])[:, np.newaxis]
-    alpha = np.array([p.alpha for p in powers])[:, np.newaxis]
+    scale = np.array([p.scale for p in powers]).reshape(len(powers), -1)
+    alpha = np.array([p.alpha for p in powers]).reshape(len(powers), -1)
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         w = z * scale
     if not np.isfinite(w).all():
@@ -222,18 +232,19 @@ def _taylor_terms(powers: Sequence[_Powers], z: np.ndarray
     divisors = _DIVISORS[:top]
     np.divide(u, divisors, out=c[1:], where=divisors <= 3 * q + 2)
     np.cumprod(c, axis=0, out=c)
-    np.divide(c[1::3], scale, out=c[1::3], where=scale > 0.0)
+    c[1::3] /= scale
     return q.tolist(), s.tolist(), c[..., np.newaxis, np.newaxis]
 
 
 def _taylor_exp(powers: _Powers, q: list[int], s: list[int], c: np.ndarray,
                 P: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """exp(z_i X) for each of k arguments z_i, into one of the (k, d, d)
-    buffers P and Q: (result, the other).  ``q`` and ``s`` (k Horner
-    product and squaring counts, neither increasing) and ``c`` (the Taylor
-    coefficients, shaped (3 q_0 + 3 or more, k, 1, 1), those of the X terms
-    divided by the powers' ``scale``) are one row of :func:`_taylor_terms`
-    for X's powers.
+    """exp(z_i X_i) for each of k arguments z_i, into one of the (k, d, d)
+    buffers P and Q: (result, the other).  The powers are shared, X_i = X
+    with (d, d) arrays, or per entry, with (k, d, d) stacks.  ``q`` and ``s``
+    (k Horner product and squaring counts, neither increasing) and ``c``
+    (the Taylor coefficients, shaped (3 q_0 + 3 or more, k, 1, 1), those of
+    the X terms divided by the powers' ``scale``) are one row of
+    :func:`_taylor_terms` for these powers.
 
     P and Q may be float64 only when X and z are real; complex buffers take
     real powers and arguments as they are.
@@ -247,15 +258,14 @@ def _taylor_exp(powers: _Powers, q: list[int], s: list[int], c: np.ndarray,
     stack: an entry joins the Horner loop at its own top block, so it equals
     its own one-entry evaluation bit for bit.
     """
-    X, scale, square, cube, alpha = powers
     k, d = len(P), P.shape[-1]
+    X, square, cube = powers.X, powers.square, powers.cube
+    # per-entry powers are cut to the entries in play, as P and Q are; shared
+    # (d, d) ones broadcast as they are
+    cut = X.ndim == 3
     # (k, 1, d) views of the diagonals, to take the (k, 1, 1) coefficients
     dP = P.reshape(k, 1, -1)[..., :: d + 1]
     dQ = Q.reshape(k, 1, -1)[..., :: d + 1]
-    if scale == 0.0:
-        P[...] = 0.0
-        dP += 1.0
-        return P, Q
     c = list(c)
     n = 0
     for j in range(q[0], -1, -1):
@@ -264,20 +274,24 @@ def _taylor_exp(powers: _Powers, q: list[int], s: list[int], c: np.ndarray,
         while n < k and q[n] >= j:
             n += 1
         c0, c1, c2 = c[3 * j:3 * j + 3]
-        Pn, Qn, dQn = P, Q, dQ
+        Pn, Qn, dQn, Xn, Sn = P, Q, dQ, X, square
         if n < k:
             Pn, Qn, dQn, c0, c1, c2 = P[:n], Q[:n], dQ[:n], c0[:n], c1[:n], c2[:n]
+            if cut:
+                Xn, Sn = X[:n], square[:n]
         if m == 0:
-            np.multiply(X, c1, out=Qn)
+            np.multiply(Xn, c1, out=Qn)
+        elif m == k:
+            np.matmul(P, cube, out=Q)
+            np.multiply(X, c1, out=P)
+            Q += P
         else:
-            if m < k:
-                np.matmul(P[:m], cube, out=Q[:m])
-                Q[m:n] = 0.0
-            else:
-                np.matmul(P, cube, out=Q)
-            np.multiply(X, c1, out=Pn)
-            Qn += Pn
-        np.multiply(square, c2, out=Pn)
+            np.matmul(P[:m], cube[:m] if cut else cube, out=Q[:m])
+            np.multiply(X[:m] if cut else X, c1[:m], out=P[:m])
+            Q[:m] += P[:m]
+            # the entries starting here begin as a one-entry pass does
+            np.multiply(X[m:n] if cut else X, c1[m:n], out=Q[m:n])
+        np.multiply(Sn, c2, out=Pn)
         Qn += Pn
         dQn += c0
         P, Q, dP, dQ = Q, P, dQ, dP
@@ -317,21 +331,42 @@ def expm(M: np.ndarray) -> np.ndarray:
     relative) the one with the fewest products is taken.  Good to ~1e-13
     relative for the moderate norms used here.  Cost: Y^2 and Y^3, then 1-4
     products plus s squarings (Paterson-Stockmeyer, Horner in Y^3).
-    :func:`evaluate_scheme` runs the same core on each generator's cached
-    powers.  M must be one square 2-D matrix of finite entries, and its
-    exponential must be finite (``ValueError`` otherwise); a real M gives a
-    float64 result, a complex M complex128.
+    It is the one-matrix case of the stacked core :func:`target_matrix`
+    runs, and :func:`evaluate_scheme` runs the same core on each generator's
+    cached powers.  M must be one square 2-D matrix of finite entries, and
+    its exponential must be finite (``ValueError`` otherwise); a real M
+    gives a float64 result, a complex M complex128.
     """
-    M = _square_matrix(M, "expm")
-    if not np.all(np.isfinite(M)):
+    return _expm_stack(_square_matrix(M, "expm")[np.newaxis])[0]
+
+
+def _expm_stack(F: np.ndarray) -> np.ndarray:
+    """exp of each matrix of a (k, d, d) stack, as :func:`expm` takes it.
+
+    Each matrix gets its own powers (:func:`_powers`), and the stack runs in
+    order of decreasing ``nu alpha``, so the top Horner blocks and the
+    squarings of :func:`_taylor_exp` work on prefixes of it; each result is
+    the stack's one-matrix evaluation bit for bit.  A non-finite entry or
+    result anywhere raises ``ValueError``.
+    """
+    if not np.all(np.isfinite(F)):
         raise ValueError("matrix exponential of non-finite entries")
-    P, Q = (np.empty((1,) + M.shape, dtype=M.dtype) for _ in range(2))
+    if not len(F):
+        return F.copy()
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        powers = _powers(M)
-        q, s, c = _taylor_terms([powers], np.ones((1, 1)))
-        E = _taylor_exp(powers, q[0], s[0], c[:, 0], P, Q)[0][0]
+        powers = _powers(F)
+        x = (powers.scale * powers.alpha).tolist()
+        order = sorted(range(len(F)), key=x.__getitem__, reverse=True)
+        ordered = order == list(range(len(F)))
+        if not ordered:
+            powers = _Powers(*(p[order] for p in powers))
+        q, s, c = _taylor_terms([powers], np.ones((1, len(F))))
+        P, Q = (np.empty(F.shape, dtype=F.dtype) for _ in range(2))
+        E = _taylor_exp(powers, q[0], s[0], c[:, 0], P, Q)[0]
     if not np.all(np.isfinite(E)):
         raise ValueError("matrix exponential overflows")
+    if not ordered:
+        E[order] = E.copy()
     return E
 
 
@@ -590,13 +625,31 @@ def element_matrix(degree: int, position: int, pair: OperatorPair) -> np.ndarray
     return element.sign * (L @ C - C @ L)
 
 
-def target_matrix(target: TargetPolynomial, pair: OperatorPair, t: float) -> np.ndarray:
+def target_matrix(target: TargetPolynomial, pair: OperatorPair, t) -> np.ndarray:
     """exp of the matrix Lie polynomial: each degree-j term scaled by t^j.
 
-    float64 when the pair and every weight w t^j are real, else complex128.
+    ``t`` is one step time, giving a d x d matrix, or a 1-D array of k step
+    times, giving the (k, d, d) stack of the targets at each of them, as
+    :func:`evaluate_scheme` takes it.  The element matrices are built once,
+    each term's weights w t^j are broadcast over the grid, and the stack is
+    exponentiated in one pass of the Taylor core of :func:`expm`, each entry
+    with its own powers; every entry equals its own one-time call bit for
+    bit.  float64 when the pair and every weight w t^j are real, else
+    complex128.  A non-finite sum or exponential at any t, an overflow while
+    building the element matrices included, raises ``ValueError`` and no
+    numpy warning.
     """
-    terms = [(key, w * t ** key[0]) for key, w in target.terms.items()]
-    F = np.zeros((pair.dim, pair.dim), dtype=_dtype(pair.A, *(w for _, w in terms)))
-    for (degree, position), w in terms:
-        F += w * element_matrix(degree, position, pair)
-    return expm(F)
+    times = np.asarray(t)
+    if times.ndim > 1:
+        raise ValueError(f"t must be a step time or a 1-D array of them, got shape {times.shape}")
+    steps = list(times.reshape(-1))
+    with np.errstate(over="ignore", invalid="ignore"):  # _expm_stack refuses a non-finite F
+        # t^j one scalar at a time, as libm's pow gives it: numpy's vectorised
+        # power can differ from it by an ulp
+        weights = [np.array([w * step ** degree for step in steps])
+                   for (degree, _), w in target.terms.items()]
+        F = np.zeros((len(steps), pair.dim, pair.dim), dtype=_dtype(pair.A, *weights))
+        for (degree, position), w in zip(target.terms, weights):
+            F += w[:, np.newaxis, np.newaxis] * element_matrix(degree, position, pair)
+    T = _expm_stack(F)
+    return T if times.ndim else T[0]

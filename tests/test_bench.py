@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -417,6 +418,71 @@ def test_stacked_powers_match_matrix_power(seed, d, n_list):
     assert powers.shape == U.shape
     for power, M, n in zip(powers, U, n_list):
         np.testing.assert_array_equal(power, np.linalg.matrix_power(M, n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+    d=st.integers(min_value=1, max_value=6),
+    real=st.booleans(),
+    n_list=st.lists(st.one_of(st.sampled_from([1, 2, 3]),
+                              st.integers(min_value=1, max_value=300),
+                              st.integers(min_value=DEFAULT_N_CAP - 5000,
+                                          max_value=DEFAULT_N_CAP)),
+                    min_size=1, max_size=12),
+    repeat=st.booleans(),
+)
+@example(seed=2, d=2, real=False, n_list=[3, 1, 2, 3, 4096, 5, 1, 7], repeat=True)
+@example(seed=3, d=4, real=True, n_list=[DEFAULT_N_CAP, 3, DEFAULT_N_CAP - 1], repeat=False)
+def test_stacked_powers_are_matrix_power_bit_for_bit(seed, d, real, n_list, repeat):
+    # unsorted n with repeats, n = 1, 2, 3 and n near the cap, on orthogonal
+    # (float64) and unitary (complex128) stacks: every entry has the bytes
+    # of its own matrix_power, signed zeros included
+    if repeat:
+        n_list = n_list + n_list[::-1]
+    U = _unitary_stack(seed, len(n_list), d)
+    if real:
+        U = np.linalg.qr(np.random.default_rng(seed).standard_normal(U.shape))[0]
+    powers = bench._matrix_powers(U.copy(), n_list)
+    assert powers.dtype == U.dtype
+    for power, M, n in zip(powers, U, n_list):
+        assert power.tobytes() == np.linalg.matrix_power(M, n).tobytes()
+
+
+def test_stacked_powers_leave_first_powers_alone():
+    U = _unitary_stack(4, 3, 3)
+    assert bench._matrix_powers(U, [1, 1, 1]) is U
+    np.testing.assert_array_equal(bench._matrix_powers(U.copy(), [1, 1, 1]), U)
+
+
+def test_grids_build_their_targets_in_one_call(monkeypatch, random_pair):
+    calls = []
+    target_matrix = matform.target_matrix
+
+    def spy(target, pair, t):
+        calls.append(np.shape(t))
+        return target_matrix(target, pair, t)
+
+    monkeypatch.setattr(matform, "target_matrix", spy)
+    gates_for_tolerance("NCP10_4", random_pair, [0.2, 0.4, 0.6, 0.8], 1e-6)
+    single_step_errors("NCP10_4", random_pair, [0.1, 0.05, 0.2])
+    error_curve("NCP10_4", random_pair, 1.0, [1, 2, 4])
+    assert calls == [(4,), (3,), ()]
+
+
+@pytest.mark.parametrize("run", [
+    lambda pair: gates_for_tolerance("NCP10_4", pair, [0.5, 0.7], 1e-6),
+    lambda pair: single_step_errors("NCP10_4", pair, [0.1, 0.2]),
+    lambda pair: error_curve("NCP10_4", pair, 1.0, [1, 2]),
+], ids=["gates_for_tolerance", "single_step_errors", "error_curve"])
+def test_overflowing_pair_is_one_value_error(random_pair, run):
+    # the targets overflow while their element matrices are built: one
+    # ValueError and no numpy warning
+    big = matform.OperatorPair(1e160 * random_pair.A, 1e160 * random_pair.B)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            run(big)
 
 
 def test_long_grids_run_as_several_stacks(monkeypatch, random_pair):

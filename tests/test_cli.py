@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -475,3 +479,24 @@ def test_optimize_unknown_family(capsys):
     code, _, err = run(capsys, "optimize", "--family", "nosuch", "--range", "0:1")
     assert code == 2
     assert "invalid choice" in err
+
+
+# ---------------------------------------------------------------------------
+# python -m commexp
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("scheme,code", [("NCP10_4", 0), ("NOPE", 2)])
+def test_module_entry_point_exits_with_main_code(scheme, code):
+    # scripts read exit 1 as "order NOT verified", so the module entry point
+    # must hand on main's code: 0 verified, 2 for an unknown scheme
+    src = str(Path(commexp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-m", "commexp", "verify", "--scheme", scheme],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == code, done.stderr
+    if code == 0:
+        assert "NCP10_4: order 4 verified" in done.stdout
+    else:
+        assert "NOPE" in done.stderr

@@ -967,3 +967,103 @@ def test_unit_coefficient_formula_identity_vanishes_on_pauli(pauli_pair):
     assert two_norm(element_matrix(4, 2, pauli_pair)) < 1e-14
     generic = make_pair("random", dim=16, seed=0)
     assert two_norm(element_matrix(4, 2, generic)) > 0.1
+
+
+# ---------------------------------------------------------------------------
+# stacked targets
+# ---------------------------------------------------------------------------
+
+
+def _targets():
+    """Every catalog target, by name: the commutator, sum, nested and combined
+    targets and the mixed-degree sum-plus-commutator target of phi3-phi5."""
+    from commexp.schemes import catalog_names
+
+    return {catalog_get(name).target.name: catalog_get(name).target
+            for name in catalog_names()}
+
+
+_TARGETS = _targets()
+
+
+def _bits(M):
+    """The bytes of an array: equality is bit-for-bit, signed zeros included."""
+    return np.ascontiguousarray(M).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_TARGETS) + ["sum_plus_commutator(R=2.5)"]),
+    pair_kind=st.sampled_from(["pauli", "random:2", "random:5", "random:16"]),
+    seed=st.integers(min_value=0, max_value=2 ** 16),
+    times=st.lists(st.one_of(st.just(0.0), st.floats(min_value=-3.0, max_value=3.0)),
+                   min_size=1, max_size=13),
+    repeat=st.booleans(),
+)
+@example(name="sum_plus_commutator(R=1)", pair_kind="pauli", seed=0,
+         times=[0.9, 0.0, 0.1, 0.5, 0.1, 2.0, 0.0], repeat=True)
+@example(name="combined", pair_kind="random:16", seed=11,
+         times=[0.2, 0.8, 0.4, 0.6], repeat=False)
+def test_stacked_targets_equal_one_time_calls(name, pair_kind, seed, times, repeat):
+    # unsorted, repeated and zero step times: each entry of the stack is the
+    # one-time call bit for bit, on the complex pauli pair and real random pairs
+    target = _TARGETS.get(name) or sum_plus_commutator_target(2.5)
+    pair = (make_pair("pauli") if pair_kind == "pauli"
+            else make_pair("random", int(pair_kind.split(":")[1]), seed))
+    if repeat:
+        times = times + times[::-1]
+    stack = target_matrix(target, pair, np.array(times))
+    assert stack.shape == (len(times), pair.dim, pair.dim)
+    for T, t in zip(stack, times):
+        one = target_matrix(target, pair, t)
+        assert one.dtype == stack.dtype
+        assert _bits(T) == _bits(one)
+
+
+def test_target_grid_takes_one_taylor_pass(monkeypatch, random_pair):
+    # a 9-point grid is one exponential pass, and the public expm is not called
+    calls = _count_slot_exponentials(monkeypatch)
+    monkeypatch.setattr(matform, "expm", None)
+    T = target_matrix(sum_plus_commutator_target(1.0), random_pair, np.linspace(0.1, 0.9, 9))
+    assert T.shape == (9, 16, 16) and len(calls) == 1
+
+
+def test_target_matrix_shapes(pauli_pair):
+    target = commutator_target()
+    assert target_matrix(target, pauli_pair, 0.4).shape == (2, 2)
+    assert target_matrix(target, pauli_pair, np.array([0.4])).shape == (1, 2, 2)
+    assert target_matrix(target, pauli_pair, np.array([])).shape == (0, 2, 2)
+    np.testing.assert_array_equal(target_matrix(target, pauli_pair, 0.0), np.eye(2))
+    with pytest.raises(ValueError, match="1-D array"):
+        target_matrix(target, pauli_pair, np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("t", [0.5, np.array([0.2, 0.5])])
+def test_target_matrix_overflow_is_one_value_error(random_pair, t):
+    # the element matrices overflow in their products: a ValueError, no warning
+    big = OperatorPair(1e160 * random_pair.A, 1e160 * random_pair.B)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            target_matrix(commutator_target(), big, t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+    dim=st.integers(min_value=1, max_value=8),
+    sizes=st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=6.0)),
+                   min_size=1, max_size=9),
+    real=st.booleans(),
+)
+def test_exponential_stack_equals_expm_per_matrix(seed, dim, sizes, real):
+    # a stack of mixed norms, zero matrices included, runs in an order of its
+    # own; each result is expm of its matrix bit for bit
+    g = np.random.default_rng(seed)
+    F = g.standard_normal((len(sizes), dim, dim))
+    if not real:
+        F = F + 1j * g.standard_normal(F.shape)
+    F *= np.reshape(sizes, (-1, 1, 1)) / np.linalg.norm(F, 2, axis=(1, 2))[:, None, None]
+    E = matform._expm_stack(F)
+    for M, expected in zip(F, E):
+        assert _bits(expm(M)) == _bits(expected)
