@@ -12,6 +12,13 @@ search: each probe predicts where the error crosses the tolerance, and a
 reported count n carries the evaluated bracket err(n) <= tol < err(n - 1).
 ``None`` ("not reached") means the largest power of two <= the step cap
 still misses the tolerance.
+
+A table (:func:`curve_table`, :func:`cost_table`) is the unit of stacking:
+it builds each distinct target once, makes one
+:func:`~commexp.matform.evaluate_scheme` call per scheme (per round, for a
+cost table), and raises and norms the entries of all its schemes in one
+pass.  :func:`error_curve`, :func:`gates_for_tolerance` and
+:func:`single_step_errors` are its one-scheme case.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -81,42 +88,125 @@ def error_curve(scheme, pair: matform.OperatorPair, t_total: float,
     The per-step time is (t_total/n)^(1/k) with k the leading degree of the
     target, so the n steps compose to the target exactly; the reported cost
     is n times the slot count.  A ``t_total`` that is not positive and
-    finite raises ``ValueError``.  The n grid is one (len(n_list), d, d) stack
-    (:func:`~commexp.matform.evaluate_scheme`), split only past
-    ``_STACK_BYTES`` per buffer.
+    finite, or a step count that is not an integer >= 1, raises
+    ``ValueError``.  This is the one-scheme :func:`curve_table`: the n grid
+    is one (len(n_list), d, d) stack (:func:`~commexp.matform.evaluate_scheme`),
+    split only past ``_STACK_BYTES`` per buffer.
     """
-    scheme = _resolve_scheme(scheme)
+    return _curves([scheme], pair, t_total, n_list)[0]
+
+
+def _curves(scheme_list, pair: matform.OperatorPair, t_total: float,
+            n_list: Sequence[int]) -> list[list[BenchResult]]:
+    """:func:`error_curve` of each scheme, as one table: one target per
+    distinct target and one :func:`_errors` pass over all the curves."""
+    resolved = [_resolve_scheme(s) for s in scheme_list]
     if not (math.isfinite(t_total) and t_total > 0):
         raise ValueError(f"t_total must be positive and finite, got {t_total!r}")
-    if any(n < 1 for n in n_list):
-        raise ValueError("step counts must be positive")
-    k = scheme.target.min_degree
-    T = matform.target_matrix(scheme.target, pair, t_total ** (1.0 / k))
-    errors = _errors(scheme, pair, [_step_time(t_total, n, k) for n in n_list], n_list,
-                     np.broadcast_to(T, (len(n_list),) + T.shape))
-    return [BenchResult(scheme.name, n, n * scheme.slot_count, t_total, error,
-                        pair.label, pair.seed)
-            for n, error in zip(n_list, errors)]
+    for n in n_list:  # numpy integers are fine; 2.5 would be powered as 2
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"step counts must be integers >= 1, got {n!r}")
+    targets = _targets(resolved, pair, lambda target: t_total ** (1.0 / target.min_degree))
+    jobs = []
+    for scheme, T in zip(resolved, targets):
+        k = scheme.target.min_degree
+        jobs.append(_Job(scheme, [_step_time(t_total, n, k) for n in n_list], n_list,
+                         np.broadcast_to(T, (len(n_list),) + T.shape)))
+    return [[BenchResult(scheme.name, n, n * scheme.slot_count, t_total, error,
+                         pair.label, pair.seed)
+             for n, error in zip(n_list, errors)]
+            for scheme, errors in zip(resolved, _errors(pair, jobs))]
+
+
+def _targets(resolved, pair: matform.OperatorPair, times: Callable) -> list[np.ndarray]:
+    """Per scheme, its target at the step time (or 1-D grid) ``times(target)``:
+    one :func:`~commexp.matform.target_matrix` call per distinct target of
+    the schemes (targets compare by value)."""
+    built: list[tuple] = []
+    out = []
+    for scheme in resolved:
+        T = next((T for target, T in built if target == scheme.target), None)
+        if T is None:
+            T = matform.target_matrix(scheme.target, pair, times(scheme.target))
+            built.append((scheme.target, T))
+        out.append(T)
+    return out
 
 
 #: Bytes one complex128 (k, d, d) buffer of a stacked pass may reach (16 MiB):
-#: a longer grid runs as several stacks, so memory does not grow with it.
+#: a longer table runs as several stacks, so memory does not grow with it.
 _STACK_BYTES = 1 << 24
 
 
-def _errors(scheme, pair, steps: Sequence[float], n_list: Sequence[int],
-            targets: np.ndarray) -> list[float]:
-    """||U(t_i)^(n_i) - T_i||_2 for each step time t_i, step count n_i and
-    target T_i of a (k, d, d) array, in stacks of at most
-    ``_STACK_BYTES / (16 d^2)`` entries."""
+class _Job(NamedTuple):
+    """One scheme's entries in an :func:`_errors` pass: step times, step
+    counts and the (len(steps), d, d) targets, a broadcast view where the
+    entries share one."""
+
+    scheme: object
+    steps: Sequence[float]
+    ns: Sequence[int]
+    targets: np.ndarray
+
+
+def _stacks(jobs: Sequence[_Job], size: int):
+    """The entries of the jobs in order, cut into stacks of at most ``size``:
+    per stack, its (job index, slice of the job's entries) pieces."""
+    stack, room = [], size
+    for j, job in enumerate(jobs):
+        start = 0
+        while start < len(job.steps):
+            stop = min(start + room, len(job.steps))
+            stack.append((j, slice(start, stop)))
+            room -= stop - start
+            start = stop
+            if not room:
+                yield stack
+                stack, room = [], size
+    if stack:
+        yield stack
+
+
+def _errors(pair, jobs: Sequence[_Job]) -> list[list[float]]:
+    """||U(t)^n - T||_2 for every entry (t, n, T) of every job, U the job's
+    scheme: per job, its errors in order.
+
+    The entries run job by job in stacks of at most ``_STACK_BYTES / (16 d^2)``.
+    A stack makes one :func:`~commexp.matform.evaluate_scheme` call per job
+    in it and groups the products by dtype, so no real product is widened to
+    complex128.  Each group is raised to its step counts in one
+    :func:`_matrix_powers` pass, has each job's targets subtracted in place
+    and its norms taken in one :func:`~commexp.matform.two_norms` call; a
+    group of one job is the ``evaluate_scheme`` array itself, not a copy.
+    Every error equals the one its entry gives alone, bit for bit.
+    """
     size = max(1, _STACK_BYTES // (16 * pair.dim ** 2))
-    errors: list[float] = []
+    errors: list[list[float]] = [[] for _ in jobs]
     # an overflowing product turns up as two_norms' non-finite ValueError
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(0, len(steps), size):
-            part = slice(i, i + size)
-            U = matform.evaluate_scheme(scheme, pair, np.array(steps[part]))
-            errors += matform.two_norms(_matrix_powers(U, n_list[part]) - targets[part]).tolist()
+        for stack in _stacks(jobs, size):
+            groups: dict[tuple, list[list]] = {}
+            for j, part in stack:
+                U = matform.evaluate_scheme(jobs[j].scheme, pair, np.array(jobs[j].steps[part]))
+                # a group is raised in the dtype of its products, then widened
+                # to that of U - T, as the subtraction would widen it
+                key = (U.dtype, np.promote_types(U.dtype, jobs[j].targets.dtype))
+                groups.setdefault(key, []).append([j, part, U])
+            del U
+            for (_, dtype), group in groups.items():
+                # each piece hands its product over, so that only the
+                # group's stack stays alive
+                P = (group[0].pop() if len(group) == 1
+                     else np.concatenate([piece.pop() for piece in group]))
+                P = _matrix_powers(P, [n for j, part in group for n in jobs[j].ns[part]])
+                P = P.astype(dtype, copy=False)
+                bounds = [0]
+                for j, part in group:
+                    bounds.append(bounds[-1] + part.stop - part.start)
+                    P[bounds[-2]:bounds[-1]] -= jobs[j].targets[part]
+                norms = matform.two_norms(P).tolist()
+                for (j, _), a, b in zip(group, bounds, bounds[1:]):
+                    errors[j] += norms[a:b]
     return errors
 
 
@@ -160,7 +250,7 @@ def _matrix_powers(U: np.ndarray, n_list: Sequence[int]) -> np.ndarray:
             if roles.count(role) == m:
                 R[:m] = taken
             else:
-                np.copyto(R[:m], taken, where=np.reshape([r == role for r in roles], (-1, 1, 1)))
+                np.copyto(R[:m], taken, where=np.array([r == role for r in roles]).reshape(-1, 1, 1))
     U[order] = R
     return U
 
@@ -244,35 +334,68 @@ def gates_for_tolerance(scheme, pair: matform.OperatorPair,
     still misses ``tol``.  ``n_cap`` must be finite and at least 1
     (``ValueError`` otherwise).
 
-    The searches of all x run in lockstep: each round evaluates the current
-    probe of every unfinished x as one stack, and each x probes the step
-    counts its own search would.  The targets of all x are one
+    This is the one-scheme, one-tolerance :func:`cost_table`: the searches
+    of all x run in lockstep, each round evaluating the current probe of
+    every unfinished x as one stack, and each x probes the step counts its
+    own search would.  The targets of all x are one
     :func:`~commexp.matform.target_matrix` call; a pair whose targets
     overflow raises one ``ValueError`` and no numpy warning.
     """
-    scheme = _resolve_scheme(scheme)
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    gates = _gates([scheme], pair, x_grid, [tol], n_cap)
+    return list(zip(x_grid, gates[float(tol), _scheme_key(scheme)]))
+
+
+def _scheme_key(scheme):
+    """What makes two entries of a table the same scheme: the name, or the
+    object itself."""
+    return scheme if isinstance(scheme, str) else id(scheme)
+
+
+def _gates(scheme_list, pair: matform.OperatorPair, x_grid: Sequence[float],
+           tols: Sequence[float], n_cap: int) -> dict[tuple, list[int | None]]:
+    """:func:`gates_for_tolerance` of every scheme at every tolerance, keyed
+    by (float(tol), :func:`_scheme_key`), all searches in one lockstep.
+
+    Each round evaluates, per scheme with live searches, each distinct
+    (x, n) probe once, however many tolerances probe it, as one job of one
+    :func:`_errors` pass.  The targets are one
+    :func:`~commexp.matform.target_matrix` call per distinct target.
+    """
+    distinct = {_scheme_key(s): _resolve_scheme(s) for s in scheme_list}
+    for tol in tols:
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if not all(0 < x <= 1 for x in x_grid):
         raise ValueError("x grid must lie in (0, 1]")
     if not (math.isfinite(n_cap) and n_cap >= 1):
         raise ValueError(f"n_cap must be finite and at least 1, got {n_cap!r}")
-    k = scheme.target.min_degree
-    targets = matform.target_matrix(scheme.target, pair, np.asarray(x_grid))
-    searches = {i: _Search((scheme.order + 1) / k - 1, tol, _reach(n_cap))
-                for i in range(len(x_grid))}
-    gates: list[int | None] = [None] * len(x_grid)
-    while searches:
-        points = list(searches)
-        probes = [searches[i].probe for i in points]
-        steps = [_step_time(x_grid[i] ** k, n, k) for i, n in zip(points, probes)]
-        for i, error in zip(points, _errors(scheme, pair, steps, probes, targets[points])):
-            search = searches[i]
-            if search.record(error):
-                del searches[i]
-                if search.hi is not None:
-                    gates[i] = search.hi[0] * scheme.slot_count
-    return list(zip(x_grid, gates))
+    targets = dict(zip(distinct, _targets(distinct.values(), pair, lambda _: np.asarray(x_grid))))
+    top = _reach(n_cap)
+    gates = {(tol, key): [None] * len(x_grid) for tol in map(float, tols) for key in distinct}
+    live = {(tol, key, i): _Search((distinct[key].order + 1) / distinct[key].target.min_degree - 1,
+                                   tol, top)
+            for tol, key in gates for i in range(len(x_grid))}
+    while live:
+        # per scheme, the searches waiting on each (x, n) probe
+        waiting: dict = {}
+        for search_key, search in live.items():
+            waiting.setdefault(search_key[1], {}).setdefault(
+                (search_key[2], search.probe), []).append(search_key)
+        jobs = []
+        for key, probes in waiting.items():
+            k = distinct[key].target.min_degree
+            jobs.append(_Job(distinct[key], [_step_time(x_grid[i] ** k, n, k) for i, n in probes],
+                             [n for _, n in probes], targets[key][[i for i, _ in probes]]))
+        for (key, probes), errors in zip(waiting.items(), _errors(pair, jobs)):
+            for searches, error in zip(probes.values(), errors):
+                for search_key in searches:
+                    search = live[search_key]
+                    if search.record(error):
+                        del live[search_key]
+                        if search.hi is not None:
+                            tol, _, i = search_key
+                            gates[tol, key][i] = search.hi[0] * distinct[key].slot_count
+    return gates
 
 
 def slope_fit(points: Sequence[tuple[float, float]]) -> float:
@@ -292,10 +415,18 @@ def single_step_errors(scheme, pair: matform.OperatorPair,
     """(t, error) of one application of the scheme against its own target,
     the t grid stacked as in :func:`error_curve`: one
     :func:`~commexp.matform.target_matrix` call for the grid's targets."""
-    scheme = _resolve_scheme(scheme)
-    targets = matform.target_matrix(scheme.target, pair, np.asarray(t_grid))
-    errors = _errors(scheme, pair, t_grid, [1] * len(t_grid), targets)
-    return [(float(t), error) for t, error in zip(t_grid, errors)]
+    return _single_steps([scheme], pair, t_grid)[0]
+
+
+def _single_steps(scheme_list, pair: matform.OperatorPair,
+                  t_grid: Sequence[float]) -> list[list[tuple[float, float]]]:
+    """:func:`single_step_errors` of each scheme, as one table: one target
+    grid per distinct target and one :func:`_errors` pass."""
+    resolved = [_resolve_scheme(s) for s in scheme_list]
+    targets = _targets(resolved, pair, lambda _: np.asarray(t_grid))
+    jobs = [_Job(scheme, t_grid, [1] * len(t_grid), T) for scheme, T in zip(resolved, targets)]
+    return [[(float(t), error) for t, error in zip(t_grid, errors)]
+            for errors in _errors(pair, jobs)]
 
 
 def empirical_order(scheme, pair: matform.OperatorPair,
@@ -357,20 +488,40 @@ def _write_csv(out, sections: Sequence[tuple[Sequence[str], Sequence[str], Seque
 
 
 def curve_table(scheme_names, pairs, t_total, n_grid):
-    """CSV header and rows of n-step error curves, pair by pair, scheme by scheme."""
+    """CSV header and rows of n-step error curves, pair by pair, scheme by scheme.
+
+    The table is the unit of stacking: per pair, each distinct target is
+    built once, each scheme's n grid is one
+    :func:`~commexp.matform.evaluate_scheme` call, and the entries of all
+    the curves are raised to their n in one pass and normed in one
+    :func:`~commexp.matform.two_norms` call per dtype, in stacks of at most
+    ``_STACK_BYTES / (16 d^2)`` entries.  Every row equals the one
+    :func:`error_curve` gives for its scheme alone, bit for bit.
+    """
     rows = []
     for pair in pairs:
-        for name in scheme_names:
-            for res in error_curve(name, pair, t_total, n_grid):
-                rows.append((res.scheme, res.pair, res.t_total,
-                             res.n, res.gates, res.error))
+        for curve in _curves(scheme_names, pair, t_total, n_grid):
+            rows += [(res.scheme, res.pair, res.t_total, res.n, res.gates, res.error)
+                     for res in curve]
     return ("scheme", "pair", "t_total", "n", "gates", "error"), rows
 
 
 def cost_table(scheme_names, pair, x_grid, tol):
-    """CSV header and rows of the gates each scheme needs to reach ``tol`` per x."""
-    rows = [(name, x, tol, gates) for name in scheme_names
-            for x, gates in gates_for_tolerance(name, pair, x_grid, tol)]
+    """CSV header and rows of the gates each scheme needs to reach ``tol``
+    per x, tolerance by tolerance (``tol`` is one tolerance or a sequence of
+    them), scheme by scheme.
+
+    All the (scheme, tolerance, x) searches run in one lockstep: each round
+    makes one :func:`~commexp.matform.evaluate_scheme` call per scheme with
+    live searches, evaluates a probe that several tolerances share once, and
+    takes one powering and norm pass; the targets are built once per
+    distinct target.  Every row equals the one :func:`gates_for_tolerance`
+    gives for its scheme and tolerance alone.
+    """
+    tols = [tol] if np.ndim(tol) == 0 else list(tol)
+    gates = _gates(scheme_names, pair, x_grid, tols, DEFAULT_N_CAP)
+    rows = [(name, x, t, g) for t in tols for name in scheme_names
+            for x, g in zip(x_grid, gates[float(t), _scheme_key(name)])]
     return ("scheme", "x", "tol", "gates"), rows
 
 
@@ -409,10 +560,7 @@ def _export_curve_figure(which, out, scheme_names, t_total, seed):
 
 def _export_fig5(out, seed):
     pair = matform.make_pair("pauli")
-    rows = []
-    for tol in _FIG5_TOLS:
-        header, tol_rows = cost_table(_FIG5_SCHEMES, pair, _FIG5_X_GRID, tol)
-        rows += tol_rows
+    header, rows = cost_table(_FIG5_SCHEMES, pair, _FIG5_X_GRID, _FIG5_TOLS)
     comments = [
         "fig5: gates needed to reach tolerance for exp(x^2 [A,B]) on the pauli pair",
         f"x grid {_FIG5_X_GRID[0]}..{_FIG5_X_GRID[-1]}, tolerances "
@@ -426,10 +574,10 @@ def _export_fig5(out, seed):
 
 def _export_fig6(out, seed):
     pair = matform.make_pair("pauli")
-    steps = [(name, t, err) for name in _FIG6_SCHEMES
-             for t, err in single_step_errors(name, pair, _FIG6_T_GRID)]
-    costs = [(name, res.gates, res.error) for name in _FIG6_SCHEMES
-             for res in error_curve(name, pair, 1.0, _FIG6_N_GRID)]
+    steps = [(name, t, err) for name, points in zip(
+        _FIG6_SCHEMES, _single_steps(_FIG6_SCHEMES, pair, _FIG6_T_GRID)) for t, err in points]
+    costs = [(name, res.gates, res.error) for name, curve in zip(
+        _FIG6_SCHEMES, _curves(_FIG6_SCHEMES, pair, 1.0, _FIG6_N_GRID)) for res in curve]
     _write_csv(out, [
         (["fig6: sum-splitting comparison on the pauli pair",
           "single-step error of one application vs step size t",

@@ -15,6 +15,8 @@ from commexp.bench import (
     DEFAULT_N_CAP,
     DEFAULT_N_GRID,
     BenchResult,
+    cost_table,
+    curve_table,
     error_curve,
     export_figure,
     gates_for_tolerance,
@@ -78,6 +80,21 @@ def test_error_curve_commutator_decay(pauli_pair):
 def test_error_curve_rejects_bad_step_count(pauli_pair):
     with pytest.raises(ValueError):
         error_curve("strang", pauli_pair, 1.0, (0,))
+
+
+@pytest.mark.parametrize("n_list", [[1, 2.5, 2], [2.0], [np.float64(4.0)], [0], [-3], [True]])
+def test_error_curve_refuses_step_counts_that_are_not_integers(n_list):
+    # n = 2.5 used to be powered as int(2.5): its error was that of U(t_2.5)^2
+    pair = matform.make_pair("random", 4, 1)
+    with pytest.raises(ValueError, match="integers >= 1"):
+        error_curve("NCP10_4", pair, 1.0, n_list)
+    with pytest.raises(ValueError, match="integers >= 1"):
+        curve_table(["NCP10_4"], [pair], 1.0, n_list)
+
+
+def test_error_curve_takes_numpy_integer_step_counts(pauli_pair):
+    assert (error_curve("NCP10_4", pauli_pair, 1.0, np.array([1, 3, 8]))
+            == error_curve("NCP10_4", pauli_pair, 1.0, [1, 3, 8]))
 
 
 @pytest.mark.parametrize("t_total", [-1.0, 0.0, float("nan"), float("inf"), -float("inf")])
@@ -304,9 +321,9 @@ def _synthetic_search(scheme, err, tol, n_cap=DEFAULT_N_CAP):
     """gates_for_tolerance on a made-up error curve err(n), and its rounds."""
     rounds = []
 
-    def errors(scheme, pair, steps, n_list, targets):
-        rounds.append(len(n_list))
-        return [err(n) for n in n_list]
+    def errors(pair, jobs):
+        rounds.append(sum(len(job.ns) for job in jobs))
+        return [[err(n) for n in job.ns] for job in jobs]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bench, "_errors", errors)
@@ -366,9 +383,9 @@ def _count_rounds(monkeypatch):
     rounds = []
     errors = bench._errors
 
-    def spy(scheme, pair, steps, n_list, targets):
-        rounds.append(len(steps))
-        return errors(scheme, pair, steps, n_list, targets)
+    def spy(pair, jobs):
+        rounds.append(sum(len(job.steps) for job in jobs))
+        return errors(pair, jobs)
 
     monkeypatch.setattr(bench, "_errors", spy)
     return rounds
@@ -514,6 +531,168 @@ def test_stacked_errors_match_one_step_count_at_a_time(pauli_pair):
     curve = error_curve(scheme, pauli_pair, 1.0, [7, 1, 4096, 3, 2])
     assert [r.error for r in curve] == [composed_error(scheme, pauli_pair, 1.0, n)
                                         for n in (7, 1, 4096, 3, 2)]
+
+
+# ---------------------------------------------------------------------------
+# tables: the unit of stacking
+# ---------------------------------------------------------------------------
+
+
+def _curve_rows_one_at_a_time(names, pairs, t_total, n_grid):
+    """curve_table's rows, one error_curve per scheme: the reference for the
+    stacked table."""
+    return [(r.scheme, r.pair, r.t_total, r.n, r.gates, r.error)
+            for pair in pairs for name in names for r in error_curve(name, pair, t_total, n_grid)]
+
+
+def _cost_rows_one_at_a_time(names, pair, x_grid, tols):
+    """cost_table's rows, one gates_for_tolerance per scheme and tolerance."""
+    return [(name, x, tol, gates) for tol in tols for name in names
+            for x, gates in gates_for_tolerance(name, pair, x_grid, tol)]
+
+
+def _bits(rows):
+    """Rows with every float as its bytes, so that equality is bit for bit."""
+    return [tuple(np.float64(v).tobytes() if isinstance(v, float) else v for v in row)
+            for row in rows]
+
+
+_TABLE_PAIRS = {"pauli": matform.make_pair("pauli"),
+                "random:16": matform.make_pair("random", 16, 11)}
+# commutator schemes, a complex one, and degree-1 (strang, yoshida4) and
+# degree-3 (aor4_opt) targets
+_TABLE_SCHEMES = st.lists(st.sampled_from(["NCP6_3", "NCP10_4", "PCP16_5", "PCP6_3_imaginary",
+                                           "strang", "yoshida4", "aor4_opt"]),
+                          min_size=1, max_size=4)
+
+
+@settings(max_examples=20, deadline=None)
+@given(pair=st.sampled_from(sorted(_TABLE_PAIRS)), names=_TABLE_SCHEMES,
+       n_grid=st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=5),
+       t_total=st.sampled_from([0.3, 1.0, 4.0]), tiny=st.booleans())
+@example(pair="random:16", names=["NCP10_4", "PCP6_3_imaginary", "strang", "NCP10_4"],
+         n_grid=[1, 7, 2, 64], t_total=1.0, tiny=True)
+def test_curve_table_rows_equal_one_curve_at_a_time(pair, names, n_grid, t_total, tiny):
+    # repeated names, real and complex products and targets of different
+    # degree share one table; a tiny budget cuts it into stacks of 3 that
+    # straddle the curves
+    pair = _TABLE_PAIRS[pair]
+    reference = _curve_rows_one_at_a_time(names, [pair], t_total, n_grid)
+    with pytest.MonkeyPatch.context() as mp:
+        if tiny:
+            mp.setattr(bench, "_STACK_BYTES", 3 * 16 * pair.dim ** 2)
+        header, rows = curve_table(names, [pair], t_total, n_grid)
+    assert header == ("scheme", "pair", "t_total", "n", "gates", "error")
+    assert _bits(rows) == _bits(reference)
+
+
+@settings(max_examples=15, deadline=None)
+@given(pair=st.sampled_from(sorted(_TABLE_PAIRS)), names=_TABLE_SCHEMES,
+       x_grid=st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=1, max_size=3),
+       tols=st.lists(st.sampled_from([1e-3, 1e-5, 1e-8]), min_size=1, max_size=3),
+       tiny=st.booleans())
+@example(pair="random:16", names=["PCP6_3_imaginary", "NCP10_4", "strang", "NCP10_4"],
+         x_grid=[0.3, 0.9], tols=[1e-5, 1e-3, 1e-5], tiny=True)
+def test_cost_table_rows_equal_one_search_at_a_time(pair, names, x_grid, tols, tiny):
+    pair = _TABLE_PAIRS[pair]
+    reference = _cost_rows_one_at_a_time(names, pair, x_grid, tols)
+    with pytest.MonkeyPatch.context() as mp:
+        if tiny:
+            mp.setattr(bench, "_STACK_BYTES", 3 * 16 * pair.dim ** 2)
+        header, rows = cost_table(names, pair, x_grid, tols)
+    assert header == ("scheme", "x", "tol", "gates")
+    assert rows == reference
+
+
+def test_one_tolerance_cost_table_is_the_plain_float_case(pauli_pair):
+    assert (cost_table(["NCP10_4"], pauli_pair, [0.3, 0.6], 1e-6)
+            == cost_table(["NCP10_4"], pauli_pair, [0.3, 0.6], [1e-6]))
+
+
+def test_an_empty_x_grid_gives_no_rows(pauli_pair):
+    assert gates_for_tolerance("NCP10_4", pauli_pair, [], 1e-6) == []
+    assert cost_table(["NCP10_4", "strang"], pauli_pair, [], [1e-6, 1e-3])[1] == []
+
+
+def _spy(monkeypatch, module, name, record):
+    """Replace module.name by a pass-through that calls record(args, result)."""
+    fn = getattr(module, name)
+
+    def spy(*args):
+        result = fn(*args)
+        record(args, result)
+        return result
+
+    monkeypatch.setattr(module, name, spy)
+
+
+def test_figures_build_each_target_once(monkeypatch, tmp_path):
+    # one commutator target per pair for fig1's six schemes, one x grid for
+    # fig5's six schemes and two tolerances, and for fig6 one t grid and one
+    # t_total for its three sum-splitting schemes
+    calls = []
+    _spy(monkeypatch, matform, "target_matrix", lambda args, _: calls.append(args[2]))
+    for figure, expected in (("fig1", 2), ("fig5", 1), ("fig6", 2)):
+        calls.clear()
+        export_figure(figure, tmp_path / f"{figure}.csv")
+        assert len(calls) == expected, figure
+
+
+def test_curve_table_takes_one_norm_call_per_pair(monkeypatch, pauli_pair, random_pair):
+    calls = []
+    _spy(monkeypatch, matform, "two_norms", lambda args, _: calls.append(args[0].shape))
+    curve_table(bench._FIG1_SCHEMES, [pauli_pair, random_pair], 1.0, DEFAULT_N_GRID)
+    entries = len(bench._FIG1_SCHEMES) * len(DEFAULT_N_GRID)
+    assert calls == [(entries, 2, 2), (entries, 16, 16)]
+
+
+def test_curve_table_keeps_real_products_real(monkeypatch, random_pair):
+    # PCP6_3_imaginary's complex products are normed apart, and the real
+    # ones are not widened to complex128
+    dtypes = []
+    _spy(monkeypatch, matform, "two_norms", lambda args, _: dtypes.append(args[0].dtype))
+    curve_table(["NCP10_4", "PCP6_3_imaginary", "strang"], [random_pair], 1.0, [1, 4])
+    assert sorted(map(str, dtypes)) == ["complex128", "float64"]
+
+
+def test_fig5_rounds_evaluate_each_probe_once(monkeypatch, tmp_path):
+    rounds = []
+    _spy(monkeypatch, bench, "_errors", lambda args, _: rounds.append(args[1]))
+    export_figure("fig5", tmp_path / "fig5.csv")
+    for jobs in rounds:
+        names = [job.scheme.name for job in jobs]
+        assert len(names) == len(set(names))
+        for job in jobs:
+            # the step time x / sqrt(n) and n give x and n back
+            probes = list(zip(job.steps, job.ns))
+            assert len(probes) == len(set(probes))
+    # both tolerances start every x at n = 1: one shared probe each
+    assert sum(len(job.ns) for job in rounds[0]) == len(bench._FIG5_SCHEMES) * 9
+    # one lockstep: as many rounds as the longest of the twelve searches alone
+    lockstep = len(rounds)
+    longest = 0
+    for tol in bench._FIG5_TOLS:
+        for name in bench._FIG5_SCHEMES:
+            rounds.clear()
+            gates_for_tolerance(name, matform.make_pair("pauli"), bench._FIG5_X_GRID, tol)
+            longest = max(longest, len(rounds))
+    assert lockstep == longest
+
+
+def test_one_scheme_tables_power_the_products_themselves(monkeypatch, random_pair):
+    # a one-scheme table hands _matrix_powers the evaluate_scheme array
+    # itself, with no copy, and subtracts the targets from it in place
+    produced, powered, normed = [], [], []
+    _spy(monkeypatch, matform, "evaluate_scheme", lambda args, U: produced.append(U))
+    _spy(monkeypatch, bench, "_matrix_powers", lambda args, _: powered.append(args[0]))
+    _spy(monkeypatch, matform, "two_norms", lambda args, _: normed.append(args[0]))
+    error_curve("NCP10_4", random_pair, 1.0, [1, 2, 4])
+    gates_for_tolerance("NCP10_4", random_pair, [0.2, 0.6], 1e-6)
+    single_step_errors("NCP10_4", random_pair, [0.1, 0.2])
+    curve_table(["PCP16_5"], [random_pair], 1.0, [3, 5])
+    cost_table(["PCP16_5"], random_pair, [0.5], [1e-4, 1e-6])
+    assert len(produced) == len(powered) == len(normed) > 5
+    assert all(U is P is N for U, P, N in zip(produced, powered, normed))
 
 
 # ---------------------------------------------------------------------------
