@@ -32,15 +32,10 @@ from .conditions import (
 from .liealg import (
     Generator,
     LieBasis,
-    LieCoefficients,
     LieMembershipError,
-    TruncatedSeries,
-    Word,
     basis_build,
-    exp_slot,
     lie_project,
     scheme_log,
-    series_exp,
     series_log,
     series_mul,
 )
@@ -62,13 +57,10 @@ __all__ = [
     "ExponentSlot",
     "Generator",
     "LieBasis",
-    "LieCoefficients",
     "LieMembershipError",
     "OperatorPair",
     "Scheme",
     "TargetPolynomial",
-    "TruncatedSeries",
-    "Word",
     "basis_build",
     "catalog_get",
     "catalog_names",
@@ -78,7 +70,6 @@ __all__ = [
     "empirical_order",
     "error_curve",
     "evaluate_scheme",
-    "exp_slot",
     "expm",
     "export_figure",
     "gates_for_tolerance",
@@ -90,7 +81,6 @@ __all__ = [
     "refine",
     "save_scheme",
     "scheme_log",
-    "series_exp",
     "series_log",
     "series_mul",
     "slope_fit",

@@ -260,7 +260,9 @@ def order_residuals(scheme, target: TargetPolynomial, r: int,
     projected log (what :func:`effective_error` returns when ``target`` is
     the scheme's own); ``leading_error_norm`` is its ``leading_norm``, the
     Euclidean deviation from ``target`` at degree r+1 in the commutator basis.
+    ``tol`` must be positive and finite.
     """
+    _check_tolerance("tol", tol)
     _check_order(r, r + 1)
     pairs = slot_pairs(scheme)
     return _reports(_lie_rows(*_slot_row(pairs), r + 1), target, r, tol, len(pairs))[0]
@@ -455,8 +457,9 @@ def cp_identities(scheme, sign=None, tol: float = 1e-10) -> list[IdentityCheck]:
     identities are those phi(Z) = -Z imposes on a mirrored pattern's log Z
     (:func:`_mirror_identities`).  Each check compares w_{j,l} against its
     predicted linear combination at tolerance ``tol`` (scaled by the
-    magnitudes involved).
+    magnitudes involved); ``tol`` must be positive and finite.
     """
+    _check_tolerance("tol", tol)
     if sign is None:
         sign = getattr(scheme, "cp_sign", None)
         if sign is None:

@@ -1,42 +1,47 @@
 """Truncated free-algebra engine for products of exponentials in two symbols.
 
 Everything in this module lives in the free associative algebra on two
-symbols A and B, truncated at a fixed word degree ``truncation`` (at most
-:data:`MAX_TRUNCATION`).  A series is stored densely, one coefficient vector
-per degree; the word with letters ``(g_0, ..., g_{j-1})`` sits at index
-``sum(g_i << (j-1-i))`` inside the degree-``j`` vector, i.e. words are packed
-bit strings with A = 0, B = 1 and the first letter in the most significant
-position.  Concatenation of words is then exactly the row-major ravel of an
-outer product, which keeps the Cauchy product (:func:`series_mul`) short.
+symbols A and B, truncated at a fixed word degree N (at most
+:data:`MAX_TRUNCATION`).  A series is one flat vector of ``2**(N+1) - 1``
+coefficients, degree j at offset ``2**j - 1``, so N is read off its length.
+Inside a degree the word with letters ``(g_0, ..., g_{j-1})`` sits at
+``sum(g_i << (j-1-i))``: words are packed bit strings with A = 0, B = 1 and
+the first letter in the most significant position.  Concatenating the
+degree-p word u with the degree-q word v then lands at ``(u << q) | v``, so
+every product is a sum over the splits of each word into a prefix and a
+suffix, which :func:`_word_tables` lists once per truncation.
 
-The hot path, :func:`scheme_log`, keeps the running product as one flat
-vector (degree j at offset ``2**j - 1``) and appends each slot ``exp(c X)`` to
-it in place: every word ``u X^k`` gains ``c^k/k!`` times the old coefficient
-of ``u``.  One gather through a precomputed index table and one matrix
-product do that for all words and all k at once, so a slot costs two numpy
-calls at any truncation.  The kernels carry a leading batch axis: b
-coefficient rows on one generator sequence are b flat products appended in
-the same two calls per slot, and :func:`scheme_log` and :func:`lie_project`
-are their b = 1 case.  :func:`series_log` multiplies through the same tables.
-:func:`series_mul` and :func:`exp_slot` are the plain reference the fast path
-is tested against.
+Four entry points work on that layout.  Each takes one series (a 1-D
+vector) or a batch of b of them (a (b, size) array), and each row of a batch
+rounds exactly as its own b = 1 call:
 
-Logarithms of products of exponentials are Lie elements (sums of nested
-commutators); :func:`lie_project` rewrites them in the right-nested
-commutator basis built by :func:`basis_build` (dimensions 2, 1, 2, 3, 6, 9,
-18 for degrees 1..7, so every degree the engine truncates at) and flags
-non-Lie inputs through the least-squares residual.  :func:`letter_map` gives
-a letter substitution A -> f_A X_A, B -> f_B X_B as a matrix on those basis
-coordinates, so the packed word layout stays inside this module.
+- :func:`scheme_log` is the log of a left-to-right product of exponentials
+  ``exp(c_i g_i)``, for one coefficient row or b rows on one generator
+  sequence.  It appends each slot ``exp(c X)`` to the running products in
+  place: every word ``u X^k`` gains ``c^k/k!`` times the old coefficient of
+  ``u``.  One gather through a word table and one stacked matrix product do
+  that for all words, all k and all rows, so a slot costs two numpy calls at
+  any truncation.
+- :func:`series_log` is the log of a series with constant term 1, summing
+  ``(-1)^(k+1) z^k / k`` with z's side of every split gathered once.
+- :func:`series_mul` is the Cauchy product: one gather per factor over all
+  the splits, summed.
+- :func:`lie_project` rewrites a log in the right-nested commutator basis
+  built by :func:`basis_build` (dimensions 2, 1, 2, 3, 6, 9, 18 for degrees
+  1..7, so every degree the engine truncates at) and flags non-Lie inputs
+  through the least-squares residual.
+
+:func:`letter_map` gives a letter substitution A -> f_A X_A, B -> f_B X_B as
+a matrix on the basis coordinates, so the packed word layout stays inside
+this module.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -85,317 +90,9 @@ def as_generator(g) -> Generator:
     return Generator(g)
 
 
-@dataclass(frozen=True)
-class Word:
-    """A word in the two symbols; ``letters`` may be empty (the unit word)."""
-
-    letters: tuple[Generator, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "letters", tuple(as_generator(g) for g in self.letters)
-        )
-        if len(self.letters) > MAX_TRUNCATION:
-            raise ValueError(f"word degree {len(self.letters)} exceeds {MAX_TRUNCATION}")
-
-    @classmethod
-    def from_string(cls, text: str) -> "Word":
-        """Parse e.g. ``"AAB"``; ``""`` or ``"1"`` gives the unit word."""
-        if text in ("", "1"):
-            return cls(())
-        return cls(tuple(Generator[ch] for ch in text))
-
-    @classmethod
-    def from_index(cls, degree: int, index: int) -> "Word":
-        """Inverse of :attr:`index` at the given degree."""
-        if not 0 <= index < (1 << degree):
-            raise ValueError(f"index {index} out of range for degree {degree}")
-        letters = tuple(
-            Generator((index >> (degree - 1 - i)) & 1) for i in range(degree)
-        )
-        return cls(letters)
-
-    @property
-    def degree(self) -> int:
-        return len(self.letters)
-
-    @property
-    def index(self) -> int:
-        """Packed-bit position of this word inside its degree block."""
-        idx = 0
-        for g in self.letters:
-            idx = (idx << 1) | int(g)
-        return idx
-
-    def __str__(self) -> str:
-        return "".join(g.name for g in self.letters) if self.letters else "1"
-
-
-class TruncatedSeries:
-    """Dense degree-truncated series; one numpy vector per word degree."""
-
-    __slots__ = ("truncation", "_deg")
-
-    def __init__(self, truncation: int, blocks: list[np.ndarray]):
-        if not 1 <= truncation <= MAX_TRUNCATION:
-            raise ValueError(
-                f"truncation must lie in 1..{MAX_TRUNCATION}, got {truncation}"
-            )
-        self.truncation = truncation
-        self._deg = blocks  # blocks[j] has length 2**j, j = 0..truncation
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, truncation: int, *, complex_: bool = False) -> "TruncatedSeries":
-        dtype = np.complex128 if complex_ else np.float64
-        return cls(truncation, [np.zeros(1 << j, dtype=dtype) for j in range(truncation + 1)])
-
-    @classmethod
-    def unit(cls, truncation: int, *, complex_: bool = False) -> "TruncatedSeries":
-        s = cls.zero(truncation, complex_=complex_)
-        s._deg[0][0] = 1.0
-        return s
-
-    @classmethod
-    def from_terms(
-        cls, truncation: int, terms: Mapping[Word | str, complex]
-    ) -> "TruncatedSeries":
-        complex_ = any(isinstance(c, complex) and c.imag != 0.0 for c in terms.values())
-        s = cls.zero(truncation, complex_=complex_)
-        for word, coeff in terms.items():
-            if isinstance(word, str):
-                word = Word.from_string(word)
-            if word.degree > truncation:
-                raise ValueError(f"word {word} exceeds truncation {truncation}")
-            s._deg[word.degree][word.index] += coeff
-        return s
-
-    # -- inspection ----------------------------------------------------
-
-    @property
-    def is_complex(self) -> bool:
-        return any(np.iscomplexobj(b) for b in self._deg)
-
-    def coefficient(self, word: Word | str) -> complex:
-        if isinstance(word, str):
-            word = Word.from_string(word)
-        if word.degree > self.truncation:
-            raise ValueError(f"word {word} exceeds truncation {self.truncation}")
-        value = self._deg[word.degree][word.index]
-        return complex(value) if self.is_complex else float(value)
-
-    def degree_coefficients(self, degree: int) -> np.ndarray:
-        """Copy of the full coefficient vector at one degree."""
-        if not 0 <= degree <= self.truncation:
-            raise ValueError(f"degree {degree} outside 0..{self.truncation}")
-        return self._deg[degree].copy()
-
-    def terms(self, *, tol: float = 0.0) -> dict[Word, complex]:
-        """Nonzero coefficients as an explicit word -> scalar map."""
-        out: dict[Word, complex] = {}
-        for j, block in enumerate(self._deg):
-            for idx in np.flatnonzero(np.abs(block) > tol):
-                out[Word.from_index(j, int(idx))] = self.coefficient(
-                    Word.from_index(j, int(idx))
-                )
-        return out
-
-    def norm(self) -> float:
-        """Euclidean norm over all word coefficients (all degrees)."""
-        return math.sqrt(sum(float(np.sum(np.abs(b) ** 2)) for b in self._deg))
-
-    # -- structural helpers --------------------------------------------
-
-    def copy(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.truncation, [b.copy() for b in self._deg])
-
-    def extended(self, truncation: int) -> "TruncatedSeries":
-        """Same series viewed at a higher (or equal) truncation."""
-        if truncation < self.truncation:
-            raise ValueError("use truncated() to lower the truncation")
-        dtype = self._deg[0].dtype
-        blocks = [b.copy() for b in self._deg]
-        blocks += [
-            np.zeros(1 << j, dtype=dtype) for j in range(self.truncation + 1, truncation + 1)
-        ]
-        return TruncatedSeries(truncation, blocks)
-
-    def truncated(self, truncation: int) -> "TruncatedSeries":
-        """Drop all degrees above ``truncation``."""
-        if truncation >= self.truncation:
-            return self.copy()
-        return TruncatedSeries(truncation, [self._deg[j].copy() for j in range(truncation + 1)])
-
-    # -- linear arithmetic ----------------------------------------------
-
-    def _check_compatible(self, other: "TruncatedSeries") -> None:
-        if self.truncation != other.truncation:
-            raise ValueError(
-                f"truncation mismatch: {self.truncation} vs {other.truncation}"
-            )
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_compatible(other)
-        return TruncatedSeries(
-            self.truncation, [x + y for x, y in zip(self._deg, other._deg)]
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_compatible(other)
-        return TruncatedSeries(
-            self.truncation, [x - y for x, y in zip(self._deg, other._deg)]
-        )
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.truncation, [-x for x in self._deg])
-
-    def __mul__(self, scalar) -> "TruncatedSeries":
-        return TruncatedSeries(self.truncation, [x * scalar for x in self._deg])
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return series_mul(self, other)
-
-    def allclose(self, other: "TruncatedSeries", *, tol: float = 1e-12) -> bool:
-        self._check_compatible(other)
-        return all(
-            np.allclose(x, y, rtol=0.0, atol=tol) for x, y in zip(self._deg, other._deg)
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        shown = ", ".join(f"{w}: {c:+.6g}" for w, c in list(self.terms().items())[:8])
-        return f"TruncatedSeries(N={self.truncation}, {{{shown}}})"
-
-
 # ---------------------------------------------------------------------------
-# Ring operations
+# The flat layout
 # ---------------------------------------------------------------------------
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product in the truncated word algebra.
-
-    Concatenating the degree-p word ``u`` with the degree-q word ``v`` lands
-    at packed index ``(u << q) | v``, which is precisely the row-major ravel
-    of ``outer(a_p, b_q)``; each result degree is a sum of such blocks.
-    """
-    a._check_compatible(b)
-    n = a.truncation
-    complex_ = a.is_complex or b.is_complex
-    out = TruncatedSeries.zero(n, complex_=complex_)
-    for j in range(n + 1):
-        acc = out._deg[j]
-        for p in range(j + 1):
-            ap = a._deg[p]
-            bq = b._deg[j - p]
-            if not ap.any() or not bq.any():
-                continue
-            acc += np.outer(ap, bq).ravel()
-    return out
-
-
-def exp_slot(generator, coefficient, truncation: int) -> TruncatedSeries:
-    """Exponential of ``coefficient * generator`` as a truncated series."""
-    g = as_generator(generator)
-    complex_ = isinstance(coefficient, (complex, np.complexfloating))
-    s = TruncatedSeries.zero(truncation, complex_=complex_)
-    s._deg[0][0] = 1.0
-    for k in range(1, truncation + 1):
-        # the word g^k is all-zero bits for A, all-one bits for B
-        idx = 0 if g is Generator.A else (1 << k) - 1
-        s._deg[k][idx] = coefficient**k / math.factorial(k)
-    return s
-
-
-def series_log(s: TruncatedSeries) -> TruncatedSeries:
-    """log of a series whose empty-word coefficient is exactly 1."""
-    lead = complex(s._deg[0][0])
-    if abs(lead - 1.0) > 1e-12:
-        raise ValueError(f"series_log needs leading coefficient 1, got {lead}")
-    return _from_flat(s.truncation, _log_flat(_padded(s)[None], s.truncation)[0])
-
-
-def series_exp(s: TruncatedSeries) -> TruncatedSeries:
-    """exp of a series with no constant term (inverse of :func:`series_log`)."""
-    if abs(complex(s._deg[0][0])) > 1e-12:
-        raise ValueError("series_exp needs a vanishing empty-word coefficient")
-    n = s.truncation
-    out = TruncatedSeries.unit(n, complex_=s.is_complex)
-    power = s.copy()
-    power._deg[0][0] = 0.0
-    term = power.copy()
-    for k in range(1, n + 1):
-        out = out + (1.0 / math.factorial(k)) * term
-        if k < n:
-            term = series_mul(term, power)
-    return out
-
-
-def scheme_log(slots: Iterable, truncation: int) -> TruncatedSeries:
-    """log of the left-to-right product of exponentials ``exp(c_i * g_i)``.
-
-    ``slots`` yields ``(generator, coefficient)`` pairs; the first pair is the
-    leftmost factor of the product.  Raises ``ValueError`` when a slot's
-    powers ``c^k/k!`` are not finite at this truncation, or when a log
-    coefficient is not finite or exceeds :data:`MAX_LOG_COEFFICIENT`, rather
-    than returning a series of infinities and NaNs.
-    """
-    generators, coefficients = _slot_row(slots)
-    return _from_flat(truncation, _log_rows(generators, coefficients, truncation)[0])
-
-
-def _slot_row(slots: Iterable) -> tuple[list[Generator], np.ndarray]:
-    """The generators of ``(generator, coefficient)`` pairs and their
-    coefficients as a batch of one: a (1, s) float64 array, or complex128
-    when a coefficient is complex."""
-    slots = list(slots)
-    if not slots:
-        raise ValueError("a slot product needs at least one slot")
-    complex_ = any(isinstance(c, (complex, np.complexfloating)) for _, c in slots)
-    coefficients = np.array([[c for _, c in slots]],
-                            dtype=np.complex128 if complex_ else np.float64)
-    return [as_generator(g) for g, _ in slots], coefficients
-
-
-def _in_row(message: str, row: int, rows: int) -> str:
-    """``message`` about one row of a batch, naming the row when there are several."""
-    return message if rows == 1 else f"row {row}: {message}"
-
-
-def _log_rows(generators, coefficients: np.ndarray, truncation: int) -> np.ndarray:
-    """Flat logs (b, size) of the slot products of one coefficient row each.
-
-    The rows share the generator sequence; ``coefficients`` is their (b, s)
-    float64 or complex128 array.  Every check of :func:`scheme_log` holds per
-    row, and an error names the offending row.
-    """
-    def failure(row):
-        # slot powers that overflow leave the whole log non-finite
-        finite = np.isfinite(_slot_powers(coefficients[row:row + 1].T, truncation)[:, 0, -1])
-        if not finite.all():
-            i = finite.argmin()
-            return ValueError(_in_row(
-                f"slot {i} coefficient {coefficients[row, i].item()!r} has non-finite "
-                f"powers at truncation {truncation}", row, len(log)))
-        return ValueError(_in_row(
-            f"log of the slot product has a coefficient of size {largest[row]:.3g} at "
-            f"truncation {truncation} (limit {MAX_LOG_COEFFICIENT:g})", row, len(log)))
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        log = _log_flat(_slot_product(generators, coefficients, truncation), truncation)
-        largest = np.maximum.reduce(np.abs(log), axis=1)
-        _check_rows(largest <= MAX_LOG_COEFFICIENT, failure)
-    return log
-
-
-def _check_rows(ok: np.ndarray, error) -> None:
-    """Raise ``error(*index)`` at the first False entry of ``ok``, whose
-    first axis is the batch: the lowest failing row, then its first failure."""
-    first = ok.argmin()  # 0 when every entry holds
-    if not ok.flat[first]:
-        raise error(*np.unravel_index(first, ok.shape))
 
 
 class _WordTables(NamedTuple):
@@ -415,7 +112,7 @@ def _word_tables(truncation: int) -> _WordTables:
     A series at truncation N is flattened to ``size = 2**(N+1) - 1`` entries,
     degree j at offset ``2**j - 1``, plus one trailing zero that the tables
     point at for splits that do not exist; ``starts`` holds those offsets for
-    j = 1..N.  For q = 0..N and every word t,
+    j = 0..N.  For q = 0..N and every word t,
     ``prefix[q, t]`` is t without its last q letters and ``suffix[q, t]`` is
     those q letters as a word of degree q (both the pad when t is shorter than
     q); ``append[X][q, t]`` is ``prefix[q, t]`` where t ends in ``X^q`` and the
@@ -436,22 +133,155 @@ def _word_tables(truncation: int) -> _WordTables:
         Generator.A: np.where(fits & (tail == 0), prefix, size),
         Generator.B: np.where(fits & (tail == (1 << q) - 1), prefix, size),
     }
-    starts = (2 << np.arange(truncation)) - 1
+    starts = (1 << np.arange(truncation + 1)) - 1
     for table in (starts, prefix, suffix, *append.values()):
         table.flags.writeable = False  # shared by every caller through the cache
     return _WordTables(size, starts, prefix, suffix, append)
 
 
-def _padded(s: TruncatedSeries) -> np.ndarray:
-    """Fresh flat copy of ``s`` with the trailing zero the word tables point at."""
-    return np.concatenate([*s._deg, np.zeros(1, dtype=s._deg[0].dtype)])
+def _truncation_of(size: int) -> int:
+    """The truncation N of a flat series of ``size = 2**(N+1) - 1`` entries."""
+    truncation = size.bit_length() - 1
+    if size != (2 << truncation) - 1 or not 1 <= truncation <= MAX_TRUNCATION:
+        raise ValueError(f"a flat series has 2**(N+1) - 1 entries for a truncation N in "
+                         f"1..{MAX_TRUNCATION}, got {size}")
+    return truncation
 
 
-def _from_flat(truncation: int, flat: np.ndarray) -> TruncatedSeries:
-    """Series whose degree blocks are views into one flat vector."""
-    return TruncatedSeries(
-        truncation, [flat[(1 << j) - 1 : (2 << j) - 1] for j in range(truncation + 1)]
-    )
+def _coefficient_array(coefficients) -> np.ndarray:
+    """Slot coefficients as float64, or complex128 when any is complex
+    (Fractions and ints become float64, not an object array)."""
+    coefficients = np.asarray(coefficients)
+    return coefficients.astype(np.complex128 if np.iscomplexobj(coefficients)
+                               else np.float64, copy=False)
+
+
+def _slot_row(slots: Iterable) -> tuple[list[Generator], np.ndarray]:
+    """The generators of ``(generator, coefficient)`` pairs and their
+    coefficients as a batch of one: a (1, s) float64 array, or complex128
+    when a coefficient is complex."""
+    slots = list(slots)
+    complex_ = any(isinstance(c, (complex, np.complexfloating)) for _, c in slots)
+    coefficients = np.array([[c for _, c in slots]],
+                            dtype=np.complex128 if complex_ else np.float64)
+    return [as_generator(g) for g, _ in slots], coefficients
+
+
+def _in_row(message: str, row: int, rows: int) -> str:
+    """``message`` about one row of a batch, naming the row when there are several."""
+    return message if rows == 1 else f"row {row}: {message}"
+
+
+def _check_rows(ok: np.ndarray, error) -> None:
+    """Raise ``error(*index)`` at the first False entry of ``ok``, whose
+    first axis is the batch: the lowest failing row, then its first failure."""
+    first = ok.argmin()  # 0 when every entry holds
+    if not ok.flat[first]:
+        raise error(*np.unravel_index(first, ok.shape))
+
+
+def _in_rows(table: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """A word table shifted into every row of ``flat``, as indices into its
+    ravel: one 1-D gather then reads all rows, C-contiguous (b,
+    *table.shape) as the stacked products need it to round as one row's."""
+    if len(flat) == 1:
+        return table[None]
+    return table + flat.shape[1] * np.arange(len(flat))[:, None, None]
+
+
+# ---------------------------------------------------------------------------
+# Products and logs
+# ---------------------------------------------------------------------------
+
+
+def series_mul(a, b) -> np.ndarray:
+    """Cauchy product of flat series, one or a batch each (broadcast).
+
+    The product at word t sums ``a[prefix] * b[suffix]`` over the q = 0..N
+    splits of t (:func:`_word_tables`), the pad standing in for the splits a
+    short word lacks.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    truncation = _truncation_of(a.shape[-1])
+    if b.shape[-1] != a.shape[-1]:
+        raise ValueError(f"truncation mismatch: {a.shape[-1]} vs {b.shape[-1]} entries")
+    tables = _word_tables(truncation)
+    a, b = (np.concatenate([x, np.zeros(x.shape[:-1] + (1,), x.dtype)], axis=-1)
+            for x in (a, b))
+    return np.add.reduce(a[..., tables.prefix] * b[..., tables.suffix], axis=-2)
+
+
+def series_log(series) -> np.ndarray:
+    """log of flat series whose constant terms are 1, one or a batch.
+
+    ``w * z`` at word t sums ``w[prefix] * z[suffix]`` over the splits of t
+    with a nonempty suffix, and z's side of every split is the same for all
+    the powers ``z^k`` of ``z = series - 1``.  A constant term further than
+    1e-12 from 1 raises ``ValueError`` naming its row; a NaN one gives a
+    NaN log (:func:`scheme_log` reports the slot powers that cause it).
+    """
+    series = np.asarray(series)
+    rows = series if series.ndim == 2 else series[None]
+    truncation = _truncation_of(rows.shape[1])
+    for row, lead in enumerate(rows[:, 0].tolist()):
+        if abs(lead - 1.0) > 1e-12:
+            raise ValueError(_in_row(f"series_log needs constant term 1, got {lead!r}",
+                                     row, len(rows)))
+    tables = _word_tables(truncation)
+    z = np.zeros((len(rows), tables.size + 1), np.promote_types(rows.dtype, np.float64))
+    z[:, 1:-1] = rows[:, 1:]
+    z_suffixes = z.reshape(-1)[_in_rows(tables.suffix[1:], z)]
+    prefixes = _in_rows(tables.prefix[1:], z)
+    # the log sums up in z's own entries, which only the first power reads
+    log, power = z[:, :-1], z
+    for k in range(2, truncation + 1):
+        nxt = np.zeros(z.shape, z.dtype)
+        np.add.reduce(power.reshape(-1)[prefixes] * z_suffixes, axis=1, out=nxt[:, :-1])
+        log += ((-1.0) ** (k + 1) / k) * nxt[:, :-1]
+        power = nxt
+    # without the pad column: a copy for b > 1, since the projection's
+    # batched products run slower on strided rows
+    log = np.ascontiguousarray(log)
+    return log if series.ndim == 2 else log[0]
+
+
+def scheme_log(generators, coefficients, truncation: int) -> np.ndarray:
+    """log of the left-to-right product of exponentials ``exp(c_i g_i)``.
+
+    ``generators`` is the slot sequence, leftmost factor first, and
+    ``coefficients`` one (s,) row of its coefficients or a (b, s) batch of
+    rows on it, read as float64, or complex128 when any is complex.  Returns
+    the flat log, (size,) or (b, size).  Raises ``ValueError`` when a slot's
+    powers ``c^k/k!`` are not finite at this truncation, or when a log
+    coefficient is not finite or exceeds :data:`MAX_LOG_COEFFICIENT`, rather
+    than returning a series of infinities and NaNs; in a batch the error
+    names the lowest failing row.
+    """
+    coefficients = _coefficient_array(coefficients)
+    rows = coefficients if coefficients.ndim == 2 else coefficients[None]
+    if rows.ndim != 2 or rows.shape[1] != len(generators):
+        raise ValueError(f"coefficients of shape {coefficients.shape} do not fit "
+                         f"{len(generators)} slots")
+    if not len(generators):
+        raise ValueError("a slot product needs at least one slot")
+
+    def failure(row):
+        # slot powers that overflow leave the whole log non-finite
+        finite = np.isfinite(_slot_powers(rows[row:row + 1].T, truncation)[:, 0, -1])
+        if not finite.all():
+            i = finite.argmin()
+            return ValueError(_in_row(
+                f"slot {i} coefficient {rows[row, i].item()!r} has non-finite "
+                f"powers at truncation {truncation}", row, len(log)))
+        return ValueError(_in_row(
+            f"log of the slot product has a coefficient of size {largest[row]:.3g} at "
+            f"truncation {truncation} (limit {MAX_LOG_COEFFICIENT:g})", row, len(log)))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        log = series_log(_slot_product(generators, rows, truncation)[:, :-1])
+        largest = np.maximum.reduce(np.abs(log), axis=1)
+        _check_rows(largest <= MAX_LOG_COEFFICIENT, failure)
+    return log if coefficients.ndim == 2 else log[0]
 
 
 def _slot_powers(coefficients: np.ndarray, truncation: int) -> np.ndarray:
@@ -491,7 +321,7 @@ def _slot_product(generators, coefficients: np.ndarray, truncation: int) -> np.n
     prefixes, so a slot is one gather and one stacked (b, 1, N+1) by
     (b, N+1, size) product written back into the running products.
     ``coefficients`` is float64 or complex128; powers that overflow leave
-    the product non-finite (:func:`_log_rows` reports them).
+    the product non-finite (:func:`scheme_log` reports them).
     """
     tables = _word_tables(truncation)
     powers = _slot_powers(coefficients.T, truncation)  # (s, b, N+1)
@@ -502,37 +332,6 @@ def _slot_product(generators, coefficients: np.ndarray, truncation: int) -> np.n
     for g, slot_powers in zip(generators, powers[:, :, None, :]):
         np.matmul(slot_powers, entries[append[g]], out=product)
     return flat
-
-
-def _in_rows(table: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """A word table shifted into every row of ``flat``, as indices into its
-    ravel: one 1-D gather then reads all rows, C-contiguous (b,
-    *table.shape) as the stacked products need it to round as one row's."""
-    if len(flat) == 1:
-        return table[None]
-    return table + flat.shape[1] * np.arange(len(flat))[:, None, None]
-
-
-def _log_flat(z: np.ndarray, truncation: int) -> np.ndarray:
-    """log of ``1 + z`` for each row of padded flat series; overwrites z's
-    constant terms.
-
-    ``w * z`` at word t sums ``w[prefix] * z[suffix]`` over the splits of t
-    with a nonempty suffix, and z's side of every split is the same for all
-    the powers ``z^k``.  Returns the flat logs (b, size) without the pad.
-    """
-    tables = _word_tables(truncation)
-    z[:, 0] = 0.0
-    z_suffixes = z.reshape(-1)[_in_rows(tables.suffix[1:], z)]
-    prefixes = _in_rows(tables.prefix[1:], z)
-    out = z[:, :-1].copy()
-    power = z
-    for k in range(2, truncation + 1):
-        nxt = np.zeros(z.shape, z.dtype)
-        np.add.reduce(power.reshape(-1)[prefixes] * z_suffixes, axis=1, out=nxt[:, :-1])
-        out += ((-1.0) ** (k + 1) / k) * nxt[:, :-1]
-        power = nxt
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -583,13 +382,6 @@ class BasisElement:
     @property
     def label(self) -> str:
         return f"E{self.degree},{self.position}"
-
-    @property
-    def series(self) -> TruncatedSeries:
-        """The element as a homogeneous series at :data:`MAX_TRUNCATION`."""
-        s = TruncatedSeries.zero(MAX_TRUNCATION)
-        s._deg[self.degree][:] = self.vector
-        return s
 
 
 @dataclass(frozen=True)
@@ -682,72 +474,36 @@ def letter_map(images: tuple[tuple[Generator, complex], ...], degree: int) -> np
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LieCoefficients:
-    """Per-degree coefficients of a Lie element in the nested-commutator basis.
+def lie_project(log, coefficients=None, *, require_lie: bool = True
+                ) -> tuple[dict[int, np.ndarray], np.ndarray]:
+    """Project flat series onto the nested-commutator basis, degree by degree.
 
-    ``vectors[j]`` holds the coefficients at degree j and ``residuals[j]`` the
-    absolute least-squares residual of the projection there.
-    """
-
-    truncation: int
-    vectors: dict[int, np.ndarray]
-    residuals: dict[int, float]
-
-    def w(self, degree: int, position: int) -> complex:
-        """Coefficient w_{degree,position} with the customary 1-based position."""
-        value = self.vectors[degree][position - 1]
-        return complex(value) if np.iscomplexobj(self.vectors[degree]) else float(value)
-
-    def vector(self, degree: int) -> np.ndarray:
-        return self.vectors[degree].copy()
-
-
-def lie_project(
-    series: TruncatedSeries,
-    *,
-    coefficient_sum: float = 0.0,
-    require_lie: bool = True,
-) -> LieCoefficients:
-    """Project a series onto the nested-commutator basis, degree by degree.
-
-    The basis covers every degree the engine truncates at.  The least-squares
-    residual at degree j is compared against the larger of
+    ``log`` is one flat series or a (b, size) batch.  Returns the basis
+    coordinates per degree j = 1..N, (dim,) or (b, dim), and the residuals,
+    (N + 1,) or (b, N + 1): column j is the least-squares residual at degree
+    j, and column 0 the size of the constant term, the residual of degree 0,
+    whose commutator subspace is zero.  A residual above the larger of
     ``DEFAULT_LIE_TOL * max(1, |coefficients at that degree|)`` and
-    ``LOG_ROUND_OFF * S^j / j!``, with S the ``coefficient_sum`` |c_i| of the
-    slots whose log the series is; a violation means the input is not a Lie
-    element (Friedrichs criterion) and raises :class:`LieMembershipError`
-    unless ``require_lie`` is False.
-    """
-    if abs(complex(series._deg[0][0])) > 1e-9:
-        raise ValueError("series has a constant term; logs of products never do")
-    vectors, residuals = _project_flat(np.concatenate(series._deg)[None],
-                                       np.array([coefficient_sum]), series.truncation,
-                                       require_lie)
-    return LieCoefficients(series.truncation, {j: w[0] for j, w in vectors.items()},
-                           dict(zip(vectors, residuals[0].tolist())))
-
-
-def _project_flat(log: np.ndarray, coefficient_sums: np.ndarray, truncation: int,
-                  require_lie: bool = True) -> tuple[dict[int, np.ndarray], np.ndarray]:
-    """:func:`lie_project` of each row of the flat series ``log`` (b, size),
-    whose constant terms are zero.
-
-    ``coefficient_sums`` holds each row's S.  Returns the per-degree
-    coordinates (b, dim) and the residuals (b, N) of degrees 1..N.  Every
-    check holds per row, and an error names the offending row and, as
-    :func:`lie_project` checks the degrees in turn, its lowest failing
+    ``LOG_ROUND_OFF * S^j / j!`` means the input is not a Lie element
+    (Friedrichs criterion) and raises :class:`LieMembershipError` unless
+    ``require_lie`` is False.  S is the sum of |c_i| of the slot
+    ``coefficients`` whose product's log each row is (one row, or a batch as
+    given to :func:`scheme_log`; none: S = 0).  Coefficients that are not
+    finite, or too large to square, raise ``ValueError`` either way.  In a
+    batch an error names the lowest failing row and its lowest failing
     degree.
     """
+    log = np.asarray(log)
+    rows = log if log.ndim == 2 else log[None]
+    truncation = _truncation_of(rows.shape[1])
     basis = basis_build()
-    rows = len(log)
     vectors: dict[int, np.ndarray] = {}
     # [0] the least-squares misfits of every degree, [1] the log itself
-    parts = np.zeros((2,) + log.shape, dtype=log.dtype)
-    parts[1] = log
+    parts = np.empty((2,) + rows.shape, rows.dtype)
+    parts[...] = rows
     for j in range(1, truncation + 1):
         block = slice((1 << j) - 1, (2 << j) - 1)
-        y = log[:, block, None]
+        y = rows[:, block, None]
         w = np.matmul(basis.pinvs[j], y)
         np.subtract(np.matmul(basis.matrices[j], w), y, out=parts[0, :, block, None])
         vectors[j] = w[:, :, 0]
@@ -757,35 +513,38 @@ def _project_flat(log: np.ndarray, coefficient_sums: np.ndarray, truncation: int
     bound = DEFAULT_LIE_TOL * np.maximum(1.0, scale)
     ok = finite & (residual <= bound) if require_lie else finite & np.isfinite(residual)
     if not ok.all():
-        if require_lie:  # widen the bound by the round-off allowance S^j / j!
-            with np.errstate(over="ignore"):  # which overflows to inf, not an error
+        if require_lie and coefficients is not None:
+            # widen the bound by the round-off allowance S^j / j!, which may
+            # overflow to inf, not an error; degree 0 has no round-off
+            sums = np.abs(_coefficient_array(coefficients)).reshape(len(rows), -1).sum(axis=1)
+            with np.errstate(over="ignore"):
                 round_off = LOG_ROUND_OFF * np.multiply.accumulate(
-                    coefficient_sums[:, None] / np.arange(1, truncation + 1), axis=1)
-            bound = np.maximum(bound, round_off)
+                    sums[:, None] / np.arange(1, truncation + 1), axis=1)
+            bound[:, 1:] = np.maximum(bound[:, 1:], round_off)
             ok = finite & (residual <= bound)
 
         def failure(row, j):
             if not (finite[row, j] and np.isfinite(residual[row, j])):
-                return ValueError(_in_row(f"degree-{j + 1} coefficients are not finite or "
-                                          f"too large to project", row, rows))
+                return ValueError(_in_row(f"degree-{j} coefficients are not finite or "
+                                          f"too large to project", row, len(rows)))
             return LieMembershipError(_in_row(
-                f"degree-{j + 1} word coefficients are not a commutator polynomial "
-                f"(residual {residual[row, j]:.3e} > {bound[row, j]:.3e})", row, rows))
+                f"degree-{j} word coefficients are not a commutator polynomial "
+                f"(residual {residual[row, j]:.3e} > {bound[row, j]:.3e})", row, len(rows)))
 
         _check_rows(ok, failure)
-    return vectors, residual
+    if log.ndim == 2:
+        return vectors, residual
+    return {j: w[0] for j, w in vectors.items()}, residual[0]
 
 
-def _lie_rows(generators, coefficients: np.ndarray, truncation: int) -> dict[int, np.ndarray]:
+def _lie_rows(generators, coefficients, truncation: int) -> dict[int, np.ndarray]:
     """Basis coordinates (b, dim) per degree of the logs of b slot products.
 
-    The batched :func:`scheme_log` then :func:`lie_project`, with each row's
-    sum of |c_i| as its S: ``coefficients`` is the (b, s) array of the rows,
-    which share the generator sequence.
+    :func:`scheme_log` then :func:`lie_project`, both through the module's
+    names: ``coefficients`` is the (b, s) array of the rows, which share the
+    generator sequence.
     """
-    coefficients = np.asarray(coefficients, np.result_type(coefficients, np.float64))
-    log = _log_rows(generators, coefficients, truncation)
-    return _project_flat(log, np.abs(coefficients).sum(axis=1), truncation)[0]
+    return lie_project(scheme_log(generators, coefficients, truncation), coefficients)[0]
 
 
 #: Byte budget of the largest buffer of one batched pass, the (b, N+1, size)

@@ -147,7 +147,7 @@ def test_effective_error_order_six_in_basis():
     sch = catalog_get("PCP26_6")
     ee = effective_error(sch)
     assert ee.order == 6
-    degree_seven = lie_project(scheme_log(sch.pairs(), 7)).vectors[7]
+    degree_seven = lie_project(scheme_log(*zip(*sch.pairs()), 7))[0][7]
     assert ee.leading_norm == pytest.approx(float(np.linalg.norm(degree_seven)), rel=1e-14)
 
 
@@ -185,6 +185,22 @@ def test_order_residuals_rejects_order_zero():
 
 
 @pytest.mark.parametrize("check", [
+    lambda tol: order_residuals(catalog_get("NCP10_4"), commutator_target(), 4, tol),
+    lambda tol: cp_identities(catalog_get("NCP10_4"), tol=tol),
+])
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_order_checks_reject_a_tolerance_that_is_not_positive_and_finite(
+        check, tol, monkeypatch):
+    # an infinite tol would verify any scheme, and nan or -1 none
+    def no_evaluation(*args):
+        raise AssertionError("evaluated before the tolerance was checked")
+
+    monkeypatch.setattr(conditions, "_lie_rows", no_evaluation)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        check(tol)
+
+
+@pytest.mark.parametrize("check", [
     lambda: order_residuals([], commutator_target(), 2),
     lambda: effective_error([], 2),
     lambda: cp_identities([], "positive"),
@@ -212,8 +228,8 @@ _SLOT_LISTS = st.lists(st.tuples(st.sampled_from([A, B]), _SLOT_COEFFICIENTS),
 
 def _reference_log(slots, truncation):
     """The basis coordinates through the public engine boundary, one log."""
-    return lie_project(scheme_log(slots, truncation),
-                       coefficient_sum=sum(abs(c) for _, c in slots))
+    generators, coefficients = zip(*slots)
+    return lie_project(scheme_log(generators, coefficients, truncation), coefficients)[0]
 
 
 def _assert_same_bits(actual: np.ndarray, expected: np.ndarray):
@@ -237,12 +253,12 @@ def test_order_residuals_and_effective_error_match_the_engine_boundary(slots, r,
     report = order_residuals(slots, target, r, tol=1e-3)
     for degree in range(1, r + 1):
         _assert_same_bits(report.residuals[degree],
-                          np.abs(ref.vectors[degree] - target.vector(degree)))
+                          np.abs(ref[degree] - target.vector(degree)))
     assert report.verified_order == next(
         (d - 1 for d in range(1, r + 1) if report.max_residual(d) > 1e-3), r)
     assert report.effective_error == _reference_error(
-        ref.vectors[r + 1] - target.vector(r + 1), r, len(slots))
-    assert effective_error(slots, r) == _reference_error(ref.vectors[r + 1], r, len(slots))
+        ref[r + 1] - target.vector(r + 1), r, len(slots))
+    assert effective_error(slots, r) == _reference_error(ref[r + 1], r, len(slots))
 
 
 @settings(max_examples=40, deadline=None)
@@ -253,7 +269,8 @@ def test_order_residuals_and_effective_error_match_the_engine_boundary(slots, r,
        st.sampled_from(["positive", "negative"]))
 def test_cp_identities_match_the_engine_boundary(slots, sign):
     ref = _reference_log(slots, 6)
-    expected = _identity_checks(ref.w, 1 if sign == "positive" else -1, range(1, 7), 1e-10)
+    expected = _identity_checks(lambda degree, position: ref[degree][position - 1].item(),
+                                1 if sign == "positive" else -1, range(1, 7), 1e-10)
     assert cp_identities(slots, sign) == expected
 
 
@@ -311,14 +328,12 @@ def test_slot_runs_match_the_raw_slots(case, t):
     assert all(g != h for (g, _), (h, _) in zip(runs, runs[1:]))
     # same log: both sides within the engine's round-off of the raw majorant
     scale = 1e-13 * max(1.0, float(np.max(_log_majorant(slots, truncation))))
-    raw = scheme_log(slots, truncation)
+    raw = scheme_log(*zip(*slots), truncation)
     if runs:
-        merged = scheme_log(runs, truncation)
-        for j in range(1, truncation + 1):
-            np.testing.assert_allclose(merged.degree_coefficients(j),
-                                       raw.degree_coefficients(j), rtol=0.0, atol=scale)
+        merged = scheme_log(*zip(*runs), truncation)
+        np.testing.assert_allclose(merged, raw, rtol=0.0, atol=scale)
     else:
-        assert raw.norm() <= scale
+        assert np.linalg.norm(raw) <= scale
     # same matrix product as scipy's exponential of every raw slot
     expected, norms = np.eye(8, dtype=np.complex128), 1.0
     for gen, coeff in slots:
@@ -441,9 +456,10 @@ def test_mirrored_logs_are_odd_under_the_letter_involution(sign, rng):
     s = 1 if sign == "positive" else -1
     for _ in range(5):
         half = rng.uniform(-1.5, 1.5, 5)
-        coeffs = lie_project(scheme_log(cp_expand(half, sign).pairs(), MAX_TRUNCATION))
+        vectors, _ = lie_project(scheme_log(*zip(*cp_expand(half, sign).pairs()),
+                                            MAX_TRUNCATION))
         for degree in range(1, MAX_TRUNCATION + 1):
-            z = coeffs.vectors[degree]
+            z = vectors[degree]
             image = _mirror_map(s, degree) @ z
             assert np.max(np.abs(image + z)) <= 2e-12 * max(1.0, np.max(np.abs(z)))
 
@@ -803,6 +819,6 @@ def test_ba_quadratic_coefficients_match_projection(rng):
         )
         scheme = Scheme("alt", slots, commutator_target(), 1)
         closed = ba_quadratic_coefficients(scheme)
-        projected = lie_project(scheme_log(scheme.pairs(), 2))
+        projected, _ = lie_project(scheme_log(*zip(*scheme.pairs()), 2))
         for (degree, pos), value in closed.items():
-            assert projected.w(degree, pos) == pytest.approx(value, abs=1e-13)
+            assert projected[degree][pos - 1] == pytest.approx(value, abs=1e-13)

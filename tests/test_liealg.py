@@ -1,4 +1,5 @@
-"""Word algebra, series calculus and the Lie projection."""
+"""The flat series engine, checked against the slow oracle in series_oracle
+(whose own word algebra is tested here too), and the Lie projection."""
 
 import math
 
@@ -7,28 +8,37 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import series_oracle as oracle
+from series_oracle import TruncatedSeries, Word, exp_slot, series_exp
 from commexp.liealg import (
     LIE_DIMS,
+    LOG_ROUND_OFF,
     MAX_LOG_COEFFICIENT,
     MAX_TRUNCATION,
     Generator,
     LieMembershipError,
-    TruncatedSeries,
-    Word,
     _lie_rows,
-    _log_flat,
-    _project_flat,
     _slot_product,
     basis_build,
-    exp_slot,
     lie_project,
     scheme_log,
-    series_exp,
     series_log,
     series_mul,
 )
 
 A, B = Generator.A, Generator.B
+
+
+def _block(degree):
+    """Where one degree sits in a flat series."""
+    return slice((1 << degree) - 1, (2 << degree) - 1)
+
+
+def _coefficients(slots):
+    """The coefficient row of ``(generator, coefficient)`` slots, complex
+    when any coefficient is."""
+    complex_ = any(isinstance(c, complex) for _, c in slots)
+    return np.array([c for _, c in slots], dtype=complex if complex_ else float)
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +98,10 @@ def test_series_from_terms_and_coefficient():
     assert s.coefficient("BA") == 0.0
     with pytest.raises(ValueError):
         s.coefficient("AAAA")
+    # the engine's flat layout: degree j at offset 2**j - 1
+    flat = s.flat()
+    assert flat[_block(1)].tolist() == [2.0, 0.0] and flat[_block(2)][1] == -0.5
+    assert TruncatedSeries.from_flat(flat).allclose(s, tol=0.0)
 
 
 def test_series_truncation_bounds():
@@ -95,20 +109,23 @@ def test_series_truncation_bounds():
         TruncatedSeries.zero(0)
     with pytest.raises(ValueError):
         TruncatedSeries.zero(MAX_TRUNCATION + 1)
+    for size in (1, 14, 16, (4 << MAX_TRUNCATION) - 1):
+        with pytest.raises(ValueError, match="2\\*\\*\\(N\\+1\\) - 1 entries"):
+            series_log(np.eye(1, size)[0])
 
 
 def test_series_mul_concatenates_words():
-    a = TruncatedSeries.from_terms(3, {"A": 1.0})
-    b = TruncatedSeries.from_terms(3, {"B": 1.0})
-    ab = series_mul(a, b)
+    a = TruncatedSeries.from_terms(3, {"A": 1.0}).flat()
+    b = TruncatedSeries.from_terms(3, {"B": 1.0}).flat()
+    ab = TruncatedSeries.from_flat(series_mul(a, b))
     assert ab.coefficient("AB") == 1.0
     assert ab.coefficient("BA") == 0.0
+    assert ab.norm() == 1.0
 
 
 def test_series_mul_truncates_overflow():
-    a = TruncatedSeries.from_terms(2, {"AB": 1.0})
-    sq = series_mul(a, a)
-    assert sq.norm() == 0.0  # degree 4 falls off a truncation-2 series
+    a = TruncatedSeries.from_terms(2, {"AB": 1.0}).flat()
+    assert not series_mul(a, a).any()  # degree 4 falls off a truncation-2 series
 
 
 def test_series_linear_ops():
@@ -123,6 +140,8 @@ def test_series_linear_ops():
 def test_series_truncation_mismatch():
     with pytest.raises(ValueError):
         TruncatedSeries.unit(2) + TruncatedSeries.unit(3)
+    with pytest.raises(ValueError, match="truncation mismatch"):
+        series_mul(TruncatedSeries.unit(2).flat(), TruncatedSeries.unit(3).flat())
 
 
 def test_extended_and_truncated_views():
@@ -143,7 +162,7 @@ def small_series(draw):
         coeff = draw(st.floats(-2.0, 2.0, allow_nan=False))
         if coeff:
             terms[word] = coeff
-    return TruncatedSeries.from_terms(4, terms) if terms else TruncatedSeries.zero(4)
+    return TruncatedSeries.from_terms(4, terms).flat()
 
 
 @settings(max_examples=40, deadline=None)
@@ -151,8 +170,12 @@ def small_series(draw):
 def test_series_mul_is_associative_and_distributive(x, y, z):
     left = series_mul(series_mul(x, y), z)
     right = series_mul(x, series_mul(y, z))
-    assert left.allclose(right, tol=1e-10)
-    assert series_mul(x, y + z).allclose(series_mul(x, y) + series_mul(x, z), tol=1e-10)
+    np.testing.assert_allclose(left, right, rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(series_mul(x, y + z), series_mul(x, y) + series_mul(x, z),
+                               rtol=0.0, atol=1e-10)
+    # a batch of factors is each factor's product
+    np.testing.assert_array_equal(series_mul(np.stack([x, y]), z),
+                                  np.stack([series_mul(x, z), series_mul(y, z)]))
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +191,16 @@ def test_exp_slot_matches_scalar_series():
 
 def test_exp_log_roundtrip():
     x = TruncatedSeries.from_terms(5, {"A": 0.3, "B": -0.7, "AB": 0.2, "BA": -0.2})
-    assert series_log(series_exp(x)).allclose(x, tol=1e-13)
+    np.testing.assert_allclose(series_log(series_exp(x).flat()), x.flat(), rtol=0.0,
+                               atol=1e-13)
 
 
 def test_series_log_requires_unit_constant_term():
-    with pytest.raises(ValueError):
-        series_log(TruncatedSeries.zero(3))
+    with pytest.raises(ValueError, match="constant term 1"):
+        series_log(TruncatedSeries.zero(3).flat())
+    unit = TruncatedSeries.unit(3).flat()
+    with pytest.raises(ValueError, match="^row 1: series_log needs constant term 1"):
+        series_log(np.stack([unit, 2.0 * unit, unit]))
 
 
 def test_series_exp_rejects_constant_term():
@@ -182,8 +209,8 @@ def test_series_exp_rejects_constant_term():
 
 
 def test_bch_degree_two_coefficients():
-    prod = series_mul(exp_slot(A, 1.0, 3), exp_slot(B, 1.0, 3))
-    log = series_log(prod)
+    prod = series_mul(exp_slot(A, 1.0, 3).flat(), exp_slot(B, 1.0, 3).flat())
+    log = TruncatedSeries.from_flat(series_log(prod))
     assert log.coefficient("A") == pytest.approx(1.0)
     assert log.coefficient("B") == pytest.approx(1.0)
     assert log.coefficient("AB") == pytest.approx(0.5)
@@ -195,68 +222,53 @@ def test_bch_degree_two_coefficients():
 
 
 def test_scheme_log_inverse_product_cancels():
-    slots = [(A, 0.9), (B, -0.4), (B, 0.4), (A, -0.9)]
-    log = scheme_log(slots, 5)
-    assert log.norm() < 1e-14
+    log = scheme_log([A, B, B, A], [0.9, -0.4, 0.4, -0.9], 5)
+    assert log.shape == (63,)
+    assert np.linalg.norm(log) < 1e-14
 
 
 def test_scheme_log_single_slot():
-    log = scheme_log([(B, 1.25)], 4)
+    log = TruncatedSeries.from_flat(scheme_log([B], [1.25], 4))
     assert log.coefficient("B") == pytest.approx(1.25)
     assert log.norm() == pytest.approx(1.25)
 
 
 def test_scheme_log_rejects_non_finite_powers():
     with pytest.raises(ValueError, match="non-finite powers"):
-        scheme_log([(A, 0.5), (B, 1e200)], 3)
+        scheme_log([A, B], [0.5, 1e200], 3)
     with pytest.raises(ValueError, match="non-finite powers"):
-        scheme_log([(A, float("nan"))], 2)
+        scheme_log([A], [float("nan")], 2)
 
 
 def test_scheme_log_rejects_oversized_log():
     # 1e60 has finite powers through degree 4, but the log's cancellation
     # leaves coefficients whose squares would overflow the projection norms
     with pytest.raises(ValueError, match="limit"):
-        scheme_log([(B, 0.3), (A, 1e60), (B, -0.7)], 4)
+        scheme_log([B, A, B], [0.3, 1e60, -0.7], 4)
     assert MAX_LOG_COEFFICIENT ** 2 * 2 ** MAX_TRUNCATION < np.finfo(float).max
 
 
+@pytest.mark.parametrize("generators,coefficients,message", [
+    ([A, B], [1.0], "do not fit 2 slots"),
+    ([A], [[[1.0]]], "do not fit 1 slots"),
+    ([A], 1.0, "do not fit 1 slots"),
+    ([], [], "at least one slot"),
+])
+def test_scheme_log_checks_the_coefficient_shape(generators, coefficients, message):
+    with pytest.raises(ValueError, match=message):
+        scheme_log(generators, coefficients, 3)
+
+
 # ---------------------------------------------------------------------------
-# slot-append fast path against the series_mul reference
+# the engine against the oracle
 # ---------------------------------------------------------------------------
-
-
-def _reference_product(slots, truncation):
-    product = TruncatedSeries.unit(truncation, complex_=any(
-        isinstance(c, complex) for _, c in slots))
-    for g, c in slots:
-        product = series_mul(product, exp_slot(g, c, truncation))
-    return product
-
-
-def _reference_log(s, sign: float = -1.0):
-    """log(1 + z) = sum (-1)^(k+1) z^k / k with every power from series_mul.
-
-    ``sign=+1`` sums ``z^k / k`` instead: applied to a product of the
-    coefficients' magnitudes, that bounds every term the log adds up.
-    """
-    z = s - TruncatedSeries.unit(s.truncation, complex_=s.is_complex)
-    out, power = z, z
-    for k in range(2, s.truncation + 1):
-        power = series_mul(power, z)
-        out = out + (sign ** (k + 1) / k) * power
-    return out
 
 
 def _round_off_scales(slots, truncation):
     """Largest term the product and its log sum up, from |coefficients|."""
-    majorant = _reference_product([(g, abs(c)) for g, c in slots], truncation)
-    return (max(1.0, float(np.max(_flat(majorant)))),
-            max(1.0, float(np.max(_flat(_reference_log(majorant, sign=1.0))))))
-
-
-def _flat(s):
-    return np.concatenate([s.degree_coefficients(j) for j in range(s.truncation + 1)])
+    majorant = oracle.slot_product([(g, abs(c)) for g, c in slots], truncation)
+    return (max(1.0, float(np.max(majorant.flat()))),
+            max(1.0, float(np.max(oracle.series_log(majorant, sign=1.0).flat()))))
 
 
 _real_coefficients = st.one_of(st.just(0.0), st.floats(-1.5, 1.5, allow_nan=False))
@@ -275,27 +287,58 @@ def slot_lists(draw):
 @settings(max_examples=150, deadline=None)
 @given(slot_lists())
 def test_slot_append_matches_series_mul_chain(case):
-    # both sides round differently; 1e-13 of the largest summed term bounds that
+    # both sides round differently; LOG_ROUND_OFF of the largest summed term bounds that
     truncation, slots = case
     product_scale, log_scale = _round_off_scales(slots, truncation)
-    reference = _reference_product(slots, truncation)
-    generators = [g for g, _ in slots]
-    complex_ = any(isinstance(c, complex) for _, c in slots)
-    coefficients = np.array([[c for _, c in slots]], dtype=complex if complex_ else float)
-    product = _slot_product(generators, coefficients, truncation)[0, :-1]
-    np.testing.assert_allclose(product, _flat(reference), rtol=0.0,
-                               atol=1e-13 * product_scale)
-
-    log = _flat(scheme_log(slots, truncation))
-    np.testing.assert_allclose(log, _flat(_reference_log(reference)), rtol=0.0,
-                               atol=1e-13 * log_scale)
+    reference = oracle.slot_product(slots, truncation)
+    product = _slot_product([g for g, _ in slots], _coefficients(slots)[None], truncation)
+    np.testing.assert_allclose(product[0, :-1], reference.flat(), rtol=0.0,
+                               atol=LOG_ROUND_OFF * product_scale)
+    log = scheme_log([g for g, _ in slots], _coefficients(slots), truncation)
+    np.testing.assert_allclose(log, oracle.series_log(reference).flat(), rtol=0.0,
+                               atol=LOG_ROUND_OFF * log_scale)
     assert np.iscomplexobj(log) == any(isinstance(c, complex) for _, c in slots)
 
 
-def test_slot_append_repeated_generator_adds_exponents():
-    log = scheme_log([(A, 0.25), (A, 0.5), (A, 0.0), (A, -1.0)], MAX_TRUNCATION)
-    assert log.coefficient("A") == pytest.approx(-0.25)
-    assert log.norm() == pytest.approx(0.25)
+@settings(max_examples=100, deadline=None)
+@given(slot_lists(), slot_lists())
+def test_series_mul_matches_the_oracle(left, right):
+    truncation, slots = left
+    others = right[1]
+    a, b = oracle.slot_product(slots, truncation), oracle.slot_product(others, truncation)
+    scale = max(1.0, float(np.max(oracle.product(
+        oracle.slot_product([(g, abs(c)) for g, c in slots], truncation),
+        oracle.slot_product([(g, abs(c)) for g, c in others], truncation)).flat())))
+    np.testing.assert_allclose(series_mul(a.flat(), b.flat()), oracle.product(a, b).flat(),
+                               rtol=0.0, atol=LOG_ROUND_OFF * scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(slot_lists())
+def test_series_log_matches_the_oracle(case):
+    truncation, slots = case
+    _, log_scale = _round_off_scales(slots, truncation)
+    product = oracle.slot_product(slots, truncation)
+    np.testing.assert_allclose(series_log(product.flat()), oracle.series_log(product).flat(),
+                               rtol=0.0, atol=LOG_ROUND_OFF * log_scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(slot_lists())
+def test_scheme_log_and_lie_project_match_the_oracle(case):
+    truncation, slots = case
+    _, log_scale = _round_off_scales(slots, truncation)
+    log = scheme_log([g for g, _ in slots], _coefficients(slots), truncation)
+    vectors, residuals = lie_project(log, _coefficients(slots))
+    expected, expected_residuals = oracle.lie_project(oracle.scheme_log(slots, truncation))
+    # every row of the basis pseudoinverses sums to at most 1 in magnitude,
+    # so the coordinates inherit the logs' round-off bound
+    for j in range(1, truncation + 1):
+        np.testing.assert_allclose(vectors[j], expected[j], rtol=0.0,
+                                   atol=2 * LOG_ROUND_OFF * log_scale)
+        assert residuals[j] <= LOG_ROUND_OFF * log_scale
+        assert expected_residuals[j] <= LOG_ROUND_OFF * log_scale
+    assert residuals[0] == 0.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -305,17 +348,28 @@ def test_series_log_matches_series_mul_power_series(truncation, data):
     flat = data.draw(st.lists(st.floats(-1.0, 1.0, allow_nan=False),
                               min_size=size, max_size=size))
     flat[0] = 1.0
-    s = TruncatedSeries(truncation, [
-        np.array(flat[(1 << j) - 1:(2 << j) - 1]) for j in range(truncation + 1)])
-    majorant = TruncatedSeries(truncation, [np.abs(b) for b in s._deg])
-    scale = max(1.0, float(np.max(_flat(_reference_log(majorant, sign=1.0)))))
-    np.testing.assert_allclose(_flat(series_log(s)), _flat(_reference_log(s)),
-                               rtol=0.0, atol=1e-13 * scale)
+    s = TruncatedSeries.from_flat(np.array(flat))
+    scale = max(1.0, float(np.max(oracle.series_log(s.map(np.abs), sign=1.0).flat())))
+    np.testing.assert_allclose(series_log(np.array(flat)), oracle.series_log(s).flat(),
+                               rtol=0.0, atol=LOG_ROUND_OFF * scale)
+
+
+def test_slot_append_repeated_generator_adds_exponents():
+    log = TruncatedSeries.from_flat(scheme_log([A] * 4, [0.25, 0.5, 0.0, -1.0], MAX_TRUNCATION))
+    assert log.coefficient("A") == pytest.approx(-0.25)
+    assert log.norm() == pytest.approx(0.25)
 
 
 # ---------------------------------------------------------------------------
 # basis
 # ---------------------------------------------------------------------------
+
+
+def _series(element):
+    """A basis element as a homogeneous oracle series at MAX_TRUNCATION."""
+    s = TruncatedSeries.zero(MAX_TRUNCATION)
+    s._deg[element.degree][:] = element.vector
+    return s
 
 
 def test_basis_dimensions():
@@ -331,11 +385,11 @@ def test_basis_is_cached():
 
 def test_basis_atoms():
     basis = basis_build()
-    assert basis.element(1, 1).series.coefficient("A") == 1.0
-    assert basis.element(1, 2).series.coefficient("B") == 1.0
-    e21 = basis.element(2, 1)
-    assert e21.series.coefficient("AB") == 1.0
-    assert e21.series.coefficient("BA") == -1.0
+    assert _series(basis.element(1, 1)).coefficient("A") == 1.0
+    assert _series(basis.element(1, 2)).coefficient("B") == 1.0
+    e21 = _series(basis.element(2, 1))
+    assert e21.coefficient("AB") == 1.0
+    assert e21.coefficient("BA") == -1.0
 
 
 def test_basis_element_metadata():
@@ -343,15 +397,16 @@ def test_basis_element_metadata():
     e43 = basis.element(4, 3)
     assert (e43.sign, e43.letter, e43.child) == (-1, B, (3, 2))
     assert e43.label == "E4,3"
-    # every recipe element expands to its sign * [letter, child]
+    # every recipe element expands to its sign * [letter, child], and is the
+    # oracle's own walk down the commutator tree
     for (j, l), elt in basis.elements.items():
+        assert _series(elt).allclose(oracle.basis_series(j, l), tol=0.0)
         if elt.child is None:
             continue
-        child = basis.element(*elt.child)
-        letter = basis.element(1, 1 if elt.letter is A else 2)
-        bracket = series_mul(letter.series, child.series) - series_mul(
-            child.series, letter.series)
-        assert elt.series.allclose(elt.sign * bracket, tol=1e-14)
+        child = _series(basis.element(*elt.child))
+        letter = _series(basis.element(1, 1 if elt.letter is A else 2))
+        bracket = oracle.product(letter, child) - oracle.product(child, letter)
+        assert _series(elt).allclose(elt.sign * bracket, tol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -361,68 +416,71 @@ def test_basis_element_metadata():
 
 def test_lie_project_recovers_basis_coordinates(rng):
     basis = basis_build()
-    series = TruncatedSeries.zero(4)
+    series = np.zeros(31)
     expected = {}
     for degree in range(1, 5):
-        coeffs = rng.uniform(-1.0, 1.0, basis.dim(degree))
-        expected[degree] = coeffs
-        for pos, c in enumerate(coeffs, start=1):
-            series = series + c * basis.element(degree, pos).series.truncated(4)
-    out = lie_project(series)
+        expected[degree] = rng.uniform(-1.0, 1.0, basis.dim(degree))
+        series[_block(degree)] = basis.matrices[degree] @ expected[degree]
+    vectors, residuals = lie_project(series)
+    assert residuals.shape == (5,)
     for degree in range(1, 5):
-        np.testing.assert_allclose(out.vectors[degree], expected[degree], atol=1e-12)
-        assert out.residuals[degree] < 1e-12
+        np.testing.assert_allclose(vectors[degree], expected[degree], atol=1e-12)
+        assert residuals[degree] < 1e-12
 
 
 def test_lie_project_w_accessor():
-    log = scheme_log([(A, 1.0), (B, 1.0), (A, -1.0), (B, -1.0)], 3)
-    coeffs = lie_project(log)
-    assert coeffs.w(2, 1) == pytest.approx(1.0)
-    assert abs(coeffs.w(1, 1)) < 1e-15
+    # w_{j,l} is entry l - 1 of the degree-j coordinates
+    log = scheme_log([A, B, A, B], [1.0, 1.0, -1.0, -1.0], 3)
+    vectors, _ = lie_project(log)
+    assert vectors[2][0] == pytest.approx(1.0)
+    assert abs(vectors[1][0]) < 1e-15
 
 
 def test_lie_project_rejects_non_lie_input():
-    bad = TruncatedSeries.from_terms(3, {"AB": 1.0})  # AB alone is not a bracket
-    with pytest.raises(LieMembershipError):
+    bad = TruncatedSeries.from_terms(3, {"AB": 1.0}).flat()  # AB alone is not a bracket
+    with pytest.raises(LieMembershipError, match="degree-2 word"):
         lie_project(bad)
-    loose = lie_project(bad, require_lie=False)
-    assert loose.residuals[2] > 0.1
+    _, residuals = lie_project(bad, require_lie=False)
+    assert residuals[2] > 0.1
 
 
 def test_lie_project_allows_the_round_off_of_large_slot_coefficients():
     # a degree-2 residual of 7e-10 fails the 1e-10 floor, but lies within
     # LOG_ROUND_OFF * S^2 / 2! once the slots' |c| sum to S = 200
-    off = TruncatedSeries.from_terms(3, {"AB": 1e-9})
+    off = TruncatedSeries.from_terms(3, {"AB": 1e-9}).flat()
     with pytest.raises(LieMembershipError):
         lie_project(off)
     with pytest.raises(LieMembershipError):
-        lie_project(off, coefficient_sum=20.0)
-    assert lie_project(off, coefficient_sum=200.0).residuals[2] > 1e-10
+        lie_project(off, [20.0])
+    assert lie_project(off, [200.0])[1][2] > 1e-10
+    assert lie_project(off, [150.0, -50.0])[1][2] > 1e-10
     with pytest.raises(LieMembershipError):
-        lie_project(TruncatedSeries.from_terms(3, {"AB": 1.0}), coefficient_sum=200.0)
+        lie_project(TruncatedSeries.from_terms(3, {"AB": 1.0}).flat(), [200.0])
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 1e300])
 def test_lie_project_rejects_non_finite_norms(value):
-    series = TruncatedSeries.from_terms(3, {"A": 1.0, "AB": value, "BA": -value})
+    series = TruncatedSeries.from_terms(3, {"A": 1.0, "AB": value, "BA": -value}).flat()
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite or too large"):
         lie_project(series)
 
 
 def test_lie_project_rejects_constant_term():
-    with pytest.raises(ValueError):
-        lie_project(TruncatedSeries.unit(3))
+    # degree 0 has no commutators: its residual is the whole constant term
+    with pytest.raises(LieMembershipError, match="degree-0"):
+        lie_project(TruncatedSeries.unit(3).flat())
+    assert lie_project(TruncatedSeries.unit(3).flat(), require_lie=False)[1][0] == 1.0
 
 
 def test_lie_project_degree_seven_in_basis():
     # the order-6 commutator scheme's leading error lives at degree 7
     from commexp.schemes import catalog_get
 
-    log = scheme_log(catalog_get("PCP26_6").pairs(), MAX_TRUNCATION)
-    coeffs = lie_project(log)
-    assert coeffs.vectors[MAX_TRUNCATION].shape == (LIE_DIMS[MAX_TRUNCATION - 1],)
-    assert coeffs.residuals[MAX_TRUNCATION] <= 1e-14
-    assert np.linalg.norm(coeffs.vectors[MAX_TRUNCATION]) > 0.0
+    generators, coefficients = zip(*catalog_get("PCP26_6").pairs())
+    vectors, residuals = lie_project(scheme_log(generators, coefficients, MAX_TRUNCATION))
+    assert vectors[MAX_TRUNCATION].shape == (LIE_DIMS[MAX_TRUNCATION - 1],)
+    assert residuals[MAX_TRUNCATION] <= 1e-14
+    assert np.linalg.norm(vectors[MAX_TRUNCATION]) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -452,24 +510,21 @@ def coefficient_batches(draw, max_rows=12):
 @given(coefficient_batches())
 def test_batched_rows_equal_their_single_row_passes(case):
     truncation, generators, rows = case
-    sums = np.abs(rows).sum(axis=1)
     product = _slot_product(generators, rows, truncation)
-    log = _log_flat(product.copy(), truncation)
-    vectors, residuals = _project_flat(log, sums, truncation)
+    log = series_log(product[:, :-1])
+    vectors, residuals = lie_project(log, rows)
     for i, row in enumerate(rows):
         one = _slot_product(generators, row[None], truncation)
         np.testing.assert_array_equal(product[i], one[0])
-        one_log = _log_flat(one, truncation)
-        np.testing.assert_array_equal(log[i], one_log[0])
-        one_vectors, one_residuals = _project_flat(one_log, sums[i:i + 1], truncation)
+        one_log = series_log(one[0, :-1])
+        np.testing.assert_array_equal(log[i], one_log)
+        one_vectors, one_residuals = lie_project(one_log, row)
         for j in vectors:
-            np.testing.assert_array_equal(vectors[j][i], one_vectors[j][0])
-        np.testing.assert_array_equal(residuals[i], one_residuals[0])
-    # scheme_log and lie_project are the b = 1 case of the same kernels
-    pairs = list(zip(generators, rows[-1].tolist()))
-    coeffs = lie_project(scheme_log(pairs, truncation), coefficient_sum=float(sums[-1]))
-    for j in vectors:
-        np.testing.assert_array_equal(coeffs.vectors[j], vectors[j][-1])
+            np.testing.assert_array_equal(vectors[j][i], one_vectors[j])
+        np.testing.assert_array_equal(residuals[i], one_residuals)
+    # scheme_log is that product and log, one row or the batch
+    np.testing.assert_array_equal(scheme_log(generators, rows, truncation), log)
+    np.testing.assert_array_equal(scheme_log(generators, rows[-1], truncation), log[-1])
     batched = _lie_rows(generators, rows, truncation)
     for j in vectors:
         np.testing.assert_array_equal(batched[j], vectors[j])
@@ -500,11 +555,11 @@ def test_batch_names_the_row_whose_log_is_too_large():
 def test_batch_names_the_row_that_is_not_lie(case, data):
     truncation, generators, rows = case
     assume(truncation > 1)  # every degree-1 series is a Lie element
-    log = _log_flat(_slot_product(generators, np.vstack([rows, rows]), truncation),
-                    truncation)
+    rows = np.vstack([rows, rows])
+    log = scheme_log(generators, rows, truncation)
     row = data.draw(st.integers(0, len(log) - 1))
     log[row, 4] += 1.0  # the word AB alone, without -BA
     with pytest.raises(LieMembershipError, match=rf"^row {row}: degree-2 word"):
-        _project_flat(log, np.abs(np.vstack([rows, rows])).sum(axis=1), truncation)
-    lie = _project_flat(log, np.zeros(len(log)), truncation, require_lie=False)
-    assert lie[1][row, 1] > 0.1  # the degree-2 residual
+        lie_project(log, rows)
+    _, residuals = lie_project(log, require_lie=False)
+    assert residuals[row, 2] > 0.1  # the degree-2 residual

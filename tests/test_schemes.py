@@ -18,7 +18,7 @@ from commexp.conditions import (
     refine,
     sum_target,
 )
-from commexp.liealg import MAX_TRUNCATION, Generator, Word, basis_build, letter_map
+from commexp.liealg import MAX_TRUNCATION, Generator, basis_build, letter_map
 from commexp.schemes import (
     ABSTRACT,
     AOR4_OPTIMAL_D2,
@@ -42,6 +42,7 @@ from commexp.schemes import (
     zass_sym22,
 )
 from commexp.schemes import _INTERCHANGE, _LETTER_MAPS
+from series_oracle import Word
 
 SQRT5 = math.sqrt(5.0)
 
