@@ -12,6 +12,7 @@ slope of a scheme on an operator pair is :func:`commexp.bench.empirical_order`).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -655,7 +656,10 @@ class OptimizeResult(NamedTuple):
     at_edge: bool = False
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: Square root of float64's machine epsilon, the relative term of the Brent
+#: search's stopping rule: about the smallest step over which float64 still
+#: resolves a smooth objective at its minimum.
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 def optimize_free_parameter(family: Callable[[float], object], r: int,
@@ -664,23 +668,36 @@ def optimize_free_parameter(family: Callable[[float], object], r: int,
                             order_tol: float = 1e-8) -> OptimizeResult:
     """Minimize the effective error of a one-parameter family of order r.
 
-    Scans a uniform grid of ``grid`` >= 2 points over ``prange`` (checking
-    that every candidate actually satisfies the order conditions), then
-    tightens the best bracket by golden-section search.  Every member is
-    scored by one scorer, :func:`_grid_scores`: the grid in batched passes,
-    one per generator sequence among its members (split at the engine's byte
-    budget), and the golden-section probes, each depending on the one
-    before, as batches of one.  A family whose objective varies below
-    round-off is returned with ``flat=True``.  ``at_edge`` is set when the
-    grid minimum is an end point of ``prange`` and the search ends within
-    ``param_tol`` of it: the minimizer then probably lies outside the range.
-    ``param_tol`` and ``order_tol`` must be positive and finite.
+    Scans a uniform grid of ``grid`` >= 2 points over ``prange``, checking
+    that every member satisfies the order conditions within ``order_tol``,
+    then runs Brent's search (:func:`_brent_minimize`) on the bracket
+    ``[xs[k-1], xs[k+1]]`` around the best grid point ``xs[k]``, starting
+    from that point and its score.  The search stops by Brent's rule, once
+    the best point lies within 2 (sqrt(eps) |p| + ``param_tol``) of both
+    ends of its bracket; the relative term is about the smallest step over
+    which float64 resolves E at a smooth minimum.  Every member is scored by
+    one scorer, :func:`_grid_scores`: the grid in batched passes, one per
+    generator sequence among its members (split at the engine's byte
+    budget), and the probes, each depending on the one before, as batches of
+    one.  The result is the best scored member, ``xs[k]`` or a probe, with
+    its own score as ``E``; no member is scored twice.  A family whose
+    objective varies below round-off is returned at the range's midpoint
+    with ``flat=True``.  ``at_edge`` is set when the best member is an end
+    point of ``prange``: the minimizer then probably lies outside the range.
+    ``r`` must lie in 1..``MAX_TRUNCATION`` - 1, ``prange`` must be a
+    finite, non-empty interval, ``grid`` an integer, and ``param_tol`` and
+    ``order_tol`` positive and finite.
     """
     a, b = float(prange[0]), float(prange[1])
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"the parameter range needs finite bounds, got {prange!r}")
     if not a < b:
         raise ValueError("empty parameter range")
+    if not isinstance(grid, numbers.Integral):
+        raise ValueError(f"the grid must be an integer, got {grid!r}")
     if grid < 2:
         raise ValueError(f"the grid needs at least 2 points, got {grid}")
+    _check_order(r, r + 1)
     _check_tolerance("param_tol", param_tol)
     _check_tolerance("order_tol", order_tol)
 
@@ -709,25 +726,73 @@ def optimize_free_parameter(family: Callable[[float], object], r: int,
         return OptimizeResult(mid, float(objective(mid)), True, False)
 
     k = int(np.argmin(fs))
-    lo = xs[max(k - 1, 0)]
-    hi = xs[min(k + 1, grid - 1)]
+    best, E = _brent_minimize(objective, xs[max(k - 1, 0)], xs[min(k + 1, grid - 1)],
+                              xs[k], fs[k], param_tol)
+    at_edge = k in (0, grid - 1) and best == xs[k]
+    return OptimizeResult(float(best), float(E), False, bool(at_edge))
 
-    # golden-section contraction of the bracket
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = objective(x1), objective(x2)
-    while hi - lo > param_tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = objective(x1)
+
+def _brent_minimize(objective: Callable[[float], float], lo: float, hi: float,
+                    x: float, fx: float, param_tol: float) -> tuple[float, float]:
+    """Brent's localmin (R. P. Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 5) of ``objective`` on [lo, hi], from the point
+    x in it, whose score ``fx`` is known.
+
+    Each step probes the vertex of the parabola through the three best
+    points so far, or takes a golden-section step into the larger side of
+    the bracket when that vertex falls outside it or the parabolic steps
+    stop shrinking.  No probe lies closer than tol = sqrt(eps) |x| +
+    ``param_tol`` to the best point x, and the search stops once x lies
+    within 2 tol of both ends of the bracket, so a unimodal objective has
+    its minimizer that close to x.  Returns the best point probed, x itself
+    when no probe scores lower, with its score.
+    """
+    golden = 0.5 * (3.0 - math.sqrt(5.0))
+    v = w = x
+    fv = fw = fx
+    d = e = 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        tol = _SQRT_EPS * abs(x) + param_tol
+        if abs(x - mid) <= 2.0 * tol - 0.5 * (hi - lo):
+            return x, fx
+        p = q = r = 0.0
+        if abs(e) > tol:
+            # the parabola through (x, fx), (w, fw), (v, fv) has its vertex at x + p/q
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+        # take the vertex if it lies inside the bracket and the step is under
+        # half the one before last, so that the bracket keeps shrinking
+        if abs(p) < abs(0.5 * q * r) and q * (lo - x) < p < q * (hi - x):
+            d = p / q
+            if x + d - lo < 2.0 * tol or hi - (x + d) < 2.0 * tol:
+                d = tol if x < mid else -tol
         else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = objective(x2)
-    best = 0.5 * (lo + hi)
-    at_edge = k in (0, grid - 1) and abs(best - xs[k]) <= param_tol
-    return OptimizeResult(float(best), float(objective(best)), False, bool(at_edge))
+            e = (hi if x < mid else lo) - x
+            d = golden * e
+        u = x + d if abs(d) >= tol else x + math.copysign(tol, d)
+        fu = objective(u)
+        if fu <= fx:
+            if u < x:
+                hi = x
+            else:
+                lo = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                lo = u
+            else:
+                hi = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v in (x, w):
+                v, fv = u, fu
 
 
 def _grid_scores(family, params, r: int, checked) -> np.ndarray:

@@ -444,16 +444,17 @@ def test_optimize_minimum_past_range_edge_is_input_error(capsys):
 
 @pytest.mark.parametrize("family,prange,expected", [
     ("third_order", "0.4:1.2",
-     "third_order: minimizer c5 = 0.7861513718, E = 2.854229\n"
-     "closed-form reference c5* = 0.7861513778, deviation 5.908e-09\n"),
+     "third_order: minimizer c5 = 0.7861513792, E = 2.854229\n"
+     "closed-form reference c5* = 0.7861513778, deviation 1.428e-09\n"),
     ("aor4", "0.1:0.6",
-     "aor4: minimizer d2 = 0.3018950588, E = 7.4793847\n"
-     "closed-form reference d2* = 0.3018950640, deviation 5.212e-09\n"),
+     "aor4: minimizer d2 = 0.3018950608, E = 7.4793847\n"
+     "closed-form reference d2* = 0.3018950640, deviation 3.172e-09\n"),
 ])
 def test_optimize_interior_minimum_output(capsys, family, prange, expected):
     code, out, _ = run(capsys, "optimize", "--family", family, "--range", prange)
     assert code == 0
     assert out == expected
+    assert float(out.rsplit("deviation", 1)[1]) <= 1e-8
 
 
 def test_optimize_rejects_malformed_range(capsys):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from commexp.bench import empirical_order
@@ -709,16 +709,43 @@ def test_refine_rejects_a_tolerance_that_is_not_positive_and_finite(tol, monkeyp
 # ---------------------------------------------------------------------------
 
 
+def _unevaluated_family(p):
+    raise AssertionError("a member was built before the arguments were checked")
+
+
 def test_optimize_rejects_empty_range():
-    with pytest.raises(ValueError):
-        optimize_free_parameter(third_order_family, 3, (1.0, 1.0))
+    with pytest.raises(ValueError, match="^empty parameter range$"):
+        optimize_free_parameter(_unevaluated_family, 3, (1.0, 1.0))
 
 
-@pytest.mark.parametrize("grid", [1, 0, -3])
+@pytest.mark.parametrize("grid", [1, 0, -3, np.int64(1)])
 def test_optimize_rejects_a_grid_of_fewer_than_two_points(grid):
     # one sample cannot show whether the objective is flat
     with pytest.raises(ValueError, match="at least 2 points"):
-        optimize_free_parameter(third_order_family, 3, (0.6, 1.0), grid=grid)
+        optimize_free_parameter(_unevaluated_family, 3, (0.6, 1.0), grid=grid)
+
+
+@pytest.mark.parametrize("r,message", [
+    (0, "order must be at least 1, got 0"),
+    (7, "order 7 needs degree 8 > ceiling 7"),
+    (9, "order 9 needs degree 10 > ceiling 7"),
+])
+def test_optimize_rejects_an_order_outside_the_engine(r, message):
+    with pytest.raises(ValueError, match=message):
+        optimize_free_parameter(_unevaluated_family, r, (0.6, 1.0))
+
+
+@pytest.mark.parametrize("prange", [(-math.inf, 1.0), (0.6, math.inf), (math.nan, 1.0),
+                                    (0.6, math.nan)])
+def test_optimize_rejects_a_range_that_is_not_finite(prange):
+    with pytest.raises(ValueError, match="parameter range needs finite bounds"):
+        optimize_free_parameter(_unevaluated_family, 3, prange)
+
+
+@pytest.mark.parametrize("grid", [2.5, 129.0, "129", None])
+def test_optimize_rejects_a_grid_that_is_not_an_integer(grid):
+    with pytest.raises(ValueError, match="grid must be an integer"):
+        optimize_free_parameter(_unevaluated_family, 3, (0.6, 1.0), grid=grid)
 
 
 @pytest.mark.parametrize("keyword", ["param_tol", "order_tol"])
@@ -790,6 +817,141 @@ def test_optimize_flags_minimum_at_range_edge():
     inside = optimize_free_parameter(schemes.aor4, 4, (0.1, 0.6), grid=17)
     assert not inside.at_edge
     assert inside.param == pytest.approx(schemes.AOR4_OPTIMAL_D2, abs=1e-7)
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_section(objective, lo, hi, param_tol):
+    """The optimizer's search before Brent's method, kept as the reference:
+    golden-section contraction of [lo, hi] to ``param_tol``, then one more
+    probe at the midpoint.  Returns that midpoint, its value and the probe
+    count."""
+    probes = 0
+
+    def f(p):
+        nonlocal probes
+        probes += 1
+        return objective(p)
+
+    x1 = hi - _GOLDEN * (hi - lo)
+    x2 = lo + _GOLDEN * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > param_tol:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _GOLDEN * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _GOLDEN * (hi - lo)
+            f2 = f(x2)
+    best = 0.5 * (lo + hi)
+    return best, f(best), probes
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.floats(0.05, 20.0),
+    negative=st.booleans(),
+    a=st.floats(1e-3, 1e3),
+    quartic=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+    floor=st.floats(1.0, 4.0),
+    width=st.floats(1e-6, 1.0),
+    left=st.floats(0.01, 0.99),
+)
+def test_brent_search_against_the_golden_section_reference(m, negative, a, quartic, floor,
+                                                           width, left):
+    # a smooth unimodal objective with its minimizer m inside the bracket;
+    # its minimum c >= a m^2 makes a step of 2 tol = 2 sqrt(eps) |m| raise it
+    # by a few ulps of c at most, so the two searches' values compare in ulps
+    from commexp.conditions import _SQRT_EPS, _brent_minimize
+
+    m = -m if negative else m
+    b, c = quartic * a, floor * a * m * m
+    lo, hi = m - left * width * abs(m), m + (1.0 - left) * width * abs(m)
+    assume(lo < m < hi)
+    probes = 0
+
+    def objective(p):
+        nonlocal probes
+        probes += 1
+        return a * (p - m) ** 2 + b * (p - m) ** 4 + c
+
+    x0 = 0.5 * (lo + hi)
+    # the start point counts as a probe here, where no grid scored it
+    x, fx = _brent_minimize(objective, lo, hi, x0, objective(x0), 1e-10)
+    brent_probes = probes
+    _, ref_fx, ref_probes = _golden_section(objective, lo, hi, 1e-10)
+    assert lo <= x <= hi
+    assert abs(x - m) <= 2.0 * (_SQRT_EPS * abs(x) + 1e-10)
+    assert fx == objective(x)
+    assert fx <= ref_fx + 8 * np.spacing(ref_fx)
+    assert brent_probes <= ref_probes
+
+
+_CLI_FAMILIES = [
+    (third_order_family, 3, (0.4, 1.2), math.sqrt(2.0 / (math.sqrt(5.0) + 1.0))),
+    (schemes.aor4, 4, (0.1, 0.6), schemes.AOR4_OPTIMAL_D2),
+]
+
+
+@pytest.mark.parametrize("family,r,prange,reference", _CLI_FAMILIES,
+                         ids=["third_order", "aor4"])
+def test_optimize_matches_scipy_bounded_brent(family, r, prange, reference):
+    import scipy.optimize
+
+    result = optimize_free_parameter(family, r, prange)
+    oracle = scipy.optimize.minimize_scalar(
+        lambda p: effective_error(family(p)).E, bounds=prange, method="bounded",
+        options={"xatol": 1e-10})
+    assert oracle.success
+    assert abs(result.param - oracle.x) <= 1e-8
+    assert abs(result.param - reference) <= 1e-8
+    assert result.E <= oracle.fun + 8 * np.spacing(oracle.fun)
+
+
+def _counted(family):
+    """``family`` with a count of the members it builds."""
+    def build(p):
+        build.members += 1
+        return family(p)
+
+    build.members = 0
+    return build
+
+
+@pytest.mark.parametrize("family,r,prange,reference", _CLI_FAMILIES,
+                         ids=["third_order", "aor4"])
+def test_optimize_probe_count_and_returned_score(family, r, prange, reference):
+    from commexp.conditions import _grid_scores
+
+    counted = _counted(family)
+    result = optimize_free_parameter(counted, r, prange)
+    # the golden-section search built 129 + 42 and 129 + 41 members here
+    assert counted.members <= 129 + 15
+    assert not result.at_edge and abs(result.param - reference) <= 1e-8
+    # E is the returned member's own score, bit for bit
+    one = _grid_scores(family, [result.param], r, lambda p, report: report.effective_error.E)
+    assert result.E == one[0]
+
+
+def test_optimize_edge_minimum_builds_no_more_members_than_golden_section():
+    from commexp.conditions import _grid_scores
+
+    counted = _counted(schemes.aor4)
+    result = optimize_free_parameter(counted, 4, (0.5, 2.0))
+    assert result.at_edge and result.param == 0.5
+    # the golden-section search on the grid's edge bracket, as it ran before
+    xs = np.linspace(0.5, 2.0, 129)
+
+    def objective(p):
+        return _grid_scores(schemes.aor4, [p], 4,
+                            lambda p, report: report.effective_error.E)[0]
+
+    _, _, golden_probes = _golden_section(objective, xs[0], xs[1], 1e-10)
+    assert counted.members <= 129 + golden_probes
+    assert result.E == objective(0.5)
 
 
 def test_optimize_propagates_order_violations():
