@@ -530,10 +530,12 @@ def provenance(pairs, scheme_names) -> list[str]:
     (:func:`~commexp.matform.evaluation_path`), then the commexp and numpy
     versions.
 
-    A pair whose schemes do not all share one path and arithmetic names the
-    schemes of each minority kind, e.g.
-    ``random:16: taylor path, float64 arithmetic; taylor path, complex128
-    arithmetic for PCP6_3_imaginary``.
+    The taylor path also names the pair's cached power depth
+    (:attr:`~commexp.matform.OperatorPair.power_depth`).  A pair whose
+    schemes do not all share one path and arithmetic names the schemes of
+    each minority kind, e.g.
+    ``random:16: taylor path, powers to Y^14, float64 arithmetic; taylor
+    path, powers to Y^14, complex128 arithmetic for PCP6_3_imaginary``.
     """
     lines = []
     for pair in pairs:
@@ -541,9 +543,12 @@ def provenance(pairs, scheme_names) -> list[str]:
         for name in scheme_names:
             path = matform.evaluation_path(_resolve_scheme(name), pair)
             kinds.setdefault(path, []).append(name)
-        (path, arithmetic), *others = sorted(kinds, key=lambda k: -len(kinds[k]))
-        lines.append(f"{pair.label}: {path} path, {arithmetic} arithmetic" + "".join(
-            f"; {p} path, {a} arithmetic for {' '.join(kinds[p, a])}" for p, a in others))
+        depth = f", powers to Y^{pair.power_depth}"
+        described = {(p, a): f"{p} path{depth if p == 'taylor' else ''}, {a} arithmetic"
+                     for p, a in kinds}
+        first, *others = sorted(kinds, key=lambda k: -len(kinds[k]))
+        lines.append(f"{pair.label}: {described[first]}" + "".join(
+            f"; {described[kind]} for {' '.join(kinds[kind])}" for kind in others))
     return lines + [f"commexp {__version__}", f"numpy {np.__version__}"]
 
 

@@ -2,7 +2,8 @@
 
 Everything here is deterministic: the matrix exponential is a fixed
 scaling-and-squaring routine over a Taylor core of degree 5, 8, 11 or 14,
-chosen per exponential (per stack entry) for the fewest products, the spectral
+chosen per exponential (per stack entry) for the fewest products, or of
+degree 14 on a pair's cached power stack, the spectral
 norm is the largest singular value from LAPACK (numpy's ``norm(M, 2)``), and
 the random operator pairs are drawn from a small named 64-bit generator so
 experiments reproduce given the seed.
@@ -23,11 +24,15 @@ generator merged, cancelling runs removed):
   eigenvectors, so a run costs a column scaling and a switch of generator
   one product with a cached transfer matrix;
 - *cached powers*, for every other pair (the non-normal ``random`` pairs).
-  The pair caches ``(X/||X||_1)^2`` and ``(X/||X||_1)^3`` of each generator
-  and their norms, so each run's exponential is the Taylor core of
-  :func:`expm`: degree 5/8/11/14 per entry, 1-4 products plus s squarings,
-  the degree and s chosen from the power norms; the runs are multiplied
-  left to right.
+  The pair caches powers of ``Y = X/||X||_1`` for each generator
+  (:attr:`OperatorPair.powers`).  When one generator's stack Y^0 .. Y^14
+  fits 1 MiB (real d <= 93, complex d <= 66) it caches all of it, and each
+  run's exponential is its degree-14 Taylor polynomial as one product of
+  its 15 coefficients with the stack, plus s squarings: no Horner product.
+  Larger pairs cache Y^2 and Y^3 alone and run the Taylor core of
+  :func:`expm`: degree 5/8/11/14 per entry, 1-4 products plus s squarings.
+  At both depths s and the 7.24e-16 truncation bound come from the same
+  norms of Y^2 and Y^3; the runs are multiplied left to right.
 
 A target (:func:`target_matrix`) is one exponential per step time, and a
 grid of step times is one stack through the same Taylor core, each entry
@@ -143,6 +148,11 @@ _THETA = np.array([0.0089696, 0.0861186, 0.2889821, 0.6270028])
 #: m as a float64 for m = 1..14, shaped (14, 1, 1): the Taylor factors u / m.
 _DIVISORS = np.arange(1.0, 15.0).reshape(-1, 1, 1)
 
+#: A pair caches the deep power stack Y^0 .. Y^_DEEP of each generator when
+#: one such stack takes at most _DEEP_BYTES (real d <= 93, complex d <= 66).
+_DEEP = 14
+_DEEP_BYTES = 1 << 20
+
 
 class _Powers(NamedTuple):
     """A matrix X, or each matrix of a (k, d, d) stack X, and the powers its
@@ -154,7 +164,9 @@ class _Powers(NamedTuple):
     Y^3, and ``alpha = max(||Y^2||_1^(1/2), ||Y^3||_1^(1/3))``, which bounds
     ``||Y^k||_1^(1/k)`` for every k >= 2 (Al-Mohy and Higham 2009, with
     p = 2).  ``scale`` and ``alpha`` are 0-d for one matrix and length-k
-    arrays for a stack.
+    arrays for a stack.  ``stack`` is None, or for one matrix the deep stack
+    of :func:`_stack_exp`: the (15, d^2) array of the flattened Y^0 = I,
+    Y, ..., Y^14, whose rows 2 and 3 ``square`` and ``cube`` then view.
     """
 
     X: np.ndarray
@@ -162,6 +174,7 @@ class _Powers(NamedTuple):
     square: np.ndarray
     cube: np.ndarray
     alpha: np.ndarray
+    stack: np.ndarray | None = None
 
 
 def _dtype(*values) -> type:
@@ -174,16 +187,49 @@ def _norm1(X: np.ndarray) -> np.ndarray:
     return np.abs(X).sum(axis=-2).max(axis=-1, initial=0.0)
 
 
-def _powers(X: np.ndarray) -> _Powers:
+def _powers(X: np.ndarray, deep: bool = False) -> _Powers:
+    """The powers of one matrix X or of each matrix of a (k, d, d) stack X;
+    ``deep`` (one matrix only) builds the whole stack Y^0 .. Y^14, one
+    product per power, with Y^2 and Y^3 exactly as the shallow powers."""
     scale = np.maximum(_norm1(X), np.finfo(np.float64).tiny)
     Y = X * (1.0 / scale)[..., np.newaxis, np.newaxis]
-    square = Y @ Y
-    cube = square @ Y
+    stack = None
+    if deep:
+        d = len(X)
+        stack = np.empty((_DEEP + 1, d, d), dtype=Y.dtype)
+        stack[0] = np.eye(d)
+        stack[1] = Y
+        for m in range(2, _DEEP + 1):
+            np.matmul(stack[m - 1], Y, out=stack[m])
+        square, cube = stack[2], stack[3]
+        stack = stack.reshape(_DEEP + 1, d * d)
+    else:
+        square = Y @ Y
+        cube = square @ Y
     # one matrix at a time, as libm's pow gives it: numpy's vectorised power
     # can differ from it by an ulp, and alpha picks the degree and squarings
     norms = zip(np.ravel(_norm1(square)).tolist(), np.ravel(_norm1(cube)).tolist())
     alpha = [max(math.sqrt(a), b ** (1.0 / 3.0)) for a, b in norms]
-    return _Powers(X, scale, square, cube, np.reshape(alpha, scale.shape))
+    return _Powers(X, scale, square, cube, np.reshape(alpha, scale.shape), stack)
+
+
+def _scaled_arguments(powers: Sequence[_Powers], z: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """q, s, u and nu of :func:`_taylor_terms` as arrays, the first three
+    shaped as z, nu as one row per matrix."""
+    scale = np.array([p.scale for p in powers]).reshape(len(powers), -1)
+    alpha = np.array([p.alpha for p in powers]).reshape(len(powers), -1)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        w = z * scale
+    if not np.isfinite(w).all():
+        raise ValueError("matrix exponential of non-finite entries")
+    x = np.abs(w) * alpha
+    if x.shape[1] > 1:
+        x = np.maximum.accumulate(x[:, ::-1], axis=1)[:, ::-1]
+    q = np.searchsorted(_THETA[:3], x) + 1
+    mantissa, exponent = np.frexp(x / _THETA[3])
+    s = np.maximum(exponent - (mantissa == 0.5), 0)
+    return q, s, w * np.ldexp(1.0, -s), scale
 
 
 def _taylor_terms(powers: Sequence[_Powers], z: np.ndarray
@@ -213,19 +259,7 @@ def _taylor_terms(powers: Sequence[_Powers], z: np.ndarray
     nu alpha) that changes nothing.  The
     coefficients are one ``cumprod`` of the factors u / m.
     """
-    scale = np.array([p.scale for p in powers]).reshape(len(powers), -1)
-    alpha = np.array([p.alpha for p in powers]).reshape(len(powers), -1)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        w = z * scale
-    if not np.isfinite(w).all():
-        raise ValueError("matrix exponential of non-finite entries")
-    x = np.abs(w) * alpha
-    if x.shape[1] > 1:
-        x = np.maximum.accumulate(x[:, ::-1], axis=1)[:, ::-1]
-    q = np.searchsorted(_THETA[:3], x) + 1
-    mantissa, exponent = np.frexp(x / _THETA[3])
-    s = np.maximum(exponent - (mantissa == 0.5), 0)
-    u = w * np.ldexp(1.0, -s)
+    q, s, u, scale = _scaled_arguments(powers, z)
     top = 3 * int(q.max()) + 2
     c = np.zeros((top + 1,) + u.shape, dtype=u.dtype)
     c[0] = 1.0
@@ -234,6 +268,66 @@ def _taylor_terms(powers: Sequence[_Powers], z: np.ndarray
     np.cumprod(c, axis=0, out=c)
     c[1::3] /= scale
     return q.tolist(), s.tolist(), c[..., np.newaxis, np.newaxis]
+
+
+def _stack_terms(powers: Sequence[_Powers], z: np.ndarray
+                 ) -> tuple[list[list[int]], np.ndarray]:
+    """Squaring counts and degree-14 Taylor coefficients of exp(z_ij X_i)
+    on deep powers (:func:`_stack_exp`): s exactly as :func:`_taylor_terms`
+    gives it, and c, shaped (r, k, 15), with c[i, j, m] = u_ij^m / m! for
+    m = 0..14, one ``cumprod`` over the whole array.  Every entry takes the
+    degree-14 polynomial; at ``|u| alpha <= theta_14`` its truncation error
+    is at most the 7.24e-16 that each lower degree is chosen to meet.
+    """
+    _, s, u, _ = _scaled_arguments(powers, z)
+    c = np.empty(u.shape + (_DEEP + 1,), dtype=u.dtype)
+    c[..., 0] = 1.0
+    np.divide(u[..., np.newaxis], _DIVISORS.reshape(-1), out=c[..., 1:])
+    np.cumprod(c, axis=-1, out=c)
+    return s.tolist(), c
+
+
+def _square(s: list[int], P: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Square entry i of the (k, d, d) stack P s_i times (s not increasing),
+    each squaring on the prefix of entries still squaring; returns the
+    buffers as (result, the other)."""
+    m = len(P)
+    for i in range(s[0]):
+        while s[m - 1] <= i:
+            m -= 1
+        np.matmul(P[:m], P[:m], out=Q[:m])
+        P, Q = Q, P
+    if s[-1] != s[0]:
+        # an entry that stopped an odd number of squarings early was left in Q
+        moved = np.array([(s[0] - si) % 2 == 1 for si in s])
+        np.copyto(P, Q, where=moved[:, np.newaxis, np.newaxis])
+    return P, Q
+
+
+def _stack_exp(powers: _Powers, s: list[int], c: np.ndarray,
+               P: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(z_i X) for each of k arguments z_i on one matrix's deep powers,
+    into one of the contiguous (k, d, d) buffers P and Q: (result, the
+    other).  ``s`` and ``c`` (shaped (k, 15)) are one row of
+    :func:`_stack_terms`.
+
+    Entry i is the polynomial sum_m c[i, m] Y^m, one product of its
+    coefficient row with the (15, d^2) stack, then s_i squarings
+    (:func:`_square`): no Horner product.  The product is per entry, a
+    (d^2, 15) by (15, 1) BLAS call for each, so an entry equals its own
+    one-entry evaluation bit for bit, which one (k, 15) by (15, d^2) product
+    does not guarantee.  Complex arguments on a real stack take their real
+    and imaginary rows as two columns, written straight into the complex
+    buffer's interleaved parts, so the stack is never widened.
+    """
+    k = len(P)
+    if P.dtype == powers.stack.dtype:
+        coefficients, out = c[:, :, np.newaxis], P.reshape(k, -1, 1)
+    else:
+        coefficients = np.stack([c.real, c.imag], axis=-1)
+        out = P.view(np.float64).reshape(k, -1, 2)
+    np.matmul(powers.stack.T, coefficients, out=out)
+    return _square(s, P, Q)
 
 
 def _taylor_exp(powers: _Powers, q: list[int], s: list[int], c: np.ndarray,
@@ -295,17 +389,7 @@ def _taylor_exp(powers: _Powers, q: list[int], s: list[int], c: np.ndarray,
         Qn += Pn
         dQn += c0
         P, Q, dP, dQ = Q, P, dQ, dP
-    m = k
-    for i in range(s[0]):
-        while s[m - 1] <= i:
-            m -= 1
-        np.matmul(P[:m], P[:m], out=Q[:m])
-        P, Q = Q, P
-    if s[-1] != s[0]:
-        # an entry that stopped an odd number of squarings early was left in Q
-        moved = np.array([(s[0] - si) % 2 == 1 for si in s])
-        np.copyto(P, Q, where=moved[:, np.newaxis, np.newaxis])
-    return P, Q
+    return _square(s, P, Q)
 
 
 def _square_matrix(M, what: str) -> np.ndarray:
@@ -332,8 +416,8 @@ def expm(M: np.ndarray) -> np.ndarray:
     relative for the moderate norms used here.  Cost: Y^2 and Y^3, then 1-4
     products plus s squarings (Paterson-Stockmeyer, Horner in Y^3).
     It is the one-matrix case of the stacked core :func:`target_matrix`
-    runs, and :func:`evaluate_scheme` runs the same core on each generator's
-    cached powers.  M must be one square 2-D matrix of finite entries, and
+    runs, and :func:`evaluate_scheme` runs the same core on the cached Y^2
+    and Y^3 of a pair too large for the deep power stack.  M must be one square 2-D matrix of finite entries, and
     its exponential must be finite (``ValueError`` otherwise); a real M
     gives a float64 result, a complex M complex128.
     """
@@ -359,7 +443,7 @@ def _expm_stack(F: np.ndarray) -> np.ndarray:
         order = sorted(range(len(F)), key=x.__getitem__, reverse=True)
         ordered = order == list(range(len(F)))
         if not ordered:
-            powers = _Powers(*(p[order] for p in powers))
+            powers = _Powers(*(None if p is None else p[order] for p in powers))
         q, s, c = _taylor_terms([powers], np.ones((1, len(F))))
         P, Q = (np.empty(F.shape, dtype=F.dtype) for _ in range(2))
         E = _taylor_exp(powers, q[0], s[0], c[:, 0], P, Q)[0]
@@ -451,10 +535,21 @@ class OperatorPair:
         return _Eigenbasis((values_a, values_b), (va, vb), adjoints,
                            (adjoints[0] @ vb, adjoints[1] @ va))
 
+    @property
+    def power_depth(self) -> int:
+        """The highest power of Y = X/||X||_1 that :attr:`powers` keeps per
+        generator: 14 when the stack Y^0 .. Y^14 takes at most 1 MiB (real
+        d <= 93, complex d <= 66), else 3."""
+        fits = (_DEEP + 1) * self.A.size * self.A.itemsize <= _DEEP_BYTES
+        return _DEEP if fits else 3
+
     @cached_property
     def powers(self) -> tuple[_Powers, _Powers]:
-        """Cached scaled powers of A and B for their Taylor exponentials."""
-        return _powers(self.A), _powers(self.B)
+        """Cached scaled powers of A and B for their Taylor exponentials:
+        Y^2 and Y^3, and with a :attr:`power_depth` of 14 the whole stack
+        Y^0 .. Y^14 (Y^2 and Y^3 then view it)."""
+        deep = self.power_depth == _DEEP
+        return _powers(self.A, deep), _powers(self.B, deep)
 
 
 def two_norms(M: np.ndarray) -> np.ndarray:
@@ -518,7 +613,8 @@ def evaluate_scheme(scheme, pair: OperatorPair, t) -> np.ndarray:
     run that cancels to zero goes, merging its neighbours; at ``t == 0`` or
     with no run left the exact identity is returned.  A step time that is
     not finite, or a run coefficient that is not finite (at any ``t``,
-    zero included), raises ``ValueError`` on either path.
+    zero included), raises ``ValueError`` on either path, and so does a
+    product that overflows to non-finite entries, with no numpy warning.
 
     On pairs with an :attr:`~OperatorPair.eigenbasis` the product is carried
     in eigenbasis coordinates as
@@ -530,19 +626,27 @@ def evaluate_scheme(scheme, pair: OperatorPair, t) -> np.ndarray:
     ``||exp(c_i t X_i)||`` (all 1 for anti-Hermitian generators and real
     ``c_i t``); the worst of 3000 random d = 2..16 cases reached 0.63 of it.
 
-    Every other pair exponentiates each run with the Taylor core of
-    :func:`expm` on the pair's cached :attr:`~OperatorPair.powers`: with
-    ``nu = ||X||_1`` and alpha from the norms of the cached ``(X/nu)^2`` and
-    ``(X/nu)^3``, a run ``exp(z X)`` takes, per stack entry, the polynomial
-    of degree 5, 8, 11 or 14 (1-4 products) plus s squarings with the fewest
-    products that brings ``|z| nu alpha 2^-s`` below that degree's theta
-    (truncation error at most 7.24e-16 relative), and is good to ~1e-13
-    relative.  The stack is ordered by decreasing |t|, so the top Horner
-    blocks and each squaring run on a prefix of it.  Three buffers rotate
+    Every other pair exponentiates each run from the pair's cached
+    :attr:`~OperatorPair.powers` of ``Y = X / nu``, ``nu = ||X||_1``, with
+    alpha from the norms of Y^2 and Y^3; a run ``exp(z X)`` is good to
+    ~1e-13 relative.  With a :attr:`~OperatorPair.power_depth` of 14 (a
+    stack Y^0 .. Y^14 that fits 1 MiB: real d <= 93) each entry takes the
+    degree-14 polynomial in ``u Y``, ``u = z nu 2^-s``, as one product of
+    its 15 coefficients with the cached stack, and then its s squarings,
+    s the least that brings ``|z| nu alpha 2^-s`` below theta_14
+    (truncation error at most 7.24e-16 relative).  Otherwise it runs the
+    Taylor core of :func:`expm` on Y^2 and Y^3: per stack entry, the
+    polynomial of degree 5, 8, 11 or 14 (1-4 products) plus s squarings
+    with the fewest products that brings ``|z| nu alpha 2^-s`` below that
+    degree's theta, the same s.  The stack is ordered by decreasing |t|,
+    so the top Horner blocks and each squaring run on a prefix of it, and
+    each entry equals its own one-time evaluation bit for bit at either
+    depth.  Three buffers rotate
     through the runs and the products between them.  They are float64 when
     the pair and every run's z·t are real, and complex128 when either is
     complex: then the real cached powers of a real pair are read into
-    complex products.
+    complex products, and a real deep stack takes a complex run's real and
+    imaginary coefficients as two real columns, so it is never widened.
     The walk's result is always complex128, its t = 0 identity included.
     """
     times = np.asarray(t)
@@ -561,16 +665,19 @@ def evaluate_scheme(scheme, pair: OperatorPair, t) -> np.ndarray:
     live = sorted((j for j in range(len(steps)) if sizes[j]), key=lambda j: -sizes[j]) \
         if runs else []
     ordered = live == list(range(len(steps)))
-    z = np.multiply.outer(coeffs, steps if ordered else steps[live])  # (runs, k)
     basis = pair.eigenbasis
-    dtype = np.complex128 if basis is not None else _dtype(pair.A, z)
-    shape = (len(live), pair.dim, pair.dim)
-    if not live:
-        out = np.empty(shape, dtype=dtype)
-    elif basis is None:
-        out = _taylor_walk(pair.powers, gens, z, shape, dtype)
-    else:
-        out = _eigenbasis_walk(basis, gens, z)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        z = np.multiply.outer(coeffs, steps if ordered else steps[live])  # (runs, k)
+        dtype = np.complex128 if basis is not None else _dtype(pair.A, z)
+        shape = (len(live), pair.dim, pair.dim)
+        if not live:
+            out = np.empty(shape, dtype=dtype)
+        elif basis is None:
+            out = _taylor_walk(pair.powers, gens, z, shape, dtype)
+        else:
+            out = _eigenbasis_walk(basis, gens, z)
+    if not np.isfinite(out).all():
+        raise ValueError("the scheme's product overflows to non-finite entries")
     if not ordered:
         stack, out = out, np.empty((len(steps), pair.dim, pair.dim), dtype=dtype)
         out[...] = np.eye(pair.dim)
@@ -580,12 +687,19 @@ def evaluate_scheme(scheme, pair: OperatorPair, t) -> np.ndarray:
 
 def _taylor_walk(powers: tuple[_Powers, _Powers], gens, z, shape, dtype) -> np.ndarray:
     """The product of the runs' Taylor exponentials, per stack entry: run i
-    is exp(z[i, j] X) on generator gens[i] for entry j."""
-    q, s, c = _taylor_terms([powers[gen] for gen in gens], z)
+    is exp(z[i, j] X) on generator gens[i] for entry j, from deep powers
+    (:func:`_stack_exp`) or else by the Horner core (:func:`_taylor_exp`)."""
+    runs = [powers[gen] for gen in gens]
+    deep = runs[0].stack is not None
+    if deep:
+        s, c = _stack_terms(runs, z)
+    else:
+        q, s, c = _taylor_terms(runs, z)
     P, Q = (np.empty(shape, dtype=dtype) for _ in range(2))
     result = None
-    for i, gen in enumerate(gens):
-        E, spare = _taylor_exp(powers[gen], q[i], s[i], c[:, i], P, Q)
+    for i, run in enumerate(runs):
+        E, spare = (_stack_exp(run, s[i], c[i], P, Q) if deep
+                    else _taylor_exp(run, q[i], s[i], c[:, i], P, Q))
         if result is None:
             result, P, Q = E, spare, np.empty_like(spare)
         else:
@@ -609,7 +723,9 @@ def _eigenbasis_walk(basis: _Eigenbasis, gens, z) -> np.ndarray:
 def evaluation_path(scheme, pair: OperatorPair) -> tuple[str, str]:
     """How :func:`evaluate_scheme` multiplies the scheme out on the pair at a
     real t: ``("eigenbasis", "complex128")``, or ``("taylor", dtype)`` with
-    dtype ``"float64"`` or ``"complex128"`` by the rule above."""
+    dtype ``"float64"`` or ``"complex128"`` by the rule above.  On the
+    taylor path the pair's :attr:`~OperatorPair.power_depth` says which
+    powers it runs on."""
     if pair.eigenbasis is not None:
         return "eigenbasis", "complex128"
     return "taylor", np.dtype(_dtype(pair.A, *(c for _, c in slot_runs(scheme)))).name

@@ -483,48 +483,142 @@ def test_eigenbasis_walk_makes_no_expm_calls(monkeypatch, pauli_pair):
     assert calls == []
 
 
+def _at_depth(patch, depth):
+    """Make pairs built from here on cache powers to Y^depth: 14 as small
+    pairs do, or 3 as pairs past the memory budget do."""
+    if depth == 3:
+        patch.setattr(matform, "_DEEP_BYTES", 0)
+
+
+def _random_pair(dim, seed, depth):
+    """make_pair("random", dim, seed) with its powers built to Y^depth."""
+    with pytest.MonkeyPatch.context() as patch:
+        _at_depth(patch, depth)
+        pair = make_pair("random", dim, seed)
+        assert (pair.powers[0].stack is None) == (depth == 3)
+    return pair
+
+
 @pytest.mark.parametrize("which", ["random", "mixed"])
-def test_non_normal_pairs_take_the_cached_power_path(monkeypatch, which):
+def test_non_normal_pairs_take_the_cached_power_path(which):
     # a pair qualifies for the walk only when both generators are
     # (anti-)Hermitian; every other pair builds the Taylor powers of both
-    # generators once and makes no expm call per slot
-    pair = make_pair("random", 16, 0)
-    if which == "mixed":
-        pair = OperatorPair(_symmetric_pair(3, 16, (1, 1)).A, pair.B)
-    assert pair.eigenbasis is None
-    built = []
-    original = matform._powers
-    monkeypatch.setattr(matform, "_powers", lambda X: built.append(X) or original(X))
-    calls = _count_expm(monkeypatch)
-    for t in (0.3, 0.1):
-        evaluate_scheme(catalog_get("NCP6_3"), pair, t)
-    assert calls == []
-    assert len(built) == 2
-    assert built[0] is pair.A and built[1] is pair.B
-    for X, powers in zip((pair.A, pair.B), pair.powers):
-        Y = X / np.linalg.norm(X, 1)
-        np.testing.assert_allclose(powers.square, Y @ Y, atol=1e-15)
-        np.testing.assert_allclose(powers.cube, Y @ Y @ Y, atol=1e-15)
+    # generators once and makes no expm call per slot: at d = 16 the whole
+    # stack Y^0 .. Y^14, which Y^2 and Y^3 view, and past the memory budget
+    # Y^2 and Y^3 alone
+    for depth in (14, 3):
+        with pytest.MonkeyPatch.context() as patch:
+            _at_depth(patch, depth)
+            pair = make_pair("random", 16, 0)
+            if which == "mixed":
+                pair = OperatorPair(_symmetric_pair(3, 16, (1, 1)).A, pair.B)
+            assert pair.eigenbasis is None and pair.power_depth == depth
+            built = []
+            original = matform._powers
+            patch.setattr(matform, "_powers",
+                          lambda X, *args: built.append(X) or original(X, *args))
+            calls = _count_expm(patch)
+            for t in (0.3, 0.1):
+                evaluate_scheme(catalog_get("NCP6_3"), pair, t)
+        assert calls == []
+        assert len(built) == 2
+        assert built[0] is pair.A and built[1] is pair.B
+        for X, powers in zip((pair.A, pair.B), pair.powers):
+            Y = X / np.linalg.norm(X, 1)
+            np.testing.assert_allclose(powers.square, Y @ Y, atol=1e-15)
+            np.testing.assert_allclose(powers.cube, Y @ Y @ Y, atol=1e-15)
+            if depth == 3:
+                assert powers.stack is None
+                continue
+            assert powers.stack.shape == (15, 16 * 16)
+            assert np.shares_memory(powers.square, powers.stack)
+            assert np.shares_memory(powers.cube, powers.stack)
+            for m, row in enumerate(powers.stack):
+                np.testing.assert_allclose(row.reshape(16, 16), np.linalg.matrix_power(Y, m),
+                                           atol=1e-15)
 
 
-def _count_slot_exponentials(monkeypatch):
+@pytest.mark.parametrize("dim,dtype,depth", [
+    (2, np.float64, 14), (64, np.float64, 14), (93, np.float64, 14), (94, np.float64, 3),
+    (256, np.float64, 3), (66, np.complex128, 14), (67, np.complex128, 3),
+])
+def test_power_depth_follows_the_memory_budget(dim, dtype, depth):
+    # the stack Y^0 .. Y^14 of one generator is cached when it fits 1 MiB;
+    # larger pairs keep Y^2 and Y^3 and no more
+    X = np.diag(np.arange(1.0, dim + 1.0)) + np.eye(dim, k=1)
+    phase = 1j if dtype == np.complex128 else 1.0
+    pair = OperatorPair(phase * X, X.T)
+    assert pair.A.dtype == dtype and pair.eigenbasis is None
+    assert pair.power_depth == depth
+    if dim > 94:
+        return
+    for powers in pair.powers:
+        assert (powers.stack is None) == (depth == 3)
+        if depth == 14:
+            assert powers.stack.nbytes <= 1 << 20
+
+
+def _count_slot_exponentials(monkeypatch, name):
     calls = []
-    original = matform._taylor_exp
+    original = getattr(matform, name)
 
     def counting(powers, *args):
         calls.append(powers)
         return original(powers, *args)
 
-    monkeypatch.setattr(matform, "_taylor_exp", counting)
+    monkeypatch.setattr(matform, name, counting)
     return calls
 
 
 @pytest.mark.parametrize("name,runs", [("suzuki4", 11), ("zass_sym22", 21)])
-def test_cached_power_path_makes_one_exponential_per_run(monkeypatch, random_pair, name,
-                                                         runs):
-    calls = _count_slot_exponentials(monkeypatch)
-    evaluate_scheme(catalog_get(name), random_pair, 0.3)
-    assert len(calls) == runs
+def test_cached_power_path_makes_one_exponential_per_run(name, runs):
+    for depth, core in ((14, "_stack_exp"), (3, "_taylor_exp")):
+        pair = _random_pair(16, 0, depth)
+        with pytest.MonkeyPatch.context() as patch:
+            calls = _count_slot_exponentials(patch, core)
+            evaluate_scheme(catalog_get(name), pair, 0.3)
+        assert len(calls) == runs
+
+
+def _repeated(pool):
+    return st.lists(st.sampled_from(pool), min_size=1, max_size=7)
+
+
+#: Step-time stacks drawn with repetition from a few times, zero and
+#: negative ones included.
+_STACK_TIMES = st.lists(st.one_of(st.just(0.0), st.floats(min_value=-1.5, max_value=1.5)),
+                        min_size=1, max_size=4).flatmap(_repeated)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+    dim=st.integers(min_value=2, max_value=20),
+    slots=st.lists(st.tuples(st.sampled_from([Generator.A, Generator.B]), _COEFFICIENTS),
+                   min_size=1, max_size=8),
+    times=_STACK_TIMES,
+)
+@example(seed=5, dim=20, slots=[(Generator.A, 0.7), (Generator.B, -1.3), (Generator.A, 0.4)],
+         times=[1.5, -1.5, 0.0, 1.5, 0.2])
+@example(seed=9, dim=2, slots=[(Generator.A, 0.5j), (Generator.B, complex(1.0, -0.5))],
+         times=[-0.7, 0.0, -0.7])
+def test_deep_stack_walk_matches_horner_and_scipy(seed, dim, slots, times):
+    # the deep stack against the Horner core on Y^2 and Y^3 that it replaces
+    # and against scipy's slot-by-slot product, within the bound of
+    # test_suzuki4_on_random_pair_matches_scipy_product; at both depths each
+    # entry is its own one-entry evaluation bit for bit
+    deep, shallow = _random_pair(dim, seed, 14), _random_pair(dim, seed, 3)
+    stacks = [evaluate_scheme(slots, pair, np.array(times)) for pair in (deep, shallow)]
+    for pair, stack in zip((deep, shallow), stacks):
+        for entry, t in zip(stack, times):
+            np.testing.assert_array_equal(entry, evaluate_scheme(slots, pair, t))
+    for entry, horner, t in zip(*stacks, times):
+        expected = np.eye(dim, dtype=np.complex128)
+        for gen, coeff in slots:
+            expected = expected @ scipy.linalg.expm(coeff * t * deep.matrix(gen))
+        bound = 1e-13 * np.linalg.norm(expected, 2)
+        assert np.linalg.norm(entry - expected, 2) <= bound
+        assert np.linalg.norm(entry - horner, 2) <= bound
 
 
 @pytest.mark.parametrize("t", [0.05, 0.7, 2.5])
@@ -552,13 +646,17 @@ def _generator(seed, dim, kind):
     return X
 
 
-def _slot_exponential(X, z):
-    """exp(z X) through the private Taylor core, in float64 buffers when X
-    and z are real and complex128 ones otherwise."""
+def _slot_exponential(X, z, deep=False):
+    """exp(z X) through the private Taylor core, or with ``deep`` through
+    the deep power stack, in float64 buffers when X and z are real and
+    complex128 ones otherwise."""
     d = X.shape[0]
     dtype = np.result_type(X, z, np.float64)
     buffers = (np.empty((1, d, d), dtype), np.empty((1, d, d), dtype))
-    powers = matform._powers(X)
+    powers = matform._powers(X, deep)
+    if deep:
+        s, c = matform._stack_terms([powers], np.array([[z]]))
+        return matform._stack_exp(powers, s[0], c[0], *buffers)[0][0]
     q, s, c = matform._taylor_terms([powers], np.array([[z]]))
     return matform._taylor_exp(powers, q[0], s[0], c[:, 0], *buffers)[0][0]
 
@@ -583,11 +681,12 @@ def test_slot_exponential_matches_scipy(seed, dim, kind, size, z):
     if norm > 0:
         X *= size / norm
     r = abs(z) * size if norm > 0 else 0.0
-    E = _slot_exponential(X, z)
-    error = np.linalg.norm(E - scipy.linalg.expm(z * X), 2)
-    assert error <= 8 * (dim + r) * np.finfo(float).eps * math.exp(r)
-    if kind == "zero":
-        np.testing.assert_array_equal(E, np.eye(dim))
+    for deep in (False, True):
+        E = _slot_exponential(X, z, deep)
+        error = np.linalg.norm(E - scipy.linalg.expm(z * X), 2)
+        assert error <= 8 * (dim + r) * np.finfo(float).eps * math.exp(r)
+        if kind == "zero":
+            np.testing.assert_array_equal(E, np.eye(dim))
 
 
 def test_slot_exponential_rejects_nonfinite_argument(random_pair):
@@ -674,14 +773,17 @@ def test_per_entry_degree_matches_degree14_reference_and_scipy(seed, dim, kind, 
     if norm > 0:
         assert (q[0][0], s[0][0]) == ((degree + 1, 0) if side < 0 else
                                       (degree + 2, 0) if degree < 3 else (4, 1))
-    E = _slot_exponential(X, z)
-    assert E.dtype == (np.float64 if kind == "real" and isinstance(z, float) else np.complex128)
     r = abs(z) * norm
     bound = 8 * (dim + r) * np.finfo(float).eps * math.exp(r)
-    assert np.linalg.norm(E - scipy.linalg.expm(z * X), 2) <= bound
-    assert np.linalg.norm(E - _degree14_reference(X, z), 2) <= 2 * bound
-    if kind == "zero":
-        np.testing.assert_array_equal(E, np.eye(dim))
+    # the deep stack takes degree 14 and the same squarings throughout
+    for deep in (False, True):
+        E = _slot_exponential(X, z, deep)
+        assert E.dtype == (np.float64 if kind == "real" and isinstance(z, float)
+                           else np.complex128)
+        assert np.linalg.norm(E - scipy.linalg.expm(z * X), 2) <= bound
+        assert np.linalg.norm(E - _degree14_reference(X, z), 2) <= 2 * bound
+        if kind == "zero":
+            np.testing.assert_array_equal(E, np.eye(dim))
 
 
 @settings(max_examples=200, deadline=None)
@@ -701,12 +803,16 @@ def test_degree_and_squarings_take_the_fewest_products(x):
 
 
 def _count_products(monkeypatch):
-    """Matrix products made through np.matmul, one per matrix of its output."""
-    products = []
+    """Matrix products made through np.matmul, one per matrix of its output:
+    ``products["square"]`` counts d x d products (Horner blocks and
+    squarings), ``products["stack"]`` the deep stack's coefficient products,
+    whose outputs are (k, d^2, 1) or (k, d^2, 2)."""
+    products = {"square": 0, "stack": 0}
     original = np.matmul
 
     def counting(a, b, out=None):
-        products.append(1 if np.ndim(out) == 2 else len(out))
+        kind = "square" if np.shape(out)[-1] == np.shape(out)[-2] else "stack"
+        products[kind] += 1 if np.ndim(out) == 2 else len(out)
         return original(a, b, out=out)
 
     monkeypatch.setattr(np, "matmul", counting)
@@ -714,33 +820,43 @@ def _count_products(monkeypatch):
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2])
-def test_small_arguments_take_fewer_products(monkeypatch, degree):
-    # a run at |z| nu alpha <= theta_5, theta_8, theta_11 takes 1, 2, 3
-    # products and no squaring; past theta_14 it takes 4 and squares
-    pair = make_pair("random", 8, 4)
-    z = _argument_at(pair.A, _THETAS[degree] * (1 - 2.0 ** -40), 1.0)
-    products = _count_products(monkeypatch)
-    evaluate_scheme([(Generator.A, z)], pair, 1.0)
-    assert sum(products) == degree + 1
-    products.clear()
-    evaluate_scheme([(Generator.A, 2.0 * _argument_at(pair.A, _THETAS[3], 1.0))], pair, 1.0)
-    assert sum(products) == 4 + 1
+def test_small_arguments_take_fewer_products(degree):
+    # on Y^2 and Y^3 alone a run at |z| nu alpha <= theta_5, theta_8,
+    # theta_11 takes 1, 2, 3 Horner products and no squaring, and past
+    # theta_14 it takes 4 and squares once; on the deep stack every run is one
+    # coefficient product and the same squarings, with no Horner product
+    for depth in (14, 3):
+        pair = _random_pair(8, 4, depth)
+        small = _argument_at(pair.A, _THETAS[degree] * (1 - 2.0 ** -40), 1.0)
+        large = 2.0 * _argument_at(pair.A, _THETAS[3], 1.0)
+        with pytest.MonkeyPatch.context() as patch:
+            products = _count_products(patch)
+            evaluate_scheme([(Generator.A, small)], pair, 1.0)
+            assert products == ({"square": degree + 1, "stack": 0} if depth == 3
+                                else {"square": 0, "stack": 1})
+            products.update(square=0, stack=0)
+            evaluate_scheme([(Generator.A, large)], pair, 1.0)
+            assert products == ({"square": 4 + 1, "stack": 0} if depth == 3
+                                else {"square": 1, "stack": 1})
 
 
-def test_stack_entries_take_their_own_products(monkeypatch):
+def test_stack_entries_take_their_own_products():
     # entries of one stack just inside 2 theta_14, theta_11, theta_5 and at 0:
     # the top Horner blocks and the squarings run on prefixes, so the stack
-    # makes each entry's own products, q + s, and no more
-    pair = make_pair("random", 8, 4)
-    z = _argument_at(pair.A, _THETAS[3], 1.0)
+    # makes each entry's own products and no more: q + s on Y^2 and Y^3, and
+    # on the deep stack one coefficient product per nonzero time plus s
     times = np.array([2.0, _THETAS[2] / _THETAS[3], _THETAS[0] / _THETAS[3], 0.0]) \
         * (1 - 2.0 ** -40)
-    products = _count_products(monkeypatch)
-    stack = evaluate_scheme([(Generator.A, z)], pair, times)
-    assert sum(products) == (4 + 1) + 3 + 1
-    monkeypatch.undo()
-    for entry, t in zip(stack, times):
-        np.testing.assert_array_equal(entry, evaluate_scheme([(Generator.A, z)], pair, t))
+    for depth in (14, 3):
+        pair = _random_pair(8, 4, depth)
+        z = _argument_at(pair.A, _THETAS[3], 1.0)
+        with pytest.MonkeyPatch.context() as patch:
+            products = _count_products(patch)
+            stack = evaluate_scheme([(Generator.A, z)], pair, times)
+        assert products == ({"square": (4 + 1) + 3 + 1, "stack": 0} if depth == 3
+                            else {"square": 1, "stack": 3})
+        for entry, t in zip(stack, times):
+            np.testing.assert_array_equal(entry, evaluate_scheme([(Generator.A, z)], pair, t))
 
 
 @pytest.mark.parametrize("kind", ["pauli", "random"])
@@ -760,6 +876,21 @@ def test_evaluate_scheme_refuses_non_finite_coefficients(kind, t, coeff):
     pair = make_pair("pauli") if kind == "pauli" else make_pair("random", 4, 1)
     with pytest.raises(ValueError, match="non-finite run coefficient"):
         evaluate_scheme([(Generator.B, 0.3), (Generator.A, coeff)], pair, t)
+
+
+@pytest.mark.parametrize("case,name", [("deep", "NCP6_3"), ("shallow", "NCP6_3"),
+                                       ("pauli", "PCP6_3_imaginary")])
+@pytest.mark.parametrize("t", [1e3, np.array([0.5, -1e3])])
+def test_evaluate_scheme_refuses_an_overflowing_product(case, name, t):
+    # finite runs whose product is not: the Taylor path overflowed in its
+    # squarings and the eigenbasis walk in exp, each returning a non-finite
+    # product with a numpy RuntimeWarning
+    pair = make_pair("pauli") if case == "pauli" else \
+        _random_pair(4, 1, 14 if case == "deep" else 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows"):
+            evaluate_scheme(catalog_get(name), pair, t)
 
 
 def test_expm_refuses_an_overflowing_result():
@@ -1022,7 +1153,7 @@ def test_stacked_targets_equal_one_time_calls(name, pair_kind, seed, times, repe
 
 def test_target_grid_takes_one_taylor_pass(monkeypatch, random_pair):
     # a 9-point grid is one exponential pass, and the public expm is not called
-    calls = _count_slot_exponentials(monkeypatch)
+    calls = _count_slot_exponentials(monkeypatch, "_taylor_exp")
     monkeypatch.setattr(matform, "expm", None)
     T = target_matrix(sum_plus_commutator_target(1.0), random_pair, np.linspace(0.1, 0.9, 9))
     assert T.shape == (9, 16, 16) and len(calls) == 1
