@@ -316,17 +316,9 @@ def _stack_exp(powers: _Powers, s: list[int], c: np.ndarray,
     (:func:`_square`): no Horner product.  The product is per entry, a
     (d^2, 15) by (15, 1) BLAS call for each, so an entry equals its own
     one-entry evaluation bit for bit, which one (k, 15) by (15, d^2) product
-    does not guarantee.  Complex arguments on a real stack take their real
-    and imaginary rows as two columns, written straight into the complex
-    buffer's interleaved parts, so the stack is never widened.
+    does not guarantee.
     """
-    k = len(P)
-    if P.dtype == powers.stack.dtype:
-        coefficients, out = c[:, :, np.newaxis], P.reshape(k, -1, 1)
-    else:
-        coefficients = np.stack([c.real, c.imag], axis=-1)
-        out = P.view(np.float64).reshape(k, -1, 2)
-    np.matmul(powers.stack.T, coefficients, out=out)
+    np.matmul(powers.stack.T, c[:, :, np.newaxis], out=P.reshape(len(P), -1, 1))
     return _square(s, P, Q)
 
 
@@ -645,8 +637,7 @@ def evaluate_scheme(scheme, pair: OperatorPair, t) -> np.ndarray:
     through the runs and the products between them.  They are float64 when
     the pair and every run's z·t are real, and complex128 when either is
     complex: then the real cached powers of a real pair are read into
-    complex products, and a real deep stack takes a complex run's real and
-    imaginary coefficients as two real columns, so it is never widened.
+    complex products.
     The walk's result is always complex128, its t = 0 identity included.
     """
     times = np.asarray(t)
