@@ -164,9 +164,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(f"{args.figure}: wrote {out} ({n_rows} lines incl. headers)")
         return 0
 
-    if not args.schemes:
+    names = [tok.strip() for tok in (args.schemes or "").split(",") if tok.strip()]
+    if not names:
         return _fail("--custom needs --schemes")
-    names = [tok.strip() for tok in args.schemes.split(",") if tok.strip()]
     try:
         for name in names:
             schemes.catalog_get(name)

@@ -474,8 +474,7 @@ def letter_map(images: tuple[tuple[Generator, complex], ...], degree: int) -> np
 # ---------------------------------------------------------------------------
 
 
-def lie_project(log, coefficients=None, *, require_lie: bool = True
-                ) -> tuple[dict[int, np.ndarray], np.ndarray]:
+def lie_project(log, coefficients=None) -> tuple[dict[int, np.ndarray], np.ndarray]:
     """Project flat series onto the nested-commutator basis, degree by degree.
 
     ``log`` is one flat series or a (b, size) batch.  Returns the basis
@@ -485,11 +484,11 @@ def lie_project(log, coefficients=None, *, require_lie: bool = True
     whose commutator subspace is zero.  A residual above the larger of
     ``DEFAULT_LIE_TOL * max(1, |coefficients at that degree|)`` and
     ``LOG_ROUND_OFF * S^j / j!`` means the input is not a Lie element
-    (Friedrichs criterion) and raises :class:`LieMembershipError` unless
-    ``require_lie`` is False.  S is the sum of |c_i| of the slot
-    ``coefficients`` whose product's log each row is (one row, or a batch as
-    given to :func:`scheme_log`; none: S = 0).  Coefficients that are not
-    finite, or too large to square, raise ``ValueError`` either way.  In a
+    (Friedrichs criterion) and raises :class:`LieMembershipError`, whose
+    message names that residual and bound.  S is the sum of |c_i| of the
+    slot ``coefficients`` whose product's log each row is (one row, or a
+    batch as given to :func:`scheme_log`; none: S = 0).  Coefficients that
+    are not finite, or too large to square, raise ``ValueError``.  In a
     batch an error names the lowest failing row and its lowest failing
     degree.
     """
@@ -511,9 +510,9 @@ def lie_project(log, coefficients=None, *, require_lie: bool = True
     residual, scale = np.sqrt(np.add.reduceat(np.abs(parts) ** 2, starts, axis=2))
     finite = scale < np.inf  # then the residual is finite too, or fails below
     bound = DEFAULT_LIE_TOL * np.maximum(1.0, scale)
-    ok = finite & (residual <= bound) if require_lie else finite & np.isfinite(residual)
+    ok = finite & (residual <= bound)
     if not ok.all():
-        if require_lie and coefficients is not None:
+        if coefficients is not None:
             # widen the bound by the round-off allowance S^j / j!, which may
             # overflow to inf, not an error; degree 0 has no round-off
             sums = np.abs(_coefficient_array(coefficients)).reshape(len(rows), -1).sum(axis=1)

@@ -31,12 +31,16 @@ generator merged, cancelling runs removed):
   its 15 coefficients with the stack, plus s squarings: no Horner product.
   Larger pairs cache Y^2 and Y^3 alone and run the Taylor core of
   :func:`expm`: degree 5/8/11/14 per entry, 1-4 products plus s squarings.
-  At both depths s and the 7.24e-16 truncation bound come from the same
-  norms of Y^2 and Y^3; the runs are multiplied left to right.
+  At both depths s, the coefficients and the 7.24e-16 truncation bound
+  come from the same pass over the norms of Y^2 and Y^3; the runs are
+  multiplied left to right.
 
 A target (:func:`target_matrix`) is one exponential per step time, and a
 grid of step times is one stack through the same Taylor core, each entry
-with its own powers.
+with its own powers.  Every exponential takes its s squarings and the
+coefficients u^m / m!, m = 0..14, of u = z ||X||_1 2^-s from one pass
+(:func:`_taylor_terms`); the deep stack reads all 15, and the Horner core
+the first 3 q + 3 of its degree 3 q + 2, on shared and per-entry powers alike.
 """
 
 from __future__ import annotations
@@ -145,8 +149,8 @@ class SplitMix64:
 #: that equation, rounded down (theta_14 = 0.62700290 rounded to 0.6270028).
 _THETA = np.array([0.0089696, 0.0861186, 0.2889821, 0.6270028])
 
-#: m as a float64 for m = 1..14, shaped (14, 1, 1): the Taylor factors u / m.
-_DIVISORS = np.arange(1.0, 15.0).reshape(-1, 1, 1)
+#: m as a float64 for m = 1..14: the Taylor factors u / m.
+_DIVISORS = np.arange(1.0, 15.0)
 
 #: A pair caches the deep power stack Y^0 .. Y^_DEEP of each generator when
 #: one such stack takes at most _DEEP_BYTES (real d <= 93, complex d <= 66).
@@ -213,10 +217,33 @@ def _powers(X: np.ndarray, deep: bool = False) -> _Powers:
     return _Powers(X, scale, square, cube, np.reshape(alpha, scale.shape), stack)
 
 
-def _scaled_arguments(powers: Sequence[_Powers], z: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """q, s, u and nu of :func:`_taylor_terms` as arrays, the first three
-    shaped as z, nu as one row per matrix."""
+def _taylor_terms(powers: Sequence[_Powers], z: np.ndarray
+                  ) -> tuple[list[list[int]], list[list[int]], np.ndarray]:
+    """Horner products, squaring counts and Taylor coefficients of
+    exp(z_ij X_i), X_i the matrix of ``powers[i]``, for an (r, k) array z:
+    one row of k arguments per matrix, or (r = 1) one argument per matrix of
+    one stack's powers, whose ``scale`` and ``alpha`` are then read per
+    entry.  Returns q and s, r lists of k ints: entry (i, j) takes s_ij
+    squarings and, on Y^2 and Y^3, the degree 3 q_ij + 2 polynomial (q_ij
+    Horner products); and c, shaped (r, k, 15), c[i, j, m] = u_ij^m / m!
+    for m = 0..14 and u = z nu 2^-s, nu the powers' ``scale``, one
+    ``cumprod``.  :func:`_stack_exp` reads all 15 columns of a row,
+    :func:`_taylor_exp` the first 3 q_ij + 3.
+
+    Each entry takes, at its own ``x = |z| nu alpha``, the degree m in
+    {5, 8, 11, 14} and the s with the fewest products q + s, ties going to
+    the higher degree.  That is the lowest degree with x <= theta_m and
+    s = 0 while x <= theta_14, and else degree 14 with
+    ``s = ceil(log2(x / theta_14))``, computed exactly from the binary
+    exponent.  On deep powers every entry takes degree 14 with the same s,
+    whose truncation error is then at most the 7.24e-16 each lower degree
+    is chosen to meet.  Along a row of more than one entry x is first
+    raised to its suffix maximum, so q and s do not increase along it: the
+    top Horner blocks and the squarings of a stack run on prefixes of it.
+    When x does not increase along the row (as :func:`evaluate_scheme`
+    orders |z| and :func:`_expm_stack` orders nu alpha) that changes
+    nothing.
+    """
     scale = np.array([p.scale for p in powers]).reshape(len(powers), -1)
     alpha = np.array([p.alpha for p in powers]).reshape(len(powers), -1)
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
@@ -229,62 +256,12 @@ def _scaled_arguments(powers: Sequence[_Powers], z: np.ndarray
     q = np.searchsorted(_THETA[:3], x) + 1
     mantissa, exponent = np.frexp(x / _THETA[3])
     s = np.maximum(exponent - (mantissa == 0.5), 0)
-    return q, s, w * np.ldexp(1.0, -s), scale
-
-
-def _taylor_terms(powers: Sequence[_Powers], z: np.ndarray
-                  ) -> tuple[list[list[int]], list[list[int]], np.ndarray]:
-    """Horner products, squaring counts and Taylor coefficients of
-    exp(z_ij X_i), X_i the matrix of ``powers[i]``, for an (r, k) array z:
-    one row of k arguments per matrix, or (r = 1) one argument per matrix of
-    one stack's powers, whose ``scale`` and ``alpha`` are then read per
-    entry.  Returns q and s, r lists of k ints:
-    entry (i, j) takes the degree 3 q_ij + 2 polynomial (q_ij
-    products) and s_ij squarings; and c, the coefficients u^m / m! of
-    u = z nu 2^-s, nu the powers' ``scale``, for m = 0..3 max(q) + 2 and
-    exactly 0 above each entry's own degree, shaped (3 max(q) + 3, r, k, 1, 1)
-    so that a row broadcasts against a (k, d, d) stack.  Since X = nu Y, the
-    coefficients of the X terms (m = 1, 4, 7, ...) come divided by nu.
-
-    Each entry takes, at its own ``x = |z| nu alpha``, the degree m in
-    {5, 8, 11, 14} and the s with the fewest products q + s, ties going to
-    the higher degree.  That is the lowest degree with x <= theta_m and
-    s = 0 while x <= theta_14, and else degree 14 with
-    ``s = ceil(log2(x / theta_14))``, computed exactly from the binary
-    exponent.  Along a row of more than one entry x is first raised to its
-    suffix maximum, so q and s do not increase along it: the top Horner
-    blocks and the squarings of a stack (:func:`_taylor_exp`) run on
-    prefixes of it.  When x does not increase along the row (as
-    :func:`evaluate_scheme` orders |z| and :func:`_expm_stack` orders
-    nu alpha) that changes nothing.  The
-    coefficients are one ``cumprod`` of the factors u / m.
-    """
-    q, s, u, scale = _scaled_arguments(powers, z)
-    top = 3 * int(q.max()) + 2
-    c = np.zeros((top + 1,) + u.shape, dtype=u.dtype)
-    c[0] = 1.0
-    divisors = _DIVISORS[:top]
-    np.divide(u, divisors, out=c[1:], where=divisors <= 3 * q + 2)
-    np.cumprod(c, axis=0, out=c)
-    c[1::3] /= scale
-    return q.tolist(), s.tolist(), c[..., np.newaxis, np.newaxis]
-
-
-def _stack_terms(powers: Sequence[_Powers], z: np.ndarray
-                 ) -> tuple[list[list[int]], np.ndarray]:
-    """Squaring counts and degree-14 Taylor coefficients of exp(z_ij X_i)
-    on deep powers (:func:`_stack_exp`): s exactly as :func:`_taylor_terms`
-    gives it, and c, shaped (r, k, 15), with c[i, j, m] = u_ij^m / m! for
-    m = 0..14, one ``cumprod`` over the whole array.  Every entry takes the
-    degree-14 polynomial; at ``|u| alpha <= theta_14`` its truncation error
-    is at most the 7.24e-16 that each lower degree is chosen to meet.
-    """
-    _, s, u, _ = _scaled_arguments(powers, z)
+    u = w * np.ldexp(1.0, -s)
     c = np.empty(u.shape + (_DEEP + 1,), dtype=u.dtype)
     c[..., 0] = 1.0
-    np.divide(u[..., np.newaxis], _DIVISORS.reshape(-1), out=c[..., 1:])
+    np.divide(u[..., np.newaxis], _DIVISORS, out=c[..., 1:])
     np.cumprod(c, axis=-1, out=c)
-    return s.tolist(), c
+    return q.tolist(), s.tolist(), c
 
 
 def _square(s: list[int], P: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -309,7 +286,7 @@ def _stack_exp(powers: _Powers, s: list[int], c: np.ndarray,
     """exp(z_i X) for each of k arguments z_i on one matrix's deep powers,
     into one of the contiguous (k, d, d) buffers P and Q: (result, the
     other).  ``s`` and ``c`` (shaped (k, 15)) are one row of
-    :func:`_stack_terms`.
+    :func:`_taylor_terms`.
 
     Entry i is the polynomial sum_m c[i, m] Y^m, one product of its
     coefficient row with the (15, d^2) stack, then s_i squarings
@@ -326,11 +303,10 @@ def _taylor_exp(powers: _Powers, q: list[int], s: list[int], c: np.ndarray,
                 P: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """exp(z_i X_i) for each of k arguments z_i, into one of the (k, d, d)
     buffers P and Q: (result, the other).  The powers are shared, X_i = X
-    with (d, d) arrays, or per entry, with (k, d, d) stacks.  ``q`` and ``s``
-    (k Horner product and squaring counts, neither increasing) and ``c``
-    (the Taylor coefficients, shaped (3 q_0 + 3 or more, k, 1, 1), those of
-    the X terms divided by the powers' ``scale``) are one row of
-    :func:`_taylor_terms` for these powers.
+    with (d, d) arrays, read through (k, d, d) broadcast views, or per
+    entry, with (k, d, d) stacks.  ``q``, ``s`` (k Horner product and
+    squaring counts, neither increasing) and ``c`` (shaped (k, 15)) are one
+    row of :func:`_taylor_terms` for these powers.
 
     P and Q may be float64 only when X and z are real; complex buffers take
     real powers and arguments as they are.
@@ -338,49 +314,35 @@ def _taylor_exp(powers: _Powers, q: list[int], s: list[int], c: np.ndarray,
     Entry i evaluates the Taylor polynomial of degree 3 q_i + 2 (5, 8, 11 or
     14) in u_i Y, Paterson-Stockmeyer style in blocks of three terms and
     Horner in the cached Y^3, ``p = ((B_q Y^3 + B_(q-1)) Y^3 + ...) Y^3 + B_0``
-    with ``B_j = sum_{i<3} (u Y)^(3j+i) / (3j+i)!``; then squares s_i times:
-    q_i + s_i matrix products, and no array beyond P and Q.  The Horner
-    blocks above an entry's degree and the squarings run on prefixes of the
-    stack: an entry joins the Horner loop at its own top block, so it equals
-    its own one-entry evaluation bit for bit.
+    with ``B_j = sum_{i<3} (u Y)^(3j+i) / (3j+i)!``, its X term taken as
+    X c[i, 3j+1] / nu; then squares s_i times: q_i + s_i matrix products,
+    and no array beyond P and Q.  The Horner blocks above an entry's degree
+    and the squarings run on prefixes of the stack: an entry joins the
+    Horner loop at its own top block, so it equals its own one-entry
+    evaluation bit for bit.
     """
     k, d = len(P), P.shape[-1]
-    X, square, cube = powers.X, powers.square, powers.cube
-    # per-entry powers are cut to the entries in play, as P and Q are; shared
-    # (d, d) ones broadcast as they are
-    cut = X.ndim == 3
-    # (k, 1, d) views of the diagonals, to take the (k, 1, 1) coefficients
-    dP = P.reshape(k, 1, -1)[..., :: d + 1]
-    dQ = Q.reshape(k, 1, -1)[..., :: d + 1]
-    c = list(c)
+    X, square, cube = (A if A.ndim == 3 else np.broadcast_to(A, P.shape)
+                       for A in (powers.X, powers.square, powers.cube))
+    # the coefficients of the X terms (m = 1, 4, ..., 13) divided by nu
+    x_terms = c[:, 1::3, np.newaxis, np.newaxis] / powers.scale.reshape(-1, 1, 1, 1)
+    c = c[:, :, np.newaxis, np.newaxis]
     n = 0
     for j in range(q[0], -1, -1):
         # entries [:m] carry a Horner value in P, entries [m:n] start at B_j
         m = n
         while n < k and q[n] >= j:
             n += 1
-        c0, c1, c2 = c[3 * j:3 * j + 3]
-        Pn, Qn, dQn, Xn, Sn = P, Q, dQ, X, square
-        if n < k:
-            Pn, Qn, dQn, c0, c1, c2 = P[:n], Q[:n], dQ[:n], c0[:n], c1[:n], c2[:n]
-            if cut:
-                Xn, Sn = X[:n], square[:n]
-        if m == 0:
-            np.multiply(Xn, c1, out=Qn)
-        elif m == k:
-            np.matmul(P, cube, out=Q)
-            np.multiply(X, c1, out=P)
-            Q += P
-        else:
-            np.matmul(P[:m], cube[:m] if cut else cube, out=Q[:m])
-            np.multiply(X[:m] if cut else X, c1[:m], out=P[:m])
-            Q[:m] += P[:m]
-            # the entries starting here begin as a one-entry pass does
-            np.multiply(X[m:n] if cut else X, c1[m:n], out=Q[m:n])
-        np.multiply(Sn, c2, out=Pn)
-        Qn += Pn
-        dQn += c0
-        P, Q, dP, dQ = Q, P, dQ, dP
+        np.matmul(P[:m], cube[:m], out=Q[:m])
+        np.multiply(X[:m], x_terms[:m, j], out=P[:m])
+        Q[:m] += P[:m]
+        # the entries starting here begin as a one-entry pass does
+        np.multiply(X[m:n], x_terms[m:n, j], out=Q[m:n])
+        np.multiply(square[:n], c[:n, 3 * j + 2], out=P[:n])
+        Q[:n] += P[:n]
+        # a (n, 1, d) view of the diagonals takes the (n, 1, 1) constant terms
+        Q[:n].reshape(n, 1, -1)[..., :: d + 1] += c[:n, 3 * j]
+        P, Q = Q, P
     return _square(s, P, Q)
 
 
@@ -406,12 +368,14 @@ def expm(M: np.ndarray) -> np.ndarray:
     theta_14 = 0.6270028, where the truncation error is at most 7.24e-16
     relative) the one with the fewest products is taken.  Good to ~1e-13
     relative for the moderate norms used here.  Cost: Y^2 and Y^3, then 1-4
-    products plus s squarings (Paterson-Stockmeyer, Horner in Y^3).
-    It is the one-matrix case of the stacked core :func:`target_matrix`
-    runs, and :func:`evaluate_scheme` runs the same core on the cached Y^2
-    and Y^3 of a pair too large for the deep power stack.  M must be one square 2-D matrix of finite entries, and
-    its exponential must be finite (``ValueError`` otherwise); a real M
-    gives a float64 result, a complex M complex128.
+    products plus s squarings (Paterson-Stockmeyer, Horner in Y^3), with
+    the coefficients u^m / m! of u = nu 2^-s that every exponential here
+    takes.  It is the one-matrix case of the stacked core
+    :func:`target_matrix` runs, and :func:`evaluate_scheme` runs the same
+    core on the cached Y^2 and Y^3 of a pair too large for the deep power
+    stack.  M must be one square 2-D matrix of finite entries, and its
+    exponential must be finite (``ValueError`` otherwise); a real M gives a
+    float64 result, a complex M complex128.
     """
     return _expm_stack(_square_matrix(M, "expm")[np.newaxis])[0]
 
@@ -438,7 +402,7 @@ def _expm_stack(F: np.ndarray) -> np.ndarray:
             powers = _Powers(*(None if p is None else p[order] for p in powers))
         q, s, c = _taylor_terms([powers], np.ones((1, len(F))))
         P, Q = (np.empty(F.shape, dtype=F.dtype) for _ in range(2))
-        E = _taylor_exp(powers, q[0], s[0], c[:, 0], P, Q)[0]
+        E = _taylor_exp(powers, q[0], s[0], c[0], P, Q)[0]
     if not np.all(np.isfinite(E)):
         raise ValueError("matrix exponential overflows")
     if not ordered:
@@ -621,20 +585,22 @@ def evaluate_scheme(scheme, pair: OperatorPair, t) -> np.ndarray:
     Every other pair exponentiates each run from the pair's cached
     :attr:`~OperatorPair.powers` of ``Y = X / nu``, ``nu = ||X||_1``, with
     alpha from the norms of Y^2 and Y^3; a run ``exp(z X)`` is good to
-    ~1e-13 relative.  With a :attr:`~OperatorPair.power_depth` of 14 (a
-    stack Y^0 .. Y^14 that fits 1 MiB: real d <= 93) each entry takes the
-    degree-14 polynomial in ``u Y``, ``u = z nu 2^-s``, as one product of
-    its 15 coefficients with the cached stack, and then its s squarings,
-    s the least that brings ``|z| nu alpha 2^-s`` below theta_14
-    (truncation error at most 7.24e-16 relative).  Otherwise it runs the
-    Taylor core of :func:`expm` on Y^2 and Y^3: per stack entry, the
-    polynomial of degree 5, 8, 11 or 14 (1-4 products) plus s squarings
-    with the fewest products that brings ``|z| nu alpha 2^-s`` below that
-    degree's theta, the same s.  The stack is ordered by decreasing |t|,
-    so the top Horner blocks and each squaring run on a prefix of it, and
-    each entry equals its own one-time evaluation bit for bit at either
-    depth.  Three buffers rotate
-    through the runs and the products between them.  They are float64 when
+    ~1e-13 relative.  One pass over all runs gives each entry its s and
+    the coefficients ``u^m / m!`` of ``u = z nu 2^-s``, m = 0..14, at
+    either depth.  With a :attr:`~OperatorPair.power_depth` of 14 (a stack
+    Y^0 .. Y^14 that fits 1 MiB: real d <= 93) each entry takes the
+    degree-14 polynomial in ``u Y`` as one product of its 15 coefficients
+    with the cached stack, and then its s squarings, s the least that
+    brings ``|z| nu alpha 2^-s`` below theta_14 (truncation error at most
+    7.24e-16 relative).  Otherwise it runs the Taylor core of :func:`expm`
+    on Y^2 and Y^3: per stack entry, the polynomial of degree 5, 8, 11 or
+    14 (1-4 products, the first 3 q + 3 of those coefficients) plus s
+    squarings with the fewest products that brings ``|z| nu alpha 2^-s``
+    below that degree's theta, the same s.  The stack is ordered by
+    decreasing |t|, so the top Horner blocks and each squaring run on a
+    prefix of it, and each entry equals its own one-time evaluation bit
+    for bit at either depth.  Three buffers rotate through the runs and
+    the products between them.  They are float64 when
     the pair and every run's z·t are real, and complex128 when either is
     complex: then the real cached powers of a real pair are read into
     complex products.
@@ -681,16 +647,12 @@ def _taylor_walk(powers: tuple[_Powers, _Powers], gens, z, shape, dtype) -> np.n
     is exp(z[i, j] X) on generator gens[i] for entry j, from deep powers
     (:func:`_stack_exp`) or else by the Horner core (:func:`_taylor_exp`)."""
     runs = [powers[gen] for gen in gens]
-    deep = runs[0].stack is not None
-    if deep:
-        s, c = _stack_terms(runs, z)
-    else:
-        q, s, c = _taylor_terms(runs, z)
+    q, s, c = _taylor_terms(runs, z)
     P, Q = (np.empty(shape, dtype=dtype) for _ in range(2))
     result = None
     for i, run in enumerate(runs):
-        E, spare = (_stack_exp(run, s[i], c[i], P, Q) if deep
-                    else _taylor_exp(run, q[i], s[i], c[:, i], P, Q))
+        E, spare = (_taylor_exp(run, q[i], s[i], c[i], P, Q) if run.stack is None
+                    else _stack_exp(run, s[i], c[i], P, Q))
         if result is None:
             result, P, Q = E, spare, np.empty_like(spare)
         else:

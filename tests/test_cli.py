@@ -328,6 +328,19 @@ def test_bench_custom_usage_errors(capsys, tmp_path):
     assert err.startswith("error: --pair ") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("schemes", ["", ",", " , ,"])
+@pytest.mark.parametrize("flags", [("--n", "1"), ("--x", "0.5", "--tol", "1e-4")])
+def test_bench_custom_empty_scheme_list_is_usage_error(capsys, tmp_path, schemes, flags):
+    # a --schemes list that splits to no names is a missing --schemes: exit 2
+    # with one error line, not an internal error
+    out = tmp_path / "x.csv"
+    code, _, err = run(capsys, "bench", "--custom", "--schemes", schemes, "--pair", "pauli",
+                       *flags, "--out", str(out))
+    assert code == 2
+    assert err == "error: --custom needs --schemes\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [
     ("--n", "4", "--t", "nan"),
     ("--n", "4", "--t", "-1"),

@@ -2,6 +2,7 @@
 (whose own word algebra is tested here too), and the Lie projection."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -436,12 +437,16 @@ def test_lie_project_w_accessor():
     assert abs(vectors[1][0]) < 1e-15
 
 
+def _named_residual(error) -> float:
+    """The residual that a raised LieMembershipError names."""
+    return float(re.search(r"\(residual (\S+) > ", str(error.value)).group(1))
+
+
 def test_lie_project_rejects_non_lie_input():
     bad = TruncatedSeries.from_terms(3, {"AB": 1.0}).flat()  # AB alone is not a bracket
-    with pytest.raises(LieMembershipError, match="degree-2 word"):
+    with pytest.raises(LieMembershipError, match="degree-2 word") as error:
         lie_project(bad)
-    _, residuals = lie_project(bad, require_lie=False)
-    assert residuals[2] > 0.1
+    assert _named_residual(error) > 0.1
 
 
 def test_lie_project_allows_the_round_off_of_large_slot_coefficients():
@@ -467,9 +472,9 @@ def test_lie_project_rejects_non_finite_norms(value):
 
 def test_lie_project_rejects_constant_term():
     # degree 0 has no commutators: its residual is the whole constant term
-    with pytest.raises(LieMembershipError, match="degree-0"):
+    with pytest.raises(LieMembershipError, match="degree-0") as error:
         lie_project(TruncatedSeries.unit(3).flat())
-    assert lie_project(TruncatedSeries.unit(3).flat(), require_lie=False)[1][0] == 1.0
+    assert _named_residual(error) == 1.0
 
 
 def test_lie_project_degree_seven_in_basis():
@@ -559,7 +564,6 @@ def test_batch_names_the_row_that_is_not_lie(case, data):
     log = scheme_log(generators, rows, truncation)
     row = data.draw(st.integers(0, len(log) - 1))
     log[row, 4] += 1.0  # the word AB alone, without -BA
-    with pytest.raises(LieMembershipError, match=rf"^row {row}: degree-2 word"):
+    with pytest.raises(LieMembershipError, match=rf"^row {row}: degree-2 word") as error:
         lie_project(log, rows)
-    _, residuals = lie_project(log, require_lie=False)
-    assert residuals[row, 2] > 0.1  # the degree-2 residual
+    assert _named_residual(error) > 0.1  # the degree-2 residual

@@ -580,6 +580,11 @@ def test_cached_power_path_makes_one_exponential_per_run(name, runs):
         assert len(calls) == runs
 
 
+def _bits(M):
+    """The bytes of an array: equality is bit-for-bit, signed zeros included."""
+    return np.ascontiguousarray(M).tobytes()
+
+
 def _repeated(pool):
     return st.lists(st.sampled_from(pool), min_size=1, max_size=7)
 
@@ -611,7 +616,7 @@ def test_deep_stack_walk_matches_horner_and_scipy(seed, dim, slots, times):
     stacks = [evaluate_scheme(slots, pair, np.array(times)) for pair in (deep, shallow)]
     for pair, stack in zip((deep, shallow), stacks):
         for entry, t in zip(stack, times):
-            np.testing.assert_array_equal(entry, evaluate_scheme(slots, pair, t))
+            assert _bits(entry) == _bits(evaluate_scheme(slots, pair, t))
     for entry, horner, t in zip(*stacks, times):
         expected = np.eye(dim, dtype=np.complex128)
         for gen, coeff in slots:
@@ -654,11 +659,10 @@ def _slot_exponential(X, z, deep=False):
     dtype = np.result_type(X, z, np.float64)
     buffers = (np.empty((1, d, d), dtype), np.empty((1, d, d), dtype))
     powers = matform._powers(X, deep)
-    if deep:
-        s, c = matform._stack_terms([powers], np.array([[z]]))
-        return matform._stack_exp(powers, s[0], c[0], *buffers)[0][0]
     q, s, c = matform._taylor_terms([powers], np.array([[z]]))
-    return matform._taylor_exp(powers, q[0], s[0], c[:, 0], *buffers)[0][0]
+    if deep:
+        return matform._stack_exp(powers, s[0], c[0], *buffers)[0][0]
+    return matform._taylor_exp(powers, q[0], s[0], c[0], *buffers)[0][0]
 
 
 @settings(max_examples=150, deadline=None)
@@ -795,11 +799,16 @@ def test_per_entry_degree_matches_degree14_reference_and_scipy(seed, dim, kind, 
 def test_degree_and_squarings_take_the_fewest_products(x):
     X = make_pair("random", 5, 2).A
     z = _argument_at(X, x, 1.0)
-    q, s, c = matform._taylor_terms([matform._powers(X)], np.array([[z]]))
-    assert (q[0][0], s[0][0]) == _selection(abs(z) * matform._powers(X).scale
-                                            * matform._powers(X).alpha)
-    # coefficients stop at the entry's own degree
-    assert c.shape[0] == 3 * q[0][0] + 3
+    powers = matform._powers(X)
+    q, s, c = matform._taylor_terms([powers], np.array([[z]]))
+    assert (q[0][0], s[0][0]) == _selection(abs(z) * powers.scale * powers.alpha)
+    # one row u^m / m!, m = 0..14, u = z nu 2^-s, whatever the degree: the
+    # Horner core reads the first 3 q + 3, the deep stack all 15
+    u = z * powers.scale * 2.0 ** -s[0][0]
+    assert c.shape == (1, 1, 15) and c[0, 0, 0] == 1.0 and c[0, 0, 1] == u
+    # (subnormal terms keep only an absolute accuracy)
+    np.testing.assert_allclose(c[0, 0], [u ** m / math.factorial(m) for m in range(15)],
+                               rtol=1e-14, atol=np.finfo(float).tiny)
 
 
 def _count_products(monkeypatch):
@@ -856,7 +865,32 @@ def test_stack_entries_take_their_own_products():
         assert products == ({"square": (4 + 1) + 3 + 1, "stack": 0} if depth == 3
                             else {"square": 1, "stack": 3})
         for entry, t in zip(stack, times):
-            np.testing.assert_array_equal(entry, evaluate_scheme([(Generator.A, z)], pair, t))
+            assert _bits(entry) == _bits(evaluate_scheme([(Generator.A, z)], pair, t))
+
+
+@pytest.mark.parametrize("seed,angle", [(5, 1.4), (5, 4.2)])
+def test_shallow_stack_joins_keep_signed_zeros(seed, angle):
+    # one run on Y^2 and Y^3 alone, at entries of every degree (q = 4, 4, 3,
+    # 2, 1), so the lower three join the Horner loop at blocks 3, 2 and 1 on
+    # the pair's shared powers; the generator's zero rows carry signed zeros
+    # into the products, and each entry, at t and at -t, is its own
+    # one-entry evaluation bit for bit, signed zeros included
+    g = np.random.default_rng(seed)
+    X = g.standard_normal((5, 5)) + 1j * g.standard_normal((5, 5))
+    X[:2] = (0.0 * (g.standard_normal((5, 5)) + 1j * g.standard_normal((5, 5))))[:2]
+    with pytest.MonkeyPatch.context() as patch:
+        _at_depth(patch, 3)
+        pair = OperatorPair(X, g.standard_normal((5, 5)))
+        powers = pair.powers[0]
+    times = np.array([2.0, 1.0, _THETAS[2] / _THETAS[3], _THETAS[1] / _THETAS[3],
+                      _THETAS[0] / _THETAS[3]]) * (1 - 2.0 ** -40)
+    z = _argument_at(X, _THETAS[3], complex(math.cos(angle), math.sin(angle)))
+    q, s, _ = matform._taylor_terms([powers], z * times[np.newaxis])
+    assert q == [[4, 4, 3, 2, 1]] and s == [[1, 0, 0, 0, 0]]
+    for sign in (1.0, -1.0):
+        stack = evaluate_scheme([(Generator.A, z)], pair, sign * times)
+        for entry, t in zip(stack, sign * times):
+            assert _bits(entry) == _bits(evaluate_scheme([(Generator.A, z)], pair, t))
 
 
 @pytest.mark.parametrize("kind", ["pauli", "random"])
@@ -1115,11 +1149,6 @@ def _targets():
 
 
 _TARGETS = _targets()
-
-
-def _bits(M):
-    """The bytes of an array: equality is bit-for-bit, signed zeros included."""
-    return np.ascontiguousarray(M).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
