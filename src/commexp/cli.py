@@ -214,11 +214,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 # optimize
 # --------------------------------------------------------------------------
 
-# (family constructor, order, parameter label, closed-form minimizer, sign symmetric)
+# (row family, order, parameter label, closed-form minimizer, sign symmetric)
 _FAMILIES = {
-    "third_order": (schemes.third_order_family, 3, "c5",
+    "third_order": (schemes.third_order_rows, 3, "c5",
                     math.sqrt(2.0 / (math.sqrt(5.0) + 1.0)), True),
-    "aor4": (schemes.aor4, 4, "d2", schemes.AOR4_OPTIMAL_D2, False),
+    "aor4": (schemes.aor4_rows, 4, "d2", schemes.AOR4_OPTIMAL_D2, False),
 }
 
 

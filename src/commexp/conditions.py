@@ -53,6 +53,7 @@ __all__ = [
     "IdentityCheck",
     "refine",
     "OptimizeResult",
+    "RowFamily",
     "optimize_free_parameter",
     "ba_quadratic_coefficients",
 ]
@@ -266,21 +267,21 @@ def order_residuals(scheme, target: TargetPolynomial, r: int,
     _check_tolerance("tol", tol)
     _check_order(r, r + 1)
     pairs = slot_pairs(scheme)
-    return _reports(_lie_rows(*_slot_row(pairs), r + 1), target, r, tol, len(pairs))[0]
+    vectors = _lie_rows(*_slot_row(pairs), r + 1)
+    residuals, worst = _residuals(vectors, target, r)
+    # the verified order is the count of leading degrees that hold
+    verified = int(np.add.reduce(np.logical_and.accumulate(worst[:, 0] <= tol)))
+    return ResidualReport(r, tol, {degree: res[0] for degree, res in residuals.items()},
+                          verified, _leading_errors(vectors, target, r, len(pairs))[0])
 
 
-def _reports(vectors: Mapping[int, np.ndarray], target: TargetPolynomial, r: int,
-             tol: float, slot_count: int) -> list[ResidualReport]:
-    """The :class:`ResidualReport` of each row of the basis coordinates
-    ``vectors`` (per degree a (b, dim) array) of b logs."""
+def _residuals(vectors: Mapping[int, np.ndarray], target: TargetPolynomial, r: int
+               ) -> tuple[dict[int, np.ndarray], np.ndarray]:
+    """The (b, dim) residuals per degree 1..r of b logs' basis coordinates
+    ``vectors`` against ``target``, and their (r, b) largest entries."""
     residuals = {degree: np.abs(vectors[degree] - target.vector(degree))
                  for degree in range(1, r + 1)}
-    worst = np.array([np.maximum.reduce(res, axis=1) for res in residuals.values()])
-    # the verified order is the count of leading degrees that hold
-    verified = np.add.reduce(np.logical_and.accumulate(worst <= tol), axis=0).tolist()
-    errors = _leading_errors(vectors, target, r, slot_count)
-    return [ResidualReport(r, tol, {degree: res[i] for degree, res in residuals.items()},
-                           verified[i], errors[i]) for i in range(len(errors))]
+    return residuals, np.array([np.maximum.reduce(res, axis=1) for res in residuals.values()])
 
 
 @dataclass(frozen=True)
@@ -298,14 +299,21 @@ def _leading_errors(vectors: Mapping[int, np.ndarray], target: TargetPolynomial 
                     r: int, slot_count: int) -> list[EffectiveError]:
     """E of each row from its degree-(r+1) deviation from ``target`` (no
     target: from zero)."""
+    return [EffectiveError(E, E / slot_count, slot_count, r, norm)
+            for norm, E in zip(*_leading_scores(vectors, target, r, slot_count))]
+
+
+def _leading_scores(vectors: Mapping[int, np.ndarray], target: TargetPolynomial | None,
+                    r: int, slot_count: int) -> tuple[list[float], list[float]]:
+    """The Euclidean norm of each row's degree-(r+1) deviation from
+    ``target``, and its E = s * norm^(1/r), one scalar power at a time as
+    libm's pow gives it: numpy's vectorised power can differ from it by an
+    ulp."""
     deviation = vectors[r + 1]
     if target is not None:
         deviation = deviation - target.vector(r + 1)
-    errors = []
-    for norm in _row_norms(deviation).tolist():
-        E = slot_count * norm ** (1.0 / r)
-        errors.append(EffectiveError(E, E / slot_count, slot_count, r, norm))
-    return errors
+    norms = _row_norms(deviation).tolist()
+    return norms, [slot_count * norm ** (1.0 / r) for norm in norms]
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -352,16 +360,25 @@ def _cp_sign(sign) -> int:
         raise ValueError(f"sign must be 'positive' or 'negative', got {sign!r}") from None
 
 
-def cp_half_closure(tail: Sequence[complex], sign) -> complex:
+def cp_half_closure(tail, sign):
     """The leading coefficient that zeroes both degree-1 sums.
 
     positive: c0 = -sum(tail);  negative: c0 = sum of tail with alternating
-    signs starting +.
+    signs starting +.  ``tail`` is one sequence of coefficients, or a (b, n)
+    array of b tails, one per row, which gives the b closures.  Either way
+    the sum runs from 0 left to right, as Python's ``sum`` adds, so each
+    row's closure is its own one-tail closure bit for bit.
     """
     s = _cp_sign(sign)
-    if s > 0:
-        return -sum(tail)
-    return sum(c if j % 2 == 0 else -c for j, c in enumerate(tail))
+    tail = np.asarray(tail)
+    # a leading zero column is sum's start; a negative pattern negates every
+    # second term, as the plain sum -c would
+    terms = np.zeros(tail.shape[:-1] + (tail.shape[-1] + 1,), dtype=tail.dtype)
+    terms[..., 1:] = tail
+    if s < 0:
+        np.negative(terms[..., 2::2], out=terms[..., 2::2])
+    total = np.add.accumulate(terms, axis=-1)[..., -1]
+    return -total if s > 0 else total
 
 
 def cp_expand(half: Sequence[complex], sign, *, name: str | None = None,
@@ -370,7 +387,8 @@ def cp_expand(half: Sequence[complex], sign, *, name: str | None = None,
 
     The result has 2(m+1) slots alternating B, A, ..., A; the second half
     repeats the first half's coefficients in reverse order, kept as-is for
-    ``sign='positive'`` and negated for ``sign='negative'``.
+    ``sign='positive'`` and negated for ``sign='negative'``, by the one
+    mirror map of :func:`_mirror_rows`.
     """
     from .schemes import ExponentSlot, Scheme
 
@@ -378,7 +396,12 @@ def cp_expand(half: Sequence[complex], sign, *, name: str | None = None,
     if len(half) < 2:
         raise ValueError("half-pattern needs at least c0 and c1")
     s = _cp_sign(sign)
-    slots = tuple(ExponentSlot(g, c) for g, c in _cp_pairs(half, s))
+    generators = _mirror_generators(len(half))
+    _, row = _slot_row(zip(generators, half))
+    both = np.empty((1, len(generators)), dtype=row.dtype)
+    both[:, :len(half)] = row
+    coefficients = _mirror_rows(both, s)[0].tolist()
+    slots = tuple(ExponentSlot(g, c) for g, c in zip(generators, coefficients))
     kind = "PCP" if s > 0 else "NCP"
     return Scheme(
         name=name or f"{kind.lower()}{len(slots)}",
@@ -390,24 +413,63 @@ def cp_expand(half: Sequence[complex], sign, *, name: str | None = None,
     )
 
 
-def _cp_pairs(half: list, s: int) -> list[tuple[Generator, complex]]:
-    """Slots B, A, ..., A of the mirrored pattern, as (generator, coefficient)."""
-    full = half + [s * c for c in reversed(half)]
-    return [(Generator.B if i % 2 == 0 else Generator.A, c) for i, c in enumerate(full)]
+def _mirror_generators(m: int) -> list[Generator]:
+    """Slots B, A, ..., A of a mirrored pattern with m half coefficients."""
+    return [Generator.B if i % 2 == 0 else Generator.A for i in range(2 * m)]
+
+
+@lru_cache(maxsize=None)
+def _mirror_index(m: int) -> np.ndarray:
+    """Slot j of a mirrored pattern with m half coefficients reads column
+    ``index[j]`` of ``[half, s * half]``: the half in order, then the
+    scaled half reversed."""
+    return np.concatenate([np.arange(m), np.arange(2 * m - 1, m - 1, -1)])
+
+
+def _cp_rows(tails: np.ndarray, sign) -> np.ndarray:
+    """The (b, 2(n+1)) coefficient rows of the mirrored patterns of sign
+    ``sign`` whose half-pattern tails are the rows of the (b, n) array
+    ``tails``: the closure first (:func:`cp_half_closure`), then the tail,
+    then the mirror (:func:`_mirror_rows`).  Real or complex, as ``tails``."""
+    b, n = tails.shape
+    both = np.empty((b, 2 * (n + 1)), dtype=tails.dtype)
+    both[:, 0] = cp_half_closure(tails, sign)
+    both[:, 1:n + 1] = tails
+    return _mirror_rows(both, _cp_sign(sign))
+
+
+def _mirror_rows(both: np.ndarray, s: int) -> np.ndarray:
+    """The (b, 2m) coefficient rows of the mirrored patterns of sign s whose
+    half rows fill the first m columns of the (b, 2m) buffer ``both``.
+
+    The last m columns become ``s * half`` as numpy multiplies by the int
+    s: on complex rows that is a complex product, whose zero parts can take
+    the other sign than a plain negation gives.  The rows are then one
+    gather by :func:`_mirror_index`.
+    """
+    m = both.shape[1] // 2
+    np.multiply(both[:, :m], s, out=both[:, m:])
+    return both[:, _mirror_index(m)]
 
 
 def cp_pattern(scheme) -> tuple[tuple | None, str | None]:
     """``(half, sign)`` of a mirrored composition, ``(None, None)`` otherwise.
 
-    The inverse of :func:`_cp_pairs`: the slots, at least four, must be
-    exactly the expansion of their own first half, going B, A, ..., A with
-    the reversed first half kept ("positive") or negated ("negative").
+    The inverse of :func:`_mirror_rows`: the slots, an even number of at
+    least four, must be exactly the expansion of their own first half, going
+    B, A, ..., A with the reversed first half kept ("positive") or negated
+    ("negative").
     """
-    pairs = [(slot.generator, slot.coefficient) for slot in scheme.slots]
-    half = [c for _, c in pairs[:len(pairs) // 2]]
+    m = len(scheme.slots) // 2
+    if len(scheme.slots) < 4 or len(scheme.slots) % 2 or \
+            [slot.generator for slot in scheme.slots] != _mirror_generators(m):
+        return None, None
+    coefficients = [slot.coefficient for slot in scheme.slots]
+    # a slot holds a float or a complex, so this row is float64 or complex128
+    row = np.array([coefficients])
     for sign, s in _CP_SIGNS.items():
-        if len(pairs) >= 4 and pairs == _cp_pairs(half, s):
-            return tuple(half), sign
+        if (_mirror_rows(row.copy(), s) == row).all():
+            return tuple(coefficients[:m]), sign
     return None, None
 
 
@@ -566,10 +628,14 @@ def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
     (:func:`_complex_step_jacobian`): the residual chain is analytic in the
     coefficients, so one complex evaluation per unknown gives each column to
     round-off while the iterate stays real, and the evaluations of all the
-    unknowns take one batched pass.  ``free_slots`` must not repeat an index,
-    and ``tol`` must be positive and finite.  Returns the scheme with its
-    slots replaced and every other field kept; raises ``RuntimeError`` on
-    divergence or stagnation.
+    unknowns take one batched pass.  Each residual builds its (b, s)
+    coefficient rows as arrays, with no list per column: the free values
+    written over the unknowns, then, for a mirrored scheme, the closure of
+    every row at once and the mirror by one gather (:func:`_cp_rows`), each
+    row bit for bit what the one-row expansion gives.  ``free_slots`` must
+    not repeat an index, and ``tol`` must be positive and finite.  Returns
+    the scheme with its slots replaced and every other field kept; raises
+    ``RuntimeError`` on divergence or stagnation.
     """
     from .schemes import ExponentSlot
 
@@ -586,27 +652,17 @@ def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
     if any(abs(complex(c).imag) > 0 for _, c in pairs):
         raise ValueError("refinement handles real coefficients only")
     generators = [g for g, _ in pairs]
-    x_full = np.array([float(np.real(c)) for _, c in pairs])
+    x = np.array([float(np.real(c)) for _, c in pairs])
     sign = _mirror_sign(scheme, target, r)
-    # coefficients_of maps the unknowns, scalars or columns of rows, to the
-    # slot coefficients in the same form
     if sign is not None:
-        x_full = x_full[1:len(pairs) // 2]  # the half-pattern's tail
-
-        def coefficients_of(x):
-            half = [cp_half_closure(x, sign), *x]
-            return [c for _, c in _cp_pairs(half, _cp_sign(sign))]
-
+        x = x[1:len(pairs) // 2]  # the half-pattern's tail
         counts = cp_condition_counts(sign, r)
         n_conditions = sum(counts[d] for d in range(2, r + 1))
     else:
-        def coefficients_of(x):
-            return list(x)
-
         n_conditions = sum(LIE_DIMS[d - 1] for d in range(1, r + 1))
 
-    free = list(range(len(x_full))) if free_slots is None else sorted(free_slots)
-    if any(i < 0 or i >= len(x_full) for i in free):
+    free = list(range(len(x))) if free_slots is None else sorted(free_slots)
+    if any(i < 0 or i >= len(x) for i in free):
         raise ValueError("free_slots index out of range")
     if len(set(free)) < len(free):
         raise ValueError("free_slots repeats an index")
@@ -615,15 +671,17 @@ def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
             f"{len(free)} free coefficients cannot satisfy {n_conditions} conditions"
         )
 
-    x = x_full.copy()
+    def rows_of(values):
+        # (b, unknowns) rows of free values -> (b, slots) coefficient rows
+        rows = np.empty((len(values), len(x)), dtype=values.dtype)
+        rows[:] = x
+        rows[:, free] = values
+        return rows if sign is None else _cp_rows(rows, sign)
 
     def eval_at(values):
-        # rows of free values -> rows of residuals
-        y = np.tile(x, (len(values), 1)).astype(values.dtype)
-        y[:, free] = values
-        return _residual(generators, np.stack(coefficients_of(y.T), axis=1), target, r)
+        return _residual(generators, rows_of(values), target, r)
 
-    v = x_full[free].copy()
+    v = x[free].copy()
     g = eval_at(v[None])[0]
     for _ in range(max_iter):
         worst = np.max(np.abs(g))
@@ -639,9 +697,9 @@ def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
         raise RuntimeError(f"no convergence after {max_iter} iterations "
                            f"(residual {np.max(np.abs(g)):.3e})")
 
-    x[free] = v
+    coefficients = rows_of(v[None])[0].tolist()
     return replace(scheme, slots=tuple(ExponentSlot(g, c)
-                                       for g, c in zip(generators, coefficients_of(x))))
+                                       for g, c in zip(generators, coefficients)))
 
 
 # --------------------------------------------------------------------------
@@ -654,7 +712,15 @@ class OptimizeResult(NamedTuple):
     E: float
     flat: bool
     at_edge: bool = False
+    #: members scored: the grid's, then Brent's probes (or the flat midpoint)
+    scored: int = 0
 
+
+#: A one-parameter family as coefficient rows: it maps a 1-D float64 array
+#: of parameters to its fixed generator sequence, its target and the
+#: (len(params), s) float64 coefficient rows of the members, raising
+#: ``ValueError`` for a parameter that names no member.
+RowFamily = Callable[[np.ndarray], tuple[Sequence[Generator], TargetPolynomial, np.ndarray]]
 
 #: Square root of float64's machine epsilon, the relative term of the Brent
 #: search's stopping rule: about the smallest step over which float64 still
@@ -662,31 +728,38 @@ class OptimizeResult(NamedTuple):
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
-def optimize_free_parameter(family: Callable[[float], object], r: int,
+def optimize_free_parameter(family: RowFamily, r: int,
                             prange: tuple[float, float], *, grid: int = 129,
                             param_tol: float = 1e-10,
                             order_tol: float = 1e-8) -> OptimizeResult:
     """Minimize the effective error of a one-parameter family of order r.
 
-    Scans a uniform grid of ``grid`` >= 2 points over ``prange``, checking
-    that every member satisfies the order conditions within ``order_tol``,
-    then runs Brent's search (:func:`_brent_minimize`) on the bracket
-    ``[xs[k-1], xs[k+1]]`` around the best grid point ``xs[k]``, starting
-    from that point and its score.  The search stops by Brent's rule, once
-    the best point lies within 2 (sqrt(eps) |p| + ``param_tol``) of both
-    ends of its bracket; the relative term is about the smallest step over
-    which float64 resolves E at a smooth minimum.  Every member is scored by
-    one scorer, :func:`_grid_scores`: the grid in batched passes, one per
-    generator sequence among its members (split at the engine's byte
-    budget), and the probes, each depending on the one before, as batches of
-    one.  The result is the best scored member, ``xs[k]`` or a probe, with
-    its own score as ``E``; no member is scored twice.  A family whose
+    ``family`` is a :data:`RowFamily`, such as
+    :func:`~commexp.schemes.third_order_rows` or
+    :func:`~commexp.schemes.aor4_rows`: the optimizer works on coefficient
+    rows and builds no scheme.  Scans a uniform grid of ``grid`` >= 2 points
+    over ``prange``, checking that every member satisfies the order
+    conditions within ``order_tol``, then runs Brent's search
+    (:func:`_brent_minimize`) on the bracket ``[xs[k-1], xs[k+1]]`` around
+    the best grid point ``xs[k]``, starting from that point and its score.
+    The search stops by Brent's rule, once the best point lies within
+    2 (sqrt(eps) |p| + ``param_tol``) of both ends of its bracket; the
+    relative term is about the smallest step over which float64 resolves E
+    at a smooth minimum.  Every member is scored by one scorer,
+    :func:`_grid_scores`: the grid from one family call, in batched passes
+    split at the engine's byte budget, and the probes, each depending on the
+    one before, as one-row calls.  The result is the best scored member,
+    ``xs[k]`` or a probe, with its own score as ``E``, and ``scored``
+    counts the members scored; no member is scored twice.  A family whose
     objective varies below round-off is returned at the range's midpoint
     with ``flat=True``.  ``at_edge`` is set when the best member is an end
     point of ``prange``: the minimizer then probably lies outside the range.
     ``r`` must lie in 1..``MAX_TRUNCATION`` - 1, ``prange`` must be a
     finite, non-empty interval, ``grid`` an integer, and ``param_tol`` and
-    ``order_tol`` positive and finite.
+    ``order_tol`` positive and finite; all are checked before the family is
+    called.  A member that fails (the family refuses its parameter, the
+    engine its coefficients, or its order check) raises ``ValueError``, and
+    the grid names the first failing member in parameter order.
     """
     a, b = float(prange[0]), float(prange[1])
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -701,35 +774,29 @@ def optimize_free_parameter(family: Callable[[float], object], r: int,
     _check_tolerance("param_tol", param_tol)
     _check_tolerance("order_tol", order_tol)
 
-    def checked(p: float, report: ResidualReport) -> float:
-        if report.verified_order < r:
-            worst = max(report.max_residual(d) for d in range(1, r + 1))
-            if worst > order_tol:
-                raise ValueError(
-                    f"family member at parameter {p:.6g} violates order {r} "
-                    f"(residual {worst:.3e})"
-                )
-        return report.effective_error.E
+    probes = 0
 
     def objective(p: float) -> float:
-        return _grid_scores(family, [p], r, checked)[0]
+        nonlocal probes
+        probes += 1
+        return _grid_scores(family, [p], r, order_tol)[0]
 
     xs = np.linspace(a, b, grid)
     try:
-        fs = _grid_scores(family, xs, r, checked)
+        fs = _grid_scores(family, xs, r, order_tol)
     except ValueError:
-        for x in xs:  # the first failing member raises, named by its parameter
+        for x in xs.tolist():  # the first failing member raises, named by its parameter
             objective(x)
         raise
     if np.max(fs) - np.min(fs) <= 1e-14 * max(1.0, np.max(np.abs(fs))):
         mid = 0.5 * (a + b)
-        return OptimizeResult(mid, float(objective(mid)), True, False)
+        return OptimizeResult(mid, float(objective(mid)), True, False, grid + probes)
 
     k = int(np.argmin(fs))
     best, E = _brent_minimize(objective, xs[max(k - 1, 0)], xs[min(k + 1, grid - 1)],
                               xs[k], fs[k], param_tol)
     at_edge = k in (0, grid - 1) and best == xs[k]
-    return OptimizeResult(float(best), float(E), False, bool(at_edge))
+    return OptimizeResult(float(best), float(E), False, bool(at_edge), grid + probes)
 
 
 def _brent_minimize(objective: Callable[[float], float], lo: float, hi: float,
@@ -795,26 +862,33 @@ def _brent_minimize(objective: Callable[[float], float], lo: float, hi: float,
                 v, fv = u, fu
 
 
-def _grid_scores(family, params, r: int, checked) -> np.ndarray:
-    """``checked(p, report)`` of the family member at each parameter.  Members
-    on one generator sequence and target are reported together, in batched
-    passes of at most :func:`~commexp.liealg._rows_per_pass` rows; only their
-    coefficients are kept meanwhile."""
-    groups: dict[tuple, tuple[TargetPolynomial, list]] = {}
-    for i, p in enumerate(params):
-        member = family(p)
-        pairs = slot_pairs(member)
-        key = (tuple(g for g, _ in pairs), tuple(sorted(member.target.terms.items())))
-        groups.setdefault(key, (member.target, []))[1].append((i, [c for _, c in pairs]))
+def _grid_scores(family: RowFamily, params, r: int, order_tol: float) -> np.ndarray:
+    """E of the family member at each parameter, from one family call.
+
+    The rows go to the engine in batched passes of at most
+    :func:`~commexp.liealg._rows_per_pass` rows, and each pass's coordinates
+    give its members' order check and E with no per-member report: a member
+    fails when a degree's largest residual exceeds the order check's default
+    tolerance and the largest over degrees 1..r exceeds ``order_tol``, and
+    ``ValueError`` names the first failing member by its parameter.  E is
+    the scalar power of :func:`_leading_scores`, so each equals
+    ``order_residuals(member).effective_error.E`` bit for bit.
+    """
+    params = np.asarray(params, dtype=np.float64)
+    generators, target, rows = family(params)
     scores = np.empty(len(params))
     step = _rows_per_pass(r + 1)
-    for (generators, _), (target, rows) in groups.items():
-        for lo in range(0, len(rows), step):
-            batch = rows[lo:lo + step]
-            vectors = _lie_rows(generators, np.array([c for _, c in batch]), r + 1)
-            reports = _reports(vectors, target, r, _ORDER_TOL, len(generators))
-            for (i, _), report in zip(batch, reports):
-                scores[i] = checked(params[i], report)
+    for lo in range(0, len(params), step):
+        vectors = _lie_rows(generators, rows[lo:lo + step], r + 1)
+        _, worst = _residuals(vectors, target, r)
+        for i in np.flatnonzero(~np.logical_and.reduce(worst <= _ORDER_TOL, axis=0)).tolist():
+            largest = max(worst[:, i].tolist())
+            if largest > order_tol:
+                raise ValueError(
+                    f"family member at parameter {params[lo + i]:.6g} violates order {r} "
+                    f"(residual {largest:.3e})"
+                )
+        scores[lo:lo + step] = _leading_scores(vectors, target, r, len(generators))[1]
     return scores
 
 

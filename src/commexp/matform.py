@@ -242,7 +242,10 @@ def _taylor_terms(powers: Sequence[_Powers], z: np.ndarray
     top Horner blocks and the squarings of a stack run on prefixes of it.
     When x does not increase along the row (as :func:`evaluate_scheme`
     orders |z| and :func:`_expm_stack` orders nu alpha) that changes
-    nothing.
+    nothing.  An entry whose alpha is 0 has Y^2 = 0, so every power from
+    Y^2 on is exactly zero: its coefficients c[m] for m >= 2 are set to
+    zero, and it takes degree 5 with no squaring, I + u Y however large
+    z nu is.  No entry with alpha > 0 changes by that rule.
     """
     scale = np.array([p.scale for p in powers]).reshape(len(powers), -1)
     alpha = np.array([p.alpha for p in powers]).reshape(len(powers), -1)
@@ -260,6 +263,11 @@ def _taylor_terms(powers: Sequence[_Powers], z: np.ndarray
     c = np.empty(u.shape + (_DEEP + 1,), dtype=u.dtype)
     c[..., 0] = 1.0
     np.divide(u[..., np.newaxis], _DIVISORS, out=c[..., 1:])
+    if not alpha.all():
+        # alpha = 0: Y^2 = 0, so every power from Y^2 on is exactly zero, and
+        # so is its coefficient, which u^m / m! could overflow to inf (and
+        # inf * 0 is NaN); such an entry is I + z X
+        c[np.broadcast_to(alpha == 0, u.shape), 2:] = 0.0
     np.cumprod(c, axis=-1, out=c)
     return q.tolist(), s.tolist(), c
 
@@ -375,7 +383,10 @@ def expm(M: np.ndarray) -> np.ndarray:
     core on the cached Y^2 and Y^3 of a pair too large for the deep power
     stack.  M must be one square 2-D matrix of finite entries, and its
     exponential must be finite (``ValueError`` otherwise); a real M gives a
-    float64 result, a complex M complex128.
+    float64 result, a complex M complex128.  When Y^2 = 0 (alpha = 0) the
+    result is I + M, however large ``nu`` is: the Taylor coefficients of
+    the zero powers are zero, so ``expm([[0, 1e200], [0, 0]])`` is
+    ``[[1, 1e200], [0, 1]]``.
     """
     return _expm_stack(_square_matrix(M, "expm")[np.newaxis])[0]
 

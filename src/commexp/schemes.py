@@ -42,12 +42,14 @@ __all__ = [
     "catalog_get",
     "catalog_names",
     "third_order_family",
+    "third_order_rows",
     "yoshida",
     "suzuki",
     "phi3",
     "phi4",
     "phi5",
     "aor4",
+    "aor4_rows",
     "AOR4_OPTIMAL_D2",
     "combined5",
     "substitute",
@@ -225,25 +227,61 @@ def _tabulated_cp(name: str) -> Scheme:
 # --------------------------------------------------------------------------
 
 
+#: The targets the row families share: one object each, so that its basis
+#: vectors are built once for every call.
+_COMMUTATOR = commutator_target()
+_NESTED_AAB = nested_aab_target()
+
+#: B, A, B, ... of the row families' fixed generator sequences.
+_ALTERNATING = tuple(Generator.B if i % 2 == 0 else Generator.A for i in range(9))
+
+
+def _checked_rows(rows: np.ndarray) -> np.ndarray:
+    """``rows``, refused as :class:`ExponentSlot` refuses a coefficient
+    unless every one is finite."""
+    if not np.isfinite(rows).all():
+        raise ValueError("slot coefficient must be finite")
+    return rows
+
+
+def third_order_rows(c5, branch: str = "top"
+                     ) -> tuple[tuple[Generator, ...], TargetPolynomial, np.ndarray]:
+    """The six-exponential third-order family as coefficient rows, one per
+    parameter of the 1-D array ``c5``: the generators B, A, B, A, B, A, the
+    commutator target and the (len(c5), 6) float64 rows.
+
+    Each c5 must be nonzero and give finite coefficients (``ValueError``
+    otherwise, as :func:`third_order_family` raises it); ``branch`` picks
+    one of the two solutions.  A :data:`~commexp.conditions.RowFamily`
+    for :func:`~commexp.conditions.optimize_free_parameter`.
+    """
+    c5 = np.asarray(c5, dtype=np.float64)
+    if (c5 == 0).any():
+        raise ValueError("c5 must be nonzero")
+    sgn = _branch_sign(branch)
+    rows = np.empty((len(c5), 6))
+    with np.errstate(over="ignore"):  # _checked_rows refuses what overflows
+        rows[:, 0] = (1.0 - sgn * _SQRT5) / (2.0 * c5)
+        rows[:, 1] = c5 * (-1.0 + sgn * _SQRT5) / 2.0
+        rows[:, 2] = 1.0 / c5
+        rows[:, 3] = c5 * (-1.0 - sgn * _SQRT5) / 2.0
+        rows[:, 4] = (-3.0 + sgn * _SQRT5) / (2.0 * c5)
+    rows[:, 5] = c5
+    return _ALTERNATING[:6], _COMMUTATOR, _checked_rows(rows)
+
+
 def third_order_family(c5: float, branch: str = "top") -> Scheme:
     """The general six-exponential third-order commutator solution.
 
     One free parameter c5 != 0 and a two-fold branch choice; the remaining
-    coefficients are fixed by the order conditions.
+    coefficients are fixed by the order conditions.  The slots are the one
+    row of :func:`third_order_rows`, which raises the same ``ValueError``.
     """
-    if c5 == 0:
-        raise ValueError("c5 must be nonzero")
-    sgn = _branch_sign(branch)
-    c0 = (1.0 - sgn * _SQRT5) / (2.0 * c5)
-    c1 = c5 * (-1.0 + sgn * _SQRT5) / 2.0
-    c2 = 1.0 / c5
-    c3 = c5 * (-1.0 - sgn * _SQRT5) / 2.0
-    c4 = (-3.0 + sgn * _SQRT5) / (2.0 * c5)
+    generators, target, rows = third_order_rows([c5], branch)
     return Scheme(
         name=f"third_order(c5={c5:g},{branch})",
-        slots=_slots((Generator.B, c0), (Generator.A, c1), (Generator.B, c2),
-                     (Generator.A, c3), (Generator.B, c4), (Generator.A, c5)),
-        target=commutator_target(),
+        slots=_slots(*zip(generators, rows[0].tolist())),
+        target=target,
         order=3,
         family="general",
         note="one-parameter family of six-exponential third-order schemes",
@@ -383,22 +421,47 @@ def phi5(R: float, branch: str = "top") -> Scheme:
 AOR4_OPTIMAL_D2 = ((math.sqrt(1346.0) - 36.0) / 25.0) ** (1.0 / 3.0)
 
 
+#: Slot j of an aor4 member takes coefficient d[_AOR4_INDEX[j]]: a palindrome.
+_AOR4_INDEX = np.array([0, 1, 2, 3, 4, 3, 2, 1, 0])
+
+
+def aor4_rows(d2, branch: str = "top"
+              ) -> tuple[tuple[Generator, ...], TargetPolynomial, np.ndarray]:
+    """The nine-exponential palindromic order-4 family as coefficient rows,
+    one per parameter of the 1-D array ``d2``: the generators B, A, ..., B,
+    the [A,[A,B]] target and the (len(d2), 9) float64 rows.
+
+    Each d2 must be positive and give finite coefficients (``ValueError``
+    otherwise, as :func:`aor4` raises it).  The five distinct coefficients
+    d = (-d2/2, sgn/sqrt(d2), d2, -sgn/sqrt(d2), -d2) are mirrored into
+    the nine slots by one gather.  A :data:`~commexp.conditions.RowFamily`
+    for :func:`~commexp.conditions.optimize_free_parameter`.
+    """
+    d2 = np.asarray(d2, dtype=np.float64)
+    if (d2 <= 0).any():
+        raise ValueError("d2 must be positive")
+    sgn = _branch_sign(branch)
+    d = np.empty((len(d2), 5))
+    d[:, 0] = -d2 / 2.0
+    d[:, 1] = sgn / np.sqrt(d2)
+    d[:, 2] = d2
+    d[:, 3] = -sgn / np.sqrt(d2)
+    d[:, 4] = -d2
+    return _ALTERNATING, _NESTED_AAB, _checked_rows(d[:, _AOR4_INDEX])
+
+
 def aor4(d2: float, branch: str = "top", *, name: str | None = None) -> Scheme:
     """Nine-exponential palindromic order-4 scheme for exp(t^3 [A,[A,B]]).
 
     One positive free parameter d2; the optimum sits at
-    ``AOR4_OPTIMAL_D2``.
+    ``AOR4_OPTIMAL_D2``.  The slots are the one row of :func:`aor4_rows`,
+    which raises the same ``ValueError``.
     """
-    if d2 <= 0:
-        raise ValueError("d2 must be positive")
-    sgn = _branch_sign(branch)
-    d = (-d2 / 2.0, sgn / math.sqrt(d2), d2, -sgn / math.sqrt(d2), -d2)
-    seq = [d[0], d[1], d[2], d[3], d[4], d[3], d[2], d[1], d[0]]
-    gens = [Generator.B if i % 2 == 0 else Generator.A for i in range(9)]
+    generators, target, rows = aor4_rows([d2], branch)
     return Scheme(
         name=name or f"aor4(d2={d2:g})",
-        slots=_slots(*zip(gens, seq)),
-        target=nested_aab_target(),
+        slots=_slots(*zip(generators, rows[0].tolist())),
+        target=target,
         order=4,
         family="palindromic",
         note="palindromic doubly-nested-commutator approximation",

@@ -35,6 +35,7 @@ from commexp.schemes import (
     phi5,
     suzuki,
     third_order_family,
+    third_order_rows,
     transform,
 )
 from series_oracle import TruncatedSeries
@@ -147,7 +148,7 @@ def test_criterion_03_twenty_random_members_are_third_order():
 
 @pytest.mark.parametrize("prange,sign", [((0.4, 1.2), 1.0), ((-1.2, -0.4), -1.0)])
 def test_criterion_03_optimizer_recovers_minimizer(prange, sign):
-    result = optimize_free_parameter(third_order_family, 3, prange)
+    result = optimize_free_parameter(third_order_rows, 3, prange)
     assert result.param == pytest.approx(sign * OPTIMAL_C5, abs=1e-6)
 
 

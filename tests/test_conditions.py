@@ -384,6 +384,72 @@ def test_cp_expand_rejects_unknown_sign():
         cp_expand([1.0, 2.0], "sideways")
 
 
+def _columns_closure(tail, sign):
+    """The closure as a Python ``sum`` from 0 over the tail's entries, which
+    are scalars or columns: the reference for the row closure."""
+    if sign == "positive":
+        return -sum(tail)
+    return sum(c if j % 2 == 0 else -c for j, c in enumerate(tail))
+
+
+def _columns_mirror(half, s):
+    """The mirrored pattern as one coefficient (scalar or column) per slot,
+    ``half`` then ``s * c`` of the reversed half: the reference for the
+    one-gather row map."""
+    return list(half) + [s * c for c in reversed(half)]
+
+
+_MIRROR_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+                            st.floats(-2.0, 2.0, allow_nan=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_MIRROR_ENTRIES, min_size=1, max_size=8).flatmap(
+           lambda v: st.tuples(st.just(np.array(v)), st.integers(1, len(v) + 1),
+                               st.lists(st.lists(_MIRROR_ENTRIES, min_size=len(v),
+                                                 max_size=len(v)),
+                                        min_size=len(v) + 1, max_size=len(v) + 1))),
+       st.sampled_from(["positive", "negative"]), st.booleans())
+def test_mirrored_rows_equal_the_column_lists_bit_for_bit(case, sign, complex_step):
+    # refine's rows, real or complex-step v + i h I, as the per-column lists
+    # built them: closure first, summed from 0 in order, then the mirror,
+    # signed zeros included
+    from commexp.conditions import _cp_rows
+
+    v, b, others = case
+    n = len(v)
+    if complex_step:
+        tails = np.vstack([v + 1j * _COMPLEX_STEP * np.eye(n), v.astype(complex)])[:b]
+    else:
+        tails = np.array(others)[:b]
+    columns = list(tails.T)
+    s = 1 if sign == "positive" else -1
+    expected = np.stack(_columns_mirror([_columns_closure(columns, sign), *columns], s), axis=1)
+    _assert_same_bits(_cp_rows(tails, sign), expected)
+    # each row's closure is its one-tail closure, summed as Python sums floats
+    for row in tails.tolist():
+        one = cp_half_closure(row, sign)
+        assert complex(one).real.hex() == complex(_columns_closure(row, sign)).real.hex()
+        assert complex(one).imag.hex() == complex(_columns_closure(row, sign)).imag.hex()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(_MIRROR_ENTRIES, st.complex_numbers(max_magnitude=2.0,
+                                                               allow_nan=False)),
+                min_size=2, max_size=7),
+       st.sampled_from(["positive", "negative"]))
+def test_cp_expand_mirrors_as_the_scalar_list_did(half, sign):
+    s = 1 if sign == "positive" else -1
+    scheme = cp_expand(half, sign)
+    assert [slot.generator for slot in scheme.slots] == [B, A] * len(half)
+    expected = [ExponentSlot(A, c).coefficient for c in _columns_mirror(half, s)]
+    got = [slot.coefficient for slot in scheme.slots]
+    assert [(complex(c).real.hex(), complex(c).imag.hex()) for c in got] == \
+        [(complex(c).real.hex(), complex(c).imag.hex()) for c in expected]
+    # the inverse reads the half back (a half of zeros reads as either sign)
+    assert scheme.cp_sign is not None and scheme.cp_half == tuple(got[:len(half)])
+
+
 @pytest.mark.parametrize("sign", ["positive", "negative"])
 def test_cp_identities_hold_on_random_patterns(sign, rng):
     for _ in range(5):
@@ -709,8 +775,8 @@ def test_refine_rejects_a_tolerance_that_is_not_positive_and_finite(tol, monkeyp
 # ---------------------------------------------------------------------------
 
 
-def _unevaluated_family(p):
-    raise AssertionError("a member was built before the arguments were checked")
+def _unevaluated_family(params):
+    raise AssertionError("the family was called before the arguments were checked")
 
 
 def test_optimize_rejects_empty_range():
@@ -758,52 +824,74 @@ def test_optimize_rejects_a_tolerance_that_is_not_positive_and_finite(keyword, v
         optimize_free_parameter(family, 3, (0.6, 1.0), **{keyword: value})
 
 
+def _member_E(member, r):
+    return order_residuals(member, member.target, r).effective_error.E
+
+
 def test_optimize_grid_pass_scores_each_member_as_its_probe():
-    # the batched grid scores equal the one-member objective bit for bit
+    # the batched grid (split into passes of 102 and 42 rows) scores each
+    # member as its own order check does, bit for bit
     from commexp.conditions import _grid_scores
 
-    xs = np.linspace(0.1, 0.6, 33)
-    scores = _grid_scores(schemes.aor4, xs, 4, lambda p, report: report.effective_error.E)
-    singles = [order_residuals(m, m.target, 4).effective_error.E
-               for m in map(schemes.aor4, xs)]
-    assert scores.tolist() == singles
+    for rows, member, r, prange in ((schemes.third_order_rows, third_order_family, 3, (0.4, 1.2)),
+                                    (schemes.aor4_rows, schemes.aor4, 4, (0.1, 0.6))):
+        xs = np.linspace(*prange, 129)
+        assert _grid_scores(rows, xs, r, 1e-8).tolist() == [_member_E(member(p), r) for p in xs]
 
 
-def test_optimize_grid_groups_members_by_generator_sequence():
+def test_optimize_scores_rows_with_a_zero_coefficient_slot():
+    # a leading exp(0 A) is the same product on a seven-slot sequence: E
+    # counts the seven slots, as the member's own order check does, and the
+    # minimizer stays where it is
     from commexp.conditions import _grid_scores
 
     def family(c5):
-        # below 0.75 the members carry a leading exp(0 A): the same product on
-        # another generator sequence, with seven slots instead of six
+        generators, target, rows = schemes.third_order_rows(c5)
+        return (A, *generators), target, np.hstack([np.zeros((len(rows), 1)), rows])
+
+    def member(c5):
         base = third_order_family(c5)
-        if c5 > 0.75:
-            return base
         return dataclasses.replace(base, slots=(ExponentSlot(A, 0.0), *base.slots))
 
     xs = np.linspace(0.6, 1.0, 17)
-    scores = _grid_scores(family, xs, 3, lambda p, report: report.effective_error.E)
-    assert scores.tolist() == [order_residuals(m, m.target, 3).effective_error.E
-                               for m in map(family, xs)]
+    assert _grid_scores(family, xs, 3, 1e-8).tolist() == [_member_E(member(p), 3) for p in xs]
     result = optimize_free_parameter(family, 3, (0.6, 1.0), grid=17)
     assert result.param == pytest.approx(math.sqrt(2.0 / (math.sqrt(5.0) + 1.0)), abs=1e-7)
+    assert result.E == _member_E(member(result.param), 3)
 
 
 def test_optimize_names_the_first_failing_member():
     # non-finite powers in the batched grid pass are reported as a scan of
     # the members one at a time reports them: at the first failing member
     with pytest.raises(ValueError, match=r"^slot 0 coefficient -3.90625e\+297 has non-finite"):
-        optimize_free_parameter(schemes.aor4, 4, (0.1, 1e300))
+        optimize_free_parameter(schemes.aor4_rows, 4, (0.1, 1e300))
+
+
+@pytest.mark.parametrize("rows,prange,message", [
+    (schemes.third_order_rows, (-1.0, 1.0), "^c5 must be nonzero$"),
+    (schemes.third_order_rows, (1e-310, 1.0), "^slot coefficient must be finite$"),
+    (schemes.aor4_rows, (-1.0, 1.0), "^d2 must be positive$"),
+])
+def test_optimize_reports_a_parameter_the_family_refuses(rows, prange, message):
+    with pytest.raises(ValueError, match=message):
+        optimize_free_parameter(rows, 3, prange)
 
 
 def test_optimize_flat_family_detected():
     fixed = catalog_get("NCP6_3")
-    result = optimize_free_parameter(lambda p: fixed, 3, (0.0, 1.0), grid=17)
+    generators, row = zip(*fixed.pairs())
+
+    def family(params):
+        return generators, fixed.target, np.tile(row, (len(params), 1))
+
+    result = optimize_free_parameter(family, 3, (0.0, 1.0), grid=17)
     assert result.flat
     assert result.E == pytest.approx(effective_error(fixed).E)
+    assert result.scored == 17 + 1  # the grid and the midpoint
 
 
 def test_optimize_locates_family_minimum():
-    result = optimize_free_parameter(third_order_family, 3, (0.6, 1.0))
+    result = optimize_free_parameter(schemes.third_order_rows, 3, (0.6, 1.0))
     assert not result.flat
     assert result.param == pytest.approx(math.sqrt(2.0 / (math.sqrt(5.0) + 1.0)),
                                          abs=1e-7)
@@ -811,12 +899,16 @@ def test_optimize_locates_family_minimum():
 
 def test_optimize_flags_minimum_at_range_edge():
     # E of aor4 falls towards d2* = 0.302, below the range's lower end
-    result = optimize_free_parameter(schemes.aor4, 4, (0.5, 2.0), grid=17)
+    result = optimize_free_parameter(schemes.aor4_rows, 4, (0.5, 2.0), grid=17)
     assert result.at_edge
     assert result.param == pytest.approx(0.5, abs=1e-10)
-    inside = optimize_free_parameter(schemes.aor4, 4, (0.1, 0.6), grid=17)
+    inside = optimize_free_parameter(schemes.aor4_rows, 4, (0.1, 0.6), grid=17)
     assert not inside.at_edge
     assert inside.param == pytest.approx(schemes.AOR4_OPTIMAL_D2, abs=1e-7)
+
+
+def test_optimize_result_keeps_its_four_field_form():
+    assert conditions.OptimizeResult(0.5, 1.0, False, True).scored == 0
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -891,19 +983,20 @@ def test_brent_search_against_the_golden_section_reference(m, negative, a, quart
 
 
 _CLI_FAMILIES = [
-    (third_order_family, 3, (0.4, 1.2), math.sqrt(2.0 / (math.sqrt(5.0) + 1.0))),
-    (schemes.aor4, 4, (0.1, 0.6), schemes.AOR4_OPTIMAL_D2),
+    (schemes.third_order_rows, third_order_family, 3, (0.4, 1.2),
+     math.sqrt(2.0 / (math.sqrt(5.0) + 1.0))),
+    (schemes.aor4_rows, schemes.aor4, 4, (0.1, 0.6), schemes.AOR4_OPTIMAL_D2),
 ]
 
 
-@pytest.mark.parametrize("family,r,prange,reference", _CLI_FAMILIES,
+@pytest.mark.parametrize("rows,member,r,prange,reference", _CLI_FAMILIES,
                          ids=["third_order", "aor4"])
-def test_optimize_matches_scipy_bounded_brent(family, r, prange, reference):
+def test_optimize_matches_scipy_bounded_brent(rows, member, r, prange, reference):
     import scipy.optimize
 
-    result = optimize_free_parameter(family, r, prange)
+    result = optimize_free_parameter(rows, r, prange)
     oracle = scipy.optimize.minimize_scalar(
-        lambda p: effective_error(family(p)).E, bounds=prange, method="bounded",
+        lambda p: effective_error(member(p)).E, bounds=prange, method="bounded",
         options={"xatol": 1e-10})
     assert oracle.success
     assert abs(result.param - oracle.x) <= 1e-8
@@ -911,58 +1004,102 @@ def test_optimize_matches_scipy_bounded_brent(family, r, prange, reference):
     assert result.E <= oracle.fun + 8 * np.spacing(oracle.fun)
 
 
-def _counted(family):
-    """``family`` with a count of the members it builds."""
-    def build(p):
-        build.members += 1
-        return family(p)
-
-    build.members = 0
-    return build
-
-
-@pytest.mark.parametrize("family,r,prange,reference", _CLI_FAMILIES,
+@pytest.mark.parametrize("rows,member,r,prange,reference", _CLI_FAMILIES,
                          ids=["third_order", "aor4"])
-def test_optimize_probe_count_and_returned_score(family, r, prange, reference):
-    from commexp.conditions import _grid_scores
-
-    counted = _counted(family)
-    result = optimize_free_parameter(counted, r, prange)
-    # the golden-section search built 129 + 42 and 129 + 41 members here
-    assert counted.members <= 129 + 15
+def test_optimize_probe_count_and_returned_score(rows, member, r, prange, reference):
+    result = optimize_free_parameter(rows, r, prange)
+    # the golden-section search scored 129 + 42 and 129 + 41 members here
+    assert 129 < result.scored <= 129 + 15
     assert not result.at_edge and abs(result.param - reference) <= 1e-8
     # E is the returned member's own score, bit for bit
-    one = _grid_scores(family, [result.param], r, lambda p, report: report.effective_error.E)
-    assert result.E == one[0]
+    assert result.E == _member_E(member(result.param), r)
 
 
 def test_optimize_edge_minimum_builds_no_more_members_than_golden_section():
     from commexp.conditions import _grid_scores
 
-    counted = _counted(schemes.aor4)
-    result = optimize_free_parameter(counted, 4, (0.5, 2.0))
+    result = optimize_free_parameter(schemes.aor4_rows, 4, (0.5, 2.0))
     assert result.at_edge and result.param == 0.5
     # the golden-section search on the grid's edge bracket, as it ran before
     xs = np.linspace(0.5, 2.0, 129)
 
     def objective(p):
-        return _grid_scores(schemes.aor4, [p], 4,
-                            lambda p, report: report.effective_error.E)[0]
+        return _grid_scores(schemes.aor4_rows, [p], 4, 1e-8)[0]
 
     _, _, golden_probes = _golden_section(objective, xs[0], xs[1], 1e-10)
-    assert counted.members <= 129 + golden_probes
-    assert result.E == objective(0.5)
+    assert result.scored <= 129 + golden_probes
+    assert result.E == objective(0.5) == _member_E(schemes.aor4(0.5), 4)
 
 
 def test_optimize_propagates_order_violations():
-    def family(p):
+    def family(params):
         # claimed order 3 but genuinely order 2: conditions cannot hold
-        return Scheme("junk",
-                      (ExponentSlot(A, p), ExponentSlot(B, 1.0), ExponentSlot(A, -p)),
-                      commutator_target(), 3)
+        p = np.asarray(params)
+        return (A, B, A), commutator_target(), np.column_stack([p, np.ones_like(p), -p])
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^family member at parameter 0.5 violates order 3"):
         optimize_free_parameter(family, 3, (0.5, 1.5), grid=9)
+
+
+def _engine_passes(monkeypatch):
+    """Spy on the engine: the (rows, slots, truncation, dtype kind) of each
+    ``_lie_rows`` pass."""
+    passes = []
+    engine = conditions._lie_rows
+
+    def spy(generators, rows, truncation):
+        passes.append((len(rows), rows.shape[1], truncation, rows.dtype.kind))
+        return engine(generators, rows, truncation)
+
+    monkeypatch.setattr(conditions, "_lie_rows", spy)
+    return passes
+
+
+@pytest.mark.parametrize("rows,prange,r,grid_passes,probes", [
+    (schemes.third_order_rows, (0.4, 1.2), 3, [102, 27], 7),
+    (schemes.aor4_rows, (0.1, 0.6), 4, [42, 42, 42, 3], 7),
+    (schemes.aor4_rows, (0.5, 2.0), 4, [42, 42, 42, 3], 15),
+], ids=["third_order", "aor4", "aor4-edge"])
+def test_optimize_makes_the_engine_passes_it_made_on_schemes(monkeypatch, rows, prange, r,
+                                                             grid_passes, probes):
+    # the counts the Scheme-per-member optimizer made: the grid in passes of
+    # _rows_per_pass rows, then one-row probes; and no slot object is built
+    passes = _engine_passes(monkeypatch)
+    slots = []
+    monkeypatch.setattr(ExponentSlot, "__post_init__", lambda slot: slots.append(slot))
+    result = optimize_free_parameter(rows, r, prange)
+    assert [b for b, *_ in passes] == grid_passes + [1] * probes
+    assert {(s, N, kind) for _, s, N, kind in passes} == {(6 if r == 3 else 9, r + 1, "f")}
+    assert result.scored == 129 + probes
+    assert slots == []
+
+
+def _bumped_ncp10_4():
+    tail = np.array([float(c) for c in catalog_get("NCP10_4").cp_half[1:]])
+    bumped = tail + 1e-6 * np.array([1.0, -1.0, 1.0, -1.0])
+    return cp_expand([cp_half_closure(bumped, "negative"), *bumped], "negative", order=4)
+
+
+def _bumped_strang():
+    base = catalog_get("strang")
+    return Scheme("strang", tuple(ExponentSlot(s.generator, s.coefficient + d)
+                                  for s, d in zip(base.slots, (1e-5, -1e-5, 1e-5))),
+                  sum_target(), 2)
+
+
+@pytest.mark.parametrize("start,free,expected", [
+    (_bumped_ncp10_4, None,
+     [(1, 10, 4, "f"), (4, 10, 4, "c"), (1, 10, 4, "f"), (4, 10, 4, "c"), (1, 10, 4, "f")]),
+    (_bumped_strang, None, [(1, 3, 2, "f"), (3, 3, 2, "c"), (1, 3, 2, "f")]),
+    (lambda: catalog_get("PCP12_4"), range(1, 5), [(1, 12, 4, "f")]),
+], ids=["NCP10_4", "strang", "PCP12_4"])
+def test_refine_makes_the_engine_passes_it_made_on_column_lists(monkeypatch, start, free,
+                                                                expected):
+    # one real row per residual and one complex-step row per unknown per
+    # Jacobian, as before the rows came from one gather
+    passes = _engine_passes(monkeypatch)
+    refine(start(), free_slots=free)
+    assert passes == expected
 
 
 # ---------------------------------------------------------------------------

@@ -938,6 +938,77 @@ def test_expm_refuses_an_overflowing_result():
             expm(np.full((2, 2), 1e308))
 
 
+@pytest.mark.parametrize("z", [1e200, -1e200, 1.7e308])
+def test_expm_of_a_huge_matrix_whose_square_is_zero_is_identity_plus_it(z):
+    # alpha = 0 gives no squaring and u = z; the zero powers' coefficients
+    # u^m / m! used to overflow, and inf * 0 made the sum NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        E = expm(np.array([[0.0, z], [0.0, 0.0]]))
+    assert _bits(E) == _bits(np.array([[1.0, z], [0.0, 1.0]]))
+
+
+def _nilpotent_pair(dim: int, seed: int, size: float) -> OperatorPair:
+    """A = N of one-norm ``size``, rank one and mapping the top half of the
+    coordinates into the bottom half, so N^2 = 0 exactly, and B a random
+    block-diagonal matrix that keeps the halves, so N M N = 0 exactly for any
+    product M of B's exponentials: the scheme's product stays finite."""
+    rng = np.random.default_rng(seed)
+    half = dim // 2
+    N = np.zeros((dim, dim))
+    N[:half, half:] = np.outer(rng.standard_normal(half), rng.standard_normal(dim - half))
+    N *= size / np.abs(N).sum(axis=0).max()
+    B = np.zeros((dim, dim))
+    B[:half, :half] = rng.standard_normal((half, half))
+    B[half:, half:] = rng.standard_normal((dim - half, dim - half))
+    return OperatorPair(N, B / np.linalg.norm(B, 2))
+
+
+def _assert_blocks_close(actual, expected, half):
+    # the diagonal blocks never meet N, the top-right one carries it
+    for rows, cols in ((slice(None, half), slice(None, half)),
+                       (slice(half, None), slice(half, None)),
+                       (slice(half, None), slice(None, half)),
+                       (slice(None, half), slice(half, None))):
+        scale = max(1.0, float(np.abs(expected[rows, cols]).max()))
+        assert np.abs(actual[rows, cols] - expected[rows, cols]).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("dim,depth", [(40, 14), (100, 3)])
+@pytest.mark.parametrize("size", [1e200, 1.0])
+def test_scheme_on_a_generator_whose_square_is_zero(dim, depth, size):
+    # exp(c t N) = I + c t N, on the deep power stack (d <= 93) and on the
+    # Horner core (d = 100) alike, however large ||N||
+    pair = _nilpotent_pair(dim, 7, size)
+    assert pair.power_depth == depth
+    scheme = catalog_get("NCP10_4")
+    times = np.array([0.3, -0.1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stack = evaluate_scheme(scheme, pair, times)
+    for t, U in zip(times, stack):
+        expected = np.eye(dim)
+        for gen, c in slot_runs(scheme):
+            factor = (np.eye(dim) + c * t * pair.A if gen == Generator.A
+                      else scipy.linalg.expm(c * t * pair.B))
+            expected = expected @ factor
+        _assert_blocks_close(U, expected, dim // 2)
+        assert _bits(U) == _bits(evaluate_scheme(scheme, pair, t))
+
+
+@pytest.mark.parametrize("dim", [40, 100])
+def test_target_of_a_commutator_whose_square_is_zero(dim):
+    # [N, B] maps the top half into the bottom half too, so its exponential
+    # is I + t^2 [N, B] through the target stack's own powers
+    pair = _nilpotent_pair(dim, 3, 1e200)
+    times = np.array([0.5, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stack = target_matrix(commutator_target(), pair, times)
+    for t, T in zip(times, stack):
+        _assert_blocks_close(T, np.eye(dim) + t * t * commutator(pair.A, pair.B), dim // 2)
+
+
 def test_expm_matches_scipy_at_dim_256(rng):
     M = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
     M *= 2.0 / np.linalg.norm(M, 2)

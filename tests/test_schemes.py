@@ -25,6 +25,7 @@ from commexp.schemes import (
     ExponentSlot,
     Scheme,
     aor4,
+    aor4_rows,
     catalog_get,
     catalog_names,
     combined5,
@@ -37,6 +38,7 @@ from commexp.schemes import (
     substitute,
     suzuki,
     third_order_family,
+    third_order_rows,
     transform,
     yoshida,
     zass_sym22,
@@ -278,6 +280,76 @@ def test_family_order_three_spot_check():
     scheme = third_order_family(0.37, "bottom")
     report = order_residuals(scheme, scheme.target, 3)
     assert report.all_satisfied()
+
+
+def _third_order_scalars(c5, branch):
+    """The family's coefficients as Python float arithmetic forms them, or
+    the ValueError message of a parameter that names no member."""
+    if c5 == 0:
+        return "c5 must be nonzero"
+    sgn = 1.0 if branch == "top" else -1.0
+    return [(1.0 - sgn * SQRT5) / (2.0 * c5), c5 * (-1.0 + sgn * SQRT5) / 2.0, 1.0 / c5,
+            c5 * (-1.0 - sgn * SQRT5) / 2.0, (-3.0 + sgn * SQRT5) / (2.0 * c5), c5]
+
+
+def _aor4_scalars(d2, branch):
+    if d2 <= 0:
+        return "d2 must be positive"
+    sgn = 1.0 if branch == "top" else -1.0
+    d = (-d2 / 2.0, sgn / math.sqrt(d2), d2, -sgn / math.sqrt(d2), -d2)
+    return [d[0], d[1], d[2], d[3], d[4], d[3], d[2], d[1], d[0]]
+
+
+def _scalar_member(reference, p, branch):
+    expected = reference(p, branch)
+    if isinstance(expected, list) and not all(map(math.isfinite, expected)):
+        return "slot coefficient must be finite"
+    return expected
+
+
+_FAMILY_PARAMETERS = st.one_of(
+    st.floats(0.05, 2.0), st.floats(-2.0, -0.05),  # inside the CLI ranges, and mirrored
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1e308, -1e308, math.inf, -math.inf,
+                     math.nan]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([(third_order_rows, third_order_family, _third_order_scalars),
+                        (aor4_rows, aor4, _aor4_scalars)]),
+       st.lists(_FAMILY_PARAMETERS, min_size=1, max_size=5),
+       st.sampled_from(["top", "bottom"]))
+def test_family_rows_equal_the_scalar_coefficients(family, params, branch):
+    # rows and constructor alike give the coefficients Python's float
+    # arithmetic forms, bit for bit, or the constructor's ValueError
+    rows_of, constructor, reference = family
+    expected = [_scalar_member(reference, p, branch) for p in params]
+    for p, member in zip(params, expected):
+        if isinstance(member, str):
+            with pytest.raises(ValueError, match=f"^{member}$"):
+                constructor(p, branch)
+            continue
+        scheme = constructor(p, branch)
+        assert [s.coefficient.hex() for s in scheme.slots] == [c.hex() for c in member]
+        generators, target, rows = rows_of([p], branch)
+        assert [s.generator for s in scheme.slots] == list(generators)
+        assert target == scheme.target
+    errors = [m for m in expected if isinstance(m, str)]
+    if errors:
+        # the parameter check comes before the finiteness check
+        with pytest.raises(ValueError, match=f"^{min(errors, key=lambda m: 'finite' in m)}$"):
+            rows_of(params, branch)
+    else:
+        rows = rows_of(np.array(params), branch)[2]
+        assert rows.dtype == np.float64 and rows.shape == (len(params), len(expected[0]))
+        assert [[c.hex() for c in row] for row in rows.tolist()] == \
+            [[c.hex() for c in member] for member in expected]
+
+
+def test_family_rows_refuse_an_unknown_branch():
+    for rows_of in (third_order_rows, aor4_rows):
+        with pytest.raises(ValueError, match="branch must be"):
+            rows_of([0.5], "sideways")
 
 
 # ---------------------------------------------------------------------------
