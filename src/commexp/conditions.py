@@ -534,16 +534,29 @@ def cp_identities(scheme, sign=None, tol: float = 1e-10) -> list[IdentityCheck]:
 
 def _identity_checks(w, s: int, degrees, tol: float) -> list[IdentityCheck]:
     """The mirror identities of sign ``s`` at ``degrees`` on the coefficients
-    ``w(degree, position)``."""
+    ``w(degree, position)``, each described."""
     results = []
+    for degree, left, combo, lhs, rhs in _identity_sides(w, s, degrees):
+        pieces = " ".join(f"{factor:+g}*w({degree},{right})" for right, factor in combo)
+        results.append(IdentityCheck(f"w({degree},{left}) = {pieces}", lhs, rhs,
+                                     _identity_holds(lhs, rhs, tol)))
+    return results
+
+
+def _identity_sides(w, s: int, degrees):
+    """Yield ``(degree, left, combo, lhs, rhs)`` for each mirror identity of
+    sign ``s`` at ``degrees`` (:func:`_mirror_identities`): its two sides
+    evaluated on the coefficients ``w(degree, position)``, with no text."""
     for degree in degrees:
         for left, combo in _mirror_identities(s, degree):
             lhs = w(degree, left)
-            rhs = sum(factor * w(degree, right) for right, factor in combo)
-            pieces = " ".join(f"{factor:+g}*w({degree},{right})" for right, factor in combo)
-            ok = abs(lhs - rhs) <= tol * max(1.0, abs(lhs), abs(rhs))
-            results.append(IdentityCheck(f"w({degree},{left}) = {pieces}", lhs, rhs, ok))
-    return results
+            yield degree, left, combo, lhs, sum(factor * w(degree, right)
+                                                for right, factor in combo)
+
+
+def _identity_holds(lhs, rhs, tol: float) -> bool:
+    """Whether the two sides agree at ``tol``, scaled by their magnitudes."""
+    return abs(lhs - rhs) <= tol * max(1.0, abs(lhs), abs(rhs))
 
 
 def cp_condition_counts(sign, r: int = 6) -> dict[int, int]:
@@ -588,8 +601,8 @@ def _mirror_sign(scheme, target, r) -> str | None:
     _, sign = cp_pattern(scheme)
     if sign is None or r < 2 or np.any(target.vector(1)):
         return None
-    checks = _identity_checks(target.coefficient, _cp_sign(sign), range(2, r + 1), 1e-12)
-    return sign if all(check.satisfied for check in checks) else None
+    sides = _identity_sides(target.coefficient, _cp_sign(sign), range(2, r + 1))
+    return sign if all(_identity_holds(lhs, rhs, 1e-12) for *_, lhs, rhs in sides) else None
 
 
 #: Imaginary step of the complex-step Jacobian.  Its truncation error is
@@ -610,6 +623,12 @@ def _complex_step_jacobian(residual_of, v: np.ndarray) -> np.ndarray:
     return (residual_of(stepped).imag / _COMPLEX_STEP).T
 
 
+#: :func:`refine` keeps its Jacobian for the next step while a step cuts
+#: max|g| by at least this factor: that cut puts the iterate where a chord
+#: step on the same Jacobian contracts about as much again.
+_CHORD_CUT = 100.0
+
+
 def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
            r: int | None = None, tol: float = 1e-13, max_iter: int = 50):
     """Newton-polish coefficients until the order conditions hold to ``tol``.
@@ -628,18 +647,35 @@ def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
     (:func:`_complex_step_jacobian`): the residual chain is analytic in the
     coefficients, so one complex evaluation per unknown gives each column to
     round-off while the iterate stays real, and the evaluations of all the
-    unknowns take one batched pass.  Each residual builds its (b, s)
-    coefficient rows as arrays, with no list per column: the free values
-    written over the unknowns, then, for a mirrored scheme, the closure of
-    every row at once and the mirror by one gather (:func:`_cp_rows`), each
-    row bit for bit what the one-row expansion gives.  ``free_slots`` must
-    not repeat an index, and ``tol`` must be positive and finite.  Returns
-    the scheme with its slots replaced and every other field kept; raises
-    ``RuntimeError`` on divergence or stagnation.
+    unknowns take one batched pass.
+
+    One Jacobian serves the whole solve.  It is formed at the first iterate
+    that misses ``tol`` and kept while each step cuts max|g| by at least
+    100x, the next step then being a chord step on it (Kelley 2003, *Solving
+    Nonlinear Equations with Newton's Method*, ch. 5); after a step that cuts
+    max|g| less, it is formed again at the new iterate.  A polish started
+    near a root makes the engine passes ``[1, n, 1, 1]``: one real residual
+    row, n complex-step rows, then one residual row per step.  Every step
+    counts against ``max_iter``.  With more unknowns than independent
+    conditions the steps are lstsq's minimum-norm ones, and a chord step can
+    end at another point of the solution manifold than full Newton would;
+    both points meet the conditions at ``tol``.
+
+    Each residual builds its (b, s) coefficient rows as arrays, with no list
+    per column: the free values written over the unknowns, then, for a
+    mirrored scheme, the closure of every row at once and the mirror by one
+    gather (:func:`_cp_rows`), each row bit for bit what the one-row
+    expansion gives.  ``free_slots`` must not repeat an index, ``tol`` must
+    be positive and finite, and ``max_iter`` an integer of at least 1, all
+    checked before the first evaluation.  Returns the scheme with its slots
+    replaced and every other field kept; raises ``RuntimeError`` on
+    divergence or stagnation.
     """
     from .schemes import ExponentSlot
 
     _check_tolerance("tol", tol)
+    if not isinstance(max_iter, numbers.Integral) or isinstance(max_iter, bool) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
     if target is None:
         target = scheme.target
     if r is None:
@@ -683,19 +719,23 @@ def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
 
     v = x[free].copy()
     g = eval_at(v[None])[0]
+    worst, J = np.max(np.abs(g)), None
     for _ in range(max_iter):
-        worst = np.max(np.abs(g))
         if worst <= tol:
             break
         if not np.all(np.isfinite(g)) or worst > 1e6:
             raise RuntimeError("refinement diverged")
-        J = _complex_step_jacobian(eval_at, v)
+        if J is None:
+            J = _complex_step_jacobian(eval_at, v)
         step, *_ = np.linalg.lstsq(J, -g, rcond=None)
         v = v + step
         g = eval_at(v[None])[0]
-    if np.max(np.abs(g)) > tol:
+        before, worst = worst, np.max(np.abs(g))
+        if not worst <= before / _CHORD_CUT:
+            J = None  # too little contraction for a chord step: a fresh J at v
+    if not worst <= tol:
         raise RuntimeError(f"no convergence after {max_iter} iterations "
-                           f"(residual {np.max(np.abs(g)):.3e})")
+                           f"(residual {worst:.3e})")
 
     coefficients = rows_of(v[None])[0].tolist()
     return replace(scheme, slots=tuple(ExponentSlot(g, c)

@@ -770,6 +770,16 @@ def test_refine_rejects_a_tolerance_that_is_not_positive_and_finite(tol, monkeyp
         refine(catalog_get("NCP10_4"), tol=tol, max_iter=1)
 
 
+@pytest.mark.parametrize("max_iter", [2.5, 0, -1, True, "3", None])
+def test_refine_rejects_a_max_iter_that_is_not_a_positive_integer(max_iter, monkeypatch):
+    def no_evaluation(*args):
+        raise AssertionError("evaluated before max_iter was checked")
+
+    monkeypatch.setattr(conditions, "_lie_rows", no_evaluation)
+    with pytest.raises(ValueError, match="max_iter must be an integer of at least 1"):
+        refine(_bumped_ncp10_4(), max_iter=max_iter)
+
+
 # ---------------------------------------------------------------------------
 # optimizer
 # ---------------------------------------------------------------------------
@@ -1074,9 +1084,9 @@ def test_optimize_makes_the_engine_passes_it_made_on_schemes(monkeypatch, rows, 
     assert slots == []
 
 
-def _bumped_ncp10_4():
+def _bumped_ncp10_4(size=1e-6):
     tail = np.array([float(c) for c in catalog_get("NCP10_4").cp_half[1:]])
-    bumped = tail + 1e-6 * np.array([1.0, -1.0, 1.0, -1.0])
+    bumped = tail + size * np.array([1.0, -1.0, 1.0, -1.0])
     return cp_expand([cp_half_closure(bumped, "negative"), *bumped], "negative", order=4)
 
 
@@ -1087,19 +1097,155 @@ def _bumped_strang():
                   sum_target(), 2)
 
 
+_F, _C = (1, 10, 4, "f"), (4, 10, 4, "c")
+
+
 @pytest.mark.parametrize("start,free,expected", [
-    (_bumped_ncp10_4, None,
-     [(1, 10, 4, "f"), (4, 10, 4, "c"), (1, 10, 4, "f"), (4, 10, 4, "c"), (1, 10, 4, "f")]),
+    (_bumped_ncp10_4, None, [_F, _C, _F, _F]),
     (_bumped_strang, None, [(1, 3, 2, "f"), (3, 3, 2, "c"), (1, 3, 2, "f")]),
     (lambda: catalog_get("PCP12_4"), range(1, 5), [(1, 12, 4, "f")]),
-], ids=["NCP10_4", "strang", "PCP12_4"])
+    # max|g| 5.1e-2 -> 1.7e-3 -> 6.5e-5 -> 7.8e-9 -> 2.2e-12 -> 1.0e-15: the
+    # first two steps cut it by less than 100x, so J is formed again after each
+    (lambda: _bumped_ncp10_4(1e-2), None, [_F, _C, _F, _C, _F, _C, _F, _F, _F]),
+], ids=["NCP10_4", "strang", "PCP12_4", "NCP10_4-far"])
 def test_refine_makes_the_engine_passes_it_made_on_column_lists(monkeypatch, start, free,
                                                                 expected):
-    # one real row per residual and one complex-step row per unknown per
-    # Jacobian, as before the rows came from one gather
+    # one real row per residual, and one complex-step row per unknown for the
+    # first Jacobian and for each one formed after a step cut max|g| by less
+    # than 100x; a step that cuts it more leaves the next a chord step
     passes = _engine_passes(monkeypatch)
     refine(start(), free_slots=free)
     assert passes == expected
+
+
+def test_refine_counts_a_chord_step_as_an_iteration():
+    # the bumped NCP10_4 takes a Newton step, then a chord step on its J
+    refine(_bumped_ncp10_4(), max_iter=2)
+    with pytest.raises(RuntimeError, match="no convergence after 1 iterations"):
+        refine(_bumped_ncp10_4(), max_iter=1)
+
+
+def test_refine_reports_a_last_residual_that_is_not_a_number(monkeypatch):
+    # a step that lands where the log is nan (inf - inf past an overflow)
+    # has not converged, though nan > tol is false
+    engine = conditions._lie_rows
+    real_passes = []
+
+    def nan_after_the_first_step(generators, rows, truncation):
+        vectors = engine(generators, rows, truncation)
+        if rows.dtype.kind == "f":
+            real_passes.append(len(rows))
+            if len(real_passes) > 1:
+                return {degree: np.full_like(w, np.nan) for degree, w in vectors.items()}
+        return vectors
+
+    monkeypatch.setattr(conditions, "_lie_rows", nan_after_the_first_step)
+    with pytest.raises(RuntimeError, match=r"no convergence after 1 iterations \(residual nan\)"):
+        refine(_bumped_ncp10_4(), max_iter=1)
+
+
+def _full_newton(scheme, tol=1e-13, max_iter=50):
+    """The Newton loop refine ran before it kept its Jacobian: a fresh
+    complex-step J at every step, on every unknown of refine's own residual.
+    The polished slot coefficients, or None when the loop fails."""
+    target, r = scheme.target, scheme.order
+    generators = [g for g, _ in scheme.pairs()]
+    v = np.array([float(c) for _, c in scheme.pairs()])
+    sign = _mirror_sign(scheme, target, r)
+    if sign is not None:
+        v = v[1:len(v) // 2]
+
+    def rows_of(values):
+        return values if sign is None else conditions._cp_rows(values, sign)
+
+    def residual_of(values):
+        return _residual(generators, rows_of(values), target, r)
+
+    g = residual_of(v[None])[0]
+    for _ in range(max_iter):
+        if np.max(np.abs(g)) <= tol:
+            break
+        if not np.all(np.isfinite(g)) or np.max(np.abs(g)) > 1e6:
+            return None
+        step, *_ = np.linalg.lstsq(_complex_step_jacobian(residual_of, v), -g, rcond=None)
+        v = v + step
+        g = residual_of(v[None])[0]
+    return rows_of(v[None])[0] if np.max(np.abs(g)) <= tol else None
+
+
+#: The catalog schemes refine takes: PCP6_3_imaginary has complex
+#: coefficients and yoshida4 fewer coefficients than order-4 conditions.
+_REFINABLE = tuple(n for n in schemes.catalog_names() if n not in ("PCP6_3_imaginary", "yoshida4"))
+
+
+def _perturbed(name, size, noise):
+    """The catalog scheme with each free coefficient (a mirrored scheme's
+    half, any other's slots) scaled by 1 + size * noise[i]."""
+    base = catalog_get(name)
+    if base.is_cp:
+        half = [c * (1.0 + size * e) for c, e in zip(base.cp_half, noise)]
+        return dataclasses.replace(base, slots=cp_expand(half, base.cp_sign).slots)
+    return dataclasses.replace(base, slots=tuple(
+        ExponentSlot(s.generator, s.coefficient * (1.0 + size * e))
+        for s, e in zip(base.slots, noise)))
+
+
+def _is_square(scheme):
+    """Whether refine has exactly as many unknowns as independent conditions."""
+    r = scheme.order
+    sign = _mirror_sign(scheme, scheme.target, r)
+    if sign is None:
+        return len(scheme.slots) == sum(LIE_DIMS[:r])
+    counts = cp_condition_counts(sign, r)
+    return len(scheme.slots) // 2 - 1 == sum(counts[d] for d in range(2, r + 1))
+
+
+@st.composite
+def _perturbed_starts(draw):
+    name = draw(st.sampled_from(_REFINABLE))
+    n = len(catalog_get(name).slots)
+    noise = draw(st.lists(_unit_floats, min_size=n, max_size=n))
+    return _perturbed(name, draw(st.floats(0.0, 1e-4)), noise)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_perturbed_starts())
+def test_refine_matches_full_newton_near_a_root(start):
+    counted = []
+    engine = conditions._lie_rows
+
+    def spy(generators, rows, truncation):
+        counted.append(len(rows))
+        return engine(generators, rows, truncation)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(conditions, "_lie_rows", spy)
+        polished = np.array([c for _, c in refine(start).pairs()])
+        refine_passes = len(counted)
+        expected = _full_newton(start)
+    assert expected is not None
+    assert refine_passes <= len(counted) - refine_passes
+    if _is_square(start):
+        np.testing.assert_allclose(polished, expected, rtol=0.0, atol=1e-11)
+    else:
+        # lstsq's minimum-norm steps may end at other points of the manifold
+        for coefficients in (polished, expected):
+            met = dataclasses.replace(start, slots=tuple(
+                ExponentSlot(g, c) for (g, _), c in zip(start.pairs(), coefficients)))
+            assert order_residuals(met, met.target, met.order, tol=1e-13).all_satisfied()
+
+
+@pytest.mark.parametrize("size", [1e-3, 1e-2, 5e-2])
+def test_refine_solves_every_start_full_newton_solves(size):
+    rng = np.random.default_rng(7)
+    for name in _REFINABLE:
+        for _ in range(2):
+            start = _perturbed(name, size, rng.uniform(-1.0, 1.0, len(catalog_get(name).slots)))
+            if _full_newton(start) is None:
+                continue
+            polished = refine(start)
+            assert order_residuals(polished, polished.target, polished.order,
+                                   tol=1e-13).all_satisfied(), (name, size)
 
 
 # ---------------------------------------------------------------------------

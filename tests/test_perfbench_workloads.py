@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from commexp import conditions
 from commexp.schemes import catalog_get
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -36,3 +37,26 @@ def test_perturbed_schemes_keep_their_mirror_pattern(tmp_path):
     assert sorted(refined) == sorted(f"refine:{name}" for name in module.REFINABLE)
     for ref, scheme in refined.items():
         assert scheme.is_cp == catalog_get(ref.removeprefix("refine:")).is_cp
+
+
+def test_perturbed_refines_form_one_jacobian_each(tmp_path, monkeypatch):
+    # the workload's starts lie 2e-5 from a root, where a Newton step cuts
+    # max|g| by far more than 100x, so the Jacobian it formed serves the rest
+    module = _workloads()
+    kinds = []
+    engine = conditions._lie_rows
+
+    def spy(generators, rows, truncation):
+        kinds.append(rows.dtype.kind)
+        return engine(generators, rows, truncation)
+
+    monkeypatch.setattr(conditions, "_lie_rows", spy)
+    starts = [c for c in module.series_catalog(0, tmp_path) if c.scheme is not None]
+    assert len(starts) == len(module.REFINABLE) == 20
+    for command in starts:
+        kinds.clear()
+        refined = conditions.refine(command.scheme, tol=module.REFINE_TOL)
+        assert kinds.count("c") == 1, command.ref
+        report = conditions.order_residuals(refined, refined.target, refined.order,
+                                            module.REFINE_TOL)
+        assert report.all_satisfied(), command.ref
