@@ -12,7 +12,6 @@ slope of a scheme on an operator pair is :func:`commexp.bench.empirical_order`).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -24,7 +23,6 @@ from .liealg import (
     MAX_TRUNCATION,
     Generator,
     _lie_rows,
-    _rows_per_pass,
     _slot_row,
     as_generator,
     letter_map,
@@ -494,23 +492,34 @@ def _mirror_map(s: int, degree: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _mirror_identities(s: int, degree: int) -> tuple[tuple[int, tuple], ...]:
-    """The independent identities phi(Z) = -Z imposes at one degree.
-
-    Each is ``(left, ((right, factor), ...))``, read w(j, left) = sum of
-    factor * w(j, right) with 1-based positions: a row of phi + I, kept only
-    when it is independent of the rows kept before it and solved for its
-    diagonal entry (nonzero on every kept row through the engine's ceiling).
-    Cached.
-    """
+def _mirror_relation(s: int, degree: int) -> np.ndarray:
+    """The k independent identities phi(Z) = -Z imposes at one degree, as a
+    (2, k, dim) array whose product with the coordinates w gives both sides,
+    w(left) and the sum of factor * w(right): each is a row of phi + I kept
+    when independent of the rows kept before it, and solved for its diagonal
+    entry (nonzero on every kept row through degree 7).  Cached; read-only."""
     relation = _mirror_map(s, degree) + np.eye(LIE_DIMS[degree - 1])
-    kept, identities = [], []
-    for i, row in enumerate(relation):
-        if np.linalg.matrix_rank(np.array(kept + [row])) > len(kept):
-            kept.append(row)
-            identities.append((i + 1, tuple((j + 1, float(-row[j] / row[i]))
-                                            for j in np.flatnonzero(row) if j != i)))
-    return tuple(identities)
+    lefts = []
+    for i in range(len(relation)):
+        if np.linalg.matrix_rank(relation[lefts + [i]]) > len(lefts):
+            lefts.append(i)
+    kept = np.arange(len(lefts))
+    sides = np.zeros((2, len(lefts), len(relation)))
+    sides[0, kept, lefts] = 1.0
+    sides[1] = -relation[lefts] / relation[lefts, lefts][:, None]
+    sides[1, kept, lefts] = 0.0
+    sides.flags.writeable = False  # shared by every caller through the cache
+    return sides
+
+
+@lru_cache(maxsize=None)
+def _mirror_identities(s: int, degree: int) -> tuple[tuple[int, tuple], ...]:
+    """The identities of :func:`_mirror_relation`, each ``(left, ((right,
+    factor), ...))``, read w(j, left) = sum of factor * w(j, right) with
+    1-based positions.  Cached."""
+    return tuple((int(pick.argmax()) + 1,
+                  tuple((j + 1, float(row[j])) for j in np.flatnonzero(row)))
+                 for pick, row in zip(*_mirror_relation(s, degree)))
 
 
 def cp_identities(scheme, sign=None, tol: float = 1e-10) -> list[IdentityCheck]:
@@ -534,29 +543,17 @@ def cp_identities(scheme, sign=None, tol: float = 1e-10) -> list[IdentityCheck]:
 
 def _identity_checks(w, s: int, degrees, tol: float) -> list[IdentityCheck]:
     """The mirror identities of sign ``s`` at ``degrees`` on the coefficients
-    ``w(degree, position)``, each described."""
+    ``w(degree, position)``, each described and checked at ``tol``, scaled
+    by the magnitudes of its two sides."""
     results = []
-    for degree, left, combo, lhs, rhs in _identity_sides(w, s, degrees):
-        pieces = " ".join(f"{factor:+g}*w({degree},{right})" for right, factor in combo)
-        results.append(IdentityCheck(f"w({degree},{left}) = {pieces}", lhs, rhs,
-                                     _identity_holds(lhs, rhs, tol)))
-    return results
-
-
-def _identity_sides(w, s: int, degrees):
-    """Yield ``(degree, left, combo, lhs, rhs)`` for each mirror identity of
-    sign ``s`` at ``degrees`` (:func:`_mirror_identities`): its two sides
-    evaluated on the coefficients ``w(degree, position)``, with no text."""
     for degree in degrees:
         for left, combo in _mirror_identities(s, degree):
             lhs = w(degree, left)
-            yield degree, left, combo, lhs, sum(factor * w(degree, right)
-                                                for right, factor in combo)
-
-
-def _identity_holds(lhs, rhs, tol: float) -> bool:
-    """Whether the two sides agree at ``tol``, scaled by their magnitudes."""
-    return abs(lhs - rhs) <= tol * max(1.0, abs(lhs), abs(rhs))
+            rhs = sum(factor * w(degree, right) for right, factor in combo)
+            pieces = " ".join(f"{factor:+g}*w({degree},{right})" for right, factor in combo)
+            results.append(IdentityCheck(f"w({degree},{left}) = {pieces}", lhs, rhs,
+                                         abs(lhs - rhs) <= tol * max(1.0, abs(lhs), abs(rhs))))
+    return results
 
 
 def cp_condition_counts(sign, r: int = 6) -> dict[int, int]:
@@ -598,11 +595,13 @@ def _mirror_sign(scheme, target, r) -> str | None:
     conditions only when r >= 2 and the target has no degree-1 part and obeys
     the identities through degree r.
     """
-    _, sign = cp_pattern(scheme)
+    sign = scheme.cp_sign
     if sign is None or r < 2 or np.any(target.vector(1)):
         return None
-    sides = _identity_sides(target.coefficient, _cp_sign(sign), range(2, r + 1))
-    return sign if all(_identity_holds(lhs, rhs, 1e-12) for *_, lhs, rhs in sides) else None
+    lhs, rhs = np.concatenate([_mirror_relation(_cp_sign(sign), degree) @ target.vector(degree)
+                               for degree in range(2, r + 1)], axis=1)
+    holds = abs(lhs - rhs) <= 1e-12 * np.maximum(np.maximum(abs(lhs), abs(rhs)), 1.0)
+    return sign if holds.all() else None
 
 
 #: Imaginary step of the complex-step Jacobian.  Its truncation error is
@@ -628,54 +627,44 @@ def _complex_step_jacobian(residual_of, v: np.ndarray) -> np.ndarray:
 #: step on the same Jacobian contracts about as much again.
 _CHORD_CUT = 100.0
 
+#: Most Newton or chord steps :func:`refine` takes before it gives up.
+_MAX_STEPS = 50
+
 
 def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
-           r: int | None = None, tol: float = 1e-13, max_iter: int = 50):
+           r: int | None = None, tol: float = 1e-13):
     """Newton-polish coefficients until the order conditions hold to ``tol``.
 
     A mirrored scheme (:func:`cp_pattern`) whose target mirrored patterns
-    can meet (:func:`_mirror_sign`) is iterated on its half-pattern with the
-    leading coefficient eliminated by the closure relation, so the mirror
-    stays exact at every iterate, and ``free_slots`` are 0-based indices into
-    the half-pattern tail, for a mirrored scheme loaded from a file too.  Any
-    other scheme is iterated on its slot coefficients, with ``free_slots``
-    indexing the slot list.  Either way the residual (:func:`_residual`) holds
-    every basis component of the product's log through degree r, but the
-    unknowns must only match the independent conditions (for a mirror, the
-    :func:`cp_condition_counts` from degree 2: its closure and the identities
-    phi(Z) = -Z hold the rest).  The Jacobian is formed by complex steps
-    (:func:`_complex_step_jacobian`): the residual chain is analytic in the
-    coefficients, so one complex evaluation per unknown gives each column to
-    round-off while the iterate stays real, and the evaluations of all the
-    unknowns take one batched pass.
+    can meet (:func:`_mirror_sign`) is iterated on its half-pattern tail, the
+    leading coefficient given by the closure and the rest by the mirror
+    (:func:`_cp_rows`), so the mirror stays exact at every iterate and
+    ``free_slots`` index the tail; any other scheme is iterated on its slot
+    coefficients, ``free_slots`` indexing the slot list.  The residual
+    (:func:`_residual`) holds every basis component of the log through
+    degree r, but the unknowns need only match the independent conditions
+    (for a mirror, the :func:`cp_condition_counts` from degree 2).
 
-    One Jacobian serves the whole solve.  It is formed at the first iterate
-    that misses ``tol`` and kept while each step cuts max|g| by at least
-    100x, the next step then being a chord step on it (Kelley 2003, *Solving
-    Nonlinear Equations with Newton's Method*, ch. 5); after a step that cuts
-    max|g| less, it is formed again at the new iterate.  A polish started
-    near a root makes the engine passes ``[1, n, 1, 1]``: one real residual
-    row, n complex-step rows, then one residual row per step.  Every step
-    counts against ``max_iter``.  With more unknowns than independent
+    The Jacobian is formed by complex steps (:func:`_complex_step_jacobian`),
+    exact to round-off, all n unknowns in one engine call.  It is formed at
+    the first iterate that misses ``tol`` and kept while each step cuts
+    max|g| by at least 100x, the next step then being a chord step on it
+    (Kelley 2003, *Solving Nonlinear Equations with Newton's Method*, ch. 5);
+    after a step that cuts max|g| less, it is formed again.  A polish started
+    near a root makes the engine passes ``[1, n, 1, 1]``.  At most
+    :data:`_MAX_STEPS` steps are taken.  With more unknowns than independent
     conditions the steps are lstsq's minimum-norm ones, and a chord step can
     end at another point of the solution manifold than full Newton would;
-    both points meet the conditions at ``tol``.
+    both meet the conditions at ``tol``.
 
-    Each residual builds its (b, s) coefficient rows as arrays, with no list
-    per column: the free values written over the unknowns, then, for a
-    mirrored scheme, the closure of every row at once and the mirror by one
-    gather (:func:`_cp_rows`), each row bit for bit what the one-row
-    expansion gives.  ``free_slots`` must not repeat an index, ``tol`` must
-    be positive and finite, and ``max_iter`` an integer of at least 1, all
-    checked before the first evaluation.  Returns the scheme with its slots
-    replaced and every other field kept; raises ``RuntimeError`` on
-    divergence or stagnation.
+    ``free_slots`` must not repeat an index and ``tol`` must be positive and
+    finite, both checked before the first evaluation.  Returns the scheme
+    with its slots replaced and every other field kept; raises
+    ``RuntimeError`` on divergence or stagnation.
     """
     from .schemes import ExponentSlot
 
     _check_tolerance("tol", tol)
-    if not isinstance(max_iter, numbers.Integral) or isinstance(max_iter, bool) or max_iter < 1:
-        raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
     if target is None:
         target = scheme.target
     if r is None:
@@ -720,7 +709,7 @@ def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
     v = x[free].copy()
     g = eval_at(v[None])[0]
     worst, J = np.max(np.abs(g)), None
-    for _ in range(max_iter):
+    for _ in range(_MAX_STEPS):
         if worst <= tol:
             break
         if not np.all(np.isfinite(g)) or worst > 1e6:
@@ -734,7 +723,7 @@ def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
         if not worst <= before / _CHORD_CUT:
             J = None  # too little contraction for a chord step: a fresh J at v
     if not worst <= tol:
-        raise RuntimeError(f"no convergence after {max_iter} iterations "
+        raise RuntimeError(f"no convergence after {_MAX_STEPS} iterations "
                            f"(residual {worst:.3e})")
 
     coefficients = rows_of(v[None])[0].tolist()
@@ -767,80 +756,75 @@ RowFamily = Callable[[np.ndarray], tuple[Sequence[Generator], TargetPolynomial, 
 #: resolves a smooth objective at its minimum.
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
+#: Points of the optimizer's uniform grid over the parameter range.
+_GRID_POINTS = 129
+
+#: Absolute term of the Brent search's stopping rule, in parameter units.
+_BRENT_TOL = 1e-10
+
+#: Largest order-condition residual a family member may show: a member whose
+#: residual exceeds it at any degree 1..r is not of order r.
+_ORDER_SLACK = 1e-8
+
 
 def optimize_free_parameter(family: RowFamily, r: int,
-                            prange: tuple[float, float], *, grid: int = 129,
-                            param_tol: float = 1e-10,
-                            order_tol: float = 1e-8) -> OptimizeResult:
+                            prange: tuple[float, float]) -> OptimizeResult:
     """Minimize the effective error of a one-parameter family of order r.
 
     ``family`` is a :data:`RowFamily`, such as
-    :func:`~commexp.schemes.third_order_rows` or
-    :func:`~commexp.schemes.aor4_rows`: the optimizer works on coefficient
-    rows and builds no scheme.  Scans a uniform grid of ``grid`` >= 2 points
-    over ``prange``, checking that every member satisfies the order
-    conditions within ``order_tol``, then runs Brent's search
-    (:func:`_brent_minimize`) on the bracket ``[xs[k-1], xs[k+1]]`` around
-    the best grid point ``xs[k]``, starting from that point and its score.
-    The search stops by Brent's rule, once the best point lies within
-    2 (sqrt(eps) |p| + ``param_tol``) of both ends of its bracket; the
-    relative term is about the smallest step over which float64 resolves E
-    at a smooth minimum.  Every member is scored by one scorer,
-    :func:`_grid_scores`: the grid from one family call, in batched passes
-    split at the engine's byte budget, and the probes, each depending on the
-    one before, as one-row calls.  The result is the best scored member,
-    ``xs[k]`` or a probe, with its own score as ``E``, and ``scored``
-    counts the members scored; no member is scored twice.  A family whose
-    objective varies below round-off is returned at the range's midpoint
-    with ``flat=True``.  ``at_edge`` is set when the best member is an end
-    point of ``prange``: the minimizer then probably lies outside the range.
-    ``r`` must lie in 1..``MAX_TRUNCATION`` - 1, ``prange`` must be a
-    finite, non-empty interval, ``grid`` an integer, and ``param_tol`` and
-    ``order_tol`` positive and finite; all are checked before the family is
-    called.  A member that fails (the family refuses its parameter, the
-    engine its coefficients, or its order check) raises ``ValueError``, and
-    the grid names the first failing member in parameter order.
+    :func:`~commexp.schemes.third_order_rows`: the optimizer works on
+    coefficient rows and builds no scheme.  Every member of a uniform grid of
+    :data:`_GRID_POINTS` points over ``prange`` must meet the order
+    conditions within :data:`_ORDER_SLACK`; Brent's search
+    (:func:`_brent_minimize`) then runs on the bracket ``[xs[k-1], xs[k+1]]``
+    around the best grid point ``xs[k]`` until that point lies within
+    2 (sqrt(eps) |p| + :data:`_BRENT_TOL`) of both bracket ends.  One scorer,
+    :func:`_grid_scores`, scores the grid in one call and each probe as a
+    one-row call.  The result is the best member scored with its own score
+    ``E``; ``scored`` counts the members scored, none twice.  A family whose
+    objective varies below round-off is returned at the range's midpoint with
+    ``flat=True``; ``at_edge`` is set when the best member is an end point of
+    ``prange``, so the minimizer probably lies outside it.  ``r`` must lie
+    in 1..``MAX_TRUNCATION`` - 1 and ``prange`` must be a finite, non-empty
+    interval, both checked before the family is called.  A member that fails
+    (the family refuses its parameter, the engine its coefficients, or its
+    order check) raises ``ValueError``, naming the first failing member of
+    the grid in parameter order.
     """
     a, b = float(prange[0]), float(prange[1])
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"the parameter range needs finite bounds, got {prange!r}")
     if not a < b:
         raise ValueError("empty parameter range")
-    if not isinstance(grid, numbers.Integral):
-        raise ValueError(f"the grid must be an integer, got {grid!r}")
-    if grid < 2:
-        raise ValueError(f"the grid needs at least 2 points, got {grid}")
     _check_order(r, r + 1)
-    _check_tolerance("param_tol", param_tol)
-    _check_tolerance("order_tol", order_tol)
 
     probes = 0
 
     def objective(p: float) -> float:
         nonlocal probes
         probes += 1
-        return _grid_scores(family, [p], r, order_tol)[0]
+        return _grid_scores(family, [p], r)[0]
 
-    xs = np.linspace(a, b, grid)
+    xs = np.linspace(a, b, _GRID_POINTS)
     try:
-        fs = _grid_scores(family, xs, r, order_tol)
+        fs = _grid_scores(family, xs, r)
     except ValueError:
         for x in xs.tolist():  # the first failing member raises, named by its parameter
             objective(x)
         raise
     if np.max(fs) - np.min(fs) <= 1e-14 * max(1.0, np.max(np.abs(fs))):
         mid = 0.5 * (a + b)
-        return OptimizeResult(mid, float(objective(mid)), True, False, grid + probes)
+        return OptimizeResult(mid, float(objective(mid)), True, False, len(xs) + probes)
 
     k = int(np.argmin(fs))
-    best, E = _brent_minimize(objective, xs[max(k - 1, 0)], xs[min(k + 1, grid - 1)],
-                              xs[k], fs[k], param_tol)
-    at_edge = k in (0, grid - 1) and best == xs[k]
-    return OptimizeResult(float(best), float(E), False, bool(at_edge), grid + probes)
+    best, E = _brent_minimize(objective, xs[max(k - 1, 0)], xs[min(k + 1, len(xs) - 1)],
+                              xs[k], fs[k])
+    at_edge = k in (0, len(xs) - 1) and best == xs[k]
+    return OptimizeResult(float(best), float(E), False, bool(at_edge), len(xs) + probes)
 
 
 def _brent_minimize(objective: Callable[[float], float], lo: float, hi: float,
-                    x: float, fx: float, param_tol: float) -> tuple[float, float]:
+                    x: float, fx: float) -> tuple[float, float]:
     """Brent's localmin (R. P. Brent, *Algorithms for Minimization without
     Derivatives*, 1973, ch. 5) of ``objective`` on [lo, hi], from the point
     x in it, whose score ``fx`` is known.
@@ -849,7 +833,7 @@ def _brent_minimize(objective: Callable[[float], float], lo: float, hi: float,
     points so far, or takes a golden-section step into the larger side of
     the bracket when that vertex falls outside it or the parabolic steps
     stop shrinking.  No probe lies closer than tol = sqrt(eps) |x| +
-    ``param_tol`` to the best point x, and the search stops once x lies
+    :data:`_BRENT_TOL` to the best point x, and the search stops once x lies
     within 2 tol of both ends of the bracket, so a unimodal objective has
     its minimizer that close to x.  Returns the best point probed, x itself
     when no probe scores lower, with its score.
@@ -860,7 +844,7 @@ def _brent_minimize(objective: Callable[[float], float], lo: float, hi: float,
     d = e = 0.0
     while True:
         mid = 0.5 * (lo + hi)
-        tol = _SQRT_EPS * abs(x) + param_tol
+        tol = _SQRT_EPS * abs(x) + _BRENT_TOL
         if abs(x - mid) <= 2.0 * tol - 0.5 * (hi - lo):
             return x, fx
         p = q = r = 0.0
@@ -902,34 +886,23 @@ def _brent_minimize(objective: Callable[[float], float], lo: float, hi: float,
                 v, fv = u, fu
 
 
-def _grid_scores(family: RowFamily, params, r: int, order_tol: float) -> np.ndarray:
-    """E of the family member at each parameter, from one family call.
-
-    The rows go to the engine in batched passes of at most
-    :func:`~commexp.liealg._rows_per_pass` rows, and each pass's coordinates
-    give its members' order check and E with no per-member report: a member
-    fails when a degree's largest residual exceeds the order check's default
-    tolerance and the largest over degrees 1..r exceeds ``order_tol``, and
-    ``ValueError`` names the first failing member by its parameter.  E is
-    the scalar power of :func:`_leading_scores`, so each equals
-    ``order_residuals(member).effective_error.E`` bit for bit.
-    """
+def _grid_scores(family: RowFamily, params, r: int) -> np.ndarray:
+    """E of the family member at each parameter, from one family call and
+    one engine call, with no per-member report: a member whose largest
+    residual over degrees 1..r exceeds :data:`_ORDER_SLACK` raises
+    ``ValueError``, naming the first one by its parameter.  E is the scalar
+    power of :func:`_leading_scores`, so each equals
+    ``order_residuals(member).effective_error.E`` bit for bit."""
     params = np.asarray(params, dtype=np.float64)
     generators, target, rows = family(params)
-    scores = np.empty(len(params))
-    step = _rows_per_pass(r + 1)
-    for lo in range(0, len(params), step):
-        vectors = _lie_rows(generators, rows[lo:lo + step], r + 1)
-        _, worst = _residuals(vectors, target, r)
-        for i in np.flatnonzero(~np.logical_and.reduce(worst <= _ORDER_TOL, axis=0)).tolist():
-            largest = max(worst[:, i].tolist())
-            if largest > order_tol:
-                raise ValueError(
-                    f"family member at parameter {params[lo + i]:.6g} violates order {r} "
-                    f"(residual {largest:.3e})"
-                )
-        scores[lo:lo + step] = _leading_scores(vectors, target, r, len(generators))[1]
-    return scores
+    vectors = _lie_rows(generators, rows, r + 1)
+    largest = np.maximum.reduce(_residuals(vectors, target, r)[1], axis=0)
+    failing = np.flatnonzero(largest > _ORDER_SLACK)
+    if len(failing):
+        i = failing[0]
+        raise ValueError(f"family member at parameter {params[i]:.6g} violates order {r} "
+                         f"(residual {largest[i]:.3e})")
+    return np.array(_leading_scores(vectors, target, r, len(generators))[1])
 
 
 # --------------------------------------------------------------------------

@@ -174,10 +174,14 @@ def _in_row(message: str, row: int, rows: int) -> str:
 
 def _check_rows(ok: np.ndarray, error) -> None:
     """Raise ``error(*index)`` at the first False entry of ``ok``, whose
-    first axis is the batch: the lowest failing row, then its first failure."""
+    first axis is the batch: the lowest failing row, then its first failure.
+    The exception carries that row as ``row``."""
     first = ok.argmin()  # 0 when every entry holds
     if not ok.flat[first]:
-        raise error(*np.unravel_index(first, ok.shape))
+        index = np.unravel_index(first, ok.shape)
+        failure = error(*index)
+        failure.row = int(index[0])
+        raise failure
 
 
 def _in_rows(table: np.ndarray, flat: np.ndarray) -> np.ndarray:
@@ -536,19 +540,9 @@ def lie_project(log, coefficients=None) -> tuple[dict[int, np.ndarray], np.ndarr
     return {j: w[0] for j, w in vectors.items()}, residual[0]
 
 
-def _lie_rows(generators, coefficients, truncation: int) -> dict[int, np.ndarray]:
-    """Basis coordinates (b, dim) per degree of the logs of b slot products.
-
-    :func:`scheme_log` then :func:`lie_project`, both through the module's
-    names: ``coefficients`` is the (b, s) array of the rows, which share the
-    generator sequence.
-    """
-    return lie_project(scheme_log(generators, coefficients, truncation), coefficients)[0]
-
-
 #: Byte budget of the largest buffer of one batched pass, the (b, N+1, size)
-#: prefixes a slot append gathers, at 16 bytes per complex entry.  Callers
-#: split longer batches (the optimizer's grid) into passes of
+#: prefixes a slot append gathers, at 16 bytes per complex entry.
+#: :func:`_lie_rows` splits longer batches into passes of
 #: :func:`_rows_per_pass` rows, so memory stays flat in the batch length.
 _BATCH_BYTES = 1 << 18
 
@@ -556,3 +550,29 @@ _BATCH_BYTES = 1 << 18
 def _rows_per_pass(truncation: int) -> int:
     """Most coefficient rows one batched pass takes within :data:`_BATCH_BYTES`."""
     return max(1, _BATCH_BYTES // (16 * (truncation + 1) << (truncation + 1)))
+
+
+def _lie_rows(generators, coefficients, truncation: int) -> dict[int, np.ndarray]:
+    """Basis coordinates (b, dim) per degree of the logs of b slot products.
+
+    :func:`scheme_log` then :func:`lie_project`, both through the module's
+    names, on the (b, s) array ``coefficients`` of rows that share the
+    generator sequence, in passes of at most :func:`_rows_per_pass` rows.
+    Each row rounds as its own one-row call, so the split changes no bit; an
+    error names the first failing row of the first failing pass by its index
+    in the batch.
+    """
+    step = _rows_per_pass(truncation)
+    if len(coefficients) <= step:
+        return lie_project(scheme_log(generators, coefficients, truncation), coefficients)[0]
+    passes = []
+    for lo in range(0, len(coefficients), step):
+        part = coefficients[lo:lo + step]
+        try:
+            passes.append(lie_project(scheme_log(generators, part, truncation), part)[0])
+        except ValueError as error:
+            if not hasattr(error, "row"):
+                raise
+            detail = str(error).removeprefix(f"row {error.row}: ")
+            raise type(error)(f"row {lo + error.row}: {detail}") from None
+    return {j: np.concatenate([w[j] for w in passes]) for j in passes[0]}

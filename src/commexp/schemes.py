@@ -16,7 +16,7 @@ import copy
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -113,20 +113,25 @@ class Scheme:
     def slot_count(self) -> int:
         return len(self.slots)
 
+    @cached_property
+    def cp_pattern(self) -> tuple[tuple | None, str | None]:
+        """:func:`~commexp.conditions.cp_pattern` of the slots, read once."""
+        return conditions.cp_pattern(self)
+
     @property
     def is_cp(self) -> bool:
-        """Whether the slots are mirrored (:func:`~commexp.conditions.cp_pattern`)."""
+        """Whether the slots are mirrored."""
         return self.cp_sign is not None
 
     @property
     def cp_half(self) -> tuple | None:
         """The mirrored pattern's first-half coefficients (None if unmirrored)."""
-        return conditions.cp_pattern(self)[0]
+        return self.cp_pattern[0]
 
     @property
     def cp_sign(self) -> str | None:
         """The mirrored pattern's sign, "positive" or "negative" (None if unmirrored)."""
-        return conditions.cp_pattern(self)[1]
+        return self.cp_pattern[1]
 
     @property
     def is_template(self) -> bool:
@@ -830,29 +835,25 @@ def _member(doc: dict, key: str, kinds, what: str, path, field: str | None = Non
     return _typed(doc[key], kinds, what, path, field)
 
 
-def _slot_problem(slot, i: int) -> str:
-    """What is wrong with the i-th slot entry of a file, which failed to parse."""
-    field = f"slots[{i}]"
-    if not isinstance(slot, dict):
-        return f"field {field!r} must be an object"
-    for key in ("generator", "coefficient"):
-        if key not in slot:
-            return f"missing field '{field}.{key}'"
-    try:
-        as_generator(slot["generator"])
-    except (TypeError, ValueError):
-        return (f"field '{field}.generator' must be \"A\" or \"B\", "
-                f"got {json.dumps(slot['generator'])[:40]}")
-    return f"field '{field}.coefficient' must be a number or [re, im]"
+def _numbers(value, kinds, what: str, path, field: str) -> list:
+    """``value`` if it is a list of one value of each of ``kinds`` in turn,
+    each checked by :func:`_typed`."""
+    _typed(value, list, what, path, field)
+    if len(value) != len(kinds):
+        _typed(value, (), what, path, field)  # the error for the whole list
+    return [_typed(x, kind, what, path, field) for x, kind in zip(value, kinds)]
 
 
 def load_scheme(path) -> Scheme:
     """Read a .scheme.json document back into a Scheme.
 
     Anything that is not a well-formed document (not JSON, a field missing or
-    of the wrong type, a generator other than A or B, an invalid target term
-    or order) raises ``ValueError`` with one line naming the file and, where
-    there is one, the field.
+    of the wrong type, a generator other than "A" or "B", an invalid target
+    term or order) raises ``ValueError`` with one line naming the file and,
+    where there is one, the field.  A target term's degree and position are
+    integers, and no term repeats one before it; a slot coefficient is a
+    number or a list ``[re, im]`` of two numbers, and a bool or a string is
+    not a number.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -863,25 +864,30 @@ def load_scheme(path) -> Scheme:
     name = _member(doc, "name", str, "a string", path)
     target_doc = _member(doc, "target", dict, "an object", path)
     target_name = _member(target_doc, "name", str, "a string", path, "target.name")
+    real, coefficient = (int, float), "a number or [re, im]"
     terms = {}
     for i, term in enumerate(_member(target_doc, "terms", list, "a list", path,
                                      "target.terms")):
-        if not (isinstance(term, list) and len(term) == 4 and all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) for x in term)):
-            raise ValueError(f"{path}: field 'target.terms[{i}]' must be "
-                             f"[degree, position, re, im]")
-        degree, pos, re, im = term
-        terms[(int(degree), int(pos))] = complex(re, im) if im else float(re)
+        field = f"target.terms[{i}]"
+        degree, pos, re, im = _numbers(term, (int, int, real, real), "[degree, position, re, "
+                                       "im] with an integer degree and position", path, field)
+        if (degree, pos) in terms:
+            raise ValueError(f"{path}: field {field!r} repeats the term ({degree}, {pos})")
+        terms[(degree, pos)] = complex(re, im) if im else float(re)
     order = _member(doc, "order", int, "an integer", path)
     family = _typed(doc.get("family", "general"), str, "a string", path, "family")
     slots = []
     for i, slot in enumerate(_member(doc, "slots", list, "a list", path)):
-        try:
-            coeff = slot["coefficient"]
-            coeff = complex(*coeff) if isinstance(coeff, list) else float(coeff)
-            slots.append((as_generator(slot["generator"]), coeff))
-        except (KeyError, TypeError, ValueError):
-            raise ValueError(f"{path}: {_slot_problem(slot, i)}") from None
+        field = f"slots[{i}]"
+        _typed(slot, dict, "an object", path, field)
+        generator = _member(slot, "generator", str, '"A" or "B"', path, f"{field}.generator")
+        if generator not in ("A", "B"):
+            _typed(generator, (), '"A" or "B"', path, f"{field}.generator")
+        field += ".coefficient"
+        coeff = _member(slot, "coefficient", (*real, list), coefficient, path, field)
+        if isinstance(coeff, list):
+            coeff = complex(*_numbers(coeff, (real, real), coefficient, path, field))
+        slots.append((Generator[generator], coeff))
     try:
         return Scheme(name=name, slots=_slots(*slots),
                       target=TargetPolynomial(target_name, terms), order=order,

@@ -192,6 +192,16 @@ _GOOD_FILE = {"name": "x", "target": {"name": "commutator", "terms": []}, "order
      "'slots[0].generator' must be"),
     ({**_GOOD_FILE, "order": 0}, "order"),
     ({**_GOOD_FILE, "slots": [{"generator": "A", "coefficient": float("nan")}]}, "finite"),
+    # what the format does not allow, which loaded as some other scheme
+    ({**_GOOD_FILE, "target": {"name": "commutator", "terms": [[2.7, 1.9, 1.0, 0.0]]}},
+     "'target.terms[0]' must be"),
+    ({**_GOOD_FILE, "slots": [{"generator": "A", "coefficient": True}]},
+     "'slots[0].coefficient' must be"),
+    ({**_GOOD_FILE, "slots": [{"generator": "A", "coefficient": "-0.48586827175664576"}]},
+     "'slots[0].coefficient' must be"),
+    ({**_GOOD_FILE, "target": {"name": "commutator",
+                               "terms": [[2, 1, 1.0, 0.0], [2, 1, 2.0, 0.0]]}},
+     "'target.terms[1]' repeats"),
 ])
 def test_verify_malformed_scheme_file_is_input_error(capsys, tmp_path, doc, field):
     path = tmp_path / "bad.scheme.json"

@@ -40,7 +40,7 @@ from commexp.conditions import (
     target_from_name,
 )
 from commexp.liealg import LIE_DIMS, MAX_TRUNCATION, Generator, lie_project, scheme_log
-from commexp import matform, schemes
+from commexp import liealg, matform, schemes
 from commexp.schemes import ExponentSlot, Scheme, catalog_get, third_order_family
 
 A, B = Generator.A, Generator.B
@@ -767,17 +767,7 @@ def test_refine_rejects_a_tolerance_that_is_not_positive_and_finite(tol, monkeyp
 
     monkeypatch.setattr(conditions, "_lie_rows", no_evaluation)
     with pytest.raises(ValueError, match="tol must be positive and finite"):
-        refine(catalog_get("NCP10_4"), tol=tol, max_iter=1)
-
-
-@pytest.mark.parametrize("max_iter", [2.5, 0, -1, True, "3", None])
-def test_refine_rejects_a_max_iter_that_is_not_a_positive_integer(max_iter, monkeypatch):
-    def no_evaluation(*args):
-        raise AssertionError("evaluated before max_iter was checked")
-
-    monkeypatch.setattr(conditions, "_lie_rows", no_evaluation)
-    with pytest.raises(ValueError, match="max_iter must be an integer of at least 1"):
-        refine(_bumped_ncp10_4(), max_iter=max_iter)
+        refine(catalog_get("NCP10_4"), tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -792,13 +782,6 @@ def _unevaluated_family(params):
 def test_optimize_rejects_empty_range():
     with pytest.raises(ValueError, match="^empty parameter range$"):
         optimize_free_parameter(_unevaluated_family, 3, (1.0, 1.0))
-
-
-@pytest.mark.parametrize("grid", [1, 0, -3, np.int64(1)])
-def test_optimize_rejects_a_grid_of_fewer_than_two_points(grid):
-    # one sample cannot show whether the objective is flat
-    with pytest.raises(ValueError, match="at least 2 points"):
-        optimize_free_parameter(_unevaluated_family, 3, (0.6, 1.0), grid=grid)
 
 
 @pytest.mark.parametrize("r,message", [
@@ -818,22 +801,6 @@ def test_optimize_rejects_a_range_that_is_not_finite(prange):
         optimize_free_parameter(_unevaluated_family, 3, prange)
 
 
-@pytest.mark.parametrize("grid", [2.5, 129.0, "129", None])
-def test_optimize_rejects_a_grid_that_is_not_an_integer(grid):
-    with pytest.raises(ValueError, match="grid must be an integer"):
-        optimize_free_parameter(_unevaluated_family, 3, (0.6, 1.0), grid=grid)
-
-
-@pytest.mark.parametrize("keyword", ["param_tol", "order_tol"])
-@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
-def test_optimize_rejects_a_tolerance_that_is_not_positive_and_finite(keyword, value):
-    def family(p):
-        raise AssertionError("evaluated before the tolerance was checked")
-
-    with pytest.raises(ValueError, match=f"{keyword} must be positive and finite"):
-        optimize_free_parameter(family, 3, (0.6, 1.0), **{keyword: value})
-
-
 def _member_E(member, r):
     return order_residuals(member, member.target, r).effective_error.E
 
@@ -846,10 +813,10 @@ def test_optimize_grid_pass_scores_each_member_as_its_probe():
     for rows, member, r, prange in ((schemes.third_order_rows, third_order_family, 3, (0.4, 1.2)),
                                     (schemes.aor4_rows, schemes.aor4, 4, (0.1, 0.6))):
         xs = np.linspace(*prange, 129)
-        assert _grid_scores(rows, xs, r, 1e-8).tolist() == [_member_E(member(p), r) for p in xs]
+        assert _grid_scores(rows, xs, r).tolist() == [_member_E(member(p), r) for p in xs]
 
 
-def test_optimize_scores_rows_with_a_zero_coefficient_slot():
+def test_optimize_scores_rows_with_a_zero_coefficient_slot(monkeypatch):
     # a leading exp(0 A) is the same product on a seven-slot sequence: E
     # counts the seven slots, as the member's own order check does, and the
     # minimizer stays where it is
@@ -864,8 +831,9 @@ def test_optimize_scores_rows_with_a_zero_coefficient_slot():
         return dataclasses.replace(base, slots=(ExponentSlot(A, 0.0), *base.slots))
 
     xs = np.linspace(0.6, 1.0, 17)
-    assert _grid_scores(family, xs, 3, 1e-8).tolist() == [_member_E(member(p), 3) for p in xs]
-    result = optimize_free_parameter(family, 3, (0.6, 1.0), grid=17)
+    assert _grid_scores(family, xs, 3).tolist() == [_member_E(member(p), 3) for p in xs]
+    monkeypatch.setattr(conditions, "_GRID_POINTS", 17)
+    result = optimize_free_parameter(family, 3, (0.6, 1.0))
     assert result.param == pytest.approx(math.sqrt(2.0 / (math.sqrt(5.0) + 1.0)), abs=1e-7)
     assert result.E == _member_E(member(result.param), 3)
 
@@ -887,14 +855,15 @@ def test_optimize_reports_a_parameter_the_family_refuses(rows, prange, message):
         optimize_free_parameter(rows, 3, prange)
 
 
-def test_optimize_flat_family_detected():
+def test_optimize_flat_family_detected(monkeypatch):
     fixed = catalog_get("NCP6_3")
     generators, row = zip(*fixed.pairs())
 
     def family(params):
         return generators, fixed.target, np.tile(row, (len(params), 1))
 
-    result = optimize_free_parameter(family, 3, (0.0, 1.0), grid=17)
+    monkeypatch.setattr(conditions, "_GRID_POINTS", 17)
+    result = optimize_free_parameter(family, 3, (0.0, 1.0))
     assert result.flat
     assert result.E == pytest.approx(effective_error(fixed).E)
     assert result.scored == 17 + 1  # the grid and the midpoint
@@ -907,12 +876,13 @@ def test_optimize_locates_family_minimum():
                                          abs=1e-7)
 
 
-def test_optimize_flags_minimum_at_range_edge():
+def test_optimize_flags_minimum_at_range_edge(monkeypatch):
     # E of aor4 falls towards d2* = 0.302, below the range's lower end
-    result = optimize_free_parameter(schemes.aor4_rows, 4, (0.5, 2.0), grid=17)
+    monkeypatch.setattr(conditions, "_GRID_POINTS", 17)
+    result = optimize_free_parameter(schemes.aor4_rows, 4, (0.5, 2.0))
     assert result.at_edge
     assert result.param == pytest.approx(0.5, abs=1e-10)
-    inside = optimize_free_parameter(schemes.aor4_rows, 4, (0.1, 0.6), grid=17)
+    inside = optimize_free_parameter(schemes.aor4_rows, 4, (0.1, 0.6))
     assert not inside.at_edge
     assert inside.param == pytest.approx(schemes.AOR4_OPTIMAL_D2, abs=1e-7)
 
@@ -982,7 +952,7 @@ def test_brent_search_against_the_golden_section_reference(m, negative, a, quart
 
     x0 = 0.5 * (lo + hi)
     # the start point counts as a probe here, where no grid scored it
-    x, fx = _brent_minimize(objective, lo, hi, x0, objective(x0), 1e-10)
+    x, fx = _brent_minimize(objective, lo, hi, x0, objective(x0))
     brent_probes = probes
     _, ref_fx, ref_probes = _golden_section(objective, lo, hi, 1e-10)
     assert lo <= x <= hi
@@ -1034,21 +1004,44 @@ def test_optimize_edge_minimum_builds_no_more_members_than_golden_section():
     xs = np.linspace(0.5, 2.0, 129)
 
     def objective(p):
-        return _grid_scores(schemes.aor4_rows, [p], 4, 1e-8)[0]
+        return _grid_scores(schemes.aor4_rows, [p], 4)[0]
 
     _, _, golden_probes = _golden_section(objective, xs[0], xs[1], 1e-10)
     assert result.scored <= 129 + golden_probes
     assert result.E == objective(0.5) == _member_E(schemes.aor4(0.5), 4)
 
 
-def test_optimize_propagates_order_violations():
+def test_optimize_propagates_order_violations(monkeypatch):
     def family(params):
         # claimed order 3 but genuinely order 2: conditions cannot hold
         p = np.asarray(params)
         return (A, B, A), commutator_target(), np.column_stack([p, np.ones_like(p), -p])
 
+    monkeypatch.setattr(conditions, "_GRID_POINTS", 9)
     with pytest.raises(ValueError, match="^family member at parameter 0.5 violates order 3"):
-        optimize_free_parameter(family, 3, (0.5, 1.5), grid=9)
+        optimize_free_parameter(family, 3, (0.5, 1.5))
+
+
+@pytest.mark.parametrize("shift,fails", [(3e-10, False), (3e-9, False), (2e-8, True),
+                                         (1e-6, True)])
+def test_optimize_holds_every_member_to_the_order_slack(shift, fails):
+    # the first slot moved by `shift` leaves a degree-1 residual of `shift`:
+    # a member passes at any residual up to 1e-8, past the order check's
+    # own 1e-10, and fails above it, whatever the degree
+    from commexp.conditions import _grid_scores
+
+    def family(params):
+        generators, target, rows = schemes.third_order_rows(params)
+        rows[:, 0] += shift
+        return generators, target, rows
+
+    xs = np.linspace(0.6, 1.0, 5)
+    if fails:
+        with pytest.raises(ValueError, match=r"^family member at parameter 0.6 violates order 3 "
+                                             rf"\(residual {shift:.3e}\)$"):
+            _grid_scores(family, xs, 3)
+    else:
+        assert np.all(np.isfinite(_grid_scores(family, xs, 3)))
 
 
 def _engine_passes(monkeypatch):
@@ -1073,8 +1066,16 @@ def _engine_passes(monkeypatch):
 def test_optimize_makes_the_engine_passes_it_made_on_schemes(monkeypatch, rows, prange, r,
                                                              grid_passes, probes):
     # the counts the Scheme-per-member optimizer made: the grid in passes of
-    # _rows_per_pass rows, then one-row probes; and no slot object is built
-    passes = _engine_passes(monkeypatch)
+    # _rows_per_pass rows, which _lie_rows now splits itself, then one-row
+    # probes; and no slot object is built
+    passes = []
+    engine = liealg.scheme_log
+
+    def spy(generators, rows, truncation):
+        passes.append((len(rows), rows.shape[1], truncation, rows.dtype.kind))
+        return engine(generators, rows, truncation)
+
+    monkeypatch.setattr(liealg, "scheme_log", spy)
     slots = []
     monkeypatch.setattr(ExponentSlot, "__post_init__", lambda slot: slots.append(slot))
     result = optimize_free_parameter(rows, r, prange)
@@ -1118,11 +1119,13 @@ def test_refine_makes_the_engine_passes_it_made_on_column_lists(monkeypatch, sta
     assert passes == expected
 
 
-def test_refine_counts_a_chord_step_as_an_iteration():
+def test_refine_counts_a_chord_step_as_an_iteration(monkeypatch):
     # the bumped NCP10_4 takes a Newton step, then a chord step on its J
-    refine(_bumped_ncp10_4(), max_iter=2)
+    monkeypatch.setattr(conditions, "_MAX_STEPS", 2)
+    refine(_bumped_ncp10_4())
+    monkeypatch.setattr(conditions, "_MAX_STEPS", 1)
     with pytest.raises(RuntimeError, match="no convergence after 1 iterations"):
-        refine(_bumped_ncp10_4(), max_iter=1)
+        refine(_bumped_ncp10_4())
 
 
 def test_refine_reports_a_last_residual_that_is_not_a_number(monkeypatch):
@@ -1140,8 +1143,9 @@ def test_refine_reports_a_last_residual_that_is_not_a_number(monkeypatch):
         return vectors
 
     monkeypatch.setattr(conditions, "_lie_rows", nan_after_the_first_step)
+    monkeypatch.setattr(conditions, "_MAX_STEPS", 1)
     with pytest.raises(RuntimeError, match=r"no convergence after 1 iterations \(residual nan\)"):
-        refine(_bumped_ncp10_4(), max_iter=1)
+        refine(_bumped_ncp10_4())
 
 
 def _full_newton(scheme, tol=1e-13, max_iter=50):

@@ -6,11 +6,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import series_oracle as oracle
 from series_oracle import TruncatedSeries, Word, exp_slot, series_exp
+from commexp import liealg
 from commexp.liealg import (
     LIE_DIMS,
     LOG_ROUND_OFF,
@@ -19,6 +20,7 @@ from commexp.liealg import (
     Generator,
     LieMembershipError,
     _lie_rows,
+    _rows_per_pass,
     _slot_product,
     basis_build,
     lie_project,
@@ -553,6 +555,55 @@ def test_batch_names_the_row_whose_log_is_too_large():
     rows = np.array([[0.3, 0.2, -0.7], [0.3, 1e60, -0.7], [0.3, 1e60, -0.7]])
     with pytest.raises(ValueError, match=r"^row 1: log of the slot product .*limit"):
         _lie_rows([B, A, B], rows, 4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(truncation=st.integers(2, MAX_TRUNCATION),
+       generators=st.lists(st.sampled_from([A, B]), min_size=1, max_size=6),
+       passes=st.integers(1, 3), fill=st.floats(0.0, 1.0),
+       complex_rows=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(truncation=2, generators=[B, A, B], passes=3, fill=1.0, complex_rows=True, seed=1)
+@example(truncation=7, generators=[A, B], passes=2, fill=0.0, complex_rows=False, seed=2)
+def test_lie_rows_splits_a_long_batch_into_passes_bit_for_bit(truncation, generators, passes,
+                                                              fill, complex_rows, seed):
+    # b rows, the last of `passes` passes holding 1 to step of them:
+    # ceil(b / step) scheme_log calls of step rows (the last shorter), and
+    # every coordinate as the row's own call gives it
+    step = _rows_per_pass(truncation)
+    b = (passes - 1) * step + 1 + int(fill * (step - 1))
+    rng = np.random.default_rng(seed)
+    rows = rng.uniform(-1.0, 1.0, (b, len(generators)))
+    if complex_rows:
+        rows = rows + 1j * rng.uniform(-1.0, 1.0, rows.shape)
+    calls = []
+    engine = liealg.scheme_log
+
+    def spy(generators, coefficients, truncation):
+        calls.append(len(coefficients))
+        return engine(generators, coefficients, truncation)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(liealg, "scheme_log", spy)
+        batched = _lie_rows(generators, rows, truncation)
+    assert calls == [min(step, b - lo) for lo in range(0, b, step)]
+    ones = [_lie_rows(generators, row[None], truncation) for row in rows]
+    for j, w in batched.items():
+        expected = np.concatenate([one[j] for one in ones])
+        assert w.dtype == expected.dtype and w.shape == (b, LIE_DIMS[j - 1])
+        assert w.tobytes() == expected.tobytes()
+
+
+def test_lie_rows_names_a_failing_row_by_its_index_in_the_whole_batch():
+    # the failing row sits in a later pass, of several rows or of one
+    step = _rows_per_pass(7)
+    rows = np.full((2 * step + 1, 3), 0.1)
+    rows[step + 2, 1] = 1e200
+    with pytest.raises(ValueError, match=rf"^row {step + 2}: slot 1 coefficient 1e\+200 has"):
+        _lie_rows([B, A, B], rows, 7)
+    rows[step + 2, 1] = 0.1
+    rows[2 * step, 0] = math.nan
+    with pytest.raises(ValueError, match=rf"^row {2 * step}: slot 0 coefficient nan has"):
+        _lie_rows([B, A, B], rows, 7)
 
 
 @settings(max_examples=40, deadline=None)

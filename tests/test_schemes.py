@@ -1,6 +1,7 @@
 """Tests for the composition catalog, parametrized families, and transforms."""
 
 import dataclasses
+import json
 import math
 import random
 
@@ -827,6 +828,29 @@ def test_load_keeps_unknown_target_name(tmp_path):
     assert loaded.target.terms == {(2, 1): 0.25}
 
 
+@pytest.mark.parametrize("name", ["NCP10_4", "PCP26_6", "strang"])
+def test_scheme_reads_its_mirror_pattern_from_the_slots_once(name, monkeypatch):
+    from commexp import conditions
+
+    calls = []
+    pattern = conditions.cp_pattern
+
+    def spy(scheme):
+        calls.append(scheme.name)
+        return pattern(scheme)
+
+    monkeypatch.setattr(conditions, "cp_pattern", spy)
+    base = catalog_get(name)
+    scheme = dataclasses.replace(base, slots=base.slots)  # a fresh instance
+    for _ in range(2):
+        assert (scheme.is_cp, scheme.cp_half, scheme.cp_sign) == (
+            pattern(base)[1] is not None, *pattern(base))
+    assert calls == [name]
+    # a replaced scheme reads its own slots
+    flipped = dataclasses.replace(scheme, slots=scheme.slots[::-1])
+    assert flipped.cp_pattern == pattern(flipped) and calls == [name, name]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=2, max_size=7),
        st.sampled_from(["positive", "negative"]))
@@ -884,6 +908,39 @@ def test_load_prefers_literal_terms_on_mismatch(tmp_path):
     save_scheme(scheme, path)
     loaded = load_scheme(path)
     assert loaded.target.terms == {(2, 1): 2.0}
+
+
+_SAVED = {"name": "x", "order": 2,
+          "target": {"name": "commutator", "terms": [[2, 1, 1.0, 0.0]]},
+          "slots": [{"generator": "A", "coefficient": 1.0},
+                    {"generator": "B", "coefficient": -0.48586827175664576}]}
+
+
+@pytest.mark.parametrize("change,field,message", [
+    # a fractional index was truncated: this loaded as the term (2, 1)
+    ({"target": {"name": "commutator", "terms": [[2.7, 1.9, 1.0, 0.0]]}},
+     "target.terms[0]", "with an integer degree and position"),
+    # a bool was read as the coefficient 1.0
+    ({"slots": [{"generator": "A", "coefficient": True}]},
+     "slots[0].coefficient", "must be a number or [re, im]"),
+    # a string was parsed as a float
+    ({"slots": [{"generator": "A", "coefficient": 1.0},
+                {"generator": "B", "coefficient": "-0.48586827175664576"}]},
+     "slots[1].coefficient", "must be a number or [re, im]"),
+    # a repeated term replaced the one before it
+    ({"target": {"name": "commutator", "terms": [[2, 1, 1.0, 0.0], [2, 1, 2.0, 0.0]]}},
+     "target.terms[1]", "repeats the term (2, 1)"),
+], ids=["fractional-index", "bool-coefficient", "string-coefficient", "repeated-term"])
+def test_load_refuses_what_the_format_does_not_allow(tmp_path, change, field, message):
+    path = tmp_path / "bad.scheme.json"
+    path.write_text(json.dumps({**_SAVED, **change}), encoding="utf-8")
+    with pytest.raises(ValueError) as error:
+        load_scheme(path)
+    assert str(error.value).startswith(f"{path}: field '{field}' ")
+    assert message in str(error.value)
+    # the document it was changed from loads
+    path.write_text(json.dumps(_SAVED), encoding="utf-8")
+    assert load_scheme(path).target.terms == {(2, 1): 1.0}
 
 
 @pytest.mark.parametrize("name", ["NCP10_4", "strang", "aor4_opt", "PCP6_3_imaginary"])
