@@ -503,11 +503,8 @@ def _mirror_relation(s: int, degree: int) -> np.ndarray:
     for i in range(len(relation)):
         if np.linalg.matrix_rank(relation[lefts + [i]]) > len(lefts):
             lefts.append(i)
-    kept = np.arange(len(lefts))
-    sides = np.zeros((2, len(lefts), len(relation)))
-    sides[0, kept, lefts] = 1.0
-    sides[1] = -relation[lefts] / relation[lefts, lefts][:, None]
-    sides[1, kept, lefts] = 0.0
+    select = np.eye(len(relation))[lefts]
+    sides = np.stack([select, select - relation[lefts] / relation[lefts, lefts][:, None]])
     sides.flags.writeable = False  # shared by every caller through the cache
     return sides
 

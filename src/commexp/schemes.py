@@ -881,7 +881,7 @@ def load_scheme(path) -> Scheme:
         field = f"slots[{i}]"
         _typed(slot, dict, "an object", path, field)
         generator = _member(slot, "generator", str, '"A" or "B"', path, f"{field}.generator")
-        if generator not in ("A", "B"):
+        if generator not in ("A", "B"):  # a string, but not a generator's name
             _typed(generator, (), '"A" or "B"', path, f"{field}.generator")
         field += ".coefficient"
         coeff = _member(slot, "coefficient", (*real, list), coefficient, path, field)
