@@ -62,6 +62,18 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 
+def _finite_complex(value, what: str) -> complex:
+    """``value`` as a complex; ``ValueError`` naming ``what`` unless finite,
+    as an int beyond the largest float is not."""
+    try:
+        c = complex(value)
+    except OverflowError:
+        c = complex(math.inf)
+    if not np.isfinite(c):
+        raise ValueError(f"{what} must be finite")
+    return c
+
+
 @dataclass(frozen=True)
 class TargetPolynomial:
     """A Lie polynomial the composition should reproduce in its exponent.
@@ -84,8 +96,7 @@ class TargetPolynomial:
                 raise ValueError(f"target degree {degree} outside basis range")
             if not 1 <= position <= LIE_DIMS[degree - 1]:
                 raise ValueError(f"position {position} invalid at degree {degree}")
-            if not np.isfinite(complex(value)):
-                raise ValueError("target coefficients must be finite")
+            _finite_complex(value, "target coefficients")
 
     def coefficient(self, degree: int, position: int) -> complex:
         return self.terms.get((degree, position), 0.0)
@@ -497,7 +508,9 @@ def _mirror_relation(s: int, degree: int) -> np.ndarray:
     (2, k, dim) array whose product with the coordinates w gives both sides,
     w(left) and the sum of factor * w(right): each is a row of phi + I kept
     when independent of the rows kept before it, and solved for its diagonal
-    entry (nonzero on every kept row through degree 7).  Cached; read-only."""
+    entry (nonzero on every kept row through degree 7).  The one form of the
+    mirror identities, k the count :func:`cp_condition_counts` reads.  Cached;
+    read-only."""
     relation = _mirror_map(s, degree) + np.eye(LIE_DIMS[degree - 1])
     lefts = []
     for i in range(len(relation)):
@@ -509,24 +522,13 @@ def _mirror_relation(s: int, degree: int) -> np.ndarray:
     return sides
 
 
-@lru_cache(maxsize=None)
-def _mirror_identities(s: int, degree: int) -> tuple[tuple[int, tuple], ...]:
-    """The identities of :func:`_mirror_relation`, each ``(left, ((right,
-    factor), ...))``, read w(j, left) = sum of factor * w(j, right) with
-    1-based positions.  Cached."""
-    return tuple((int(pick.argmax()) + 1,
-                  tuple((j + 1, float(row[j])) for j in np.flatnonzero(row)))
-                 for pick, row in zip(*_mirror_relation(s, degree)))
-
-
 def cp_identities(scheme, sign=None, tol: float = 1e-10) -> list[IdentityCheck]:
     """Evaluate the ten mirror-symmetry identities through degree 6.
 
-    ``sign`` defaults to the scheme's counter-palindromic sign.  The
-    identities are those phi(Z) = -Z imposes on a mirrored pattern's log Z
-    (:func:`_mirror_identities`).  Each check compares w_{j,l} against its
-    predicted linear combination at tolerance ``tol`` (scaled by the
-    magnitudes involved); ``tol`` must be positive and finite.
+    ``sign`` defaults to the scheme's counter-palindromic sign.  Both sides
+    of a degree's identities are one product with :func:`_mirror_relation`,
+    each identity described by its nonzero entries and checked at ``tol``
+    scaled by the sides' magnitudes; ``tol`` must be positive and finite.
     """
     _check_tolerance("tol", tol)
     if sign is None:
@@ -534,21 +536,12 @@ def cp_identities(scheme, sign=None, tol: float = 1e-10) -> list[IdentityCheck]:
         if sign is None:
             raise ValueError("scheme carries no counter-palindromic sign; pass one")
     vectors = _lie_rows(*_slot_row(slot_pairs(scheme)), _CP_IDENTITY_DEGREE)
-    return _identity_checks(lambda degree, position: vectors[degree][0, position - 1].item(),
-                            _cp_sign(sign), range(1, _CP_IDENTITY_DEGREE + 1), tol)
-
-
-def _identity_checks(w, s: int, degrees, tol: float) -> list[IdentityCheck]:
-    """The mirror identities of sign ``s`` at ``degrees`` on the coefficients
-    ``w(degree, position)``, each described and checked at ``tol``, scaled
-    by the magnitudes of its two sides."""
     results = []
-    for degree in degrees:
-        for left, combo in _mirror_identities(s, degree):
-            lhs = w(degree, left)
-            rhs = sum(factor * w(degree, right) for right, factor in combo)
-            pieces = " ".join(f"{factor:+g}*w({degree},{right})" for right, factor in combo)
-            results.append(IdentityCheck(f"w({degree},{left}) = {pieces}", lhs, rhs,
+    for degree in range(1, _CP_IDENTITY_DEGREE + 1):
+        sides = _mirror_relation(_cp_sign(sign), degree)
+        for pick, row, lhs, rhs in zip(*sides, *(sides @ vectors[degree][0]).tolist()):
+            pieces = " ".join(f"{row[j]:+g}*w({degree},{j + 1})" for j in np.flatnonzero(row))
+            results.append(IdentityCheck(f"w({degree},{pick.argmax() + 1}) = {pieces}", lhs, rhs,
                                          abs(lhs - rhs) <= tol * max(1.0, abs(lhs), abs(rhs))))
     return results
 
@@ -556,13 +549,13 @@ def _identity_checks(w, s: int, degrees, tol: float) -> list[IdentityCheck]:
 def cp_condition_counts(sign, r: int = 6) -> dict[int, int]:
     """Independent order conditions per degree for the mirrored pattern.
 
-    The basis dimension less the number of independent identities phi(Z) = -Z
-    imposes at that degree; the per-degree numbers (and their cumulative
-    sums) are what a solver actually has to satisfy.
+    The basis dimension less the k identities :func:`_mirror_relation` holds
+    at that degree; the per-degree numbers (and their cumulative sums) are
+    what a solver actually has to satisfy.
     """
     _check_order(r, r)
     s = _cp_sign(sign)
-    return {d: LIE_DIMS[d - 1] - len(_mirror_identities(s, d)) for d in range(1, r + 1)}
+    return {d: LIE_DIMS[d - 1] - _mirror_relation(s, d).shape[1] for d in range(1, r + 1)}
 
 
 # --------------------------------------------------------------------------
@@ -783,10 +776,9 @@ def optimize_free_parameter(family: RowFamily, r: int,
     ``flat=True``; ``at_edge`` is set when the best member is an end point of
     ``prange``, so the minimizer probably lies outside it.  ``r`` must lie
     in 1..``MAX_TRUNCATION`` - 1 and ``prange`` must be a finite, non-empty
-    interval, both checked before the family is called.  A member that fails
-    (the family refuses its parameter, the engine its coefficients, or its
-    order check) raises ``ValueError``, naming the first failing member of
-    the grid in parameter order.
+    interval, both checked before the family is called.  A failing grid
+    raises the ``ValueError`` of its one pass: the family's, or
+    :func:`_grid_scores`' naming the first failing member by its parameter.
     """
     a, b = float(prange[0]), float(prange[1])
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -803,12 +795,7 @@ def optimize_free_parameter(family: RowFamily, r: int,
         return _grid_scores(family, [p], r)[0]
 
     xs = np.linspace(a, b, _GRID_POINTS)
-    try:
-        fs = _grid_scores(family, xs, r)
-    except ValueError:
-        for x in xs.tolist():  # the first failing member raises, named by its parameter
-            objective(x)
-        raise
+    fs = _grid_scores(family, xs, r)
     if np.max(fs) - np.min(fs) <= 1e-14 * max(1.0, np.max(np.abs(fs))):
         mid = 0.5 * (a + b)
         return OptimizeResult(mid, float(objective(mid)), True, False, len(xs) + probes)
@@ -885,14 +872,21 @@ def _brent_minimize(objective: Callable[[float], float], lo: float, hi: float,
 
 def _grid_scores(family: RowFamily, params, r: int) -> np.ndarray:
     """E of the family member at each parameter, from one family call and
-    one engine call, with no per-member report: a member whose largest
-    residual over degrees 1..r exceeds :data:`_ORDER_SLACK` raises
-    ``ValueError``, naming the first one by its parameter.  E is the scalar
-    power of :func:`_leading_scores`, so each equals
-    ``order_residuals(member).effective_error.E`` bit for bit."""
+    one engine call, with no per-member report.  ``ValueError`` names the
+    first member the engine refuses (the ``row`` of its error), else the first
+    whose residual over degrees 1..r exceeds :data:`_ORDER_SLACK`, as
+    ``family member at parameter p: ...``.  E is the scalar power of
+    :func:`_leading_scores`, equal to ``order_residuals(member).effective_error.E``
+    bit for bit."""
     params = np.asarray(params, dtype=np.float64)
     generators, target, rows = family(params)
-    vectors = _lie_rows(generators, rows, r + 1)
+    try:
+        vectors = _lie_rows(generators, rows, r + 1)
+    except ValueError as error:
+        if not hasattr(error, "row"):
+            raise
+        detail = str(error).removeprefix(f"row {error.row}: ")
+        raise ValueError(f"family member at parameter {params[error.row]:.6g}: {detail}") from None
     largest = np.maximum.reduce(_residuals(vectors, target, r)[1], axis=0)
     failing = np.flatnonzero(largest > _ORDER_SLACK)
     if len(failing):

@@ -560,7 +560,7 @@ def _lie_rows(generators, coefficients, truncation: int) -> dict[int, np.ndarray
     generator sequence, in passes of at most :func:`_rows_per_pass` rows.
     Each row rounds as its own one-row call, so the split changes no bit; an
     error names the first failing row of the first failing pass by its index
-    in the batch.
+    in the batch, in its message and its ``row``.
     """
     step = _rows_per_pass(truncation)
     if len(coefficients) <= step:
@@ -574,5 +574,7 @@ def _lie_rows(generators, coefficients, truncation: int) -> dict[int, np.ndarray
             if not hasattr(error, "row"):
                 raise
             detail = str(error).removeprefix(f"row {error.row}: ")
-            raise type(error)(f"row {lo + error.row}: {detail}") from None
+            error.row += lo
+            error.args = (f"row {error.row}: {detail}",)
+            raise
     return {j: np.concatenate([w[j] for w in passes]) for j in passes[0]}

@@ -15,6 +15,7 @@ import cmath
 import copy
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -25,6 +26,7 @@ import numpy as np
 from . import conditions
 from .conditions import (
     TargetPolynomial,
+    _finite_complex,
     combined_target,
     commutator_target,
     cp_expand,
@@ -74,9 +76,7 @@ class ExponentSlot:
     def __post_init__(self):
         if self.generator != ABSTRACT:
             object.__setattr__(self, "generator", as_generator(self.generator))
-        c = complex(self.coefficient)
-        if not cmath.isfinite(c):
-            raise ValueError("slot coefficient must be finite")
+        c = _finite_complex(self.coefficient, "slot coefficient")
         object.__setattr__(self, "coefficient", c if c.imag != 0.0 else c.real)
 
     @property
@@ -820,10 +820,13 @@ def save_scheme(scheme: Scheme, path) -> None:
 
 def _typed(value, kinds, what: str, path, field: str):
     """``value`` if it is one of ``kinds`` (bools are not numbers), else a
-    ValueError naming the file and the field."""
+    ValueError naming the file and the field; so is an int beyond the largest
+    float where ``kinds`` take a float."""
     if isinstance(value, bool) or not isinstance(value, kinds):
         raise ValueError(f"{path}: field {field!r} must be {what}, "
                          f"got {json.dumps(value)[:40]}")
+    if isinstance(value, int) and isinstance(0.0, kinds) and abs(value) > sys.float_info.max:
+        raise ValueError(f"{path}: field {field!r} holds an integer beyond the largest float")
     return value
 
 

@@ -202,6 +202,8 @@ _GOOD_FILE = {"name": "x", "target": {"name": "commutator", "terms": []}, "order
     ({**_GOOD_FILE, "target": {"name": "commutator",
                                "terms": [[2, 1, 1.0, 0.0], [2, 1, 2.0, 0.0]]}},
      "'target.terms[1]' repeats"),
+    ({**_GOOD_FILE, "slots": [{"generator": "A", "coefficient": 10 ** 400}]},
+     "'slots[0].coefficient' holds an integer beyond the largest float"),
 ])
 def test_verify_malformed_scheme_file_is_input_error(capsys, tmp_path, doc, field):
     path = tmp_path / "bad.scheme.json"

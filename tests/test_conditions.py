@@ -17,9 +17,8 @@ from commexp.conditions import (
     EffectiveError,
     TargetPolynomial,
     _complex_step_jacobian,
-    _identity_checks,
-    _mirror_identities,
     _mirror_map,
+    _mirror_relation,
     _mirror_sign,
     _residual,
     combined_target,
@@ -269,9 +268,32 @@ def test_order_residuals_and_effective_error_match_the_engine_boundary(slots, r,
        st.sampled_from(["positive", "negative"]))
 def test_cp_identities_match_the_engine_boundary(slots, sign):
     ref = _reference_log(slots, 6)
-    expected = _identity_checks(lambda degree, position: ref[degree][position - 1].item(),
-                                1 if sign == "positive" else -1, range(1, 7), 1e-10)
+    expected = []
+    for degree in range(1, 7):
+        sides = _mirror_relation(1 if sign == "positive" else -1, degree)
+        for pick, row, lhs, rhs in zip(*sides, *(sides @ ref[degree]).tolist()):
+            left = np.flatnonzero(pick).item() + 1
+            pieces = " ".join(f"{row[j]:+g}*w({degree},{j + 1})" for j in np.flatnonzero(row))
+            expected.append((f"w({degree},{left}) = {pieces}", lhs, rhs,
+                             abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs), abs(rhs))))
     assert cp_identities(slots, sign) == expected
+
+
+@pytest.mark.parametrize("name,expected", [
+    ("PCP12_4", ["w(1,1) = +1*w(1,2)", "w(3,1) = -1*w(3,2)", "w(4,1) = -1*w(4,3)",
+                 "w(5,1) = +1*w(5,6)", "w(5,2) = +1*w(5,5)", "w(5,3) = -1*w(5,4)",
+                 "w(6,1) = -1*w(6,9)", "w(6,2) = -1*w(6,8)", "w(6,3) = -1*w(6,7)",
+                 "w(6,5) = +0.333333*w(6,4) -1*w(6,6)"]),
+    ("NCP10_4", ["w(1,1) = -1*w(1,2)", "w(3,1) = +1*w(3,2)", "w(4,1) = -1*w(4,3)",
+                 "w(5,1) = -1*w(5,6)", "w(5,2) = -1*w(5,5)", "w(5,3) = +1*w(5,4)",
+                 "w(6,1) = -1*w(6,9)", "w(6,2) = -1*w(6,8)", "w(6,3) = -1*w(6,7)",
+                 "w(6,5) = +0.333333*w(6,4) -1*w(6,6)"]),
+])
+def test_cp_identities_describe_each_identity_by_its_positions(name, expected):
+    # one positive and one negative catalog scheme, every identity met
+    checks = cp_identities(catalog_get(name))
+    assert [c.description for c in checks] == expected
+    assert all(c.satisfied for c in checks)
 
 
 # ---------------------------------------------------------------------------
@@ -491,16 +513,9 @@ PAPER_IDENTITIES = [
 ]
 
 
-def _identity_rows(identities, degree):
-    """The derived identities at one degree as rows r with r . w = 0."""
-    rows = []
-    for left, combo in identities:
-        row = np.zeros(LIE_DIMS[degree - 1])
-        row[left - 1] = 1.0
-        for right, factor in combo:
-            row[right - 1] -= factor
-        rows.append(row)
-    return np.array(rows).reshape(-1, LIE_DIMS[degree - 1])
+def _identity_rows(sides):
+    """The identities of a degree's :func:`_mirror_relation` as rows r with r . w = 0."""
+    return sides[0] - sides[1]
 
 
 @pytest.mark.parametrize("sign", ["positive", "negative"])
@@ -511,7 +526,7 @@ def test_paper_identities_lie_in_the_derived_row_space(sign):
         paper[left - 1] = 1.0
         for right, fpos, fneg in combo:
             paper[right - 1] -= fpos if s > 0 else fneg
-        derived = _identity_rows(_mirror_identities(s, degree), degree)
+        derived = _identity_rows(_mirror_relation(s, degree))
         coefficients, *_ = np.linalg.lstsq(derived.T, paper, rcond=None)
         assert np.max(np.abs(derived.T @ coefficients - paper)) <= 1e-12
 
@@ -536,11 +551,11 @@ def test_mirror_identities_solve_for_their_own_position(sign):
     # so no two identities at one degree share a left-hand side
     s = 1 if sign == "positive" else -1
     for degree in range(1, MAX_TRUNCATION + 1):
-        identities = _mirror_identities(s, degree)
-        lefts = [left for left, _ in identities]
+        sides = _mirror_relation(s, degree)
+        lefts = [np.flatnonzero(pick).item() for pick in sides[0]]
         assert len(set(lefts)) == len(lefts)
-        assert all(left not in dict(combo) for left, combo in identities)
-        assert np.linalg.matrix_rank(_identity_rows(identities, degree)) == len(identities)
+        assert all(row[left] == 0 for left, row in zip(lefts, sides[1]))
+        assert np.linalg.matrix_rank(_identity_rows(sides)) == len(lefts)
 
 
 def test_cp_condition_counts_derived():
@@ -838,11 +853,20 @@ def test_optimize_scores_rows_with_a_zero_coefficient_slot(monkeypatch):
     assert result.E == _member_E(member(result.param), 3)
 
 
-def test_optimize_names_the_first_failing_member():
-    # non-finite powers in the batched grid pass are reported as a scan of
-    # the members one at a time reports them: at the first failing member
-    with pytest.raises(ValueError, match=r"^slot 0 coefficient -3.90625e\+297 has non-finite"):
+def test_optimize_names_the_first_failing_member(monkeypatch):
+    # non-finite powers in the grid pass name the first failing member by its
+    # parameter, from the row the engine error carries: one engine call
+    calls = []
+
+    def spy(generators, coefficients, truncation):
+        calls.append(len(coefficients))
+        return liealg._lie_rows(generators, coefficients, truncation)
+
+    monkeypatch.setattr(conditions, "_lie_rows", spy)
+    with pytest.raises(ValueError, match=r"^family member at parameter 7\.8125e\+297: "
+                                         r"slot 0 coefficient -3\.90625e\+297"):
         optimize_free_parameter(schemes.aor4_rows, 4, (0.1, 1e300))
+    assert calls == [129]
 
 
 @pytest.mark.parametrize("rows,prange,message", [

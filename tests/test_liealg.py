@@ -606,6 +606,19 @@ def test_lie_rows_names_a_failing_row_by_its_index_in_the_whole_batch():
         _lie_rows([B, A, B], rows, 7)
 
 
+@pytest.mark.parametrize("truncation", [4, 5, 7])
+def test_lie_rows_keeps_the_failing_row_of_a_later_pass(truncation):
+    # the first bad row lies in the second pass; the error's row attribute,
+    # like its message, is that row's index in the whole batch
+    step = _rows_per_pass(truncation)
+    rows = np.full((2 * step + 1, 3), 0.1)
+    rows[step + 1, 2] = 1e200
+    rows[2 * step, 0] = 1e200  # a later bad row, in the third pass
+    with pytest.raises(ValueError, match=rf"^row {step + 1}: slot 2 coefficient") as error:
+        _lie_rows([B, A, B], rows, truncation)
+    assert error.value.row == step + 1
+
+
 @settings(max_examples=40, deadline=None)
 @given(coefficient_batches(max_rows=6), st.data())
 def test_batch_names_the_row_that_is_not_lie(case, data):

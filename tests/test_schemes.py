@@ -77,10 +77,23 @@ def test_slot_keeps_genuinely_complex_coefficients():
     assert slot.coefficient.imag == 0.5
 
 
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(1, math.inf)])
+#: An int beyond the largest float, which complex() refuses by OverflowError.
+_HUGE = 10 ** 400
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(1, math.inf),
+                                 pytest.param(_HUGE, id="huge-int"),
+                                 pytest.param(-_HUGE, id="negative-huge-int")])
 def test_slot_rejects_nonfinite(bad):
     with pytest.raises(ValueError):
         ExponentSlot(Generator.A, bad)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, complex(1, math.inf),
+                                 pytest.param(_HUGE, id="huge-int")])
+def test_target_rejects_nonfinite(bad):
+    with pytest.raises(ValueError, match="^target coefficients must be finite$"):
+        TargetPolynomial("bad", {(2, 1): bad})
 
 
 def test_abstract_slot_marker():
@@ -930,7 +943,15 @@ _SAVED = {"name": "x", "order": 2,
     # a repeated term replaced the one before it
     ({"target": {"name": "commutator", "terms": [[2, 1, 1.0, 0.0], [2, 1, 2.0, 0.0]]}},
      "target.terms[1]", "repeats the term (2, 1)"),
-], ids=["fractional-index", "bool-coefficient", "string-coefficient", "repeated-term"])
+    # ints beyond the largest float raised OverflowError, an internal error
+    ({"slots": [{"generator": "A", "coefficient": _HUGE}]},
+     "slots[0].coefficient", "holds an integer beyond the largest float"),
+    ({"slots": [{"generator": "A", "coefficient": [1.0, -_HUGE]}]},
+     "slots[0].coefficient", "holds an integer beyond the largest float"),
+    ({"target": {"name": "commutator", "terms": [[2, 1, _HUGE, 0.0]]}},
+     "target.terms[0]", "holds an integer beyond the largest float"),
+], ids=["fractional-index", "bool-coefficient", "string-coefficient", "repeated-term",
+        "huge-coefficient", "huge-imaginary-part", "huge-weight"])
 def test_load_refuses_what_the_format_does_not_allow(tmp_path, change, field, message):
     path = tmp_path / "bad.scheme.json"
     path.write_text(json.dumps({**_SAVED, **change}), encoding="utf-8")
