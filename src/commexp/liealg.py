@@ -21,15 +21,20 @@ rounds exactly as its own b = 1 call:
   place: every word ``u X^k`` gains ``c^k/k!`` times the old coefficient of
   ``u``.  One gather through a word table and one stacked matrix product do
   that for all words, all k and all rows, so a slot costs two numpy calls at
-  any truncation.
-- :func:`series_log` is the log of a series with constant term 1, summing
-  ``(-1)^(k+1) z^k / k`` with z's side of every split gathered once.
+  any truncation.  The product is group-like, so its log is the first
+  Eulerian idempotent pi_1 of it, a fixed map on each degree
+  (:func:`_eulerian_idempotent`): one stacked product per degree.
+- :func:`series_log` is the log of any series with constant term 1, summing
+  ``(-1)^(k+1) z^k / k`` with z's side of every split gathered once; it is
+  the slow reference for series that are not slot products.
 - :func:`series_mul` is the Cauchy product: one gather per factor over all
   the splits, summed.
 - :func:`lie_project` rewrites a log in the right-nested commutator basis
   built by :func:`basis_build` (dimensions 2, 1, 2, 3, 6, 9, 18 for degrees
-  1..7, so every degree the engine truncates at) and flags non-Lie inputs
-  through the least-squares residual.
+  1..7, so every degree the engine truncates at), all degrees by one
+  stacked product by the block-diagonal pseudoinverse, and flags non-Lie
+  inputs through the least-squares residual.  A :func:`scheme_log` output
+  is Lie by construction, so on it the residual checks only pi_1.
 
 :func:`letter_map` gives a letter substitution A -> f_A X_A, B -> f_B X_B as
 a matrix on the basis coordinates, so the packed word layout stays inside
@@ -39,6 +44,7 @@ this module.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, NamedTuple
@@ -54,8 +60,9 @@ LIE_DIMS = (2, 1, 2, 3, 6, 9, 18)
 #: Default scaled tolerance for the Lie-membership (Friedrichs) residual test.
 DEFAULT_LIE_TOL = 1e-10
 
-#: Round-off of a :func:`scheme_log` coefficient relative to the largest term
-#: it sums (the slot-append property tests), about (sum |c_i|)^j / j! at degree j.
+#: Round-off of a :func:`scheme_log` coefficient at degree j relative to
+#: (sum |c_i|)^j / j!, which bounds the sum of every term it adds up (the
+#: property tests hold it against the exact rational log).
 LOG_ROUND_OFF = 1e-13
 
 #: Largest log coefficient :func:`scheme_log` returns.  Squares of larger ones,
@@ -148,12 +155,12 @@ def _truncation_of(size: int) -> int:
     return truncation
 
 
-def _coefficient_array(coefficients) -> np.ndarray:
-    """Slot coefficients as float64, or complex128 when any is complex
-    (Fractions and ints become float64, not an object array)."""
-    coefficients = np.asarray(coefficients)
-    return coefficients.astype(np.complex128 if np.iscomplexobj(coefficients)
-                               else np.float64, copy=False)
+def _float_array(values) -> np.ndarray:
+    """``values`` as float64, or complex128 when any is complex (Fractions
+    and ints become float64, not an object array)."""
+    values = np.asarray(values)
+    return values.astype(np.complex128 if np.iscomplexobj(values) else np.float64,
+                         copy=False)
 
 
 def _slot_row(slots: Iterable) -> tuple[list[Generator], np.ndarray]:
@@ -193,6 +200,31 @@ def _in_rows(table: np.ndarray, flat: np.ndarray) -> np.ndarray:
     return table + flat.shape[1] * np.arange(len(flat))[:, None, None]
 
 
+def _float_parts(rows: np.ndarray) -> np.ndarray:
+    """The (b, n, k) float64 view of a (b, n) float64 (k = 1) or complex128
+    (k = 2, real and imaginary parts) array whose last axis is contiguous:
+    stacked products by a real matrix then take both parts of a row as the
+    columns of one (n, k) operand, so every row rounds as its own b = 1
+    call and the matrix is never cast to complex."""
+    return rows.view(np.float64).reshape(len(rows), rows.shape[1], -1)
+
+
+def _stacked(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``matrix @ row`` for every row of ``rows`` (see :func:`_float_parts`),
+    a new (b, m) array of its dtype."""
+    return np.matmul(matrix, _float_parts(rows)).reshape(len(rows), -1).view(rows.dtype)
+
+
+def _round_off(coefficients, count: int, truncation: int) -> np.ndarray:
+    """The round-off allowance ``LOG_ROUND_OFF * S^j / j!`` of a log at
+    degrees j = 1..N, (count, N), where S is the sum of |c_i| of each of
+    ``count`` coefficient rows; it may overflow to inf."""
+    sums = np.abs(_float_array(coefficients)).reshape(count, -1).sum(axis=1)
+    with np.errstate(over="ignore"):
+        return LOG_ROUND_OFF * np.multiply.accumulate(
+            sums[:, None] / np.arange(1, truncation + 1), axis=1)
+
+
 # ---------------------------------------------------------------------------
 # Products and logs
 # ---------------------------------------------------------------------------
@@ -222,7 +254,10 @@ def series_log(series) -> np.ndarray:
     with a nonempty suffix, and z's side of every split is the same for all
     the powers ``z^k`` of ``z = series - 1``.  A constant term further than
     1e-12 from 1 raises ``ValueError`` naming its row; a NaN one gives a
-    NaN log (:func:`scheme_log` reports the slot powers that cause it).
+    NaN log.  This is the reference for any series; on a slot product its
+    N - 1 powers cost more than :func:`scheme_log`'s products by pi_1, and
+    their cancellation rounds worse (about 10x ``LOG_ROUND_OFF * S^7 / 7!``
+    at degree 7 for a single slot ``exp(c A)``).
     """
     series = np.asarray(series)
     rows = series if series.ndim == 2 else series[None]
@@ -255,13 +290,16 @@ def scheme_log(generators, coefficients, truncation: int) -> np.ndarray:
     ``generators`` is the slot sequence, leftmost factor first, and
     ``coefficients`` one (s,) row of its coefficients or a (b, s) batch of
     rows on it, read as float64, or complex128 when any is complex.  Returns
-    the flat log, (size,) or (b, size).  Raises ``ValueError`` when a slot's
-    powers ``c^k/k!`` are not finite at this truncation, or when a log
-    coefficient is not finite or exceeds :data:`MAX_LOG_COEFFICIENT`, rather
-    than returning a series of infinities and NaNs; in a batch the error
+    the flat log, (size,) or (b, size): pi_1 of the product, one stacked
+    product per degree (:func:`_eulerian_idempotent`).  Raises
+    ``ValueError`` when a slot's powers ``c^k/k!`` are not finite at this
+    truncation, or when a log coefficient is not finite or exceeds
+    :data:`MAX_LOG_COEFFICIENT`, or when its round-off allowance
+    ``LOG_ROUND_OFF * S^j / j!`` (S the sum of |c_i| of the row) does,
+    rather than returning numbers that carry no bound; in a batch the error
     names the lowest failing row.
     """
-    coefficients = _coefficient_array(coefficients)
+    coefficients = _float_array(coefficients)
     rows = coefficients if coefficients.ndim == 2 else coefficients[None]
     if rows.ndim != 2 or rows.shape[1] != len(generators):
         raise ValueError(f"coefficients of shape {coefficients.shape} do not fit "
@@ -277,14 +315,27 @@ def scheme_log(generators, coefficients, truncation: int) -> np.ndarray:
             return ValueError(_in_row(
                 f"slot {i} coefficient {rows[row, i].item()!r} has non-finite "
                 f"powers at truncation {truncation}", row, len(log)))
+        what = (f"a round-off allowance of {_round_off(rows[row], 1, truncation).max():.3g}"
+                if largest[row] <= MAX_LOG_COEFFICIENT
+                else f"a coefficient of size {largest[row]:.3g}")
         return ValueError(_in_row(
-            f"log of the slot product has a coefficient of size {largest[row]:.3g} at "
-            f"truncation {truncation} (limit {MAX_LOG_COEFFICIENT:g})", row, len(log)))
+            f"log of the slot product has {what} at truncation {truncation} "
+            f"(limit {MAX_LOG_COEFFICIENT:g})", row, len(log)))
 
     with np.errstate(over="ignore", invalid="ignore"):
-        log = series_log(_slot_product(generators, rows, truncation)[:, :-1])
+        product = _float_parts(_slot_product(generators, rows, truncation))
+        log = np.zeros((len(rows), (2 << truncation) - 1, product.shape[2]))
+        for j in range(1, truncation + 1):
+            block = slice((1 << j) - 1, (2 << j) - 1)
+            np.matmul(_eulerian_idempotent(j), product[:, block], out=log[:, block])
+        log = log.reshape(len(rows), -1).view(rows.dtype)
         largest = np.maximum.reduce(np.abs(log), axis=1)
-        _check_rows(largest <= MAX_LOG_COEFFICIENT, failure)
+        # the allowance LOG_ROUND_OFF * S^j / j! reaches the limit only for S
+        # far above N, where it peaks at j = N
+        sums = np.add.reduce(np.abs(rows), axis=1)
+        largest_sum = (MAX_LOG_COEFFICIENT / LOG_ROUND_OFF * math.factorial(truncation)) ** (
+            1.0 / truncation)
+        _check_rows((largest <= MAX_LOG_COEFFICIENT) & (sums <= largest_sum), failure)
     return log if coefficients.ndim == 2 else log[0]
 
 
@@ -474,57 +525,143 @@ def letter_map(images: tuple[tuple[Generator, complex], ...], degree: int) -> np
 
 
 # ---------------------------------------------------------------------------
+# The first Eulerian idempotent and the block-diagonal basis maps
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _eulerian_idempotent(degree: int) -> np.ndarray:
+    """The first Eulerian idempotent pi_1 on the degree-j words, (2**j, 2**j).
+
+    Column w holds the word coefficients of pi_1(w).  For a group-like
+    series g, such as a product of slot exponentials, the degree-j part of
+    log g is pi_1 of the degree-j part of g (Reutenauer, *Free Lie
+    Algebras*, 3.2).  pi_1 is the eigenvalue-2 projector of the Adams
+    operation psi^2, which sends a word to the sum, over the 2**j subsets S
+    of its positions, of its letters at S followed by its letters off S;
+    on degree j psi^2 has the eigenvalues 2**k, k = 1..j (Loday 1989), so
+    ``pi_1 = prod_{k=2..j} (psi^2 - 2**k) / (2 - 2**k)``.  psi^2 counts
+    words, and the entries of the product stay below 2**53 through degree
+    7, so the float64 product is exact and its one division the only
+    rounding; the columns of A^j and B^j (psi^2 eigenvalue 2**j) are exact
+    zeros.  Built on first use of its degree and cached (read-only), in
+    Fortran order, whose BLAS summation keeps the minimizers ``optimize``
+    reports where the power-series log put them: they lie on a plateau
+    about 1e-8 wide on which E moves by an ulp, and C order, as accurate,
+    moves them within it.
+    """
+    n = 1 << degree
+    words, subsets = np.arange(n, dtype=np.int16)[:, None], np.arange(n, dtype=np.int16)
+    ones = np.zeros(n, np.int16)  # the letters B of a word, the positions of a subset
+    head = tail = np.zeros((n, n), np.int16)
+    for bit in range(degree - 1, -1, -1):  # first letter first
+        letter, chosen = (words >> bit) & 1, (subsets >> bit) & 1
+        head = head << chosen | letter & chosen
+        tail = tail << (1 - chosen) | letter & (1 - chosen)
+        ones += chosen
+    image = head << (degree - ones) | tail  # of word w under subset S
+    # psi^2 keeps the letters of a word, so it maps the words with m letters
+    # B among themselves: the product runs on these blocks, at most C(7, 3) =
+    # 35 wide, with the counts indexed by rank within the block
+    idempotent = np.zeros((n, n), order="F")
+    denominator = np.prod([2.0 - (1 << k) for k in range(2, degree + 1)])
+    rank = np.empty(n, np.intp)
+    for m in range(degree + 1):
+        block = np.flatnonzero(ones == m)
+        size = len(block)
+        rank[block] = np.arange(size)
+        counts = np.bincount((rank[image[block]] * size + rank[block, None]).ravel(),
+                             minlength=size * size).reshape(size, size).astype(float)
+        product = eye = np.eye(size)
+        for k in range(2, degree + 1):
+            product = product @ (counts - (1 << k) * eye)
+        idempotent[np.ix_(block, block)] = product / denominator
+    idempotent.flags.writeable = False  # shared by every caller through the cache
+    return idempotent
+
+
+class _BlockMaps(NamedTuple):
+    """The basis of truncation N as block-diagonal maps over all its degrees
+    at once, between flat series (size entries) and basis coordinates (D
+    entries, degree j from ``offsets[j - 1]``; ``offsets[N]`` is D)."""
+
+    pinvs: np.ndarray    # (D, size): series -> least-squares coordinates
+    words: np.ndarray    # (size, D): coordinates -> series
+    offsets: np.ndarray  # (N + 1,)
+
+
+@lru_cache(maxsize=None)
+def _block_maps(truncation: int) -> _BlockMaps:
+    """The :class:`_BlockMaps` of one truncation, built at
+    :data:`MAX_TRUNCATION` on first use, whose leading blocks are those of
+    every smaller truncation.  Read-only."""
+    if truncation < MAX_TRUNCATION:
+        full = _block_maps(MAX_TRUNCATION)
+        size, offsets = (2 << truncation) - 1, full.offsets[:truncation + 1]
+        return _BlockMaps(full.pinvs[:offsets[-1], :size], full.words[:size, :offsets[-1]],
+                          offsets)
+    basis = basis_build()
+    offsets = np.cumsum((0,) + LIE_DIMS)
+    pinvs = np.zeros((offsets[-1], (2 << truncation) - 1))
+    words = np.zeros(pinvs.shape[::-1])
+    for j in range(1, truncation + 1):
+        coordinates, block = slice(offsets[j - 1], offsets[j]), slice((1 << j) - 1, (2 << j) - 1)
+        pinvs[coordinates, block] = basis.pinvs[j]
+        words[block, coordinates] = basis.matrices[j]
+    for array in (pinvs, words, offsets):
+        array.flags.writeable = False  # shared by every caller through the cache
+    return _BlockMaps(pinvs, words, offsets)
+
+
+# ---------------------------------------------------------------------------
 # Projection
 # ---------------------------------------------------------------------------
 
 
 def lie_project(log, coefficients=None) -> tuple[dict[int, np.ndarray], np.ndarray]:
-    """Project flat series onto the nested-commutator basis, degree by degree.
+    """Project flat series onto the nested-commutator basis, all degrees at once.
 
     ``log`` is one flat series or a (b, size) batch.  Returns the basis
     coordinates per degree j = 1..N, (dim,) or (b, dim), and the residuals,
     (N + 1,) or (b, N + 1): column j is the least-squares residual at degree
     j, and column 0 the size of the constant term, the residual of degree 0,
-    whose commutator subspace is zero.  A residual above the larger of
-    ``DEFAULT_LIE_TOL * max(1, |coefficients at that degree|)`` and
+    whose commutator subspace is zero.  The coordinates are one stacked
+    product by the block-diagonal pseudoinverse and the misfits one by the
+    block word matrices (:func:`_block_maps`).  A residual above the larger
+    of ``DEFAULT_LIE_TOL * max(1, |coefficients at that degree|)`` and
     ``LOG_ROUND_OFF * S^j / j!`` means the input is not a Lie element
     (Friedrichs criterion) and raises :class:`LieMembershipError`, whose
     message names that residual and bound.  S is the sum of |c_i| of the
     slot ``coefficients`` whose product's log each row is (one row, or a
     batch as given to :func:`scheme_log`; none: S = 0).  Coefficients that
-    are not finite, or too large to square, raise ``ValueError``.  In a
-    batch an error names the lowest failing row and its lowest failing
-    degree.
+    are not finite, or too large to square, raise ``ValueError`` for their
+    degree.  In a batch an error names the lowest failing row and its
+    lowest failing degree.
     """
     log = np.asarray(log)
-    rows = log if log.ndim == 2 else log[None]
+    rows = np.ascontiguousarray(_float_array(log if log.ndim == 2 else log[None]))
     truncation = _truncation_of(rows.shape[1])
-    basis = basis_build()
-    vectors: dict[int, np.ndarray] = {}
+    maps = _block_maps(truncation)
+    coordinates = _stacked(maps.pinvs, rows)
     # [0] the least-squares misfits of every degree, [1] the log itself
     parts = np.empty((2,) + rows.shape, rows.dtype)
-    parts[...] = rows
-    for j in range(1, truncation + 1):
-        block = slice((1 << j) - 1, (2 << j) - 1)
-        y = rows[:, block, None]
-        w = np.matmul(basis.pinvs[j], y)
-        np.subtract(np.matmul(basis.matrices[j], w), y, out=parts[0, :, block, None])
-        vectors[j] = w[:, :, 0]
+    np.subtract(_stacked(maps.words, coordinates), rows, out=parts[0])
+    parts[1] = rows
     starts = _word_tables(truncation).starts
     residual, scale = np.sqrt(np.add.reduceat(np.abs(parts) ** 2, starts, axis=2))
-    finite = scale < np.inf  # then the residual is finite too, or fails below
+    finite = scale < np.inf
     bound = DEFAULT_LIE_TOL * np.maximum(1.0, scale)
     ok = finite & (residual <= bound)
     if not ok.all():
         if coefficients is not None:
-            # widen the bound by the round-off allowance S^j / j!, which may
-            # overflow to inf, not an error; degree 0 has no round-off
-            sums = np.abs(_coefficient_array(coefficients)).reshape(len(rows), -1).sum(axis=1)
-            with np.errstate(over="ignore"):
-                round_off = LOG_ROUND_OFF * np.multiply.accumulate(
-                    sums[:, None] / np.arange(1, truncation + 1), axis=1)
-            bound[:, 1:] = np.maximum(bound[:, 1:], round_off)
+            # widen the bound by the round-off allowance, which may overflow
+            # to inf, not an error; degree 0 has no round-off
+            bound[:, 1:] = np.maximum(bound[:, 1:],
+                                      _round_off(coefficients, len(rows), truncation))
             ok = finite & (residual <= bound)
+        # a non-finite degree reaches every degree of its row through the
+        # block products (0 * inf), so such a row fails at those degrees only
+        ok |= finite & ~finite.all(axis=1, keepdims=True)
 
         def failure(row, j):
             if not (finite[row, j] and np.isfinite(residual[row, j])):
@@ -535,6 +672,8 @@ def lie_project(log, coefficients=None) -> tuple[dict[int, np.ndarray], np.ndarr
                 f"(residual {residual[row, j]:.3e} > {bound[row, j]:.3e})", row, len(rows)))
 
         _check_rows(ok, failure)
+    offsets = maps.offsets
+    vectors = {j: coordinates[:, offsets[j - 1]:offsets[j]] for j in range(1, truncation + 1)}
     if log.ndim == 2:
         return vectors, residual
     return {j: w[0] for j, w in vectors.items()}, residual[0]

@@ -860,7 +860,7 @@ def load_scheme(path) -> Scheme:
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a syntax error, an integer of too many digits, not UTF-8
         raise ValueError(f"{path}: not a JSON document ({exc})") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: a scheme file holds one JSON object")

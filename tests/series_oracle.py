@@ -8,13 +8,16 @@ as their power series over that product, and the projection by least squares
 on basis vectors it builds itself, bracketing letters through the
 commutator tree.  It shares only the packed word order (A = 0, B = 1, first
 letter most significant) with the engine, so ``flat()`` and ``from_flat``
-translate between the two.
+translate between the two.  :func:`exact_scheme_log` repeats the log of a
+slot product in exact rational arithmetic, as the reference that round-off
+bounds are measured against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
@@ -264,3 +267,76 @@ def lie_project(s: TruncatedSeries) -> tuple[dict[int, np.ndarray], dict[int, fl
         vectors[j] = np.linalg.lstsq(columns, y, rcond=None)[0]
         residuals[j] = float(np.linalg.norm(columns @ vectors[j] - y))
     return vectors, residuals
+
+
+# ---------------------------------------------------------------------------
+# exact rational arithmetic
+# ---------------------------------------------------------------------------
+
+
+class Gaussian:
+    """An exact complex rational ``re + im i`` (two Fractions), enough of a
+    number for numpy object arrays to add and multiply."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    def __add__(self, other):
+        other = other if isinstance(other, Gaussian) else Gaussian(other)
+        return Gaussian(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if not isinstance(other, Gaussian):
+            return Gaussian(self.re * other, self.im * other)
+        return Gaussian(self.re * other.re - self.im * other.im,
+                        self.re * other.im + self.im * other.re)
+
+    __rmul__ = __mul__
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
+
+def exact_scheme_log(generators, coefficients, truncation: int) -> list[np.ndarray]:
+    """log of the left-to-right product of ``exp(c g)``, exactly: the float
+    ``coefficients`` read as the rationals they are (complex ones as
+    :class:`Gaussian`), every product and every ``1/k`` exact.  Returns one
+    object array per degree 0..N, rounded by the caller.
+
+    Appending ``exp(c g)`` adds ``c^k/k!`` times each degree-(j-k) word
+    followed by ``g^k``; the log is ``sum (-1)^(k+1) z^k / k`` over the
+    outer-product Cauchy product, as :func:`series_log` sums it in floats.
+    """
+    def zeros(degree):
+        return np.full(1 << degree, Fraction(0), dtype=object)
+
+    blocks = [np.array([Fraction(1)], dtype=object)] + [zeros(j) for j in range(1, truncation + 1)]
+    for g, c in zip(generators, coefficients):
+        c = complex(c)
+        c = Gaussian(c.real, c.imag) if c.imag else Fraction(c.real)
+        powers = [Fraction(1)]
+        for k in range(1, truncation + 1):
+            powers.append(powers[-1] * c * Fraction(1, k))
+        appended = []
+        for j in range(truncation + 1):
+            block = blocks[j].copy()
+            for k in range(1, j + 1):
+                tail = 0 if as_generator(g) is Generator.A else (1 << k) - 1
+                block[(np.arange(1 << (j - k)) << k) | tail] += blocks[j - k] * powers[k]
+            appended.append(block)
+        blocks = appended
+
+    def product_(a, b):
+        return [sum((np.outer(a[p], b[j - p]).ravel() for p in range(j + 1)), zeros(j))
+                for j in range(truncation + 1)]
+
+    z = [zeros(0)] + blocks[1:]
+    log, power = list(z), z
+    for k in range(2, truncation + 1):
+        power = product_(power, z)
+        log = [x + Fraction((-1) ** (k + 1), k) * y for x, y in zip(log, power)]
+    return log

@@ -224,6 +224,22 @@ def test_verify_non_json_scheme_file_is_input_error(capsys, tmp_path):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("content,reason", [
+    # json reads the digits, but int() refuses more than 4300 of them
+    (b'{"name": "x", "slots": [{"generator": "A", "coefficient": 1' + b"0" * 5000 + b"}]}",
+     "Exceeds the limit"),
+    (b'{"name": "\xff"}', "utf-8"),
+], ids=["5001-digit-integer", "not-utf-8"])
+def test_verify_names_the_file_for_every_json_error(capsys, tmp_path, content, reason):
+    path = tmp_path / "bad.scheme.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "verify", "--scheme", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}: not a JSON document (") and reason in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_verify_loose_tolerance_accepts_corruption(capsys, tmp_path):
     scheme = catalog_get("NCP6_3")
     slots = list(scheme.slots)

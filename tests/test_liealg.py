@@ -1,6 +1,7 @@
 """The flat series engine, checked against the slow oracle in series_oracle
 (whose own word algebra is tested here too), and the Lie projection."""
 
+import itertools
 import math
 import re
 
@@ -19,6 +20,7 @@ from commexp.liealg import (
     MAX_TRUNCATION,
     Generator,
     LieMembershipError,
+    _eulerian_idempotent,
     _lie_rows,
     _rows_per_pass,
     _slot_product,
@@ -518,19 +520,24 @@ def coefficient_batches(draw, max_rows=12):
 def test_batched_rows_equal_their_single_row_passes(case):
     truncation, generators, rows = case
     product = _slot_product(generators, rows, truncation)
-    log = series_log(product[:, :-1])
+    log = scheme_log(generators, rows, truncation)
     vectors, residuals = lie_project(log, rows)
     for i, row in enumerate(rows):
         one = _slot_product(generators, row[None], truncation)
         np.testing.assert_array_equal(product[i], one[0])
-        one_log = series_log(one[0, :-1])
+        one_log = scheme_log(generators, row, truncation)
         np.testing.assert_array_equal(log[i], one_log)
         one_vectors, one_residuals = lie_project(one_log, row)
         for j in vectors:
             np.testing.assert_array_equal(vectors[j][i], one_vectors[j])
         np.testing.assert_array_equal(residuals[i], one_residuals)
-    # scheme_log is that product and log, one row or the batch
-    np.testing.assert_array_equal(scheme_log(generators, rows, truncation), log)
+    # scheme_log is pi_1 of that product at every degree, the real and
+    # imaginary parts of a row the two columns of one product
+    for j in range(1, truncation + 1):
+        for i in range(len(rows)):
+            parts = product[i, _block(j)].view(np.float64).reshape(1 << j, -1)
+            expected = (_eulerian_idempotent(j) @ parts).reshape(-1).view(product.dtype)
+            np.testing.assert_array_equal(log[i, _block(j)], expected)
     np.testing.assert_array_equal(scheme_log(generators, rows[-1], truncation), log[-1])
     batched = _lie_rows(generators, rows, truncation)
     for j in vectors:
@@ -631,3 +638,143 @@ def test_batch_names_the_row_that_is_not_lie(case, data):
     with pytest.raises(LieMembershipError, match=rf"^row {row}: degree-2 word") as error:
         lie_project(log, rows)
     assert _named_residual(error) > 0.1  # the degree-2 residual
+
+
+# ---------------------------------------------------------------------------
+# the first Eulerian idempotent: the log of a slot product in one map
+# ---------------------------------------------------------------------------
+
+
+def _allowances(row, truncation):
+    """LOG_ROUND_OFF * S^j / j! at j = 1..N, S the sum of |c_i| of the row,
+    plus the smallest normal float: below it a float keeps no relative
+    precision, so an underflowing product rounds by that much at most."""
+    s = float(np.abs(row).sum())
+    return [LOG_ROUND_OFF * s ** j / math.factorial(j) + np.finfo(float).tiny
+            for j in range(1, truncation + 1)]
+
+
+def _log_majorant(truncation):
+    """[x^j] of -log(2 - e^x) = sum_k (e^x - 1)^k / k at j = 1..N: times
+    S^j it bounds the sum of |terms| that series_log adds at degree j."""
+    shifted = [0.0] + [1.0 / math.factorial(i) for i in range(1, truncation + 1)]  # e^x - 1
+    power, total = [1.0] + [0.0] * truncation, [0.0] * (truncation + 1)
+    for k in range(1, truncation + 1):
+        power = [sum(power[i] * shifted[n - i] for i in range(n + 1)) for n in range(truncation + 1)]
+        total = [t + p / k for t, p in zip(total, power)]
+    return total[1:]
+
+
+def _word(letters):
+    """The packed index of a letter sequence, first letter most significant."""
+    return sum(letter << i for i, letter in enumerate(reversed(letters)))
+
+
+def _letters(word, degree):
+    return [(word >> (degree - 1 - i)) & 1 for i in range(degree)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(coefficient_batches(max_rows=3))
+@example((MAX_TRUNCATION, [A], np.array([[0.11156489521608326]])))
+def test_scheme_log_is_the_exact_log_within_its_round_off_allowance(case):
+    # against the log of the same float coefficients in exact rationals:
+    # within LOG_ROUND_OFF * S^j / j! at every degree, real or complex, one
+    # row or a batch
+    truncation, generators, rows = case
+    log = scheme_log(generators, rows, truncation)
+    for row, one in zip(rows, log):
+        exact = oracle.exact_scheme_log(generators, row, truncation)
+        for j, allowance in enumerate(_allowances(row, truncation), start=1):
+            error = max(abs(complex(x) - y) for x, y in zip(exact[j], one[_block(j)]))
+            assert error <= allowance
+
+
+@settings(max_examples=100, deadline=None)
+@given(coefficient_batches())
+def test_scheme_log_matches_series_log_on_the_same_product(case):
+    # the power series rounds worse: its terms sum to S^j times the log
+    # majorant, and for one slot exp(c A) its degree-7 error reaches about
+    # 10x LOG_ROUND_OFF * S^7 / 7!, so the two agree within both round-offs
+    truncation, generators, rows = case
+    log = scheme_log(generators, rows, truncation)
+    reference = series_log(_slot_product(generators, rows, truncation)[:, :-1])
+    for row, one, expected in zip(rows, log, reference):
+        s = float(np.abs(row).sum())
+        bounds = zip(_allowances(row, truncation), _log_majorant(truncation))
+        for j, (allowance, majorant) in enumerate(bounds, start=1):
+            gap = np.max(np.abs(one[_block(j)] - expected[_block(j)]))
+            assert gap <= allowance + LOG_ROUND_OFF * majorant * s ** j
+
+
+@pytest.mark.parametrize("degree", range(1, MAX_TRUNCATION + 1))
+def test_eulerian_idempotent_projects_onto_the_lie_elements(degree):
+    pi = _eulerian_idempotent(degree)
+    basis = basis_build()
+    np.testing.assert_allclose(pi @ pi, pi, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(basis.matrices[degree] @ basis.pinvs[degree] @ pi, pi,
+                               rtol=0.0, atol=1e-14)
+    # a projector's trace is its rank: the whole commutator subspace
+    assert round(float(np.trace(pi))) == LIE_DIMS[degree - 1]
+    if degree > 1:  # the letter powers A^j and B^j are exact zeros
+        assert not pi[:, [0, -1]].any()
+
+
+@pytest.mark.parametrize("degree", range(1, MAX_TRUNCATION + 1))
+def test_eulerian_idempotent_is_one_division_of_an_exact_integer_product(degree):
+    # psi^2 counted subset by subset, the product of (psi^2 - 2^k) in int64:
+    # every entry stays below 2**53, so pi_1 rounds only in the division
+    n = 1 << degree
+    adams = np.zeros((n, n), np.int64)
+    for w in range(n):
+        letters = _letters(w, degree)
+        for chosen in itertools.product((True, False), repeat=degree):
+            head = [x for x, c in zip(letters, chosen) if c]
+            tail = [x for x, c in zip(letters, chosen) if not c]
+            adams[_word(head + tail), w] += 1
+    product = np.eye(n, dtype=np.int64)
+    for k in range(2, degree + 1):
+        product = product @ (adams - (1 << k) * np.eye(n, dtype=np.int64))
+    assert np.abs(product).max() < 2 ** 53
+    denominator = math.prod(2 - (1 << k) for k in range(2, degree + 1))
+    np.testing.assert_array_equal(_eulerian_idempotent(degree), product / denominator)
+
+
+@pytest.mark.parametrize("degree", range(1, 6))
+def test_eulerian_idempotent_is_solomons_permutation_sum(degree):
+    # pi_1 = (1/j) sum over the place permutations sigma of
+    # (-1)^d / C(j - 1, d) sigma, d the number of descents of sigma
+    n = 1 << degree
+    expected = np.zeros((n, n))
+    for w in range(n):
+        letters = _letters(w, degree)
+        for sigma in itertools.permutations(range(degree)):
+            d = sum(a > b for a, b in zip(sigma, sigma[1:]))
+            expected[_word([letters[i] for i in sigma]), w] += (
+                (-1) ** d / math.comb(degree - 1, d) / degree)
+    np.testing.assert_allclose(_eulerian_idempotent(degree), expected, rtol=0.0, atol=1e-15)
+
+
+def test_scheme_log_refuses_a_row_whose_round_off_allowance_is_too_large():
+    # the log of one slot is the slot, 1e30 A, far inside the limit; but at
+    # truncation 7 its allowance LOG_ROUND_OFF * 1e30^7 / 7! is not, so its
+    # numbers would carry no bound
+    log = scheme_log([A], [1e30], 5)
+    assert log[1] == 1e30 and not np.delete(log, 1).any()
+    with pytest.raises(ValueError, match=r"^log of the slot product has a round-off allowance "
+                                         r"of 1\.98e\+193 at truncation 7 \(limit 1e\+150\)"):
+        scheme_log([A], [1e30], 7)
+    with pytest.raises(ValueError, match=r"^row 1: log of the slot product has a round-off"):
+        _lie_rows([A], np.array([[1.0], [1e30]]), 7)
+
+
+@pytest.mark.parametrize("rows,message", [
+    ([{"A": 1.0, "AAB": math.inf, "ABA": -math.inf}], "^degree-3 coefficients are not finite"),
+    ([{"A": 1.0}, {"B": 2.0, "ABBA": math.nan}], "^row 1: degree-4 coefficients are not finite"),
+])
+def test_lie_project_names_the_degree_that_is_not_finite(rows, message):
+    # the block products carry a non-finite degree into the coordinates of
+    # every degree of its row (0 * inf), but the error names its own degree
+    series = np.array([TruncatedSeries.from_terms(4, terms).flat() for terms in rows])
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match=message):
+        lie_project(series if len(series) > 1 else series[0])
