@@ -471,11 +471,12 @@ def _fmt(value) -> str:
 
 
 def _write_csv(out, sections: Sequence[tuple[Sequence[str], Sequence[str], Sequence]]
-               ) -> None:
+               ) -> int:
     """Write ``(comments, header, rows)`` sections, creating the parent directory.
 
     Each section is its ``# `` comment lines, the header and one line per row;
     floats print at 17 significant digits and ``None`` as "not reached".
+    Returns the number of lines that are not comments, headers included.
     """
     lines = []
     for comments, header, rows in sections:
@@ -485,6 +486,7 @@ def _write_csv(out, sections: Sequence[tuple[Sequence[str], Sequence[str], Seque
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    return sum(1 + len(rows) for _, _, rows in sections)
 
 
 def curve_table(scheme_names, pairs, t_total, n_grid):
@@ -560,7 +562,7 @@ def _export_curve_figure(which, out, scheme_names, t_total, seed):
         f"pairs: pauli and random:16 (seed={seed}); n = 1..{DEFAULT_N_GRID[-1]}",
         *provenance(pairs, scheme_names),
     ]
-    _write_csv(out, [(comments, header, rows)])
+    return _write_csv(out, [(comments, header, rows)])
 
 
 def _export_fig5(out, seed):
@@ -574,7 +576,7 @@ def _export_fig5(out, seed):
         _OMISSION_NOTE,
         *provenance([pair], _FIG5_SCHEMES),
     ]
-    _write_csv(out, [(comments, header, rows)])
+    return _write_csv(out, [(comments, header, rows)])
 
 
 def _export_fig6(out, seed):
@@ -583,7 +585,7 @@ def _export_fig6(out, seed):
         _FIG6_SCHEMES, _single_steps(_FIG6_SCHEMES, pair, _FIG6_T_GRID)) for t, err in points]
     costs = [(name, res.gates, res.error) for name, curve in zip(
         _FIG6_SCHEMES, _curves(_FIG6_SCHEMES, pair, 1.0, _FIG6_N_GRID)) for res in curve]
-    _write_csv(out, [
+    return _write_csv(out, [
         (["fig6: sum-splitting comparison on the pauli pair",
           "single-step error of one application vs step size t",
           *provenance([pair], _FIG6_SCHEMES)],
@@ -593,7 +595,7 @@ def _export_fig6(out, seed):
     ])
 
 
-FIGURES: dict[str, Callable[[str, int], None]] = {
+FIGURES: dict[str, Callable[[str, int], int]] = {
     "fig1": lambda out, seed: _export_curve_figure("fig1", out, _FIG1_SCHEMES, 1.0, seed),
     "fig2": lambda out, seed: _export_curve_figure("fig2", out, _FIG2_SCHEMES, 1.0, seed),
     "fig3": lambda out, seed: _export_curve_figure("fig3", out, _FIG1_SCHEMES, 10.0, seed),
@@ -602,10 +604,11 @@ FIGURES: dict[str, Callable[[str, int], None]] = {
 }
 
 
-def export_figure(which: str, out, seed: int = 0) -> None:
-    """Write one of the named experiment protocols as CSV."""
+def export_figure(which: str, out, seed: int = 0) -> int:
+    """Write one of the named experiment protocols as CSV and return its
+    number of lines that are not comments, headers included."""
     try:
         runner = FIGURES[which]
     except KeyError:
         raise ValueError(f"unknown figure {which!r}; choose from {sorted(FIGURES)}") from None
-    runner(str(out), seed)
+    return runner(str(out), seed)

@@ -158,9 +158,7 @@ def _positive_finite(value: float) -> bool:
 def _cmd_bench(args: argparse.Namespace) -> int:
     if args.figure:
         out = Path(args.out) if args.out else _default_out(f"{args.figure}.csv")
-        bench.export_figure(args.figure, out, seed=args.seed)
-        n_rows = sum(1 for line in out.read_text(encoding="utf-8").splitlines()
-                     if line and not line.startswith("#"))
+        n_rows = bench.export_figure(args.figure, out, seed=args.seed)
         print(f"{args.figure}: wrote {out} ({n_rows} lines incl. headers)")
         return 0
 

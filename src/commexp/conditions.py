@@ -639,9 +639,12 @@ def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
     exact to round-off, all n unknowns in one engine call.  It is formed at
     the first iterate that misses ``tol`` and kept while each step cuts
     max|g| by at least 100x, the next step then being a chord step on it
-    (Kelley 2003, *Solving Nonlinear Equations with Newton's Method*, ch. 5);
-    after a step that cuts max|g| less, it is formed again.  A polish started
-    near a root makes the engine passes ``[1, n, 1, 1]``.  At most
+    (Kelley 2003, *Solving Nonlinear Equations with Newton's Method*, ch. 5).
+    After a step that cuts max|g| less, it is kept only when max|g| is at
+    most sqrt(tol) and n more steps at that step's contraction would reach
+    ``tol``: a fresh Jacobian costs n engine rows and a chord step one.
+    Otherwise it is formed again.  A polish started near a root makes the
+    engine passes ``[1, n, 1, 1]``.  At most
     :data:`_MAX_STEPS` steps are taken.  With more unknowns than independent
     conditions the steps are lstsq's minimum-norm ones, and a chord step can
     end at another point of the solution manifold than full Newton would;
@@ -710,8 +713,12 @@ def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
         v = v + step
         g = eval_at(v[None])[0]
         before, worst = worst, np.max(np.abs(g))
-        if not worst <= before / _CHORD_CUT:
-            J = None  # too little contraction for a chord step: a fresh J at v
+        # near tol, keep J when fewer than len(v) chord steps at this step's
+        # contraction would reach tol: each costs one engine row, a fresh J len(v)
+        closing = (worst <= math.sqrt(tol) and worst < before
+                   and worst * (worst / before) ** len(v) < tol)
+        if not (worst <= before / _CHORD_CUT or closing):
+            J = None
     if not worst <= tol:
         raise RuntimeError(f"no convergence after {_MAX_STEPS} iterations "
                            f"(residual {worst:.3e})")

@@ -24,9 +24,10 @@ rounds exactly as its own b = 1 call:
   any truncation.  The product is group-like, so its log is the first
   Eulerian idempotent pi_1 of it, a fixed map on each degree
   (:func:`_eulerian_idempotent`): one stacked product per degree.
-- :func:`series_log` is the log of any series with constant term 1, summing
-  ``(-1)^(k+1) z^k / k`` with z's side of every split gathered once; it is
-  the slow reference for series that are not slot products.
+- :func:`series_log` is the log of any series with constant term 1, the
+  power series ``(-1)^(k+1) z^k / k`` with each power one
+  :func:`series_mul`; it is the slow reference for series that are not
+  slot products.
 - :func:`series_mul` is the Cauchy product: one gather per factor over all
   the splits, summed.
 - :func:`lie_project` rewrites a log in the right-nested commutator basis
@@ -250,14 +251,14 @@ def series_mul(a, b) -> np.ndarray:
 def series_log(series) -> np.ndarray:
     """log of flat series whose constant terms are 1, one or a batch.
 
-    ``w * z`` at word t sums ``w[prefix] * z[suffix]`` over the splits of t
-    with a nonempty suffix, and z's side of every split is the same for all
-    the powers ``z^k`` of ``z = series - 1``.  A constant term further than
-    1e-12 from 1 raises ``ValueError`` naming its row; a NaN one gives a
-    NaN log.  This is the reference for any series; on a slot product its
-    N - 1 powers cost more than :func:`scheme_log`'s products by pi_1, and
-    their cancellation rounds worse (about 10x ``LOG_ROUND_OFF * S^7 / 7!``
-    at degree 7 for a single slot ``exp(c A)``).
+    The power series ``sum_{k=1..N} (-1)^(k+1) z^k / k`` of
+    ``z = series - 1``, each power one :func:`series_mul` by z.  A constant
+    term further than 1e-12 from 1 raises ``ValueError`` naming its row; a
+    NaN one gives a NaN log.  This is the reference for any series; on a
+    slot product its N - 1 products cost more than :func:`scheme_log`'s
+    products by pi_1, and their cancellation rounds worse (up to about 20x
+    ``LOG_ROUND_OFF * S^7 / 7!`` at degree 7 for a single slot ``exp(c A)``,
+    |c| <= 1.5).
     """
     series = np.asarray(series)
     rows = series if series.ndim == 2 else series[None]
@@ -266,21 +267,12 @@ def series_log(series) -> np.ndarray:
         if abs(lead - 1.0) > 1e-12:
             raise ValueError(_in_row(f"series_log needs constant term 1, got {lead!r}",
                                      row, len(rows)))
-    tables = _word_tables(truncation)
-    z = np.zeros((len(rows), tables.size + 1), np.promote_types(rows.dtype, np.float64))
-    z[:, 1:-1] = rows[:, 1:]
-    z_suffixes = z.reshape(-1)[_in_rows(tables.suffix[1:], z)]
-    prefixes = _in_rows(tables.prefix[1:], z)
-    # the log sums up in z's own entries, which only the first power reads
-    log, power = z[:, :-1], z
+    z = rows.astype(np.promote_types(rows.dtype, np.float64))
+    z[:, 0] = 0.0
+    log = power = z
     for k in range(2, truncation + 1):
-        nxt = np.zeros(z.shape, z.dtype)
-        np.add.reduce(power.reshape(-1)[prefixes] * z_suffixes, axis=1, out=nxt[:, :-1])
-        log += ((-1.0) ** (k + 1) / k) * nxt[:, :-1]
-        power = nxt
-    # without the pad column: a copy for b > 1, since the projection's
-    # batched products run slower on strided rows
-    log = np.ascontiguousarray(log)
+        power = series_mul(power, z)
+        log = log + ((-1.0) ** (k + 1) / k) * power
     return log if series.ndim == 2 else log[0]
 
 
@@ -341,28 +333,15 @@ def scheme_log(generators, coefficients, truncation: int) -> np.ndarray:
 
 def _slot_powers(coefficients: np.ndarray, truncation: int) -> np.ndarray:
     """``c^k/k!`` for k = 0..N of a 2-D float64 or complex128 coefficient
-    array, along a new last axis, rounded as the Python scalar recurrence
-    ``power * c / k`` rounds them.
-
-    numpy's complex multiply and divide round differently from Python's
-    complex scalars, so complex powers are formed from their real and
-    imaginary parts.
-    """
+    array, along a new last axis, by the recurrence ``power[k] = power[k-1]
+    * c / k``.  numpy's elementwise multiply and divide round an entry
+    independently of where it sits, so each row rounds as its own one-row
+    call."""
     powers = np.empty((truncation + 1,) + coefficients.shape, dtype=coefficients.dtype)
-    if not np.iscomplexobj(powers):
-        rows = list(powers)
-        rows[0].fill(1.0)
-        rows[1][...] = coefficients  # (1.0 * c) / 1 is c
-        for k in range(2, truncation + 1):
-            np.multiply(rows[k - 1], coefficients, out=rows[k])
-            np.true_divide(rows[k], k, out=rows[k])
-    else:
-        re, im = powers.real, powers.imag
-        cr, ci = coefficients.real, coefficients.imag
-        re[0], im[0] = 1.0, 0.0
-        for k in range(1, truncation + 1):
-            re[k] = (re[k - 1] * cr - im[k - 1] * ci) / k
-            im[k] = (re[k - 1] * ci + im[k - 1] * cr) / k
+    powers[0] = 1.0
+    for k in range(1, truncation + 1):
+        np.multiply(powers[k - 1], coefficients, out=powers[k])
+        np.true_divide(powers[k], k, out=powers[k])
     return np.ascontiguousarray(powers.transpose(1, 2, 0))
 
 

@@ -399,8 +399,12 @@ def test_bench_figure_out_under_a_file_is_input_error(capsys, tmp_path):
 
 def test_bench_figure_creates_out_directory(capsys, tmp_path):
     out = tmp_path / "new" / "dir" / "fig6.csv"
-    assert run(capsys, "bench", "--figure", "fig6", "--out", str(out))[0] == 0
-    assert out.exists()
+    code, stdout, _ = run(capsys, "bench", "--figure", "fig6", "--out", str(out))
+    assert code == 0
+    # the count printed is the written file's lines that are not comments
+    lines = [line for line in out.read_text(encoding="utf-8").splitlines()
+             if line and not line.startswith("#")]
+    assert stdout == f"fig6: wrote {out} ({len(lines)} lines incl. headers)\n"
 
 
 def test_internal_error_exits_distinct_code(capsys, tmp_path, monkeypatch):
