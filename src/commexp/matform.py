@@ -1,12 +1,12 @@
 """Dense matrix harness: exponentials, spectral norm, and test operator pairs.
 
 Everything here is deterministic: the matrix exponential is a fixed
-scaling-and-squaring routine over a Taylor core of degree 5, 8, 11 or 14,
+scaling-and-squaring routine over a Taylor core of degree 3, 7, 11 or 15,
 chosen per exponential (per stack entry) for the fewest products, or of
-degree 14 on a pair's cached power stack, the spectral
-norm is the largest singular value from LAPACK (numpy's ``norm(M, 2)``), and
-the random operator pairs are drawn from a small named 64-bit generator so
-experiments reproduce given the seed.
+degree 14 on a pair's cached power stack, the spectral norm is the square
+root of the largest eigenvalue of the Gram matrix M^H M from LAPACK
+(numpy's ``eigvalsh``), and the random operator pairs are drawn from a
+small named 64-bit generator so experiments reproduce given the seed.
 
 The arithmetic follows the data: real inputs give float64 results, and any
 complex generator, slot argument z·t or target weight gives complex128.  So
@@ -29,18 +29,19 @@ generator merged, cancelling runs removed):
   fits 1 MiB (real d <= 93, complex d <= 66) it caches all of it, and each
   run's exponential is its degree-14 Taylor polynomial as one product of
   its 15 coefficients with the stack, plus s squarings: no Horner product.
-  Larger pairs cache Y^2 and Y^3 alone and run the Taylor core of
-  :func:`expm`: degree 5/8/11/14 per entry, 1-4 products plus s squarings.
+  Larger pairs cache Y^2, Y^3 and Y^4 alone and run the Taylor core of
+  :func:`expm`: degree 3/7/11/15 per entry, 0-3 products plus s squarings.
   At both depths s, the coefficients and the 7.24e-16 truncation bound
-  come from the same pass over the norms of Y^2 and Y^3; the runs are
+  come from the same pass over the norms of Y^2, Y^3 and Y^4; the runs are
   multiplied left to right.
 
 A target (:func:`target_matrix`) is one exponential per step time, and a
 grid of step times is one stack through the same Taylor core, each entry
 with its own powers.  Every exponential takes its s squarings and the
-coefficients u^m / m!, m = 0..14, of u = z ||X||_1 2^-s from one pass
-(:func:`_taylor_terms`); the deep stack reads all 15, and the Horner core
-the first 3 q + 3 of its degree 3 q + 2, on shared and per-entry powers alike.
+coefficients u^m / m!, m = 0..15, of u = z ||X||_1 2^-s from one pass
+(:func:`_taylor_terms`); the deep stack reads the first 15, and the Horner
+core the first 4 q + 4 of its degree 4 q + 3, on shared and per-entry
+powers alike.
 """
 
 from __future__ import annotations
@@ -142,20 +143,25 @@ class SplitMix64:
 
 
 #: Scaled-argument bounds theta_m of the Taylor polynomials of degree
-#: m = 5, 8, 11, 14 (1, 2, 3, 4 Horner products on the cached Y^2 and Y^3)
-#: behind every exponential here: when |z| nu alpha <= theta_m the truncation
-#: error sum_{k>m} theta_m^k / k! is at most 7.24e-16, the bound of a degree-13
-#: polynomial at one-norm 1/2 (sum_{k>=14} 0.5^k / k!).  Each is the root of
-#: that equation, rounded down (theta_14 = 0.62700290 rounded to 0.6270028).
-_THETA = np.array([0.0089696, 0.0861186, 0.2889821, 0.6270028])
+#: m = 3, 7, 11, 15 (0, 1, 2, 3 Horner products on the cached Y^2, Y^3 and
+#: Y^4) behind every exponential here: when |z| nu alpha <= theta_m the
+#: truncation error sum_{k>m} theta_m^k / k! is at most 7.24e-16, the bound
+#: of a degree-13 polynomial at one-norm 1/2 (sum_{k>=14} 0.5^k / k!).  Each
+#: is the root of that equation, rounded down (theta_15 = 0.76741391...).
+_THETA = np.array([0.000363086, 0.0481816, 0.2889821, 0.7674139])
 
-#: m as a float64 for m = 1..14: the Taylor factors u / m.
-_DIVISORS = np.arange(1.0, 15.0)
+#: theta_14, the same bound for the deep stack's degree-14 polynomial.
+_THETA_DEEP = 0.6270028
+
+#: m as a float64 for m = 1..15: the Taylor factors u / m.
+_DIVISORS = np.arange(1.0, 16.0)
 
 #: A pair caches the deep power stack Y^0 .. Y^_DEEP of each generator when
-#: one such stack takes at most _DEEP_BYTES (real d <= 93, complex d <= 66).
+#: one such stack takes at most _DEEP_BYTES (real d <= 93, complex d <= 66),
+#: and else Y^2 .. Y^_SHALLOW.
 _DEEP = 14
 _DEEP_BYTES = 1 << 20
+_SHALLOW = 4
 
 
 class _Powers(NamedTuple):
@@ -164,20 +170,28 @@ class _Powers(NamedTuple):
 
     ``X = scale * Y`` with ``scale = ||X||_1``, raised to the smallest normal
     float so that ``1 / scale`` is finite (so a zero X has the smallest
-    normal ``scale`` and zero powers); ``square`` and ``cube`` are Y^2 and
-    Y^3, and ``alpha = max(||Y^2||_1^(1/2), ||Y^3||_1^(1/3))``, which bounds
-    ``||Y^k||_1^(1/k)`` for every k >= 2 (Al-Mohy and Higham 2009, with
-    p = 2).  ``scale`` and ``alpha`` are 0-d for one matrix and length-k
-    arrays for a stack.  ``stack`` is None, or for one matrix the deep stack
-    of :func:`_stack_exp`: the (15, d^2) array of the flattened Y^0 = I,
-    Y, ..., Y^14, whose rows 2 and 3 ``square`` and ``cube`` then view.
+    normal ``scale`` and zero powers); ``square``, ``cube`` and ``fourth``
+    are Y^2, Y^3 and Y^4.  With d_p = ||Y^p||_1^(1/p), Al-Mohy and Higham's
+    (2009) alpha_p = max(d_p, d_(p+1)) bounds ||Y^k||_1^(1/k) in the Taylor
+    tail of every degree m with m + 1 >= p (p - 1): ``alpha`` is alpha_2,
+    which bounds the tails of every degree, and ``alpha3`` is
+    min(alpha_2, alpha_3), which bounds those of degree 5 and up (alpha_3
+    <= alpha_2, since d_4 <= d_2, but the computed norms can round it an ulp
+    past).  ``scale``, ``alpha`` and ``alpha3`` are 0-d for one matrix and
+    length-k arrays for a stack.
+    ``stack`` is None, or for one matrix the deep stack of
+    :func:`_stack_exp`: the (15, d^2) array of the flattened Y^0 = I, Y,
+    ..., Y^14, whose rows 2, 3 and 4 ``square``, ``cube`` and ``fourth``
+    then view.
     """
 
     X: np.ndarray
     scale: np.ndarray
     square: np.ndarray
     cube: np.ndarray
+    fourth: np.ndarray
     alpha: np.ndarray
+    alpha3: np.ndarray
     stack: np.ndarray | None = None
 
 
@@ -192,9 +206,10 @@ def _norm1(X: np.ndarray) -> np.ndarray:
 
 
 def _powers(X: np.ndarray, deep: bool = False) -> _Powers:
-    """The powers of one matrix X or of each matrix of a (k, d, d) stack X;
-    ``deep`` (one matrix only) builds the whole stack Y^0 .. Y^14, one
-    product per power, with Y^2 and Y^3 exactly as the shallow powers."""
+    """The powers of one matrix X or of each matrix of a (k, d, d) stack X:
+    Y^2 = Y Y, Y^3 = Y^2 Y and Y^4 = Y^2 Y^2, three products per matrix, or
+    with ``deep`` (one matrix only) the whole stack Y^0 .. Y^14, one product
+    per power, with Y^2 and Y^3 exactly as the shallow powers."""
     scale = np.maximum(_norm1(X), np.finfo(np.float64).tiny)
     Y = X * (1.0 / scale)[..., np.newaxis, np.newaxis]
     stack = None
@@ -205,16 +220,20 @@ def _powers(X: np.ndarray, deep: bool = False) -> _Powers:
         stack[1] = Y
         for m in range(2, _DEEP + 1):
             np.matmul(stack[m - 1], Y, out=stack[m])
-        square, cube = stack[2], stack[3]
+        square, cube, fourth = stack[2:5]
         stack = stack.reshape(_DEEP + 1, d * d)
     else:
         square = Y @ Y
         cube = square @ Y
-    # one matrix at a time, as libm's pow gives it: numpy's vectorised power
-    # can differ from it by an ulp, and alpha picks the degree and squarings
-    norms = zip(np.ravel(_norm1(square)).tolist(), np.ravel(_norm1(cube)).tolist())
-    alpha = [max(math.sqrt(a), b ** (1.0 / 3.0)) for a, b in norms]
-    return _Powers(X, scale, square, cube, np.reshape(alpha, scale.shape), stack)
+        fourth = square @ square
+    n2, n3, n4 = (_norm1(P) for P in (square, cube, fourth))
+    # cube roots one matrix at a time, as libm's pow gives them: numpy's
+    # vectorised power can differ from it by an ulp, and the alphas pick
+    # degrees and squarings (square roots are correctly rounded either way)
+    d3 = np.reshape([n ** (1.0 / 3.0) for n in np.ravel(n3).tolist()], n3.shape)
+    alpha = np.maximum(np.sqrt(n2), d3)
+    alpha3 = np.minimum(alpha, np.maximum(d3, np.sqrt(np.sqrt(n4))))
+    return _Powers(X, scale, square, cube, fourth, alpha, alpha3, stack)
 
 
 def _taylor_terms(powers: Sequence[_Powers], z: np.ndarray
@@ -222,53 +241,57 @@ def _taylor_terms(powers: Sequence[_Powers], z: np.ndarray
     """Horner products, squaring counts and Taylor coefficients of
     exp(z_ij X_i), X_i the matrix of ``powers[i]``, for an (r, k) array z:
     one row of k arguments per matrix, or (r = 1) one argument per matrix of
-    one stack's powers, whose ``scale`` and ``alpha`` are then read per
-    entry.  Returns q and s, r lists of k ints: entry (i, j) takes s_ij
-    squarings and, on Y^2 and Y^3, the degree 3 q_ij + 2 polynomial (q_ij
-    Horner products); and c, shaped (r, k, 15), c[i, j, m] = u_ij^m / m!
-    for m = 0..14 and u = z nu 2^-s, nu the powers' ``scale``, one
-    ``cumprod``.  :func:`_stack_exp` reads all 15 columns of a row,
-    :func:`_taylor_exp` the first 3 q_ij + 3.
+    one stack's powers, whose ``scale`` and alphas are then read per entry.
+    Returns q and s, r lists of k ints: entry (i, j) takes s_ij squarings
+    and, on Y^2, Y^3 and Y^4, the degree 4 q_ij + 3 polynomial (q_ij Horner
+    products); and c, shaped (r, k, 16), c[i, j, m] = u_ij^m / m! for
+    m = 0..15 and u = z nu 2^-s, nu the powers' ``scale``, one ``cumprod``.
+    :func:`_stack_exp` reads the first 15 columns of a row,
+    :func:`_taylor_exp` the first 4 q_ij + 4.
 
-    Each entry takes, at its own ``x = |z| nu alpha``, the degree m in
-    {5, 8, 11, 14} and the s with the fewest products q + s, ties going to
-    the higher degree.  That is the lowest degree with x <= theta_m and
-    s = 0 while x <= theta_14, and else degree 14 with
-    ``s = ceil(log2(x / theta_14))``, computed exactly from the binary
-    exponent.  On deep powers every entry takes degree 14 with the same s,
-    whose truncation error is then at most the 7.24e-16 each lower degree
-    is chosen to meet.  Along a row of more than one entry x is first
-    raised to its suffix maximum, so q and s do not increase along it: the
-    top Horner blocks and the squarings of a stack run on prefixes of it.
-    When x does not increase along the row (as :func:`evaluate_scheme`
-    orders |z| and :func:`_expm_stack` orders nu alpha) that changes
-    nothing.  An entry whose alpha is 0 has Y^2 = 0, so every power from
-    Y^2 on is exactly zero: its coefficients c[m] for m >= 2 are set to
-    zero, and it takes degree 5 with no squaring, I + u Y however large
-    z nu is.  No entry with alpha > 0 changes by that rule.
+    Each entry is chosen on its own.  Degree 3 is taken while
+    ``|z| nu alpha <= theta_3``; the higher degrees, whose tails start at
+    degree 8 or more, are taken on ``x = |z| nu alpha3``, which is never
+    larger.  Of the degrees and squarings that meet the bound the entry
+    takes the fewest products q + s, ties going to the higher degree: the
+    lowest degree within its theta and s = 0 while x <= theta_15, and else
+    degree 15 with ``s = ceil(log2(x / theta_15))``, computed exactly from
+    the binary exponent.  On deep powers every entry takes degree 14 and
+    ``s = ceil(log2(x / theta_14))``, or none.  So q and s do not increase
+    along a row whose |z| does not increase, as :func:`evaluate_scheme`
+    orders a run's step times; :func:`_expm_stack` orders its entries by
+    q + s.  A power that is exactly zero makes every power above it zero,
+    so an entry whose alpha is 0 (Y^2 = 0) has its coefficients c[m] for
+    m >= 2 set to zero, and one whose alpha3 is 0 (Y^3 = 0) those for
+    m >= 3: such an entry takes no squaring and is I + u Y (+ u^2 Y^2 / 2)
+    however large z nu is, where u^m / m! would overflow.  No entry with
+    nonzero alphas changes by that rule.
     """
-    scale = np.array([p.scale for p in powers]).reshape(len(powers), -1)
-    alpha = np.array([p.alpha for p in powers]).reshape(len(powers), -1)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+    # (r, 3, 1) for r matrices, (1, 3, k) for one stack
+    scale, alpha, alpha3 = np.array([(p.scale, p.alpha, p.alpha3) for p in powers]
+                                    ).reshape(len(powers), 3, -1).transpose(1, 0, 2)
+    top = np.array([_THETA[3] if p.stack is None else _THETA_DEEP for p in powers])
+    # u^m / m! overflows only where an alpha is 0 or tiny, so |u| is large:
+    # the coefficients of zero powers are set to zero below (inf * 0 is NaN),
+    # and an inf on a tiny power makes a non-finite result, which the
+    # callers refuse; w is checked just below
+    with np.errstate(over="ignore", invalid="ignore"):
         w = z * scale
-    if not np.isfinite(w).all():
-        raise ValueError("matrix exponential of non-finite entries")
-    x = np.abs(w) * alpha
-    if x.shape[1] > 1:
-        x = np.maximum.accumulate(x[:, ::-1], axis=1)[:, ::-1]
-    q = np.searchsorted(_THETA[:3], x) + 1
-    mantissa, exponent = np.frexp(x / _THETA[3])
-    s = np.maximum(exponent - (mantissa == 0.5), 0)
-    u = w * np.ldexp(1.0, -s)
-    c = np.empty(u.shape + (_DEEP + 1,), dtype=u.dtype)
-    c[..., 0] = 1.0
-    np.divide(u[..., np.newaxis], _DIVISORS, out=c[..., 1:])
-    if not alpha.all():
-        # alpha = 0: Y^2 = 0, so every power from Y^2 on is exactly zero, and
-        # so is its coefficient, which u^m / m! could overflow to inf (and
-        # inf * 0 is NaN); such an entry is I + z X
-        c[np.broadcast_to(alpha == 0, u.shape), 2:] = 0.0
-    np.cumprod(c, axis=-1, out=c)
+        if not np.isfinite(w).all():
+            raise ValueError("matrix exponential of non-finite entries")
+        size = np.abs(w)
+        x = size * alpha3
+        q = (size * alpha > _THETA[0]) + np.searchsorted(_THETA[1:3], x)
+        mantissa, exponent = np.frexp(x / top[:, np.newaxis])
+        s = np.maximum(exponent - (mantissa == 0.5), 0)
+        u = w * np.ldexp(1.0, -s)
+        c = np.empty(u.shape + (len(_DIVISORS) + 1,), dtype=u.dtype)
+        c[..., 0] = 1.0
+        np.divide(u[..., np.newaxis], _DIVISORS, out=c[..., 1:])
+        np.cumprod(c, axis=-1, out=c)
+    if not alpha3.all():  # alpha = 0 gives alpha3 = 0
+        for first, a in ((2, alpha), (3, alpha3)):
+            c[np.broadcast_to(a == 0, u.shape), first:] = 0.0
     return q.tolist(), s.tolist(), c
 
 
@@ -293,17 +316,17 @@ def _stack_exp(powers: _Powers, s: list[int], c: np.ndarray,
                P: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """exp(z_i X) for each of k arguments z_i on one matrix's deep powers,
     into one of the contiguous (k, d, d) buffers P and Q: (result, the
-    other).  ``s`` and ``c`` (shaped (k, 15)) are one row of
+    other).  ``s`` and ``c`` (shaped (k, 16)) are one row of
     :func:`_taylor_terms`.
 
-    Entry i is the polynomial sum_m c[i, m] Y^m, one product of its
-    coefficient row with the (15, d^2) stack, then s_i squarings
+    Entry i is the polynomial sum_m c[i, m] Y^m, m = 0..14, one product of
+    its coefficient row with the (15, d^2) stack, then s_i squarings
     (:func:`_square`): no Horner product.  The product is per entry, a
     (d^2, 15) by (15, 1) BLAS call for each, so an entry equals its own
     one-entry evaluation bit for bit, which one (k, 15) by (15, d^2) product
     does not guarantee.
     """
-    np.matmul(powers.stack.T, c[:, :, np.newaxis], out=P.reshape(len(P), -1, 1))
+    np.matmul(powers.stack.T, c[:, :_DEEP + 1, np.newaxis], out=P.reshape(len(P), -1, 1))
     return _square(s, P, Q)
 
 
@@ -313,27 +336,28 @@ def _taylor_exp(powers: _Powers, q: list[int], s: list[int], c: np.ndarray,
     buffers P and Q: (result, the other).  The powers are shared, X_i = X
     with (d, d) arrays, read through (k, d, d) broadcast views, or per
     entry, with (k, d, d) stacks.  ``q``, ``s`` (k Horner product and
-    squaring counts, neither increasing) and ``c`` (shaped (k, 15)) are one
+    squaring counts, neither increasing) and ``c`` (shaped (k, 16)) are one
     row of :func:`_taylor_terms` for these powers.
 
     P and Q may be float64 only when X and z are real; complex buffers take
     real powers and arguments as they are.
 
-    Entry i evaluates the Taylor polynomial of degree 3 q_i + 2 (5, 8, 11 or
-    14) in u_i Y, Paterson-Stockmeyer style in blocks of three terms and
-    Horner in the cached Y^3, ``p = ((B_q Y^3 + B_(q-1)) Y^3 + ...) Y^3 + B_0``
-    with ``B_j = sum_{i<3} (u Y)^(3j+i) / (3j+i)!``, its X term taken as
-    X c[i, 3j+1] / nu; then squares s_i times: q_i + s_i matrix products,
+    Entry i evaluates the Taylor polynomial of degree 4 q_i + 3 (3, 7, 11 or
+    15) in u_i Y, Paterson-Stockmeyer style in blocks of four terms and
+    Horner in the cached Y^4,
+    ``p = ((B_q Y^4 + B_(q-1)) Y^4 + ...) Y^4 + B_0`` with
+    ``B_j = sum_{i<4} (u Y)^(4j+i) / (4j+i)!``, its X term taken as
+    X c[i, 4j+1] / nu; then squares s_i times: q_i + s_i matrix products,
     and no array beyond P and Q.  The Horner blocks above an entry's degree
     and the squarings run on prefixes of the stack: an entry joins the
     Horner loop at its own top block, so it equals its own one-entry
     evaluation bit for bit.
     """
     k, d = len(P), P.shape[-1]
-    X, square, cube = (A if A.ndim == 3 else np.broadcast_to(A, P.shape)
-                       for A in (powers.X, powers.square, powers.cube))
-    # the coefficients of the X terms (m = 1, 4, ..., 13) divided by nu
-    x_terms = c[:, 1::3, np.newaxis, np.newaxis] / powers.scale.reshape(-1, 1, 1, 1)
+    X, square, cube, fourth = (A if A.ndim == 3 else np.broadcast_to(A, P.shape)
+                               for A in (powers.X, powers.square, powers.cube, powers.fourth))
+    # the coefficients of the X terms (m = 1, 5, 9, 13) divided by nu
+    x_terms = c[:, 1::4, np.newaxis, np.newaxis] / powers.scale.reshape(-1, 1, 1, 1)
     c = c[:, :, np.newaxis, np.newaxis]
     n = 0
     for j in range(q[0], -1, -1):
@@ -341,15 +365,16 @@ def _taylor_exp(powers: _Powers, q: list[int], s: list[int], c: np.ndarray,
         m = n
         while n < k and q[n] >= j:
             n += 1
-        np.matmul(P[:m], cube[:m], out=Q[:m])
+        np.matmul(P[:m], fourth[:m], out=Q[:m])
         np.multiply(X[:m], x_terms[:m, j], out=P[:m])
         Q[:m] += P[:m]
         # the entries starting here begin as a one-entry pass does
         np.multiply(X[m:n], x_terms[m:n, j], out=Q[m:n])
-        np.multiply(square[:n], c[:n, 3 * j + 2], out=P[:n])
-        Q[:n] += P[:n]
+        for i, power in ((2, square), (3, cube)):
+            np.multiply(power[:n], c[:n, 4 * j + i], out=P[:n])
+            Q[:n] += P[:n]
         # a (n, 1, d) view of the diagonals takes the (n, 1, 1) constant terms
-        Q[:n].reshape(n, 1, -1)[..., :: d + 1] += c[:n, 3 * j]
+        Q[:n].reshape(n, 1, -1)[..., :: d + 1] += c[:n, 4 * j]
         P, Q = Q, P
     return _square(s, P, Q)
 
@@ -364,29 +389,32 @@ def _square_matrix(M, what: str) -> np.ndarray:
 
 def expm(M: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling and squaring over a Taylor core of
-    degree 5, 8, 11 or 14.
+    degree 3, 7, 11 or 15.
 
-    The degree m and the number of squarings s come from ``nu alpha``, where
-    ``nu = ||M||_1`` and alpha is the larger of ``||Y^2||_1^(1/2)`` and
-    ``||Y^3||_1^(1/3)`` for ``Y = M / nu`` (Al-Mohy and Higham 2009): it
-    bounds how fast the Taylor terms decay, and is often well below 1 on
-    non-normal M, so s can be several squarings fewer than the one-norm alone
-    asks for.  Of the pairs (m, s) that push the scaled argument below
-    theta_m (theta_5 = 0.0089696, theta_8 = 0.0861186, theta_11 = 0.2889821,
-    theta_14 = 0.6270028, where the truncation error is at most 7.24e-16
-    relative) the one with the fewest products is taken.  Good to ~1e-13
-    relative for the moderate norms used here.  Cost: Y^2 and Y^3, then 1-4
-    products plus s squarings (Paterson-Stockmeyer, Horner in Y^3), with
-    the coefficients u^m / m! of u = nu 2^-s that every exponential here
+    The degree m and the number of squarings s come from ``nu = ||M||_1``
+    and, for ``Y = M / nu`` and ``d_p = ||Y^p||_1^(1/p)``, Al-Mohy and
+    Higham's (2009) ``alpha_2 = max(d_2, d_3)`` and ``alpha_3 = max(d_3,
+    d_4)``: they bound how fast the Taylor terms decay, and are often well
+    below 1 on non-normal M, so s can be several squarings fewer than the
+    one-norm alone asks for.  Degree 3 is taken while
+    ``nu alpha_2 <= theta_3``, and the higher degrees on
+    ``nu min(alpha_2, alpha_3)``.  Of the pairs (m, s) that push the scaled
+    argument below theta_m (theta_3 = 0.000363086, theta_7 = 0.0481816,
+    theta_11 = 0.2889821, theta_15 = 0.7674139, where the truncation error
+    is at most 7.24e-16 relative) the one with the fewest products is
+    taken.  Good to ~1e-13 relative for the moderate norms used here.
+    Cost: Y^2, Y^3 and Y^4, then 0-3 products plus s squarings
+    (Paterson-Stockmeyer in blocks of four, Horner in Y^4), with the
+    coefficients u^m / m! of u = nu 2^-s that every exponential here
     takes.  It is the one-matrix case of the stacked core
     :func:`target_matrix` runs, and :func:`evaluate_scheme` runs the same
-    core on the cached Y^2 and Y^3 of a pair too large for the deep power
-    stack.  M must be one square 2-D matrix of finite entries, and its
-    exponential must be finite (``ValueError`` otherwise); a real M gives a
-    float64 result, a complex M complex128.  When Y^2 = 0 (alpha = 0) the
-    result is I + M, however large ``nu`` is: the Taylor coefficients of
-    the zero powers are zero, so ``expm([[0, 1e200], [0, 0]])`` is
-    ``[[1, 1e200], [0, 1]]``.
+    core on the cached Y^2, Y^3 and Y^4 of a pair too large for the deep
+    power stack.  M must be one square 2-D matrix of finite entries, and
+    its exponential must be finite (``ValueError`` otherwise); a real M
+    gives a float64 result, a complex M complex128.  When Y^2 = 0
+    (alpha_2 = 0) the result is I + M, however large ``nu`` is: the Taylor
+    coefficients of the zero powers are zero, so
+    ``expm([[0, 1e200], [0, 0]])`` is ``[[1, 1e200], [0, 1]]``.
     """
     return _expm_stack(_square_matrix(M, "expm")[np.newaxis])[0]
 
@@ -394,8 +422,9 @@ def expm(M: np.ndarray) -> np.ndarray:
 def _expm_stack(F: np.ndarray) -> np.ndarray:
     """exp of each matrix of a (k, d, d) stack, as :func:`expm` takes it.
 
-    Each matrix gets its own powers (:func:`_powers`), and the stack runs in
-    order of decreasing ``nu alpha``, so the top Horner blocks and the
+    Each matrix gets its own powers (:func:`_powers`) and its own degree,
+    squarings and coefficients (:func:`_taylor_terms`), and the stack runs
+    in order of decreasing products q + s, so the top Horner blocks and the
     squarings of :func:`_taylor_exp` work on prefixes of it; each result is
     the stack's one-matrix evaluation bit for bit.  A non-finite entry or
     result anywhere raises ``ValueError``.
@@ -406,14 +435,15 @@ def _expm_stack(F: np.ndarray) -> np.ndarray:
         return F.copy()
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         powers = _powers(F)
-        x = (powers.scale * powers.alpha).tolist()
-        order = sorted(range(len(F)), key=x.__getitem__, reverse=True)
+        (q,), (s,), (c,) = _taylor_terms([powers], np.ones((1, len(F))))
+        products = [a + b for a, b in zip(q, s)]
+        order = sorted(range(len(F)), key=products.__getitem__, reverse=True)
         ordered = order == list(range(len(F)))
         if not ordered:
             powers = _Powers(*(None if p is None else p[order] for p in powers))
-        q, s, c = _taylor_terms([powers], np.ones((1, len(F))))
+            q, s, c = [q[i] for i in order], [s[i] for i in order], c[order]
         P, Q = (np.empty(F.shape, dtype=F.dtype) for _ in range(2))
-        E = _taylor_exp(powers, q[0], s[0], c[0], P, Q)[0]
+        E = _taylor_exp(powers, q, s, c, P, Q)[0]
     if not np.all(np.isfinite(E)):
         raise ValueError("matrix exponential overflows")
     if not ordered:
@@ -506,30 +536,64 @@ class OperatorPair:
     def power_depth(self) -> int:
         """The highest power of Y = X/||X||_1 that :attr:`powers` keeps per
         generator: 14 when the stack Y^0 .. Y^14 takes at most 1 MiB (real
-        d <= 93, complex d <= 66), else 3."""
+        d <= 93, complex d <= 66), else 4."""
         fits = (_DEEP + 1) * self.A.size * self.A.itemsize <= _DEEP_BYTES
-        return _DEEP if fits else 3
+        return _DEEP if fits else _SHALLOW
 
     @cached_property
     def powers(self) -> tuple[_Powers, _Powers]:
         """Cached scaled powers of A and B for their Taylor exponentials:
-        Y^2 and Y^3, and with a :attr:`power_depth` of 14 the whole stack
-        Y^0 .. Y^14 (Y^2 and Y^3 then view it)."""
+        Y^2, Y^3 and Y^4, and with a :attr:`power_depth` of 14 the whole
+        stack Y^0 .. Y^14 (Y^2, Y^3 and Y^4 then view it)."""
         deep = self.power_depth == _DEEP
         return _powers(self.A, deep), _powers(self.B, deep)
 
 
+#: two_norms takes the Gram matrix of a matrix as it is while its largest
+#: diagonal entry (the largest squared column norm) lies in
+#: [2^-_GRAM_RANGE, 2^_GRAM_RANGE]: no product overflows, and what underflows
+#: is far below eps of the norm.
+_GRAM_RANGE = 900
+
+
+def _gram(M: np.ndarray) -> np.ndarray:
+    """M^H M for each matrix of a (k, d, d) stack (one BLAS syrk per real
+    matrix)."""
+    return np.matmul(M.conj().swapaxes(-1, -2), M)
+
+
 def two_norms(M: np.ndarray) -> np.ndarray:
     """Largest singular value (spectral norm) of each matrix of a (k, d, d)
-    stack, from LAPACK's SVD via numpy, as a length-k array.
+    stack, as a length-k array: the square root of the largest eigenvalue of
+    the Gram matrix M^H M, from LAPACK's symmetric eigensolver via numpy's
+    ``eigvalsh``.
 
-    A real stack goes to the real SVD in float64, a complex one to the
-    complex SVD.  Non-finite entries anywhere raise ``ValueError``.
+    A real stack stays float64 throughout, a complex one complex128.  The
+    top eigenvalue of M^H M is good to a few d eps relative, so the norm is
+    too (it agrees with numpy's SVD-based ``norm(M, 2)`` to within
+    8 (d + 1) eps relative).  A matrix whose largest squared column norm
+    lies outside [2^-900, 2^900], where M^H M could overflow or lose its
+    digits to underflow, is first scaled exactly by a power of two 2^-e
+    that brings its largest entry into [1/2, 1), and its norm scaled back
+    by 2^e; every other matrix is used as it is.  Each matrix's norm equals
+    its one-matrix call bit for bit.  Non-finite entries anywhere raise
+    ``ValueError``.
     """
     M = np.asarray(M, dtype=_dtype(M))
+    with np.errstate(over="ignore", invalid="ignore"):  # an extreme M is redone below
+        G = _gram(M)
+    top = G.diagonal(0, -2, -1).real.max(axis=-1, initial=0.0)
+    low, high = 2.0 ** -_GRAM_RANGE, 2.0 ** _GRAM_RANGE
+    if all(low <= x <= high for x in top.tolist()):  # False on NaN
+        return np.sqrt(np.linalg.eigvalsh(G)[..., -1])
     if not np.all(np.isfinite(M)):
         raise ValueError("norm of non-finite entries")
-    return np.linalg.svd(M, compute_uv=False)[..., 0]
+    # the real and imaginary parts as floats, so np.ldexp scales them exactly
+    parts = np.ascontiguousarray(M).view(np.float64)
+    largest = np.abs(parts).max(axis=(-2, -1), initial=0.0)
+    e = np.where((top >= low) & (top <= high), 0, np.frexp(largest)[1])
+    G = _gram(np.ldexp(parts, -e[:, np.newaxis, np.newaxis]).view(M.dtype))
+    return np.ldexp(np.sqrt(np.linalg.eigvalsh(G)[..., -1]), e)
 
 
 def two_norm(M: np.ndarray) -> float:
@@ -595,23 +659,24 @@ def evaluate_scheme(scheme, pair: OperatorPair, t) -> np.ndarray:
 
     Every other pair exponentiates each run from the pair's cached
     :attr:`~OperatorPair.powers` of ``Y = X / nu``, ``nu = ||X||_1``, with
-    alpha from the norms of Y^2 and Y^3; a run ``exp(z X)`` is good to
-    ~1e-13 relative.  One pass over all runs gives each entry its s and
-    the coefficients ``u^m / m!`` of ``u = z nu 2^-s``, m = 0..14, at
-    either depth.  With a :attr:`~OperatorPair.power_depth` of 14 (a stack
-    Y^0 .. Y^14 that fits 1 MiB: real d <= 93) each entry takes the
-    degree-14 polynomial in ``u Y`` as one product of its 15 coefficients
-    with the cached stack, and then its s squarings, s the least that
-    brings ``|z| nu alpha 2^-s`` below theta_14 (truncation error at most
-    7.24e-16 relative).  Otherwise it runs the Taylor core of :func:`expm`
-    on Y^2 and Y^3: per stack entry, the polynomial of degree 5, 8, 11 or
-    14 (1-4 products, the first 3 q + 3 of those coefficients) plus s
-    squarings with the fewest products that brings ``|z| nu alpha 2^-s``
-    below that degree's theta, the same s.  The stack is ordered by
-    decreasing |t|, so the top Horner blocks and each squaring run on a
-    prefix of it, and each entry equals its own one-time evaluation bit
-    for bit at either depth.  Three buffers rotate through the runs and
-    the products between them.  They are float64 when
+    alpha_2 and alpha_3 from the norms of Y^2, Y^3 and Y^4 (:func:`expm`);
+    a run ``exp(z X)`` is good to ~1e-13 relative.  One pass over all runs
+    gives each entry its s and the coefficients ``u^m / m!`` of
+    ``u = z nu 2^-s``, m = 0..15, at either depth.  With a
+    :attr:`~OperatorPair.power_depth` of 14 (a stack Y^0 .. Y^14 that fits
+    1 MiB: real d <= 93) each entry takes the degree-14 polynomial in
+    ``u Y`` as one product of its first 15 coefficients with the cached
+    stack, and then its s squarings, s the least that brings
+    ``|z| nu min(alpha_2, alpha_3) 2^-s`` below theta_14 (truncation error
+    at most 7.24e-16 relative).  Otherwise (power depth 4) it runs the
+    Taylor core of :func:`expm` on Y^2, Y^3 and Y^4: per stack entry, the
+    polynomial of degree 3, 7, 11 or 15 (0-3 products, the first 4 q + 4
+    of those coefficients) plus the s squarings with the fewest products
+    that bring the entry's scaled argument below that degree's theta.
+    The stack is ordered by decreasing |t|, so the top Horner blocks and
+    each squaring run on a prefix of it, and each entry equals its own
+    one-time evaluation bit for bit at either depth.  Three buffers rotate
+    through the runs and the products between them.  They are float64 when
     the pair and every run's z·t are real, and complex128 when either is
     complex: then the real cached powers of a real pair are read into
     complex products.

@@ -319,9 +319,9 @@ def test_bench_custom_cost_table(capsys, tmp_path):
     ("pauli", "pauli: eigenbasis path, complex128 arithmetic"),
     ("random:16", "random:16: taylor path, powers to Y^14, float64 arithmetic; "
                   "taylor path, powers to Y^14, complex128 arithmetic for PCP6_3_imaginary"),
-    # past the 1 MiB stack budget a pair caches Y^2 and Y^3 only
-    ("random:100", "random:100: taylor path, powers to Y^3, float64 arithmetic; "
-                   "taylor path, powers to Y^3, complex128 arithmetic for PCP6_3_imaginary"),
+    # past the 1 MiB stack budget a pair caches Y^2, Y^3 and Y^4 only
+    ("random:100", "random:100: taylor path, powers to Y^4, float64 arithmetic; "
+                   "taylor path, powers to Y^4, complex128 arithmetic for PCP6_3_imaginary"),
 ])
 def test_bench_custom_stamps_provenance(capsys, tmp_path, pair, stamp):
     # the comment lines name how each pair was evaluated and the commexp and

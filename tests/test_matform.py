@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 import warnings
 
 import numpy as np
@@ -246,6 +247,48 @@ def test_two_norms_is_two_norm_per_matrix(rng):
         matform.two_norms(stack)
 
 
+@st.composite
+def _scaled_stacks(draw):
+    """Real or complex (k, d, d) stacks, d <= 17, of standard normals scaled
+    by 2^e, e in [-1070, 1000]: from subnormal entries to norms near 2^1004."""
+    g = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    shape = (draw(st.integers(min_value=1, max_value=3)),) + \
+        (draw(st.integers(min_value=1, max_value=17)),) * 2
+    exponent = draw(st.integers(min_value=-1070, max_value=1000))
+    M = np.ldexp(g.standard_normal(shape), exponent)
+    if draw(st.booleans()):
+        M = M + 1j * np.ldexp(g.standard_normal(shape), exponent)
+    return M
+
+
+@settings(max_examples=150, deadline=None)
+@given(stack=_scaled_stacks())
+@example(stack=np.array([[[1e-310, 0.0], [0.0, 5e-311]]]))
+@example(stack=np.full((2, 3, 3), 5e-324))
+def test_two_norms_match_svd_at_every_scale(stack):
+    # the Gram norm against numpy's SVD norm within 8 (d + 1) eps relative,
+    # also where M^H M as it is would overflow or underflow; a version that
+    # formed 2^-e as a factor returned NaN for both examples
+    d = stack.shape[-1]
+    norms = matform.two_norms(stack)
+    expected = np.linalg.norm(stack, 2, axis=(-2, -1))
+    assert np.all(np.abs(norms - expected) <= 8 * (d + 1) * np.finfo(float).eps * expected)
+    assert norms.tolist() == [two_norm(M) for M in stack]
+
+
+def test_two_norms_allocates_only_the_gram_matrix():
+    # in the usual range the Gram stack is the one (k, d, d) array made: no
+    # finiteness mask and no rescaled copy of the input
+    M = np.random.default_rng(3).standard_normal((2, 128, 128))
+    tracemalloc.start()
+    try:
+        matform.two_norms(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= M.nbytes + 16 * 1024
+
+
 # ---------------------------------------------------------------------------
 # make_pair
 # ---------------------------------------------------------------------------
@@ -485,8 +528,8 @@ def test_eigenbasis_walk_makes_no_expm_calls(monkeypatch, pauli_pair):
 
 def _at_depth(patch, depth):
     """Make pairs built from here on cache powers to Y^depth: 14 as small
-    pairs do, or 3 as pairs past the memory budget do."""
-    if depth == 3:
+    pairs do, or 4 as pairs past the memory budget do."""
+    if depth == 4:
         patch.setattr(matform, "_DEEP_BYTES", 0)
 
 
@@ -495,7 +538,7 @@ def _random_pair(dim, seed, depth):
     with pytest.MonkeyPatch.context() as patch:
         _at_depth(patch, depth)
         pair = make_pair("random", dim, seed)
-        assert (pair.powers[0].stack is None) == (depth == 3)
+        assert (pair.powers[0].stack is None) == (depth == 4)
     return pair
 
 
@@ -504,9 +547,9 @@ def test_non_normal_pairs_take_the_cached_power_path(which):
     # a pair qualifies for the walk only when both generators are
     # (anti-)Hermitian; every other pair builds the Taylor powers of both
     # generators once and makes no expm call per slot: at d = 16 the whole
-    # stack Y^0 .. Y^14, which Y^2 and Y^3 view, and past the memory budget
-    # Y^2 and Y^3 alone
-    for depth in (14, 3):
+    # stack Y^0 .. Y^14, which Y^2, Y^3 and Y^4 view, and past the memory
+    # budget Y^2, Y^3 and Y^4 alone
+    for depth in (14, 4):
         with pytest.MonkeyPatch.context() as patch:
             _at_depth(patch, depth)
             pair = make_pair("random", 16, 0)
@@ -527,24 +570,26 @@ def test_non_normal_pairs_take_the_cached_power_path(which):
             Y = X / np.linalg.norm(X, 1)
             np.testing.assert_allclose(powers.square, Y @ Y, atol=1e-15)
             np.testing.assert_allclose(powers.cube, Y @ Y @ Y, atol=1e-15)
-            if depth == 3:
+            np.testing.assert_allclose(powers.fourth, Y @ Y @ Y @ Y, atol=1e-15)
+            if depth == 4:
                 assert powers.stack is None
                 continue
             assert powers.stack.shape == (15, 16 * 16)
             assert np.shares_memory(powers.square, powers.stack)
             assert np.shares_memory(powers.cube, powers.stack)
+            assert np.shares_memory(powers.fourth, powers.stack)
             for m, row in enumerate(powers.stack):
                 np.testing.assert_allclose(row.reshape(16, 16), np.linalg.matrix_power(Y, m),
                                            atol=1e-15)
 
 
 @pytest.mark.parametrize("dim,dtype,depth", [
-    (2, np.float64, 14), (64, np.float64, 14), (93, np.float64, 14), (94, np.float64, 3),
-    (256, np.float64, 3), (66, np.complex128, 14), (67, np.complex128, 3),
+    (2, np.float64, 14), (64, np.float64, 14), (93, np.float64, 14), (94, np.float64, 4),
+    (256, np.float64, 4), (66, np.complex128, 14), (67, np.complex128, 4),
 ])
 def test_power_depth_follows_the_memory_budget(dim, dtype, depth):
     # the stack Y^0 .. Y^14 of one generator is cached when it fits 1 MiB;
-    # larger pairs keep Y^2 and Y^3 and no more
+    # larger pairs keep Y^2, Y^3 and Y^4 and no more
     X = np.diag(np.arange(1.0, dim + 1.0)) + np.eye(dim, k=1)
     phase = 1j if dtype == np.complex128 else 1.0
     pair = OperatorPair(phase * X, X.T)
@@ -553,7 +598,7 @@ def test_power_depth_follows_the_memory_budget(dim, dtype, depth):
     if dim > 94:
         return
     for powers in pair.powers:
-        assert (powers.stack is None) == (depth == 3)
+        assert (powers.stack is None) == (depth == 4)
         if depth == 14:
             assert powers.stack.nbytes <= 1 << 20
 
@@ -572,7 +617,7 @@ def _count_slot_exponentials(monkeypatch, name):
 
 @pytest.mark.parametrize("name,runs", [("suzuki4", 11), ("zass_sym22", 21)])
 def test_cached_power_path_makes_one_exponential_per_run(name, runs):
-    for depth, core in ((14, "_stack_exp"), (3, "_taylor_exp")):
+    for depth, core in ((14, "_stack_exp"), (4, "_taylor_exp")):
         pair = _random_pair(16, 0, depth)
         with pytest.MonkeyPatch.context() as patch:
             calls = _count_slot_exponentials(patch, core)
@@ -608,11 +653,11 @@ _STACK_TIMES = st.lists(st.one_of(st.just(0.0), st.floats(min_value=-1.5, max_va
 @example(seed=9, dim=2, slots=[(Generator.A, 0.5j), (Generator.B, complex(1.0, -0.5))],
          times=[-0.7, 0.0, -0.7])
 def test_deep_stack_walk_matches_horner_and_scipy(seed, dim, slots, times):
-    # the deep stack against the Horner core on Y^2 and Y^3 that it replaces
+    # the deep stack against the Horner core on Y^2, Y^3 and Y^4 that it replaces
     # and against scipy's slot-by-slot product, within the bound of
     # test_suzuki4_on_random_pair_matches_scipy_product; at both depths each
     # entry is its own one-entry evaluation bit for bit
-    deep, shallow = _random_pair(dim, seed, 14), _random_pair(dim, seed, 3)
+    deep, shallow = _random_pair(dim, seed, 14), _random_pair(dim, seed, 4)
     stacks = [evaluate_scheme(slots, pair, np.array(times)) for pair in (deep, shallow)]
     for pair, stack in zip((deep, shallow), stacks):
         for entry, t in zip(stack, times):
@@ -700,8 +745,30 @@ def test_slot_exponential_rejects_nonfinite_argument(random_pair):
         evaluate_scheme([(Generator.A, float("nan"))], random_pair, 0.5)
 
 
-#: theta_5, theta_8, theta_11, theta_14 as the package states them.
-_THETAS = (0.0089696, 0.0861186, 0.2889821, 0.6270028)
+#: theta_3, theta_7, theta_11, theta_15 as the package states them.
+_THETAS = (0.000363086, 0.0481816, 0.2889821, 0.7674139)
+
+#: theta_14, the deep stack's bound, as the package states it.
+_THETA_14 = 0.6270028
+
+
+def test_thetas_meet_the_truncation_bound():
+    # in exact rational arithmetic, each theta_m meets the package's bound
+    # B = sum_{k>=14} 0.5^k / k! and theta_m + 1e-7 does not:
+    # sum_{k>m} theta_m^k / k! <= B < sum_{k>m} (theta_m + 1e-7)^k / k!.
+    # Each series is summed to k = 60, and its remainder bounded by that of
+    # a geometric series with ratio x / 61.
+    def tail(x, m):
+        x = Fraction(x)
+        head = sum(x ** k / math.factorial(k) for k in range(m + 1, 61))
+        rest = x ** 61 / math.factorial(61) / (1 - x / 62)
+        return head, head + rest
+
+    bound_low, bound_high = tail(0.5, 13)
+    for m, theta in zip((3, 7, 11, 15, 14), _THETAS + (_THETA_14,)):
+        assert theta in (matform._THETA.tolist() + [matform._THETA_DEEP])
+        assert tail(theta, m)[1] <= bound_low
+        assert bound_high < tail(Fraction(theta) + Fraction(1, 10 ** 7), m)[0]
 
 
 def _degree14_reference(X, z):
@@ -716,7 +783,7 @@ def _degree14_reference(X, z):
     Y = X / nu
     alpha = max(np.linalg.norm(Y @ Y, 1) ** 0.5, np.linalg.norm(Y @ Y @ Y, 1) ** (1.0 / 3.0))
     x = abs(z) * nu * alpha
-    s = max(0, math.ceil(math.log2(x / _THETAS[3]))) if x > 0.0 else 0
+    s = max(0, math.ceil(math.log2(x / _THETA_14))) if x > 0.0 else 0
     A = (z / 2.0 ** s) * X
     term = E.copy()
     for m in range(1, 15):
@@ -727,11 +794,14 @@ def _degree14_reference(X, z):
     return E
 
 
-def _selection(x):
-    """(q, s) with the fewest products q + s among the degrees 3 q + 2 whose
-    theta bounds x 2^-s, ties going to the higher degree: a brute-force search."""
+def _selection(x2, x3):
+    """(q, s) with the fewest products q + s among the degrees 4 q + 3 whose
+    theta bounds the scaled argument times 2^-s, which is x2 for degree 3
+    and x3 for the higher degrees, ties going to the higher degree: a
+    brute-force search."""
     best = None
-    for q, theta in enumerate(_THETAS, start=1):
+    for q, theta in enumerate(_THETAS):
+        x = x2 if q == 0 else x3
         s = 0
         while x * 2.0 ** -s > theta:
             s += 1
@@ -740,10 +810,12 @@ def _selection(x):
     return best
 
 
-def _argument_at(X, x, phase):
-    """z = phase x / (nu alpha): the argument whose |z| nu alpha is x."""
+def _argument_at(X, x, phase, degree=3):
+    """z = phase x / (nu alpha): the argument whose scaled argument for
+    ``_THETAS[degree]`` is x, alpha being alpha_2 for degree 3 (index 0)
+    and min(alpha_2, alpha_3) for the higher degrees."""
     powers = matform._powers(X)
-    return phase * x / (powers.scale * powers.alpha)
+    return phase * x / (powers.scale * (powers.alpha if degree == 0 else powers.alpha3))
 
 
 @settings(max_examples=120, deadline=None)
@@ -762,7 +834,7 @@ def _argument_at(X, x, phase):
 def test_per_entry_degree_matches_degree14_reference_and_scipy(seed, dim, kind, degree,
                                                                side, phase):
     # an argument just inside or just outside theta_m: the core takes degree m
-    # without squaring inside, and the next degree (or degree 14 and one
+    # without squaring inside, and the next degree (or degree 15 and one
     # squaring) outside; either way it agrees with a degree-14 evaluation and
     # with scipy within the bound of test_slot_exponential_matches_scipy
     X = _generator(seed, dim, "dense" if kind == "real" else kind)
@@ -772,14 +844,14 @@ def test_per_entry_degree_matches_degree14_reference_and_scipy(seed, dim, kind, 
     if norm > 0:
         X /= norm
     x = _THETAS[degree] * (1.0 + side * 2.0 ** -40)
-    z = _argument_at(X, x, phase) if norm > 0 else phase
+    z = _argument_at(X, x, phase, degree) if norm > 0 else phase
     q, s, _ = matform._taylor_terms([matform._powers(X)], np.array([[z]]))
     if norm > 0:
-        assert (q[0][0], s[0][0]) == ((degree + 1, 0) if side < 0 else
-                                      (degree + 2, 0) if degree < 3 else (4, 1))
+        assert (q[0][0], s[0][0]) == ((degree, 0) if side < 0 else
+                                      (degree + 1, 0) if degree < 3 else (3, 1))
     r = abs(z) * norm
     bound = 8 * (dim + r) * np.finfo(float).eps * math.exp(r)
-    # the deep stack takes degree 14 and the same squarings throughout
+    # the deep stack takes degree 14 and its own squarings throughout
     for deep in (False, True):
         E = _slot_exponential(X, z, deep)
         assert E.dtype == (np.float64 if kind == "real" and isinstance(z, float)
@@ -790,24 +862,92 @@ def test_per_entry_degree_matches_degree14_reference_and_scipy(seed, dim, kind, 
             np.testing.assert_array_equal(E, np.eye(dim))
 
 
-@settings(max_examples=200, deadline=None)
-@given(x=st.one_of(st.floats(min_value=0.0, max_value=1e3),
-                   st.sampled_from(_THETAS).flatmap(
-                       lambda theta: st.sampled_from([theta, theta * (1 - 2.0 ** -40),
-                                                      theta * (1 + 2.0 ** -40),
-                                                      2 * theta, 2 * theta * (1 + 2.0 ** -40)]))))
-def test_degree_and_squarings_take_the_fewest_products(x):
-    X = make_pair("random", 5, 2).A
-    z = _argument_at(X, x, 1.0)
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+    dim=st.integers(min_value=1, max_value=12),
+    kind=st.sampled_from(["dense", "non-normal", "real", "nilpotent"]),
+    degree=st.integers(min_value=0, max_value=3),
+    side=st.sampled_from([-1, 1]),
+    phase=st.one_of(st.sampled_from([1.0, -1.0]),
+                    st.floats(min_value=0.0, max_value=2 * math.pi).map(
+                        lambda a: complex(math.cos(a), math.sin(a)))),
+    exponent=st.integers(min_value=-30, max_value=400),
+)
+@example(seed=0, dim=2, kind="nilpotent", degree=0, side=1, phase=1.0, exponent=400)
+@example(seed=0, dim=3, kind="nilpotent", degree=0, side=1, phase=1.0, exponent=300)
+def test_alpha3_rule_at_every_theta(seed, dim, kind, degree, side, phase, exponent):
+    # alpha_3 <= alpha_2 (||Y^4||_1 <= ||Y^2||_1^2, up to the rounding of the
+    # powers and their norms), and the package's alpha3 is min(alpha_2,
+    # alpha_3), from numpy's norms to within that rounding; where Y^3 = 0 the result
+    # is I + z X + (z X)^2 / 2 for z up to 2^400 with no squaring, and where
+    # Y^2 = 0 it is I + z X, exactly on the Horner core (the deep stack's
+    # u Y rounds Y = X / nu); elsewhere an argument within or past
+    # each theta_m, on the alpha its degree is chosen by, is within the
+    # bound of test_slot_exponential_matches_scipy on either depth
+    X = _generator(seed, dim, "dense" if kind == "real" else kind)
+    if kind == "real":
+        X = X.real.copy()
+    norm = np.linalg.norm(X, 2)
+    if norm > 0:
+        X /= norm
     powers = matform._powers(X)
+    eps = np.finfo(float).eps
+    Y = X / np.linalg.norm(X, 1) if norm > 0 else X
+    d2, d3, d4 = (np.linalg.norm(np.linalg.matrix_power(Y, p), 1) ** (1 / p) for p in (2, 3, 4))
+    alpha2, alpha3 = max(d2, d3), max(d3, d4)
+    assert alpha3 <= alpha2 * (1 + 4 * dim * eps)
+    assert powers.alpha3 <= powers.alpha
+    np.testing.assert_allclose([powers.alpha, powers.alpha3], [alpha2, min(alpha2, alpha3)],
+                               rtol=4 * dim * eps)
+    if powers.alpha3 == 0:
+        # z a power of two, so z X is exact
+        z = math.ldexp(math.copysign(1.0, phase.real), exponent)
+        zX = z * X
+        for deep in (False, True):
+            _, s, _ = matform._taylor_terms([matform._powers(X, deep)], np.array([[z]]))
+            assert s == [[0]]
+            E = _slot_exponential(X, z, deep)
+            if powers.alpha == 0 and not deep:
+                np.testing.assert_array_equal(E, np.eye(dim) + zX)
+            else:
+                half = zX @ zX / 2
+                size = 1 + np.linalg.norm(zX, 2) + np.linalg.norm(half, 2)
+                assert np.linalg.norm(E - (np.eye(dim) + zX + half), 2) <= 8 * dim * eps * size
+        return
+    x = _THETAS[degree] * (1.0 + side * 2.0 ** -40)
+    z = _argument_at(X, x, phase, degree)
+    r = abs(z) * norm
+    bound = 8 * (dim + r) * eps * math.exp(r)
+    for deep in (False, True):
+        E = _slot_exponential(X, z, deep)
+        assert np.linalg.norm(E - scipy.linalg.expm(z * X), 2) <= bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(point=st.one_of(
+    st.tuples(st.floats(min_value=0.0, max_value=1e3), st.integers(min_value=0, max_value=3)),
+    st.integers(min_value=0, max_value=3).flatmap(lambda i: st.tuples(
+        st.sampled_from([_THETAS[i], _THETAS[i] * (1 - 2.0 ** -40), _THETAS[i] * (1 + 2.0 ** -40),
+                         2 * _THETAS[i], 2 * _THETAS[i] * (1 + 2.0 ** -40)]),
+        st.just(i)))))
+def test_degree_and_squarings_take_the_fewest_products(point):
+    # x on the alpha of degree _THETAS[i]: the brute-force oracle sees both
+    # scaled arguments, which differ here (alpha_3 < alpha_2)
+    x, i = point
+    X = make_pair("random", 5, 2).A
+    z = _argument_at(X, x, 1.0, i)
+    powers = matform._powers(X)
+    assert powers.alpha3 < powers.alpha
     q, s, c = matform._taylor_terms([powers], np.array([[z]]))
-    assert (q[0][0], s[0][0]) == _selection(abs(z) * powers.scale * powers.alpha)
-    # one row u^m / m!, m = 0..14, u = z nu 2^-s, whatever the degree: the
-    # Horner core reads the first 3 q + 3, the deep stack all 15
+    size = abs(z) * powers.scale
+    assert (q[0][0], s[0][0]) == _selection(size * powers.alpha, size * powers.alpha3)
+    # one row u^m / m!, m = 0..15, u = z nu 2^-s, whatever the degree: the
+    # Horner core reads the first 4 q + 4, the deep stack the first 15
     u = z * powers.scale * 2.0 ** -s[0][0]
-    assert c.shape == (1, 1, 15) and c[0, 0, 0] == 1.0 and c[0, 0, 1] == u
+    assert c.shape == (1, 1, 16) and c[0, 0, 0] == 1.0 and c[0, 0, 1] == u
     # (subnormal terms keep only an absolute accuracy)
-    np.testing.assert_allclose(c[0, 0], [u ** m / math.factorial(m) for m in range(15)],
+    np.testing.assert_allclose(c[0, 0], [u ** m / math.factorial(m) for m in range(16)],
                                rtol=1e-14, atol=np.finfo(float).tiny)
 
 
@@ -830,63 +970,73 @@ def _count_products(monkeypatch):
 
 @pytest.mark.parametrize("degree", [0, 1, 2])
 def test_small_arguments_take_fewer_products(degree):
-    # on Y^2 and Y^3 alone a run at |z| nu alpha <= theta_5, theta_8,
-    # theta_11 takes 1, 2, 3 Horner products and no squaring, and past
-    # theta_14 it takes 4 and squares once; on the deep stack every run is one
-    # coefficient product and the same squarings, with no Horner product
-    for depth in (14, 3):
+    # on Y^2, Y^3 and Y^4 alone a run within theta_3, theta_7, theta_11
+    # takes 0, 1, 2 Horner products and no squaring, and past theta_15 it
+    # takes 3 and squares once; on the deep stack every run is one
+    # coefficient product and its theta_14 squarings (two at 2 theta_15),
+    # with no Horner product
+    for depth in (14, 4):
         pair = _random_pair(8, 4, depth)
-        small = _argument_at(pair.A, _THETAS[degree] * (1 - 2.0 ** -40), 1.0)
+        small = _argument_at(pair.A, _THETAS[degree] * (1 - 2.0 ** -40), 1.0, degree)
         large = 2.0 * _argument_at(pair.A, _THETAS[3], 1.0)
         with pytest.MonkeyPatch.context() as patch:
             products = _count_products(patch)
             evaluate_scheme([(Generator.A, small)], pair, 1.0)
-            assert products == ({"square": degree + 1, "stack": 0} if depth == 3
+            assert products == ({"square": degree, "stack": 0} if depth == 4
                                 else {"square": 0, "stack": 1})
             products.update(square=0, stack=0)
             evaluate_scheme([(Generator.A, large)], pair, 1.0)
-            assert products == ({"square": 4 + 1, "stack": 0} if depth == 3
-                                else {"square": 1, "stack": 1})
+            assert products == ({"square": 3 + 1, "stack": 0} if depth == 4
+                                else {"square": 2, "stack": 1})
+
+
+def _times_at(X, degrees, top=1.0):
+    """Step times for one run at z = the argument at theta_15 (returned
+    too): ``top`` times that, then just inside theta_m for each index in
+    ``degrees``, each on its own alpha."""
+    z = _argument_at(X, _THETAS[3], 1.0)
+    inside = [top] + [_argument_at(X, _THETAS[i], 1.0, i) / z for i in degrees]
+    return z, np.array(inside) * (1 - 2.0 ** -40)
 
 
 def test_stack_entries_take_their_own_products():
-    # entries of one stack just inside 2 theta_14, theta_11, theta_5 and at 0:
+    # entries of one stack just inside 2 theta_15, theta_11, theta_3 and at 0:
     # the top Horner blocks and the squarings run on prefixes, so the stack
-    # makes each entry's own products and no more: q + s on Y^2 and Y^3, and
-    # on the deep stack one coefficient product per nonzero time plus s
-    times = np.array([2.0, _THETAS[2] / _THETAS[3], _THETAS[0] / _THETAS[3], 0.0]) \
-        * (1 - 2.0 ** -40)
-    for depth in (14, 3):
+    # makes each entry's own products and no more: q + s on Y^2, Y^3 and
+    # Y^4, and on the deep stack one coefficient product per nonzero time
+    # plus its squarings
+    for depth in (14, 4):
         pair = _random_pair(8, 4, depth)
-        z = _argument_at(pair.A, _THETAS[3], 1.0)
+        z, times = _times_at(pair.A, [2, 0], top=2.0)
+        times = np.append(times, 0.0)
         with pytest.MonkeyPatch.context() as patch:
             products = _count_products(patch)
             stack = evaluate_scheme([(Generator.A, z)], pair, times)
-        assert products == ({"square": (4 + 1) + 3 + 1, "stack": 0} if depth == 3
-                            else {"square": 1, "stack": 3})
+        assert products == ({"square": (3 + 1) + 2 + 0, "stack": 0} if depth == 4
+                            else {"square": 2, "stack": 3})
         for entry, t in zip(stack, times):
             assert _bits(entry) == _bits(evaluate_scheme([(Generator.A, z)], pair, t))
 
 
 @pytest.mark.parametrize("seed,angle", [(5, 1.4), (5, 4.2)])
 def test_shallow_stack_joins_keep_signed_zeros(seed, angle):
-    # one run on Y^2 and Y^3 alone, at entries of every degree (q = 4, 4, 3,
-    # 2, 1), so the lower three join the Horner loop at blocks 3, 2 and 1 on
-    # the pair's shared powers; the generator's zero rows carry signed zeros
-    # into the products, and each entry, at t and at -t, is its own
-    # one-entry evaluation bit for bit, signed zeros included
+    # one run on Y^2, Y^3 and Y^4 alone, at entries of every degree (q = 3,
+    # 3, 2, 1, 0), so the lower three join the Horner loop at blocks 2, 1
+    # and 0 on the pair's shared powers; the generator's zero rows carry
+    # signed zeros into the products, and each entry, at t and at -t, is its
+    # own one-entry evaluation bit for bit, signed zeros included
     g = np.random.default_rng(seed)
     X = g.standard_normal((5, 5)) + 1j * g.standard_normal((5, 5))
     X[:2] = (0.0 * (g.standard_normal((5, 5)) + 1j * g.standard_normal((5, 5))))[:2]
     with pytest.MonkeyPatch.context() as patch:
-        _at_depth(patch, 3)
+        _at_depth(patch, 4)
         pair = OperatorPair(X, g.standard_normal((5, 5)))
         powers = pair.powers[0]
-    times = np.array([2.0, 1.0, _THETAS[2] / _THETAS[3], _THETAS[1] / _THETAS[3],
-                      _THETAS[0] / _THETAS[3]]) * (1 - 2.0 ** -40)
-    z = _argument_at(X, _THETAS[3], complex(math.cos(angle), math.sin(angle)))
+    z, times = _times_at(X, [2, 1, 0], top=2.0)
+    times = np.insert(times, 1, 1 - 2.0 ** -40)
+    z *= complex(math.cos(angle), math.sin(angle))
     q, s, _ = matform._taylor_terms([powers], z * times[np.newaxis])
-    assert q == [[4, 4, 3, 2, 1]] and s == [[1, 0, 0, 0, 0]]
+    assert q == [[3, 3, 2, 1, 0]] and s == [[1, 0, 0, 0, 0]]
     for sign in (1.0, -1.0):
         stack = evaluate_scheme([(Generator.A, z)], pair, sign * times)
         for entry, t in zip(stack, sign * times):
@@ -920,7 +1070,7 @@ def test_evaluate_scheme_refuses_an_overflowing_product(case, name, t):
     # squarings and the eigenbasis walk in exp, each returning a non-finite
     # product with a numpy RuntimeWarning
     pair = make_pair("pauli") if case == "pauli" else \
-        _random_pair(4, 1, 14 if case == "deep" else 3)
+        _random_pair(4, 1, 14 if case == "deep" else 4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="overflows"):
@@ -974,7 +1124,7 @@ def _assert_blocks_close(actual, expected, half):
         assert np.abs(actual[rows, cols] - expected[rows, cols]).max() <= 1e-13 * scale
 
 
-@pytest.mark.parametrize("dim,depth", [(40, 14), (100, 3)])
+@pytest.mark.parametrize("dim,depth", [(40, 14), (100, 4)])
 @pytest.mark.parametrize("size", [1e200, 1.0])
 def test_scheme_on_a_generator_whose_square_is_zero(dim, depth, size):
     # exp(c t N) = I + c t N, on the deep power stack (d <= 93) and on the
@@ -1017,6 +1167,32 @@ def test_expm_matches_scipy_at_dim_256(rng):
     assert error < 5e-14
 
 
+@pytest.fixture(scope="module")
+def dense_pair():
+    """The first random:256 pair of the dense benchmark workload."""
+    return make_pair("random", 256, 200)
+
+
+@pytest.mark.parametrize("name", ["NCP10_4", "PCP26_6"])
+def test_dense_benchmark_product_matches_scipy(dense_pair, name):
+    # the Horner core on the cached Y^2, Y^3 and Y^4 at d = 256, against
+    # scipy's exponential of every run
+    assert dense_pair.power_depth == 4
+    expected = np.eye(256)
+    for gen, coeff in slot_runs(catalog_get(name)):
+        expected = expected @ scipy.linalg.expm(coeff * dense_pair.matrix(gen))
+    U = evaluate_scheme(catalog_get(name), dense_pair, 1.0)
+    assert np.linalg.norm(U - expected, 2) <= 1e-13 * np.linalg.norm(expected, 2)
+
+
+def test_dense_benchmark_target_matches_scipy(dense_pair):
+    # the commutator target's per-entry powers at d = 256, against scipy
+    for t in (1.0, 0.3):
+        expected = scipy.linalg.expm(t * t * commutator(dense_pair.A, dense_pair.B))
+        T = target_matrix(commutator_target(), dense_pair, t)
+        assert np.linalg.norm(T - expected, 2) <= 1e-13 * np.linalg.norm(expected, 2)
+
+
 def _peak_bytes(scheme, pair):
     tracemalloc.start()
     try:
@@ -1027,21 +1203,21 @@ def _peak_bytes(scheme, pair):
 
 
 def test_cached_power_path_peak_memory():
-    # cached powers (4), three rotating buffers and one temporary: no more
-    # live d x d complex arrays than the per-slot expm product took
+    # cached powers (Y^2, Y^3 and Y^4 of each generator: 6), three rotating
+    # buffers and one temporary: 10 live d x d complex arrays
     dim = 128
     real = make_pair("random", dim, 5)
     pair = OperatorPair(1j * real.A, 1j * real.B)
     assert pair.A.dtype == np.complex128 and pair.eigenbasis is None
-    assert _peak_bytes(catalog_get("PCP26_6"), pair) <= 8 * 16 * dim * dim + 64 * 1024
+    assert _peak_bytes(catalog_get("PCP26_6"), pair) <= 10 * 16 * dim * dim + 64 * 1024
 
 
 def test_real_path_peak_memory():
-    # the same arrays, all float64: at most 8 live d x d real arrays
+    # the same arrays, all float64: at most 10 live d x d real arrays
     dim = 128
     pair = make_pair("random", dim, 5)
     assert pair.A.dtype == np.float64
-    assert _peak_bytes(catalog_get("PCP26_6"), pair) <= 8 * 8 * dim * dim + 64 * 1024
+    assert _peak_bytes(catalog_get("PCP26_6"), pair) <= 10 * 8 * dim * dim + 64 * 1024
 
 
 # ---------------------------------------------------------------------------
