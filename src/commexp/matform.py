@@ -1,12 +1,12 @@
 """Dense matrix harness: exponentials, spectral norm, and test operator pairs.
 
 Everything here is deterministic: the matrix exponential is a fixed
-scaling-and-squaring routine over a Taylor core of degree 3, 7, 11 or 15,
-chosen per exponential (per stack entry) for the fewest products, or of
-degree 14 on a pair's cached power stack, the spectral norm is the square
-root of the largest eigenvalue of the Gram matrix M^H M from LAPACK
-(numpy's ``eigvalsh``), and the random operator pairs are drawn from a
-small named 64-bit generator so experiments reproduce given the seed.
+scaling-and-squaring routine over a Taylor core of degree 4, 8 or 16 in 0,
+1 or 2 products, chosen per exponential (per stack entry) for the fewest
+products, or of degree 14 on a pair's cached power stack, the spectral norm
+is the square root of the largest eigenvalue of the Gram matrix M^H M from
+LAPACK (numpy's ``eigvalsh``), and the random operator pairs are drawn from
+a small named 64-bit generator so experiments reproduce given the seed.
 
 The arithmetic follows the data: real inputs give float64 results, and any
 complex generator, slot argument z·t or target weight gives complex128.  So
@@ -28,20 +28,25 @@ generator merged, cancelling runs removed):
   (:attr:`OperatorPair.powers`).  When one generator's stack Y^0 .. Y^14
   fits 1 MiB (real d <= 93, complex d <= 66) it caches all of it, and each
   run's exponential is its degree-14 Taylor polynomial as one product of
-  its 15 coefficients with the stack, plus s squarings: no Horner product.
-  Larger pairs cache Y^2, Y^3 and Y^4 alone and run the Taylor core of
-  :func:`expm`: degree 3/7/11/15 per entry, 0-3 products plus s squarings.
-  At both depths s, the coefficients and the 7.24e-16 truncation bound
-  come from the same pass over the norms of Y^2, Y^3 and Y^4; the runs are
-  multiplied left to right.
+  its 15 coefficients with the stack, plus s squarings: no other product.
+  Larger pairs cache the block X, Y^2, Y^3, Y^4 alone and run the Taylor
+  core of :func:`expm`: degree 4, 8 or 16 per entry, 0, 1 or 2 products
+  plus s squarings.  At both depths s, the coefficients and the 7.24e-16
+  truncation bound come from the same pass over the norms of Y^2, Y^3 and
+  Y^4; the runs are multiplied left to right.
 
 A target (:func:`target_matrix`) is one exponential per step time, and a
 grid of step times is one stack through the same Taylor core, each entry
 with its own powers.  Every exponential takes its s squarings and the
-coefficients u^m / m!, m = 0..15, of u = z ||X||_1 2^-s from one pass
-(:func:`_taylor_terms`); the deep stack reads the first 15, and the Horner
-core the first 4 q + 4 of its degree 4 q + 3, on shared and per-entry
-powers alike.
+coefficients u^m / m!, m = 0..14, of u = z ||X||_1 2^-s from one pass
+(:func:`_taylor_terms`); the deep stack reads all 15, and the core of
+degree 4, 8 and 16 the first 9, on shared and per-entry powers alike.  That
+core (:func:`_taylor_exp`) combines the cached block by quartics, one BLAS
+call each: T_4 directly, T_8 = T_4 + Y^4 (u^5 Y / 5! + ... + u^8 Y^4 / 8!)
+in one product, and T_16 = (y_1 + P_2)(y_1 + Q_2) + R with y_1 = Y^4 Q_1
+in two (Bader, Blanes and Casas 2019, "Computing the matrix exponential
+with an optimized Taylor polynomial approximation", Mathematics 7:1174),
+where Paterson and Stockmeyer's scheme needs three for degree 15.
 """
 
 from __future__ import annotations
@@ -143,56 +148,102 @@ class SplitMix64:
 
 
 #: Scaled-argument bounds theta_m of the Taylor polynomials of degree
-#: m = 3, 7, 11, 15 (0, 1, 2, 3 Horner products on the cached Y^2, Y^3 and
-#: Y^4) behind every exponential here: when |z| nu alpha <= theta_m the
-#: truncation error sum_{k>m} theta_m^k / k! is at most 7.24e-16, the bound
-#: of a degree-13 polynomial at one-norm 1/2 (sum_{k>=14} 0.5^k / k!).  Each
-#: is the root of that equation, rounded down (theta_15 = 0.76741391...).
-_THETA = np.array([0.000363086, 0.0481816, 0.2889821, 0.7674139])
+#: m = 4, 8, 16 (0, 1, 2 products on the cached X, Y^2, Y^3 and Y^4) behind
+#: every exponential here: when |z| nu alpha <= theta_m the truncation error
+#: sum_{k>m} theta_m^k / k! is at most 7.24e-16, the bound of a degree-13
+#: polynomial at one-norm 1/2 (sum_{k>=14} 0.5^k / k!).  Each is the root of
+#: that equation, rounded down (theta_16 = 0.92047455...).
+_THETA = np.array([0.002442156, 0.0861186, 0.9204745])
 
 #: theta_14, the same bound for the deep stack's degree-14 polynomial.
 _THETA_DEEP = 0.6270028
 
-#: m as a float64 for m = 1..15: the Taylor factors u / m.
-_DIVISORS = np.arange(1.0, 16.0)
+#: m as a float64 for m = 1..14: the Taylor factors u / m.
+_DIVISORS = np.arange(1.0, 15.0)
+
+#: A squaring count s that would leave |u| = |z| nu 2^-s above 2^_MAX_U is
+#: raised to bring it below: the degree-16 core reaches u^8 and the deep
+#: stack u^14 / 14!, which stay finite there.
+_MAX_U = 64
+
+#: The four quartics of the core of degree 4, 8 and 16 (:func:`_taylor_exp`),
+#: by degree: rows are the first product's right factor, P_2, Q_2 and the
+#: last addend; columns the multiples of u^m / m! that take the identity and
+#: the X, Y^2, Y^3 and Y^4 rows of the cached block, m = (0, 5, 6, 7, 8) in
+#: the first row and m = 0..4 in the others (:data:`_TERMS`).  Degrees 4 and
+#: 8 are Taylor's own coefficients; degree 16 is
+#: T_16 = (y_1 + P_2)(y_1 + Q_2) + R with y_1 = Y^4 Q_1 in x = u Y (Bader,
+#: Blanes and Casas 2019), its constants solved from T_16's coefficients
+#: with Q_2(0) = 8.6 and the smaller root of the degree-8 quadratic, so that
+#: every constant is positive.  In exact arithmetic the float64 table gives
+#: each coefficient 1/k!, k = 0..16, to within 0.86 eps relative.
+_QUARTICS = np.array([
+    [[0.0] * 5, [0.0] * 5, [0.0] * 5, [1.0] * 5],
+    [[0.0, 1.0, 1.0, 1.0, 1.0], [0.0] * 5, [0.0] * 5, [1.0] * 5],
+    [[0.0, 0.025604792862083055, 0.013851773187684276, 0.008814764755799084,
+      0.008814764755799084],
+     [0.0, 0.06637319436105144, 0.022695031529782785, 0.061410573001511946,
+      0.033652773636408596],
+     [8.6, 1.9163612247100228, 0.6359777710797374, 0.18758554381467935,
+      0.07296390483849462],
+     [1.0, 0.4291905284949576, 0.5504326967765463, 0.21475780830770483,
+      0.10344296274048459]],
+])
+
+#: The power m of the coefficient u^m / m! behind each entry of
+#: :data:`_QUARTICS`.
+_TERMS = np.array([[0, 5, 6, 7, 8]] + [[0, 1, 2, 3, 4]] * 3)
+
+#: The powers p of Y^2, Y^3 and Y^4, the values of :attr:`_Powers.zero`.
+_ZERO_POWERS = np.array([2.0, 3.0, 4.0])
 
 #: A pair caches the deep power stack Y^0 .. Y^_DEEP of each generator when
 #: one such stack takes at most _DEEP_BYTES (real d <= 93, complex d <= 66),
-#: and else Y^2 .. Y^_SHALLOW.
+#: and else the block X, Y^2, Y^3, Y^4.
 _DEEP = 14
 _DEEP_BYTES = 1 << 20
 _SHALLOW = 4
 
 
 class _Powers(NamedTuple):
-    """A matrix X, or each matrix of a (k, d, d) stack X, and the powers its
-    Taylor exponentials reuse.
+    """The powers that the Taylor exponentials of a matrix X, or of each
+    matrix of a (k, d, d) stack X, reuse.
 
     ``X = scale * Y`` with ``scale = ||X||_1``, raised to the smallest normal
     float so that ``1 / scale`` is finite (so a zero X has the smallest
-    normal ``scale`` and zero powers); ``square``, ``cube`` and ``fourth``
-    are Y^2, Y^3 and Y^4.  With d_p = ||Y^p||_1^(1/p), Al-Mohy and Higham's
-    (2009) alpha_p = max(d_p, d_(p+1)) bounds ||Y^k||_1^(1/k) in the Taylor
-    tail of every degree m with m + 1 >= p (p - 1): ``alpha`` is alpha_2,
-    which bounds the tails of every degree, and ``alpha3`` is
+    normal ``scale`` and zero powers).  With d_p = ||Y^p||_1^(1/p), Al-Mohy
+    and Higham's (2009) alpha_p = max(d_p, d_(p+1)) bounds ||Y^k||_1^(1/k) in
+    the Taylor tail of every degree m with m + 1 >= p (p - 1): ``alpha`` is
+    alpha_2, which bounds the tails of every degree, and ``alpha3`` is
     min(alpha_2, alpha_3), which bounds those of degree 5 and up (alpha_3
     <= alpha_2, since d_4 <= d_2, but the computed norms can round it an ulp
-    past).  ``scale``, ``alpha`` and ``alpha3`` are 0-d for one matrix and
-    length-k arrays for a stack.
-    ``stack`` is None, or for one matrix the deep stack of
-    :func:`_stack_exp`: the (15, d^2) array of the flattened Y^0 = I, Y,
-    ..., Y^14, whose rows 2, 3 and 4 ``square``, ``cube`` and ``fourth``
-    then view.
+    past).  ``zero`` is the lowest p = 2, 3, 4 with Y^p exactly zero, or
+    inf when none is.  ``scale``, ``alpha``, ``alpha3`` and ``zero`` are 0-d
+    for one matrix and length-k arrays for a stack.
+    Exactly one of ``block`` and ``stack`` is set.  ``block`` is the
+    contiguous (4, d, d) block of X, Y^2, Y^3 and Y^4, or (k, 4, d, d) for a
+    stack, on which :func:`_taylor_exp` runs; ``stack``, for one matrix
+    only, is the deep stack of :func:`_stack_exp`: the (15, d^2) array of the
+    flattened Y^0 = I, Y, ..., Y^14.  ``square``, ``cube`` and ``fourth``
+    view Y^2, Y^3 and Y^4 in either.
     """
 
-    X: np.ndarray
     scale: np.ndarray
-    square: np.ndarray
-    cube: np.ndarray
-    fourth: np.ndarray
     alpha: np.ndarray
     alpha3: np.ndarray
+    zero: np.ndarray
+    block: np.ndarray | None = None
     stack: np.ndarray | None = None
+
+    def _power(self, p: int) -> np.ndarray:
+        if self.stack is None:
+            return self.block[..., p - 1, :, :]
+        d = math.isqrt(self.stack.shape[1])
+        return self.stack[p].reshape(d, d)
+
+    square = property(lambda self: self._power(2))
+    cube = property(lambda self: self._power(3))
+    fourth = property(lambda self: self._power(4))
 
 
 def _dtype(*values) -> type:
@@ -207,12 +258,13 @@ def _norm1(X: np.ndarray) -> np.ndarray:
 
 def _powers(X: np.ndarray, deep: bool = False) -> _Powers:
     """The powers of one matrix X or of each matrix of a (k, d, d) stack X:
-    Y^2 = Y Y, Y^3 = Y^2 Y and Y^4 = Y^2 Y^2, three products per matrix, or
-    with ``deep`` (one matrix only) the whole stack Y^0 .. Y^14, one product
-    per power, with Y^2 and Y^3 exactly as the shallow powers."""
+    the block of X, Y^2 = Y Y, Y^3 = Y^2 Y and Y^4 = Y^2 Y^2, three products
+    per matrix, or with ``deep`` (one matrix only) the whole stack
+    Y^0 .. Y^14, one product per power, with Y^2 and Y^3 exactly as the
+    block's."""
     scale = np.maximum(_norm1(X), np.finfo(np.float64).tiny)
     Y = X * (1.0 / scale)[..., np.newaxis, np.newaxis]
-    stack = None
+    block = stack = None
     if deep:
         d = len(X)
         stack = np.empty((_DEEP + 1, d, d), dtype=Y.dtype)
@@ -220,78 +272,87 @@ def _powers(X: np.ndarray, deep: bool = False) -> _Powers:
         stack[1] = Y
         for m in range(2, _DEEP + 1):
             np.matmul(stack[m - 1], Y, out=stack[m])
-        square, cube, fourth = stack[2:5]
+        high = stack[2:5]
         stack = stack.reshape(_DEEP + 1, d * d)
     else:
-        square = Y @ Y
-        cube = square @ Y
-        fourth = square @ square
-    n2, n3, n4 = (_norm1(P) for P in (square, cube, fourth))
+        block = np.empty(X.shape[:-2] + (4,) + X.shape[-2:], dtype=Y.dtype)
+        block[..., 0, :, :] = X
+        square, cube, fourth = (block[..., i, :, :] for i in (1, 2, 3))
+        np.matmul(Y, Y, out=square)
+        np.matmul(square, Y, out=cube)
+        np.matmul(square, square, out=fourth)
+        high = block[..., 1:, :, :]
+    norms = _norm1(high)  # of Y^2, Y^3 and Y^4 on the last axis
+    n2, n3, n4 = norms.T
     # cube roots one matrix at a time, as libm's pow gives them: numpy's
     # vectorised power can differ from it by an ulp, and the alphas pick
     # degrees and squarings (square roots are correctly rounded either way)
     d3 = np.reshape([n ** (1.0 / 3.0) for n in np.ravel(n3).tolist()], n3.shape)
     alpha = np.maximum(np.sqrt(n2), d3)
     alpha3 = np.minimum(alpha, np.maximum(d3, np.sqrt(np.sqrt(n4))))
-    return _Powers(X, scale, square, cube, fourth, alpha, alpha3, stack)
+    zero = np.where(norms == 0, _ZERO_POWERS, np.inf).min(axis=-1)
+    return _Powers(scale, alpha, alpha3, zero, block, stack)
 
 
 def _taylor_terms(powers: Sequence[_Powers], z: np.ndarray
                   ) -> tuple[list[list[int]], list[list[int]], np.ndarray]:
-    """Horner products, squaring counts and Taylor coefficients of
+    """Core products, squaring counts and Taylor coefficients of
     exp(z_ij X_i), X_i the matrix of ``powers[i]``, for an (r, k) array z:
     one row of k arguments per matrix, or (r = 1) one argument per matrix of
-    one stack's powers, whose ``scale`` and alphas are then read per entry.
-    Returns q and s, r lists of k ints: entry (i, j) takes s_ij squarings
-    and, on Y^2, Y^3 and Y^4, the degree 4 q_ij + 3 polynomial (q_ij Horner
-    products); and c, shaped (r, k, 16), c[i, j, m] = u_ij^m / m! for
-    m = 0..15 and u = z nu 2^-s, nu the powers' ``scale``, one ``cumprod``.
-    :func:`_stack_exp` reads the first 15 columns of a row,
-    :func:`_taylor_exp` the first 4 q_ij + 4.
+    one stack's powers, whose ``scale``, alphas and ``zero`` are then read
+    per entry.  Returns q and s, r lists of k ints: entry (i, j) takes s_ij
+    squarings and, on the block X, Y^2, Y^3, Y^4, the polynomial of degree
+    4 2^q_ij (q_ij = 0, 1, 2 products); and c, shaped (r, k, 15),
+    c[i, j, m] = u_ij^m / m! for m = 0..14 and u = z nu 2^-s, nu the
+    powers' ``scale``, one ``cumprod``.  :func:`_stack_exp` reads all 15
+    columns of a row, :func:`_taylor_exp` the first 9.
 
-    Each entry is chosen on its own.  Degree 3 is taken while
-    ``|z| nu alpha <= theta_3``; the higher degrees, whose tails start at
-    degree 8 or more, are taken on ``x = |z| nu alpha3``, which is never
+    Each entry is chosen on its own.  Degree 4 is taken while
+    ``|z| nu alpha <= theta_4``; degrees 8 and 16, whose tails start at
+    degree 9 or more, are taken on ``x = |z| nu alpha3``, which is never
     larger.  Of the degrees and squarings that meet the bound the entry
     takes the fewest products q + s, ties going to the higher degree: the
-    lowest degree within its theta and s = 0 while x <= theta_15, and else
-    degree 15 with ``s = ceil(log2(x / theta_15))``, computed exactly from
+    lowest degree within its theta and s = 0 while x <= theta_16, and else
+    degree 16 with ``s = ceil(log2(x / theta_16))``, computed exactly from
     the binary exponent.  On deep powers every entry takes degree 14 and
-    ``s = ceil(log2(x / theta_14))``, or none.  So q and s do not increase
-    along a row whose |z| does not increase, as :func:`evaluate_scheme`
-    orders a run's step times; :func:`_expm_stack` orders its entries by
-    q + s.  A power that is exactly zero makes every power above it zero,
-    so an entry whose alpha is 0 (Y^2 = 0) has its coefficients c[m] for
-    m >= 2 set to zero, and one whose alpha3 is 0 (Y^3 = 0) those for
-    m >= 3: such an entry takes no squaring and is I + u Y (+ u^2 Y^2 / 2)
-    however large z nu is, where u^m / m! would overflow.  No entry with
-    nonzero alphas changes by that rule.
+    ``s = ceil(log2(x / theta_14))``, or none.  At either depth s is raised,
+    where it must be, to keep |u| <= 2^64, and an entry with s > 0 takes
+    degree 16.  So q and s do not increase along a row whose |z| does not
+    increase, as :func:`evaluate_scheme` orders a run's step times;
+    :func:`_expm_stack` orders its entries by q + s.  A power that is
+    exactly zero makes every power above it zero, so for an entry whose
+    ``zero`` is p <= 4, exp(u Y) is the Taylor polynomial of degree p - 1
+    exactly: it takes degree 4 and no squaring, and its coefficients c[m]
+    for m >= p are set to zero, however large z nu is, where u^m / m! would
+    overflow.  No entry whose Y^4 is nonzero changes by that rule.
     """
-    # (r, 3, 1) for r matrices, (1, 3, k) for one stack
-    scale, alpha, alpha3 = np.array([(p.scale, p.alpha, p.alpha3) for p in powers]
-                                    ).reshape(len(powers), 3, -1).transpose(1, 0, 2)
-    top = np.array([_THETA[3] if p.stack is None else _THETA_DEEP for p in powers])
-    # u^m / m! overflows only where an alpha is 0 or tiny, so |u| is large:
-    # the coefficients of zero powers are set to zero below (inf * 0 is NaN),
-    # and an inf on a tiny power makes a non-finite result, which the
-    # callers refuse; w is checked just below
+    # (r, 4, 1) for r matrices, (1, 4, k) for one stack
+    scale, alpha, alpha3, zero = np.array(
+        [(p.scale, p.alpha, p.alpha3, p.zero) for p in powers]
+    ).reshape(len(powers), 4, -1).transpose(1, 0, 2)
+    top = np.array([_THETA[2] if p.stack is None else _THETA_DEEP for p in powers])
+    # u^m / m! overflows only where a power is 0, whose coefficients are set
+    # to zero below (inf * 0 is NaN); w is checked just below
     with np.errstate(over="ignore", invalid="ignore"):
         w = z * scale
         if not np.isfinite(w).all():
             raise ValueError("matrix exponential of non-finite entries")
         size = np.abs(w)
         x = size * alpha3
-        q = (size * alpha > _THETA[0]) + np.searchsorted(_THETA[1:3], x)
-        mantissa, exponent = np.frexp(x / top[:, np.newaxis])
+        mantissa, exponent = np.frexp(np.maximum(x / top[:, np.newaxis], size * 2.0 ** -_MAX_U))
         s = np.maximum(exponent - (mantissa == 0.5), 0)
+        q = np.maximum(np.add(size * alpha > _THETA[0], x > _THETA[1], dtype=int), 2 * (s > 0))
+        nilpotent = zero.min() < np.inf
+        if nilpotent:
+            zeroed = np.broadcast_to(zero < np.inf, s.shape)
+            s[zeroed] = q[zeroed] = 0
         u = w * np.ldexp(1.0, -s)
         c = np.empty(u.shape + (len(_DIVISORS) + 1,), dtype=u.dtype)
         c[..., 0] = 1.0
         np.divide(u[..., np.newaxis], _DIVISORS, out=c[..., 1:])
         np.cumprod(c, axis=-1, out=c)
-    if not alpha3.all():  # alpha = 0 gives alpha3 = 0
-        for first, a in ((2, alpha), (3, alpha3)):
-            c[np.broadcast_to(a == 0, u.shape), first:] = 0.0
+        if nilpotent:
+            np.copyto(c, 0.0, where=np.arange(c.shape[-1]) >= zero[..., np.newaxis])
     return q.tolist(), s.tolist(), c
 
 
@@ -316,66 +377,92 @@ def _stack_exp(powers: _Powers, s: list[int], c: np.ndarray,
                P: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """exp(z_i X) for each of k arguments z_i on one matrix's deep powers,
     into one of the contiguous (k, d, d) buffers P and Q: (result, the
-    other).  ``s`` and ``c`` (shaped (k, 16)) are one row of
+    other).  ``s`` and ``c`` (shaped (k, 15)) are one row of
     :func:`_taylor_terms`.
 
     Entry i is the polynomial sum_m c[i, m] Y^m, m = 0..14, one product of
     its coefficient row with the (15, d^2) stack, then s_i squarings
-    (:func:`_square`): no Horner product.  The product is per entry, a
+    (:func:`_square`): no other product.  The product is per entry, a
     (d^2, 15) by (15, 1) BLAS call for each, so an entry equals its own
     one-entry evaluation bit for bit, which one (k, 15) by (15, d^2) product
     does not guarantee.
     """
-    np.matmul(powers.stack.T, c[:, :_DEEP + 1, np.newaxis], out=P.reshape(len(P), -1, 1))
+    np.matmul(powers.stack.T, c[..., np.newaxis], out=P.reshape(len(P), -1, 1))
     return _square(s, P, Q)
 
 
+def _quartic(block: np.ndarray, coef: np.ndarray, out: np.ndarray) -> None:
+    """out[i] = sum_j coef[i, j] block[i, j] over the four rows of each
+    entry of a (k, 4, d, d) block (a broadcast view where they share one): one
+    (d^2, 4) by (4, 1) BLAS call per entry, so an entry equals its own
+    one-entry call bit for bit.  Complex coefficients on a real block go in
+    as their float parts, a (4, 2) right factor whose (d^2, 2) product is
+    the complex result, so the block is never cast to complex."""
+    k = len(out)
+    rows = block.reshape(k, 4, -1).swapaxes(-1, -2)
+    if rows.dtype == out.dtype:
+        np.matmul(rows, coef.astype(out.dtype, copy=False)[..., np.newaxis],
+                  out=out.reshape(k, -1, 1))
+    else:
+        parts = np.ascontiguousarray(coef, dtype=out.dtype).view(np.float64)
+        np.matmul(rows, parts.reshape(k, 4, 2), out=out.view(np.float64).reshape(k, -1, 2))
+
+
 def _taylor_exp(powers: _Powers, q: list[int], s: list[int], c: np.ndarray,
-                P: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                P: np.ndarray, Q: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """exp(z_i X_i) for each of k arguments z_i, into one of the (k, d, d)
-    buffers P and Q: (result, the other).  The powers are shared, X_i = X
-    with (d, d) arrays, read through (k, d, d) broadcast views, or per
-    entry, with (k, d, d) stacks.  ``q``, ``s`` (k Horner product and
-    squaring counts, neither increasing) and ``c`` (shaped (k, 16)) are one
-    row of :func:`_taylor_terms` for these powers.
+    buffers P and Q: (result, the other), with W as work space.  The powers
+    are shared, X_i = X with a (4, d, d) block, or per entry, with a
+    (k, 4, d, d) one.  ``q``, ``s`` (k core product and squaring counts,
+    neither increasing) and ``c`` (shaped (k, 15)) are one row of
+    :func:`_taylor_terms` for these powers.
 
-    P and Q may be float64 only when X and z are real; complex buffers take
-    real powers and arguments as they are.
+    P, Q and W may be float64 only when X and z are real; complex buffers
+    take real powers as they are.
 
-    Entry i evaluates the Taylor polynomial of degree 4 q_i + 3 (3, 7, 11 or
-    15) in u_i Y, Paterson-Stockmeyer style in blocks of four terms and
-    Horner in the cached Y^4,
-    ``p = ((B_q Y^4 + B_(q-1)) Y^4 + ...) Y^4 + B_0`` with
-    ``B_j = sum_{i<4} (u Y)^(4j+i) / (4j+i)!``, its X term taken as
-    X c[i, 4j+1] / nu; then squares s_i times: q_i + s_i matrix products,
-    and no array beyond P and Q.  The Horner blocks above an entry's degree
-    and the squarings run on prefixes of the stack: an entry joins the
-    Horner loop at its own top block, so it equals its own one-entry
-    evaluation bit for bit.
+    Entry i evaluates the Taylor polynomial of degree 4 (q_i = 0), 8 (1) or
+    16 (2) in x = u_i Y from quartics, each one :func:`_quartic` call on the
+    block, with the coefficients :data:`_QUARTICS` times u^m / m! from c
+    (the X row's divided by nu):
+
+    - degree 4: T_4 = I + x + ... + x^4 / 4!, no product;
+    - degree 8: T_4 + Y^4 (u^5 Y / 5! + ... + u^8 Y^4 / 8!), one product;
+    - degree 16: (y_1 + P_2)(y_1 + Q_2) + R with y_1 = Y^4 Q_1, two products.
+
+    Then it squares s_i times: q_i + s_i matrix products in all.  Each stage
+    runs on the prefix of the stack whose degree takes it, so an entry
+    equals its own one-entry evaluation bit for bit.  The product by the
+    real Y^4 of a complex right factor is one real product on its float
+    parts.
     """
     k, d = len(P), P.shape[-1]
-    X, square, cube, fourth = (A if A.ndim == 3 else np.broadcast_to(A, P.shape)
-                               for A in (powers.X, powers.square, powers.cube, powers.fourth))
-    # the coefficients of the X terms (m = 1, 5, 9, 13) divided by nu
-    x_terms = c[:, 1::4, np.newaxis, np.newaxis] / powers.scale.reshape(-1, 1, 1, 1)
-    c = c[:, :, np.newaxis, np.newaxis]
-    n = 0
-    for j in range(q[0], -1, -1):
-        # entries [:m] carry a Horner value in P, entries [m:n] start at B_j
-        m = n
-        while n < k and q[n] >= j:
-            n += 1
-        np.matmul(P[:m], fourth[:m], out=Q[:m])
-        np.multiply(X[:m], x_terms[:m, j], out=P[:m])
-        Q[:m] += P[:m]
-        # the entries starting here begin as a one-entry pass does
-        np.multiply(X[m:n], x_terms[m:n, j], out=Q[m:n])
-        for i, power in ((2, square), (3, cube)):
-            np.multiply(power[:n], c[:n, 4 * j + i], out=P[:n])
-            Q[:n] += P[:n]
-        # a (n, 1, d) view of the diagonals takes the (n, 1, 1) constant terms
-        Q[:n].reshape(n, 1, -1)[..., :: d + 1] += c[:n, 4 * j]
-        P, Q = Q, P
+    eight, n = k - q.count(0), q.count(2)
+    coef = _QUARTICS[q] * c[:, _TERMS]
+    coef[..., 1] /= np.reshape(powers.scale, (-1, 1))
+    block, fourth = powers.block, powers.fourth
+    if block.ndim == 3:  # shared powers, read through (k, ...) broadcast views
+        block = np.broadcast_to(block, (k,) + block.shape)
+    if eight:
+        _quartic(block[:eight], coef[:eight, 0, 1:], W[:eight])
+        fourth = fourth[:eight] if fourth.ndim == 3 else fourth
+        if fourth.dtype == P.dtype:
+            np.matmul(fourth, W[:eight], out=P[:eight])
+        else:
+            np.matmul(fourth, W[:eight].view(np.float64), out=P[:eight].view(np.float64))
+    if n:
+        _quartic(block[:n], coef[:n, 1, 1:], W[:n])
+        W[:n] += P[:n]
+        _quartic(block[:n], coef[:n, 2, 1:], Q[:n])
+        Q[:n] += P[:n]
+        Q[:n].reshape(n, -1)[:, :: d + 1] += coef[:n, 2, :1]
+        np.matmul(W[:n], Q[:n], out=P[:n])
+    # the last addend: R, or T_4, which degree 4 writes into P directly
+    if eight:
+        _quartic(block[:eight], coef[:eight, 3, 1:], W[:eight])
+        P[:eight] += W[:eight]
+    if eight < k:
+        _quartic(block[eight:], coef[eight:, 3, 1:], P[eight:])
+    P.reshape(k, -1)[:, :: d + 1] += coef[:, 3, :1]
     return _square(s, P, Q)
 
 
@@ -389,31 +476,35 @@ def _square_matrix(M, what: str) -> np.ndarray:
 
 def expm(M: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling and squaring over a Taylor core of
-    degree 3, 7, 11 or 15.
+    degree 4, 8 or 16.
 
     The degree m and the number of squarings s come from ``nu = ||M||_1``
     and, for ``Y = M / nu`` and ``d_p = ||Y^p||_1^(1/p)``, Al-Mohy and
     Higham's (2009) ``alpha_2 = max(d_2, d_3)`` and ``alpha_3 = max(d_3,
     d_4)``: they bound how fast the Taylor terms decay, and are often well
     below 1 on non-normal M, so s can be several squarings fewer than the
-    one-norm alone asks for.  Degree 3 is taken while
-    ``nu alpha_2 <= theta_3``, and the higher degrees on
+    one-norm alone asks for.  Degree 4 is taken while
+    ``nu alpha_2 <= theta_4``, and degrees 8 and 16 on
     ``nu min(alpha_2, alpha_3)``.  Of the pairs (m, s) that push the scaled
-    argument below theta_m (theta_3 = 0.000363086, theta_7 = 0.0481816,
-    theta_11 = 0.2889821, theta_15 = 0.7674139, where the truncation error
-    is at most 7.24e-16 relative) the one with the fewest products is
-    taken.  Good to ~1e-13 relative for the moderate norms used here.
-    Cost: Y^2, Y^3 and Y^4, then 0-3 products plus s squarings
-    (Paterson-Stockmeyer in blocks of four, Horner in Y^4), with the
-    coefficients u^m / m! of u = nu 2^-s that every exponential here
-    takes.  It is the one-matrix case of the stacked core
-    :func:`target_matrix` runs, and :func:`evaluate_scheme` runs the same
-    core on the cached Y^2, Y^3 and Y^4 of a pair too large for the deep
-    power stack.  M must be one square 2-D matrix of finite entries, and
-    its exponential must be finite (``ValueError`` otherwise); a real M
-    gives a float64 result, a complex M complex128.  When Y^2 = 0
-    (alpha_2 = 0) the result is I + M, however large ``nu`` is: the Taylor
-    coefficients of the zero powers are zero, so
+    argument below theta_m (theta_4 = 0.002442156, theta_8 = 0.0861186,
+    theta_16 = 0.9204745, where the truncation error is at most 7.24e-16
+    relative) the one with the fewest products is taken, and s is raised
+    where it must be to keep |u| <= 2^64.  Good to ~1e-13 relative for the
+    moderate norms used here.
+    Cost: Y^2, Y^3 and Y^4, then 0, 1 or 2 products plus s squarings:
+    T_4 is one combination of the block X, Y^2, Y^3, Y^4, T_8 adds Y^4
+    times another, and T_16 is (y_1 + P_2)(y_1 + Q_2) + R with
+    y_1 = Y^4 Q_1, after Bader, Blanes and Casas (2019), each factor a
+    combination of the block, with the coefficients u^m / m! of
+    u = nu 2^-s that every exponential here takes.  It is the one-matrix
+    case of the stacked core :func:`target_matrix` runs, and
+    :func:`evaluate_scheme` runs the same core on the cached block of a
+    pair too large for the deep power stack.  M must be one square 2-D
+    matrix of finite entries, and its exponential must be finite
+    (``ValueError`` otherwise); a real M gives a float64 result, a complex
+    M complex128.  When Y^p = 0 for p = 2, 3 or 4, the result is the
+    Taylor polynomial of degree p - 1 with no squaring, however large
+    ``nu`` is: the Taylor coefficients of the zero powers are zero, so
     ``expm([[0, 1e200], [0, 0]])`` is ``[[1, 1e200], [0, 1]]``.
     """
     return _expm_stack(_square_matrix(M, "expm")[np.newaxis])[0]
@@ -424,10 +515,10 @@ def _expm_stack(F: np.ndarray) -> np.ndarray:
 
     Each matrix gets its own powers (:func:`_powers`) and its own degree,
     squarings and coefficients (:func:`_taylor_terms`), and the stack runs
-    in order of decreasing products q + s, so the top Horner blocks and the
-    squarings of :func:`_taylor_exp` work on prefixes of it; each result is
-    the stack's one-matrix evaluation bit for bit.  A non-finite entry or
-    result anywhere raises ``ValueError``.
+    in order of decreasing products q + s, so the stages of degrees 16 and
+    8 and the squarings of :func:`_taylor_exp` work on prefixes of it; each
+    result is the stack's one-matrix evaluation bit for bit.  A non-finite
+    entry or result anywhere raises ``ValueError``.
     """
     if not np.all(np.isfinite(F)):
         raise ValueError("matrix exponential of non-finite entries")
@@ -442,8 +533,8 @@ def _expm_stack(F: np.ndarray) -> np.ndarray:
         if not ordered:
             powers = _Powers(*(None if p is None else p[order] for p in powers))
             q, s, c = [q[i] for i in order], [s[i] for i in order], c[order]
-        P, Q = (np.empty(F.shape, dtype=F.dtype) for _ in range(2))
-        E = _taylor_exp(powers, q, s, c, P, Q)[0]
+        P, Q, W = (np.empty(F.shape, dtype=F.dtype) for _ in range(3))
+        E = _taylor_exp(powers, q, s, c, P, Q, W)[0]
     if not np.all(np.isfinite(E)):
         raise ValueError("matrix exponential overflows")
     if not ordered:
@@ -543,8 +634,9 @@ class OperatorPair:
     @cached_property
     def powers(self) -> tuple[_Powers, _Powers]:
         """Cached scaled powers of A and B for their Taylor exponentials:
-        Y^2, Y^3 and Y^4, and with a :attr:`power_depth` of 14 the whole
-        stack Y^0 .. Y^14 (Y^2, Y^3 and Y^4 then view it)."""
+        the contiguous block X, Y^2, Y^3, Y^4, four d x d arrays per
+        generator, or with a :attr:`power_depth` of 14 the whole stack
+        Y^0 .. Y^14 (Y^2, Y^3 and Y^4 then view it)."""
         deep = self.power_depth == _DEEP
         return _powers(self.A, deep), _powers(self.B, deep)
 
@@ -662,24 +754,27 @@ def evaluate_scheme(scheme, pair: OperatorPair, t) -> np.ndarray:
     alpha_2 and alpha_3 from the norms of Y^2, Y^3 and Y^4 (:func:`expm`);
     a run ``exp(z X)`` is good to ~1e-13 relative.  One pass over all runs
     gives each entry its s and the coefficients ``u^m / m!`` of
-    ``u = z nu 2^-s``, m = 0..15, at either depth.  With a
+    ``u = z nu 2^-s``, m = 0..14, at either depth.  With a
     :attr:`~OperatorPair.power_depth` of 14 (a stack Y^0 .. Y^14 that fits
     1 MiB: real d <= 93) each entry takes the degree-14 polynomial in
     ``u Y`` as one product of its first 15 coefficients with the cached
     stack, and then its s squarings, s the least that brings
     ``|z| nu min(alpha_2, alpha_3) 2^-s`` below theta_14 (truncation error
     at most 7.24e-16 relative).  Otherwise (power depth 4) it runs the
-    Taylor core of :func:`expm` on Y^2, Y^3 and Y^4: per stack entry, the
-    polynomial of degree 3, 7, 11 or 15 (0-3 products, the first 4 q + 4
-    of those coefficients) plus the s squarings with the fewest products
-    that bring the entry's scaled argument below that degree's theta.
-    The stack is ordered by decreasing |t|, so the top Horner blocks and
-    each squaring run on a prefix of it, and each entry equals its own
-    one-time evaluation bit for bit at either depth.  Three buffers rotate
-    through the runs and the products between them.  They are float64 when
-    the pair and every run's z·t are real, and complex128 when either is
-    complex: then the real cached powers of a real pair are read into
-    complex products.
+    Taylor core of :func:`expm` on the block X, Y^2, Y^3, Y^4: per stack
+    entry, the polynomial of degree 4, 8 or 16 (0, 1 or 2 products, from
+    the first 9 of those coefficients) plus the s squarings with the fewest
+    products that bring the entry's scaled argument below that degree's
+    theta.  The stack is ordered by decreasing |t|, so the stages of
+    degrees 16 and 8 and each squaring run on a prefix of it, and each
+    entry equals its own one-time evaluation bit for bit at either depth.
+    Three buffers rotate through the runs and the products between them,
+    and at power depth 4 a fourth is the core's work space.  They are
+    float64 when the pair and every run's z·t are real, and complex128
+    when either is complex: then the real cached powers of a real pair
+    enter complex products as they are, and each combination of the block
+    and each product by Y^4 as one real product on the float parts of its
+    complex factor.
     The walk's result is always complex128, its t = 0 identity included.
     """
     times = np.asarray(t)
@@ -721,13 +816,15 @@ def evaluate_scheme(scheme, pair: OperatorPair, t) -> np.ndarray:
 def _taylor_walk(powers: tuple[_Powers, _Powers], gens, z, shape, dtype) -> np.ndarray:
     """The product of the runs' Taylor exponentials, per stack entry: run i
     is exp(z[i, j] X) on generator gens[i] for entry j, from deep powers
-    (:func:`_stack_exp`) or else by the Horner core (:func:`_taylor_exp`)."""
+    (:func:`_stack_exp`) or else by the core of degree 4, 8 and 16
+    (:func:`_taylor_exp`)."""
     runs = [powers[gen] for gen in gens]
     q, s, c = _taylor_terms(runs, z)
     P, Q = (np.empty(shape, dtype=dtype) for _ in range(2))
+    W = np.empty(shape, dtype=dtype) if runs[0].stack is None else None
     result = None
     for i, run in enumerate(runs):
-        E, spare = (_taylor_exp(run, q[i], s[i], c[i], P, Q) if run.stack is None
+        E, spare = (_taylor_exp(run, q[i], s[i], c[i], P, Q, W) if run.stack is None
                     else _stack_exp(run, s[i], c[i], P, Q))
         if result is None:
             result, P, Q = E, spare, np.empty_like(spare)

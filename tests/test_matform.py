@@ -548,7 +548,7 @@ def test_non_normal_pairs_take_the_cached_power_path(which):
     # (anti-)Hermitian; every other pair builds the Taylor powers of both
     # generators once and makes no expm call per slot: at d = 16 the whole
     # stack Y^0 .. Y^14, which Y^2, Y^3 and Y^4 view, and past the memory
-    # budget Y^2, Y^3 and Y^4 alone
+    # budget the block X, Y^2, Y^3, Y^4 alone
     for depth in (14, 4):
         with pytest.MonkeyPatch.context() as patch:
             _at_depth(patch, depth)
@@ -589,7 +589,7 @@ def test_non_normal_pairs_take_the_cached_power_path(which):
 ])
 def test_power_depth_follows_the_memory_budget(dim, dtype, depth):
     # the stack Y^0 .. Y^14 of one generator is cached when it fits 1 MiB;
-    # larger pairs keep Y^2, Y^3 and Y^4 and no more
+    # larger pairs keep the block X, Y^2, Y^3, Y^4 and no more
     X = np.diag(np.arange(1.0, dim + 1.0)) + np.eye(dim, k=1)
     phase = 1j if dtype == np.complex128 else 1.0
     pair = OperatorPair(phase * X, X.T)
@@ -653,7 +653,7 @@ _STACK_TIMES = st.lists(st.one_of(st.just(0.0), st.floats(min_value=-1.5, max_va
 @example(seed=9, dim=2, slots=[(Generator.A, 0.5j), (Generator.B, complex(1.0, -0.5))],
          times=[-0.7, 0.0, -0.7])
 def test_deep_stack_walk_matches_horner_and_scipy(seed, dim, slots, times):
-    # the deep stack against the Horner core on Y^2, Y^3 and Y^4 that it replaces
+    # the deep stack against the core of degree 4, 8 and 16 on X, Y^2, Y^3, Y^4
     # and against scipy's slot-by-slot product, within the bound of
     # test_suzuki4_on_random_pair_matches_scipy_product; at both depths each
     # entry is its own one-entry evaluation bit for bit
@@ -702,11 +702,11 @@ def _slot_exponential(X, z, deep=False):
     complex128 ones otherwise."""
     d = X.shape[0]
     dtype = np.result_type(X, z, np.float64)
-    buffers = (np.empty((1, d, d), dtype), np.empty((1, d, d), dtype))
+    buffers = [np.empty((1, d, d), dtype) for _ in range(3)]
     powers = matform._powers(X, deep)
     q, s, c = matform._taylor_terms([powers], np.array([[z]]))
     if deep:
-        return matform._stack_exp(powers, s[0], c[0], *buffers)[0][0]
+        return matform._stack_exp(powers, s[0], c[0], *buffers[:2])[0][0]
     return matform._taylor_exp(powers, q[0], s[0], c[0], *buffers)[0][0]
 
 
@@ -745,8 +745,11 @@ def test_slot_exponential_rejects_nonfinite_argument(random_pair):
         evaluate_scheme([(Generator.A, float("nan"))], random_pair, 0.5)
 
 
-#: theta_3, theta_7, theta_11, theta_15 as the package states them.
-_THETAS = (0.000363086, 0.0481816, 0.2889821, 0.7674139)
+#: theta_4, theta_8, theta_16 as the package states them.
+_THETAS = (0.002442156, 0.0861186, 0.9204745)
+
+#: The Taylor degrees the core takes with q = 0, 1, 2 products.
+_DEGREES = (4, 8, 16)
 
 #: theta_14, the deep stack's bound, as the package states it.
 _THETA_14 = 0.6270028
@@ -765,10 +768,53 @@ def test_thetas_meet_the_truncation_bound():
         return head, head + rest
 
     bound_low, bound_high = tail(0.5, 13)
-    for m, theta in zip((3, 7, 11, 15, 14), _THETAS + (_THETA_14,)):
+    for m, theta in zip(_DEGREES + (14,), _THETAS + (_THETA_14,)):
         assert theta in (matform._THETA.tolist() + [matform._THETA_DEEP])
         assert tail(theta, m)[1] <= bound_low
         assert bound_high < tail(Fraction(theta) + Fraction(1, 10 ** 7), m)[0]
+
+
+def _core_polynomial(q):
+    """The polynomial in x = u Y that the core evaluates with q products,
+    from the float64 table ``matform._QUARTICS`` in exact rational
+    arithmetic: its coefficients of x^0 .. x^16, and the table's constants
+    as the multiples of x^m they stand for."""
+    table = [[Fraction(g) / math.factorial(m) for g, m in zip(row, terms)]
+             for row, terms in zip(matform._QUARTICS[q].tolist(), matform._TERMS.tolist())]
+    first, left, right, last = ([row[0]] + [Fraction(0)] * 4 + row[1:] if i == 0 else row
+                                for i, row in enumerate(table))
+    if q == 0:
+        return last, table
+    # Y^4 times the first quartic: the first row's terms are x^5 .. x^8
+    y1 = [Fraction(0)] * 5 + first[5:]
+    if q == 1:
+        return [a + b for a, b in zip(last + [Fraction(0)] * 4, y1)], table
+    A = [a + b for a, b in zip(y1, left + [Fraction(0)] * 4)]
+    B = [a + b for a, b in zip(y1, right + [Fraction(0)] * 4)]
+    coefficients = [Fraction(0)] * 17
+    for i, a in enumerate(A):
+        for j, b in enumerate(B):
+            coefficients[i + j] += a * b
+    for m, r in enumerate(last):
+        coefficients[m] += r
+    return coefficients, table
+
+
+def test_core_constants_give_the_taylor_coefficients():
+    # (y_1 + P_2)(y_1 + Q_2) + R expanded in exact arithmetic from the float64
+    # constants: each coefficient of x^k, k = 0..16, within 2 eps relative of
+    # 1 / k!, and every constant >= 0; degrees 4 and 8 are Taylor's own
+    eps = Fraction(2) ** -52
+    for q, degree in enumerate(_DEGREES):
+        coefficients, table = _core_polynomial(q)
+        assert len(coefficients) == degree + 1
+        assert all(constant >= 0 for row in table for constant in row)
+        for k, coefficient in enumerate(coefficients):
+            exact = Fraction(1, math.factorial(k))
+            assert abs(coefficient - exact) <= 2 * eps * exact
+            if q < 2:
+                assert coefficient == exact
+    assert max(g for row in matform._QUARTICS[2].tolist() for g in row) == 8.6
 
 
 def _degree14_reference(X, z):
@@ -795,8 +841,8 @@ def _degree14_reference(X, z):
 
 
 def _selection(x2, x3):
-    """(q, s) with the fewest products q + s among the degrees 4 q + 3 whose
-    theta bounds the scaled argument times 2^-s, which is x2 for degree 3
+    """(q, s) with the fewest products q + s among the degrees 4 2^q whose
+    theta bounds the scaled argument times 2^-s, which is x2 for degree 4
     and x3 for the higher degrees, ties going to the higher degree: a
     brute-force search."""
     best = None
@@ -810,9 +856,9 @@ def _selection(x2, x3):
     return best
 
 
-def _argument_at(X, x, phase, degree=3):
+def _argument_at(X, x, phase, degree=2):
     """z = phase x / (nu alpha): the argument whose scaled argument for
-    ``_THETAS[degree]`` is x, alpha being alpha_2 for degree 3 (index 0)
+    ``_THETAS[degree]`` is x, alpha being alpha_2 for degree 4 (index 0)
     and min(alpha_2, alpha_3) for the higher degrees."""
     powers = matform._powers(X)
     return phase * x / (powers.scale * (powers.alpha if degree == 0 else powers.alpha3))
@@ -823,18 +869,18 @@ def _argument_at(X, x, phase, degree=3):
     seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
     dim=st.integers(min_value=1, max_value=12),
     kind=st.sampled_from(["dense", "non-normal", "real", "zero"]),
-    degree=st.integers(min_value=0, max_value=3),
+    degree=st.integers(min_value=0, max_value=2),
     side=st.sampled_from([-1, 1]),
     phase=st.one_of(st.sampled_from([1.0, -1.0]),
                     st.floats(min_value=0.0, max_value=2 * math.pi).map(
                         lambda a: complex(math.cos(a), math.sin(a)))),
 )
-@example(seed=0, dim=4, kind="real", degree=3, side=1, phase=-1.0)
+@example(seed=0, dim=4, kind="real", degree=2, side=1, phase=-1.0)
 @example(seed=1, dim=1, kind="dense", degree=0, side=-1, phase=1j)
 def test_per_entry_degree_matches_degree14_reference_and_scipy(seed, dim, kind, degree,
                                                                side, phase):
     # an argument just inside or just outside theta_m: the core takes degree m
-    # without squaring inside, and the next degree (or degree 15 and one
+    # without squaring inside, and the next degree (or degree 16 and one
     # squaring) outside; either way it agrees with a degree-14 evaluation and
     # with scipy within the bound of test_slot_exponential_matches_scipy
     X = _generator(seed, dim, "dense" if kind == "real" else kind)
@@ -848,7 +894,7 @@ def test_per_entry_degree_matches_degree14_reference_and_scipy(seed, dim, kind, 
     q, s, _ = matform._taylor_terms([matform._powers(X)], np.array([[z]]))
     if norm > 0:
         assert (q[0][0], s[0][0]) == ((degree, 0) if side < 0 else
-                                      (degree + 1, 0) if degree < 3 else (3, 1))
+                                      (degree + 1, 0) if degree < 2 else (2, 1))
     r = abs(z) * norm
     bound = 8 * (dim + r) * np.finfo(float).eps * math.exp(r)
     # the deep stack takes degree 14 and its own squarings throughout
@@ -867,7 +913,7 @@ def test_per_entry_degree_matches_degree14_reference_and_scipy(seed, dim, kind, 
     seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
     dim=st.integers(min_value=1, max_value=12),
     kind=st.sampled_from(["dense", "non-normal", "real", "nilpotent"]),
-    degree=st.integers(min_value=0, max_value=3),
+    degree=st.integers(min_value=0, max_value=2),
     side=st.sampled_from([-1, 1]),
     phase=st.one_of(st.sampled_from([1.0, -1.0]),
                     st.floats(min_value=0.0, max_value=2 * math.pi).map(
@@ -876,15 +922,19 @@ def test_per_entry_degree_matches_degree14_reference_and_scipy(seed, dim, kind, 
 )
 @example(seed=0, dim=2, kind="nilpotent", degree=0, side=1, phase=1.0, exponent=400)
 @example(seed=0, dim=3, kind="nilpotent", degree=0, side=1, phase=1.0, exponent=300)
+@example(seed=0, dim=4, kind="nilpotent", degree=0, side=1, phase=1.0, exponent=300)
+@example(seed=0, dim=4, kind="nilpotent", degree=0, side=1, phase=1.0, exponent=400)
 def test_alpha3_rule_at_every_theta(seed, dim, kind, degree, side, phase, exponent):
     # alpha_3 <= alpha_2 (||Y^4||_1 <= ||Y^2||_1^2, up to the rounding of the
     # powers and their norms), and the package's alpha3 is min(alpha_2,
-    # alpha_3), from numpy's norms to within that rounding; where Y^3 = 0 the result
-    # is I + z X + (z X)^2 / 2 for z up to 2^400 with no squaring, and where
-    # Y^2 = 0 it is I + z X, exactly on the Horner core (the deep stack's
-    # u Y rounds Y = X / nu); elsewhere an argument within or past
-    # each theta_m, on the alpha its degree is chosen by, is within the
-    # bound of test_slot_exponential_matches_scipy on either depth
+    # alpha_3), from numpy's norms to within that rounding; where Y^p = 0,
+    # p = 2, 3, 4, the result is the Taylor polynomial of degree p - 1 in
+    # z X for z up to 2^400, with no squaring and no core product: I + z X
+    # exactly on the core where Y^2 = 0 (the deep stack's u Y rounds
+    # Y = X / nu), and a refusal where its top coefficient u^(p-1) / (p-1)!
+    # overflows; elsewhere an argument within or past each theta_m, on the
+    # alpha its degree is chosen by, is within the bound of
+    # test_slot_exponential_matches_scipy on either depth
     X = _generator(seed, dim, "dense" if kind == "real" else kind)
     if kind == "real":
         X = X.real.copy()
@@ -900,20 +950,30 @@ def test_alpha3_rule_at_every_theta(seed, dim, kind, degree, side, phase, expone
     assert powers.alpha3 <= powers.alpha
     np.testing.assert_allclose([powers.alpha, powers.alpha3], [alpha2, min(alpha2, alpha3)],
                                rtol=4 * dim * eps)
-    if powers.alpha3 == 0:
+    assert powers.zero == next((p for p in (2, 3, 4) if not np.linalg.matrix_power(Y, p).any()),
+                               np.inf)
+    if powers.zero < np.inf:
         # z a power of two, so z X is exact
         z = math.ldexp(math.copysign(1.0, phase.real), exponent)
         zX = z * X
+        terms = [np.eye(dim), zX]
+        with np.errstate(over="ignore", invalid="ignore"):  # where u^3 / 3! overflows
+            for m in range(2, int(powers.zero)):
+                terms.append(terms[-1] @ zX / m)
         for deep in (False, True):
-            _, s, _ = matform._taylor_terms([matform._powers(X, deep)], np.array([[z]]))
-            assert s == [[0]]
+            q, s, c = matform._taylor_terms([matform._powers(X, deep)], np.array([[z]]))
+            assert q == [[0]] and s == [[0]]
+            assert not c[0, 0, int(powers.zero):].any()
+            if not np.isfinite(c).all():
+                with pytest.raises(ValueError, match="overflows"):
+                    expm(zX)
+                continue
             E = _slot_exponential(X, z, deep)
-            if powers.alpha == 0 and not deep:
+            if powers.zero == 2 and not deep:
                 np.testing.assert_array_equal(E, np.eye(dim) + zX)
             else:
-                half = zX @ zX / 2
-                size = 1 + np.linalg.norm(zX, 2) + np.linalg.norm(half, 2)
-                assert np.linalg.norm(E - (np.eye(dim) + zX + half), 2) <= 8 * dim * eps * size
+                size = sum(np.linalg.norm(term, 2) for term in terms)
+                assert np.linalg.norm(E - sum(terms), 2) <= 8 * dim * eps * size
         return
     x = _THETAS[degree] * (1.0 + side * 2.0 ** -40)
     z = _argument_at(X, x, phase, degree)
@@ -924,10 +984,75 @@ def test_alpha3_rule_at_every_theta(seed, dim, kind, degree, side, phase, expone
         assert np.linalg.norm(E - scipy.linalg.expm(z * X), 2) <= bound
 
 
+def test_expm_of_a_huge_matrix_whose_fourth_power_is_zero():
+    # Y^4 = 0, while Y^3 and the alpha_3 it gives are tiny but not zero: the
+    # core takes T_3 with no squaring, where a degree chosen on alpha_3 left
+    # |u| = 2.4e96 and u^m / m! overflowed
+    X = np.zeros((4, 4))
+    X[0, 1] = X[1, 2] = 1.0
+    X[2, 3] = 1e-290
+    zX = 1e100 * X
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        E = expm(zX)
+    assert _bits(E) == _bits(np.eye(4) + zX + zX @ zX / 2 + zX @ zX @ zX / 6)
+
+
+def _exact_nilpotent_exp(N):
+    """exp(N) = sum_{k<d} N^k / k! of a strictly upper triangular float
+    matrix N in exact rational arithmetic, rounded to float64 (an
+    ``OverflowError`` when an entry is past the largest float)."""
+    d = len(N)
+    F = [[Fraction(x) for x in row] for row in N.tolist()]
+    power = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    total = [row[:] for row in power]
+    for k in range(1, d):
+        power = [[sum(power[i][m] * F[m][j] for m in range(d)) / k for j in range(d)]
+                 for i in range(d)]
+        total = [[a + b for a, b in zip(t, p)] for t, p in zip(total, power)]
+    return np.array([[float(x) for x in row] for row in total])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+    dim=st.integers(min_value=5, max_value=6),
+    tiny=st.integers(min_value=100, max_value=300),
+    exponent=st.integers(min_value=0, max_value=300),
+)
+@example(seed=0, dim=6, tiny=290, exponent=280)
+def test_huge_arguments_on_tiny_high_powers(seed, dim, tiny, exponent):
+    # a strictly upper triangular X whose entries from the first three
+    # coordinates to the rest are scaled by 10^-tiny: every path of three
+    # steps crosses that cut, so Y^3 and Y^4 are tiny but not zero, and
+    # alpha_3 with them.  At z = 2^exponent the squarings are raised to keep
+    # |u| <= 2^64, so the coefficients stay finite; the result, at either
+    # depth, is within 8 d eps of the exact exp(z X) relative to its largest
+    # entry, or refused where that entry is past the largest float (the
+    # largest of 2988 finite cases reached 3.8 eps)
+    X = np.triu(np.random.default_rng(seed).standard_normal((dim, dim)), 1)
+    X[:3, 3:] *= 10.0 ** -tiny
+    powers = matform._powers(X)
+    assert powers.zero == np.inf and 0 < powers.alpha3 < 1e-20
+    zX = math.ldexp(1.0, exponent) * X
+    try:
+        expected = _exact_nilpotent_exp(zX)
+    except OverflowError:
+        with pytest.raises(ValueError, match="overflows"):
+            expm(zX)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = [expm(zX), _slot_exponential(zX, 1.0, deep=True)]
+    for E in results:
+        error = np.abs(E - expected).max()
+        assert error <= 8 * dim * np.finfo(float).eps * np.abs(expected).max()
+
+
 @settings(max_examples=200, deadline=None)
 @given(point=st.one_of(
-    st.tuples(st.floats(min_value=0.0, max_value=1e3), st.integers(min_value=0, max_value=3)),
-    st.integers(min_value=0, max_value=3).flatmap(lambda i: st.tuples(
+    st.tuples(st.floats(min_value=0.0, max_value=1e3), st.integers(min_value=0, max_value=2)),
+    st.integers(min_value=0, max_value=2).flatmap(lambda i: st.tuples(
         st.sampled_from([_THETAS[i], _THETAS[i] * (1 - 2.0 ** -40), _THETAS[i] * (1 + 2.0 ** -40),
                          2 * _THETAS[i], 2 * _THETAS[i] * (1 + 2.0 ** -40)]),
         st.just(i)))))
@@ -942,25 +1067,28 @@ def test_degree_and_squarings_take_the_fewest_products(point):
     q, s, c = matform._taylor_terms([powers], np.array([[z]]))
     size = abs(z) * powers.scale
     assert (q[0][0], s[0][0]) == _selection(size * powers.alpha, size * powers.alpha3)
-    # one row u^m / m!, m = 0..15, u = z nu 2^-s, whatever the degree: the
-    # Horner core reads the first 4 q + 4, the deep stack the first 15
+    # one row u^m / m!, m = 0..14, u = z nu 2^-s, whatever the degree: the
+    # core reads the first 9, the deep stack all 15
     u = z * powers.scale * 2.0 ** -s[0][0]
-    assert c.shape == (1, 1, 16) and c[0, 0, 0] == 1.0 and c[0, 0, 1] == u
+    assert c.shape == (1, 1, 15) and c[0, 0, 0] == 1.0 and c[0, 0, 1] == u
     # (subnormal terms keep only an absolute accuracy)
-    np.testing.assert_allclose(c[0, 0], [u ** m / math.factorial(m) for m in range(16)],
+    np.testing.assert_allclose(c[0, 0], [u ** m / math.factorial(m) for m in range(15)],
                                rtol=1e-14, atol=np.finfo(float).tiny)
 
 
 def _count_products(monkeypatch):
     """Matrix products made through np.matmul, one per matrix of its output:
-    ``products["square"]`` counts d x d products (Horner blocks and
-    squarings), ``products["stack"]`` the deep stack's coefficient products,
-    whose outputs are (k, d^2, 1) or (k, d^2, 2)."""
+    ``products["square"]`` counts d x d products (powers, core products,
+    squarings and the joins of runs), whose outputs are (k, d, d), or
+    (k, d, 2 d) for a real matrix times the float parts of a complex one;
+    ``products["stack"]`` the coefficient products of the deep stack and of
+    the core's quartics, whose outputs are (k, d^2, 1) or (k, d^2, 2)."""
     products = {"square": 0, "stack": 0}
     original = np.matmul
 
     def counting(a, b, out=None):
-        kind = "square" if np.shape(out)[-1] == np.shape(out)[-2] else "stack"
+        rows, cols = np.shape(out)[-2:]
+        kind = "square" if cols in (rows, 2 * rows) else "stack"
         products[kind] += 1 if np.ndim(out) == 2 else len(out)
         return original(a, b, out=out)
 
@@ -968,51 +1096,57 @@ def _count_products(monkeypatch):
     return products
 
 
+#: The core's quartics (coefficient products with the cached block) for
+#: q = 0, 1, 2 products: T_4; Y^4's factor and T_4; Q_1, P_2, Q_2 and R.
+_QUARTIC_CALLS = (1, 2, 4)
+
+
 @pytest.mark.parametrize("degree", [0, 1, 2])
 def test_small_arguments_take_fewer_products(degree):
-    # on Y^2, Y^3 and Y^4 alone a run within theta_3, theta_7, theta_11
-    # takes 0, 1, 2 Horner products and no squaring, and past theta_15 it
-    # takes 3 and squares once; on the deep stack every run is one
-    # coefficient product and its theta_14 squarings (two at 2 theta_15),
-    # with no Horner product
+    # on the block X, Y^2, Y^3, Y^4 alone a run within theta_4, theta_8,
+    # theta_16 takes 0, 1, 2 core products and no squaring, and past
+    # theta_16 it takes 2 and squares once, with 1, 2, 4 quartics; on the
+    # deep stack every run is one coefficient product and its theta_14
+    # squarings (one at theta_16, two at 2 theta_16), with no core product
     for depth in (14, 4):
         pair = _random_pair(8, 4, depth)
         small = _argument_at(pair.A, _THETAS[degree] * (1 - 2.0 ** -40), 1.0, degree)
-        large = 2.0 * _argument_at(pair.A, _THETAS[3], 1.0)
+        large = 2.0 * _argument_at(pair.A, _THETAS[2], 1.0)
         with pytest.MonkeyPatch.context() as patch:
             products = _count_products(patch)
             evaluate_scheme([(Generator.A, small)], pair, 1.0)
-            assert products == ({"square": degree, "stack": 0} if depth == 4
-                                else {"square": 0, "stack": 1})
+            assert products == ({"square": degree, "stack": _QUARTIC_CALLS[degree]}
+                                if depth == 4 else
+                                {"square": int(_THETAS[degree] > _THETA_14), "stack": 1})
             products.update(square=0, stack=0)
             evaluate_scheme([(Generator.A, large)], pair, 1.0)
-            assert products == ({"square": 3 + 1, "stack": 0} if depth == 4
+            assert products == ({"square": 2 + 1, "stack": _QUARTIC_CALLS[2]} if depth == 4
                                 else {"square": 2, "stack": 1})
 
 
 def _times_at(X, degrees, top=1.0):
-    """Step times for one run at z = the argument at theta_15 (returned
+    """Step times for one run at z = the argument at theta_16 (returned
     too): ``top`` times that, then just inside theta_m for each index in
     ``degrees``, each on its own alpha."""
-    z = _argument_at(X, _THETAS[3], 1.0)
+    z = _argument_at(X, _THETAS[2], 1.0)
     inside = [top] + [_argument_at(X, _THETAS[i], 1.0, i) / z for i in degrees]
     return z, np.array(inside) * (1 - 2.0 ** -40)
 
 
 def test_stack_entries_take_their_own_products():
-    # entries of one stack just inside 2 theta_15, theta_11, theta_3 and at 0:
-    # the top Horner blocks and the squarings run on prefixes, so the stack
-    # makes each entry's own products and no more: q + s on Y^2, Y^3 and
-    # Y^4, and on the deep stack one coefficient product per nonzero time
-    # plus its squarings
+    # entries of one stack just inside 2 theta_16, theta_8, theta_4 and at 0:
+    # each core stage and squaring runs on the prefix of entries that take
+    # it, so the stack makes each entry's own products and no more: q + s
+    # and its quartics on the block X, Y^2, Y^3, Y^4, and on the deep stack
+    # one coefficient product per nonzero time plus its squarings
     for depth in (14, 4):
         pair = _random_pair(8, 4, depth)
-        z, times = _times_at(pair.A, [2, 0], top=2.0)
+        z, times = _times_at(pair.A, [1, 0], top=2.0)
         times = np.append(times, 0.0)
         with pytest.MonkeyPatch.context() as patch:
             products = _count_products(patch)
             stack = evaluate_scheme([(Generator.A, z)], pair, times)
-        assert products == ({"square": (3 + 1) + 2 + 0, "stack": 0} if depth == 4
+        assert products == ({"square": (2 + 1) + 1 + 0, "stack": 4 + 2 + 1} if depth == 4
                             else {"square": 2, "stack": 3})
         for entry, t in zip(stack, times):
             assert _bits(entry) == _bits(evaluate_scheme([(Generator.A, z)], pair, t))
@@ -1020,11 +1154,12 @@ def test_stack_entries_take_their_own_products():
 
 @pytest.mark.parametrize("seed,angle", [(5, 1.4), (5, 4.2)])
 def test_shallow_stack_joins_keep_signed_zeros(seed, angle):
-    # one run on Y^2, Y^3 and Y^4 alone, at entries of every degree (q = 3,
-    # 3, 2, 1, 0), so the lower three join the Horner loop at blocks 2, 1
-    # and 0 on the pair's shared powers; the generator's zero rows carry
-    # signed zeros into the products, and each entry, at t and at -t, is its
-    # own one-entry evaluation bit for bit, signed zeros included
+    # one run on the block X, Y^2, Y^3, Y^4 alone, at entries of every degree
+    # (q = 2, 2, 2, 1, 0), so the stages of degrees 16 and 8 and the last
+    # addend run on prefixes of the pair's shared powers; the generator's
+    # zero rows carry signed zeros into the products, and each entry, at t
+    # and at -t, is its own one-entry evaluation bit for bit, signed zeros
+    # included
     g = np.random.default_rng(seed)
     X = g.standard_normal((5, 5)) + 1j * g.standard_normal((5, 5))
     X[:2] = (0.0 * (g.standard_normal((5, 5)) + 1j * g.standard_normal((5, 5))))[:2]
@@ -1036,7 +1171,7 @@ def test_shallow_stack_joins_keep_signed_zeros(seed, angle):
     times = np.insert(times, 1, 1 - 2.0 ** -40)
     z *= complex(math.cos(angle), math.sin(angle))
     q, s, _ = matform._taylor_terms([powers], z * times[np.newaxis])
-    assert q == [[3, 3, 2, 1, 0]] and s == [[1, 0, 0, 0, 0]]
+    assert q == [[2, 2, 2, 1, 0]] and s == [[1, 0, 0, 0, 0]]
     for sign in (1.0, -1.0):
         stack = evaluate_scheme([(Generator.A, z)], pair, sign * times)
         for entry, t in zip(stack, sign * times):
@@ -1128,7 +1263,7 @@ def _assert_blocks_close(actual, expected, half):
 @pytest.mark.parametrize("size", [1e200, 1.0])
 def test_scheme_on_a_generator_whose_square_is_zero(dim, depth, size):
     # exp(c t N) = I + c t N, on the deep power stack (d <= 93) and on the
-    # Horner core (d = 100) alike, however large ||N||
+    # core of degree 4, 8 and 16 (d = 100) alike, however large ||N||
     pair = _nilpotent_pair(dim, 7, size)
     assert pair.power_depth == depth
     scheme = catalog_get("NCP10_4")
@@ -1175,8 +1310,8 @@ def dense_pair():
 
 @pytest.mark.parametrize("name", ["NCP10_4", "PCP26_6"])
 def test_dense_benchmark_product_matches_scipy(dense_pair, name):
-    # the Horner core on the cached Y^2, Y^3 and Y^4 at d = 256, against
-    # scipy's exponential of every run
+    # the core of degree 4, 8 and 16 on the cached block X, Y^2, Y^3, Y^4 at
+    # d = 256, against scipy's exponential of every run
     assert dense_pair.power_depth == 4
     expected = np.eye(256)
     for gen, coeff in slot_runs(catalog_get(name)):
@@ -1193,6 +1328,23 @@ def test_dense_benchmark_target_matches_scipy(dense_pair):
         assert np.linalg.norm(T - expected, 2) <= 1e-13 * np.linalg.norm(expected, 2)
 
 
+def test_dense_benchmark_command_takes_45_and_5_products(monkeypatch):
+    # the benchmark's NCP10_4 curve on random:256 at n = 1, so t = 1: the walk
+    # makes 6 power products (Y^2, Y^3 and Y^4 of each generator), the core
+    # products and squarings of its 10 runs and the 9 joins between them, 45
+    # in all, where the degree 3/7/11/15 Horner core made 53; the commutator
+    # target makes 3 power products and 2 core products, where the Horner
+    # core made 7 (3 of them Horner blocks and 1 a squaring)
+    pair = make_pair("random", 256, 200)
+    assert pair.power_depth == 4
+    products = _count_products(monkeypatch)
+    evaluate_scheme(catalog_get("NCP10_4"), pair, np.array([1.0]))
+    assert products["square"] == 45
+    products.update(square=0, stack=0)
+    target_matrix(commutator_target(), pair, 1.0)
+    assert products["square"] == 5
+
+
 def _peak_bytes(scheme, pair):
     tracemalloc.start()
     try:
@@ -1203,21 +1355,25 @@ def _peak_bytes(scheme, pair):
 
 
 def test_cached_power_path_peak_memory():
-    # cached powers (Y^2, Y^3 and Y^4 of each generator: 6), three rotating
-    # buffers and one temporary: 10 live d x d complex arrays
+    # the cached block (X, Y^2, Y^3 and Y^4 of each generator: 8), three
+    # rotating buffers and the degree-16 core's work buffer: 12 live d x d
+    # complex arrays.  Two more than the Horner core's six powers, three
+    # buffers and one temporary: the block holds a copy of X, so that each
+    # quartic is one product with it, and the work buffer holds y_1 + P_2
+    # while y_1 + Q_2 is formed
     dim = 128
     real = make_pair("random", dim, 5)
     pair = OperatorPair(1j * real.A, 1j * real.B)
     assert pair.A.dtype == np.complex128 and pair.eigenbasis is None
-    assert _peak_bytes(catalog_get("PCP26_6"), pair) <= 10 * 16 * dim * dim + 64 * 1024
+    assert _peak_bytes(catalog_get("PCP26_6"), pair) <= 12 * 16 * dim * dim + 64 * 1024
 
 
 def test_real_path_peak_memory():
-    # the same arrays, all float64: at most 10 live d x d real arrays
+    # the same arrays, all float64: at most 12 live d x d real arrays
     dim = 128
     pair = make_pair("random", dim, 5)
     assert pair.A.dtype == np.float64
-    assert _peak_bytes(catalog_get("PCP26_6"), pair) <= 10 * 8 * dim * dim + 64 * 1024
+    assert _peak_bytes(catalog_get("PCP26_6"), pair) <= 12 * 8 * dim * dim + 64 * 1024
 
 
 # ---------------------------------------------------------------------------
