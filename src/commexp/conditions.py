@@ -892,8 +892,8 @@ def _grid_scores(family: RowFamily, params, r: int) -> np.ndarray:
     except ValueError as error:
         if not hasattr(error, "row"):
             raise
-        detail = str(error).removeprefix(f"row {error.row}: ")
-        raise ValueError(f"family member at parameter {params[error.row]:.6g}: {detail}") from None
+        raise ValueError(f"family member at parameter {params[error.row]:.6g}: "
+                         f"{error.detail}") from None
     largest = np.maximum.reduce(_residuals(vectors, target, r)[1], axis=0)
     failing = np.flatnonzero(largest > _ORDER_SLACK)
     if len(failing):

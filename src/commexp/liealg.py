@@ -31,11 +31,13 @@ rounds exactly as its own b = 1 call:
 - :func:`series_mul` is the Cauchy product: one gather per factor over all
   the splits, summed.
 - :func:`lie_project` rewrites a log in the right-nested commutator basis
-  built by :func:`basis_build` (dimensions 2, 1, 2, 3, 6, 9, 18 for degrees
-  1..7, so every degree the engine truncates at), all degrees by one
-  stacked product by the block-diagonal pseudoinverse, and flags non-Lie
+  (dimensions 2, 1, 2, 3, 6, 9, 18 for degrees 1..7, so every degree the
+  engine truncates at), all degrees by one stacked product by the leading
+  blocks of the basis's block-diagonal pseudoinverse, and flags non-Lie
   inputs through the least-squares residual.  A :func:`scheme_log` output
   is Lie by construction, so on it the residual checks only pi_1.
+  :func:`basis_build` stores that basis once, as one block-diagonal word
+  map and its pseudoinverse; every per-degree array is a view of them.
 
 :func:`letter_map` gives a letter substitution A -> f_A X_A, B -> f_B X_B as
 a matrix on the basis coordinates, so the packed word layout stays inside
@@ -175,20 +177,19 @@ def _slot_row(slots: Iterable) -> tuple[list[Generator], np.ndarray]:
     return [as_generator(g) for g, _ in slots], coefficients
 
 
-def _in_row(message: str, row: int, rows: int) -> str:
-    """``message`` about one row of a batch, naming the row when there are several."""
-    return message if rows == 1 else f"row {row}: {message}"
-
-
 def _check_rows(ok: np.ndarray, error) -> None:
     """Raise ``error(*index)`` at the first False entry of ``ok``, whose
     first axis is the batch: the lowest failing row, then its first failure.
-    The exception carries that row as ``row``."""
+    The exception carries that row as ``row`` and the message ``error``
+    gave it as ``detail``; its message is ``row i: detail`` when the batch
+    has several rows, else ``detail``."""
     first = ok.argmin()  # 0 when every entry holds
     if not ok.flat[first]:
         index = np.unravel_index(first, ok.shape)
         failure = error(*index)
-        failure.row = int(index[0])
+        failure.row, failure.detail = int(index[0]), str(failure)
+        if len(ok) > 1:
+            failure.args = (f"row {failure.row}: {failure.detail}",)
         raise failure
 
 
@@ -263,10 +264,9 @@ def series_log(series) -> np.ndarray:
     series = np.asarray(series)
     rows = series if series.ndim == 2 else series[None]
     truncation = _truncation_of(rows.shape[1])
-    for row, lead in enumerate(rows[:, 0].tolist()):
-        if abs(lead - 1.0) > 1e-12:
-            raise ValueError(_in_row(f"series_log needs constant term 1, got {lead!r}",
-                                     row, len(rows)))
+    _check_rows(~(np.abs(rows[:, 0] - 1.0) > 1e-12),  # a NaN term passes
+                lambda row: ValueError(f"series_log needs constant term 1, "
+                                       f"got {rows[row, 0].item()!r}"))
     z = rows.astype(np.promote_types(rows.dtype, np.float64))
     z[:, 0] = 0.0
     log = power = z
@@ -304,15 +304,13 @@ def scheme_log(generators, coefficients, truncation: int) -> np.ndarray:
         finite = np.isfinite(_slot_powers(rows[row:row + 1].T, truncation)[:, 0, -1])
         if not finite.all():
             i = finite.argmin()
-            return ValueError(_in_row(
-                f"slot {i} coefficient {rows[row, i].item()!r} has non-finite "
-                f"powers at truncation {truncation}", row, len(log)))
+            return ValueError(f"slot {i} coefficient {rows[row, i].item()!r} has "
+                              f"non-finite powers at truncation {truncation}")
         what = (f"a round-off allowance of {_round_off(rows[row], 1, truncation).max():.3g}"
                 if largest[row] <= MAX_LOG_COEFFICIENT
                 else f"a coefficient of size {largest[row]:.3g}")
-        return ValueError(_in_row(
-            f"log of the slot product has {what} at truncation {truncation} "
-            f"(limit {MAX_LOG_COEFFICIENT:g})", row, len(log)))
+        return ValueError(f"log of the slot product has {what} at truncation {truncation} "
+                          f"(limit {MAX_LOG_COEFFICIENT:g})")
 
     with np.errstate(over="ignore", invalid="ignore"):
         product = _float_parts(_slot_product(generators, rows, truncation))
@@ -404,7 +402,8 @@ _BASIS_RECIPES: dict[tuple[int, int], tuple[int, Generator, tuple[int, int]]] = 
 
 @dataclass(frozen=True)
 class BasisElement:
-    """One nested commutator E_{j,l}; ``vector`` holds its degree-j word coefficients."""
+    """One nested commutator E_{j,l}; ``vector`` holds its degree-j word
+    coefficients, a read-only view of its column of :attr:`LieBasis.words`."""
 
     degree: int
     position: int  # 1-based within the degree
@@ -420,11 +419,26 @@ class BasisElement:
 
 @dataclass(frozen=True)
 class LieBasis:
-    """Nested-commutator basis with per-degree word matrices and pseudoinverses."""
+    """Nested-commutator basis through :data:`MAX_TRUNCATION`, stored once.
+
+    ``words`` (size, D) is the block-diagonal map from basis coordinates
+    (D = sum(LIE_DIMS) entries, degree j from ``offsets[j - 1]``;
+    ``offsets[N]`` is D) to flat series at truncation N = MAX_TRUNCATION
+    (the layout of :func:`_word_tables`), and ``pinv`` (D, size) its
+    pseudoinverse, the least-squares map back, whose diagonal blocks are
+    the pseudoinverses of the degrees.  The per-degree word matrices
+    ``matrices[j]`` (2**j, dim), pseudoinverses ``pinvs[j]`` (dim, 2**j)
+    and element vectors are read-only views of their blocks, and the
+    leading blocks of ``words`` and ``pinv`` are the maps of every smaller
+    truncation.
+    """
 
     elements: dict[tuple[int, int], BasisElement] = field(repr=False)
     matrices: dict[int, np.ndarray] = field(repr=False)
     pinvs: dict[int, np.ndarray] = field(repr=False)
+    words: np.ndarray = field(repr=False)
+    pinv: np.ndarray = field(repr=False)
+    offsets: np.ndarray = field(repr=False)
 
     def dims(self) -> tuple[int, ...]:
         return LIE_DIMS
@@ -443,33 +457,42 @@ class LieBasis:
 def basis_build() -> LieBasis:
     """Build the nested-commutator basis through :data:`MAX_TRUNCATION`, once.
 
-    Bracketing a letter with unit vector e onto a child with degree-(j-1)
-    word vector c gives the degree-j word vector ``outer(e, c) - outer(c, e)``,
-    each ravelled, since concatenation is the outer product.  The construction
+    Allocates the :class:`LieBasis` maps ``words`` and ``pinv`` and writes
+    each element's word vector into its column of ``words`` and each
+    degree's ``np.linalg.pinv`` into its block of ``pinv``.  Bracketing a
+    letter with unit vector e onto a child with degree-(j-1) word vector c
+    gives the degree-j word vector ``outer(e, c) - outer(c, e)``, each
+    ravelled, since concatenation is the outer product.  The construction
     raises if any per-degree word matrix loses full column rank, which would
     mean the recipes fail to span independent directions.
     """
-    letters = {g: np.eye(2)[g] for g in Generator}
-    elements = {
-        (1, 1): BasisElement(1, 1, +1, None, None, letters[Generator.A]),
-        (1, 2): BasisElement(1, 2, +1, None, None, letters[Generator.B]),
-    }
-    for (j, l), (sign, letter, child) in sorted(_BASIS_RECIPES.items()):
-        e, c = letters[letter], elements[child].vector
-        vector = sign * (np.outer(e, c).ravel() - np.outer(c, e).ravel())
-        elements[(j, l)] = BasisElement(j, l, sign, letter, child, vector)
+    offsets = np.cumsum((0,) + LIE_DIMS)
+    words = np.zeros(((2 << MAX_TRUNCATION) - 1, offsets[-1]))
+    pinv = np.zeros(words.shape[::-1])
+    blocks = {j: (slice((1 << j) - 1, (2 << j) - 1), slice(offsets[j - 1], offsets[j]))
+              for j in range(1, MAX_TRUNCATION + 1)}
 
-    matrices: dict[int, np.ndarray] = {}
-    pinvs: dict[int, np.ndarray] = {}
-    for j, dim in enumerate(LIE_DIMS, start=1):
-        m = np.column_stack([elements[(j, l)].vector for l in range(1, dim + 1)])
-        if np.linalg.matrix_rank(m) != dim:
+    def column(j, l):
+        rows, coordinates = blocks[j]
+        return words[rows, coordinates.start + l - 1]
+
+    words[blocks[1]] = np.eye(2)
+    recipes = sorted(_BASIS_RECIPES.items())
+    for (j, l), (sign, letter, child) in recipes:
+        e, c = column(1, letter + 1), column(*child)
+        column(j, l)[:] = sign * (np.outer(e, c).ravel() - np.outer(c, e).ravel())
+    for j, (rows, coordinates) in blocks.items():
+        if np.linalg.matrix_rank(words[rows, coordinates]) != LIE_DIMS[j - 1]:
             raise RuntimeError(f"basis matrix at degree {j} is rank deficient")
-        matrices[j] = m
-        pinvs[j] = np.linalg.pinv(m)
-    for array in (*matrices.values(), *pinvs.values(), *(e.vector for e in elements.values())):
+        pinv[coordinates, rows] = np.linalg.pinv(words[rows, coordinates])
+    for array in (words, pinv, offsets):
         array.flags.writeable = False  # shared by every caller through the cache
-    return LieBasis(elements, matrices, pinvs)
+    # views taken after the lock are read-only too
+    elements = {(1, l): BasisElement(1, l, +1, None, None, column(1, l)) for l in (1, 2)}
+    elements.update((key, BasisElement(*key, *recipe, column(*key))) for key, recipe in recipes)
+    return LieBasis(elements, {j: words[block] for j, block in blocks.items()},
+                    {j: pinv[block[::-1]] for j, block in blocks.items()},
+                    words, pinv, offsets)
 
 
 @lru_cache(maxsize=None)
@@ -504,7 +527,7 @@ def letter_map(images: tuple[tuple[Generator, complex], ...], degree: int) -> np
 
 
 # ---------------------------------------------------------------------------
-# The first Eulerian idempotent and the block-diagonal basis maps
+# The first Eulerian idempotent
 # ---------------------------------------------------------------------------
 
 
@@ -559,39 +582,6 @@ def _eulerian_idempotent(degree: int) -> np.ndarray:
     return idempotent
 
 
-class _BlockMaps(NamedTuple):
-    """The basis of truncation N as block-diagonal maps over all its degrees
-    at once, between flat series (size entries) and basis coordinates (D
-    entries, degree j from ``offsets[j - 1]``; ``offsets[N]`` is D)."""
-
-    pinvs: np.ndarray    # (D, size): series -> least-squares coordinates
-    words: np.ndarray    # (size, D): coordinates -> series
-    offsets: np.ndarray  # (N + 1,)
-
-
-@lru_cache(maxsize=None)
-def _block_maps(truncation: int) -> _BlockMaps:
-    """The :class:`_BlockMaps` of one truncation, built at
-    :data:`MAX_TRUNCATION` on first use, whose leading blocks are those of
-    every smaller truncation.  Read-only."""
-    if truncation < MAX_TRUNCATION:
-        full = _block_maps(MAX_TRUNCATION)
-        size, offsets = (2 << truncation) - 1, full.offsets[:truncation + 1]
-        return _BlockMaps(full.pinvs[:offsets[-1], :size], full.words[:size, :offsets[-1]],
-                          offsets)
-    basis = basis_build()
-    offsets = np.cumsum((0,) + LIE_DIMS)
-    pinvs = np.zeros((offsets[-1], (2 << truncation) - 1))
-    words = np.zeros(pinvs.shape[::-1])
-    for j in range(1, truncation + 1):
-        coordinates, block = slice(offsets[j - 1], offsets[j]), slice((1 << j) - 1, (2 << j) - 1)
-        pinvs[coordinates, block] = basis.pinvs[j]
-        words[block, coordinates] = basis.matrices[j]
-    for array in (pinvs, words, offsets):
-        array.flags.writeable = False  # shared by every caller through the cache
-    return _BlockMaps(pinvs, words, offsets)
-
-
 # ---------------------------------------------------------------------------
 # Projection
 # ---------------------------------------------------------------------------
@@ -606,7 +596,8 @@ def lie_project(log, coefficients=None) -> tuple[dict[int, np.ndarray], np.ndarr
     j, and column 0 the size of the constant term, the residual of degree 0,
     whose commutator subspace is zero.  The coordinates are one stacked
     product by the block-diagonal pseudoinverse and the misfits one by the
-    block word matrices (:func:`_block_maps`).  A residual above the larger
+    block-diagonal word map, the leading blocks of :attr:`LieBasis.pinv` and
+    :attr:`LieBasis.words` for the truncation.  A residual above the larger
     of ``DEFAULT_LIE_TOL * max(1, |coefficients at that degree|)`` and
     ``LOG_ROUND_OFF * S^j / j!`` means the input is not a Lie element
     (Friedrichs criterion) and raises :class:`LieMembershipError`, whose
@@ -620,11 +611,13 @@ def lie_project(log, coefficients=None) -> tuple[dict[int, np.ndarray], np.ndarr
     log = np.asarray(log)
     rows = np.ascontiguousarray(_float_array(log if log.ndim == 2 else log[None]))
     truncation = _truncation_of(rows.shape[1])
-    maps = _block_maps(truncation)
-    coordinates = _stacked(maps.pinvs, rows)
+    basis = basis_build()
+    offsets = basis.offsets[:truncation + 1]
+    dim, size = offsets[-1], rows.shape[1]
+    coordinates = _stacked(basis.pinv[:dim, :size], rows)
     # [0] the least-squares misfits of every degree, [1] the log itself
     parts = np.empty((2,) + rows.shape, rows.dtype)
-    np.subtract(_stacked(maps.words, coordinates), rows, out=parts[0])
+    np.subtract(_stacked(basis.words[:size, :dim], coordinates), rows, out=parts[0])
     parts[1] = rows
     starts = _word_tables(truncation).starts
     residual, scale = np.sqrt(np.add.reduceat(np.abs(parts) ** 2, starts, axis=2))
@@ -644,14 +637,13 @@ def lie_project(log, coefficients=None) -> tuple[dict[int, np.ndarray], np.ndarr
 
         def failure(row, j):
             if not (finite[row, j] and np.isfinite(residual[row, j])):
-                return ValueError(_in_row(f"degree-{j} coefficients are not finite or "
-                                          f"too large to project", row, len(rows)))
-            return LieMembershipError(_in_row(
+                return ValueError(f"degree-{j} coefficients are not finite or "
+                                  f"too large to project")
+            return LieMembershipError(
                 f"degree-{j} word coefficients are not a commutator polynomial "
-                f"(residual {residual[row, j]:.3e} > {bound[row, j]:.3e})", row, len(rows)))
+                f"(residual {residual[row, j]:.3e} > {bound[row, j]:.3e})")
 
         _check_rows(ok, failure)
-    offsets = maps.offsets
     vectors = {j: coordinates[:, offsets[j - 1]:offsets[j]] for j in range(1, truncation + 1)}
     if log.ndim == 2:
         return vectors, residual
@@ -691,8 +683,7 @@ def _lie_rows(generators, coefficients, truncation: int) -> dict[int, np.ndarray
         except ValueError as error:
             if not hasattr(error, "row"):
                 raise
-            detail = str(error).removeprefix(f"row {error.row}: ")
             error.row += lo
-            error.args = (f"row {error.row}: {detail}",)
+            error.args = (f"row {error.row}: {error.detail}",)
             raise
     return {j: np.concatenate([w[j] for w in passes]) for j in passes[0]}

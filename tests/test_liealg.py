@@ -388,6 +388,23 @@ def test_basis_is_cached():
     assert basis_build() is basis_build()
 
 
+def test_basis_is_stored_once():
+    # every per-degree array is a read-only view of the one block-diagonal
+    # word map or of its pseudoinverse, which are zero off their blocks
+    basis = basis_build()
+    words, pinv, offsets = basis.words, basis.pinv, basis.offsets
+    on_words = np.zeros(words.shape, bool)
+    for degree in range(1, MAX_TRUNCATION + 1):
+        on_words[_block(degree), offsets[degree - 1]:offsets[degree]] = True
+        views = [(basis.matrices[degree], words), (basis.pinvs[degree], pinv)]
+        views += [(element.vector, words) for element in basis.degree_elements(degree)]
+        for view, store in views:
+            assert np.shares_memory(view, store)
+            assert not view.flags.writeable
+    assert not (words.flags.writeable or pinv.flags.writeable or offsets.flags.writeable)
+    assert (words[~on_words] == 0).all() and (pinv[~on_words.T] == 0).all()
+
+
 def test_basis_atoms():
     basis = basis_build()
     assert _series(basis.element(1, 1)).coefficient("A") == 1.0
