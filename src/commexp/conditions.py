@@ -53,7 +53,6 @@ __all__ = [
     "OptimizeResult",
     "RowFamily",
     "optimize_free_parameter",
-    "ba_quadratic_coefficients",
 ]
 
 
@@ -276,21 +275,24 @@ def order_residuals(scheme, target: TargetPolynomial, r: int,
     _check_tolerance("tol", tol)
     _check_order(r, r + 1)
     pairs = slot_pairs(scheme)
-    vectors = _lie_rows(*_slot_row(pairs), r + 1)
-    residuals, worst = _residuals(vectors, target, r)
+    deviations = _deviations(_lie_rows(*_slot_row(pairs), r + 1), target, r + 1)
+    residuals = {degree: np.abs(deviations[degree][0]) for degree in range(1, r + 1)}
     # the verified order is the count of leading degrees that hold
-    verified = int(np.add.reduce(np.logical_and.accumulate(worst[:, 0] <= tol)))
-    return ResidualReport(r, tol, {degree: res[0] for degree, res in residuals.items()},
-                          verified, _leading_errors(vectors, target, r, len(pairs))[0])
+    verified = int(np.add.reduce(np.logical_and.accumulate(
+        [np.max(res) <= tol for res in residuals.values()])))
+    return ResidualReport(r, tol, residuals, verified,
+                          _leading_errors(deviations[r + 1], r, len(pairs))[0])
 
 
-def _residuals(vectors: Mapping[int, np.ndarray], target: TargetPolynomial, r: int
-               ) -> tuple[dict[int, np.ndarray], np.ndarray]:
-    """The (b, dim) residuals per degree 1..r of b logs' basis coordinates
-    ``vectors`` against ``target``, and their (r, b) largest entries."""
-    residuals = {degree: np.abs(vectors[degree] - target.vector(degree))
-                 for degree in range(1, r + 1)}
-    return residuals, np.array([np.maximum.reduce(res, axis=1) for res in residuals.values()])
+def _deviations(vectors: Mapping[int, np.ndarray], target: TargetPolynomial | None,
+                top: int) -> dict[int, np.ndarray]:
+    """Each degree 1..top of b logs' (b, dim) basis coordinates ``vectors``
+    minus ``target``'s, or the coordinates themselves when there is no
+    target: the order conditions below the leading degree and the leading
+    error at it."""
+    if target is None:
+        return {degree: vectors[degree] for degree in range(1, top + 1)}
+    return {degree: vectors[degree] - target.vector(degree) for degree in range(1, top + 1)}
 
 
 @dataclass(frozen=True)
@@ -304,23 +306,18 @@ class EffectiveError:
     leading_norm: float
 
 
-def _leading_errors(vectors: Mapping[int, np.ndarray], target: TargetPolynomial | None,
-                    r: int, slot_count: int) -> list[EffectiveError]:
-    """E of each row from its degree-(r+1) deviation from ``target`` (no
-    target: from zero)."""
+def _leading_errors(deviation: np.ndarray, r: int, slot_count: int) -> list[EffectiveError]:
+    """E of each row of the (b, dim) degree-(r+1) ``deviation``."""
     return [EffectiveError(E, E / slot_count, slot_count, r, norm)
-            for norm, E in zip(*_leading_scores(vectors, target, r, slot_count))]
+            for norm, E in zip(*_leading_scores(deviation, r, slot_count))]
 
 
-def _leading_scores(vectors: Mapping[int, np.ndarray], target: TargetPolynomial | None,
-                    r: int, slot_count: int) -> tuple[list[float], list[float]]:
-    """The Euclidean norm of each row's degree-(r+1) deviation from
-    ``target``, and its E = s * norm^(1/r), one scalar power at a time as
+def _leading_scores(deviation: np.ndarray, r: int, slot_count: int
+                    ) -> tuple[list[float], list[float]]:
+    """The Euclidean norm of each row of the (b, dim) degree-(r+1)
+    ``deviation``, and its E = s * norm^(1/r), one scalar power at a time as
     libm's pow gives it: numpy's vectorised power can differ from it by an
     ulp."""
-    deviation = vectors[r + 1]
-    if target is not None:
-        deviation = deviation - target.vector(r + 1)
     norms = _row_norms(deviation).tolist()
     return norms, [slot_count * norm ** (1.0 / r) for norm in norms]
 
@@ -351,8 +348,9 @@ def effective_error(scheme, r: int | None = None) -> EffectiveError:
             raise ValueError("effective_error needs r for a raw slot list, which carries no order")
         r = scheme.order
     _check_order(r, r + 1)
-    return _leading_errors(_lie_rows(*_slot_row(pairs), r + 1),
-                           getattr(scheme, "target", None), r, len(pairs))[0]
+    deviations = _deviations(_lie_rows(*_slot_row(pairs), r + 1),
+                             getattr(scheme, "target", None), r + 1)
+    return _leading_errors(deviations[r + 1], r, len(pairs))[0]
 
 
 # --------------------------------------------------------------------------
@@ -571,9 +569,8 @@ def _residual(generators, rows: np.ndarray, target, r) -> np.ndarray:
     Complex coefficients give complex residuals (the complex-step Jacobian in
     :func:`refine` relies on that).
     """
-    vectors = _lie_rows(generators, rows, r)
-    return np.concatenate([vectors[degree] - target.vector(degree)
-                           for degree in range(1, r + 1)], axis=1)
+    return np.concatenate(list(_deviations(_lie_rows(generators, rows, r), target, r).values()),
+                          axis=1)
 
 
 def _mirror_sign(scheme, target, r) -> str | None:
@@ -666,14 +663,13 @@ def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
     if any(complex(w).imag != 0.0 for w in target.terms.values()):
         raise ValueError("refinement handles real targets only")
 
-    pairs = slot_pairs(scheme)
-    if any(abs(complex(c).imag) > 0 for _, c in pairs):
+    generators, (x,) = _slot_row(slot_pairs(scheme))
+    if x.imag.any():
         raise ValueError("refinement handles real coefficients only")
-    generators = [g for g, _ in pairs]
-    x = np.array([float(np.real(c)) for _, c in pairs])
+    x = x.real
     sign = _mirror_sign(scheme, target, r)
     if sign is not None:
-        x = x[1:len(pairs) // 2]  # the half-pattern's tail
+        x = x[1:len(generators) // 2]  # the half-pattern's tail
         counts = cp_condition_counts(sign, r)
         n_conditions = sum(counts[d] for d in range(2, r + 1))
     else:
@@ -878,13 +874,14 @@ def _brent_minimize(objective: Callable[[float], float], lo: float, hi: float,
 
 
 def _grid_scores(family: RowFamily, params, r: int) -> np.ndarray:
-    """E of the family member at each parameter, from one family call and
-    one engine call, with no per-member report.  ``ValueError`` names the
-    first member the engine refuses (the ``row`` of its error), else the first
-    whose residual over degrees 1..r exceeds :data:`_ORDER_SLACK`, as
-    ``family member at parameter p: ...``.  E is the scalar power of
-    :func:`_leading_scores`, equal to ``order_residuals(member).effective_error.E``
-    bit for bit."""
+    """E of the family member at each parameter as a plain float, from one
+    family call, one engine call and one :func:`_deviations` map, with no
+    per-member report.  ``ValueError`` names the first member the engine
+    refuses (the ``row`` of its error), else the first whose residual over
+    degrees 1..r exceeds :data:`_ORDER_SLACK`, as ``family member at
+    parameter p: ...``.  E is the scalar power of :func:`_leading_scores` on
+    the degree-(r+1) deviation, equal to
+    ``order_residuals(member).effective_error.E`` bit for bit."""
     params = np.asarray(params, dtype=np.float64)
     generators, target, rows = family(params)
     try:
@@ -894,41 +891,12 @@ def _grid_scores(family: RowFamily, params, r: int) -> np.ndarray:
             raise
         raise ValueError(f"family member at parameter {params[error.row]:.6g}: "
                          f"{error.detail}") from None
-    largest = np.maximum.reduce(_residuals(vectors, target, r)[1], axis=0)
+    deviations = _deviations(vectors, target, r + 1)
+    largest = np.maximum.reduce([np.max(np.abs(deviations[degree]), axis=1)
+                                 for degree in range(1, r + 1)])
     failing = np.flatnonzero(largest > _ORDER_SLACK)
     if len(failing):
         i = failing[0]
         raise ValueError(f"family member at parameter {params[i]:.6g} violates order {r} "
                          f"(residual {largest[i]:.3e})")
-    return np.array(_leading_scores(vectors, target, r, len(generators))[1])
-
-
-# --------------------------------------------------------------------------
-# closed-form cross-check for alternating compositions
-# --------------------------------------------------------------------------
-
-
-def ba_quadratic_coefficients(scheme) -> dict[tuple[int, int], float]:
-    """Closed forms for w_{1,1}, w_{1,2}, w_{2,1} of a B,A,...,B,A composition.
-
-    For slots (c_0 B, c_1 A, ..., c_{2n-2} B, c_{2n-1} A):
-
-        w_{1,1} = sum of A coefficients
-        w_{1,2} = sum of B coefficients
-        w_{2,1} = w_{1,1} w_{1,2} / 2  -  sum_i c_{2i} * sum_{j>=i} c_{2j+1}
-
-    Useful as an independent check on the series engine at low degree.
-    """
-    pairs = slot_pairs(scheme)
-    if len(pairs) % 2 != 0:
-        raise ValueError("composition must have an even slot count")
-    for i, (gen, _) in enumerate(pairs):
-        expect = Generator.B if i % 2 == 0 else Generator.A
-        if gen != expect:
-            raise ValueError("slots must alternate B, A, ... starting with B")
-    b_coeffs = [c for i, (_, c) in enumerate(pairs) if i % 2 == 0]
-    a_coeffs = [c for i, (_, c) in enumerate(pairs) if i % 2 == 1]
-    w11 = sum(a_coeffs)
-    w12 = sum(b_coeffs)
-    cross = sum(b_coeffs[i] * sum(a_coeffs[i:]) for i in range(len(b_coeffs)))
-    return {(1, 1): w11, (1, 2): w12, (2, 1): 0.5 * w11 * w12 - cross}
+    return np.array(_leading_scores(deviations[r + 1], r, len(generators))[1])

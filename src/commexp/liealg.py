@@ -169,7 +169,11 @@ def _float_array(values) -> np.ndarray:
 def _slot_row(slots: Iterable) -> tuple[list[Generator], np.ndarray]:
     """The generators of ``(generator, coefficient)`` pairs and their
     coefficients as a batch of one: a (1, s) float64 array, or complex128
-    when a coefficient is complex."""
+    when a coefficient is a Python or numpy complex.  Any other number
+    ``float()`` reads (``Fraction``, ``Decimal``, int, bool, a numpy scalar)
+    becomes float64.  The one slot normaliser: the order conditions, the
+    effective error, ``refine`` and the matrix product all read slots
+    through it."""
     slots = list(slots)
     complex_ = any(isinstance(c, (complex, np.complexfloating)) for _, c in slots)
     coefficients = np.array([[c for _, c in slots]],

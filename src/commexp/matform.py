@@ -59,7 +59,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .conditions import TargetPolynomial, slot_runs
-from .liealg import Generator, basis_build
+from .liealg import _BASIS_RECIPES, Generator, _slot_row
 
 __all__ = [
     "SplitMix64",
@@ -734,10 +734,14 @@ def evaluate_scheme(scheme, pair: OperatorPair, t) -> np.ndarray:
     slots (:func:`~commexp.conditions.slot_runs`), which has the same
     product: zero slots are skipped, neighbours on one generator merge, and a
     run that cancels to zero goes, merging its neighbours; at ``t == 0`` or
-    with no run left the exact identity is returned.  A step time that is
-    not finite, or a run coefficient that is not finite (at any ``t``,
-    zero included), raises ``ValueError`` on either path, and so does a
-    product that overflows to non-finite entries, with no numpy warning.
+    with no run left the exact identity is returned.  The runs' coefficients
+    are read as the series engine reads slots, by
+    :func:`~commexp.liealg._slot_row`: raw ``Fraction``, ``Decimal``, int,
+    bool and numpy scalars become float64, or complex128 when one is
+    complex.  A step time that is not finite, or a run coefficient that is
+    not finite (at any ``t``, zero included), raises ``ValueError`` on
+    either path, and so does a product that overflows to non-finite
+    entries, with no numpy warning.
 
     On pairs with an :attr:`~OperatorPair.eigenbasis` the product is carried
     in eigenbasis coordinates as
@@ -781,9 +785,7 @@ def evaluate_scheme(scheme, pair: OperatorPair, t) -> np.ndarray:
     if times.ndim > 1:
         raise ValueError(f"t must be a step time or a 1-D array of them, got shape {times.shape}")
     steps = times.reshape(-1)
-    runs = slot_runs(scheme)
-    gens = [gen for gen, _ in runs]
-    coeffs = np.array([coeff for _, coeff in runs])
+    gens, (coeffs,) = _slot_row(slot_runs(scheme))
     if not np.isfinite(coeffs).all():
         raise ValueError(f"non-finite run coefficient in {coeffs.tolist()!r}")
     # the stack runs over the nonzero step times by decreasing |t|
@@ -791,7 +793,7 @@ def evaluate_scheme(scheme, pair: OperatorPair, t) -> np.ndarray:
     if not all(map(math.isfinite, sizes)):
         raise ValueError(f"step times must be finite, got {t!r}")
     live = sorted((j for j in range(len(steps)) if sizes[j]), key=lambda j: -sizes[j]) \
-        if runs else []
+        if gens else []
     ordered = live == list(range(len(steps)))
     basis = pair.eigenbasis
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
@@ -854,17 +856,19 @@ def evaluation_path(scheme, pair: OperatorPair) -> tuple[str, str]:
     powers it runs on."""
     if pair.eigenbasis is not None:
         return "eigenbasis", "complex128"
-    return "taylor", np.dtype(_dtype(pair.A, *(c for _, c in slot_runs(scheme)))).name
+    return "taylor", np.dtype(_dtype(pair.A, _slot_row(slot_runs(scheme))[1])).name
 
 
 def element_matrix(degree: int, position: int, pair: OperatorPair) -> np.ndarray:
-    """Matrix realization of a nested-commutator basis element."""
-    element = basis_build().element(degree, position)
-    if element.letter is None:
+    """Matrix realization of a nested-commutator basis element, from its
+    recipe in :data:`~commexp.liealg._BASIS_RECIPES` (the atoms are A and
+    B); ``KeyError`` for a (degree, position) outside the basis."""
+    if degree == 1 and position in (1, 2):
         return pair.A if position == 1 else pair.B
-    L = pair.matrix(element.letter)
-    C = element_matrix(*element.child, pair)
-    return element.sign * (L @ C - C @ L)
+    sign, letter, child = _BASIS_RECIPES[(degree, position)]
+    L = pair.matrix(letter)
+    C = element_matrix(*child, pair)
+    return sign * (L @ C - C @ L)
 
 
 def target_matrix(target: TargetPolynomial, pair: OperatorPair, t) -> np.ndarray:

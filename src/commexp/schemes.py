@@ -788,13 +788,12 @@ def _catalog_build(name: str) -> Scheme:
 
 def _coefficient_to_json(c: complex):
     c = complex(c)
-    if c.imag == 0.0:
-        return float(f"{c.real:.17g}")
-    return [float(f"{c.real:.17g}"), float(f"{c.imag:.17g}")]
+    return c.real if c.imag == 0.0 else [c.real, c.imag]
 
 
 def save_scheme(scheme: Scheme, path) -> None:
-    """Serialize to the .scheme.json format (17 significant digits)."""
+    """Serialize to the .scheme.json format, each float as its shortest
+    repr, which reads back as the same float."""
     if scheme.is_template:
         raise ValueError("cannot serialize a template with abstract slots")
     doc = {
@@ -802,8 +801,7 @@ def save_scheme(scheme: Scheme, path) -> None:
         "target": {
             "name": scheme.target.name,
             "terms": [
-                [degree, pos,
-                 float(f"{complex(w).real:.17g}"), float(f"{complex(w).imag:.17g}")]
+                [degree, pos, complex(w).real, complex(w).imag]
                 for (degree, pos), w in sorted(scheme.target.terms.items())
             ],
         },

@@ -23,6 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
+from commexp.conditions import slot_pairs
 from commexp.liealg import MAX_TRUNCATION, Generator, as_generator, basis_build
 
 
@@ -267,6 +268,37 @@ def lie_project(s: TruncatedSeries) -> tuple[dict[int, np.ndarray], dict[int, fl
         vectors[j] = np.linalg.lstsq(columns, y, rcond=None)[0]
         residuals[j] = float(np.linalg.norm(columns @ vectors[j] - y))
     return vectors, residuals
+
+
+# ---------------------------------------------------------------------------
+# closed-form cross-check for alternating compositions
+# ---------------------------------------------------------------------------
+
+
+def ba_quadratic_coefficients(scheme) -> dict[tuple[int, int], float]:
+    """Closed forms for w_{1,1}, w_{1,2}, w_{2,1} of a B,A,...,B,A composition.
+
+    For slots (c_0 B, c_1 A, ..., c_{2n-2} B, c_{2n-1} A):
+
+        w_{1,1} = sum of A coefficients
+        w_{1,2} = sum of B coefficients
+        w_{2,1} = w_{1,1} w_{1,2} / 2  -  sum_i c_{2i} * sum_{j>=i} c_{2j+1}
+
+    Useful as an independent check on the series engine at low degree.
+    """
+    pairs = slot_pairs(scheme)
+    if len(pairs) % 2 != 0:
+        raise ValueError("composition must have an even slot count")
+    for i, (gen, _) in enumerate(pairs):
+        expect = Generator.B if i % 2 == 0 else Generator.A
+        if gen != expect:
+            raise ValueError("slots must alternate B, A, ... starting with B")
+    b_coeffs = [c for i, (_, c) in enumerate(pairs) if i % 2 == 0]
+    a_coeffs = [c for i, (_, c) in enumerate(pairs) if i % 2 == 1]
+    w11 = sum(a_coeffs)
+    w12 = sum(b_coeffs)
+    cross = sum(b_coeffs[i] * sum(a_coeffs[i:]) for i in range(len(b_coeffs)))
+    return {(1, 1): w11, (1, 2): w12, (2, 1): 0.5 * w11 * w12 - cross}
 
 
 # ---------------------------------------------------------------------------

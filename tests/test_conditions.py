@@ -1288,7 +1288,7 @@ def test_refine_solves_every_start_full_newton_solves(size):
 
 
 def test_ba_quadratic_coefficients_match_projection(rng):
-    from commexp.conditions import ba_quadratic_coefficients
+    from series_oracle import ba_quadratic_coefficients
     from commexp.liealg import lie_project, scheme_log
 
     for _ in range(5):

@@ -1,8 +1,13 @@
 """Tests for the dense matrix harness."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 import warnings
 
 import numpy as np
@@ -11,8 +16,11 @@ import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import commexp
 from commexp.conditions import (
     commutator_target,
+    effective_error,
+    order_residuals,
     slot_runs,
     sum_plus_commutator_target,
     sum_target,
@@ -1377,6 +1385,71 @@ def test_real_path_peak_memory():
 
 
 # ---------------------------------------------------------------------------
+# raw coefficient types: every layer reads a slot as its float value
+# ---------------------------------------------------------------------------
+
+
+def _as_python(slots):
+    """The slot list with each coefficient as a Python float, or a complex
+    when it is a Python or numpy complex."""
+    return [(gen, complex(c) if isinstance(c, (complex, np.complexfloating)) else float(c))
+            for gen, c in slots]
+
+
+_RAW_COEFFICIENTS = st.one_of(
+    st.fractions(min_value=-2, max_value=2, max_denominator=60),
+    st.decimals(min_value=-2, max_value=2, places=8, allow_nan=False, allow_infinity=False),
+    st.integers(min_value=-3, max_value=3),
+    st.just(True),
+    st.floats(min_value=-2.0, max_value=2.0).map(np.float32),
+    st.floats(min_value=-2.0, max_value=2.0).map(np.float64),
+    st.integers(min_value=-3, max_value=3).map(np.int64),
+    st.complex_numbers(max_magnitude=2.0).map(np.complex128),
+    st.complex_numbers(max_magnitude=2.0).map(np.complex64),
+).filter(lambda c: c != 0)
+
+
+@st.composite
+def _raw_runs(draw):
+    # alternating generators and nonzero coefficients: the list is its own
+    # runs, so no two coefficients are added before they are read
+    coefficients = draw(st.lists(_RAW_COEFFICIENTS, min_size=1, max_size=8))
+    first = draw(st.sampled_from([Generator.A, Generator.B]))
+    return [(Generator(first ^ (i % 2)), c) for i, c in enumerate(coefficients)]
+
+
+def _same_bits(x, y):
+    assert x.dtype == y.dtype and x.shape == y.shape
+    assert x.tobytes() == y.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(slots=_raw_runs())
+def test_raw_coefficient_types_agree_with_their_float_values(pauli_pair, slots):
+    floats = _as_python(slots)
+    times = np.array([0.3, -0.1, 0.0, 0.7])
+    for pair in (pauli_pair, make_pair("random", 4, 3)):
+        for t in (0.1, times):
+            _same_bits(evaluate_scheme(slots, pair, t), evaluate_scheme(floats, pair, t))
+        assert matform.evaluation_path(slots, pair) == matform.evaluation_path(floats, pair)
+    raw_report = order_residuals(slots, commutator_target(), 2)
+    report = order_residuals(floats, commutator_target(), 2)
+    for degree in (1, 2):
+        _same_bits(raw_report.residuals[degree], report.residuals[degree])
+    assert raw_report.verified_order == report.verified_order
+    assert raw_report.effective_error == report.effective_error
+    assert effective_error(slots, 3) == effective_error(floats, 3)
+
+
+@pytest.mark.parametrize("third", [Fraction(1, 3), Decimal("0.3333333333333333")])
+def test_evaluate_scheme_reads_fraction_and_decimal_coefficients(pauli_pair, third):
+    # numpy cannot test the finiteness of an object array of these
+    slots = [(Generator.A, third), (Generator.B, 1.0), (Generator.A, 0.5)]
+    expected = evaluate_scheme(_as_python(slots), pauli_pair, 0.1)
+    _same_bits(evaluate_scheme(slots, pauli_pair, 0.1), expected)
+
+
+# ---------------------------------------------------------------------------
 # real arithmetic: real pairs and real z·t stay float64
 # ---------------------------------------------------------------------------
 
@@ -1501,6 +1574,45 @@ def test_element_matrix_recursion_consistency(random_pair):
             child = element_matrix(*el.child, random_pair)
             expected = el.sign * commutator(random_pair.matrix(el.letter), child)
             np.testing.assert_allclose(direct, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("key", [(1, 3), (1, 0), (0, 1), (2, 2), (7, 19), (8, 1)])
+def test_element_matrix_refuses_a_position_outside_the_basis(random_pair, key):
+    with pytest.raises(KeyError):
+        element_matrix(*key, random_pair)
+
+
+def test_element_matrices_equal_the_basis_recursion_bit_for_bit(random_pair):
+    # built from the recipes alone, every element equals sign * [letter,
+    # child] on the stored basis's elements, atoms included
+    from commexp.liealg import basis_build
+
+    basis = basis_build()
+    matrices = {(1, 1): random_pair.A, (1, 2): random_pair.B}
+    for degree in range(1, 8):
+        for el in basis.degree_elements(degree):
+            key = (el.degree, el.position)
+            if el.letter is not None:
+                L, C = random_pair.matrix(el.letter), matrices[el.child]
+                matrices[key] = el.sign * (L @ C - C @ L)
+            _same_bits(element_matrix(*key, random_pair), matrices[key])
+
+
+def test_the_matrix_layer_builds_no_basis(tmp_path):
+    # a custom curve builds its target's element matrices from the recipes,
+    # so a fresh interpreter that runs one never builds the stored basis
+    src = str(Path(commexp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys; from commexp import cli, liealg; "
+            "assert cli.main(sys.argv[1:]) == 0; "
+            "print(liealg.basis_build.cache_info().currsize)")
+    done = subprocess.run([sys.executable, "-c", code, "bench", "--custom", "--schemes",
+                           "NCP10_4", "--pair", "random:16", "--n", "1",
+                           "--out", str(tmp_path / "curve.csv")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-1] == "0"
 
 
 def test_target_matrix_commutator(pauli_pair):
