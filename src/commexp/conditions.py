@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .liealg import (
     Generator,
     _lie_rows,
     _slot_row,
+    _slot_value,
     as_generator,
     letter_map,
 )
@@ -208,10 +209,12 @@ def slot_runs(scheme) -> list[tuple[Generator, complex]]:
 
     A stack reduction: each slot adds onto a top run on its generator, and a
     run summing to exactly zero is popped so that its neighbours merge in
-    turn (A·1, B·1, B·(-1), A·1 gives A·2).
+    turn (A·1, B·1, B·(-1), A·1 gives A·2).  Each coefficient is read by
+    :func:`~commexp.liealg._slot_value` before it is added.
     """
     runs: list[tuple[Generator, complex]] = []
     for gen, coeff in slot_pairs(scheme):
+        coeff = _slot_value(coeff)
         if runs and runs[-1][0] == gen:
             coeff += runs.pop()[1]
         if coeff != 0:
@@ -275,24 +278,28 @@ def order_residuals(scheme, target: TargetPolynomial, r: int,
     _check_tolerance("tol", tol)
     _check_order(r, r + 1)
     pairs = slot_pairs(scheme)
-    deviations = _deviations(_lie_rows(*_slot_row(pairs), r + 1), target, r + 1)
-    residuals = {degree: np.abs(deviations[degree][0]) for degree in range(1, r + 1)}
+    deviations = _deviations(_lie_rows(*_slot_row(pairs), r + 1), target, range(1, r + 2))
+    residuals, worst = _worst_residuals(deviations, r)
     # the verified order is the count of leading degrees that hold
-    verified = int(np.add.reduce(np.logical_and.accumulate(
-        [np.max(res) <= tol for res in residuals.values()])))
-    return ResidualReport(r, tol, residuals, verified,
-                          _leading_errors(deviations[r + 1], r, len(pairs))[0])
+    verified = int(np.add.reduce(np.logical_and.accumulate(worst[:, 0] <= tol)))
+    return ResidualReport(r, tol, {degree: res[0] for degree, res in residuals.items()},
+                          verified, _leading_errors(deviations[r + 1], r, len(pairs))[0])
 
 
-def _deviations(vectors: Mapping[int, np.ndarray], target: TargetPolynomial | None,
-                top: int) -> dict[int, np.ndarray]:
-    """Each degree 1..top of b logs' (b, dim) basis coordinates ``vectors``
-    minus ``target``'s, or the coordinates themselves when there is no
-    target: the order conditions below the leading degree and the leading
-    error at it."""
-    if target is None:
-        return {degree: vectors[degree] for degree in range(1, top + 1)}
-    return {degree: vectors[degree] - target.vector(degree) for degree in range(1, top + 1)}
+def _deviations(vectors: Mapping[int, np.ndarray], target: TargetPolynomial,
+                degrees: Iterable[int]) -> dict[int, np.ndarray]:
+    """Each of ``degrees`` of b logs' (b, dim) basis coordinates ``vectors``
+    minus ``target``'s: the order conditions below the leading degree and
+    the leading error at it."""
+    return {degree: vectors[degree] - target.vector(degree) for degree in degrees}
+
+
+def _worst_residuals(deviations: Mapping[int, np.ndarray], r: int
+                     ) -> tuple[dict[int, np.ndarray], np.ndarray]:
+    """The (b, dim) residuals |deviation| per degree 1..r of b logs, and
+    their (r, b) largest entries."""
+    residuals = {degree: np.abs(deviations[degree]) for degree in range(1, r + 1)}
+    return residuals, np.array([np.maximum.reduce(res, axis=1) for res in residuals.values()])
 
 
 @dataclass(frozen=True)
@@ -348,9 +355,9 @@ def effective_error(scheme, r: int | None = None) -> EffectiveError:
             raise ValueError("effective_error needs r for a raw slot list, which carries no order")
         r = scheme.order
     _check_order(r, r + 1)
-    deviations = _deviations(_lie_rows(*_slot_row(pairs), r + 1),
-                             getattr(scheme, "target", None), r + 1)
-    return _leading_errors(deviations[r + 1], r, len(pairs))[0]
+    vectors, target = _lie_rows(*_slot_row(pairs), r + 1), getattr(scheme, "target", None)
+    deviation = vectors[r + 1] if target is None else _deviations(vectors, target, [r + 1])[r + 1]
+    return _leading_errors(deviation, r, len(pairs))[0]
 
 
 # --------------------------------------------------------------------------
@@ -569,8 +576,8 @@ def _residual(generators, rows: np.ndarray, target, r) -> np.ndarray:
     Complex coefficients give complex residuals (the complex-step Jacobian in
     :func:`refine` relies on that).
     """
-    return np.concatenate(list(_deviations(_lie_rows(generators, rows, r), target, r).values()),
-                          axis=1)
+    deviations = _deviations(_lie_rows(generators, rows, r), target, range(1, r + 1))
+    return np.concatenate(list(deviations.values()), axis=1)
 
 
 def _mirror_sign(scheme, target, r) -> str | None:
@@ -879,9 +886,8 @@ def _grid_scores(family: RowFamily, params, r: int) -> np.ndarray:
     per-member report.  ``ValueError`` names the first member the engine
     refuses (the ``row`` of its error), else the first whose residual over
     degrees 1..r exceeds :data:`_ORDER_SLACK`, as ``family member at
-    parameter p: ...``.  E is the scalar power of :func:`_leading_scores` on
-    the degree-(r+1) deviation, equal to
-    ``order_residuals(member).effective_error.E`` bit for bit."""
+    parameter p: ...``.  E is :func:`_leading_scores`' scalar power, equal
+    to ``order_residuals(member).effective_error.E`` bit for bit."""
     params = np.asarray(params, dtype=np.float64)
     generators, target, rows = family(params)
     try:
@@ -891,9 +897,8 @@ def _grid_scores(family: RowFamily, params, r: int) -> np.ndarray:
             raise
         raise ValueError(f"family member at parameter {params[error.row]:.6g}: "
                          f"{error.detail}") from None
-    deviations = _deviations(vectors, target, r + 1)
-    largest = np.maximum.reduce([np.max(np.abs(deviations[degree]), axis=1)
-                                 for degree in range(1, r + 1)])
+    deviations = _deviations(vectors, target, range(1, r + 2))
+    largest = np.maximum.reduce(_worst_residuals(deviations, r)[1], axis=0)
     failing = np.flatnonzero(largest > _ORDER_SLACK)
     if len(failing):
         i = failing[0]

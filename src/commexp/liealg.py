@@ -166,19 +166,24 @@ def _float_array(values) -> np.ndarray:
                          copy=False)
 
 
+def _slot_value(c) -> float | complex:
+    """A slot coefficient as every layer reads it, before any two are added:
+    a Python complex when it is complex, else its ``float()`` (a numpy
+    scalar or 0-d array is read as its Python number first)."""
+    if type(c) in (float, complex):  # already read: the slots of every Scheme
+        return c
+    if isinstance(c, (np.generic, np.ndarray)):
+        c = c.item()
+    return complex(c) if isinstance(c, complex) else float(c)
+
+
 def _slot_row(slots: Iterable) -> tuple[list[Generator], np.ndarray]:
     """The generators of ``(generator, coefficient)`` pairs and their
-    coefficients as a batch of one: a (1, s) float64 array, or complex128
-    when a coefficient is a Python or numpy complex.  Any other number
-    ``float()`` reads (``Fraction``, ``Decimal``, int, bool, a numpy scalar)
-    becomes float64.  The one slot normaliser: the order conditions, the
-    effective error, ``refine`` and the matrix product all read slots
-    through it."""
+    coefficients read by :func:`_slot_value`, as a batch of one: a (1, s)
+    float64 array, or complex128 when a coefficient is complex (numpy's own
+    reading of a row of Python floats and complexes)."""
     slots = list(slots)
-    complex_ = any(isinstance(c, (complex, np.complexfloating)) for _, c in slots)
-    coefficients = np.array([[c for _, c in slots]],
-                            dtype=np.complex128 if complex_ else np.float64)
-    return [as_generator(g) for g, _ in slots], coefficients
+    return [as_generator(g) for g, _ in slots], np.array([[_slot_value(c) for _, c in slots]])
 
 
 def _check_rows(ok: np.ndarray, error) -> None:
@@ -374,8 +379,11 @@ def _slot_product(generators, coefficients: np.ndarray, truncation: int) -> np.n
 # Nested-commutator basis
 # ---------------------------------------------------------------------------
 
-# Each entry maps (degree, position) -> (sign, bracketing letter, child), with
-# the two degree-1 atoms spelled out explicitly.  Positions are 1-based.
+# The two degree-1 atoms, E_{1,1} = A and E_{1,2} = B.
+_BASIS_ATOMS: dict[tuple[int, int], Generator] = {(1, 1): Generator.A, (1, 2): Generator.B}
+
+# Each entry maps (degree, position) -> (sign, bracketing letter, child) for
+# every element above the atoms.  Positions are 1-based.
 # Degrees 2..6 are tabulated; degree 7 brackets each degree-6 element with A
 # and with B in turn, which already spans the 18-dimensional Lie subspace.
 _BASIS_RECIPES: dict[tuple[int, int], tuple[int, Generator, tuple[int, int]]] = {
@@ -480,10 +488,12 @@ def basis_build() -> LieBasis:
         rows, coordinates = blocks[j]
         return words[rows, coordinates.start + l - 1]
 
-    words[blocks[1]] = np.eye(2)
+    letters = np.eye(2)  # the degree-1 word vector of each letter
+    for key, letter in _BASIS_ATOMS.items():
+        column(*key)[:] = letters[letter]
     recipes = sorted(_BASIS_RECIPES.items())
     for (j, l), (sign, letter, child) in recipes:
-        e, c = column(1, letter + 1), column(*child)
+        e, c = letters[letter], column(*child)
         column(j, l)[:] = sign * (np.outer(e, c).ravel() - np.outer(c, e).ravel())
     for j, (rows, coordinates) in blocks.items():
         if np.linalg.matrix_rank(words[rows, coordinates]) != LIE_DIMS[j - 1]:
@@ -492,7 +502,7 @@ def basis_build() -> LieBasis:
     for array in (words, pinv, offsets):
         array.flags.writeable = False  # shared by every caller through the cache
     # views taken after the lock are read-only too
-    elements = {(1, l): BasisElement(1, l, +1, None, None, column(1, l)) for l in (1, 2)}
+    elements = {key: BasisElement(*key, +1, None, None, column(*key)) for key in _BASIS_ATOMS}
     elements.update((key, BasisElement(*key, *recipe, column(*key))) for key, recipe in recipes)
     return LieBasis(elements, {j: words[block] for j, block in blocks.items()},
                     {j: pinv[block[::-1]] for j, block in blocks.items()},

@@ -59,7 +59,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .conditions import TargetPolynomial, slot_runs
-from .liealg import _BASIS_RECIPES, Generator, _slot_row
+from .liealg import _BASIS_ATOMS, _BASIS_RECIPES, Generator, _slot_row
 
 __all__ = [
     "SplitMix64",
@@ -734,14 +734,13 @@ def evaluate_scheme(scheme, pair: OperatorPair, t) -> np.ndarray:
     slots (:func:`~commexp.conditions.slot_runs`), which has the same
     product: zero slots are skipped, neighbours on one generator merge, and a
     run that cancels to zero goes, merging its neighbours; at ``t == 0`` or
-    with no run left the exact identity is returned.  The runs' coefficients
-    are read as the series engine reads slots, by
-    :func:`~commexp.liealg._slot_row`: raw ``Fraction``, ``Decimal``, int,
-    bool and numpy scalars become float64, or complex128 when one is
-    complex.  A step time that is not finite, or a run coefficient that is
-    not finite (at any ``t``, zero included), raises ``ValueError`` on
-    either path, and so does a product that overflows to non-finite
-    entries, with no numpy warning.
+    with no run left the exact identity is returned.  Coefficients are read
+    by :func:`~commexp.liealg._slot_value` before any two are added, so raw
+    ``Fraction``, ``Decimal`` and numpy scalars give their floats' product.
+    A step time that is not finite, or a run coefficient that is not finite
+    (at any ``t``, zero included), raises ``ValueError`` on either path, and
+    so does a product that overflows to non-finite entries, with no numpy
+    warning.
 
     On pairs with an :attr:`~OperatorPair.eigenbasis` the product is carried
     in eigenbasis coordinates as
@@ -860,11 +859,10 @@ def evaluation_path(scheme, pair: OperatorPair) -> tuple[str, str]:
 
 
 def element_matrix(degree: int, position: int, pair: OperatorPair) -> np.ndarray:
-    """Matrix realization of a nested-commutator basis element, from its
-    recipe in :data:`~commexp.liealg._BASIS_RECIPES` (the atoms are A and
-    B); ``KeyError`` for a (degree, position) outside the basis."""
-    if degree == 1 and position in (1, 2):
-        return pair.A if position == 1 else pair.B
+    """Matrix realization of a nested-commutator basis element from the
+    atoms and recipes of :mod:`~commexp.liealg` (``KeyError`` outside it)."""
+    if (degree, position) in _BASIS_ATOMS:
+        return pair.matrix(_BASIS_ATOMS[(degree, position)])
     sign, letter, child = _BASIS_RECIPES[(degree, position)]
     L = pair.matrix(letter)
     C = element_matrix(*child, pair)

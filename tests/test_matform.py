@@ -1391,9 +1391,8 @@ def test_real_path_peak_memory():
 
 def _as_python(slots):
     """The slot list with each coefficient as a Python float, or a complex
-    when it is a Python or numpy complex."""
-    return [(gen, complex(c) if isinstance(c, (complex, np.complexfloating)) else float(c))
-            for gen, c in slots]
+    when it is a Python or numpy complex (a 0-d array included)."""
+    return [(gen, complex(c) if np.iscomplexobj(c) else float(c)) for gen, c in slots]
 
 
 _RAW_COEFFICIENTS = st.one_of(
@@ -1406,16 +1405,15 @@ _RAW_COEFFICIENTS = st.one_of(
     st.integers(min_value=-3, max_value=3).map(np.int64),
     st.complex_numbers(max_magnitude=2.0).map(np.complex128),
     st.complex_numbers(max_magnitude=2.0).map(np.complex64),
-).filter(lambda c: c != 0)
+    st.floats(min_value=-2.0, max_value=2.0).map(np.array),
+    st.complex_numbers(max_magnitude=2.0).map(np.array),
+    st.sampled_from([0, 0.0, Fraction(0), Decimal(0)]),
+)
 
-
-@st.composite
-def _raw_runs(draw):
-    # alternating generators and nonzero coefficients: the list is its own
-    # runs, so no two coefficients are added before they are read
-    coefficients = draw(st.lists(_RAW_COEFFICIENTS, min_size=1, max_size=8))
-    first = draw(st.sampled_from([Generator.A, Generator.B]))
-    return [(Generator(first ^ (i % 2)), c) for i, c in enumerate(coefficients)]
+# any generator order, zeros included: neighbours on one generator merge and
+# a popped zero run merges its neighbours, so coefficients are added
+_RAW_SLOTS = st.lists(st.tuples(st.sampled_from([Generator.A, Generator.B]), _RAW_COEFFICIENTS),
+                      min_size=1, max_size=8)
 
 
 def _same_bits(x, y):
@@ -1424,7 +1422,7 @@ def _same_bits(x, y):
 
 
 @settings(max_examples=60, deadline=None)
-@given(slots=_raw_runs())
+@given(slots=_RAW_SLOTS)
 def test_raw_coefficient_types_agree_with_their_float_values(pauli_pair, slots):
     floats = _as_python(slots)
     times = np.array([0.3, -0.1, 0.0, 0.7])
@@ -1447,6 +1445,19 @@ def test_evaluate_scheme_reads_fraction_and_decimal_coefficients(pauli_pair, thi
     slots = [(Generator.A, third), (Generator.B, 1.0), (Generator.A, 0.5)]
     expected = evaluate_scheme(_as_python(slots), pauli_pair, 0.1)
     _same_bits(evaluate_scheme(slots, pauli_pair, 0.1), expected)
+
+
+@pytest.mark.parametrize("slots", [
+    [(Generator.A, Decimal("0.5")), (Generator.A, 0.5), (Generator.B, 1.0)],
+    [(Generator.A, Fraction(1, 10)), (Generator.A, Fraction(2, 10)), (Generator.B, 1.0)],
+    [(Generator.A, np.float32(0.1)), (Generator.B, Fraction(0)), (Generator.A, np.float32(0.2))],
+])
+def test_runs_add_the_float_values_of_their_slots(pauli_pair, slots):
+    # a run sums its slots' floats, so a merged Fraction 1/10 + 2/10 gives
+    # 0.1 + 0.2 as the float list does, not float(3/10)
+    floats = _as_python(slots)
+    assert slot_runs(slots) == slot_runs(floats)
+    _same_bits(evaluate_scheme(slots, pauli_pair, 0.1), evaluate_scheme(floats, pauli_pair, 0.1))
 
 
 # ---------------------------------------------------------------------------
