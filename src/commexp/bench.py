@@ -462,14 +462,6 @@ _OMISSION_NOTE = ("recursive reference schemes G5 (56 exponentials) and G6 "
                   "external to this package")
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return "not reached"
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
 def _write_csv(out, sections: Sequence[tuple[Sequence[str], Sequence[str], Sequence]]
                ) -> int:
     """Write ``(comments, header, rows)`` sections, creating the parent directory.
@@ -482,7 +474,9 @@ def _write_csv(out, sections: Sequence[tuple[Sequence[str], Sequence[str], Seque
     for comments, header, rows in sections:
         lines.extend(f"# {c}" for c in comments)
         lines.append(",".join(header))
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        for row in rows:  # one % per row
+            row = tuple(["not reached" if v is None else v for v in row])
+            lines.append(",".join(["%.17g" if isinstance(v, float) else "%s" for v in row]) % row)
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

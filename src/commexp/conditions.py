@@ -391,7 +391,8 @@ def cp_half_closure(tail, sign):
     terms[..., 1:] = tail
     if s < 0:
         np.negative(terms[..., 2::2], out=terms[..., 2::2])
-    total = np.add.accumulate(terms, axis=-1)[..., -1]
+    # [()] makes a one-tail closure a numpy scalar, as negation makes it
+    total = np.add.accumulate(terms, axis=-1)[..., -1][()]
     return -total if s > 0 else total
 
 

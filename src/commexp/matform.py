@@ -29,7 +29,8 @@ generator merged, cancelling runs removed):
   fits 1 MiB (real d <= 93, complex d <= 66) it caches all of it, and each
   run's exponential is its degree-14 Taylor polynomial as one product of
   its 15 coefficients with the stack, plus s squarings: no other product.
-  Larger pairs cache the block X, Y^2, Y^3, Y^4 alone and run the Taylor
+  Larger pairs cache the block X, Y^2, Y^3, Y^4 alone, whose X row is
+  then the pair's generator itself (held once), and run the Taylor
   core of :func:`expm`: degree 4, 8 or 16 per entry, 0, 1 or 2 products
   plus s squarings.  At both depths s, the coefficients and the 7.24e-16
   truncation bound come from the same pass over the norms of Y^2, Y^3 and
@@ -204,6 +205,11 @@ _DEEP = 14
 _DEEP_BYTES = 1 << 20
 _SHALLOW = 4
 
+#: :func:`_powers` takes the one-norms of Y^2, Y^3 and Y^4 through one |.|
+#: temporary of all three while it takes at most _NORM_BYTES, else one power
+#: at a time (at d = 256: one d x d temporary, not three).
+_NORM_BYTES = 1 << 20
+
 
 class _Powers(NamedTuple):
     """The powers that the Taylor exponentials of a matrix X, or of each
@@ -261,28 +267,40 @@ def _powers(X: np.ndarray, deep: bool = False) -> _Powers:
     the block of X, Y^2 = Y Y, Y^3 = Y^2 Y and Y^4 = Y^2 Y^2, three products
     per matrix, or with ``deep`` (one matrix only) the whole stack
     Y^0 .. Y^14, one product per power, with Y^2 and Y^3 exactly as the
-    block's."""
+    block's.
+
+    Y = X / nu is written into the row that holds it, Y^1 of the stack or
+    the block's Y^4 row until Y^4 overwrites it, so past the block or stack
+    the build allocates only the |.| temporary of the one-norms
+    (:data:`_NORM_BYTES`): a real d = 256 block is built within 5 d x d
+    arrays."""
     scale = np.maximum(_norm1(X), np.finfo(np.float64).tiny)
-    Y = X * (1.0 / scale)[..., np.newaxis, np.newaxis]
+    inverse = (1.0 / scale)[..., np.newaxis, np.newaxis]
+    dtype = np.result_type(X, inverse)
     block = stack = None
     if deep:
         d = len(X)
-        stack = np.empty((_DEEP + 1, d, d), dtype=Y.dtype)
+        stack = np.empty((_DEEP + 1, d, d), dtype=dtype)
         stack[0] = np.eye(d)
-        stack[1] = Y
+        Y = np.multiply(X, inverse, out=stack[1])
         for m in range(2, _DEEP + 1):
             np.matmul(stack[m - 1], Y, out=stack[m])
         high = stack[2:5]
         stack = stack.reshape(_DEEP + 1, d * d)
     else:
-        block = np.empty(X.shape[:-2] + (4,) + X.shape[-2:], dtype=Y.dtype)
+        block = np.empty(X.shape[:-2] + (4,) + X.shape[-2:], dtype=dtype)
         block[..., 0, :, :] = X
         square, cube, fourth = (block[..., i, :, :] for i in (1, 2, 3))
+        Y = np.multiply(X, inverse, out=fourth)
         np.matmul(Y, Y, out=square)
         np.matmul(square, Y, out=cube)
         np.matmul(square, square, out=fourth)
         high = block[..., 1:, :, :]
-    norms = _norm1(high)  # of Y^2, Y^3 and Y^4 on the last axis
+    # of Y^2, Y^3 and Y^4 on the last axis (|X| is float64 at either dtype)
+    if 8 * high.size <= _NORM_BYTES:
+        norms = _norm1(high)
+    else:
+        norms = np.stack([_norm1(high[..., i, :, :]) for i in range(3)], axis=-1)
     n2, n3, n4 = norms.T
     # cube roots one matrix at a time, as libm's pow gives them: numpy's
     # vectorised power can differ from it by an ulp, and the alphas pick
@@ -583,7 +601,10 @@ class OperatorPair:
     """Two same-size square matrices standing in for the generators.
 
     Both are kept as float64 when both have zero imaginary part, else both
-    as complex128; the dtype of ``A`` is then the pair's arithmetic.
+    as complex128; the dtype of ``A`` is then the pair's arithmetic.  On a
+    pair past the deep power budget, building :attr:`powers` rebinds ``A``
+    and ``B`` to the X rows of their blocks, equal to them bit for bit, so
+    the pair holds each generator once.
     """
 
     A: np.ndarray = field(repr=False)
@@ -636,9 +657,20 @@ class OperatorPair:
         """Cached scaled powers of A and B for their Taylor exponentials:
         the contiguous block X, Y^2, Y^3, Y^4, four d x d arrays per
         generator, or with a :attr:`power_depth` of 14 the whole stack
-        Y^0 .. Y^14 (Y^2, Y^3 and Y^4 then view it)."""
+        Y^0 .. Y^14 (Y^2, Y^3 and Y^4 then view it).
+
+        Once a generator's block is built, ``A`` (``B``) is rebound to its
+        X row, an exact copy, so the pair holds each generator once: A's
+        own array is freed before B's block is built, unless the caller
+        still holds it."""
         deep = self.power_depth == _DEEP
-        return _powers(self.A, deep), _powers(self.B, deep)
+        built = []
+        for name in ("A", "B"):
+            powers = _powers(getattr(self, name), deep)
+            if not deep:
+                object.__setattr__(self, name, powers.block[0])
+            built.append(powers)
+        return tuple(built)
 
 
 #: two_norms takes the Gram matrix of a matrix as it is while its largest

@@ -379,6 +379,19 @@ def test_cp_half_closure_cancels_degree_one():
         assert report.max_residual(1) < 1e-12
 
 
+@pytest.mark.parametrize("sign", ["positive", "negative"])
+@pytest.mark.parametrize("tail", [[0.5, 0.25], [0.3, -1.2, 0.7], [0.5 + 0.5j, -0.25]])
+def test_cp_half_closure_has_one_type_for_both_signs(tail, sign):
+    # a 1-D tail gives a numpy scalar of the tail's dtype, never a 0-d array,
+    # and a (b, n) batch a 1-D array of b closures, each Python's sum closure
+    one = cp_half_closure(tail, sign)
+    assert type(one) is np.result_type(*tail).type
+    assert one == _columns_closure(tail, sign)
+    batch = cp_half_closure(np.array([tail, tail[::-1]]), sign)
+    assert isinstance(batch, np.ndarray) and batch.shape == (2,)
+    assert batch.tolist() == [_columns_closure(tail, sign), _columns_closure(tail[::-1], sign)]
+
+
 def test_cp_expand_structure():
     scheme = cp_expand([0.5, -0.25], "negative", name="toy", order=1)
     gens = [s.generator for s in scheme.slots]

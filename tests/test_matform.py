@@ -573,7 +573,10 @@ def test_non_normal_pairs_take_the_cached_power_path(which):
                 evaluate_scheme(catalog_get("NCP6_3"), pair, t)
         assert calls == []
         assert len(built) == 2
-        assert built[0] is pair.A and built[1] is pair.B
+        assert all(X is source if powers.block is None
+                   else X.base is powers.block and X.ctypes.data == powers.block.ctypes.data
+                   and np.array_equal(X, source)
+                   for X, powers, source in zip((pair.A, pair.B), pair.powers, built))
         for X, powers in zip((pair.A, pair.B), pair.powers):
             Y = X / np.linalg.norm(X, 1)
             np.testing.assert_allclose(powers.square, Y @ Y, atol=1e-15)
@@ -1382,6 +1385,32 @@ def test_real_path_peak_memory():
     pair = make_pair("random", dim, 5)
     assert pair.A.dtype == np.float64
     assert _peak_bytes(catalog_get("PCP26_6"), pair) <= 12 * 8 * dim * dim + 64 * 1024
+
+
+def test_power_block_peak_memory():
+    # the block (4 d x d arrays) and one |Y^p| for the one-norms: Y waits in
+    # the Y^4 row, and past _NORM_BYTES the norms are taken power by power
+    X = make_pair("random", 256, 1).A.copy()
+    assert 3 * X.nbytes > matform._NORM_BYTES
+    tracemalloc.start()
+    try:
+        matform._powers(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * X.nbytes + 64 * 1024
+
+
+def test_a_large_pair_holds_each_generator_once():
+    # past the deep budget each generator is rebound to the X row of its
+    # block, bit for bit the array it was, so the pair keeps no second copy
+    pair = make_pair("random", 256, 201)
+    before = pair.A.copy(), pair.B.copy()
+    assert pair.power_depth == 4
+    powers = pair.powers
+    for X, power, original in zip((pair.A, pair.B), powers, before):
+        assert np.shares_memory(X, power.block)
+        assert X.tobytes() == original.tobytes()
 
 
 # ---------------------------------------------------------------------------
