@@ -530,8 +530,8 @@ def provenance(pairs, scheme_names) -> list[str]:
     (:attr:`~commexp.matform.OperatorPair.power_depth`).  A pair whose
     schemes do not all share one path and arithmetic names the schemes of
     each minority kind, e.g.
-    ``random:16: taylor path, powers to Y^14, float64 arithmetic; taylor
-    path, powers to Y^14, complex128 arithmetic for PCP6_3_imaginary``.
+    ``random:16: taylor path, powers to Y^16, float64 arithmetic; taylor
+    path, powers to Y^16, complex128 arithmetic for PCP6_3_imaginary``.
     """
     lines = []
     for pair in pairs:

@@ -1,9 +1,9 @@
 """Dense matrix harness: exponentials, spectral norm, and test operator pairs.
 
 Everything here is deterministic: the matrix exponential is a fixed
-scaling-and-squaring routine over a Taylor core of degree 4, 8 or 16 in 0,
-1 or 2 products, chosen per exponential (per stack entry) for the fewest
-products, or of degree 14 on a pair's cached power stack, the spectral norm
+scaling-and-squaring routine over a Taylor polynomial of degree 16, or of
+degree 4 or 8 where that meets the same bound in fewer products, chosen per
+exponential (per stack entry) by one rule, the spectral norm
 is the square root of the largest eigenvalue of the Gram matrix M^H M from
 LAPACK (numpy's ``eigvalsh``), and the random operator pairs are drawn from
 a small named 64-bit generator so experiments reproduce given the seed.
@@ -25,22 +25,21 @@ generator merged, cancelling runs removed):
   one product with a cached transfer matrix;
 - *cached powers*, for every other pair (the non-normal ``random`` pairs).
   The pair caches powers of ``Y = X/||X||_1`` for each generator
-  (:attr:`OperatorPair.powers`).  When one generator's stack Y^0 .. Y^14
-  fits 1 MiB (real d <= 93, complex d <= 66) it caches all of it, and each
-  run's exponential is its degree-14 Taylor polynomial as one product of
-  its 15 coefficients with the stack, plus s squarings: no other product.
-  Larger pairs cache the block X, Y^2, Y^3, Y^4 alone, whose X row is
-  then the pair's generator itself (held once), and run the Taylor
-  core of :func:`expm`: degree 4, 8 or 16 per entry, 0, 1 or 2 products
-  plus s squarings.  At both depths s, the coefficients and the 7.24e-16
-  truncation bound come from the same pass over the norms of Y^2, Y^3 and
-  Y^4; the runs are multiplied left to right.
+  (:attr:`OperatorPair.powers`).  When one generator's stack Y^0 .. Y^16
+  fits 1 MiB (real d <= 87, complex d <= 62) it caches all of it, and each
+  run's Taylor polynomial is one product of its 17 coefficients with the
+  stack, plus s squarings: no other product.  Larger pairs cache the block
+  X, Y^2, Y^3, Y^4 alone, whose X row is then the pair's generator itself
+  (held once), and form the polynomial by the core of :func:`expm`: 0, 1
+  or 2 products plus s squarings.  Y^2, Y^3 and Y^4 = Y^2 Y^2 are the same
+  three products at both depths, so the depth only chooses how the
+  polynomial is formed; the runs are multiplied left to right.
 
 A target (:func:`target_matrix`) is one exponential per step time, and a
 grid of step times is one stack through the same Taylor core, each entry
 with its own powers.  Every exponential takes its s squarings and the
-coefficients u^m / m!, m = 0..14, of u = z ||X||_1 2^-s from one pass
-(:func:`_taylor_terms`); the deep stack reads all 15, and the core of
+coefficients u^m / m!, m = 0..16, of u = z ||X||_1 2^-s from one pass
+(:func:`_taylor_terms`); the deep stack reads all 17, and the core of
 degree 4, 8 and 16 the first 9, on shared and per-entry powers alike.  That
 core (:func:`_taylor_exp`) combines the cached block by quartics, one BLAS
 call each: T_4 directly, T_8 = T_4 + Y^4 (u^5 Y / 5! + ... + u^8 Y^4 / 8!)
@@ -156,15 +155,12 @@ class SplitMix64:
 #: that equation, rounded down (theta_16 = 0.92047455...).
 _THETA = np.array([0.002442156, 0.0861186, 0.9204745])
 
-#: theta_14, the same bound for the deep stack's degree-14 polynomial.
-_THETA_DEEP = 0.6270028
-
-#: m as a float64 for m = 1..14: the Taylor factors u / m.
-_DIVISORS = np.arange(1.0, 15.0)
+#: m as a float64 for m = 1..16: the Taylor factors u / m.
+_DIVISORS = np.arange(1.0, 17.0)
 
 #: A squaring count s that would leave |u| = |z| nu 2^-s above 2^_MAX_U is
-#: raised to bring it below: the degree-16 core reaches u^8 and the deep
-#: stack u^14 / 14!, which stay finite there.
+#: raised to bring it below: the highest coefficient, u^16 / 16!, is
+#: 8.6e294 at |u| = 2^64, still finite.
 _MAX_U = 64
 
 #: The four quartics of the core of degree 4, 8 and 16 (:func:`_taylor_exp`),
@@ -199,9 +195,9 @@ _TERMS = np.array([[0, 5, 6, 7, 8]] + [[0, 1, 2, 3, 4]] * 3)
 _ZERO_POWERS = np.array([2.0, 3.0, 4.0])
 
 #: A pair caches the deep power stack Y^0 .. Y^_DEEP of each generator when
-#: one such stack takes at most _DEEP_BYTES (real d <= 93, complex d <= 66),
+#: one such stack takes at most _DEEP_BYTES (real d <= 87, complex d <= 62),
 #: and else the block X, Y^2, Y^3, Y^4.
-_DEEP = 14
+_DEEP = 16
 _DEEP_BYTES = 1 << 20
 _SHALLOW = 4
 
@@ -229,9 +225,9 @@ class _Powers(NamedTuple):
     Exactly one of ``block`` and ``stack`` is set.  ``block`` is the
     contiguous (4, d, d) block of X, Y^2, Y^3 and Y^4, or (k, 4, d, d) for a
     stack, on which :func:`_taylor_exp` runs; ``stack``, for one matrix
-    only, is the deep stack of :func:`_stack_exp`: the (15, d^2) array of the
-    flattened Y^0 = I, Y, ..., Y^14.  ``square``, ``cube`` and ``fourth``
-    view Y^2, Y^3 and Y^4 in either.
+    only, is the deep stack of :func:`_stack_exp`: the (17, d^2) array of the
+    flattened Y^0 = I, Y, ..., Y^16.  ``square``, ``cube`` and ``fourth``
+    view Y^2, Y^3 and Y^4 in either, bit for bit the same at both depths.
     """
 
     scale: np.ndarray
@@ -262,40 +258,45 @@ def _norm1(X: np.ndarray) -> np.ndarray:
     return np.abs(X).sum(axis=-2).max(axis=-1, initial=0.0)
 
 
-def _powers(X: np.ndarray, deep: bool = False) -> _Powers:
-    """The powers of one matrix X or of each matrix of a (k, d, d) stack X:
-    the block of X, Y^2 = Y Y, Y^3 = Y^2 Y and Y^4 = Y^2 Y^2, three products
-    per matrix, or with ``deep`` (one matrix only) the whole stack
-    Y^0 .. Y^14, one product per power, with Y^2 and Y^3 exactly as the
-    block's.
+def _power_rows(shape: tuple[int, ...], dtype, deep: bool = False
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Uninitialised rows for :func:`_powers` of one matrix or of a (k, d, d)
+    stack of the given shape, and the view of the X row the caller fills:
+    the block X, Y^2, Y^3, Y^4 and its row 0, or with ``deep`` (one matrix
+    only) the stack Y^0 .. Y^16 and its row 1, where Y replaces X."""
+    rows = np.empty(shape[:-2] + (_DEEP + 1 if deep else 4,) + shape[-2:], dtype=dtype)
+    return rows, rows[..., int(deep), :, :]
 
-    Y = X / nu is written into the row that holds it, Y^1 of the stack or
-    the block's Y^4 row until Y^4 overwrites it, so past the block or stack
-    the build allocates only the |.| temporary of the one-norms
+
+def _powers(rows: np.ndarray) -> _Powers:
+    """The powers of one matrix X or of each matrix of a (k, d, d) stack X,
+    built in the rows of :func:`_power_rows` whose X row holds X: Y^2 = Y Y,
+    Y^3 = Y^2 Y and Y^4 = Y^2 Y^2, the same three products per matrix at
+    both depths, and in a deep stack then Y^5 .. Y^16, one product each.
+
+    Y = X / nu is written into the row that holds it, Y^1 of the stack (over
+    X) or the block's Y^4 row until Y^4 overwrites it, so past the rows the
+    build allocates only the |.| temporary of the one-norms
     (:data:`_NORM_BYTES`): a real d = 256 block is built within 5 d x d
     arrays."""
+    deep = rows.shape[-3] == _DEEP + 1
+    X = rows[..., int(deep), :, :]
     scale = np.maximum(_norm1(X), np.finfo(np.float64).tiny)
     inverse = (1.0 / scale)[..., np.newaxis, np.newaxis]
-    dtype = np.result_type(X, inverse)
+    high = rows[..., 2:5, :, :] if deep else rows[..., 1:, :, :]
+    square, cube, fourth = (high[..., i, :, :] for i in range(3))
+    Y = np.multiply(X, inverse, out=X if deep else fourth)
+    np.matmul(Y, Y, out=square)
+    np.matmul(square, Y, out=cube)
+    np.matmul(square, square, out=fourth)
     block = stack = None
     if deep:
-        d = len(X)
-        stack = np.empty((_DEEP + 1, d, d), dtype=dtype)
-        stack[0] = np.eye(d)
-        Y = np.multiply(X, inverse, out=stack[1])
-        for m in range(2, _DEEP + 1):
-            np.matmul(stack[m - 1], Y, out=stack[m])
-        high = stack[2:5]
-        stack = stack.reshape(_DEEP + 1, d * d)
+        rows[0] = np.eye(len(Y))
+        for m in range(5, _DEEP + 1):
+            np.matmul(rows[m - 1], Y, out=rows[m])
+        stack = rows.reshape(_DEEP + 1, -1)
     else:
-        block = np.empty(X.shape[:-2] + (4,) + X.shape[-2:], dtype=dtype)
-        block[..., 0, :, :] = X
-        square, cube, fourth = (block[..., i, :, :] for i in (1, 2, 3))
-        Y = np.multiply(X, inverse, out=fourth)
-        np.matmul(Y, Y, out=square)
-        np.matmul(square, Y, out=cube)
-        np.matmul(square, square, out=fourth)
-        high = block[..., 1:, :, :]
+        block = rows
     # of Y^2, Y^3 and Y^4 on the last axis (|X| is float64 at either dtype)
     if 8 * high.size <= _NORM_BYTES:
         norms = _norm1(high)
@@ -320,10 +321,13 @@ def _taylor_terms(powers: Sequence[_Powers], z: np.ndarray
     one stack's powers, whose ``scale``, alphas and ``zero`` are then read
     per entry.  Returns q and s, r lists of k ints: entry (i, j) takes s_ij
     squarings and, on the block X, Y^2, Y^3, Y^4, the polynomial of degree
-    4 2^q_ij (q_ij = 0, 1, 2 products); and c, shaped (r, k, 15),
-    c[i, j, m] = u_ij^m / m! for m = 0..14 and u = z nu 2^-s, nu the
-    powers' ``scale``, one ``cumprod``.  :func:`_stack_exp` reads all 15
-    columns of a row, :func:`_taylor_exp` the first 9.
+    4 2^q_ij (q_ij = 0, 1, 2 products); and c, shaped (r, k, 17),
+    c[i, j, m] = u_ij^m / m! for m = 0..16 and u = z nu 2^-s, nu the
+    powers' ``scale``, one ``cumprod``.  :func:`_stack_exp` reads all 17
+    columns of a row, the degree-16 polynomial, which meets the bound
+    wherever the degree of q does; :func:`_taylor_exp` reads the first 9.
+    The rule reads only the scalars of the powers, which are bit for bit
+    the same at both depths, so q, s and c are too.
 
     Each entry is chosen on its own.  Degree 4 is taken while
     ``|z| nu alpha <= theta_4``; degrees 8 and 16, whose tails start at
@@ -332,11 +336,10 @@ def _taylor_terms(powers: Sequence[_Powers], z: np.ndarray
     takes the fewest products q + s, ties going to the higher degree: the
     lowest degree within its theta and s = 0 while x <= theta_16, and else
     degree 16 with ``s = ceil(log2(x / theta_16))``, computed exactly from
-    the binary exponent.  On deep powers every entry takes degree 14 and
-    ``s = ceil(log2(x / theta_14))``, or none.  At either depth s is raised,
-    where it must be, to keep |u| <= 2^64, and an entry with s > 0 takes
-    degree 16.  So q and s do not increase along a row whose |z| does not
-    increase, as :func:`evaluate_scheme` orders a run's step times;
+    the binary exponent.  s is raised, where it must be, to keep
+    |u| <= 2^64, and an entry with s > 0 takes degree 16.  So q and s do
+    not increase along a row whose |z| does not increase, as
+    :func:`evaluate_scheme` orders a run's step times;
     :func:`_expm_stack` orders its entries by q + s.  A power that is
     exactly zero makes every power above it zero, so for an entry whose
     ``zero`` is p <= 4, exp(u Y) is the Taylor polynomial of degree p - 1
@@ -348,7 +351,6 @@ def _taylor_terms(powers: Sequence[_Powers], z: np.ndarray
     scale, alpha, alpha3, zero = np.array(
         [(p.scale, p.alpha, p.alpha3, p.zero) for p in powers]
     ).reshape(len(powers), 4, -1).transpose(1, 0, 2)
-    top = np.array([_THETA[2] if p.stack is None else _THETA_DEEP for p in powers])
     # u^m / m! overflows only where a power is 0, whose coefficients are set
     # to zero below (inf * 0 is NaN); w is checked just below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -357,7 +359,7 @@ def _taylor_terms(powers: Sequence[_Powers], z: np.ndarray
             raise ValueError("matrix exponential of non-finite entries")
         size = np.abs(w)
         x = size * alpha3
-        mantissa, exponent = np.frexp(np.maximum(x / top[:, np.newaxis], size * 2.0 ** -_MAX_U))
+        mantissa, exponent = np.frexp(np.maximum(x / _THETA[2], size * 2.0 ** -_MAX_U))
         s = np.maximum(exponent - (mantissa == 0.5), 0)
         q = np.maximum(np.add(size * alpha > _THETA[0], x > _THETA[1], dtype=int), 2 * (s > 0))
         nilpotent = zero.min() < np.inf
@@ -395,14 +397,14 @@ def _stack_exp(powers: _Powers, s: list[int], c: np.ndarray,
                P: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """exp(z_i X) for each of k arguments z_i on one matrix's deep powers,
     into one of the contiguous (k, d, d) buffers P and Q: (result, the
-    other).  ``s`` and ``c`` (shaped (k, 15)) are one row of
+    other).  ``s`` and ``c`` (shaped (k, 17)) are one row of
     :func:`_taylor_terms`.
 
-    Entry i is the polynomial sum_m c[i, m] Y^m, m = 0..14, one product of
-    its coefficient row with the (15, d^2) stack, then s_i squarings
+    Entry i is the polynomial sum_m c[i, m] Y^m, m = 0..16, one product of
+    its coefficient row with the (17, d^2) stack, then s_i squarings
     (:func:`_square`): no other product.  The product is per entry, a
-    (d^2, 15) by (15, 1) BLAS call for each, so an entry equals its own
-    one-entry evaluation bit for bit, which one (k, 15) by (15, d^2) product
+    (d^2, 17) by (17, 1) BLAS call for each, so an entry equals its own
+    one-entry evaluation bit for bit, which one (k, 17) by (17, d^2) product
     does not guarantee.
     """
     np.matmul(powers.stack.T, c[..., np.newaxis], out=P.reshape(len(P), -1, 1))
@@ -432,7 +434,7 @@ def _taylor_exp(powers: _Powers, q: list[int], s: list[int], c: np.ndarray,
     buffers P and Q: (result, the other), with W as work space.  The powers
     are shared, X_i = X with a (4, d, d) block, or per entry, with a
     (k, 4, d, d) one.  ``q``, ``s`` (k core product and squaring counts,
-    neither increasing) and ``c`` (shaped (k, 15)) are one row of
+    neither increasing) and ``c`` (shaped (k, 17)) are one row of
     :func:`_taylor_terms` for these powers.
 
     P, Q and W may be float64 only when X and z are real; complex buffers
@@ -517,7 +519,8 @@ def expm(M: np.ndarray) -> np.ndarray:
     u = nu 2^-s that every exponential here takes.  It is the one-matrix
     case of the stacked core :func:`target_matrix` runs, and
     :func:`evaluate_scheme` runs the same core on the cached block of a
-    pair too large for the deep power stack.  M must be one square 2-D
+    pair too large for the deep power stack, whose degree and squarings
+    the deep stack takes too.  M must be one square 2-D
     matrix of finite entries, and its exponential must be finite
     (``ValueError`` otherwise); a real M gives a float64 result, a complex
     M complex128.  When Y^p = 0 for p = 2, 3 or 4, the result is the
@@ -525,11 +528,16 @@ def expm(M: np.ndarray) -> np.ndarray:
     ``nu`` is: the Taylor coefficients of the zero powers are zero, so
     ``expm([[0, 1e200], [0, 0]])`` is ``[[1, 1e200], [0, 1]]``.
     """
-    return _expm_stack(_square_matrix(M, "expm")[np.newaxis])[0]
+    M = _square_matrix(M, "expm")
+    rows, X = _power_rows((1,) + M.shape, M.dtype)
+    X[0] = M
+    return _expm_stack(rows)[0]
 
 
-def _expm_stack(F: np.ndarray) -> np.ndarray:
-    """exp of each matrix of a (k, d, d) stack, as :func:`expm` takes it.
+def _expm_stack(rows: np.ndarray) -> np.ndarray:
+    """exp of each matrix F[i] of a (k, d, d) stack, as :func:`expm` takes
+    it, from the (k, 4, d, d) rows of :func:`_power_rows` whose X rows hold
+    F, so the powers are built around F, not a copy of it.
 
     Each matrix gets its own powers (:func:`_powers`) and its own degree,
     squarings and coefficients (:func:`_taylor_terms`), and the stack runs
@@ -538,12 +546,13 @@ def _expm_stack(F: np.ndarray) -> np.ndarray:
     result is the stack's one-matrix evaluation bit for bit.  A non-finite
     entry or result anywhere raises ``ValueError``.
     """
+    F = rows[:, 0]
     if not np.all(np.isfinite(F)):
         raise ValueError("matrix exponential of non-finite entries")
     if not len(F):
         return F.copy()
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        powers = _powers(F)
+        powers = _powers(rows)
         (q,), (s,), (c,) = _taylor_terms([powers], np.ones((1, len(F))))
         products = [a + b for a, b in zip(q, s)]
         order = sorted(range(len(F)), key=products.__getitem__, reverse=True)
@@ -551,8 +560,8 @@ def _expm_stack(F: np.ndarray) -> np.ndarray:
         if not ordered:
             powers = _Powers(*(None if p is None else p[order] for p in powers))
             q, s, c = [q[i] for i in order], [s[i] for i in order], c[order]
-        P, Q, W = (np.empty(F.shape, dtype=F.dtype) for _ in range(3))
-        E = _taylor_exp(powers, q, s, c, P, Q, W)[0]
+        # the core's buffers; all but the result are freed on its return
+        E = _taylor_exp(powers, q, s, c, *(np.empty(F.shape, F.dtype) for _ in range(3)))[0]
     if not np.all(np.isfinite(E)):
         raise ValueError("matrix exponential overflows")
     if not ordered:
@@ -582,15 +591,18 @@ _SYMMETRY_ULPS = 4
 def _hermitian_eigh(X: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """(eigenvalues, unitary eigenvectors) of an (anti-)Hermitian X, else None.
 
-    The test is O(d^2); ``eigh`` runs only when it passes.  Anti-Hermitian X
-    is diagonalised as -i (iX) with iX Hermitian.
+    The test is O(d^2); ``eigh`` runs only when it passes.  It compares the
+    halves of X and X^H (exact but for subnormals), whose sum and difference
+    cannot overflow.  Anti-Hermitian X is diagonalised as -i (iX) with iX
+    Hermitian.
     """
-    adjoint = X.conj().T
-    tol = _SYMMETRY_ULPS * np.finfo(np.float64).eps * float(np.max(np.abs(X)))
-    if float(np.max(np.abs(X - adjoint))) <= tol:
+    half = 0.5 * X
+    adjoint = half.conj().T
+    tol = _SYMMETRY_ULPS * np.finfo(np.float64).eps * float(np.max(np.abs(half)))
+    if float(np.max(np.abs(half - adjoint))) <= tol:
         values, vectors = np.linalg.eigh(X)
         return values.astype(np.complex128), vectors
-    if float(np.max(np.abs(X + adjoint))) <= tol:
+    if float(np.max(np.abs(half + adjoint))) <= tol:
         values, vectors = np.linalg.eigh(1j * X)
         return -1j * values, vectors
     return None
@@ -601,10 +613,11 @@ class OperatorPair:
     """Two same-size square matrices standing in for the generators.
 
     Both are kept as float64 when both have zero imaginary part, else both
-    as complex128; the dtype of ``A`` is then the pair's arithmetic.  On a
-    pair past the deep power budget, building :attr:`powers` rebinds ``A``
-    and ``B`` to the X rows of their blocks, equal to them bit for bit, so
-    the pair holds each generator once.
+    as complex128; the dtype of ``A`` is then the pair's arithmetic.  A
+    non-finite entry raises ``ValueError``.  On a pair past the deep power
+    budget, building :attr:`powers` rebinds ``A`` and ``B`` to the X rows of
+    their blocks, equal to them bit for bit, so the pair holds each
+    generator once.
     """
 
     A: np.ndarray = field(repr=False)
@@ -622,6 +635,8 @@ class OperatorPair:
             raise ValueError("A must be square")
         if A.shape != B.shape:
             raise ValueError("A and B must have equal dimensions")
+        if not (np.isfinite(A).all() and np.isfinite(B).all()):
+            raise ValueError("A and B must have finite entries")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
 
@@ -647,8 +662,10 @@ class OperatorPair:
     @property
     def power_depth(self) -> int:
         """The highest power of Y = X/||X||_1 that :attr:`powers` keeps per
-        generator: 14 when the stack Y^0 .. Y^14 takes at most 1 MiB (real
-        d <= 93, complex d <= 66), else 4."""
+        generator: 16 when the stack Y^0 .. Y^16 takes at most 1 MiB (real
+        d <= 87, complex d <= 62), else 4.  The depth chooses only how a
+        run's Taylor polynomial is formed, not its degree, squarings or
+        coefficients (:func:`_taylor_terms`)."""
         fits = (_DEEP + 1) * self.A.size * self.A.itemsize <= _DEEP_BYTES
         return _DEEP if fits else _SHALLOW
 
@@ -656,8 +673,8 @@ class OperatorPair:
     def powers(self) -> tuple[_Powers, _Powers]:
         """Cached scaled powers of A and B for their Taylor exponentials:
         the contiguous block X, Y^2, Y^3, Y^4, four d x d arrays per
-        generator, or with a :attr:`power_depth` of 14 the whole stack
-        Y^0 .. Y^14 (Y^2, Y^3 and Y^4 then view it).
+        generator, or with a :attr:`power_depth` of 16 the whole stack
+        Y^0 .. Y^16 (Y^2, Y^3 and Y^4 then view it).
 
         Once a generator's block is built, ``A`` (``B``) is rebound to its
         X row, an exact copy, so the pair holds each generator once: A's
@@ -666,10 +683,12 @@ class OperatorPair:
         deep = self.power_depth == _DEEP
         built = []
         for name in ("A", "B"):
-            powers = _powers(getattr(self, name), deep)
+            X = getattr(self, name)
+            rows, row = _power_rows(X.shape, X.dtype, deep)
+            row[...] = X
+            built.append(_powers(rows))
             if not deep:
-                object.__setattr__(self, name, powers.block[0])
-            built.append(powers)
+                object.__setattr__(self, name, row)
         return tuple(built)
 
 
@@ -701,9 +720,11 @@ def two_norms(M: np.ndarray) -> np.ndarray:
     that brings its largest entry into [1/2, 1), and its norm scaled back
     by 2^e; every other matrix is used as it is.  Each matrix's norm equals
     its one-matrix call bit for bit.  Non-finite entries anywhere raise
-    ``ValueError``.
+    ``ValueError``.  A 0 x 0 matrix has norm 0.
     """
     M = np.asarray(M, dtype=_dtype(M))
+    if not M.shape[-1]:
+        return np.zeros(M.shape[:-2])
     with np.errstate(over="ignore", invalid="ignore"):  # an extreme M is redone below
         G = _gram(M)
     top = G.diagonal(0, -2, -1).real.max(axis=-1, initial=0.0)
@@ -788,19 +809,18 @@ def evaluate_scheme(scheme, pair: OperatorPair, t) -> np.ndarray:
     :attr:`~OperatorPair.powers` of ``Y = X / nu``, ``nu = ||X||_1``, with
     alpha_2 and alpha_3 from the norms of Y^2, Y^3 and Y^4 (:func:`expm`);
     a run ``exp(z X)`` is good to ~1e-13 relative.  One pass over all runs
-    gives each entry its s and the coefficients ``u^m / m!`` of
-    ``u = z nu 2^-s``, m = 0..14, at either depth.  With a
-    :attr:`~OperatorPair.power_depth` of 14 (a stack Y^0 .. Y^14 that fits
-    1 MiB: real d <= 93) each entry takes the degree-14 polynomial in
-    ``u Y`` as one product of its first 15 coefficients with the cached
-    stack, and then its s squarings, s the least that brings
-    ``|z| nu min(alpha_2, alpha_3) 2^-s`` below theta_14 (truncation error
-    at most 7.24e-16 relative).  Otherwise (power depth 4) it runs the
-    Taylor core of :func:`expm` on the block X, Y^2, Y^3, Y^4: per stack
-    entry, the polynomial of degree 4, 8 or 16 (0, 1 or 2 products, from
-    the first 9 of those coefficients) plus the s squarings with the fewest
-    products that bring the entry's scaled argument below that degree's
-    theta.  The stack is ordered by decreasing |t|, so the stages of
+    gives each entry its degree and s, the fewest products that bring
+    ``|z| nu min(alpha_2, alpha_3) 2^-s`` below that degree's theta
+    (truncation error at most 7.24e-16 relative), and the coefficients
+    ``u^m / m!`` of ``u = z nu 2^-s``, m = 0..16, bit for bit the same at
+    either depth.  The depth chooses only how each entry's polynomial in
+    ``u Y`` is formed.  With a :attr:`~OperatorPair.power_depth` of 16 (a
+    stack Y^0 .. Y^16 that fits 1 MiB: real d <= 87) it is the degree-16
+    polynomial, one product of the 17 coefficients with the cached stack.
+    Otherwise (power depth 4) it is the core of :func:`expm` on the block
+    X, Y^2, Y^3, Y^4: the polynomial of degree 4, 8 or 16 in 0, 1 or 2
+    products, from the first 9 coefficients.  Each entry then takes its s
+    squarings.  The stack is ordered by decreasing |t|, so the stages of
     degrees 16 and 8 and each squaring run on a prefix of it, and each
     entry equals its own one-time evaluation bit for bit at either depth.
     Three buffers rotate through the runs and the products between them,
@@ -909,8 +929,8 @@ def target_matrix(target: TargetPolynomial, pair: OperatorPair, t) -> np.ndarray
     :func:`evaluate_scheme` takes it.  The element matrices are built once,
     each term's weights w t^j are broadcast over the grid, and the stack is
     exponentiated in one pass of the Taylor core of :func:`expm`, each entry
-    with its own powers; every entry equals its own one-time call bit for
-    bit.  float64 when the pair and every weight w t^j are real, else
+    with its own powers, whose X rows the sum is built in; every entry
+    equals its own one-time call bit for bit.  float64 when the pair and every weight w t^j are real, else
     complex128.  A non-finite sum or exponential at any t, an overflow while
     building the element matrices included, raises ``ValueError`` and no
     numpy warning.
@@ -924,8 +944,9 @@ def target_matrix(target: TargetPolynomial, pair: OperatorPair, t) -> np.ndarray
         # power can differ from it by an ulp
         weights = [np.array([w * step ** degree for step in steps])
                    for (degree, _), w in target.terms.items()]
-        F = np.zeros((len(steps), pair.dim, pair.dim), dtype=_dtype(pair.A, *weights))
+        rows, F = _power_rows((len(steps), pair.dim, pair.dim), _dtype(pair.A, *weights))
+        F[...] = 0.0
         for (degree, position), w in zip(target.terms, weights):
             F += w[:, np.newaxis, np.newaxis] * element_matrix(degree, position, pair)
-    T = _expm_stack(F)
+    T = _expm_stack(rows)
     return T if times.ndim else T[0]

@@ -717,7 +717,7 @@ def test_fig1_layout(tmp_path):
     # description, pairs, then the provenance of each pair and the versions
     assert len(comments) == 6
     assert comments[2:] == ["# pauli: eigenbasis path, complex128 arithmetic",
-                            "# random:16: taylor path, powers to Y^14, float64 arithmetic",
+                            "# random:16: taylor path, powers to Y^16, float64 arithmetic",
                             f"# commexp {commexp.__version__}",
                             f"# numpy {np.__version__}"]
     header_at = len(comments)

@@ -317,8 +317,8 @@ def test_bench_custom_cost_table(capsys, tmp_path):
 
 @pytest.mark.parametrize("pair,stamp", [
     ("pauli", "pauli: eigenbasis path, complex128 arithmetic"),
-    ("random:16", "random:16: taylor path, powers to Y^14, float64 arithmetic; "
-                  "taylor path, powers to Y^14, complex128 arithmetic for PCP6_3_imaginary"),
+    ("random:16", "random:16: taylor path, powers to Y^16, float64 arithmetic; "
+                  "taylor path, powers to Y^16, complex128 arithmetic for PCP6_3_imaginary"),
     # past the 1 MiB stack budget a pair caches Y^2, Y^3 and Y^4 only
     ("random:100", "random:100: taylor path, powers to Y^4, float64 arithmetic; "
                    "taylor path, powers to Y^4, complex128 arithmetic for PCP6_3_imaginary"),

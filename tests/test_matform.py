@@ -32,6 +32,7 @@ from commexp.matform import (
     SplitMix64,
     element_matrix,
     evaluate_scheme,
+    evaluation_path,
     expm,
     make_pair,
     target_matrix,
@@ -220,6 +221,15 @@ def test_two_norm_rank_deficient():
 
 def test_two_norm_zero_matrix():
     assert two_norm(np.zeros((4, 4))) == 0.0
+
+
+def test_two_norm_of_empty_matrices():
+    # eigvalsh of a 0 x 0 Gram matrix has no top eigenvalue to read; the
+    # norm of an empty matrix is 0, as expm and the one-norm treat it
+    assert two_norm(np.zeros((0, 0))) == 0.0
+    assert two_norm(np.zeros((0, 0), dtype=np.complex128)) == 0.0
+    norms = matform.two_norms(np.zeros((3, 0, 0)))
+    assert norms.shape == (3,) and not norms.any()
 
 
 def test_two_norm_rejects_nonfinite():
@@ -535,7 +545,7 @@ def test_eigenbasis_walk_makes_no_expm_calls(monkeypatch, pauli_pair):
 
 
 def _at_depth(patch, depth):
-    """Make pairs built from here on cache powers to Y^depth: 14 as small
+    """Make pairs built from here on cache powers to Y^depth: 16 as small
     pairs do, or 4 as pairs past the memory budget do."""
     if depth == 4:
         patch.setattr(matform, "_DEEP_BYTES", 0)
@@ -555,19 +565,20 @@ def test_non_normal_pairs_take_the_cached_power_path(which):
     # a pair qualifies for the walk only when both generators are
     # (anti-)Hermitian; every other pair builds the Taylor powers of both
     # generators once and makes no expm call per slot: at d = 16 the whole
-    # stack Y^0 .. Y^14, which Y^2, Y^3 and Y^4 view, and past the memory
-    # budget the block X, Y^2, Y^3, Y^4 alone
-    for depth in (14, 4):
+    # stack Y^0 .. Y^16, which Y^2, Y^3 and Y^4 view, and past the memory
+    # budget the block X, Y^2, Y^3, Y^4 alone, each built around a copy of
+    # the generator in its X row
+    for depth in (16, 4):
         with pytest.MonkeyPatch.context() as patch:
             _at_depth(patch, depth)
             pair = make_pair("random", 16, 0)
             if which == "mixed":
                 pair = OperatorPair(_symmetric_pair(3, 16, (1, 1)).A, pair.B)
             assert pair.eigenbasis is None and pair.power_depth == depth
+            sources = pair.A, pair.B
             built = []
             original = matform._powers
-            patch.setattr(matform, "_powers",
-                          lambda X, *args: built.append(X) or original(X, *args))
+            patch.setattr(matform, "_powers", lambda rows: built.append(rows) or original(rows))
             calls = _count_expm(patch)
             for t in (0.3, 0.1):
                 evaluate_scheme(catalog_get("NCP6_3"), pair, t)
@@ -576,7 +587,7 @@ def test_non_normal_pairs_take_the_cached_power_path(which):
         assert all(X is source if powers.block is None
                    else X.base is powers.block and X.ctypes.data == powers.block.ctypes.data
                    and np.array_equal(X, source)
-                   for X, powers, source in zip((pair.A, pair.B), pair.powers, built))
+                   for X, powers, source in zip((pair.A, pair.B), pair.powers, sources))
         for X, powers in zip((pair.A, pair.B), pair.powers):
             Y = X / np.linalg.norm(X, 1)
             np.testing.assert_allclose(powers.square, Y @ Y, atol=1e-15)
@@ -585,7 +596,7 @@ def test_non_normal_pairs_take_the_cached_power_path(which):
             if depth == 4:
                 assert powers.stack is None
                 continue
-            assert powers.stack.shape == (15, 16 * 16)
+            assert powers.stack.shape == (17, 16 * 16)
             assert np.shares_memory(powers.square, powers.stack)
             assert np.shares_memory(powers.cube, powers.stack)
             assert np.shares_memory(powers.fourth, powers.stack)
@@ -595,12 +606,14 @@ def test_non_normal_pairs_take_the_cached_power_path(which):
 
 
 @pytest.mark.parametrize("dim,dtype,depth", [
-    (2, np.float64, 14), (64, np.float64, 14), (93, np.float64, 14), (94, np.float64, 4),
-    (256, np.float64, 4), (66, np.complex128, 14), (67, np.complex128, 4),
+    (2, np.float64, 16), (64, np.float64, 16), (87, np.float64, 16), (88, np.float64, 4),
+    (94, np.float64, 4), (256, np.float64, 4), (62, np.complex128, 16),
+    (63, np.complex128, 4), (67, np.complex128, 4),
 ])
 def test_power_depth_follows_the_memory_budget(dim, dtype, depth):
-    # the stack Y^0 .. Y^14 of one generator is cached when it fits 1 MiB;
-    # larger pairs keep the block X, Y^2, Y^3, Y^4 and no more
+    # the stack Y^0 .. Y^16 of one generator is cached when it fits 1 MiB
+    # (real d <= 87, complex d <= 62); larger pairs keep the block X, Y^2,
+    # Y^3, Y^4 and no more
     X = np.diag(np.arange(1.0, dim + 1.0)) + np.eye(dim, k=1)
     phase = 1j if dtype == np.complex128 else 1.0
     pair = OperatorPair(phase * X, X.T)
@@ -610,7 +623,7 @@ def test_power_depth_follows_the_memory_budget(dim, dtype, depth):
         return
     for powers in pair.powers:
         assert (powers.stack is None) == (depth == 4)
-        if depth == 14:
+        if depth == 16:
             assert powers.stack.nbytes <= 1 << 20
 
 
@@ -628,7 +641,7 @@ def _count_slot_exponentials(monkeypatch, name):
 
 @pytest.mark.parametrize("name,runs", [("suzuki4", 11), ("zass_sym22", 21)])
 def test_cached_power_path_makes_one_exponential_per_run(name, runs):
-    for depth, core in ((14, "_stack_exp"), (4, "_taylor_exp")):
+    for depth, core in ((16, "_stack_exp"), (4, "_taylor_exp")):
         pair = _random_pair(16, 0, depth)
         with pytest.MonkeyPatch.context() as patch:
             calls = _count_slot_exponentials(patch, core)
@@ -668,7 +681,7 @@ def test_deep_stack_walk_matches_horner_and_scipy(seed, dim, slots, times):
     # and against scipy's slot-by-slot product, within the bound of
     # test_suzuki4_on_random_pair_matches_scipy_product; at both depths each
     # entry is its own one-entry evaluation bit for bit
-    deep, shallow = _random_pair(dim, seed, 14), _random_pair(dim, seed, 4)
+    deep, shallow = _random_pair(dim, seed, 16), _random_pair(dim, seed, 4)
     stacks = [evaluate_scheme(slots, pair, np.array(times)) for pair in (deep, shallow)]
     for pair, stack in zip((deep, shallow), stacks):
         for entry, t in zip(stack, times):
@@ -707,6 +720,14 @@ def _generator(seed, dim, kind):
     return X
 
 
+def _powers(X, deep=False):
+    """matform._powers of X, in power rows allocated and filled as the
+    package's callers do it."""
+    rows, row = matform._power_rows(X.shape, X.dtype, deep)
+    row[...] = X
+    return matform._powers(rows)
+
+
 def _slot_exponential(X, z, deep=False):
     """exp(z X) through the private Taylor core, or with ``deep`` through
     the deep power stack, in float64 buffers when X and z are real and
@@ -714,7 +735,7 @@ def _slot_exponential(X, z, deep=False):
     d = X.shape[0]
     dtype = np.result_type(X, z, np.float64)
     buffers = [np.empty((1, d, d), dtype) for _ in range(3)]
-    powers = matform._powers(X, deep)
+    powers = _powers(X, deep)
     q, s, c = matform._taylor_terms([powers], np.array([[z]]))
     if deep:
         return matform._stack_exp(powers, s[0], c[0], *buffers[:2])[0][0]
@@ -749,6 +770,43 @@ def test_slot_exponential_matches_scipy(seed, dim, kind, size, z):
             np.testing.assert_array_equal(E, np.eye(dim))
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+    dim=st.integers(min_value=1, max_value=12),
+    kind=st.sampled_from(["dense", "non-normal", "nilpotent", "real", "zero"]),
+    size=st.floats(min_value=0.0, max_value=2.0),
+    z=st.one_of(st.floats(min_value=-40.0, max_value=40.0),
+                st.builds(complex, st.floats(min_value=-40.0, max_value=40.0),
+                          st.floats(min_value=-40.0, max_value=40.0))),
+)
+@example(seed=0, dim=4, kind="real", size=1.0, z=0.9204745)  # theta_16 on the 2-norm
+@example(seed=3, dim=6, kind="non-normal", size=2.0, z=-30.0)
+def test_both_depths_take_one_taylor_rule(seed, dim, kind, size, z):
+    # one matrix's powers at depths 16 and 4: Y^2, Y^3, Y^4 and the scalars
+    # the rule reads are bit for bit the same, so each argument of a row
+    # gets the same q, s and coefficients u^m / m!, and the two
+    # exponentials, the degree-16 stack and the core of degree 4 2^q,
+    # agree within the bound of test_slot_exponential_matches_scipy
+    X = _generator(seed, dim, "dense" if kind == "real" else kind)
+    if kind == "real":
+        X = X.real.copy()
+    norm = np.linalg.norm(X, 2)
+    if norm > 0:
+        X *= size / norm
+    deep, shallow = _powers(X, deep=True), _powers(X)
+    for name in ("scale", "alpha", "alpha3", "zero", "square", "cube", "fourth"):
+        assert _bits(getattr(deep, name)) == _bits(getattr(shallow, name)), name
+    row = np.array([[z, z / 3, -z, 2 * z, 0.0]])
+    (q, s, c), (q4, s4, c4) = (matform._taylor_terms([p], row) for p in (deep, shallow))
+    assert (q, s) == (q4, s4)
+    assert c.shape == (1, 5, 17) and _bits(c) == _bits(c4)
+    r = abs(z) * size if norm > 0 else 0.0
+    bound = 8 * (dim + r) * np.finfo(float).eps * math.exp(r)
+    E = _slot_exponential(X, z, deep=True)
+    assert np.linalg.norm(E - _slot_exponential(X, z), 2) <= bound
+
+
 def test_slot_exponential_rejects_nonfinite_argument(random_pair):
     with pytest.raises(ValueError, match="non-finite"):
         _slot_exponential(random_pair.A, complex(1e308, 0) * 10)
@@ -762,7 +820,8 @@ _THETAS = (0.002442156, 0.0861186, 0.9204745)
 #: The Taylor degrees the core takes with q = 0, 1, 2 products.
 _DEGREES = (4, 8, 16)
 
-#: theta_14, the deep stack's bound, as the package states it.
+#: theta_14, the bound of :func:`_degree14_reference`, a degree the package
+#: does not take, so that the reference checks its rule independently.
 _THETA_14 = 0.6270028
 
 
@@ -779,8 +838,8 @@ def test_thetas_meet_the_truncation_bound():
         return head, head + rest
 
     bound_low, bound_high = tail(0.5, 13)
+    assert matform._THETA.tolist() == list(_THETAS)
     for m, theta in zip(_DEGREES + (14,), _THETAS + (_THETA_14,)):
-        assert theta in (matform._THETA.tolist() + [matform._THETA_DEEP])
         assert tail(theta, m)[1] <= bound_low
         assert bound_high < tail(Fraction(theta) + Fraction(1, 10 ** 7), m)[0]
 
@@ -871,7 +930,7 @@ def _argument_at(X, x, phase, degree=2):
     """z = phase x / (nu alpha): the argument whose scaled argument for
     ``_THETAS[degree]`` is x, alpha being alpha_2 for degree 4 (index 0)
     and min(alpha_2, alpha_3) for the higher degrees."""
-    powers = matform._powers(X)
+    powers = _powers(X)
     return phase * x / (powers.scale * (powers.alpha if degree == 0 else powers.alpha3))
 
 
@@ -902,13 +961,13 @@ def test_per_entry_degree_matches_degree14_reference_and_scipy(seed, dim, kind, 
         X /= norm
     x = _THETAS[degree] * (1.0 + side * 2.0 ** -40)
     z = _argument_at(X, x, phase, degree) if norm > 0 else phase
-    q, s, _ = matform._taylor_terms([matform._powers(X)], np.array([[z]]))
+    q, s, _ = matform._taylor_terms([_powers(X)], np.array([[z]]))
     if norm > 0:
         assert (q[0][0], s[0][0]) == ((degree, 0) if side < 0 else
                                       (degree + 1, 0) if degree < 2 else (2, 1))
     r = abs(z) * norm
     bound = 8 * (dim + r) * np.finfo(float).eps * math.exp(r)
-    # the deep stack takes degree 14 and its own squarings throughout
+    # the deep stack takes the same squarings and degree 16 throughout
     for deep in (False, True):
         E = _slot_exponential(X, z, deep)
         assert E.dtype == (np.float64 if kind == "real" and isinstance(z, float)
@@ -952,7 +1011,7 @@ def test_alpha3_rule_at_every_theta(seed, dim, kind, degree, side, phase, expone
     norm = np.linalg.norm(X, 2)
     if norm > 0:
         X /= norm
-    powers = matform._powers(X)
+    powers = _powers(X)
     eps = np.finfo(float).eps
     Y = X / np.linalg.norm(X, 1) if norm > 0 else X
     d2, d3, d4 = (np.linalg.norm(np.linalg.matrix_power(Y, p), 1) ** (1 / p) for p in (2, 3, 4))
@@ -972,7 +1031,7 @@ def test_alpha3_rule_at_every_theta(seed, dim, kind, degree, side, phase, expone
             for m in range(2, int(powers.zero)):
                 terms.append(terms[-1] @ zX / m)
         for deep in (False, True):
-            q, s, c = matform._taylor_terms([matform._powers(X, deep)], np.array([[z]]))
+            q, s, c = matform._taylor_terms([_powers(X, deep)], np.array([[z]]))
             assert q == [[0]] and s == [[0]]
             assert not c[0, 0, int(powers.zero):].any()
             if not np.isfinite(c).all():
@@ -1043,7 +1102,7 @@ def test_huge_arguments_on_tiny_high_powers(seed, dim, tiny, exponent):
     # largest of 2988 finite cases reached 3.8 eps)
     X = np.triu(np.random.default_rng(seed).standard_normal((dim, dim)), 1)
     X[:3, 3:] *= 10.0 ** -tiny
-    powers = matform._powers(X)
+    powers = _powers(X)
     assert powers.zero == np.inf and 0 < powers.alpha3 < 1e-20
     zX = math.ldexp(1.0, exponent) * X
     try:
@@ -1073,17 +1132,17 @@ def test_degree_and_squarings_take_the_fewest_products(point):
     x, i = point
     X = make_pair("random", 5, 2).A
     z = _argument_at(X, x, 1.0, i)
-    powers = matform._powers(X)
+    powers = _powers(X)
     assert powers.alpha3 < powers.alpha
     q, s, c = matform._taylor_terms([powers], np.array([[z]]))
     size = abs(z) * powers.scale
     assert (q[0][0], s[0][0]) == _selection(size * powers.alpha, size * powers.alpha3)
-    # one row u^m / m!, m = 0..14, u = z nu 2^-s, whatever the degree: the
-    # core reads the first 9, the deep stack all 15
+    # one row u^m / m!, m = 0..16, u = z nu 2^-s, whatever the degree: the
+    # core reads the first 9, the deep stack all 17
     u = z * powers.scale * 2.0 ** -s[0][0]
-    assert c.shape == (1, 1, 15) and c[0, 0, 0] == 1.0 and c[0, 0, 1] == u
+    assert c.shape == (1, 1, 17) and c[0, 0, 0] == 1.0 and c[0, 0, 1] == u
     # (subnormal terms keep only an absolute accuracy)
-    np.testing.assert_allclose(c[0, 0], [u ** m / math.factorial(m) for m in range(15)],
+    np.testing.assert_allclose(c[0, 0], [u ** m / math.factorial(m) for m in range(17)],
                                rtol=1e-14, atol=np.finfo(float).tiny)
 
 
@@ -1117,9 +1176,10 @@ def test_small_arguments_take_fewer_products(degree):
     # on the block X, Y^2, Y^3, Y^4 alone a run within theta_4, theta_8,
     # theta_16 takes 0, 1, 2 core products and no squaring, and past
     # theta_16 it takes 2 and squares once, with 1, 2, 4 quartics; on the
-    # deep stack every run is one coefficient product and its theta_14
-    # squarings (one at theta_16, two at 2 theta_16), with no core product
-    for depth in (14, 4):
+    # deep stack every run is one coefficient product and the same
+    # squarings (none within theta_16, one at 2 theta_16), with no core
+    # product
+    for depth in (16, 4):
         pair = _random_pair(8, 4, depth)
         small = _argument_at(pair.A, _THETAS[degree] * (1 - 2.0 ** -40), 1.0, degree)
         large = 2.0 * _argument_at(pair.A, _THETAS[2], 1.0)
@@ -1127,12 +1187,11 @@ def test_small_arguments_take_fewer_products(degree):
             products = _count_products(patch)
             evaluate_scheme([(Generator.A, small)], pair, 1.0)
             assert products == ({"square": degree, "stack": _QUARTIC_CALLS[degree]}
-                                if depth == 4 else
-                                {"square": int(_THETAS[degree] > _THETA_14), "stack": 1})
+                                if depth == 4 else {"square": 0, "stack": 1})
             products.update(square=0, stack=0)
             evaluate_scheme([(Generator.A, large)], pair, 1.0)
             assert products == ({"square": 2 + 1, "stack": _QUARTIC_CALLS[2]} if depth == 4
-                                else {"square": 2, "stack": 1})
+                                else {"square": 1, "stack": 1})
 
 
 def _times_at(X, degrees, top=1.0):
@@ -1150,7 +1209,7 @@ def test_stack_entries_take_their_own_products():
     # it, so the stack makes each entry's own products and no more: q + s
     # and its quartics on the block X, Y^2, Y^3, Y^4, and on the deep stack
     # one coefficient product per nonzero time plus its squarings
-    for depth in (14, 4):
+    for depth in (16, 4):
         pair = _random_pair(8, 4, depth)
         z, times = _times_at(pair.A, [1, 0], top=2.0)
         times = np.append(times, 0.0)
@@ -1158,7 +1217,7 @@ def test_stack_entries_take_their_own_products():
             products = _count_products(patch)
             stack = evaluate_scheme([(Generator.A, z)], pair, times)
         assert products == ({"square": (2 + 1) + 1 + 0, "stack": 4 + 2 + 1} if depth == 4
-                            else {"square": 2, "stack": 3})
+                            else {"square": 1, "stack": 3})
         for entry, t in zip(stack, times):
             assert _bits(entry) == _bits(evaluate_scheme([(Generator.A, z)], pair, t))
 
@@ -1216,7 +1275,7 @@ def test_evaluate_scheme_refuses_an_overflowing_product(case, name, t):
     # squarings and the eigenbasis walk in exp, each returning a non-finite
     # product with a numpy RuntimeWarning
     pair = make_pair("pauli") if case == "pauli" else \
-        _random_pair(4, 1, 14 if case == "deep" else 4)
+        _random_pair(4, 1, 16 if case == "deep" else 4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="overflows"):
@@ -1270,10 +1329,10 @@ def _assert_blocks_close(actual, expected, half):
         assert np.abs(actual[rows, cols] - expected[rows, cols]).max() <= 1e-13 * scale
 
 
-@pytest.mark.parametrize("dim,depth", [(40, 14), (100, 4)])
+@pytest.mark.parametrize("dim,depth", [(40, 16), (100, 4)])
 @pytest.mark.parametrize("size", [1e200, 1.0])
 def test_scheme_on_a_generator_whose_square_is_zero(dim, depth, size):
-    # exp(c t N) = I + c t N, on the deep power stack (d <= 93) and on the
+    # exp(c t N) = I + c t N, on the deep power stack (d <= 87) and on the
     # core of degree 4, 8 and 16 (d = 100) alike, however large ||N||
     pair = _nilpotent_pair(dim, 7, size)
     assert pair.power_depth == depth
@@ -1394,11 +1453,27 @@ def test_power_block_peak_memory():
     assert 3 * X.nbytes > matform._NORM_BYTES
     tracemalloc.start()
     try:
-        matform._powers(X)
+        _powers(X)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 5 * X.nbytes + 64 * 1024
+
+
+def test_a_target_holds_its_sum_once():
+    # the sum F of the target's terms is built in the X rows of the power
+    # block its exponentials run on, so F is not held beside a copy of it:
+    # the block (4 arrays per entry), the core's three buffers, and what
+    # the element matrices and the finiteness checks leave
+    pair = make_pair("random", 128, 5)
+    for t in (0.5, np.array([0.5, 0.25])):
+        tracemalloc.start()
+        try:
+            T = target_matrix(commutator_target(), pair, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * T.nbytes + 64 * 1024
 
 
 def test_a_large_pair_holds_each_generator_once():
@@ -1411,6 +1486,42 @@ def test_a_large_pair_holds_each_generator_once():
     for X, power, original in zip((pair.A, pair.B), powers, before):
         assert np.shares_memory(X, power.block)
         assert X.tobytes() == original.tobytes()
+
+
+@pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan"),
+                                 complex(0.0, float("inf"))])
+@pytest.mark.parametrize("which", ["A", "B"])
+def test_pair_refuses_non_finite_entries(bad, which):
+    # an infinite entry made the symmetry tolerance 4 eps max|X| infinite,
+    # so [[0, inf], [0, 0]] passed as Hermitian and eigh, which reads one
+    # triangle, gave NCP6_3 the identity
+    X = np.array([[0.0, bad], [0.0, 0.0]])
+    generators = {"A": X, "B": np.eye(2)} if which == "A" else {"A": np.eye(2), "B": X}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite entries"):
+            OperatorPair(**generators)
+
+
+@pytest.mark.parametrize("A,path", [
+    ([[0.0, 1e308], [-1e308, 0.0]], "eigenbasis"),
+    ([[0.0, 1e308], [-1e308, 1e308]], "taylor"),
+])
+def test_the_symmetry_test_does_not_overflow(A, path):
+    # X - X^H of a finite X overflowed and leaked a numpy RuntimeWarning
+    # through evaluation_path and evaluate_scheme; the halves cannot
+    # overflow.  The anti-Hermitian X is still found anti-Hermitian, and
+    # the other pair's one-norm overflows, which is a ValueError
+    pair = OperatorPair(A, np.eye(2))
+    scheme = catalog_get("NCP6_3")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert evaluation_path(scheme, pair)[0] == path
+        if path == "eigenbasis":
+            assert np.isfinite(evaluate_scheme(scheme, pair, 0.5)).all()
+        else:
+            with pytest.raises(ValueError):
+                evaluate_scheme(scheme, pair, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -1779,6 +1890,8 @@ def test_exponential_stack_equals_expm_per_matrix(seed, dim, sizes, real):
     if not real:
         F = F + 1j * g.standard_normal(F.shape)
     F *= np.reshape(sizes, (-1, 1, 1)) / np.linalg.norm(F, 2, axis=(1, 2))[:, None, None]
-    E = matform._expm_stack(F)
+    rows, X = matform._power_rows(F.shape, F.dtype)
+    X[...] = F
+    E = matform._expm_stack(rows)
     for M, expected in zip(F, E):
         assert _bits(expm(M)) == _bits(expected)
