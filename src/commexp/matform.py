@@ -2,7 +2,7 @@
 
 Everything here is deterministic: the matrix exponential is a fixed
 scaling-and-squaring routine over a Taylor polynomial of degree 16, or of
-degree 4 or 8 where that meets the same bound in fewer products, chosen per
+degree 8 where that meets the same bound in one product fewer, chosen per
 exponential (per stack entry) by one rule, the spectral norm
 is the square root of the largest eigenvalue of the Gram matrix M^H M from
 LAPACK (numpy's ``eigvalsh``), and the random operator pairs are drawn from
@@ -30,23 +30,25 @@ generator merged, cancelling runs removed):
   run's Taylor polynomial is one product of its 17 coefficients with the
   stack, plus s squarings: no other product.  Larger pairs cache the block
   X, Y^2, Y^3, Y^4 alone, whose X row is then the pair's generator itself
-  (held once), and form the polynomial by the core of :func:`expm`: 0, 1
-  or 2 products plus s squarings.  Y^2, Y^3 and Y^4 = Y^2 Y^2 are the same
-  three products at both depths, so the depth only chooses how the
-  polynomial is formed; the runs are multiplied left to right.
+  (held once), and form the polynomial by the core of :func:`expm`: degree
+  8 or 16 in 1 or 2 products, plus s squarings.  Y^2, Y^3 and Y^4 =
+  Y^2 Y^2 are the same three products at both depths, so the depth only
+  chooses how the polynomial is formed; the runs are multiplied left to
+  right.
 
 A target (:func:`target_matrix`) is one exponential per step time, and a
 grid of step times is one stack through the same Taylor core, each entry
 with its own powers.  Every exponential takes its s squarings and the
 coefficients u^m / m!, m = 0..16, of u = z ||X||_1 2^-s from one pass
 (:func:`_taylor_terms`); the deep stack reads all 17, and the core of
-degree 4, 8 and 16 the first 9, on shared and per-entry powers alike.  That
-core (:func:`_taylor_exp`) combines the cached block by quartics, one BLAS
-call each: T_4 directly, T_8 = T_4 + Y^4 (u^5 Y / 5! + ... + u^8 Y^4 / 8!)
-in one product, and T_16 = (y_1 + P_2)(y_1 + Q_2) + R with y_1 = Y^4 Q_1
-in two (Bader, Blanes and Casas 2019, "Computing the matrix exponential
-with an optimized Taylor polynomial approximation", Mathematics 7:1174),
-where Paterson and Stockmeyer's scheme needs three for degree 15.
+degree 8 or 16 in 1 or 2 products the first 9, on shared and per-entry
+powers alike.  That core (:func:`_taylor_exp`) combines the cached block
+by quartics, one BLAS call each: T_8 = T_4 + Y^4 (u^5 Y / 5! + ... +
+u^8 Y^4 / 8!) in one product, and T_16 = (y_1 + P_2)(y_1 + Q_2) + R with
+y_1 = Y^4 Q_1 in two (Bader, Blanes and Casas 2019, "Computing the matrix
+exponential with an optimized Taylor polynomial approximation",
+Mathematics 7:1174), where Paterson and Stockmeyer's scheme needs three
+for degree 15.
 """
 
 from __future__ import annotations
@@ -148,12 +150,12 @@ class SplitMix64:
 
 
 #: Scaled-argument bounds theta_m of the Taylor polynomials of degree
-#: m = 4, 8, 16 (0, 1, 2 products on the cached X, Y^2, Y^3 and Y^4) behind
-#: every exponential here: when |z| nu alpha <= theta_m the truncation error
+#: m = 8, 16 (1, 2 products on the cached X, Y^2, Y^3 and Y^4) behind every
+#: exponential here: when |z| nu alpha <= theta_m the truncation error
 #: sum_{k>m} theta_m^k / k! is at most 7.24e-16, the bound of a degree-13
 #: polynomial at one-norm 1/2 (sum_{k>=14} 0.5^k / k!).  Each is the root of
 #: that equation, rounded down (theta_16 = 0.92047455...).
-_THETA = np.array([0.002442156, 0.0861186, 0.9204745])
+_THETA = np.array([0.0861186, 0.9204745])
 
 #: m as a float64 for m = 1..16: the Taylor factors u / m.
 _DIVISORS = np.arange(1.0, 17.0)
@@ -163,19 +165,18 @@ _DIVISORS = np.arange(1.0, 17.0)
 #: 8.6e294 at |u| = 2^64, still finite.
 _MAX_U = 64
 
-#: The four quartics of the core of degree 4, 8 and 16 (:func:`_taylor_exp`),
-#: by degree: rows are the first product's right factor, P_2, Q_2 and the
-#: last addend; columns the multiples of u^m / m! that take the identity and
-#: the X, Y^2, Y^3 and Y^4 rows of the cached block, m = (0, 5, 6, 7, 8) in
-#: the first row and m = 0..4 in the others (:data:`_TERMS`).  Degrees 4 and
-#: 8 are Taylor's own coefficients; degree 16 is
+#: The four quartics of the core of degree 8 and 16 (:func:`_taylor_exp`),
+#: by degree, row q - 1 for q products: rows are the first product's right
+#: factor, P_2, Q_2 and the last addend; columns the multiples of u^m / m!
+#: that take the identity and the X, Y^2, Y^3 and Y^4 rows of the cached
+#: block, m = (0, 5, 6, 7, 8) in the first row and m = 0..4 in the others
+#: (:data:`_TERMS`).  Degree 8 is Taylor's own coefficients; degree 16 is
 #: T_16 = (y_1 + P_2)(y_1 + Q_2) + R with y_1 = Y^4 Q_1 in x = u Y (Bader,
 #: Blanes and Casas 2019), its constants solved from T_16's coefficients
 #: with Q_2(0) = 8.6 and the smaller root of the degree-8 quadratic, so that
 #: every constant is positive.  In exact arithmetic the float64 table gives
 #: each coefficient 1/k!, k = 0..16, to within 0.86 eps relative.
 _QUARTICS = np.array([
-    [[0.0] * 5, [0.0] * 5, [0.0] * 5, [1.0] * 5],
     [[0.0, 1.0, 1.0, 1.0, 1.0], [0.0] * 5, [0.0] * 5, [1.0] * 5],
     [[0.0, 0.025604792862083055, 0.013851773187684276, 0.008814764755799084,
       0.008814764755799084],
@@ -216,11 +217,10 @@ class _Powers(NamedTuple):
     normal ``scale`` and zero powers).  With d_p = ||Y^p||_1^(1/p), Al-Mohy
     and Higham's (2009) alpha_p = max(d_p, d_(p+1)) bounds ||Y^k||_1^(1/k) in
     the Taylor tail of every degree m with m + 1 >= p (p - 1): ``alpha`` is
-    alpha_2, which bounds the tails of every degree, and ``alpha3`` is
-    min(alpha_2, alpha_3), which bounds those of degree 5 and up (alpha_3
-    <= alpha_2, since d_4 <= d_2, but the computed norms can round it an ulp
-    past).  ``zero`` is the lowest p = 2, 3, 4 with Y^p exactly zero, or
-    inf when none is.  ``scale``, ``alpha``, ``alpha3`` and ``zero`` are 0-d
+    min(alpha_2, alpha_3), which bounds the tails of degrees 8 and 16
+    (alpha_3 <= alpha_2, since d_4 <= d_2, but the computed norms can round
+    it an ulp past).  ``zero`` is the lowest p = 2, 3, 4 with Y^p exactly
+    zero, or inf when none is.  ``scale``, ``alpha`` and ``zero`` are 0-d
     for one matrix and length-k arrays for a stack.
     Exactly one of ``block`` and ``stack`` is set.  ``block`` is the
     contiguous (4, d, d) block of X, Y^2, Y^3 and Y^4, or (k, 4, d, d) for a
@@ -232,7 +232,6 @@ class _Powers(NamedTuple):
 
     scale: np.ndarray
     alpha: np.ndarray
-    alpha3: np.ndarray
     zero: np.ndarray
     block: np.ndarray | None = None
     stack: np.ndarray | None = None
@@ -304,13 +303,12 @@ def _powers(rows: np.ndarray) -> _Powers:
         norms = np.stack([_norm1(high[..., i, :, :]) for i in range(3)], axis=-1)
     n2, n3, n4 = norms.T
     # cube roots one matrix at a time, as libm's pow gives them: numpy's
-    # vectorised power can differ from it by an ulp, and the alphas pick
+    # vectorised power can differ from it by an ulp, and alpha picks
     # degrees and squarings (square roots are correctly rounded either way)
     d3 = np.reshape([n ** (1.0 / 3.0) for n in np.ravel(n3).tolist()], n3.shape)
-    alpha = np.maximum(np.sqrt(n2), d3)
-    alpha3 = np.minimum(alpha, np.maximum(d3, np.sqrt(np.sqrt(n4))))
+    alpha = np.minimum(np.maximum(np.sqrt(n2), d3), np.maximum(d3, np.sqrt(np.sqrt(n4))))
     zero = np.where(norms == 0, _ZERO_POWERS, np.inf).min(axis=-1)
-    return _Powers(scale, alpha, alpha3, zero, block, stack)
+    return _Powers(scale, alpha, zero, block, stack)
 
 
 def _taylor_terms(powers: Sequence[_Powers], z: np.ndarray
@@ -318,10 +316,10 @@ def _taylor_terms(powers: Sequence[_Powers], z: np.ndarray
     """Core products, squaring counts and Taylor coefficients of
     exp(z_ij X_i), X_i the matrix of ``powers[i]``, for an (r, k) array z:
     one row of k arguments per matrix, or (r = 1) one argument per matrix of
-    one stack's powers, whose ``scale``, alphas and ``zero`` are then read
-    per entry.  Returns q and s, r lists of k ints: entry (i, j) takes s_ij
-    squarings and, on the block X, Y^2, Y^3, Y^4, the polynomial of degree
-    4 2^q_ij (q_ij = 0, 1, 2 products); and c, shaped (r, k, 17),
+    one stack's powers, whose ``scale``, ``alpha`` and ``zero`` are then
+    read per entry.  Returns q and s, r lists of k ints: entry (i, j) takes
+    s_ij squarings and, on the block X, Y^2, Y^3, Y^4, the polynomial of
+    degree 8 or 16 in q_ij = 1 or 2 products; and c, shaped (r, k, 17),
     c[i, j, m] = u_ij^m / m! for m = 0..16 and u = z nu 2^-s, nu the
     powers' ``scale``, one ``cumprod``.  :func:`_stack_exp` reads all 17
     columns of a row, the degree-16 polynomial, which meets the bound
@@ -329,43 +327,42 @@ def _taylor_terms(powers: Sequence[_Powers], z: np.ndarray
     The rule reads only the scalars of the powers, which are bit for bit
     the same at both depths, so q, s and c are too.
 
-    Each entry is chosen on its own.  Degree 4 is taken while
-    ``|z| nu alpha <= theta_4``; degrees 8 and 16, whose tails start at
-    degree 9 or more, are taken on ``x = |z| nu alpha3``, which is never
-    larger.  Of the degrees and squarings that meet the bound the entry
-    takes the fewest products q + s, ties going to the higher degree: the
-    lowest degree within its theta and s = 0 while x <= theta_16, and else
+    Each entry is chosen on its own, on ``x = |z| nu alpha``.  Of the
+    degrees and squarings that meet the bound the entry takes the fewest
+    products q + s, ties going to the higher degree: degree 8 and s = 0
+    while x <= theta_8, degree 16 and s = 0 while x <= theta_16, and else
     degree 16 with ``s = ceil(log2(x / theta_16))``, computed exactly from
     the binary exponent.  s is raised, where it must be, to keep
     |u| <= 2^64, and an entry with s > 0 takes degree 16.  So q and s do
     not increase along a row whose |z| does not increase, as
-    :func:`evaluate_scheme` orders a run's step times;
-    :func:`_expm_stack` orders its entries by q + s.  A power that is
-    exactly zero makes every power above it zero, so for an entry whose
+    :func:`evaluate_scheme` and :func:`target_matrix` order their step
+    times; :func:`_expm_stack` orders its entries by q + s.  A power that
+    is exactly zero makes every power above it zero, so for an entry whose
     ``zero`` is p <= 4, exp(u Y) is the Taylor polynomial of degree p - 1
-    exactly: it takes degree 4 and no squaring, and its coefficients c[m]
+    exactly: it takes degree 8 and no squaring, and its coefficients c[m]
     for m >= p are set to zero, however large z nu is, where u^m / m! would
     overflow.  No entry whose Y^4 is nonzero changes by that rule.
+    ``ValueError`` where z nu overflows.
     """
-    # (r, 4, 1) for r matrices, (1, 4, k) for one stack
-    scale, alpha, alpha3, zero = np.array(
-        [(p.scale, p.alpha, p.alpha3, p.zero) for p in powers]
-    ).reshape(len(powers), 4, -1).transpose(1, 0, 2)
+    # (r, 3, 1) for r matrices, (1, 3, k) for one stack
+    scale, alpha, zero = np.array(
+        [(p.scale, p.alpha, p.zero) for p in powers]
+    ).reshape(len(powers), 3, -1).transpose(1, 0, 2)
     # u^m / m! overflows only where a power is 0, whose coefficients are set
     # to zero below (inf * 0 is NaN); w is checked just below
     with np.errstate(over="ignore", invalid="ignore"):
         w = z * scale
         if not np.isfinite(w).all():
-            raise ValueError("matrix exponential of non-finite entries")
+            raise ValueError("matrix exponential: |z| ||X||_1 overflows")
         size = np.abs(w)
-        x = size * alpha3
-        mantissa, exponent = np.frexp(np.maximum(x / _THETA[2], size * 2.0 ** -_MAX_U))
+        x = size * alpha
+        mantissa, exponent = np.frexp(np.maximum(x / _THETA[1], size * 2.0 ** -_MAX_U))
         s = np.maximum(exponent - (mantissa == 0.5), 0)
-        q = np.maximum(np.add(size * alpha > _THETA[0], x > _THETA[1], dtype=int), 2 * (s > 0))
+        q = np.maximum(1 + (x > _THETA[0]), 2 * (s > 0))
         nilpotent = zero.min() < np.inf
         if nilpotent:
             zeroed = np.broadcast_to(zero < np.inf, s.shape)
-            s[zeroed] = q[zeroed] = 0
+            s[zeroed], q[zeroed] = 0, 1
         u = w * np.ldexp(1.0, -s)
         c = np.empty(u.shape + (len(_DIVISORS) + 1,), dtype=u.dtype)
         c[..., 0] = 1.0
@@ -440,35 +437,32 @@ def _taylor_exp(powers: _Powers, q: list[int], s: list[int], c: np.ndarray,
     P, Q and W may be float64 only when X and z are real; complex buffers
     take real powers as they are.
 
-    Entry i evaluates the Taylor polynomial of degree 4 (q_i = 0), 8 (1) or
-    16 (2) in x = u_i Y from quartics, each one :func:`_quartic` call on the
+    Entry i evaluates the Taylor polynomial of degree 8 (q_i = 1) or 16 (2)
+    in x = u_i Y from quartics, each one :func:`_quartic` call on the
     block, with the coefficients :data:`_QUARTICS` times u^m / m! from c
     (the X row's divided by nu):
 
-    - degree 4: T_4 = I + x + ... + x^4 / 4!, no product;
     - degree 8: T_4 + Y^4 (u^5 Y / 5! + ... + u^8 Y^4 / 8!), one product;
     - degree 16: (y_1 + P_2)(y_1 + Q_2) + R with y_1 = Y^4 Q_1, two products.
 
-    Then it squares s_i times: q_i + s_i matrix products in all.  Each stage
-    runs on the prefix of the stack whose degree takes it, so an entry
-    equals its own one-entry evaluation bit for bit.  The product by the
-    real Y^4 of a complex right factor is one real product on its float
-    parts.
+    Then it squares s_i times: q_i + s_i matrix products in all.  The second
+    product runs on the prefix of the stack that takes degree 16, and each
+    squaring on the prefix still squaring, so an entry equals its own
+    one-entry evaluation bit for bit.  The product by the real Y^4 of a
+    complex right factor is one real product on its float parts.
     """
     k, d = len(P), P.shape[-1]
-    eight, n = k - q.count(0), q.count(2)
-    coef = _QUARTICS[q] * c[:, _TERMS]
+    n = q.count(2)
+    coef = _QUARTICS[np.subtract(q, 1)] * c[:, _TERMS]
     coef[..., 1] /= np.reshape(powers.scale, (-1, 1))
     block, fourth = powers.block, powers.fourth
     if block.ndim == 3:  # shared powers, read through (k, ...) broadcast views
         block = np.broadcast_to(block, (k,) + block.shape)
-    if eight:
-        _quartic(block[:eight], coef[:eight, 0, 1:], W[:eight])
-        fourth = fourth[:eight] if fourth.ndim == 3 else fourth
-        if fourth.dtype == P.dtype:
-            np.matmul(fourth, W[:eight], out=P[:eight])
-        else:
-            np.matmul(fourth, W[:eight].view(np.float64), out=P[:eight].view(np.float64))
+    _quartic(block, coef[:, 0, 1:], W)
+    if fourth.dtype == P.dtype:
+        np.matmul(fourth, W, out=P)
+    else:
+        np.matmul(fourth, W.view(np.float64), out=P.view(np.float64))
     if n:
         _quartic(block[:n], coef[:n, 1, 1:], W[:n])
         W[:n] += P[:n]
@@ -476,12 +470,9 @@ def _taylor_exp(powers: _Powers, q: list[int], s: list[int], c: np.ndarray,
         Q[:n] += P[:n]
         Q[:n].reshape(n, -1)[:, :: d + 1] += coef[:n, 2, :1]
         np.matmul(W[:n], Q[:n], out=P[:n])
-    # the last addend: R, or T_4, which degree 4 writes into P directly
-    if eight:
-        _quartic(block[:eight], coef[:eight, 3, 1:], W[:eight])
-        P[:eight] += W[:eight]
-    if eight < k:
-        _quartic(block[eight:], coef[eight:, 3, 1:], P[eight:])
+    # the last addend: T_4, or R
+    _quartic(block, coef[:, 3, 1:], W)
+    P += W
     P.reshape(k, -1)[:, :: d + 1] += coef[:, 3, :1]
     return _square(s, P, Q)
 
@@ -496,24 +487,22 @@ def _square_matrix(M, what: str) -> np.ndarray:
 
 def expm(M: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling and squaring over a Taylor core of
-    degree 4, 8 or 16.
+    degree 8 or 16 in 1 or 2 products.
 
     The degree m and the number of squarings s come from ``nu = ||M||_1``
     and, for ``Y = M / nu`` and ``d_p = ||Y^p||_1^(1/p)``, Al-Mohy and
     Higham's (2009) ``alpha_2 = max(d_2, d_3)`` and ``alpha_3 = max(d_3,
     d_4)``: they bound how fast the Taylor terms decay, and are often well
     below 1 on non-normal M, so s can be several squarings fewer than the
-    one-norm alone asks for.  Degree 4 is taken while
-    ``nu alpha_2 <= theta_4``, and degrees 8 and 16 on
+    one-norm alone asks for.  Both degrees are chosen on
     ``nu min(alpha_2, alpha_3)``.  Of the pairs (m, s) that push the scaled
-    argument below theta_m (theta_4 = 0.002442156, theta_8 = 0.0861186,
-    theta_16 = 0.9204745, where the truncation error is at most 7.24e-16
-    relative) the one with the fewest products is taken, and s is raised
-    where it must be to keep |u| <= 2^64.  Good to ~1e-13 relative for the
-    moderate norms used here.
-    Cost: Y^2, Y^3 and Y^4, then 0, 1 or 2 products plus s squarings:
-    T_4 is one combination of the block X, Y^2, Y^3, Y^4, T_8 adds Y^4
-    times another, and T_16 is (y_1 + P_2)(y_1 + Q_2) + R with
+    argument below theta_m (theta_8 = 0.0861186, theta_16 = 0.9204745,
+    where the truncation error is at most 7.24e-16 relative) the one with
+    the fewest products is taken, and s is raised where it must be to keep
+    |u| <= 2^64.  Good to ~1e-13 relative for the moderate norms used here.
+    Cost: Y^2, Y^3 and Y^4, then 1 or 2 products plus s squarings: T_8 is
+    one combination of the block X, Y^2, Y^3, Y^4 plus Y^4 times another,
+    and T_16 is (y_1 + P_2)(y_1 + Q_2) + R with
     y_1 = Y^4 Q_1, after Bader, Blanes and Casas (2019), each factor a
     combination of the block, with the coefficients u^m / m! of
     u = nu 2^-s that every exponential here takes.  It is the one-matrix
@@ -521,12 +510,12 @@ def expm(M: np.ndarray) -> np.ndarray:
     :func:`evaluate_scheme` runs the same core on the cached block of a
     pair too large for the deep power stack, whose degree and squarings
     the deep stack takes too.  M must be one square 2-D
-    matrix of finite entries, and its exponential must be finite
-    (``ValueError`` otherwise); a real M gives a float64 result, a complex
-    M complex128.  When Y^p = 0 for p = 2, 3 or 4, the result is the
-    Taylor polynomial of degree p - 1 with no squaring, however large
-    ``nu`` is: the Taylor coefficients of the zero powers are zero, so
-    ``expm([[0, 1e200], [0, 0]])`` is ``[[1, 1e200], [0, 1]]``.
+    matrix of finite entries whose one-norm is finite, and its exponential
+    must be finite (``ValueError`` otherwise); a real M gives a float64
+    result, a complex M complex128.  When Y^p = 0 for p = 2, 3 or 4, the
+    result is the Taylor polynomial of degree p - 1 with no squaring,
+    however large ``nu`` is: the Taylor coefficients of the zero powers are
+    zero, so ``expm([[0, 1e200], [0, 0]])`` is ``[[1, 1e200], [0, 1]]``.
     """
     M = _square_matrix(M, "expm")
     rows, X = _power_rows((1,) + M.shape, M.dtype)
@@ -541,10 +530,11 @@ def _expm_stack(rows: np.ndarray) -> np.ndarray:
 
     Each matrix gets its own powers (:func:`_powers`) and its own degree,
     squarings and coefficients (:func:`_taylor_terms`), and the stack runs
-    in order of decreasing products q + s, so the stages of degrees 16 and
-    8 and the squarings of :func:`_taylor_exp` work on prefixes of it; each
-    result is the stack's one-matrix evaluation bit for bit.  A non-finite
-    entry or result anywhere raises ``ValueError``.
+    in order of decreasing products q + s, so the degree-16 stage and the
+    squarings of :func:`_taylor_exp` work on prefixes of it; each result is
+    the stack's one-matrix evaluation bit for bit.  A stack out of that
+    order has its powers reordered, a copy of its power block.  A
+    non-finite entry or result anywhere raises ``ValueError``.
     """
     F = rows[:, 0]
     if not np.all(np.isfinite(F)):
@@ -773,6 +763,13 @@ def make_pair(kind: str, dim: int = 16, seed: int = 0) -> OperatorPair:
     raise ValueError(f"unknown pair kind {kind!r}")
 
 
+def _decreasing(sizes: list[float]) -> list[int]:
+    """The indices of ``sizes`` by decreasing size, ties in index order: the
+    order in which a stack of step times of these sizes meets the Taylor
+    core, so that its core products and squarings run on prefixes."""
+    return sorted(range(len(sizes)), key=lambda j: -sizes[j])
+
+
 def evaluate_scheme(scheme, pair: OperatorPair, t) -> np.ndarray:
     """Left-to-right product of exp(c * t * X) over the scheme's slots.
 
@@ -818,11 +815,11 @@ def evaluate_scheme(scheme, pair: OperatorPair, t) -> np.ndarray:
     stack Y^0 .. Y^16 that fits 1 MiB: real d <= 87) it is the degree-16
     polynomial, one product of the 17 coefficients with the cached stack.
     Otherwise (power depth 4) it is the core of :func:`expm` on the block
-    X, Y^2, Y^3, Y^4: the polynomial of degree 4, 8 or 16 in 0, 1 or 2
-    products, from the first 9 coefficients.  Each entry then takes its s
-    squarings.  The stack is ordered by decreasing |t|, so the stages of
-    degrees 16 and 8 and each squaring run on a prefix of it, and each
-    entry equals its own one-time evaluation bit for bit at either depth.
+    X, Y^2, Y^3, Y^4: the polynomial of degree 8 or 16 in 1 or 2 products,
+    from the first 9 coefficients.  Each entry then takes its s squarings.
+    The stack is ordered by decreasing |t|, so the degree-16 stage and each
+    squaring run on a prefix of it, and each entry equals its own one-time
+    evaluation bit for bit at either depth.
     Three buffers rotate through the runs and the products between them,
     and at power depth 4 a fourth is the core's work space.  They are
     float64 when the pair and every run's z·t are real, and complex128
@@ -843,8 +840,7 @@ def evaluate_scheme(scheme, pair: OperatorPair, t) -> np.ndarray:
     sizes = np.abs(steps).tolist()
     if not all(map(math.isfinite, sizes)):
         raise ValueError(f"step times must be finite, got {t!r}")
-    live = sorted((j for j in range(len(steps)) if sizes[j]), key=lambda j: -sizes[j]) \
-        if gens else []
+    live = [j for j in _decreasing(sizes) if sizes[j]] if gens else []
     ordered = live == list(range(len(steps)))
     basis = pair.eigenbasis
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
@@ -869,8 +865,8 @@ def evaluate_scheme(scheme, pair: OperatorPair, t) -> np.ndarray:
 def _taylor_walk(powers: tuple[_Powers, _Powers], gens, z, shape, dtype) -> np.ndarray:
     """The product of the runs' Taylor exponentials, per stack entry: run i
     is exp(z[i, j] X) on generator gens[i] for entry j, from deep powers
-    (:func:`_stack_exp`) or else by the core of degree 4, 8 and 16
-    (:func:`_taylor_exp`)."""
+    (:func:`_stack_exp`) or else by the core of degree 8 or 16 in 1 or 2
+    products (:func:`_taylor_exp`)."""
     runs = [powers[gen] for gen in gens]
     q, s, c = _taylor_terms(runs, z)
     P, Q = (np.empty(shape, dtype=dtype) for _ in range(2))
@@ -929,24 +925,31 @@ def target_matrix(target: TargetPolynomial, pair: OperatorPair, t) -> np.ndarray
     :func:`evaluate_scheme` takes it.  The element matrices are built once,
     each term's weights w t^j are broadcast over the grid, and the stack is
     exponentiated in one pass of the Taylor core of :func:`expm`, each entry
-    with its own powers, whose X rows the sum is built in; every entry
-    equals its own one-time call bit for bit.  float64 when the pair and every weight w t^j are real, else
-    complex128.  A non-finite sum or exponential at any t, an overflow while
-    building the element matrices included, raises ``ValueError`` and no
-    numpy warning.
+    with its own powers, whose X rows the sum is built in.  The rows are
+    built by decreasing |t|, as :func:`evaluate_scheme` orders its stack, so
+    a target of one degree reaches the core already in its order and its
+    power block is not copied; the results are put back in the order of
+    ``t``, and every entry equals its own one-time call bit for bit.
+    float64 when the pair and every weight w t^j are real, else complex128.
+    A non-finite sum or exponential at any t, an overflow while building
+    the element matrices included, raises ``ValueError`` and no numpy
+    warning.
     """
     times = np.asarray(t)
     if times.ndim > 1:
         raise ValueError(f"t must be a step time or a 1-D array of them, got shape {times.shape}")
-    steps = list(times.reshape(-1))
+    steps = times.reshape(-1)
+    order = _decreasing(np.abs(steps).tolist())
     with np.errstate(over="ignore", invalid="ignore"):  # _expm_stack refuses a non-finite F
         # t^j one scalar at a time, as libm's pow gives it: numpy's vectorised
         # power can differ from it by an ulp
-        weights = [np.array([w * step ** degree for step in steps])
+        weights = [np.array([w * steps[j] ** degree for j in order])
                    for (degree, _), w in target.terms.items()]
         rows, F = _power_rows((len(steps), pair.dim, pair.dim), _dtype(pair.A, *weights))
         F[...] = 0.0
         for (degree, position), w in zip(target.terms, weights):
             F += w[:, np.newaxis, np.newaxis] * element_matrix(degree, position, pair)
     T = _expm_stack(rows)
+    if order != list(range(len(steps))):
+        T = T[np.argsort(order)]
     return T if times.ndim else T[0]

@@ -1185,10 +1185,10 @@ def test_refine_reports_a_last_residual_that_is_not_a_number(monkeypatch):
         refine(_bumped_ncp10_4())
 
 
-def _full_newton(scheme, tol=1e-13, max_iter=50):
-    """The Newton loop refine ran before it kept its Jacobian: a fresh
-    complex-step J at every step, on every unknown of refine's own residual.
-    The polished slot coefficients, or None when the loop fails."""
+def _newton_problem(scheme):
+    """refine's unknowns for ``scheme``, every slot coefficient or a
+    mirrored scheme's half-pattern tail, as a start; and the maps from rows
+    of unknowns to slot coefficient rows and to refine's own residual."""
     target, r = scheme.target, scheme.order
     generators = [g for g, _ in scheme.pairs()]
     v = np.array([float(c) for _, c in scheme.pairs()])
@@ -1202,6 +1202,14 @@ def _full_newton(scheme, tol=1e-13, max_iter=50):
     def residual_of(values):
         return _residual(generators, rows_of(values), target, r)
 
+    return v, rows_of, residual_of
+
+
+def _full_newton(scheme, tol=1e-13, max_iter=50):
+    """The Newton loop refine ran before it kept its Jacobian: a fresh
+    complex-step J at every step, on every unknown of refine's own residual.
+    The polished slot coefficients, or None when the loop fails."""
+    v, rows_of, residual_of = _newton_problem(scheme)
     g = residual_of(v[None])[0]
     for _ in range(max_iter):
         if np.max(np.abs(g)) <= tol:
@@ -1272,14 +1280,22 @@ def test_refine_matches_full_newton_near_a_root(start):
     # engine rows, the work a chord step saves: each chord step is a pass
     # that full Newton does not make
     assert refine_rows <= sum(counted) - refine_rows
+    tol = 1e-13  # both loops' tolerance on max|g|
+    met = [dataclasses.replace(start, slots=tuple(
+        ExponentSlot(g, c) for (g, _), c in zip(start.pairs(), coefficients)))
+        for coefficients in (polished, expected)]
+    for scheme in met:
+        assert order_residuals(scheme, scheme.target, scheme.order, tol=tol).all_satisfied()
     if _is_square(start):
-        np.testing.assert_allclose(polished, expected, rtol=0.0, atol=1e-11)
-    else:
-        # lstsq's minimum-norm steps may end at other points of the manifold
-        for coefficients in (polished, expected):
-            met = dataclasses.replace(start, slots=tuple(
-                ExponentSlot(g, c) for (g, _), c in zip(start.pairs(), coefficients)))
-            assert order_residuals(met, met.target, met.order, tol=1e-13).all_satisfied()
+        # two endpoints whose m residual components are each within tol lie,
+        # to first order, within ||J^+||_2 2 tol sqrt(m) of each other in
+        # the unknowns, J the Jacobian there; lstsq's minimum-norm steps on
+        # a system that is not square may end at other points of the
+        # manifold
+        (u, _, _), (v, _, residual_of) = (_newton_problem(scheme) for scheme in met)
+        J = _complex_step_jacobian(residual_of, v)
+        spread = np.linalg.norm(np.linalg.pinv(J), 2) * 2 * tol * math.sqrt(len(J))
+        assert np.linalg.norm(u - v) <= spread
 
 
 @pytest.mark.parametrize("size", [1e-3, 1e-2, 5e-2])

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -677,7 +678,7 @@ _STACK_TIMES = st.lists(st.one_of(st.just(0.0), st.floats(min_value=-1.5, max_va
 @example(seed=9, dim=2, slots=[(Generator.A, 0.5j), (Generator.B, complex(1.0, -0.5))],
          times=[-0.7, 0.0, -0.7])
 def test_deep_stack_walk_matches_horner_and_scipy(seed, dim, slots, times):
-    # the deep stack against the core of degree 4, 8 and 16 on X, Y^2, Y^3, Y^4
+    # the deep stack against the core of degree 8 and 16 on X, Y^2, Y^3, Y^4
     # and against scipy's slot-by-slot product, within the bound of
     # test_suzuki4_on_random_pair_matches_scipy_product; at both depths each
     # entry is its own one-entry evaluation bit for bit
@@ -786,7 +787,7 @@ def test_both_depths_take_one_taylor_rule(seed, dim, kind, size, z):
     # one matrix's powers at depths 16 and 4: Y^2, Y^3, Y^4 and the scalars
     # the rule reads are bit for bit the same, so each argument of a row
     # gets the same q, s and coefficients u^m / m!, and the two
-    # exponentials, the degree-16 stack and the core of degree 4 2^q,
+    # exponentials, the degree-16 stack and the core of degree 8 or 16,
     # agree within the bound of test_slot_exponential_matches_scipy
     X = _generator(seed, dim, "dense" if kind == "real" else kind)
     if kind == "real":
@@ -795,7 +796,7 @@ def test_both_depths_take_one_taylor_rule(seed, dim, kind, size, z):
     if norm > 0:
         X *= size / norm
     deep, shallow = _powers(X, deep=True), _powers(X)
-    for name in ("scale", "alpha", "alpha3", "zero", "square", "cube", "fourth"):
+    for name in ("scale", "alpha", "zero", "square", "cube", "fourth"):
         assert _bits(getattr(deep, name)) == _bits(getattr(shallow, name)), name
     row = np.array([[z, z / 3, -z, 2 * z, 0.0]])
     (q, s, c), (q4, s4, c4) = (matform._taylor_terms([p], row) for p in (deep, shallow))
@@ -807,18 +808,27 @@ def test_both_depths_take_one_taylor_rule(seed, dim, kind, size, z):
     assert np.linalg.norm(E - _slot_exponential(X, z), 2) <= bound
 
 
+#: How the Taylor rule refuses an argument z whose z ||X||_1 is past the
+#: largest float.
+_ARGUMENT_OVERFLOWS = re.escape("|z| ||X||_1 overflows")
+
+
 def test_slot_exponential_rejects_nonfinite_argument(random_pair):
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match=_ARGUMENT_OVERFLOWS):
         _slot_exponential(random_pair.A, complex(1e308, 0) * 10)
     with pytest.raises(ValueError, match="non-finite"):
         evaluate_scheme([(Generator.A, float("nan"))], random_pair, 0.5)
 
 
-#: theta_4, theta_8, theta_16 as the package states them.
-_THETAS = (0.002442156, 0.0861186, 0.9204745)
+#: theta_8, theta_16 as the package states them.
+_THETAS = (0.0861186, 0.9204745)
 
-#: The Taylor degrees the core takes with q = 0, 1, 2 products.
-_DEGREES = (4, 8, 16)
+#: The Taylor degrees the core takes with q = 1, 2 products.
+_DEGREES = (8, 16)
+
+#: A scaled argument far inside theta_8: the bound of the degree-4
+#: polynomial, which meets the truncation bound there with no product.
+_THETA_4 = 0.002442156
 
 #: theta_14, the bound of :func:`_degree14_reference`, a degree the package
 #: does not take, so that the reference checks its rule independently.
@@ -839,7 +849,7 @@ def test_thetas_meet_the_truncation_bound():
 
     bound_low, bound_high = tail(0.5, 13)
     assert matform._THETA.tolist() == list(_THETAS)
-    for m, theta in zip(_DEGREES + (14,), _THETAS + (_THETA_14,)):
+    for m, theta in zip(_DEGREES + (14, 4), _THETAS + (_THETA_14, _THETA_4)):
         assert tail(theta, m)[1] <= bound_low
         assert bound_high < tail(Fraction(theta) + Fraction(1, 10 ** 7), m)[0]
 
@@ -850,11 +860,9 @@ def _core_polynomial(q):
     arithmetic: its coefficients of x^0 .. x^16, and the table's constants
     as the multiples of x^m they stand for."""
     table = [[Fraction(g) / math.factorial(m) for g, m in zip(row, terms)]
-             for row, terms in zip(matform._QUARTICS[q].tolist(), matform._TERMS.tolist())]
+             for row, terms in zip(matform._QUARTICS[q - 1].tolist(), matform._TERMS.tolist())]
     first, left, right, last = ([row[0]] + [Fraction(0)] * 4 + row[1:] if i == 0 else row
                                 for i, row in enumerate(table))
-    if q == 0:
-        return last, table
     # Y^4 times the first quartic: the first row's terms are x^5 .. x^8
     y1 = [Fraction(0)] * 5 + first[5:]
     if q == 1:
@@ -873,18 +881,19 @@ def _core_polynomial(q):
 def test_core_constants_give_the_taylor_coefficients():
     # (y_1 + P_2)(y_1 + Q_2) + R expanded in exact arithmetic from the float64
     # constants: each coefficient of x^k, k = 0..16, within 2 eps relative of
-    # 1 / k!, and every constant >= 0; degrees 4 and 8 are Taylor's own
+    # 1 / k!, and every constant >= 0; degree 8 is Taylor's own
     eps = Fraction(2) ** -52
-    for q, degree in enumerate(_DEGREES):
+    assert len(matform._QUARTICS) == len(_DEGREES)
+    for q, degree in enumerate(_DEGREES, start=1):
         coefficients, table = _core_polynomial(q)
         assert len(coefficients) == degree + 1
         assert all(constant >= 0 for row in table for constant in row)
         for k, coefficient in enumerate(coefficients):
             exact = Fraction(1, math.factorial(k))
             assert abs(coefficient - exact) <= 2 * eps * exact
-            if q < 2:
+            if q == 1:
                 assert coefficient == exact
-    assert max(g for row in matform._QUARTICS[2].tolist() for g in row) == 8.6
+    assert max(g for row in matform._QUARTICS[1].tolist() for g in row) == 8.6
 
 
 def _degree14_reference(X, z):
@@ -910,14 +919,12 @@ def _degree14_reference(X, z):
     return E
 
 
-def _selection(x2, x3):
-    """(q, s) with the fewest products q + s among the degrees 4 2^q whose
-    theta bounds the scaled argument times 2^-s, which is x2 for degree 4
-    and x3 for the higher degrees, ties going to the higher degree: a
-    brute-force search."""
+def _selection(x):
+    """(q, s) with the fewest products q + s among the degrees 4 2^q,
+    q = 1, 2, whose theta bounds the scaled argument x times 2^-s, ties
+    going to the higher degree: a brute-force search."""
     best = None
-    for q, theta in enumerate(_THETAS):
-        x = x2 if q == 0 else x3
+    for q, theta in enumerate(_THETAS, start=1):
         s = 0
         while x * 2.0 ** -s > theta:
             s += 1
@@ -926,12 +933,11 @@ def _selection(x2, x3):
     return best
 
 
-def _argument_at(X, x, phase, degree=2):
-    """z = phase x / (nu alpha): the argument whose scaled argument for
-    ``_THETAS[degree]`` is x, alpha being alpha_2 for degree 4 (index 0)
-    and min(alpha_2, alpha_3) for the higher degrees."""
+def _argument_at(X, x, phase):
+    """z = phase x / (nu alpha): the argument whose scaled argument is x,
+    alpha being min(alpha_2, alpha_3)."""
     powers = _powers(X)
-    return phase * x / (powers.scale * (powers.alpha if degree == 0 else powers.alpha3))
+    return phase * x / (powers.scale * powers.alpha)
 
 
 @settings(max_examples=120, deadline=None)
@@ -939,20 +945,21 @@ def _argument_at(X, x, phase, degree=2):
     seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
     dim=st.integers(min_value=1, max_value=12),
     kind=st.sampled_from(["dense", "non-normal", "real", "zero"]),
-    degree=st.integers(min_value=0, max_value=2),
+    degree=st.integers(min_value=0, max_value=1),
     side=st.sampled_from([-1, 1]),
     phase=st.one_of(st.sampled_from([1.0, -1.0]),
                     st.floats(min_value=0.0, max_value=2 * math.pi).map(
                         lambda a: complex(math.cos(a), math.sin(a)))),
 )
-@example(seed=0, dim=4, kind="real", degree=2, side=1, phase=-1.0)
+@example(seed=0, dim=4, kind="real", degree=1, side=1, phase=-1.0)
 @example(seed=1, dim=1, kind="dense", degree=0, side=-1, phase=1j)
 def test_per_entry_degree_matches_degree14_reference_and_scipy(seed, dim, kind, degree,
                                                                side, phase):
-    # an argument just inside or just outside theta_m: the core takes degree m
-    # without squaring inside, and the next degree (or degree 16 and one
-    # squaring) outside; either way it agrees with a degree-14 evaluation and
-    # with scipy within the bound of test_slot_exponential_matches_scipy
+    # an argument just inside or just outside theta_m, m = 8, 16 (index
+    # ``degree``): the core takes degree m without squaring inside, and
+    # degree 16 outside theta_8, or degree 16 and one squaring outside
+    # theta_16; either way it agrees with a degree-14 evaluation and with
+    # scipy within the bound of test_slot_exponential_matches_scipy
     X = _generator(seed, dim, "dense" if kind == "real" else kind)
     if kind == "real":
         X = X.real.copy()
@@ -960,12 +967,12 @@ def test_per_entry_degree_matches_degree14_reference_and_scipy(seed, dim, kind, 
     if norm > 0:
         X /= norm
     x = _THETAS[degree] * (1.0 + side * 2.0 ** -40)
-    z = _argument_at(X, x, phase, degree) if norm > 0 else phase
+    z = _argument_at(X, x, phase) if norm > 0 else phase
     q, s, _ = matform._taylor_terms([_powers(X)], np.array([[z]]))
     if norm > 0:
-        assert (q[0][0], s[0][0]) == ((degree, 0) if side < 0 else
-                                      (degree + 1, 0) if degree < 2 else (2, 1))
-    r = abs(z) * norm
+        assert (q[0][0], s[0][0]) == ((degree + 1, 0) if side < 0 else
+                                      (2, 0) if degree == 0 else (2, 1))
+    r = abs(z) * np.linalg.norm(X, 2)  # X is normalised
     bound = 8 * (dim + r) * np.finfo(float).eps * math.exp(r)
     # the deep stack takes the same squarings and degree 16 throughout
     for deep in (False, True):
@@ -983,7 +990,7 @@ def test_per_entry_degree_matches_degree14_reference_and_scipy(seed, dim, kind, 
     seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
     dim=st.integers(min_value=1, max_value=12),
     kind=st.sampled_from(["dense", "non-normal", "real", "nilpotent"]),
-    degree=st.integers(min_value=0, max_value=2),
+    degree=st.integers(min_value=0, max_value=1),
     side=st.sampled_from([-1, 1]),
     phase=st.one_of(st.sampled_from([1.0, -1.0]),
                     st.floats(min_value=0.0, max_value=2 * math.pi).map(
@@ -996,14 +1003,14 @@ def test_per_entry_degree_matches_degree14_reference_and_scipy(seed, dim, kind, 
 @example(seed=0, dim=4, kind="nilpotent", degree=0, side=1, phase=1.0, exponent=400)
 def test_alpha3_rule_at_every_theta(seed, dim, kind, degree, side, phase, exponent):
     # alpha_3 <= alpha_2 (||Y^4||_1 <= ||Y^2||_1^2, up to the rounding of the
-    # powers and their norms), and the package's alpha3 is min(alpha_2,
+    # powers and their norms), and the package's alpha is min(alpha_2,
     # alpha_3), from numpy's norms to within that rounding; where Y^p = 0,
     # p = 2, 3, 4, the result is the Taylor polynomial of degree p - 1 in
-    # z X for z up to 2^400, with no squaring and no core product: I + z X
-    # exactly on the core where Y^2 = 0 (the deep stack's u Y rounds
-    # Y = X / nu), and a refusal where its top coefficient u^(p-1) / (p-1)!
-    # overflows; elsewhere an argument within or past each theta_m, on the
-    # alpha its degree is chosen by, is within the bound of
+    # z X for z up to 2^400, with no squaring and degree 8, whose one core
+    # product is by Y^4 = 0: I + z X exactly on the core where Y^2 = 0 (the
+    # deep stack's u Y rounds Y = X / nu), and a refusal where its top
+    # coefficient u^(p-1) / (p-1)! overflows; elsewhere an argument within
+    # or past each theta_m is within the bound of
     # test_slot_exponential_matches_scipy on either depth
     X = _generator(seed, dim, "dense" if kind == "real" else kind)
     if kind == "real":
@@ -1017,9 +1024,7 @@ def test_alpha3_rule_at_every_theta(seed, dim, kind, degree, side, phase, expone
     d2, d3, d4 = (np.linalg.norm(np.linalg.matrix_power(Y, p), 1) ** (1 / p) for p in (2, 3, 4))
     alpha2, alpha3 = max(d2, d3), max(d3, d4)
     assert alpha3 <= alpha2 * (1 + 4 * dim * eps)
-    assert powers.alpha3 <= powers.alpha
-    np.testing.assert_allclose([powers.alpha, powers.alpha3], [alpha2, min(alpha2, alpha3)],
-                               rtol=4 * dim * eps)
+    np.testing.assert_allclose(powers.alpha, min(alpha2, alpha3), rtol=4 * dim * eps)
     assert powers.zero == next((p for p in (2, 3, 4) if not np.linalg.matrix_power(Y, p).any()),
                                np.inf)
     if powers.zero < np.inf:
@@ -1032,7 +1037,7 @@ def test_alpha3_rule_at_every_theta(seed, dim, kind, degree, side, phase, expone
                 terms.append(terms[-1] @ zX / m)
         for deep in (False, True):
             q, s, c = matform._taylor_terms([_powers(X, deep)], np.array([[z]]))
-            assert q == [[0]] and s == [[0]]
+            assert q == [[1]] and s == [[0]]
             assert not c[0, 0, int(powers.zero):].any()
             if not np.isfinite(c).all():
                 with pytest.raises(ValueError, match="overflows"):
@@ -1046,8 +1051,8 @@ def test_alpha3_rule_at_every_theta(seed, dim, kind, degree, side, phase, expone
                 assert np.linalg.norm(E - sum(terms), 2) <= 8 * dim * eps * size
         return
     x = _THETAS[degree] * (1.0 + side * 2.0 ** -40)
-    z = _argument_at(X, x, phase, degree)
-    r = abs(z) * norm
+    z = _argument_at(X, x, phase)
+    r = abs(z) * np.linalg.norm(X, 2)  # X is normalised
     bound = 8 * (dim + r) * eps * math.exp(r)
     for deep in (False, True):
         E = _slot_exponential(X, z, deep)
@@ -1103,7 +1108,7 @@ def test_huge_arguments_on_tiny_high_powers(seed, dim, tiny, exponent):
     X = np.triu(np.random.default_rng(seed).standard_normal((dim, dim)), 1)
     X[:3, 3:] *= 10.0 ** -tiny
     powers = _powers(X)
-    assert powers.zero == np.inf and 0 < powers.alpha3 < 1e-20
+    assert powers.zero == np.inf and 0 < powers.alpha < 1e-20
     zX = math.ldexp(1.0, exponent) * X
     try:
         expected = _exact_nilpotent_exp(zX)
@@ -1121,22 +1126,19 @@ def test_huge_arguments_on_tiny_high_powers(seed, dim, tiny, exponent):
 
 @settings(max_examples=200, deadline=None)
 @given(point=st.one_of(
-    st.tuples(st.floats(min_value=0.0, max_value=1e3), st.integers(min_value=0, max_value=2)),
-    st.integers(min_value=0, max_value=2).flatmap(lambda i: st.tuples(
-        st.sampled_from([_THETAS[i], _THETAS[i] * (1 - 2.0 ** -40), _THETAS[i] * (1 + 2.0 ** -40),
-                         2 * _THETAS[i], 2 * _THETAS[i] * (1 + 2.0 ** -40)]),
-        st.just(i)))))
+    st.floats(min_value=0.0, max_value=1e3),
+    st.sampled_from(_THETAS + (_THETA_4,)).flatmap(lambda theta: st.sampled_from(
+        [theta, theta * (1 - 2.0 ** -40), theta * (1 + 2.0 ** -40),
+         2 * theta, 2 * theta * (1 + 2.0 ** -40)]))))
 def test_degree_and_squarings_take_the_fewest_products(point):
-    # x on the alpha of degree _THETAS[i]: the brute-force oracle sees both
-    # scaled arguments, which differ here (alpha_3 < alpha_2)
-    x, i = point
+    # a scaled argument at, near and past each theta, and below theta_8 at
+    # the bound of the degree-4 polynomial, which takes degree 8 too
     X = make_pair("random", 5, 2).A
-    z = _argument_at(X, x, 1.0, i)
+    z = _argument_at(X, point, 1.0)
     powers = _powers(X)
-    assert powers.alpha3 < powers.alpha
     q, s, c = matform._taylor_terms([powers], np.array([[z]]))
     size = abs(z) * powers.scale
-    assert (q[0][0], s[0][0]) == _selection(size * powers.alpha, size * powers.alpha3)
+    assert (q[0][0], s[0][0]) == _selection(size * powers.alpha)
     # one row u^m / m!, m = 0..16, u = z nu 2^-s, whatever the degree: the
     # core reads the first 9, the deep stack all 17
     u = z * powers.scale * 2.0 ** -s[0][0]
@@ -1144,6 +1146,80 @@ def test_degree_and_squarings_take_the_fewest_products(point):
     # (subnormal terms keep only an absolute accuracy)
     np.testing.assert_allclose(c[0, 0], [u ** m / math.factorial(m) for m in range(17)],
                                rtol=1e-14, atol=np.finfo(float).tiny)
+
+
+def _rule_with_degree_four(powers, z):
+    """(q, s, c) of exp(z X) by the Taylor rule with a third, degree-4 stage
+    of no product, taken while |z| nu alpha_2 <= theta_4 = 0.002442156,
+    alpha_2 = max(d_2, d_3): a copy of that rule's arithmetic on one
+    argument, which the rule of the package must follow but for degree 4."""
+    n2, n3 = (matform._norm1(p) for p in (powers.square, powers.cube))
+    alpha2 = np.maximum(np.sqrt(n2), float(n3) ** (1.0 / 3.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.array([[z]]) * powers.scale
+        size = np.abs(w)
+        x = size * powers.alpha
+        mantissa, exponent = np.frexp(np.maximum(x / 0.9204745, size * 2.0 ** -64))
+        s = np.maximum(exponent - (mantissa == 0.5), 0)
+        q = np.maximum(np.add(size * alpha2 > _THETA_4, x > 0.0861186, dtype=int), 2 * (s > 0))
+        if powers.zero < np.inf:
+            s[...] = q[...] = 0
+        u = w * np.ldexp(1.0, -s)
+        c = np.empty(u.shape + (17,), dtype=u.dtype)
+        c[..., 0] = 1.0
+        np.divide(u[..., np.newaxis], np.arange(1.0, 17.0), out=c[..., 1:])
+        np.cumprod(c, axis=-1, out=c)
+        if powers.zero < np.inf:
+            c[..., int(powers.zero):] = 0.0
+    return q.item(), s.item(), c
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+    dim=st.integers(min_value=1, max_value=8),
+    kind=st.sampled_from(["dense", "non-normal", "real", "nilpotent", "nilpotent-block"]),
+    x=st.one_of(
+        st.floats(min_value=0.0, max_value=2 * _THETAS[1]),
+        st.sampled_from([_THETA_4, _THETAS[0], _THETAS[1], 2 * _THETAS[1]]).flatmap(
+            lambda theta: st.sampled_from([theta * (1 - 2.0 ** -40), theta,
+                                           theta * (1 + 2.0 ** -40), theta / 1000]))),
+    phase=st.one_of(st.sampled_from([1.0, -1.0]),
+                    st.floats(min_value=0.0, max_value=2 * math.pi).map(
+                        lambda a: complex(math.cos(a), math.sin(a)))),
+)
+@example(seed=0, dim=4, kind="nilpotent", x=1.0, phase=1.0)  # Y^4 = 0
+@example(seed=0, dim=3, kind="real", x=_THETA_4 / 1000, phase=-1.0)
+def test_degree_eight_takes_over_degree_four_and_nothing_else(seed, dim, kind, x, phase):
+    # random matrices, nilpotent ones (Y^p = 0 for some p <= 4 where
+    # d <= 4) and ones with a nilpotent block, at scaled arguments up to
+    # 2 theta_16 and near theta_4, theta_8 and theta_16: against the rule
+    # with a degree-4 stage, s and the coefficients u^m / m! are bit for
+    # bit the same and q = max(its q, 1), and the exponential at either
+    # depth is within the bound of test_slot_exponential_matches_scipy
+    # (past 2 theta_16, scipy's own error on real X can pass that bound)
+    if kind == "nilpotent-block":
+        X = np.zeros((dim + 3, dim + 3), dtype=np.complex128)
+        X[:dim, :dim] = _generator(seed, dim, "dense")
+        X[dim:, dim:] = _generator(seed + 1, 3, "nilpotent")
+    else:
+        X = _generator(seed, dim, "dense" if kind == "real" else kind)
+    if kind == "real":
+        X = X.real.copy()
+    norm = np.linalg.norm(X, 2)
+    if norm > 0:
+        X /= norm
+    powers = _powers(X)
+    z = phase * x / (powers.scale * powers.alpha) if powers.alpha > 0 else phase * x
+    q, s, c = matform._taylor_terms([powers], np.array([[z]]))
+    q4, s4, c4 = _rule_with_degree_four(powers, z)
+    assert s[0][0] == s4 and _bits(c) == _bits(c4)
+    assert q[0][0] == max(q4, 1)
+    r = abs(z) * np.linalg.norm(X, 2)  # X is normalised
+    bound = 8 * (len(X) + r) * np.finfo(float).eps * math.exp(r)
+    expected = scipy.linalg.expm(z * X)
+    for deep in (False, True):
+        assert np.linalg.norm(_slot_exponential(X, z, deep) - expected, 2) <= bound
 
 
 def _count_products(monkeypatch):
@@ -1167,56 +1243,63 @@ def _count_products(monkeypatch):
 
 
 #: The core's quartics (coefficient products with the cached block) for
-#: q = 0, 1, 2 products: T_4; Y^4's factor and T_4; Q_1, P_2, Q_2 and R.
-_QUARTIC_CALLS = (1, 2, 4)
+#: q = 1, 2 products: Y^4's factor and T_4; Q_1, P_2, Q_2 and R.
+_QUARTIC_CALLS = (2, 4)
+
+#: Scaled arguments just inside which a run takes q core products and no
+#: squaring, as (x, q): the bound of the degree-4 polynomial, theta_8 and
+#: theta_16.
+_SMALL_ARGUMENTS = ((_THETA_4, 1), (_THETAS[0], 1), (_THETAS[1], 2))
 
 
-@pytest.mark.parametrize("degree", [0, 1, 2])
-def test_small_arguments_take_fewer_products(degree):
-    # on the block X, Y^2, Y^3, Y^4 alone a run within theta_4, theta_8,
-    # theta_16 takes 0, 1, 2 core products and no squaring, and past
-    # theta_16 it takes 2 and squares once, with 1, 2, 4 quartics; on the
-    # deep stack every run is one coefficient product and the same
-    # squarings (none within theta_16, one at 2 theta_16), with no core
-    # product
+@pytest.mark.parametrize("case", [0, 1, 2])
+def test_small_arguments_take_fewer_products(case):
+    # on the block X, Y^2, Y^3, Y^4 alone a run within theta_8, however far
+    # within, takes 1 core product and no squaring, one within theta_16
+    # takes 2, and past theta_16 it takes 2 and squares once, with 2, 2, 4
+    # quartics; on the deep stack every run is one coefficient product and
+    # the same squarings (none within theta_16, one at 2 theta_16), with no
+    # core product
+    x, q = _SMALL_ARGUMENTS[case]
     for depth in (16, 4):
         pair = _random_pair(8, 4, depth)
-        small = _argument_at(pair.A, _THETAS[degree] * (1 - 2.0 ** -40), 1.0, degree)
-        large = 2.0 * _argument_at(pair.A, _THETAS[2], 1.0)
+        small = _argument_at(pair.A, x * (1 - 2.0 ** -40), 1.0)
+        large = 2.0 * _argument_at(pair.A, _THETAS[1], 1.0)
         with pytest.MonkeyPatch.context() as patch:
             products = _count_products(patch)
             evaluate_scheme([(Generator.A, small)], pair, 1.0)
-            assert products == ({"square": degree, "stack": _QUARTIC_CALLS[degree]}
+            assert products == ({"square": q, "stack": _QUARTIC_CALLS[q - 1]}
                                 if depth == 4 else {"square": 0, "stack": 1})
             products.update(square=0, stack=0)
             evaluate_scheme([(Generator.A, large)], pair, 1.0)
-            assert products == ({"square": 2 + 1, "stack": _QUARTIC_CALLS[2]} if depth == 4
+            assert products == ({"square": 2 + 1, "stack": _QUARTIC_CALLS[1]} if depth == 4
                                 else {"square": 1, "stack": 1})
 
 
-def _times_at(X, degrees, top=1.0):
+def _times_at(X, scaled, top=1.0):
     """Step times for one run at z = the argument at theta_16 (returned
-    too): ``top`` times that, then just inside theta_m for each index in
-    ``degrees``, each on its own alpha."""
-    z = _argument_at(X, _THETAS[2], 1.0)
-    inside = [top] + [_argument_at(X, _THETAS[i], 1.0, i) / z for i in degrees]
+    too): ``top`` times that, then just inside each scaled argument of
+    ``scaled``."""
+    z = _argument_at(X, _THETAS[1], 1.0)
+    inside = [top] + [_argument_at(X, x, 1.0) / z for x in scaled]
     return z, np.array(inside) * (1 - 2.0 ** -40)
 
 
 def test_stack_entries_take_their_own_products():
-    # entries of one stack just inside 2 theta_16, theta_8, theta_4 and at 0:
-    # each core stage and squaring runs on the prefix of entries that take
-    # it, so the stack makes each entry's own products and no more: q + s
-    # and its quartics on the block X, Y^2, Y^3, Y^4, and on the deep stack
-    # one coefficient product per nonzero time plus its squarings
+    # entries of one stack just inside 2 theta_16, theta_8, the bound of the
+    # degree-4 polynomial and at 0: the second core product and each
+    # squaring run on the prefix of entries that take them, so the stack
+    # makes each entry's own products and no more: q + s and its quartics on
+    # the block X, Y^2, Y^3, Y^4, and on the deep stack one coefficient
+    # product per nonzero time plus its squarings
     for depth in (16, 4):
         pair = _random_pair(8, 4, depth)
-        z, times = _times_at(pair.A, [1, 0], top=2.0)
+        z, times = _times_at(pair.A, [_THETAS[0], _THETA_4], top=2.0)
         times = np.append(times, 0.0)
         with pytest.MonkeyPatch.context() as patch:
             products = _count_products(patch)
             stack = evaluate_scheme([(Generator.A, z)], pair, times)
-        assert products == ({"square": (2 + 1) + 1 + 0, "stack": 4 + 2 + 1} if depth == 4
+        assert products == ({"square": (2 + 1) + 1 + 1, "stack": 4 + 2 + 2} if depth == 4
                             else {"square": 1, "stack": 3})
         for entry, t in zip(stack, times):
             assert _bits(entry) == _bits(evaluate_scheme([(Generator.A, z)], pair, t))
@@ -1224,12 +1307,11 @@ def test_stack_entries_take_their_own_products():
 
 @pytest.mark.parametrize("seed,angle", [(5, 1.4), (5, 4.2)])
 def test_shallow_stack_joins_keep_signed_zeros(seed, angle):
-    # one run on the block X, Y^2, Y^3, Y^4 alone, at entries of every degree
-    # (q = 2, 2, 2, 1, 0), so the stages of degrees 16 and 8 and the last
-    # addend run on prefixes of the pair's shared powers; the generator's
-    # zero rows carry signed zeros into the products, and each entry, at t
-    # and at -t, is its own one-entry evaluation bit for bit, signed zeros
-    # included
+    # one run on the block X, Y^2, Y^3, Y^4 alone, at entries of both
+    # degrees (q = 2, 2, 2, 1, 1), so the degree-16 stage runs on a prefix
+    # of the pair's shared powers; the generator's zero rows carry signed
+    # zeros into the products, and each entry, at t and at -t, is its own
+    # one-entry evaluation bit for bit, signed zeros included
     g = np.random.default_rng(seed)
     X = g.standard_normal((5, 5)) + 1j * g.standard_normal((5, 5))
     X[:2] = (0.0 * (g.standard_normal((5, 5)) + 1j * g.standard_normal((5, 5))))[:2]
@@ -1237,11 +1319,11 @@ def test_shallow_stack_joins_keep_signed_zeros(seed, angle):
         _at_depth(patch, 4)
         pair = OperatorPair(X, g.standard_normal((5, 5)))
         powers = pair.powers[0]
-    z, times = _times_at(X, [2, 1, 0], top=2.0)
+    z, times = _times_at(X, [_THETAS[1], _THETAS[0], _THETA_4], top=2.0)
     times = np.insert(times, 1, 1 - 2.0 ** -40)
     z *= complex(math.cos(angle), math.sin(angle))
     q, s, _ = matform._taylor_terms([powers], z * times[np.newaxis])
-    assert q == [[2, 2, 2, 1, 0]] and s == [[1, 0, 0, 0, 0]]
+    assert q == [[2, 2, 2, 1, 1]] and s == [[1, 0, 0, 0, 0]]
     for sign in (1.0, -1.0):
         stack = evaluate_scheme([(Generator.A, z)], pair, sign * times)
         for entry, t in zip(stack, sign * times):
@@ -1289,8 +1371,10 @@ def test_expm_refuses_an_overflowing_result():
             expm(1e300 * np.eye(2))
         with pytest.raises(ValueError, match="overflow"):
             expm(np.array([[800.0, 1.0], [0.0, -3.0]]))
-        with pytest.raises(ValueError, match="non-finite"):  # the one-norm overflows
-            expm(np.full((2, 2), 1e308))
+        # finite matrices whose one-norm overflows
+        for M in (np.full((2, 2), 1e308), [[0.0, 1e308], [-1e308, 1e308]]):
+            with pytest.raises(ValueError, match=_ARGUMENT_OVERFLOWS):
+                expm(M)
 
 
 @pytest.mark.parametrize("z", [1e200, -1e200, 1.7e308])
@@ -1333,7 +1417,7 @@ def _assert_blocks_close(actual, expected, half):
 @pytest.mark.parametrize("size", [1e200, 1.0])
 def test_scheme_on_a_generator_whose_square_is_zero(dim, depth, size):
     # exp(c t N) = I + c t N, on the deep power stack (d <= 87) and on the
-    # core of degree 4, 8 and 16 (d = 100) alike, however large ||N||
+    # core of degree 8 and 16 (d = 100) alike, however large ||N||
     pair = _nilpotent_pair(dim, 7, size)
     assert pair.power_depth == depth
     scheme = catalog_get("NCP10_4")
@@ -1380,7 +1464,7 @@ def dense_pair():
 
 @pytest.mark.parametrize("name", ["NCP10_4", "PCP26_6"])
 def test_dense_benchmark_product_matches_scipy(dense_pair, name):
-    # the core of degree 4, 8 and 16 on the cached block X, Y^2, Y^3, Y^4 at
+    # the core of degree 8 and 16 on the cached block X, Y^2, Y^3, Y^4 at
     # d = 256, against scipy's exponential of every run
     assert dense_pair.power_depth == 4
     expected = np.eye(256)
@@ -1476,6 +1560,25 @@ def test_a_target_holds_its_sum_once():
         assert peak <= 7 * T.nbytes + 64 * 1024
 
 
+def test_a_rising_target_grid_keeps_one_power_block():
+    # cost tables pass their grids in rising order; the target's rows are
+    # built by decreasing |t|, so a target of one degree reaches the core
+    # in its order and its power block is not copied to reorder it: within
+    # 7.5 d x d arrays per entry, where the copy made it 11; each entry is
+    # its own one-time call bit for bit
+    pair = make_pair("random", 128, 5)
+    grid = np.linspace(0.1, 0.9, 9)
+    tracemalloc.start()
+    try:
+        T = target_matrix(commutator_target(), pair, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.5 * T.nbytes
+    for entry, t in zip(T, grid):
+        assert _bits(entry) == _bits(target_matrix(commutator_target(), pair, t))
+
+
 def test_a_large_pair_holds_each_generator_once():
     # past the deep budget each generator is rebound to the X row of its
     # block, bit for bit the array it was, so the pair keeps no second copy
@@ -1520,7 +1623,7 @@ def test_the_symmetry_test_does_not_overflow(A, path):
         if path == "eigenbasis":
             assert np.isfinite(evaluate_scheme(scheme, pair, 0.5)).all()
         else:
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=_ARGUMENT_OVERFLOWS):
                 evaluate_scheme(scheme, pair, 0.5)
 
 
