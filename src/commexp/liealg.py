@@ -158,12 +158,28 @@ def _truncation_of(size: int) -> int:
     return truncation
 
 
+def _dtype(*values) -> type:
+    """float64 when no array or scalar given has a complex type, else
+    complex128: the dtype of every product in both numerical layers."""
+    return np.complex128 if any(np.iscomplexobj(v) for v in values) else np.float64
+
+
 def _float_array(values) -> np.ndarray:
-    """``values`` as float64, or complex128 when any is complex (Fractions
-    and ints become float64, not an object array)."""
+    """``values`` as :func:`_dtype` reads them (Fractions and ints become
+    float64, not an object array)."""
     values = np.asarray(values)
-    return values.astype(np.complex128 if np.iscomplexobj(values) else np.float64,
-                         copy=False)
+    return values.astype(_dtype(values), copy=False)
+
+
+def _product(M: np.ndarray, X: np.ndarray, out: np.ndarray) -> None:
+    """out = M @ X (``np.matmul``) for float64 or complex128 X and ``out``
+    whose last axes are contiguous.  A float64 M meets a complex X through
+    X's float parts, its float64 view with real and imaginary parts side by
+    side: one real product, so M is never cast to complex."""
+    if M.dtype == out.dtype or np.iscomplexobj(M):
+        np.matmul(M, X, out=out)
+    else:
+        np.matmul(M, X.view(np.float64), out=out.view(np.float64))
 
 
 def _slot_value(c) -> float | complex:
@@ -211,19 +227,12 @@ def _in_rows(table: np.ndarray, flat: np.ndarray) -> np.ndarray:
     return table + flat.shape[1] * np.arange(len(flat))[:, None, None]
 
 
-def _float_parts(rows: np.ndarray) -> np.ndarray:
-    """The (b, n, k) float64 view of a (b, n) float64 (k = 1) or complex128
-    (k = 2, real and imaginary parts) array whose last axis is contiguous:
-    stacked products by a real matrix then take both parts of a row as the
-    columns of one (n, k) operand, so every row rounds as its own b = 1
-    call and the matrix is never cast to complex."""
-    return rows.view(np.float64).reshape(len(rows), rows.shape[1], -1)
-
-
 def _stacked(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``matrix @ row`` for every row of ``rows`` (see :func:`_float_parts`),
+    """``matrix @ row`` for every row of a (b, n) ``rows`` (:func:`_product`),
     a new (b, m) array of its dtype."""
-    return np.matmul(matrix, _float_parts(rows)).reshape(len(rows), -1).view(rows.dtype)
+    out = np.empty((len(rows), len(matrix)), rows.dtype)
+    _product(matrix, rows[..., np.newaxis], out[..., np.newaxis])
+    return out
 
 
 def _round_off(coefficients, count: int, truncation: int) -> np.ndarray:
@@ -322,12 +331,11 @@ def scheme_log(generators, coefficients, truncation: int) -> np.ndarray:
                           f"(limit {MAX_LOG_COEFFICIENT:g})")
 
     with np.errstate(over="ignore", invalid="ignore"):
-        product = _float_parts(_slot_product(generators, rows, truncation))
-        log = np.zeros((len(rows), (2 << truncation) - 1, product.shape[2]))
+        product = _slot_product(generators, rows, truncation)[..., np.newaxis]
+        log = np.zeros((len(rows), (2 << truncation) - 1), rows.dtype)
         for j in range(1, truncation + 1):
             block = slice((1 << j) - 1, (2 << j) - 1)
-            np.matmul(_eulerian_idempotent(j), product[:, block], out=log[:, block])
-        log = log.reshape(len(rows), -1).view(rows.dtype)
+            _product(_eulerian_idempotent(j), product[:, block], log[:, block, np.newaxis])
         largest = np.maximum.reduce(np.abs(log), axis=1)
         # the allowance LOG_ROUND_OFF * S^j / j! reaches the limit only for S
         # far above N, where it peaks at j = N

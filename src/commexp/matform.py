@@ -8,11 +8,13 @@ is the square root of the largest eigenvalue of the Gram matrix M^H M from
 LAPACK (numpy's ``eigvalsh``), and the random operator pairs are drawn from
 a small named 64-bit generator so experiments reproduce given the seed.
 
-The arithmetic follows the data: real inputs give float64 results, and any
-complex generator, slot argument z·t or target weight gives complex128.  So
-the real ``random`` pairs run their products in real BLAS (dgemm, a quarter
-of the flops of zgemm) unless a scheme's coefficients are complex, and the
-``pauli`` pair, which is complex, runs as before.
+The arithmetic follows the data (:func:`~commexp.liealg._dtype`): real
+inputs give float64 results, and any complex generator, slot argument z·t
+or target weight gives complex128.  So the real ``random`` pairs run their
+products in real BLAS (dgemm, a quarter of the flops of zgemm) unless a
+scheme's coefficients are complex, when their powers, the deep stack
+included, meet the complex operands as float parts and are never cast
+(:func:`~commexp.liealg._product`); the ``pauli`` pair is complex.
 
 A scheme's product ``exp(c_1 t X_1) ... exp(c_s t X_s)`` is evaluated on one
 of two paths (:func:`evaluate_scheme`), one exponential per run of its slots
@@ -61,7 +63,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .conditions import TargetPolynomial, slot_runs
-from .liealg import _BASIS_ATOMS, _BASIS_RECIPES, Generator, _slot_row
+from .liealg import _BASIS_ATOMS, _BASIS_RECIPES, Generator, _dtype, _product, _slot_row
 
 __all__ = [
     "SplitMix64",
@@ -247,11 +249,6 @@ class _Powers(NamedTuple):
     fourth = property(lambda self: self._power(4))
 
 
-def _dtype(*values) -> type:
-    """float64 when no array or scalar given has a complex type, else complex128."""
-    return np.complex128 if any(np.iscomplexobj(v) for v in values) else np.float64
-
-
 def _norm1(X: np.ndarray) -> np.ndarray:
     """The one-norm (largest column sum of |X|) of each matrix of a (..., d, d) array."""
     return np.abs(X).sum(axis=-2).max(axis=-1, initial=0.0)
@@ -402,9 +399,10 @@ def _stack_exp(powers: _Powers, s: list[int], c: np.ndarray,
     (:func:`_square`): no other product.  The product is per entry, a
     (d^2, 17) by (17, 1) BLAS call for each, so an entry equals its own
     one-entry evaluation bit for bit, which one (k, 17) by (17, d^2) product
-    does not guarantee.
+    does not guarantee.  A real stack is never cast: complex coefficients
+    go in as their float parts (:func:`~commexp.liealg._product`).
     """
-    np.matmul(powers.stack.T, c[..., np.newaxis], out=P.reshape(len(P), -1, 1))
+    _product(powers.stack.T, c[..., np.newaxis], P.reshape(len(P), -1, 1))
     return _square(s, P, Q)
 
 
@@ -413,16 +411,11 @@ def _quartic(block: np.ndarray, coef: np.ndarray, out: np.ndarray) -> None:
     entry of a (k, 4, d, d) block (a broadcast view where they share one): one
     (d^2, 4) by (4, 1) BLAS call per entry, so an entry equals its own
     one-entry call bit for bit.  Complex coefficients on a real block go in
-    as their float parts, a (4, 2) right factor whose (d^2, 2) product is
-    the complex result, so the block is never cast to complex."""
+    as their float parts (:func:`~commexp.liealg._product`), a (4, 2) right
+    factor, so the block is never cast to complex."""
     k = len(out)
-    rows = block.reshape(k, 4, -1).swapaxes(-1, -2)
-    if rows.dtype == out.dtype:
-        np.matmul(rows, coef.astype(out.dtype, copy=False)[..., np.newaxis],
-                  out=out.reshape(k, -1, 1))
-    else:
-        parts = np.ascontiguousarray(coef, dtype=out.dtype).view(np.float64)
-        np.matmul(rows, parts.reshape(k, 4, 2), out=out.view(np.float64).reshape(k, -1, 2))
+    _product(block.reshape(k, 4, -1).swapaxes(-1, -2),
+             coef.astype(out.dtype, copy=False)[..., np.newaxis], out.reshape(k, -1, 1))
 
 
 def _taylor_exp(powers: _Powers, q: list[int], s: list[int], c: np.ndarray,
@@ -435,7 +428,8 @@ def _taylor_exp(powers: _Powers, q: list[int], s: list[int], c: np.ndarray,
     :func:`_taylor_terms` for these powers.
 
     P, Q and W may be float64 only when X and z are real; complex buffers
-    take real powers as they are.
+    take real powers as they are, never cast: a complex factor of the block
+    or of Y^4 goes in as its float parts (:func:`~commexp.liealg._product`).
 
     Entry i evaluates the Taylor polynomial of degree 8 (q_i = 1) or 16 (2)
     in x = u_i Y from quartics, each one :func:`_quartic` call on the
@@ -448,8 +442,7 @@ def _taylor_exp(powers: _Powers, q: list[int], s: list[int], c: np.ndarray,
     Then it squares s_i times: q_i + s_i matrix products in all.  The second
     product runs on the prefix of the stack that takes degree 16, and each
     squaring on the prefix still squaring, so an entry equals its own
-    one-entry evaluation bit for bit.  The product by the real Y^4 of a
-    complex right factor is one real product on its float parts.
+    one-entry evaluation bit for bit.
     """
     k, d = len(P), P.shape[-1]
     n = q.count(2)
@@ -459,10 +452,7 @@ def _taylor_exp(powers: _Powers, q: list[int], s: list[int], c: np.ndarray,
     if block.ndim == 3:  # shared powers, read through (k, ...) broadcast views
         block = np.broadcast_to(block, (k,) + block.shape)
     _quartic(block, coef[:, 0, 1:], W)
-    if fourth.dtype == P.dtype:
-        np.matmul(fourth, W, out=P)
-    else:
-        np.matmul(fourth, W.view(np.float64), out=P.view(np.float64))
+    _product(fourth, W, P)
     if n:
         _quartic(block[:n], coef[:n, 1, 1:], W[:n])
         W[:n] += P[:n]
@@ -763,11 +753,20 @@ def make_pair(kind: str, dim: int = 16, seed: int = 0) -> OperatorPair:
     raise ValueError(f"unknown pair kind {kind!r}")
 
 
-def _decreasing(sizes: list[float]) -> list[int]:
-    """The indices of ``sizes`` by decreasing size, ties in index order: the
-    order in which a stack of step times of these sizes meets the Taylor
-    core, so that its core products and squarings run on prefixes."""
-    return sorted(range(len(sizes)), key=lambda j: -sizes[j])
+def _step_times(t) -> tuple[np.ndarray, list[int]]:
+    """The step times ``t``, one or a 1-D array of them, as a 1-D array, and
+    their indices by decreasing |t|, ties in index order: the order in which
+    a stack of them meets the Taylor core, so that its core products and
+    squarings run on prefixes.  Any other shape, or a step time that is not
+    finite, raises ``ValueError``."""
+    times = np.asarray(t)
+    if times.ndim > 1:
+        raise ValueError(f"t must be a step time or a 1-D array of them, got shape {times.shape}")
+    steps = times.reshape(-1)
+    sizes = np.abs(steps).tolist()
+    if not all(map(math.isfinite, sizes)):
+        raise ValueError(f"step times must be finite, got {t!r}")
+    return steps, sorted(range(len(sizes)), key=lambda j: -sizes[j])
 
 
 def evaluate_scheme(scheme, pair: OperatorPair, t) -> np.ndarray:
@@ -823,24 +822,17 @@ def evaluate_scheme(scheme, pair: OperatorPair, t) -> np.ndarray:
     Three buffers rotate through the runs and the products between them,
     and at power depth 4 a fourth is the core's work space.  They are
     float64 when the pair and every run's z·t are real, and complex128
-    when either is complex: then the real cached powers of a real pair
-    enter complex products as they are, and each combination of the block
-    and each product by Y^4 as one real product on the float parts of its
-    complex factor.
+    when either is complex: then the real cached powers of a real pair are
+    never cast: each product of them with a complex factor is one real
+    product on that factor's float parts (:func:`~commexp.liealg._product`).
     The walk's result is always complex128, its t = 0 identity included.
     """
-    times = np.asarray(t)
-    if times.ndim > 1:
-        raise ValueError(f"t must be a step time or a 1-D array of them, got shape {times.shape}")
-    steps = times.reshape(-1)
+    steps, order = _step_times(t)
     gens, (coeffs,) = _slot_row(slot_runs(scheme))
     if not np.isfinite(coeffs).all():
         raise ValueError(f"non-finite run coefficient in {coeffs.tolist()!r}")
     # the stack runs over the nonzero step times by decreasing |t|
-    sizes = np.abs(steps).tolist()
-    if not all(map(math.isfinite, sizes)):
-        raise ValueError(f"step times must be finite, got {t!r}")
-    live = [j for j in _decreasing(sizes) if sizes[j]] if gens else []
+    live = [j for j in order if steps[j]] if gens else []
     ordered = live == list(range(len(steps)))
     basis = pair.eigenbasis
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
@@ -859,7 +851,7 @@ def evaluate_scheme(scheme, pair: OperatorPair, t) -> np.ndarray:
         stack, out = out, np.empty((len(steps), pair.dim, pair.dim), dtype=dtype)
         out[...] = np.eye(pair.dim)
         out[live] = stack
-    return out if times.ndim else out[0]
+    return out if np.ndim(t) else out[0]
 
 
 def _taylor_walk(powers: tuple[_Powers, _Powers], gens, z, shape, dtype) -> np.ndarray:
@@ -935,11 +927,7 @@ def target_matrix(target: TargetPolynomial, pair: OperatorPair, t) -> np.ndarray
     the element matrices included, raises ``ValueError`` and no numpy
     warning.
     """
-    times = np.asarray(t)
-    if times.ndim > 1:
-        raise ValueError(f"t must be a step time or a 1-D array of them, got shape {times.shape}")
-    steps = times.reshape(-1)
-    order = _decreasing(np.abs(steps).tolist())
+    steps, order = _step_times(t)
     with np.errstate(over="ignore", invalid="ignore"):  # _expm_stack refuses a non-finite F
         # t^j one scalar at a time, as libm's pow gives it: numpy's vectorised
         # power can differ from it by an ulp
@@ -952,4 +940,4 @@ def target_matrix(target: TargetPolynomial, pair: OperatorPair, t) -> np.ndarray
     T = _expm_stack(rows)
     if order != list(range(len(steps))):
         T = T[np.argsort(order)]
-    return T if times.ndim else T[0]
+    return T if np.ndim(t) else T[0]
