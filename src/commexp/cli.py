@@ -6,9 +6,10 @@ whose log cannot be formed at the needed degree, a path that cannot be read
 or written, an optimum at the edge of the searched range), and
 :data:`EXIT_INTERNAL` (3) when the package itself fails: any other exception
 is reported with its traceback and never exits 1, which scripts read as "NOT
-verified".  All output is deterministic for fixed flags and seed.  The
-``COMMEXP_OUT_DIR`` environment variable supplies a default directory for CSV
-exports when ``--out`` names no path.
+verified".  A closed stdout is no error: the command keeps the code it had
+reached, 0 before it reached one.  All output is deterministic for fixed
+flags and seed.  The ``COMMEXP_OUT_DIR`` environment variable supplies a
+default directory for CSV exports when ``--out`` names no path.
 """
 
 from __future__ import annotations
@@ -326,8 +327,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(_join_range_values(list(argv)))
     except SystemExit as exc:  # argparse exits itself on usage errors / --help
         return int(exc.code or 0)
+    code = 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader gone shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout, which is no input error: what is left to
+        # print goes to the null device, and the command keeps its code
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return code
     except OSError as exc:  # a path named on the command line
         where = f"{exc.filename}: " if exc.filename else ""
         return _fail(f"{where}{exc.strerror or exc}")

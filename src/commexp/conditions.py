@@ -11,6 +11,7 @@ slope of a scheme on an operator pair is :func:`commexp.bench.empirical_order`).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -22,6 +23,7 @@ from .liealg import (
     LIE_DIMS,
     MAX_TRUNCATION,
     Generator,
+    _lie_jacobian,
     _lie_rows,
     _slot_row,
     _slot_value,
@@ -69,7 +71,7 @@ def _finite_complex(value, what: str) -> complex:
         c = complex(value)
     except OverflowError:
         c = complex(math.inf)
-    if not np.isfinite(c):
+    if not cmath.isfinite(c):
         raise ValueError(f"{what} must be finite")
     return c
 
@@ -572,13 +574,17 @@ def cp_condition_counts(sign, r: int = 6) -> dict[int, int]:
 def _residual(generators, rows: np.ndarray, target, r) -> np.ndarray:
     """Every basis coefficient of each slot product's log through degree r
     minus the target's: (b, m) residuals of the (b, s) coefficient ``rows``
-    on ``generators``.
+    on ``generators``, degree j in the columns ``offsets[j - 1]:offsets[j]``
+    of :attr:`~commexp.liealg.LieBasis.offsets`, as the rows of the
+    Jacobian :func:`~commexp.liealg._lie_jacobian` gives."""
+    return _stacked_deviations(_lie_rows(generators, rows, r), target, r)
 
-    Complex coefficients give complex residuals (the complex-step Jacobian in
-    :func:`refine` relies on that).
-    """
-    deviations = _deviations(_lie_rows(generators, rows, r), target, range(1, r + 1))
-    return np.concatenate(list(deviations.values()), axis=1)
+
+def _stacked_deviations(vectors: Mapping[int, np.ndarray], target, r) -> np.ndarray:
+    """:func:`_deviations` of degrees 1..r side by side, (b, m)."""
+    degrees = range(1, r + 1)
+    return (np.concatenate([vectors[degree] for degree in degrees], axis=1)
+            - np.concatenate([target.vector(degree) for degree in degrees]))
 
 
 def _mirror_sign(scheme, target, r) -> str | None:
@@ -597,24 +603,6 @@ def _mirror_sign(scheme, target, r) -> str | None:
                                for degree in range(2, r + 1)], axis=1)
     holds = abs(lhs - rhs) <= 1e-12 * np.maximum(np.maximum(abs(lhs), abs(rhs)), 1.0)
     return sign if holds.all() else None
-
-
-#: Imaginary step of the complex-step Jacobian.  Its truncation error is
-#: O(h^2) relative and it suffers no cancellation, so any h far below
-#: sqrt(eps) and far above the underflow threshold gives eps accuracy.
-_COMPLEX_STEP = 1e-20
-
-
-def _complex_step_jacobian(residual_of, v: np.ndarray) -> np.ndarray:
-    """J[:, i] = Im F(v + i h e_i) / h for a residual F analytic in v.
-
-    ``residual_of`` maps (b, n) rows to (b, m) residual rows, so the n
-    stepped points ``v + i h I`` take one call.  The step costs one
-    evaluation per column, against two for central differences, and is exact
-    to round-off (Squire & Trapp 1998).
-    """
-    stepped = v + 1j * _COMPLEX_STEP * np.eye(len(v))
-    return (residual_of(stepped).imag / _COMPLEX_STEP).T
 
 
 #: :func:`refine` keeps its Jacobian for the next step while a step cuts
@@ -640,16 +628,20 @@ def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
     degree r, but the unknowns need only match the independent conditions
     (for a mirror, the :func:`cp_condition_counts` from degree 2).
 
-    The Jacobian is formed by complex steps (:func:`_complex_step_jacobian`),
-    exact to round-off, all n unknowns in one engine call.  It is formed at
-    the first iterate that misses ``tol`` and kept while each step cuts
-    max|g| by at least 100x, the next step then being a chord step on it
-    (Kelley 2003, *Solving Nonlinear Equations with Newton's Method*, ch. 5).
-    After a step that cuts max|g| less, it is kept only when max|g| is at
-    most sqrt(tol) and n more steps at that step's contraction would reach
-    ``tol``: a fresh Jacobian costs n engine rows and a chord step one.
-    Otherwise it is formed again.  A polish started near a root makes the
-    engine passes ``[1, n, 1, 1]``.  At most
+    The Jacobian is exact: one :func:`~commexp.liealg._lie_jacobian` call
+    gives the residual at an iterate and its derivatives in every slot
+    coefficient, which the fixed +-1 matrix of the row layout
+    (:func:`_row_layout`: the free-slot selection, or the closure and mirror
+    of :func:`_cp_rows`) turns into derivatives in the n unknowns.  The
+    polish starts with that call, and its Jacobian is kept while each step
+    cuts max|g| by at least 100x, the next step then being a chord step on
+    it, whose residual is one plain engine pass (Kelley 2003, *Solving
+    Nonlinear Equations with Newton's Method*, ch. 5).  After a step that
+    cuts max|g| less, the Jacobian is kept only when max|g| is at most
+    sqrt(tol) and n more steps at that step's contraction would reach
+    ``tol``; otherwise the call is made again at that iterate.  A polish
+    started near a root makes the engine passes ``[J, 1, 1]``: the Jacobian
+    call, then a Newton step and a chord step, each with its residual.  At most
     :data:`_MAX_STEPS` steps are taken.  With more unknowns than independent
     conditions the steps are lstsq's minimum-norm ones, and a chord step can
     end at another point of the solution manifold than full Newton would;
@@ -695,41 +687,62 @@ def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
 
     def rows_of(values):
         # (b, unknowns) rows of free values -> (b, slots) coefficient rows
-        rows = np.empty((len(values), len(x)), dtype=values.dtype)
-        rows[:] = x
-        rows[:, free] = values
+        rows = values
+        if len(free) < len(x):  # the fixed coefficients around them
+            rows = np.empty((len(values), len(x)), dtype=values.dtype)
+            rows[:] = x
+            rows[:, free] = values
         return rows if sign is None else _cp_rows(rows, sign)
 
-    def eval_at(values):
-        return _residual(generators, rows_of(values), target, r)
+    layout = _row_layout(sign, len(x), tuple(free))
+
+    def solver_at(rows):
+        # the residual and the Jacobian's pseudoinverse, whose product with
+        # -g is lstsq's minimum-norm step, factored once for the chord steps
+        vectors, derivatives = _lie_jacobian(generators, rows, r)
+        return (_stacked_deviations(vectors, target, r)[0],
+                np.linalg.pinv(derivatives[0] @ layout.T))
 
     v = x[free].copy()
-    g = eval_at(v[None])[0]
-    worst, J = np.max(np.abs(g)), None
+    rows = rows_of(v[None])
+    g, solve = solver_at(rows)
+    worst = np.abs(g).max()
     for _ in range(_MAX_STEPS):
         if worst <= tol:
             break
-        if not np.all(np.isfinite(g)) or worst > 1e6:
+        if not np.isfinite(g).all() or worst > 1e6:
             raise RuntimeError("refinement diverged")
-        if J is None:
-            J = _complex_step_jacobian(eval_at, v)
-        step, *_ = np.linalg.lstsq(J, -g, rcond=None)
-        v = v + step
-        g = eval_at(v[None])[0]
-        before, worst = worst, np.max(np.abs(g))
-        # near tol, keep J when fewer than len(v) chord steps at this step's
-        # contraction would reach tol: each costs one engine row, a fresh J len(v)
+        if solve is None:
+            g, solve = solver_at(rows)
+        v = v - solve @ g
+        rows = rows_of(v[None])
+        g = _residual(generators, rows, target, r)[0]
+        before, worst = worst, np.abs(g).max()
+        # near tol, keep the Jacobian when fewer than len(v) chord steps at
+        # this step's contraction would reach tol
         closing = (worst <= math.sqrt(tol) and worst < before
                    and worst * (worst / before) ** len(v) < tol)
         if not (worst <= before / _CHORD_CUT or closing):
-            J = None
+            solve = None
     if not worst <= tol:
         raise RuntimeError(f"no convergence after {_MAX_STEPS} iterations "
                            f"(residual {worst:.3e})")
 
-    coefficients = rows_of(v[None])[0].tolist()
     return replace(scheme, slots=tuple(ExponentSlot(g, c)
-                                       for g, c in zip(generators, coefficients)))
+                                       for g, c in zip(generators, rows[0].tolist())))
+
+
+@lru_cache(maxsize=None)
+def _row_layout(sign, length: int, free: tuple[int, ...]) -> np.ndarray:
+    """d rows / d unknowns of :func:`refine`'s coefficient rows, (n, s): its
+    rows are affine in the n unknowns ``free`` of ``length`` coefficients,
+    each unknown's unit row taken through the mirror of sign ``sign`` (or
+    none), a +-1 image.  Cached; read-only."""
+    layout = np.eye(length)[list(free)]
+    if sign is not None:
+        layout = _cp_rows(layout, sign)
+    layout.flags.writeable = False  # shared by every caller through the cache
+    return layout
 
 
 # --------------------------------------------------------------------------

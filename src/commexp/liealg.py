@@ -39,6 +39,14 @@ rounds exactly as its own b = 1 call:
   :func:`basis_build` stores that basis once, as one block-diagonal word
   map and its pseudoinverse; every per-degree array is a view of them.
 
+The other modules read basis coordinates through two private entries, on a
+(b, s) batch of coefficient rows in passes of bounded memory:
+:func:`_lie_rows` is :func:`scheme_log` then :func:`lie_project`, and
+:func:`_lie_jacobian` gives the same coordinates and their exact derivatives
+in every slot coefficient, pi_1 of each slot's prefix product, letter and
+suffix product, from one sweep over the slots and the reversed slots and
+one batched Cauchy product.
+
 :func:`letter_map` gives a letter substitution A -> f_A X_A, B -> f_B X_B as
 a matrix on the basis coordinates, so the packed word layout stays inside
 this module.
@@ -112,7 +120,8 @@ class _WordTables(NamedTuple):
     starts: np.ndarray
     prefix: np.ndarray
     suffix: np.ndarray
-    append: dict[Generator, np.ndarray]
+    append: np.ndarray
+    reverse: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -126,7 +135,8 @@ def _word_tables(truncation: int) -> _WordTables:
     ``prefix[q, t]`` is t without its last q letters and ``suffix[q, t]`` is
     those q letters as a word of degree q (both the pad when t is shorter than
     q); ``append[X][q, t]`` is ``prefix[q, t]`` where t ends in ``X^q`` and the
-    pad elsewhere.
+    pad elsewhere, for X = 0 (A) and 1 (B).  ``reverse[t]`` is t spelt
+    backwards, so a gather through it reverses every word of a series.
     """
     if not 1 <= truncation <= MAX_TRUNCATION:
         raise ValueError(f"truncation must lie in 1..{MAX_TRUNCATION}, got {truncation}")
@@ -139,14 +149,15 @@ def _word_tables(truncation: int) -> _WordTables:
     prefix = np.where(fits, (1 << head) - 1 + (index >> q), size)
     tail = index & ((1 << q) - 1)
     suffix = np.where(fits, (1 << q) - 1 + tail, size)
-    append = {
-        Generator.A: np.where(fits & (tail == 0), prefix, size),
-        Generator.B: np.where(fits & (tail == (1 << q) - 1), prefix, size),
-    }
+    append = np.stack([np.where(fits & (tail == 0), prefix, size),
+                       np.where(fits & (tail == (1 << q) - 1), prefix, size)])
+    bit = np.arange(truncation)[:, None]
+    reverse = (1 << degree) - 1 + np.add.reduce(
+        np.where(bit < degree, ((index >> bit) & 1) << np.maximum(degree - 1 - bit, 0), 0))
     starts = (1 << np.arange(truncation + 1)) - 1
-    for table in (starts, prefix, suffix, *append.values()):
+    for table in (starts, prefix, suffix, append, reverse):
         table.flags.writeable = False  # shared by every caller through the cache
-    return _WordTables(size, starts, prefix, suffix, append)
+    return _WordTables(size, starts, prefix, suffix, append, reverse)
 
 
 def _truncation_of(size: int) -> int:
@@ -202,6 +213,17 @@ def _slot_row(slots: Iterable) -> tuple[list[Generator], np.ndarray]:
     return [as_generator(g) for g, _ in slots], np.array([[_slot_value(c) for _, c in slots]])
 
 
+def _in_rows(tables: np.ndarray, b: int) -> np.ndarray:
+    """A word table (N+1, size) for all b rows of a product, or tables (K,
+    b, N+1, size) one per row, shifted into the rows as indices into the
+    product's ravel (b rows of size + 1 entries): one 1-D gather then reads
+    all rows, C-contiguous (b, N+1, size) as the stacked products need it
+    to round as one row's."""
+    if b == 1:  # one table for all rows: a table per row needs two rows
+        return tables[None]
+    return tables + (tables.shape[-1] + 1) * np.arange(b)[:, None, None]
+
+
 def _check_rows(ok: np.ndarray, error) -> None:
     """Raise ``error(*index)`` at the first False entry of ``ok``, whose
     first axis is the batch: the lowest failing row, then its first failure.
@@ -218,20 +240,12 @@ def _check_rows(ok: np.ndarray, error) -> None:
         raise failure
 
 
-def _in_rows(table: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """A word table shifted into every row of ``flat``, as indices into its
-    ravel: one 1-D gather then reads all rows, C-contiguous (b,
-    *table.shape) as the stacked products need it to round as one row's."""
-    if len(flat) == 1:
-        return table[None]
-    return table + flat.shape[1] * np.arange(len(flat))[:, None, None]
-
-
-def _stacked(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``matrix @ row`` for every row of a (b, n) ``rows`` (:func:`_product`),
-    a new (b, m) array of its dtype."""
-    out = np.empty((len(rows), len(matrix)), rows.dtype)
-    _product(matrix, rows[..., np.newaxis], out[..., np.newaxis])
+def _stacked(matrix: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """``matrix @ C`` for every (n, k) C of a (b, n, k) ``columns``
+    (:func:`_product`), a new (b, m, k) array of its dtype: a matrix-vector
+    product per row at k = 1, else a matrix-matrix one."""
+    out = np.empty((len(columns), len(matrix), columns.shape[-1]), columns.dtype)
+    _product(matrix, columns, out)
     return out
 
 
@@ -310,12 +324,28 @@ def scheme_log(generators, coefficients, truncation: int) -> np.ndarray:
     names the lowest failing row.
     """
     coefficients = _float_array(coefficients)
+    rows = _batch(generators, coefficients)
+    with np.errstate(over="ignore", invalid="ignore"):
+        log = _product_log(_slot_product(generators, rows, truncation), rows, truncation)
+    return log if coefficients.ndim == 2 else log[0]
+
+
+def _batch(generators, coefficients: np.ndarray) -> np.ndarray:
+    """One (s,) coefficient row or a (b, s) batch as a batch, or
+    ``ValueError`` unless it fits ``generators``, at least one slot."""
     rows = coefficients if coefficients.ndim == 2 else coefficients[None]
     if rows.ndim != 2 or rows.shape[1] != len(generators):
         raise ValueError(f"coefficients of shape {coefficients.shape} do not fit "
                          f"{len(generators)} slots")
     if not len(generators):
         raise ValueError("a slot product needs at least one slot")
+    return rows
+
+
+def _product_log(product: np.ndarray, rows: np.ndarray, truncation: int) -> np.ndarray:
+    """The (b, size) logs of the padded slot products (b, size + 1) of the
+    (b, s) coefficient ``rows``, with :func:`scheme_log`'s refusals; the
+    caller ignores overflow and invalid values, which they report."""
 
     def failure(row):
         # slot powers that overflow leave the whole log non-finite
@@ -330,20 +360,27 @@ def scheme_log(generators, coefficients, truncation: int) -> np.ndarray:
         return ValueError(f"log of the slot product has {what} at truncation {truncation} "
                           f"(limit {MAX_LOG_COEFFICIENT:g})")
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        product = _slot_product(generators, rows, truncation)[..., np.newaxis]
-        log = np.zeros((len(rows), (2 << truncation) - 1), rows.dtype)
-        for j in range(1, truncation + 1):
-            block = slice((1 << j) - 1, (2 << j) - 1)
-            _product(_eulerian_idempotent(j), product[:, block], log[:, block, np.newaxis])
-        largest = np.maximum.reduce(np.abs(log), axis=1)
-        # the allowance LOG_ROUND_OFF * S^j / j! reaches the limit only for S
-        # far above N, where it peaks at j = N
-        sums = np.add.reduce(np.abs(rows), axis=1)
-        largest_sum = (MAX_LOG_COEFFICIENT / LOG_ROUND_OFF * math.factorial(truncation)) ** (
-            1.0 / truncation)
-        _check_rows((largest <= MAX_LOG_COEFFICIENT) & (sums <= largest_sum), failure)
-    return log if coefficients.ndim == 2 else log[0]
+    log = _first_idempotent(product[..., np.newaxis], truncation)[..., 0]
+    largest = np.maximum.reduce(np.abs(log), axis=1)
+    # the allowance LOG_ROUND_OFF * S^j / j! reaches the limit only for S
+    # far above N, where it peaks at j = N
+    sums = np.add.reduce(np.abs(rows), axis=1)
+    largest_sum = (MAX_LOG_COEFFICIENT / LOG_ROUND_OFF * math.factorial(truncation)) ** (
+        1.0 / truncation)
+    _check_rows((largest <= MAX_LOG_COEFFICIENT) & (sums <= largest_sum), failure)
+    return log
+
+
+def _first_idempotent(columns: np.ndarray, truncation: int) -> np.ndarray:
+    """pi_1 of the k flat series of each row of ``columns`` (b, size, k),
+    or (b, size + 1, k) padded: a new (b, size, k) array, one stacked
+    product by :func:`_eulerian_idempotent` per degree, whose constant term
+    is 0."""
+    out = np.zeros((len(columns), (2 << truncation) - 1, columns.shape[-1]), columns.dtype)
+    for j in range(1, truncation + 1):
+        block = slice((1 << j) - 1, (2 << j) - 1)
+        _product(_eulerian_idempotent(j), columns[:, block], out[:, block])
+    return out
 
 
 def _slot_powers(coefficients: np.ndarray, truncation: int) -> np.ndarray:
@@ -360,27 +397,44 @@ def _slot_powers(coefficients: np.ndarray, truncation: int) -> np.ndarray:
     return np.ascontiguousarray(powers.transpose(1, 2, 0))
 
 
-def _slot_product(generators, coefficients: np.ndarray, truncation: int) -> np.ndarray:
-    """Padded flat left-to-right products (b, size + 1) of ``exp(c_i g_i)``.
+def _slot_product(generators, coefficients: np.ndarray, truncation: int,
+                  prefixes: bool = False) -> np.ndarray:
+    """Padded flat left-to-right products (b, size + 1) of ``exp(c_i g_i)``,
+    or with ``prefixes`` those of the first k factors, (s + 1, b, size + 1)
+    for k = 0..s.
 
-    ``generators`` is the sequence every row shares and ``coefficients`` the
-    (b, s) array of their coefficients.  Right-multiplying by ``exp(c X)``
-    adds, to each word ending in ``X^k``, ``c^k/k!`` times the coefficient of
-    the word without that tail; row k of ``append[X]`` gathers those
-    prefixes, so a slot is one gather and one stacked (b, 1, N+1) by
-    (b, N+1, size) product written back into the running products.
+    ``coefficients`` is the (b, s) array of the slot coefficients and
+    ``generators`` their sequence: each slot's generator is one for every
+    row, or a tuple of generators, one per equal block of rows.
+    Right-multiplying by ``exp(c X)`` adds, to each word ending in ``X^k``,
+    ``c^k/k!`` times the coefficient of the word without that tail; row k
+    of ``append[X]`` gathers those prefixes, so a slot is one gather and one
+    stacked (b, 1, N+1) by (b, N+1, size) product, written back into the
+    running product, or with ``prefixes`` into the next one.
     ``coefficients`` is float64 or complex128; powers that overflow leave
     the product non-finite (:func:`scheme_log` reports them).
     """
     tables = _word_tables(truncation)
-    powers = _slot_powers(coefficients.T, truncation)  # (s, b, N+1)
-    flat = np.zeros((len(coefficients), tables.size + 1), dtype=powers.dtype)
-    flat[:, 0] = 1.0
-    entries, product = flat.reshape(-1), flat[:, None, :-1]
-    append = {g: _in_rows(tables.append[g], flat) for g in set(generators)}
-    for g, slot_powers in zip(generators, powers[:, :, None, :]):
-        np.matmul(slot_powers, entries[append[g]], out=product)
-    return flat
+    b, s = coefficients.shape
+    layers = np.zeros((s + 1 if prefixes else 1, b, tables.size + 1), coefficients.dtype)
+    layers[0, :, 0] = 1.0
+    if isinstance(generators[0], tuple):  # each slot's letter per block of rows
+        keys = list(set(generators))
+        letters = np.repeat(keys, b // len(keys[0]), axis=1)
+        gathers = dict(zip(keys, _in_rows(tables.append[letters], b)))
+    else:  # indexed by the letter, A = 0 or B = 1
+        gathers = [_in_rows(table, b) for table in tables.append]
+    powers = _slot_powers(coefficients.T, truncation)[:, :, None, :]  # (s, b, 1, N+1)
+    if prefixes:  # slot k reads product k and writes product k + 1
+        for k, (g, slot_powers) in enumerate(zip(generators, powers)):
+            np.matmul(slot_powers, layers[k].reshape(-1)[gathers[g]],
+                      out=layers[k + 1, :, None, :-1])
+        return layers
+    # the one product in place, as the gather copies what it reads
+    entries, product = layers[0].reshape(-1), layers[0, :, None, :-1]
+    for g, slot_powers in zip(generators, powers):
+        np.matmul(slot_powers, entries[gathers[g]], out=product)
+    return layers[0]
 
 
 # ---------------------------------------------------------------------------
@@ -633,14 +687,27 @@ def lie_project(log, coefficients=None) -> tuple[dict[int, np.ndarray], np.ndarr
     log = np.asarray(log)
     rows = np.ascontiguousarray(_float_array(log if log.ndim == 2 else log[None]))
     truncation = _truncation_of(rows.shape[1])
+    coordinates, residual = _project(rows[..., np.newaxis], coefficients)
+    offsets = basis_build().offsets
+    vectors = {j: coordinates[:, offsets[j - 1]:offsets[j], 0] for j in range(1, truncation + 1)}
+    if log.ndim == 2:
+        return vectors, residual[..., 0]
+    return {j: w[0] for j, w in vectors.items()}, residual[0, :, 0]
+
+
+def _project(columns: np.ndarray, coefficients) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinates (b, dim, k) and residuals (b, N + 1, k) of
+    :func:`lie_project` for the k flat series of each row of ``columns``
+    (b, size, k), each checked against the bound of its row; an error
+    names the row."""
+    truncation = _truncation_of(columns.shape[1])
     basis = basis_build()
-    offsets = basis.offsets[:truncation + 1]
-    dim, size = offsets[-1], rows.shape[1]
-    coordinates = _stacked(basis.pinv[:dim, :size], rows)
-    # [0] the least-squares misfits of every degree, [1] the log itself
-    parts = np.empty((2,) + rows.shape, rows.dtype)
-    np.subtract(_stacked(basis.words[:size, :dim], coordinates), rows, out=parts[0])
-    parts[1] = rows
+    dim, size = basis.offsets[truncation], columns.shape[1]
+    coordinates = _stacked(basis.pinv[:dim, :size], columns)
+    # [0] the least-squares misfits of every degree, [1] the series itself
+    parts = np.empty((2,) + columns.shape, columns.dtype)
+    np.subtract(_stacked(basis.words[:size, :dim], coordinates), columns, out=parts[0])
+    parts[1] = columns
     starts = _word_tables(truncation).starts
     residual, scale = np.sqrt(np.add.reduceat(np.abs(parts) ** 2, starts, axis=2))
     finite = scale < np.inf
@@ -650,32 +717,30 @@ def lie_project(log, coefficients=None) -> tuple[dict[int, np.ndarray], np.ndarr
         if coefficients is not None:
             # widen the bound by the round-off allowance, which may overflow
             # to inf, not an error; degree 0 has no round-off
-            bound[:, 1:] = np.maximum(bound[:, 1:],
-                                      _round_off(coefficients, len(rows), truncation))
+            bound[:, 1:] = np.maximum(
+                bound[:, 1:], _round_off(coefficients, len(columns), truncation)[..., None])
             ok = finite & (residual <= bound)
-        # a non-finite degree reaches every degree of its row through the
-        # block products (0 * inf), so such a row fails at those degrees only
+        # a non-finite degree reaches every degree of its series through the
+        # block products (0 * inf), so such a series fails at those degrees only
         ok |= finite & ~finite.all(axis=1, keepdims=True)
 
-        def failure(row, j):
-            if not (finite[row, j] and np.isfinite(residual[row, j])):
+        def failure(row, j, k):
+            if not (finite[row, j, k] and np.isfinite(residual[row, j, k])):
                 return ValueError(f"degree-{j} coefficients are not finite or "
                                   f"too large to project")
             return LieMembershipError(
                 f"degree-{j} word coefficients are not a commutator polynomial "
-                f"(residual {residual[row, j]:.3e} > {bound[row, j]:.3e})")
+                f"(residual {residual[row, j, k]:.3e} > {bound[row, j, k]:.3e})")
 
         _check_rows(ok, failure)
-    vectors = {j: coordinates[:, offsets[j - 1]:offsets[j]] for j in range(1, truncation + 1)}
-    if log.ndim == 2:
-        return vectors, residual
-    return {j: w[0] for j, w in vectors.items()}, residual[0]
+    return coordinates, residual
 
 
 #: Byte budget of the largest buffer of one batched pass, the (b, N+1, size)
 #: prefixes a slot append gathers, at 16 bytes per complex entry.
 #: :func:`_lie_rows` splits longer batches into passes of
-#: :func:`_rows_per_pass` rows, so memory stays flat in the batch length.
+#: :func:`_rows_per_pass` rows, and :func:`_lie_jacobian` into passes of
+#: 1/s as many, so memory stays flat in the batch length.
 _BATCH_BYTES = 1 << 18
 
 
@@ -689,23 +754,94 @@ def _lie_rows(generators, coefficients, truncation: int) -> dict[int, np.ndarray
 
     :func:`scheme_log` then :func:`lie_project`, both through the module's
     names, on the (b, s) array ``coefficients`` of rows that share the
-    generator sequence, in passes of at most :func:`_rows_per_pass` rows.
-    Each row rounds as its own one-row call, so the split changes no bit; an
-    error names the first failing row of the first failing pass by its index
-    in the batch, in its message and its ``row``.
+    generator sequence, in passes of at most :func:`_rows_per_pass` rows
+    (:func:`_in_passes`).
     """
     step = _rows_per_pass(truncation)
     if len(coefficients) <= step:
         return lie_project(scheme_log(generators, coefficients, truncation), coefficients)[0]
+    passes = _in_passes(
+        lambda part: lie_project(scheme_log(generators, part, truncation), part)[0],
+        coefficients, step)
+    return {j: np.concatenate([w[j] for w in passes]) for j in passes[0]}
+
+
+def _lie_jacobian(generators, coefficients, truncation: int
+                  ) -> tuple[dict[int, np.ndarray], np.ndarray]:
+    """The coordinates of :func:`_lie_rows` and their (b, m, s) derivatives
+    in every slot coefficient, m = sum(LIE_DIMS[:truncation]), degree j at
+    the rows ``offsets[j - 1]:offsets[j]`` of :attr:`LieBasis.offsets`.
+
+    A slot product g is group-like, so log g = pi_1 g at every coefficient
+    row, and pi_1 is linear: d log g / dc_i = pi_1(P_i X_i Q_i), P_i the
+    product of slots 1..i and Q_i of slots i+1..s (X_i commutes with its own
+    exponential).  The P_i are the prefixes :func:`_slot_product` forms,
+    the Q_i those of the reversed slots read back through the word
+    reversal, and all s products P_i X_i Q_i are one letter append and one
+    batched Cauchy product; pi_1 and the pseudoinverse then run as in
+    :func:`scheme_log` and :func:`lie_project`.  So the coordinates equal
+    :func:`_lie_rows`' bit for bit, with its refusals, messages and
+    Lie-membership check of every row; the derivatives are pi_1 images, Lie
+    elements by the construction that check tests.  Passes hold at most
+    :func:`_rows_per_pass` // s rows, as the products gather s series per
+    row.
+    """
+    step = max(1, _rows_per_pass(truncation) // len(generators))
+    if len(coefficients) <= step:
+        coordinates, derivatives = _jacobian_pass(generators, coefficients, truncation)
+    else:
+        coordinates, derivatives = (np.concatenate(arrays) for arrays in zip(*_in_passes(
+            lambda part: _jacobian_pass(generators, part, truncation), coefficients, step)))
+    offsets = basis_build().offsets
+    return ({j: coordinates[:, offsets[j - 1]:offsets[j]] for j in range(1, truncation + 1)},
+            derivatives)
+
+
+def _jacobian_pass(generators, rows: np.ndarray, truncation: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """One pass of :func:`_lie_jacobian`: coordinates (b, m), derivatives
+    (b, m, s)."""
+    tables = _word_tables(truncation)
+    rows = _batch(generators, _float_array(rows))
+    (b, s), letters = rows.shape, np.asarray(generators, dtype=np.intp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # one sweep over the slots and, in rows b.., over the slots reversed
+        prefixes = _slot_product(list(zip(letters.tolist(), letters[::-1].tolist())),
+                                 np.concatenate([rows, rows[:, ::-1]]), truncation,
+                                 prefixes=True)
+        log = _product_log(prefixes[-1, :b], rows, truncation)
+    # (s, b, size) P_i X_i, whose constant term is 0, and Q_i, whose
+    # constant term is 1: their Cauchy product sums over the splits of each
+    # word as series_mul does, the pad of a split read as the constant term
+    # (mode "wrap"), so 0 * 1 in place of 0 * 0
+    heads = np.where(letters[:, None, None],  # B is 1
+                     prefixes[1:, :b].take(tables.append[Generator.B, 1], axis=-1),
+                     prefixes[1:, :b].take(tables.append[Generator.A, 1], axis=-1))
+    tails = prefixes[s - 1::-1, b:].take(tables.reverse, axis=-1)
+    derivatives = np.einsum("...qt,...qt->...t", heads.take(tables.prefix, axis=-1, mode="wrap"),
+                            tails.take(tables.suffix, axis=-1, mode="wrap"))
+    basis = basis_build()
+    # the value as lie_project projects it; the s derivatives as columns,
+    # pi_1 images and so Lie elements, which that check on the value covers
+    return (_project(log[..., np.newaxis], rows)[0][..., 0],
+            _stacked(basis.pinv[:basis.offsets[truncation], :tables.size],
+                     _first_idempotent(derivatives.transpose(1, 2, 0), truncation)))
+
+
+def _in_passes(one_pass, coefficients, step: int) -> list:
+    """``one_pass`` of the (b, s) rows ``coefficients``, b > ``step``, in
+    passes of at most ``step`` rows, the list of what each pass returns.
+    Each row rounds as its own one-row call, so the split changes no bit;
+    an error names the first failing row of the first failing pass by its
+    index in the batch, in its message and its ``row``."""
     passes = []
     for lo in range(0, len(coefficients), step):
-        part = coefficients[lo:lo + step]
         try:
-            passes.append(lie_project(scheme_log(generators, part, truncation), part)[0])
+            passes.append(one_pass(coefficients[lo:lo + step]))
         except ValueError as error:
             if not hasattr(error, "row"):
                 raise
             error.row += lo
             error.args = (f"row {error.row}: {error.detail}",)
             raise
-    return {j: np.concatenate([w[j] for w in passes]) for j in passes[0]}
+    return passes

@@ -573,16 +573,25 @@ def _hermitian_eigh(X: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 
     The test is O(d^2); ``eigh`` runs only when it passes.  It compares the
     halves of X and X^H (exact but for subnormals), whose sum and difference
-    cannot overflow.  Anti-Hermitian X is diagonalised as -i (iX) with iX
-    Hermitian.
+    cannot overflow: first row 0 with column 0, which either symmetry needs,
+    so that most X that have neither fail in O(d), then the whole matrix for
+    each symmetry row 0 allows.  Anti-Hermitian X is diagonalised as -i (iX)
+    with iX Hermitian.
     """
+    # max|X / 2| is half of max|X| but for subnormals, as halving rounds
+    # monotonically
+    tol = _SYMMETRY_ULPS * np.finfo(np.float64).eps * (0.5 * float(np.max(np.abs(X))))
+    row, column = 0.5 * X[0], 0.5 * X[:, 0].conj()
+    hermitian = float(np.max(np.abs(row - column))) <= tol
+    anti = float(np.max(np.abs(row + column))) <= tol
+    if not (hermitian or anti):
+        return None
     half = 0.5 * X
     adjoint = half.conj().T
-    tol = _SYMMETRY_ULPS * np.finfo(np.float64).eps * float(np.max(np.abs(half)))
-    if float(np.max(np.abs(half - adjoint))) <= tol:
+    if hermitian and float(np.max(np.abs(half - adjoint))) <= tol:
         values, vectors = np.linalg.eigh(X)
         return values.astype(np.complex128), vectors
-    if float(np.max(np.abs(half + adjoint))) <= tol:
+    if anti and float(np.max(np.abs(half + adjoint))) <= tol:
         values, vectors = np.linalg.eigh(1j * X)
         return -1j * values, vectors
     return None

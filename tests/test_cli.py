@@ -549,3 +549,27 @@ def test_module_entry_point_exits_with_main_code(scheme, code):
         assert "NCP10_4: order 4 verified" in done.stdout
     else:
         assert "NOPE" in done.stderr
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["schemes", "list"], 0),
+    (["verify", "--scheme", "NCP10_4"], 0),
+    # the code a command has reached when its output meets the closed pipe
+    (["verify", "--scheme", "NCP10_4", "--tol", "1e-300"], 1),
+])
+def test_a_closed_stdout_is_no_usage_error(argv, code):
+    # a reader that stops early (| head -1) is not bad input: with the read
+    # end closed before the child writes, every write fails with EPIPE
+    src = str(Path(commexp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env.pop("PYTHONUNBUFFERED", None)  # the output meets the pipe at the last flush
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "commexp", *argv], stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert done.returncode == code, done.stderr
+    assert done.stderr == ""

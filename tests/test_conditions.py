@@ -10,13 +10,12 @@ import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from series_oracle import COMPLEX_STEP, complex_step_jacobian
 from commexp.bench import empirical_order
 from commexp import conditions
 from commexp.conditions import (
-    _COMPLEX_STEP,
     EffectiveError,
     TargetPolynomial,
-    _complex_step_jacobian,
     _mirror_map,
     _mirror_relation,
     _mirror_sign,
@@ -446,15 +445,15 @@ _MIRROR_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
                                         min_size=len(v) + 1, max_size=len(v) + 1))),
        st.sampled_from(["positive", "negative"]), st.booleans())
 def test_mirrored_rows_equal_the_column_lists_bit_for_bit(case, sign, complex_step):
-    # refine's rows, real or complex-step v + i h I, as the per-column lists
-    # built them: closure first, summed from 0 in order, then the mirror,
-    # signed zeros included
+    # _cp_rows' rows, real or the complex-step oracle's v + i h I, as the
+    # per-column lists built them: closure first, summed from 0 in order,
+    # then the mirror, signed zeros included
     from commexp.conditions import _cp_rows
 
     v, b, others = case
     n = len(v)
     if complex_step:
-        tails = np.vstack([v + 1j * _COMPLEX_STEP * np.eye(n), v.astype(complex)])[:b]
+        tails = np.vstack([v + 1j * COMPLEX_STEP * np.eye(n), v.astype(complex)])[:b]
     else:
         tails = np.array(others)[:b]
     columns = list(tails.T)
@@ -724,13 +723,13 @@ def _columnwise_jacobian(residual_of, v):
     columns = []
     for i in range(len(v)):
         stepped = v.astype(np.complex128)
-        stepped[i] += 1j * _COMPLEX_STEP
-        columns.append(residual_of(stepped[None])[0].imag / _COMPLEX_STEP)
+        stepped[i] += 1j * COMPLEX_STEP
+        columns.append(residual_of(stepped[None])[0].imag / COMPLEX_STEP)
     return np.column_stack(columns)
 
 
 def _assert_jacobians_agree(residual_of, v):
-    exact = _complex_step_jacobian(residual_of, v)
+    exact = complex_step_jacobian(residual_of, v)
     approx = _central_difference_jacobian(residual_of, v)
     assert exact.dtype == np.float64
     assert np.max(np.abs(exact - approx)) <= 1e-6 * max(1.0, np.max(np.abs(exact)))
@@ -794,6 +793,7 @@ def test_refine_rejects_a_tolerance_that_is_not_positive_and_finite(tol, monkeyp
         raise AssertionError("evaluated before the tolerance was checked")
 
     monkeypatch.setattr(conditions, "_lie_rows", no_evaluation)
+    monkeypatch.setattr(conditions, "_lie_jacobian", no_evaluation)
     with pytest.raises(ValueError, match="tol must be positive and finite"):
         refine(catalog_get("NCP10_4"), tol=tol)
 
@@ -1082,16 +1082,21 @@ def test_optimize_holds_every_member_to_the_order_slack(shift, fails):
 
 
 def _engine_passes(monkeypatch):
-    """Spy on the engine: the (rows, slots, truncation, dtype kind) of each
-    ``_lie_rows`` pass."""
+    """Spy on the engine: the (rows, slots, truncation, kind) of each
+    ``_lie_rows`` pass, kind its rows' dtype kind, and of each
+    ``_lie_jacobian`` call, kind "J"."""
     passes = []
-    engine = conditions._lie_rows
+    engines = {"_lie_rows": conditions._lie_rows, "_lie_jacobian": conditions._lie_jacobian}
 
-    def spy(generators, rows, truncation):
-        passes.append((len(rows), rows.shape[1], truncation, rows.dtype.kind))
-        return engine(generators, rows, truncation)
+    def spy(name):
+        def call(generators, rows, truncation):
+            kind = "J" if name == "_lie_jacobian" else rows.dtype.kind
+            passes.append((len(rows), rows.shape[1], truncation, kind))
+            return engines[name](generators, rows, truncation)
+        return call
 
-    monkeypatch.setattr(conditions, "_lie_rows", spy)
+    for name in engines:
+        monkeypatch.setattr(conditions, name, spy(name))
     return passes
 
 
@@ -1135,22 +1140,23 @@ def _bumped_strang():
                   sum_target(), 2)
 
 
-_F, _C = (1, 10, 4, "f"), (4, 10, 4, "c")
+_F, _J = (1, 10, 4, "f"), (1, 10, 4, "J")
 
 
 @pytest.mark.parametrize("start,free,expected", [
-    (_bumped_ncp10_4, None, [_F, _C, _F, _F]),
-    (_bumped_strang, None, [(1, 3, 2, "f"), (3, 3, 2, "c"), (1, 3, 2, "f")]),
-    (lambda: catalog_get("PCP12_4"), range(1, 5), [(1, 12, 4, "f")]),
+    (_bumped_ncp10_4, None, [_J, _F, _F]),
+    (_bumped_strang, None, [(1, 3, 2, "J"), (1, 3, 2, "f")]),
+    (lambda: catalog_get("PCP12_4"), range(1, 5), [(1, 12, 4, "J")]),
     # max|g| 5.1e-2 -> 1.7e-3 -> 6.5e-5 -> 7.8e-9 -> 2.2e-12 -> 1.0e-15: the
     # first two steps cut it by less than 100x, so J is formed again after each
-    (lambda: _bumped_ncp10_4(1e-2), None, [_F, _C, _F, _C, _F, _C, _F, _F, _F]),
+    (lambda: _bumped_ncp10_4(1e-2), None, [_J, _F, _J, _F, _J, _F, _F, _F]),
 ], ids=["NCP10_4", "strang", "PCP12_4", "NCP10_4-far"])
 def test_refine_makes_the_engine_passes_it_made_on_column_lists(monkeypatch, start, free,
                                                                 expected):
-    # one real row per residual, and one complex-step row per unknown for the
-    # first Jacobian and for each one formed after a step cut max|g| by less
-    # than 100x; a step that cuts it more leaves the next a chord step
+    # one Jacobian call, which also gives that iterate's residual, at the
+    # start and after each step that cut max|g| by less than 100x, and one
+    # real row per other residual: a step that cuts it more leaves the next
+    # a chord step
     passes = _engine_passes(monkeypatch)
     refine(start(), free_slots=free)
     assert passes == expected
@@ -1167,22 +1173,20 @@ def test_refine_counts_a_chord_step_as_an_iteration(monkeypatch):
 
 def test_refine_reports_a_last_residual_that_is_not_a_number(monkeypatch):
     # a step that lands where the log is nan (inf - inf past an overflow)
-    # has not converged, though nan > tol is false
+    # has not converged, though nan > tol is false: the start's Jacobian call
+    # gives finite numbers, the residual after the first step nan
+    passes = _engine_passes(monkeypatch)
     engine = conditions._lie_rows
-    real_passes = []
 
     def nan_after_the_first_step(generators, rows, truncation):
         vectors = engine(generators, rows, truncation)
-        if rows.dtype.kind == "f":
-            real_passes.append(len(rows))
-            if len(real_passes) > 1:
-                return {degree: np.full_like(w, np.nan) for degree, w in vectors.items()}
-        return vectors
+        return {degree: np.full_like(w, np.nan) for degree, w in vectors.items()}
 
     monkeypatch.setattr(conditions, "_lie_rows", nan_after_the_first_step)
     monkeypatch.setattr(conditions, "_MAX_STEPS", 1)
     with pytest.raises(RuntimeError, match=r"no convergence after 1 iterations \(residual nan\)"):
         refine(_bumped_ncp10_4())
+    assert passes == [_J, _F]
 
 
 def _newton_problem(scheme):
@@ -1207,7 +1211,8 @@ def _newton_problem(scheme):
 
 def _full_newton(scheme, tol=1e-13, max_iter=50):
     """The Newton loop refine ran before it kept its Jacobian: a fresh
-    complex-step J at every step, on every unknown of refine's own residual.
+    complex-step J at every step, on every unknown of refine's own residual,
+    one engine pass of complex rows, after a one-row pass for the residual.
     The polished slot coefficients, or None when the loop fails."""
     v, rows_of, residual_of = _newton_problem(scheme)
     g = residual_of(v[None])[0]
@@ -1216,7 +1221,7 @@ def _full_newton(scheme, tol=1e-13, max_iter=50):
             break
         if not np.all(np.isfinite(g)) or np.max(np.abs(g)) > 1e6:
             return None
-        step, *_ = np.linalg.lstsq(_complex_step_jacobian(residual_of, v), -g, rcond=None)
+        step, *_ = np.linalg.lstsq(complex_step_jacobian(residual_of, v), -g, rcond=None)
         v = v + step
         g = residual_of(v[None])[0]
     return rows_of(v[None])[0] if np.max(np.abs(g)) <= tol else None
@@ -1264,22 +1269,29 @@ def _perturbed_starts(draw):
 @example(_perturbed("PCP26_6", 8.005170392279994e-05, [0.0] * 5 + [0.5] + [0.0] * 5 + [1.0]
                     + [0.0] * 14))
 def test_refine_matches_full_newton_near_a_root(start):
-    counted = []
-    engine = conditions._lie_rows
-
-    def spy(generators, rows, truncation):
-        counted.append(len(rows))
-        return engine(generators, rows, truncation)
-
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(conditions, "_lie_rows", spy)
+        passes = _engine_passes(patch)
         polished = np.array([c for _, c in refine(start).pairs()])
-        refine_rows = sum(counted)
+        refine_passes = passes[:]
+        del passes[:]
         expected = _full_newton(start)
     assert expected is not None
-    # engine rows, the work a chord step saves: each chord step is a pass
-    # that full Newton does not make
-    assert refine_rows <= sum(counted) - refine_rows
+
+    def work(passes):
+        # Jacobians (refine's calls, full Newton's complex-step passes) and
+        # one-row residual passes, the only passes either loop makes
+        jacobians = sum(kind in "Jc" for *_, kind in passes)
+        ones = sum(b == 1 and kind == "f" for b, *_, kind in passes)
+        assert jacobians + ones == len(passes)
+        return jacobians, ones
+
+    # the work a chord step saves: it forms no Jacobian, and a call that
+    # forms one also gives the residual that full Newton takes in a pass;
+    # refine's first call forms one even at a start that meets tol
+    (refine_jacobians, refine_ones), (newton_jacobians, newton_ones) = map(
+        work, (refine_passes, passes))
+    assert refine_jacobians <= max(newton_jacobians, 1)
+    assert refine_jacobians + refine_ones <= newton_jacobians + newton_ones
     tol = 1e-13  # both loops' tolerance on max|g|
     met = [dataclasses.replace(start, slots=tuple(
         ExponentSlot(g, c) for (g, _), c in zip(start.pairs(), coefficients)))
@@ -1293,7 +1305,7 @@ def test_refine_matches_full_newton_near_a_root(start):
         # a system that is not square may end at other points of the
         # manifold
         (u, _, _), (v, _, residual_of) = (_newton_problem(scheme) for scheme in met)
-        J = _complex_step_jacobian(residual_of, v)
+        J = complex_step_jacobian(residual_of, v)
         spread = np.linalg.norm(np.linalg.pinv(J), 2) * 2 * tol * math.sqrt(len(J))
         assert np.linalg.norm(u - v) <= spread
 

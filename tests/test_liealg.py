@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import series_oracle as oracle
-from series_oracle import TruncatedSeries, Word, exp_slot, series_exp
+from series_oracle import TruncatedSeries, Word, complex_step_jacobian, exp_slot, series_exp
 from commexp import liealg
 from commexp.liealg import (
     LIE_DIMS,
@@ -21,6 +21,7 @@ from commexp.liealg import (
     Generator,
     LieMembershipError,
     _eulerian_idempotent,
+    _lie_jacobian,
     _lie_rows,
     _rows_per_pass,
     _slot_product,
@@ -534,7 +535,7 @@ def coefficient_batches(draw, max_rows=12):
 
 @settings(max_examples=120, deadline=None)
 @given(coefficient_batches())
-# the rows v + i h e_j, h = 1e-20, that refine's complex-step Jacobian sends
+# the rows v + i h e_j, h = 1e-20, that the complex-step oracle's Jacobian sends
 # through the engine as one batch
 @example((MAX_TRUNCATION, [B, A] * 4, np.linspace(-0.9, 1.2, 8) + 1e-20j * np.eye(8)))
 def test_batched_rows_equal_their_single_row_passes(case):
@@ -644,6 +645,65 @@ def test_lie_rows_keeps_the_failing_row_of_a_later_pass(truncation):
     with pytest.raises(ValueError, match=rf"^row {step + 1}: slot 2 coefficient") as error:
         _lie_rows([B, A, B], rows, truncation)
     assert error.value.row == step + 1
+
+
+@st.composite
+def jacobian_batches(draw):
+    """A truncation 2..7, a generator sequence and 1..4 real coefficient
+    rows on it: a mirrored pattern (slots B, A, ..., A, the half reversed
+    after it, kept or negated) or any sequence of up to 8 slots."""
+    truncation = draw(st.integers(2, MAX_TRUNCATION))
+    b = draw(st.integers(1, 4))
+    values = st.floats(-1.5, 1.5, allow_nan=False)
+    if draw(st.booleans()):
+        m = draw(st.integers(2, 4))
+        generators = [B if i % 2 == 0 else A for i in range(2 * m)]
+        halves = np.array(draw(st.lists(values, min_size=b * m, max_size=b * m))).reshape(b, m)
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        return truncation, generators, np.concatenate([halves, sign * halves[:, ::-1]], axis=1)
+    generators = draw(st.lists(st.sampled_from([A, B]), min_size=1, max_size=8))
+    count = b * len(generators)
+    rows = np.array(draw(st.lists(values, min_size=count, max_size=count)))
+    return truncation, generators, rows.reshape(b, -1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(jacobian_batches())
+def test_lie_jacobian_is_the_complex_step_derivative(case):
+    # the coordinates are _lie_rows' bit for bit, every derivative column is
+    # the complex step's within 1e-14 of its largest entry (at least 1, its
+    # letter's degree-1 coordinate), and each row is its own one-row call
+    truncation, generators, rows = case
+    vectors, derivatives = _lie_jacobian(generators, rows, truncation)
+    assert derivatives.shape == (len(rows), sum(LIE_DIMS[:truncation]), len(generators))
+    for j, w in _lie_rows(generators, rows, truncation).items():
+        assert vectors[j].dtype == w.dtype and vectors[j].tobytes() == w.tobytes()
+
+    def coordinates(stepped):
+        return np.concatenate(list(_lie_rows(generators, stepped, truncation).values()), axis=1)
+
+    for row, jacobian, *values in zip(rows, derivatives, *vectors.values()):
+        reference = complex_step_jacobian(coordinates, row)
+        assert np.all(np.abs(jacobian - reference) <= 1e-14 * np.max(np.abs(reference), axis=0))
+        one_vectors, one_derivatives = _lie_jacobian(generators, row[None], truncation)
+        assert one_derivatives[0].tobytes() == jacobian.tobytes()
+        for value, one in zip(values, one_vectors.values()):
+            assert one[0].tobytes() == value.tobytes()
+
+
+@pytest.mark.parametrize("bad,message", [
+    (1e200, "slot 1 coefficient 1e+200 has non-finite"),
+    (1e25, "log of the slot product has a round-off allowance"),
+])
+def test_lie_jacobian_refuses_the_rows_lie_rows_refuses(bad, message):
+    # the same error, naming the same row, from a later pass too
+    rows = np.full((9, 3), 0.1)
+    rows[5, 1] = bad
+    for engine in (_lie_rows, _lie_jacobian):
+        with pytest.raises(ValueError) as error:
+            engine([B, A, B], rows, 7)
+        assert str(error.value).startswith(f"row 5: {message}")
+        assert error.value.row == 5
 
 
 @settings(max_examples=40, deadline=None)

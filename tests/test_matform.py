@@ -492,6 +492,46 @@ def test_eigenbasis_walk_on_pauli_catalog(pauli_pair, name):
         assert np.linalg.norm(evaluate_scheme(scheme, pauli_pair, t) - expected, 2) <= 4 * bound
 
 
+def _symmetry_by_full_test(X):
+    """"hermitian", "anti" or None: the decision of the two whole-matrix
+    comparisons of X's halves with X^H's halves, each symmetry in turn."""
+    half = 0.5 * X
+    adjoint = half.conj().T
+    tol = matform._SYMMETRY_ULPS * np.finfo(np.float64).eps * np.max(np.abs(half))
+    if np.max(np.abs(half - adjoint)) <= tol:
+        return "hermitian"
+    if np.max(np.abs(half + adjoint)) <= tol:
+        return "anti"
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 12),
+       kind=st.sampled_from(["random", "hermitian", "anti", "ulps off", "row 0 only"]),
+       real=st.booleans(), ulps=st.integers(0, 8))
+def test_symmetry_test_decides_as_the_whole_matrix_comparisons(seed, dim, kind, real, ulps):
+    # row 0 against column 0 first changes no decision: symmetric and
+    # anti-symmetric X, X a few ulps of max|X| off either, X whose row 0
+    # alone is symmetric, and random X
+    g = np.random.default_rng(seed)
+    X = g.standard_normal((dim, dim)) + (0.0 if real else 1j * g.standard_normal((dim, dim)))
+    if kind != "random":
+        X = X + g.choice([1, -1]) * X.conj().T
+    if kind == "ulps off":
+        i, j = g.integers(dim, size=2)
+        X[i, j] += ulps * np.finfo(np.float64).eps * np.max(np.abs(X))
+    elif kind == "row 0 only":
+        X[1:, 1:] = g.standard_normal((dim - 1, dim - 1))
+    decision = _symmetry_by_full_test(X)
+    found = matform._hermitian_eigh(X)
+    assert (found is None) == (decision is None)
+    if decision is not None:
+        values, vectors = np.linalg.eigh(X if decision == "hermitian" else 1j * X)
+        expected = values.astype(np.complex128) if decision == "hermitian" else -1j * values
+        np.testing.assert_array_equal(found[0], expected)
+        np.testing.assert_array_equal(found[1], vectors)
+
+
 _STEP_TIMES = st.lists(st.one_of(st.just(0.0), st.floats(min_value=-2.0, max_value=2.0)),
                        min_size=1, max_size=9)
 

@@ -44,19 +44,22 @@ def test_perturbed_refines_form_one_jacobian_each(tmp_path, monkeypatch):
     # max|g| by far more than 100x, so the Jacobian it formed serves the rest
     module = _workloads()
     kinds = []
-    engine = conditions._lie_rows
+    engines = {"_lie_rows": conditions._lie_rows, "_lie_jacobian": conditions._lie_jacobian}
 
-    def spy(generators, rows, truncation):
-        kinds.append(rows.dtype.kind)
-        return engine(generators, rows, truncation)
+    def spy(name):
+        def call(generators, rows, truncation):
+            kinds.append("J" if name == "_lie_jacobian" else rows.dtype.kind)
+            return engines[name](generators, rows, truncation)
+        return call
 
-    monkeypatch.setattr(conditions, "_lie_rows", spy)
+    for name in engines:
+        monkeypatch.setattr(conditions, name, spy(name))
     starts = [c for c in module.series_catalog(0, tmp_path) if c.scheme is not None]
     assert len(starts) == len(module.REFINABLE) == 20
     for command in starts:
         kinds.clear()
         refined = conditions.refine(command.scheme, tol=module.REFINE_TOL)
-        assert kinds.count("c") == 1, command.ref
+        assert kinds.count("J") == 1 and "c" not in kinds, command.ref
         report = conditions.order_residuals(refined, refined.target, refined.order,
                                             module.REFINE_TOL)
         assert report.all_satisfied(), command.ref
