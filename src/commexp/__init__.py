@@ -7,7 +7,7 @@ The package is organised around six pieces:
 - :mod:`commexp.conditions` — order conditions, effective error, the
   counter-palindromic machinery, Newton refinement and the 1-D optimizer;
 - :mod:`commexp.schemes` — the scheme catalog, parametric families,
-  composition/substitution constructors, symmetry transforms and file I/O;
+  the composition operator, symmetry transforms and file I/O;
 - :mod:`commexp.matform` — dense-matrix harness (expm, spectral norm,
   operator pairs, scheme evaluation);
 - :mod:`commexp.bench` — error-vs-cost protocols and CSV exporters;
@@ -45,9 +45,9 @@ from .schemes import (
     Scheme,
     catalog_get,
     catalog_names,
+    compose,
     load_scheme,
     save_scheme,
-    substitute,
     transform,
 )
 from .bench import empirical_order, error_curve, export_figure, gates_for_tolerance, slope_fit
@@ -65,6 +65,7 @@ __all__ = [
     "catalog_get",
     "catalog_names",
     "commutator_target",
+    "compose",
     "cp_expand",
     "effective_error",
     "empirical_order",
@@ -84,7 +85,6 @@ __all__ = [
     "series_log",
     "series_mul",
     "slope_fit",
-    "substitute",
     "sum_plus_commutator_target",
     "sum_target",
     "target_from_name",

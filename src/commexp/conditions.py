@@ -187,8 +187,8 @@ def slot_pairs(scheme) -> list[tuple[Generator, complex]]:
 
     Accepts a Scheme (anything with ``slots``), a sequence of slot objects
     (``generator``/``coefficient``), or raw ``(generator, coefficient)``
-    pairs.  Generators are coerced to :class:`Generator`, so a template's
-    abstract slot raises ``ValueError`` instead of standing in for A or B.
+    pairs.  Generators are coerced to :class:`Generator`, so a slot on any
+    other letter raises ``ValueError`` instead of standing in for A or B.
     """
     pairs = []
     for i, slot in enumerate(getattr(scheme, "slots", scheme)):
@@ -200,8 +200,7 @@ def slot_pairs(scheme) -> list[tuple[Generator, complex]]:
             pairs.append((as_generator(gen), coeff))
         except ValueError:
             name = getattr(scheme, "name", "composition")
-            raise ValueError(f"{name}: slot {i} generator {gen!r} is neither A nor B "
-                             f"(substitute abstract slots first)") from None
+            raise ValueError(f"{name}: slot {i} generator {gen!r} is neither A nor B") from None
     return pairs
 
 

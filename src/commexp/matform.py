@@ -788,7 +788,7 @@ def evaluate_scheme(scheme, pair: OperatorPair, t) -> np.ndarray:
     float64 buffer (``k = 1`` is the one-time case, with d x d buffers).
 
     Accepts what :func:`~commexp.conditions.slot_pairs` accepts and refuses
-    abstract template slots.  Each path makes one exponential per run of the
+    a slot on a letter other than A and B.  Each path makes one exponential per run of the
     slots (:func:`~commexp.conditions.slot_runs`), which has the same
     product: zero slots are skipped, neighbours on one generator merge, and a
     run that cancels to zero goes, merging its neighbours; at ``t == 0`` or

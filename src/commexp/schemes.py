@@ -4,9 +4,9 @@ A composition ("scheme") is an ordered product of exponentials of the two
 generators, each slot contributing exp(coefficient * t * generator).  This
 module collects the tabulated counter-palindromic schemes, the classical
 recursive sum splittings, the short special-purpose formulas for nested
-commutators, the substitution engine that builds compositions for deeper
-targets out of shallower ones, and the symmetry transforms that map schemes
-into one another.
+commutators, the composition operator that builds products of weighted
+schemes (the recursions and the nested-commutator constructions among them),
+and the symmetry transforms that map schemes into one another.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .conditions import (
 from .liealg import Generator, as_generator, letter_map
 
 __all__ = [
-    "ABSTRACT",
     "ExponentSlot",
     "Scheme",
     "catalog_get",
@@ -54,7 +53,7 @@ __all__ = [
     "aor4_rows",
     "AOR4_OPTIMAL_D2",
     "combined5",
-    "substitute",
+    "compose",
     "zass_sym22",
     "nested4_50",
     "transform",
@@ -62,30 +61,20 @@ __all__ = [
     "load_scheme",
 ]
 
-# marker generator for template slots that stand for a yet-unrealized operator
-ABSTRACT = "D"
-
-
 @dataclass(frozen=True)
 class ExponentSlot:
     """One exponential factor: exp(coefficient * t * generator)."""
 
-    generator: Generator | str
+    generator: Generator
     coefficient: complex
 
     def __post_init__(self):
-        if self.generator != ABSTRACT:
-            object.__setattr__(self, "generator", as_generator(self.generator))
+        object.__setattr__(self, "generator", as_generator(self.generator))
         c = _finite_complex(self.coefficient, "slot coefficient")
         object.__setattr__(self, "coefficient", c if c.imag != 0.0 else c.real)
 
-    @property
-    def is_abstract(self) -> bool:
-        return self.generator == ABSTRACT
-
     def __str__(self) -> str:
-        name = self.generator if self.is_abstract else self.generator.name
-        return f"({self.coefficient!r}) {name}"
+        return f"({self.coefficient!r}) {self.generator.name}"
 
 
 @dataclass(frozen=True)
@@ -133,12 +122,8 @@ class Scheme:
         """The mirrored pattern's sign, "positive" or "negative" (None if unmirrored)."""
         return self.cp_pattern[1]
 
-    @property
-    def is_template(self) -> bool:
-        return any(s.is_abstract for s in self.slots)
-
     def pairs(self) -> list[tuple[Generator, complex]]:
-        """Slot list in engine form; refuses templates."""
+        """Slot list in engine form."""
         return conditions.slot_pairs(self)
 
     def scaled_slots(self, factor: complex) -> tuple[ExponentSlot, ...]:
@@ -293,12 +278,6 @@ def third_order_family(c5: float, branch: str = "top") -> Scheme:
     )
 
 
-def _strang_slots(factor: float) -> list[ExponentSlot]:
-    return [ExponentSlot(Generator.A, 0.5 * factor),
-            ExponentSlot(Generator.B, factor),
-            ExponentSlot(Generator.A, 0.5 * factor)]
-
-
 def yoshida(k: int) -> Scheme:
     """Triple-jump composition of order 2k built on the three-slot splitting.
 
@@ -306,16 +285,14 @@ def yoshida(k: int) -> Scheme:
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    stages = [1.0]
+    weights = [1.0]
     for level in range(2, k + 1):
         gamma = 1.0 / (2.0 - 2.0 ** (1.0 / (2 * level - 1)))
-        stages = [g * f for f in (gamma, 1.0 - 2.0 * gamma, gamma) for g in stages]
-    slots: list[ExponentSlot] = []
-    for factor in stages:
-        slots.extend(_strang_slots(factor))
+        weights = [g * f for f in (gamma, 1.0 - 2.0 * gamma, gamma) for g in weights]
+    strang = _strang()
     return Scheme(
         name=f"yoshida{2 * k}",
-        slots=_slots(*conditions.slot_runs(slots)),
+        slots=compose([(strang, w) for w in weights]),
         target=sum_target(),
         order=2 * k,
         family="recursion",
@@ -332,21 +309,18 @@ def suzuki(k: int) -> Scheme:
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    stages = [1.0]
+    weights = [1.0]
     for level in range(2, k + 1):
         alpha = 1.0 / (4.0 - 4.0 ** (1.0 / (2 * level - 1)))
-        stages = [g * f
-                  for f in (alpha, alpha, 1.0 - 4.0 * alpha, alpha, alpha)
-                  for g in stages]
-    slots: list[ExponentSlot] = []
-    for factor in stages:
-        slots.extend([ExponentSlot(Generator.A, 0.5 * factor),
-                      ExponentSlot(Generator.B, 0.5 * factor),
-                      ExponentSlot(Generator.B, 0.5 * factor),
-                      ExponentSlot(Generator.A, 0.5 * factor)])
+        weights = [g * f
+                   for f in (alpha, alpha, 1.0 - 4.0 * alpha, alpha, alpha)
+                   for g in weights]
+    block = Scheme("strang_gates", _slots((Generator.A, 0.5), (Generator.B, 0.5),
+                                          (Generator.B, 0.5), (Generator.A, 0.5)),
+                   sum_target(), 2)
     return Scheme(
         name=f"suzuki{2 * k}",
-        slots=tuple(slots),
+        slots=compose([(block, w) for w in weights], merge=False),
         target=sum_target(),
         order=2 * k,
         family="recursion",
@@ -490,68 +464,49 @@ def combined5() -> Scheme:
 
 
 # --------------------------------------------------------------------------
-# substitution engine and derived constructions
+# composition operator and derived constructions
 # --------------------------------------------------------------------------
 
 
-def substitute(outer: Scheme, inner: Scheme | Sequence[Scheme], k: int, *,
-               merge: bool = True, name: str | None = None) -> Scheme:
-    """Realize each abstract slot of ``outer`` by a rescaled copy of ``inner``.
+def compose(stages: Iterable[ExponentSlot | tuple[Scheme, float]], *,
+            merge: bool = True) -> tuple[ExponentSlot, ...]:
+    """The slots of a product of stages, leftmost first.
 
-    ``inner`` is one scheme for every abstract slot, or a sequence with one
-    scheme per abstract slot in order.  Each is assumed to approximate the
-    exponential of tau^k times its target, so an abstract slot with
-    coefficient c becomes its inner scheme run at tau = c^(1/k) * t.  For
-    k = 3 the real cube root carries the sign; for k = 2 a negative c runs
-    the inner scheme with its letters interchanged (A -> B, B -> A) at
-    sqrt(-c) * t instead, which is valid only when the interchange negates the
-    inner target: the interchanged target's terms must equal the negated
-    ones (true of the commutator).  Unless ``merge`` is false the slots become
-    their runs (``slot_runs``).  The result has ``outer``'s target and the
-    lowest order among ``outer`` and the inner schemes.
+    A stage is an :class:`ExponentSlot`, kept as it is, or a pair
+    ``(scheme, weight)``: the scheme's slots scaled by the real k-th root of
+    the real weight w, where k is the one degree of the scheme's target
+    terms, so that the block approximates exp(w t^k target) as the scheme
+    approximates exp(t^k target).  At k = 3 the cube root carries the sign;
+    at k = 2 a negative w runs the scheme with its letters interchanged
+    (A -> B, B -> A) at sqrt(-w), which negates the one degree-2 basis
+    element [A,B].  A weight that is not real, or a target of more than one
+    degree or of degree above 3, raises ``ValueError``.  Unless ``merge`` is
+    false the slots become their runs (:func:`~commexp.conditions.slot_runs`).
     """
-    if k not in (2, 3):
-        raise ValueError("homogeneity degree k must be 2 or 3")
-    given = [inner] if isinstance(inner, Scheme) else list(inner)
-    if all(i.slot_count == 1 and i.slots[0].is_abstract and i.slots[0].coefficient == 1
-           for i in given):
-        return outer
-    n_abstract = sum(s.is_abstract for s in outer.slots)
-    inners = given * n_abstract if isinstance(inner, Scheme) else given
-    if len(inners) != n_abstract:
-        raise ValueError(f"{outer.name} has {n_abstract} abstract slots, "
-                         f"got {len(inners)} inner schemes")
-
-    out: list[ExponentSlot] = []
-    blocks = iter(inners)
-    for slot in outer.slots:
-        if not slot.is_abstract:
-            out.append(slot)
-            continue
-        block = next(blocks)
-        c = complex(slot.coefficient).real
-        if k == 3:
-            factor = math.copysign(abs(c) ** (1.0 / 3.0), c)
-            out.extend(block.scaled_slots(factor))
+    slots: list[ExponentSlot] = []
+    for stage in stages:
+        if isinstance(stage, ExponentSlot):
+            slots.append(stage)
         else:
-            if c >= 0:
-                out.extend(block.scaled_slots(math.sqrt(c)))
-            else:
-                swapped = _map_letters(block, _INTERCHANGE, "interchange")
-                if swapped.target.terms != {key: -w for key, w in block.target.terms.items()}:
-                    raise ValueError("negative slot under k=2 needs an inner target "
-                                     "that the letter interchange negates")
-                out.extend(swapped.scaled_slots(math.sqrt(-c)))
-    slots = _slots(*conditions.slot_runs(out)) if merge else tuple(out)
-    names = ",".join(i.name for i in given)
-    return Scheme(
-        name=name or f"{outer.name}[{names}]",
-        slots=slots,
-        target=outer.target,
-        order=min([outer.order, *(i.order for i in given)]),
-        family="extension",
-        note=f"substitution of {names} into {outer.name}",
-    )
+            slots.extend(_stage_slots(*stage))
+    return _slots(*conditions.slot_runs(slots)) if merge else tuple(slots)
+
+
+def _stage_slots(scheme: Scheme, weight) -> tuple[ExponentSlot, ...]:
+    """The slots of one ``(scheme, weight)`` stage of :func:`compose`."""
+    degrees = sorted({degree for degree, _ in scheme.target.terms})
+    if len(degrees) != 1 or degrees[0] > 3:
+        raise ValueError(f"stage {scheme.name}: target {scheme.target.name} has terms of "
+                         f"degree {', '.join(map(str, degrees)) or 'none'}; a stage needs "
+                         f"one degree of 1 to 3")
+    w = _finite_complex(weight, f"stage {scheme.name}: weight")
+    if w.imag:
+        raise ValueError(f"stage {scheme.name}: weight {weight!r} is not real")
+    k, w = degrees[0], w.real
+    if k == 2 and w < 0:
+        scheme, w = _map_letters(scheme, _INTERCHANGE, "interchange"), -w
+    root = w if k == 1 else math.sqrt(w) if k == 2 else math.copysign(abs(w) ** (1.0 / 3.0), w)
+    return scheme.scaled_slots(root)
 
 
 def zass_sym22() -> Scheme:
@@ -566,22 +521,14 @@ def zass_sym22() -> Scheme:
     """
     inner = aor4(AOR4_OPTIMAL_D2)
     swapped = _map_letters(inner, _INTERCHANGE, "interchange")
-    template = Scheme(
-        name="zass_template",
-        slots=(
-            ExponentSlot(Generator.A, 0.5),
-            ExponentSlot(Generator.B, 0.5),
-            ExponentSlot(ABSTRACT, 1.0 / 24.0),
-            ExponentSlot(ABSTRACT, -1.0 / 12.0),
-            ExponentSlot(Generator.B, 0.5),
-            ExponentSlot(Generator.A, 0.5),
-        ),
+    half_a, half_b = ExponentSlot(Generator.A, 0.5), ExponentSlot(Generator.B, 0.5)
+    return Scheme(
+        name="zass_sym22",
+        slots=compose([half_a, half_b, (inner, 1.0 / 24.0), (swapped, -1.0 / 12.0),
+                       half_b, half_a], merge=False),
         target=sum_target(),
         order=4,
         family="extension",
-    )
-    return replace(
-        substitute(template, [inner, swapped], 3, merge=False, name="zass_sym22"),
         note="symmetric product factorization with nested-commutator blocks",
     )
 
@@ -595,19 +542,16 @@ def nested4_50() -> Scheme:
     cube-root-rescaled time.  No adjacent slots share a generator, so the
     count is exactly 50 with or without merging.
     """
-    base = _tabulated_cp("NCP10_4")
-    outer = Scheme(
-        name="nested4_template",
-        slots=tuple(
-            ExponentSlot(ABSTRACT, s.coefficient) if s.generator == Generator.B
-            else s
-            for s in base.slots
-        ),
+    inner = aor4(AOR4_OPTIMAL_D2)
+    return Scheme(
+        name="nested4_50",
+        slots=compose((inner, s.coefficient) if s.generator == Generator.B else s
+                      for s in _tabulated_cp("NCP10_4").slots),
         target=nested_aaab_target(),
         order=4,
         family="extension",
+        note=f"substitution of {inner.name} into nested4_template",
     )
-    return substitute(outer, aor4(AOR4_OPTIMAL_D2), 3, name="nested4_50")
 
 
 # --------------------------------------------------------------------------
@@ -623,8 +567,9 @@ _LETTER_MAPS: dict[str, tuple[tuple[Generator, complex], ...]] = {
     "ab-swap": ((Generator.B, 1.0), (Generator.A, -1.0)),
 }
 
-#: The plain letter interchange A -> B, B -> A, which :func:`substitute` and
-#: :func:`zass_sym22` use; it negates a commutator, so it is not a transform.
+#: The plain letter interchange A -> B, B -> A, which :func:`compose` uses for a
+#: negative weight at degree 2 and :func:`zass_sym22` for its [B,[B,A]] block;
+#: it negates a commutator, so it is not a transform.
 _INTERCHANGE = ((Generator.B, 1.0), (Generator.A, 1.0))
 
 
@@ -794,8 +739,6 @@ def _coefficient_to_json(c: complex):
 def save_scheme(scheme: Scheme, path) -> None:
     """Serialize to the .scheme.json format, each float as its shortest
     repr, which reads back as the same float."""
-    if scheme.is_template:
-        raise ValueError("cannot serialize a template with abstract slots")
     doc = {
         "name": scheme.name,
         "target": {

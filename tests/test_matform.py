@@ -40,7 +40,7 @@ from commexp.matform import (
     target_matrix,
     two_norm,
 )
-from commexp.schemes import ABSTRACT, ExponentSlot, Scheme, catalog_get, transform
+from commexp.schemes import catalog_get, transform
 
 
 def commutator(X, Y):
@@ -415,12 +415,11 @@ def test_evaluate_scheme_complex_coefficients(random_pair):
 
 
 def test_evaluate_scheme_refuses_template_slots(pauli_pair, random_pair):
-    template = Scheme(
-        "tmpl", (ExponentSlot(Generator.A, 1.0), ExponentSlot(ABSTRACT, 0.5)),
-        commutator_target(), 1)
+    # a slot on a placeholder letter stands in for neither generator
+    slots = [(Generator.A, 1.0), ("D", 0.5)]
     for pair in (pauli_pair, random_pair):
-        with pytest.raises(ValueError, match="abstract"):
-            evaluate_scheme(template, pair, 0.3)
+        with pytest.raises(ValueError, match="slot 1 generator 'D' is neither A nor B"):
+            evaluate_scheme(slots, pair, 0.3)
 
 
 def test_evaluate_scheme_refuses_a_grid_of_times(pauli_pair):

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -17,11 +18,11 @@ from commexp.conditions import (
     cp_half_closure,
     order_residuals,
     refine,
+    slot_runs,
     sum_target,
 )
 from commexp.liealg import MAX_TRUNCATION, Generator, basis_build, letter_map
 from commexp.schemes import (
-    ABSTRACT,
     AOR4_OPTIMAL_D2,
     ExponentSlot,
     Scheme,
@@ -30,13 +31,13 @@ from commexp.schemes import (
     catalog_get,
     catalog_names,
     combined5,
+    compose,
     load_scheme,
     nested4_50,
     phi3,
     phi4,
     phi5,
     save_scheme,
-    substitute,
     suzuki,
     third_order_family,
     third_order_rows,
@@ -62,7 +63,6 @@ def letter_sum(scheme, generator):
 def test_slot_accepts_letter_strings():
     slot = ExponentSlot("A", 0.5)
     assert slot.generator is Generator.A
-    assert not slot.is_abstract
 
 
 def test_slot_normalizes_real_valued_complex():
@@ -96,12 +96,6 @@ def test_target_rejects_nonfinite(bad):
         TargetPolynomial("bad", {(2, 1): bad})
 
 
-def test_abstract_slot_marker():
-    slot = ExponentSlot(ABSTRACT, 1.0)
-    assert slot.is_abstract
-    assert slot.generator == ABSTRACT
-
-
 def test_scheme_requires_slots():
     with pytest.raises(ValueError):
         Scheme("empty", (), commutator_target(), 2)
@@ -110,18 +104,6 @@ def test_scheme_requires_slots():
 def test_scheme_requires_positive_order():
     with pytest.raises(ValueError):
         Scheme("flat", (ExponentSlot(Generator.A, 1.0),), sum_target(), 0)
-
-
-def test_template_refuses_pairs():
-    template = Scheme(
-        "tmpl",
-        (ExponentSlot(Generator.A, 1.0), ExponentSlot(ABSTRACT, 0.5)),
-        sum_target(),
-        1,
-    )
-    assert template.is_template
-    with pytest.raises(ValueError):
-        template.pairs()
 
 
 def test_pairs_lists_generator_coefficient_tuples():
@@ -233,7 +215,6 @@ def test_catalog_entry_shape(name, order, slot_count):
     scheme = catalog_get(name)
     assert scheme.order == order
     assert scheme.slot_count == slot_count
-    assert not scheme.is_template
 
 
 def test_catalog_get_unknown_name():
@@ -531,115 +512,98 @@ def test_combined5_structure():
 
 
 # ---------------------------------------------------------------------------
-# substitution engine
+# composition operator
 # ---------------------------------------------------------------------------
 
 
-def make_template(*coeffs, target=None, order=3):
-    slots = tuple(ExponentSlot(ABSTRACT, c) for c in coeffs)
-    return Scheme("tmpl", slots, target or commutator_target(), order)
+A1, B1 = ExponentSlot(Generator.A, 1.0), ExponentSlot(Generator.B, 1.0)
 
 
 def test_substitute_rejects_bad_homogeneity():
-    outer = make_template(1.0)
-    with pytest.raises(ValueError):
-        substitute(outer, catalog_get("NCP6_3"), 4)
+    # a stage's target must have one degree, of 1 to 3: at weight 4.0 phi3's
+    # block would be [-1 B, 2 A, 3 B], which verifies order 0 against four
+    # times phi3's target (a degree-1 residual of 2.0)
+    for stage, degrees in ((phi3(1.0), "1, 2"), (combined5(), "1, 2, 3"),
+                           (nested4_50(), "4")):
+        with pytest.raises(ValueError, match=f"stage {re.escape(stage.name)}: target "
+                           f"{re.escape(stage.target.name)} has terms of degree {degrees};"):
+            compose([A1, (stage, 4.0)])
 
 
-def test_substitute_identity_inner_short_circuits():
-    outer = make_template(1.0, -2.0)
-    identity = Scheme("tau", (ExponentSlot(ABSTRACT, 1.0),), commutator_target(), 9)
-    assert substitute(outer, identity, 3) is outer
+def test_compose_refuses_a_weight_that_is_not_real():
+    # neither dropped (1j would make the block vanish) nor read by its real
+    # part (the interchanged block at sqrt(0.5))
+    with pytest.raises(ValueError, match="^stage aor4_opt: weight 1j is not real$"):
+        compose([A1, (catalog_get("aor4_opt"), 1j), B1])
+    with pytest.raises(ValueError,
+                       match=re.escape("stage NCP6_3: weight (-0.5+0.25j) is not real")):
+        compose([(catalog_get("NCP6_3"), -0.5 + 0.25j)])
+    with pytest.raises(ValueError, match="^stage NCP6_3: weight must be finite$"):
+        compose([(catalog_get("NCP6_3"), math.nan)])
 
 
 def test_substitute_cube_root_carries_sign():
-    inner = catalog_get("NCP6_3")
-    outer = make_template(-8.0)
-    result = substitute(outer, inner, 3)
-    got = [s.coefficient for s in result.slots]
-    want = [-2.0 * s.coefficient for s in inner.slots]
-    np.testing.assert_allclose(got, want, rtol=1e-15)
-    assert [s.generator for s in result.slots] == [s.generator for s in inner.slots]
+    inner = catalog_get("aor4_opt")
+    assert compose([(inner, -8.0)]) == inner.scaled_slots(-2.0)
 
 
 def test_substitute_square_root_positive():
     inner = catalog_get("NCP6_3")
-    outer = make_template(4.0)
-    result = substitute(outer, inner, 2)
-    got = [s.coefficient for s in result.slots]
-    want = [2.0 * s.coefficient for s in inner.slots]
-    np.testing.assert_allclose(got, want, rtol=1e-15)
+    assert compose([(inner, 4.0)]) == inner.scaled_slots(2.0)
 
 
 def test_substitute_square_root_negative_swaps_letters():
     inner = catalog_get("NCP6_3")
-    outer = make_template(-4.0)
-    result = substitute(outer, inner, 2)
-    got = [(s.generator, s.coefficient) for s in result.slots]
-    want = [
-        (Generator.A if s.generator == Generator.B else Generator.B,
-         2.0 * s.coefficient)
-        for s in inner.slots
-    ]
-    for (gg, gc), (wg, wc) in zip(got, want):
-        assert gg == wg
-        assert gc == pytest.approx(wc, rel=1e-15)
-
-
-def test_substitute_square_root_negative_needs_commutator_inner():
-    outer = make_template(-1.0, target=sum_target(), order=2)
-    with pytest.raises(ValueError):
-        substitute(outer, catalog_get("strang"), 2)
-
-
-def test_substitute_square_root_negative_reads_the_target_terms():
-    # the interchange must negate the inner target's terms, whatever its name
-    ncp = catalog_get("NCP6_3")
-    renamed = dataclasses.replace(ncp, target=TargetPolynomial("my_commutator", {(2, 1): 1.0}))
-    outer = make_template(-4.0)
-    assert substitute(outer, renamed, 2).slots == substitute(outer, ncp, 2).slots
-    widened = dataclasses.replace(
-        ncp, target=TargetPolynomial("commutator", {(1, 1): 1.0, (2, 1): 1.0}))
-    with pytest.raises(ValueError, match="interchange negates"):
-        substitute(outer, widened, 2)
+    assert compose([(inner, -4.0)]) == tuple(
+        ExponentSlot(Generator.A if s.generator == Generator.B else Generator.B,
+                     2.0 * s.coefficient)
+        for s in inner.slots)
 
 
 def test_substitute_merges_same_generator_junctions():
-    strang = catalog_get("strang")
-    outer = Scheme(
-        "wrap",
-        (ExponentSlot(Generator.A, 1.0),
-         ExponentSlot(ABSTRACT, 4.0),
-         ExponentSlot(Generator.A, 1.0)),
-        sum_target(),
-        1,
-    )
-    merged = substitute(outer, strang, 2)
-    assert merged.slot_count == 3
-    assert merged.slots[0] == ExponentSlot(Generator.A, 2.0)
-    unmerged = substitute(outer, strang, 2, merge=False)
-    assert unmerged.slot_count == 5
+    stages = [A1, (catalog_get("strang"), 2.0), A1]
+    assert compose(stages) == (ExponentSlot(Generator.A, 2.0), ExponentSlot(Generator.B, 2.0),
+                               ExponentSlot(Generator.A, 2.0))
+    assert len(compose(stages, merge=False)) == 5
 
 
 def test_substitute_merges_across_a_cancelled_block():
-    # A, [B, B^-1], A: the cancelled inner block lets the two A slots merge
-    cancel = Scheme("cancel", (ExponentSlot(Generator.B, 1.0), ExponentSlot(Generator.B, -1.0)),
-                    commutator_target(), 1)
-    outer = Scheme("wrap", (ExponentSlot(Generator.A, 1.0), ExponentSlot(ABSTRACT, 1.0),
-                            ExponentSlot(Generator.A, 1.0)), sum_target(), 1)
-    merged = substitute(outer, cancel, 2)
-    assert merged.slots == (ExponentSlot(Generator.A, 2.0),)
-    assert substitute(outer, cancel, 2, merge=False).slot_count == 4
+    # A, [B, B^-1], A: the cancelled block lets the two A slots merge
+    cancel = Scheme("cancel", (B1, ExponentSlot(Generator.B, -1.0)), commutator_target(), 1)
+    stages = [A1, (cancel, 1.0), A1]
+    assert compose(stages) == (ExponentSlot(Generator.A, 2.0),)
+    assert len(compose(stages, merge=False)) == 4
 
 
-def test_substitute_metadata_defaults():
-    inner = catalog_get("NCP6_3")
-    outer = make_template(1.0, order=5)
-    result = substitute(outer, inner, 3)
-    assert result.name == "tmpl[NCP6_3]"
-    assert result.order == 3  # min of outer and inner claims
-    assert result.family == "extension"
-    assert result.target is outer.target
+def test_compose_two_blocks_in_one_product():
+    first, second = aor4(0.5), aor4(AOR4_OPTIMAL_D2)
+    assert (compose([(first, 1.0), A1, (second, 8.0)], merge=False)
+            == first.slots + (A1,) + second.scaled_slots(2.0))
+
+
+#: Stage schemes of each degree k: strang (1), NCP6_3 and PCP16_5 (2), aor4_opt (3).
+STAGE_SCHEMES = ("strang", "NCP6_3", "PCP16_5", "aor4_opt")
+
+weights = st.builds(lambda size, sign: sign * size,
+                    st.floats(1.0 / 16.0, 16.0), st.sampled_from((1.0, -1.0)))
+stages = st.one_of(st.builds(ExponentSlot, st.sampled_from(Generator), weights),
+                   st.tuples(st.sampled_from(STAGE_SCHEMES).map(catalog_get), weights))
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(STAGE_SCHEMES), w=weights, more=st.lists(stages, max_size=3))
+def test_compose_runs_each_stage_at_its_weight(name, w, more):
+    # a stage (S, w) verifies S's order against w times S's target; merging
+    # is slot_runs of the unmerged slots, one slot per slot of the stages
+    scheme = catalog_get(name)
+    weighted = TargetPolynomial(f"{w}*{scheme.target.name}",
+                                {key: w * v for key, v in scheme.target.terms.items()})
+    assert order_residuals(compose([(scheme, w)]), weighted, scheme.order).all_satisfied()
+    all_stages = [(scheme, w), *more]
+    unmerged = compose(all_stages, merge=False)
+    assert len(unmerged) == sum(1 if isinstance(stage, ExponentSlot) else stage[0].slot_count
+                                for stage in all_stages)
+    assert compose(all_stages) == tuple(ExponentSlot(g, c) for g, c in slot_runs(unmerged))
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +616,6 @@ def test_zass_sym22_structure():
     assert scheme.slot_count == 22
     assert scheme.order == 4
     assert scheme.target.name == "sum"
-    assert not scheme.is_template
     assert scheme.slots[0] == ExponentSlot(Generator.A, 0.5)
     assert scheme.slots[1] == ExponentSlot(Generator.B, 0.5)
     assert scheme.slots[-2] == ExponentSlot(Generator.B, 0.5)
@@ -675,18 +638,6 @@ def test_zass_sym22_matches_direct_substitution():
     assert [s.generator for s in got] == [s.generator for s in expected]
     assert [s.coefficient for s in got] == [s.coefficient for s in expected]
     assert zass_sym22().note == "symmetric product factorization with nested-commutator blocks"
-
-
-def test_substitute_one_inner_per_abstract_slot():
-    outer = Scheme("two", (ExponentSlot(ABSTRACT, 1.0), ExponentSlot(Generator.A, 1.0),
-                           ExponentSlot(ABSTRACT, 8.0)), sum_target(), 4)
-    first, second = aor4(0.5), aor4(AOR4_OPTIMAL_D2)
-    result = substitute(outer, [first, second], 3, merge=False)
-    assert result.slots == (first.slots + (ExponentSlot(Generator.A, 1.0),)
-                            + second.scaled_slots(2.0))
-    assert result.name == f"two[{first.name},{second.name}]"
-    with pytest.raises(ValueError, match="2 abstract slots"):
-        substitute(outer, [first], 3)
 
 
 def test_nested4_50_structure():
@@ -822,13 +773,6 @@ def test_save_load_roundtrip_complex(tmp_path):
     loaded = load_scheme(path)
     assert [s.coefficient for s in loaded.slots] == [
         s.coefficient for s in scheme.slots]
-
-
-def test_save_rejects_templates(tmp_path):
-    template = Scheme(
-        "tmpl", (ExponentSlot(ABSTRACT, 1.0),), commutator_target(), 1)
-    with pytest.raises(ValueError):
-        save_scheme(template, tmp_path / "tmpl.scheme.json")
 
 
 def test_load_keeps_unknown_target_name(tmp_path):
