@@ -12,7 +12,14 @@ The package is organised around six pieces:
   operator pairs, scheme evaluation);
 - :mod:`commexp.bench` — error-vs-cost protocols and CSV exporters;
 - :mod:`commexp.cli` — the ``commexp`` command-line entry point.
+
+The dense layer (``matform`` and ``bench``) loads on first use: importing
+the package, or running a series command (``verify``, ``schemes``,
+``optimize``), does not import it.  Its names are served from their modules
+on each access, so ``commexp.make_pair`` is always ``matform.make_pair``.
 """
+
+import importlib
 
 # set before the submodules load: bench stamps it into CSV provenance
 __version__ = "0.1.0"
@@ -39,7 +46,6 @@ from .liealg import (
     series_log,
     series_mul,
 )
-from .matform import OperatorPair, evaluate_scheme, expm, make_pair, target_matrix, two_norm
 from .schemes import (
     ExponentSlot,
     Scheme,
@@ -50,7 +56,6 @@ from .schemes import (
     save_scheme,
     transform,
 )
-from .bench import empirical_order, error_curve, export_figure, gates_for_tolerance, slope_fit
 
 
 __all__ = [
@@ -93,3 +98,25 @@ __all__ = [
     "two_norm",
     "__version__",
 ]
+
+# name -> submodule of the dense layer that defines it
+_LAZY = {
+    **dict.fromkeys(("OperatorPair", "evaluate_scheme", "expm", "make_pair",
+                     "target_matrix", "two_norm"), "matform"),
+    **dict.fromkeys(("empirical_order", "error_curve", "export_figure",
+                     "gates_for_tolerance", "slope_fit"), "bench"),
+}
+
+
+def __getattr__(name):
+    # not cached in the package namespace: a copy taken while a caller has
+    # the module attribute patched would keep the patch after it is undone
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -22,13 +22,20 @@ import sys
 import traceback
 from pathlib import Path
 
-from . import bench, matform, schemes
+from . import schemes
 from .conditions import effective_error, optimize_free_parameter, order_residuals
 
 OUT_DIR_ENV = "COMMEXP_OUT_DIR"
 
 #: Exit code for an unexpected exception (a fault in the package, not the input).
 EXIT_INTERNAL = 3
+
+#: The presets of ``bench --figure``, the keys of :data:`commexp.bench.FIGURES`:
+#: named here so that the parser does not import the dense layer.
+FIGURE_NAMES = ("fig1", "fig2", "fig3", "fig5", "fig6")
+
+#: The ``bench`` options that only ``--custom`` reads (a figure fixes them).
+_CUSTOM_ONLY = ("schemes", "pair", "t", "n", "x", "tol")
 
 
 def _fail(message: str) -> int:
@@ -136,14 +143,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
-def _parse_pair(spec: str, seed: int) -> matform.OperatorPair:
+def _parse_pair(spec: str, seed: int):
+    from . import matform
+
     if spec == "pauli":
         return matform.make_pair("pauli")
     kind, _, dim = spec.partition(":")
     if kind == "random" and dim.isdigit():
         try:
             return matform.make_pair("random", int(dim), seed)
-        except ValueError as exc:
+        except (ValueError, MemoryError) as exc:  # a size below 2, or too large to hold
             raise ValueError(f"--pair {spec}: {exc}") from None
     raise ValueError(f"--pair wants pauli or random:<dim>, got {spec!r}")
 
@@ -157,7 +166,12 @@ def _positive_finite(value: float) -> bool:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from . import bench
+
     if args.figure:
+        ignored = [f"--{opt}" for opt in _CUSTOM_ONLY if getattr(args, opt) is not None]
+        if ignored:
+            return _fail(f"--figure takes only --seed and --out, not {', '.join(ignored)}")
         out = Path(args.out) if args.out else _default_out(f"{args.figure}.csv")
         n_rows = bench.export_figure(args.figure, out, seed=args.seed)
         print(f"{args.figure}: wrote {out} ({n_rows} lines incl. headers)")
@@ -169,13 +183,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     try:
         for name in names:
             schemes.catalog_get(name)
-        pair = _parse_pair(args.pair, args.seed)
+        pair = _parse_pair("pauli" if args.pair is None else args.pair, args.seed)
     except (KeyError, ValueError) as exc:
         return _fail(str(exc.args[0] if exc.args else exc))
     if (args.n is None) == (args.x is None):
         return _fail("--custom needs exactly one of --n or --x")
 
     out = Path(args.out) if args.out else _default_out("custom.csv")
+    t_total = 1.0 if args.t is None else args.t
     if args.n is not None:
         try:
             n_list = _split_numbers(args.n, int)
@@ -183,13 +198,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             return _fail(f"--n needs comma-separated integers, got {args.n!r}")
         if not n_list or min(n_list) < 1:
             return _fail("--n needs positive step counts")
-        if not _positive_finite(args.t):
-            return _fail(f"--t needs a positive finite total time, got {args.t:g}")
+        if not _positive_finite(t_total):
+            return _fail(f"--t needs a positive finite total time, got {t_total:g}")
         try:
-            header, rows = bench.curve_table(names, [pair], args.t, n_list)
+            header, rows = bench.curve_table(names, [pair], t_total, n_list)
         except ValueError as exc:  # overflow: the product or its error is not finite
-            return _fail(f"cannot evaluate the error curve at t = {args.t:g}: {exc}")
-        comments = [f"custom error curve: t_total={args.t:g}, seed={args.seed}"]
+            return _fail(f"cannot evaluate the error curve at t = {t_total:g}: {exc}")
+        comments = [f"custom error curve: t_total={t_total:g}, seed={args.seed}"]
     else:
         try:
             x_grid = _split_numbers(args.x)
@@ -285,12 +300,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run an experiment, write CSV")
     mode = p_bench.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--figure", choices=list(bench.FIGURES))
+    mode.add_argument("--figure", choices=FIGURE_NAMES)
     mode.add_argument("--custom", action="store_true")
     p_bench.add_argument("--schemes", help="comma-separated catalog names")
-    p_bench.add_argument("--pair", default="pauli", help="pauli or random:<dim>")
+    p_bench.add_argument("--pair", help="pauli or random:<dim>")
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--t", type=float, default=1.0, help="total simulated time")
+    p_bench.add_argument("--t", type=float, help="total simulated time")
     p_bench.add_argument("--n", help="comma-separated step counts (error curve)")
     p_bench.add_argument("--x", help="comma-separated x grid (cost table)")
     p_bench.add_argument("--tol", type=float, help="tolerance for the cost table")

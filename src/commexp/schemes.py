@@ -550,7 +550,8 @@ def nested4_50() -> Scheme:
         target=nested_aaab_target(),
         order=4,
         family="extension",
-        note=f"substitution of {inner.name} into nested4_template",
+        note=f"NCP10_4 with each B slot realized by {inner.name} "
+             f"at the cube root of its coefficient",
     )
 
 

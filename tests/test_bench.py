@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import commexp
-from commexp import bench, matform
+from commexp import bench, cli, matform
 from commexp.bench import (
     DEFAULT_N_CAP,
     DEFAULT_N_GRID,
@@ -707,6 +707,8 @@ def test_export_figure_unknown_name(tmp_path):
 
 def test_export_figure_names():
     assert sorted(bench.FIGURES) == ["fig1", "fig2", "fig3", "fig5", "fig6"]
+    # the parser's --figure choices, kept in cli so that it need not load bench
+    assert list(cli.FIGURE_NAMES) == sorted(bench.FIGURES)
 
 
 def test_fig1_layout(tmp_path):

@@ -425,6 +425,49 @@ def test_bench_figure_and_custom_exclusive(capsys):
     assert "not allowed" in err
 
 
+@pytest.mark.parametrize("flags,named", [
+    (("--schemes", "NCP10_4"), "--schemes"),
+    (("--pair", "random:3"), "--pair"),
+    (("--pair", "pauli"), "--pair"),
+    (("--t", "1.0"), "--t"),
+    (("--n", "3"), "--n"),
+    (("--x", "0.5"), "--x"),
+    (("--tol", "1e-4"), "--tol"),
+    (("--schemes", "NCP10_4", "--n", "3"), "--schemes, --n"),
+])
+def test_bench_figure_refuses_custom_options(capsys, tmp_path, flags, named):
+    # a figure fixes its schemes, pairs and grids: an option only --custom
+    # reads is an input error naming it, not silently dropped
+    out = tmp_path / "fig1.csv"
+    code, text, err = run(capsys, "bench", "--figure", "fig1", *flags,
+                          "--seed", "3", "--out", str(out))
+    assert code == 2
+    assert text == ""
+    assert err == f"error: --figure takes only --seed and --out, not {named}\n"
+    assert not out.exists()
+
+
+def test_bench_figure_choices(capsys):
+    code, text, _ = run(capsys, "bench", "--help")
+    assert code == 0
+    assert "--figure {fig1,fig2,fig3,fig5,fig6}" in text
+    code, _, err = run(capsys, "bench", "--figure", "fig4")
+    assert code == 2
+    assert "invalid choice" in err
+
+
+def test_bench_pair_too_large_to_allocate_is_input_error(capsys, tmp_path):
+    # numpy refuses the 74.5 GiB draw at once; only a size this far past any
+    # memory is tried here, never one that could be allocated
+    out = tmp_path / "x.csv"
+    code, _, err = run(capsys, "bench", "--custom", "--schemes", "NCP10_4",
+                       "--pair", "random:100000", "--n", "1", "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: --pair random:100000: ")
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_bench_out_dir_env(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("COMMEXP_OUT_DIR", str(tmp_path / "exports"))
     code, text, _ = run(
@@ -549,6 +592,29 @@ def test_module_entry_point_exits_with_main_code(scheme, code):
         assert "NCP10_4: order 4 verified" in done.stdout
     else:
         assert "NOPE" in done.stderr
+
+
+def test_series_commands_never_load_the_dense_layer(tmp_path):
+    # verify, schemes and optimize run on the series engine alone; the
+    # package serves the dense layer's names on first use
+    src = str(Path(commexp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = (
+        "import sys; from commexp import cli\n"
+        "for argv in (['verify', '--scheme', 'NCP10_4'], ['schemes', 'list'],\n"
+        "             ['schemes', 'export', 'NCP10_4', sys.argv[1]]):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "loaded = [m for m in ('commexp.matform', 'commexp.bench') if m in sys.modules]\n"
+        "assert loaded == [], loaded\n"
+        "from commexp import make_pair\n"
+        "assert 'commexp.matform' in sys.modules\n"
+        "assert make_pair is sys.modules['commexp.matform'].make_pair\n"
+        "print('ok')\n")
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "NCP10_4.json")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "ok"
 
 
 @pytest.mark.parametrize("argv,code", [

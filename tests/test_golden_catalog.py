@@ -153,7 +153,8 @@ GOLDEN = {
         22, "22aba14f766063c1164b91ffed8b9894"),
     "nested4_50": (
         "nested4_50", 4, "extension",
-        "substitution of aor4(d2=0.301895) into nested4_template",
+        "NCP10_4 with each B slot realized by aor4(d2=0.301895) "
+        "at the cube root of its coefficient",
         "nested_aaab", ((4, 1, "0x1.0000000000000p+0"),),
         50, "ceed137a73b5d7f26b1f9982f1a0391c"),
     "yoshida(3)": (
