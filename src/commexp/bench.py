@@ -19,6 +19,11 @@ it builds each distinct target once, makes one
 cost table), and raises and norms the entries of all its schemes in one
 pass.  :func:`error_curve`, :func:`gates_for_tolerance` and
 :func:`single_step_errors` are its one-scheme case.
+
+A scheme argument, each entry of a table's scheme list included, is a
+:class:`~commexp.schemes.Scheme`, a catalog name or a scheme file path,
+resolved once per call by :func:`commexp.schemes.resolve`; rows and
+provenance lines name a scheme by its ``name``.
 """
 
 from __future__ import annotations
@@ -71,12 +76,6 @@ class BenchResult:
             raise ValueError("error must be nonnegative")
 
 
-def _resolve_scheme(scheme):
-    if isinstance(scheme, str):
-        return schemes.catalog_get(scheme)
-    return scheme
-
-
 def _step_time(t_total: float, n: int, k: int) -> float:
     return (t_total / n) ** (1.0 / k)
 
@@ -100,7 +99,7 @@ def _curves(scheme_list, pair: matform.OperatorPair, t_total: float,
             n_list: Sequence[int]) -> list[list[BenchResult]]:
     """:func:`error_curve` of each scheme, as one table: one target per
     distinct target and one :func:`_errors` pass over all the curves."""
-    resolved = [_resolve_scheme(s) for s in scheme_list]
+    resolved = [schemes.resolve(s) for s in scheme_list]
     if not (math.isfinite(t_total) and t_total > 0):
         raise ValueError(f"t_total must be positive and finite, got {t_total!r}")
     for n in n_list:  # numpy integers are fine; 2.5 would be powered as 2
@@ -342,26 +341,21 @@ def gates_for_tolerance(scheme, pair: matform.OperatorPair,
     overflow raises one ``ValueError`` and no numpy warning.
     """
     gates = _gates([scheme], pair, x_grid, [tol], n_cap)
-    return list(zip(x_grid, gates[float(tol), _scheme_key(scheme)]))
-
-
-def _scheme_key(scheme):
-    """What makes two entries of a table the same scheme: the name, or the
-    object itself."""
-    return scheme if isinstance(scheme, str) else id(scheme)
+    return list(zip(x_grid, gates[float(tol), 0]))
 
 
 def _gates(scheme_list, pair: matform.OperatorPair, x_grid: Sequence[float],
            tols: Sequence[float], n_cap: int) -> dict[tuple, list[int | None]]:
     """:func:`gates_for_tolerance` of every scheme at every tolerance, keyed
-    by (float(tol), :func:`_scheme_key`), all searches in one lockstep.
+    by (float(tol), the scheme's index in the list), all searches in one
+    lockstep.
 
     Each round evaluates, per scheme with live searches, each distinct
     (x, n) probe once, however many tolerances probe it, as one job of one
     :func:`_errors` pass.  The targets are one
     :func:`~commexp.matform.target_matrix` call per distinct target.
     """
-    distinct = {_scheme_key(s): _resolve_scheme(s) for s in scheme_list}
+    resolved = [schemes.resolve(s) for s in scheme_list]
     for tol in tols:
         if not (math.isfinite(tol) and tol > 0):
             raise ValueError(f"tol must be positive and finite, got {tol!r}")
@@ -369,10 +363,11 @@ def _gates(scheme_list, pair: matform.OperatorPair, x_grid: Sequence[float],
         raise ValueError("x grid must lie in (0, 1]")
     if not (math.isfinite(n_cap) and n_cap >= 1):
         raise ValueError(f"n_cap must be finite and at least 1, got {n_cap!r}")
-    targets = dict(zip(distinct, _targets(distinct.values(), pair, lambda _: np.asarray(x_grid))))
+    targets = _targets(resolved, pair, lambda _: np.asarray(x_grid))
     top = _reach(n_cap)
-    gates = {(tol, key): [None] * len(x_grid) for tol in map(float, tols) for key in distinct}
-    live = {(tol, key, i): _Search((distinct[key].order + 1) / distinct[key].target.min_degree - 1,
+    gates = {(tol, key): [None] * len(x_grid) for tol in map(float, tols)
+             for key in range(len(resolved))}
+    live = {(tol, key, i): _Search((resolved[key].order + 1) / resolved[key].target.min_degree - 1,
                                    tol, top)
             for tol, key in gates for i in range(len(x_grid))}
     while live:
@@ -383,8 +378,8 @@ def _gates(scheme_list, pair: matform.OperatorPair, x_grid: Sequence[float],
                 (search_key[2], search.probe), []).append(search_key)
         jobs = []
         for key, probes in waiting.items():
-            k = distinct[key].target.min_degree
-            jobs.append(_Job(distinct[key], [_step_time(x_grid[i] ** k, n, k) for i, n in probes],
+            k = resolved[key].target.min_degree
+            jobs.append(_Job(resolved[key], [_step_time(x_grid[i] ** k, n, k) for i, n in probes],
                              [n for _, n in probes], targets[key][[i for i, _ in probes]]))
         for (key, probes), errors in zip(waiting.items(), _errors(pair, jobs)):
             for searches, error in zip(probes.values(), errors):
@@ -394,7 +389,7 @@ def _gates(scheme_list, pair: matform.OperatorPair, x_grid: Sequence[float],
                         del live[search_key]
                         if search.hi is not None:
                             tol, _, i = search_key
-                            gates[tol, key][i] = search.hi[0] * distinct[key].slot_count
+                            gates[tol, key][i] = search.hi[0] * resolved[key].slot_count
     return gates
 
 
@@ -422,7 +417,7 @@ def _single_steps(scheme_list, pair: matform.OperatorPair,
                   t_grid: Sequence[float]) -> list[list[tuple[float, float]]]:
     """:func:`single_step_errors` of each scheme, as one table: one target
     grid per distinct target and one :func:`_errors` pass."""
-    resolved = [_resolve_scheme(s) for s in scheme_list]
+    resolved = [schemes.resolve(s) for s in scheme_list]
     targets = _targets(resolved, pair, lambda _: np.asarray(t_grid))
     jobs = [_Job(scheme, t_grid, [1] * len(t_grid), T) for scheme, T in zip(resolved, targets)]
     return [[(float(t), error) for t, error in zip(t_grid, errors)]
@@ -483,7 +478,7 @@ def _write_csv(out, sections: Sequence[tuple[Sequence[str], Sequence[str], Seque
     return sum(1 + len(rows) for _, _, rows in sections)
 
 
-def curve_table(scheme_names, pairs, t_total, n_grid):
+def curve_table(scheme_list, pairs, t_total, n_grid):
     """CSV header and rows of n-step error curves, pair by pair, scheme by scheme.
 
     The table is the unit of stacking: per pair, each distinct target is
@@ -494,15 +489,16 @@ def curve_table(scheme_names, pairs, t_total, n_grid):
     ``_STACK_BYTES / (16 d^2)`` entries.  Every row equals the one
     :func:`error_curve` gives for its scheme alone, bit for bit.
     """
+    resolved = [schemes.resolve(s) for s in scheme_list]
     rows = []
     for pair in pairs:
-        for curve in _curves(scheme_names, pair, t_total, n_grid):
+        for curve in _curves(resolved, pair, t_total, n_grid):
             rows += [(res.scheme, res.pair, res.t_total, res.n, res.gates, res.error)
                      for res in curve]
     return ("scheme", "pair", "t_total", "n", "gates", "error"), rows
 
 
-def cost_table(scheme_names, pair, x_grid, tol):
+def cost_table(scheme_list, pair, x_grid, tol):
     """CSV header and rows of the gates each scheme needs to reach ``tol``
     per x, tolerance by tolerance (``tol`` is one tolerance or a sequence of
     them), scheme by scheme.
@@ -514,14 +510,15 @@ def cost_table(scheme_names, pair, x_grid, tol):
     distinct target.  Every row equals the one :func:`gates_for_tolerance`
     gives for its scheme and tolerance alone.
     """
+    resolved = [schemes.resolve(s) for s in scheme_list]
     tols = [tol] if np.ndim(tol) == 0 else list(tol)
-    gates = _gates(scheme_names, pair, x_grid, tols, DEFAULT_N_CAP)
-    rows = [(name, x, t, g) for t in tols for name in scheme_names
-            for x, g in zip(x_grid, gates[float(t), _scheme_key(name)])]
+    gates = _gates(resolved, pair, x_grid, tols, DEFAULT_N_CAP)
+    rows = [(scheme.name, x, t, g) for t in tols for i, scheme in enumerate(resolved)
+            for x, g in zip(x_grid, gates[float(t), i])]
     return ("scheme", "x", "tol", "gates"), rows
 
 
-def provenance(pairs, scheme_names) -> list[str]:
+def provenance(pairs, scheme_list) -> list[str]:
     """CSV comment lines: per pair, how the schemes were multiplied out
     (:func:`~commexp.matform.evaluation_path`), then the commexp and numpy
     versions.
@@ -533,12 +530,12 @@ def provenance(pairs, scheme_names) -> list[str]:
     ``random:16: taylor path, powers to Y^16, float64 arithmetic; taylor
     path, powers to Y^16, complex128 arithmetic for PCP6_3_imaginary``.
     """
+    resolved = [schemes.resolve(s) for s in scheme_list]
     lines = []
     for pair in pairs:
         kinds: dict[tuple[str, str], list[str]] = {}
-        for name in scheme_names:
-            path = matform.evaluation_path(_resolve_scheme(name), pair)
-            kinds.setdefault(path, []).append(name)
+        for scheme in resolved:
+            kinds.setdefault(matform.evaluation_path(scheme, pair), []).append(scheme.name)
         depth = f", powers to Y^{pair.power_depth}"
         described = {(p, a): f"{p} path{depth if p == 'taylor' else ''}, {a} arithmetic"
                      for p, a in kinds}

@@ -1,9 +1,15 @@
 """Command-line front end: catalog inspection, verification, benchmarks.
 
+Every scheme argument is resolved by :func:`commexp.schemes.resolve`: a
+catalog name, else a scheme file path.  Each ``bench`` mode reads only the
+options :data:`_BENCH_READS` lists for it; any other option given is an
+input error.
+
 Exit codes: 0 on success, 1 when a verification falls short of the claimed
-order, 2 for usage and input errors (unknown names, malformed flags, a scheme
-whose log cannot be formed at the needed degree, a path that cannot be read
-or written, an optimum at the edge of the searched range), and
+order, 2 for usage and input errors (unknown names, malformed flags, a
+scheme whose log cannot be formed at the needed degree or whose product
+overflows, a path that cannot be read or written, an optimum at the edge of
+the searched range), and
 :data:`EXIT_INTERNAL` (3) when the package itself fails: any other exception
 is reported with its traceback and never exits 1, which scripts read as "NOT
 verified".  A closed stdout is no error: the command keeps the code it had
@@ -34,8 +40,13 @@ EXIT_INTERNAL = 3
 #: named here so that the parser does not import the dense layer.
 FIGURE_NAMES = ("fig1", "fig2", "fig3", "fig5", "fig6")
 
-#: The ``bench`` options that only ``--custom`` reads (a figure fixes them).
-_CUSTOM_ONLY = ("schemes", "pair", "t", "n", "x", "tol")
+#: The options each ``bench`` mode reads: one given that its mode does not
+#: read is an input error, refused before any pair is built.
+_BENCH_READS = {
+    "--figure": ("seed", "out"),
+    "--custom --n": ("schemes", "pair", "seed", "t", "n", "out"),
+    "--custom --x": ("schemes", "pair", "seed", "x", "tol", "out"),
+}
 
 
 def _fail(message: str) -> int:
@@ -70,10 +81,9 @@ def _cmd_schemes(args: argparse.Namespace) -> int:
         return 0
 
     try:
-        sch = schemes.catalog_get(args.name)
-    except KeyError:
-        return _fail(f"unknown scheme {args.name!r}; "
-                     f"run 'commexp schemes list' for the catalog")
+        sch = schemes.resolve(args.name)
+    except (KeyError, ValueError) as exc:
+        return _fail(str(exc.args[0] if exc.args else exc))
 
     if args.action == "show":
         print(f"{sch.name}: order {sch.order}, {sch.slot_count} exponentials, "
@@ -98,22 +108,11 @@ def _cmd_schemes(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
-def _resolve_scheme_arg(value: str):
-    try:
-        return schemes.catalog_get(value)
-    except KeyError:
-        pass
-    path = Path(value)
-    if path.exists():
-        return schemes.load_scheme(path)
-    raise KeyError(f"{value!r} is neither a catalog scheme nor a scheme file")
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     if not _positive_finite(args.tol):
         return _fail(f"--tol needs a positive finite tolerance, got {args.tol:g}")
     try:
-        sch = _resolve_scheme_arg(args.scheme)
+        sch = schemes.resolve(args.scheme)
     except (KeyError, ValueError) as exc:
         return _fail(str(exc.args[0] if exc.args else exc))
 
@@ -168,10 +167,17 @@ def _positive_finite(value: float) -> bool:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from . import bench
 
+    if args.custom and args.n is None and args.x is None:
+        return _fail("--custom needs exactly one of --n or --x")
+    mode = "--figure" if args.figure else "--custom --n" if args.n is not None else "--custom --x"
+    reads = _BENCH_READS[mode]
+    unread = [f"--{opt}" for opt in dict.fromkeys(sum(_BENCH_READS.values(), ()))
+              if opt not in reads and getattr(args, opt) is not None]
+    if unread:
+        *head, last = (f"--{opt}" for opt in reads)
+        return _fail(f"{mode} takes only {', '.join(head)} and {last}, not {', '.join(unread)}")
+
     if args.figure:
-        ignored = [f"--{opt}" for opt in _CUSTOM_ONLY if getattr(args, opt) is not None]
-        if ignored:
-            return _fail(f"--figure takes only --seed and --out, not {', '.join(ignored)}")
         out = Path(args.out) if args.out else _default_out(f"{args.figure}.csv")
         n_rows = bench.export_figure(args.figure, out, seed=args.seed)
         print(f"{args.figure}: wrote {out} ({n_rows} lines incl. headers)")
@@ -181,17 +187,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if not names:
         return _fail("--custom needs --schemes")
     try:
-        for name in names:
-            schemes.catalog_get(name)
+        scheme_list = [schemes.resolve(name) for name in names]
         pair = _parse_pair("pauli" if args.pair is None else args.pair, args.seed)
     except (KeyError, ValueError) as exc:
         return _fail(str(exc.args[0] if exc.args else exc))
-    if (args.n is None) == (args.x is None):
-        return _fail("--custom needs exactly one of --n or --x")
 
     out = Path(args.out) if args.out else _default_out("custom.csv")
-    t_total = 1.0 if args.t is None else args.t
     if args.n is not None:
+        t_total = 1.0 if args.t is None else args.t
         try:
             n_list = _split_numbers(args.n, int)
         except ValueError:
@@ -201,7 +204,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if not _positive_finite(t_total):
             return _fail(f"--t needs a positive finite total time, got {t_total:g}")
         try:
-            header, rows = bench.curve_table(names, [pair], t_total, n_list)
+            header, rows = bench.curve_table(scheme_list, [pair], t_total, n_list)
         except ValueError as exc:  # overflow: the product or its error is not finite
             return _fail(f"cannot evaluate the error curve at t = {t_total:g}: {exc}")
         comments = [f"custom error curve: t_total={t_total:g}, seed={args.seed}"]
@@ -216,10 +219,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             return _fail(f"--x values must lie in (0, 1], got {args.x!r}")
         if not _positive_finite(args.tol):
             return _fail(f"--tol needs a positive finite tolerance, got {args.tol:g}")
-        header, rows = bench.cost_table(names, pair, x_grid, args.tol)
+        try:
+            header, rows = bench.cost_table(scheme_list, pair, x_grid, args.tol)
+        except ValueError as exc:  # overflow: the product or its error is not finite
+            return _fail(f"cannot evaluate the cost table at tol = {args.tol:g}: {exc}")
         comments = [f"custom cost table: tol={args.tol:g}, seed={args.seed}"]
 
-    bench._write_csv(out, [(comments + bench.provenance([pair], names), header, rows)])
+    bench._write_csv(out, [(comments + bench.provenance([pair], scheme_list), header, rows)])
     print(f"custom: wrote {out} ({len(rows)} data rows)")
     return 0
 
@@ -286,9 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     s_sub = p_schemes.add_subparsers(dest="action", required=True)
     s_sub.add_parser("list", help="one summary line per catalog scheme")
     p_show = s_sub.add_parser("show", help="print slots at full precision")
-    p_show.add_argument("name")
+    p_show.add_argument("name", help="catalog name or scheme file path")
     p_export = s_sub.add_parser("export", help="write a scheme file")
-    p_export.add_argument("name")
+    p_export.add_argument("name", help="catalog name or scheme file path")
     p_export.add_argument("path")
     p_schemes.set_defaults(func=_cmd_schemes)
 
@@ -302,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p_bench.add_mutually_exclusive_group(required=True)
     mode.add_argument("--figure", choices=FIGURE_NAMES)
     mode.add_argument("--custom", action="store_true")
-    p_bench.add_argument("--schemes", help="comma-separated catalog names")
+    p_bench.add_argument("--schemes", help="comma-separated catalog names or scheme file paths")
     p_bench.add_argument("--pair", help="pauli or random:<dim>")
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--t", type=float, help="total simulated time")

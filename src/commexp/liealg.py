@@ -37,7 +37,7 @@ rounds exactly as its own b = 1 call:
   inputs through the least-squares residual.  A :func:`scheme_log` output
   is Lie by construction, so on it the residual checks only pi_1.
   :func:`basis_build` stores that basis once, as one block-diagonal word
-  map and its pseudoinverse; every per-degree array is a view of them.
+  map and its pseudoinverse, from which callers slice the blocks they read.
 
 The other modules read basis coordinates through two private entries, on a
 (b, s) batch of coefficient rows in passes of bounded memory:
@@ -475,23 +475,6 @@ _BASIS_RECIPES: dict[tuple[int, int], tuple[int, Generator, tuple[int, int]]] = 
 
 
 @dataclass(frozen=True)
-class BasisElement:
-    """One nested commutator E_{j,l}; ``vector`` holds its degree-j word
-    coefficients, a read-only view of its column of :attr:`LieBasis.words`."""
-
-    degree: int
-    position: int  # 1-based within the degree
-    sign: int
-    letter: Generator | None  # bracketing letter; None for the two atoms
-    child: tuple[int, int] | None
-    vector: np.ndarray = field(repr=False)
-
-    @property
-    def label(self) -> str:
-        return f"E{self.degree},{self.position}"
-
-
-@dataclass(frozen=True)
 class LieBasis:
     """Nested-commutator basis through :data:`MAX_TRUNCATION`, stored once.
 
@@ -500,31 +483,15 @@ class LieBasis:
     ``offsets[N]`` is D) to flat series at truncation N = MAX_TRUNCATION
     (the layout of :func:`_word_tables`), and ``pinv`` (D, size) its
     pseudoinverse, the least-squares map back, whose diagonal blocks are
-    the pseudoinverses of the degrees.  The per-degree word matrices
-    ``matrices[j]`` (2**j, dim), pseudoinverses ``pinvs[j]`` (dim, 2**j)
-    and element vectors are read-only views of their blocks, and the
-    leading blocks of ``words`` and ``pinv`` are the maps of every smaller
-    truncation.
+    the pseudoinverses of the degrees, and the leading blocks of ``words``
+    and ``pinv`` are the maps of every smaller truncation.  Column l of
+    degree j in ``words`` is the element E_{j,l} of :data:`_BASIS_ATOMS`
+    or :data:`_BASIS_RECIPES`.
     """
 
-    elements: dict[tuple[int, int], BasisElement] = field(repr=False)
-    matrices: dict[int, np.ndarray] = field(repr=False)
-    pinvs: dict[int, np.ndarray] = field(repr=False)
     words: np.ndarray = field(repr=False)
     pinv: np.ndarray = field(repr=False)
     offsets: np.ndarray = field(repr=False)
-
-    def dims(self) -> tuple[int, ...]:
-        return LIE_DIMS
-
-    def dim(self, degree: int) -> int:
-        return LIE_DIMS[degree - 1]
-
-    def element(self, degree: int, position: int) -> BasisElement:
-        return self.elements[(degree, position)]
-
-    def degree_elements(self, degree: int) -> list[BasisElement]:
-        return [self.elements[(degree, l)] for l in range(1, self.dim(degree) + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -553,8 +520,7 @@ def basis_build() -> LieBasis:
     letters = np.eye(2)  # the degree-1 word vector of each letter
     for key, letter in _BASIS_ATOMS.items():
         column(*key)[:] = letters[letter]
-    recipes = sorted(_BASIS_RECIPES.items())
-    for (j, l), (sign, letter, child) in recipes:
+    for (j, l), (sign, letter, child) in sorted(_BASIS_RECIPES.items()):
         e, c = letters[letter], column(*child)
         column(j, l)[:] = sign * (np.outer(e, c).ravel() - np.outer(c, e).ravel())
     for j, (rows, coordinates) in blocks.items():
@@ -563,12 +529,7 @@ def basis_build() -> LieBasis:
         pinv[coordinates, rows] = np.linalg.pinv(words[rows, coordinates])
     for array in (words, pinv, offsets):
         array.flags.writeable = False  # shared by every caller through the cache
-    # views taken after the lock are read-only too
-    elements = {key: BasisElement(*key, +1, None, None, column(*key)) for key in _BASIS_ATOMS}
-    elements.update((key, BasisElement(*key, *recipe, column(*key))) for key, recipe in recipes)
-    return LieBasis(elements, {j: words[block] for j, block in blocks.items()},
-                    {j: pinv[block[::-1]] for j, block in blocks.items()},
-                    words, pinv, offsets)
+    return LieBasis(words, pinv, offsets)
 
 
 @lru_cache(maxsize=None)
@@ -586,15 +547,17 @@ def letter_map(images: tuple[tuple[Generator, complex], ...], degree: int) -> np
     returned array is read-only.
     """
     basis = basis_build()
+    rows = slice((1 << degree) - 1, (2 << degree) - 1)
+    coordinates = slice(*basis.offsets[degree - 1:degree + 1])
     shifts = np.arange(degree - 1, -1, -1)
     letters = (np.arange(1 << degree)[:, None] >> shifts) & 1  # first letter first
     targets = np.array([int(image) for image, _ in images])[letters]
     factors = np.array([f for _, f in images])
-    words = basis.matrices[degree]
+    words = basis.words[rows, coordinates]
     mapped = np.zeros(words.shape, dtype=np.result_type(factors, words))
     np.add.at(mapped, (targets << shifts).sum(axis=1),
               factors[letters].prod(axis=1)[:, None] * words)
-    exact = basis.pinvs[degree] @ mapped
+    exact = basis.pinv[coordinates, rows] @ mapped
     matrix = np.round(3.0 * exact) / 3.0
     if np.max(np.abs(matrix - exact)) > 1e-12:
         raise ArithmeticError(f"degree-{degree} letter map is not in thirds")

@@ -228,8 +228,8 @@ class _Powers(NamedTuple):
     contiguous (4, d, d) block of X, Y^2, Y^3 and Y^4, or (k, 4, d, d) for a
     stack, on which :func:`_taylor_exp` runs; ``stack``, for one matrix
     only, is the deep stack of :func:`_stack_exp`: the (17, d^2) array of the
-    flattened Y^0 = I, Y, ..., Y^16.  ``square``, ``cube`` and ``fourth``
-    view Y^2, Y^3 and Y^4 in either, bit for bit the same at both depths.
+    flattened Y^0 = I, Y, ..., Y^16.  Y^2, Y^3 and Y^4 are bit for bit
+    the same at both depths.
     """
 
     scale: np.ndarray
@@ -237,16 +237,6 @@ class _Powers(NamedTuple):
     zero: np.ndarray
     block: np.ndarray | None = None
     stack: np.ndarray | None = None
-
-    def _power(self, p: int) -> np.ndarray:
-        if self.stack is None:
-            return self.block[..., p - 1, :, :]
-        d = math.isqrt(self.stack.shape[1])
-        return self.stack[p].reshape(d, d)
-
-    square = property(lambda self: self._power(2))
-    cube = property(lambda self: self._power(3))
-    fourth = property(lambda self: self._power(4))
 
 
 def _norm1(X: np.ndarray) -> np.ndarray:
@@ -448,7 +438,7 @@ def _taylor_exp(powers: _Powers, q: list[int], s: list[int], c: np.ndarray,
     n = q.count(2)
     coef = _QUARTICS[np.subtract(q, 1)] * c[:, _TERMS]
     coef[..., 1] /= np.reshape(powers.scale, (-1, 1))
-    block, fourth = powers.block, powers.fourth
+    block, fourth = powers.block, powers.block[..., 3, :, :]
     if block.ndim == 3:  # shared powers, read through (k, ...) broadcast views
         block = np.broadcast_to(block, (k,) + block.shape)
     _quartic(block, coef[:, 0, 1:], W)

@@ -42,6 +42,7 @@ __all__ = [
     "Scheme",
     "catalog_get",
     "catalog_names",
+    "resolve",
     "third_order_family",
     "third_order_rows",
     "yoshida",
@@ -716,6 +717,21 @@ def catalog_get(name: str) -> Scheme:
     which shares its frozen slots and target.
     """
     return copy.copy(_catalog_build(name))
+
+
+def resolve(spec: Scheme | str) -> Scheme:
+    """The scheme a command or a table entry names: a :class:`Scheme` as it
+    is; for a string, the catalog entry of that name, else the scheme file
+    at that path (:func:`load_scheme`, whose ``ValueError`` propagates).
+    Any other string raises ``KeyError``."""
+    if isinstance(spec, Scheme):
+        return spec
+    if spec in _CATALOG:
+        return catalog_get(spec)
+    if Path(spec).exists():
+        return load_scheme(spec)
+    raise KeyError(f"unknown scheme {spec!r}: neither a catalog scheme nor a scheme file; "
+                   f"run 'commexp schemes list' for the catalog")
 
 
 @lru_cache(maxsize=None)

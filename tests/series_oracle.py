@@ -25,7 +25,15 @@ from typing import Mapping
 import numpy as np
 
 from commexp.conditions import slot_pairs
-from commexp.liealg import MAX_TRUNCATION, Generator, as_generator, basis_build
+from commexp.liealg import (
+    _BASIS_ATOMS,
+    _BASIS_RECIPES,
+    LIE_DIMS,
+    MAX_TRUNCATION,
+    Generator,
+    as_generator,
+    basis_build,
+)
 
 
 @dataclass(frozen=True)
@@ -245,17 +253,29 @@ def scheme_log(slots, truncation: int) -> TruncatedSeries:
     return series_log(slot_product(slots, truncation))
 
 
+def basis_blocks(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks of one degree in the stored basis (:func:`basis_build`):
+    the (2**degree, dim) word matrix, whose column l - 1 holds the word
+    coefficients of E_{degree,l}, and its (dim, 2**degree) pseudoinverse."""
+    basis = basis_build()
+    rows = slice((1 << degree) - 1, (2 << degree) - 1)
+    coordinates = slice(basis.offsets[degree - 1], basis.offsets[degree])
+    return basis.words[rows, coordinates], basis.pinv[coordinates, rows]
+
+
 @lru_cache(maxsize=None)
 def basis_series(degree: int, position: int) -> TruncatedSeries:
     """E_{degree,position} at :data:`MAX_TRUNCATION`, walking its commutator
-    tree: ``sign * [letter, child]`` down to a letter, each bracket two
-    :func:`product` calls.  Cached: do not modify the result in place."""
-    element = basis_build().element(degree, position)
-    if element.child is None:
-        return TruncatedSeries.from_terms(MAX_TRUNCATION, {Word((Generator(position - 1),)): 1.0})
-    letter = basis_series(1, int(element.letter) + 1)
-    child = basis_series(*element.child)
-    return element.sign * (product(letter, child) - product(child, letter))
+    tree in the engine's recipes: ``sign * [letter, child]`` down to an
+    atom, each bracket two :func:`product` calls.  Cached: do not modify the
+    result in place."""
+    if (degree, position) in _BASIS_ATOMS:
+        atom = _BASIS_ATOMS[degree, position]
+        return TruncatedSeries.from_terms(MAX_TRUNCATION, {Word((atom,)): 1.0})
+    sign, letter, child = _BASIS_RECIPES[degree, position]
+    letter = basis_series(1, int(letter) + 1)
+    child = basis_series(*child)
+    return sign * (product(letter, child) - product(child, letter))
 
 
 def lie_project(s: TruncatedSeries) -> tuple[dict[int, np.ndarray], dict[int, float]]:
@@ -264,7 +284,7 @@ def lie_project(s: TruncatedSeries) -> tuple[dict[int, np.ndarray], dict[int, fl
     vectors, residuals = {}, {}
     for j in range(1, s.truncation + 1):
         columns = np.column_stack([basis_series(j, l).degree_coefficients(j)
-                                   for l in range(1, basis_build().dim(j) + 1)])
+                                   for l in range(1, LIE_DIMS[j - 1] + 1)])
         y = s.degree_coefficients(j)
         vectors[j] = np.linalg.lstsq(columns, y, rcond=None)[0]
         residuals[j] = float(np.linalg.norm(columns @ vectors[j] - y))

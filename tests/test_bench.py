@@ -20,10 +20,11 @@ from commexp.bench import (
     error_curve,
     export_figure,
     gates_for_tolerance,
+    provenance,
     single_step_errors,
     slope_fit,
 )
-from commexp.schemes import catalog_get
+from commexp.schemes import catalog_get, save_scheme
 
 
 def composed_error(scheme, pair, t_total, n):
@@ -612,6 +613,28 @@ def test_one_tolerance_cost_table_is_the_plain_float_case(pauli_pair):
 def test_an_empty_x_grid_gives_no_rows(pauli_pair):
     assert gates_for_tolerance("NCP10_4", pauli_pair, [], 1e-6) == []
     assert cost_table(["NCP10_4", "strang"], pauli_pair, [], [1e-6, 1e-3])[1] == []
+
+
+def test_tables_name_scheme_entries_by_their_name(pauli_pair, tmp_path):
+    # a Scheme entry, and a scheme file, label their rows as the catalog
+    # name does
+    path = tmp_path / "ncp10.scheme.json"
+    save_scheme(catalog_get("NCP10_4"), path)
+    by_name = cost_table(["NCP10_4"], pauli_pair, [0.5], 1e-4)
+    assert by_name[1] == [("NCP10_4", 0.5, 1e-4, by_name[1][0][3])]
+    for entry in (catalog_get("NCP10_4"), str(path)):
+        assert cost_table([entry], pauli_pair, [0.5], 1e-4) == by_name
+        assert (curve_table([entry], [pauli_pair], 1.0, [1, 8])
+                == curve_table(["NCP10_4"], [pauli_pair], 1.0, [1, 8]))
+        assert (error_curve(entry, pauli_pair, 1.0, [2])
+                == error_curve("NCP10_4", pauli_pair, 1.0, [2]))
+
+
+def test_provenance_names_scheme_entries_by_their_name():
+    pair = matform.make_pair("random", 4, 1)
+    lines = provenance([pair], [catalog_get("NCP10_4"), catalog_get("PCP6_3_imaginary")])
+    assert lines == provenance([pair], ["NCP10_4", "PCP6_3_imaginary"])
+    assert lines[0].endswith(" complex128 arithmetic for PCP6_3_imaginary")
 
 
 def _spy(monkeypatch, module, name, record):

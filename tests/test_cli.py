@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import commexp
-from commexp import bench
+from commexp import bench, matform
 from commexp.cli import EXIT_INTERNAL, main
+from commexp.liealg import Generator
 from commexp.schemes import ExponentSlot, catalog_get, catalog_names, save_scheme
 
 
@@ -68,6 +69,59 @@ def test_schemes_show_unknown_name(capsys):
     assert code == 2
     assert "unknown scheme" in err
     assert "schemes list" in err
+
+
+def _exported(tmp_path, name, coefficients=None):
+    """The path of catalog scheme ``name`` written as a scheme file, with
+    the slot coefficients ``coefficients`` ({slot index: coefficient})
+    replaced."""
+    scheme = catalog_get(name)
+    coefficients = coefficients or {}
+    slots = [dataclasses.replace(slot, coefficient=coefficients.get(i, slot.coefficient))
+             for i, slot in enumerate(scheme.slots)]
+    path = tmp_path / f"{name}.scheme.json"
+    save_scheme(dataclasses.replace(scheme, slots=tuple(slots)), path)
+    return path
+
+
+def test_schemes_show_reads_a_scheme_file(capsys, tmp_path):
+    # the file prints as its catalog entry, but for the note a file does
+    # not carry
+    path = _exported(tmp_path, "NCP10_4")
+    _, catalog, _ = run(capsys, "schemes", "show", "NCP10_4")
+    code, from_file, _ = run(capsys, "schemes", "show", str(path))
+    assert code == 0
+    notes = [line for line in catalog.splitlines() if line.startswith("note: ")]
+    assert len(notes) == 1
+    assert from_file.splitlines() == [line for line in catalog.splitlines()
+                                      if line not in notes]
+
+
+@pytest.mark.parametrize("argv", [
+    ("schemes", "show", "nosuch"),
+    ("schemes", "export", "nosuch", "x.json"),
+    ("verify", "--scheme", "nosuch"),
+    ("bench", "--custom", "--schemes", "NCP10_4,nosuch", "--n", "1", "--out", "x.csv"),
+])
+def test_every_command_names_an_unknown_scheme_alike(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: unknown scheme 'nosuch': neither a catalog scheme nor a scheme "
+                   "file; run 'commexp schemes list' for the catalog\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [("schemes", "show"), ("verify", "--scheme"),
+                                     ("bench", "--custom", "--n", "1", "--schemes")])
+def test_every_command_refuses_a_malformed_scheme_file(capsys, tmp_path, command):
+    path = tmp_path / "bad.scheme.json"
+    path.write_text("{}", encoding="utf-8")
+    code, out, err = run(capsys, *command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: missing field 'name'\n"
 
 
 def test_schemes_export_into_missing_directory_is_input_error(capsys, tmp_path):
@@ -335,6 +389,66 @@ def test_bench_custom_stamps_provenance(capsys, tmp_path, pair, stamp):
     comments = [l[2:] for l in lines if l.startswith("# ")]
     assert comments[1:] == [stamp, f"commexp {commexp.__version__}", f"numpy {np.__version__}"]
     assert lines[len(comments)] == "scheme,pair,t_total,n,gates,error"
+
+
+@pytest.mark.parametrize("pair", ["pauli", "random:16"])
+@pytest.mark.parametrize("flags", [("--n", "1,4,64"), ("--x", "0.3,0.9", "--tol", "1e-6")])
+def test_bench_custom_reads_a_scheme_file_as_its_catalog_entry(capsys, tmp_path, pair, flags):
+    # an exported NCP10_4 file gives the catalog entry's table, comment and
+    # data lines byte for byte
+    written = []
+    for spec in ("NCP10_4", str(_exported(tmp_path, "NCP10_4"))):
+        out = tmp_path / "custom.csv"
+        code, _, _ = run(capsys, "bench", "--custom", "--schemes", spec, "--pair", pair,
+                         "--seed", "11", *flags, "--out", str(out))
+        assert code == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    assert b"\nNCP10_4," in written[0]
+
+
+_READS = {"--custom --n": "--schemes, --pair, --seed, --t, --n and --out",
+          "--custom --x": "--schemes, --pair, --seed, --x, --tol and --out"}
+
+
+@pytest.mark.parametrize("mode,flags,named", [
+    ("--custom --n", ("--n", "2", "--tol", "1e-4"), "--tol"),
+    ("--custom --n", ("--n", "2", "--x", "0.5"), "--x"),
+    ("--custom --n", ("--x", "0.5", "--tol", "1e-4", "--n", "2", "--t", "5"), "--x, --tol"),
+    ("--custom --x", ("--x", "0.5", "--tol", "1e-4", "--t", "5"), "--t"),
+])
+def test_bench_custom_refuses_options_its_mode_does_not_read(capsys, tmp_path, monkeypatch,
+                                                            mode, flags, named):
+    # an error curve reads no tolerance and no x grid, a cost table no total
+    # time: each is an input error naming it, before any pair is built
+    def refused(*args):
+        raise AssertionError("a pair was built")
+
+    monkeypatch.setattr(matform, "make_pair", refused)
+    out = tmp_path / "custom.csv"
+    code, text, err = run(capsys, "bench", "--custom", "--schemes", "NCP10_4",
+                          "--pair", "random:4", *flags, "--out", str(out))
+    assert code == 2
+    assert text == ""
+    assert err == f"error: {mode} takes only {_READS[mode]}, not {named}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [("--n", "1"), ("--x", "0.5", "--tol", "1e-4")])
+def test_bench_custom_overflowing_scheme_is_input_error(capsys, tmp_path, flags):
+    # an A slot of coefficient 1e200 overflows the product on random:4: an
+    # error curve and a cost table both exit 2 with one line and no file
+    a_slot = next(i for i, slot in enumerate(catalog_get("NCP10_4").slots)
+                  if slot.generator is Generator.A)
+    path = _exported(tmp_path, "NCP10_4", {a_slot: 1e200})
+    out = tmp_path / "big.csv"
+    code, text, err = run(capsys, "bench", "--custom", "--schemes", str(path),
+                          "--pair", "random:4", *flags, "--out", str(out))
+    assert code == 2
+    assert text == ""
+    assert err.startswith("error: cannot evaluate the ") and len(err.strip().splitlines()) == 1
+    assert "overflows" in err
+    assert not out.exists()
 
 
 def test_bench_custom_usage_errors(capsys, tmp_path):

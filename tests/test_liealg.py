@@ -14,6 +14,8 @@ import series_oracle as oracle
 from series_oracle import TruncatedSeries, Word, complex_step_jacobian, exp_slot, series_exp
 from commexp import liealg
 from commexp.liealg import (
+    _BASIS_ATOMS,
+    _BASIS_RECIPES,
     LIE_DIMS,
     LOG_ROUND_OFF,
     MAX_LOG_COEFFICIENT,
@@ -371,18 +373,24 @@ def test_slot_append_repeated_generator_adds_exponents():
 # ---------------------------------------------------------------------------
 
 
-def _series(element):
-    """A basis element as a homogeneous oracle series at MAX_TRUNCATION."""
+def _series(degree, position):
+    """The stored basis element E_{degree,position}, its column of the word
+    map, as a homogeneous oracle series at MAX_TRUNCATION."""
     s = TruncatedSeries.zero(MAX_TRUNCATION)
-    s._deg[element.degree][:] = element.vector
+    s._deg[degree][:] = oracle.basis_blocks(degree)[0][:, position - 1]
     return s
 
 
 def test_basis_dimensions():
     basis = basis_build()
-    assert basis.dims() == LIE_DIMS == (2, 1, 2, 3, 6, 9, 18)
+    assert LIE_DIMS == (2, 1, 2, 3, 6, 9, 18)
+    assert np.diff(basis.offsets).tolist() == list(LIE_DIMS)
+    # one atom or recipe per element, no more
+    assert sorted([*_BASIS_ATOMS, *_BASIS_RECIPES]) == [
+        (j, l) for j in range(1, MAX_TRUNCATION + 1) for l in range(1, LIE_DIMS[j - 1] + 1)]
     for degree in range(1, MAX_TRUNCATION + 1):
-        assert len(basis.degree_elements(degree)) == basis.dim(degree)
+        words, pinv = oracle.basis_blocks(degree)
+        assert words.shape == pinv.shape[::-1] == (1 << degree, LIE_DIMS[degree - 1])
 
 
 def test_basis_is_cached():
@@ -390,46 +398,37 @@ def test_basis_is_cached():
 
 
 def test_basis_is_stored_once():
-    # every per-degree array is a read-only view of the one block-diagonal
-    # word map or of its pseudoinverse, which are zero off their blocks
+    # the one block-diagonal word map and its pseudoinverse are read-only
+    # and zero off their blocks
     basis = basis_build()
     words, pinv, offsets = basis.words, basis.pinv, basis.offsets
     on_words = np.zeros(words.shape, bool)
     for degree in range(1, MAX_TRUNCATION + 1):
         on_words[_block(degree), offsets[degree - 1]:offsets[degree]] = True
-        views = [(basis.matrices[degree], words), (basis.pinvs[degree], pinv)]
-        views += [(element.vector, words) for element in basis.degree_elements(degree)]
-        for view, store in views:
-            assert np.shares_memory(view, store)
-            assert not view.flags.writeable
     assert not (words.flags.writeable or pinv.flags.writeable or offsets.flags.writeable)
     assert (words[~on_words] == 0).all() and (pinv[~on_words.T] == 0).all()
 
 
 def test_basis_atoms():
-    basis = basis_build()
-    assert _series(basis.element(1, 1)).coefficient("A") == 1.0
-    assert _series(basis.element(1, 2)).coefficient("B") == 1.0
-    e21 = _series(basis.element(2, 1))
+    assert _series(1, 1).coefficient("A") == 1.0
+    assert _series(1, 2).coefficient("B") == 1.0
+    e21 = _series(2, 1)
     assert e21.coefficient("AB") == 1.0
     assert e21.coefficient("BA") == -1.0
 
 
 def test_basis_element_metadata():
-    basis = basis_build()
-    e43 = basis.element(4, 3)
-    assert (e43.sign, e43.letter, e43.child) == (-1, B, (3, 2))
-    assert e43.label == "E4,3"
-    # every recipe element expands to its sign * [letter, child], and is the
-    # oracle's own walk down the commutator tree
-    for (j, l), elt in basis.elements.items():
-        assert _series(elt).allclose(oracle.basis_series(j, l), tol=0.0)
-        if elt.child is None:
-            continue
-        child = _series(basis.element(*elt.child))
-        letter = _series(basis.element(1, 1 if elt.letter is A else 2))
+    # E_{4,3} = -[B, E_{3,2}]
+    assert _BASIS_RECIPES[4, 3] == (-1, B, (3, 2))
+    # every element is the oracle's own walk down the commutator tree, and
+    # every recipe element expands to its sign * [letter, child]
+    for j, l in [*_BASIS_ATOMS, *_BASIS_RECIPES]:
+        assert _series(j, l).allclose(oracle.basis_series(j, l), tol=0.0)
+    for (j, l), (sign, letter, child) in _BASIS_RECIPES.items():
+        child = _series(*child)
+        letter = _series(1, 1 if letter is A else 2)
         bracket = oracle.product(letter, child) - oracle.product(child, letter)
-        assert _series(elt).allclose(elt.sign * bracket, tol=1e-14)
+        assert _series(j, l).allclose(sign * bracket, tol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -438,12 +437,11 @@ def test_basis_element_metadata():
 
 
 def test_lie_project_recovers_basis_coordinates(rng):
-    basis = basis_build()
     series = np.zeros(31)
     expected = {}
     for degree in range(1, 5):
-        expected[degree] = rng.uniform(-1.0, 1.0, basis.dim(degree))
-        series[_block(degree)] = basis.matrices[degree] @ expected[degree]
+        expected[degree] = rng.uniform(-1.0, 1.0, LIE_DIMS[degree - 1])
+        series[_block(degree)] = oracle.basis_blocks(degree)[0] @ expected[degree]
     vectors, residuals = lie_project(series)
     assert residuals.shape == (5,)
     for degree in range(1, 5):
@@ -790,9 +788,9 @@ def test_scheme_log_matches_series_log_on_the_same_product(case):
 @pytest.mark.parametrize("degree", range(1, MAX_TRUNCATION + 1))
 def test_eulerian_idempotent_projects_onto_the_lie_elements(degree):
     pi = _eulerian_idempotent(degree)
-    basis = basis_build()
+    words, pinv = oracle.basis_blocks(degree)
     np.testing.assert_allclose(pi @ pi, pi, rtol=0.0, atol=1e-14)
-    np.testing.assert_allclose(basis.matrices[degree] @ basis.pinvs[degree] @ pi, pi,
+    np.testing.assert_allclose(words @ pinv @ pi, pi,
                                rtol=0.0, atol=1e-14)
     # a projector's trace is its rank: the whole commutator subspace
     assert round(float(np.trace(pi))) == LIE_DIMS[degree - 1]

@@ -631,16 +631,14 @@ def test_non_normal_pairs_take_the_cached_power_path(which):
                    for X, powers, source in zip((pair.A, pair.B), pair.powers, sources))
         for X, powers in zip((pair.A, pair.B), pair.powers):
             Y = X / np.linalg.norm(X, 1)
-            np.testing.assert_allclose(powers.square, Y @ Y, atol=1e-15)
-            np.testing.assert_allclose(powers.cube, Y @ Y @ Y, atol=1e-15)
-            np.testing.assert_allclose(powers.fourth, Y @ Y @ Y @ Y, atol=1e-15)
+            for p, reference in zip((2, 3, 4), (Y @ Y, Y @ Y @ Y, Y @ Y @ Y @ Y)):
+                np.testing.assert_allclose(_power(powers, p), reference, atol=1e-15)
             if depth == 4:
                 assert powers.stack is None
                 continue
             assert powers.stack.shape == (17, 16 * 16)
-            assert np.shares_memory(powers.square, powers.stack)
-            assert np.shares_memory(powers.cube, powers.stack)
-            assert np.shares_memory(powers.fourth, powers.stack)
+            for p in (2, 3, 4):
+                assert np.shares_memory(_power(powers, p), powers.stack)
             for m, row in enumerate(powers.stack):
                 np.testing.assert_allclose(row.reshape(16, 16), np.linalg.matrix_power(Y, m),
                                            atol=1e-15)
@@ -772,6 +770,14 @@ def _powers(X, deep=False):
     return matform._powers(rows)
 
 
+def _power(powers, p):
+    """Y^p, p = 2, 3 or 4, of one matrix's powers, at either depth."""
+    if powers.stack is None:
+        return powers.block[p - 1]
+    d = math.isqrt(powers.stack.shape[1])
+    return powers.stack[p].reshape(d, d)
+
+
 def _slot_exponential(X, z, deep=False):
     """exp(z X) through the private Taylor core, or with ``deep`` through
     the deep power stack, in float64 buffers when X and z are real and
@@ -852,8 +858,10 @@ def test_both_depths_take_one_taylor_rule(seed, dim, kind, size, z):
     if norm > 0:
         X *= size / norm
     deep, shallow = _powers(X, deep=True), _powers(X)
-    for name in ("scale", "alpha", "zero", "square", "cube", "fourth"):
+    for name in ("scale", "alpha", "zero"):
         assert _bits(getattr(deep, name)) == _bits(getattr(shallow, name)), name
+    for p in (2, 3, 4):
+        assert _bits(_power(deep, p)) == _bits(_power(shallow, p)), p
     row = np.array([[z, z / 3, -z, 2 * z, 0.0]])
     (q, s, c), (q4, s4, c4) = (matform._taylor_terms([p], row) for p in (deep, shallow))
     assert (q, s) == (q4, s4)
@@ -871,7 +879,7 @@ def _row_exponentials(powers, q, s, c, cast=False):
     power took a complex factor as its float parts: the deep stack's
     product as numpy's matmul casts the stack, and the core on a complex
     copy of the block."""
-    buffers = [np.empty((len(s),) + powers.square.shape, np.complex128) for _ in range(3)]
+    buffers = [np.empty((len(s),) + _power(powers, 2).shape, np.complex128) for _ in range(3)]
     if powers.stack is None:
         if cast:
             powers = powers._replace(block=powers.block.astype(np.complex128))
@@ -1257,7 +1265,7 @@ def _rule_with_degree_four(powers, z):
     of no product, taken while |z| nu alpha_2 <= theta_4 = 0.002442156,
     alpha_2 = max(d_2, d_3): a copy of that rule's arithmetic on one
     argument, which the rule of the package must follow but for degree 4."""
-    n2, n3 = (matform._norm1(p) for p in (powers.square, powers.cube))
+    n2, n3 = (matform._norm1(_power(powers, p)) for p in (2, 3))
     alpha2 = np.maximum(np.sqrt(n2), float(n3) ** (1.0 / 3.0))
     with np.errstate(over="ignore", invalid="ignore"):
         w = np.array([[z]]) * powers.scale
@@ -1943,15 +1951,14 @@ def test_element_matrix_low_degrees(random_pair):
 
 def test_element_matrix_recursion_consistency(random_pair):
     # every element above degree 1 must equal sign * [letter, child]
-    from commexp.liealg import basis_build
+    from commexp.liealg import LIE_DIMS, _BASIS_RECIPES
 
-    basis = basis_build()
     for degree in range(2, 8):
-        for pos in range(1, basis.dim(degree) + 1):
-            el = basis.element(degree, pos)
+        for pos in range(1, LIE_DIMS[degree - 1] + 1):
+            sign, letter, child = _BASIS_RECIPES[(degree, pos)]
             direct = element_matrix(degree, pos, random_pair)
-            child = element_matrix(*el.child, random_pair)
-            expected = el.sign * commutator(random_pair.matrix(el.letter), child)
+            child = element_matrix(*child, random_pair)
+            expected = sign * commutator(random_pair.matrix(letter), child)
             np.testing.assert_allclose(direct, expected, atol=1e-12)
 
 
@@ -1963,18 +1970,16 @@ def test_element_matrix_refuses_a_position_outside_the_basis(random_pair, key):
 
 def test_element_matrices_equal_the_basis_recursion_bit_for_bit(random_pair):
     # built from the recipes alone, every element equals sign * [letter,
-    # child] on the stored basis's elements, atoms included
-    from commexp.liealg import basis_build
+    # child] on the basis's elements, atoms included
+    from commexp.liealg import LIE_DIMS, _BASIS_RECIPES
 
-    basis = basis_build()
     matrices = {(1, 1): random_pair.A, (1, 2): random_pair.B}
-    for degree in range(1, 8):
-        for el in basis.degree_elements(degree):
-            key = (el.degree, el.position)
-            if el.letter is not None:
-                L, C = random_pair.matrix(el.letter), matrices[el.child]
-                matrices[key] = el.sign * (L @ C - C @ L)
-            _same_bits(element_matrix(*key, random_pair), matrices[key])
+    for key, (sign, letter, child) in sorted(_BASIS_RECIPES.items()):
+        L, C = random_pair.matrix(letter), matrices[child]
+        matrices[key] = sign * (L @ C - C @ L)
+    assert len(matrices) == sum(LIE_DIMS)
+    for key, M in matrices.items():
+        _same_bits(element_matrix(*key, random_pair), M)
 
 
 def test_the_matrix_layer_builds_no_basis(tmp_path):

@@ -21,7 +21,7 @@ from commexp.conditions import (
     slot_runs,
     sum_target,
 )
-from commexp.liealg import MAX_TRUNCATION, Generator, basis_build, letter_map
+from commexp.liealg import MAX_TRUNCATION, Generator, letter_map
 from commexp.schemes import (
     AOR4_OPTIMAL_D2,
     ExponentSlot,
@@ -37,6 +37,7 @@ from commexp.schemes import (
     phi3,
     phi4,
     phi5,
+    resolve,
     save_scheme,
     suzuki,
     third_order_family,
@@ -46,7 +47,7 @@ from commexp.schemes import (
     zass_sym22,
 )
 from commexp.schemes import _INTERCHANGE, _LETTER_MAPS
-from series_oracle import Word
+from series_oracle import Word, basis_blocks
 
 SQRT5 = math.sqrt(5.0)
 
@@ -224,6 +225,33 @@ def test_catalog_get_unknown_name():
 
 def test_catalog_returns_fresh_objects():
     assert catalog_get("strang") is not catalog_get("strang")
+
+
+def test_resolve_takes_a_scheme_a_catalog_name_or_a_scheme_file(tmp_path, monkeypatch):
+    scheme = catalog_get("NCP10_4")
+    assert resolve(scheme) is scheme
+    assert resolve("NCP10_4") == scheme and resolve("NCP10_4") is not scheme
+    path = tmp_path / "ncp10.scheme.json"
+    save_scheme(scheme, path)
+    # a file carries no note; all else reads back as the catalog entry
+    assert resolve(str(path)) == dataclasses.replace(scheme, note="")
+    # a catalog name wins over a file of that name
+    monkeypatch.chdir(tmp_path)
+    save_scheme(catalog_get("strang"), tmp_path / "NCP10_4")
+    assert resolve("NCP10_4") == scheme
+
+
+def test_resolve_refuses_an_unknown_name_and_a_malformed_file(tmp_path):
+    with pytest.raises(KeyError) as info:
+        resolve("nosuch")
+    message = info.value.args[0]
+    for phrase in ("unknown scheme 'nosuch'", "neither a catalog scheme nor a scheme file",
+                   "schemes list"):
+        assert phrase in message
+    path = tmp_path / "bad.scheme.json"
+    path.write_text("{}", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: missing field 'name'"):
+        resolve(str(path))
 
 
 def test_s2_chen_shares_u21_slots():
@@ -700,8 +728,7 @@ def test_ab_swap_basis_matrix_reproduces_swapped_words(degree):
     # ab-swap and the other letter maps, one word at a time: each letter X
     # becomes f_X times its image; the mapped basis elements must stay in
     # the span of the basis (Lie membership)
-    basis = basis_build()
-    m = basis.matrices[degree]
+    m = basis_blocks(degree)[0]
     for images in FOUR_MAPS:
         mapped = np.zeros(m.shape, dtype=np.complex128)
         for idx in range(1 << degree):
