@@ -205,7 +205,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             return _fail(f"--t needs a positive finite total time, got {t_total:g}")
         try:
             header, rows = bench.curve_table(scheme_list, [pair], t_total, n_list)
-        except ValueError as exc:  # overflow: the product or its error is not finite
+        except ValueError as exc:  # the product or its error is not finite or not bounded
             return _fail(f"cannot evaluate the error curve at t = {t_total:g}: {exc}")
         comments = [f"custom error curve: t_total={t_total:g}, seed={args.seed}"]
     else:
@@ -221,7 +221,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             return _fail(f"--tol needs a positive finite tolerance, got {args.tol:g}")
         try:
             header, rows = bench.cost_table(scheme_list, pair, x_grid, args.tol)
-        except ValueError as exc:  # overflow: the product or its error is not finite
+        except ValueError as exc:  # the product or its error is not finite or not bounded
             return _fail(f"cannot evaluate the cost table at tol = {args.tol:g}: {exc}")
         comments = [f"custom cost table: tol={args.tol:g}, seed={args.seed}"]
 

@@ -30,18 +30,20 @@ rounds exactly as its own b = 1 call:
   slot products.
 - :func:`series_mul` is the Cauchy product: one gather per factor over all
   the splits, summed.
-- :func:`lie_project` rewrites a log in the right-nested commutator basis
-  (dimensions 2, 1, 2, 3, 6, 9, 18 for degrees 1..7, so every degree the
-  engine truncates at), all degrees by one stacked product by the leading
-  blocks of the basis's block-diagonal pseudoinverse, and flags non-Lie
-  inputs through the least-squares residual.  A :func:`scheme_log` output
-  is Lie by construction, so on it the residual checks only pi_1.
-  :func:`basis_build` stores that basis once, as one block-diagonal word
-  map and its pseudoinverse, from which callers slice the blocks they read.
+- :func:`lie_project` rewrites any series in the right-nested commutator
+  basis (dimensions 2, 1, 2, 3, 6, 9, 18 for degrees 1..7, so every degree
+  the engine truncates at), all degrees by one stacked product by the
+  leading blocks of the basis's block-diagonal pseudoinverse
+  (:func:`_coordinates`), and flags non-Lie inputs through the
+  least-squares residual.  :func:`basis_build` stores that basis once, as
+  one block-diagonal word map and its pseudoinverse, from which callers
+  slice the blocks they read.
 
 The other modules read basis coordinates through two private entries, on a
 (b, s) batch of coefficient rows in passes of bounded memory:
-:func:`_lie_rows` is :func:`scheme_log` then :func:`lie_project`, and
+:func:`_lie_rows` is :func:`scheme_log` then :func:`_coordinates`, the
+product of :func:`lie_project` without its residual check, which on pi_1 of
+a group-like product tests only pi_1's construction, and
 :func:`_lie_jacobian` gives the same coordinates and their exact derivatives
 in every slot coefficient, pi_1 of each slot's prefix product, letter and
 suffix product, from one sweep over the slots and the reversed slots and
@@ -627,50 +629,35 @@ def _eulerian_idempotent(degree: int) -> np.ndarray:
 
 
 def lie_project(log, coefficients=None) -> tuple[dict[int, np.ndarray], np.ndarray]:
-    """Project flat series onto the nested-commutator basis, all degrees at once.
+    """Project flat series onto the nested-commutator basis, checked.
 
     ``log`` is one flat series or a (b, size) batch.  Returns the basis
     coordinates per degree j = 1..N, (dim,) or (b, dim), and the residuals,
     (N + 1,) or (b, N + 1): column j is the least-squares residual at degree
     j, and column 0 the size of the constant term, the residual of degree 0,
-    whose commutator subspace is zero.  The coordinates are one stacked
-    product by the block-diagonal pseudoinverse and the misfits one by the
-    block-diagonal word map, the leading blocks of :attr:`LieBasis.pinv` and
-    :attr:`LieBasis.words` for the truncation.  A residual above the larger
-    of ``DEFAULT_LIE_TOL * max(1, |coefficients at that degree|)`` and
-    ``LOG_ROUND_OFF * S^j / j!`` means the input is not a Lie element
-    (Friedrichs criterion) and raises :class:`LieMembershipError`, whose
-    message names that residual and bound.  S is the sum of |c_i| of the
-    slot ``coefficients`` whose product's log each row is (one row, or a
+    whose commutator subspace is zero.  The coordinates are the engine's
+    product :func:`_coordinates` and the misfits one stacked product by the
+    leading blocks of :attr:`LieBasis.words` for the truncation.  A residual
+    above the larger of ``DEFAULT_LIE_TOL * max(1, |coefficients at that
+    degree|)`` and ``LOG_ROUND_OFF * S^j / j!`` means the input is not a Lie
+    element (Friedrichs criterion) and raises :class:`LieMembershipError`,
+    whose message names that residual and bound.  S is the sum of |c_i| of
+    the slot ``coefficients`` whose product's log each row is (one row, or a
     batch as given to :func:`scheme_log`; none: S = 0).  Coefficients that
     are not finite, or too large to square, raise ``ValueError`` for their
     degree.  In a batch an error names the lowest failing row and its
-    lowest failing degree.
+    lowest failing degree.  The engine's passes skip this check, which on
+    pi_1 of a slot product tests only pi_1's construction.
     """
     log = np.asarray(log)
     rows = np.ascontiguousarray(_float_array(log if log.ndim == 2 else log[None]))
     truncation = _truncation_of(rows.shape[1])
-    coordinates, residual = _project(rows[..., np.newaxis], coefficients)
-    offsets = basis_build().offsets
-    vectors = {j: coordinates[:, offsets[j - 1]:offsets[j], 0] for j in range(1, truncation + 1)}
-    if log.ndim == 2:
-        return vectors, residual[..., 0]
-    return {j: w[0] for j, w in vectors.items()}, residual[0, :, 0]
-
-
-def _project(columns: np.ndarray, coefficients) -> tuple[np.ndarray, np.ndarray]:
-    """The coordinates (b, dim, k) and residuals (b, N + 1, k) of
-    :func:`lie_project` for the k flat series of each row of ``columns``
-    (b, size, k), each checked against the bound of its row; an error
-    names the row."""
-    truncation = _truncation_of(columns.shape[1])
-    basis = basis_build()
-    dim, size = basis.offsets[truncation], columns.shape[1]
-    coordinates = _stacked(basis.pinv[:dim, :size], columns)
+    coordinates = _coordinates(rows[..., np.newaxis], truncation)
     # [0] the least-squares misfits of every degree, [1] the series itself
-    parts = np.empty((2,) + columns.shape, columns.dtype)
-    np.subtract(_stacked(basis.words[:size, :dim], coordinates), columns, out=parts[0])
-    parts[1] = columns
+    parts = np.empty((2,) + rows.shape, rows.dtype)
+    words = basis_build().words[:rows.shape[1], :coordinates.shape[1]]
+    np.subtract(_stacked(words, coordinates)[..., 0], rows, out=parts[0])
+    parts[1] = rows
     starts = _word_tables(truncation).starts
     residual, scale = np.sqrt(np.add.reduceat(np.abs(parts) ** 2, starts, axis=2))
     finite = scale < np.inf
@@ -680,23 +667,39 @@ def _project(columns: np.ndarray, coefficients) -> tuple[np.ndarray, np.ndarray]
         if coefficients is not None:
             # widen the bound by the round-off allowance, which may overflow
             # to inf, not an error; degree 0 has no round-off
-            bound[:, 1:] = np.maximum(
-                bound[:, 1:], _round_off(coefficients, len(columns), truncation)[..., None])
+            bound[:, 1:] = np.maximum(bound[:, 1:],
+                                      _round_off(coefficients, len(rows), truncation))
             ok = finite & (residual <= bound)
         # a non-finite degree reaches every degree of its series through the
         # block products (0 * inf), so such a series fails at those degrees only
         ok |= finite & ~finite.all(axis=1, keepdims=True)
 
-        def failure(row, j, k):
-            if not (finite[row, j, k] and np.isfinite(residual[row, j, k])):
+        def failure(row, j):
+            if not (finite[row, j] and np.isfinite(residual[row, j])):
                 return ValueError(f"degree-{j} coefficients are not finite or "
                                   f"too large to project")
             return LieMembershipError(
                 f"degree-{j} word coefficients are not a commutator polynomial "
-                f"(residual {residual[row, j, k]:.3e} > {bound[row, j, k]:.3e})")
+                f"(residual {residual[row, j]:.3e} > {bound[row, j]:.3e})")
 
         _check_rows(ok, failure)
-    return coordinates, residual
+    if log.ndim == 1:
+        coordinates, residual = coordinates[0], residual[0]
+    return _by_degree(coordinates[..., 0], truncation), residual
+
+
+def _coordinates(columns: np.ndarray, truncation: int) -> np.ndarray:
+    """The basis coordinates (b, dim, k) of the k flat Lie series of each row
+    of ``columns`` (b, size, k): one stacked product by the leading blocks
+    of :attr:`LieBasis.pinv` for the truncation, unchecked."""
+    basis = basis_build()
+    return _stacked(basis.pinv[:basis.offsets[truncation], :(2 << truncation) - 1], columns)
+
+
+def _by_degree(coordinates: np.ndarray, truncation: int) -> dict[int, np.ndarray]:
+    """The (..., dim) ``coordinates`` as views per degree j = 1..N."""
+    offsets = basis_build().offsets
+    return {j: coordinates[..., offsets[j - 1]:offsets[j]] for j in range(1, truncation + 1)}
 
 
 #: Byte budget of the largest buffer of one batched pass, the (b, N+1, size)
@@ -715,18 +718,17 @@ def _rows_per_pass(truncation: int) -> int:
 def _lie_rows(generators, coefficients, truncation: int) -> dict[int, np.ndarray]:
     """Basis coordinates (b, dim) per degree of the logs of b slot products.
 
-    :func:`scheme_log` then :func:`lie_project`, both through the module's
-    names, on the (b, s) array ``coefficients`` of rows that share the
-    generator sequence, in passes of at most :func:`_rows_per_pass` rows
+    :func:`scheme_log`, through the module's name, then :func:`_coordinates`,
+    on the (b, s) array ``coefficients`` of rows that share the generator
+    sequence, in passes of at most :func:`_rows_per_pass` rows
     (:func:`_in_passes`).
     """
-    step = _rows_per_pass(truncation)
-    if len(coefficients) <= step:
-        return lie_project(scheme_log(generators, coefficients, truncation), coefficients)[0]
-    passes = _in_passes(
-        lambda part: lie_project(scheme_log(generators, part, truncation), part)[0],
-        coefficients, step)
-    return {j: np.concatenate([w[j] for w in passes]) for j in passes[0]}
+    def one_pass(rows):
+        log = scheme_log(generators, rows, truncation)
+        return _coordinates(log[..., np.newaxis], truncation)[..., 0]
+
+    return _by_degree(_in_passes(one_pass, coefficients, _rows_per_pass(truncation)),
+                      truncation)
 
 
 def _lie_jacobian(generators, coefficients, truncation: int
@@ -741,23 +743,17 @@ def _lie_jacobian(generators, coefficients, truncation: int
     exponential).  The P_i are the prefixes :func:`_slot_product` forms,
     the Q_i those of the reversed slots read back through the word
     reversal, and all s products P_i X_i Q_i are one letter append and one
-    batched Cauchy product; pi_1 and the pseudoinverse then run as in
-    :func:`scheme_log` and :func:`lie_project`.  So the coordinates equal
-    :func:`_lie_rows`' bit for bit, with its refusals, messages and
-    Lie-membership check of every row; the derivatives are pi_1 images, Lie
-    elements by the construction that check tests.  Passes hold at most
-    :func:`_rows_per_pass` // s rows, as the products gather s series per
-    row.
+    batched Cauchy product; pi_1 then runs as in :func:`scheme_log`, with its
+    refusals and messages, and the coordinates of the log and of the
+    derivatives are :func:`_coordinates`.  So the coordinates equal
+    :func:`_lie_rows`' bit for bit; the derivatives are pi_1 images, Lie
+    elements as the log is.  Passes hold at most :func:`_rows_per_pass` // s
+    rows, as the products gather s series per row.
     """
-    step = max(1, _rows_per_pass(truncation) // len(generators))
-    if len(coefficients) <= step:
-        coordinates, derivatives = _jacobian_pass(generators, coefficients, truncation)
-    else:
-        coordinates, derivatives = (np.concatenate(arrays) for arrays in zip(*_in_passes(
-            lambda part: _jacobian_pass(generators, part, truncation), coefficients, step)))
-    offsets = basis_build().offsets
-    return ({j: coordinates[:, offsets[j - 1]:offsets[j]] for j in range(1, truncation + 1)},
-            derivatives)
+    coordinates, derivatives = _in_passes(
+        lambda part: _jacobian_pass(generators, part, truncation), coefficients,
+        max(1, _rows_per_pass(truncation) // len(generators)))
+    return _by_degree(coordinates, truncation), derivatives
 
 
 def _jacobian_pass(generators, rows: np.ndarray, truncation: int
@@ -783,20 +779,21 @@ def _jacobian_pass(generators, rows: np.ndarray, truncation: int
     tails = prefixes[s - 1::-1, b:].take(tables.reverse, axis=-1)
     derivatives = np.einsum("...qt,...qt->...t", heads.take(tables.prefix, axis=-1, mode="wrap"),
                             tails.take(tables.suffix, axis=-1, mode="wrap"))
-    basis = basis_build()
-    # the value as lie_project projects it; the s derivatives as columns,
-    # pi_1 images and so Lie elements, which that check on the value covers
-    return (_project(log[..., np.newaxis], rows)[0][..., 0],
-            _stacked(basis.pinv[:basis.offsets[truncation], :tables.size],
-                     _first_idempotent(derivatives.transpose(1, 2, 0), truncation)))
+    # the value as _lie_rows takes it; the s derivatives as columns
+    return (_coordinates(log[..., np.newaxis], truncation)[..., 0],
+            _coordinates(_first_idempotent(derivatives.transpose(1, 2, 0), truncation),
+                         truncation))
 
 
-def _in_passes(one_pass, coefficients, step: int) -> list:
-    """``one_pass`` of the (b, s) rows ``coefficients``, b > ``step``, in
-    passes of at most ``step`` rows, the list of what each pass returns.
-    Each row rounds as its own one-row call, so the split changes no bit;
-    an error names the first failing row of the first failing pass by its
-    index in the batch, in its message and its ``row``."""
+def _in_passes(one_pass, coefficients, step: int):
+    """``one_pass`` of the (b, s) rows ``coefficients`` in passes of at most
+    ``step`` rows: what a pass returns, an array or a tuple of arrays, of
+    all passes joined along the rows.  Each row rounds as its own one-row
+    call, so the split changes no bit; past one pass an error names the
+    first failing row of the first failing pass by its index in the batch,
+    in its message and its ``row``."""
+    if len(coefficients) <= step:
+        return one_pass(coefficients)
     passes = []
     for lo in range(0, len(coefficients), step):
         try:
@@ -807,4 +804,6 @@ def _in_passes(one_pass, coefficients, step: int) -> list:
             error.row += lo
             error.args = (f"row {error.row}: {error.detail}",)
             raise
-    return passes
+    if isinstance(passes[0], tuple):
+        return tuple(np.concatenate(arrays) for arrays in zip(*passes))
+    return np.concatenate(passes)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import commexp
-from commexp import bench, matform
+from commexp import bench, conditions, liealg, matform
 from commexp.cli import EXIT_INTERNAL, main
 from commexp.liealg import Generator
 from commexp.schemes import ExponentSlot, catalog_get, catalog_names, save_scheme
@@ -451,6 +451,26 @@ def test_bench_custom_overflowing_scheme_is_input_error(capsys, tmp_path, flags)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [("--n", "1"), ("--x", "0.5", "--tol", "1e-4")])
+def test_bench_custom_unbounded_eigenbasis_product_is_input_error(capsys, tmp_path, flags):
+    # on pauli the same slot runs the eigenbasis walk, whose phases
+    # exp(1e200 t lambda) keep no correct digit: its stated error bound
+    # reaches 1, so an error curve and a cost table both exit 2 with one
+    # line and no file, as verify of that file does
+    a_slot = next(i for i, slot in enumerate(catalog_get("NCP10_4").slots)
+                  if slot.generator is Generator.A)
+    path = _exported(tmp_path, "NCP10_4", {a_slot: 1e200})
+    out = tmp_path / "big.csv"
+    code, text, err = run(capsys, "bench", "--custom", "--schemes", str(path),
+                          "--pair", "pauli", *flags, "--out", str(out))
+    assert code == 2
+    assert text == ""
+    assert err.startswith("error: cannot evaluate the ") and len(err.strip().splitlines()) == 1
+    assert "the eigenbasis product's error bound" in err and err.endswith(" reaches 1\n")
+    assert not out.exists()
+    assert run(capsys, "verify", "--scheme", str(path))[0] == 2
+
+
 def test_bench_custom_usage_errors(capsys, tmp_path):
     out = str(tmp_path / "x.csv")
     assert run(capsys, "bench", "--custom", "--n", "4", "--out", out)[0] == 2
@@ -616,6 +636,36 @@ def test_optimize_aor4(capsys):
     assert "deviation" in out
     deviation = float(out.rsplit("deviation", 1)[1])
     assert deviation < 1e-6
+
+
+def test_engine_commands_make_no_checked_projection(capsys, tmp_path, monkeypatch):
+    # verify (by catalog name and by scheme file), refine and optimize take
+    # their coordinates from scheme_log and the pseudoinverse alone: each
+    # makes scheme_log passes and no lie_project call
+    calls = {"scheme_log": 0, "lie_project": 0}
+    for name in calls:
+        def spy(*args, _name=name, _engine=getattr(liealg, name), **kwargs):
+            calls[_name] += 1
+            return _engine(*args, **kwargs)
+
+        monkeypatch.setattr(liealg, name, spy)
+    scheme = catalog_get("NCP10_4")
+    start = dataclasses.replace(scheme, slots=tuple(
+        dataclasses.replace(slot, coefficient=slot.coefficient * (1 + 1e-6))
+        for slot in scheme.slots))
+    actions = {
+        "verify by name": lambda: run(capsys, "verify", "--scheme", "NCP10_4")[0] == 0,
+        "verify by file": lambda: run(capsys, "verify", "--scheme",
+                                      str(_exported(tmp_path, "NCP10_4")))[0] == 0,
+        "refine": lambda: conditions.order_residuals(
+            conditions.refine(start), scheme.target, scheme.order).all_satisfied(),
+        "optimize": lambda: run(capsys, "optimize", "--family", "aor4",
+                                "--range", "0.25:0.4")[0] == 0,
+    }
+    for action, ok in actions.items():
+        calls.update(scheme_log=0, lie_project=0)
+        assert ok(), action
+        assert calls["scheme_log"] > 0 and calls["lie_project"] == 0, (action, calls)
 
 
 def test_optimize_negative_range_survives_argparse(capsys):

@@ -1,5 +1,6 @@
 """Tests for the dense matrix harness."""
 
+import dataclasses
 import math
 import os
 import re
@@ -40,7 +41,7 @@ from commexp.matform import (
     target_matrix,
     two_norm,
 )
-from commexp.schemes import catalog_get, transform
+from commexp.schemes import ExponentSlot, catalog_get, transform
 
 
 def commutator(X, Y):
@@ -489,6 +490,20 @@ def test_eigenbasis_walk_on_pauli_catalog(pauli_pair, name):
     for t in (0.01, 0.4, 3.0):
         expected, bound, _ = _expm_product(scheme.pairs(), pauli_pair, t)
         assert np.linalg.norm(evaluate_scheme(scheme, pauli_pair, t) - expected, 2) <= 4 * bound
+
+
+def test_walk_bound_is_the_stated_bound_of_the_slots(pauli_pair, random_pair):
+    # (s + 2 + sum_i |c_i t| ||X_i||) d eps over the s slots, at the worst
+    # step time; 0 where there is no walk
+    scheme = catalog_get("NCP10_4")
+    norm = {g: np.linalg.norm(pauli_pair.matrix(g), 2) for g in Generator}
+    r = sum(abs(slot.coefficient) * norm[slot.generator] for slot in scheme.slots)
+    worst = (len(scheme.slots) + 2 + 2.0 * r) * pauli_pair.dim * np.finfo(float).eps
+    assert matform._walk_bound(scheme, pauli_pair, [0.5, -2.0]) == pytest.approx(worst, rel=1e-14)
+    assert matform._walk_bound(scheme, random_pair, [0.5]) == 0.0
+    # a slot of 1e200 leaves the walk no correct digit
+    big = dataclasses.replace(scheme, slots=(ExponentSlot(Generator.A, 1e200),))
+    assert matform._walk_bound(big, pauli_pair, [0.5]) > 1.0
 
 
 def _symmetry_by_full_test(X):
