@@ -177,9 +177,7 @@ def _errors(pair, jobs: Sequence[_Job]) -> list[list[float]]:
     :func:`_matrix_powers` pass, has each job's targets subtracted in place
     and its norms taken in one :func:`~commexp.matform.two_norms` call; a
     group of one job is the ``evaluate_scheme`` array itself, not a copy.
-    Every error equals the one its entry gives alone, bit for bit.  A
-    product whose stated bound (:func:`~commexp.matform._walk_bound`)
-    reaches 1 raises ``ValueError``, as its error has no correct digit.
+    Every error equals the one its entry gives alone, bit for bit.
     """
     size = max(1, _STACK_BYTES // (16 * pair.dim ** 2))
     errors: list[list[float]] = [[] for _ in jobs]
@@ -188,11 +186,7 @@ def _errors(pair, jobs: Sequence[_Job]) -> list[list[float]]:
         for stack in _stacks(jobs, size):
             groups: dict[tuple, list[list]] = {}
             for j, part in stack:
-                steps = jobs[j].steps[part]
-                U = matform.evaluate_scheme(jobs[j].scheme, pair, np.array(steps))
-                bound = matform._walk_bound(jobs[j].scheme, pair, steps)
-                if not bound < 1.0:  # the error printed would have no correct digit
-                    raise ValueError(f"the eigenbasis product's error bound {bound:.3g} reaches 1")
+                U = matform.evaluate_scheme(jobs[j].scheme, pair, np.array(jobs[j].steps[part]))
                 # a group is raised in the dtype of its products, then widened
                 # to that of U - T, as the subtraction would widen it
                 key = (U.dtype, np.promote_types(U.dtype, jobs[j].targets.dtype))

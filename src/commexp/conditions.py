@@ -15,12 +15,13 @@ import cmath
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .liealg import (
     LIE_DIMS,
+    LIE_OFFSETS,
     MAX_TRUNCATION,
     Generator,
     _lie_jacobian,
@@ -85,36 +86,38 @@ class TargetPolynomial:
     Every absent entry is an order condition equal to zero.  The name
     uniquely identifies the coefficient pattern (parametrized targets
     embed their parameter in the name).
+
+    ``coordinates`` is the target through degree
+    :data:`~commexp.liealg.MAX_TRUNCATION` in the stacked layout of
+    :data:`~commexp.liealg.LIE_OFFSETS`, built once and read-only: complex
+    if any coefficient has an imaginary part, else the real parts.
     """
 
     name: str
     terms: Mapping[tuple[int, int], complex]
-    _vectors: dict[int, np.ndarray] = field(default_factory=dict, init=False,
-                                            repr=False, compare=False)
+    coordinates: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        coordinates = np.zeros(LIE_OFFSETS[-1], dtype=np.complex128)
         for (degree, position), value in self.terms.items():
             if not 1 <= degree <= MAX_TRUNCATION:
                 raise ValueError(f"target degree {degree} outside basis range")
             if not 1 <= position <= LIE_DIMS[degree - 1]:
                 raise ValueError(f"position {position} invalid at degree {degree}")
-            _finite_complex(value, "target coefficients")
+            coordinates[LIE_OFFSETS[degree - 1] + position - 1] = _finite_complex(
+                value, "target coefficients")
+        if not coordinates.imag.any():
+            coordinates = coordinates.real.copy()
+        coordinates.flags.writeable = False
+        object.__setattr__(self, "coordinates", coordinates)
 
     def coefficient(self, degree: int, position: int) -> complex:
         return self.terms.get((degree, position), 0.0)
 
     def vector(self, degree: int) -> np.ndarray:
-        """Dense coefficient vector of the target at one degree: complex if a
-        coefficient there has an imaginary part, else the real parts.  Built
-        once per degree and read-only."""
-        if degree not in self._vectors:
-            values = np.array([self.terms.get((degree, pos), 0.0)
-                               for pos in range(1, LIE_DIMS[degree - 1] + 1)])
-            if not (np.iscomplexobj(values) and values.imag.any()):
-                values = values.real.astype(np.float64)
-            values.flags.writeable = False
-            self._vectors[degree] = values
-        return self._vectors[degree]
+        """The target's coefficients at one degree: a read-only view of
+        ``coordinates``."""
+        return self.coordinates[LIE_OFFSETS[degree - 1]:LIE_OFFSETS[degree]]
 
     @property
     def min_degree(self) -> int:
@@ -188,7 +191,9 @@ def slot_pairs(scheme) -> list[tuple[Generator, complex]]:
     Accepts a Scheme (anything with ``slots``), a sequence of slot objects
     (``generator``/``coefficient``), or raw ``(generator, coefficient)``
     pairs.  Generators are coerced to :class:`Generator`, so a slot on any
-    other letter raises ``ValueError`` instead of standing in for A or B.
+    other letter raises ``ValueError`` instead of standing in for A or B,
+    and each coefficient is read once, by
+    :func:`~commexp.liealg._slot_value`: the one slot reader of every layer.
     """
     pairs = []
     for i, slot in enumerate(getattr(scheme, "slots", scheme)):
@@ -197,10 +202,11 @@ def slot_pairs(scheme) -> list[tuple[Generator, complex]]:
         else:
             gen, coeff = slot
         try:
-            pairs.append((as_generator(gen), coeff))
+            gen = as_generator(gen)
         except ValueError:
             name = getattr(scheme, "name", "composition")
             raise ValueError(f"{name}: slot {i} generator {gen!r} is neither A nor B") from None
+        pairs.append((gen, _slot_value(coeff)))
     return pairs
 
 
@@ -211,11 +217,10 @@ def slot_runs(scheme) -> list[tuple[Generator, complex]]:
     A stack reduction: each slot adds onto a top run on its generator, and a
     run summing to exactly zero is popped so that its neighbours merge in
     turn (A·1, B·1, B·(-1), A·1 gives A·2).  Each coefficient is read by
-    :func:`~commexp.liealg._slot_value` before it is added.
+    :func:`slot_pairs` before it is added.
     """
     runs: list[tuple[Generator, complex]] = []
     for gen, coeff in slot_pairs(scheme):
-        coeff = _slot_value(coeff)
         if runs and runs[-1][0] == gen:
             coeff += runs.pop()[1]
         if coeff != 0:
@@ -225,7 +230,10 @@ def slot_runs(scheme) -> list[tuple[Generator, complex]]:
 
 @dataclass
 class ResidualReport:
-    """Outcome of checking a composition against a target through degree r."""
+    """Outcome of checking a composition against a target through degree r.
+
+    ``residuals`` maps each degree 1..r to its |deviation| from the target,
+    views of one array."""
 
     order_requested: int
     tolerance: float
@@ -279,28 +287,22 @@ def order_residuals(scheme, target: TargetPolynomial, r: int,
     _check_tolerance("tol", tol)
     _check_order(r, r + 1)
     pairs = slot_pairs(scheme)
-    deviations = _deviations(_lie_rows(*_slot_row(pairs), r + 1), target, range(1, r + 2))
-    residuals, worst = _worst_residuals(deviations, r)
+    deviations = _deviations(_lie_rows(*_slot_row(pairs), r + 1), target)
+    residuals = np.abs(deviations[0, :LIE_OFFSETS[r]])
     # the verified order is the count of leading degrees that hold
-    verified = int(np.add.reduce(np.logical_and.accumulate(worst[:, 0] <= tol)))
-    return ResidualReport(r, tol, {degree: res[0] for degree, res in residuals.items()},
-                          verified, _leading_errors(deviations[r + 1], r, len(pairs))[0])
+    worst = np.maximum.reduceat(residuals, LIE_OFFSETS[:r])
+    verified = int(np.add.reduce(np.logical_and.accumulate(worst <= tol)))
+    by_degree = {degree: residuals[LIE_OFFSETS[degree - 1]:LIE_OFFSETS[degree]]
+                 for degree in range(1, r + 1)}
+    return ResidualReport(r, tol, by_degree, verified,
+                          _leading_errors(deviations[:, LIE_OFFSETS[r]:], r, len(pairs))[0])
 
 
-def _deviations(vectors: Mapping[int, np.ndarray], target: TargetPolynomial,
-                degrees: Iterable[int]) -> dict[int, np.ndarray]:
-    """Each of ``degrees`` of b logs' (b, dim) basis coordinates ``vectors``
-    minus ``target``'s: the order conditions below the leading degree and
-    the leading error at it."""
-    return {degree: vectors[degree] - target.vector(degree) for degree in degrees}
-
-
-def _worst_residuals(deviations: Mapping[int, np.ndarray], r: int
-                     ) -> tuple[dict[int, np.ndarray], np.ndarray]:
-    """The (b, dim) residuals |deviation| per degree 1..r of b logs, and
-    their (r, b) largest entries."""
-    residuals = {degree: np.abs(deviations[degree]) for degree in range(1, r + 1)}
-    return residuals, np.array([np.maximum.reduce(res, axis=1) for res in residuals.values()])
+def _deviations(coordinates: np.ndarray, target: TargetPolynomial) -> np.ndarray:
+    """b logs' (b, m) basis coordinates minus ``target``'s, both in the
+    stacked layout through the same degree: the order conditions below the
+    leading degree and the leading error at it."""
+    return coordinates - target.coordinates[:coordinates.shape[1]]
 
 
 @dataclass(frozen=True)
@@ -356,9 +358,9 @@ def effective_error(scheme, r: int | None = None) -> EffectiveError:
             raise ValueError("effective_error needs r for a raw slot list, which carries no order")
         r = scheme.order
     _check_order(r, r + 1)
-    vectors, target = _lie_rows(*_slot_row(pairs), r + 1), getattr(scheme, "target", None)
-    deviation = vectors[r + 1] if target is None else _deviations(vectors, target, [r + 1])[r + 1]
-    return _leading_errors(deviation, r, len(pairs))[0]
+    coordinates, target = _lie_rows(*_slot_row(pairs), r + 1), getattr(scheme, "target", None)
+    deviation = coordinates if target is None else _deviations(coordinates, target)
+    return _leading_errors(deviation[:, LIE_OFFSETS[r]:], r, len(pairs))[0]
 
 
 # --------------------------------------------------------------------------
@@ -413,7 +415,7 @@ def cp_expand(half: Sequence[complex], sign, *, name: str | None = None,
         raise ValueError("half-pattern needs at least c0 and c1")
     s = _cp_sign(sign)
     generators = _mirror_generators(len(half))
-    _, row = _slot_row(zip(generators, half))
+    _, row = _slot_row(slot_pairs(zip(generators, half)))
     both = np.empty((1, len(generators)), dtype=row.dtype)
     both[:, :len(half)] = row
     coefficients = _mirror_rows(both, s)[0].tolist()
@@ -542,11 +544,12 @@ def cp_identities(scheme, sign=None, tol: float = 1e-10) -> list[IdentityCheck]:
         sign = getattr(scheme, "cp_sign", None)
         if sign is None:
             raise ValueError("scheme carries no counter-palindromic sign; pass one")
-    vectors = _lie_rows(*_slot_row(slot_pairs(scheme)), _CP_IDENTITY_DEGREE)
+    coordinates = _lie_rows(*_slot_row(slot_pairs(scheme)), _CP_IDENTITY_DEGREE)[0]
     results = []
     for degree in range(1, _CP_IDENTITY_DEGREE + 1):
         sides = _mirror_relation(_cp_sign(sign), degree)
-        for pick, row, lhs, rhs in zip(*sides, *(sides @ vectors[degree][0]).tolist()):
+        w = coordinates[LIE_OFFSETS[degree - 1]:LIE_OFFSETS[degree]]
+        for pick, row, lhs, rhs in zip(*sides, *(sides @ w).tolist()):
             pieces = " ".join(f"{row[j]:+g}*w({degree},{j + 1})" for j in np.flatnonzero(row))
             results.append(IdentityCheck(f"w({degree},{pick.argmax() + 1}) = {pieces}", lhs, rhs,
                                          abs(lhs - rhs) <= tol * max(1.0, abs(lhs), abs(rhs))))
@@ -573,17 +576,10 @@ def cp_condition_counts(sign, r: int = 6) -> dict[int, int]:
 def _residual(generators, rows: np.ndarray, target, r) -> np.ndarray:
     """Every basis coefficient of each slot product's log through degree r
     minus the target's: (b, m) residuals of the (b, s) coefficient ``rows``
-    on ``generators``, degree j in the columns ``offsets[j - 1]:offsets[j]``
-    of :attr:`~commexp.liealg.LieBasis.offsets`, as the rows of the
-    Jacobian :func:`~commexp.liealg._lie_jacobian` gives."""
-    return _stacked_deviations(_lie_rows(generators, rows, r), target, r)
-
-
-def _stacked_deviations(vectors: Mapping[int, np.ndarray], target, r) -> np.ndarray:
-    """:func:`_deviations` of degrees 1..r side by side, (b, m)."""
-    degrees = range(1, r + 1)
-    return (np.concatenate([vectors[degree] for degree in degrees], axis=1)
-            - np.concatenate([target.vector(degree) for degree in degrees]))
+    on ``generators`` in the stacked layout of
+    :data:`~commexp.liealg.LIE_OFFSETS`, m = ``LIE_OFFSETS[r]``, as the
+    rows of the Jacobian :func:`~commexp.liealg._lie_jacobian` gives."""
+    return _deviations(_lie_rows(generators, rows, r), target)
 
 
 def _mirror_sign(scheme, target, r) -> str | None:
@@ -672,7 +668,7 @@ def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
         counts = cp_condition_counts(sign, r)
         n_conditions = sum(counts[d] for d in range(2, r + 1))
     else:
-        n_conditions = sum(LIE_DIMS[d - 1] for d in range(1, r + 1))
+        n_conditions = LIE_OFFSETS[r]
 
     free = list(range(len(x))) if free_slots is None else sorted(free_slots)
     if any(i < 0 or i >= len(x) for i in free):
@@ -698,9 +694,8 @@ def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
     def solver_at(rows):
         # the residual and the Jacobian's pseudoinverse, whose product with
         # -g is lstsq's minimum-norm step, factored once for the chord steps
-        vectors, derivatives = _lie_jacobian(generators, rows, r)
-        return (_stacked_deviations(vectors, target, r)[0],
-                np.linalg.pinv(derivatives[0] @ layout.T))
+        coordinates, derivatives = _lie_jacobian(generators, rows, r)
+        return _deviations(coordinates, target)[0], np.linalg.pinv(derivatives[0] @ layout.T)
 
     v = x[free].copy()
     rows = rows_of(v[None])
@@ -895,7 +890,9 @@ def _brent_minimize(objective: Callable[[float], float], lo: float, hi: float,
 
 def _grid_scores(family: RowFamily, params, r: int) -> np.ndarray:
     """E of the family member at each parameter as a plain float, from one
-    family call, one engine call and one :func:`_deviations` map, with no
+    family call, one engine call and one :func:`_deviations` subtraction
+    in the stacked layout, whose columns through degree r are the order
+    conditions and whose degree-(r+1) columns the leading error, with no
     per-member report.  ``ValueError`` names the first member the engine
     refuses (the ``row`` of its error), else the first whose residual over
     degrees 1..r exceeds :data:`_ORDER_SLACK`, as ``family member at
@@ -904,17 +901,17 @@ def _grid_scores(family: RowFamily, params, r: int) -> np.ndarray:
     params = np.asarray(params, dtype=np.float64)
     generators, target, rows = family(params)
     try:
-        vectors = _lie_rows(generators, rows, r + 1)
+        coordinates = _lie_rows(generators, rows, r + 1)
     except ValueError as error:
         if not hasattr(error, "row"):
             raise
         raise ValueError(f"family member at parameter {params[error.row]:.6g}: "
                          f"{error.detail}") from None
-    deviations = _deviations(vectors, target, range(1, r + 2))
-    largest = np.maximum.reduce(_worst_residuals(deviations, r)[1], axis=0)
+    deviations = _deviations(coordinates, target)
+    largest = np.maximum.reduce(np.abs(deviations[:, :LIE_OFFSETS[r]]), axis=1)
     failing = np.flatnonzero(largest > _ORDER_SLACK)
     if len(failing):
         i = failing[0]
         raise ValueError(f"family member at parameter {params[i]:.6g} violates order {r} "
                          f"(residual {largest[i]:.3e})")
-    return np.array(_leading_scores(deviations[r + 1], r, len(generators))[1])
+    return np.array(_leading_scores(deviations[:, LIE_OFFSETS[r]:], r, len(generators))[1])

@@ -40,14 +40,17 @@ rounds exactly as its own b = 1 call:
   slice the blocks they read.
 
 The other modules read basis coordinates through two private entries, on a
-(b, s) batch of coefficient rows in passes of bounded memory:
+(b, s) batch of coefficient rows in passes of bounded memory, in one stacked
+layout: a (b, m) array, degree j in the columns
+``LIE_OFFSETS[j - 1]:LIE_OFFSETS[j]`` and m = ``LIE_OFFSETS[N]``.
 :func:`_lie_rows` is :func:`scheme_log` then :func:`_coordinates`, the
 product of :func:`lie_project` without its residual check, which on pi_1 of
 a group-like product tests only pi_1's construction, and
 :func:`_lie_jacobian` gives the same coordinates and their exact derivatives
 in every slot coefficient, pi_1 of each slot's prefix product, letter and
 suffix product, from one sweep over the slots and the reversed slots and
-one batched Cauchy product.
+one batched Cauchy product.  Only the public :func:`lie_project` splits its
+coordinates per degree.
 
 :func:`letter_map` gives a letter substitution A -> f_A X_A, B -> f_B X_B as
 a matrix on the basis coordinates, so the packed word layout stays inside
@@ -60,7 +63,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,6 +72,11 @@ MAX_TRUNCATION = 7
 
 #: Dimension of the commutator subspace at degrees 1..MAX_TRUNCATION.
 LIE_DIMS = (2, 1, 2, 3, 6, 9, 18)
+
+#: The stacked coordinate layout: degree j in ``LIE_OFFSETS[j - 1]:LIE_OFFSETS[j]``,
+#: so ``LIE_OFFSETS[N]`` coordinates through truncation N.  Read-only.
+LIE_OFFSETS = np.cumsum((0,) + LIE_DIMS)
+LIE_OFFSETS.flags.writeable = False
 
 #: Default scaled tolerance for the Lie-membership (Friedrichs) residual test.
 DEFAULT_LIE_TOL = 1e-10
@@ -206,13 +214,13 @@ def _slot_value(c) -> float | complex:
     return complex(c) if isinstance(c, complex) else float(c)
 
 
-def _slot_row(slots: Iterable) -> tuple[list[Generator], np.ndarray]:
-    """The generators of ``(generator, coefficient)`` pairs and their
-    coefficients read by :func:`_slot_value`, as a batch of one: a (1, s)
-    float64 array, or complex128 when a coefficient is complex (numpy's own
-    reading of a row of Python floats and complexes)."""
-    slots = list(slots)
-    return [as_generator(g) for g, _ in slots], np.array([[_slot_value(c) for _, c in slots]])
+def _slot_row(pairs) -> tuple[list[Generator], np.ndarray]:
+    """The generators of ``(generator, coefficient)`` pairs as
+    :func:`~commexp.conditions.slot_pairs` reads them, and their
+    coefficients as a batch of one: a (1, s) float64 array, or complex128
+    when a coefficient is complex (numpy's own reading of a row of Python
+    floats and complexes)."""
+    return [g for g, _ in pairs], np.array([[c for _, c in pairs]])
 
 
 def _in_rows(tables: np.ndarray, b: int) -> np.ndarray:
@@ -481,8 +489,8 @@ class LieBasis:
     """Nested-commutator basis through :data:`MAX_TRUNCATION`, stored once.
 
     ``words`` (size, D) is the block-diagonal map from basis coordinates
-    (D = sum(LIE_DIMS) entries, degree j from ``offsets[j - 1]``;
-    ``offsets[N]`` is D) to flat series at truncation N = MAX_TRUNCATION
+    (D = sum(LIE_DIMS) entries in the stacked layout ``offsets``, which is
+    :data:`LIE_OFFSETS`) to flat series at truncation N = MAX_TRUNCATION
     (the layout of :func:`_word_tables`), and ``pinv`` (D, size) its
     pseudoinverse, the least-squares map back, whose diagonal blocks are
     the pseudoinverses of the degrees, and the leading blocks of ``words``
@@ -509,10 +517,9 @@ def basis_build() -> LieBasis:
     raises if any per-degree word matrix loses full column rank, which would
     mean the recipes fail to span independent directions.
     """
-    offsets = np.cumsum((0,) + LIE_DIMS)
-    words = np.zeros(((2 << MAX_TRUNCATION) - 1, offsets[-1]))
+    words = np.zeros(((2 << MAX_TRUNCATION) - 1, LIE_OFFSETS[-1]))
     pinv = np.zeros(words.shape[::-1])
-    blocks = {j: (slice((1 << j) - 1, (2 << j) - 1), slice(offsets[j - 1], offsets[j]))
+    blocks = {j: (slice((1 << j) - 1, (2 << j) - 1), slice(*LIE_OFFSETS[j - 1:j + 1]))
               for j in range(1, MAX_TRUNCATION + 1)}
 
     def column(j, l):
@@ -529,9 +536,9 @@ def basis_build() -> LieBasis:
         if np.linalg.matrix_rank(words[rows, coordinates]) != LIE_DIMS[j - 1]:
             raise RuntimeError(f"basis matrix at degree {j} is rank deficient")
         pinv[coordinates, rows] = np.linalg.pinv(words[rows, coordinates])
-    for array in (words, pinv, offsets):
+    for array in (words, pinv):
         array.flags.writeable = False  # shared by every caller through the cache
-    return LieBasis(words, pinv, offsets)
+    return LieBasis(words, pinv, LIE_OFFSETS)
 
 
 @lru_cache(maxsize=None)
@@ -550,7 +557,7 @@ def letter_map(images: tuple[tuple[Generator, complex], ...], degree: int) -> np
     """
     basis = basis_build()
     rows = slice((1 << degree) - 1, (2 << degree) - 1)
-    coordinates = slice(*basis.offsets[degree - 1:degree + 1])
+    coordinates = slice(*LIE_OFFSETS[degree - 1:degree + 1])
     shifts = np.arange(degree - 1, -1, -1)
     letters = (np.arange(1 << degree)[:, None] >> shifts) & 1  # first letter first
     targets = np.array([int(image) for image, _ in images])[letters]
@@ -683,23 +690,19 @@ def lie_project(log, coefficients=None) -> tuple[dict[int, np.ndarray], np.ndarr
                 f"(residual {residual[row, j]:.3e} > {bound[row, j]:.3e})")
 
         _check_rows(ok, failure)
+    coordinates = coordinates[..., 0]
     if log.ndim == 1:
         coordinates, residual = coordinates[0], residual[0]
-    return _by_degree(coordinates[..., 0], truncation), residual
+    return ({j: coordinates[..., LIE_OFFSETS[j - 1]:LIE_OFFSETS[j]]
+             for j in range(1, truncation + 1)}, residual)
 
 
 def _coordinates(columns: np.ndarray, truncation: int) -> np.ndarray:
     """The basis coordinates (b, dim, k) of the k flat Lie series of each row
     of ``columns`` (b, size, k): one stacked product by the leading blocks
     of :attr:`LieBasis.pinv` for the truncation, unchecked."""
-    basis = basis_build()
-    return _stacked(basis.pinv[:basis.offsets[truncation], :(2 << truncation) - 1], columns)
-
-
-def _by_degree(coordinates: np.ndarray, truncation: int) -> dict[int, np.ndarray]:
-    """The (..., dim) ``coordinates`` as views per degree j = 1..N."""
-    offsets = basis_build().offsets
-    return {j: coordinates[..., offsets[j - 1]:offsets[j]] for j in range(1, truncation + 1)}
+    return _stacked(basis_build().pinv[:LIE_OFFSETS[truncation], :(2 << truncation) - 1],
+                    columns)
 
 
 #: Byte budget of the largest buffer of one batched pass, the (b, N+1, size)
@@ -715,8 +718,10 @@ def _rows_per_pass(truncation: int) -> int:
     return max(1, _BATCH_BYTES // (16 * (truncation + 1) << (truncation + 1)))
 
 
-def _lie_rows(generators, coefficients, truncation: int) -> dict[int, np.ndarray]:
-    """Basis coordinates (b, dim) per degree of the logs of b slot products.
+def _lie_rows(generators, coefficients, truncation: int) -> np.ndarray:
+    """Basis coordinates (b, m) of the logs of b slot products, in the
+    stacked layout: degree j in the columns ``LIE_OFFSETS[j - 1]:LIE_OFFSETS[j]``,
+    m = ``LIE_OFFSETS[truncation]``.
 
     :func:`scheme_log`, through the module's name, then :func:`_coordinates`,
     on the (b, s) array ``coefficients`` of rows that share the generator
@@ -727,15 +732,13 @@ def _lie_rows(generators, coefficients, truncation: int) -> dict[int, np.ndarray
         log = scheme_log(generators, rows, truncation)
         return _coordinates(log[..., np.newaxis], truncation)[..., 0]
 
-    return _by_degree(_in_passes(one_pass, coefficients, _rows_per_pass(truncation)),
-                      truncation)
+    return _in_passes(one_pass, coefficients, _rows_per_pass(truncation))
 
 
-def _lie_jacobian(generators, coefficients, truncation: int
-                  ) -> tuple[dict[int, np.ndarray], np.ndarray]:
-    """The coordinates of :func:`_lie_rows` and their (b, m, s) derivatives
-    in every slot coefficient, m = sum(LIE_DIMS[:truncation]), degree j at
-    the rows ``offsets[j - 1]:offsets[j]`` of :attr:`LieBasis.offsets`.
+def _lie_jacobian(generators, coefficients, truncation: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (b, m) coordinates of :func:`_lie_rows` and their (b, m, s)
+    derivatives in every slot coefficient, both in the stacked layout of
+    :data:`LIE_OFFSETS` along m.
 
     A slot product g is group-like, so log g = pi_1 g at every coefficient
     row, and pi_1 is linear: d log g / dc_i = pi_1(P_i X_i Q_i), P_i the
@@ -750,10 +753,8 @@ def _lie_jacobian(generators, coefficients, truncation: int
     elements as the log is.  Passes hold at most :func:`_rows_per_pass` // s
     rows, as the products gather s series per row.
     """
-    coordinates, derivatives = _in_passes(
-        lambda part: _jacobian_pass(generators, part, truncation), coefficients,
-        max(1, _rows_per_pass(truncation) // len(generators)))
-    return _by_degree(coordinates, truncation), derivatives
+    return _in_passes(lambda part: _jacobian_pass(generators, part, truncation), coefficients,
+                      max(1, _rows_per_pass(truncation) // len(generators)))
 
 
 def _jacobian_pass(generators, rows: np.ndarray, truncation: int

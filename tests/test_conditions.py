@@ -37,7 +37,14 @@ from commexp.conditions import (
     sum_target,
     target_from_name,
 )
-from commexp.liealg import LIE_DIMS, MAX_TRUNCATION, Generator, lie_project, scheme_log
+from commexp.liealg import (
+    LIE_DIMS,
+    LIE_OFFSETS,
+    MAX_TRUNCATION,
+    Generator,
+    lie_project,
+    scheme_log,
+)
 from commexp import liealg, matform, schemes
 from commexp.schemes import ExponentSlot, Scheme, catalog_get, third_order_family
 
@@ -60,11 +67,34 @@ def test_target_vectors_and_min_degree():
 
 
 def test_target_vectors_are_built_once_and_read_only():
+    # every degree's vector is a view of the one coordinate vector the
+    # target built, so it is not rebuilt per call and cannot be written
     t = sum_target()
-    assert t.vector(1) is t.vector(1)
+    assert t.vector(1).base is t.coordinates and t.vector(2).base is t.coordinates
     with pytest.raises(ValueError, match="read-only"):
         t.vector(1)[0] = 2.0
     assert t == sum_target() and repr(t) == repr(sum_target())
+
+
+def test_target_coordinates_are_one_stacked_vector():
+    # degree j sits at LIE_OFFSETS[j - 1]:LIE_OFFSETS[j] of one read-only
+    # vector, and one complex term makes the whole vector complex: the
+    # dtype is the target's, not a degree's
+    t = TargetPolynomial("mixed", {(1, 2): 1j, (2, 1): 2.0, (7, 18): -1.0})
+    coordinates = t.coordinates
+    assert coordinates.shape == (LIE_OFFSETS[MAX_TRUNCATION],) == (sum(LIE_DIMS),)
+    assert coordinates.dtype == np.complex128 and not coordinates.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        coordinates[0] = 1.0
+    start = coordinates.__array_interface__["data"][0]
+    for j in range(1, MAX_TRUNCATION + 1):
+        view = t.vector(j)
+        assert np.shares_memory(view, coordinates) and view.shape == (LIE_DIMS[j - 1],)
+        assert view.__array_interface__["data"][0] == start + LIE_OFFSETS[j - 1] * view.itemsize
+    assert t.vector(1).tolist() == [0.0, 1j]
+    assert t.vector(2).dtype == np.complex128 and t.vector(2).tolist() == [2.0]
+    assert t.vector(7)[-1] == -1.0 and not np.delete(coordinates, [1, 2, 40]).any()
+    assert commutator_target().coordinates.dtype == np.float64
 
 
 def test_target_coefficient_defaults_to_zero():
@@ -1179,8 +1209,7 @@ def test_refine_reports_a_last_residual_that_is_not_a_number(monkeypatch):
     engine = conditions._lie_rows
 
     def nan_after_the_first_step(generators, rows, truncation):
-        vectors = engine(generators, rows, truncation)
-        return {degree: np.full_like(w, np.nan) for degree, w in vectors.items()}
+        return np.full_like(engine(generators, rows, truncation), np.nan)
 
     monkeypatch.setattr(conditions, "_lie_rows", nan_after_the_first_step)
     monkeypatch.setattr(conditions, "_MAX_STEPS", 1)

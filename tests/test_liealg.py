@@ -17,6 +17,7 @@ from commexp.liealg import (
     _BASIS_ATOMS,
     _BASIS_RECIPES,
     LIE_DIMS,
+    LIE_OFFSETS,
     LOG_ROUND_OFF,
     MAX_LOG_COEFFICIENT,
     MAX_TRUNCATION,
@@ -558,9 +559,10 @@ def test_batched_rows_equal_their_single_row_passes(case):
             expected = (_eulerian_idempotent(j) @ parts).reshape(-1).view(product.dtype)
             np.testing.assert_array_equal(log[i, _block(j)], expected)
     np.testing.assert_array_equal(scheme_log(generators, rows[-1], truncation), log[-1])
+    # _lie_rows stacks lie_project's degrees side by side
     batched = _lie_rows(generators, rows, truncation)
-    for j in vectors:
-        np.testing.assert_array_equal(batched[j], vectors[j])
+    assert batched.shape == (len(rows), LIE_OFFSETS[truncation])
+    np.testing.assert_array_equal(batched, np.concatenate(list(vectors.values()), axis=1))
 
 
 @settings(max_examples=40, deadline=None)
@@ -612,11 +614,9 @@ def test_lie_rows_splits_a_long_batch_into_passes_bit_for_bit(truncation, genera
         patch.setattr(liealg, "scheme_log", spy)
         batched = _lie_rows(generators, rows, truncation)
     assert calls == [min(step, b - lo) for lo in range(0, b, step)]
-    ones = [_lie_rows(generators, row[None], truncation) for row in rows]
-    for j, w in batched.items():
-        expected = np.concatenate([one[j] for one in ones])
-        assert w.dtype == expected.dtype and w.shape == (b, LIE_DIMS[j - 1])
-        assert w.tobytes() == expected.tobytes()
+    expected = np.concatenate([_lie_rows(generators, row[None], truncation) for row in rows])
+    assert batched.dtype == expected.dtype and batched.shape == (b, LIE_OFFSETS[truncation])
+    assert batched.tobytes() == expected.tobytes()
 
 
 def test_lie_rows_names_a_failing_row_by_its_index_in_the_whole_batch():
@@ -672,21 +672,20 @@ def test_lie_jacobian_is_the_complex_step_derivative(case):
     # the complex step's within 1e-14 of its largest entry (at least 1, its
     # letter's degree-1 coordinate), and each row is its own one-row call
     truncation, generators, rows = case
-    vectors, derivatives = _lie_jacobian(generators, rows, truncation)
-    assert derivatives.shape == (len(rows), sum(LIE_DIMS[:truncation]), len(generators))
-    for j, w in _lie_rows(generators, rows, truncation).items():
-        assert vectors[j].dtype == w.dtype and vectors[j].tobytes() == w.tobytes()
+    coordinates, derivatives = _lie_jacobian(generators, rows, truncation)
+    m = sum(LIE_DIMS[:truncation])
+    assert coordinates.shape == (len(rows), m)
+    assert derivatives.shape == (len(rows), m, len(generators))
+    expected = _lie_rows(generators, rows, truncation)
+    assert coordinates.dtype == expected.dtype and coordinates.tobytes() == expected.tobytes()
 
-    def coordinates(stepped):
-        return np.concatenate(list(_lie_rows(generators, stepped, truncation).values()), axis=1)
-
-    for row, jacobian, *values in zip(rows, derivatives, *vectors.values()):
-        reference = complex_step_jacobian(coordinates, row)
+    for row, value, jacobian in zip(rows, coordinates, derivatives):
+        reference = complex_step_jacobian(
+            lambda stepped: _lie_rows(generators, stepped, truncation), row)
         assert np.all(np.abs(jacobian - reference) <= 1e-14 * np.max(np.abs(reference), axis=0))
-        one_vectors, one_derivatives = _lie_jacobian(generators, row[None], truncation)
+        one_coordinates, one_derivatives = _lie_jacobian(generators, row[None], truncation)
         assert one_derivatives[0].tobytes() == jacobian.tobytes()
-        for value, one in zip(values, one_vectors.values()):
-            assert one[0].tobytes() == value.tobytes()
+        assert one_coordinates[0].tobytes() == value.tobytes()
 
 
 @pytest.mark.parametrize("bad,message", [

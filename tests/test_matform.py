@@ -492,18 +492,28 @@ def test_eigenbasis_walk_on_pauli_catalog(pauli_pair, name):
         assert np.linalg.norm(evaluate_scheme(scheme, pauli_pair, t) - expected, 2) <= 4 * bound
 
 
-def test_walk_bound_is_the_stated_bound_of_the_slots(pauli_pair, random_pair):
-    # (s + 2 + sum_i |c_i t| ||X_i||) d eps over the s slots, at the worst
-    # step time; 0 where there is no walk
-    scheme = catalog_get("NCP10_4")
-    norm = {g: np.linalg.norm(pauli_pair.matrix(g), 2) for g in Generator}
-    r = sum(abs(slot.coefficient) * norm[slot.generator] for slot in scheme.slots)
-    worst = (len(scheme.slots) + 2 + 2.0 * r) * pauli_pair.dim * np.finfo(float).eps
-    assert matform._walk_bound(scheme, pauli_pair, [0.5, -2.0]) == pytest.approx(worst, rel=1e-14)
-    assert matform._walk_bound(scheme, random_pair, [0.5]) == 0.0
-    # a slot of 1e200 leaves the walk no correct digit
-    big = dataclasses.replace(scheme, slots=(ExponentSlot(Generator.A, 1e200),))
-    assert matform._walk_bound(big, pauli_pair, [0.5]) > 1.0
+def test_the_walk_refuses_a_product_whose_stated_bound_reaches_1(pauli_pair):
+    # the walk's stated bound (s + 2 + sum_i |c_i t| ||X_i||) d eps, over its
+    # s runs at the largest |t| of the stack: one A run at |t| = 1 reaches 1
+    # just past the edge coefficient, whole or split into two slots, and
+    # the product then has no correct digit
+    edge = ((1.0 / (pauli_pair.dim * np.finfo(float).eps) - 3.0)
+            / np.linalg.norm(pauli_pair.matrix(Generator.A), 2))
+    below, above = edge * (1.0 - 1e-9), edge * (1.0 + 1e-9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (-1.0, np.array([0.5, -1.0, 0.0])):
+            assert np.isfinite(evaluate_scheme([(Generator.A, below)], pauli_pair, t)).all()
+            for slots in ([(Generator.A, above)], [(Generator.A, above / 2)] * 2):
+                with pytest.raises(ValueError, match=r"^the eigenbasis product's error "
+                                                     r"bound 1 reaches 1$"):
+                    evaluate_scheme(slots, pauli_pair, t)
+        # a catalog scheme is far from it, and a slot of 1e200 far past it
+        scheme = catalog_get("NCP10_4")
+        assert np.isfinite(evaluate_scheme(scheme, pauli_pair, np.array([0.5, -2.0]))).all()
+        big = dataclasses.replace(scheme, slots=(ExponentSlot(Generator.A, 1e200),))
+        with pytest.raises(ValueError, match=r"error bound 2\.22e\+184 reaches 1"):
+            evaluate_scheme(big, pauli_pair, 0.5)
 
 
 def _symmetry_by_full_test(X):
@@ -1761,18 +1771,17 @@ def test_pair_refuses_non_finite_entries(bad, which):
 def test_the_symmetry_test_does_not_overflow(A, path):
     # X - X^H of a finite X overflowed and leaked a numpy RuntimeWarning
     # through evaluation_path and evaluate_scheme; the halves cannot
-    # overflow.  The anti-Hermitian X is still found anti-Hermitian, and
-    # the other pair's one-norm overflows, which is a ValueError
+    # overflow.  The anti-Hermitian X is still found anti-Hermitian, and its
+    # walk's stated error bound, about 1e292, leaves the product no correct
+    # digit; the other pair's one-norm overflows.  Either is a ValueError
     pair = OperatorPair(A, np.eye(2))
     scheme = catalog_get("NCP6_3")
+    refusal = "error bound .* reaches 1" if path == "eigenbasis" else _ARGUMENT_OVERFLOWS
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert evaluation_path(scheme, pair)[0] == path
-        if path == "eigenbasis":
-            assert np.isfinite(evaluate_scheme(scheme, pair, 0.5)).all()
-        else:
-            with pytest.raises(ValueError, match=_ARGUMENT_OVERFLOWS):
-                evaluate_scheme(scheme, pair, 0.5)
+        with pytest.raises(ValueError, match=refusal):
+            evaluate_scheme(scheme, pair, 0.5)
 
 
 # ---------------------------------------------------------------------------
