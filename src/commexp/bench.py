@@ -29,6 +29,7 @@ provenance lines name a scheme by its ``name``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -36,6 +37,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import __version__, matform, schemes
+from .conditions import _check_tolerance, _read_number
 
 __all__ = [
     "BenchResult",
@@ -100,11 +102,11 @@ def _curves(scheme_list, pair: matform.OperatorPair, t_total: float,
     """:func:`error_curve` of each scheme, as one table: one target per
     distinct target and one :func:`_errors` pass over all the curves."""
     resolved = [schemes.resolve(s) for s in scheme_list]
-    if not (math.isfinite(t_total) and t_total > 0):
-        raise ValueError(f"t_total must be positive and finite, got {t_total!r}")
+    t_total = _check_tolerance("t_total", t_total)
     for n in n_list:  # numpy integers are fine; 2.5 would be powered as 2
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"step counts must be integers >= 1, got {n!r}")
+        count = _read_number(n) if isinstance(n, numbers.Real) else n
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 1 <= count < math.inf:
+            raise ValueError(f"step counts must be finite integers >= 1, got {count!r}")
     targets = _targets(resolved, pair, lambda target: t_total ** (1.0 / target.min_degree))
     jobs = []
     for scheme, T in zip(resolved, targets):
@@ -356,16 +358,14 @@ def _gates(scheme_list, pair: matform.OperatorPair, x_grid: Sequence[float],
     :func:`~commexp.matform.target_matrix` call per distinct target.
     """
     resolved = [schemes.resolve(s) for s in scheme_list]
-    for tol in tols:
-        if not (math.isfinite(tol) and tol > 0):
-            raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    tols = [_check_tolerance("tol", tol) for tol in tols]
     if not all(0 < x <= 1 for x in x_grid):
         raise ValueError("x grid must lie in (0, 1]")
-    if not (math.isfinite(n_cap) and n_cap >= 1):
-        raise ValueError(f"n_cap must be finite and at least 1, got {n_cap!r}")
+    if not 1 <= _read_number(n_cap) < math.inf:
+        raise ValueError(f"n_cap must be finite and at least 1, got {_read_number(n_cap)!r}")
     targets = _targets(resolved, pair, lambda _: np.asarray(x_grid))
     top = _reach(n_cap)
-    gates = {(tol, key): [None] * len(x_grid) for tol in map(float, tols)
+    gates = {(tol, key): [None] * len(x_grid) for tol in tols
              for key in range(len(resolved))}
     live = {(tol, key, i): _Search((resolved[key].order + 1) / resolved[key].target.min_degree - 1,
                                    tol, top)

@@ -27,7 +27,6 @@ from .liealg import (
     _lie_jacobian,
     _lie_rows,
     _slot_row,
-    _slot_value,
     as_generator,
     letter_map,
 )
@@ -65,16 +64,27 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 
-def _finite_complex(value, what: str) -> complex:
-    """``value`` as a complex; ``ValueError`` naming ``what`` unless finite,
-    as an int beyond the largest float is not."""
+def _read_number(value, kind=float):
+    """``kind(value)``, float or complex: the one reading of a caller's number,
+    an int or ``Fraction`` past the largest float read as the infinity of its
+    sign, so that every check refuses it with the message ``inf`` gets."""
     try:
-        c = complex(value)
+        return kind(value)
     except OverflowError:
-        c = complex(math.inf)
+        return kind(-math.inf if value < 0 else math.inf)
+
+
+def _finite_number(value, what: str) -> float | complex:
+    """``value`` read as a complex: a Python complex when its imaginary part
+    is nonzero, else the float of its real part; ``ValueError`` naming
+    ``what`` unless finite.  Every slot coefficient is read so, before any
+    two are added."""
+    if type(value) is float and math.isfinite(value):  # already read: every Scheme slot
+        return value
+    c = _read_number(value, complex)
     if not cmath.isfinite(c):
         raise ValueError(f"{what} must be finite")
-    return c
+    return c if c.imag else c.real
 
 
 @dataclass(frozen=True)
@@ -104,7 +114,7 @@ class TargetPolynomial:
                 raise ValueError(f"target degree {degree} outside basis range")
             if not 1 <= position <= LIE_DIMS[degree - 1]:
                 raise ValueError(f"position {position} invalid at degree {degree}")
-            coordinates[LIE_OFFSETS[degree - 1] + position - 1] = _finite_complex(
+            coordinates[LIE_OFFSETS[degree - 1] + position - 1] = _finite_number(
                 value, "target coefficients")
         if not coordinates.imag.any():
             coordinates = coordinates.real.copy()
@@ -192,8 +202,8 @@ def slot_pairs(scheme) -> list[tuple[Generator, complex]]:
     (``generator``/``coefficient``), or raw ``(generator, coefficient)``
     pairs.  Generators are coerced to :class:`Generator`, so a slot on any
     other letter raises ``ValueError`` instead of standing in for A or B,
-    and each coefficient is read once, by
-    :func:`~commexp.liealg._slot_value`: the one slot reader of every layer.
+    and each coefficient is read once, by :func:`_finite_number`, as
+    :class:`~commexp.schemes.ExponentSlot` reads it.
     """
     pairs = []
     for i, slot in enumerate(getattr(scheme, "slots", scheme)):
@@ -206,7 +216,7 @@ def slot_pairs(scheme) -> list[tuple[Generator, complex]]:
         except ValueError:
             name = getattr(scheme, "name", "composition")
             raise ValueError(f"{name}: slot {i} generator {gen!r} is neither A nor B") from None
-        pairs.append((gen, _slot_value(coeff)))
+        pairs.append((gen, _finite_number(coeff, "slot coefficient")))
     return pairs
 
 
@@ -262,10 +272,13 @@ def _check_order(r: int, top_degree: int) -> None:
         raise ValueError(f"order {r} needs degree {top_degree} > ceiling {MAX_TRUNCATION}")
 
 
-def _check_tolerance(name: str, value: float) -> None:
-    """Raise ``ValueError`` unless the tolerance ``name`` is positive and finite."""
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+def _check_tolerance(name: str, value) -> float:
+    """The quantity ``name`` as :func:`_read_number` reads it; ``ValueError``
+    unless it is positive and finite."""
+    read = _read_number(value)
+    if not 0.0 < read < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {read!r}")
+    return read
 
 
 #: Default tolerance of :func:`order_residuals`.
@@ -284,7 +297,7 @@ def order_residuals(scheme, target: TargetPolynomial, r: int,
     Euclidean deviation from ``target`` at degree r+1 in the commutator basis.
     ``tol`` must be positive and finite.
     """
-    _check_tolerance("tol", tol)
+    tol = _check_tolerance("tol", tol)
     _check_order(r, r + 1)
     pairs = slot_pairs(scheme)
     deviations = _deviations(_lie_rows(*_slot_row(pairs), r + 1), target)
@@ -539,7 +552,7 @@ def cp_identities(scheme, sign=None, tol: float = 1e-10) -> list[IdentityCheck]:
     each identity described by its nonzero entries and checked at ``tol``
     scaled by the sides' magnitudes; ``tol`` must be positive and finite.
     """
-    _check_tolerance("tol", tol)
+    tol = _check_tolerance("tol", tol)
     if sign is None:
         sign = getattr(scheme, "cp_sign", None)
         if sign is None:
@@ -649,7 +662,7 @@ def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
     """
     from .schemes import ExponentSlot
 
-    _check_tolerance("tol", tol)
+    tol = _check_tolerance("tol", tol)
     if target is None:
         target = scheme.target
     if r is None:
@@ -798,9 +811,9 @@ def optimize_free_parameter(family: RowFamily, r: int,
     raises the ``ValueError`` of its one pass: the family's, or
     :func:`_grid_scores`' naming the first failing member by its parameter.
     """
-    a, b = float(prange[0]), float(prange[1])
+    a, b = _read_number(prange[0]), _read_number(prange[1])
     if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"the parameter range needs finite bounds, got {prange!r}")
+        raise ValueError(f"the parameter range needs finite bounds, got {(a, b)!r}")
     if not a < b:
         raise ValueError("empty parameter range")
     _check_order(r, r + 1)

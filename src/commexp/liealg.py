@@ -203,23 +203,12 @@ def _product(M: np.ndarray, X: np.ndarray, out: np.ndarray) -> None:
         np.matmul(M, X.view(np.float64), out=out.view(np.float64))
 
 
-def _slot_value(c) -> float | complex:
-    """A slot coefficient as every layer reads it, before any two are added:
-    a Python complex when it is complex, else its ``float()`` (a numpy
-    scalar or 0-d array is read as its Python number first)."""
-    if type(c) in (float, complex):  # already read: the slots of every Scheme
-        return c
-    if isinstance(c, (np.generic, np.ndarray)):
-        c = c.item()
-    return complex(c) if isinstance(c, complex) else float(c)
-
-
 def _slot_row(pairs) -> tuple[list[Generator], np.ndarray]:
     """The generators of ``(generator, coefficient)`` pairs as
     :func:`~commexp.conditions.slot_pairs` reads them, and their
     coefficients as a batch of one: a (1, s) float64 array, or complex128
-    when a coefficient is complex (numpy's own reading of a row of Python
-    floats and complexes)."""
+    when a coefficient is a Python complex, which that reading keeps only
+    with a nonzero imaginary part (numpy's own reading of the row)."""
     return [g for g, _ in pairs], np.array([[c for _, c in pairs]])
 
 

@@ -62,7 +62,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .conditions import TargetPolynomial, slot_runs
+from .conditions import TargetPolynomial, _finite_number, slot_runs
 from .liealg import _BASIS_ATOMS, _BASIS_RECIPES, Generator, _dtype, _product, _slot_row
 
 __all__ = [
@@ -764,9 +764,7 @@ def _step_times(t) -> tuple[np.ndarray, list[int]]:
     if times.ndim > 1:
         raise ValueError(f"t must be a step time or a 1-D array of them, got shape {times.shape}")
     steps = times.reshape(-1)
-    sizes = np.abs(steps).tolist()
-    if not all(map(math.isfinite, sizes)):
-        raise ValueError(f"step times must be finite, got {t!r}")
+    sizes = [abs(_finite_number(step, "step times")) for step in steps.tolist()]
     return steps, sorted(range(len(sizes)), key=lambda j: -sizes[j])
 
 
@@ -785,10 +783,11 @@ def evaluate_scheme(scheme, pair: OperatorPair, t) -> np.ndarray:
     product: zero slots are skipped, neighbours on one generator merge, and a
     run that cancels to zero goes, merging its neighbours; at ``t == 0`` or
     with no run left the exact identity is returned.  Coefficients are read
-    by :func:`~commexp.liealg._slot_value` before any two are added, so raw
-    ``Fraction``, ``Decimal`` and numpy scalars give their floats' product.
-    A step time that is not finite, or a run coefficient that is not finite
-    (at any ``t``, zero included), raises ``ValueError`` on either path, and
+    by :func:`~commexp.conditions.slot_pairs` before any two are added, so
+    raw ``Fraction``, ``Decimal``, numpy scalars and ``1+0j`` give their
+    floats' product.  A step time or coefficient that is not finite, or a
+    run whose sum is not (at any ``t``, zero included), raises ``ValueError``
+    on either path, and
     so does a product that overflows to non-finite entries, with no numpy
     warning.
 

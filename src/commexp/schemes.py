@@ -15,7 +15,6 @@ import cmath
 import copy
 import json
 import math
-import sys
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -26,7 +25,8 @@ import numpy as np
 from . import conditions
 from .conditions import (
     TargetPolynomial,
-    _finite_complex,
+    _finite_number,
+    _read_number,
     combined_target,
     commutator_target,
     cp_expand,
@@ -71,8 +71,8 @@ class ExponentSlot:
 
     def __post_init__(self):
         object.__setattr__(self, "generator", as_generator(self.generator))
-        c = _finite_complex(self.coefficient, "slot coefficient")
-        object.__setattr__(self, "coefficient", c if c.imag != 0.0 else c.real)
+        c = _finite_number(self.coefficient, "slot coefficient")
+        object.__setattr__(self, "coefficient", c)
 
     def __str__(self) -> str:
         return f"({self.coefficient!r}) {self.generator.name}"
@@ -500,10 +500,10 @@ def _stage_slots(scheme: Scheme, weight) -> tuple[ExponentSlot, ...]:
         raise ValueError(f"stage {scheme.name}: target {scheme.target.name} has terms of "
                          f"degree {', '.join(map(str, degrees)) or 'none'}; a stage needs "
                          f"one degree of 1 to 3")
-    w = _finite_complex(weight, f"stage {scheme.name}: weight")
-    if w.imag:
+    w = _finite_number(weight, f"stage {scheme.name}: weight")
+    if isinstance(w, complex):
         raise ValueError(f"stage {scheme.name}: weight {weight!r} is not real")
-    k, w = degrees[0], w.real
+    k = degrees[0]
     if k == 2 and w < 0:
         scheme, w = _map_letters(scheme, _INTERCHANGE, "interchange"), -w
     root = w if k == 1 else math.sqrt(w) if k == 2 else math.copysign(abs(w) ** (1.0 / 3.0), w)
@@ -748,11 +748,6 @@ def _catalog_build(name: str) -> Scheme:
 # --------------------------------------------------------------------------
 
 
-def _coefficient_to_json(c: complex):
-    c = complex(c)
-    return c.real if c.imag == 0.0 else [c.real, c.imag]
-
-
 def save_scheme(scheme: Scheme, path) -> None:
     """Serialize to the .scheme.json format, each float as its shortest
     repr, which reads back as the same float."""
@@ -768,8 +763,10 @@ def save_scheme(scheme: Scheme, path) -> None:
         "order": scheme.order,
         "family": scheme.family,
         "slots": [
-            {"generator": slot.generator.name,
-             "coefficient": _coefficient_to_json(slot.coefficient)}
+            # a slot's coefficient is a float, or a complex of nonzero imaginary part
+            {"generator": slot.generator.name, "coefficient": (
+                [slot.coefficient.real, slot.coefficient.imag]
+                if isinstance(slot.coefficient, complex) else slot.coefficient)}
             for slot in scheme.slots
         ],
     }
@@ -783,7 +780,7 @@ def _typed(value, kinds, what: str, path, field: str):
     if isinstance(value, bool) or not isinstance(value, kinds):
         raise ValueError(f"{path}: field {field!r} must be {what}, "
                          f"got {json.dumps(value)[:40]}")
-    if isinstance(value, int) and isinstance(0.0, kinds) and abs(value) > sys.float_info.max:
+    if isinstance(value, int) and isinstance(0.0, kinds) and math.isinf(_read_number(value)):
         raise ValueError(f"{path}: field {field!r} holds an integer beyond the largest float")
     return value
 

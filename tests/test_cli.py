@@ -511,6 +511,8 @@ def test_bench_custom_empty_scheme_list_is_usage_error(capsys, tmp_path, schemes
     ("--x", "0.5", "--tol", "nan"),
     # finite, but the step product overflows
     ("--pair", "random:4", "--n", "1", "--t", "1e300"),
+    # an integer step count past the largest float: an OverflowError exited 3
+    ("--pair", "pauli", "--n", "1" + "0" * 400),
 ])
 def test_bench_custom_rejects_bad_numbers(capsys, tmp_path, flags):
     out = tmp_path / "bad.csv"

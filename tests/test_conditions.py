@@ -45,7 +45,7 @@ from commexp.liealg import (
     lie_project,
     scheme_log,
 )
-from commexp import liealg, matform, schemes
+from commexp import bench, liealg, matform, schemes
 from commexp.schemes import ExponentSlot, Scheme, catalog_get, third_order_family
 
 A, B = Generator.A, Generator.B
@@ -226,6 +226,50 @@ def test_order_checks_reject_a_tolerance_that_is_not_positive_and_finite(
     monkeypatch.setattr(conditions, "_lie_rows", no_evaluation)
     with pytest.raises(ValueError, match="tol must be positive and finite"):
         check(tol)
+
+
+_RANDOM4 = matform.make_pair("random", 4, 1)
+
+#: Every place a number from a caller is read: each reads it through
+#: conditions._read_number, so a value past the largest float is refused as
+#: inf is.
+_NUMBER_BOUNDARIES = {
+    "ExponentSlot": lambda v: ExponentSlot(A, v),
+    "slot_pairs": lambda v: conditions.slot_pairs([(A, v)]),
+    "slot_runs": lambda v: slot_runs([(B, 0.5), (A, v)]),
+    "order_residuals coefficient": lambda v: order_residuals([(A, v)], commutator_target(), 2),
+    "order_residuals tol": lambda v: order_residuals(catalog_get("NCP6_3"), commutator_target(),
+                                                     3, tol=v),
+    "effective_error": lambda v: effective_error([(A, v), (B, 1.0)], 2),
+    "cp_expand": lambda v: cp_expand([v, 1.0], "positive"),
+    "cp_identities tol": lambda v: cp_identities(catalog_get("NCP6_3"), tol=v),
+    "refine tol": lambda v: refine(catalog_get("NCP6_3"), tol=v),
+    "optimize_free_parameter range": lambda v: optimize_free_parameter(
+        schemes.third_order_rows, 3, (0.4, v)),
+    "evaluate_scheme coefficient": lambda v: matform.evaluate_scheme([(A, v)], _RANDOM4, 0.1),
+    "evaluate_scheme t": lambda v: matform.evaluate_scheme(catalog_get("NCP6_3"), _RANDOM4, v),
+    "evaluate_scheme t array": lambda v: matform.evaluate_scheme(
+        catalog_get("NCP6_3"), _RANDOM4, np.array([0.1, v], dtype=object)),
+    "target_matrix t": lambda v: matform.target_matrix(commutator_target(), _RANDOM4, v),
+    "error_curve t_total": lambda v: bench.error_curve("NCP6_3", _RANDOM4, v, (1, 2)),
+    "error_curve step count": lambda v: bench.error_curve("NCP6_3", _RANDOM4, 1.0, (1, v)),
+    "gates_for_tolerance tol": lambda v: bench.gates_for_tolerance("NCP6_3", _RANDOM4, [0.5], v),
+    "gates_for_tolerance n_cap": lambda v: bench.gates_for_tolerance(
+        "NCP6_3", _RANDOM4, [0.5], 1e-4, n_cap=v),
+}
+
+
+@pytest.mark.parametrize("boundary", list(_NUMBER_BOUNDARIES))
+def test_every_boundary_refuses_a_number_past_float_range_as_inf(boundary):
+    # an int or Fraction past the largest float raised OverflowError at all
+    # of these but ExponentSlot
+    check = _NUMBER_BOUNDARIES[boundary]
+    with pytest.raises(ValueError) as refused:
+        check(math.inf)
+    for huge in (10 ** 400, Fraction(10 ** 400)):
+        with pytest.raises(ValueError) as caught:
+            check(huge)
+        assert str(caught.value) == str(refused.value)
 
 
 @pytest.mark.parametrize("check", [

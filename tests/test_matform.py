@@ -24,12 +24,13 @@ from commexp.conditions import (
     commutator_target,
     effective_error,
     order_residuals,
+    slot_pairs,
     slot_runs,
     sum_plus_commutator_target,
     sum_target,
 )
 from commexp import matform
-from commexp.liealg import Generator
+from commexp.liealg import Generator, _slot_row
 from commexp.matform import (
     OperatorPair,
     SplitMix64,
@@ -957,7 +958,7 @@ _ARGUMENT_OVERFLOWS = re.escape("|z| ||X||_1 overflows")
 def test_slot_exponential_rejects_nonfinite_argument(random_pair):
     with pytest.raises(ValueError, match=_ARGUMENT_OVERFLOWS):
         _slot_exponential(random_pair.A, complex(1e308, 0) * 10)
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match="^slot coefficient must be finite$"):
         evaluate_scheme([(Generator.A, float("nan"))], random_pair, 0.5)
 
 
@@ -1482,10 +1483,14 @@ def test_evaluate_scheme_refuses_non_finite_step_times(kind, t):
 @pytest.mark.parametrize("t", [0.5, 0.0, np.array([0.5, 0.25]), np.array([0.0])])
 @pytest.mark.parametrize("coeff", [float("nan"), float("inf"), complex(1.0, float("nan"))])
 def test_evaluate_scheme_refuses_non_finite_coefficients(kind, t, coeff):
-    # the eigenbasis path returned an all-NaN product for a NaN coefficient
+    # the eigenbasis path returned an all-NaN product for a NaN coefficient;
+    # slot_pairs refuses it as ExponentSlot does, and two finite slots whose
+    # run sums past the largest float are refused as a run
     pair = make_pair("pauli") if kind == "pauli" else make_pair("random", 4, 1)
-    with pytest.raises(ValueError, match="non-finite run coefficient"):
+    with pytest.raises(ValueError, match="^slot coefficient must be finite$"):
         evaluate_scheme([(Generator.B, 0.3), (Generator.A, coeff)], pair, t)
+    with pytest.raises(ValueError, match="non-finite run coefficient"):
+        evaluate_scheme([(Generator.B, 0.3), (Generator.A, 1e308), (Generator.A, 1e308)], pair, t)
 
 
 @pytest.mark.parametrize("case,name", [("deep", "NCP6_3"), ("shallow", "NCP6_3"),
@@ -1839,6 +1844,27 @@ def test_raw_coefficient_types_agree_with_their_float_values(pauli_pair, slots):
     assert effective_error(slots, 3) == effective_error(floats, 3)
 
 
+@settings(max_examples=60, deadline=None)
+@given(value=st.one_of(_RAW_COEFFICIENTS, st.just(1 + 0j)))
+@example(value=1 + 0j)
+def test_slot_pairs_and_exponent_slot_read_a_coefficient_alike(pauli_pair, value):
+    # one reader: slot_pairs gives each raw coefficient the value and type
+    # ExponentSlot gives it, so raw and slot-built compositions agree bit for
+    # bit; 1+0j was a complex128 row in slot_pairs and a float in a slot
+    (_, read), = slot_pairs([(Generator.A, value)])
+    slot = ExponentSlot(Generator.A, value).coefficient
+    assert type(read) is type(slot) and repr(read) == repr(slot)
+    raw = [(Generator.A, value), (Generator.B, 0.5)]
+    slots = [ExponentSlot(gen, c) for gen, c in raw]
+    for pair in (pauli_pair, make_pair("random", 4, 3)):
+        _same_bits(evaluate_scheme(raw, pair, 0.1), evaluate_scheme(slots, pair, 0.1))
+    raw_report = order_residuals(raw, commutator_target(), 2)
+    report = order_residuals(slots, commutator_target(), 2)
+    for degree in (1, 2):
+        _same_bits(raw_report.residuals[degree], report.residuals[degree])
+    assert raw_report.effective_error == report.effective_error
+
+
 @pytest.mark.parametrize("third", [Fraction(1, 3), Decimal("0.3333333333333333")])
 def test_evaluate_scheme_reads_fraction_and_decimal_coefficients(pauli_pair, third):
     # numpy cannot test the finiteness of an object array of these
@@ -1881,14 +1907,19 @@ def _error(X, Y):
 def test_real_path_matches_complex_reference(seed, dim, slots, t):
     # real pair and real slot coefficients: float64 results that agree with
     # the same computation on complex128 inputs (scipy's per-slot product,
-    # and this package's own with complex-typed coefficients); with no run
-    # left both give the real identity
+    # and this package's own Taylor walk in complex128 buffers); a
+    # complex-typed coefficient of zero imaginary part is read as its real
+    # part, so it gives the real product bit for bit; with no run left all
+    # give the real identity
     assume(slot_runs(slots))
     pair = make_pair("random", dim, seed)
     assert pair.A.dtype == np.float64 and pair.eigenbasis is None
     expected, _, bound = _expm_product(slots, pair, t)
     U = evaluate_scheme(slots, pair, t)
-    widened = evaluate_scheme([(gen, complex(c)) for gen, c in slots], pair, t)
+    _same_bits(evaluate_scheme([(gen, complex(c)) for gen, c in slots], pair, t), U)
+    gens, (coeffs,) = _slot_row(slot_runs(slots))
+    z = np.multiply.outer(coeffs.astype(np.complex128), [t])
+    widened = matform._taylor_walk(pair.powers, gens, z, (1, dim, dim), np.complex128)[0]
     assert U.dtype == np.float64 and widened.dtype == np.complex128
     assert _error(U, expected) <= bound
     assert _error(U, widened) <= bound
