@@ -24,8 +24,10 @@ from .liealg import (
     LIE_OFFSETS,
     MAX_TRUNCATION,
     Generator,
+    _float_array,
     _lie_jacobian,
     _lie_rows,
+    _read_number,
     _slot_row,
     as_generator,
     letter_map,
@@ -62,16 +64,6 @@ __all__ = [
 # --------------------------------------------------------------------------
 # targets
 # --------------------------------------------------------------------------
-
-
-def _read_number(value, kind=float):
-    """``kind(value)``, float or complex: the one reading of a caller's number,
-    an int or ``Fraction`` past the largest float read as the infinity of its
-    sign, so that every check refuses it with the message ``inf`` gets."""
-    try:
-        return kind(value)
-    except OverflowError:
-        return kind(-math.inf if value < 0 else math.inf)
 
 
 def _finite_number(value, what: str) -> float | complex:
@@ -147,11 +139,12 @@ def sum_target() -> TargetPolynomial:
 
 def sum_plus_commutator_target(R: float) -> TargetPolynomial:
     """Sum plus a commutator correction weighted by R (degree-2 weight R^2)."""
+    R = _read_number(R)
     if R == 0:
         raise ValueError("R must be nonzero")
     return TargetPolynomial(
-        f"sum_plus_commutator(R={float(R):g})",
-        {(1, 1): 1.0, (1, 2): 1.0, (2, 1): float(R) ** 2},
+        f"sum_plus_commutator(R={R:g})",
+        {(1, 1): 1.0, (1, 2): 1.0, (2, 1): R * R},  # R ** 2 raises past float range
     )
 
 
@@ -400,7 +393,7 @@ def cp_half_closure(tail, sign):
     row's closure is its own one-tail closure bit for bit.
     """
     s = _cp_sign(sign)
-    tail = np.asarray(tail)
+    tail = _float_array(tail)
     # a leading zero column is sum's start; a negative pattern negates every
     # second term, as the plain sum -c would
     terms = np.zeros(tail.shape[:-1] + (tail.shape[-1] + 1,), dtype=tail.dtype)

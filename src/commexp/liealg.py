@@ -185,11 +185,26 @@ def _dtype(*values) -> type:
     return np.complex128 if any(np.iscomplexobj(v) for v in values) else np.float64
 
 
+def _read_number(value, kind=float):
+    """``kind(value)``, float or complex: the one reading of a caller's number,
+    an int or ``Fraction`` past the largest float read as the infinity of its
+    sign, so that every check refuses it with the message ``inf`` gets."""
+    try:
+        return kind(value)
+    except OverflowError:
+        return kind(-math.inf if value < 0 else math.inf)
+
+
 def _float_array(values) -> np.ndarray:
-    """``values`` as :func:`_dtype` reads them (Fractions and ints become
-    float64, not an object array)."""
+    """``values`` as a float64 array, or complex128 when any is complex
+    (:func:`_dtype`).  What numpy holds only as objects (ints past its integer
+    types, Fractions) is read one by one by :func:`_read_number`, one past
+    float range as the infinity of its sign: no object array passes."""
     values = np.asarray(values)
-    return values.astype(_dtype(values), copy=False)
+    if values.dtype != object:
+        return values.astype(_dtype(values), copy=False)
+    kind = complex if _dtype(*values.flat) is np.complex128 else float
+    return np.array([_read_number(v, kind) for v in values.flat], kind).reshape(values.shape)
 
 
 def _product(M: np.ndarray, X: np.ndarray, out: np.ndarray) -> None:
@@ -270,7 +285,7 @@ def series_mul(a, b) -> np.ndarray:
     splits of t (:func:`_word_tables`), the pad standing in for the splits a
     short word lacks.
     """
-    a, b = np.asarray(a), np.asarray(b)
+    a, b = _float_array(a), _float_array(b)
     truncation = _truncation_of(a.shape[-1])
     if b.shape[-1] != a.shape[-1]:
         raise ValueError(f"truncation mismatch: {a.shape[-1]} vs {b.shape[-1]} entries")
@@ -292,13 +307,13 @@ def series_log(series) -> np.ndarray:
     ``LOG_ROUND_OFF * S^7 / 7!`` at degree 7 for a single slot ``exp(c A)``,
     |c| <= 1.5).
     """
-    series = np.asarray(series)
+    series = _float_array(series)
     rows = series if series.ndim == 2 else series[None]
     truncation = _truncation_of(rows.shape[1])
     _check_rows(~(np.abs(rows[:, 0] - 1.0) > 1e-12),  # a NaN term passes
                 lambda row: ValueError(f"series_log needs constant term 1, "
                                        f"got {rows[row, 0].item()!r}"))
-    z = rows.astype(np.promote_types(rows.dtype, np.float64))
+    z = rows.copy()
     z[:, 0] = 0.0
     log = power = z
     for k in range(2, truncation + 1):
@@ -648,14 +663,15 @@ def lie_project(log, coefficients=None) -> tuple[dict[int, np.ndarray], np.ndarr
     log = np.asarray(log)
     rows = np.ascontiguousarray(_float_array(log if log.ndim == 2 else log[None]))
     truncation = _truncation_of(rows.shape[1])
-    coordinates = _coordinates(rows[..., np.newaxis], truncation)
-    # [0] the least-squares misfits of every degree, [1] the series itself
-    parts = np.empty((2,) + rows.shape, rows.dtype)
-    words = basis_build().words[:rows.shape[1], :coordinates.shape[1]]
-    np.subtract(_stacked(words, coordinates)[..., 0], rows, out=parts[0])
-    parts[1] = rows
-    starts = _word_tables(truncation).starts
-    residual, scale = np.sqrt(np.add.reduceat(np.abs(parts) ** 2, starts, axis=2))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, by degree
+        coordinates = _coordinates(rows[..., np.newaxis], truncation)
+        # [0] the least-squares misfits of every degree, [1] the series itself
+        parts = np.empty((2,) + rows.shape, rows.dtype)
+        words = basis_build().words[:rows.shape[1], :coordinates.shape[1]]
+        np.subtract(_stacked(words, coordinates)[..., 0], rows, out=parts[0])
+        parts[1] = rows
+        starts = _word_tables(truncation).starts
+        residual, scale = np.sqrt(np.add.reduceat(np.abs(parts) ** 2, starts, axis=2))
     finite = scale < np.inf
     bound = DEFAULT_LIE_TOL * np.maximum(1.0, scale)
     ok = finite & (residual <= bound)

@@ -62,8 +62,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .conditions import TargetPolynomial, _finite_number, slot_runs
-from .liealg import _BASIS_ATOMS, _BASIS_RECIPES, Generator, _dtype, _product, _slot_row
+from .conditions import TargetPolynomial, slot_runs
+from .liealg import (_BASIS_ATOMS, _BASIS_RECIPES, Generator, _dtype, _float_array, _product,
+                     _slot_row)
 
 __all__ = [
     "SplitMix64",
@@ -459,10 +460,10 @@ def _taylor_exp(powers: _Powers, q: list[int], s: list[int], c: np.ndarray,
 
 def _square_matrix(M, what: str) -> np.ndarray:
     """M as a float64 or complex128 array, refused unless it is square and 2-D."""
-    M = np.asarray(M)
+    M = _float_array(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{what} takes a square 2-D matrix, got shape {M.shape}")
-    return M.astype(_dtype(M), copy=False)
+    return M
 
 
 def expm(M: np.ndarray) -> np.ndarray:
@@ -606,11 +607,9 @@ class OperatorPair:
     seed: int | None = None
 
     def __post_init__(self):
-        A, B = np.asarray(self.A), np.asarray(self.B)
-        if np.any(np.imag(A)) or np.any(np.imag(B)):
-            A, B = A.astype(np.complex128, copy=False), B.astype(np.complex128, copy=False)
-        else:
-            A, B = (np.real(X).astype(np.float64, copy=False) for X in (A, B))
+        A, B = _float_array(self.A), _float_array(self.B)
+        real = not (np.imag(A).any() or np.imag(B).any())
+        A, B = (X.real if real else X.astype(np.complex128, copy=False) for X in (A, B))
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("A must be square")
         if A.shape != B.shape:
@@ -703,7 +702,7 @@ def two_norms(M: np.ndarray) -> np.ndarray:
     its one-matrix call bit for bit.  Non-finite entries anywhere raise
     ``ValueError``.  A 0 x 0 matrix has norm 0.
     """
-    M = np.asarray(M, dtype=_dtype(M))
+    M = _float_array(M)
     if not M.shape[-1]:
         return np.zeros(M.shape[:-2])
     with np.errstate(over="ignore", invalid="ignore"):  # an extreme M is redone below
@@ -760,12 +759,13 @@ def _step_times(t) -> tuple[np.ndarray, list[int]]:
     a stack of them meets the Taylor core, so that its core products and
     squarings run on prefixes.  Any other shape, or a step time that is not
     finite, raises ``ValueError``."""
-    times = np.asarray(t)
+    times = _float_array(t)
     if times.ndim > 1:
         raise ValueError(f"t must be a step time or a 1-D array of them, got shape {times.shape}")
     steps = times.reshape(-1)
-    sizes = [abs(_finite_number(step, "step times")) for step in steps.tolist()]
-    return steps, sorted(range(len(sizes)), key=lambda j: -sizes[j])
+    if not np.isfinite(steps).all():
+        raise ValueError("step times must be finite")
+    return steps, np.argsort(-np.abs(steps), kind="stable").tolist()
 
 
 def evaluate_scheme(scheme, pair: OperatorPair, t) -> np.ndarray:

@@ -35,7 +35,7 @@ from .conditions import (
     sum_plus_commutator_target,
     sum_target,
 )
-from .liealg import Generator, as_generator, letter_map
+from .liealg import Generator, _float_array, as_generator, letter_map
 
 __all__ = [
     "ExponentSlot",
@@ -246,7 +246,8 @@ def third_order_rows(c5, branch: str = "top"
     one of the two solutions.  A :data:`~commexp.conditions.RowFamily`
     for :func:`~commexp.conditions.optimize_free_parameter`.
     """
-    c5 = np.asarray(c5, dtype=np.float64)
+    # a complex c5 is refused (TypeError), never cut to its real part
+    c5 = _float_array(c5).astype(np.float64, casting="safe", copy=False)
     if (c5 == 0).any():
         raise ValueError("c5 must be nonzero")
     sgn = _branch_sign(branch)
@@ -331,6 +332,7 @@ def suzuki(k: int) -> Scheme:
 
 def phi3(R: float) -> Scheme:
     """Three-exponential order-2 scheme for the sum-plus-commutator target."""
+    R = _read_number(R)
     if R == 0:
         raise ValueError("R must be nonzero")
     c0 = -(2.0 * R * R - 1.0) / (2.0 * R)
@@ -348,6 +350,7 @@ def phi3(R: float) -> Scheme:
 
 def phi4(R: float, c3: float = -1.0) -> Scheme:
     """Four-exponential order-2 scheme with a free trailing coefficient."""
+    R, c3 = _read_number(R), _read_number(c3)
     if R == 0:
         raise ValueError("R must be nonzero")
     if R * c3 == 1.0:
@@ -372,18 +375,21 @@ def phi5(R: float, branch: str = "top") -> Scheme:
     Below R = (1/12)^(1/4) the discriminant turns negative and the
     coefficients come in complex-conjugate form (complex mode).
     """
+    R = _read_number(R)
     if R == 0:
         raise ValueError("R must be nonzero")
-    if abs(12.0 * R ** 4 - 1.0) < 1e-12:
+    with np.errstate(over="ignore"):  # R ** k by libm's pow, but inf where float ** int raises
+        R3, R4 = (float(np.float64(R) ** k) for k in (3, 4))
+    if abs(12.0 * R4 - 1.0) < 1e-12:
         raise ValueError("12 R^4 = 1 makes the coefficients singular")
     sgn = _branch_sign(branch)
-    delta = cmath.sqrt(3.0 * (12.0 * R ** 4 - 1.0) * (36.0 * R ** 4 + 1.0)) / 12.0
-    c0 = (3.0 * R ** 4 - R * R - sgn * delta + 0.25) / R
-    c1 = (6.0 * R ** 4 + sgn * 2.0 * delta - 0.5) / (R * (12.0 * R ** 4 - 1.0))
-    c2 = 1.0 / (2.0 * R) - 6.0 * R ** 3
-    c3 = (6.0 * R ** 4 - sgn * 2.0 * delta - 0.5) / (R * (12.0 * R ** 4 - 1.0))
+    delta = cmath.sqrt(3.0 * (12.0 * R4 - 1.0) * (36.0 * R4 + 1.0)) / 12.0
+    c0 = (3.0 * R4 - R * R - sgn * delta + 0.25) / R
+    c1 = (6.0 * R4 + sgn * 2.0 * delta - 0.5) / (R * (12.0 * R4 - 1.0))
+    c2 = 1.0 / (2.0 * R) - 6.0 * R3
+    c3 = (6.0 * R4 - sgn * 2.0 * delta - 0.5) / (R * (12.0 * R4 - 1.0))
     # note the +R^2: it is forced by the degree-1 condition c0+c2+c4 = 1/R
-    c4 = (3.0 * R ** 4 + R * R + sgn * delta + 0.25) / R
+    c4 = (3.0 * R4 + R * R + sgn * delta + 0.25) / R
     coeffs = [c0, c1, c2, c3, c4]
     if all(abs(c.imag) < 1e-14 for c in map(complex, coeffs)):
         coeffs = [complex(c).real for c in coeffs]
@@ -417,7 +423,8 @@ def aor4_rows(d2, branch: str = "top"
     the nine slots by one gather.  A :data:`~commexp.conditions.RowFamily`
     for :func:`~commexp.conditions.optimize_free_parameter`.
     """
-    d2 = np.asarray(d2, dtype=np.float64)
+    # a complex d2 is refused (TypeError), never cut to its real part
+    d2 = _float_array(d2).astype(np.float64, casting="safe", copy=False)
     if (d2 <= 0).any():
         raise ValueError("d2 must be positive")
     sgn = _branch_sign(branch)

@@ -230,9 +230,9 @@ def test_order_checks_reject_a_tolerance_that_is_not_positive_and_finite(
 
 _RANDOM4 = matform.make_pair("random", 4, 1)
 
-#: Every place a number from a caller is read: each reads it through
-#: conditions._read_number, so a value past the largest float is refused as
-#: inf is.
+#: Every place a scalar from a caller is read: each reads it through
+#: liealg._read_number, so a value past the largest float is refused as inf
+#: is.
 _NUMBER_BOUNDARIES = {
     "ExponentSlot": lambda v: ExponentSlot(A, v),
     "slot_pairs": lambda v: conditions.slot_pairs([(A, v)]),
@@ -270,6 +270,119 @@ def test_every_boundary_refuses_a_number_past_float_range_as_inf(boundary):
         with pytest.raises(ValueError) as caught:
             check(huge)
         assert str(caught.value) == str(refused.value)
+
+
+_PAULI = matform.make_pair("pauli")
+_NCP10_4 = catalog_get("NCP10_4")
+
+#: Every array and family parameter a caller gives: each is read by
+#: liealg._float_array or liealg._read_number, so a value past the largest
+#: float is read as the infinity of its sign.
+_ARRAY_BOUNDARIES = {
+    "series_mul": lambda v: liealg.series_mul([1.0, v, 0.0], [1.0, 1.0, 1.0]),
+    "series_log": lambda v: liealg.series_log([1.0, v, 0.0]),
+    "scheme_log": lambda v: scheme_log([A, B], [v, 1.0], 3),
+    "scheme_log complex": lambda v: scheme_log([A, B], [v, 1j], 3),
+    "lie_project": lambda v: lie_project([v, 1.0, 0.0]),
+    "_lie_jacobian": lambda v: liealg._lie_jacobian([A, B], [[v, 1.0]], 3),
+    "cp_half_closure": lambda v: cp_half_closure([v, 1.0], "negative"),
+    "sum_plus_commutator_target R": sum_plus_commutator_target,
+    "third_order_rows c5": lambda v: schemes.third_order_rows([0.5, v]),
+    "aor4_rows d2": lambda v: schemes.aor4_rows([0.5, v]),
+    "phi3 R": schemes.phi3,
+    "phi4 R": schemes.phi4,
+    "phi4 c3": lambda v: schemes.phi4(1.0, v),
+    "phi5 R": schemes.phi5,
+    "OperatorPair": lambda v: matform.OperatorPair([[v, 0], [0, 1]], np.eye(2)),
+    "expm": lambda v: matform.expm([[v, 0.0], [0.0, 1.0]]),
+    "two_norm": lambda v: matform.two_norm([[v, 0.0], [0.0, 1.0]]),
+    "two_norms": lambda v: matform.two_norms([[[v, 0.0], [0.0, 1.0]]]),
+    "evaluate_scheme pauli t": lambda v: matform.evaluate_scheme(_NCP10_4, _PAULI, [0.1, v]),
+    "evaluate_scheme random:4 t": lambda v: matform.evaluate_scheme(_NCP10_4, _RANDOM4, [0.1, v]),
+    "target_matrix t": lambda v: matform.target_matrix(commutator_target(), _RANDOM4, [0.1, v]),
+    "single_step_errors t": lambda v: bench.single_step_errors("NCP6_3", _RANDOM4, [0.1, v]),
+}
+
+
+def _outcome(call, value):
+    """What ``call(value)`` gives: the type and message of what it raises,
+    or its result as an array."""
+    try:
+        return np.asarray(call(value))
+    except Exception as error:  # a numpy warning raised as an error included
+        return type(error), str(error)
+
+
+def _assert_same_outcome(actual, expected):
+    if isinstance(expected, tuple):
+        assert actual == expected
+    else:
+        assert isinstance(actual, np.ndarray) and actual.dtype == expected.dtype
+        np.testing.assert_array_equal(actual, expected)
+
+
+@pytest.mark.parametrize("boundary", list(_ARRAY_BOUNDARIES))
+def test_every_array_boundary_reads_a_number_past_float_range_as_inf(boundary):
+    # an int or Fraction past the largest float raised OverflowError at every
+    # boundary but the step times, or gave an object array
+    call = _ARRAY_BOUNDARIES[boundary]
+    for huge, inf in ((10 ** 400, math.inf), (-10 ** 400, -math.inf),
+                      (Fraction(10 ** 400), math.inf)):
+        _assert_same_outcome(_outcome(call, huge), _outcome(call, inf))
+
+
+@pytest.mark.parametrize("family", [schemes.third_order_rows, schemes.aor4_rows])
+@pytest.mark.parametrize("value", [1j, 1 + 0j, np.complex128(0.5 + 1j), np.complex64(0.5)])
+def test_a_complex_family_parameter_is_refused_not_cut_to_its_real_part(family, value):
+    # a numpy complex parameter lost its imaginary part to a ComplexWarning
+    with pytest.raises(TypeError):
+        family([0.5, value])
+
+
+#: Exact numbers within float range: Python ints, ints past numpy's integer
+#: types, numpy ints and Fractions.
+_EXACT_NUMBERS = st.one_of(
+    st.integers(-3, 3),
+    st.integers(2 ** 63, 2 ** 70) | st.integers(-2 ** 70, -2 ** 63 - 1),
+    st.integers(-3, 3).map(np.int64),
+    st.fractions(-2, 2, max_denominator=1000),
+)
+
+#: The array reads of the property below: how many numbers each takes, and
+#: the call on a list of them.
+_ARRAY_READS = {
+    "series_mul": (7, lambda v: liealg.series_mul(v, v[::-1])),
+    "series_log": (6, lambda v: liealg.series_log([1] + v)),
+    "scheme_log": (4, lambda v: scheme_log([A, B, A, B], v, 4)),
+    "lie_project": (3, lambda v: np.concatenate(
+        [*lie_project([0, v[0], v[1], 0, v[2], -v[2], 0])[0].values()])),
+    "cp_half_closure": (3, lambda v: cp_half_closure(v, "negative")),
+    "two_norm": (4, lambda v: matform.two_norm(np.reshape(v, (2, 2)))),
+    "expm": (4, lambda v: matform.expm(np.reshape(v, (2, 2)))),
+    "evaluate_scheme pauli t": (3, lambda v: matform.evaluate_scheme(_NCP10_4, _PAULI, v)),
+    "evaluate_scheme random:4 t": (3, lambda v: matform.evaluate_scheme(_NCP10_4, _RANDOM4, v)),
+    "target_matrix pauli t": (3, lambda v: matform.target_matrix(commutator_target(), _PAULI, v)),
+    "target_matrix random:4 t": (3, lambda v: matform.target_matrix(commutator_target(),
+                                                                     _RANDOM4, v)),
+}
+
+
+@pytest.mark.parametrize("read", list(_ARRAY_READS))
+@settings(max_examples=30, deadline=None)
+@given(values=st.lists(_EXACT_NUMBERS, min_size=7, max_size=7))
+@example(values=[Fraction(1, 3), 2 ** 64, np.int64(-2), Fraction(-1, 7), 1, 2 ** 65, 0])
+def test_exact_numbers_in_arrays_give_their_floats_results_bit_for_bit(read, values):
+    # object arrays passed through series_mul and series_log, and Fraction
+    # step times raised TypeError; a value the call refuses is refused alike
+    size, call = _ARRAY_READS[read]
+    exact = values[:size]
+    actual, expected = _outcome(call, exact), _outcome(call, [float(x) for x in exact])
+    if isinstance(expected, tuple):
+        assert actual == expected
+    else:
+        assert not isinstance(actual, tuple), actual
+        _assert_same_bits(actual, expected)
+        assert actual.dtype in (np.float64, np.complex128)
 
 
 @pytest.mark.parametrize("check", [

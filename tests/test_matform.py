@@ -1479,6 +1479,16 @@ def test_evaluate_scheme_refuses_non_finite_step_times(kind, t):
         target_matrix(commutator_target(), pair, t)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5]), st.floats(-3.0, 3.0)),
+                max_size=13))
+def test_step_times_order_by_decreasing_size_ties_in_index_order(times):
+    # a stable sort by decreasing |t|, as Python's sort of the sizes gives it
+    steps, order = matform._step_times(times)
+    assert steps.tolist() == times
+    assert order == sorted(range(len(times)), key=lambda j: -abs(times[j]))
+
+
 @pytest.mark.parametrize("kind", ["pauli", "random"])
 @pytest.mark.parametrize("t", [0.5, 0.0, np.array([0.5, 0.25]), np.array([0.0])])
 @pytest.mark.parametrize("coeff", [float("nan"), float("inf"), complex(1.0, float("nan"))])
