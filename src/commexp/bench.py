@@ -8,10 +8,13 @@ the commutator case (k = 2), n^(-(r-1)/2).  All exports are deterministic:
 given the same seed and flags the CSV bytes are identical run to run.
 
 Cost tables (:func:`gates_for_tolerance`) use that decay to guide their
-search: each probe predicts where the error crosses the tolerance, and a
-reported count n carries the evaluated bracket err(n) <= tol < err(n - 1).
-``None`` ("not reached") means the largest power of two <= the step cap
-still misses the tolerance.
+search: each step predicts where the error crosses the tolerance, inside a
+bracket by the model through its high end or by the secant through both
+ends, and probes the predicted count and the one below it together, so a
+right prediction closes the bracket in one round.  A reported count n
+carries the evaluated bracket err(n) <= tol < err(n - 1).  ``None`` ("not
+reached") means the largest power of two <= the step cap still misses the
+tolerance.  A cost table's CSV counts its search's rounds and evaluations.
 
 A table (:func:`curve_table`, :func:`cost_table`) is the unit of stacking:
 it builds each distinct target once, makes one
@@ -263,27 +266,31 @@ def _reach(n_cap) -> int:
 
 
 class _Search:
-    """One x's search (see :func:`gates_for_tolerance`): ``probe`` is the step
-    count to evaluate next, ``lo`` the largest probe missing ``tol`` and
-    ``hi`` the smallest reaching it (None until one does), each with its
-    error."""
+    """One x's search (see :func:`gates_for_tolerance`): ``probes`` are the
+    step counts to evaluate next, in increasing order, ``lo`` the largest
+    probe missing ``tol`` and ``hi`` the smallest reaching it (None until one
+    does), each with its error."""
 
     def __init__(self, p: float, tol: float, top: int):
         self.p, self.tol, self.top = p, tol, top
-        self.probe = 1
+        self.probes = [1]
         self.lo: tuple[int, float] = (0, math.inf)
         self.hi: tuple[int, float] | None = None
         self.width = 0  # hi - lo before the last step inside the bracket, 0 before any
+        self.modelled = False  # whether ``probes`` come from a model step
+        self.missed = False  # whether a model step has missed the crossing
 
-    def record(self, error: float) -> bool:
-        """Take the error of ``probe`` and choose the next; True once the
+    def record(self, errors: Sequence[float]) -> bool:
+        """Take the errors of ``probes`` and choose the next; True once the
         search is done: the bracket is one step wide, or ``top`` missed."""
-        n = self.probe
+        n = self.probes[-1]
         doubled = n >= 2 * self.lo[0]
-        if error > self.tol:
-            self.lo = (n, error)
-        else:
-            self.hi = (n, error)
+        for m, error in zip(self.probes, errors):
+            if self.hi is None or m < self.hi[0]:  # past a probe reaching tol, m is outside
+                if error > self.tol:
+                    self.lo = (m, error)
+                else:
+                    self.hi = (m, error)
         if self.hi is None:
             if n >= self.top:
                 return True
@@ -291,22 +298,37 @@ class _Search:
             least = n + 1 if self.p > 0 and doubled else 2 * n
             guess = least
             if self.p > 0:  # the crossing n (err/tol)^(1/p), in logs against overflow
-                log_n = math.log(n) + math.log(error / self.tol) / self.p
+                log_n = math.log(n) + math.log(errors[-1] / self.tol) / self.p
                 guess = math.ceil(math.exp(min(log_n, math.log(self.top))))
-            self.probe = min(max(guess, least), self.top)
+            self.probes = [min(max(guess, least), self.top)]
             return False
         (lo, e_lo), (hi, e_hi) = self.lo, self.hi
         if hi - lo == 1:
             return True
+        self.missed |= self.modelled
+        self.modelled = False
         halved = self.width == 0 or 2 * (hi - lo) <= self.width + 1
         if self.p > 0 and halved and e_hi > 0:
-            # the crossing of the straight line through both ends in log-log
-            frac = math.log(e_lo / self.tol) / math.log(e_lo / e_hi)
-            self.probe = min(max(math.ceil(lo * (hi / lo) ** frac), lo + 1), hi - 1)
+            if hi > 2 * lo and not self.missed:
+                # the crossing of the model through the high end
+                m = math.ceil(hi * (e_hi / self.tol) ** (1 / self.p))
+                self.modelled = m > lo and self._model_holds()
+            if not self.modelled:  # the crossing of the straight line through both ends in log-log
+                frac = math.log(e_lo / self.tol) / math.log(e_lo / e_hi)
+                m = max(math.ceil(lo * (hi / lo) ** frac), lo + 1)
+            self.probes = [hi - 1] if m >= hi else [k for k in (m - 1, m) if k > lo]
         else:
-            self.probe = (lo + hi) // 2
+            self.probes = [(lo + hi) // 2]
         self.width = hi - lo
         return False
+
+    def _model_holds(self) -> bool:
+        """Whether the model through the high end, err(n) = e_hi (hi/n)^p, puts
+        the low end's error at a step count above a quarter of ``lo``: a
+        curve that falls faster than that between the ends does not follow
+        the model."""
+        (lo, e_lo), (hi, e_hi) = self.lo, self.hi
+        return math.log(e_lo / e_hi) <= self.p * math.log(4 * hi / lo)
 
 
 def gates_for_tolerance(scheme, pair: matform.OperatorPair,
@@ -326,34 +348,41 @@ def gates_for_tolerance(scheme, pair: matform.OperatorPair,
     The probes follow the model err ~ C n^(-p), p = (r + 1)/k - 1 for a
     scheme of order r.  After n = 1, each probe that misses ``tol`` jumps to
     the crossing it predicts, ceil(n (err/tol)^(1/p)), at least n + 1, or
-    2n after a miss that did not double n.  Once a bracket exists, the next
-    probe is the crossing interpolated in log-log between its ends, kept
-    strictly inside it, or its midpoint after a step that did not halve it.
-    So a search takes at most about twice the rounds of doubling and
-    bisection, which is what p <= 0 takes.  Probes stop at the largest
-    power of two <= ``n_cap``; ``None`` marks grid points where that count
-    still misses ``tol``.  ``n_cap`` must be finite and at least 1
-    (``ValueError`` otherwise).
+    2n after a miss that did not double n.  Once a bracket lo < hi exists,
+    each step predicts the crossing m in lo < m <= hi and probes m - 1 and
+    m in one round, or hi - 1 alone when m = hi, so a right prediction
+    closes the bracket.  While hi > 2 lo, m is the model's crossing
+    through the high end, ceil(hi (err(hi)/tol)^(1/p)); once the ends are
+    close, once a model step has missed, or when the model through the
+    high end reaches err(lo) only below lo/4 steps (the curve falls faster
+    than the model), m is the crossing interpolated in log-log between
+    the ends.  After a step that did not halve the bracket the next probe
+    is its midpoint (Brent 1973, ch. 4: a model step safeguarded by
+    bisection), so a search takes at most about twice the rounds of
+    doubling and bisection, which is what p <= 0 takes.  Probes stop at
+    the largest power of two <= ``n_cap``; ``None`` marks grid points where
+    that count still misses ``tol``.  ``n_cap`` must be finite and at
+    least 1 (``ValueError`` otherwise).
 
     This is the one-scheme, one-tolerance :func:`cost_table`: the searches
-    of all x run in lockstep, each round evaluating the current probe of
+    of all x run in lockstep, each round evaluating the current probes of
     every unfinished x as one stack, and each x probes the step counts its
     own search would.  The targets of all x are one
     :func:`~commexp.matform.target_matrix` call; a pair whose targets
     overflow raises one ``ValueError`` and no numpy warning.
     """
-    gates = _gates([scheme], pair, x_grid, [tol], n_cap)
+    gates, _, _ = _gates([scheme], pair, x_grid, [tol], n_cap)
     return list(zip(x_grid, gates[float(tol), 0]))
 
 
 def _gates(scheme_list, pair: matform.OperatorPair, x_grid: Sequence[float],
-           tols: Sequence[float], n_cap: int) -> dict[tuple, list[int | None]]:
+           tols: Sequence[float], n_cap: int) -> tuple[dict[tuple, list[int | None]], int, int]:
     """:func:`gates_for_tolerance` of every scheme at every tolerance, keyed
     by (float(tol), the scheme's index in the list), all searches in one
-    lockstep.
+    lockstep, with the lockstep's rounds and evaluations.
 
     Each round evaluates, per scheme with live searches, each distinct
-    (x, n) probe once, however many tolerances probe it, as one job of one
+    (x, n) probe once, however many searches probe it, as one job of one
     :func:`_errors` pass.  The targets are one
     :func:`~commexp.matform.target_matrix` call per distinct target.
     """
@@ -370,27 +399,27 @@ def _gates(scheme_list, pair: matform.OperatorPair, x_grid: Sequence[float],
     live = {(tol, key, i): _Search((resolved[key].order + 1) / resolved[key].target.min_degree - 1,
                                    tol, top)
             for tol, key in gates for i in range(len(x_grid))}
+    rounds = evaluations = 0
     while live:
-        # per scheme, the searches waiting on each (x, n) probe
-        waiting: dict = {}
-        for search_key, search in live.items():
-            waiting.setdefault(search_key[1], {}).setdefault(
-                (search_key[2], search.probe), []).append(search_key)
+        # per scheme, each distinct (x, n) probe of its searches
+        waiting: dict[int, dict] = {}
+        for (_, key, i), search in live.items():
+            waiting.setdefault(key, {}).update(dict.fromkeys((i, n) for n in search.probes))
         jobs = []
         for key, probes in waiting.items():
             k = resolved[key].target.min_degree
             jobs.append(_Job(resolved[key], [_step_time(x_grid[i] ** k, n, k) for i, n in probes],
                              [n for _, n in probes], targets[key][[i for i, _ in probes]]))
-        for (key, probes), errors in zip(waiting.items(), _errors(pair, jobs)):
-            for searches, error in zip(probes.values(), errors):
-                for search_key in searches:
-                    search = live[search_key]
-                    if search.record(error):
-                        del live[search_key]
-                        if search.hi is not None:
-                            tol, _, i = search_key
-                            gates[tol, key][i] = search.hi[0] * resolved[key].slot_count
-    return gates
+        found = {key: dict(zip(probes, errors))
+                 for (key, probes), errors in zip(waiting.items(), _errors(pair, jobs))}
+        rounds += 1
+        evaluations += sum(len(job.ns) for job in jobs)
+        for (tol, key, i), search in list(live.items()):
+            if search.record([found[key][i, n] for n in search.probes]):
+                del live[tol, key, i]
+                if search.hi is not None:
+                    gates[tol, key][i] = search.hi[0] * resolved[key].slot_count
+    return gates, rounds, evaluations
 
 
 def slope_fit(points: Sequence[tuple[float, float]]) -> float:
@@ -510,12 +539,19 @@ def cost_table(scheme_list, pair, x_grid, tol):
     distinct target.  Every row equals the one :func:`gates_for_tolerance`
     gives for its scheme and tolerance alone.
     """
+    return _cost_table(scheme_list, pair, x_grid, tol)[:2]
+
+
+def _cost_table(scheme_list, pair, x_grid, tol):
+    """:func:`cost_table`'s header and rows, and a CSV comment line that
+    counts the lockstep's rounds and evaluations."""
     resolved = [schemes.resolve(s) for s in scheme_list]
     tols = [tol] if np.ndim(tol) == 0 else list(tol)
-    gates = _gates(resolved, pair, x_grid, tols, DEFAULT_N_CAP)
+    gates, rounds, evaluations = _gates(resolved, pair, x_grid, tols, DEFAULT_N_CAP)
     rows = [(scheme.name, x, t, g) for t in tols for i, scheme in enumerate(resolved)
             for x, g in zip(x_grid, gates[float(t), i])]
-    return ("scheme", "x", "tol", "gates"), rows
+    return (("scheme", "x", "tol", "gates"), rows,
+            f"search: {rounds} rounds, {evaluations} evaluations")
 
 
 def provenance(pairs, scheme_list) -> list[str]:
@@ -558,12 +594,13 @@ def _export_curve_figure(which, out, scheme_names, t_total, seed):
 
 def _export_fig5(out, seed):
     pair = matform.make_pair("pauli")
-    header, rows = cost_table(_FIG5_SCHEMES, pair, _FIG5_X_GRID, _FIG5_TOLS)
+    header, rows, search = _cost_table(_FIG5_SCHEMES, pair, _FIG5_X_GRID, _FIG5_TOLS)
     comments = [
         "fig5: gates needed to reach tolerance for exp(x^2 [A,B]) on the pauli pair",
         f"x grid {_FIG5_X_GRID[0]}..{_FIG5_X_GRID[-1]}, tolerances "
         + " and ".join(f"{t:g}" for t in _FIG5_TOLS)
         + f", step counts probed up to {_reach(DEFAULT_N_CAP)}",
+        search,
         _OMISSION_NOTE,
         *provenance([pair], _FIG5_SCHEMES),
     ]

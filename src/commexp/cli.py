@@ -220,10 +220,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if not _positive_finite(args.tol):
             return _fail(f"--tol needs a positive finite tolerance, got {args.tol:g}")
         try:
-            header, rows = bench.cost_table(scheme_list, pair, x_grid, args.tol)
+            header, rows, search = bench._cost_table(scheme_list, pair, x_grid, args.tol)
         except ValueError as exc:  # the product or its error is not finite or not bounded
             return _fail(f"cannot evaluate the cost table at tol = {args.tol:g}: {exc}")
-        comments = [f"custom cost table: tol={args.tol:g}, seed={args.seed}"]
+        comments = [f"custom cost table: tol={args.tol:g}, seed={args.seed}", search]
 
     bench._write_csv(out, [(comments + bench.provenance([pair], scheme_list), header, rows)])
     print(f"custom: wrote {out} ({len(rows)} data rows)")

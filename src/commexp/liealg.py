@@ -188,7 +188,11 @@ def _dtype(*values) -> type:
 def _read_number(value, kind=float):
     """``kind(value)``, float or complex: the one reading of a caller's number,
     an int or ``Fraction`` past the largest float read as the infinity of its
-    sign, so that every check refuses it with the message ``inf`` gets."""
+    sign, so that every check refuses it with the message ``inf`` gets.  A
+    float reading refuses every complex type, numpy's too, with the
+    ``TypeError`` that ``float`` raises for a Python complex."""
+    if kind is float and isinstance(value, np.complexfloating):
+        value = complex(value)  # numpy's float() would only warn and drop the imaginary part
     try:
         return kind(value)
     except OverflowError:
@@ -283,7 +287,10 @@ def series_mul(a, b) -> np.ndarray:
 
     The product at word t sums ``a[prefix] * b[suffix]`` over the q = 0..N
     splits of t (:func:`_word_tables`), the pad standing in for the splits a
-    short word lacks.
+    short word lacks.  A non-finite entry, or a product past float range,
+    gives inf or NaN entries and no numpy warning: ``[inf, 1, 0]`` times
+    ``[1, 0, 0]`` is ``[inf, nan, nan]``, since inf meets the zero entries
+    and the pad.
     """
     a, b = _float_array(a), _float_array(b)
     truncation = _truncation_of(a.shape[-1])
@@ -292,7 +299,8 @@ def series_mul(a, b) -> np.ndarray:
     tables = _word_tables(truncation)
     a, b = (np.concatenate([x, np.zeros(x.shape[:-1] + (1,), x.dtype)], axis=-1)
             for x in (a, b))
-    return np.add.reduce(a[..., tables.prefix] * b[..., tables.suffix], axis=-2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.add.reduce(a[..., tables.prefix] * b[..., tables.suffix], axis=-2)
 
 
 def series_log(series) -> np.ndarray:
@@ -301,9 +309,11 @@ def series_log(series) -> np.ndarray:
     The power series ``sum_{k=1..N} (-1)^(k+1) z^k / k`` of
     ``z = series - 1``, each power one :func:`series_mul` by z.  A constant
     term further than 1e-12 from 1 raises ``ValueError`` naming its row; a
-    NaN one gives a NaN log.  This is the reference for any series; on a
-    slot product its N - 1 products cost more than :func:`scheme_log`'s
-    products by pi_1, and their cancellation rounds worse (up to about 20x
+    NaN one gives a NaN log, and any other non-finite entry, or a power past
+    float range, gives inf or NaN coefficients and no numpy warning.  This
+    is the reference for any series; on a slot product its N - 1 products
+    cost more than :func:`scheme_log`'s products by pi_1, and their
+    cancellation rounds worse (up to about 20x
     ``LOG_ROUND_OFF * S^7 / 7!`` at degree 7 for a single slot ``exp(c A)``,
     |c| <= 1.5).
     """
@@ -316,9 +326,10 @@ def series_log(series) -> np.ndarray:
     z = rows.copy()
     z[:, 0] = 0.0
     log = power = z
-    for k in range(2, truncation + 1):
-        power = series_mul(power, z)
-        log = log + ((-1.0) ** (k + 1) / k) * power
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(2, truncation + 1):
+            power = series_mul(power, z)
+            log = log + ((-1.0) ** (k + 1) / k) * power
     return log if series.ndim == 2 else log[0]
 
 

@@ -392,17 +392,42 @@ def _count_rounds(monkeypatch):
     return rounds
 
 
-@pytest.mark.parametrize("pair, x_grid, tol, most", [
-    (("random", 64, 160), [0.3], 1e-6, 5),  # 12 rounds with doubling and bisection
-    (("pauli",), [round(0.1 * k, 1) for k in range(1, 10)], 1e-7, 8),  # fig5's table: 32
+@pytest.mark.parametrize("scheme, pair, x_grid, tol, most", [
+    # 12 rounds with doubling and bisection, 5 with the secant through n = 1
+    ("NCP10_4", ("random", 64, 160), [0.3], 1e-6, 3),
+    # fig5's: 32 rounds with doubling and bisection, 7 with the secant
+    ("NCP10_4", ("pauli",), [round(0.1 * k, 1) for k in range(1, 10)], 1e-7, 5),
+    # the custom cost tables of the benchmark: 7 rounds each with the secant
+    ("NCP10_4", ("pauli",), [0.2, 0.4, 0.6, 0.8], 1e-7, 4),
+    ("NCP18_5", ("pauli",), [0.2, 0.4, 0.6, 0.8], 1e-7, 4),
+    ("NCP10_4", ("random", 16, 11), [0.2, 0.4, 0.6, 0.8], 1e-7, 4),
+    ("NCP18_5", ("random", 16, 11), [0.2, 0.4, 0.6, 0.8], 1e-7, 4),
 ])
-def test_guided_search_takes_few_rounds(monkeypatch, pair, x_grid, tol, most):
+def test_guided_search_takes_few_rounds(monkeypatch, scheme, pair, x_grid, tol, most):
     pair = matform.make_pair(*pair)
     rounds = _count_rounds(monkeypatch)
-    results = gates_for_tolerance("NCP10_4", pair, x_grid, tol)
+    results = gates_for_tolerance(scheme, pair, x_grid, tol)
     assert all(g is not None for _, g in results)
     assert len(rounds) <= most
     assert rounds[0] == len(x_grid)  # one stack per round over the unfinished x
+
+
+def test_one_round_evaluates_a_pair_of_probes_once(monkeypatch, pauli_pair):
+    # err(n) = 1e-3/n past n = 1 and 3e-3 at n = 1: from n = 1 both
+    # tolerances predict 286 steps, which reach them; the model through 286
+    # then predicts 96 for both, and the pair (95, 96) closes both brackets
+    rounds = []
+
+    def errors(pair, jobs):
+        rounds.append([list(job.ns) for job in jobs])
+        return [[3e-3 if n == 1 else 1e-3 / n for n in job.ns] for job in jobs]
+
+    monkeypatch.setattr(bench, "_errors", errors)
+    tols = [1.05e-5, 1.051e-5]
+    _, rows, search = bench._cost_table(["NCP6_3"], pauli_pair, [0.5], tols)
+    assert rounds == [[[1]], [[286]], [[95, 96]]]
+    assert [g for *_, g in rows] == [96 * catalog_get("NCP6_3").slot_count] * 2
+    assert search == "search: 3 rounds, 4 evaluations"
 
 
 def test_lockstep_search_reaches_the_cap_as_none(pauli_pair):
@@ -772,6 +797,19 @@ def test_fig5_layout_and_monotonicity(tmp_path):
     for gates in by_key.values():
         numeric = [int(g) for g in gates if g != "not reached"]
         assert numeric == sorted(numeric)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--figure", "fig5"),
+    ("--custom", "--schemes", "NCP10_4,NCP18_5", "--pair", "random:16", "--seed", "11",
+     "--x", "0.2,0.4,0.6,0.8", "--tol", "1e-7"),
+])
+def test_cost_table_csvs_count_their_search(monkeypatch, tmp_path, argv):
+    rounds = _count_rounds(monkeypatch)
+    out = tmp_path / "table.csv"
+    assert cli.main(["bench", *argv, "--out", str(out)]) == 0
+    comments = [l for l in out.read_text(encoding="utf-8").splitlines() if l.startswith("#")]
+    assert comments.count(f"# search: {len(rounds)} rounds, {sum(rounds)} evaluations") == 1
 
 
 def test_fig6_two_section_layout(tmp_path):

@@ -339,6 +339,22 @@ def test_a_complex_family_parameter_is_refused_not_cut_to_its_real_part(family, 
         family([0.5, value])
 
 
+@pytest.mark.parametrize("call, value", [
+    (schemes.phi3, np.complex128(2 + 1j)),
+    (schemes.phi3, np.complex64(2)),
+    (lambda v: order_residuals(catalog_get("NCP6_3"), commutator_target(), 3, tol=v),
+     np.complex128(1e-3 + 5j)),
+], ids=["phi3 R", "phi3 R imaginary part 0", "order_residuals tol"])
+def test_a_float_reading_refuses_a_numpy_complex_as_a_python_complex(call, value):
+    # phi3 built phi3(R=2) and order_residuals verified at tol 1e-3, each with
+    # only a ComplexWarning
+    with pytest.raises(TypeError) as refused:
+        call(complex(value))
+    with pytest.raises(TypeError) as caught:
+        call(value)
+    assert str(caught.value) == str(refused.value)
+
+
 #: Exact numbers within float range: Python ints, ints past numpy's integer
 #: types, numpy ints and Fractions.
 _EXACT_NUMBERS = st.one_of(

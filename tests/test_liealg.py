@@ -212,6 +212,15 @@ def test_series_log_requires_unit_constant_term():
         series_log(np.stack([unit, 2.0 * unit, unit]))
 
 
+def test_series_products_of_non_finite_entries_give_no_numpy_warning():
+    # inf meets the zero entries and the pad; numpy's invalid-value warning
+    # escaped both, and the test suite raises it as an error
+    inf = math.inf
+    np.testing.assert_array_equal(series_mul([inf, 1.0, 0.0], [1.0, 0.0, 0.0]),
+                                  [inf, math.nan, math.nan])
+    assert not np.isfinite(series_log([1.0, inf, 0.0, 0.0, 0.0, 0.0, 0.0])).all()
+
+
 def test_series_exp_rejects_constant_term():
     with pytest.raises(ValueError):
         series_exp(TruncatedSeries.unit(3))
