@@ -595,15 +595,30 @@ def _mirror_sign(scheme, target, r) -> str | None:
     Their closure zeroes degree 1 and the identities phi(Z) = -Z tie the
     dependent components, so the independent components stand for all
     conditions only when r >= 2 and the target has no degree-1 part and obeys
-    the identities through degree r.
+    the identities through degree r (:func:`_mirror_holds`, cached on the
+    target's read-only ``coordinates``).
     """
     sign = scheme.cp_sign
-    if sign is None or r < 2 or np.any(target.vector(1)):
+    if sign is None or r < 2:
         return None
-    lhs, rhs = np.concatenate([_mirror_relation(_cp_sign(sign), degree) @ target.vector(degree)
+    w = target.coordinates
+    return sign if _mirror_holds(sign, r, w.tobytes(), w.dtype.str) else None
+
+
+@lru_cache(maxsize=256)
+def _mirror_holds(sign: str, r: int, coordinates: bytes, dtype: str) -> bool:
+    """Whether target coordinates, given as the bytes of an array of
+    ``dtype``, have no degree-1 part and obey the mirror identities of
+    ``sign`` (:func:`_mirror_relation`) through degree r.  Cached, so a
+    polish with many steps takes the products with the target once."""
+    w = np.frombuffer(coordinates, dtype)
+    if np.any(w[:LIE_OFFSETS[1]]):
+        return False
+    lhs, rhs = np.concatenate([_mirror_relation(_cp_sign(sign), degree)
+                               @ w[LIE_OFFSETS[degree - 1]:LIE_OFFSETS[degree]]
                                for degree in range(2, r + 1)], axis=1)
     holds = abs(lhs - rhs) <= 1e-12 * np.maximum(np.maximum(abs(lhs), abs(rhs)), 1.0)
-    return sign if holds.all() else None
+    return bool(holds.all())
 
 
 #: :func:`refine` keeps its Jacobian for the next step while a step cuts

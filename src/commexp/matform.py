@@ -3,7 +3,7 @@
 Everything here is deterministic: the matrix exponential is a fixed
 scaling-and-squaring routine over a Taylor polynomial of degree 16, or of
 degree 8 where that meets the same bound in one product fewer, chosen per
-exponential (per stack entry) by one rule, the spectral norm
+exponential by one rule, the spectral norm
 is the square root of the largest eigenvalue of the Gram matrix M^H M from
 LAPACK (numpy's ``eigvalsh``), and the random operator pairs are drawn from
 a small named 64-bit generator so experiments reproduce given the seed.
@@ -38,13 +38,16 @@ generator merged, cancelling runs removed):
   chooses how the polynomial is formed; the runs are multiplied left to
   right.
 
-A target (:func:`target_matrix`) is one exponential per step time, and a
-grid of step times is one stack through the same Taylor core, each entry
-with its own powers.  Every exponential takes its s squarings and the
-coefficients u^m / m!, m = 0..16, of u = z ||X||_1 2^-s from one pass
-(:func:`_taylor_terms`); the deep stack reads all 17, and the core of
-degree 8 or 16 in 1 or 2 products the first 9, on shared and per-entry
-powers alike.  That core (:func:`_taylor_exp`) combines the cached block
+Every Taylor exponential here is exp(z_j X) for a 1-D row z of arguments
+on one matrix X's powers, run by the one loop of the cached-powers walk
+(:func:`_taylor_walk`): :func:`expm` is one run with z = [1], and a target
+(:func:`target_matrix`) of one degree k builds its matrix C once, in the X
+row of one power block, and runs z_j = t_j^k over its whole grid of step
+times; a target of several degrees takes one such call per step time.
+Every exponential takes its s squarings and the coefficients u^m / m!,
+m = 0..16, of u = z ||X||_1 2^-s from one pass (:func:`_taylor_terms`);
+the deep stack reads all 17, and the core of degree 8 or 16 in 1 or 2
+products the first 9.  That core (:func:`_taylor_exp`) combines the cached block
 by quartics, one BLAS call each: T_8 = T_4 + Y^4 (u^5 Y / 5! + ... +
 u^8 Y^4 / 8!) in one product, and T_16 = (y_1 + P_2)(y_1 + Q_2) + R with
 y_1 = Y^4 Q_1 in two (Bader, Blanes and Casas 2019, "Computing the matrix
@@ -195,9 +198,6 @@ _QUARTICS = np.array([
 #: :data:`_QUARTICS`.
 _TERMS = np.array([[0, 5, 6, 7, 8]] + [[0, 1, 2, 3, 4]] * 3)
 
-#: The powers p of Y^2, Y^3 and Y^4, the values of :attr:`_Powers.zero`.
-_ZERO_POWERS = np.array([2.0, 3.0, 4.0])
-
 #: A pair caches the deep power stack Y^0 .. Y^_DEEP of each generator when
 #: one such stack takes at most _DEEP_BYTES (real d <= 87, complex d <= 62),
 #: and else the block X, Y^2, Y^3, Y^4.
@@ -205,15 +205,10 @@ _DEEP = 16
 _DEEP_BYTES = 1 << 20
 _SHALLOW = 4
 
-#: :func:`_powers` takes the one-norms of Y^2, Y^3 and Y^4 through one |.|
-#: temporary of all three while it takes at most _NORM_BYTES, else one power
-#: at a time (at d = 256: one d x d temporary, not three).
-_NORM_BYTES = 1 << 20
-
 
 class _Powers(NamedTuple):
-    """The powers that the Taylor exponentials of a matrix X, or of each
-    matrix of a (k, d, d) stack X, reuse.
+    """The powers that the Taylor exponentials exp(z X) of one matrix X
+    reuse, whatever the argument z.
 
     ``X = scale * Y`` with ``scale = ||X||_1``, raised to the smallest normal
     float so that ``1 / scale`` is finite (so a zero X has the smallest
@@ -224,55 +219,51 @@ class _Powers(NamedTuple):
     (alpha_3 <= alpha_2, since d_4 <= d_2, but the computed norms can round
     it an ulp past).  ``zero`` is the lowest p = 2, 3, 4 with Y^p exactly
     zero, or inf when none is.  ``scale``, ``alpha`` and ``zero`` are 0-d
-    for one matrix and length-k arrays for a stack.
-    Exactly one of ``block`` and ``stack`` is set.  ``block`` is the
-    contiguous (4, d, d) block of X, Y^2, Y^3 and Y^4, or (k, 4, d, d) for a
-    stack, on which :func:`_taylor_exp` runs; ``stack``, for one matrix
-    only, is the deep stack of :func:`_stack_exp`: the (17, d^2) array of the
-    flattened Y^0 = I, Y, ..., Y^16.  Y^2, Y^3 and Y^4 are bit for bit
-    the same at both depths.
+    scalars.  Exactly one of ``block`` and ``stack`` is set.  ``block`` is
+    the contiguous (4, d, d) block of X, Y^2, Y^3 and Y^4, on which
+    :func:`_taylor_exp` runs; ``stack`` is the deep stack of
+    :func:`_stack_exp`: the (17, d^2) array of the flattened Y^0 = I, Y,
+    ..., Y^16.  Y^2, Y^3 and Y^4 are bit for bit the same at both depths.
     """
 
-    scale: np.ndarray
-    alpha: np.ndarray
-    zero: np.ndarray
+    scale: float
+    alpha: float
+    zero: float
     block: np.ndarray | None = None
     stack: np.ndarray | None = None
 
 
-def _norm1(X: np.ndarray) -> np.ndarray:
-    """The one-norm (largest column sum of |X|) of each matrix of a (..., d, d) array."""
-    return np.abs(X).sum(axis=-2).max(axis=-1, initial=0.0)
+def _norm1(X: np.ndarray) -> float:
+    """The one-norm (largest column sum of |X|) of a d x d matrix."""
+    return float(np.abs(X).sum(axis=0).max(initial=0.0))
 
 
-def _power_rows(shape: tuple[int, ...], dtype, deep: bool = False
+def _power_rows(shape: tuple[int, int], dtype, deep: bool = False
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Uninitialised rows for :func:`_powers` of one matrix or of a (k, d, d)
-    stack of the given shape, and the view of the X row the caller fills:
-    the block X, Y^2, Y^3, Y^4 and its row 0, or with ``deep`` (one matrix
-    only) the stack Y^0 .. Y^16 and its row 1, where Y replaces X."""
-    rows = np.empty(shape[:-2] + (_DEEP + 1 if deep else 4,) + shape[-2:], dtype=dtype)
-    return rows, rows[..., int(deep), :, :]
+    """Uninitialised rows for :func:`_powers` of a matrix of the given
+    shape, and the view of the X row the caller fills: the block X, Y^2,
+    Y^3, Y^4 and its row 0, or with ``deep`` the stack Y^0 .. Y^16 and its
+    row 1, where Y replaces X."""
+    rows = np.empty((_DEEP + 1 if deep else 4,) + shape, dtype=dtype)
+    return rows, rows[int(deep)]
 
 
 def _powers(rows: np.ndarray) -> _Powers:
-    """The powers of one matrix X or of each matrix of a (k, d, d) stack X,
-    built in the rows of :func:`_power_rows` whose X row holds X: Y^2 = Y Y,
-    Y^3 = Y^2 Y and Y^4 = Y^2 Y^2, the same three products per matrix at
-    both depths, and in a deep stack then Y^5 .. Y^16, one product each.
+    """The powers of a matrix X, built in the rows of :func:`_power_rows`
+    whose X row holds X: Y^2 = Y Y, Y^3 = Y^2 Y and Y^4 = Y^2 Y^2, the same
+    three products at both depths, and in a deep stack then Y^5 .. Y^16,
+    one product each.
 
     Y = X / nu is written into the row that holds it, Y^1 of the stack (over
-    X) or the block's Y^4 row until Y^4 overwrites it, so past the rows the
-    build allocates only the |.| temporary of the one-norms
-    (:data:`_NORM_BYTES`): a real d = 256 block is built within 5 d x d
-    arrays."""
-    deep = rows.shape[-3] == _DEEP + 1
-    X = rows[..., int(deep), :, :]
-    scale = np.maximum(_norm1(X), np.finfo(np.float64).tiny)
-    inverse = (1.0 / scale)[..., np.newaxis, np.newaxis]
-    high = rows[..., 2:5, :, :] if deep else rows[..., 1:, :, :]
-    square, cube, fourth = (high[..., i, :, :] for i in range(3))
-    Y = np.multiply(X, inverse, out=X if deep else fourth)
+    X) or the block's Y^4 row until Y^4 overwrites it, and the one-norms of
+    Y^2, Y^3 and Y^4 are taken one power at a time, so past the rows the
+    build allocates one d x d |.| temporary at a time: a real d = 256 block
+    is built within 5 d x d arrays."""
+    deep = len(rows) == _DEEP + 1
+    X = rows[int(deep)]
+    scale = max(_norm1(X), np.finfo(np.float64).tiny)
+    square, cube, fourth = high = rows[2:5] if deep else rows[1:]
+    Y = np.multiply(X, 1.0 / scale, out=X if deep else fourth)
     np.matmul(Y, Y, out=square)
     np.matmul(square, Y, out=cube)
     np.matmul(square, square, out=fourth)
@@ -284,18 +275,12 @@ def _powers(rows: np.ndarray) -> _Powers:
         stack = rows.reshape(_DEEP + 1, -1)
     else:
         block = rows
-    # of Y^2, Y^3 and Y^4 on the last axis (|X| is float64 at either dtype)
-    if 8 * high.size <= _NORM_BYTES:
-        norms = _norm1(high)
-    else:
-        norms = np.stack([_norm1(high[..., i, :, :]) for i in range(3)], axis=-1)
-    n2, n3, n4 = norms.T
-    # cube roots one matrix at a time, as libm's pow gives them: numpy's
-    # vectorised power can differ from it by an ulp, and alpha picks
-    # degrees and squarings (square roots are correctly rounded either way)
-    d3 = np.reshape([n ** (1.0 / 3.0) for n in np.ravel(n3).tolist()], n3.shape)
-    alpha = np.minimum(np.maximum(np.sqrt(n2), d3), np.maximum(d3, np.sqrt(np.sqrt(n4))))
-    zero = np.where(norms == 0, _ZERO_POWERS, np.inf).min(axis=-1)
+    n2, n3, n4 = norms = [_norm1(power) for power in high]
+    # the cube root as libm's pow gives it (square roots are correctly
+    # rounded): alpha picks degrees and squarings
+    d3 = n3 ** (1.0 / 3.0)
+    alpha = min(max(math.sqrt(n2), d3), max(d3, math.sqrt(math.sqrt(n4))))
+    zero = min((p for p, n in zip((2.0, 3.0, 4.0), norms) if n == 0), default=math.inf)
     return _Powers(scale, alpha, zero, block, stack)
 
 
@@ -303,17 +288,16 @@ def _taylor_terms(powers: Sequence[_Powers], z: np.ndarray
                   ) -> tuple[list[list[int]], list[list[int]], np.ndarray]:
     """Core products, squaring counts and Taylor coefficients of
     exp(z_ij X_i), X_i the matrix of ``powers[i]``, for an (r, k) array z:
-    one row of k arguments per matrix, or (r = 1) one argument per matrix of
-    one stack's powers, whose ``scale``, ``alpha`` and ``zero`` are then
-    read per entry.  Returns q and s, r lists of k ints: entry (i, j) takes
-    s_ij squarings and, on the block X, Y^2, Y^3, Y^4, the polynomial of
-    degree 8 or 16 in q_ij = 1 or 2 products; and c, shaped (r, k, 17),
-    c[i, j, m] = u_ij^m / m! for m = 0..16 and u = z nu 2^-s, nu the
-    powers' ``scale``, one ``cumprod``.  :func:`_stack_exp` reads all 17
-    columns of a row, the degree-16 polynomial, which meets the bound
-    wherever the degree of q does; :func:`_taylor_exp` reads the first 9.
-    The rule reads only the scalars of the powers, which are bit for bit
-    the same at both depths, so q, s and c are too.
+    one row of k arguments per matrix.  Returns q and s, r lists of k ints:
+    entry (i, j) takes s_ij squarings and, on the block X, Y^2, Y^3, Y^4,
+    the polynomial of degree 8 or 16 in q_ij = 1 or 2 products; and c,
+    shaped (r, k, 17), c[i, j, m] = u_ij^m / m! for m = 0..16 and
+    u = z nu 2^-s, nu the powers' ``scale``, one ``cumprod``.
+    :func:`_stack_exp` reads all 17 columns of a row, the degree-16
+    polynomial, which meets the bound wherever the degree of q does;
+    :func:`_taylor_exp` reads the first 9.  The rule reads only the scalars
+    of the powers, which are bit for bit the same at both depths, so q, s
+    and c are too.
 
     Each entry is chosen on its own, on ``x = |z| nu alpha``.  Of the
     degrees and squarings that meet the bound the entry takes the fewest
@@ -322,9 +306,8 @@ def _taylor_terms(powers: Sequence[_Powers], z: np.ndarray
     degree 16 with ``s = ceil(log2(x / theta_16))``, computed exactly from
     the binary exponent.  s is raised, where it must be, to keep
     |u| <= 2^64, and an entry with s > 0 takes degree 16.  So q and s do
-    not increase along a row whose |z| does not increase, as
-    :func:`evaluate_scheme` and :func:`target_matrix` order their step
-    times; :func:`_expm_stack` orders its entries by q + s.  A power that
+    not increase along a row whose |z| does not increase, as every caller
+    orders its arguments.  A power that
     is exactly zero makes every power above it zero, so for an entry whose
     ``zero`` is p <= 4, exp(u Y) is the Taylor polynomial of degree p - 1
     exactly: it takes degree 8 and no squaring, and its coefficients c[m]
@@ -332,10 +315,8 @@ def _taylor_terms(powers: Sequence[_Powers], z: np.ndarray
     overflow.  No entry whose Y^4 is nonzero changes by that rule.
     ``ValueError`` where z nu overflows.
     """
-    # (r, 3, 1) for r matrices, (1, 3, k) for one stack
-    scale, alpha, zero = np.array(
-        [(p.scale, p.alpha, p.zero) for p in powers]
-    ).reshape(len(powers), 3, -1).transpose(1, 0, 2)
+    # each (r, 1), one row per matrix
+    scale, alpha, zero = np.array([(p.scale, p.alpha, p.zero) for p in powers]).T[..., np.newaxis]
     # u^m / m! overflows only where a power is 0, whose coefficients are set
     # to zero below (inf * 0 is NaN); w is checked just below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -398,23 +379,22 @@ def _stack_exp(powers: _Powers, s: list[int], c: np.ndarray,
 
 
 def _quartic(block: np.ndarray, coef: np.ndarray, out: np.ndarray) -> None:
-    """out[i] = sum_j coef[i, j] block[i, j] over the four rows of each
-    entry of a (k, 4, d, d) block (a broadcast view where they share one): one
-    (d^2, 4) by (4, 1) BLAS call per entry, so an entry equals its own
-    one-entry call bit for bit.  Complex coefficients on a real block go in
-    as their float parts (:func:`~commexp.liealg._product`), a (4, 2) right
-    factor, so the block is never cast to complex."""
+    """out[i] = sum_j coef[i, j] block[j] over the four rows of a (4, d, d)
+    block, for each of the k entries of ``out``: one (d^2, 4) by (4, 1)
+    BLAS call per entry, so an entry equals its own one-entry call bit for
+    bit.  Complex coefficients on a real block go in as their float parts
+    (:func:`~commexp.liealg._product`), a (4, 2) right factor, so the block
+    is never cast to complex."""
     k = len(out)
-    _product(block.reshape(k, 4, -1).swapaxes(-1, -2),
+    _product(np.broadcast_to(block.reshape(4, -1).T, (k, block[0].size, 4)),
              coef.astype(out.dtype, copy=False)[..., np.newaxis], out.reshape(k, -1, 1))
 
 
 def _taylor_exp(powers: _Powers, q: list[int], s: list[int], c: np.ndarray,
                 P: np.ndarray, Q: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """exp(z_i X_i) for each of k arguments z_i, into one of the (k, d, d)
-    buffers P and Q: (result, the other), with W as work space.  The powers
-    are shared, X_i = X with a (4, d, d) block, or per entry, with a
-    (k, 4, d, d) one.  ``q``, ``s`` (k core product and squaring counts,
+    """exp(z_i X) for each of k arguments z_i on one matrix's block of
+    powers, into one of the (k, d, d) buffers P and Q: (result, the other),
+    with W as work space.  ``q``, ``s`` (k core product and squaring counts,
     neither increasing) and ``c`` (shaped (k, 17)) are one row of
     :func:`_taylor_terms` for these powers.
 
@@ -431,23 +411,21 @@ def _taylor_exp(powers: _Powers, q: list[int], s: list[int], c: np.ndarray,
     - degree 16: (y_1 + P_2)(y_1 + Q_2) + R with y_1 = Y^4 Q_1, two products.
 
     Then it squares s_i times: q_i + s_i matrix products in all.  The second
-    product runs on the prefix of the stack that takes degree 16, and each
+    product runs on the prefix of the row that takes degree 16, and each
     squaring on the prefix still squaring, so an entry equals its own
     one-entry evaluation bit for bit.
     """
     k, d = len(P), P.shape[-1]
     n = q.count(2)
     coef = _QUARTICS[np.subtract(q, 1)] * c[:, _TERMS]
-    coef[..., 1] /= np.reshape(powers.scale, (-1, 1))
-    block, fourth = powers.block, powers.block[..., 3, :, :]
-    if block.ndim == 3:  # shared powers, read through (k, ...) broadcast views
-        block = np.broadcast_to(block, (k,) + block.shape)
+    coef[..., 1] /= powers.scale
+    block = powers.block
     _quartic(block, coef[:, 0, 1:], W)
-    _product(fourth, W, P)
+    _product(block[3], W, P)
     if n:
-        _quartic(block[:n], coef[:n, 1, 1:], W[:n])
+        _quartic(block, coef[:n, 1, 1:], W[:n])
         W[:n] += P[:n]
-        _quartic(block[:n], coef[:n, 2, 1:], Q[:n])
+        _quartic(block, coef[:n, 2, 1:], Q[:n])
         Q[:n] += P[:n]
         Q[:n].reshape(n, -1)[:, :: d + 1] += coef[:n, 2, :1]
         np.matmul(W[:n], Q[:n], out=P[:n])
@@ -486,57 +464,34 @@ def expm(M: np.ndarray) -> np.ndarray:
     and T_16 is (y_1 + P_2)(y_1 + Q_2) + R with
     y_1 = Y^4 Q_1, after Bader, Blanes and Casas (2019), each factor a
     combination of the block, with the coefficients u^m / m! of
-    u = nu 2^-s that every exponential here takes.  It is the one-matrix
-    case of the stacked core :func:`target_matrix` runs, and
-    :func:`evaluate_scheme` runs the same core on the cached block of a
-    pair too large for the deep power stack, whose degree and squarings
-    the deep stack takes too.  M must be one square 2-D
-    matrix of finite entries whose one-norm is finite, and its exponential
-    must be finite (``ValueError`` otherwise); a real M gives a float64
-    result, a complex M complex128.  When Y^p = 0 for p = 2, 3 or 4, the
+    u = nu 2^-s that every exponential here takes.  It is one run, z = [1],
+    of the walk :func:`evaluate_scheme` and :func:`target_matrix` run
+    (:func:`_exp_row`), on M's block X, Y^2, Y^3, Y^4.  M must be one
+    square 2-D matrix of finite entries whose one-norm is finite, and its
+    exponential must be finite (``ValueError`` otherwise); a real M gives a
+    float64 result, a complex M complex128.  When Y^p = 0 for p = 2, 3 or 4, the
     result is the Taylor polynomial of degree p - 1 with no squaring,
     however large ``nu`` is: the Taylor coefficients of the zero powers are
     zero, so ``expm([[0, 1e200], [0, 0]])`` is ``[[1, 1e200], [0, 1]]``.
     """
     M = _square_matrix(M, "expm")
-    rows, X = _power_rows((1,) + M.shape, M.dtype)
-    X[0] = M
-    return _expm_stack(rows)[0]
+    rows, X = _power_rows(M.shape, M.dtype)
+    X[...] = M
+    return _exp_row(rows, np.ones(1))[0]
 
 
-def _expm_stack(rows: np.ndarray) -> np.ndarray:
-    """exp of each matrix F[i] of a (k, d, d) stack, as :func:`expm` takes
-    it, from the (k, 4, d, d) rows of :func:`_power_rows` whose X rows hold
-    F, so the powers are built around F, not a copy of it.
-
-    Each matrix gets its own powers (:func:`_powers`) and its own degree,
-    squarings and coefficients (:func:`_taylor_terms`), and the stack runs
-    in order of decreasing products q + s, so the degree-16 stage and the
-    squarings of :func:`_taylor_exp` work on prefixes of it; each result is
-    the stack's one-matrix evaluation bit for bit.  A stack out of that
-    order has its powers reordered, a copy of its power block.  A
-    non-finite entry or result anywhere raises ``ValueError``.
-    """
-    F = rows[:, 0]
-    if not np.all(np.isfinite(F)):
+def _exp_row(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """exp(z_j X) for a 1-D z whose |z| does not increase, X the X row of
+    the block ``rows`` of :func:`_power_rows`: the (k, d, d) results of one
+    run of :func:`_taylor_walk` on X's powers, built around X, not a copy
+    of it.  A non-finite X or result raises ``ValueError``."""
+    X = rows[0]
+    if not np.isfinite(X).all():
         raise ValueError("matrix exponential of non-finite entries")
-    if not len(F):
-        return F.copy()
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        powers = _powers(rows)
-        (q,), (s,), (c,) = _taylor_terms([powers], np.ones((1, len(F))))
-        products = [a + b for a, b in zip(q, s)]
-        order = sorted(range(len(F)), key=products.__getitem__, reverse=True)
-        ordered = order == list(range(len(F)))
-        if not ordered:
-            powers = _Powers(*(None if p is None else p[order] for p in powers))
-            q, s, c = [q[i] for i in order], [s[i] for i in order], c[order]
-        # the core's buffers; all but the result are freed on its return
-        E = _taylor_exp(powers, q, s, c, *(np.empty(F.shape, F.dtype) for _ in range(3)))[0]
-    if not np.all(np.isfinite(E)):
+        E = _taylor_walk([_powers(rows)], [0], z[np.newaxis], (len(z),) + X.shape, _dtype(X, z))
+    if not np.isfinite(E).all():
         raise ValueError("matrix exponential overflows")
-    if not ordered:
-        E[order] = E.copy()
     return E
 
 
@@ -821,8 +776,9 @@ def evaluate_scheme(scheme, pair: OperatorPair, t) -> np.ndarray:
     The stack is ordered by decreasing |t|, so the degree-16 stage and each
     squaring run on a prefix of it, and each entry equals its own one-time
     evaluation bit for bit at either depth.
-    Three buffers rotate through the runs and the products between them,
-    and at power depth 4 a fourth is the core's work space.  They are
+    Three buffers rotate through the runs and the products between them
+    (two take a single run), and at power depth 4 one more is the core's
+    work space.  They are
     float64 when the pair and every run's z·t are real, and complex128
     when either is complex: then the real cached powers of a real pair are
     never cast: each product of them with a complex factor is one real
@@ -860,11 +816,13 @@ def evaluate_scheme(scheme, pair: OperatorPair, t) -> np.ndarray:
     return out if np.ndim(t) else out[0]
 
 
-def _taylor_walk(powers: tuple[_Powers, _Powers], gens, z, shape, dtype) -> np.ndarray:
-    """The product of the runs' Taylor exponentials, per stack entry: run i
-    is exp(z[i, j] X) on generator gens[i] for entry j, from deep powers
-    (:func:`_stack_exp`) or else by the core of degree 8 or 16 in 1 or 2
-    products (:func:`_taylor_exp`)."""
+def _taylor_walk(powers: Sequence[_Powers], gens, z, shape, dtype) -> np.ndarray:
+    """The product of the runs' Taylor exponentials, per entry of a row:
+    run i is exp(z[i, j] X) on the matrix of ``powers[gens[i]]`` for entry
+    j, |z[i]| not increasing, from deep powers (:func:`_stack_exp`) or else
+    by the core of degree 8 or 16 in 1 or 2 products (:func:`_taylor_exp`).
+    Two (k, d, d) buffers take one run, a third the joins of several, and
+    on a block the core's work space one more."""
     runs = [powers[gen] for gen in gens]
     q, s, c = _taylor_terms(runs, z)
     P, Q = (np.empty(shape, dtype=dtype) for _ in range(2))
@@ -874,7 +832,8 @@ def _taylor_walk(powers: tuple[_Powers, _Powers], gens, z, shape, dtype) -> np.n
         E, spare = (_taylor_exp(run, q[i], s[i], c[i], P, Q, W) if run.stack is None
                     else _stack_exp(run, s[i], c[i], P, Q))
         if result is None:
-            result, P, Q = E, spare, np.empty_like(spare)
+            result, P = E, spare
+            Q = np.empty_like(spare) if len(runs) > 1 else None
         else:
             np.matmul(result, E, out=spare)
             result, P, Q = spare, result, E
@@ -920,30 +879,50 @@ def target_matrix(target: TargetPolynomial, pair: OperatorPair, t) -> np.ndarray
 
     ``t`` is one step time, giving a d x d matrix, or a 1-D array of k step
     times, giving the (k, d, d) stack of the targets at each of them, as
-    :func:`evaluate_scheme` takes it.  The element matrices are built once,
-    each term's weights w t^j are broadcast over the grid, and the stack is
-    exponentiated in one pass of the Taylor core of :func:`expm`, each entry
-    with its own powers, whose X rows the sum is built in.  The rows are
-    built by decreasing |t|, as :func:`evaluate_scheme` orders its stack, so
-    a target of one degree reaches the core already in its order and its
-    power block is not copied; the results are put back in the order of
-    ``t``, and every entry equals its own one-time call bit for bit.
-    float64 when the pair and every weight w t^j are real, else complex128.
-    A non-finite sum or exponential at any t, an overflow while building
-    the element matrices included, raises ``ValueError`` and no numpy
-    warning.
+    :func:`evaluate_scheme` takes it.  A target of one degree k (the
+    commutator's, the sum's) is exp(t^k C): the sum C = sum w E_(k,l) of its
+    weighted element matrices is built once, in the X row of one power
+    block, and the whole grid is one run of the Taylor walk on C's powers
+    (:func:`_exp_row`), z_j = t_j^k by decreasing |z|, the results put back
+    in the order of ``t``.  A target of several degrees builds its element
+    matrices once and makes one such call per step time, on the sum
+    sum w t^j E_(j,l) with z = [1], which is :func:`expm` of that sum.
+    Every entry equals its own one-time call bit for bit.
+    float64 when the pair, every weight w and every step time are real (a
+    weight of complex type gives complex128 whatever its value), else
+    complex128.  A non-finite sum or exponential at any t, an overflow
+    while building the element matrices included, raises ``ValueError``
+    and no numpy warning.
     """
-    steps, order = _step_times(t)
-    with np.errstate(over="ignore", invalid="ignore"):  # _expm_stack refuses a non-finite F
+    steps, _ = _step_times(t)
+    shape = (pair.dim, pair.dim)
+    dtype = _dtype(pair.A, steps, *target.terms.values())
+    if not len(steps):
+        return np.empty((0,) + shape, dtype)
+    weights = {(degree, position): target.vector(degree)[position - 1]
+               for degree, position in target.terms}
+    degrees = {degree for degree, _ in weights}
+    with np.errstate(over="ignore", invalid="ignore"):  # _exp_row refuses a non-finite sum
         # t^j one scalar at a time, as libm's pow gives it: numpy's vectorised
         # power can differ from it by an ulp
-        weights = [np.array([w * steps[j] ** degree for j in order])
-                   for (degree, _), w in target.terms.items()]
-        rows, F = _power_rows((len(steps), pair.dim, pair.dim), _dtype(pair.A, *weights))
-        F[...] = 0.0
-        for (degree, position), w in zip(target.terms, weights):
-            F += w[:, np.newaxis, np.newaxis] * element_matrix(degree, position, pair)
-    T = _expm_stack(rows)
-    if order != list(range(len(steps))):
-        T = T[np.argsort(order)]
+        if len(degrees) == 1:
+            (k,) = degrees
+            rows, C = _power_rows(shape, _dtype(pair.A, *target.terms.values()))
+            C[...] = 0.0
+            for (degree, position), w in weights.items():
+                C += w * element_matrix(degree, position, pair)
+            z = np.array([step ** k for step in steps])
+            order = np.argsort(-np.abs(z), kind="stable")
+            T = _exp_row(rows, z[order])
+            if (np.diff(order) < 0).any():
+                T = T[np.argsort(order)]
+        else:
+            elements = {term: element_matrix(*term, pair) for term in weights}
+            T = np.empty((len(steps),) + shape, dtype)
+            for j, step in enumerate(steps):
+                rows, F = _power_rows(shape, dtype)
+                F[...] = 0.0
+                for (degree, position), E in elements.items():
+                    F += weights[degree, position] * step ** degree * E
+                T[j] = _exp_row(rows, np.ones(1))[0]
     return T if np.ndim(t) else T[0]

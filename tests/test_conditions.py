@@ -870,6 +870,29 @@ def test_mirror_path_only_for_targets_mirrors_can_meet():
     assert _mirror_sign(catalog_get("strang"), commutator_target(), 4) is None
 
 
+@pytest.mark.parametrize("name", ["NCP10_4", "PCP16_5"])
+def test_mirror_sign_cache_gives_the_uncached_answer(name):
+    # the mirror relation's product with a target is taken once per sign,
+    # target and r; each answer, first and repeated, is the uncached one,
+    # for both signs, on targets that hold and break the identities
+    scheme = catalog_get(name)
+    uncached = conditions._mirror_holds.__wrapped__
+    targets = [commutator_target(), sum_target(), nested_aab_target(), nested_aaab_target(),
+               combined_target(), sum_plus_commutator_target(2.0),
+               TargetPolynomial("both", {(2, 1): 1.0, (3, 1): 0.5, (3, 2): 0.5}),
+               TargetPolynomial("complex", {(2, 1): 1.0 - 0.5j, (4, 2): 2j})]
+    answers = set()
+    for target in targets:
+        for r in range(1, 8):
+            w = target.coordinates
+            expected = (scheme.cp_sign if r >= 2 and uncached(scheme.cp_sign, r, w.tobytes(),
+                                                              w.dtype.str) else None)
+            assert _mirror_sign(scheme, target, r) == expected
+            assert _mirror_sign(scheme, target, r) == expected
+            answers.add(expected)
+    assert answers == {scheme.cp_sign, None}
+
+
 def test_refine_counts_mirror_conditions_at_order_7():
     # the mirrored path needs 1 + 1 + 2 + 3 + 5 + 9 conditions from degree 2,
     # not the 41 basis components of the general path

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import commexp
 from commexp.conditions import (
+    TargetPolynomial,
     commutator_target,
     effective_error,
     order_residuals,
@@ -1705,9 +1706,8 @@ def test_complex_coefficients_leave_the_deep_stack_real():
 
 def test_power_block_peak_memory():
     # the block (4 d x d arrays) and one |Y^p| for the one-norms: Y waits in
-    # the Y^4 row, and past _NORM_BYTES the norms are taken power by power
+    # the Y^4 row, and the norms are taken power by power
     X = make_pair("random", 256, 1).A.copy()
-    assert 3 * X.nbytes > matform._NORM_BYTES
     tracemalloc.start()
     try:
         _powers(X)
@@ -1718,10 +1718,11 @@ def test_power_block_peak_memory():
 
 
 def test_a_target_holds_its_sum_once():
-    # the sum F of the target's terms is built in the X rows of the power
-    # block its exponentials run on, so F is not held beside a copy of it:
-    # the block (4 arrays per entry), the core's three buffers, and what
-    # the element matrices and the finiteness checks leave
+    # the sum C of the target's terms is built in the X row of the power
+    # block its exponentials run on, so C is not held beside a copy of it:
+    # the block (4 d x d arrays), the walk's two buffers and the core's
+    # work space (3 per entry), and what the element matrices and the
+    # finiteness checks leave
     pair = make_pair("random", 128, 5)
     for t in (0.5, np.array([0.5, 0.25])):
         tracemalloc.start()
@@ -1734,11 +1735,11 @@ def test_a_target_holds_its_sum_once():
 
 
 def test_a_rising_target_grid_keeps_one_power_block():
-    # cost tables pass their grids in rising order; the target's rows are
-    # built by decreasing |t|, so a target of one degree reaches the core
-    # in its order and its power block is not copied to reorder it: within
-    # 7.5 d x d arrays per entry, where the copy made it 11; each entry is
-    # its own one-time call bit for bit
+    # cost tables pass their grids in rising order; a target of one degree
+    # builds one power block for the whole grid and runs it by decreasing
+    # |t|: within 4 d x d arrays per entry (31.3 in all), where a power
+    # block per step time made it 7.0 and a copy to reorder those blocks
+    # 11; each entry is its own one-time call bit for bit
     pair = make_pair("random", 128, 5)
     grid = np.linspace(0.1, 0.9, 9)
     tracemalloc.start()
@@ -1747,7 +1748,7 @@ def test_a_rising_target_grid_keeps_one_power_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 7.5 * T.nbytes
+    assert peak <= 4 * T.nbytes
     for entry, t in zip(T, grid):
         assert _bits(entry) == _bits(target_matrix(commutator_target(), pair, t))
 
@@ -2145,11 +2146,17 @@ def test_stacked_targets_equal_one_time_calls(name, pair_kind, seed, times, repe
 
 
 def test_target_grid_takes_one_taylor_pass(monkeypatch, random_pair):
-    # a 9-point grid is one exponential pass, and the public expm is not called
+    # a 9-point grid of a target of one degree is one run of the Taylor
+    # core on its matrix's powers, and the public expm is not called; a
+    # target of several degrees takes one call per step time
     calls = _count_slot_exponentials(monkeypatch, "_taylor_exp")
     monkeypatch.setattr(matform, "expm", None)
-    T = target_matrix(sum_plus_commutator_target(1.0), random_pair, np.linspace(0.1, 0.9, 9))
+    grid = np.linspace(0.1, 0.9, 9)
+    T = target_matrix(commutator_target(), random_pair, grid)
     assert T.shape == (9, 16, 16) and len(calls) == 1
+    calls.clear()
+    T = target_matrix(sum_plus_commutator_target(1.0), random_pair, grid)
+    assert T.shape == (9, 16, 16) and len(calls) == 9
 
 
 def test_target_matrix_shapes(pauli_pair):
@@ -2172,24 +2179,58 @@ def test_target_matrix_overflow_is_one_value_error(random_pair, t):
             target_matrix(commutator_target(), big, t)
 
 
-@settings(max_examples=40, deadline=None)
+@pytest.mark.parametrize("name", ["commutator", "nested_aab", "sum", "sum_plus_commutator",
+                                  "combined"])
+@pytest.mark.parametrize("weight", [1.0, 0.5 - 2j])
+@pytest.mark.parametrize("pair_kind", ["pauli", "random:5"])
+def test_target_grids_equal_one_time_calls(name, weight, pair_kind):
+    # targets of one degree (one run on C's powers, z_j = t_j^k) and of
+    # several (one call per step time), with real and complex weights, over
+    # a grid with zero, repeated, negative and unsorted steps: each entry is
+    # its own one-time call bit for bit, and a target of several degrees is
+    # expm of its sum at each step time
+    terms = {"commutator": {(2, 1): 1.0}, "nested_aab": {(3, 1): 1.0},
+             "sum": {(1, 1): 1.0, (1, 2): 1.0},
+             "sum_plus_commutator": {(1, 1): 1.0, (1, 2): 1.0, (2, 1): 2.25},
+             "combined": {(1, 1): 1.0, (1, 2): 1.0, (2, 1): 1.0, (3, 1): 1.0}}[name]
+    target = TargetPolynomial(name, {term: weight * w for term, w in terms.items()})
+    pair = make_pair("pauli") if pair_kind == "pauli" else make_pair("random", 5, 7)
+    grid = np.array([0.3, 0.0, -0.9, 1.7, 0.3, -0.3, 0.0, 0.05])
+    stack = target_matrix(target, pair, grid)
+    for entry, t in zip(stack, grid):
+        assert _bits(entry) == _bits(target_matrix(target, pair, t))
+        if len({degree for degree, _ in terms}) > 1:
+            F = sum(target.vector(degree)[position - 1] * t ** degree
+                    * element_matrix(degree, position, pair) for degree, position in terms)
+            assert _bits(entry) == _bits(expm(F.astype(stack.dtype)))
+
+
+@settings(max_examples=60, deadline=None)
 @given(
-    seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
-    dim=st.integers(min_value=1, max_value=8),
-    sizes=st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=6.0)),
+    name=st.sampled_from(["commutator", "nested_aab", "sum"]),
+    pair_kind=st.sampled_from(["pauli", "random"]),
+    dim=st.integers(min_value=2, max_value=8),
+    seed=st.integers(min_value=0, max_value=2 ** 16),
+    weight=st.one_of(st.floats(min_value=-2.0, max_value=2.0),
+                     st.builds(complex, st.floats(min_value=-2.0, max_value=2.0),
+                               st.floats(min_value=-2.0, max_value=2.0))),
+    times=st.lists(st.one_of(st.just(0.0), st.floats(min_value=-1.5, max_value=1.5)),
                    min_size=1, max_size=9),
-    real=st.booleans(),
 )
-def test_exponential_stack_equals_expm_per_matrix(seed, dim, sizes, real):
-    # a stack of mixed norms, zero matrices included, runs in an order of its
-    # own; each result is expm of its matrix bit for bit
-    g = np.random.default_rng(seed)
-    F = g.standard_normal((len(sizes), dim, dim))
-    if not real:
-        F = F + 1j * g.standard_normal(F.shape)
-    F *= np.reshape(sizes, (-1, 1, 1)) / np.linalg.norm(F, 2, axis=(1, 2))[:, None, None]
-    rows, X = matform._power_rows(F.shape, F.dtype)
-    X[...] = F
-    E = matform._expm_stack(rows)
-    for M, expected in zip(F, E):
-        assert _bits(expm(M)) == _bits(expected)
+@example(name="commutator", pair_kind="random", dim=8, seed=11, weight=1.0,
+         times=[0.2, 0.0, -1.5, 0.9, 0.0])
+def test_one_degree_target_grids_match_scipy(name, pair_kind, dim, seed, weight, times):
+    # a target of one degree k runs exp(t^k C) on the powers of C alone; it
+    # matches scipy's expm of t^k C within the bound of
+    # test_slot_exponential_matches_scipy, on the pauli pair and on real
+    # random pairs, over grids with zeros and unsorted steps
+    terms = {"commutator": [(2, 1)], "nested_aab": [(3, 1)], "sum": [(1, 1), (1, 2)]}[name]
+    target = TargetPolynomial(name, {term: weight for term in terms})
+    pair = make_pair("pauli") if pair_kind == "pauli" else make_pair("random", dim, seed)
+    C = sum(weight * element_matrix(*term, pair) for term in terms)
+    k = terms[0][0]
+    stack = target_matrix(target, pair, np.array(times))
+    for entry, t in zip(stack, times):
+        r = abs(t) ** k * np.linalg.norm(C, 2)
+        bound = 8 * (pair.dim + r) * np.finfo(float).eps * math.exp(r)
+        assert np.linalg.norm(entry - scipy.linalg.expm(t ** k * C), 2) <= bound
