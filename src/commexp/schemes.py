@@ -4,9 +4,9 @@ A composition ("scheme") is an ordered product of exponentials of the two
 generators, each slot contributing exp(coefficient * t * generator).  This
 module collects the tabulated counter-palindromic schemes, the classical
 recursive sum splittings, the short special-purpose formulas for nested
-commutators, the composition operator that builds products of weighted
-schemes (the recursions and the nested-commutator constructions among them),
-and the symmetry transforms that map schemes into one another.
+commutators, the composition operator that builds products of schemes run
+at time scales (the recursions and the nested-commutator constructions among
+them), and the symmetry transforms that map schemes into one another.
 """
 
 from __future__ import annotations
@@ -481,40 +481,28 @@ def compose(stages: Iterable[ExponentSlot | tuple[Scheme, float]], *,
     """The slots of a product of stages, leftmost first.
 
     A stage is an :class:`ExponentSlot`, kept as it is, or a pair
-    ``(scheme, weight)``: the scheme's slots scaled by the real k-th root of
-    the real weight w, where k is the one degree of the scheme's target
-    terms, so that the block approximates exp(w t^k target) as the scheme
-    approximates exp(t^k target).  At k = 3 the cube root carries the sign;
-    at k = 2 a negative w runs the scheme with its letters interchanged
-    (A -> B, B -> A) at sqrt(-w), which negates the one degree-2 basis
-    element [A,B].  A weight that is not real, or a target of more than one
-    degree or of degree above 3, raises ``ValueError``.  Unless ``merge`` is
-    false the slots become their runs (:func:`~commexp.conditions.slot_runs`).
+    ``(scheme, scale)``: the scheme's slots times the real time scale tau, a
+    block that approximates the scheme's target at tau t, each degree-j term
+    times tau^j, for any target.  A scale that is not real and finite raises
+    ``ValueError`` naming the stage.  Unless ``merge`` is false the slots
+    become their runs (:func:`~commexp.conditions.slot_runs`).
     """
     slots: list[ExponentSlot] = []
     for stage in stages:
         if isinstance(stage, ExponentSlot):
             slots.append(stage)
-        else:
-            slots.extend(_stage_slots(*stage))
+            continue
+        scheme, scale = stage
+        tau = _finite_number(scale, f"stage {scheme.name}: scale")
+        if isinstance(tau, complex):
+            raise ValueError(f"stage {scheme.name}: scale {scale!r} is not real")
+        slots.extend(scheme.scaled_slots(tau))
     return _slots(*conditions.slot_runs(slots)) if merge else tuple(slots)
 
 
-def _stage_slots(scheme: Scheme, weight) -> tuple[ExponentSlot, ...]:
-    """The slots of one ``(scheme, weight)`` stage of :func:`compose`."""
-    degrees = sorted({degree for degree, _ in scheme.target.terms})
-    if len(degrees) != 1 or degrees[0] > 3:
-        raise ValueError(f"stage {scheme.name}: target {scheme.target.name} has terms of "
-                         f"degree {', '.join(map(str, degrees)) or 'none'}; a stage needs "
-                         f"one degree of 1 to 3")
-    w = _finite_number(weight, f"stage {scheme.name}: weight")
-    if isinstance(w, complex):
-        raise ValueError(f"stage {scheme.name}: weight {weight!r} is not real")
-    k = degrees[0]
-    if k == 2 and w < 0:
-        scheme, w = _map_letters(scheme, _INTERCHANGE, "interchange"), -w
-    root = w if k == 1 else math.sqrt(w) if k == 2 else math.copysign(abs(w) ** (1.0 / 3.0), w)
-    return scheme.scaled_slots(root)
+def _cube_root(w: float) -> float:
+    """The real cube root of ``w``: the time scale of a degree-3 block at weight w."""
+    return math.copysign(abs(w) ** (1.0 / 3.0), w)
 
 
 def zass_sym22() -> Scheme:
@@ -522,17 +510,19 @@ def zass_sym22() -> Scheme:
 
     The central third-degree correction splits into a doubly nested
     [A,[A,B]] part (weight 1/24) realized by the nine-exponential
-    palindromic scheme and its [B,[B,A]] counterpart (weight 1/12, sign
-    absorbed by the real cube root): the same block with the letters
-    interchanged, slots and target alike.  Slots are kept distinct — no
-    merging — so the count reflects the elementary gates.
+    palindromic scheme and its [B,[B,A]] counterpart (weight -1/12): the
+    same block with the letters interchanged, slots and target alike.  Each
+    block is a stage at the real cube root of its weight as time scale.
+    Slots are kept distinct — no merging — so the count reflects the
+    elementary gates.
     """
     inner = aor4(AOR4_OPTIMAL_D2)
     swapped = _map_letters(inner, _INTERCHANGE, "interchange")
     half_a, half_b = ExponentSlot(Generator.A, 0.5), ExponentSlot(Generator.B, 0.5)
     return Scheme(
         name="zass_sym22",
-        slots=compose([half_a, half_b, (inner, 1.0 / 24.0), (swapped, -1.0 / 12.0),
+        slots=compose([half_a, half_b, (inner, _cube_root(1.0 / 24.0)),
+                       (swapped, _cube_root(-1.0 / 12.0)),
                        half_b, half_a], merge=False),
         target=sum_target(),
         order=4,
@@ -546,14 +536,15 @@ def nested4_50() -> Scheme:
 
     The ten-exponential fourth-order commutator scheme is written with its
     B-slots standing for the degree-3 operator t^2 [A,[A,B]], and each such
-    slot is realized by the nine-exponential palindromic scheme at the
-    cube-root-rescaled time.  No adjacent slots share a generator, so the
-    count is exactly 50 with or without merging.
+    slot is realized by the nine-exponential palindromic scheme, a stage at
+    the real cube root of the slot's coefficient as time scale.  No adjacent
+    slots share a generator, so the count is exactly 50 with or without
+    merging.
     """
     inner = aor4(AOR4_OPTIMAL_D2)
     return Scheme(
         name="nested4_50",
-        slots=compose((inner, s.coefficient) if s.generator == Generator.B else s
+        slots=compose((inner, _cube_root(s.coefficient)) if s.generator == Generator.B else s
                       for s in _tabulated_cp("NCP10_4").slots),
         target=nested_aaab_target(),
         order=4,
@@ -576,9 +567,8 @@ _LETTER_MAPS: dict[str, tuple[tuple[Generator, complex], ...]] = {
     "ab-swap": ((Generator.B, 1.0), (Generator.A, -1.0)),
 }
 
-#: The plain letter interchange A -> B, B -> A, which :func:`compose` uses for a
-#: negative weight at degree 2 and :func:`zass_sym22` for its [B,[B,A]] block;
-#: it negates a commutator, so it is not a transform.
+#: The plain letter interchange A -> B, B -> A, which :func:`zass_sym22` uses for
+#: its [B,[B,A]] block; it negates a commutator, so it is not a transform.
 _INTERCHANGE = ((Generator.B, 1.0), (Generator.A, 1.0))
 
 

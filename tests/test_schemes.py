@@ -8,7 +8,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from commexp.conditions import (
@@ -547,45 +547,38 @@ def test_combined5_structure():
 A1, B1 = ExponentSlot(Generator.A, 1.0), ExponentSlot(Generator.B, 1.0)
 
 
-def test_substitute_rejects_bad_homogeneity():
-    # a stage's target must have one degree, of 1 to 3: at weight 4.0 phi3's
-    # block would be [-1 B, 2 A, 3 B], which verifies order 0 against four
-    # times phi3's target (a degree-1 residual of 2.0)
-    for stage, degrees in ((phi3(1.0), "1, 2"), (combined5(), "1, 2, 3"),
-                           (nested4_50(), "4")):
-        with pytest.raises(ValueError, match=f"stage {re.escape(stage.name)}: target "
-                           f"{re.escape(stage.target.name)} has terms of degree {degrees};"):
-            compose([A1, (stage, 4.0)])
-
-
 def test_compose_refuses_a_weight_that_is_not_real():
-    # neither dropped (1j would make the block vanish) nor read by its real
-    # part (the interchanged block at sqrt(0.5))
-    with pytest.raises(ValueError, match="^stage aor4_opt: weight 1j is not real$"):
+    # a stage's time scale is real and finite: a complex one is neither
+    # dropped (1j would make the block vanish) nor read by its real part
+    with pytest.raises(ValueError, match="^stage aor4_opt: scale 1j is not real$"):
         compose([A1, (catalog_get("aor4_opt"), 1j), B1])
     with pytest.raises(ValueError,
-                       match=re.escape("stage NCP6_3: weight (-0.5+0.25j) is not real")):
+                       match=re.escape("stage NCP6_3: scale (-0.5+0.25j) is not real")):
         compose([(catalog_get("NCP6_3"), -0.5 + 0.25j)])
-    with pytest.raises(ValueError, match="^stage NCP6_3: weight must be finite$"):
-        compose([(catalog_get("NCP6_3"), math.nan)])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^stage NCP6_3: scale must be finite$"):
+            compose([(catalog_get("NCP6_3"), bad)])
 
 
 def test_substitute_cube_root_carries_sign():
+    # a degree-3 block at weight -8 is the stage at scale -2, the real cube
+    # root; it verifies order 4 against -8 times the target
     inner = catalog_get("aor4_opt")
-    assert compose([(inner, -8.0)]) == inner.scaled_slots(-2.0)
+    assert compose([(inner, -2.0)]) == inner.scaled_slots(-2.0)
+    weighted = TargetPolynomial("-8*nested_aab", {key: -8.0 * v
+                                                  for key, v in inner.target.terms.items()})
+    assert order_residuals(compose([(inner, -2.0)]), weighted, 4).all_satisfied()
 
 
 def test_substitute_square_root_positive():
+    # a degree-2 block at weight 4 is the stage at scale 2, and so is one at
+    # scale -2: a negative scale runs the scheme backwards, letters unchanged
     inner = catalog_get("NCP6_3")
-    assert compose([(inner, 4.0)]) == inner.scaled_slots(2.0)
-
-
-def test_substitute_square_root_negative_swaps_letters():
-    inner = catalog_get("NCP6_3")
-    assert compose([(inner, -4.0)]) == tuple(
-        ExponentSlot(Generator.A if s.generator == Generator.B else Generator.B,
-                     2.0 * s.coefficient)
-        for s in inner.slots)
+    assert compose([(inner, 2.0)]) == inner.scaled_slots(2.0)
+    assert compose([(inner, -2.0)]) == inner.scaled_slots(-2.0)
+    weighted = TargetPolynomial("4*commutator", {(2, 1): 4.0})
+    for tau in (2.0, -2.0):
+        assert order_residuals(compose([(inner, tau)]), weighted, 3).all_satisfied()
 
 
 def test_substitute_merges_same_generator_junctions():
@@ -605,29 +598,58 @@ def test_substitute_merges_across_a_cancelled_block():
 
 def test_compose_two_blocks_in_one_product():
     first, second = aor4(0.5), aor4(AOR4_OPTIMAL_D2)
-    assert (compose([(first, 1.0), A1, (second, 8.0)], merge=False)
+    assert (compose([(first, 1.0), A1, (second, 2.0)], merge=False)
             == first.slots + (A1,) + second.scaled_slots(2.0))
 
 
-#: Stage schemes of each degree k: strang (1), NCP6_3 and PCP16_5 (2), aor4_opt (3).
-STAGE_SCHEMES = ("strang", "NCP6_3", "PCP16_5", "aor4_opt")
+def test_compose_runs_a_time_reversed_pair_one_order_higher():
+    # S(t/sqrt2) S(-t/sqrt2): an NCP or PCP scheme's degree-(r+1) error is
+    # odd in t and cancels, so the pair verifies order r + 1
+    for name, runs, per_exponential in (("NCP10_4", 20, 0.4145), ("PCP12_4", 24, 0.3674)):
+        scheme = catalog_get(name)
+        pair = compose([(scheme, 2 ** -0.5), (scheme, -2 ** -0.5)])
+        report = order_residuals(pair, scheme.target, scheme.order + 1)
+        assert len(pair) == runs
+        assert report.verified_order == scheme.order + 1
+        assert report.effective_error.per_exponential == pytest.approx(per_exponential, abs=5e-5)
 
-weights = st.builds(lambda size, sign: sign * size,
-                    st.floats(1.0 / 16.0, 16.0), st.sampled_from((1.0, -1.0)))
-stages = st.one_of(st.builds(ExponentSlot, st.sampled_from(Generator), weights),
-                   st.tuples(st.sampled_from(STAGE_SCHEMES).map(catalog_get), weights))
+
+@pytest.mark.parametrize("name, runs", [("NCP6_3", 11), ("NCP10_4", 19), ("PCP12_4", 21),
+                                        ("PCP16_5", 29), ("NCP18_5", 35), ("PCP26_6", 49)])
+def test_compose_alternates_a_scheme_with_its_ab_swap(name, runs):
+    # S(t/sqrt2) then ab-swap(S)(t/sqrt2): two half-weight commutator blocks
+    # whose junction letters merge, of S's order
+    scheme = catalog_get(name)
+    pair = compose([(scheme, 2 ** -0.5), (transform(scheme, "ab-swap"), 2 ** -0.5)])
+    assert len(pair) == runs
+    assert order_residuals(pair, scheme.target, scheme.order).all_satisfied()
+
+
+scales = st.builds(lambda size, sign: sign * size,
+                   st.floats(1.0 / 16.0, 16.0), st.sampled_from((1.0, -1.0)))
+stages = st.one_of(st.builds(ExponentSlot, st.sampled_from(Generator), scales),
+                   st.tuples(st.sampled_from(catalog_names()).map(catalog_get), scales))
 
 
 @settings(max_examples=80, deadline=None)
-@given(name=st.sampled_from(STAGE_SCHEMES), w=weights, more=st.lists(stages, max_size=3))
-def test_compose_runs_each_stage_at_its_weight(name, w, more):
-    # a stage (S, w) verifies S's order against w times S's target; merging
-    # is slot_runs of the unmerged slots, one slot per slot of the stages
+@given(name=st.sampled_from(catalog_names()), tau=scales, more=st.lists(stages, max_size=3))
+@example(name="strang", tau=-16.0, more=[])
+@example(name="combined5", tau=-0.75, more=[])
+@example(name="phi4", tau=-3.0, more=[])
+@example(name="nested4_50", tau=-2.5, more=[])
+def test_compose_runs_each_stage_at_its_scale(name, tau, more):
+    # a stage (S, tau) verifies S's order against S's target at tau t, each
+    # degree-j term times tau^j, whatever degrees the target has; its
+    # degree-j residuals are tau^j times S's own, so the tolerance grows as
+    # |tau|^r; merging is slot_runs of the unmerged slots, one slot per slot
+    # of the stages
     scheme = catalog_get(name)
-    weighted = TargetPolynomial(f"{w}*{scheme.target.name}",
-                                {key: w * v for key, v in scheme.target.terms.items()})
-    assert order_residuals(compose([(scheme, w)]), weighted, scheme.order).all_satisfied()
-    all_stages = [(scheme, w), *more]
+    scaled = TargetPolynomial(f"{name}@{tau}", {(j, pos): tau ** j * v
+                                                 for (j, pos), v in scheme.target.terms.items()})
+    tol = 1e-10 * max(1.0, abs(tau)) ** scheme.order
+    assert order_residuals(compose([(scheme, tau)]), scaled, scheme.order,
+                           tol).all_satisfied()
+    all_stages = [(scheme, tau), *more]
     unmerged = compose(all_stages, merge=False)
     assert len(unmerged) == sum(1 if isinstance(stage, ExponentSlot) else stage[0].slot_count
                                 for stage in all_stages)
