@@ -7,7 +7,7 @@ The package is organised around six pieces:
 - :mod:`commexp.conditions` — order conditions, effective error, the
   counter-palindromic machinery, Newton refinement and the 1-D optimizer;
 - :mod:`commexp.schemes` — the scheme catalog, parametric families,
-  the composition operator, symmetry transforms and file I/O;
+  the composition operator, the letter substitutions and file I/O;
 - :mod:`commexp.matform` — dense-matrix harness (expm, spectral norm,
   operator pairs, scheme evaluation);
 - :mod:`commexp.bench` — error-vs-cost protocols and CSV exporters;

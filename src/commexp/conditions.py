@@ -414,7 +414,7 @@ def cp_expand(half: Sequence[complex], sign, *, name: str | None = None,
     ``sign='positive'`` and negated for ``sign='negative'``, by the one
     mirror map of :func:`_mirror_rows`.
     """
-    from .schemes import ExponentSlot, Scheme
+    from .schemes import Scheme
 
     half = list(half)
     if len(half) < 2:
@@ -425,11 +425,10 @@ def cp_expand(half: Sequence[complex], sign, *, name: str | None = None,
     both = np.empty((1, len(generators)), dtype=row.dtype)
     both[:, :len(half)] = row
     coefficients = _mirror_rows(both, s)[0].tolist()
-    slots = tuple(ExponentSlot(g, c) for g, c in zip(generators, coefficients))
     kind = "PCP" if s > 0 else "NCP"
     return Scheme(
-        name=name or f"{kind.lower()}{len(slots)}",
-        slots=slots,
+        name=name or f"{kind.lower()}{len(generators)}",
+        slots=zip(generators, coefficients),
         target=commutator_target(),
         order=order,
         family=kind,
@@ -668,8 +667,6 @@ def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
     with its slots replaced and every other field kept; raises
     ``RuntimeError`` on divergence or stagnation.
     """
-    from .schemes import ExponentSlot
-
     tol = _check_tolerance("tol", tol)
     if target is None:
         target = scheme.target
@@ -743,8 +740,7 @@ def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
         raise RuntimeError(f"no convergence after {_MAX_STEPS} iterations "
                            f"(residual {worst:.3e})")
 
-    return replace(scheme, slots=tuple(ExponentSlot(g, c)
-                                       for g, c in zip(generators, rows[0].tolist())))
+    return replace(scheme, slots=zip(generators, rows[0].tolist()))
 
 
 @lru_cache(maxsize=None)

@@ -6,7 +6,7 @@ module collects the tabulated counter-palindromic schemes, the classical
 recursive sum splittings, the short special-purpose formulas for nested
 commutators, the composition operator that builds products of schemes run
 at time scales (the recursions and the nested-commutator constructions among
-them), and the symmetry transforms that map schemes into one another.
+them), and the letter substitutions that map schemes into one another.
 """
 
 from __future__ import annotations
@@ -83,6 +83,9 @@ class Scheme:
     """An ordered exponential product with its intended target and order.
 
     The slots are its only structure: the mirror pattern is read from them.
+    Each is given as an :class:`ExponentSlot` or a ``(generator,
+    coefficient)`` pair read into one; any other entry, or a pair no slot
+    holds, raises ``ValueError`` naming its slot index.
     """
 
     name: str
@@ -93,11 +96,12 @@ class Scheme:
     note: str = ""
 
     def __post_init__(self):
-        if len(self.slots) < 1:
+        slots = tuple(_read_slot(self.name, i, entry) for i, entry in enumerate(self.slots))
+        if not slots:
             raise ValueError("a scheme needs at least one slot")
         if self.order < 1:
             raise ValueError("claimed order must be at least 1")
-        object.__setattr__(self, "slots", tuple(self.slots))
+        object.__setattr__(self, "slots", slots)
 
     @property
     def slot_count(self) -> int:
@@ -131,8 +135,17 @@ class Scheme:
         return tuple(ExponentSlot(s.generator, s.coefficient * factor) for s in self.slots)
 
 
-def _slots(*pairs) -> tuple[ExponentSlot, ...]:
-    return tuple(ExponentSlot(g, c) for g, c in pairs)
+def _read_slot(name: str, i: int, entry) -> ExponentSlot:
+    """Slot ``i`` of the scheme ``name``, read as :class:`Scheme` reads it."""
+    if isinstance(entry, ExponentSlot):
+        return entry
+    problem = "neither an ExponentSlot nor a (generator, coefficient) pair"
+    if isinstance(entry, (tuple, list)) and len(entry) == 2:
+        try:
+            return ExponentSlot(*entry)
+        except (TypeError, ValueError) as exc:
+            problem = exc
+    raise ValueError(f"{name}: slot {i} = {entry!r}: {problem}")
 
 
 def _branch_sign(branch: str) -> float:
@@ -272,7 +285,7 @@ def third_order_family(c5: float, branch: str = "top") -> Scheme:
     generators, target, rows = third_order_rows([c5], branch)
     return Scheme(
         name=f"third_order(c5={c5:g},{branch})",
-        slots=_slots(*zip(generators, rows[0].tolist())),
+        slots=zip(generators, rows[0].tolist()),
         target=target,
         order=3,
         family="general",
@@ -317,9 +330,7 @@ def suzuki(k: int) -> Scheme:
         weights = [g * f
                    for f in (alpha, alpha, 1.0 - 4.0 * alpha, alpha, alpha)
                    for g in weights]
-    block = Scheme("strang_gates", _slots((Generator.A, 0.5), (Generator.B, 0.5),
-                                          (Generator.B, 0.5), (Generator.A, 0.5)),
-                   sum_target(), 2)
+    block = Scheme("strang_gates", zip("ABBA", (0.5,) * 4), sum_target(), 2)
     return Scheme(
         name=f"suzuki{2 * k}",
         slots=compose([(block, w) for w in weights], merge=False),
@@ -340,7 +351,7 @@ def phi3(R: float) -> Scheme:
     c2 = (2.0 * R * R + 1.0) / (2.0 * R)
     return Scheme(
         name=f"phi3(R={R:g})",
-        slots=_slots((Generator.B, c0 * R), (Generator.A, c1 * R), (Generator.B, c2 * R)),
+        slots=zip("BAB", (c0 * R, c1 * R, c2 * R)),
         target=sum_plus_commutator_target(R),
         order=2,
         family="general",
@@ -360,8 +371,7 @@ def phi4(R: float, c3: float = -1.0) -> Scheme:
     c2 = -(2.0 * R * R + 1.0) / (2.0 * R * (R * c3 - 1.0))
     return Scheme(
         name=f"phi4(R={R:g},c3={c3:g})",
-        slots=_slots((Generator.B, c0 * R), (Generator.A, c1 * R),
-                     (Generator.B, c2 * R), (Generator.A, c3 * R)),
+        slots=zip("BABA", (c0 * R, c1 * R, c2 * R, c3 * R)),
         target=sum_plus_commutator_target(R),
         order=2,
         family="general",
@@ -393,10 +403,9 @@ def phi5(R: float, branch: str = "top") -> Scheme:
     coeffs = [c0, c1, c2, c3, c4]
     if all(abs(c.imag) < 1e-14 for c in map(complex, coeffs)):
         coeffs = [complex(c).real for c in coeffs]
-    gens = [Generator.B, Generator.A, Generator.B, Generator.A, Generator.B]
     return Scheme(
         name=f"phi5(R={R:g},{branch})",
-        slots=_slots(*[(g, c * R) for g, c in zip(gens, coeffs)]),
+        slots=[(g, c * R) for g, c in zip("BABAB", coeffs)],
         target=sum_plus_commutator_target(R),
         order=3,
         family="general",
@@ -437,7 +446,7 @@ def aor4_rows(d2, branch: str = "top"
     return _ALTERNATING, _NESTED_AAB, _checked_rows(d[:, _AOR4_INDEX])
 
 
-def aor4(d2: float, branch: str = "top", *, name: str | None = None) -> Scheme:
+def aor4(d2: float, branch: str = "top") -> Scheme:
     """Nine-exponential palindromic order-4 scheme for exp(t^3 [A,[A,B]]).
 
     One positive free parameter d2; the optimum sits at
@@ -446,8 +455,8 @@ def aor4(d2: float, branch: str = "top", *, name: str | None = None) -> Scheme:
     """
     generators, target, rows = aor4_rows([d2], branch)
     return Scheme(
-        name=name or f"aor4(d2={d2:g})",
-        slots=_slots(*zip(generators, rows[0].tolist())),
+        name=f"aor4(d2={d2:g})",
+        slots=zip(generators, rows[0].tolist()),
         target=target,
         order=4,
         family="palindromic",
@@ -460,10 +469,9 @@ def combined5() -> Scheme:
     alpha = math.sqrt(47.0 / 3.0)
     d = (-0.75 + alpha / 4.0, 0.5 + alpha / 2.0, 0.5, 0.5 - alpha / 2.0,
          1.25 - alpha / 4.0)
-    gens = [Generator.B if i % 2 == 0 else Generator.A for i in range(5)]
     return Scheme(
         name="combined5",
-        slots=_slots(*zip(gens, d)),
+        slots=zip("BABAB", d),
         target=combined_target(),
         order=3,
         family="general",
@@ -497,7 +505,9 @@ def compose(stages: Iterable[ExponentSlot | tuple[Scheme, float]], *,
         if isinstance(tau, complex):
             raise ValueError(f"stage {scheme.name}: scale {scale!r} is not real")
         slots.extend(scheme.scaled_slots(tau))
-    return _slots(*conditions.slot_runs(slots)) if merge else tuple(slots)
+    if merge:
+        return tuple(ExponentSlot(g, c) for g, c in conditions.slot_runs(slots))
+    return tuple(slots)
 
 
 def _cube_root(w: float) -> float:
@@ -511,18 +521,17 @@ def zass_sym22() -> Scheme:
     The central third-degree correction splits into a doubly nested
     [A,[A,B]] part (weight 1/24) realized by the nine-exponential
     palindromic scheme and its [B,[B,A]] counterpart (weight -1/12): the
-    same block with the letters interchanged, slots and target alike.  Each
-    block is a stage at the real cube root of its weight as time scale.
+    same block under the "interchange" :func:`transform`.  Each block is a
+    stage at the real cube root of its weight as time scale.
     Slots are kept distinct — no merging — so the count reflects the
     elementary gates.
     """
     inner = aor4(AOR4_OPTIMAL_D2)
-    swapped = _map_letters(inner, _INTERCHANGE, "interchange")
     half_a, half_b = ExponentSlot(Generator.A, 0.5), ExponentSlot(Generator.B, 0.5)
     return Scheme(
         name="zass_sym22",
         slots=compose([half_a, half_b, (inner, _cube_root(1.0 / 24.0)),
-                       (swapped, _cube_root(-1.0 / 12.0)),
+                       (transform(inner, "interchange"), _cube_root(-1.0 / 12.0)),
                        half_b, half_a], merge=False),
         target=sum_target(),
         order=4,
@@ -565,22 +574,31 @@ _LETTER_MAPS: dict[str, tuple[tuple[Generator, complex], ...]] = {
     "negate-time": ((Generator.A, -1.0), (Generator.B, -1.0)),
     "imaginary-rotation": ((Generator.A, -1j), (Generator.B, 1j)),
     "ab-swap": ((Generator.B, 1.0), (Generator.A, -1.0)),
+    "interchange": ((Generator.B, 1.0), (Generator.A, 1.0)),
 }
 
-#: The plain letter interchange A -> B, B -> A, which :func:`zass_sym22` uses for
-#: its [B,[B,A]] block; it negates a commutator, so it is not a transform.
-_INTERCHANGE = ((Generator.B, 1.0), (Generator.A, 1.0))
 
+def transform(scheme: Scheme, which: str) -> Scheme:
+    """Apply one of the four slot-level letter substitutions.
 
-def _map_letters(scheme: Scheme, images, which: str) -> Scheme:
-    """``scheme`` under the letter substitution ``images`` (see
-    :func:`~commexp.liealg.letter_map`), in its slots and target alike.
+    Each substitutes both letters, X -> factor * image, in the slots and the
+    target alike (``_LETTER_MAPS``; the target through
+    :func:`~commexp.liealg.letter_map`).  negate-time: every coefficient
+    changes sign (even-degree targets are untouched, odd degrees flip).
+    imaginary-rotation: B coefficients pick up i, A coefficients -i (complex
+    mode); a mirror pattern flips its sign.  ab-swap: the letters trade
+    places with the A-image negated, turning a composition ending in A into
+    one ending in B.  interchange: the letters trade places, coefficients
+    unchanged, so [A,B] turns into [B,A] = -[A,B].
 
     A target the substitution leaves unchanged is kept as it is; any other
     becomes ``which(name)`` with its nonzero mapped terms.
     """
-    slots = [ExponentSlot(images[g][0], c * images[g][1])
-             for g, c in conditions.slot_pairs(scheme)]
+    try:
+        images = _LETTER_MAPS[which]
+    except KeyError:
+        raise ValueError(f"unknown transform {which!r}") from None
+    slots = [(images[g][0], c * images[g][1]) for g, c in conditions.slot_pairs(scheme)]
     terms = {}
     for degree in sorted({degree for degree, _ in scheme.target.terms}):
         mapped = letter_map(images, degree) @ scheme.target.vector(degree)
@@ -590,27 +608,7 @@ def _map_letters(scheme: Scheme, images, which: str) -> Scheme:
     target = scheme.target
     if terms != target.terms:
         target = TargetPolynomial(f"{which}({target.name})", terms)
-    return replace(scheme, name=f"{which}({scheme.name})", slots=tuple(slots),
-                   target=target)
-
-
-def transform(scheme: Scheme, which: str) -> Scheme:
-    """Apply one of the three slot-level symmetries.
-
-    Each substitutes both letters, X -> factor * image, in the slots and the
-    target alike (``_LETTER_MAPS``; the target through
-    :func:`~commexp.liealg.letter_map`).  negate-time: every coefficient
-    changes sign (even-degree targets are untouched, odd degrees flip).
-    imaginary-rotation: B coefficients pick up i, A coefficients -i (complex
-    mode); a mirror pattern flips its sign.  ab-swap: the letters trade
-    places with the A-image negated, turning a composition ending in A into
-    one ending in B.
-    """
-    try:
-        images = _LETTER_MAPS[which]
-    except KeyError:
-        raise ValueError(f"unknown transform {which!r}") from None
-    return _map_letters(scheme, images, which)
+    return replace(scheme, name=f"{which}({scheme.name})", slots=slots, target=target)
 
 
 # --------------------------------------------------------------------------
@@ -621,8 +619,7 @@ def transform(scheme: Scheme, which: str) -> Scheme:
 def _u21() -> Scheme:
     return Scheme(
         name="U21",
-        slots=_slots((Generator.A, 1.0), (Generator.B, 1.0),
-                     (Generator.A, -1.0), (Generator.B, -1.0)),
+        slots=zip("ABAB", (1.0, 1.0, -1.0, -1.0)),
         target=commutator_target(),
         order=2,
         family="general",
@@ -631,9 +628,8 @@ def _u21() -> Scheme:
 
 
 def _u22() -> Scheme:
-    scheme = cp_expand([-1.0, 1.0], "positive", name="U22", order=2,
-                       note="four-exponential group commutator, letters in B-first order")
-    return scheme
+    return cp_expand([-1.0, 1.0], "positive", name="U22", order=2,
+                     note="four-exponential group commutator, letters in B-first order")
 
 
 def _s2_chen() -> Scheme:
@@ -656,7 +652,7 @@ def _pcp6_3_imaginary() -> Scheme:
 def _strang() -> Scheme:
     return Scheme(
         name="strang",
-        slots=_slots((Generator.A, 0.5), (Generator.B, 1.0), (Generator.A, 0.5)),
+        slots=zip("ABA", (0.5, 1.0, 0.5)),
         target=sum_target(),
         order=2,
         family="palindromic",
@@ -666,10 +662,9 @@ def _strang() -> Scheme:
 
 def _fap8() -> Scheme:
     signs = [1.0, 1.0, -1.0, -1.0, -1.0, 1.0, 1.0, -1.0]
-    gens = [Generator.A, Generator.B] * 4
     return Scheme(
         name="fap8",
-        slots=_slots(*zip(gens, signs)),
+        slots=zip("AB" * 4, signs),
         target=nested_aab_target(),
         order=3,
         family="general",
@@ -691,7 +686,7 @@ _CATALOG: dict[str, Callable[[], Scheme]] = {
     "PCP6_3_imaginary": _pcp6_3_imaginary,
     "strang": _strang,
     "fap8": _fap8,
-    "aor4_opt": lambda: aor4(AOR4_OPTIMAL_D2, name="aor4_opt"),
+    "aor4_opt": lambda: replace(aor4(AOR4_OPTIMAL_D2), name="aor4_opt"),
     "combined5": combined5,
     "phi3": lambda: phi3(1.0),
     "phi4": lambda: phi4(1.0, -1.0),
@@ -842,9 +837,9 @@ def load_scheme(path) -> Scheme:
         coeff = _member(slot, "coefficient", (*real, list), coefficient, path, field)
         if isinstance(coeff, list):
             coeff = complex(*_numbers(coeff, (real, real), coefficient, path, field))
-        slots.append((Generator[generator], coeff))
+        slots.append((generator, coeff))
     try:
-        return Scheme(name=name, slots=_slots(*slots),
+        return Scheme(name=name, slots=slots,
                       target=TargetPolynomial(target_name, terms), order=order,
                       family=family)
     except ValueError as exc:

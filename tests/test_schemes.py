@@ -46,7 +46,7 @@ from commexp.schemes import (
     yoshida,
     zass_sym22,
 )
-from commexp.schemes import _INTERCHANGE, _LETTER_MAPS
+from commexp.schemes import _LETTER_MAPS
 from series_oracle import Word, basis_blocks
 
 SQRT5 = math.sqrt(5.0)
@@ -105,6 +105,52 @@ def test_scheme_requires_slots():
 def test_scheme_requires_positive_order():
     with pytest.raises(ValueError):
         Scheme("flat", (ExponentSlot(Generator.A, 1.0),), sum_target(), 0)
+
+
+def _slot_bits(scheme):
+    """Each slot's letter and its coefficient's type and shortest repr, which
+    tell every finite float apart, -0.0 from 0.0 too."""
+    return [(s.generator, type(s.coefficient), repr(s.coefficient)) for s in scheme.slots]
+
+
+#: Ways of writing one (generator, coefficient) pair that read as one slot.
+PAIR_FORMS = st.tuples(
+    st.sampled_from([lambda g, c: (g, c), lambda g, c: [g, c]]),
+    st.sampled_from([lambda g: g, lambda g: g.name, lambda g: g.value]),
+    st.sampled_from([lambda c: c, complex, np.complex128]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(catalog_names()), data=st.data())
+def test_scheme_reads_pairs_as_the_slots_they_came_from(name, data):
+    # a scheme built from a catalog scheme's (generator, coefficient) pairs,
+    # each a tuple or a list, its letter a Generator, a name or a value and
+    # its coefficient as it is, a complex or a numpy complex, has the
+    # catalog scheme's slots bit for bit
+    scheme = catalog_get(name)
+    entries = []
+    for slot in scheme.slots:
+        pair, letter, number = data.draw(PAIR_FORMS)
+        entries.append(pair(letter(slot.generator), number(slot.coefficient)))
+    rebuilt = Scheme(scheme.name, entries, scheme.target, scheme.order)
+    assert rebuilt.slots == scheme.slots
+    assert _slot_bits(rebuilt) == _slot_bits(scheme)
+    assert (rebuilt.cp_half, rebuilt.cp_sign) == (scheme.cp_half, scheme.cp_sign)
+
+
+NOT_A_SLOT = "neither an ExponentSlot nor a (generator, coefficient) pair"
+
+
+@pytest.mark.parametrize("entry, message", [
+    (("C", 1.0), "slot 1 = ('C', 1.0): unknown generator 'C'"),
+    (1.0, f"slot 1 = 1.0: {NOT_A_SLOT}"),
+    (("A", 1.0, 2.0), f"slot 1 = ('A', 1.0, 2.0): {NOT_A_SLOT}"),
+    (("A", math.nan), "slot 1 = ('A', nan): slot coefficient must be finite"),
+], ids=["letter-C", "bare-float", "3-tuple", "nan"])
+def test_scheme_refuses_a_slot_at_construction(entry, message):
+    with pytest.raises(ValueError, match=f"^{re.escape('bad: ' + message)}$"):
+        Scheme("bad", [(Generator.B, 1.0), entry], commutator_target(), 2)
 
 
 def test_pairs_lists_generator_coefficient_tuples():
@@ -741,8 +787,8 @@ def test_ab_swap_turns_u22_into_u21():
     assert swapped.target.terms == catalog_get("U21").target.terms
 
 
-# the letter maps of the three transforms and the plain interchange
-FOUR_MAPS = [*_LETTER_MAPS.values(), _INTERCHANGE]
+# the letter maps of the four transforms
+FOUR_MAPS = list(_LETTER_MAPS.values())
 
 
 @pytest.mark.parametrize("degree", range(1, MAX_TRUNCATION + 1))
@@ -782,11 +828,24 @@ def test_ab_swap_keeps_the_commutator_target_exactly():
         assert swapped.target.terms == {(2, 1): 1.0}
 
 
+@pytest.mark.parametrize("name", catalog_names())
+def test_interchange_keeps_the_order_and_undoes_itself(name):
+    # interchanging the letters of the slots and of the target alike keeps
+    # the order, and interchanging twice gives the scheme back
+    scheme = catalog_get(name)
+    swapped = transform(scheme, "interchange")
+    other = {Generator.A: Generator.B, Generator.B: Generator.A}
+    assert swapped.slots == tuple(ExponentSlot(other[s.generator], s.coefficient)
+                                  for s in scheme.slots)
+    assert order_residuals(swapped, swapped.target, scheme.order).all_satisfied()
+    back = transform(swapped, "interchange")
+    assert back.slots == scheme.slots
+    assert back.target.terms == scheme.target.terms
+
+
 def test_transform_rejects_unknown_name():
     with pytest.raises(ValueError):
         transform(catalog_get("strang"), "time-reversal")
-    with pytest.raises(ValueError):
-        transform(catalog_get("strang"), "interchange")
 
 
 def test_catalog_imaginary_variant_matches_transform():
