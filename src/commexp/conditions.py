@@ -1,7 +1,8 @@
 """Order conditions, effective error, and coefficient tuning.
 
-This module answers questions *about* a composition: which target it
-reproduces and to what order, how large its leading error term is, whether
+This module holds the slot type, :class:`ExponentSlot`, with its one reader,
+:func:`slot_pairs`, and answers questions *about* a composition: which target
+it reproduces and to what order, how large its leading error term is, whether
 it has the counter-palindromic symmetry, and how to polish or optimize its
 coefficients.  Everything here works on the word series: the heavy lifting
 (BCH expansion, basis projection, letter substitutions) lives in
@@ -34,6 +35,7 @@ from .liealg import (
 )
 
 __all__ = [
+    "ExponentSlot",
     "TargetPolynomial",
     "commutator_target",
     "sum_target",
@@ -188,28 +190,43 @@ def target_from_name(name: str) -> TargetPolynomial:
 # --------------------------------------------------------------------------
 
 
-def slot_pairs(scheme) -> list[tuple[Generator, complex]]:
-    """The ``(generator, coefficient)`` list of a composition, leftmost first.
+@dataclass(frozen=True)
+class ExponentSlot:
+    """One exponential factor: exp(coefficient * t * generator)."""
 
-    Accepts a Scheme (anything with ``slots``), a sequence of slot objects
-    (``generator``/``coefficient``), or raw ``(generator, coefficient)``
-    pairs.  Generators are coerced to :class:`Generator`, so a slot on any
-    other letter raises ``ValueError`` instead of standing in for A or B,
-    and each coefficient is read once, by :func:`_finite_number`, as
-    :class:`~commexp.schemes.ExponentSlot` reads it.
-    """
+    generator: Generator
+    coefficient: complex
+
+    def __post_init__(self):
+        g, c = as_generator(self.generator), _finite_number(self.coefficient, "slot coefficient")
+        if g is not self.generator or c is not self.coefficient:  # unless already read
+            object.__setattr__(self, "generator", g)
+            object.__setattr__(self, "coefficient", c)
+
+    def __str__(self) -> str:
+        return f"({self.coefficient!r}) {self.generator.name}"
+
+
+def slot_pairs(scheme) -> list[tuple[Generator, complex]]:
+    """The ``(generator, coefficient)`` list of a Scheme (anything with
+    ``slots``) or a sequence of slot entries, leftmost first: the one reading
+    of slot entries, a :class:`~commexp.schemes.Scheme`'s too.  A two-item
+    tuple or list is read as :class:`ExponentSlot` reads its fields, and an
+    :class:`ExponentSlot` gives its fields as they are; any other entry, or a
+    pair no slot holds, raises ``ValueError: <name>: slot <i>: <reason>``."""
     pairs = []
-    for i, slot in enumerate(getattr(scheme, "slots", scheme)):
-        if hasattr(slot, "generator"):
-            gen, coeff = slot.generator, slot.coefficient
-        else:
-            gen, coeff = slot
+    for i, entry in enumerate(getattr(scheme, "slots", scheme)):
         try:
-            gen = as_generator(gen)
-        except ValueError:
+            if isinstance(entry, tuple) or isinstance(entry, list):
+                gen, coeff = entry
+                pairs.append((as_generator(gen), _finite_number(coeff, "slot coefficient")))
+            elif isinstance(entry, ExponentSlot):
+                pairs.append((entry.generator, entry.coefficient))
+            else:
+                raise TypeError(f"{entry!r} is neither a slot nor a (generator, coefficient) pair")
+        except (TypeError, ValueError) as exc:
             name = getattr(scheme, "name", "composition")
-            raise ValueError(f"{name}: slot {i} generator {gen!r} is neither A nor B") from None
-        pairs.append((gen, _finite_number(coeff, "slot coefficient")))
+            raise ValueError(f"{name}: slot {i}: {exc}") from None
     return pairs
 
 
@@ -256,13 +273,15 @@ class ResidualReport:
         return self.verified_order >= self.order_requested
 
 
-def _check_order(r: int, top_degree: int) -> None:
-    """Raise ``ValueError`` unless order r is at least 1 and the highest
-    degree it needs, ``top_degree``, lies within the engine's ceiling."""
+def _check_order(r: int, above: int | None = None) -> None:
+    """Raise ``ValueError`` unless order r is an integer (not a bool) of at
+    least 1 and, given ``above``, r + ``above`` is within the engine's ceiling."""
+    if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
+        raise ValueError(f"order must be an integer, got {r!r}")
     if r < 1:
         raise ValueError(f"order must be at least 1, got {r}")
-    if top_degree > MAX_TRUNCATION:
-        raise ValueError(f"order {r} needs degree {top_degree} > ceiling {MAX_TRUNCATION}")
+    if above is not None and r + above > MAX_TRUNCATION:
+        raise ValueError(f"order {r} needs degree {r + above} > ceiling {MAX_TRUNCATION}")
 
 
 def _check_tolerance(name: str, value) -> float:
@@ -291,7 +310,7 @@ def order_residuals(scheme, target: TargetPolynomial, r: int,
     ``tol`` must be positive and finite.
     """
     tol = _check_tolerance("tol", tol)
-    _check_order(r, r + 1)
+    _check_order(r, 1)
     pairs = slot_pairs(scheme)
     deviations = _deviations(_lie_rows(*_slot_row(pairs), r + 1), target)
     residuals = np.abs(deviations[0, :LIE_OFFSETS[r]])
@@ -363,7 +382,7 @@ def effective_error(scheme, r: int | None = None) -> EffectiveError:
         if not hasattr(scheme, "order"):
             raise ValueError("effective_error needs r for a raw slot list, which carries no order")
         r = scheme.order
-    _check_order(r, r + 1)
+    _check_order(r, 1)
     coordinates, target = _lie_rows(*_slot_row(pairs), r + 1), getattr(scheme, "target", None)
     deviation = coordinates if target is None else _deviations(coordinates, target)
     return _leading_errors(deviation[:, LIE_OFFSETS[r]:], r, len(pairs))[0]
@@ -568,7 +587,7 @@ def cp_condition_counts(sign, r: int = 6) -> dict[int, int]:
     at that degree; the per-degree numbers (and their cumulative sums) are
     what a solver actually has to satisfy.
     """
-    _check_order(r, r)
+    _check_order(r, 0)
     s = _cp_sign(sign)
     return {d: LIE_DIMS[d - 1] - _mirror_relation(s, d).shape[1] for d in range(1, r + 1)}
 
@@ -672,7 +691,7 @@ def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
         target = scheme.target
     if r is None:
         r = scheme.order
-    _check_order(r, r)
+    _check_order(r, 0)
     if any(complex(w).imag != 0.0 for w in target.terms.values()):
         raise ValueError("refinement handles real targets only")
 
@@ -820,7 +839,7 @@ def optimize_free_parameter(family: RowFamily, r: int,
         raise ValueError(f"the parameter range needs finite bounds, got {(a, b)!r}")
     if not a < b:
         raise ValueError("empty parameter range")
-    _check_order(r, r + 1)
+    _check_order(r, 1)
 
     probes = 0
 

@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -107,15 +108,13 @@ class Generator(enum.IntEnum):
 
 
 def as_generator(g) -> Generator:
-    """Coerce ``g`` ('A'/'B', 0/1 or Generator) into a :class:`Generator`."""
+    """Coerce ``g`` ('A'/'B', an integer 0/1 or a Generator) into a :class:`Generator`."""
     if isinstance(g, Generator):
         return g
-    if isinstance(g, str):
-        try:
-            return Generator[g]
-        except KeyError:
-            raise ValueError(f"unknown generator {g!r}") from None
-    return Generator(g)
+    try:
+        return Generator[g] if isinstance(g, str) else Generator(operator.index(g))
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(f"unknown generator {g!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +187,11 @@ def _dtype(*values) -> type:
 def _read_number(value, kind=float):
     """``kind(value)``, float or complex: the one reading of a caller's number,
     an int or ``Fraction`` past the largest float read as the infinity of its
-    sign, so that every check refuses it with the message ``inf`` gets.  A
-    float reading refuses every complex type, numpy's too, with the
-    ``TypeError`` that ``float`` raises for a Python complex."""
+    sign, so that every check refuses it with the message ``inf`` gets.
+    ``TypeError`` refuses text (a str, a bytes or an array of either) and, in
+    a float reading, every complex type, numpy's too, as ``float`` does."""
+    if isinstance(value, (str, bytes, np.ndarray)) and np.asarray(value).dtype.kind in "SU":
+        raise TypeError(f"{value!r} is text, not a number")
     if kind is float and isinstance(value, np.complexfloating):
         value = complex(value)  # numpy's float() would only warn and drop the imaginary part
     try:
@@ -202,10 +203,10 @@ def _read_number(value, kind=float):
 def _float_array(values) -> np.ndarray:
     """``values`` as a float64 array, or complex128 when any is complex
     (:func:`_dtype`).  What numpy holds only as objects (ints past its integer
-    types, Fractions) is read one by one by :func:`_read_number`, one past
-    float range as the infinity of its sign: no object array passes."""
+    types, Fractions) or as text is read one by one by :func:`_read_number`,
+    which reads one past float range as ±inf and refuses text: no object array passes."""
     values = np.asarray(values)
-    if values.dtype != object:
+    if values.dtype.kind not in "OSU":
         return values.astype(_dtype(values), copy=False)
     kind = complex if _dtype(*values.flat) is np.complex128 else float
     return np.array([_read_number(v, kind) for v in values.flat], kind).reshape(values.shape)

@@ -1,12 +1,13 @@
 """Composition catalog, parametrized families, and slot-level transforms.
 
 A composition ("scheme") is an ordered product of exponentials of the two
-generators, each slot contributing exp(coefficient * t * generator).  This
-module collects the tabulated counter-palindromic schemes, the classical
-recursive sum splittings, the short special-purpose formulas for nested
-commutators, the composition operator that builds products of schemes run
-at time scales (the recursions and the nested-commutator constructions among
-them), and the letter substitutions that map schemes into one another.
+generators, each slot (an :class:`~commexp.conditions.ExponentSlot`, exported
+here too) contributing exp(coefficient * t * generator).  This module collects
+the tabulated counter-palindromic schemes, the classical recursive sum
+splittings, the short special-purpose formulas for nested commutators, the
+composition operator that builds products of schemes run at time scales (the
+recursions and the nested-commutator constructions among them), and the
+letter substitutions that map schemes into one another.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ import numpy as np
 
 from . import conditions
 from .conditions import (
+    ExponentSlot,
     TargetPolynomial,
+    _check_order,
     _finite_number,
     _read_number,
     combined_target,
@@ -35,7 +38,7 @@ from .conditions import (
     sum_plus_commutator_target,
     sum_target,
 )
-from .liealg import Generator, _float_array, as_generator, letter_map
+from .liealg import Generator, _float_array, letter_map
 
 __all__ = [
     "ExponentSlot",
@@ -63,29 +66,13 @@ __all__ = [
 ]
 
 @dataclass(frozen=True)
-class ExponentSlot:
-    """One exponential factor: exp(coefficient * t * generator)."""
-
-    generator: Generator
-    coefficient: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "generator", as_generator(self.generator))
-        c = _finite_number(self.coefficient, "slot coefficient")
-        object.__setattr__(self, "coefficient", c)
-
-    def __str__(self) -> str:
-        return f"({self.coefficient!r}) {self.generator.name}"
-
-
-@dataclass(frozen=True)
 class Scheme:
     """An ordered exponential product with its intended target and order.
 
     The slots are its only structure: the mirror pattern is read from them.
-    Each is given as an :class:`ExponentSlot` or a ``(generator,
-    coefficient)`` pair read into one; any other entry, or a pair no slot
-    holds, raises ``ValueError`` naming its slot index.
+    Slots given all as :class:`ExponentSlot` are kept as they are; else each
+    entry is read into one by :func:`~commexp.conditions.slot_pairs`, which
+    names the index of an entry it refuses.  The order is an integer of at least 1.
     """
 
     name: str
@@ -96,12 +83,13 @@ class Scheme:
     note: str = ""
 
     def __post_init__(self):
-        slots = tuple(_read_slot(self.name, i, entry) for i, entry in enumerate(self.slots))
-        if not slots:
+        object.__setattr__(self, "slots", tuple(self.slots))
+        if not all(type(slot) is ExponentSlot for slot in self.slots):
+            slots = [ExponentSlot(*pair) for pair in conditions.slot_pairs(self)]
+            object.__setattr__(self, "slots", tuple(slots))
+        if not self.slots:
             raise ValueError("a scheme needs at least one slot")
-        if self.order < 1:
-            raise ValueError("claimed order must be at least 1")
-        object.__setattr__(self, "slots", slots)
+        _check_order(self.order)
 
     @property
     def slot_count(self) -> int:
@@ -132,20 +120,13 @@ class Scheme:
         return conditions.slot_pairs(self)
 
     def scaled_slots(self, factor: complex) -> tuple[ExponentSlot, ...]:
-        return tuple(ExponentSlot(s.generator, s.coefficient * factor) for s in self.slots)
+        return tuple(ExponentSlot(s.generator, _scaled(s.coefficient, factor)) for s in self.slots)
 
 
-def _read_slot(name: str, i: int, entry) -> ExponentSlot:
-    """Slot ``i`` of the scheme ``name``, read as :class:`Scheme` reads it."""
-    if isinstance(entry, ExponentSlot):
-        return entry
-    problem = "neither an ExponentSlot nor a (generator, coefficient) pair"
-    if isinstance(entry, (tuple, list)) and len(entry) == 2:
-        try:
-            return ExponentSlot(*entry)
-        except (TypeError, ValueError) as exc:
-            problem = exc
-    raise ValueError(f"{name}: slot {i} = {entry!r}: {problem}")
+def _scaled(c: complex, factor: complex) -> complex:
+    """``c * factor``, by a real factor each part of a complex c apart, so that a -0.0 stays."""
+    apart = isinstance(c, complex) and not isinstance(factor, complex)
+    return complex(c.real * factor, c.imag * factor) if apart else c * factor
 
 
 def _branch_sign(branch: str) -> float:
@@ -343,16 +324,14 @@ def suzuki(k: int) -> Scheme:
 
 def phi3(R: float) -> Scheme:
     """Three-exponential order-2 scheme for the sum-plus-commutator target."""
-    R = _read_number(R)
-    if R == 0:
-        raise ValueError("R must be nonzero")
+    target, R = sum_plus_commutator_target(R), _read_number(R)  # the target refuses R = 0
     c0 = -(2.0 * R * R - 1.0) / (2.0 * R)
     c1 = 1.0 / R
     c2 = (2.0 * R * R + 1.0) / (2.0 * R)
     return Scheme(
         name=f"phi3(R={R:g})",
         slots=zip("BAB", (c0 * R, c1 * R, c2 * R)),
-        target=sum_plus_commutator_target(R),
+        target=target,
         order=2,
         family="general",
         note="minimal sum-plus-commutator splitting",
@@ -361,9 +340,7 @@ def phi3(R: float) -> Scheme:
 
 def phi4(R: float, c3: float = -1.0) -> Scheme:
     """Four-exponential order-2 scheme with a free trailing coefficient."""
-    R, c3 = _read_number(R), _read_number(c3)
-    if R == 0:
-        raise ValueError("R must be nonzero")
+    target, R, c3 = sum_plus_commutator_target(R), _read_number(R), _read_number(c3)
     if R * c3 == 1.0:
         raise ValueError("R*c3 = 1 makes the coefficients singular")
     c0 = (2.0 * R * R + 2.0 * R * c3 - 1.0) / (2.0 * R * (R * c3 - 1.0))
@@ -372,7 +349,7 @@ def phi4(R: float, c3: float = -1.0) -> Scheme:
     return Scheme(
         name=f"phi4(R={R:g},c3={c3:g})",
         slots=zip("BABA", (c0 * R, c1 * R, c2 * R, c3 * R)),
-        target=sum_plus_commutator_target(R),
+        target=target,
         order=2,
         family="general",
         note="sum-plus-commutator splitting with one free parameter",
@@ -385,9 +362,7 @@ def phi5(R: float, branch: str = "top") -> Scheme:
     Below R = (1/12)^(1/4) the discriminant turns negative and the
     coefficients come in complex-conjugate form (complex mode).
     """
-    R = _read_number(R)
-    if R == 0:
-        raise ValueError("R must be nonzero")
+    target, R = sum_plus_commutator_target(R), _read_number(R)  # the target refuses R = 0
     with np.errstate(over="ignore"):  # R ** k by libm's pow, but inf where float ** int raises
         R3, R4 = (float(np.float64(R) ** k) for k in (3, 4))
     if abs(12.0 * R4 - 1.0) < 1e-12:
@@ -406,7 +381,7 @@ def phi5(R: float, branch: str = "top") -> Scheme:
     return Scheme(
         name=f"phi5(R={R:g},{branch})",
         slots=[(g, c * R) for g, c in zip("BABAB", coeffs)],
-        target=sum_plus_commutator_target(R),
+        target=target,
         order=3,
         family="general",
         note="third-order sum-plus-commutator splitting",
@@ -488,23 +463,28 @@ def compose(stages: Iterable[ExponentSlot | tuple[Scheme, float]], *,
             merge: bool = True) -> tuple[ExponentSlot, ...]:
     """The slots of a product of stages, leftmost first.
 
-    A stage is an :class:`ExponentSlot`, kept as it is, or a pair
-    ``(scheme, scale)``: the scheme's slots times the real time scale tau, a
-    block that approximates the scheme's target at tau t, each degree-j term
-    times tau^j, for any target.  A scale that is not real and finite raises
-    ``ValueError`` naming the stage.  Unless ``merge`` is false the slots
-    become their runs (:func:`~commexp.conditions.slot_runs`).
+    A stage is an :class:`ExponentSlot`, kept as it is, or a pair ``(scheme,
+    scale)``: the scheme's slots times the real time scale tau, a block that
+    approximates the scheme's target at tau t, each degree-j term times tau^j,
+    for any target.  Any other stage, a scale not real and finite or a block
+    that overflows raises ``ValueError`` naming the stage index.  Unless
+    ``merge`` is false the slots become their runs (:func:`~commexp.conditions.slot_runs`).
     """
-    slots: list[ExponentSlot] = []
-    for stage in stages:
+    slots = []
+    for k, stage in enumerate(stages):
         if isinstance(stage, ExponentSlot):
             slots.append(stage)
             continue
-        scheme, scale = stage
-        tau = _finite_number(scale, f"stage {scheme.name}: scale")
-        if isinstance(tau, complex):
-            raise ValueError(f"stage {scheme.name}: scale {scale!r} is not real")
-        slots.extend(scheme.scaled_slots(tau))
+        try:
+            scheme, scale = stage
+            if not isinstance(scheme, Scheme):
+                raise TypeError(f"{scheme!r} is not a Scheme")
+            tau = _finite_number(scale, "scale")
+            if isinstance(tau, complex):
+                raise ValueError(f"scale {scale!r} is not real")
+            slots.extend(scheme.scaled_slots(tau))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"stage {k}: {exc}") from None
     if merge:
         return tuple(ExponentSlot(g, c) for g, c in conditions.slot_runs(slots))
     return tuple(slots)
@@ -598,7 +578,7 @@ def transform(scheme: Scheme, which: str) -> Scheme:
         images = _LETTER_MAPS[which]
     except KeyError:
         raise ValueError(f"unknown transform {which!r}") from None
-    slots = [(images[g][0], c * images[g][1]) for g, c in conditions.slot_pairs(scheme)]
+    slots = [(images[g][0], _scaled(c, images[g][1])) for g, c in conditions.slot_pairs(scheme)]
     terms = {}
     for degree in sorted({degree for degree, _ in scheme.target.terms}):
         mapped = letter_map(images, degree) @ scheme.target.vector(degree)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -329,6 +330,71 @@ def test_every_array_boundary_reads_a_number_past_float_range_as_inf(boundary):
     for huge, inf in ((10 ** 400, math.inf), (-10 ** 400, -math.inf),
                       (Fraction(10 ** 400), math.inf)):
         _assert_same_outcome(_outcome(call, huge), _outcome(call, inf))
+
+
+#: Every public boundary that reads a number: each reads it through
+#: liealg._read_number or liealg._float_array, which refuse text.  The step
+#: count of error_curve is left out: it refuses any non-integer by its own
+#: check before reading it.
+_TEXT_BOUNDARIES = {
+    **{name: call for name, call in _NUMBER_BOUNDARIES.items()
+       if name != "error_curve step count"},
+    **_ARRAY_BOUNDARIES,
+    "Scheme": lambda v: Scheme("x", [(A, v)], commutator_target(), 1),
+    "compose scale": lambda v: schemes.compose([(catalog_get("NCP6_3"), v)]),
+    "TargetPolynomial": lambda v: TargetPolynomial("t", {(2, 1): v}),
+}
+
+
+@pytest.mark.parametrize("text", ["0.5", b"0.5"])
+@pytest.mark.parametrize("boundary", list(_TEXT_BOUNDARIES))
+def test_every_boundary_refuses_a_number_written_as_text(boundary, text):
+    # complex() and float() parsed a numeric string, so that "0.5" read as
+    # 0.5 wherever a number was read
+    with pytest.raises((TypeError, ValueError), match=re.escape(" is text, not a number")):
+        _TEXT_BOUNDARIES[boundary](text)
+
+
+@pytest.mark.parametrize("call", [
+    conditions.slot_pairs,
+    lambda slots: order_residuals(slots, commutator_target(), 2),
+    lambda slots: effective_error(slots, 2),
+    lambda slots: matform.evaluate_scheme(slots, _RANDOM4, 0.1),
+], ids=["slot_pairs", "order_residuals", "effective_error", "evaluate_scheme"])
+def test_a_string_is_no_slot_entry(call):
+    # "A1" unpacked into the pair ("A", "1"), read as (A, 1.0)
+    with pytest.raises(ValueError, match=re.escape(
+            "composition: slot 0: 'A1' is neither a slot nor a (generator, coefficient) pair")):
+        call(["A1", "B2"])
+
+
+@pytest.mark.parametrize("order, message", [
+    (2.5, "order must be an integer, got 2.5"),
+    (np.float64(2.0), "order must be an integer, got np.float64(2.0)"),
+    (True, "order must be an integer, got True"),
+    ("2", "order must be an integer, got '2'"),
+    (0, "order must be at least 1, got 0"),
+])
+@pytest.mark.parametrize("call", [
+    lambda r: Scheme("x", [(A, 1.0), (B, 1.0)], commutator_target(), r),
+    lambda r: order_residuals(catalog_get("NCP6_3"), commutator_target(), r),
+    lambda r: effective_error(catalog_get("NCP6_3"), r),
+    lambda r: refine(catalog_get("NCP6_3"), r=r),
+    lambda r: cp_condition_counts("negative", r),
+    lambda r: optimize_free_parameter(schemes.third_order_rows, r, (0.4, 0.6)),
+], ids=["Scheme", "order_residuals", "effective_error", "refine", "cp_condition_counts",
+        "optimize_free_parameter"])
+def test_an_order_is_an_integer_of_at_least_one(call, order, message):
+    # Scheme took 2.5 and True, and the engine then raised TypeError on them
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(order)
+
+
+def test_a_numpy_integer_is_an_order():
+    u21 = catalog_get("U21")
+    scheme = Scheme("x", u21.slots, u21.target, np.int64(2))
+    assert order_residuals(scheme, scheme.target, scheme.order).verified_order == 2
+    assert effective_error(scheme) == effective_error(u21)
 
 
 @pytest.mark.parametrize("family", [schemes.third_order_rows, schemes.aor4_rows])

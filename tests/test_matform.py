@@ -421,7 +421,7 @@ def test_evaluate_scheme_refuses_template_slots(pauli_pair, random_pair):
     # a slot on a placeholder letter stands in for neither generator
     slots = [(Generator.A, 1.0), ("D", 0.5)]
     for pair in (pauli_pair, random_pair):
-        with pytest.raises(ValueError, match="slot 1 generator 'D' is neither A nor B"):
+        with pytest.raises(ValueError, match="^composition: slot 1: unknown generator 'D'$"):
             evaluate_scheme(slots, pair, 0.3)
 
 
@@ -959,7 +959,8 @@ _ARGUMENT_OVERFLOWS = re.escape("|z| ||X||_1 overflows")
 def test_slot_exponential_rejects_nonfinite_argument(random_pair):
     with pytest.raises(ValueError, match=_ARGUMENT_OVERFLOWS):
         _slot_exponential(random_pair.A, complex(1e308, 0) * 10)
-    with pytest.raises(ValueError, match="^slot coefficient must be finite$"):
+    with pytest.raises(ValueError,
+                       match="^composition: slot 0: slot coefficient must be finite$"):
         evaluate_scheme([(Generator.A, float("nan"))], random_pair, 0.5)
 
 
@@ -1498,7 +1499,8 @@ def test_evaluate_scheme_refuses_non_finite_coefficients(kind, t, coeff):
     # slot_pairs refuses it as ExponentSlot does, and two finite slots whose
     # run sums past the largest float are refused as a run
     pair = make_pair("pauli") if kind == "pauli" else make_pair("random", 4, 1)
-    with pytest.raises(ValueError, match="^slot coefficient must be finite$"):
+    with pytest.raises(ValueError,
+                       match="^composition: slot 1: slot coefficient must be finite$"):
         evaluate_scheme([(Generator.B, 0.3), (Generator.A, coeff)], pair, t)
     with pytest.raises(ValueError, match="non-finite run coefficient"):
         evaluate_scheme([(Generator.B, 0.3), (Generator.A, 1e308), (Generator.A, 1e308)], pair, t)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from commexp import conditions
 from commexp.conditions import (
     TargetPolynomial,
     commutator_target,
@@ -139,18 +140,63 @@ def test_scheme_reads_pairs_as_the_slots_they_came_from(name, data):
     assert (rebuilt.cp_half, rebuilt.cp_sign) == (scheme.cp_half, scheme.cp_sign)
 
 
-NOT_A_SLOT = "neither an ExponentSlot nor a (generator, coefficient) pair"
+NOT_A_SLOT = "is neither a slot nor a (generator, coefficient) pair"
 
 
 @pytest.mark.parametrize("entry, message", [
-    (("C", 1.0), "slot 1 = ('C', 1.0): unknown generator 'C'"),
-    (1.0, f"slot 1 = 1.0: {NOT_A_SLOT}"),
-    (("A", 1.0, 2.0), f"slot 1 = ('A', 1.0, 2.0): {NOT_A_SLOT}"),
-    (("A", math.nan), "slot 1 = ('A', nan): slot coefficient must be finite"),
+    (("C", 1.0), "slot 1: unknown generator 'C'"),
+    (1.0, f"slot 1: 1.0 {NOT_A_SLOT}"),
+    (("A", 1.0, 2.0), "slot 1: too many values to unpack (expected 2)"),
+    (("A", math.nan), "slot 1: slot coefficient must be finite"),
 ], ids=["letter-C", "bare-float", "3-tuple", "nan"])
 def test_scheme_refuses_a_slot_at_construction(entry, message):
     with pytest.raises(ValueError, match=f"^{re.escape('bad: ' + message)}$"):
         Scheme("bad", [(Generator.B, 1.0), entry], commutator_target(), 2)
+
+
+#: Letters of either kind: what a slot reads as A or B, and what it refuses
+#: (a float stood in for the integer it equals).
+_LETTERS = st.sampled_from([Generator.A, Generator.B, "A", "B", 0, 1, np.int64(1),
+                            1.0, np.float64(0.0), "C", "a", 2, None])
+
+#: Coefficients of either kind: numbers, non-finite ones and text.
+_COEFFICIENTS = st.one_of(
+    st.floats(), st.complex_numbers(), st.integers(-3, 3), st.fractions(-2, 2),
+    st.sampled_from([np.float64(0.5), np.complex128(1j), "0.5", b"0.5", "1e3", None]))
+
+#: Slot entries of every kind: slots, pairs as tuples and lists, strings,
+#: 3-tuples and bare numbers.
+_ENTRIES = st.one_of(
+    st.builds(ExponentSlot, st.sampled_from([Generator.A, Generator.B]),
+              st.floats(-2.0, 2.0)),
+    st.tuples(_LETTERS, _COEFFICIENTS),
+    st.tuples(_LETTERS, _COEFFICIENTS).map(list),
+    st.sampled_from(["A1", "B2", "AB"]) | st.text(max_size=3),
+    st.tuples(_LETTERS, _COEFFICIENTS, _COEFFICIENTS),
+    st.floats() | st.integers(-3, 3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=st.lists(_ENTRIES, min_size=1, max_size=4))
+def test_slot_pairs_and_scheme_read_an_entry_alike(entries):
+    # one slot reader: a Scheme accepts exactly the entries slot_pairs reads,
+    # as the same slots, and refuses the others with the same message; a
+    # Scheme's slots give slot_pairs their fields as they are
+    try:
+        pairs = conditions.slot_pairs(entries)
+    except ValueError as refused:
+        with pytest.raises(ValueError) as caught:
+            Scheme("composition", entries, commutator_target(), 1)
+        assert str(caught.value) == str(refused)
+        return
+    scheme = Scheme("composition", entries, commutator_target(), 1)
+    assert [(s.generator, type(s.coefficient), repr(s.coefficient)) for s in scheme.slots] == \
+        [(g, type(c), repr(c)) for g, c in pairs]
+    if all(isinstance(entry, ExponentSlot) for entry in entries):
+        assert all(slot is entry for slot, entry in zip(scheme.slots, entries))
+    assert all(g is s.generator and c is s.coefficient
+               for (g, c), s in zip(conditions.slot_pairs(scheme), scheme.slots))
 
 
 def test_pairs_lists_generator_coefficient_tuples():
@@ -596,14 +642,31 @@ A1, B1 = ExponentSlot(Generator.A, 1.0), ExponentSlot(Generator.B, 1.0)
 def test_compose_refuses_a_weight_that_is_not_real():
     # a stage's time scale is real and finite: a complex one is neither
     # dropped (1j would make the block vanish) nor read by its real part
-    with pytest.raises(ValueError, match="^stage aor4_opt: scale 1j is not real$"):
+    with pytest.raises(ValueError, match="^stage 1: scale 1j is not real$"):
         compose([A1, (catalog_get("aor4_opt"), 1j), B1])
     with pytest.raises(ValueError,
-                       match=re.escape("stage NCP6_3: scale (-0.5+0.25j) is not real")):
+                       match=f"^{re.escape('stage 0: scale (-0.5+0.25j) is not real')}$"):
         compose([(catalog_get("NCP6_3"), -0.5 + 0.25j)])
     for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="^stage NCP6_3: scale must be finite$"):
+        with pytest.raises(ValueError, match="^stage 0: scale must be finite$"):
             compose([(catalog_get("NCP6_3"), bad)])
+
+
+def test_compose_refuses_what_is_no_stage():
+    # a pair of letter and number raised AttributeError, a bare Scheme
+    # TypeError, a scale written as text was parsed, and a block that
+    # overflows was refused without its stage
+    ncp6 = catalog_get("NCP6_3")
+    for stages, message in [
+        ([A1, ("A", 1.0)], "stage 1: 'A' is not a Scheme"),
+        ([ncp6], "stage 0: cannot unpack non-iterable Scheme object"),
+        ([(ncp6, 0.5), (ncp6, "0.5")], "stage 1: '0.5' is text, not a number"),
+        ([(ncp6, 0.5, 1.0)], "stage 0: too many values to unpack (expected 2)"),
+        ([(ncp6, 1.0), (catalog_get("PCP26_6"), 1e308)],
+         "stage 1: slot coefficient must be finite"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            compose(stages)
 
 
 def test_substitute_cube_root_carries_sign():
@@ -840,6 +903,7 @@ def test_interchange_keeps_the_order_and_undoes_itself(name):
     assert order_residuals(swapped, swapped.target, scheme.order).all_satisfied()
     back = transform(swapped, "interchange")
     assert back.slots == scheme.slots
+    assert _slot_bits(back) == _slot_bits(scheme)
     assert back.target.terms == scheme.target.terms
 
 
