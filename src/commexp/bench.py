@@ -32,7 +32,6 @@ provenance lines name a scheme by its ``name``.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -40,7 +39,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import __version__, matform, schemes
-from .conditions import _check_tolerance, _read_number
+from .conditions import _check_tolerance, _read_integer, _read_number
 
 __all__ = [
     "BenchResult",
@@ -106,10 +105,9 @@ def _curves(scheme_list, pair: matform.OperatorPair, t_total: float,
     distinct target and one :func:`_errors` pass over all the curves."""
     resolved = [schemes.resolve(s) for s in scheme_list]
     t_total = _check_tolerance("t_total", t_total)
-    for n in n_list:  # numpy integers are fine; 2.5 would be powered as 2
-        count = _read_number(n) if isinstance(n, numbers.Real) else n
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 1 <= count < math.inf:
-            raise ValueError(f"step counts must be finite integers >= 1, got {count!r}")
+    n_list = [_read_integer(n, "step count") for n in n_list]  # 2.5 would be powered as 2
+    if min(n_list, default=1) < 1:
+        raise ValueError(f"step counts must be finite integers >= 1, got {min(n_list)}")
     targets = _targets(resolved, pair, lambda target: t_total ** (1.0 / target.min_degree))
     jobs = []
     for scheme, T in zip(resolved, targets):

@@ -55,10 +55,9 @@ def _fail(message: str) -> int:
 
 
 def _coeff_str(value) -> str:
-    c = complex(value)
-    if c.imag != 0.0:
-        return f"{c.real:.17g}{c.imag:+.17g}j"
-    return f"{c.real:.17g}"
+    if isinstance(value, complex):  # a read number: complex only with an imaginary part
+        return f"{value.real:.17g}{value.imag:+.17g}j"
+    return f"{value:.17g}"
 
 
 def _default_out(filename: str) -> Path:

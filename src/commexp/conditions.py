@@ -28,6 +28,7 @@ from .liealg import (
     _float_array,
     _lie_jacobian,
     _lie_rows,
+    _read_integer,
     _read_number,
     _slot_row,
     as_generator,
@@ -89,12 +90,13 @@ class TargetPolynomial:
     nested-commutator basis at that degree — to the desired coefficient.
     Every absent entry is an order condition equal to zero.  The name
     uniquely identifies the coefficient pattern (parametrized targets
-    embed their parameter in the name).
+    embed their parameter in the name).  ``terms`` is held as read: a new dict
+    of int keys and float weights, complex only with a nonzero imaginary part.
 
     ``coordinates`` is the target through degree
     :data:`~commexp.liealg.MAX_TRUNCATION` in the stacked layout of
     :data:`~commexp.liealg.LIE_OFFSETS`, built once and read-only: complex
-    if any coefficient has an imaginary part, else the real parts.
+    if a coefficient has a nonzero imaginary part, else real.
     """
 
     name: str
@@ -102,17 +104,20 @@ class TargetPolynomial:
     coordinates: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        coordinates = np.zeros(LIE_OFFSETS[-1], dtype=np.complex128)
+        terms, coordinates = {}, np.zeros(LIE_OFFSETS[-1], dtype=np.complex128)
         for (degree, position), value in self.terms.items():
+            degree = _read_integer(degree, "target degree")
+            position = _read_integer(position, "target position")
             if not 1 <= degree <= MAX_TRUNCATION:
                 raise ValueError(f"target degree {degree} outside basis range")
             if not 1 <= position <= LIE_DIMS[degree - 1]:
                 raise ValueError(f"position {position} invalid at degree {degree}")
-            coordinates[LIE_OFFSETS[degree - 1] + position - 1] = _finite_number(
-                value, "target coefficients")
+            terms[degree, position] = coordinates[LIE_OFFSETS[degree - 1] + position - 1] = (
+                _finite_number(value, "target coefficients"))
         if not coordinates.imag.any():
             coordinates = coordinates.real.copy()
         coordinates.flags.writeable = False
+        object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "coordinates", coordinates)
 
     def coefficient(self, degree: int, position: int) -> complex:
@@ -273,15 +278,15 @@ class ResidualReport:
         return self.verified_order >= self.order_requested
 
 
-def _check_order(r: int, above: int | None = None) -> None:
-    """Raise ``ValueError`` unless order r is an integer (not a bool) of at
-    least 1 and, given ``above``, r + ``above`` is within the engine's ceiling."""
-    if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
-        raise ValueError(f"order must be an integer, got {r!r}")
+def _check_order(r: int, above: int | None = None) -> int:
+    """Order r read by :func:`~commexp.liealg._read_integer`; ``ValueError`` unless
+    r >= 1 and, given ``above``, r + ``above`` is within the engine's ceiling."""
+    r = _read_integer(r, "order")
     if r < 1:
         raise ValueError(f"order must be at least 1, got {r}")
     if above is not None and r + above > MAX_TRUNCATION:
         raise ValueError(f"order {r} needs degree {r + above} > ceiling {MAX_TRUNCATION}")
+    return r
 
 
 def _check_tolerance(name: str, value) -> float:
@@ -310,7 +315,7 @@ def order_residuals(scheme, target: TargetPolynomial, r: int,
     ``tol`` must be positive and finite.
     """
     tol = _check_tolerance("tol", tol)
-    _check_order(r, 1)
+    r = _check_order(r, 1)
     pairs = slot_pairs(scheme)
     deviations = _deviations(_lie_rows(*_slot_row(pairs), r + 1), target)
     residuals = np.abs(deviations[0, :LIE_OFFSETS[r]])
@@ -382,7 +387,7 @@ def effective_error(scheme, r: int | None = None) -> EffectiveError:
         if not hasattr(scheme, "order"):
             raise ValueError("effective_error needs r for a raw slot list, which carries no order")
         r = scheme.order
-    _check_order(r, 1)
+    r = _check_order(r, 1)
     coordinates, target = _lie_rows(*_slot_row(pairs), r + 1), getattr(scheme, "target", None)
     deviation = coordinates if target is None else _deviations(coordinates, target)
     return _leading_errors(deviation[:, LIE_OFFSETS[r]:], r, len(pairs))[0]
@@ -587,7 +592,7 @@ def cp_condition_counts(sign, r: int = 6) -> dict[int, int]:
     at that degree; the per-degree numbers (and their cumulative sums) are
     what a solver actually has to satisfy.
     """
-    _check_order(r, 0)
+    r = _check_order(r, 0)
     s = _cp_sign(sign)
     return {d: LIE_DIMS[d - 1] - _mirror_relation(s, d).shape[1] for d in range(1, r + 1)}
 
@@ -691,14 +696,13 @@ def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
         target = scheme.target
     if r is None:
         r = scheme.order
-    _check_order(r, 0)
-    if any(complex(w).imag != 0.0 for w in target.terms.values()):
+    r = _check_order(r, 0)
+    if np.iscomplexobj(target.coordinates):
         raise ValueError("refinement handles real targets only")
 
     generators, (x,) = _slot_row(slot_pairs(scheme))
-    if x.imag.any():
+    if np.iscomplexobj(x):  # a read coefficient is complex only with an imaginary part
         raise ValueError("refinement handles real coefficients only")
-    x = x.real
     sign = _mirror_sign(scheme, target, r)
     if sign is not None:
         x = x[1:len(generators) // 2]  # the half-pattern's tail
@@ -707,7 +711,8 @@ def refine(scheme, target: TargetPolynomial | None = None, free_slots=None, *,
     else:
         n_conditions = LIE_OFFSETS[r]
 
-    free = list(range(len(x))) if free_slots is None else sorted(free_slots)
+    free = (list(range(len(x))) if free_slots is None
+            else sorted(_read_integer(i, "free slot") for i in free_slots))
     if any(i < 0 or i >= len(x) for i in free):
         raise ValueError("free_slots index out of range")
     if len(set(free)) < len(free):
@@ -839,7 +844,7 @@ def optimize_free_parameter(family: RowFamily, r: int,
         raise ValueError(f"the parameter range needs finite bounds, got {(a, b)!r}")
     if not a < b:
         raise ValueError("empty parameter range")
-    _check_order(r, 1)
+    r = _check_order(r, 1)
 
     probes = 0
 

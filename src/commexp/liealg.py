@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -133,7 +134,7 @@ class _WordTables(NamedTuple):
     reverse: np.ndarray
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # a float or a bool is refused, not read as its int
 def _word_tables(truncation: int) -> _WordTables:
     """Where the splits of every word sit in the flat layout.
 
@@ -147,6 +148,7 @@ def _word_tables(truncation: int) -> _WordTables:
     pad elsewhere, for X = 0 (A) and 1 (B).  ``reverse[t]`` is t spelt
     backwards, so a gather through it reverses every word of a series.
     """
+    truncation = _read_integer(truncation, "truncation")
     if not 1 <= truncation <= MAX_TRUNCATION:
         raise ValueError(f"truncation must lie in 1..{MAX_TRUNCATION}, got {truncation}")
     size = (2 << truncation) - 1
@@ -188,9 +190,10 @@ def _read_number(value, kind=float):
     """``kind(value)``, float or complex: the one reading of a caller's number,
     an int or ``Fraction`` past the largest float read as the infinity of its
     sign, so that every check refuses it with the message ``inf`` gets.
-    ``TypeError`` refuses text (a str, a bytes or an array of either) and, in
+    ``TypeError`` refuses text (str, bytes-like or an array of strings) and, in
     a float reading, every complex type, numpy's too, as ``float`` does."""
-    if isinstance(value, (str, bytes, np.ndarray)) and np.asarray(value).dtype.kind in "SU":
+    if isinstance(value, (str, bytes, bytearray, memoryview, np.ndarray)) and (
+            not isinstance(value, np.ndarray) or value.dtype.kind in "SU"):
         raise TypeError(f"{value!r} is text, not a number")
     if kind is float and isinstance(value, np.complexfloating):
         value = complex(value)  # numpy's float() would only warn and drop the imaginary part
@@ -200,11 +203,26 @@ def _read_number(value, kind=float):
         return kind(-math.inf if value < 0 else math.inf)
 
 
+def _read_integer(value, what: str) -> int:
+    """``value``, an int or a numpy integer but not a bool, as a Python int;
+    ``ValueError: <what> must be an integer, got <value>`` for any other
+    value or one past float range, which shows as ``inf`` (:func:`_read_number`)."""
+    if type(value) is int and value.bit_length() < 1024:  # the common case
+        return value
+    if isinstance(value, numbers.Real) and math.isinf(read := _read_number(value)):
+        value = read
+    elif isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def _float_array(values) -> np.ndarray:
     """``values`` as a float64 array, or complex128 when any is complex
     (:func:`_dtype`).  What numpy holds only as objects (ints past its integer
     types, Fractions) or as text is read one by one by :func:`_read_number`,
     which reads one past float range as ±inf and refuses text: no object array passes."""
+    if isinstance(values, (bytearray, memoryview)):  # numpy would read each byte as a number
+        _read_number(values)  # which refuses it as text
     values = np.asarray(values)
     if values.dtype.kind not in "OSU":
         return values.astype(_dtype(values), copy=False)

@@ -67,7 +67,7 @@ import numpy as np
 
 from .conditions import TargetPolynomial, slot_runs
 from .liealg import (_BASIS_ATOMS, _BASIS_RECIPES, Generator, _dtype, _float_array, _product,
-                     _slot_row)
+                     _read_integer, _slot_row)
 
 __all__ = [
     "SplitMix64",
@@ -697,6 +697,7 @@ def make_pair(kind: str, dim: int = 16, seed: int = 0) -> OperatorPair:
     if kind == "pauli":
         return OperatorPair(_PAULI_A, _PAULI_B, label="pauli")
     if kind == "random":
+        dim, seed = _read_integer(dim, "dim"), _read_integer(seed, "seed")
         if dim < 2:
             raise ValueError("dim must be at least 2")
         rng = SplitMix64(seed)
@@ -888,20 +889,17 @@ def target_matrix(target: TargetPolynomial, pair: OperatorPair, t) -> np.ndarray
     matrices once and makes one such call per step time, on the sum
     sum w t^j E_(j,l) with z = [1], which is :func:`expm` of that sum.
     Every entry equals its own one-time call bit for bit.
-    float64 when the pair, every weight w and every step time are real (a
-    weight of complex type gives complex128 whatever its value), else
-    complex128.  A non-finite sum or exponential at any t, an overflow
-    while building the element matrices included, raises ``ValueError``
-    and no numpy warning.
+    float64 when the pair and every step time are real and no weight w has
+    a nonzero imaginary part, else complex128.  A non-finite sum or
+    exponential at any t, an overflow while building the element matrices
+    included, raises ``ValueError`` and no numpy warning.
     """
     steps, _ = _step_times(t)
     shape = (pair.dim, pair.dim)
     dtype = _dtype(pair.A, steps, *target.terms.values())
     if not len(steps):
         return np.empty((0,) + shape, dtype)
-    weights = {(degree, position): target.vector(degree)[position - 1]
-               for degree, position in target.terms}
-    degrees = {degree for degree, _ in weights}
+    degrees = {degree for degree, _ in target.terms}
     with np.errstate(over="ignore", invalid="ignore"):  # _exp_row refuses a non-finite sum
         # t^j one scalar at a time, as libm's pow gives it: numpy's vectorised
         # power can differ from it by an ulp
@@ -909,7 +907,7 @@ def target_matrix(target: TargetPolynomial, pair: OperatorPair, t) -> np.ndarray
             (k,) = degrees
             rows, C = _power_rows(shape, _dtype(pair.A, *target.terms.values()))
             C[...] = 0.0
-            for (degree, position), w in weights.items():
+            for (degree, position), w in target.terms.items():
                 C += w * element_matrix(degree, position, pair)
             z = np.array([step ** k for step in steps])
             order = np.argsort(-np.abs(z), kind="stable")
@@ -917,12 +915,12 @@ def target_matrix(target: TargetPolynomial, pair: OperatorPair, t) -> np.ndarray
             if (np.diff(order) < 0).any():
                 T = T[np.argsort(order)]
         else:
-            elements = {term: element_matrix(*term, pair) for term in weights}
+            elements = {term: element_matrix(*term, pair) for term in target.terms}
             T = np.empty((len(steps),) + shape, dtype)
             for j, step in enumerate(steps):
                 rows, F = _power_rows(shape, dtype)
                 F[...] = 0.0
                 for (degree, position), E in elements.items():
-                    F += weights[degree, position] * step ** degree * E
+                    F += target.terms[degree, position] * step ** degree * E
                 T[j] = _exp_row(rows, np.ones(1))[0]
     return T if np.ndim(t) else T[0]

@@ -38,7 +38,7 @@ from .conditions import (
     sum_plus_commutator_target,
     sum_target,
 )
-from .liealg import Generator, _float_array, letter_map
+from .liealg import Generator, _float_array, _read_integer, letter_map
 
 __all__ = [
     "ExponentSlot",
@@ -72,7 +72,7 @@ class Scheme:
     The slots are its only structure: the mirror pattern is read from them.
     Slots given all as :class:`ExponentSlot` are kept as they are; else each
     entry is read into one by :func:`~commexp.conditions.slot_pairs`, which
-    names the index of an entry it refuses.  The order is an integer of at least 1.
+    names the index of an entry it refuses.  It holds its order as read, an int >= 1.
     """
 
     name: str
@@ -89,7 +89,7 @@ class Scheme:
             object.__setattr__(self, "slots", tuple(slots))
         if not self.slots:
             raise ValueError("a scheme needs at least one slot")
-        _check_order(self.order)
+        object.__setattr__(self, "order", _check_order(self.order))
 
     @property
     def slot_count(self) -> int:
@@ -279,7 +279,7 @@ def yoshida(k: int) -> Scheme:
 
     The slots are merged into runs, so e.g. k = 2 yields seven exponentials.
     """
-    if k < 2:
+    if _read_integer(k, "k") < 2:
         raise ValueError("k must be at least 2")
     weights = [1.0]
     for level in range(2, k + 1):
@@ -303,7 +303,7 @@ def suzuki(k: int) -> Scheme:
     (A, B, B, A) and no merging is performed, matching the elementary-gate
     count used in circuit implementations: 4 * 5^(k-1) exponentials.
     """
-    if k < 2:
+    if _read_integer(k, "k") < 2:
         raise ValueError("k must be at least 2")
     weights = [1.0]
     for level in range(2, k + 1):
@@ -375,12 +375,9 @@ def phi5(R: float, branch: str = "top") -> Scheme:
     c3 = (6.0 * R4 - sgn * 2.0 * delta - 0.5) / (R * (12.0 * R4 - 1.0))
     # note the +R^2: it is forced by the degree-1 condition c0+c2+c4 = 1/R
     c4 = (3.0 * R4 + R * R + sgn * delta + 0.25) / R
-    coeffs = [c0, c1, c2, c3, c4]
-    if all(abs(c.imag) < 1e-14 for c in map(complex, coeffs)):
-        coeffs = [complex(c).real for c in coeffs]
     return Scheme(
         name=f"phi5(R={R:g},{branch})",
-        slots=[(g, c * R) for g, c in zip("BABAB", coeffs)],
+        slots=[(g, c * R) for g, c in zip("BABAB", (c0, c1, c2, c3, c4))],
         target=target,
         order=3,
         family="general",
@@ -582,9 +579,9 @@ def transform(scheme: Scheme, which: str) -> Scheme:
     terms = {}
     for degree in sorted({degree for degree, _ in scheme.target.terms}):
         mapped = letter_map(images, degree) @ scheme.target.vector(degree)
-        for pos, value in enumerate(map(complex, mapped), start=1):
+        for pos, value in enumerate(mapped.tolist(), start=1):
             if value:
-                terms[(degree, pos)] = value if value.imag else value.real
+                terms[(degree, pos)] = value
     target = scheme.target
     if terms != target.terms:
         target = TargetPolynomial(f"{which}({target.name})", terms)
@@ -803,7 +800,7 @@ def load_scheme(path) -> Scheme:
                                        "im] with an integer degree and position", path, field)
         if (degree, pos) in terms:
             raise ValueError(f"{path}: field {field!r} repeats the term ({degree}, {pos})")
-        terms[(degree, pos)] = complex(re, im) if im else float(re)
+        terms[(degree, pos)] = complex(re, im)
     order = _member(doc, "order", int, "an integer", path)
     family = _typed(doc.get("family", "general"), str, "a string", path, "family")
     slots = []

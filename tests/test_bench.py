@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -83,13 +84,20 @@ def test_error_curve_rejects_bad_step_count(pauli_pair):
         error_curve("strang", pauli_pair, 1.0, (0,))
 
 
-@pytest.mark.parametrize("n_list", [[1, 2.5, 2], [2.0], [np.float64(4.0)], [0], [-3], [True]])
-def test_error_curve_refuses_step_counts_that_are_not_integers(n_list):
+@pytest.mark.parametrize("n_list, message", [
+    ([1, 2.5, 2], "step count must be an integer, got 2.5"),
+    ([2.0], "step count must be an integer, got 2.0"),
+    ([np.float64(4.0)], "step count must be an integer, got np.float64(4.0)"),
+    ([0], "step counts must be finite integers >= 1, got 0"),
+    ([-3], "step counts must be finite integers >= 1, got -3"),
+    ([True], "step count must be an integer, got True"),
+], ids=[f"n_list{i}" for i in range(6)])
+def test_error_curve_refuses_step_counts_that_are_not_integers(n_list, message):
     # n = 2.5 used to be powered as int(2.5): its error was that of U(t_2.5)^2
     pair = matform.make_pair("random", 4, 1)
-    with pytest.raises(ValueError, match="integers >= 1"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         error_curve("NCP10_4", pair, 1.0, n_list)
-    with pytest.raises(ValueError, match="integers >= 1"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         curve_table(["NCP10_4"], [pair], 1.0, n_list)
 
 

@@ -64,6 +64,14 @@ def test_schemes_show_prints_slots(capsys):
     assert "0.5" in out
 
 
+def test_schemes_show_prints_a_complex_coefficient_with_its_imaginary_part(capsys):
+    code, out, _ = run(capsys, "schemes", "show", "PCP6_3_imaginary")
+    assert code == 0
+    printed = [line.split()[-1] for line in out.splitlines() if line.startswith("  slot ")]
+    assert printed == [f"{slot.coefficient.real:.17g}{slot.coefficient.imag:+.17g}j"
+                       for slot in catalog_get("PCP6_3_imaginary").slots]
+
+
 def test_schemes_show_unknown_name(capsys):
     code, _, err = run(capsys, "schemes", "show", "nosuch")
     assert code == 2
@@ -488,6 +496,19 @@ def test_bench_custom_usage_errors(capsys, tmp_path):
                        "--pair", "random:abc", "--n", "4", "--out", out)
     assert code == 2
     assert err.startswith("error: --pair ") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--n", "1,x"), "--n needs comma-separated integers, got '1,x'"),
+    (("--x", "0.5,y", "--tol", "1e-4"), "--x needs comma-separated numbers, got '0.5,y'"),
+    (("--x", "0.5"), "--x needs a nonempty grid and --tol"),
+], ids=["n not an integer", "x not a number", "x without tol"])
+def test_bench_custom_refuses_a_malformed_grid(capsys, tmp_path, flags, message):
+    out = tmp_path / "x.csv"
+    code, text, err = run(capsys, "bench", "--custom", "--schemes", "NCP6_3", *flags,
+                          "--out", str(out))
+    assert (code, text, err) == (2, "", f"error: {message}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("schemes", ["", ",", " , ,"])

@@ -2,8 +2,11 @@
 
 import dataclasses
 import math
+import pickle
 import re
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +103,49 @@ def test_target_coordinates_are_one_stacked_vector():
 
 def test_target_coefficient_defaults_to_zero():
     assert commutator_target().coefficient(3, 1) == 0.0
+
+
+#: A weight as one of several number types: (the spelling, the number it
+#: reads as, a float or a complex of nonzero imaginary part).
+_SPELLED_WEIGHTS = st.one_of(
+    st.integers(-3, 3).map(lambda n: (n, float(n))),
+    st.floats(-3.0, 3.0).flatmap(lambda x: st.sampled_from([
+        (x, x), (np.float64(x), x), (Fraction(x), x + 0.0), (complex(x, 0.0), x)])),
+    st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
+    .filter(lambda z: z.imag != 0.0)
+    .flatmap(lambda z: st.sampled_from([(z, z), (np.complex128(z), z)])))
+_INTEGER_TYPES = st.sampled_from([int, np.int64, np.int32])
+_TERM_KEYS = [(degree, position) for degree in range(1, 6)
+              for position in range(1, LIE_DIMS[degree - 1] + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.sampled_from(_TERM_KEYS),
+                       st.tuples(_INTEGER_TYPES, _INTEGER_TYPES, _SPELLED_WEIGHTS),
+                       min_size=1, max_size=4))
+def test_a_target_holds_its_terms_as_read_whatever_their_number_types(drawn):
+    # a target kept the caller's mapping: numpy keys and weight types made it
+    # save and build other bytes than its canonical twin, and editing the
+    # mapping changed its terms but not its coordinates
+    raw = {(of_degree(degree), of_position(position)): spelling
+           for (degree, position), (of_degree, of_position, (spelling, _)) in drawn.items()}
+    target = TargetPolynomial("t", raw)
+    twin = TargetPolynomial("t", {key: read for key, (*_, (_, read)) in drawn.items()})
+    terms, coordinates = pickle.dumps(target.terms), target.coordinates.tobytes()
+    assert target == twin and terms == pickle.dumps(twin.terms)
+    _assert_same_bits(target.coordinates, twin.coordinates)
+    with tempfile.TemporaryDirectory() as directory:
+        files = [Path(directory) / f"{name}.scheme.json" for name in ("target", "twin")]
+        for t, path in zip((target, twin), files):
+            schemes.save_scheme(Scheme("x", [(A, 1.0)], t, 1), path)
+        assert files[0].read_bytes() == files[1].read_bytes()
+    for pair in (_RANDOM4, _PAULI):
+        _assert_same_bits(matform.target_matrix(target, pair, 0.3),
+                          matform.target_matrix(twin, pair, 0.3))
+    for key in raw:
+        raw[key] = 5.0
+    raw[(7, 18)] = 1.0
+    assert pickle.dumps(target.terms) == terms and target.coordinates.tobytes() == coordinates
 
 
 def test_target_rejects_out_of_range_terms():
@@ -334,8 +380,8 @@ def test_every_array_boundary_reads_a_number_past_float_range_as_inf(boundary):
 
 #: Every public boundary that reads a number: each reads it through
 #: liealg._read_number or liealg._float_array, which refuse text.  The step
-#: count of error_curve is left out: it refuses any non-integer by its own
-#: check before reading it.
+#: count of error_curve is left out: liealg._read_integer reads it, which
+#: refuses any non-integer as not an integer.
 _TEXT_BOUNDARIES = {
     **{name: call for name, call in _NUMBER_BOUNDARIES.items()
        if name != "error_curve step count"},
@@ -351,6 +397,24 @@ _TEXT_BOUNDARIES = {
 def test_every_boundary_refuses_a_number_written_as_text(boundary, text):
     # complex() and float() parsed a numeric string, so that "0.5" read as
     # 0.5 wherever a number was read
+    with pytest.raises((TypeError, ValueError), match=re.escape(" is text, not a number")):
+        _TEXT_BOUNDARIES[boundary](text)
+
+
+#: The text boundaries that read a number on its own, not as an entry of an
+#: array: numpy reads a bytearray or memoryview entry as a row of its bytes.
+_ONE_NUMBER_BOUNDARIES = [name for name in _TEXT_BOUNDARIES if name not in _ARRAY_BOUNDARIES
+                          or name in ("sum_plus_commutator_target R", "phi3 R", "phi4 R",
+                                      "phi4 c3", "phi5 R")]
+
+
+@pytest.mark.parametrize("text", [bytearray(b"0.5"), memoryview(b"0.5")],
+                         ids=["bytearray", "memoryview"])
+@pytest.mark.parametrize("boundary", _ONE_NUMBER_BOUNDARIES)
+def test_every_boundary_refuses_a_bytes_like_number_as_text(boundary, text):
+    # float() parsed a bytearray or memoryview as it parsed b"0.5", so that
+    # order_residuals verified at tol=bytearray(b"0.5"), and numpy read one as
+    # the step times 48, 46 and 53
     with pytest.raises((TypeError, ValueError), match=re.escape(" is text, not a number")):
         _TEXT_BOUNDARIES[boundary](text)
 
@@ -395,6 +459,37 @@ def test_a_numpy_integer_is_an_order():
     scheme = Scheme("x", u21.slots, u21.target, np.int64(2))
     assert order_residuals(scheme, scheme.target, scheme.order).verified_order == 2
     assert effective_error(scheme) == effective_error(u21)
+
+
+#: Every integer a caller gives, each read by liealg._read_integer: (what
+#: its message calls it, the call, an integer the call takes).
+_INTEGER_BOUNDARIES = [
+    ("order", lambda r: Scheme("x", [(A, 1.0), (B, 1.0)], commutator_target(), r), 2),
+    ("step count", lambda n: bench.error_curve("NCP6_3", _RANDOM4, 1.0, (1, n)), 2),
+    ("truncation", lambda truncation: scheme_log([A, B], [0.5, 1.0], truncation), 2),
+    ("target degree", lambda degree: TargetPolynomial("t", {(degree, 1): 1.0}), 2),
+    ("target position", lambda position: TargetPolynomial("t", {(3, position): 1.0}), 2),
+    ("dim", lambda dim: matform.make_pair("random", dim, 1), 2),
+    ("seed", lambda seed: matform.make_pair("random", 4, seed), 2),
+    ("k", schemes.yoshida, 2),
+    ("k", schemes.suzuki, 2),
+    ("free slot", lambda i: refine(catalog_get("NCP6_3"), free_slots=[0, i]), 1),
+]
+
+
+@pytest.mark.parametrize("what, call, valid", _INTEGER_BOUNDARIES,
+                         ids=["order", "step count", "truncation", "target degree",
+                              "target position", "dim", "seed", "yoshida k", "suzuki k",
+                              "free slot"])
+def test_every_integer_boundary_reads_an_integer_and_refuses_the_rest(what, call, valid):
+    # 2.0 and np.float64(2.0) were read as 2 or raised a bare TypeError or
+    # IndexError, True was read as 1, and a numpy integer was kept, so a
+    # scheme file could not be written
+    assert pickle.dumps(call(np.int64(valid))) == pickle.dumps(call(valid))
+    for value in (2.0, 2.5, True, "2", np.float64(2.0)):
+        message = f"{what} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
 
 
 @pytest.mark.parametrize("family", [schemes.third_order_rows, schemes.aor4_rows])
@@ -494,8 +589,9 @@ _SLOT_LISTS = st.lists(st.tuples(st.sampled_from([A, B]), _SLOT_COEFFICIENTS),
 
 
 def _reference_log(slots, truncation):
-    """The basis coordinates through the public engine boundary, one log."""
-    generators, coefficients = zip(*slots)
+    """The basis coordinates through the public engine boundary, one log of
+    the slots as slot_pairs reads them (1+0j as 1.0), as every checker does."""
+    generators, coefficients = zip(*conditions.slot_pairs(slots))
     return lie_project(scheme_log(generators, coefficients, truncation), coefficients)[0]
 
 
@@ -513,6 +609,7 @@ def _reference_error(deviation: np.ndarray, r: int, slot_count: int):
 @settings(max_examples=60, deadline=None)
 @given(_SLOT_LISTS, st.integers(1, MAX_TRUNCATION - 1),
        st.sampled_from([commutator_target(), sum_target(), combined_target()]))
+@example(slots=[(A, 1.0), (B, 1 + 0j)], r=3, target=commutator_target())
 def test_order_residuals_and_effective_error_match_the_engine_boundary(slots, r, target):
     # the batch-of-one coordinates are those scheme_log and lie_project give,
     # bit for bit, and so are the residuals, verified order and E read off them
@@ -534,6 +631,7 @@ def test_order_residuals_and_effective_error_match_the_engine_boundary(slots, r,
                            st.lists(_SLOT_COEFFICIENTS, min_size=2, max_size=5),
                            st.sampled_from(["positive", "negative"]))),
        st.sampled_from(["positive", "negative"]))
+@example(slots=[(A, 1.0), (B, 1 + 0j)], sign="positive")
 def test_cp_identities_match_the_engine_boundary(slots, sign):
     ref = _reference_log(slots, 6)
     expected = []
