@@ -25,6 +25,7 @@ from .liealg import (
     LIE_OFFSETS,
     MAX_TRUNCATION,
     Generator,
+    _dtype,
     _float_array,
     _lie_jacobian,
     _lie_rows,
@@ -82,6 +83,18 @@ def _finite_number(value, what: str) -> float | complex:
     return c if c.imag else c.real
 
 
+def _read_term(name: str, key, value) -> tuple[tuple[int, int], float | complex]:
+    """One entry of the target ``name``: a (degree, position) key in the basis, a finite weight."""
+    if not isinstance(key, tuple) or len(key) != 2:
+        raise ValueError(f"target {name!r}: key {key!r} is not a (degree, position) pair")
+    degree = _read_integer(key[0], "target degree")
+    position = _read_integer(key[1], "target position")
+    if not (1 <= degree <= MAX_TRUNCATION and 1 <= position <= LIE_DIMS[degree - 1]):
+        raise ValueError(f"target term ({degree}, {position}) is outside the basis "
+                         f"through degree {MAX_TRUNCATION}")
+    return (degree, position), _finite_number(value, "target coefficients")
+
+
 @dataclass(frozen=True)
 class TargetPolynomial:
     """A Lie polynomial the composition should reproduce in its exponent.
@@ -90,8 +103,8 @@ class TargetPolynomial:
     nested-commutator basis at that degree — to the desired coefficient.
     Every absent entry is an order condition equal to zero.  The name
     uniquely identifies the coefficient pattern (parametrized targets
-    embed their parameter in the name).  ``terms`` is held as read: a new dict
-    of int keys and float weights, complex only with a nonzero imaginary part.
+    embed their parameter in the name).  ``terms``, not empty, is held as read
+    (:func:`_read_term`): int keys, float weights, complex only if not real.
 
     ``coordinates`` is the target through degree
     :data:`~commexp.liealg.MAX_TRUNCATION` in the stacked layout of
@@ -104,18 +117,11 @@ class TargetPolynomial:
     coordinates: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        terms, coordinates = {}, np.zeros(LIE_OFFSETS[-1], dtype=np.complex128)
-        for (degree, position), value in self.terms.items():
-            degree = _read_integer(degree, "target degree")
-            position = _read_integer(position, "target position")
-            if not 1 <= degree <= MAX_TRUNCATION:
-                raise ValueError(f"target degree {degree} outside basis range")
-            if not 1 <= position <= LIE_DIMS[degree - 1]:
-                raise ValueError(f"position {position} invalid at degree {degree}")
-            terms[degree, position] = coordinates[LIE_OFFSETS[degree - 1] + position - 1] = (
-                _finite_number(value, "target coefficients"))
-        if not coordinates.imag.any():
-            coordinates = coordinates.real.copy()
+        terms = dict(_read_term(self.name, *term) for term in self.terms.items())
+        if not terms:
+            raise ValueError(f"target {self.name!r} has no terms")
+        coordinates = np.zeros(LIE_OFFSETS[-1], dtype=_dtype(*terms.values()))
+        coordinates[[LIE_OFFSETS[d - 1] + p - 1 for d, p in terms]] = list(terms.values())
         coordinates.flags.writeable = False
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "coordinates", coordinates)

@@ -112,8 +112,8 @@ def as_generator(g) -> Generator:
     """Coerce ``g`` ('A'/'B', an integer 0/1 or a Generator) into a :class:`Generator`."""
     if isinstance(g, Generator):
         return g
-    try:
-        return Generator[g] if isinstance(g, str) else Generator(operator.index(g))
+    try:  # a bool is looked up by name, which none is: operator.index reads True as 1
+        return Generator[g] if isinstance(g, (str, bool)) else Generator(operator.index(g))
     except (KeyError, TypeError, ValueError):
         raise ValueError(f"unknown generator {g!r}") from None
 

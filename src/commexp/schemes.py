@@ -30,6 +30,7 @@ from .conditions import (
     _check_order,
     _finite_number,
     _read_number,
+    _read_term,
     combined_target,
     commutator_target,
     cp_expand,
@@ -568,8 +569,8 @@ def transform(scheme: Scheme, which: str) -> Scheme:
     one ending in B.  interchange: the letters trade places, coefficients
     unchanged, so [A,B] turns into [B,A] = -[A,B].
 
-    A target the substitution leaves unchanged is kept as it is; any other
-    becomes ``which(name)`` with its nonzero mapped terms.
+    A target whose nonzero terms the substitution leaves unchanged is kept as
+    it is; any other becomes ``which(name)`` with its nonzero mapped terms.
     """
     try:
         images = _LETTER_MAPS[which]
@@ -583,7 +584,7 @@ def transform(scheme: Scheme, which: str) -> Scheme:
             if value:
                 terms[(degree, pos)] = value
     target = scheme.target
-    if terms != target.terms:
+    if terms != {key: w for key, w in target.terms.items() if w}:
         target = TargetPolynomial(f"{which}({target.name})", terms)
     return replace(scheme, name=f"{which}({scheme.name})", slots=slots, target=target)
 
@@ -742,15 +743,13 @@ def save_scheme(scheme: Scheme, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-def _typed(value, kinds, what: str, path, field: str):
-    """``value`` if it is one of ``kinds`` (bools are not numbers), else a
-    ValueError naming the file and the field; so is an int beyond the largest
-    float where ``kinds`` take a float."""
-    if isinstance(value, bool) or not isinstance(value, kinds):
+def _typed(value, kinds, what: str, path, field: str, length: int | None = None):
+    """``value`` if one of ``kinds`` and, given ``length``, a list of so many items, with no
+    bool (no number in JSON) in either; else a ValueError naming the file and the field."""
+    if isinstance(value, bool) or not isinstance(value, kinds) or length is not None and (
+            len(value) != length or any(isinstance(x, bool) for x in value)):
         raise ValueError(f"{path}: field {field!r} must be {what}, "
                          f"got {json.dumps(value)[:40]}")
-    if isinstance(value, int) and isinstance(0.0, kinds) and math.isinf(_read_number(value)):
-        raise ValueError(f"{path}: field {field!r} holds an integer beyond the largest float")
     return value
 
 
@@ -762,25 +761,23 @@ def _member(doc: dict, key: str, kinds, what: str, path, field: str | None = Non
     return _typed(doc[key], kinds, what, path, field)
 
 
-def _numbers(value, kinds, what: str, path, field: str) -> list:
-    """``value`` if it is a list of one value of each of ``kinds`` in turn,
-    each checked by :func:`_typed`."""
-    _typed(value, list, what, path, field)
-    if len(value) != len(kinds):
-        _typed(value, (), what, path, field)  # the error for the whole list
-    return [_typed(x, kind, what, path, field) for x, kind in zip(value, kinds)]
+def _read(path, field: str, read, *args):
+    """``read(*args)``; a ValueError or TypeError it raises becomes one ValueError
+    naming the file and the field: ``<path>: field '<field>': <reason>``."""
+    try:
+        return read(*args)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: field {field!r}: {exc}") from None
 
 
 def load_scheme(path) -> Scheme:
     """Read a .scheme.json document back into a Scheme.
 
-    Anything that is not a well-formed document (not JSON, a field missing or
-    of the wrong type, a generator other than "A" or "B", an invalid target
-    term or order) raises ``ValueError`` with one line naming the file and,
-    where there is one, the field.  A target term's degree and position are
-    integers, and no term repeats one before it; a slot coefficient is a
-    number or a list ``[re, im]`` of two numbers, and a bool or a string is
-    not a number.
+    This checks only what the format adds (JSON, the fields and their JSON
+    types, a generator "A" or "B", a term ``[degree, position, re, im]`` that
+    repeats none before it, a coefficient a number or ``[re, im]``, no bool for
+    a number) and hands each value to the library's reader.  What either refuses
+    is a ``ValueError`` of one line naming the file and, where there is one, the field.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -791,33 +788,30 @@ def load_scheme(path) -> Scheme:
     name = _member(doc, "name", str, "a string", path)
     target_doc = _member(doc, "target", dict, "an object", path)
     target_name = _member(target_doc, "name", str, "a string", path, "target.name")
-    real, coefficient = (int, float), "a number or [re, im]"
     terms = {}
-    for i, term in enumerate(_member(target_doc, "terms", list, "a list", path,
-                                     "target.terms")):
+    for i, term in enumerate(_member(target_doc, "terms", list, "a list", path, "target.terms")):
         field = f"target.terms[{i}]"
-        degree, pos, re, im = _numbers(term, (int, int, real, real), "[degree, position, re, "
-                                       "im] with an integer degree and position", path, field)
-        if (degree, pos) in terms:
-            raise ValueError(f"{path}: field {field!r} repeats the term ({degree}, {pos})")
-        terms[(degree, pos)] = complex(re, im)
-    order = _member(doc, "order", int, "an integer", path)
+        degree, position, *parts = _typed(term, list, "[degree, position, re, im]", path, field, 4)
+        weight = complex(*[_read(path, field, _read_number, part) for part in parts])
+        key, weight = _read(path, field, _read_term, target_name, (degree, position), weight)
+        if key in terms:
+            raise ValueError(f"{path}: field {field!r} repeats the term {key}")
+        terms[key] = weight
+    order = _member(doc, "order", object, "an integer", path)
     family = _typed(doc.get("family", "general"), str, "a string", path, "family")
     slots = []
     for i, slot in enumerate(_member(doc, "slots", list, "a list", path)):
         field = f"slots[{i}]"
-        _typed(slot, dict, "an object", path, field)
-        generator = _member(slot, "generator", str, '"A" or "B"', path, f"{field}.generator")
-        if generator not in ("A", "B"):  # a string, but not a generator's name
+        generator = _member(_typed(slot, dict, "an object", path, field), "generator", str,
+                            '"A" or "B"', path, f"{field}.generator")
+        if generator not in ("A", "B"):  # a string, but not the name of a Generator
             _typed(generator, (), '"A" or "B"', path, f"{field}.generator")
-        field += ".coefficient"
-        coeff = _member(slot, "coefficient", (*real, list), coefficient, path, field)
+        field, what = f"{field}.coefficient", "a number or [re, im]"
+        coeff = _member(slot, "coefficient", object, what, path, field)
         if isinstance(coeff, list):
-            coeff = complex(*_numbers(coeff, (real, real), coefficient, path, field))
-        slots.append((generator, coeff))
-    try:
-        return Scheme(name=name, slots=slots,
-                      target=TargetPolynomial(target_name, terms), order=order,
-                      family=family)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+            parts = _typed(coeff, list, what, path, field, 2)
+            coeff = complex(*[_read(path, field, _read_number, part) for part in parts])
+        slots.append(_read(path, field, ExponentSlot, Generator[generator], coeff))
+    target = _read(path, "target.terms", TargetPolynomial, target_name, terms)
+    # of a Scheme's checks, only the slot count and the order are still open
+    return _read(path, "order" if slots else "slots", Scheme, name, slots, target, order, family)

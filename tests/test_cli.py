@@ -14,7 +14,8 @@ import commexp
 from commexp import bench, conditions, liealg, matform
 from commexp.cli import EXIT_INTERNAL, main
 from commexp.liealg import Generator
-from commexp.schemes import ExponentSlot, catalog_get, catalog_names, save_scheme
+from commexp.schemes import (ExponentSlot, catalog_get, catalog_names, load_scheme,
+                             save_scheme)
 
 
 def run(capsys, *argv):
@@ -121,15 +122,23 @@ def test_every_command_names_an_unknown_scheme_alike(capsys, tmp_path, monkeypat
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({}, "missing field 'name'"),
+    # a target of no terms: verify read it as NOT verified, and bench --custom
+    # failed in min() of no degrees, naming no file
+    ({"name": "x", "order": 2, "target": {"name": "commutator", "terms": []},
+      "slots": [{"generator": "A", "coefficient": 1.0}]},
+     "field 'target.terms': target 'commutator' has no terms"),
+], ids=["empty", "no-terms"])
 @pytest.mark.parametrize("command", [("schemes", "show"), ("verify", "--scheme"),
                                      ("bench", "--custom", "--n", "1", "--schemes")])
-def test_every_command_refuses_a_malformed_scheme_file(capsys, tmp_path, command):
+def test_every_command_refuses_a_malformed_scheme_file(capsys, tmp_path, command, doc, message):
     path = tmp_path / "bad.scheme.json"
-    path.write_text("{}", encoding="utf-8")
+    path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, err = run(capsys, *command, str(path))
     assert code == 2
     assert out == ""
-    assert err == f"error: {path}: missing field 'name'\n"
+    assert err == f"error: {path}: {message}\n"
 
 
 def test_schemes_export_into_missing_directory_is_input_error(capsys, tmp_path):
@@ -153,6 +162,16 @@ def test_schemes_export_then_verify_roundtrip(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--scheme", str(path))
     assert code == 0
     assert "order 3 verified" in out
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_every_catalog_scheme_reloads_equal_and_verifies_alike(capsys, tmp_path, name):
+    # a file carries no note; all else reads back as the catalog entry, and
+    # verify prints the same lines for the name and for the file
+    path = tmp_path / "exported.scheme.json"
+    assert run(capsys, "schemes", "export", name, str(path))[0] == 0
+    assert load_scheme(path) == dataclasses.replace(catalog_get(name), note="")
+    assert run(capsys, "verify", "--scheme", str(path)) == run(capsys, "verify", "--scheme", name)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +259,8 @@ def test_verify_oversized_slot_is_input_error(capsys, tmp_path, size, reason):
     assert err.startswith("error: cannot verify huge:") and reason in err
 
 
-_GOOD_FILE = {"name": "x", "target": {"name": "commutator", "terms": []}, "order": 2,
+_GOOD_FILE = {"name": "x", "order": 2,
+              "target": {"name": "commutator", "terms": [[2, 1, 1.0, 0.0]]},
               "slots": [{"generator": "A", "coefficient": 1.0}]}
 
 
@@ -256,16 +276,16 @@ _GOOD_FILE = {"name": "x", "target": {"name": "commutator", "terms": []}, "order
     ({**_GOOD_FILE, "slots": [{"generator": "A", "coefficient": float("nan")}]}, "finite"),
     # what the format does not allow, which loaded as some other scheme
     ({**_GOOD_FILE, "target": {"name": "commutator", "terms": [[2.7, 1.9, 1.0, 0.0]]}},
-     "'target.terms[0]' must be"),
+     "'target.terms[0]': target degree must be an integer, got 2.7"),
     ({**_GOOD_FILE, "slots": [{"generator": "A", "coefficient": True}]},
      "'slots[0].coefficient' must be"),
     ({**_GOOD_FILE, "slots": [{"generator": "A", "coefficient": "-0.48586827175664576"}]},
-     "'slots[0].coefficient' must be"),
+     "'slots[0].coefficient': '-0.48586827175664576' is text, not a number"),
     ({**_GOOD_FILE, "target": {"name": "commutator",
                                "terms": [[2, 1, 1.0, 0.0], [2, 1, 2.0, 0.0]]}},
      "'target.terms[1]' repeats"),
     ({**_GOOD_FILE, "slots": [{"generator": "A", "coefficient": 10 ** 400}]},
-     "'slots[0].coefficient' holds an integer beyond the largest float"),
+     "'slots[0].coefficient': slot coefficient must be finite"),
 ])
 def test_verify_malformed_scheme_file_is_input_error(capsys, tmp_path, doc, field):
     path = tmp_path / "bad.scheme.json"

@@ -160,6 +160,19 @@ def test_target_rejects_out_of_range_terms():
         TargetPolynomial("bad", {(2, 2): 1.0})
 
 
+@pytest.mark.parametrize("terms, message", [
+    # min_degree raised "min() arg is an empty sequence" once a target of no
+    # terms reached a bench curve
+    ({}, "target 'bad' has no terms"),
+    # a bare unpacking error, or a TypeError for a key of no length
+    ({2: 1.0}, "target 'bad': key 2 is not a (degree, position) pair"),
+    ({(2, 1, 3): 1.0}, "target 'bad': key (2, 1, 3) is not a (degree, position) pair"),
+], ids=["empty", "int-key", "3-tuple-key"])
+def test_target_refuses_no_terms_and_a_key_that_is_no_pair(terms, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TargetPolynomial("bad", terms)
+
+
 def test_sum_plus_commutator_rejects_zero_weight():
     with pytest.raises(ValueError):
         sum_plus_commutator_target(0.0)

@@ -148,7 +148,9 @@ NOT_A_SLOT = "is neither a slot nor a (generator, coefficient) pair"
     (1.0, f"slot 1: 1.0 {NOT_A_SLOT}"),
     (("A", 1.0, 2.0), "slot 1: too many values to unpack (expected 2)"),
     (("A", math.nan), "slot 1: slot coefficient must be finite"),
-], ids=["letter-C", "bare-float", "3-tuple", "nan"])
+    # operator.index reads True as 1, and this slot was a B slot
+    ((True, 1.0), "slot 1: unknown generator True"),
+], ids=["letter-C", "bare-float", "3-tuple", "nan", "bool-letter"])
 def test_scheme_refuses_a_slot_at_construction(entry, message):
     with pytest.raises(ValueError, match=f"^{re.escape('bad: ' + message)}$"):
         Scheme("bad", [(Generator.B, 1.0), entry], commutator_target(), 2)
@@ -907,6 +909,13 @@ def test_interchange_keeps_the_order_and_undoes_itself(name):
     assert back.target.terms == scheme.target.terms
 
 
+@pytest.mark.parametrize("which", list(_LETTER_MAPS))
+def test_transform_keeps_a_target_of_zero_weights(which):
+    # its mapped terms, all zero, were dropped into a target of no terms
+    scheme = Scheme("z", [("A", 1.0), ("B", 1.0)], TargetPolynomial("zero", {(2, 1): 0.0}), 1)
+    assert transform(scheme, which).target is scheme.target
+
+
 def test_transform_rejects_unknown_name():
     with pytest.raises(ValueError):
         transform(catalog_get("strang"), "time-reversal")
@@ -1048,24 +1057,24 @@ _SAVED = {"name": "x", "order": 2,
 @pytest.mark.parametrize("change,field,message", [
     # a fractional index was truncated: this loaded as the term (2, 1)
     ({"target": {"name": "commutator", "terms": [[2.7, 1.9, 1.0, 0.0]]}},
-     "target.terms[0]", "with an integer degree and position"),
+     "target.terms[0]", ": target degree must be an integer, got 2.7"),
     # a bool was read as the coefficient 1.0
     ({"slots": [{"generator": "A", "coefficient": True}]},
      "slots[0].coefficient", "must be a number or [re, im]"),
     # a string was parsed as a float
     ({"slots": [{"generator": "A", "coefficient": 1.0},
                 {"generator": "B", "coefficient": "-0.48586827175664576"}]},
-     "slots[1].coefficient", "must be a number or [re, im]"),
+     "slots[1].coefficient", ": '-0.48586827175664576' is text, not a number"),
     # a repeated term replaced the one before it
     ({"target": {"name": "commutator", "terms": [[2, 1, 1.0, 0.0], [2, 1, 2.0, 0.0]]}},
      "target.terms[1]", "repeats the term (2, 1)"),
     # ints beyond the largest float raised OverflowError, an internal error
     ({"slots": [{"generator": "A", "coefficient": _HUGE}]},
-     "slots[0].coefficient", "holds an integer beyond the largest float"),
+     "slots[0].coefficient", ": slot coefficient must be finite"),
     ({"slots": [{"generator": "A", "coefficient": [1.0, -_HUGE]}]},
-     "slots[0].coefficient", "holds an integer beyond the largest float"),
+     "slots[0].coefficient", ": slot coefficient must be finite"),
     ({"target": {"name": "commutator", "terms": [[2, 1, _HUGE, 0.0]]}},
-     "target.terms[0]", "holds an integer beyond the largest float"),
+     "target.terms[0]", ": target coefficients must be finite"),
 ], ids=["fractional-index", "bool-coefficient", "string-coefficient", "repeated-term",
         "huge-coefficient", "huge-imaginary-part", "huge-weight"])
 def test_load_refuses_what_the_format_does_not_allow(tmp_path, change, field, message):
@@ -1073,11 +1082,59 @@ def test_load_refuses_what_the_format_does_not_allow(tmp_path, change, field, me
     path.write_text(json.dumps({**_SAVED, **change}), encoding="utf-8")
     with pytest.raises(ValueError) as error:
         load_scheme(path)
-    assert str(error.value).startswith(f"{path}: field '{field}' ")
+    # the format's own check, or a reader's reason after a colon
+    assert str(error.value).startswith((f"{path}: field '{field}' ", f"{path}: field '{field}': "))
     assert message in str(error.value)
     # the document it was changed from loads
     path.write_text(json.dumps(_SAVED), encoding="utf-8")
     assert load_scheme(path).target.terms == {(2, 1): 1.0}
+
+
+#: JSON values a file's slot coefficient may hold, allowed or not: floats (NaN
+#: and the infinities among them), ints within and past float range, bools,
+#: strings, null, and lists of any of these, [re, im] among them.
+_JSON_NUMBERS = st.one_of(st.floats(), st.integers(-3, 3),
+                          st.sampled_from([_HUGE, -_HUGE, True, False, "0.5", None]))
+_JSON_COEFFICIENTS = st.one_of(_JSON_NUMBERS, st.lists(_JSON_NUMBERS, min_size=1, max_size=3))
+
+
+def _library_entry(letter, coefficient):
+    """The library pair a file's slot entry stands for: an ``[re, im]`` list
+    as the complex of its parts, each read as a real slot coefficient."""
+    if isinstance(coefficient, list) and len(coefficient) == 2:
+        re_part, im_part = (ExponentSlot(Generator.A, part).coefficient for part in coefficient)
+        return letter, complex(re_part, im_part)
+    return letter, coefficient
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["A", "B", "C", 1, True, None]), _JSON_COEFFICIENTS),
+                min_size=1, max_size=4))
+def test_a_scheme_file_and_the_library_read_an_entry_alike(tmp_path_factory, entries):
+    # the format allows a generator "A" or "B" and a coefficient that is no
+    # bool, or a list of two items none a bool; what it allows loads exactly
+    # when the library builds a Scheme of the same pairs, as that Scheme
+    allowed = all(
+        isinstance(letter, str) and letter in ("A", "B") and not isinstance(coefficient, bool)
+        and (not isinstance(coefficient, list) or len(coefficient) == 2
+             and not any(isinstance(part, bool) for part in coefficient))
+        for letter, coefficient in entries)
+    try:
+        built = Scheme("x", [_library_entry(*entry) for entry in entries], commutator_target(), 2)
+    except (TypeError, ValueError):
+        built = None
+    path = tmp_path_factory.mktemp("entries") / "x.scheme.json"
+    path.write_text(json.dumps({**_SAVED, "slots": [
+        {"generator": letter, "coefficient": coefficient} for letter, coefficient in entries]}),
+        encoding="utf-8")
+    if not allowed or built is None:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: field 'slots\\[\\d+\\]"):
+            load_scheme(path)
+        return
+    loaded = load_scheme(path)
+    assert loaded == built
+    assert [(s.generator, repr(s.coefficient)) for s in loaded.slots] == \
+        [(s.generator, repr(s.coefficient)) for s in built.slots]
 
 
 @pytest.mark.parametrize("name", ["NCP10_4", "strang", "aor4_opt", "PCP6_3_imaginary"])
