@@ -386,8 +386,8 @@ def _gates(scheme_list, pair: matform.OperatorPair, x_grid: Sequence[float],
     """
     resolved = [schemes.resolve(s) for s in scheme_list]
     tols = [_check_tolerance("tol", tol) for tol in tols]
-    if not all(0 < x <= 1 for x in x_grid):
-        raise ValueError("x grid must lie in (0, 1]")
+    if outside := [x for x in x_grid if not 0 < x <= 1]:
+        raise ValueError(f"x grid must lie in (0, 1], got {outside[0]!r}")
     if not 1 <= _read_number(n_cap) < math.inf:
         raise ValueError(f"n_cap must be finite and at least 1, got {_read_number(n_cap)!r}")
     targets = _targets(resolved, pair, lambda _: np.asarray(x_grid))

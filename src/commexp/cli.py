@@ -3,13 +3,15 @@
 Every scheme argument is resolved by :func:`commexp.schemes.resolve`: a
 catalog name, else a scheme file path.  Each ``bench`` mode reads only the
 options :data:`_BENCH_READS` lists for it; any other option given is an
-input error.
+input error.  The CLI turns text into numbers; the library judges each value,
+and its ``ValueError`` is the error line, e.g. ``error: cannot verify
+NCP6_3: tol must be positive and finite, got nan``.
 
 Exit codes: 0 on success, 1 when a verification falls short of the claimed
 order, 2 for usage and input errors (unknown names, malformed flags, a
-scheme whose log cannot be formed at the needed degree or whose product
-overflows, a path that cannot be read or written, an optimum at the edge of
-the searched range), and
+value the library refuses, a scheme whose log cannot be formed at the needed
+degree or whose product overflows, a path that cannot be read or written,
+an optimum at the edge of the searched range), and
 :data:`EXIT_INTERNAL` (3) when the package itself fails: any other exception
 is reported with its traceback and never exits 1, which scripts read as "NOT
 verified".  A closed stdout is no error: the command keeps the code it had
@@ -108,8 +110,6 @@ def _cmd_schemes(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if not _positive_finite(args.tol):
-        return _fail(f"--tol needs a positive finite tolerance, got {args.tol:g}")
     try:
         sch = schemes.resolve(args.scheme)
     except (KeyError, ValueError) as exc:
@@ -159,10 +159,6 @@ def _split_numbers(text: str, kind=float) -> list:
     return [kind(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _positive_finite(value: float) -> bool:
-    return math.isfinite(value) and value > 0
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     from . import bench
 
@@ -198,13 +194,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             n_list = _split_numbers(args.n, int)
         except ValueError:
             return _fail(f"--n needs comma-separated integers, got {args.n!r}")
-        if not n_list or min(n_list) < 1:
-            return _fail("--n needs positive step counts")
-        if not _positive_finite(t_total):
-            return _fail(f"--t needs a positive finite total time, got {t_total:g}")
+        if not n_list:
+            return _fail("--n needs at least one step count")
         try:
             header, rows = bench.curve_table(scheme_list, [pair], t_total, n_list)
-        except ValueError as exc:  # the product or its error is not finite or not bounded
+        except ValueError as exc:  # a value the library refuses, or a product it cannot bound
             return _fail(f"cannot evaluate the error curve at t = {t_total:g}: {exc}")
         comments = [f"custom error curve: t_total={t_total:g}, seed={args.seed}"]
     else:
@@ -214,13 +208,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             return _fail(f"--x needs comma-separated numbers, got {args.x!r}")
         if not x_grid or args.tol is None:
             return _fail("--x needs a nonempty grid and --tol")
-        if not all(0 < x <= 1 for x in x_grid):
-            return _fail(f"--x values must lie in (0, 1], got {args.x!r}")
-        if not _positive_finite(args.tol):
-            return _fail(f"--tol needs a positive finite tolerance, got {args.tol:g}")
         try:
             header, rows, search = bench._cost_table(scheme_list, pair, x_grid, args.tol)
-        except ValueError as exc:  # the product or its error is not finite or not bounded
+        except ValueError as exc:  # a value the library refuses, or a product it cannot bound
             return _fail(f"cannot evaluate the cost table at tol = {args.tol:g}: {exc}")
         comments = [f"custom cost table: tol={args.tol:g}, seed={args.seed}", search]
 
@@ -248,14 +238,9 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         lo, hi = (float(tok) for tok in parts)
     except ValueError:
         return _fail(f"--range wants a:b with numeric bounds, got {args.range!r}")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        return _fail(f"--range needs finite bounds, got {args.range!r}")
-    if not lo < hi:
-        return _fail(f"--range {args.range!r} is an empty parameter range")
-
     try:
         result = optimize_free_parameter(family, r, (lo, hi))
-    except ValueError as exc:
+    except ValueError as exc:  # a range or a family member the library refuses
         return _fail(str(exc))
 
     if result.at_edge:

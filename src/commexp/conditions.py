@@ -210,8 +210,9 @@ class ExponentSlot:
 
     def __post_init__(self):
         g, c = as_generator(self.generator), _finite_number(self.coefficient, "slot coefficient")
-        if g is not self.generator or c is not self.coefficient:  # unless already read
+        if g is not self.generator:  # each field written only if reading changed it
             object.__setattr__(self, "generator", g)
+        if c is not self.coefficient:
             object.__setattr__(self, "coefficient", c)
 
     def __str__(self) -> str:

@@ -190,8 +190,10 @@ def _read_number(value, kind=float):
     """``kind(value)``, float or complex: the one reading of a caller's number,
     an int or ``Fraction`` past the largest float read as the infinity of its
     sign, so that every check refuses it with the message ``inf`` gets.
-    ``TypeError`` refuses text (str, bytes-like or an array of strings) and, in
-    a float reading, every complex type, numpy's too, as ``float`` does."""
+    ``TypeError`` refuses text (str, bytes-like or an array of strings), in a
+    float reading every complex type, numpy's too, as ``float`` does, and any
+    other value ``kind`` refuses (None, a dict, a list): ``<repr> is text, not a
+    number``, ``<repr> is not a real number`` and ``<repr> is not a number``."""
     if isinstance(value, (str, bytes, bytearray, memoryview, np.ndarray)) and (
             not isinstance(value, np.ndarray) or value.dtype.kind in "SU"):
         raise TypeError(f"{value!r} is text, not a number")
@@ -201,6 +203,9 @@ def _read_number(value, kind=float):
         return kind(value)
     except OverflowError:
         return kind(-math.inf if value < 0 else math.inf)
+    except TypeError:  # Python's own message would offer a string, which is refused above
+        what = "a real number" if isinstance(value, numbers.Complex) else "a number"
+        raise TypeError(f"{value!r} is not {what}") from None
 
 
 def _read_integer(value, what: str) -> int:

@@ -15,7 +15,7 @@ from commexp import bench, conditions, liealg, matform
 from commexp.cli import EXIT_INTERNAL, main
 from commexp.liealg import Generator
 from commexp.schemes import (ExponentSlot, catalog_get, catalog_names, load_scheme,
-                             save_scheme)
+                             save_scheme, third_order_rows)
 
 
 def run(capsys, *argv):
@@ -297,6 +297,21 @@ def test_verify_malformed_scheme_file_is_input_error(capsys, tmp_path, doc, fiel
     assert err.startswith(f"error: {path}: ") and field in err
 
 
+@pytest.mark.parametrize("coefficient", [[1.0, None], {"re": 1}, None],
+                         ids=["list-with-null", "object", "null"])
+def test_verify_names_a_coefficient_that_is_no_number(capsys, tmp_path, coefficient):
+    # the reader passed on Python's own message, which offers a string:
+    # "float() argument must be a string or a real number, not 'NoneType'"
+    path = tmp_path / "bad.scheme.json"
+    path.write_text(json.dumps({**_GOOD_FILE, "slots": [{"generator": "A",
+                                                         "coefficient": coefficient}]}),
+                    encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--scheme", str(path))
+    shown = repr(coefficient[1] if isinstance(coefficient, list) else coefficient)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: field 'slots[0].coefficient': {shown} is not a number\n"
+
+
 def test_verify_non_json_scheme_file_is_input_error(capsys, tmp_path):
     path = tmp_path / "bad.scheme.json"
     path.write_text("{\"name\": ", encoding="utf-8")
@@ -342,7 +357,8 @@ def test_verify_rejects_bad_tolerance(capsys, tol):
     code, out, err = run(capsys, "verify", "--scheme", "NCP6_3", "--tol", tol)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: --tol") and len(err.strip().splitlines()) == 1
+    reason = f"tol must be positive and finite, got {float(tol)!r}"
+    assert err == f"error: cannot verify NCP6_3: {reason}\n"
 
 
 def test_verify_directory_is_input_error(capsys, tmp_path):
@@ -564,6 +580,40 @@ def test_bench_custom_rejects_bad_numbers(capsys, tmp_path, flags):
     assert not out.exists()
 
 
+_CURVE = ("bench", "--custom", "--schemes", "NCP6_3", "--pair", "pauli")
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("argv, context, library", [
+    (("verify", "--scheme", "NCP6_3", "--tol", "nan"), "cannot verify NCP6_3: ",
+     lambda: conditions.order_residuals(catalog_get("NCP6_3"), catalog_get("NCP6_3").target,
+                                        3, _NAN)),
+    ((*_CURVE, "--n", "4", "--t", "-1"), "cannot evaluate the error curve at t = -1: ",
+     lambda: bench.curve_table(["NCP6_3"], [matform.make_pair("pauli")], -1.0, [4])),
+    ((*_CURVE, "--n", "0"), "cannot evaluate the error curve at t = 1: ",
+     lambda: bench.curve_table(["NCP6_3"], [matform.make_pair("pauli")], 1.0, [0])),
+    ((*_CURVE, "--x", "0", "--tol", "1e-3"), "cannot evaluate the cost table at tol = 0.001: ",
+     lambda: bench.cost_table(["NCP6_3"], matform.make_pair("pauli"), [0.0], 1e-3)),
+    ((*_CURVE, "--x", "0.5", "--tol", "nan"), "cannot evaluate the cost table at tol = nan: ",
+     lambda: bench.cost_table(["NCP6_3"], matform.make_pair("pauli"), [0.5], _NAN)),
+    (("optimize", "--family", "third_order", "--range", "0.4:inf"), "",
+     lambda: conditions.optimize_free_parameter(third_order_rows, 3, (0.4, _INF))),
+    (("optimize", "--family", "third_order", "--range", "2:2"), "",
+     lambda: conditions.optimize_free_parameter(third_order_rows, 3, (2.0, 2.0))),
+], ids=["verify tol", "curve t", "curve n", "table x", "table tol", "range bound",
+        "range empty"])
+def test_a_refused_value_is_the_library_message(capsys, tmp_path, argv, context, library):
+    # the CLI judges no value itself: the one error line is the library's
+    # ValueError for the same value, after the command's context
+    with pytest.raises(ValueError) as refused:
+        library()
+    out = tmp_path / "x.csv"
+    code, text, err = run(capsys, *argv, *(("--out", str(out)) if argv[0] == "bench" else ()))
+    assert (code, text) == (2, "")
+    assert err == f"error: {context}{refused.value}\n"
+    assert not out.exists()
+
+
 def test_bench_figure_out_under_a_file_is_input_error(capsys, tmp_path):
     blocker = tmp_path / "afile"
     blocker.write_text("", encoding="utf-8")
@@ -763,9 +813,11 @@ def test_optimize_rejects_malformed_range(capsys):
 
 @pytest.mark.parametrize("prange", ["0.4:inf", "-inf:1", "nan:1"])
 def test_optimize_rejects_non_finite_range(capsys, prange):
-    code, _, err = run(capsys, "optimize", "--family", "third_order", "--range", prange)
+    code, out, err = run(capsys, "optimize", "--family", "third_order", "--range", prange)
     assert code == 2
-    assert err.startswith("error: --range ") and len(err.strip().splitlines()) == 1
+    assert out == ""
+    bounds = tuple(float(tok) for tok in prange.split(":"))
+    assert err == f"error: the parameter range needs finite bounds, got {bounds!r}\n"
 
 
 def test_optimize_rejects_empty_range(capsys):

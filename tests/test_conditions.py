@@ -414,6 +414,15 @@ def test_every_boundary_refuses_a_number_written_as_text(boundary, text):
         _TEXT_BOUNDARIES[boundary](text)
 
 
+@pytest.mark.parametrize("value", [None, {"re": 1}], ids=["None", "dict"])
+@pytest.mark.parametrize("boundary", list(_TEXT_BOUNDARIES))
+def test_every_boundary_refuses_a_value_that_is_no_number_by_its_repr(boundary, value):
+    # float() and complex() raised their own TypeError, whose message offers
+    # a string, which every boundary refuses as text
+    with pytest.raises((TypeError, ValueError), match=re.escape(f"{value!r} is not a number")):
+        _TEXT_BOUNDARIES[boundary](value)
+
+
 #: The text boundaries that read a number on its own, not as an entry of an
 #: array: numpy reads a bytearray or memoryview entry as a row of its bytes.
 _ONE_NUMBER_BOUNDARIES = [name for name in _TEXT_BOUNDARIES if name not in _ARRAY_BOUNDARIES
@@ -527,6 +536,12 @@ def test_a_float_reading_refuses_a_numpy_complex_as_a_python_complex(call, value
     with pytest.raises(TypeError) as caught:
         call(value)
     assert str(caught.value) == str(refused.value)
+
+
+def test_a_float_reading_names_a_complex_as_no_real_number():
+    # float()'s own message offered a string, which the reader refuses as text
+    with pytest.raises(TypeError, match=re.escape("(2+1j) is not a real number")):
+        schemes.phi3(np.complex128(2 + 1j))
 
 
 #: Exact numbers within float range: Python ints, ints past numpy's integer
